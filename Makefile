@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-compare bench-allocs bench-kernels vet fmt ci verify fuzz serve-smoke trace-smoke plan-smoke shard-smoke experiments experiments-quick examples clean
+.PHONY: build test race bench benchmark-check bench-json bench-compare bench-allocs bench-kernels vet fmt ci verify fuzz serve-smoke trace-smoke plan-smoke shard-smoke experiments experiments-quick examples clean
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,14 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repo benchmark (BENCHMARK.json, benchmark/README.md) is its own Go
+# module, so `build`/`test` above never compile it — yet its sut.go is
+# written against internal/ceci, enum, service and shard. Vet and test
+# it, then run one short traced workload end to end (also a CI step).
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+	bash benchmark/run.sh --workload lib_enum --seed 1 --seconds 4 --trace 1
 
 # Machine-readable regression tracking: run the fixed suite and write
 # BENCH_<name>.json. Refresh the committed baseline with

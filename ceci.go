@@ -310,7 +310,15 @@ func MatchCtx(ctx context.Context, data, query *Graph, opts *Options) (*Matcher,
 	if err != nil {
 		return nil, err
 	}
-	m := enum.NewMatcher(ix, enum.Options{
+	m := enum.NewMatcher(ix, o.enumOptions())
+	return &Matcher{inner: m, index: ix, opts: o, planner: planner, decision: decision}, nil
+}
+
+// enumOptions is the one translation of Options into the enumerator's:
+// every path — built, loaded or incremental index — enumerates under the
+// same limits and charges the same sinks.
+func (o *Options) enumOptions() enum.Options {
+	return enum.Options{
 		Workers:                 o.Workers,
 		Limit:                   o.Limit,
 		Strategy:                o.Strategy.internal(),
@@ -323,8 +331,7 @@ func MatchCtx(ctx context.Context, data, query *Graph, opts *Options) (*Matcher,
 		Profile:                 o.profile,
 		Ledger:                  o.Ledger,
 		Depth:                   o.depth,
-	})
-	return &Matcher{inner: m, index: ix, opts: o, planner: planner, decision: decision}, nil
+	}
 }
 
 // reporter builds the live-progress reporter for a run, nil when no
@@ -474,17 +481,7 @@ func ForEachIncrementalCtx(ctx context.Context, data, query *Graph, opts *Option
 		return err
 	}
 	return enum.ForEachIncrementalCtx(ctx, data, tree,
-		icec.Options{RefineRounds: o.RefineRounds, Stats: o.Stats},
-		enum.Options{
-			Workers:                 o.Workers,
-			Limit:                   o.Limit,
-			EdgeVerification:        o.EdgeVerification,
-			DisableSymmetryBreaking: o.KeepAutomorphisms,
-			Stats:                   o.Stats,
-			Trace:                   o.Tracer,
-			Progress:                o.reporter(),
-			Ledger:                  o.Ledger,
-		}, fn)
+		icec.Options{RefineRounds: o.RefineRounds, Stats: o.Stats}, o.enumOptions(), fn)
 }
 
 // CountIncremental counts embeddings via ForEachIncremental.

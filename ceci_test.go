@@ -270,6 +270,60 @@ func TestIndexSaveLoad(t *testing.T) {
 	}
 }
 
+// TestLoadedIndexCountsMatchBuilt: enumeration counts follow the
+// enumeration's options, so a loaded index reports the same intersection
+// and edge-verification work as one built in place (which used to route
+// them through the options the index was built with — zero for a
+// loaded index).
+func TestLoadedIndexCountsMatchBuilt(t *testing.T) {
+	data, query := gen.Fig1Data(), gen.Fig1Query()
+	for _, edgeVerify := range []bool{false, true} {
+		opts := func(st *ceci.Stats) *ceci.Options {
+			return &ceci.Options{Workers: 1, EdgeVerification: edgeVerify, Stats: st}
+		}
+		var built ceci.Stats
+		m, err := ceci.Match(data, query, opts(&built))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buildIntersections := built.IntersectionOps.Load() // NTE construction
+		m.Count()
+
+		var buf bytes.Buffer
+		if err := m.SaveIndex(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var loaded ceci.Stats
+		loadedOpts := opts(&loaded)
+		loadedOpts.Ledger = ceci.NewLedger()
+		m2, err := ceci.MatchWithIndex(data, query, &buf, loadedOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2.Count()
+		if got := loadedOpts.Ledger.Snapshot().RecursiveCalls; got != loaded.RecursiveCalls.Load() {
+			t.Errorf("edgeVerify=%v: loaded-index ledger saw %d recursive calls, stats %d",
+				edgeVerify, got, loaded.RecursiveCalls.Load())
+		}
+
+		wantI := built.IntersectionOps.Load() - buildIntersections
+		wantV := built.EdgeVerifications.Load()
+		if wantI+wantV == 0 {
+			t.Fatalf("edgeVerify=%v: built-in-place run counted no enumeration work", edgeVerify)
+		}
+		if got := loaded.IntersectionOps.Load(); got != wantI {
+			t.Errorf("edgeVerify=%v: loaded IntersectionOps = %d, built in place %d", edgeVerify, got, wantI)
+		}
+		if got := loaded.EdgeVerifications.Load(); got != wantV {
+			t.Errorf("edgeVerify=%v: loaded EdgeVerifications = %d, built in place %d", edgeVerify, got, wantV)
+		}
+		if loaded.RecursiveCalls.Load() != built.RecursiveCalls.Load() {
+			t.Errorf("edgeVerify=%v: recursive calls %d vs %d", edgeVerify,
+				loaded.RecursiveCalls.Load(), built.RecursiveCalls.Load())
+		}
+	}
+}
+
 func TestExplain(t *testing.T) {
 	m, err := ceci.Match(gen.Fig1Data(), gen.Fig1Query(), nil)
 	if err != nil {

@@ -60,16 +60,7 @@ func MatchWithIndex(data, query *Graph, r io.Reader, opts *Options) (*Matcher, e
 	if err != nil {
 		return nil, err
 	}
-	inner := enum.NewMatcher(ix, enum.Options{
-		Workers:                 o.Workers,
-		Limit:                   o.Limit,
-		Strategy:                o.Strategy.internal(),
-		Beta:                    o.Beta,
-		EdgeVerification:        o.EdgeVerification,
-		DisableSymmetryBreaking: o.KeepAutomorphisms,
-		Stats:                   o.Stats,
-	})
-	return &Matcher{inner: inner, index: ix, opts: o}, nil
+	return &Matcher{inner: enum.NewMatcher(ix, o.enumOptions()), index: ix, opts: o}, nil
 }
 
 // MatchWithIndexFile is MatchWithIndex reading from path.

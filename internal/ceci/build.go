@@ -75,15 +75,7 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 	}
 	ix.indexNTEChildren()
 	if p := opts.Profile; p != nil {
-		// Idempotent, so the incremental mode's per-cluster builds all
-		// share one collector and their counters accumulate.
-		p.InitQuery(tree.NumVertices(), func(u int) []int {
-			parents := make([]int, len(tree.NTEParents[u]))
-			for j, pv := range tree.NTEParents[u] {
-				parents[j] = int(pv)
-			}
-			return parents
-		})
+		ix.InitProfile(p)
 	}
 
 	// Root candidates = cluster pivots.
@@ -147,6 +139,22 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 		ix.recordShape(p)
 	}
 	return ix
+}
+
+// InitProfile sizes p's per-vertex state for this index's query. The
+// builder calls it before spawning workers and the enumerator before
+// charging its funnel (a loaded index was never built under p).
+// Idempotent, so the incremental mode's per-cluster builds all share
+// one collector and their counters accumulate.
+func (ix *Index) InitProfile(p *prof.Collector) {
+	tree := ix.Tree
+	p.InitQuery(tree.NumVertices(), func(u int) []int {
+		parents := make([]int, len(tree.NTEParents[u]))
+		for j, pv := range tree.NTEParents[u] {
+			parents[j] = int(pv)
+		}
+		return parents
+	})
 }
 
 // recordShape charges the surviving index shape — candidate counts and
@@ -339,10 +347,6 @@ func (ix *Index) filterNeighborsInto(dst []graph.VertexID, vf graph.VertexID, u 
 	qLabels := q.Labels(u)
 	qDeg := q.Degree(u)
 	qSig := graph.NLCOf(q, u)
-	st := ix.opts.Stats
-	if st != nil {
-		st.RemoteReads.Add(1) // one adjacency-list fetch per frontier vertex
-	}
 
 	// Funnel counters accumulate in locals — one batched atomic add per
 	// frontier vertex, nothing on the per-neighbor path.
@@ -356,9 +360,6 @@ func (ix *Index) filterNeighborsInto(dst []graph.VertexID, vf graph.VertexID, u 
 	// multi-labeled query vertex are still tested per neighbor.
 	neighbors := data.NeighborsWithLabel(vf, qLabels[0])
 	dropLabel = degree - int64(len(neighbors))
-	if st != nil && dropLabel > 0 {
-		st.FilteredLabel.Add(dropLabel)
-	}
 	out := dst
 	for _, v := range neighbors {
 		// Remaining labels of a multi-labeled query vertex.
@@ -370,29 +371,26 @@ func (ix *Index) filterNeighborsInto(dst []graph.VertexID, vf graph.VertexID, u 
 			}
 		}
 		if !okLabel {
-			if st != nil {
-				st.FilteredLabel.Add(1)
-			}
 			dropLabel++
 			continue
 		}
 		// Degree filter.
 		if !ix.opts.SkipDegreeFilter && data.Degree(v) < qDeg {
-			if st != nil {
-				st.FilteredDegree.Add(1)
-			}
 			dropDegree++
 			continue
 		}
 		// Neighborhood label count filter.
 		if !ix.opts.SkipNLCFilter && !data.NLC(v).Covers(qSig) {
-			if st != nil {
-				st.FilteredNLC.Add(1)
-			}
 			dropNLC++
 			continue
 		}
 		out = append(out, v)
+	}
+	if st := ix.opts.Stats; st != nil {
+		st.RemoteReads.Add(1) // one adjacency-list fetch per frontier vertex
+		st.FilteredLabel.Add(dropLabel)
+		st.FilteredDegree.Add(dropDegree)
+		st.FilteredNLC.Add(dropNLC)
 	}
 	if p := ix.opts.Profile; p != nil {
 		vc := p.Vertex(int(u))

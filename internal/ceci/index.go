@@ -289,13 +289,14 @@ type Options struct {
 	// must pass vertices that satisfy the root filters; the build sorts
 	// and deduplicates the list, so any order is accepted.
 	Pivots []graph.VertexID
-	// Stats receives instrumentation counters (may be nil). During the
-	// build, every adjacency-list fetch increments Stats.RemoteReads so
-	// the shared-storage cost model can charge IO per access.
+	// Stats receives the build's instrumentation counters (may be nil).
+	// Every adjacency-list fetch increments Stats.RemoteReads so the
+	// shared-storage cost model can charge IO per access. Enumeration
+	// over the finished index counts into the enumeration's own options.
 	Stats *stats.Counters
-	// Profile, when non-nil, receives the EXPLAIN ANALYZE accounting:
-	// the per-query-vertex filter funnel, refinement/cascade deletions,
-	// final TE/NTE shape, and enumeration-time intersection costs.
+	// Profile, when non-nil, receives the build half of the EXPLAIN
+	// ANALYZE accounting: the per-query-vertex filter funnel,
+	// refinement/cascade deletions, and final TE/NTE shape.
 	Profile *prof.Collector
 	// Tracer, when non-nil, records a "build" span with "expand" and
 	// per-round "refine" children.

@@ -16,13 +16,16 @@ import (
 // ancestor assignment and reused across the whole sibling loop. This is
 // the embedding-cluster observation of Section 4.1 applied one level up.
 type MatchScratch struct {
-	S     setops.Scratch
+	S setops.Scratch
+	// Steps is this depth's step accounting, written as plain integers
+	// by CandidatesFor / CandidatesForEdgeVerify / VerifyNTE next to the
+	// per-kernel work in S.Stats. The scratch's owner reads and zeroes
+	// both at a boundary of its choosing; nothing in this package does.
+	Steps StepCounts
+
 	lists [][]uint32
 	// prune receives the label-pair-prune survivors of the base list.
 	prune []uint32
-	// last is the kernel-stats watermark: the delta since the previous
-	// drain is what the current CandidatesFor call charged.
-	last setops.KernelStats
 
 	// Stable-intersection cache, valid until the stable ancestor
 	// assignments change or ResetUnitCache is called.
@@ -32,10 +35,20 @@ type MatchScratch struct {
 	out     []uint32 // result buffer for the volatile per-sibling step
 }
 
-// KernelTotals returns the cumulative per-kernel work recorded on this
-// scratch (all CandidatesFor calls at its depth). The enumeration ledger
-// diffs consecutive reads at work-unit boundaries.
-func (sc *MatchScratch) KernelTotals() setops.KernelStats { return sc.S.Stats }
+// StepCounts is the enumeration-step work recorded on one scratch
+// (Section 4.1): candidate lookups, the intersections they ran, the
+// summed lengths of the intersected lists (what a merge-based
+// intersection would compare), the summed result sizes, candidates the
+// label-pair prune dropped before any kernel ran, and — in the
+// edge-verification ablation — adjacency probes.
+type StepCounts struct {
+	Lookups       int64
+	Intersections int64
+	Comparisons   int64
+	Output        int64
+	LabelPruned   int64
+	Verifications int64
+}
 
 // FootprintBytes returns the scratch's allocated backing size: the
 // setops buffers plus this package's per-depth slices. nteRes aliases
@@ -68,13 +81,14 @@ func (sc *MatchScratch) ResetUnitCache() { sc.nteOK = false }
 // valid only until the next CandidatesFor call with the same scratch, and
 // must not be modified.
 func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) []graph.VertexID {
+	st := &sc.Steps
+	st.Lookups++
 	tree := ix.Tree
 	node := &ix.Nodes[u]
 	base := node.TE.Get(m[tree.Parent[u]])
 	if len(base) == 0 {
 		return nil
 	}
-	var pruned int64
 	if sigs := ix.nbrSig; sigs != nil {
 		if req := ix.reqMask[u]; req != 0 {
 			kept := sc.prune[:0]
@@ -83,29 +97,16 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 					kept = append(kept, v)
 				}
 			}
-			pruned = int64(len(base) - len(kept))
+			st.LabelPruned += int64(len(base) - len(kept))
 			sc.prune = kept
 			base = kept
 			if len(base) == 0 {
-				if p := ix.opts.Profile; p != nil {
-					vc := p.Vertex(int(u))
-					vc.EnumLookups.Add(1)
-					vc.EnumLabelPruned.Add(pruned)
-				}
 				return nil
 			}
 		}
 	}
 	if len(node.NTE) == 0 {
-		if p := ix.opts.Profile; p != nil {
-			vc := p.Vertex(int(u))
-			vc.EnumLookups.Add(1)
-			vc.EnumOutput.Add(int64(len(base)))
-			if pruned != 0 {
-				vc.EnumLabelPruned.Add(pruned)
-			}
-			p.ObserveEnumOutput(len(base))
-		}
+		st.Output += int64(len(base))
 		return base
 	}
 
@@ -121,45 +122,21 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 		// slower on the clique queries). Direct k-way intersection.
 		lists := sc.lists[:0]
 		lists = append(lists, base)
+		cmp := int64(len(base))
 		for j, un := range nparents {
 			l := node.NTE[j].Get(m[un])
 			if len(l) == 0 {
 				sc.lists = lists
-				if p := ix.opts.Profile; p != nil {
-					vc := p.Vertex(int(u))
-					vc.EnumLookups.Add(1)
-					if pruned != 0 {
-						vc.EnumLabelPruned.Add(pruned)
-					}
-				}
 				return nil
 			}
 			lists = append(lists, l)
+			cmp += int64(len(l))
 		}
 		sc.lists = lists
-		if ix.opts.Stats != nil {
-			ix.opts.Stats.IntersectionOps.Add(int64(len(lists) - 1))
-		}
 		result := setops.IntersectK(&sc.S, lists)
-		if p := ix.opts.Profile; p != nil {
-			var cmp int64
-			for _, l := range lists {
-				cmp += int64(len(l))
-			}
-			vc := p.Vertex(int(u))
-			vc.EnumLookups.Add(1)
-			vc.EnumIntersections.Add(int64(len(lists) - 1))
-			vc.EnumComparisons.Add(cmp)
-			vc.EnumOutput.Add(int64(len(result)))
-			if pruned != 0 {
-				vc.EnumLabelPruned.Add(pruned)
-			}
-			// Drain the per-kernel work recorded since the last drain on
-			// this scratch into the profile's atomics.
-			vc.AddKernelStats(sc.S.Stats.Sub(sc.last))
-			sc.last = sc.S.Stats
-			p.ObserveEnumOutput(len(result))
-		}
+		st.Intersections += int64(len(lists) - 1)
+		st.Comparisons += cmp
+		st.Output += int64(len(result))
 		return result
 	}
 
@@ -188,7 +165,6 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 			}
 		}
 	}
-	var rebuildCmp, rebuilt int64
 	if !hit {
 		// Record the full key set first: a rebuild that stops early on an
 		// empty list must still leave a complete key for the next lookup.
@@ -205,7 +181,7 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 		lists := sc.lists[:0]
 		if !plan.volBase {
 			lists = append(lists, base)
-			rebuildCmp += int64(len(base))
+			st.Comparisons += int64(len(base))
 		}
 		empty := false
 		for j, un := range nparents {
@@ -217,83 +193,42 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 				empty = true
 				break
 			}
-			rebuildCmp += int64(len(l))
+			st.Comparisons += int64(len(l))
 			lists = append(lists, l)
 		}
 		sc.lists = lists
 		if empty {
 			sc.nteRes = nil
 		} else {
-			rebuilt = int64(len(lists) - 1)
-			if ix.opts.Stats != nil {
-				ix.opts.Stats.IntersectionOps.Add(rebuilt)
-			}
+			st.Intersections += int64(len(lists) - 1)
 			sc.nteRes = setops.IntersectK(&sc.S, lists)
 		}
 	}
 	if len(sc.nteRes) == 0 {
 		// Cached-empty: every sibling under these stable assignments
 		// fails the same way.
-		if p := ix.opts.Profile; p != nil {
-			vc := p.Vertex(int(u))
-			vc.EnumLookups.Add(1)
-			vc.EnumIntersections.Add(rebuilt)
-			vc.EnumComparisons.Add(rebuildCmp)
-			if pruned != 0 {
-				vc.EnumLabelPruned.Add(pruned)
-			}
-			vc.AddKernelStats(sc.S.Stats.Sub(sc.last))
-			sc.last = sc.S.Stats
-		}
 		return nil
 	}
 
 	// Volatile step: intersect the cached stable result with the one
 	// input keyed by the predecessor — the TE base list, a single NTE
 	// list, or nothing at all (the cached result is the answer).
-	var result []uint32
-	var volCmp int64
-	intersections := rebuilt
-	switch {
-	case plan.volBase:
-		volCmp = int64(len(sc.nteRes)) + int64(len(base))
-		result = setops.IntersectWith(setops.ChooseKernel(sc.nteRes, base), sc.out[:0], sc.nteRes, base, &sc.S)
-		sc.out = result
-		intersections++
-		if ix.opts.Stats != nil {
-			ix.opts.Stats.IntersectionOps.Add(1)
-		}
-	case plan.volNTE >= 0:
-		lv := node.NTE[plan.volNTE].Get(m[nparents[plan.volNTE]])
-		volCmp = int64(len(sc.nteRes)) + int64(len(lv))
-		if len(lv) == 0 {
+	result := sc.nteRes
+	vol := base
+	if plan.volNTE >= 0 {
+		vol = node.NTE[plan.volNTE].Get(m[nparents[plan.volNTE]])
+	}
+	if plan.volBase || plan.volNTE >= 0 {
+		st.Comparisons += int64(len(sc.nteRes)) + int64(len(vol))
+		if len(vol) == 0 {
 			result = nil
 		} else {
-			result = setops.IntersectWith(setops.ChooseKernel(sc.nteRes, lv), sc.out[:0], sc.nteRes, lv, &sc.S)
+			result = setops.IntersectWith(setops.ChooseKernel(sc.nteRes, vol), sc.out[:0], sc.nteRes, vol, &sc.S)
 			sc.out = result
-			intersections++
-			if ix.opts.Stats != nil {
-				ix.opts.Stats.IntersectionOps.Add(1)
-			}
+			st.Intersections++
 		}
-	default:
-		result = sc.nteRes
 	}
-	if p := ix.opts.Profile; p != nil {
-		vc := p.Vertex(int(u))
-		vc.EnumLookups.Add(1)
-		vc.EnumIntersections.Add(intersections)
-		vc.EnumComparisons.Add(rebuildCmp + volCmp)
-		vc.EnumOutput.Add(int64(len(result)))
-		if pruned != 0 {
-			vc.EnumLabelPruned.Add(pruned)
-		}
-		// Drain the per-kernel work recorded since the last drain on
-		// this scratch into the profile's atomics.
-		vc.AddKernelStats(sc.S.Stats.Sub(sc.last))
-		sc.last = sc.S.Stats
-		p.ObserveEnumOutput(len(result))
-	}
+	st.Output += int64(len(result))
 	return result
 }
 
@@ -301,17 +236,18 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 // it returns only the TE candidates and leaves non-tree edges to be
 // verified by adjacency probes, the way TurboIso/CFLMatch-style systems
 // operate. VerifyNTE performs those probes.
-func (ix *Index) CandidatesForEdgeVerify(u graph.VertexID, m []graph.VertexID) []graph.VertexID {
-	return ix.Nodes[u].TE.Get(m[ix.Tree.Parent[u]])
+func (ix *Index) CandidatesForEdgeVerify(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) []graph.VertexID {
+	cands := ix.Nodes[u].TE.Get(m[ix.Tree.Parent[u]])
+	sc.Steps.Lookups++
+	sc.Steps.Output += int64(len(cands))
+	return cands
 }
 
 // VerifyNTE checks v against every non-tree edge of u by binary-search
-// adjacency probes on the data graph.
-func (ix *Index) VerifyNTE(u graph.VertexID, v graph.VertexID, m []graph.VertexID) bool {
+// adjacency probes on the data graph, counted on sc.
+func (ix *Index) VerifyNTE(u graph.VertexID, v graph.VertexID, m []graph.VertexID, sc *MatchScratch) bool {
 	for _, un := range ix.Tree.NTEParents[u] {
-		if ix.opts.Stats != nil {
-			ix.opts.Stats.EdgeVerifications.Add(1)
-		}
+		sc.Steps.Verifications++
 		if !ix.Data.HasEdge(m[un], v) {
 			return false
 		}

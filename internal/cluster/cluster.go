@@ -389,9 +389,10 @@ func (m *machine) run(reg *stealRegistry, total *atomic.Int64, steals *atomic.In
 		}
 	}
 	if p := m.cfg.Profile; p != nil && ix != nil {
-		// The per-pivot inner matchers get no profile (their worker IDs
-		// would collide across machines); this machine's cluster
-		// cardinalities and ledger are recorded here instead.
+		// The per-pivot inner matchers charge only the per-vertex
+		// enumeration funnel (their worker IDs would collide across
+		// machines); this machine's cluster cardinalities and ledger are
+		// recorded here instead.
 		cards := make([]int64, len(myPivots))
 		for i, pv := range myPivots {
 			cards[i] = ix.ClusterCardinality(pv)
@@ -427,13 +428,19 @@ func (m *machine) run(reg *stealRegistry, total *atomic.Int64, steals *atomic.In
 	pivotCtx := obs.DetachTrace(m.ctx)
 	enumStart := time.Now()
 	var found, executed int64
+	var funnel *prof.Collector
 	runPivot := func(ix *ceci.Index, pivot graph.VertexID) {
 		executed++
 		sub := restrictIndex(ix, pivot)
+		if funnel == nil {
+			// An index exists, so its build has sized the profile.
+			funnel = m.cfg.Profile.EnumFunnel()
+		}
 		matcher := enum.NewMatcher(sub, enum.Options{
 			Workers:  m.cfg.WorkersPerMachine,
 			Strategy: workload.FGD,
 			Beta:     m.cfg.Beta,
+			Profile:  funnel,
 		})
 		n, _ := matcher.CountCtx(pivotCtx)
 		found += n

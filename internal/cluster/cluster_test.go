@@ -12,10 +12,14 @@ import (
 	"time"
 
 	"ceci/internal/auto"
+	"ceci/internal/ceci"
 	"ceci/internal/cluster"
+	"ceci/internal/enum"
 	"ceci/internal/gen"
 	"ceci/internal/graph"
 	"ceci/internal/obs"
+	"ceci/internal/order"
+	"ceci/internal/prof"
 	"ceci/internal/reference"
 )
 
@@ -63,6 +67,62 @@ func TestClusterJaccardColocationAgrees(t *testing.T) {
 	}
 	if base.Embeddings != jac.Embeddings {
 		t.Fatalf("jaccard co-location changed result: %d vs %d", jac.Embeddings, base.Embeddings)
+	}
+}
+
+// TestClusterKeepsEnumFunnel: the per-pivot matchers of a distributed
+// run are handed the profile's enumeration funnel explicitly, so the
+// per-vertex lookup and output totals of a 4-machine run equal the
+// single-node profile's — every partial embedding is extended exactly
+// once, whichever machine or decomposition step does it.
+func TestClusterKeepsEnumFunnel(t *testing.T) {
+	data := gen.Kronecker(9, 8, 5)
+	query := gen.QG2()
+	funnel := func(p prof.Profile) (lookups, output int64) {
+		for _, v := range p.Vertices {
+			lookups += v.Enum.Lookups
+			output += v.Enum.Output
+		}
+		return lookups, output
+	}
+
+	tree, err := order.Preprocess(data, query, order.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := prof.New()
+	ix := ceci.Build(data, tree, ceci.Options{Profile: single})
+	want := enum.NewMatcher(ix, enum.Options{Workers: 1, Profile: single}).Count()
+	wantLookups, wantOutput := funnel(single.Snapshot())
+	if wantLookups == 0 {
+		t.Fatal("single-node profile recorded no lookups")
+	}
+
+	// One worker per machine: FGD re-runs the lookup of a dead-end split
+	// at enumeration time, so only unsplit runs reproduce the count exactly.
+	collector := prof.New()
+	res, err := cluster.Run(data, query, cluster.Config{
+		Machines: 4, WorkersPerMachine: 1, Profile: collector,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Embeddings != want {
+		t.Fatalf("embeddings %d, single node %d", res.Embeddings, want)
+	}
+	p := collector.Snapshot()
+	if lookups, output := funnel(p); lookups != wantLookups || output != wantOutput {
+		t.Errorf("Σ lookups/output = %d/%d, single node %d/%d", lookups, output, wantLookups, wantOutput)
+	}
+	// The inner matchers' worker ids collide across machines: only the
+	// machine-level slots may be charged.
+	var units int64
+	for _, w := range p.Workers {
+		units += w.Units
+	}
+	if len(p.Workers) != 4 || units != int64(len(ix.Pivots())) {
+		t.Errorf("profile has %d worker slots with %d units, want 4 machines sharing %d pivots",
+			len(p.Workers), units, len(ix.Pivots()))
 	}
 }
 

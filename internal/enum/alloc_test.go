@@ -105,7 +105,7 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 				t.Fatal("Build did not freeze the index")
 			}
 			m := NewMatcher(ix, Options{Workers: 1, Strategy: workload.FGD})
-			units := m.units()
+			units := m.units(nil)
 			if len(units) == 0 {
 				t.Skip("no work units for this pair")
 			}

@@ -6,11 +6,9 @@ import "sync/atomic"
 // outputs across enumeration workers — the observed selectivity funnel
 // the cost-based planner's drift detector feeds on (internal/plan).
 //
-// Like the resource ledger, it follows the watermark pattern: workers
-// count into plain per-searcher slices inside the depth step and drain
-// deltas into these atomics only at work-unit boundaries, so enabling
-// depth stats adds one nil-check and two plain integer adds to the
-// steady-state step and keeps it allocation-free.
+// It is one view of the searcher's drain (see Options): the depth step
+// counts lookups and outputs into its per-depth scratch regardless, so
+// attaching a DepthStats adds nothing to the steady-state step.
 type DepthStats struct {
 	lookups []atomic.Int64
 	emitted []atomic.Int64
@@ -41,10 +39,4 @@ func (d *DepthStats) Snapshot() (lookups, emitted []int64) {
 		emitted[i] = d.emitted[i].Load()
 	}
 	return lookups, emitted
-}
-
-// add charges one depth. Called only from work-unit-boundary drains.
-func (d *DepthStats) add(depth int, l, e int64) {
-	d.lookups[depth].Add(l)
-	d.emitted[depth].Add(e)
 }

@@ -22,7 +22,10 @@ import (
 	"ceci/internal/workload"
 )
 
-// Options configures enumeration.
+// Options configures enumeration. The instrumentation sinks — Stats,
+// Progress, Profile, Ledger, Depth — are views of one stream: workers
+// count into plain integers they own and drain them at work-unit
+// boundaries and every 4096 embeddings (searcher.drain).
 type Options struct {
 	// Workers bounds parallelism; <= 0 means GOMAXPROCS.
 	Workers int
@@ -40,29 +43,28 @@ type Options struct {
 	// DisableSymmetryBreaking lists every automorphic image (used by
 	// correctness tests comparing raw counts).
 	DisableSymmetryBreaking bool
-	// Stats and Clock receive instrumentation (may be nil).
+	// Stats receives the enumeration's counters — recursive calls,
+	// embeddings, intersections, edge verifications, units (may be nil).
 	Stats *stats.Counters
-	Clock *stats.WorkerClock
 	// Trace records enumerate/cluster spans (may be nil).
 	Trace *obs.Tracer
 	// Progress receives live cluster-completion and embedding counts;
 	// the reporter is started when enumeration begins and stopped (with
 	// a final report) when it ends (may be nil).
 	Progress *obs.Reporter
-	// Profile receives the EXPLAIN ANALYZE accounting: cluster/unit
-	// cardinality distributions and per-worker busy/unit/steal totals
-	// (may be nil). Attach the same collector to the build options to
-	// also capture the filter funnel and index shape.
+	// Profile receives the EXPLAIN ANALYZE accounting: the per-vertex
+	// enumeration funnel, cluster/unit cardinality distributions and
+	// per-worker busy/unit/steal totals (may be nil). Attach the same
+	// collector to the build options to also capture the filter funnel
+	// and index shape.
 	Profile *prof.Collector
 	// Ledger receives the query's resource charges — worker busy time,
 	// recursive calls, embeddings, peak scratch footprint, and the
-	// intersection-kernel mix — accumulated at work-unit boundaries only,
-	// so the zero-allocation depth step stays untouched (may be nil).
+	// intersection-kernel mix (may be nil).
 	Ledger *telemetry.Ledger
 	// Depth receives per-matching-order-depth lookup/output counts — the
 	// observed selectivities the cost-based planner's drift detector
-	// compares against its estimate. Charged at work-unit boundaries
-	// under the same watermark pattern as Ledger (may be nil).
+	// compares against its estimate (may be nil).
 	Depth *DepthStats
 }
 
@@ -171,7 +173,11 @@ func (m *Matcher) ForEachCtx(ctx context.Context, fn func(emb []graph.VertexID) 
 }
 
 func (m *Matcher) forEach(ctx context.Context, ctl *control) {
-	units := m.units()
+	// Worker 0's searcher exists before scheduling: FGD decomposition
+	// runs its candidate lookups on that scratch, so the work the split
+	// sub-units skip is drained with the rest of worker 0's.
+	first := newSearcher(m, ctl)
+	units := m.units(first.scratch)
 	if rep := m.opts.Progress; rep != nil {
 		var card int64
 		for _, u := range units {
@@ -179,10 +185,7 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 				card = ceci.CardSaturation
 			}
 		}
-		if m.opts.Clock == nil {
-			m.opts.Clock = stats.NewWorkerClock(m.opts.Workers)
-		}
-		rep.SetClock(m.opts.Clock)
+		rep.SetClock(stats.NewWorkerClock(m.opts.Workers))
 		rep.AddTotals(len(units), card)
 		rep.Start()
 		defer rep.Stop()
@@ -214,6 +217,7 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 		}
 	}
 	if p := m.opts.Profile; p != nil {
+		m.ix.InitProfile(p)
 		pivots := m.ix.Pivots()
 		pivotCards := make([]int64, len(pivots))
 		for i, pv := range pivots {
@@ -229,44 +233,47 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 		defer func() { p.AddEnumWall(time.Since(enumStart)) }()
 	}
 
-	switch m.opts.Strategy {
-	case workload.ST:
-		groups := workload.Partition(units, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				m.runWorker(w, ctl, span, func() (workload.Unit, bool) {
-					g := groups[w]
-					if len(g) == 0 {
-						return workload.Unit{}, false
-					}
-					groups[w] = g[1:]
-					return g[0], true
-				})
-			}(w)
-		}
-		wg.Wait()
-	default: // CGD, FGD
-		pool := workload.NewPool(units)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				m.runWorker(w, ctl, span, pool.Next)
-			}(w)
-		}
-		wg.Wait()
+	// ST hands every worker a fixed group; CGD and FGD pull from one pool.
+	var groups [][]workload.Unit
+	var pool *workload.Pool
+	if m.opts.Strategy == workload.ST {
+		groups = workload.Partition(units, workers)
+	} else {
+		pool = workload.NewPool(units)
 	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := first
+			if w > 0 {
+				s = newSearcher(m, ctl)
+			}
+			s.worker = w
+			next := func() (workload.Unit, bool) {
+				g := groups[w]
+				if len(g) == 0 {
+					return workload.Unit{}, false
+				}
+				groups[w] = g[1:]
+				return g[0], true
+			}
+			if pool != nil {
+				next = pool.Next
+			}
+			m.runWorker(s, span, next)
+		}(w)
+	}
+	wg.Wait()
 }
 
-// units materializes the schedulable work according to the strategy.
-func (m *Matcher) units() []workload.Unit {
+// units materializes the schedulable work according to the strategy;
+// FGD decomposition counts its lookups on scratch (see workload.Decompose).
+func (m *Matcher) units(scratch []ceci.MatchScratch) []workload.Unit {
 	switch m.opts.Strategy {
 	case workload.FGD:
-		return workload.Decompose(m.ix, m.cons, m.opts.Beta, m.opts.Workers)
+		return workload.Decompose(m.ix, m.cons, m.opts.Beta, m.opts.Workers, scratch)
 	default:
 		return workload.Clusters(m.ix)
 	}
@@ -312,19 +319,16 @@ func (c *control) emit(emb []graph.VertexID) (delivered, cont bool) {
 	return true, true
 }
 
-func (m *Matcher) runWorker(id int, ctl *control, parent *obs.Span, next func() (workload.Unit, bool)) {
-	s := newSearcher(m, ctl)
-	defer s.flush()
+func (m *Matcher) runWorker(s *searcher, parent *obs.Span, next func() (workload.Unit, bool)) {
+	defer s.drain(false, 0, 0) // worker 0 may hold decomposition work and run no unit
 	for {
-		if ctl.stop.Load() {
+		if s.ctl.stop.Load() {
 			return
 		}
 		unit, ok := next()
 		if !ok {
 			return
 		}
-		// Per-unit clock charges (rather than one charge at worker exit)
-		// keep mid-run busy-time snapshots meaningful.
 		start := time.Now()
 		var span *obs.Span
 		if parent != nil {
@@ -332,21 +336,13 @@ func (m *Matcher) runWorker(id int, ctl *control, parent *obs.Span, next func() 
 				obs.Int("pivot", int64(unit.Prefix[0])),
 				obs.Int("depth", int64(len(unit.Prefix))),
 				obs.Int("card", unit.Card),
-				obs.Int("worker", int64(id)))
+				obs.Int("worker", int64(s.worker)))
 		}
 		ok = s.runUnit(unit)
 		span.End()
-		elapsed := time.Since(start)
-		m.opts.Clock.Add(id, elapsed)
-		m.opts.Profile.WorkerUnit(id, elapsed)
-		if m.opts.Ledger != nil {
-			s.chargeLedger(elapsed)
-		}
-		s.chargeDepth()
-		if rep := m.opts.Progress; rep != nil {
-			rep.ClusterDone(unit.Card)
-			s.flush()
-		}
+		// Per-unit charges (rather than one at worker exit) keep mid-run
+		// busy-time and progress snapshots meaningful.
+		s.drain(true, unit.Card, time.Since(start))
 		if !ok {
 			return
 		}

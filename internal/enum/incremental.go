@@ -2,12 +2,10 @@ package enum
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ceci/internal/auto"
 	"ceci/internal/ceci"
 	"ceci/internal/graph"
 	"ceci/internal/obs"
@@ -54,17 +52,11 @@ func ForEachIncrementalCtx(ctx context.Context, data *graph.Graph, tree *order.Q
 		return nil
 	}
 
-	workers := eopts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pivots) {
-		workers = len(pivots)
-	}
-	var cons *auto.Constraints
-	if !eopts.DisableSymmetryBreaking {
-		cons = auto.Compute(tree.Query)
-	}
+	// The matcher every worker copies: its index is swapped per cluster,
+	// and until a worker's first build it is just the shape newSearcher
+	// sizes its buffers from.
+	shell := NewMatcher(&ceci.Index{Data: data, Tree: tree}, eopts)
+	workers := min(shell.opts.Workers, len(pivots))
 	ctl := &control{fn: fn, limit: eopts.Limit}
 	var cancelled atomic.Bool
 	if ctx.Done() != nil {
@@ -105,15 +97,10 @@ func ForEachIncrementalCtx(ctx context.Context, data *graph.Graph, tree *order.Q
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// One matcher shell and searcher per worker; the index is
-			// swapped per cluster so buffers are reused.
-			shell := &Matcher{cons: cons, opts: eopts}
-			var s *searcher
-			defer func() {
-				if s != nil {
-					s.flush()
-				}
-			}()
+			// One matcher and searcher per worker, so buffers are reused.
+			shell := *shell
+			s := newSearcher(&shell, ctl)
+			s.worker = w
 			pivotBuf := make([]graph.VertexID, 1)
 			for {
 				i := cursor.Add(1) - 1
@@ -130,26 +117,12 @@ func ForEachIncrementalCtx(ctx context.Context, data *graph.Graph, tree *order.Q
 				if err != nil {
 					return // cancelled mid-build; ctl.stop is already up
 				}
-				if len(ix.Pivots()) == 0 {
-					eopts.Profile.WorkerUnit(w, time.Since(unitStart))
-					eopts.Progress.ClusterDone(0)
-					continue // cluster died during filtering/refinement
+				ok := true
+				if len(ix.Pivots()) > 0 { // else the cluster died during filtering/refinement
+					shell.ix = ix
+					ok = s.runUnit(workload.Unit{Prefix: pivotBuf[:1]})
 				}
-				shell.ix = ix
-				if s == nil {
-					s = newSearcher(shell, ctl)
-				}
-				ok := s.runUnit(workload.Unit{Prefix: pivotBuf[:1]})
-				elapsed := time.Since(unitStart)
-				eopts.Profile.WorkerUnit(w, elapsed)
-				if eopts.Ledger != nil {
-					s.chargeLedger(elapsed)
-				}
-				s.chargeDepth()
-				if rep := eopts.Progress; rep != nil {
-					rep.ClusterDone(0)
-					s.flush()
-				}
+				s.drain(true, 0, time.Since(unitStart))
 				if !ok {
 					return
 				}

@@ -26,19 +26,23 @@ type UnitCost struct {
 // units equals a full unlimited enumeration (Options.Limit is ignored:
 // scalability experiments enumerate everything).
 func (m *Matcher) MeasureUnits() []UnitCost {
-	units := m.units()
+	var found int64
+	s := newSearcher(m, &control{fn: func([]graph.VertexID) bool {
+		found++
+		return true
+	}})
+	units := m.units(s.scratch)
 	costs := make([]UnitCost, len(units))
-	s := newSearcher(m, &control{fn: func([]graph.VertexID) bool { return true }})
 	for i, u := range units {
-		before := s.embeddings
+		before := found
 		start := time.Now()
 		s.runUnit(u)
 		costs[i] = UnitCost{
 			Unit:       u,
 			Duration:   time.Since(start),
-			Embeddings: s.embeddings - before,
+			Embeddings: found - before,
 		}
 	}
-	s.flush()
+	s.drain(false, 0, 0)
 	return costs
 }

@@ -22,34 +22,19 @@ type searcher struct {
 	used    bitset.Bits         // indexed by data vertex (injectivity bitmap)
 	scratch []ceci.MatchScratch // per-depth intersection buffers
 
-	// Cumulative counters for the searcher's lifetime; flush pushes the
-	// delta beyond flushed* to the Stats/Progress sinks so live snapshots
-	// advance mid-run without an atomic per embedding.
+	worker int // slot charged in the per-worker views (Profile, Progress)
+
+	// Everything the hot loop counts is a plain integer this worker owns:
+	// these two and the per-depth step and kernel blocks in scratch. They
+	// hold the work since the last drain, which charges and zeroes them.
 	recursiveCalls int64
 	embeddings     int64
-	flushedCalls   int64
-	flushedEmbs    int64
-
-	// Ledger watermarks: the portion of the cumulative counters already
-	// charged to the resource ledger at the last work-unit boundary.
-	ledCalls   int64
-	ledEmbs    int64
-	ledKernels setops.KernelStats
-
-	// Per-depth selectivity counters (nil unless Options.Depth is set):
-	// depthLookups/depthEmitted accumulate plainly inside the depth step;
-	// ledDepth* are the watermarks drained into the shared DepthStats
-	// atomics at work-unit boundaries.
-	depthLookups []int64
-	depthEmitted []int64
-	ledDepthL    []int64
-	ledDepthE    []int64
 }
 
-// liveFlushMask batches sink updates: counters drain every 4096
+// liveDrainMask batches sink updates: counters drain every 4096
 // embeddings (and at each unit boundary), keeping the hot path
-// atomic-free.
-const liveFlushMask = 1<<12 - 1
+// atomic-free while live snapshots still advance mid-unit.
+const liveDrainMask = 1<<12 - 1
 
 // queryShape caches the tree fields the inner loop touches.
 type queryShape struct {
@@ -59,22 +44,15 @@ type queryShape struct {
 
 func newSearcher(m *Matcher, ctl *control) *searcher {
 	n := m.ix.Tree.NumVertices()
-	s := &searcher{
+	return &searcher{
 		m:       m,
 		ctl:     ctl,
 		tree:    queryShape{order: m.ix.Tree.Order, n: n},
 		emb:     make([]graph.VertexID, n),
 		matched: make([]bool, n),
 		used:    bitset.New(m.ix.Data.NumVertices()),
-		scratch: make([]ceci.MatchScratch, n+1),
+		scratch: make([]ceci.MatchScratch, n),
 	}
-	if d := m.opts.Depth; d != nil && d.Depths() >= n {
-		s.depthLookups = make([]int64, n)
-		s.depthEmitted = make([]int64, n)
-		s.ledDepthL = make([]int64, n)
-		s.ledDepthE = make([]int64, n)
-	}
-	return s
 }
 
 // runUnit enumerates the embeddings of one work unit: the prefix is
@@ -120,8 +98,8 @@ func (s *searcher) search(depth int) bool {
 		delivered, cont := s.ctl.emit(s.emb)
 		if delivered {
 			s.embeddings++
-			if s.embeddings&liveFlushMask == 0 {
-				s.flush()
+			if s.embeddings&liveDrainMask == 0 {
+				s.drain(false, 0, 0)
 			}
 		}
 		return cont
@@ -129,16 +107,16 @@ func (s *searcher) search(depth int) bool {
 	u := s.tree.order[depth]
 	s.recursiveCalls++
 
+	sc := &s.scratch[depth]
 	var cands []graph.VertexID
 	if s.m.opts.EdgeVerification {
-		cands = s.m.ix.CandidatesForEdgeVerify(u, s.emb)
+		cands = s.m.ix.CandidatesForEdgeVerify(u, s.emb, sc)
 	} else {
-		cands = s.m.ix.CandidatesFor(u, s.emb, &s.scratch[depth])
+		cands = s.m.ix.CandidatesFor(u, s.emb, sc)
 	}
-	if s.depthLookups != nil {
-		s.depthLookups[depth]++
-		s.depthEmitted[depth] += int64(len(cands))
-	}
+	// The candidate-list-size distribution is the one per-lookup
+	// observation that is not a sum, so it cannot ride the drain.
+	s.m.opts.Profile.ObserveEnumOutput(len(cands))
 	if len(cands) == 0 {
 		return true
 	}
@@ -150,7 +128,7 @@ func (s *searcher) search(depth int) bool {
 		if cons != nil && !cons.Allows(u, v, s.emb, s.matched) {
 			continue
 		}
-		if s.m.opts.EdgeVerification && !s.m.ix.VerifyNTE(u, v, s.emb) {
+		if s.m.opts.EdgeVerification && !s.m.ix.VerifyNTE(u, v, s.emb, sc) {
 			continue
 		}
 		s.emb[u] = v
@@ -171,68 +149,61 @@ func (s *searcher) search(depth int) bool {
 	return true
 }
 
-// chargeLedger pushes this worker's deltas since the previous charge to
-// the query's resource ledger: the unit's busy time, recursive-call and
-// embedding deltas, the per-kernel work summed across the per-depth
-// scratches, and the worker's current scratch footprint (a handful of
-// atomic adds — runWorker calls it once per completed unit, never inside
-// the depth step).
-func (s *searcher) chargeLedger(elapsed time.Duration) {
-	led := s.m.opts.Ledger
-	var kern setops.KernelStats
-	var scratchBytes int64
-	for i := range s.scratch {
-		k := s.scratch[i].KernelTotals()
-		for j := 0; j < setops.NumKernels; j++ {
-			kern.Calls[j] += k.Calls[j]
-			kern.Scanned[j] += k.Scanned[j]
-			kern.Emitted[j] += k.Emitted[j]
-		}
-		scratchBytes += s.scratch[i].FootprintBytes()
+// drain is the one place enumeration work reaches a sink: it charges
+// everything this worker counted since its previous drain to whichever
+// of Stats, Profile, Depth, Ledger and Progress are attached — so each
+// is a view of the same numbers — and zeroes the counters. unit marks a
+// work-unit boundary, where the unit's cardinality, wall time and the
+// worker's scratch footprint are charged too; mid-unit drains only keep
+// the live views advancing. Allocation-free; never inside the depth step.
+func (s *searcher) drain(unit bool, card int64, busy time.Duration) {
+	o := &s.m.opts
+	depth := o.Depth
+	if depth != nil && depth.Depths() < s.tree.n {
+		depth = nil
 	}
-	scratchBytes += int64(cap(s.emb))*4 + int64(cap(s.matched)) + int64(len(s.used))*8
-	led.AddUnit(elapsed, s.recursiveCalls-s.ledCalls, s.embeddings-s.ledEmbs, scratchBytes)
-	led.AddKernels(kern.Sub(s.ledKernels))
-	s.ledCalls = s.recursiveCalls
-	s.ledEmbs = s.embeddings
-	s.ledKernels = kern
-}
-
-// chargeDepth drains per-depth lookup/output deltas since the previous
-// charge into the shared DepthStats atomics — the same unit-boundary
-// watermark discipline as chargeLedger, so the depth step itself stays
-// atomic-free and allocation-free.
-func (s *searcher) chargeDepth() {
-	d := s.m.opts.Depth
-	if d == nil || s.depthLookups == nil {
+	scratchBytes := int64(cap(s.emb))*4 + int64(cap(s.matched)) + int64(len(s.used))*8
+	var intersections, verifications int64
+	for pos := range s.scratch {
+		sc := &s.scratch[pos]
+		scratchBytes += sc.FootprintBytes()
+		steps, kernels := sc.Steps, sc.S.Stats
+		if steps == (ceci.StepCounts{}) {
+			continue // no lookup at this depth, hence no kernel work either
+		}
+		sc.Steps, sc.S.Stats = ceci.StepCounts{}, setops.KernelStats{}
+		intersections += steps.Intersections
+		verifications += steps.Verifications
+		if p := o.Profile; p != nil {
+			vc := p.Vertex(int(s.tree.order[pos]))
+			vc.EnumLookups.Add(steps.Lookups)
+			vc.EnumIntersections.Add(steps.Intersections)
+			vc.EnumComparisons.Add(steps.Comparisons)
+			vc.EnumOutput.Add(steps.Output)
+			vc.EnumLabelPruned.Add(steps.LabelPruned)
+			vc.AddKernelStats(kernels)
+		}
+		if depth != nil {
+			depth.lookups[pos].Add(steps.Lookups)
+			depth.emitted[pos].Add(steps.Output)
+		}
+		o.Ledger.AddKernels(kernels)
+	}
+	calls, embeddings := s.recursiveCalls, s.embeddings
+	s.recursiveCalls, s.embeddings = 0, 0
+	if st := o.Stats; st != nil {
+		st.RecursiveCalls.Add(calls)
+		st.Embeddings.Add(embeddings)
+		st.IntersectionOps.Add(intersections)
+		st.EdgeVerifications.Add(verifications)
+	}
+	o.Progress.AddEmbeddings(embeddings)
+	if !unit {
+		o.Ledger.AddWork(calls, embeddings)
 		return
 	}
-	for i := range s.depthLookups {
-		dl := s.depthLookups[i] - s.ledDepthL[i]
-		de := s.depthEmitted[i] - s.ledDepthE[i]
-		if dl == 0 && de == 0 {
-			continue
-		}
-		d.add(i, dl, de)
-		s.ledDepthL[i] = s.depthLookups[i]
-		s.ledDepthE[i] = s.depthEmitted[i]
-	}
-}
-
-// flush pushes counter deltas since the last flush to the Stats counters
-// and the Progress reporter. Cumulative fields are never reset, so
-// callers (MeasureUnits) can still read them across units.
-func (s *searcher) flush() {
-	dCalls := s.recursiveCalls - s.flushedCalls
-	dEmbs := s.embeddings - s.flushedEmbs
-	if dCalls == 0 && dEmbs == 0 {
-		return
-	}
-	if st := s.m.opts.Stats; st != nil {
-		st.RecursiveCalls.Add(dCalls)
-		st.Embeddings.Add(dEmbs)
-	}
-	s.m.opts.Progress.AddEmbeddings(dEmbs)
-	s.flushedCalls = s.recursiveCalls
-	s.flushedEmbs = s.embeddings
+	o.Ledger.AddUnit(busy, calls, embeddings, scratchBytes)
+	o.Profile.WorkerUnit(s.worker, busy)
+	o.Progress.ClusterDone(card)
+	o.Progress.AddBusy(s.worker, busy)
 }

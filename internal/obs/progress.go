@@ -95,6 +95,18 @@ func (r *Reporter) SetClock(c *stats.WorkerClock) {
 	r.mu.Unlock()
 }
 
+// AddBusy charges d of busy time to worker i on the attached clock (a
+// no-op without one).
+func (r *Reporter) AddBusy(i int, d time.Duration) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	clock := r.clock
+	r.mu.Unlock()
+	clock.Add(i, d)
+}
+
 // AddTotals registers clusters scheduling units totalling card
 // cardinality about to be enumerated.
 func (r *Reporter) AddTotals(clusters int, card int64) {

@@ -54,6 +54,25 @@ func New() *Collector {
 	}
 }
 
+// EnumFunnel returns a collector that shares c's per-vertex counters and
+// candidate-size histogram but keeps cluster, worker and wall-time
+// records to itself. The distributed runtime hands it to its per-pivot
+// matchers, whose enumeration funnel belongs in the run's profile while
+// their worker ids (colliding across machines) and unit lists do not.
+// Call after InitQuery; nil-safe.
+func (c *Collector) EnumFunnel() *Collector {
+	if c == nil {
+		return nil
+	}
+	sub := New()
+	c.mu.Lock()
+	sub.vertices = c.vertices
+	c.mu.Unlock()
+	sub.enumOutput = c.enumOutput
+	sub.initialized.Store(true)
+	return sub
+}
+
 // Histograms exposes the collector's histograms for registration on an
 // obs.Registry (rendered as ceci_profile_* series).
 func (c *Collector) Histograms() map[string]*obs.Histogram {
@@ -117,8 +136,8 @@ type VertexCounters struct {
 	EnumLabelPruned atomic.Int64
 }
 
-// AddKernelStats accumulates a per-kernel work delta (typically one
-// enumeration step's setops.KernelStats difference) into the counters.
+// AddKernelStats accumulates the per-kernel work of one drain into the
+// counters.
 func (v *VertexCounters) AddKernelStats(d setops.KernelStats) {
 	for k := 0; k < setops.NumKernels; k++ {
 		if d.Calls[k] != 0 {

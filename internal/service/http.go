@@ -108,12 +108,7 @@ func (e *Engine) Handler() http.Handler {
 	mux.HandleFunc("POST /query", e.handleQuery)
 	mux.HandleFunc("GET /healthz", e.handleHealthz)
 	mux.HandleFunc("GET /cachez", e.handleCachez)
-	mux.HandleFunc("GET /queryz", e.handleQueryz)
-	mux.HandleFunc("GET /tracez/{traceID}", e.handleTracez)
-	if e.opts.Telemetry != nil {
-		mux.HandleFunc("GET /statz", e.handleStatz)
-		mux.HandleFunc("GET /dashz", e.handleDashz)
-	}
+	MountDebug(mux, e.flight, e.opts.Telemetry)
 	if reg := e.opts.Registry; reg != nil {
 		mux.Handle("/", reg.Handler())
 	}
@@ -123,12 +118,12 @@ func (e *Engine) Handler() http.Handler {
 func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var wire QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad JSON: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad JSON: " + err.Error()})
 		return
 	}
 	q, err := wire.queryGraph()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
 		return
 	}
 	req := Request{
@@ -180,7 +175,7 @@ func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 			wire2.Partial = true
 		}
 	}
-	writeJSON(w, status, wire2)
+	WriteJSON(w, status, wire2)
 }
 
 func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -202,7 +197,7 @@ func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		h.ShardRadius = sc.Radius
 		h.ShardOwned = len(sc.OwnedLocals)
 	}
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 // serverTiming renders the Server-Timing response header: the query's
@@ -267,23 +262,42 @@ func (f queryzFilters) apply(recs []obs.QueryRecord) []obs.QueryRecord {
 	return recs
 }
 
+// debugSurface is the one set of debug handlers the engine and the shard
+// router both mount, over a flight recorder and (optionally) a hub.
+type debugSurface struct {
+	flight *obs.FlightRecorder
+	hub    *telemetry.Hub
+}
+
+// MountDebug registers GET /queryz and /tracez/{traceID} over flight
+// and, when hub is non-nil, GET /statz and /dashz.
+func MountDebug(mux *http.ServeMux, flight *obs.FlightRecorder, hub *telemetry.Hub) {
+	d := debugSurface{flight: flight, hub: hub}
+	mux.HandleFunc("GET /queryz", d.handleQueryz)
+	mux.HandleFunc("GET /tracez/{traceID}", d.handleTracez)
+	if hub != nil {
+		mux.HandleFunc("GET /statz", d.handleStatz)
+		mux.HandleFunc("GET /dashz", d.handleDashz)
+	}
+}
+
 // handleQueryz serves the flight recorder: JSON by default, an aligned
 // text table with ?format=text. ?limit= and ?min_ms= filter both lists.
-func (e *Engine) handleQueryz(w http.ResponseWriter, r *http.Request) {
+func (d debugSurface) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	f, err := parseQueryzFilters(r.URL.Query())
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	recent := f.apply(e.flight.Recent())
-	slowest := f.apply(e.flight.Slowest())
+	recent := f.apply(d.flight.Recent())
+	slowest := f.apply(d.flight.Slowest())
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, obs.RecordsText(recent, slowest))
 		return
 	}
-	writeJSON(w, http.StatusOK, QueryzResponse{
-		Total:   e.flight.Total(),
+	WriteJSON(w, http.StatusOK, QueryzResponse{
+		Total:   d.flight.Total(),
 		Recent:  recent,
 		Slowest: slowest,
 	})
@@ -292,8 +306,8 @@ func (e *Engine) handleQueryz(w http.ResponseWriter, r *http.Request) {
 // handleStatz serves the telemetry hub's full view: SLO burn state,
 // per-class costs, and time-series rollups. JSON by default,
 // ?format=text for aligned tables.
-func (e *Engine) handleStatz(w http.ResponseWriter, r *http.Request) {
-	h := e.opts.Telemetry
+func (d debugSurface) handleStatz(w http.ResponseWriter, r *http.Request) {
+	h := d.hub
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, h.StatzText())
@@ -301,7 +315,7 @@ func (e *Engine) handleStatz(w http.ResponseWriter, r *http.Request) {
 	}
 	b, err := h.StatzJSON()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -309,7 +323,7 @@ func (e *Engine) handleStatz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDashz serves the self-contained HTML dashboard.
-func (e *Engine) handleDashz(w http.ResponseWriter, _ *http.Request) {
+func (d debugSurface) handleDashz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprint(w, telemetry.DashzHTML)
 }
@@ -317,16 +331,16 @@ func (e *Engine) handleDashz(w http.ResponseWriter, _ *http.Request) {
 // handleTracez serves one query's span tree by trace ID: Chrome
 // trace_event JSON by default (load in chrome://tracing or Perfetto),
 // the compact per-span JSONL form with ?format=jsonl.
-func (e *Engine) handleTracez(w http.ResponseWriter, r *http.Request) {
+func (d debugSurface) handleTracez(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("traceID")
-	rec, ok := e.flight.Find(id)
+	rec, ok := d.flight.Find(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound,
+		WriteJSON(w, http.StatusNotFound,
 			map[string]string{"error": "trace " + id + " not found (evicted, or never ran here)"})
 		return
 	}
 	if len(rec.Spans) == 0 {
-		writeJSON(w, http.StatusNotFound,
+		WriteJSON(w, http.StatusNotFound,
 			map[string]string{"error": "trace " + id + " was not sampled: no spans recorded"})
 		return
 	}
@@ -337,7 +351,7 @@ func (e *Engine) handleTracez(w http.ResponseWriter, r *http.Request) {
 	}
 	doc, err := obs.ChromeTrace(rec.Spans)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -345,10 +359,12 @@ func (e *Engine) handleTracez(w http.ResponseWriter, r *http.Request) {
 }
 
 func (e *Engine) handleCachez(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, e.cache.stats())
+	WriteJSON(w, http.StatusOK, e.cache.stats())
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a response with the given
+// status. Exported for the shard router, which answers in the same form.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)

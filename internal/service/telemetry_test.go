@@ -200,45 +200,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestQueryzFiltersHTTP exercises ?limit= and ?min_ms= through the HTTP
-// surface, including the 400 on malformed values.
-func TestQueryzFiltersHTTP(t *testing.T) {
-	srv, client, _ := telemetryTestServer(t)
-	for i := 0; i < 3; i++ {
-		if _, err := client.Query(context.Background(), wireQuery(pathQuery(t, 1, 2, 3))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var qz QueryzResponse
-	body, _ := httpGet(t, srv, "/queryz?limit=2")
-	if err := json.Unmarshal(body, &qz); err != nil {
-		t.Fatal(err)
-	}
-	if qz.Total != 3 || len(qz.Recent) != 2 {
-		t.Fatalf("limit=2: total %d recent %d, want 3/2", qz.Total, len(qz.Recent))
-	}
-
-	// An impossibly high floor empties both lists but keeps the total.
-	body, _ = httpGet(t, srv, "/queryz?min_ms=3600000")
-	if err := json.Unmarshal(body, &qz); err != nil {
-		t.Fatal(err)
-	}
-	if qz.Total != 3 || len(qz.Recent) != 0 || len(qz.Slowest) != 0 {
-		t.Fatalf("min_ms floor: %+v", qz)
-	}
-
-	resp, err := srv.Client().Get(srv.URL + "/queryz?limit=-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad limit status = %d, want 400", resp.StatusCode)
-	}
-}
-
 // TestServerTimingHeader checks POST /query responses expose the phase
 // breakdown and SLO state via Server-Timing.
 func TestServerTimingHeader(t *testing.T) {

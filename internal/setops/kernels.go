@@ -345,8 +345,8 @@ func bitsetCount(a, b []uint32, ca, cb *bitset.ChunkBuilder) (n, scanned int) {
 // fired, how many elements (and, for the bitset kernel, words) it
 // actually examined, and how many elements it emitted. The scratch-taking
 // entry points (IntersectK, IntersectWith) record into their scratch's
-// stats; internal/ceci drains the deltas into the EXPLAIN ANALYZE
-// profile. All counts are deterministic functions of the inputs.
+// stats, which the scratch's owner reads and zeroes (internal/enum's
+// drain). All counts are deterministic functions of the inputs.
 type KernelStats struct {
 	Calls   [NumKernels]int64
 	Scanned [NumKernels]int64
@@ -357,18 +357,6 @@ func (s *KernelStats) record(k Kernel, scanned, emitted int) {
 	s.Calls[k]++
 	s.Scanned[k] += int64(scanned)
 	s.Emitted[k] += int64(emitted)
-}
-
-// Sub returns s - prev field-wise: the work recorded since prev was
-// captured.
-func (s *KernelStats) Sub(prev KernelStats) KernelStats {
-	var d KernelStats
-	for k := 0; k < NumKernels; k++ {
-		d.Calls[k] = s.Calls[k] - prev.Calls[k]
-		d.Scanned[k] = s.Scanned[k] - prev.Scanned[k]
-		d.Emitted[k] = s.Emitted[k] - prev.Emitted[k]
-	}
-	return d
 }
 
 // TotalScanned sums the scanned counter across kernels.

@@ -334,23 +334,18 @@ func (rt *Router) probe(rep *Replica) {
 //	GET  /healthz           liveness (+ ?ready=1: 503 until every shard
 //	                        has a probed-healthy replica)
 //	GET  /shardz            per-replica health, load, and last error
-//	GET  /queryz            router flight recorder (?format=text)
+//	GET  /queryz            router flight recorder (?format=text,
+//	                        ?limit=N, ?min_ms=D)
 //	GET  /tracez/{traceID}  stitched span tree spanning router + shards
 //	GET  /statz, /dashz     telemetry hub (requires Options.Telemetry)
+//
+// The debug routes are the engine's own handlers (service.MountDebug).
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", rt.handleQuery)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /shardz", rt.handleShardz)
-	mux.HandleFunc("GET /queryz", rt.handleQueryz)
-	mux.HandleFunc("GET /tracez/{traceID}", rt.handleTracez)
-	if rt.opts.Telemetry != nil {
-		mux.HandleFunc("GET /statz", rt.handleStatz)
-		mux.HandleFunc("GET /dashz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/html; charset=utf-8")
-			fmt.Fprint(w, telemetry.DashzHTML)
-		})
-	}
+	service.MountDebug(mux, rt.flight, rt.opts.Telemetry)
 	if reg := rt.opts.Registry; reg != nil {
 		mux.Handle("/", reg.Handler())
 	}
@@ -384,26 +379,26 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	var wire service.QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		writeJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: "bad JSON: " + err.Error()}})
+		service.WriteJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: "bad JSON: " + err.Error()}})
 		return
 	}
 	q, err := wire.Graph()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: err.Error()}})
+		service.WriteJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: err.Error()}})
 		return
 	}
 	if !q.Connected() {
-		writeJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: "query graph must be connected"}})
+		service.WriteJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: "query graph must be connected"}})
 		return
 	}
 	if _, ecc := order.Anchor(q); ecc > rt.opts.Radius {
-		writeJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{
+		service.WriteJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{
 			Error: fmt.Sprintf("query anchor eccentricity %d exceeds fleet halo radius %d; repartition with a larger -radius", ecc, rt.opts.Radius),
 		}})
 		return
 	}
 	if wire.Offset < 0 || wire.Limit < 0 {
-		writeJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: "negative limit/offset"}})
+		service.WriteJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: "negative limit/offset"}})
 		return
 	}
 
@@ -489,7 +484,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("traceparent", tcOut.Traceparent())
 	}
 	rt.finish(tc, span, q, resp, status, start, results)
-	writeJSON(w, status, resp)
+	service.WriteJSON(w, status, resp)
 }
 
 // queryShard runs one scatter leg: pick replicas by policy, launch
@@ -751,7 +746,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("ready") == "1" && !ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, RouterHealth{
+	service.WriteJSON(w, status, RouterHealth{
 		Status: "ok",
 		Ready:  ready,
 		Shards: len(rt.shards),
@@ -778,69 +773,5 @@ func (rt *Router) handleShardz(w http.ResponseWriter, _ *http.Request) {
 		}
 		out.Shards = append(out.Shards, row)
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (rt *Router) handleQueryz(w http.ResponseWriter, r *http.Request) {
-	recent := rt.flight.Recent()
-	slowest := rt.flight.Slowest()
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, obs.RecordsText(recent, slowest))
-		return
-	}
-	writeJSON(w, http.StatusOK, service.QueryzResponse{
-		Total:   rt.flight.Total(),
-		Recent:  recent,
-		Slowest: slowest,
-	})
-}
-
-func (rt *Router) handleTracez(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("traceID")
-	rec, ok := rt.flight.Find(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound,
-			map[string]string{"error": "trace " + id + " not found (evicted, or never routed here)"})
-		return
-	}
-	if len(rec.Spans) == 0 {
-		writeJSON(w, http.StatusNotFound,
-			map[string]string{"error": "trace " + id + " was not sampled: no spans recorded"})
-		return
-	}
-	if r.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/jsonl")
-		obs.WriteSpanJSONL(w, rec.Spans)
-		return
-	}
-	doc, err := obs.ChromeTrace(rec.Spans)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(doc)
-}
-
-func (rt *Router) handleStatz(w http.ResponseWriter, r *http.Request) {
-	h := rt.opts.Telemetry
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, h.StatzText())
-		return
-	}
-	b, err := h.StatzJSON()
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	service.WriteJSON(w, http.StatusOK, out)
 }

@@ -235,12 +235,12 @@ type stubShard struct {
 func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/healthz":
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "ready": true})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "ready": true})
 	case "/query":
 		s.hits.Add(1)
 		var wire service.QueryRequest
 		if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-			writeJSON(w, http.StatusBadRequest, service.QueryResponse{Error: err.Error()})
+			service.WriteJSON(w, http.StatusBadRequest, service.QueryResponse{Error: err.Error()})
 			return
 		}
 		s.lastTimeout.Store(wire.TimeoutMS)
@@ -251,7 +251,7 @@ func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		writeJSON(w, http.StatusOK, s.resp)
+		service.WriteJSON(w, http.StatusOK, s.resp)
 	default:
 		http.NotFound(w, r)
 	}
@@ -276,6 +276,14 @@ func stubRouter(t *testing.T, stubs []*stubShard, ropts RouterOptions) *httptest
 	}
 	rt.Start()
 	t.Cleanup(rt.Stop)
+	// Policies order the probed-healthy subset, which grows one replica
+	// at a time during the first probe round: wait that round out.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, rep := range rt.shards[0] {
+		for !rep.Checked() && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	rsrv := httptest.NewServer(rt.Handler())
 	t.Cleanup(rsrv.Close)
 	return rsrv
@@ -301,6 +309,63 @@ func TestRoundRobinSpreadsPrimaries(t *testing.T) {
 		if got := s.hits.Load(); got != 2 {
 			t.Errorf("replica %d served %d queries, want 2", i, got)
 		}
+	}
+}
+
+// TestQueryzFiltersHTTP exercises ?limit= and ?min_ms= through the HTTP
+// surface, including the 400 on malformed values — against the engine
+// and against the router, which serve /queryz from the same handlers.
+func TestQueryzFiltersHTTP(t *testing.T) {
+	engine := httptest.NewServer(service.New(gen.Fig1Data(), service.Options{}).Handler())
+	t.Cleanup(engine.Close)
+	router := stubRouter(t, []*stubShard{{resp: service.QueryResponse{Count: 1}}}, RouterOptions{})
+
+	cases := []struct {
+		query           string
+		status          int
+		recent, slowest int // list lengths after filtering (status 200 only)
+	}{
+		{"", http.StatusOK, 3, 3},
+		{"?limit=2", http.StatusOK, 2, 2},
+		{"?min_ms=0.000001&limit=1", http.StatusOK, 1, 1},
+		// An impossibly high floor empties both lists but keeps the total.
+		{"?min_ms=3600000", http.StatusOK, 0, 0},
+		{"?limit=-1", http.StatusBadRequest, 0, 0},
+		{"?limit=two", http.StatusBadRequest, 0, 0},
+		{"?min_ms=-5", http.StatusBadRequest, 0, 0},
+		{"?min_ms=NaN", http.StatusBadRequest, 0, 0},
+	}
+	for name, srv := range map[string]*httptest.Server{"engine": engine, "router": router} {
+		t.Run(name, func(t *testing.T) {
+			for i := 0; i < 3; i++ {
+				if _, status := postRoute(t, srv.URL, edgeWire()); status != http.StatusOK {
+					t.Fatalf("query %d: status %d", i, status)
+				}
+			}
+			for _, tc := range cases {
+				resp, err := http.Get(srv.URL + "/queryz" + tc.query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var qz service.QueryzResponse
+				err = json.NewDecoder(resp.Body).Decode(&qz)
+				resp.Body.Close()
+				if resp.StatusCode != tc.status {
+					t.Errorf("/queryz%s: status %d, want %d", tc.query, resp.StatusCode, tc.status)
+					continue
+				}
+				if tc.status != http.StatusOK {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("/queryz%s: %v", tc.query, err)
+				}
+				if qz.Total != 3 || len(qz.Recent) != tc.recent || len(qz.Slowest) != tc.slowest {
+					t.Errorf("/queryz%s: total %d recent %d slowest %d, want 3/%d/%d",
+						tc.query, qz.Total, len(qz.Recent), len(qz.Slowest), tc.recent, tc.slowest)
+				}
+			}
+		})
 	}
 }
 

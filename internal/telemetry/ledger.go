@@ -17,11 +17,12 @@ import (
 )
 
 // Ledger accumulates one query's resource consumption. Enumeration
-// workers charge it at work-unit boundaries only — never inside the
-// zero-allocation depth step — so a ledger adds a handful of atomic adds
-// per unit, nothing per embedding. All methods are nil-safe and safe for
-// concurrent use; Snapshot converts the counters into the
-// obs.QueryResources form that rides the query's flight record.
+// workers charge it from their drain — at work-unit boundaries and every
+// few thousand embeddings, never inside the zero-allocation depth step —
+// so a ledger adds a handful of atomic adds per drain, nothing per
+// embedding. All methods are nil-safe and safe for concurrent use;
+// Snapshot converts the counters into the obs.QueryResources form that
+// rides the query's flight record.
 type Ledger struct {
 	cpuNS       atomic.Int64
 	units       atomic.Int64
@@ -49,9 +50,18 @@ func (l *Ledger) AddUnit(cpu time.Duration, calls, embeddings, scratchBytes int6
 	}
 	l.cpuNS.Add(int64(cpu))
 	l.units.Add(1)
+	l.AddWork(calls, embeddings)
+	l.maxScratch(scratchBytes)
+}
+
+// AddWork charges recursive calls and embeddings produced mid-unit,
+// since the worker's previous charge.
+func (l *Ledger) AddWork(calls, embeddings int64) {
+	if l == nil {
+		return
+	}
 	l.calls.Add(calls)
 	l.embeddings.Add(embeddings)
-	l.maxScratch(scratchBytes)
 }
 
 // maxScratch folds b into the peak-scratch high-water mark.
@@ -64,7 +74,7 @@ func (l *Ledger) maxScratch(b int64) {
 	}
 }
 
-// AddKernels charges a per-kernel work delta (a KernelStats.Sub result).
+// AddKernels charges the per-kernel work of one drain.
 func (l *Ledger) AddKernels(d setops.KernelStats) {
 	if l == nil {
 		return

@@ -76,7 +76,11 @@ func Clusters(ix *ceci.Index) []Unit {
 // per-matching-node sub-units. Injectivity and symmetry-breaking
 // constraints are honored during splitting so the resulting units
 // partition exactly the search space the enumerator would explore.
-func Decompose(ix *ceci.Index, cons *auto.Constraints, beta float64, workers int) []Unit {
+//
+// Each split performs the candidate lookup its sub-units then skip, on
+// scratch[depth] — pass the per-depth scratch of the worker that should
+// account for that work, or nil when nobody is counting.
+func Decompose(ix *ceci.Index, cons *auto.Constraints, beta float64, workers int, scratch []ceci.MatchScratch) []Unit {
 	units := Clusters(ix)
 	if workers <= 1 {
 		return units
@@ -96,10 +100,14 @@ func Decompose(ix *ceci.Index, cons *auto.Constraints, beta float64, workers int
 		threshold = 1
 	}
 
+	if scratch == nil {
+		scratch = make([]ceci.MatchScratch, ix.Tree.NumVertices())
+	}
 	d := decomposer{
 		ix:        ix,
 		cons:      cons,
 		threshold: threshold,
+		scratch:   scratch,
 		m:         make([]graph.VertexID, ix.Tree.NumVertices()),
 		matched:   make([]bool, ix.Tree.NumVertices()),
 	}
@@ -118,7 +126,7 @@ type decomposer struct {
 	threshold float64
 	m         []graph.VertexID
 	matched   []bool
-	scratch   ceci.MatchScratch
+	scratch   []ceci.MatchScratch // per matching-order depth
 
 	// prefixes is the arena backing every emitted sub-unit prefix: one
 	// growing allocation instead of one slice per unit. Growth may
@@ -166,7 +174,7 @@ func (d *decomposer) split(out []Unit, prefix []graph.VertexID, work float64) []
 	}()
 
 	uNext := tree.Order[depth]
-	matching := d.ix.CandidatesFor(uNext, d.m, &d.scratch)
+	matching := d.ix.CandidatesFor(uNext, d.m, &d.scratch[depth])
 
 	// Filter to assignments the enumerator would actually make, and
 	// collect their cardinalities for proportional workload split. The
