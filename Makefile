@@ -19,10 +19,12 @@ bench:
 # The repo benchmark (BENCHMARK.json, benchmark/README.md) is its own Go
 # module, so `build`/`test` above never compile it — yet its sut.go is
 # written against internal/ceci, enum, service and shard. Vet and test
-# it, then run one short traced workload end to end (also a CI step).
+# it, then run the enumeration-bound and the build-bound workload, short
+# and traced, end to end against their pinned counts (also a CI step).
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 	bash benchmark/run.sh --workload lib_enum --seed 1 --seconds 4 --trace 1
+	bash benchmark/run.sh --workload lib_build --seed 1 --seconds 4 --trace 1
 
 # Machine-readable regression tracking: run the fixed suite and write
 # BENCH_<name>.json. Refresh the committed baseline with

@@ -108,29 +108,16 @@ func buildCPI(data *graph.Graph, tree *order.QueryTree) (*cpi, error) {
 		c.te[u] = make(map[graph.VertexID][]graph.VertexID)
 	}
 	// Forward (top-down) construction with LDF+NLC filters.
-	order.ForEachCandidate(data, tree.Query, tree.Root, func(v graph.VertexID) {
-		c.cands[tree.Root] = append(c.cands[tree.Root], v)
-	})
+	filter := tree.Filter(data)
+	c.cands[tree.Root] = filter.Candidates(tree.Root)
 	for _, u := range tree.Order[1:] {
 		up := graph.VertexID(tree.Parent[u])
 		seen := map[graph.VertexID]bool{}
-		qLabels := tree.Query.Labels(u)
-		qDeg := tree.Query.Degree(u)
-		qSig := graph.NLCOf(tree.Query, u)
+		verdicts := filter.Verdicts(u)
 		for _, vp := range c.cands[up] {
 			var vals []graph.VertexID
 			for _, v := range data.Neighbors(vp) {
-				if data.Degree(v) < qDeg {
-					continue
-				}
-				ok := true
-				for _, l := range qLabels {
-					if !data.HasLabel(v, l) {
-						ok = false
-						break
-					}
-				}
-				if !ok || !data.NLC(v).Covers(qSig) {
+				if verdicts[v] != order.Pass {
 					continue
 				}
 				vals = append(vals, v)

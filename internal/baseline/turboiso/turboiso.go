@@ -57,10 +57,7 @@ func ForEachOpt(data, query *graph.Graph, opts Options, fn func(emb []graph.Vert
 
 	// Root candidates via label/degree/NLC (TurboIso's start-vertex
 	// selection uses the same |cand|/degree ranking CECI adopted).
-	var roots []graph.VertexID
-	order.ForEachCandidate(data, query, tree.Root, func(v graph.VertexID) {
-		roots = append(roots, v)
-	})
+	roots := tree.Filter(data).Candidates(tree.Root)
 
 	s := &searcher{
 		data: data, tree: tree, cons: cons, fn: fn,

@@ -45,6 +45,19 @@ func (b Bits) Count() int {
 	return n
 }
 
+// Drain appends the set ids to dst in ascending order and unmarks them,
+// leaving b empty for reuse: a set of ids marked in any order reads back
+// sorted and deduplicated in O(set bits + len(b)).
+func (b Bits) Drain(dst []uint32) []uint32 {
+	for i, w := range b {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, uint32(i<<6+bits.TrailingZeros64(w)))
+		}
+		b[i] = 0
+	}
+	return dst
+}
+
 // And stores a & b into dst word by word over the shortest common word
 // length and returns the number of words written. dst may alias a or b;
 // words of dst beyond the common length are left untouched.

@@ -64,6 +64,26 @@ func TestResetAndCount(t *testing.T) {
 	}
 }
 
+func TestDrainReadsBackSortedAndEmpties(t *testing.T) {
+	b := New(300)
+	for _, id := range []uint32{299, 64, 0, 63, 64, 128, 1, 299} { // unordered, with repeats
+		b.Set(id)
+	}
+	got := b.Drain([]uint32{7}) // appends after what dst already holds
+	want := []uint32{7, 0, 1, 63, 64, 128, 299}
+	if len(got) != len(want) {
+		t.Fatalf("Drain = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Drain = %v, want %v", got, want)
+		}
+	}
+	if b.Count() != 0 || len(b.Drain(nil)) != 0 {
+		t.Fatal("Drain must leave the bitmap empty")
+	}
+}
+
 func TestAndAndCount(t *testing.T) {
 	const n = 512
 	a, b := New(n), New(n)

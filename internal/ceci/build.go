@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ceci/internal/bitset"
 	"ceci/internal/graph"
 	"ceci/internal/obs"
 	"ceci/internal/order"
@@ -66,12 +67,18 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 	span := obs.StartUnder(ctx, opts.Tracer, "build",
 		obs.Int("query_vertices", int64(tree.NumVertices())))
 	defer span.End()
+	// The verdict tables are build-time state: the index reads them and
+	// retains the tree without them, so a frozen (cached) index pins no
+	// per-data-vertex memory.
+	filter := tree.Filter(data)
+	tree = tree.WithFilter(nil)
 	ix := &Index{
 		Data:    data,
 		Tree:    tree,
 		Nodes:   make([]Node, tree.NumVertices()),
 		opts:    opts,
 		bcancel: cancelled,
+		filter:  filter,
 	}
 	ix.indexNTEChildren()
 	if p := opts.Profile; p != nil {
@@ -92,11 +99,7 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 		pivots = slices.Compact(pivots)
 		ix.Nodes[root].Cands = pivots
 	} else {
-		var pivots []graph.VertexID
-		order.ForEachCandidate(data, tree.Query, root, func(v graph.VertexID) {
-			pivots = append(pivots, v)
-		})
-		ix.Nodes[root].Cands = pivots
+		ix.Nodes[root].Cands = filter.Candidates(root)
 	}
 
 	// Expand every non-root query vertex in matching order: first its
@@ -254,11 +257,19 @@ func (ix *Index) buildTE(u graph.VertexID) {
 	up := graph.VertexID(tree.Parent[u])
 	frontier := ix.Nodes[up].Cands
 
+	// The LDF+NLC verdict of every data vertex against u was decided once
+	// (order.Filter); expansion probes the table. The NLC ablation keeps
+	// one more verdict instead of running a second filter.
+	verdicts := ix.filter.Verdicts(u)
+	keep := order.Pass
+	if ix.opts.SkipNLCFilter {
+		keep = order.DropNLC
+	}
 	values := ix.valueSlots(len(frontier))
 	scratch := ix.scratches()
 	ix.parallelFor(len(frontier), func(i, w int) {
 		sc := &scratch[w]
-		sc.buf = ix.filterNeighborsInto(sc.buf[:0], frontier[i], u)
+		sc.buf = ix.filterNeighborsInto(sc.buf[:0], frontier[i], u, verdicts, keep)
 		values[i] = sc.arena.copyIn(sc.buf)
 	})
 	if ix.buildCancelled() {
@@ -281,7 +292,7 @@ func (ix *Index) buildTE(u graph.VertexID) {
 		}
 		node.TE.AppendKey(vf, values[i])
 	}
-	node.Cands = node.TE.ValueUnion()
+	node.Cands = ix.valueUnion(&node.TE)
 	for _, vf := range dead {
 		ix.removeCandidate(up, vf)
 	}
@@ -336,55 +347,37 @@ func (ix *Index) buildNTE(u graph.VertexID) {
 	}
 }
 
-// filterNeighborsInto applies the label, degree, and NLC filters
-// (Section 3.2) to the neighbors of vf, appending survivors to dst
-// (sorted ascending, since adjacency lists are sorted). dst is a
-// worker-private scratch buffer; callers copy the survivors into an
-// arena before the buffer is reused.
-func (ix *Index) filterNeighborsInto(dst []graph.VertexID, vf graph.VertexID, u graph.VertexID) []graph.VertexID {
-	q := ix.Tree.Query
+// filterNeighborsInto keeps the neighbors of vf that are candidates of u —
+// the label, degree, and NLC filters of Section 3.2, read off u's verdict
+// table: a neighbor survives when its verdict is at least keep. Survivors
+// are appended to dst (sorted ascending, since adjacency lists are
+// sorted). dst is a worker-private scratch buffer; callers copy the
+// survivors into an arena before the buffer is reused.
+func (ix *Index) filterNeighborsInto(dst []graph.VertexID, vf, u graph.VertexID, verdicts []order.Verdict, keep order.Verdict) []graph.VertexID {
 	data := ix.Data
-	qLabels := q.Labels(u)
-	qDeg := q.Degree(u)
-	qSig := graph.NLCOf(q, u)
-
-	// Funnel counters accumulate in locals — one batched atomic add per
-	// frontier vertex, nothing on the per-neighbor path.
-	var dropLabel, dropDegree, dropNLC int64
 	degree := int64(data.Degree(vf))
 	// Label-grouped adjacency: scan only the neighbors carrying u's
 	// primary label instead of label-testing the whole list. The
 	// partition IS the primary-label filter, so the skipped complement is
 	// charged to the label stage and the funnel invariant
-	// (scanned = dropped + kept) is unchanged. Extra labels of a
-	// multi-labeled query vertex are still tested per neighbor.
-	neighbors := data.NeighborsWithLabel(vf, qLabels[0])
-	dropLabel = degree - int64(len(neighbors))
-	out := dst
+	// (scanned = dropped + kept) is unchanged.
+	neighbors := data.NeighborsWithLabel(vf, ix.Tree.Query.Label(u))
+	// The funnel is the histogram of verdicts below keep; it accumulates
+	// in locals — one batched atomic add per frontier vertex, nothing on
+	// the per-neighbor path.
+	var seen [order.Pass + 1]int64
 	for _, v := range neighbors {
-		// Remaining labels of a multi-labeled query vertex.
-		okLabel := true
-		for _, l := range qLabels[1:] {
-			if !data.HasLabel(v, l) {
-				okLabel = false
-				break
-			}
+		c := verdicts[v]
+		seen[c]++
+		if c >= keep {
+			dst = append(dst, v)
 		}
-		if !okLabel {
-			dropLabel++
-			continue
-		}
-		// Degree filter.
-		if !ix.opts.SkipDegreeFilter && data.Degree(v) < qDeg {
-			dropDegree++
-			continue
-		}
-		// Neighborhood label count filter.
-		if !ix.opts.SkipNLCFilter && !data.NLC(v).Covers(qSig) {
-			dropNLC++
-			continue
-		}
-		out = append(out, v)
+	}
+	dropLabel := degree - int64(len(neighbors)) + seen[order.DropLabel]
+	dropDegree := seen[order.DropDegree]
+	var dropNLC int64
+	if keep > order.DropNLC {
+		dropNLC = seen[order.DropNLC]
 	}
 	if st := ix.opts.Stats; st != nil {
 		st.RemoteReads.Add(1) // one adjacency-list fetch per frontier vertex
@@ -399,8 +392,33 @@ func (ix *Index) filterNeighborsInto(dst []graph.VertexID, vf graph.VertexID, u 
 		vc.DroppedDegree.Add(dropDegree)
 		vc.DroppedNLC.Add(dropNLC)
 	}
-	// data.Neighbors is sorted, so out is sorted.
-	return out
+	return dst
+}
+
+// valueUnion returns the sorted union of m's value lists — the candidate
+// set its entries imply. Values are marked in a |V|-bit bitmap and read
+// back in ascending order, O(values + |V|/64); the bitmap comes back
+// empty and is reused by every union of the build. A union of fewer than
+// |V|/512 values — the incremental mode's per-cluster builds, which touch
+// a sliver of the graph each — costs less to sort than the bitmap's two
+// passes over its words, and must not scale with the graph.
+func (ix *Index) valueUnion(m *CandMap) []graph.VertexID {
+	total := m.CandidateEdges()
+	if total*512 < int64(ix.Data.NumVertices()) {
+		all := make([]graph.VertexID, 0, total)
+		m.ForEach(func(_ graph.VertexID, vals []graph.VertexID) { all = append(all, vals...) })
+		slices.Sort(all)
+		return slices.Compact(all)
+	}
+	if ix.marks == nil {
+		ix.marks = bitset.New(ix.Data.NumVertices())
+	}
+	m.ForEach(func(_ graph.VertexID, vals []graph.VertexID) {
+		for _, v := range vals {
+			ix.marks.Set(v)
+		}
+	})
+	return ix.marks.Drain(make([]graph.VertexID, 0, ix.marks.Count()))
 }
 
 // removeCandidate deletes data vertex v from query vertex u's candidate

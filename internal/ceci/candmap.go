@@ -1,9 +1,6 @@
 package ceci
 
-import (
-	"ceci/internal/graph"
-	"ceci/internal/setops"
-)
+import "ceci/internal/graph"
 
 // CandMap is the key-value structure backing TE_Candidates and
 // NTE_Candidates (Section 3.1): keys are candidates of the parent (or
@@ -156,15 +153,6 @@ func (m *CandMap) ForEach(fn func(key graph.VertexID, values []graph.VertexID)) 
 
 // Keys returns the sorted key slice (aliases internal storage).
 func (m *CandMap) Keys() []graph.VertexID { return m.keys }
-
-// ValueUnion returns the sorted union of all value lists.
-func (m *CandMap) ValueUnion() []graph.VertexID {
-	lists := make([][]uint32, 0, len(m.keys))
-	m.ForEach(func(_ graph.VertexID, vals []graph.VertexID) {
-		lists = append(lists, vals)
-	})
-	return setops.UnionMany(lists)
-}
 
 // CandidateEdges counts the (key, value) pairs, i.e. candidate data edges
 // — the unit of the paper's Table 2 size accounting.

@@ -1,6 +1,7 @@
 package ceci
 
 import (
+	"slices"
 	"testing"
 
 	"ceci/internal/graph"
@@ -92,14 +93,19 @@ func TestCandMapValueUnion(t *testing.T) {
 	var m CandMap
 	m.AppendKey(1, []graph.VertexID{3, 5})
 	m.AppendKey(2, []graph.VertexID{5, 7})
-	union := m.ValueUnion()
-	want := []graph.VertexID{3, 5, 7}
-	if len(union) != 3 {
-		t.Fatalf("union = %v", union)
-	}
-	for i := range want {
-		if union[i] != want[i] {
-			t.Fatalf("union = %v, want %v", union, want)
+	m.AppendKey(4, []graph.VertexID{0, 70})
+	want := []graph.VertexID{0, 3, 5, 7, 70}
+	// 71 vertices: the bitmap path; 71<<10: six values are few enough to sort.
+	for _, n := range []int{71, 71 << 10} {
+		ix := &Index{Data: graph.NewBuilder(n).MustBuild()}
+		// Twice: the mark bitmap must come back empty for the next union.
+		for round := 0; round < 2; round++ {
+			if union := ix.valueUnion(&m); !slices.Equal(union, want) {
+				t.Fatalf("|V|=%d round %d: union = %v, want %v", n, round, union, want)
+			}
+		}
+		if (ix.marks != nil) != (n == 71) {
+			t.Fatalf("|V|=%d: bitmap allocated = %v", n, ix.marks != nil)
 		}
 	}
 }

@@ -36,9 +36,6 @@ func assertSameCandMap(t *testing.T, u int, kind string, mut, fro *CandMap) {
 	if mut.Get(graph.VertexID(1<<31)) != nil || fro.Get(graph.VertexID(1<<31)) != nil {
 		t.Fatalf("u%d %s: Get(absent) not nil", u, kind)
 	}
-	if !eqVals(mut.ValueUnion(), fro.ValueUnion()) {
-		t.Fatalf("u%d %s: ValueUnion differs", u, kind)
-	}
 	if mut.CandidateEdges() != fro.CandidateEdges() {
 		t.Fatalf("u%d %s: CandidateEdges %d vs %d", u, kind, mut.CandidateEdges(), fro.CandidateEdges())
 	}

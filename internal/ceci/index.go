@@ -10,6 +10,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"ceci/internal/bitset"
 	"ceci/internal/graph"
 	"ceci/internal/obs"
 	"ceci/internal/order"
@@ -122,6 +123,11 @@ type Index struct {
 	scratch []buildScratch
 	// valbuf is the reusable frontier-expansion output table.
 	valbuf [][]graph.VertexID
+	// filter holds the build's LDF+NLC verdict tables; released by Freeze
+	// (Tree is retained without them).
+	filter *order.Filter
+	// marks is valueUnion's reusable |V|-bit scratch; released by Freeze.
+	marks bitset.Bits
 
 	// Label-pair prune state (l2Match-style neighboring-label index),
 	// built by Freeze when Options.LabelPairPrune is on and the graph is
@@ -177,6 +183,8 @@ func (ix *Index) Freeze() {
 	ix.frozen = true
 	ix.scratch = nil // release the pooled build buffers
 	ix.valbuf = nil
+	ix.filter = nil
+	ix.marks = nil
 	ix.bcancel = nil // the build completed; drop the watcher flag
 	for u := range ix.Nodes {
 		ix.Nodes[u].freeze()
@@ -264,8 +272,6 @@ type Options struct {
 	// SkipNLCFilter disables the neighborhood-label-count filter
 	// (ablation for Figure 19).
 	SkipNLCFilter bool
-	// SkipDegreeFilter disables the degree filter (ablation).
-	SkipDegreeFilter bool
 	// SkipRefinement disables the reverse-BFS refinement pass (ablation
 	// for Figure 19). Cardinalities are then set optimistically from TE
 	// list sizes so workload balancing still functions.

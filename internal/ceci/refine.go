@@ -30,7 +30,7 @@ func (ix *Index) refine() {
 		// one of them (Algorithm 2 line 5).
 		nteUnions := make([][]graph.VertexID, len(node.NTE))
 		for j := range node.NTE {
-			nteUnions[j] = node.NTE[j].ValueUnion()
+			nteUnions[j] = ix.valueUnion(&node.NTE[j])
 		}
 
 		// Iterate over a snapshot: removal mutates node.Cands.

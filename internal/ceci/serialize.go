@@ -116,7 +116,7 @@ func ReadIndex(r io.Reader, data *graph.Graph, tree *order.QueryTree) (*Index, e
 	}
 	ix := &Index{
 		Data:  data,
-		Tree:  tree,
+		Tree:  tree.WithFilter(nil), // a loaded index is retained; it must not pin the verdict tables
 		Nodes: make([]Node, n),
 	}
 	ix.indexNTEChildren()

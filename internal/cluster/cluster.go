@@ -215,10 +215,7 @@ func RunCtx(ctx context.Context, data, query *graph.Graph, cfg Config) (*Result,
 
 	// Coordinator: collect pivots and distribute them by the §5
 	// light-weight workload estimate.
-	var pivots []graph.VertexID
-	order.ForEachCandidate(data, query, tree.Root, func(v graph.VertexID) {
-		pivots = append(pivots, v)
-	})
+	pivots := tree.Filter(data).Candidates(tree.Root)
 	parts := distributePivots(data, pivots, cfg)
 
 	res := &Result{Machines: make([]Ledger, cfg.Machines)}

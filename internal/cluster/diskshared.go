@@ -144,11 +144,7 @@ func preprocessOnDisk(disk *graph.DiskCSR, query *graph.Graph) (*order.QueryTree
 	if err != nil {
 		return nil, nil, err
 	}
-	var pivots []graph.VertexID
-	order.ForEachCandidate(view, query, tree.Root, func(v graph.VertexID) {
-		pivots = append(pivots, v)
-	})
-	return tree, pivots, nil
+	return tree, tree.Filter(view).Candidates(tree.Root), nil
 }
 
 func distributeByDegree(disk *graph.DiskCSR, pivots []graph.VertexID, machines int) [][]graph.VertexID {

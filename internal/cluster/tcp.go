@@ -68,10 +68,7 @@ func RunTCPCtx(ctx context.Context, data, query *graph.Graph, cfg Config) (*Resu
 	}
 	cons := auto.Compute(query)
 
-	var pivots []graph.VertexID
-	order.ForEachCandidate(data, query, tree.Root, func(v graph.VertexID) {
-		pivots = append(pivots, v)
-	})
+	pivots := tree.Filter(data).Candidates(tree.Root)
 	parts := distributePivots(data, pivots, cfg)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -3,6 +3,7 @@ package enum_test
 import (
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"ceci/internal/auto"
@@ -151,13 +152,13 @@ func TestFirstKLimit(t *testing.T) {
 func TestEarlyStopFromCallback(t *testing.T) {
 	data := gen.Kronecker(8, 8, 1)
 	m := buildMatcher(t, data, gen.QG1(), order.DefaultOptions(), enum.Options{Workers: 4})
-	calls := 0
+	// ForEach may invoke the callback from several workers at once.
+	var calls atomic.Int64
 	m.ForEach(func([]graph.VertexID) bool {
-		calls++
-		return calls < 5
+		return calls.Add(1) < 5
 	})
-	if calls < 5 {
-		t.Fatalf("callback stopped after %d calls", calls)
+	if calls.Load() < 5 {
+		t.Fatalf("callback stopped after %d calls", calls.Load())
 	}
 }
 

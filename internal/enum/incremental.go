@@ -44,10 +44,11 @@ func ForEachIncrementalCtx(ctx context.Context, data *graph.Graph, tree *order.Q
 		return err
 	}
 
-	var pivots []graph.VertexID
-	order.ForEachCandidate(data, tree.Query, tree.Root, func(v graph.VertexID) {
-		pivots = append(pivots, v)
-	})
+	// One set of verdict tables serves the pivot list and every
+	// per-cluster build below.
+	filter := tree.Filter(data)
+	tree = tree.WithFilter(filter)
+	pivots := filter.Candidates(tree.Root)
 	if len(pivots) == 0 {
 		return nil
 	}

@@ -1,7 +1,8 @@
 // Package graph provides the labeled-graph substrate shared by every
 // matcher in the repository: an immutable CSR (compressed sparse row)
-// representation with sorted adjacency lists, a label index, cached
-// neighborhood-label-count signatures, and a mutable Builder.
+// representation with sorted adjacency lists, a label index, a lazily
+// built label-grouped adjacency (which also answers the
+// neighborhood-label-count filter), and a mutable Builder.
 //
 // Vertices are dense uint32 identifiers in [0, NumVertices). Each vertex
 // carries one or more labels (the paper's L assigns a label *set*; most
@@ -38,8 +39,7 @@ type Graph struct {
 	labelIndex [][]VertexID // labelIndex[l] = sorted vertices whose label set contains l
 	numLabels  int
 
-	nlc  nlcCache      // lazily built neighborhood-label-count signatures
-	ladj labelAdj      // lazily built label-grouped adjacency (NeighborsWithLabel)
+	ladj labelAdj      // lazily built label-grouped adjacency (NeighborsWithLabel, NLCCovers)
 	nbr  nbrBloomCache // lazily built neighbor-label blooms (NeighborLabelBlooms)
 }
 

@@ -3,6 +3,7 @@ package graph_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -177,13 +178,15 @@ func TestMaxDegree(t *testing.T) {
 func TestNLCSignature(t *testing.T) {
 	g := triangleWithTail()
 	// Vertex 2's neighbors: 0 (label 1), 1 (label 2), 3 (label 3).
-	sig := g.NLC(2)
-	if sig.Count(1) != 1 || sig.Count(2) != 1 || sig.Count(3) != 1 || sig.Count(0) != 0 {
+	sig := graph.NLCOf(g, 2)
+	want := graph.NLCSignature{Labels: []graph.Label{1, 2, 3}, Counts: []int32{1, 1, 1}}
+	if !reflect.DeepEqual(sig, want) {
 		t.Fatalf("signature = %+v", sig)
 	}
 	// Vertex 0: neighbors 1, 2 both label 2.
-	sig0 := g.NLC(0)
-	if sig0.Count(2) != 2 {
+	sig0 := graph.NLCOf(g, 0)
+	want0 := graph.NLCSignature{Labels: []graph.Label{2}, Counts: []int32{2}}
+	if !reflect.DeepEqual(sig0, want0) {
 		t.Fatalf("signature(0) = %+v", sig0)
 	}
 }
@@ -208,8 +211,8 @@ func TestNLCCovers(t *testing.T) {
 	}
 }
 
-// TestNLCDenseMatchesMap: the pooled dense counting path must agree with
-// the map-based reference on multi-label and large-alphabet graphs.
+// TestNLCDenseMatchesMap: the sort-and-count signature must agree with
+// the map-based reference.
 func TestNLCDenseMatchesMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -226,7 +229,7 @@ func TestNLCDenseMatchesMap(t *testing.T) {
 		}
 		g := b.MustBuild()
 		for v := 0; v < n; v++ {
-			sig := g.NLC(graph.VertexID(v))
+			sig := graph.NLCOf(g, graph.VertexID(v))
 			// Reference: recount with a map.
 			want := map[graph.Label]int32{}
 			for _, w := range g.Neighbors(graph.VertexID(v)) {
@@ -248,6 +251,51 @@ func TestNLCDenseMatchesMap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNLCCoversMatchesSignature: the data-side NLC test read off the
+// label runs must agree with materializing the signature and calling
+// Covers, on multi-label graphs (a neighbor counts once per label it
+// carries) and on single-label ones (the degree shortcut).
+func TestNLCCoversMatchesSignature(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(40)
+		labels := 1 + rng.Intn(6)*int(seed%4) // every fourth seed is single-label
+		b := graph.NewBuilder(n)
+		for v := 0; v < n; v++ {
+			b.SetLabel(graph.VertexID(v), graph.Label(rng.Intn(labels)))
+			for rng.Intn(3) == 0 {
+				b.AddExtraLabel(graph.VertexID(v), graph.Label(rng.Intn(labels)))
+			}
+		}
+		for i := 0; i < 4*n; i++ {
+			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
+		}
+		g := b.MustBuild()
+		// Requirements: every vertex's own signature (covers itself, and
+		// whoever dominates it), the same with one count raised, and one
+		// with a label past the alphabet.
+		var reqs []graph.NLCSignature
+		for v := 0; v < n; v++ {
+			sig := graph.NLCOf(g, graph.VertexID(v))
+			reqs = append(reqs, sig)
+			if len(sig.Labels) > 0 {
+				up := graph.NLCSignature{Labels: sig.Labels, Counts: append([]int32(nil), sig.Counts...)}
+				up.Counts[rng.Intn(len(up.Counts))]++
+				reqs = append(reqs, up)
+			}
+		}
+		reqs = append(reqs, graph.NLCSignature{}, graph.NLCSignature{Labels: []graph.Label{graph.Label(labels)}, Counts: []int32{1}})
+		for v := 0; v < n; v++ {
+			sig := graph.NLCOf(g, graph.VertexID(v))
+			for _, req := range reqs {
+				if got, want := g.NLCCovers(graph.VertexID(v), req), sig.Covers(req); got != want {
+					t.Fatalf("seed %d: NLCCovers(%d, %+v) = %v, signature %+v says %v", seed, v, req, got, sig, want)
+				}
+			}
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // neighboring-label structure): for every vertex, its neighbors regrouped
 // by label so that "neighbors of v carrying label l" is one contiguous
 // sorted view instead of a filtered scan. Built lazily on first use and
-// immutable afterwards, like the NLC cache.
+// immutable afterwards.
 //
 // Layout: groups concatenates, vertex by vertex, the neighbor lists split
 // into label runs (sorted by label, IDs ascending within a run).
@@ -37,12 +37,20 @@ func (g *Graph) NeighborsWithLabel(v VertexID, l Label) []VertexID {
 	}
 	g.ladj.build(g)
 	la := &g.ladj
-	lo, hi := int(la.runStart[v]), int(la.runStart[v+1])
 	// Runs per vertex ≈ distinct neighbor labels: usually a handful, so
 	// binary search over the run labels.
-	i := lo + sort.Search(hi-lo, func(i int) bool { return la.runLabel[lo+i] >= l })
-	if i < hi && la.runLabel[i] == l {
-		return la.groups[la.runOff[i]:la.runOff[i+1]]
+	lo, end := la.runStart[v], la.runStart[v+1]
+	hi := end
+	for lo < hi {
+		mid := int32(uint32(lo+hi) >> 1)
+		if la.runLabel[mid] < l {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < end && la.runLabel[lo] == l {
+		return la.groups[la.runOff[lo]:la.runOff[lo+1]]
 	}
 	return nil
 }

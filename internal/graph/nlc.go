@@ -1,6 +1,6 @@
 package graph
 
-import "sync"
+import "slices"
 
 // NLCSignature is a neighborhood-label-count signature: how many neighbors
 // of a vertex carry each label. Query-side signatures count every label of
@@ -31,172 +31,54 @@ func (sig NLCSignature) Covers(req NLCSignature) bool {
 	return true
 }
 
-// Count returns the count recorded for label l (0 if absent).
-func (sig NLCSignature) Count(l Label) int32 {
-	lo, hi := 0, len(sig.Labels)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sig.Labels[mid] < l {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(sig.Labels) && sig.Labels[lo] == l {
-		return sig.Counts[lo]
-	}
-	return 0
-}
-
-// nlcCache lazily computes and stores data-vertex signatures. A two-level
-// scheme (shards) keeps lock contention low under parallel CECI builds.
-type nlcCache struct {
-	once   sync.Once
-	shards []nlcShard
-}
-
-const nlcShardCount = 64
-
-type nlcShard struct {
-	mu   sync.Mutex
-	sigs map[VertexID]NLCSignature
-}
-
-func (c *nlcCache) init() {
-	c.once.Do(func() {
-		c.shards = make([]nlcShard, nlcShardCount)
-		for i := range c.shards {
-			c.shards[i].sigs = make(map[VertexID]NLCSignature)
-		}
-	})
-}
-
-// NLC returns v's neighborhood-label-count signature, computing and caching
-// it on first use. Safe for concurrent callers.
-func (g *Graph) NLC(v VertexID) NLCSignature {
-	if g.numLabels == 1 {
-		// Single-label graphs: the signature is just the degree; build it
-		// on the fly instead of caching (the NLC filter then reduces to
-		// the degree filter, as the paper's unlabeled queries imply).
-		return NLCSignature{Labels: oneLabelZero, Counts: []int32{int32(g.Degree(v))}}
-	}
-	g.nlc.init()
-	shard := &g.nlc.shards[v%nlcShardCount]
-	shard.mu.Lock()
-	if sig, ok := shard.sigs[v]; ok {
-		shard.mu.Unlock()
-		return sig
-	}
-	shard.mu.Unlock()
-
-	sig := g.computeNLC(v)
-
-	shard.mu.Lock()
-	shard.sigs[v] = sig
-	shard.mu.Unlock()
-	return sig
-}
-
-var oneLabelZero = []Label{0}
-
-func (g *Graph) computeNLC(v VertexID) NLCSignature {
-	if g.numLabels <= 4096 {
-		return g.computeNLCDense(v)
-	}
-	counts := make(map[Label]int32)
-	for _, w := range g.Neighbors(v) {
-		for _, l := range g.Labels(w) {
-			counts[l]++
-		}
-	}
-	return signatureFromMap(counts)
-}
-
-// computeNLCDense counts into a pooled dense array — much cheaper than a
-// map for small alphabets (including multi-labeled vertices).
-func (g *Graph) computeNLCDense(v VertexID) NLCSignature {
-	buf := densePool.Get().(*denseCounts)
-	if cap(buf.counts) < g.numLabels {
-		buf.counts = make([]int32, g.numLabels)
-	}
-	counts := buf.counts[:g.numLabels]
-	nbrs := g.Neighbors(v)
-	distinct := 0
-	touched := 0
-	for _, w := range nbrs {
-		for _, l := range g.Labels(w) {
-			if counts[l] == 0 {
-				distinct++
-			}
-			counts[l]++
-			touched++
-		}
-	}
-	sig := NLCSignature{
-		Labels: make([]Label, 0, distinct),
-		Counts: make([]int32, 0, distinct),
-	}
-	// Neighbor label sets are short relative to the alphabet for most
-	// graphs; gather the touched labels by rescanning them when cheaper.
-	if touched < g.numLabels/4 {
-		for _, w := range nbrs {
-			for _, l := range g.Labels(w) {
-				if counts[l] > 0 {
-					sig.Labels = append(sig.Labels, l)
-					sig.Counts = append(sig.Counts, counts[l])
-					counts[l] = 0
-				}
+// NLCCovers reports whether data vertex v's neighborhood-label-count
+// signature covers req — count_v(l) >= req's count for every label l of
+// req — without materializing the signature. The label-grouped adjacency
+// already holds the counts: every neighbor carrying l appears exactly
+// once in v's run for l (a multi-labeled neighbor once per label, which
+// is how NLCOf counts it too), so the run's length is count_v(l). On
+// single-label graphs every neighbor carries label 0 and the test is a
+// degree comparison. Safe for concurrent callers.
+func (g *Graph) NLCCovers(v VertexID, req NLCSignature) bool {
+	if g.numLabels <= 1 && len(g.extra) == 0 {
+		for j, l := range req.Labels {
+			if l != 0 || int(req.Counts[j]) > g.Degree(v) {
+				return false
 			}
 		}
-		insertionSortSig(&sig)
-	} else {
-		for l, c := range counts {
-			if c > 0 {
-				sig.Labels = append(sig.Labels, Label(l))
-				sig.Counts = append(sig.Counts, c)
-				counts[l] = 0
-			}
+		return true
+	}
+	g.ladj.build(g)
+	la := &g.ladj
+	i, hi := la.runStart[v], la.runStart[v+1]
+	for j, l := range req.Labels {
+		for i < hi && la.runLabel[i] < l {
+			i++
+		}
+		if i == hi || la.runLabel[i] != l || la.runOff[i+1]-la.runOff[i] < req.Counts[j] {
+			return false
 		}
 	}
-	densePool.Put(buf)
-	return sig
+	return true
 }
 
-type denseCounts struct{ counts []int32 }
-
-var densePool = sync.Pool{New: func() any { return &denseCounts{} }}
-
-func insertionSortSig(sig *NLCSignature) {
-	for i := 1; i < len(sig.Labels); i++ {
-		for j := i; j > 0 && sig.Labels[j-1] > sig.Labels[j]; j-- {
-			sig.Labels[j-1], sig.Labels[j] = sig.Labels[j], sig.Labels[j-1]
-			sig.Counts[j-1], sig.Counts[j] = sig.Counts[j], sig.Counts[j-1]
-		}
-	}
-}
-
-// NLCOf computes the signature for an arbitrary vertex of an arbitrary
-// graph without caching (used for query vertices, which are few).
+// NLCOf computes the signature of vertex v of g: gather the labels of
+// every neighbor, sort, run-length encode. Query vertices are few, so
+// nothing is cached; data vertices are tested with Graph.NLCCovers, which
+// needs no signature.
 func NLCOf(g *Graph, v VertexID) NLCSignature {
-	return g.computeNLC(v)
-}
-
-func signatureFromMap(counts map[Label]int32) NLCSignature {
-	sig := NLCSignature{
-		Labels: make([]Label, 0, len(counts)),
-		Counts: make([]int32, 0, len(counts)),
+	var labels []Label
+	for _, w := range g.Neighbors(v) {
+		labels = append(labels, g.Labels(w)...)
 	}
-	for l := range counts {
-		sig.Labels = append(sig.Labels, l)
-	}
-	// insertion sort: label sets are tiny
-	for i := 1; i < len(sig.Labels); i++ {
-		for j := i; j > 0 && sig.Labels[j-1] > sig.Labels[j]; j-- {
-			sig.Labels[j-1], sig.Labels[j] = sig.Labels[j], sig.Labels[j-1]
+	slices.Sort(labels)
+	var sig NLCSignature
+	for i, l := range labels {
+		if i == 0 || l != labels[i-1] {
+			sig.Labels = append(sig.Labels, l)
+			sig.Counts = append(sig.Counts, 0)
 		}
-	}
-	for _, l := range sig.Labels {
-		sig.Counts = append(sig.Counts, counts[l])
+		sig.Counts[len(sig.Counts)-1]++
 	}
 	return sig
 }

@@ -91,6 +91,11 @@ type QueryTree struct {
 	// degree / NLC filters for u, computed during root selection and
 	// reused by order heuristics.
 	CandCount []int
+
+	// filter holds the verdict tables CandCount was counted from, for the
+	// index build to reuse (see Filter). Nil on a tree detached with
+	// WithFilter(nil).
+	filter *Filter
 }
 
 // NumVertices returns the query size.
@@ -131,10 +136,7 @@ func Preprocess(data, query *graph.Graph, opt Options) (*QueryTree, error) {
 		return nil, errors.New("order: query graph must be connected")
 	}
 
-	counts := make([]int, n)
-	for u := 0; u < n; u++ {
-		counts[u] = CandidateCount(data, query, graph.VertexID(u))
-	}
+	filter := NewFilter(data, query)
 
 	var root graph.VertexID
 	if opt.ForcedRoot >= 0 {
@@ -143,7 +145,7 @@ func Preprocess(data, query *graph.Graph, opt Options) (*QueryTree, error) {
 		}
 		root = graph.VertexID(opt.ForcedRoot)
 	} else {
-		root = selectRoot(query, counts)
+		root = selectRoot(query, filter.counts)
 	}
 
 	t := &QueryTree{
@@ -154,7 +156,8 @@ func Preprocess(data, query *graph.Graph, opt Options) (*QueryTree, error) {
 		Depth:       make([]int32, n),
 		NTEParents:  make([][]graph.VertexID, n),
 		NTEChildren: make([][]graph.VertexID, n),
-		CandCount:   counts,
+		CandCount:   filter.counts,
+		filter:      filter,
 	}
 	t.buildBFSTree()
 	if err := t.buildOrder(opt.Heuristic); err != nil {
@@ -182,41 +185,6 @@ func selectRoot(query *graph.Graph, counts []int) graph.VertexID {
 		}
 	}
 	return best
-}
-
-// CandidateCount counts data vertices passing the label, degree, and
-// neighborhood-label-count filters for query vertex u.
-func CandidateCount(data, query *graph.Graph, u graph.VertexID) int {
-	n := 0
-	ForEachCandidate(data, query, u, func(graph.VertexID) { n++ })
-	return n
-}
-
-// ForEachCandidate calls fn for every data vertex passing the LDF+NLC
-// filters for query vertex u, in ascending vertex order.
-func ForEachCandidate(data, query *graph.Graph, u graph.VertexID, fn func(graph.VertexID)) {
-	qLabels := query.Labels(u)
-	qDeg := query.Degree(u)
-	qSig := graph.NLCOf(query, u)
-	for _, v := range data.VerticesWithLabel(qLabels[0]) {
-		if data.Degree(v) < qDeg {
-			continue
-		}
-		ok := true
-		for _, l := range qLabels[1:] {
-			if !data.HasLabel(v, l) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if !data.NLC(v).Covers(qSig) {
-			continue
-		}
-		fn(v)
-	}
 }
 
 func (t *QueryTree) buildBFSTree() {
@@ -349,8 +317,8 @@ func (t *QueryTree) orderFor(h Heuristic) ([]graph.VertexID, error) {
 }
 
 // Reorder returns a copy of t whose matching order is ord, sharing the
-// immutable BFS-tree structure (Parent, Children, Depth, CandCount) and
-// reclassifying non-tree edges against the new order. ord must be a
+// immutable BFS-tree structure (Parent, Children, Depth, CandCount, the
+// verdict tables) and reclassifying non-tree edges against the new order. ord must be a
 // tree-consistent permutation of t's vertices starting at t.Root; the
 // planner uses Reorder to install its chosen order without re-running
 // candidate counting.
@@ -389,6 +357,7 @@ func (t *QueryTree) Reorder(ord []graph.VertexID) (*QueryTree, error) {
 		NTEParents:  make([][]graph.VertexID, n),
 		NTEChildren: make([][]graph.VertexID, n),
 		CandCount:   t.CandCount,
+		filter:      t.filter,
 	}
 	for i, u := range nt.Order {
 		nt.Pos[u] = i

@@ -2,6 +2,7 @@ package order_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ceci/internal/gen"
@@ -129,23 +130,30 @@ func TestCandidateFilters(t *testing.T) {
 	data, query := gen.Fig1Data(), gen.Fig1Query()
 	// u3 (label C, degree 4): v4, v6 pass; v8 lacks an E neighbor (NLC);
 	// v10 fails the degree filter.
-	var got []graph.VertexID
-	order.ForEachCandidate(data, query, 2, func(v graph.VertexID) {
-		got = append(got, v)
-	})
+	f := order.NewFilter(data, query)
+	got := f.Candidates(2)
 	want := []graph.VertexID{gen.Fig1V(4), gen.Fig1V(6)}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("candidates(u3) = %v, want %v", got, want)
+	}
+	// The verdicts name the stage that dropped the other C vertices.
+	verdicts := f.Verdicts(2)
+	if verdicts[gen.Fig1V(8)] != order.DropNLC || verdicts[gen.Fig1V(10)] != order.DropDegree ||
+		verdicts[gen.Fig1V(1)] != order.DropLabel || verdicts[gen.Fig1V(4)] != order.Pass {
+		t.Fatalf("verdicts(u3): v8=%d v10=%d v1=%d v4=%d", verdicts[gen.Fig1V(8)],
+			verdicts[gen.Fig1V(10)], verdicts[gen.Fig1V(1)], verdicts[gen.Fig1V(4)])
 	}
 }
 
 func TestCandidateCountMatchesForEach(t *testing.T) {
 	data, query := gen.Fig1Data(), gen.Fig1Query()
+	tree, err := order.Preprocess(data, query, order.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for u := 0; u < query.NumVertices(); u++ {
-		n := 0
-		order.ForEachCandidate(data, query, graph.VertexID(u), func(graph.VertexID) { n++ })
-		if got := order.CandidateCount(data, query, graph.VertexID(u)); got != n {
-			t.Fatalf("u%d: count %d != foreach %d", u+1, got, n)
+		if n := len(tree.Filter(data).Candidates(graph.VertexID(u))); tree.CandCount[u] != n {
+			t.Fatalf("u%d: count %d != candidates %d", u+1, tree.CandCount[u], n)
 		}
 	}
 }
@@ -355,4 +363,48 @@ func randomGraph(rng *rand.Rand, n, m, labels int) *graph.Graph {
 		}
 	}
 	return b.MustBuild()
+}
+
+// TestFilterSharingAndLifetime pins the verdict tables' two rules: query
+// vertices the filters cannot tell apart share one table, and a tree
+// hands out the tables Preprocess computed only for the graph it ran on.
+func TestFilterSharingAndLifetime(t *testing.T) {
+	data := gen.ChungLu(300, 6, 2.2, 3)
+	query := gen.QG3() // unlabeled: vertices of equal degree are one class
+	tree, err := order.Preprocess(data, query, order.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := tree.Filter(data)
+	for u := 0; u < query.NumVertices(); u++ {
+		for w := 0; w < u; w++ {
+			a, b := f.Verdicts(graph.VertexID(u)), f.Verdicts(graph.VertexID(w))
+			same := query.Degree(graph.VertexID(u)) == query.Degree(graph.VertexID(w))
+			if (&a[0] == &b[0]) != same {
+				t.Fatalf("u%d/u%d: tables shared = %v, equal class = %v", u, w, &a[0] == &b[0], same)
+			}
+		}
+	}
+
+	if tree.Filter(data) != f {
+		t.Fatal("same data graph: the tree must reuse its tables")
+	}
+	re, err := tree.Reorder(tree.Order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Filter(data) != f {
+		t.Fatal("a reordered tree shares the tables")
+	}
+	other := gen.ChungLu(300, 6, 2.2, 4)
+	if g := tree.Filter(other); g == f || !reflect.DeepEqual(g.Candidates(tree.Root), order.NewFilter(other, query).Candidates(tree.Root)) {
+		t.Fatal("another data graph: fresh tables, computed on that graph")
+	}
+	detached := tree.WithFilter(nil)
+	if detached == tree || detached.Filter(data) == f {
+		t.Fatal("a detached tree must not reach the tables")
+	}
+	if detached.WithFilter(f).Filter(data) != f || tree.WithFilter(f) != tree {
+		t.Fatal("WithFilter attaches the given tables, and is the identity when they already are")
+	}
 }

@@ -83,6 +83,7 @@ func New(data, query *graph.Graph, opt Options) (*Planner, error) {
 	if err != nil {
 		return nil, err
 	}
+	filter := base.Filter(data)
 	n := query.NumVertices()
 	f := features{
 		candCount: make([]float64, n),
@@ -96,14 +97,15 @@ func New(data, query *graph.Graph, opt Options) (*Planner, error) {
 		nbrs := query.Neighbors(uu)
 		row := make([]float64, len(nbrs))
 		rowSq := make([]float64, len(nbrs))
-		order.ForEachCandidate(data, query, uu, func(v graph.VertexID) {
-			sig := data.NLC(v)
+		for _, v := range filter.Candidates(uu) {
 			for j, w := range nbrs {
-				c := float64(sig.Count(query.Labels(w)[0]))
+				// The run of v's neighbors labeled like w is v's NLC
+				// count for that label.
+				c := float64(len(data.NeighborsWithLabel(v, query.Label(w))))
 				row[j] += c
 				rowSq[j] += c * c
 			}
-		})
+		}
 		// Size-biased mean Σc²/Σc, not the uniform mean Σc/n: a partial
 		// embedding reaches a candidate of u through an edge, and a
 		// candidate with c relevant neighbors sits on c such edges — so
@@ -118,7 +120,10 @@ func New(data, query *graph.Graph, opt Options) (*Planner, error) {
 		}
 		f.avgNbr[u] = row
 	}
-	return &Planner{base: base, feat: f}, nil
+	// The planner outlives the build (the service's plan cache keeps it
+	// for drift re-planning), so it retains the tree without the verdict
+	// tables; a planned build recomputes them.
+	return &Planner{base: base.WithFilter(nil), feat: f}, nil
 }
 
 // Base returns the underlying BFS query tree (root, tree structure,

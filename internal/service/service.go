@@ -840,15 +840,6 @@ func (e *Engine) buildEntry(ctx context.Context, q *graph.Graph, key string, per
 				ErrBadQuery, ecc, sc.Radius, ecc)
 		}
 		forcedRoot = int(anchor)
-		// Owned pivots only: clusters anchored on halo vertices belong to
-		// the shard that owns them. Non-nil even when empty, so the index
-		// build restricts rather than re-deriving root candidates.
-		pivots = make([]graph.VertexID, 0)
-		order.ForEachCandidate(e.data, storedQuery, anchor, func(v graph.VertexID) {
-			if containsVertex(sc.OwnedLocals, v) {
-				pivots = append(pivots, v)
-			}
-		})
 	}
 	if e.opts.Planner {
 		planner, err = plan.New(e.data, storedQuery, plan.Options{ForcedRoot: forcedRoot})
@@ -866,6 +857,19 @@ func (e *Engine) buildEntry(ctx context.Context, q *graph.Graph, key string, per
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+	}
+	if sc := e.opts.Shard; sc != nil {
+		// Owned pivots only: clusters anchored on halo vertices belong to
+		// the shard that owns them. Non-nil even when empty, so the index
+		// build restricts rather than re-deriving root candidates.
+		pivots = make([]graph.VertexID, 0)
+		filter := tree.Filter(e.data)
+		tree = tree.WithFilter(filter) // a planned tree arrives without its tables; the build reuses these
+		for _, v := range filter.Candidates(tree.Root) {
+			if containsVertex(sc.OwnedLocals, v) {
+				pivots = append(pivots, v)
+			}
+		}
 	}
 	ix, err := icec.BuildCtx(ctx, e.data, tree, icec.Options{
 		Workers: e.opts.Workers,

@@ -154,42 +154,6 @@ func Union(dst, a, b []uint32) []uint32 {
 	return append(dst, b[j:]...)
 }
 
-// UnionMany returns the sorted union of all lists. For many inputs it
-// gathers, sorts, and deduplicates — O(N log N) total instead of the
-// O(k·N) of repeated pairwise merging.
-func UnionMany(lists [][]uint32) []uint32 {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		out := make([]uint32, len(lists[0]))
-		copy(out, lists[0])
-		return out
-	case 2:
-		return Union(nil, lists[0], lists[1])
-	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	all := make([]uint32, 0, total)
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	// slices.Sort specializes on the element type — unlike sort.Slice it
-	// allocates no closure and no reflect-based swapper, and pattern-
-	// defeating quicksort beats the interface-dispatch sort on uint32.
-	slices.Sort(all)
-	w := 0
-	for i, x := range all {
-		if i == 0 || x != all[i-1] {
-			all[w] = x
-			w++
-		}
-	}
-	return all[:w]
-}
-
 // Diff writes a \ b (elements of a not in b) into dst and returns it.
 //
 // Aliasing: dst = a[:0] is safe (the output is a subsequence of a, so
