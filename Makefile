@@ -20,11 +20,14 @@ bench:
 # module, so `build`/`test` above never compile it — yet its sut.go is
 # written against internal/ceci, enum, service and shard. Vet and test
 # it, then run the enumeration-bound and the build-bound workload, short
-# and traced, end to end against their pinned counts (also a CI step).
+# and traced, end to end against their pinned counts, and the fleet
+# workload, which drives service.New, shard.NewRouter and both response
+# types over HTTP and checks every reply (also a CI step).
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 	bash benchmark/run.sh --workload lib_enum --seed 1 --seconds 4 --trace 1
 	bash benchmark/run.sh --workload lib_build --seed 1 --seconds 4 --trace 1
+	bash benchmark/run.sh --workload fleet_scatter --seed 1 --seconds 4 --trace 1
 
 # Machine-readable regression tracking: run the fixed suite and write
 # BENCH_<name>.json. Refresh the committed baseline with
@@ -45,10 +48,13 @@ bench-compare:
 # Allocation profile of the enumeration hot path: the strict
 # AllocsPerRun proof (zero allocations per steady-state step) plus the
 # -benchmem view of the Fig-7/8/19 suites. allocs/op on the enumeration
-# benchmarks is the number to watch.
+# benchmarks is the number to watch. Then the embedding-page codec: the
+# proofs that encoding, decoding and merging a 1000x3 page allocate a
+# fixed handful of times, and the -benchmem figures beside encoding/json's.
 bench-allocs:
 	$(GO) test -run TestEnumerationStepZeroAlloc -v ./internal/enum
 	$(GO) test -bench 'Fig7|Fig8|Fig19' -benchmem -benchtime 3x ./cmd/cecibench
+	$(GO) test -run 'TestPageCodecAllocs|TestRouteMergeAllocs' -bench 'BenchmarkPage|BenchmarkRouteMerge' -benchmem -v ./internal/service ./internal/shard
 
 # Intersection-kernel health check: the per-kernel microbenchmarks
 # (merge / gallop / bitset / adaptive dispatch), then the end-to-end
@@ -75,13 +81,17 @@ verify:
 # Short fuzz pass over every target — same budget as the CI smoke job.
 # Matcher/index crashers land under internal/verify/testdata/fuzz/
 # (replay with `go run ./cmd/cecirun -verify -seed <seed>`); kernel
-# crashers land under internal/setops/testdata/fuzz/.
+# crashers land under internal/setops/testdata/fuzz/; wire-parser
+# crashers (query request, query response) under
+# internal/service/testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatchDifferential -fuzztime=$(FUZZTIME) ./internal/verify
 	$(GO) test -run='^$$' -fuzz=FuzzIndexRoundTrip -fuzztime=$(FUZZTIME) ./internal/verify
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectKernels -fuzztime=$(FUZZTIME) ./internal/setops
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectionSize -fuzztime=$(FUZZTIME) ./internal/setops
+	$(GO) test -run='^$$' -fuzz=FuzzQueryResponseDecode -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzQueryRequest -fuzztime=$(FUZZTIME) ./internal/service
 
 # What .github/workflows/ci.yml runs: vet + build + full tests, then a
 # race pass over the concurrency-heavy packages.

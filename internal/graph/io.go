@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -50,19 +51,26 @@ func LoadEdgeList(r io.Reader) (*Graph, error) {
 	return b.Build()
 }
 
-// maxLabelValue bounds label values accepted by the loader. The dense
+// MaxLabelValue bounds label values accepted by the loader, and by
+// anything else that builds a graph from outside input. The dense
 // label alphabet materializes a per-label index, so an absurd label value
 // is an input error, not a 2^32-entry allocation.
-const maxLabelValue = 1 << 24
+const MaxLabelValue = 1 << 24
 
 // LoadLabeled reads the "t/v/e" labeled-graph format from r.
 //
 // The loader validates the input rather than silently repairing it: a
 // malformed header, a vertex or edge referring to an ID at or beyond the
-// header's declared vertex count, a label beyond maxLabelValue, and a
+// header's declared vertex count, a label beyond MaxLabelValue, and a
 // duplicate edge (in either orientation) are all errors with line
 // numbers, since each one signals a corrupt or mis-generated artifact.
-func LoadLabeled(r io.Reader) (*Graph, error) {
+func LoadLabeled(r io.Reader) (*Graph, error) { return LoadLabeledMax(r, math.MaxUint32+1) }
+
+// LoadLabeledMax is LoadLabeled for text from outside the program: a
+// vertex ID at or beyond maxVertices is an error. The builder allocates
+// up to the largest ID it is given, so without the bound one line
+// ("v 4294967295 0") costs gigabytes.
+func LoadLabeledMax(r io.Reader, maxVertices int64) (*Graph, error) {
 	b := &Builder{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -72,6 +80,9 @@ func LoadLabeled(r io.Reader) (*Graph, error) {
 	checkID := func(id uint64) error {
 		if declaredV >= 0 && id >= uint64(declaredV) {
 			return fmt.Errorf("graph: line %d: vertex %d out of range [0,%d) declared by header", lineNo, id, declaredV)
+		}
+		if id >= uint64(maxVertices) {
+			return fmt.Errorf("graph: line %d: vertex %d beyond the %d vertices accepted", lineNo, id, maxVertices)
 		}
 		return nil
 	}
@@ -116,8 +127,8 @@ func LoadLabeled(r io.Reader) (*Graph, error) {
 				if err != nil {
 					return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 				}
-				if l > maxLabelValue {
-					return nil, fmt.Errorf("graph: line %d: label %d out of range [0,%d]", lineNo, l, maxLabelValue)
+				if l > MaxLabelValue {
+					return nil, fmt.Errorf("graph: line %d: label %d out of range [0,%d]", lineNo, l, MaxLabelValue)
 				}
 				if i == 0 {
 					b.SetLabel(VertexID(id), Label(l))

@@ -145,7 +145,10 @@ func WriteSpanJSONL(w io.Writer, nodes []*SpanNode) error {
 // skipped; a malformed line aborts with its line number.
 func ReadSpanJSONL(r io.Reader) ([]*SpanNode, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	// The buffer starts at bufio's default and grows to a long line; a
+	// query's whole log is a kilobyte or two, and the shard router parses
+	// three of them per sampled query.
+	sc.Buffer(nil, 16<<20)
 	var nodes []*SpanNode
 	line := 0
 	for sc.Scan() {

@@ -92,7 +92,7 @@ func TestEvictionThenRebuildMatchesColdBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		first[i] = verify.CanonicalSet(resp.Embeddings, auto.Compute(q))
+		first[i] = verify.CanonicalSet(resp.Page.Rows(), auto.Compute(q))
 	}
 	for round := 0; round < 2; round++ {
 		for i, q := range queries {
@@ -100,7 +100,7 @@ func TestEvictionThenRebuildMatchesColdBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d query %d: %v", round, i, err)
 			}
-			got := verify.CanonicalSet(resp.Embeddings, auto.Compute(q))
+			got := verify.CanonicalSet(resp.Page.Rows(), auto.Compute(q))
 			if len(got) != len(first[i]) {
 				t.Fatalf("round %d query %d: %d embeddings, first run had %d", round, i, len(got), len(first[i]))
 			}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"sync"
 	"time"
 
 	"ceci/internal/obs"
@@ -172,9 +173,38 @@ func (e *APIError) Unwrap() error {
 // span (obs.ContextWithSpan), it crosses the wire as a W3C traceparent
 // header, so the server's spans stitch into the caller's trace.
 func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
+	out, page, err := c.query(ctx, req)
+	if out != nil && page.Len() > 0 {
+		out.Embeddings = page.Rows()
+	}
+	return out, err
+}
+
+// QueryPage is Query for a caller that keeps the page flat (the shard
+// router): the embeddings come back as a Page and the response's
+// Embeddings is nil. A reply whose rows differ in width has no Page and
+// is an error.
+func (c *Client) QueryPage(ctx context.Context, req QueryRequest) (*QueryResponse, Page, error) {
+	out, page, err := c.query(ctx, req)
+	if out != nil && out.Embeddings != nil {
+		// The reply was not in the servers' compact form and went
+		// through encoding/json.
+		var ok bool
+		if page, ok = pageOf(out.Embeddings); !ok {
+			return nil, Page{}, errors.New("service: decoding response: embeddings of unequal width")
+		}
+		out.Embeddings = nil
+	}
+	return out, page, err
+}
+
+// query is Query and QueryPage up to where they differ: the page is
+// returned flat if the reply was in the compact form (decodeQueryResponse),
+// in the response's Embeddings if not.
+func (c *Client) query(ctx context.Context, req QueryRequest) (*QueryResponse, Page, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return nil, Page{}, err
 	}
 	hresp, err := c.do(ctx, func() (*http.Request, error) {
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/query", bytes.NewReader(body))
@@ -188,18 +218,49 @@ func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 		return hreq, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, Page{}, err
 	}
 	defer hresp.Body.Close()
-	var out QueryResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("service: decoding response: %w", err)
+
+	// The body is read whole into a pooled buffer: nothing decoded from it
+	// points back into it, so it returns to the pool with this call.
+	buf := responseBuffers.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBytes {
+			responseBuffers.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if n := hresp.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxPooledBytes)) + bytes.MinRead) // ReadFrom wants room to see EOF
+	}
+	if _, err := buf.ReadFrom(hresp.Body); err != nil {
+		return nil, Page{}, fmt.Errorf("service: reading response: %w", err)
+	}
+	raw := bytes.TrimLeft(buf.Bytes(), " \t\r\n")
+
+	// A failed request may come without a document (a proxy's bare 502).
+	// A 200 may not: read as the zero response it would merge into a
+	// fleet result as "no embeddings, cache hit".
+	if hresp.StatusCode != http.StatusOK && len(raw) == 0 {
+		out := &QueryResponse{}
+		return out, Page{}, &APIError{StatusCode: hresp.StatusCode, Resp: out}
+	}
+	if hresp.StatusCode == http.StatusOK && (len(raw) == 0 || raw[0] != '{') {
+		return nil, Page{}, fmt.Errorf("service: decoding response: HTTP 200 without a JSON object (%d bytes)", len(raw))
+	}
+	out, page, err := decodeQueryResponse(raw)
+	if err != nil {
+		return nil, Page{}, fmt.Errorf("service: decoding response: %w", err)
 	}
 	if hresp.StatusCode != http.StatusOK {
-		return &out, &APIError{StatusCode: hresp.StatusCode, Message: out.Error, Resp: &out}
+		return out, page, &APIError{StatusCode: hresp.StatusCode, Message: out.Error, Resp: out}
 	}
-	return &out, nil
+	return out, page, nil
 }
+
+// responseBuffers holds the buffers Query reads response bodies into.
+var responseBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Healthz fetches the liveness document.
 func (c *Client) Healthz(ctx context.Context) (*HealthResponse, error) {

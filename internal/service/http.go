@@ -116,9 +116,9 @@ func (e *Engine) Handler() http.Handler {
 }
 
 func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var wire QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad JSON: " + err.Error()})
+	wire, status, err := ReadQueryRequest(w, r)
+	if err != nil {
+		WriteJSON(w, status, QueryResponse{Error: err.Error()})
 		return
 	}
 	q, err := wire.queryGraph()
@@ -144,28 +144,29 @@ func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := e.Query(ctx, req)
 	wire2 := QueryResponse{}
+	var page Page
 	if resp != nil {
 		// Server-Timing (phase breakdown plus SLO state): lets browsers
 		// and clients see where the request's time went without parsing
 		// the body.
 		w.Header().Set("Server-Timing", serverTiming(e, resp))
 		wire2 = QueryResponse{
-			Count:      resp.Count,
-			Embeddings: resp.Embeddings,
-			CacheHit:   resp.CacheHit,
-			Partial:    resp.Partial,
-			BuildMS:    float64(resp.BuildTime) / float64(time.Millisecond),
-			EnumMS:     float64(resp.EnumTime) / float64(time.Millisecond),
-			TraceID:    resp.TraceID,
-			QueryHash:  resp.QueryHash,
+			Count:     resp.Count,
+			CacheHit:  resp.CacheHit,
+			Partial:   resp.Partial,
+			BuildMS:   float64(resp.BuildTime) / float64(time.Millisecond),
+			EnumMS:    float64(resp.EnumTime) / float64(time.Millisecond),
+			TraceID:   resp.TraceID,
+			QueryHash: resp.QueryHash,
 		}
+		page = resp.Page
 		// Egress: the response traceparent names the request's root span,
 		// so a calling service can stitch our subtree into its own trace.
 		if resp.Trace.Valid() {
 			w.Header().Set("traceparent", resp.Trace.Traceparent())
 		}
 	}
-	status := statusFor(err)
+	status = statusFor(err)
 	if err != nil {
 		wire2.Error = err.Error()
 		if status == 429 {
@@ -175,7 +176,7 @@ func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 			wire2.Partial = true
 		}
 	}
-	WriteJSON(w, status, wire2)
+	WriteQueryJSON(w, status, wire2, page)
 }
 
 func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -363,7 +364,9 @@ func (e *Engine) handleCachez(w http.ResponseWriter, _ *http.Request) {
 }
 
 // WriteJSON writes v as the JSON body of a response with the given
-// status. Exported for the shard router, which answers in the same form.
+// status, through encoding/json's reflection: the health, cache, flight
+// and error documents. A query result goes through WriteQueryJSON.
+// Exported for the shard router, which answers in the same form.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -383,7 +386,9 @@ func (q *QueryRequest) queryGraph() (*graph.Graph, error) {
 	case hasText && hasInline:
 		return nil, fmt.Errorf("%w: give either query text or labels/edges, not both", ErrBadQuery)
 	case hasText:
-		g, err := graph.LoadLabeled(strings.NewReader(q.Query))
+		// No body within MaxRequestBytes declares more vertices than it
+		// has bytes, so an id beyond that is refused, not allocated for.
+		g, err := graph.LoadLabeledMax(strings.NewReader(q.Query), MaxRequestBytes)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 		}
@@ -392,6 +397,9 @@ func (q *QueryRequest) queryGraph() (*graph.Graph, error) {
 		n := len(q.Labels)
 		b := graph.NewBuilder(n)
 		for v, l := range q.Labels {
+			if l > graph.MaxLabelValue {
+				return nil, fmt.Errorf("%w: label %d of vertex %d out of range [0,%d]", ErrBadQuery, l, v, graph.MaxLabelValue)
+			}
 			b.SetLabel(graph.VertexID(v), l)
 		}
 		for _, e := range q.Edges {

@@ -179,6 +179,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// pagePrealloc is how many embeddings of a page Engine.run reserves up
+// front.
+const pagePrealloc = 1024
+
 // Request is one match request against the engine's resident data graph.
 type Request struct {
 	// Query is the pattern graph. Embeddings in the response are indexed
@@ -201,12 +205,14 @@ type Request struct {
 // Response carries the result. On deadline errors the engine still
 // returns a Response with Partial=true and the counts reached.
 type Response struct {
-	Count      int64
-	Embeddings [][]graph.VertexID
-	CacheHit   bool
-	Partial    bool
-	BuildTime  time.Duration
-	EnumTime   time.Duration
+	Count int64
+	// Page holds the embeddings delivered (none for CountOnly), each
+	// indexed by the request's query vertex ids.
+	Page      Page
+	CacheHit  bool
+	Partial   bool
+	BuildTime time.Duration
+	EnumTime  time.Duration
 	// TraceID is the query's trace identity as 32 hex digits — the key
 	// into /queryz and /tracez/{traceID}. Set on every response, sampled
 	// or not.
@@ -610,10 +616,16 @@ func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *tele
 		globals = sc.Globals
 	}
 
+	// The page is collected into one flat array, sized for a full page
+	// up to pagePrealloc embeddings and grown by append beyond that.
+	page := Page{Width: len(sigma)}
+	if !req.CountOnly {
+		page.IDs = make([]graph.VertexID, 0, int(min(limit, pagePrealloc))*page.Width)
+	}
+
 	enumStart := time.Now()
 	var count atomic.Int64
 	var mu sync.Mutex
-	var page [][]graph.VertexID
 	enumErr := m.ForEachCtx(ctx, func(emb []graph.VertexID) bool {
 		n := count.Add(1)
 		if req.CountOnly {
@@ -622,23 +634,21 @@ func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *tele
 		if n <= req.Offset {
 			return true
 		}
-		out := make([]graph.VertexID, len(emb))
-		for u := range out {
-			dv := emb[sigma[u]]
+		mu.Lock()
+		for _, s := range sigma {
+			dv := emb[s]
 			if globals != nil {
 				dv = globals[dv]
 			}
-			out[u] = dv
+			page.IDs = append(page.IDs, dv)
 		}
-		mu.Lock()
-		page = append(page, out)
 		mu.Unlock()
 		return true
 	})
 	resp.EnumTime = time.Since(enumStart)
 
 	resp.Count = count.Load()
-	resp.Embeddings = page
+	resp.Page = page
 	if enumErr != nil {
 		resp.Partial = true
 		return resp, enumErr

@@ -65,7 +65,7 @@ func TestQueryDifferentialVsColdBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		got := verify.CanonicalSet(resp.Embeddings, auto.Compute(q))
+		got := verify.CanonicalSet(resp.Page.Rows(), auto.Compute(q))
 		want := coldSet(t, data, q)
 		if len(got) != len(want) {
 			t.Fatalf("query %d: %d embeddings, cold build found %d", i, len(got), len(want))
@@ -106,8 +106,8 @@ func TestCacheHitSkipsBuild(t *testing.T) {
 		t.Errorf("counts differ across hit: %d vs %d", second.Count, first.Count)
 	}
 	// Same stored index, identity remap: sets are bit-identical.
-	got := verify.CanonicalSet(second.Embeddings, nil)
-	want := verify.CanonicalSet(first.Embeddings, nil)
+	got := verify.CanonicalSet(second.Page.Rows(), nil)
+	want := verify.CanonicalSet(first.Page.Rows(), nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("hit embeddings differ from cold at %d", i)
@@ -136,7 +136,7 @@ func TestIsomorphicQueryHitsCache(t *testing.T) {
 		if !resp.CacheHit {
 			t.Fatalf("seed %d: permuted query missed the cache", seed)
 		}
-		got := verify.CanonicalSet(resp.Embeddings, auto.Compute(perm))
+		got := verify.CanonicalSet(resp.Page.Rows(), auto.Compute(perm))
 		want := coldSet(t, data, perm)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d embeddings via remap, cold build found %d", seed, len(got), len(want))
@@ -272,8 +272,8 @@ func TestConcurrentStress(t *testing.T) {
 					if req.Limit == 0 && resp.Count != want[qi] {
 						errs <- fmt.Errorf("query %d: count %d, want %d", qi, resp.Count, want[qi])
 					}
-					if req.Limit == 3 && int64(len(resp.Embeddings)) > 3 {
-						errs <- fmt.Errorf("limit 3 returned %d embeddings", len(resp.Embeddings))
+					if req.Limit == 3 && int64(len(resp.Page.Rows())) > 3 {
+						errs <- fmt.Errorf("limit 3 returned %d embeddings", len(resp.Page.Rows()))
 					}
 				case errors.Is(err, context.DeadlineExceeded) && req.Timeout > 0:
 					// expected possibility for the 1ms requests
@@ -321,8 +321,8 @@ func TestOffsetPagination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full.Embeddings) < 4 {
-		t.Skipf("only %d embeddings; pagination needs a few", len(full.Embeddings))
+	if full.Page.Len() < 4 {
+		t.Skipf("only %d embeddings; pagination needs a few", full.Page.Len())
 	}
 	page1, err := eng.Query(context.Background(), Request{Query: q, Limit: 2})
 	if err != nil {
@@ -332,15 +332,16 @@ func TestOffsetPagination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page1.Embeddings) != 2 || len(page2.Embeddings) != 2 {
-		t.Fatalf("page sizes %d/%d, want 2/2", len(page1.Embeddings), len(page2.Embeddings))
+	if page1.Page.Len() != 2 || page2.Page.Len() != 2 {
+		t.Fatalf("page sizes %d/%d, want 2/2", page1.Page.Len(), page2.Page.Len())
 	}
+	all, rows1, rows2 := full.Page.Rows(), page1.Page.Rows(), page2.Page.Rows()
 	for i := 0; i < 2; i++ {
-		for u := range full.Embeddings[i] {
-			if page1.Embeddings[i][u] != full.Embeddings[i][u] {
+		for u := range all[i] {
+			if rows1[i][u] != all[i][u] {
 				t.Fatalf("page1[%d] diverges from full enumeration", i)
 			}
-			if page2.Embeddings[i][u] != full.Embeddings[i+2][u] {
+			if rows2[i][u] != all[i+2][u] {
 				t.Fatalf("page2[%d] diverges from full enumeration", i)
 			}
 		}

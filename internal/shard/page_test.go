@@ -1,0 +1,334 @@
+package shard
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"ceci/internal/graph"
+	"ceci/internal/service"
+)
+
+// pageOf is rows embeddings of the given width with ids counting up
+// from base — recognisable in a merged page.
+func pageOf(base graph.VertexID, rows, width int) [][]graph.VertexID {
+	page := make([][]graph.VertexID, rows)
+	for i := range page {
+		page[i] = make([]graph.VertexID, width)
+		for j := range page[i] {
+			page[i][j] = base + graph.VertexID(i*width+j)
+		}
+	}
+	return page
+}
+
+// pageShard is a fake shard that pages the way an engine does: it honours
+// offset and limit and silently clamps the limit to its own MaxLimit.
+type pageShard struct {
+	rows      [][]graph.VertexID
+	maxLimit  int64
+	lastLimit atomic.Int64
+}
+
+// answeredProbe answers a fake shard's readiness probe and reports
+// whether r was one.
+func answeredProbe(w http.ResponseWriter, r *http.Request) bool {
+	if r.URL.Path != "/healthz" {
+		return false
+	}
+	service.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "ready": true})
+	return true
+}
+
+func (s *pageShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if answeredProbe(w, r) {
+		return
+	}
+	var wire service.QueryRequest
+	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
+		service.WriteJSON(w, http.StatusBadRequest, service.QueryResponse{Error: err.Error()})
+		return
+	}
+	s.lastLimit.Store(wire.Limit)
+	resp := service.QueryResponse{Count: int64(len(s.rows)), CacheHit: true, EnumMS: 0.5, QueryHash: "00f067aa0ba902b7"}
+	if !wire.CountOnly {
+		limit := wire.Limit
+		if limit <= 0 || limit > s.maxLimit {
+			limit = s.maxLimit
+		}
+		rows := s.rows[min(wire.Offset, int64(len(s.rows))):]
+		resp.Embeddings = rows[:min(limit, int64(len(rows)))]
+		resp.Count = wire.Offset + int64(len(resp.Embeddings))
+	}
+	service.WriteJSON(w, http.StatusOK, resp)
+}
+
+// failingShard answers its probes and fails every query with a 500.
+var failingShard = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	if !answeredProbe(w, r) {
+		service.WriteJSON(w, http.StatusInternalServerError, service.QueryResponse{Error: "disk on fire"})
+	}
+})
+
+func oneReplicaEach(shards ...http.Handler) [][]http.Handler {
+	fleet := make([][]http.Handler, len(shards))
+	for i, h := range shards {
+		fleet[i] = []http.Handler{h}
+	}
+	return fleet
+}
+
+// postRaw posts body to the router's /query and returns the status and
+// the bytes of the reply.
+func postRaw(t *testing.T, url string, body io.Reader) (int, []byte) {
+	t.Helper()
+	hresp, err := http.Post(url+"/query", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hresp.Body.Close()
+	raw, err := io.ReadAll(hresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hresp.StatusCode, raw
+}
+
+func pageWire(offset, limit int64) service.QueryRequest {
+	wire := edgeWire()
+	wire.CountOnly = false
+	wire.Offset, wire.Limit = offset, limit
+	return wire
+}
+
+// TestRouterPaginationWindow: the merged page is the caller's window over
+// the shards' pages laid end to end, and a window that reaches past what
+// a shard will return (its MaxLimit) is refused, not filled with the
+// wrong rows.
+func TestRouterPaginationWindow(t *testing.T) {
+	const maxLimit = 10
+	shards := []*pageShard{
+		{rows: pageOf(100, 3, 2), maxLimit: maxLimit},
+		{rows: pageOf(200, 12, 2), maxLimit: maxLimit},
+		{rows: pageOf(300, 3, 2), maxLimit: maxLimit},
+	}
+	var all [][]graph.VertexID
+	for _, s := range shards {
+		all = append(all, s.rows...)
+	}
+	rsrv := handlerFleet(t, oneReplicaEach(shards[0], shards[1], shards[2]), RouterOptions{MaxLimit: maxLimit})
+
+	for _, tc := range []struct {
+		name          string
+		offset, limit int64
+		from, to      int // the window over all; to < 0 means refused
+	}{
+		{"inside the first shard", 0, 2, 0, 2},
+		{"straddling two shards", 2, 4, 2, 6},
+		{"starting on a shard boundary", 3, 4, 3, 7},
+		{"up to the bound", 5, 5, 5, 10},
+		{"no limit means the max", 0, 0, 0, 10},
+		{"a limit past the max is clamped", 0, 50, 0, 10},
+		{"one past the bound", 6, 5, 0, -1},
+		{"an offset under the default limit", 1, 0, 0, -1},
+		{"an offset under a clamped limit", 1, 50, 0, -1},
+		{"a sum that overflows int64", math.MaxInt64, math.MaxInt64, 0, -1},
+	} {
+		resp, status := postRoute(t, rsrv.URL, pageWire(tc.offset, tc.limit))
+		if tc.to < 0 {
+			if status != http.StatusBadRequest || !strings.Contains(resp.Error, "exceeds the fleet's max limit 10") || resp.Embeddings != nil {
+				t.Errorf("%s: HTTP %d %q, want a 400 naming the bound", tc.name, status, resp.Error)
+			}
+			continue
+		}
+		if status != http.StatusOK || !reflect.DeepEqual(resp.Embeddings, all[tc.from:tc.to]) {
+			t.Errorf("%s: HTTP %d %q, page %v, want %v", tc.name, status, resp.Error, resp.Embeddings, all[tc.from:tc.to])
+		}
+		for i, s := range shards {
+			if got := s.lastLimit.Load(); got != int64(tc.to) {
+				t.Errorf("%s: shard %d was asked for %d embeddings, want offset+limit = %d", tc.name, i, got, tc.to)
+			}
+		}
+	}
+
+	// Counting is not paged: any offset goes through.
+	wire := pageWire(math.MaxInt64, 0)
+	wire.CountOnly = true
+	if resp, status := postRoute(t, rsrv.URL, wire); status != http.StatusOK || resp.Count != 18 || resp.Embeddings != nil {
+		t.Errorf("count_only: HTTP %d, count %d, %d embeddings", status, resp.Count, len(resp.Embeddings))
+	}
+}
+
+// TestRouterBodyIsEncodingJSON: the bytes the router writes are what
+// encoding/json writes for the RouteResponse they decode to — with a
+// page, with a failed shard's accounting, counting only, and with every
+// shard down.
+func TestRouterBodyIsEncodingJSON(t *testing.T) {
+	a := &pageShard{rows: pageOf(0, 40, 2), maxLimit: 100}
+	b := &pageShard{rows: [][]graph.VertexID{{math.MaxUint32, 0}}, maxLimit: 100}
+	healthy := handlerFleet(t, oneReplicaEach(a, b), RouterOptions{MaxLimit: 100})
+	degraded := handlerFleet(t, oneReplicaEach(a, failingShard, b), RouterOptions{MaxLimit: 100})
+	down := handlerFleet(t, oneReplicaEach(failingShard, failingShard), RouterOptions{MaxLimit: 100})
+
+	countOnly := edgeWire()
+	for _, tc := range []struct {
+		name   string
+		url    string
+		wire   service.QueryRequest
+		status int
+		rows   int
+		failed []int
+	}{
+		{"page", healthy.URL, pageWire(0, 0), http.StatusOK, 41, nil},
+		{"window", healthy.URL, pageWire(38, 3), http.StatusOK, 3, nil},
+		{"count only", healthy.URL, countOnly, http.StatusOK, 0, nil},
+		{"shard failed", degraded.URL, pageWire(0, 0), http.StatusOK, 41, []int{1}},
+		{"all failed", down.URL, pageWire(0, 0), http.StatusBadGateway, 0, []int{0, 1}},
+		{"refused", healthy.URL, pageWire(1, 100), http.StatusBadRequest, 0, nil},
+	} {
+		body, _ := json.Marshal(tc.wire)
+		status, raw := postRaw(t, tc.url, bytes.NewReader(body))
+		var v RouteResponse
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatalf("%s: %v in %s", tc.name, err, raw)
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, append(want, '\n')) {
+			t.Errorf("%s: body is not encoding/json's for its value:\n got %s\nwant %s", tc.name, raw, want)
+		}
+		if status != tc.status || len(v.Embeddings) != tc.rows || !reflect.DeepEqual(v.ShardsFailed, tc.failed) {
+			t.Errorf("%s: HTTP %d, %d rows, failed %v; want %d, %d, %v", tc.name, status, len(v.Embeddings), v.ShardsFailed, tc.status, tc.rows, tc.failed)
+		}
+		if len(tc.failed) > 0 && (!v.Partial || len(v.ShardErrors) != len(tc.failed)) {
+			t.Errorf("%s: partial %v, shard_errors %v", tc.name, v.Partial, v.ShardErrors)
+		}
+	}
+}
+
+// TestRouterEmpty200IsFailedLeg: a shard that answers 200 with no
+// document has not answered. It used to merge as "0 embeddings, cache
+// hit"; it must show up in shards_failed like any other lost leg.
+func TestRouterEmpty200IsFailedLeg(t *testing.T) {
+	hollow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		answeredProbe(w, r) // and to a query: 200, empty body
+	})
+	good := &pageShard{rows: pageOf(0, 4, 2), maxLimit: 100}
+	rsrv := handlerFleet(t, oneReplicaEach(good, hollow), RouterOptions{MaxLimit: 100})
+	resp, status := postRoute(t, rsrv.URL, pageWire(0, 0))
+	if status != http.StatusOK || !resp.Partial || resp.ShardsOK != 1 || !reflect.DeepEqual(resp.ShardsFailed, []int{1}) {
+		t.Fatalf("HTTP %d partial %v ok %d failed %v", status, resp.Partial, resp.ShardsOK, resp.ShardsFailed)
+	}
+	if msg := resp.ShardErrors["1"]; !strings.Contains(msg, "200 without a JSON object") {
+		t.Fatalf("shard_errors[1] = %q", msg)
+	}
+	if resp.Count != 4 || len(resp.Embeddings) != 4 {
+		t.Fatalf("count %d, %d embeddings; want the good shard's 4", resp.Count, len(resp.Embeddings))
+	}
+}
+
+// TestRouterQueryBodyBounded: the router reads no more of a request than
+// the engine would, and says so in its own envelope.
+func TestRouterQueryBodyBounded(t *testing.T) {
+	shard := &pageShard{maxLimit: 100}
+	rsrv := handlerFleet(t, oneReplicaEach(shard), RouterOptions{})
+	huge := `{"query":"` + strings.Repeat("# padding\\n", service.MaxRequestBytes/10) + `"}`
+	status, raw := postRaw(t, rsrv.URL, strings.NewReader(huge))
+	var v RouteResponse
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("%v in %s", err, raw)
+	}
+	if status != http.StatusRequestEntityTooLarge || !strings.Contains(v.Error, "request body exceeds 1048576 bytes") {
+		t.Fatalf("HTTP %d %q", status, v.Error)
+	}
+	if status, _ := postRaw(t, rsrv.URL, strings.NewReader(`{"labels":`)); status != http.StatusBadRequest {
+		t.Fatalf("malformed body: HTTP %d", status)
+	}
+	if n := shard.lastLimit.Load(); n != 0 {
+		t.Fatal("a refused body was scattered")
+	}
+}
+
+// mergeFixture is three legs of 1000×3 pages — what fleet_scatter's
+// router holds when it merges — behind a router that was never started.
+func mergeFixture(tb testing.TB) (*Router, []shardResult) {
+	rt, err := NewRouter(RouterOptions{Shards: [][]string{{"http://a"}, {"http://b"}, {"http://c"}}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	results := make([]shardResult, 3)
+	for i := range results {
+		page := service.Page{Width: 3}
+		for _, row := range pageOf(graph.VertexID(i*10000), 1000, 3) {
+			page.IDs = append(page.IDs, row...)
+		}
+		results[i] = shardResult{shard: i, page: page,
+			resp: &service.QueryResponse{Count: 1000, CacheHit: true, EnumMS: 0.3}}
+	}
+	return rt, results
+}
+
+// TestRouteMergeAllocs: merging pages costs no allocation per row. A
+// window inside one shard's page is a view of it (1 allocation: the
+// response); one that straddles shards copies the ids into one new array
+// (2). The bound leaves room for the race detector's runtime;
+// BenchmarkRouteMerge reports the exact figures.
+func TestRouteMergeAllocs(t *testing.T) {
+	rt, results := mergeFixture(t)
+	for _, tc := range []struct {
+		name          string
+		offset, limit int64
+		first, last   graph.VertexID
+	}{
+		{"first page", 0, 1000, 0, 2997},
+		{"inside the second shard", 1200, 100, 10600, 10897},
+		{"straddling", 500, 1000, 1500, 11497},
+	} {
+		wire := pageWire(tc.offset, tc.limit)
+		resp, page, status := rt.merge(wire, 3, results)
+		rows := page.Rows()
+		if status != http.StatusOK || resp.Count != 3000 || int64(len(rows)) != tc.limit ||
+			rows[0][0] != tc.first || rows[len(rows)-1][0] != tc.last {
+			t.Fatalf("%s: HTTP %d count %d, %d rows from %d to %d", tc.name, status, resp.Count, len(rows), rows[0][0], rows[len(rows)-1][0])
+		}
+		if n := testing.AllocsPerRun(100, func() { rt.merge(wire, 3, results) }); n > 4 {
+			t.Errorf("%s: %v allocations per merge, want 1 or 2 (<= 4)", tc.name, n)
+		}
+	}
+	// The window must not have written into a leg's own page.
+	if got := results[0].page.IDs[999*3]; got != 2997 {
+		t.Fatalf("merge overwrote shard 0's page: %d", got)
+	}
+
+	// A leg answering a different query's width is a failed leg, not rows
+	// spliced into the page at the wrong stride.
+	results[1].page.Width = 2
+	resp, page, _ := rt.merge(pageWire(0, 2000), 3, results)
+	if !reflect.DeepEqual(resp.ShardsFailed, []int{1}) || !resp.Partial || resp.Count != 2000 ||
+		page.Len() != 2000 || page.IDs[1000*3] != 20000 || !strings.Contains(resp.ShardErrors["1"], "embeddings of 2 vertices") {
+		t.Fatalf("mismatched width: failed %v partial %v count %d, %d rows, errors %v", resp.ShardsFailed, resp.Partial, resp.Count, page.Len(), resp.ShardErrors)
+	}
+}
+
+func BenchmarkRouteMerge(b *testing.B) {
+	rt, results := mergeFixture(b)
+	for _, bc := range []struct {
+		name string
+		wire service.QueryRequest
+	}{{"first-page", pageWire(0, 1000)}, {"straddling", pageWire(500, 1000)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				rt.merge(bc.wire, 3, results)
+			}
+		})
+	}
+}

@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -355,7 +354,8 @@ func (rt *Router) Handler() http.Handler {
 // shardResult is one scatter leg's outcome.
 type shardResult struct {
 	shard   int
-	resp    *service.QueryResponse
+	resp    *service.QueryResponse // Embeddings nil: the page is beside it
+	page    service.Page
 	replica *Replica
 	err     error
 	hedged  bool
@@ -377,28 +377,39 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { rt.latency.ObserveDuration(time.Since(start)) }()
 
-	var wire service.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		service.WriteJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: "bad JSON: " + err.Error()}})
+	refuse := func(status int, msg string) {
+		service.WriteJSON(w, status, RouteResponse{QueryResponse: service.QueryResponse{Error: msg}})
+	}
+	wire, status, err := service.ReadQueryRequest(w, r)
+	if err != nil {
+		refuse(status, err.Error())
 		return
 	}
 	q, err := wire.Graph()
 	if err != nil {
-		service.WriteJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: err.Error()}})
+		refuse(http.StatusBadRequest, err.Error())
 		return
 	}
 	if !q.Connected() {
-		service.WriteJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: "query graph must be connected"}})
+		refuse(http.StatusBadRequest, "query graph must be connected")
 		return
 	}
 	if _, ecc := order.Anchor(q); ecc > rt.opts.Radius {
-		service.WriteJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{
-			Error: fmt.Sprintf("query anchor eccentricity %d exceeds fleet halo radius %d; repartition with a larger -radius", ecc, rt.opts.Radius),
-		}})
+		refuse(http.StatusBadRequest, fmt.Sprintf("query anchor eccentricity %d exceeds fleet halo radius %d; repartition with a larger -radius", ecc, rt.opts.Radius))
 		return
 	}
 	if wire.Offset < 0 || wire.Limit < 0 {
-		service.WriteJSON(w, http.StatusBadRequest, RouteResponse{QueryResponse: service.QueryResponse{Error: "negative limit/offset"}})
+		refuse(http.StatusBadRequest, "negative limit/offset")
+		return
+	}
+	// The page is cut from the concatenation of the shards' pages, in
+	// shard order, so every shard is asked for offset+limit embeddings —
+	// and a shard clamps what it returns to its own MaxLimit without
+	// saying so. Past that the merged page would be the wrong rows.
+	limit := rt.pageLimit(wire)
+	if !wire.CountOnly && wire.Offset > rt.opts.MaxLimit-limit {
+		refuse(http.StatusBadRequest, fmt.Sprintf("offset %d + limit %d exceeds the fleet's max limit %d: a page may not reach past the first %d embeddings of a shard",
+			wire.Offset, limit, rt.opts.MaxLimit, rt.opts.MaxLimit))
 		return
 	}
 
@@ -443,10 +454,6 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sub := wire
 	sub.Offset = 0
 	if !wire.CountOnly {
-		limit := wire.Limit
-		if limit <= 0 || limit > rt.opts.MaxLimit {
-			limit = rt.opts.MaxLimit
-		}
 		sub.Limit = wire.Offset + limit
 	}
 	if dl, ok := ctx.Deadline(); ok {
@@ -473,7 +480,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	resp, status := rt.merge(wire, results)
+	resp, page, status := rt.merge(wire, q.NumVertices(), results)
 	resp.TraceID = tc.TraceID.String()
 
 	if span != nil {
@@ -484,7 +491,16 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("traceparent", tcOut.Traceparent())
 	}
 	rt.finish(tc, span, q, resp, status, start, results)
-	service.WriteJSON(w, status, resp)
+	service.WriteQueryJSON(w, status, resp, page)
+}
+
+// pageLimit is the page size a request asks for: its limit, or the
+// router's MaxLimit when it gives none or a larger one.
+func (rt *Router) pageLimit(wire service.QueryRequest) int64 {
+	if wire.Limit <= 0 || wire.Limit > rt.opts.MaxLimit {
+		return rt.opts.MaxLimit
+	}
+	return wire.Limit
 }
 
 // queryShard runs one scatter leg: pick replicas by policy, launch
@@ -515,8 +531,8 @@ func (rt *Router) queryShard(ctx context.Context, shard int, req service.QueryRe
 		go func() {
 			rep.inflight.Add(1)
 			defer rep.inflight.Add(-1)
-			resp, err := rep.client.Query(cctx, req)
-			resc <- shardResult{shard: shard, resp: resp, replica: rep, err: err, hedged: hedged}
+			resp, page, err := rep.client.QueryPage(cctx, req)
+			resc <- shardResult{shard: shard, resp: resp, page: page, replica: rep, err: err, hedged: hedged}
 		}()
 	}
 
@@ -592,20 +608,38 @@ func (rt *Router) pickReplicas(shard int) []*Replica {
 	return healthy
 }
 
-// merge folds the scatter legs into one RouteResponse. Counts add,
-// embeddings concatenate (shards emit global ids), phase times take the
-// fleet max (the critical path), cache_hit ANDs. Missing shards make
-// the response Partial with explicit ids in shards_failed.
-func (rt *Router) merge(wire service.QueryRequest, results []shardResult) (*RouteResponse, int) {
+// merge folds the scatter legs into one RouteResponse and the page it
+// carries (returned beside it, for WriteQueryJSON). Counts add, phase
+// times take the fleet max (the critical path), cache_hit ANDs. Missing
+// shards make the response Partial with explicit ids in shards_failed;
+// a leg whose embeddings are not width ids each (width is the query's
+// vertex count) is missing too.
+//
+// Global pagination is best-effort: the caller's offset/limit window is
+// cut from the shards' pages laid end to end in shard order (shards emit
+// global ids and were asked for offset+limit each, so the page is full
+// whenever the data allows). A window inside one shard's page is a view
+// of it; only a window that straddles shards copies ids.
+func (rt *Router) merge(wire service.QueryRequest, width int, results []shardResult) (*RouteResponse, service.Page, int) {
 	out := &RouteResponse{ShardsTotal: len(results)}
 	out.CacheHit = true
+	var page service.Page
+	skip, want := wire.Offset, rt.pageLimit(wire)
+	if wire.CountOnly {
+		want = 0
+	}
 	var shardErrs map[string]string
 	for i, res := range results {
-		if !res.usable() {
-			msg := "unreachable"
-			if res.err != nil {
-				msg = res.err.Error()
-			}
+		msg := ""
+		switch {
+		case !res.usable() && res.err != nil:
+			msg = res.err.Error()
+		case !res.usable():
+			msg = "unreachable"
+		case res.page.Len() > 0 && res.page.Width != width:
+			msg = fmt.Sprintf("embeddings of %d vertices for a query of %d", res.page.Width, width)
+		}
+		if msg != "" {
 			if shardErrs == nil {
 				shardErrs = make(map[string]string)
 			}
@@ -619,7 +653,6 @@ func (rt *Router) merge(wire service.QueryRequest, results []shardResult) (*Rout
 		}
 		r := res.resp
 		out.Count += r.Count
-		out.Embeddings = append(out.Embeddings, r.Embeddings...)
 		out.Partial = out.Partial || r.Partial
 		out.CacheHit = out.CacheHit && r.CacheHit
 		if r.BuildMS > out.BuildMS {
@@ -631,6 +664,20 @@ func (rt *Router) merge(wire service.QueryRequest, results []shardResult) (*Rout
 		if out.QueryHash == "" {
 			out.QueryHash = r.QueryHash
 		}
+
+		n := int64(res.page.Len())
+		if skip >= n {
+			skip -= n
+			continue
+		}
+		part := res.page.Slice(int(skip), int(min(n, skip+want)))
+		skip = 0
+		want -= int64(part.Len())
+		if page.Len() == 0 {
+			page = part
+		} else {
+			page.IDs = append(page.IDs, part.IDs...) // part's capacity is clipped: this copies
+		}
 	}
 	out.ShardErrors = shardErrs
 
@@ -638,35 +685,14 @@ func (rt *Router) merge(wire service.QueryRequest, results []shardResult) (*Rout
 		rt.failures.Add(1)
 		out.CacheHit = false
 		out.Partial = true
-		out.Embeddings = nil
 		out.Error = "all shards failed"
-		return out, http.StatusBadGateway
+		return out, service.Page{}, http.StatusBadGateway
 	}
 	if len(out.ShardsFailed) > 0 {
 		rt.partials.Add(1)
 		out.Partial = true
 	}
-
-	// Global pagination, best-effort: apply the caller's offset/limit to
-	// the concatenated embeddings (shards were asked for offset+limit
-	// each, so the page is full whenever the data allows).
-	if !wire.CountOnly {
-		if wire.Offset > 0 {
-			if wire.Offset >= int64(len(out.Embeddings)) {
-				out.Embeddings = nil
-			} else {
-				out.Embeddings = out.Embeddings[wire.Offset:]
-			}
-		}
-		limit := wire.Limit
-		if limit <= 0 || limit > rt.opts.MaxLimit {
-			limit = rt.opts.MaxLimit
-		}
-		if int64(len(out.Embeddings)) > limit {
-			out.Embeddings = out.Embeddings[:limit]
-		}
-	}
-	return out, http.StatusOK
+	return out, page, http.StatusOK
 }
 
 // finish records the routed query: close the routing span, pull the

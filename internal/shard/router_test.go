@@ -260,13 +260,25 @@ func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // stubRouter builds a router over stub replicas for one shard.
 func stubRouter(t *testing.T, stubs []*stubShard, ropts RouterOptions) *httptest.Server {
 	t.Helper()
-	urls := make([]string, len(stubs))
+	replicas := make([]http.Handler, len(stubs))
 	for i, s := range stubs {
-		srv := httptest.NewServer(s)
-		t.Cleanup(srv.Close)
-		urls[i] = srv.URL
+		replicas[i] = s
 	}
-	ropts.Shards = [][]string{urls}
+	return handlerFleet(t, [][]http.Handler{replicas}, ropts)
+}
+
+// handlerFleet builds a started router over fake shard servers:
+// fleet[i] lists the handlers standing in for shard i's replicas.
+func handlerFleet(t *testing.T, fleet [][]http.Handler, ropts RouterOptions) *httptest.Server {
+	t.Helper()
+	ropts.Shards = make([][]string, len(fleet))
+	for i, replicas := range fleet {
+		for _, h := range replicas {
+			srv := httptest.NewServer(h)
+			t.Cleanup(srv.Close)
+			ropts.Shards[i] = append(ropts.Shards[i], srv.URL)
+		}
+	}
 	if ropts.Radius == 0 {
 		ropts.Radius = 1
 	}
@@ -279,9 +291,11 @@ func stubRouter(t *testing.T, stubs []*stubShard, ropts RouterOptions) *httptest
 	// Policies order the probed-healthy subset, which grows one replica
 	// at a time during the first probe round: wait that round out.
 	deadline := time.Now().Add(5 * time.Second)
-	for _, rep := range rt.shards[0] {
-		for !rep.Checked() && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+	for _, reps := range rt.shards {
+		for _, rep := range reps {
+			for !rep.Checked() && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
 		}
 	}
 	rsrv := httptest.NewServer(rt.Handler())
