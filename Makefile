@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchmark-check bench-json bench-compare bench-allocs bench-kernels vet fmt ci verify fuzz serve-smoke trace-smoke plan-smoke shard-smoke experiments experiments-quick examples clean
+.PHONY: build test race bench benchmark-check bench-record bench-json bench-compare bench-allocs bench-kernels vet fmt ci verify fuzz serve-smoke trace-smoke plan-smoke shard-smoke telemetry-smoke experiments experiments-quick examples clean
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,15 @@ benchmark-check:
 	bash benchmark/run.sh --workload lib_enum --seed 1 --seconds 4 --trace 1
 	bash benchmark/run.sh --workload lib_build --seed 1 --seconds 4 --trace 1
 	bash benchmark/run.sh --workload fleet_scatter --seed 1 --seconds 4 --trace 1
+
+# The committed trajectory (ROADMAP aim 1): every workload of the repo
+# benchmark, untraced then traced, seed 1, one child process per run
+# (~4.5 min on an otherwise idle box), recorded as BENCH_<PR>.json at the
+# repo root. Compare two of them under BENCHMARK.json's bounds with
+# `.bench_build/benchmark -compare BENCH_<a>.json BENCH_<b>.json`.
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>"; exit 2; }
+	bash benchmark/run.sh -seed 1 -out BENCH_$(PR).json
 
 # Machine-readable regression tracking: run the fixed suite and write
 # BENCH_<name>.json. Refresh the committed baseline with
@@ -83,11 +92,13 @@ verify:
 # (replay with `go run ./cmd/cecirun -verify -seed <seed>`); kernel
 # crashers land under internal/setops/testdata/fuzz/; wire-parser
 # crashers (query request, query response) under
-# internal/service/testdata/fuzz/.
+# internal/service/testdata/fuzz/; index-file crashers under
+# internal/ceci/testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatchDifferential -fuzztime=$(FUZZTIME) ./internal/verify
 	$(GO) test -run='^$$' -fuzz=FuzzIndexRoundTrip -fuzztime=$(FUZZTIME) ./internal/verify
+	$(GO) test -run='^$$' -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME) ./internal/ceci
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectKernels -fuzztime=$(FUZZTIME) ./internal/setops
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectionSize -fuzztime=$(FUZZTIME) ./internal/setops
 	$(GO) test -run='^$$' -fuzz=FuzzQueryResponseDecode -fuzztime=$(FUZZTIME) ./internal/service
@@ -99,7 +110,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/enum ./internal/ceci ./internal/cluster ./internal/obs ./internal/stats ./internal/prof ./internal/plan ./internal/setops ./internal/bitset ./internal/verify ./internal/service ./internal/shard ./cmd/ceciserve ./cmd/ceciroute
+	$(GO) test -race ./internal/enum ./internal/ceci ./internal/order ./internal/graph ./internal/cluster ./internal/obs ./internal/stats ./internal/prof ./internal/plan ./internal/setops ./internal/bitset ./internal/verify ./internal/service ./internal/telemetry ./internal/shard ./cmd/ceciserve ./cmd/ceciroute
 
 # Boot the query service on the Figure 1 fixture and exercise the HTTP
 # API end to end (also run raced by CI's service-smoke job).

@@ -400,8 +400,8 @@ type IndexInfo struct {
 	CandidateEdges int64
 	// SizeBytes is 8 × CandidateEdges (the paper's accounting).
 	SizeBytes int64
-	// PhysicalBytes is the measured in-memory footprint of the frozen
-	// flat index (key, offset, arena, and cardinality columns) — the
+	// PhysicalBytes is the measured in-memory footprint of the index
+	// (key, offset, arena, candidate and cardinality columns) — the
 	// number cache byte budgets are charged against.
 	PhysicalBytes int64
 	// TheoreticalBytes is the worst case 8·|Eq|·|Eg|.

@@ -2,9 +2,9 @@ package ceci
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +20,7 @@ import (
 // BFS-ordered frontier expansion with label / degree / NLC filters for
 // both tree-edge and non-tree-edge candidates, empty-entry cascade
 // deletion, and (unless disabled) the reverse-BFS refinement of
-// Algorithm 2.
+// Algorithm 2. It returns nil where BuildCtx would return an error.
 func Build(data *graph.Graph, tree *order.QueryTree, opts Options) *Index {
 	ix, _ := BuildCtx(context.Background(), data, tree, opts)
 	return ix
@@ -31,7 +31,9 @@ func Build(data *graph.Graph, tree *order.QueryTree, opts Options) *Index {
 // aborts promptly once the deadline passes or the context is cancelled,
 // returning a nil index and the context's error. The cancellation check
 // is one relaxed atomic load — workers never block on the context — so
-// the uncancelled build costs the same as Build.
+// the uncancelled build costs the same as Build. The only other error is
+// a TE or NTE structure of more than 2^32-1 candidate edges, which the
+// 32-bit offsets column cannot address.
 func BuildCtx(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts Options) (*Index, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -45,19 +47,44 @@ func BuildCtx(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opt
 		stop := context.AfterFunc(ctx, func() { cancelled.Store(true) })
 		defer stop()
 	}
-	ix := build(ctx, data, tree, opts, cancelled)
+	ix, err := build(ctx, data, tree, opts, cancelled)
 	if cancelled != nil && cancelled.Load() {
-		if err := context.Cause(ctx); err != nil {
-			return nil, err
-		}
+		// Aborted, or fired as the build finished: the context's error.
+		return nil, context.Cause(ctx)
 	}
-	return ix, nil
+	return ix, err
 }
 
-// build is the shared construction body. cancelled, when non-nil, is
-// flipped by the context watcher; the partially built index returned
-// after an abort is discarded by BuildCtx.
-func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts Options, cancelled *atomic.Bool) *Index {
+// builder is the state of one construction: the index being filled, the
+// TE and NTE maps still open to cascade deletion, and the scratch every
+// expansion reuses. Nothing of it outlives build.
+type builder struct {
+	ix *Index
+	// te[u] and nte[u][j] become ix.Nodes[u].TE and .NTE[j] when build
+	// compacts them.
+	te  []mapBuilder
+	nte [][]mapBuilder
+	// keyedBy[u] lists the maps keyed by u's candidates: the TE of each
+	// tree child and the NTE slot of each non-tree child.
+	keyedBy [][]*mapBuilder
+	// filter holds the LDF+NLC verdict tables.
+	filter *order.Filter
+	// cancelled, when non-nil, is flipped by BuildCtx's context watcher;
+	// construction loops poll it and abort.
+	cancelled *atomic.Bool
+	// scratch holds the per-worker bins (§3.6) and lists the frontier
+	// output table that points into them.
+	scratch []buildScratch
+	lists   [][]graph.VertexID
+	// marks is valueUnion's |V|-bit scratch, pos cardProducts' position
+	// index over one child's candidates.
+	marks bitset.Bits
+	pos   posIndex
+}
+
+// build is the construction body. cancelled, when non-nil, is flipped by
+// the context watcher; an aborted build returns no index and no error.
+func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts Options, cancelled *atomic.Bool) (*Index, error) {
 	if opts.RefineRounds <= 0 {
 		opts.RefineRounds = 1
 	}
@@ -67,20 +94,33 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 	span := obs.StartUnder(ctx, opts.Tracer, "build",
 		obs.Int("query_vertices", int64(tree.NumVertices())))
 	defer span.End()
-	// The verdict tables are build-time state: the index reads them and
-	// retains the tree without them, so a frozen (cached) index pins no
-	// per-data-vertex memory.
+	// The verdict tables stay with the builder: newIndex retains the tree
+	// without them.
 	filter := tree.Filter(data)
-	tree = tree.WithFilter(nil)
-	ix := &Index{
-		Data:    data,
-		Tree:    tree,
-		Nodes:   make([]Node, tree.NumVertices()),
-		opts:    opts,
-		bcancel: cancelled,
-		filter:  filter,
+	ix := newIndex(data, tree, opts)
+	tree = ix.Tree
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	ix.indexNTEChildren()
+	b := &builder{
+		ix:        ix,
+		te:        make([]mapBuilder, len(ix.Nodes)),
+		nte:       make([][]mapBuilder, len(ix.Nodes)),
+		keyedBy:   make([][]*mapBuilder, len(ix.Nodes)),
+		filter:    filter,
+		cancelled: cancelled,
+		scratch:   make([]buildScratch, workers),
+	}
+	for u, parents := range tree.NTEParents {
+		if p := tree.Parent[u]; p != order.NoParent {
+			b.keyedBy[p] = append(b.keyedBy[p], &b.te[u])
+		}
+		b.nte[u] = make([]mapBuilder, len(parents))
+		for j, p := range parents {
+			b.keyedBy[p] = append(b.keyedBy[p], &b.nte[u][j])
+		}
+	}
 	if p := opts.Profile; p != nil {
 		ix.InitProfile(p)
 	}
@@ -88,60 +128,64 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 	// Root candidates = cluster pivots.
 	root := tree.Root
 	if opts.Pivots != nil {
-		pivots := make([]graph.VertexID, len(opts.Pivots))
-		copy(pivots, opts.Pivots)
-		// Candidate sets are sorted everywhere else (binary searches,
-		// set operations, AppendKey's append fast path); sorting and
-		// deduplicating here keeps an unsorted caller from silently
-		// degrading AppendKey into its O(n) middle-insert path — or
-		// worse, breaking the removeCandidate binary search.
+		// Candidate sets are sorted everywhere else (binary searches, set
+		// operations, ascending frontier expansion); an unsorted caller
+		// must not break them.
+		pivots := slices.Clone(opts.Pivots)
 		slices.Sort(pivots)
-		pivots = slices.Compact(pivots)
-		ix.Nodes[root].Cands = pivots
+		ix.Nodes[root].Cands = slices.Compact(pivots)
 	} else {
-		ix.Nodes[root].Cands = filter.Candidates(root)
+		ix.Nodes[root].Cands = b.filter.Candidates(root)
 	}
 
 	// Expand every non-root query vertex in matching order: first its
 	// tree edge, then each incoming non-tree edge.
 	esp := span.Child("expand", obs.Int("pivots", int64(len(ix.Nodes[root].Cands))))
 	for _, u := range tree.Order[1:] {
-		if ix.buildCancelled() {
-			esp.End()
-			return ix
+		if b.isCancelled() {
+			break
 		}
-		ix.buildTE(u)
-		ix.buildNTE(u)
+		err := b.buildTE(u)
+		if err == nil {
+			err = b.buildNTE(u)
+		}
+		if err != nil {
+			esp.End()
+			return nil, err
+		}
 	}
 	esp.End()
 
-	if opts.SkipRefinement {
-		ix.optimisticCardinalities()
-	} else {
-		for round := 0; round < opts.RefineRounds; round++ {
-			if ix.buildCancelled() {
-				return ix
-			}
+	switch {
+	case b.isCancelled():
+	case opts.SkipRefinement:
+		b.optimisticCardinalities()
+	default:
+		for round := 0; round < opts.RefineRounds && !b.isCancelled(); round++ {
 			rsp := span.Child("refine", obs.Int("round", int64(round)))
-			ix.refine()
+			b.refine()
 			rsp.End()
 		}
 	}
-	if ix.buildCancelled() {
-		return ix
+	if b.isCancelled() {
+		return nil, nil
 	}
-	if !opts.skipFreeze {
-		// Compact the mutable build-time structures into the flat
-		// arena-backed steady-state form (and release the build scratch).
-		ix.Freeze()
+	for u := range ix.Nodes {
+		node := &ix.Nodes[u]
+		node.Cands = fit(node.Cands)
+		node.TE = b.te[u].compact()
+		for j := range node.NTE {
+			node.NTE[j] = b.nte[u][j].compact()
+		}
 	}
+	ix.finish()
 	if opts.Stats != nil {
 		opts.Stats.IndexBytes.Store(ix.SizeBytes())
 	}
 	if p := opts.Profile; p != nil {
 		ix.recordShape(p)
 	}
-	return ix
+	return ix, nil
 }
 
 // InitProfile sizes p's per-vertex state for this index's query. The
@@ -180,44 +224,26 @@ func (ix *Index) recordShape(p *prof.Collector) {
 	}
 }
 
-func (ix *Index) indexNTEChildren() {
-	tree := ix.Tree
-	ix.nteChildIdx = make([][]nteRef, tree.NumVertices())
-	for u := 0; u < tree.NumVertices(); u++ {
-		ix.Nodes[u].NTE = make([]CandMap, len(tree.NTEParents[u]))
-		for j, p := range tree.NTEParents[u] {
-			ix.nteChildIdx[p] = append(ix.nteChildIdx[p], nteRef{child: graph.VertexID(u), slot: j})
-		}
-	}
-}
-
-func (ix *Index) workers() int {
-	if ix.opts.Workers > 0 {
-		return ix.opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// buildCancelled reports whether the construction's context fired. The
+// isCancelled reports whether the construction's context fired. The
 // flag is nil for non-cancellable builds, so the check costs one nil
 // compare on the Build path and one atomic load under BuildCtx.
-func (ix *Index) buildCancelled() bool {
-	return ix.bcancel != nil && ix.bcancel.Load()
+func (b *builder) isCancelled() bool {
+	return b.cancelled != nil && b.cancelled.Load()
 }
 
 // parallelFor runs fn(i, w) for i in [0, n) across the index's worker
 // budget, pulling fixed-size chunks from a shared cursor — the paper's
 // pull-based dynamic distribution with per-thread private bins (§3.6).
-// w identifies the executing worker so fn can use pooled per-worker
-// scratch; beyond that, workers write only to their own output slots.
-func (ix *Index) parallelFor(n int, fn func(i, w int)) {
-	workers := ix.workers()
+// w identifies the executing worker so fn can use its own scratch;
+// beyond that, workers write only to their own output slots.
+func (b *builder) parallelFor(n int, fn func(i, w int)) {
+	workers := len(b.scratch)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 || n < 64 {
 		for i := 0; i < n; i++ {
-			if i&63 == 0 && ix.buildCancelled() {
+			if i&63 == 0 && b.isCancelled() {
 				return
 			}
 			fn(i, 0)
@@ -233,7 +259,7 @@ func (ix *Index) parallelFor(n int, fn func(i, w int)) {
 			defer wg.Done()
 			for {
 				lo := int(atomic.AddInt64(&cursor, chunk)) - chunk
-				if lo >= n || ix.buildCancelled() {
+				if lo >= n || b.isCancelled() {
 					return
 				}
 				hi := lo + chunk
@@ -249,62 +275,98 @@ func (ix *Index) parallelFor(n int, fn func(i, w int)) {
 	wg.Wait()
 }
 
+// expand runs one frontier expansion: list(i, dst) appends the value list
+// of frontier[i] to dst, in parallel and into the workers' bins, and the
+// keys with a non-empty list then go into m in frontier order, the columns
+// sized exactly for them. It returns the table of every key's list, valid
+// until the next expansion — unless the build was cancelled, when slots
+// may be unfilled and nothing was added to m.
+func (b *builder) expand(m *mapBuilder, frontier []graph.VertexID, list func(i int, dst []graph.VertexID) []graph.VertexID) ([][]graph.VertexID, error) {
+	if cap(b.lists) < len(frontier) {
+		b.lists = make([][]graph.VertexID, len(frontier))
+	}
+	lists := b.lists[:len(frontier)]
+	for w := range b.scratch {
+		b.scratch[w].reset()
+	}
+	b.parallelFor(len(frontier), func(i, w int) {
+		sc := &b.scratch[w]
+		sc.buf = list(i, sc.buf[:0])
+		lists[i] = sc.put(sc.buf)
+	})
+	if b.isCancelled() {
+		return nil, nil
+	}
+	nkeys, nvals := 0, 0
+	for _, vals := range lists {
+		if len(vals) > 0 {
+			nkeys++
+			nvals += len(vals)
+		}
+	}
+	m.alloc(nkeys, nvals)
+	for i, vals := range lists {
+		if len(vals) > 0 {
+			if err := m.append(frontier[i], vals); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return lists, nil
+}
+
 // buildTE expands the frontier of u's parent, filtering neighbors into
 // TE_Candidates of u (Algorithm 1). Frontier vertices whose expansion
 // yields no candidate are cascaded out of the index.
-func (ix *Index) buildTE(u graph.VertexID) {
-	tree := ix.Tree
-	up := graph.VertexID(tree.Parent[u])
+func (b *builder) buildTE(u graph.VertexID) error {
+	ix := b.ix
+	up := graph.VertexID(ix.Tree.Parent[u])
 	frontier := ix.Nodes[up].Cands
 
 	// The LDF+NLC verdict of every data vertex against u was decided once
 	// (order.Filter); expansion probes the table. The NLC ablation keeps
 	// one more verdict instead of running a second filter.
-	verdicts := ix.filter.Verdicts(u)
+	verdicts := b.filter.Verdicts(u)
 	keep := order.Pass
 	if ix.opts.SkipNLCFilter {
 		keep = order.DropNLC
 	}
-	values := ix.valueSlots(len(frontier))
-	scratch := ix.scratches()
-	ix.parallelFor(len(frontier), func(i, w int) {
-		sc := &scratch[w]
-		sc.buf = ix.filterNeighborsInto(sc.buf[:0], frontier[i], u, verdicts, keep)
-		values[i] = sc.arena.copyIn(sc.buf)
+	lists, err := b.expand(&b.te[u], frontier, func(i int, dst []graph.VertexID) []graph.VertexID {
+		return ix.filterNeighborsInto(dst, frontier[i], u, verdicts, keep)
 	})
-	if ix.buildCancelled() {
-		// The value table may have unfilled slots; consuming it would
-		// cascade-delete live candidates. The caller discards the index.
-		return
+	if err != nil {
+		return fmt.Errorf("ceci: build: TE of query vertex %d: %w", u, err)
 	}
-
-	node := &ix.Nodes[u]
+	if b.isCancelled() {
+		return nil
+	}
+	ix.Nodes[u].Cands = b.valueUnion(&b.te[u])
+	// No tree-edge candidate under vf: vf cannot match up (Algorithm 1
+	// lines 9-12). Collected first: the cascade shrinks the frontier
+	// slice in place.
 	var dead []graph.VertexID
-	for i, vf := range frontier {
-		if len(values[i]) == 0 {
-			// No tree-edge candidate under vf: vf cannot match up
-			// (Algorithm 1 lines 9-12).
-			dead = append(dead, vf)
-			if ix.opts.Stats != nil {
-				ix.opts.Stats.FilteredCascade.Add(1)
-			}
-			continue
+	for i, vals := range lists {
+		if len(vals) == 0 {
+			dead = append(dead, frontier[i])
 		}
-		node.TE.AppendKey(vf, values[i])
 	}
-	node.Cands = ix.valueUnion(&node.TE)
+	if ix.opts.Stats != nil {
+		ix.opts.Stats.FilteredCascade.Add(int64(len(dead)))
+	}
 	for _, vf := range dead {
-		ix.removeCandidate(up, vf)
+		b.removeCandidate(up, vf)
 	}
+	return nil
 }
 
 // buildNTE fills, for each non-tree edge (un, u), the NTE_Candidates of u
 // keyed by un's candidates. Values are the intersection of the key's data
 // adjacency with u's candidate set — neighbors failing the label/degree/
 // NLC filters are already absent from Cands, so no re-filtering is needed.
-func (ix *Index) buildNTE(u graph.VertexID) {
+func (b *builder) buildNTE(u graph.VertexID) error {
+	ix := b.ix
 	tree := ix.Tree
-	node := &ix.Nodes[u]
+	cands := ix.Nodes[u].Cands
 	// Every member of Cands carries u's labels, so intersecting with the
 	// key's label partition (neighbors carrying u's primary label) is
 	// equivalent to intersecting with its full adjacency — just over a
@@ -312,24 +374,18 @@ func (ix *Index) buildNTE(u graph.VertexID) {
 	uLabel := tree.Query.Label(u)
 	for j, un := range tree.NTEParents[u] {
 		frontier := ix.Nodes[un].Cands
-		values := ix.valueSlots(len(frontier))
-		scratch := ix.scratches()
-		ix.parallelFor(len(frontier), func(i, w int) {
-			sc := &scratch[w]
-			sc.buf = setops.Intersect(sc.buf[:0], ix.Data.NeighborsWithLabel(frontier[i], uLabel), node.Cands)
-			values[i] = sc.arena.copyIn(sc.buf)
+		lists, err := b.expand(&b.nte[u][j], frontier, func(i int, dst []graph.VertexID) []graph.VertexID {
+			return setops.Intersect(dst, ix.Data.NeighborsWithLabel(frontier[i], uLabel), cands)
 		})
-		if ix.buildCancelled() {
-			return // unfilled value slots; index is being discarded
+		if err != nil {
+			return fmt.Errorf("ceci: build: NTE %d of query vertex %d: %w", j, u, err)
+		}
+		if b.isCancelled() {
+			return nil
 		}
 		if ix.opts.Stats != nil {
 			ix.opts.Stats.IntersectionOps.Add(int64(len(frontier)))
 			ix.opts.Stats.RemoteReads.Add(int64(len(frontier)))
-		}
-		for i, vn := range frontier {
-			if len(values[i]) > 0 {
-				node.NTE[j].AppendKey(vn, values[i])
-			}
 		}
 		if p := ix.opts.Profile; p != nil {
 			// Merge-intersection work: |adj_label(vn)| + |Cands(u)|
@@ -337,14 +393,15 @@ func (ix *Index) buildNTE(u graph.VertexID) {
 			// was actually intersected), versus what each kept.
 			var cmp, out int64
 			for i, vn := range frontier {
-				cmp += int64(len(ix.Data.NeighborsWithLabel(vn, uLabel)) + len(node.Cands))
-				out += int64(len(values[i]))
+				cmp += int64(len(ix.Data.NeighborsWithLabel(vn, uLabel)) + len(cands))
+				out += int64(len(lists[i]))
 			}
 			nc := p.Vertex(int(u)).NTE(j)
 			nc.BuildComparisons.Add(cmp)
 			nc.BuildOutput.Add(out)
 		}
 	}
+	return nil
 }
 
 // filterNeighborsInto keeps the neighbors of vf that are candidates of u —
@@ -402,100 +459,61 @@ func (ix *Index) filterNeighborsInto(dst []graph.VertexID, vf, u graph.VertexID,
 // |V|/512 values — the incremental mode's per-cluster builds, which touch
 // a sliver of the graph each — costs less to sort than the bitmap's two
 // passes over its words, and must not scale with the graph.
-func (ix *Index) valueUnion(m *CandMap) []graph.VertexID {
-	total := m.CandidateEdges()
-	if total*512 < int64(ix.Data.NumVertices()) {
+func (b *builder) valueUnion(m *mapBuilder) []graph.VertexID {
+	total := len(m.arena) // live values, or a few more once lists have shrunk
+	if n := b.ix.Data.NumVertices(); total*512 < n {
 		all := make([]graph.VertexID, 0, total)
-		m.ForEach(func(_ graph.VertexID, vals []graph.VertexID) { all = append(all, vals...) })
+		m.forEach(func(_ graph.VertexID, vals []graph.VertexID) { all = append(all, vals...) })
 		slices.Sort(all)
 		return slices.Compact(all)
+	} else if b.marks == nil {
+		b.marks = bitset.New(n)
 	}
-	if ix.marks == nil {
-		ix.marks = bitset.New(ix.Data.NumVertices())
-	}
-	m.ForEach(func(_ graph.VertexID, vals []graph.VertexID) {
+	m.forEach(func(_ graph.VertexID, vals []graph.VertexID) {
 		for _, v := range vals {
-			ix.marks.Set(v)
+			b.marks.Set(v)
 		}
 	})
-	return ix.marks.Drain(make([]graph.VertexID, 0, ix.marks.Count()))
+	return b.marks.Drain(make([]graph.VertexID, 0, b.marks.Count()))
 }
 
 // removeCandidate deletes data vertex v from query vertex u's candidate
 // structures and cascades: the key v disappears from every already-built
 // child structure keyed by u's candidates, and if removing v empties a TE
 // value list of u, the corresponding parent key is removed recursively.
-func (ix *Index) removeCandidate(u graph.VertexID, v graph.VertexID) {
-	node := &ix.Nodes[u]
+// It leaves the cardinality columns alone: refine writes a node's column
+// only once nothing later in the sweep can remove that node's candidates.
+func (b *builder) removeCandidate(u graph.VertexID, v graph.VertexID) {
+	node := &b.ix.Nodes[u]
 	// Drop from the candidate union.
-	i := sort.Search(len(node.Cands), func(i int) bool { return node.Cands[i] >= v })
+	i := lowerBound(node.Cands, v)
 	if i == len(node.Cands) || node.Cands[i] != v {
 		return // already removed
 	}
 	node.Cands = append(node.Cands[:i], node.Cands[i+1:]...)
-	if p := ix.opts.Profile; p != nil {
+	if p := b.ix.opts.Profile; p != nil {
 		// Every deletion counts here; refine() separately counts the
 		// refinement-initiated ones, so cascades = removed - refined.
 		p.Vertex(int(u)).AddRemoved(1)
 	}
 
 	// Drop v wherever it appears as a value of u's own structures.
-	var emptied []graph.VertexID
-	emptied = node.TE.DeleteValue(v, emptied)
-	for j := range node.NTE {
-		node.NTE[j].DeleteValue(v, nil)
+	emptied := b.te[u].deleteValue(v, nil)
+	for j := range b.nte[u] {
+		b.nte[u][j].deleteValue(v, nil)
 	}
 
-	// Drop the key v from children keyed by u's candidates.
-	tree := ix.Tree
-	for _, uc := range tree.Children[u] {
-		ix.Nodes[uc].TE.Delete(v)
-	}
-	for _, ref := range ix.nteChildIdx[u] {
-		ix.Nodes[ref.child].NTE[ref.slot].Delete(v)
-	}
-	if node.Card != nil {
-		delete(node.Card, v)
+	// Drop the key v from the maps keyed by u's candidates.
+	for _, m := range b.keyedBy[u] {
+		m.deleteKey(v)
 	}
 
 	// A TE key of u whose value list became empty means that parent
 	// candidate can no longer match u's parent: cascade upward.
-	if tree.Parent[u] != order.NoParent {
-		up := graph.VertexID(tree.Parent[u])
+	if up := b.ix.Tree.Parent[u]; up != order.NoParent {
 		for _, key := range emptied {
-			node.TE.Delete(key)
-			ix.removeCandidate(up, key)
-		}
-	}
-}
-
-// optimisticCardinalities fills Card from TE sizes without pruning; used
-// when refinement is disabled so FGD decomposition still has a signal.
-func (ix *Index) optimisticCardinalities() {
-	tree := ix.Tree
-	for i := len(tree.Order) - 1; i >= 0; i-- {
-		u := tree.Order[i]
-		node := &ix.Nodes[u]
-		node.Card = make(map[graph.VertexID]int64, len(node.Cands))
-		if len(tree.Children[u]) == 0 {
-			for _, v := range node.Cands {
-				node.Card[v] = 1
-			}
-			continue
-		}
-		for _, v := range node.Cands {
-			card := int64(1)
-			for _, uc := range tree.Children[u] {
-				var sum int64
-				for _, vc := range ix.Nodes[uc].TE.Get(v) {
-					sum = satAdd(sum, ix.Nodes[uc].Card[vc])
-				}
-				card = satMul(card, sum)
-				if card == 0 {
-					break
-				}
-			}
-			node.Card[v] = card
+			b.te[u].deleteKey(key)
+			b.removeCandidate(graph.VertexID(up), key)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestCachePlanVolatilitySplit re-derives the stable/volatile split from
-// first principles for a spread of query shapes and checks Freeze's plan
+// first principles for a spread of query shapes and checks the built plan
 // against it: the volatile input is exactly the one keyed by the
 // predecessor in the matching order, and the cache only engages when at
 // least two inputs are stable.
@@ -26,7 +26,7 @@ func TestCachePlanVolatilitySplit(t *testing.T) {
 		}
 		ix := Build(data, tree, Options{})
 		if ix.ntePlan == nil {
-			t.Fatal("frozen index has no cache plan")
+			t.Fatal("built index has no cache plan")
 		}
 		for i := 1; i < len(tree.Order); i++ {
 			u, prev := tree.Order[i], tree.Order[i-1]
@@ -83,7 +83,7 @@ func TestCachePlanFiresOnClique(t *testing.T) {
 
 // TestStableCacheEquivalence: enumerating through the stable-intersection
 // cache must yield candidate-for-candidate identical results to the
-// direct k-way path (forced by clearing the plan). Covers hit, miss, and
+// direct k-way path (forced by a plan that caches nowhere). Covers hit, miss, and
 // cached-empty transitions across random data/query pairs.
 func TestStableCacheEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -97,7 +97,7 @@ func TestStableCacheEquivalence(t *testing.T) {
 			continue
 		}
 		ix := Build(data, tree, Options{})
-		planned := ix.ntePlan
+		planned, direct := ix.ntePlan, make([]cachePlan, len(ix.ntePlan))
 
 		// Walk random prefixes of the matching order, comparing the two
 		// paths at every depth. Scratches are per-depth (as in the real
@@ -121,7 +121,7 @@ func TestStableCacheEquivalence(t *testing.T) {
 					u := tree.Order[i]
 					ix.ntePlan = planned
 					got := append([]graph.VertexID(nil), ix.CandidatesFor(u, m, &scCached[i])...)
-					ix.ntePlan = nil
+					ix.ntePlan = direct
 					want := append([]graph.VertexID(nil), ix.CandidatesFor(u, m, &scDirect[i])...)
 					if len(got) != len(want) {
 						t.Fatalf("trial %d rep %d pass %d u=%d: cached %d candidates, direct %d", trial, rep, pass, u, len(got), len(want))

@@ -2,7 +2,9 @@ package ceci
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
 	"slices"
@@ -16,13 +18,15 @@ import (
 	"ceci/internal/stats"
 )
 
-// The oracle: index construction as it stood before the verdict tables —
-// the label / degree / NLC filters evaluated per candidate edge against a
-// materialized signature, candidate unions by gather-sort-dedupe. It
-// shares only the parts of the build the tables did not touch (buildNTE,
-// cascade deletion, cardinalities, Freeze), so every table read, the
-// NLC-from-runs identity and the bitmap union are all on the other side
-// of the comparison.
+// The oracle: index construction the slow, obvious way, sharing nothing
+// with the builder. The label / degree / NLC filters are evaluated per
+// candidate edge against a materialized signature, candidate unions are
+// gather-sort-dedupe, TE and NTE structures are Go maps of slices,
+// cardinalities a hash map, cascade deletion a walk over every entry, and
+// the file format is written by hand — so every verdict-table read, the
+// NLC-from-runs identity, the bitmap union, the column layout, in-place
+// compaction, the cardinality merge walk and WriteTo are all on the other
+// side of the comparison.
 
 // refVerdict reports the first stage that drops v for u, in the builder's
 // stage order; v already carries u's primary label.
@@ -51,9 +55,59 @@ func refCandidates(data, q *graph.Graph, u graph.VertexID) []graph.VertexID {
 	return out
 }
 
-// refFilterNeighbors is the per-edge filter loop, funnel counters included.
-func refFilterNeighbors(ix *Index, vf, u graph.VertexID) []graph.VertexID {
-	q, data := ix.Tree.Query, ix.Data
+// refMap is a TE or NTE structure: key -> sorted values. A key whose list
+// has emptied stays until something deletes the key itself.
+type refMap map[graph.VertexID][]graph.VertexID
+
+func (m refMap) sortedKeys() []graph.VertexID { return slices.Sorted(maps.Keys(m)) }
+
+func (m refMap) union() []graph.VertexID {
+	var all []graph.VertexID
+	for _, vals := range m {
+		all = append(all, vals...)
+	}
+	slices.Sort(all)
+	return slices.Compact(all)
+}
+
+func (m refMap) edges() (n int64) {
+	for _, vals := range m {
+		n += int64(len(vals))
+	}
+	return n
+}
+
+// deleteValue removes v from every list and returns, in key order, the
+// keys it emptied.
+func (m refMap) deleteValue(v graph.VertexID) (emptied []graph.VertexID) {
+	for _, key := range m.sortedKeys() {
+		if i, found := slices.BinarySearch(m[key], v); found {
+			m[key] = slices.Delete(m[key], i, i+1)
+			if len(m[key]) == 0 {
+				emptied = append(emptied, key)
+			}
+		}
+	}
+	return emptied
+}
+
+type refNode struct {
+	te    refMap
+	nte   []refMap
+	cands []graph.VertexID
+	card  map[graph.VertexID]int64
+}
+
+type refIndex struct {
+	data  *graph.Graph
+	tree  *order.QueryTree
+	opts  Options
+	nodes []refNode
+}
+
+// filterNeighbors is the per-edge filter loop, funnel counters included.
+func (r *refIndex) filterNeighbors(vf, u graph.VertexID) []graph.VertexID {
+	q, data := r.tree.Query, r.data
 	var out []graph.VertexID
 	var dropLabel, dropDegree, dropNLC int64
 	for _, v := range data.Neighbors(vf) {
@@ -61,7 +115,7 @@ func refFilterNeighbors(ix *Index, vf, u graph.VertexID) []graph.VertexID {
 			dropLabel++
 			continue
 		}
-		switch refVerdict(data, q, u, v, ix.opts.SkipNLCFilter) {
+		switch refVerdict(data, q, u, v, r.opts.SkipNLCFilter) {
 		case order.DropLabel:
 			dropLabel++
 		case order.DropDegree:
@@ -72,13 +126,13 @@ func refFilterNeighbors(ix *Index, vf, u graph.VertexID) []graph.VertexID {
 			out = append(out, v)
 		}
 	}
-	if st := ix.opts.Stats; st != nil {
+	if st := r.opts.Stats; st != nil {
 		st.RemoteReads.Add(1)
 		st.FilteredLabel.Add(dropLabel)
 		st.FilteredDegree.Add(dropDegree)
 		st.FilteredNLC.Add(dropNLC)
 	}
-	if p := ix.opts.Profile; p != nil {
+	if p := r.opts.Profile; p != nil {
 		vc := p.Vertex(int(u))
 		vc.NeighborsScanned.Add(int64(data.Degree(vf)))
 		vc.DroppedLabel.Add(dropLabel)
@@ -88,35 +142,91 @@ func refFilterNeighbors(ix *Index, vf, u graph.VertexID) []graph.VertexID {
 	return out
 }
 
-func refUnion(m *CandMap) []graph.VertexID {
-	var all []graph.VertexID
-	m.ForEach(func(_ graph.VertexID, vals []graph.VertexID) { all = append(all, vals...) })
-	slices.Sort(all)
-	return slices.Compact(all)
+// remove is cascade deletion (Algorithm 1 lines 9-12, Algorithm 2).
+func (r *refIndex) remove(u, v graph.VertexID) {
+	node := &r.nodes[u]
+	i, found := slices.BinarySearch(node.cands, v)
+	if !found {
+		return
+	}
+	node.cands = slices.Delete(node.cands, i, i+1)
+	delete(node.card, v)
+	if p := r.opts.Profile; p != nil {
+		p.Vertex(int(u)).AddRemoved(1)
+	}
+	emptied := node.te.deleteValue(v)
+	for _, m := range node.nte {
+		m.deleteValue(v)
+	}
+	for w := range r.nodes {
+		if r.tree.Parent[w] == int32(u) {
+			delete(r.nodes[w].te, v)
+		}
+		for j, un := range r.tree.NTEParents[w] {
+			if un == u {
+				delete(r.nodes[w].nte[j], v)
+			}
+		}
+	}
+	if up := r.tree.Parent[u]; up != order.NoParent {
+		for _, key := range emptied {
+			delete(node.te, key)
+			r.remove(graph.VertexID(up), key)
+		}
+	}
 }
 
-func referenceBuild(data *graph.Graph, tree *order.QueryTree, opts Options) *Index {
+func (r *refIndex) cardinality(u, v graph.VertexID, nteUnions [][]graph.VertexID) int64 {
+	for _, union := range nteUnions {
+		if !slices.Contains(union, v) {
+			return 0
+		}
+	}
+	card := int64(1)
+	for _, uc := range r.tree.Children[u] {
+		var sum int64
+		for _, vc := range r.nodes[uc].te[v] {
+			sum = satAdd(sum, r.nodes[uc].card[vc])
+		}
+		card = satMul(card, sum)
+	}
+	return card
+}
+
+func referenceBuild(data *graph.Graph, tree *order.QueryTree, opts Options) *refIndex {
 	if opts.RefineRounds <= 0 {
 		opts.RefineRounds = 1
 	}
-	ix := &Index{Data: data, Tree: tree.WithFilter(nil), Nodes: make([]Node, tree.NumVertices()), opts: opts}
-	ix.indexNTEChildren()
+	r := &refIndex{data: data, tree: tree, opts: opts, nodes: make([]refNode, tree.NumVertices())}
+	for u := range r.nodes {
+		r.nodes[u].te = refMap{}
+		r.nodes[u].nte = make([]refMap, len(tree.NTEParents[u]))
+		for j := range r.nodes[u].nte {
+			r.nodes[u].nte[j] = refMap{}
+		}
+	}
 	if p := opts.Profile; p != nil {
-		ix.InitProfile(p)
+		p.InitQuery(tree.NumVertices(), func(u int) []int {
+			var parents []int
+			for _, un := range tree.NTEParents[u] {
+				parents = append(parents, int(un))
+			}
+			return parents
+		})
 	}
 	if opts.Pivots != nil {
 		pivots := slices.Clone(opts.Pivots)
 		slices.Sort(pivots)
-		ix.Nodes[tree.Root].Cands = slices.Compact(pivots)
+		r.nodes[tree.Root].cands = slices.Compact(pivots)
 	} else {
-		ix.Nodes[tree.Root].Cands = refCandidates(data, tree.Query, tree.Root)
+		r.nodes[tree.Root].cands = refCandidates(data, tree.Query, tree.Root)
 	}
 	for _, u := range tree.Order[1:] {
 		up := graph.VertexID(tree.Parent[u])
-		node := &ix.Nodes[u]
+		node := &r.nodes[u]
 		var dead []graph.VertexID
-		for _, vf := range ix.Nodes[up].Cands {
-			vals := refFilterNeighbors(ix, vf, u)
+		for _, vf := range r.nodes[up].cands {
+			vals := r.filterNeighbors(vf, u)
 			if len(vals) == 0 {
 				dead = append(dead, vf)
 				if opts.Stats != nil {
@@ -124,50 +234,174 @@ func referenceBuild(data *graph.Graph, tree *order.QueryTree, opts Options) *Ind
 				}
 				continue
 			}
-			node.TE.AppendKey(vf, vals)
+			node.te[vf] = vals
 		}
-		node.Cands = refUnion(&node.TE)
+		node.cands = node.te.union()
 		for _, vf := range dead {
-			ix.removeCandidate(up, vf)
+			r.remove(up, vf)
 		}
-		ix.buildNTE(u)
+		uLabel := tree.Query.Label(u)
+		for j, un := range tree.NTEParents[u] {
+			frontier := r.nodes[un].cands
+			var cmp, out int64
+			for _, vn := range frontier {
+				var vals []graph.VertexID
+				for _, w := range data.Neighbors(vn) {
+					if slices.Contains(node.cands, w) {
+						vals = append(vals, w)
+					}
+				}
+				if len(vals) > 0 {
+					node.nte[j][vn] = vals
+				}
+				// What the builder's merge intersection is charged: the
+				// key's label partition against the candidate set.
+				cmp += int64(len(data.NeighborsWithLabel(vn, uLabel)) + len(node.cands))
+				out += int64(len(vals))
+			}
+			if opts.Stats != nil {
+				opts.Stats.IntersectionOps.Add(int64(len(frontier)))
+				opts.Stats.RemoteReads.Add(int64(len(frontier)))
+			}
+			if p := opts.Profile; p != nil {
+				nc := p.Vertex(int(u)).NTE(j)
+				nc.BuildComparisons.Add(cmp)
+				nc.BuildOutput.Add(out)
+			}
+		}
 	}
+	rounds := opts.RefineRounds
 	if opts.SkipRefinement {
-		ix.optimisticCardinalities()
+		rounds = 1
 	}
-	for round := 0; round < opts.RefineRounds && !opts.SkipRefinement; round++ {
+	for round := 0; round < rounds; round++ {
 		for i := len(tree.Order) - 1; i >= 0; i-- {
 			u := tree.Order[i]
-			node := &ix.Nodes[u]
-			node.Card = make(map[graph.VertexID]int64, len(node.Cands))
-			unions := make([][]graph.VertexID, len(node.NTE))
-			for j := range node.NTE {
-				unions[j] = refUnion(&node.NTE[j])
+			node := &r.nodes[u]
+			node.card = map[graph.VertexID]int64{}
+			var unions [][]graph.VertexID
+			for _, m := range node.nte {
+				unions = append(unions, m.union())
 			}
-			for _, v := range slices.Clone(node.Cands) {
-				card := ix.cardinalityOf(u, v, unions)
-				if card == 0 {
+			if opts.SkipRefinement {
+				unions = nil // optimistic: TE sizes only, nothing deleted
+			}
+			for _, v := range slices.Clone(node.cands) {
+				card := r.cardinality(u, v, unions)
+				if card == 0 && !opts.SkipRefinement {
 					if opts.Stats != nil {
 						opts.Stats.FilteredRefine.Add(1)
 					}
 					if p := opts.Profile; p != nil {
 						p.Vertex(int(u)).AddRefined(1)
 					}
-					ix.removeCandidate(u, v)
+					r.remove(u, v)
 					continue
 				}
-				node.Card[v] = card
+				node.card[v] = card
 			}
 		}
 	}
-	ix.Freeze()
 	if opts.Stats != nil {
-		opts.Stats.IndexBytes.Store(ix.SizeBytes())
+		opts.Stats.IndexBytes.Store(r.sizeBytes())
 	}
 	if p := opts.Profile; p != nil {
-		ix.recordShape(p)
+		for u := range r.nodes {
+			node := &r.nodes[u]
+			vc := p.Vertex(u)
+			vc.FinalCands.Add(int64(len(node.cands)))
+			vc.TEEntries.Add(int64(len(node.te)))
+			vc.TECandidates.Add(node.te.edges())
+			// 4 bytes per candidate, key, offset and value, 8 per
+			// cardinality; a map of k keys has k+1 offsets.
+			flat := 12*int64(len(node.cands)) + 4*(2*int64(len(node.te))+1+node.te.edges())
+			for j, m := range node.nte {
+				nc := vc.NTE(j)
+				nc.Entries.Add(int64(len(m)))
+				nc.Candidates.Add(m.edges())
+				flat += 4 * (2*int64(len(m)) + 1 + m.edges())
+			}
+			vc.FlatBytes.Add(flat)
+		}
 	}
-	return ix
+	return r
+}
+
+// sizeBytes is the paper's accounting: 8 bytes per candidate edge, an
+// edge stored in both directions of one map counted once.
+func (r *refIndex) sizeBytes() int64 {
+	var n int64
+	count := func(m refMap) {
+		for key, vals := range m {
+			for _, v := range vals {
+				if key < v || !slices.Contains(m[v], key) {
+					n++
+				}
+			}
+		}
+	}
+	for u := range r.nodes {
+		count(r.nodes[u].te)
+		for _, m := range r.nodes[u].nte {
+			count(m)
+		}
+	}
+	return 8 * n
+}
+
+// result renders the oracle's index in the CECIIDX1 layout documented in
+// serialize.go, written here by hand.
+func (r *refIndex) result() buildResult {
+	ids := func(b []byte, vs []graph.VertexID) []byte {
+		b = binary.AppendUvarint(b, uint64(len(vs)))
+		prev := graph.VertexID(0)
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, uint64(v-prev))
+			prev = v
+		}
+		return b
+	}
+	candMap := func(b []byte, m refMap) []byte {
+		b = binary.AppendUvarint(b, uint64(len(m)))
+		for _, key := range m.sortedKeys() {
+			b = ids(binary.AppendUvarint(b, uint64(key)), m[key])
+		}
+		return b
+	}
+	b := binary.LittleEndian.AppendUint64([]byte("CECIIDX1"), Fingerprint(r.data, r.tree))
+	b = binary.AppendUvarint(b, uint64(len(r.nodes)))
+	res := buildResult{sizeBytes: r.sizeBytes()}
+	for u := range r.nodes {
+		node := &r.nodes[u]
+		res.cands = append(res.cands, node.cands)
+		b = ids(b, node.cands)
+		for _, v := range node.cands {
+			b = binary.AppendUvarint(b, uint64(node.card[v]))
+		}
+		b = candMap(b, node.te)
+		b = binary.AppendUvarint(b, uint64(len(node.nte)))
+		for _, m := range node.nte {
+			b = candMap(b, m)
+		}
+	}
+	res.serialized = b
+	return res
+}
+
+// buildResult is what assertSameBuild compares of an index.
+type buildResult struct {
+	cands      [][]graph.VertexID
+	serialized []byte
+	sizeBytes  int64
+}
+
+func resultOf(t *testing.T, ix *Index) buildResult {
+	t.Helper()
+	res := buildResult{serialized: serialized(t, ix), sizeBytes: ix.SizeBytes()}
+	for u := range ix.Nodes {
+		res.cands = append(res.cands, ix.Nodes[u].Cands)
+	}
+	return res
 }
 
 // instrumented returns opts with fresh Stats and Profile sinks.
@@ -189,19 +423,19 @@ func serialized(t *testing.T, ix *Index) []byte {
 // assertSameBuild holds got to want: candidate sets, the serialized index
 // byte for byte, the paper-accounting size, every filter-funnel counter
 // and the profiler's whole per-vertex table (NeighborsScanned, Dropped*,
-// refine/cascade deletions, TE/NTE shape).
-func assertSameBuild(t *testing.T, name string, got, want *Index, gotOpts, wantOpts Options) {
+// refine/cascade deletions, TE/NTE shape, flat bytes).
+func assertSameBuild(t *testing.T, name string, got, want buildResult, gotOpts, wantOpts Options) {
 	t.Helper()
-	for u := range want.Nodes {
-		if !slices.Equal(got.Nodes[u].Cands, want.Nodes[u].Cands) {
-			t.Fatalf("%s: Cands(u%d) = %v, want %v", name, u, got.Nodes[u].Cands, want.Nodes[u].Cands)
+	for u := range want.cands {
+		if !slices.Equal(got.cands[u], want.cands[u]) {
+			t.Fatalf("%s: Cands(u%d) = %v, want %v", name, u, got.cands[u], want.cands[u])
 		}
 	}
-	if !bytes.Equal(serialized(t, got), serialized(t, want)) {
+	if !bytes.Equal(got.serialized, want.serialized) {
 		t.Fatalf("%s: serialized indexes differ", name)
 	}
-	if got.SizeBytes() != want.SizeBytes() {
-		t.Fatalf("%s: SizeBytes %d, want %d", name, got.SizeBytes(), want.SizeBytes())
+	if got.sizeBytes != want.sizeBytes {
+		t.Fatalf("%s: SizeBytes %d, want %d", name, got.sizeBytes, want.sizeBytes)
 	}
 	g, w := gotOpts.Stats, wantOpts.Stats
 	for _, c := range []struct {
@@ -286,8 +520,8 @@ func TestBuildMatchesPerEdgeFilterOracle(t *testing.T) {
 			{"pivots", Options{Pivots: everyOther}},
 		} {
 			gotOpts, wantOpts := instrumented(v.opts), instrumented(v.opts)
-			got := Build(data, tree, gotOpts)
-			want := referenceBuild(data, tree, wantOpts)
+			got := resultOf(t, Build(data, tree, gotOpts))
+			want := referenceBuild(data, tree, wantOpts).result()
 			assertSameBuild(t, name+"/"+v.name, got, want, gotOpts, wantOpts)
 		}
 	}
@@ -331,9 +565,9 @@ func TestBuildWorkersByteEqual(t *testing.T) {
 	if len(one.Pivots()) < 64 {
 		t.Fatalf("only %d pivots: the parallel path did not run", len(one.Pivots()))
 	}
-	assertSameBuild(t, "workers 4 vs 1", four, one, fourOpts, oneOpts)
+	assertSameBuild(t, "workers 4 vs 1", resultOf(t, four), resultOf(t, one), fourOpts, oneOpts)
 	refOpts := instrumented(Options{})
-	assertSameBuild(t, "workers 1 vs oracle", one, referenceBuild(data, tree, refOpts), oneOpts, refOpts)
+	assertSameBuild(t, "workers 1 vs oracle", resultOf(t, one), referenceBuild(data, tree, refOpts).result(), oneOpts, refOpts)
 }
 
 // TestBuildOnAnotherGraphRecomputesFilter: the tables on a tree are keyed
@@ -350,11 +584,10 @@ func TestBuildOnAnotherGraphRecomputesFilter(t *testing.T) {
 	// mattered would change the index.
 	other := gen.WithRandomMultiLabels(data, 5, 3, 99)
 	gotOpts, wantOpts := instrumented(Options{}), instrumented(Options{})
-	got := Build(other, tree, gotOpts)
-	assertSameBuild(t, "other graph", got, referenceBuild(other, tree, wantOpts), gotOpts, wantOpts)
-	staleOpts := instrumented(Options{})
-	stale := referenceBuild(data, tree, staleOpts)
-	if bytes.Equal(serialized(t, got), serialized(t, stale)) {
+	got := resultOf(t, Build(other, tree, gotOpts))
+	assertSameBuild(t, "other graph", got, referenceBuild(other, tree, wantOpts).result(), gotOpts, wantOpts)
+	stale := referenceBuild(data, tree, Options{}).result()
+	if bytes.Equal(got.serialized, stale.serialized) {
 		t.Fatal("the two graphs index identically: the test cannot tell a stale table from a fresh one")
 	}
 }
@@ -378,7 +611,7 @@ func TestFrozenIndexDropsFilter(t *testing.T) {
 		runtime.GC()
 	}
 	if filter.Value() != nil {
-		t.Fatal("verdict tables still reachable with only the frozen index alive")
+		t.Fatal("verdict tables still reachable with only the finished index alive")
 	}
 	runtime.KeepAlive(ix)
 }

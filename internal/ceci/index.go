@@ -8,9 +8,8 @@ package ceci
 
 import (
 	"math"
-	"sync/atomic"
+	"slices"
 
-	"ceci/internal/bitset"
 	"ceci/internal/graph"
 	"ceci/internal/obs"
 	"ceci/internal/order"
@@ -32,67 +31,24 @@ type Node struct {
 	NTE []CandMap
 	// Cands is the sorted union candidate set of this query vertex.
 	Cands []graph.VertexID
-	// Card maps candidate -> cardinality (Section 3.3): the maximum
-	// number of embeddings obtainable by matching this candidate here.
-	// Populated by Refine; zero-cardinality candidates are deleted.
-	// Build-time only: Freeze compacts it into cardVals and nils it.
-	Card map[graph.VertexID]int64
-	// cardVals is the frozen cardinality column, parallel to Cands.
+	// cardVals is the cardinality column, parallel to Cands (Section 3.3):
+	// the maximum number of embeddings obtainable by matching that
+	// candidate here. Written by refinement, which deletes candidates of
+	// cardinality zero.
 	cardVals []int64
 }
 
 // CardOf returns the refined cardinality of candidate v at this node
-// (0 when v is not a candidate). Works in both the mutable and the
-// frozen representation.
+// (0 when v is not a candidate).
 func (n *Node) CardOf(v graph.VertexID) int64 {
-	if n.cardVals != nil {
-		cands := n.Cands
-		lo, hi := 0, len(cands)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if cands[mid] < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(cands) && cands[lo] == v {
-			return n.cardVals[lo]
-		}
-		return 0
+	if i := lowerBound(n.Cands, v); i < len(n.Cands) && n.Cands[i] == v {
+		return n.cardVals[i]
 	}
-	return n.Card[v]
+	return 0
 }
 
-// freeze compacts the node's build-time structures: TE and every NTE map
-// share one arena sized to the node's candidate-edge total, and the Card
-// map collapses into a cardinality column parallel to Cands. Nodes whose
-// arena would overflow the 32-bit offsets stay mutable — every accessor
-// handles both modes, so this is a (purely theoretical, >4G candidate
-// edges per query vertex) graceful degradation, not an error.
-func (n *Node) freeze() {
-	total := n.TE.CandidateEdges()
-	for j := range n.NTE {
-		total += n.NTE[j].CandidateEdges()
-	}
-	if total <= math.MaxUint32 {
-		arena := make([]graph.VertexID, 0, total)
-		arena = n.TE.freezeInto(arena)
-		for j := range n.NTE {
-			arena = n.NTE[j].freezeInto(arena)
-		}
-	}
-	if n.cardVals == nil {
-		n.cardVals = make([]int64, len(n.Cands))
-		for i, v := range n.Cands {
-			n.cardVals[i] = n.Card[v]
-		}
-		n.Card = nil
-	}
-}
-
-// flatBytes is the node's physical frozen footprint: candidate and
-// cardinality columns plus the flat TE/NTE structures.
+// flatBytes is the node's physical footprint: candidate and cardinality
+// columns plus the TE/NTE columns.
 func (n *Node) flatBytes() int64 {
 	b := int64(len(n.Cands))*4 + int64(len(n.cardVals))*8
 	b += n.TE.flatBytes()
@@ -108,32 +64,11 @@ type Index struct {
 	Tree  *order.QueryTree
 	Nodes []Node
 
-	// nteChildIdx[u] lists, for each query vertex u, the (child, slot)
-	// pairs such that Nodes[child].NTE[slot] is keyed by u's candidates.
-	nteChildIdx [][]nteRef
-
-	// frozen is set once Freeze has compacted the build-time structures
-	// into the flat arena-backed form.
-	frozen bool
-	// bcancel, when non-nil, is flipped by BuildCtx's context watcher;
-	// construction loops poll it and abort. Build-time only.
-	bcancel *atomic.Bool
-	// scratch holds the per-worker build buffers (private bins, §3.6);
-	// released by Freeze.
-	scratch []buildScratch
-	// valbuf is the reusable frontier-expansion output table.
-	valbuf [][]graph.VertexID
-	// filter holds the build's LDF+NLC verdict tables; released by Freeze
-	// (Tree is retained without them).
-	filter *order.Filter
-	// marks is valueUnion's reusable |V|-bit scratch; released by Freeze.
-	marks bitset.Bits
-
 	// Label-pair prune state (l2Match-style neighboring-label index),
-	// built by Freeze when Options.LabelPairPrune is on and the graph is
-	// labeled. nbrSig[v] is the neighbor-label bloom of data vertex v
-	// (shared graph storage); reqMask[u] the bloom of labels required by
-	// query vertex u's later-matched query neighbors. A candidate v for u
+	// built when Options.LabelPairPrune is on and the graph is labeled.
+	// nbrSig[v] is the neighbor-label bloom of data vertex v (shared graph
+	// storage); reqMask[u] the bloom of labels required by query vertex
+	// u's later-matched query neighbors. A candidate v for u
 	// with nbrSig[v] ⊉ reqMask[u] cannot extend any partial embedding
 	// (its neighborhood provably lacks a needed label) and is dropped
 	// before any intersection kernel runs.
@@ -142,8 +77,7 @@ type Index struct {
 
 	// ntePlan[u] records how CandidatesFor may cache intersections at u's
 	// depth across the sibling loop of u's predecessor in the matching
-	// order. Built at Freeze() time; nil until then (unfrozen indexes take
-	// the direct path).
+	// order.
 	ntePlan []cachePlan
 
 	opts Options
@@ -152,7 +86,7 @@ type Index struct {
 // cachePlan splits the intersection inputs of one query vertex by
 // volatility. The matching order is static, so the vertex matched
 // immediately before u — the one whose sibling loop drives consecutive
-// CandidatesFor(u, ...) calls — is known at freeze time. Any input list
+// CandidatesFor(u, ...) calls — is known once the tree is. Any input list
 // keyed by that vertex ("volatile") changes on every call; every other
 // input is keyed by an ancestor assignment that stays fixed across the
 // whole loop ("stable") and can be intersected once and reused. At most
@@ -171,24 +105,22 @@ type cachePlan struct {
 	volNTE int
 }
 
-// Freeze compacts the mutable build-time structures into the flat
-// arena-backed representation used by the steady state — CandidatesFor,
-// VerifyNTE, cardinality lookups, FGD decomposition, and serialization
-// all read the frozen form. Build calls it automatically after
-// refinement; it is idempotent. After Freeze the index is immutable.
-func (ix *Index) Freeze() {
-	if ix.frozen {
-		return
-	}
-	ix.frozen = true
-	ix.scratch = nil // release the pooled build buffers
-	ix.valbuf = nil
-	ix.filter = nil
-	ix.marks = nil
-	ix.bcancel = nil // the build completed; drop the watcher flag
+// newIndex returns an index for (data, tree) with every node's NTE slots
+// allocated and nothing in them. The tree is retained without its verdict
+// tables, so a finished (cached) index pins no per-data-vertex memory.
+func newIndex(data *graph.Graph, tree *order.QueryTree, opts Options) *Index {
+	tree = tree.WithFilter(nil)
+	ix := &Index{Data: data, Tree: tree, Nodes: make([]Node, tree.NumVertices()), opts: opts}
 	for u := range ix.Nodes {
-		ix.Nodes[u].freeze()
+		ix.Nodes[u].NTE = make([]CandMap, len(tree.NTEParents[u]))
 	}
+	return ix
+}
+
+// finish derives what enumeration reads beside the columns — the
+// label-pair prune masks and the sibling-loop cache plan — once build or
+// ReadIndex has filled them.
+func (ix *Index) finish() {
 	if ix.opts.LabelPairPrune && ix.Data.NumLabels() > 1 {
 		ix.buildLabelPrune()
 	}
@@ -257,14 +189,6 @@ func (ix *Index) buildLabelPrune() {
 	}
 }
 
-// Frozen reports whether Freeze has run.
-func (ix *Index) Frozen() bool { return ix.frozen }
-
-type nteRef struct {
-	child graph.VertexID
-	slot  int
-}
-
 // Options configures index construction.
 type Options struct {
 	// Workers bounds build parallelism; <= 0 means GOMAXPROCS.
@@ -307,11 +231,6 @@ type Options struct {
 	// Tracer, when non-nil, records a "build" span with "expand" and
 	// per-round "refine" children.
 	Tracer *obs.Tracer
-
-	// skipFreeze leaves the index in the mutable build-time
-	// representation. Test-only: the mutable-vs-frozen equivalence
-	// property tests need both forms of the same build.
-	skipFreeze bool
 }
 
 // Pivots returns the cluster pivots: the surviving candidates of the root
@@ -363,7 +282,7 @@ func (ix *Index) UniqueCandidateEdges() int64 {
 					// Count (v, key) only when the mirrored direction is
 					// absent from this map.
 					rev := m.Get(v)
-					if !containsSorted(rev, key) {
+					if _, found := slices.BinarySearch(rev, key); !found {
 						n++
 					}
 				}
@@ -379,47 +298,19 @@ func (ix *Index) UniqueCandidateEdges() int64 {
 	return n
 }
 
-func containsSorted(vs []graph.VertexID, x graph.VertexID) bool {
-	lo, hi := 0, len(vs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if vs[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(vs) && vs[lo] == x
-}
-
 // SizeBytes reports the index size using the paper's 8-bytes-per-edge
 // accounting over unique candidate edges, and TheoreticalBytes the
 // O(|Eq|·|Eg|) worst case, enabling Table 2's "% of space saved" column.
 func (ix *Index) SizeBytes() int64 { return 8 * ix.UniqueCandidateEdges() }
 
-// PhysicalBytes reports the actual in-memory footprint. For a frozen
-// index this is exact: 4 bytes per key, 4 per offset, 4 per arena entry
-// (plus the candidate and cardinality columns) — the flat layout DESIGN.md
-// maps to the paper's Table 2 byte model. For a mutable index it is the
-// pre-freeze estimate of 4 bytes per stored value plus 12 per key (key +
-// slice header amortized).
+// PhysicalBytes reports the actual in-memory footprint, exactly: 4 bytes
+// per key, 4 per offset, 4 per arena entry, plus the candidate and
+// cardinality columns — the layout DESIGN.md maps to the paper's Table 2
+// byte model.
 func (ix *Index) PhysicalBytes() int64 {
-	if ix.frozen {
-		var n int64
-		for u := range ix.Nodes {
-			n += ix.Nodes[u].flatBytes()
-		}
-		return n
-	}
 	var n int64
-	add := func(m *CandMap) {
-		n += int64(m.Len())*12 + m.CandidateEdges()*4
-	}
 	for u := range ix.Nodes {
-		add(&ix.Nodes[u].TE)
-		for j := range ix.Nodes[u].NTE {
-			add(&ix.Nodes[u].NTE[j])
-		}
+		n += ix.Nodes[u].flatBytes()
 	}
 	return n
 }

@@ -111,15 +111,12 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 	}
 
 	nparents := tree.NTEParents[u]
-	var plan cachePlan
-	if ix.ntePlan != nil {
-		plan = ix.ntePlan[u]
-	}
+	plan := ix.ntePlan[u]
 	if !plan.use {
-		// Fewer than two stable inputs (or an unfrozen index): the cache
-		// would precompute nothing, and its fixed pairing order would
-		// forfeit IntersectK's smallest-first ordering (measured 2x
-		// slower on the clique queries). Direct k-way intersection.
+		// Fewer than two stable inputs: the cache would precompute
+		// nothing, and its fixed pairing order would forfeit IntersectK's
+		// smallest-first ordering (measured 2x slower on the clique
+		// queries). Direct k-way intersection.
 		lists := sc.lists[:0]
 		lists = append(lists, base)
 		cmp := int64(len(base))

@@ -1,6 +1,9 @@
 package ceci
 
 import (
+	"math/bits"
+	"slices"
+
 	"ceci/internal/graph"
 	"ceci/internal/setops"
 )
@@ -16,60 +19,118 @@ import (
 // with card(u, v) forced to 0 when u has an incoming non-tree edge whose
 // NTE structure does not contain v among its values (such a v can never
 // satisfy that query edge). Leaf candidates have cardinality 1.
-func (ix *Index) refine() {
-	tree := ix.Tree
-	for i := len(tree.Order) - 1; i >= 0; i-- {
-		if ix.buildCancelled() {
-			return
-		}
+//
+// The cardinalities of u's survivors, in candidate order, are u's column.
+// A deletion at u cascades only to u's ancestors, which the sweep has yet
+// to reach, and changes no other candidate's product, so the products are
+// all computed before the first deletion and a column, once written,
+// stays parallel to its candidates.
+func (b *builder) refine() {
+	tree := b.ix.Tree
+	for i := len(tree.Order) - 1; i >= 0 && !b.isCancelled(); i-- {
 		u := tree.Order[i]
-		node := &ix.Nodes[u]
-		node.Card = make(map[graph.VertexID]int64, len(node.Cands))
+		node := &b.ix.Nodes[u]
+		cards := b.cardProducts(u)
 
 		// Union of values per incoming NTE edge: v must appear in every
 		// one of them (Algorithm 2 line 5).
-		nteUnions := make([][]graph.VertexID, len(node.NTE))
-		for j := range node.NTE {
-			nteUnions[j] = ix.valueUnion(&node.NTE[j])
+		for j := range b.nte[u] {
+			union := b.valueUnion(&b.nte[u][j])
+			for k, v := range node.Cands {
+				if cards[k] != 0 && !setops.Contains(union, v) {
+					cards[k] = 0
+				}
+			}
 		}
 
 		// Iterate over a snapshot: removal mutates node.Cands.
-		cands := make([]graph.VertexID, len(node.Cands))
-		copy(cands, node.Cands)
-		for _, v := range cands {
-			card := ix.cardinalityOf(u, v, nteUnions)
-			if card == 0 {
-				if ix.opts.Stats != nil {
-					ix.opts.Stats.FilteredRefine.Add(1)
+		kept := 0
+		for k, v := range slices.Clone(node.Cands) {
+			if cards[k] == 0 {
+				if st := b.ix.opts.Stats; st != nil {
+					st.FilteredRefine.Add(1)
 				}
-				if p := ix.opts.Profile; p != nil {
+				if p := b.ix.opts.Profile; p != nil {
 					p.Vertex(int(u)).AddRefined(1)
 				}
-				ix.removeCandidate(u, v)
+				b.removeCandidate(u, v)
 				continue
 			}
-			node.Card[v] = card
+			cards[kept] = cards[k]
+			kept++
+		}
+		node.cardVals = fit(cards[:kept])
+	}
+}
+
+// cardProducts returns, for every candidate v of u in order, ∏ over u's
+// tree children of the summed cardinalities of v's TE list there (1 for a
+// leaf). A TE list is a subset of the child's candidates, so each value's
+// cardinality is read off the child's column at the value's position.
+func (b *builder) cardProducts(u graph.VertexID) []int64 {
+	cands := b.ix.Nodes[u].Cands
+	cards := make([]int64, len(cands))
+	for k := range cards {
+		cards[k] = 1
+	}
+	for _, uc := range b.ix.Tree.Children[u] {
+		child := &b.ix.Nodes[uc]
+		b.pos.reset(child.Cands)
+		for k, v := range cands {
+			if cards[k] == 0 {
+				continue
+			}
+			var sum int64
+			for _, vc := range b.te[uc].get(v) {
+				sum = satAdd(sum, child.cardVals[b.pos.of(child.Cands, vc)])
+			}
+			cards[k] = satMul(cards[k], sum)
+		}
+	}
+	return cards
+}
+
+// posIndex finds the position of an id in a sorted column in expected
+// constant time: the column's id range is cut into equal buckets about as
+// wide as the mean gap between ids, and start[k] is where bucket k begins
+// in the column. It does the job of a hash map from candidate to
+// cardinality in at most 8 bytes per candidate, rebuilt by one pass.
+type posIndex struct {
+	shift uint
+	start []uint32
+}
+
+func (p *posIndex) reset(col []graph.VertexID) {
+	p.start = p.start[:0]
+	if len(col) == 0 {
+		return
+	}
+	gap := (col[len(col)-1] + 1) / uint32(len(col)) // >= 1: the ids are distinct
+	p.shift = uint(bits.Len32(gap)) - 1
+	for i, v := range col {
+		for len(p.start) <= int(v>>p.shift) {
+			p.start = append(p.start, uint32(i))
 		}
 	}
 }
 
-func (ix *Index) cardinalityOf(u graph.VertexID, v graph.VertexID, nteUnions [][]graph.VertexID) int64 {
-	for _, union := range nteUnions {
-		if !setops.Contains(union, v) {
-			return 0
-		}
+// of returns the position of v in col, the column p was reset to; v must
+// be in it.
+func (p *posIndex) of(col []graph.VertexID, v graph.VertexID) int {
+	i := int(p.start[v>>p.shift])
+	for col[i] < v {
+		i++
 	}
-	card := int64(1)
-	for _, uc := range ix.Tree.Children[u] {
-		child := &ix.Nodes[uc]
-		var sum int64
-		for _, vc := range child.TE.Get(v) {
-			sum = satAdd(sum, child.Card[vc])
-		}
-		card = satMul(card, sum)
-		if card == 0 {
-			return 0
-		}
+	return i
+}
+
+// optimisticCardinalities fills the cardinality columns from TE sizes
+// without pruning; used when refinement is disabled so FGD decomposition
+// still has a signal.
+func (b *builder) optimisticCardinalities() {
+	tree := b.ix.Tree
+	for i := len(tree.Order) - 1; i >= 0; i-- {
+		u := tree.Order[i]
+		b.ix.Nodes[u].cardVals = b.cardProducts(u)
 	}
-	return card
 }

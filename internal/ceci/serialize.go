@@ -9,6 +9,7 @@ import (
 
 	"ceci/internal/graph"
 	"ceci/internal/order"
+	"ceci/internal/setops"
 )
 
 // Index serialization. The paper's §6.4 anticipates storing CECI outside
@@ -65,10 +66,7 @@ func Fingerprint(data *graph.Graph, tree *order.QueryTree) uint64 {
 // WriteTo serializes the index. It returns the number of bytes written.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: bufio.NewWriter(w)}
-	if _, err := cw.Write(idxMagic[:]); err != nil {
-		return cw.n, err
-	}
-	writeU64(cw, Fingerprint(ix.Data, ix.Tree))
+	cw.Write(binary.LittleEndian.AppendUint64(idxMagic[:], Fingerprint(ix.Data, ix.Tree)))
 	writeUvarint(cw, uint64(len(ix.Nodes)))
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
@@ -90,69 +88,118 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 
 // ReadIndex deserializes an index previously written by WriteTo. The
 // data graph and query tree must be the ones the index was built for;
-// the embedded fingerprint is verified.
+// the embedded fingerprint is verified. The fingerprint covers only the
+// (graph, tree) pair, so the body is checked as it is decoded: every list
+// is at most |V| long and strictly ascending with ids below |V|, every
+// cardinality lies in [1, CardSaturation], keys are candidates of the
+// vertex they are keyed by and values candidates of their own, and
+// nothing follows the last node. A file that fails any of it is an error
+// naming the node and section, never an index that misbehaves later.
 func ReadIndex(r io.Reader, data *graph.Graph, tree *order.QueryTree) (*Index, error) {
 	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	var header [16]byte // magic, fingerprint
+	if _, err := io.ReadFull(br, header[:]); err != nil {
 		return nil, fmt.Errorf("ceci: index header: %w", err)
 	}
-	if magic != idxMagic {
+	if magic := [8]byte(header[:8]); magic != idxMagic {
 		return nil, fmt.Errorf("ceci: bad index magic %q", magic)
 	}
-	fp, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	if want := Fingerprint(data, tree); fp != want {
+	if fp, want := binary.LittleEndian.Uint64(header[8:]), Fingerprint(data, tree); fp != want {
 		return nil, fmt.Errorf("ceci: index fingerprint %x does not match graph/query %x", fp, want)
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ceci: index header: %w", err)
 	}
-	if int(n) != tree.NumVertices() {
+	if n != uint64(tree.NumVertices()) {
 		return nil, fmt.Errorf("ceci: index has %d query vertices, tree has %d", n, tree.NumVertices())
 	}
-	ix := &Index{
-		Data:  data,
-		Tree:  tree.WithFilter(nil), // a loaded index is retained; it must not pin the verdict tables
-		Nodes: make([]Node, n),
-	}
-	ix.indexNTEChildren()
+	ix := newIndex(data, tree, Options{})
+	d := idReader{r: br, limit: uint64(data.NumVertices())}
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
-		if node.Cands, err = readIDs(br); err != nil {
-			return nil, fmt.Errorf("ceci: node %d cands: %w", u, err)
+		fail := func(section string, err error) (*Index, error) {
+			return nil, fmt.Errorf("ceci: index node %d %s: %w", u, section, err)
 		}
-		node.Card = make(map[graph.VertexID]int64, len(node.Cands))
-		for _, v := range node.Cands {
+		if node.Cands, err = d.ids(nil); err != nil {
+			return fail("cands", err)
+		}
+		node.cardVals = make([]int64, len(node.Cands))
+		for i := range node.cardVals {
 			c, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, err
+				return fail("card", err)
 			}
-			node.Card[v] = int64(c)
+			if c < 1 || c > CardSaturation {
+				return fail("card", fmt.Errorf("cardinality %d of candidate %d outside [1, %d]", c, node.Cands[i], int64(CardSaturation)))
+			}
+			node.cardVals[i] = int64(c)
 		}
-		if err := readCandMap(br, &node.TE); err != nil {
-			return nil, fmt.Errorf("ceci: node %d TE: %w", u, err)
+		if node.TE, err = d.candMap(); err != nil {
+			return fail("TE", err)
 		}
 		nteCount, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, err
+			return fail("NTE", err)
 		}
-		if int(nteCount) != len(node.NTE) {
-			return nil, fmt.Errorf("ceci: node %d has %d NTE maps, tree expects %d", u, nteCount, len(node.NTE))
+		if nteCount != uint64(len(node.NTE)) {
+			return fail("NTE", fmt.Errorf("%d maps, tree expects %d", nteCount, len(node.NTE)))
 		}
 		for j := range node.NTE {
-			if err := readCandMap(br, &node.NTE[j]); err != nil {
-				return nil, fmt.Errorf("ceci: node %d NTE %d: %w", u, j, err)
+			if node.NTE[j], err = d.candMap(); err != nil {
+				return fail(fmt.Sprintf("NTE %d", j), err)
 			}
 		}
 	}
-	// A loaded index goes straight to the steady state: compact it into
-	// the flat arena-backed form the enumerator reads.
-	ix.Freeze()
+	if _, err := br.ReadByte(); err == nil {
+		return nil, fmt.Errorf("ceci: index: trailing bytes after node %d", len(ix.Nodes)-1)
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("ceci: index: %w", err)
+	}
+	// Keys and values refer to candidate columns of other nodes, which the
+	// file may hold later: checked once everything is decoded.
+	for u := range ix.Nodes {
+		node := &ix.Nodes[u]
+		check := func(section string, m *CandMap, keyedBy graph.VertexID) error {
+			if i := firstOutside(m.keys, ix.Nodes[keyedBy].Cands); i >= 0 {
+				return fmt.Errorf("ceci: index node %d %s: key %d is not a candidate of query vertex %d", u, section, m.keys[i], keyedBy)
+			}
+			for i, key := range m.keys {
+				vals := m.arena[m.offs[i]:m.offs[i+1]]
+				if j := firstOutside(vals, node.Cands); j >= 0 {
+					return fmt.Errorf("ceci: index node %d %s: value %d under key %d is not a candidate", u, section, vals[j], key)
+				}
+			}
+			return nil
+		}
+		if p := tree.Parent[u]; p != order.NoParent {
+			err = check("TE", &node.TE, graph.VertexID(p))
+		} else if node.TE.Len() > 0 {
+			err = fmt.Errorf("ceci: index node %d TE: the root has %d keys", u, node.TE.Len())
+		}
+		for j := 0; j < len(node.NTE) && err == nil; j++ {
+			err = check(fmt.Sprintf("NTE %d", j), &node.NTE[j], tree.NTEParents[u][j])
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	ix.finish()
 	return ix, nil
+}
+
+// firstOutside returns the index of the first element of sub that set
+// lacks, or -1; both are sorted ascending.
+func firstOutside(sub, set []graph.VertexID) int {
+	at := 0
+	for i, x := range sub {
+		at = setops.Gallop(set, at, x)
+		if at == len(set) || set[at] != x {
+			return i
+		}
+		at++
+	}
+	return -1
 }
 
 type countingWriter struct {
@@ -171,20 +218,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func writeU64(w io.Writer, x uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], x)
-	w.Write(buf[:])
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
-}
-
 func writeUvarint(w io.Writer, x uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], x)
@@ -201,29 +234,74 @@ func writeIDs(w io.Writer, ids []graph.VertexID) {
 	}
 }
 
-func readIDs(r io.ByteReader) ([]graph.VertexID, error) {
-	n, err := binary.ReadUvarint(r)
+// idReader decodes the vertex-id sections of an index file, refusing
+// anything a well-formed index over a graph of limit vertices cannot hold
+// before allocating for it.
+type idReader struct {
+	r     *bufio.Reader
+	limit uint64 // |V|: bounds every id and every list length
+	list  []graph.VertexID
+}
+
+// ids appends one delta-encoded list to dst: at most limit ids, strictly
+// ascending, each below limit.
+func (d *idReader) ids(dst []graph.VertexID) ([]graph.VertexID, error) {
+	n, err := binary.ReadUvarint(d.r)
 	if err != nil {
 		return nil, err
 	}
-	const maxReasonable = 1 << 32
-	if n > maxReasonable {
-		return nil, fmt.Errorf("ceci: implausible list length %d", n)
+	if n > d.limit {
+		return nil, fmt.Errorf("list of %d ids, the graph has %d vertices", n, d.limit)
 	}
-	if n == 0 {
-		return nil, nil
+	if dst == nil {
+		dst = make([]graph.VertexID, 0, n)
 	}
-	out := make([]graph.VertexID, n)
-	prev := uint64(0)
-	for i := range out {
-		d, err := binary.ReadUvarint(r)
+	var prev uint64
+	for i := uint64(0); i < n; i++ {
+		delta, err := binary.ReadUvarint(d.r)
 		if err != nil {
 			return nil, err
 		}
-		prev += d
-		out[i] = graph.VertexID(prev)
+		if delta == 0 && i > 0 {
+			return nil, fmt.Errorf("id %d repeats", prev)
+		}
+		if delta >= d.limit || prev+delta >= d.limit {
+			return nil, fmt.Errorf("id past the graph's %d vertices", d.limit)
+		}
+		prev += delta
+		dst = append(dst, graph.VertexID(prev))
 	}
-	return out, nil
+	return dst, nil
+}
+
+// candMap decodes one TE or NTE structure: at most limit keys, strictly
+// ascending and below limit, each with a list as ids reads it.
+func (d *idReader) candMap() (CandMap, error) {
+	n, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return CandMap{}, err
+	}
+	if n > d.limit {
+		return CandMap{}, fmt.Errorf("%d keys, the graph has %d vertices", n, d.limit)
+	}
+	var m mapBuilder
+	m.alloc(int(n), 0)
+	for i := uint64(0); i < n; i++ {
+		key, err := binary.ReadUvarint(d.r)
+		if err != nil {
+			return CandMap{}, err
+		}
+		if key >= d.limit || i > 0 && key <= uint64(m.keys[i-1]) {
+			return CandMap{}, fmt.Errorf("key %d out of order or past the graph's %d vertices", key, d.limit)
+		}
+		if d.list, err = d.ids(d.list[:0]); err != nil {
+			return CandMap{}, fmt.Errorf("key %d: %w", key, err)
+		}
+		if err := m.append(graph.VertexID(key), d.list); err != nil {
+			return CandMap{}, err
+		}
+	}
+	return m.compact(), nil
 }
 
 func writeCandMap(w io.Writer, m *CandMap) {
@@ -232,23 +310,4 @@ func writeCandMap(w io.Writer, m *CandMap) {
 		writeUvarint(w, uint64(key))
 		writeIDs(w, vals)
 	})
-}
-
-func readCandMap(r io.ByteReader, m *CandMap) error {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		key, err := binary.ReadUvarint(r)
-		if err != nil {
-			return err
-		}
-		vals, err := readIDs(r)
-		if err != nil {
-			return err
-		}
-		m.AppendKey(graph.VertexID(key), vals)
-	}
-	return nil
 }

@@ -23,7 +23,7 @@ import (
 func LoadEdgeList(r io.Reader) (*Graph, error) {
 	b := &Builder{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1<<20) // grown on demand; a line may be up to 1 MiB
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -73,7 +73,7 @@ func LoadLabeled(r io.Reader) (*Graph, error) { return LoadLabeledMax(r, math.Ma
 func LoadLabeledMax(r io.Reader, maxVertices int64) (*Graph, error) {
 	b := &Builder{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1<<20) // grown on demand; a line may be up to 1 MiB
 	lineNo := 0
 	declaredV := int64(-1)
 	seenEdges := map[[2]uint64]int{}
@@ -181,10 +181,13 @@ func LoadFile(path string) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
+	// The loaders' scanners start small (a query is ~100 bytes); a graph
+	// file is still read a megabyte at a time.
+	r := bufio.NewReaderSize(f, 1<<20)
 	if strings.HasSuffix(path, ".lg") {
-		return LoadLabeled(f)
+		return LoadLabeled(r)
 	}
-	return LoadEdgeList(f)
+	return LoadEdgeList(r)
 }
 
 // WriteLabeled writes g in the "t/v/e" format.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -139,5 +140,43 @@ func TestLabeledValidationEdgeCases(t *testing.T) {
 		if _, err := graph.LoadLabeled(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q accepted", in)
 		}
+	}
+}
+
+// TestParsingAQueryAllocatesLittle: every /query decode — and each of the
+// four parses a routed request gets — goes through LoadLabeledMax, so the
+// scanner must not reserve its 1 MiB line limit up front. The line limit
+// itself is unchanged: a line just under it parses, one over it is an error.
+func TestParsingAQueryAllocatesLittle(t *testing.T) {
+	query, err := os.ReadFile(filepath.Join("..", "..", "testdata", "fig1_query.lg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := "0 1\n0 2\n1 2\n"
+	parse := func() {
+		if _, err := graph.LoadLabeledMax(bytes.NewReader(query), 64); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := graph.LoadEdgeList(strings.NewReader(edges)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, parse)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun calls parse once more to warm up.
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perRun >= 64<<10 {
+		t.Fatalf("parsing the Fig-1 query and a 3-edge list allocates %d bytes, want < 64 KiB", perRun)
+	}
+	t.Logf("%v allocations per parse pair", allocs)
+
+	long := "v 0 0\nv 1 0\ne 0 1\n#" + strings.Repeat("x", 1<<20-8) + "\n"
+	if _, err := graph.LoadLabeled(strings.NewReader(long)); err != nil {
+		t.Fatalf("a %d-byte line: %v", 1<<20-6, err)
+	}
+	if _, err := graph.LoadLabeled(strings.NewReader(long + strings.Repeat("x", 1<<20+1))); err == nil {
+		t.Fatal("a line over 1 MiB was accepted")
 	}
 }

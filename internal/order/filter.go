@@ -30,7 +30,7 @@ const (
 //
 // A Filter is per-query state the size of the data graph's vertex set. It
 // travels on the QueryTree Preprocess returns so that builds over the same
-// data graph reuse it; anything that outlives the build — a frozen Index,
+// data graph reuse it; anything that outlives the build — a finished Index,
 // a cached planner — holds the tree WithFilter(nil) instead.
 type Filter struct {
 	data   *graph.Graph

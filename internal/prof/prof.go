@@ -110,7 +110,7 @@ type VertexCounters struct {
 	FinalCands   atomic.Int64
 	TEEntries    atomic.Int64
 	TECandidates atomic.Int64
-	// FlatBytes is the physical footprint of the vertex's frozen flat
+	// FlatBytes is the physical footprint of the vertex's index
 	// structures — keys, offsets, arena, candidate and cardinality
 	// columns — as opposed to TEBytes' idealized Table-2 accounting.
 	FlatBytes atomic.Int64

@@ -100,7 +100,7 @@ type VertexProfile struct {
 	TEEntries    int64 `json:"te_entries"`
 	TECandidates int64 `json:"te_candidates"`
 	TEBytes      int64 `json:"te_bytes"`
-	// FlatBytes is the measured physical footprint of the frozen flat
+	// FlatBytes is the measured physical footprint of the index
 	// structures (keys + offsets + arena + candidate/cardinality
 	// columns); TEBytes/Bytes above are the paper's idealized
 	// 8-bytes-per-candidate-edge accounting.

@@ -7,7 +7,7 @@
 // construction (Section 3) is the per-query fixed cost — O(|E(g)|)
 // traversal plus refinement — while enumeration (Section 4) is the
 // variable cost. A server answering many queries against one data graph
-// amortizes the fixed cost by caching frozen indexes keyed by query
+// amortizes the fixed cost by caching built indexes keyed by query
 // isomorphism class, so a repeated (or merely relabeled) query skips
 // straight to enumeration.
 package service
@@ -22,7 +22,7 @@ import (
 	"ceci/internal/plan"
 )
 
-// entry is one cached, frozen index plus the bookkeeping required to
+// entry is one cached index plus the bookkeeping required to
 // serve isomorphic queries: invPerm maps canonical vertex positions back
 // to the stored query's vertex ids, so a hit by a permuted twin can
 // translate embeddings into the incoming query's numbering.
@@ -77,10 +77,10 @@ type CacheStats struct {
 	Rejected    int64 `json:"rejected"` // entries larger than the whole budget
 }
 
-// cache is an LRU over frozen indexes with a byte budget charged against
-// Index.PhysicalBytes (the measured footprint of the flat arena index,
-// PR 4), not an entry count: one huge query must not pin the budget
-// worth of small ones.
+// cache is an LRU over built indexes with a byte budget charged against
+// Index.PhysicalBytes (the measured footprint of the index columns), not
+// an entry count: one huge query must not pin the budget worth of small
+// ones.
 type cache struct {
 	mu     sync.Mutex
 	budget int64

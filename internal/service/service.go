@@ -50,7 +50,7 @@ type Options struct {
 	// MaxLimit caps embeddings returned per request (default 10000).
 	// Counts (CountOnly) are not capped — only materialized results.
 	MaxLimit int64
-	// CacheBytes is the index cache budget, charged against each frozen
+	// CacheBytes is the index cache budget, charged against each cached
 	// index's PhysicalBytes (default 256 MiB).
 	CacheBytes int64
 	// Workers bounds per-query enumeration parallelism (default 1: with
@@ -816,7 +816,7 @@ func queryHash(key string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// buildEntry preprocesses and builds one frozen index, inserting it into
+// buildEntry preprocesses and builds one index, inserting it into
 // the cache on success. With Options.Planner the matching order comes
 // from the cost-based planner and the winning plan is cached alongside
 // the index for later drift checks.

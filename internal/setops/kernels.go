@@ -30,7 +30,7 @@ const (
 	// bitmap (bitset.Span), then tests the larger list's overlapping
 	// range against it — one load-shift-mask per probe instead of the
 	// merge's unpredictable cursor branch. It wins on the locally
-	// clustered, moderately sparse lists a frozen CECI index produces.
+	// clustered, moderately sparse lists a CECI index produces.
 	KernelProbe
 
 	// NumKernels is the number of distinct kernels (array sizing).
@@ -73,7 +73,7 @@ const (
 
 // ChooseKernel picks the cheapest kernel for a ∩ b using only O(1)
 // statistics of the sorted inputs: the two lengths and the value spans.
-// On frozen CECI indexes these are exactly the cardinality-column stats
+// On CECI indexes these are exactly the cardinality-column stats
 // (list length) plus the first/last entries of the arena views, so the
 // per-call selection costs a handful of compares. Selection order:
 // skewed sizes gallop; dense combined spans bitset; locally clustered
@@ -158,7 +158,7 @@ func mergeCount(a, b []uint32) (n, scanned int) {
 func intersectGallop(dst, small, large []uint32) ([]uint32, int) {
 	lo := 0
 	for _, x := range small {
-		lo = gallop(large, lo, x)
+		lo = Gallop(large, lo, x)
 		if lo == len(large) {
 			break
 		}
@@ -174,7 +174,7 @@ func intersectGallop(dst, small, large []uint32) ([]uint32, int) {
 func gallopCount(small, large []uint32) (n, scanned int) {
 	lo := 0
 	for _, x := range small {
-		lo = gallop(large, lo, x)
+		lo = Gallop(large, lo, x)
 		if lo == len(large) {
 			break
 		}
@@ -186,9 +186,9 @@ func gallopCount(small, large []uint32) (n, scanned int) {
 	return n, lo + len(small)
 }
 
-// gallop returns the smallest index i >= lo with large[i] >= x, using
+// Gallop returns the smallest index i >= lo with large[i] >= x, using
 // exponential probing followed by binary search.
-func gallop(large []uint32, lo int, x uint32) int {
+func Gallop(large []uint32, lo int, x uint32) int {
 	n := len(large)
 	if lo >= n || large[lo] >= x {
 		return lo
@@ -225,11 +225,11 @@ func gallop(large []uint32, lo int, x uint32) int {
 // write) or b (the write cursor never passes the read cursor).
 func intersectProbe(dst, a, b []uint32, sp *bitset.Span) ([]uint32, int) {
 	sp.Fill(a)
-	j := gallop(b, 0, a[0])
+	j := Gallop(b, 0, a[0])
 	end := a[len(a)-1]
 	jend := len(b)
 	if end != math.MaxUint32 {
-		jend = gallop(b, j, end+1)
+		jend = Gallop(b, j, end+1)
 	}
 	for _, x := range b[j:jend] {
 		if sp.Test(x) {
@@ -242,11 +242,11 @@ func intersectProbe(dst, a, b []uint32, sp *bitset.Span) ([]uint32, int) {
 // probeCount is the counting twin of intersectProbe.
 func probeCount(a, b []uint32, sp *bitset.Span) (n, scanned int) {
 	sp.Fill(a)
-	j := gallop(b, 0, a[0])
+	j := Gallop(b, 0, a[0])
 	end := a[len(a)-1]
 	jend := len(b)
 	if end != math.MaxUint32 {
-		jend = gallop(b, j, end+1)
+		jend = Gallop(b, j, end+1)
 	}
 	for _, x := range b[j:jend] {
 		if sp.Test(x) {

@@ -6,7 +6,7 @@
 //
 // Four intersection kernels are provided and selected adaptively per
 // call from O(1) statistics of the inputs (lengths and value spans — on
-// a frozen CECI index these come straight from the flat columns):
+// a CECI index these come straight from the flat columns):
 //
 //   - KernelMerge: classic two-cursor linear merge, the wide-span
 //     fallback for similarly sized inputs;
@@ -16,7 +16,7 @@
 //     bitset.ChunkBuilder, when the inputs are dense over their span;
 //   - KernelProbe: span-offset bitmap (bitset.Span) built from the
 //     smaller list and probed by the larger, for the locally clustered,
-//     moderately sparse lists frozen CECI indexes produce.
+//     moderately sparse lists CECI indexes produce.
 //
 // All functions treat inputs as strictly increasing sequences and produce
 // strictly increasing outputs. Every kernel is bit-identical to the

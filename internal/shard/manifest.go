@@ -115,7 +115,7 @@ func LoadPart(dir string, id int) (*Partition, error) {
 		return nil, err
 	}
 	defer gf.Close()
-	g, err := graph.LoadLabeled(gf)
+	g, err := graph.LoadLabeled(bufio.NewReaderSize(gf, 1<<20)) // as graph.LoadFile reads
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
