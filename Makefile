@@ -93,7 +93,9 @@ verify:
 # crashers land under internal/setops/testdata/fuzz/; wire-parser
 # crashers (query request, query response) under
 # internal/service/testdata/fuzz/; index-file crashers under
-# internal/ceci/testdata/fuzz/.
+# internal/ceci/testdata/fuzz/; shard-manifest crashers under
+# internal/shard/testdata/fuzz/; traceparent crashers under
+# internal/obs/testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatchDifferential -fuzztime=$(FUZZTIME) ./internal/verify
@@ -103,6 +105,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectionSize -fuzztime=$(FUZZTIME) ./internal/setops
 	$(GO) test -run='^$$' -fuzz=FuzzQueryResponseDecode -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzQueryRequest -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzLoadPart -fuzztime=$(FUZZTIME) ./internal/shard
+	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) ./internal/obs
 
 # What .github/workflows/ci.yml runs: vet + build + full tests, then a
 # race pass over the concurrency-heavy packages.
@@ -119,9 +123,11 @@ serve-smoke:
 	$(GO) test -race ./internal/service
 
 # Trace a query end to end: traceparent ingress, flight recorder,
-# Chrome export, audit flush (also run raced by CI's service-smoke job).
+# Chrome export, audit flush, and a traceparent crossing real sockets
+# from the router to every shard and back into one span tree (also run
+# raced by CI's service-smoke and shard-smoke jobs).
 trace-smoke:
-	$(GO) test -race -run 'TestServeTraceAuditFlush|TestTraced|TestRunTCPConnectedSpanTree' -v ./cmd/ceciserve ./internal/service ./internal/cluster
+	$(GO) test -race -run 'TestServeTraceAuditFlush|TestTraced|TestRouterTraceStitching' -v ./cmd/ceciserve ./internal/service ./internal/shard
 
 # Planner smoke: the cost model and planner property tests raced, the
 # adaptive paths (EXPLAIN ANALYZE planner section, service drift

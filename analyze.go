@@ -39,8 +39,8 @@ type Report struct {
 // funnel of each filter (label, degree, NLC, reverse-BFS refinement,
 // cascade deletion), TE/NTE entry counts and bytes, per-NTE intersection
 // comparisons versus output sizes, the embedding-cluster cardinality
-// distribution with ExtremeCluster splits, and per-worker busy/steal/
-// idle time. opts may be nil; Options.Limit is honored (profile counters
+// distribution with ExtremeCluster splits, and per-worker busy/idle
+// time. opts may be nil; Options.Limit is honored (profile counters
 // then cover only the work actually performed).
 func ExplainAnalyze(data, query *Graph, opts *Options) (*Report, error) {
 	o := opts.normalized()

@@ -38,6 +38,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -376,14 +377,15 @@ func (m *Matcher) First(k int) [][]VertexID {
 	if k <= 0 {
 		return nil
 	}
+	var mu sync.Mutex // ForEach calls back from every worker
 	var out [][]VertexID
-	remaining := k
 	m.ForEach(func(emb []VertexID) bool {
 		cp := make([]VertexID, len(emb))
 		copy(cp, emb)
+		mu.Lock()
+		defer mu.Unlock()
 		out = append(out, cp)
-		remaining--
-		return remaining > 0
+		return len(out) < k
 	})
 	if len(out) > k {
 		out = out[:k]

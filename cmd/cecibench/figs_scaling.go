@@ -3,8 +3,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -341,48 +339,6 @@ func runFig20(cfg benchConfig) error {
 		fmt.Printf("%-9d %14v %14v %14v %7.1f%%\n",
 			m, compute.Round(time.Microsecond), io.Round(time.Microsecond),
 			comm.Round(time.Microsecond), 100*share)
-	}
-	// Measured variant: the same deployment against a real CSR file with
-	// positioned reads (internal/cluster.RunDiskShared).
-	data, err := datasets.Load(dname)
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "cecibench-fig20")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	csrPath := filepath.Join(dir, dname+".csr")
-	f, err := os.Create(csrPath)
-	if err != nil {
-		return err
-	}
-	if err := graph.WriteCSR(f, data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Println("\nmeasured (real positioned reads against a CSR file):")
-	fmt.Printf("%-9s %14s %14s %12s %12s\n", "machines", "compute", "IO (measured)", "reads", "embeddings")
-	for _, m := range []int{1, 4} {
-		res, err := cluster.RunDiskShared(csrPath, gen.QueryGraphs()["QG1"], cluster.Config{
-			Machines: m, WorkersPerMachine: 1,
-		})
-		if err != nil {
-			return err
-		}
-		var compute, io time.Duration
-		var reads int64
-		for _, l := range res.Machines {
-			compute += l.BuildCompute
-			io += l.BuildIO
-			reads += l.RemoteReads
-		}
-		fmt.Printf("%-9d %14v %14v %12d %12d\n",
-			m, compute.Round(time.Microsecond), io.Round(time.Microsecond), reads, res.Embeddings)
 	}
 	fmt.Println("\nexpected shape (paper): IO dominates the networked-storage build (up to 100x the in-memory build cost)")
 	return nil

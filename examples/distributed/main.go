@@ -1,13 +1,15 @@
-// Distributed deployment walkthrough (Section 5 of the paper): runs the
-// same query through three deployments —
+// Distributed deployment walkthrough (Section 5 of the paper): measures
+// one query's build and per-cluster enumeration costs serially, then
+// replays them through the distributed schedule (cluster.Simulation) in
+// both placement modes — printing the speedup over one machine and, at 8
+// machines, every machine's cost ledger (pivots assigned, work stolen,
+// build compute vs IO vs communication). This is what Figures 16, 17 and
+// 20 are generated from.
 //
-//  1. the measured/simulated cluster in both placement modes, printing
-//     per-machine cost ledgers (pivots assigned, work stolen, build
-//     compute vs IO vs communication) and the speedup over one machine;
-//  2. a real TCP deployment: machines pull work and steal clusters over
-//     loopback sockets (the MPI stand-in), with wire bytes measured;
-//  3. the shared-storage deployment with real file IO: one CSR file on
-//     disk, machines materializing only the regions their pivots need.
+// For real processes talking over real sockets on real partition files,
+// the deployment is the sharded fleet (internal/shard, cmd/ceciroute,
+// cmd/ceciserve): `bash scripts/shard_smoke.sh` partitions a graph into
+// three shards, boots them behind the router and sends a traced query.
 //
 // Run with:
 //
@@ -17,13 +19,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 
 	"ceci/internal/cluster"
 	"ceci/internal/datasets"
 	"ceci/internal/gen"
-	"ceci/internal/graph"
 )
 
 func main() {
@@ -69,48 +68,5 @@ func main() {
 		}
 		fmt.Println()
 	}
-
-	// A real network deployment: coordination over TCP loopback.
-	fmt.Println("== TCP transport (real sockets, measured wire traffic) ==")
-	tcpRes, err := cluster.RunTCP(data, query, cluster.Config{
-		Machines: 4, WorkersPerMachine: 2,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var msgs int64
-	for _, l := range tcpRes.Machines {
-		msgs += l.MessagesSent
-	}
-	fmt.Printf("4 machines over TCP: %d embeddings, %d steals, %d wire messages\n\n",
-		tcpRes.Embeddings, tcpRes.Steals, msgs)
-
-	// The shared-storage deployment against a real CSR file.
-	fmt.Println("== shared storage (one CSR file, real positioned reads) ==")
-	dir, err := os.MkdirTemp("", "ceci-distributed")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	csrPath := filepath.Join(dir, "data.csr")
-	f, err := os.Create(csrPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := graph.WriteCSR(f, data); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	diskRes, err := cluster.RunDiskShared(csrPath, query, cluster.Config{
-		Machines: 4, WorkersPerMachine: 2,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var reads int64
-	for _, l := range diskRes.Machines {
-		reads += l.RemoteReads
-	}
-	fmt.Printf("4 machines on shared CSR: %d embeddings, %d adjacency reads from disk\n",
-		diskRes.Embeddings, reads)
+	fmt.Println("real processes, sockets and partition files: bash scripts/shard_smoke.sh (the sharded fleet)")
 }

@@ -1,8 +1,12 @@
-// Package cluster simulates the paper's distributed CECI deployment
-// (Section 5) on a single host: machines are goroutine ensembles with
-// explicit message and IO accounting, so the distributed experiments
-// (Figures 16, 17, 20) can be reproduced without MPI or a lustre
-// filesystem.
+// Package cluster models the paper's distributed CECI deployment
+// (Section 5) on a single host, so the distributed experiments (Figures
+// 16, 17, 20) can be reproduced without MPI or a lustre filesystem.
+// Simulation measures a workload once and replays any machine
+// count/mode through workload.Replay — that is what every figure is
+// generated from; Run is the concurrent reference the tests hold it to
+// (machines as goroutine ensembles, same partitioner, same ledgers).
+// The deployment with real processes, sockets and partition files is
+// internal/shard's fleet, not this package.
 //
 // What is faithful to the paper:
 //
@@ -37,13 +41,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ceci/internal/auto"
 	"ceci/internal/ceci"
 	"ceci/internal/enum"
 	"ceci/internal/graph"
-	"ceci/internal/obs"
 	"ceci/internal/order"
-	"ceci/internal/prof"
 	"ceci/internal/stats"
 	"ceci/internal/workload"
 )
@@ -91,42 +92,6 @@ type Config struct {
 	JaccardTopK int
 	// Beta is the FGD ExtremeCluster threshold within each machine.
 	Beta float64
-	// Stats receives global counters (may be nil). Steal attempts,
-	// embeddings, remote reads, and (TCP mode) wire bytes and message
-	// counts are added live as machines progress, so an attached
-	// telemetry endpoint sees them mid-run.
-	Stats *stats.Counters
-	// Tracer records per-machine build/enumerate spans (may be nil).
-	Tracer *obs.Tracer
-	// Profile receives the EXPLAIN ANALYZE accounting (may be nil): the
-	// filter funnel of every machine's build, enumeration intersection
-	// costs, per-machine cluster cardinalities, and one worker slot per
-	// machine filled from its ledger (busy = enumerate wall time,
-	// units = clusters executed, steals = clusters stolen).
-	Profile *prof.Collector
-	// Obs, when non-nil, is wired to the run: Stats become its counter
-	// set, the tracer is attached, and a "cluster" gauge source exposes
-	// per-machine pending-queue depth (and, in TCP mode, stolen-cluster
-	// counts) for mid-run scraping.
-	Obs *obs.Registry
-}
-
-// wireObs connects the registry to this run's stats/tracer, creating a
-// counter set when the caller supplied neither.
-func (c *Config) wireObs() {
-	if c.Obs == nil {
-		return
-	}
-	if existing := c.Obs.Counters(); c.Stats == nil && existing != nil {
-		c.Stats = existing
-	}
-	if c.Stats == nil {
-		c.Stats = &stats.Counters{}
-	}
-	c.Obs.SetCounters(c.Stats)
-	if c.Tracer != nil {
-		c.Obs.SetTracer(c.Tracer)
-	}
 }
 
 func (c *Config) defaults() error {
@@ -181,7 +146,8 @@ type Result struct {
 	Steals int64
 }
 
-// Run executes the distributed subgraph listing simulation.
+// Run executes the distributed subgraph listing concurrently: one
+// goroutine ensemble per machine, real builds, real stealing.
 func Run(data, query *graph.Graph, cfg Config) (*Result, error) {
 	return RunCtx(context.Background(), data, query, cfg)
 }
@@ -199,19 +165,10 @@ func RunCtx(ctx context.Context, data, query *graph.Graph, cfg Config) (*Result,
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	cfg.wireObs()
-	// StartUnder joins the request's trace when the context carries an
-	// ambient span or trace context (service queries); a bare Run stays a
-	// local root span.
-	runSpan := obs.StartUnder(ctx, cfg.Tracer, "cluster-run",
-		obs.Int("machines", int64(cfg.Machines)),
-		obs.String("mode", cfg.Mode.String()))
-	defer runSpan.End()
 	tree, err := order.Preprocess(data, query, order.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
-	cons := auto.Compute(query)
 
 	// Coordinator: collect pivots and distribute them by the §5
 	// light-weight workload estimate.
@@ -227,24 +184,11 @@ func RunCtx(ctx context.Context, data, query *graph.Graph, cfg Config) (*Result,
 			cfg:    &cfg,
 			data:   data,
 			tree:   tree,
-			cons:   cons,
 			ledger: &res.Machines[i],
-			span:   runSpan.Child("machine", obs.Int("id", int64(i))),
 		}
 	}
 	// Shared steal registry: pending (machine, pivot-queue) state.
 	reg := &stealRegistry{queues: make([]pivotQueue, cfg.Machines)}
-	if cfg.Obs != nil {
-		// Per-machine pending-queue depth, scrapeable mid-run.
-		cfg.Obs.SetSource("cluster", func() map[string]int64 {
-			out := make(map[string]int64, len(reg.queues)+1)
-			out["machines"] = int64(len(reg.queues))
-			for i := range reg.queues {
-				out[fmt.Sprintf("machine_%d_pending", i)] = int64(reg.queues[i].size())
-			}
-			return out
-		})
-	}
 	for i, p := range parts {
 		reg.queues[i].pivots = p
 		res.Machines[i].Pivots = len(p)
@@ -253,8 +197,6 @@ func RunCtx(ctx context.Context, data, query *graph.Graph, cfg Config) (*Result,
 			time.Duration(float64(len(p)*4)/cfg.BytesPerSecond*float64(time.Second))
 		res.Machines[i].MessagesSent++
 	}
-
-	cfg.Profile.EnsureWorkers(cfg.Machines)
 
 	var total atomic.Int64
 	var steals atomic.Int64
@@ -281,9 +223,6 @@ func RunCtx(ctx context.Context, data, query *graph.Graph, cfg Config) (*Result,
 			res.Makespan = t
 		}
 	}
-	cfg.Profile.AddEnumWall(res.Makespan)
-	// Embeddings, steals, and remote reads were added to cfg.Stats live,
-	// per pivot/steal, inside machine.run.
 	if err := ctx.Err(); err != nil {
 		return res, context.Cause(ctx)
 	}
@@ -352,20 +291,14 @@ type machine struct {
 	cfg    *Config
 	data   *graph.Graph
 	tree   *order.QueryTree
-	cons   *auto.Constraints
 	ledger *Ledger
-	span   *obs.Span
 }
 
 func (m *machine) run(reg *stealRegistry, total *atomic.Int64, steals *atomic.Int64) {
-	defer m.span.End()
 	q := &reg.queues[m.id]
 
 	// Phase 1: build the local CECI over this machine's pivot partition.
-	// The build opens its own span (with expand/refine children); parenting
-	// it under this machine's span via the context keeps one tree.
 	st := &stats.Counters{}
-	buildCtx := obs.ContextWithSpan(obs.DetachTrace(m.ctx), m.span)
 	start := time.Now()
 	q.mu.Lock()
 	myPivots := append([]graph.VertexID(nil), q.pivots...)
@@ -373,11 +306,10 @@ func (m *machine) run(reg *stealRegistry, total *atomic.Int64, steals *atomic.In
 	var ix *ceci.Index
 	if len(myPivots) > 0 {
 		var err error
-		ix, err = ceci.BuildCtx(buildCtx, m.data, m.tree, ceci.Options{
+		ix, err = ceci.BuildCtx(m.ctx, m.data, m.tree, ceci.Options{
 			Workers: m.cfg.WorkersPerMachine,
 			Pivots:  myPivots,
 			Stats:   st,
-			Profile: m.cfg.Profile,
 		})
 		if err != nil {
 			// Cancelled mid-build: this machine contributes nothing; the
@@ -385,22 +317,8 @@ func (m *machine) run(reg *stealRegistry, total *atomic.Int64, steals *atomic.In
 			ix = nil
 		}
 	}
-	if p := m.cfg.Profile; p != nil && ix != nil {
-		// The per-pivot inner matchers charge only the per-vertex
-		// enumeration funnel (their worker IDs would collide across
-		// machines); this machine's cluster cardinalities and ledger are
-		// recorded here instead.
-		cards := make([]int64, len(myPivots))
-		for i, pv := range myPivots {
-			cards[i] = ix.ClusterCardinality(pv)
-		}
-		p.RecordClusters(workload.FGD.String(), cards, cards)
-	}
 	m.ledger.BuildCompute = time.Since(start)
 	m.ledger.RemoteReads = st.RemoteReads.Load()
-	if g := m.cfg.Stats; g != nil {
-		g.RemoteReads.Add(m.ledger.RemoteReads)
-	}
 
 	switch m.cfg.Mode {
 	case SharedStorage:
@@ -416,40 +334,20 @@ func (m *machine) run(reg *stealRegistry, total *atomic.Int64, steals *atomic.In
 	q.index = ix
 	q.mu.Unlock()
 
-	// Phase 2: enumerate local clusters, then steal. The per-pivot inner
-	// matchers run under a detached context — one "enumerate" span per
-	// pivot would flood the trace — so this wrapper span is the phase's
-	// representation in the tree.
-	esp := m.span.Child("enumerate")
-	defer esp.End()
-	pivotCtx := obs.DetachTrace(m.ctx)
+	// Phase 2: enumerate local clusters, then steal.
 	enumStart := time.Now()
-	var found, executed int64
-	var funnel *prof.Collector
+	var found int64
 	runPivot := func(ix *ceci.Index, pivot graph.VertexID) {
-		executed++
-		sub := restrictIndex(ix, pivot)
-		if funnel == nil {
-			// An index exists, so its build has sized the profile.
-			funnel = m.cfg.Profile.EnumFunnel()
-		}
-		matcher := enum.NewMatcher(sub, enum.Options{
+		matcher := enum.NewMatcher(restrictIndex(ix, pivot), enum.Options{
 			Workers:  m.cfg.WorkersPerMachine,
 			Strategy: workload.FGD,
 			Beta:     m.cfg.Beta,
-			Profile:  funnel,
 		})
-		n, _ := matcher.CountCtx(pivotCtx)
+		n, _ := matcher.CountCtx(m.ctx)
 		found += n
-		// Live accounting: the totals and global counters advance per
-		// cluster, not at machine exit, so telemetry tracks the run.
 		total.Add(n)
-		m.cfg.Stats.AddEmbeddings(n)
 	}
-	for {
-		if m.ctx.Err() != nil {
-			break
-		}
+	for m.ctx.Err() == nil {
 		pivot, ok := q.pop()
 		if !ok {
 			break
@@ -482,14 +380,10 @@ func (m *machine) run(reg *stealRegistry, total *atomic.Int64, steals *atomic.In
 		m.ledger.MessagesSent++
 		m.ledger.Stolen++
 		steals.Add(1)
-		if g := m.cfg.Stats; g != nil {
-			g.StealAttempts.Add(1)
-		}
 		runPivot(vix, pivot)
 	}
 	m.ledger.Enumerate = time.Since(enumStart)
 	m.ledger.Embeddings = found
-	m.cfg.Profile.RecordWorker(m.id, m.ledger.Enumerate, executed, int64(m.ledger.Stolen))
 }
 
 // restrictIndex views ix through a single pivot without copying: the

@@ -23,13 +23,10 @@ import (
 // implementation, cross-checked against the simulation for identical
 // embedding counts.
 type Simulation struct {
-	data  *graph.Graph
-	query *graph.Graph
-	tree  *order.QueryTree
+	data *graph.Graph
 
-	pivots      []graph.VertexID
-	clusterCost map[graph.VertexID]time.Duration
-	clusterEmb  map[graph.VertexID]int64
+	pivots   []graph.VertexID
+	clusters map[graph.VertexID]workload.ReplayUnit // measured cost and embeddings per pivot
 
 	buildCompute time.Duration // serial build of the full index
 	remoteReads  int64         // adjacency fetches during that build
@@ -44,11 +41,8 @@ func NewSimulation(data, query *graph.Graph) (*Simulation, error) {
 		return nil, err
 	}
 	s := &Simulation{
-		data:        data,
-		query:       query,
-		tree:        tree,
-		clusterCost: make(map[graph.VertexID]time.Duration),
-		clusterEmb:  make(map[graph.VertexID]int64),
+		data:     data,
+		clusters: make(map[graph.VertexID]workload.ReplayUnit),
 	}
 	st := &stats.Counters{}
 	start := time.Now()
@@ -60,9 +54,7 @@ func NewSimulation(data, query *graph.Graph) (*Simulation, error) {
 	// Per-cluster measured costs: one searcher reused across clusters.
 	m := enum.NewMatcher(ix, enum.Options{Workers: 1, Strategy: workload.CGD})
 	for _, c := range m.MeasureUnits() {
-		pivot := c.Unit.Prefix[0]
-		s.clusterCost[pivot] = c.Duration
-		s.clusterEmb[pivot] = c.Embeddings
+		s.clusters[c.Unit.Prefix[0]] = workload.ReplayUnit{Cost: c.Duration, Embeddings: c.Embeddings}
 		s.total += c.Embeddings
 	}
 	return s, nil
@@ -79,12 +71,16 @@ func (s *Simulation) Run(cfg Config) (*Result, error) {
 	parts := distributePivots(s.data, s.pivots, cfg)
 	res := &Result{Machines: make([]Ledger, cfg.Machines)}
 
-	type clusterCost struct {
-		pivot graph.VertexID
-		cost  time.Duration
-		embs  int64
+	sched := workload.Schedule{
+		Queues: make([][]workload.ReplayUnit, cfg.Machines),
+		Start:  make([]time.Duration, cfg.Machines),
+		// A machine with W workers is a server of speed W (per-cluster FGD
+		// decomposition makes clusters divisible in the real system, so the
+		// fluid approximation is close).
+		Speed:        float64(cfg.WorkersPerMachine),
+		Steal:        true,
+		StealLatency: cfg.MessageLatency,
 	}
-	queues := make([][]clusterCost, cfg.Machines)
 	totalPivots := len(s.pivots)
 	for i, part := range parts {
 		led := &res.Machines[i]
@@ -92,86 +88,41 @@ func (s *Simulation) Run(cfg Config) (*Result, error) {
 		led.Comm += cfg.MessageLatency +
 			time.Duration(float64(len(part)*4)/cfg.BytesPerSecond*float64(time.Second))
 		led.MessagesSent++
-		if len(part) == 0 {
-			continue
+		if len(part) > 0 {
+			// Each machine builds a CECI restricted to its pivot share; the
+			// frontier work — and hence compute and remote reads — scales
+			// with that share (the paper's light-weight balancing targets
+			// exactly this proportionality).
+			share := float64(len(part)) / float64(totalPivots)
+			led.BuildCompute = time.Duration(share * float64(s.buildCompute))
+			led.RemoteReads = int64(share * float64(s.remoteReads))
+			switch cfg.Mode {
+			case SharedStorage:
+				led.BuildIO = time.Duration(led.RemoteReads) * cfg.RemoteReadLatency
+			case Replicated:
+				led.BuildIO = time.Duration(float64(s.data.BytesEstimate()) /
+					cfg.BytesPerSecond * float64(time.Second))
+			}
+			q := make([]workload.ReplayUnit, len(part))
+			for j, p := range part {
+				q[j] = s.clusters[p]
+			}
+			// Big clusters first, as the real work pool orders them.
+			sort.Slice(q, func(a, b int) bool { return q[a].Cost > q[b].Cost })
+			sched.Queues[i] = q
 		}
-		// Each machine builds a CECI restricted to its pivot share; the
-		// frontier work — and hence compute and remote reads — scales
-		// with that share (the paper's light-weight balancing targets
-		// exactly this proportionality).
-		share := float64(len(part)) / float64(totalPivots)
-		led.BuildCompute = time.Duration(share * float64(s.buildCompute))
-		led.RemoteReads = int64(share * float64(s.remoteReads))
-		switch cfg.Mode {
-		case SharedStorage:
-			led.BuildIO = time.Duration(led.RemoteReads) * cfg.RemoteReadLatency
-		case Replicated:
-			led.BuildIO = time.Duration(float64(s.data.BytesEstimate()) /
-				cfg.BytesPerSecond * float64(time.Second))
-		}
-		for _, p := range part {
-			queues[i] = append(queues[i], clusterCost{p, s.clusterCost[p], s.clusterEmb[p]})
-		}
-		// Big clusters first, as the real work pool orders them.
-		sort.Slice(queues[i], func(a, b int) bool {
-			return queues[i][a].cost > queues[i][b].cost
-		})
+		sched.Start[i] = led.BuildCompute + led.BuildIO + led.Comm
 	}
 
-	// Discrete-event replay with work stealing. A machine with W workers
-	// is modeled as a server of speed W (per-cluster FGD decomposition
-	// makes clusters divisible in the real system, so the fluid
-	// approximation is close).
-	speed := float64(cfg.WorkersPerMachine)
-	clock := make([]time.Duration, cfg.Machines)
-	enumTime := make([]time.Duration, cfg.Machines)
-	for i := range clock {
-		clock[i] = res.Machines[i].BuildCompute + res.Machines[i].BuildIO + res.Machines[i].Comm
-	}
-	active := cfg.Machines
-	done := make([]bool, cfg.Machines)
-	for active > 0 {
-		m := -1
-		for i := 0; i < cfg.Machines; i++ {
-			if !done[i] && (m < 0 || clock[i] < clock[m]) {
-				m = i
-			}
-		}
-		if len(queues[m]) > 0 {
-			c := queues[m][0]
-			queues[m] = queues[m][1:]
-			d := time.Duration(float64(c.cost) / speed)
-			clock[m] += d
-			enumTime[m] += d
-			res.Machines[m].Embeddings += c.embs
-			continue
-		}
-		// Steal from the victim with the most unexplored clusters.
-		victim, best := -1, 0
-		for i := 0; i < cfg.Machines; i++ {
-			if i != m && len(queues[i]) > best {
-				victim, best = i, len(queues[i])
-			}
-		}
-		if victim < 0 {
-			done[m] = true
-			active--
-			continue
-		}
-		c := queues[victim][0]
-		queues[victim] = queues[victim][1:]
-		res.Machines[m].Stolen++
-		res.Machines[m].MessagesSent++
-		res.Steals++
-		d := time.Duration(float64(c.cost) / speed)
-		clock[m] += cfg.MessageLatency + d
-		enumTime[m] += d
-		res.Machines[m].Embeddings += c.embs
-		res.Machines[m].Comm += cfg.MessageLatency
-	}
-	for i := range res.Machines {
-		res.Machines[i].Enumerate = enumTime[i]
-		if t := res.Machines[i].Total(); t > res.Makespan {
+	for i, m := range workload.Replay(sched) {
+		led := &res.Machines[i]
+		led.Enumerate = m.Busy
+		led.Embeddings = m.Embeddings
+		led.Stolen = m.Stolen
+		led.MessagesSent += int64(m.Stolen)
+		led.Comm += time.Duration(m.Stolen) * cfg.MessageLatency
+		res.Steals += int64(m.Stolen)
+		if t := led.Total(); t > res.Makespan {
 			res.Makespan = t
 		}
 	}

@@ -54,7 +54,7 @@ type Options struct {
 	Progress *obs.Reporter
 	// Profile receives the EXPLAIN ANALYZE accounting: the per-vertex
 	// enumeration funnel, cluster/unit cardinality distributions and
-	// per-worker busy/unit/steal totals (may be nil). Attach the same
+	// per-worker busy/unit totals (may be nil). Attach the same
 	// collector to the build options to also capture the filter funnel
 	// and index shape.
 	Profile *prof.Collector
@@ -191,6 +191,7 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 		defer rep.Stop()
 	}
 	if len(units) == 0 {
+		first.drain(false, 0, 0) // decomposition may have proved every cluster a dead end
 		return
 	}
 	workers := m.opts.Workers

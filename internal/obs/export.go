@@ -34,11 +34,11 @@ type chromeDoc struct {
 // ChromeTrace renders a span forest as Chrome trace_event JSON, loadable
 // in chrome://tracing and Perfetto. Spans become complete ("X") events;
 // the span's trace identity and attributes land in args. Thread IDs are
-// chosen so concurrent subtrees get their own rows: a "machine" span
-// (distributed runs) opens a lane per machine, a "cluster" span with a
-// "worker" attribute opens a lane per enumeration worker, and everything
-// else inherits its parent's lane — within one lane spans are
-// sequential, so the viewer's time-based nesting reconstructs the tree.
+// chosen so concurrent subtrees get their own rows: a "cluster" span
+// with a "worker" attribute opens a lane per enumeration worker, and
+// everything else inherits its parent's lane — within one lane spans
+// are sequential, so the viewer's time-based nesting reconstructs the
+// tree.
 func ChromeTrace(nodes []*SpanNode) ([]byte, error) {
 	doc := chromeDoc{
 		TraceEvents: chromeEvents(nodes),
@@ -86,15 +86,10 @@ func chromeEvents(nodes []*SpanNode) []chromeEvent {
 	return events
 }
 
-// laneFor assigns the Chrome thread lane: machines and per-worker
-// cluster spans get their own lanes so concurrent siblings do not
-// overlap on one row; everything else stays on the parent's lane.
+// laneFor assigns the Chrome thread lane: per-worker cluster spans get
+// their own lanes so concurrent siblings do not overlap on one row;
+// everything else stays on the parent's lane.
 func laneFor(n *SpanNode, inherited int64) int64 {
-	if n.Name == "machine" {
-		if id, err := strconv.ParseInt(n.Attrs["id"], 10, 64); err == nil {
-			return 1000 * (id + 1)
-		}
-	}
 	if w, ok := n.Attrs["worker"]; ok {
 		if id, err := strconv.ParseInt(w, 10, 64); err == nil {
 			return inherited + id + 1

@@ -8,7 +8,7 @@
 // Algorithms 1–2), TE/NTE entry counts and bytes, per-NTE set-
 // intersection comparisons versus output size (Section 4.1, Lemma 2),
 // the cluster-cardinality distribution that drives ST/CGD/FGD balancing
-// (Section 4.3, Algorithm 3), and per-worker busy/steal/idle time.
+// (Section 4.3, Algorithm 3), and per-worker busy/idle time.
 //
 // A nil *Collector turns every method into a no-op, and every hot-path
 // call site guards with a single nil check, so profiling disabled costs
@@ -52,25 +52,6 @@ func New() *Collector {
 		clusterCard: obs.NewHistogram(obs.SizeBuckets()),
 		enumOutput:  obs.NewHistogram(obs.SizeBuckets()),
 	}
-}
-
-// EnumFunnel returns a collector that shares c's per-vertex counters and
-// candidate-size histogram but keeps cluster, worker and wall-time
-// records to itself. The distributed runtime hands it to its per-pivot
-// matchers, whose enumeration funnel belongs in the run's profile while
-// their worker ids (colliding across machines) and unit lists do not.
-// Call after InitQuery; nil-safe.
-func (c *Collector) EnumFunnel() *Collector {
-	if c == nil {
-		return nil
-	}
-	sub := New()
-	c.mu.Lock()
-	sub.vertices = c.vertices
-	c.mu.Unlock()
-	sub.enumOutput = c.enumOutput
-	sub.initialized.Store(true)
-	return sub
 }
 
 // Histograms exposes the collector's histograms for registration on an
@@ -165,7 +146,6 @@ type NTECounters struct {
 type workerSlot struct {
 	busyNS atomic.Int64
 	units  atomic.Int64
-	steals atomic.Int64
 }
 
 // InitQuery sizes the per-vertex state for a query of n vertices whose
@@ -247,27 +227,6 @@ func (c *Collector) WorkerUnit(id int, d time.Duration) {
 	w.busyNS.Add(int64(d))
 	w.units.Add(1)
 	c.unitSeconds.ObserveDuration(d)
-}
-
-// RecordWorker charges busy time, unit count, and steal count to worker
-// id in one call. The distributed mode uses this — it accounts per
-// machine from the cost ledger at machine exit instead of per unit.
-func (c *Collector) RecordWorker(id int, busy time.Duration, units, steals int64) {
-	if c == nil || id < 0 || id >= len(c.workers) {
-		return
-	}
-	w := &c.workers[id]
-	w.busyNS.Add(int64(busy))
-	w.units.Add(units)
-	w.steals.Add(steals)
-}
-
-// WorkerSteals charges n work-steal transfers to worker id.
-func (c *Collector) WorkerSteals(id int, n int64) {
-	if c == nil || id < 0 || id >= len(c.workers) {
-		return
-	}
-	c.workers[id].steals.Add(n)
 }
 
 // ObserveEnumOutput feeds the candidate-list-size histogram with one

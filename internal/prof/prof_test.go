@@ -25,7 +25,6 @@ func TestCollectorNilSafe(t *testing.T) {
 	c.RecordClusters("ST", []int64{1}, []int64{1})
 	c.EnsureWorkers(4)
 	c.WorkerUnit(0, time.Second)
-	c.WorkerSteals(0, 1)
 	c.ObserveEnumOutput(5)
 	c.AddEnumWall(time.Second)
 	if c.Histograms() != nil {
@@ -118,7 +117,6 @@ func TestClustersAndWorkers(t *testing.T) {
 	c.WorkerUnit(0, 30*time.Millisecond)
 	c.WorkerUnit(0, 30*time.Millisecond)
 	c.WorkerUnit(1, 20*time.Millisecond)
-	c.WorkerSteals(1, 3)
 	c.AddEnumWall(80 * time.Millisecond)
 
 	p := c.Snapshot()
@@ -140,9 +138,6 @@ func TestClustersAndWorkers(t *testing.T) {
 	}
 	if w0.Idle != 20*time.Millisecond || w1.Idle != 60*time.Millisecond {
 		t.Fatalf("idle = %v/%v", w0.Idle, w1.Idle)
-	}
-	if w1.Steals != 3 {
-		t.Fatalf("steals = %d", w1.Steals)
 	}
 	if h := p.Histograms["cluster_cardinality"]; h.Count != 3 {
 		t.Fatalf("cluster histogram count = %d, want 3 (pivots only)", h.Count)

@@ -167,14 +167,12 @@ type ClusterProfile struct {
 	ExtremeSplits int  `json:"extreme_splits"` // units beyond the pivot count
 }
 
-// WorkerProfile is one worker's (or, in the distributed mode, one
-// machine's) share of the enumeration.
+// WorkerProfile is one worker's share of the enumeration.
 type WorkerProfile struct {
 	Worker int           `json:"worker"`
 	Busy   time.Duration `json:"busy_ns"`
 	Idle   time.Duration `json:"idle_ns"`
 	Units  int64         `json:"units"`
-	Steals int64         `json:"steals,omitempty"`
 }
 
 // Phase is one named span total from the tracer.
@@ -271,7 +269,6 @@ func (c *Collector) Snapshot() Profile {
 			Busy:   busy,
 			Idle:   idle,
 			Units:  w.units.Load(),
-			Steals: w.steals.Load(),
 		})
 	}
 

@@ -151,16 +151,16 @@ func (p Profile) Text() string {
 
 	if len(p.Workers) > 0 {
 		b.WriteString("\n== workers ==\n")
-		fmt.Fprintf(&b, "%6s %12s %12s %8s %8s %8s\n",
-			"worker", "busy", "idle", "util", "units", "steals")
+		fmt.Fprintf(&b, "%6s %12s %12s %8s %8s\n",
+			"worker", "busy", "idle", "util", "units")
 		for _, w := range p.Workers {
 			util := "-"
 			if total := w.Busy + w.Idle; total > 0 {
 				util = fmt.Sprintf("%.0f%%", 100*float64(w.Busy)/float64(total))
 			}
-			fmt.Fprintf(&b, "%6d %12v %12v %8s %8d %8d\n",
+			fmt.Fprintf(&b, "%6d %12v %12v %8s %8d\n",
 				w.Worker, w.Busy.Round(time.Microsecond), w.Idle.Round(time.Microsecond),
-				util, w.Units, w.Steals)
+				util, w.Units)
 		}
 	}
 

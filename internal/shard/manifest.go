@@ -24,8 +24,8 @@ type Manifest struct {
 	Parts   []Part `json:"parts"`
 }
 
-// Source records the shape of the graph that was partitioned, so a
-// shard can refuse a manifest cut from a different graph than expected.
+// Source records the shape of the graph that was partitioned, so
+// LoadPart can refuse a vertex map that points outside it.
 type Source struct {
 	Vertices int `json:"vertices"`
 	Edges    int `json:"edges"`
@@ -83,7 +83,9 @@ func Save(dir string, source *graph.Graph, parts []*Partition, jaccard bool) (*M
 	return m, nil
 }
 
-// LoadManifest reads dir/manifest.json.
+// LoadManifest reads and validates dir/manifest.json: a positive shard
+// count matching the part list, a non-negative radius, and part file
+// names that stay inside dir.
 func LoadManifest(dir string) (*Manifest, error) {
 	b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -93,14 +95,31 @@ func LoadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(b, m); err != nil {
 		return nil, fmt.Errorf("shard: manifest: %w", err)
 	}
+	if m.Shards < 1 {
+		return nil, fmt.Errorf("shard: manifest field \"shards\" is %d, want at least 1", m.Shards)
+	}
 	if m.Shards != len(m.Parts) {
 		return nil, fmt.Errorf("shard: manifest declares %d shards but lists %d parts", m.Shards, len(m.Parts))
+	}
+	if m.Radius < 0 {
+		return nil, fmt.Errorf("shard: manifest field \"radius\" is %d, want at least 0", m.Radius)
+	}
+	for id, part := range m.Parts {
+		if !filepath.IsLocal(part.Graph) {
+			return nil, fmt.Errorf("shard %d: manifest field \"graph\" is %q, not a file inside the manifest directory", id, part.Graph)
+		}
+		if !filepath.IsLocal(part.Map) {
+			return nil, fmt.Errorf("shard %d: manifest field \"map\" is %q, not a file inside the manifest directory", id, part.Map)
+		}
 	}
 	return m, nil
 }
 
 // LoadPart reads shard id's subgraph and vertex map from a manifest
-// directory.
+// directory and refuses files that are not the ones the manifest
+// describes: the map's vertex and owned counts and the graph's vertex
+// and edge counts must equal the part's declared ones, and every global
+// id must exist in the source graph.
 func LoadPart(dir string, id int) (*Partition, error) {
 	m, err := LoadManifest(dir)
 	if err != nil {
@@ -110,18 +129,39 @@ func LoadPart(dir string, id int) (*Partition, error) {
 		return nil, fmt.Errorf("shard: id %d out of range [0,%d)", id, len(m.Parts))
 	}
 	part := m.Parts[id]
+	mismatch := func(field string, declared int, file string, found int) error {
+		return fmt.Errorf("shard %d: manifest field %q is %d but %s has %d", id, field, declared, file, found)
+	}
+	globals, ownedLocals, err := readMapFile(filepath.Join(dir, part.Map))
+	if err != nil {
+		return nil, fmt.Errorf("shard %d: %w", id, err)
+	}
+	if len(globals) != part.Vertices {
+		return nil, mismatch("vertices", part.Vertices, part.Map, len(globals))
+	}
+	if len(ownedLocals) != part.Owned {
+		return nil, mismatch("owned", part.Owned, part.Map, len(ownedLocals))
+	}
+	if last := globals[len(globals)-1]; int64(last) >= int64(m.Source.Vertices) {
+		return nil, fmt.Errorf("shard %d: %s maps to global vertex %d but manifest field \"source.vertices\" is %d",
+			id, part.Map, last, m.Source.Vertices)
+	}
 	gf, err := os.Open(filepath.Join(dir, part.Graph))
 	if err != nil {
 		return nil, err
 	}
 	defer gf.Close()
-	g, err := graph.LoadLabeled(bufio.NewReaderSize(gf, 1<<20)) // as graph.LoadFile reads
+	// The map has a line per vertex, so bounding ids by it keeps what the
+	// loader allocates proportional to the files, whatever they say.
+	g, err := graph.LoadLabeledMax(bufio.NewReaderSize(gf, 1<<20), int64(len(globals))) // buffered as graph.LoadFile reads
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
-	globals, ownedLocals, err := readMapFile(filepath.Join(dir, part.Map), g.NumVertices())
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", id, err)
+	if g.NumVertices() != part.Vertices {
+		return nil, mismatch("vertices", part.Vertices, part.Graph, g.NumVertices())
+	}
+	if g.NumEdges() != part.Edges {
+		return nil, mismatch("edges", part.Edges, part.Graph, g.NumEdges())
 	}
 	return &Partition{
 		ID:          id,
@@ -169,7 +209,7 @@ func writeMapFile(path string, p *Partition) error {
 	return f.Close()
 }
 
-func readMapFile(path string, vertices int) ([]graph.VertexID, []graph.VertexID, error) {
+func readMapFile(path string) ([]graph.VertexID, []graph.VertexID, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -207,9 +247,6 @@ func readMapFile(path string, vertices int) ([]graph.VertexID, []graph.VertexID,
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
-	}
-	if len(globals) != vertices {
-		return nil, nil, fmt.Errorf("map lists %d vertices but graph has %d", len(globals), vertices)
 	}
 	if len(ownedLocals) == 0 {
 		return nil, nil, fmt.Errorf("map declares no owned vertices")

@@ -1,6 +1,10 @@
 package shard
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ceci/internal/gen"
@@ -199,5 +203,59 @@ func TestManifestRoundTrip(t *testing.T) {
 	// Out-of-range part ids are rejected.
 	if _, err := LoadPart(dir, 3); err == nil {
 		t.Error("part 3 of a 3-shard manifest should error")
+	}
+}
+
+// TestLoadPartRejectsUntrustedManifest: the manifest is input — file
+// names must stay inside its directory, the header must be sane, and the
+// counts it declares must be the counts of the files it points at. Every
+// refusal names the shard and the offending field.
+func TestLoadPartRejectsUntrustedManifest(t *testing.T) {
+	data := testGraph()
+	parts, err := Split(data, PartitionOptions{Shards: 3, Radius: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = 1
+	cases := []struct {
+		name   string
+		mutate func(m *Manifest)
+		want   []string // substrings of the error
+	}{
+		{"graph name escapes", func(m *Manifest) { m.Parts[id].Graph = "../../x" }, []string{"shard 1", `"graph"`}},
+		{"map name absolute", func(m *Manifest) { m.Parts[id].Map = "/etc/passwd" }, []string{"shard 1", `"map"`}},
+		{"graph name empty", func(m *Manifest) { m.Parts[id].Graph = "" }, []string{"shard 1", `"graph"`}},
+		{"vertices", func(m *Manifest) { m.Parts[id].Vertices++ }, []string{"shard 1", `"vertices"`}},
+		{"edges", func(m *Manifest) { m.Parts[id].Edges-- }, []string{"shard 1", `"edges"`}},
+		{"owned", func(m *Manifest) { m.Parts[id].Owned++ }, []string{"shard 1", `"owned"`}},
+		{"source smaller than the ids mapped", func(m *Manifest) { m.Source.Vertices = 10 }, []string{"shard 1", `"source.vertices"`}},
+		{"negative radius", func(m *Manifest) { m.Radius = -1 }, []string{`"radius"`}},
+		{"zero shards", func(m *Manifest) { m.Shards, m.Parts = 0, nil }, []string{`"shards"`}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := Save(dir, data, parts, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(m)
+			mb, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "manifest.json"), mb, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			p, err := LoadPart(dir, id)
+			if err == nil {
+				t.Fatalf("loaded %d vertices from a manifest that should be refused", p.Graph.NumVertices())
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %s", err, want)
+				}
+			}
+		})
 	}
 }

@@ -33,9 +33,6 @@ type Counters struct {
 	FilteredRefine    atomic.Int64 // dropped by reverse-BFS refinement
 	IndexBytes        atomic.Int64
 	PageLoads         atomic.Int64 // dualsim: slotted page loads
-	StealAttempts     atomic.Int64 // cluster: work-steal RPCs
-	MessagesSent      atomic.Int64
-	BytesOnWire       atomic.Int64
 	RemoteReads       atomic.Int64 // shared-storage graph accesses
 	UnitsScheduled    atomic.Int64 // work units handed to enumeration workers
 	ExtremeSplits     atomic.Int64 // extra units from ExtremeCluster decomposition (Alg. 3)
@@ -93,7 +90,7 @@ func (c *Counters) Snapshot() map[string]int64 {
 
 // SnakeCase converts a Go field name to its snapshot key: word
 // boundaries become underscores and acronym runs stay together
-// ("BytesOnWire" → "bytes_on_wire", "FilteredNLC" → "filtered_nlc").
+// ("RemoteReads" → "remote_reads", "FilteredNLC" → "filtered_nlc").
 func SnakeCase(name string) string {
 	var b strings.Builder
 	runes := []rune(name)

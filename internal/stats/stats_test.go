@@ -81,7 +81,7 @@ func TestSnakeCase(t *testing.T) {
 		"RecursiveCalls": "recursive_calls",
 		"Embeddings":     "embeddings",
 		"FilteredNLC":    "filtered_nlc",
-		"BytesOnWire":    "bytes_on_wire",
+		"ReadsOnDisk":    "reads_on_disk",
 		"PageLoads":      "page_loads",
 		"NLCFilter":      "nlc_filter",
 	}

@@ -155,7 +155,8 @@ func (d *decomposer) carve(prefix []graph.VertexID, v graph.VertexID) []graph.Ve
 }
 
 // split appends to out either the unit itself (small enough or fully
-// expanded) or its recursively decomposed sub-units.
+// expanded) or its recursively decomposed sub-units — none when the
+// prefix has no consistent extension.
 func (d *decomposer) split(out []Unit, prefix []graph.VertexID, work float64) []Unit {
 	tree := d.ix.Tree
 	depth := len(prefix)
@@ -200,11 +201,9 @@ func (d *decomposer) split(out []Unit, prefix []graph.VertexID, work float64) []
 		total += c
 	}
 	d.cands[depth] = cands
-	if len(cands) == 0 {
-		// The unit is a dead end; keep it so accounting stays simple —
-		// it costs one candidate lookup at run time.
-		return append(out, Unit{Prefix: prefix, Card: 0})
-	}
+	// A dead end (no candidate survives) emits nothing: the lookup that
+	// proved it is already counted above, and a unit for it would make
+	// whichever worker draws it repeat that lookup.
 	for _, c := range cands {
 		myWork := work * float64(c.c) / float64(total)
 		sub := d.carve(prefix, c.v)
