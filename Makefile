@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchmark-check bench-record bench-json bench-compare bench-allocs bench-kernels vet fmt ci verify fuzz serve-smoke trace-smoke plan-smoke shard-smoke telemetry-smoke experiments experiments-quick examples clean
+.PHONY: build test race bench benchmark-check bench-record bench-allocs bench-kernels vet fmt ci verify fuzz serve-smoke trace-smoke plan-smoke shard-smoke telemetry-smoke experiments experiments-quick examples clean
 
 build:
 	$(GO) build ./...
@@ -38,22 +38,6 @@ bench-record:
 	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>"; exit 2; }
 	bash benchmark/run.sh -seed 1 -out BENCH_$(PR).json
 
-# Machine-readable regression tracking: run the fixed suite and write
-# BENCH_<name>.json. Refresh the committed baseline with
-# `make bench-json BENCH_DIR=cmd/cecibench/testdata BENCH_NAME=baseline`.
-BENCH_DIR ?= bench
-BENCH_NAME ?= bench
-BENCH_THRESHOLD ?= 0.25
-bench-json:
-	$(GO) run ./cmd/cecibench -json-out $(BENCH_DIR) -bench-name $(BENCH_NAME)
-
-# Run the suite and fail (exit non-zero) on regression vs the committed
-# baseline. Timing thresholds assume the same machine as the baseline;
-# CI uses a much looser threshold (see .github/workflows/ci.yml).
-bench-compare:
-	$(GO) run ./cmd/cecibench -json-out $(BENCH_DIR) -bench-name $(BENCH_NAME) \
-		-compare cmd/cecibench/testdata/BENCH_baseline.json -threshold $(BENCH_THRESHOLD)
-
 # Allocation profile of the enumeration hot path: the strict
 # AllocsPerRun proof (zero allocations per steady-state step) plus the
 # -benchmem view of the Fig-7/8/19 suites. allocs/op on the enumeration
@@ -66,14 +50,11 @@ bench-allocs:
 	$(GO) test -run 'TestPageCodecAllocs|TestRouteMergeAllocs' -bench 'BenchmarkPage|BenchmarkRouteMerge' -benchmem -v ./internal/service ./internal/shard
 
 # Intersection-kernel health check: the per-kernel microbenchmarks
-# (merge / gallop / bitset / adaptive dispatch), then the end-to-end
-# suite gated against the committed baseline — which carries the
-# per-kernel enum_kernel_* counter split, so a selector change that
-# silently shifts work between kernels fails here.
+# (merge / gallop / bitset / probe / adaptive dispatch). How the kernels
+# share a real enumeration is the setops.* rows of a traced lib_enum run
+# (benchmark-check above, or any committed BENCH_<PR>.json).
 bench-kernels:
 	$(GO) test -bench 'BenchmarkKernel' -benchmem ./internal/setops
-	$(GO) run ./cmd/cecibench -json-out $(BENCH_DIR) -bench-name $(BENCH_NAME) \
-		-compare cmd/cecibench/testdata/BENCH_baseline.json -threshold $(BENCH_THRESHOLD)
 
 vet:
 	$(GO) vet ./...

@@ -64,37 +64,13 @@ func main() {
 		quick   = flag.Bool("quick", false, "reduced datasets and query counts")
 		large   = flag.Bool("large", false, "include the largest substitutes (fs_s, yh_s) where skipped by default")
 		workers = flag.Int("workers", 32, "simulated worker-count ceiling for scalability figures")
-		orderFl = flag.String("order", "", "matching order for the BENCH json suite: bfs | least-frequent | path-ranked | edge-ranked | auto (cost-based planner)")
 		listen  = flag.String("listen", "", "serve telemetry (/metrics, /metrics.json, /debug/pprof) on this address while experiments run")
-
-		jsonOut   = flag.String("json-out", "", "run the regression suite and write BENCH_<name>.json into this directory")
-		benchName = flag.String("bench-name", "bench", "name embedded in the BENCH json filename")
-		compare   = flag.String("compare", "", "compare against this baseline BENCH json; exit non-zero on regression")
-		candidate = flag.String("candidate", "", "with -compare: use this pre-recorded BENCH json instead of re-running the suite")
-		threshold = flag.Float64("threshold", 0.25, "relative regression threshold for -compare timing metrics")
-		version   = flag.Bool("version", false, "print build identity (module version, VCS revision, go version) and exit")
+		version = flag.Bool("version", false, "print build identity (module version, VCS revision, go version) and exit")
 	)
 	flag.Parse()
 
 	if *version {
 		fmt.Println(buildinfo.Get())
-		return
-	}
-
-	if *jsonOut != "" || *compare != "" {
-		err := runBenchJSON(benchJSONConfig{
-			jsonOut:   *jsonOut,
-			name:      *benchName,
-			compare:   *compare,
-			candidate: *candidate,
-			threshold: *threshold,
-			workers:   *workers,
-			order:     *orderFl,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cecibench: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 

@@ -2,18 +2,21 @@ package ceci
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"ceci/internal/bitset"
 	"ceci/internal/gen"
 	"ceci/internal/graph"
 	"ceci/internal/order"
+	"ceci/internal/setops"
 )
 
 // TestCachePlanVolatilitySplit re-derives the stable/volatile split from
 // first principles for a spread of query shapes and checks the built plan
 // against it: the volatile input is exactly the one keyed by the
-// predecessor in the matching order, and the cache only engages when at
-// least two inputs are stable.
+// predecessor in the matching order, and the stable keys are every other
+// input's key vertex — none for a vertex with nothing to intersect.
 func TestCachePlanVolatilitySplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	queries := []*graph.Graph{gen.QG1(), gen.QG2(), gen.QG3(), gen.QG4()}
@@ -36,26 +39,25 @@ func TestCachePlanVolatilitySplit(t *testing.T) {
 				t.Fatalf("trial %d u=%d: volBase=%v want %v", trial, u, p.volBase, wantVolBase)
 			}
 			wantVolNTE := -1
+			var wantStable []graph.VertexID
+			if len(tree.NTEParents[u]) > 0 && !wantVolBase {
+				wantStable = append(wantStable, graph.VertexID(tree.Parent[u]))
+			}
 			for j, un := range tree.NTEParents[u] {
 				if un == prev {
 					wantVolNTE = j
-					break
+				} else {
+					wantStable = append(wantStable, un)
 				}
 			}
 			if p.volNTE != wantVolNTE {
 				t.Fatalf("trial %d u=%d: volNTE=%d want %d", trial, u, p.volNTE, wantVolNTE)
 			}
-			stable := 1 + len(tree.NTEParents[u])
-			if wantVolBase {
-				stable--
+			if !slices.Equal(p.stableKeys, wantStable) {
+				t.Fatalf("trial %d u=%d: stableKeys=%v want %v", trial, u, p.stableKeys, wantStable)
 			}
-			if wantVolNTE >= 0 {
-				stable--
-			}
-			wantUse := len(tree.NTEParents[u]) > 0 && stable >= 2
-			if p.use != wantUse {
-				t.Fatalf("trial %d u=%d: use=%v want %v (stable=%d, nte=%d)",
-					trial, u, p.use, wantUse, stable, len(tree.NTEParents[u]))
+			if n := len(tree.NTEParents[u]); n > 0 && len(wantStable) == 0 {
+				t.Fatalf("trial %d u=%d: %d non-tree edges but no stable input", trial, u, n)
 			}
 		}
 	}
@@ -63,8 +65,9 @@ func TestCachePlanVolatilitySplit(t *testing.T) {
 
 // TestCachePlanFiresOnClique: the 4-clique's BFS star tree gives the
 // deepest vertex a stable TE base (keyed by the root) plus one stable
-// NTE list — the configuration the sibling-loop cache exists for. Guard
-// against an orderer change silently turning the cache into dead code.
+// NTE list — a stable side that is a real intersection, computed once
+// per sibling loop. Guard against an orderer change silently leaving
+// every stable side a single raw list.
 func TestCachePlanFiresOnClique(t *testing.T) {
 	data := gen.Kronecker(8, 8, 1)
 	tree, err := order.Preprocess(data, gen.QG3(), order.DefaultOptions())
@@ -74,79 +77,119 @@ func TestCachePlanFiresOnClique(t *testing.T) {
 	ix := Build(data, tree, Options{})
 	used := false
 	for _, p := range ix.ntePlan {
-		used = used || p.use
+		used = used || len(p.stableKeys) >= 2
 	}
 	if !used {
-		t.Fatal("no vertex uses the stable-intersection cache on a 4-clique query")
+		t.Fatal("no vertex intersects two stable inputs on a 4-clique query")
 	}
 }
 
-// TestStableCacheEquivalence: enumerating through the stable-intersection
-// cache must yield candidate-for-candidate identical results to the
-// direct k-way path (forced by a plan that caches nowhere). Covers hit, miss, and
-// cached-empty transitions across random data/query pairs.
+// coldCandidates is CandidatesFor from first principles: a plain Get on
+// every input map and a pairwise merge, with no scratch state at all.
+func coldCandidates(ix *Index, u graph.VertexID, m []graph.VertexID) []graph.VertexID {
+	node := &ix.Nodes[u]
+	out := slices.Clone(node.TE.Get(m[ix.Tree.Parent[u]]))
+	for j, un := range ix.Tree.NTEParents[u] {
+		out = setops.IntersectWith(setops.KernelMerge, nil, out, node.NTE[j].Get(m[un]), nil)
+	}
+	return out
+}
+
+// TestStableCacheEquivalence: a depth cursor that lives through a whole
+// enumeration — fingers, stable side, lazy bitmap — must return, call by
+// call, what a cursor forgotten before every lookup (ResetUnitCache)
+// returns and what the maps give without any scratch. The walk is the
+// enumeration's own access pattern, a depth-first descent whose sibling
+// loops present ascending keys, and then the same descent with every
+// sibling loop shuffled, so fingers also see descending and repeated
+// keys. Golden pairs, 4-/5-cliques on Kronecker graphs and the five
+// labeled cyclic queries; every mechanism must actually fire.
 func TestStableCacheEquivalence(t *testing.T) {
+	type fixture struct {
+		name        string
+		data, query *graph.Graph
+	}
+	var fixtures []fixture
+	ForEachGoldenPair(t, func(name string, data, query *graph.Graph, _ int64) {
+		fixtures = append(fixtures, fixture{name, data, query})
+	})
 	rng := rand.New(rand.NewSource(5))
-	checked := 0
-	queries := []*graph.Graph{gen.QG1(), gen.QG2(), gen.QG3(), gen.QG4()}
-	for trial := 0; trial < 40; trial++ {
-		data := gen.Kronecker(7, 5+rng.Intn(5), 1)
-		query := queries[trial%len(queries)]
-		tree, err := order.Preprocess(data, query, order.DefaultOptions())
+	for trial, q := range []*graph.Graph{gen.QG3(), gen.QG5(), gen.QG3(), gen.QG5(), gen.QG2(), gen.QG4()} {
+		fixtures = append(fixtures, fixture{"kronecker-" + string(rune('a'+trial)), gen.Kronecker(7, 5+rng.Intn(5), 1), q})
+	}
+
+	var lookups, stableHits, bitmapProbes, multiStable, emptyStable int
+	var cursorBytes int64
+	for _, fx := range fixtures {
+		tree, err := order.Preprocess(fx.data, fx.query, order.DefaultOptions())
 		if err != nil {
 			continue
 		}
-		ix := Build(data, tree, Options{})
-		planned, direct := ix.ntePlan, make([]cachePlan, len(ix.ntePlan))
-
-		// Walk random prefixes of the matching order, comparing the two
-		// paths at every depth. Scratches are per-depth (as in the real
-		// searcher) and persist across reps, so later reps exercise
-		// misses against stale keys; the second pass over each prefix
-		// re-asks every depth with unchanged assignments, exercising
-		// pure cache hits.
-		scCached := make([]MatchScratch, tree.NumVertices())
-		scDirect := make([]MatchScratch, tree.NumVertices())
-		for rep := 0; rep < 20; rep++ {
-			m := make([]graph.VertexID, tree.NumVertices())
-			root := tree.Order[0]
-			roots := ix.Nodes[root].Cands
-			if len(roots) == 0 {
-				break
-			}
-			m[root] = roots[rng.Intn(len(roots))]
-			depth := len(tree.Order)
-			for pass := 0; pass < 2; pass++ {
-				for i := 1; i < depth; i++ {
-					u := tree.Order[i]
-					ix.ntePlan = planned
-					got := append([]graph.VertexID(nil), ix.CandidatesFor(u, m, &scCached[i])...)
-					ix.ntePlan = direct
-					want := append([]graph.VertexID(nil), ix.CandidatesFor(u, m, &scDirect[i])...)
-					if len(got) != len(want) {
-						t.Fatalf("trial %d rep %d pass %d u=%d: cached %d candidates, direct %d", trial, rep, pass, u, len(got), len(want))
+		ix := Build(fx.data, tree, Options{})
+		n := tree.NumVertices()
+		for _, shuffled := range []bool{false, true} {
+			warm := make([]MatchScratch, n)
+			cold := make([]MatchScratch, n)
+			m := make([]graph.VertexID, n)
+			budget := 3000
+			var walk func(depth int)
+			walk = func(depth int) {
+				if depth == n || budget <= 0 {
+					return
+				}
+				budget--
+				u := tree.Order[depth]
+				hit := warm[depth].stableHit(ix.ntePlan[u].stableKeys, m) && len(ix.ntePlan[u].stableKeys) > 0
+				got := slices.Clone(ix.CandidatesFor(u, m, &warm[depth]))
+				cold[depth].ResetUnitCache()
+				forgot := slices.Clone(ix.CandidatesFor(u, m, &cold[depth]))
+				want := coldCandidates(ix, u, m)
+				if !slices.Equal(got, want) || !slices.Equal(forgot, want) {
+					t.Fatalf("%s shuffled=%v depth %d u=%d m=%v:\n cursor %v\n reset  %v\n maps   %v",
+						fx.name, shuffled, depth, u, m, got, forgot, want)
+				}
+				lookups++
+				if hit {
+					stableHits++
+					if warm[depth].bits == bitsFilled {
+						bitmapProbes++
 					}
-					for k := range got {
-						if got[k] != want[k] {
-							t.Fatalf("trial %d rep %d pass %d u=%d: candidate %d differs: %d vs %d", trial, rep, pass, u, k, got[k], want[k])
-						}
-					}
-					if planned[u].use {
-						checked++
-					}
-					if len(got) == 0 {
-						depth = i
-						break
-					}
-					if pass == 0 {
-						m[u] = got[rng.Intn(len(got))]
+					if len(warm[depth].stable) == 0 {
+						emptyStable++
 					}
 				}
+				if len(ix.ntePlan[u].stableKeys) >= 2 {
+					multiStable++
+				}
+				if shuffled {
+					rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+				}
+				for _, v := range got {
+					m[u] = v
+					walk(depth + 1)
+				}
+			}
+			for _, pivot := range ix.Pivots() {
+				m[tree.Order[0]] = pivot
+				walk(1)
+			}
+			// What the cursor keeps is part of the scratch's footprint.
+			for d := range warm {
+				sc := &warm[d]
+				cursor := int64(cap(sc.fingers))*8 + sc.stableBits.FootprintBytes()
+				bare := *sc
+				bare.fingers, bare.stableBits = nil, bitset.Span{}
+				if got := sc.FootprintBytes() - bare.FootprintBytes(); got != cursor {
+					t.Fatalf("%s depth %d: footprint counts %d bytes for %d bytes of fingers and stable bitmap",
+						fx.name, d, got, cursor)
+				}
+				cursorBytes += cursor
 			}
 		}
-		ix.ntePlan = planned
 	}
-	if checked == 0 {
-		t.Fatal("no comparison ever exercised a cache-enabled vertex; fixtures too small")
+	t.Logf("%d lookups: %d under an unchanged stable key, %d probing its bitmap, %d with a cached-empty stable side, %d at a vertex with >= 2 stable inputs",
+		lookups, stableHits, bitmapProbes, emptyStable, multiStable)
+	if stableHits == 0 || bitmapProbes == 0 || multiStable == 0 || cursorBytes == 0 {
+		t.Fatal("a cursor mechanism never fired; fixtures too small")
 	}
 }

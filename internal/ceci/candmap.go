@@ -1,6 +1,9 @@
 package ceci
 
-import "ceci/internal/graph"
+import (
+	"ceci/internal/graph"
+	"ceci/internal/setops"
+)
 
 // CandMap is the key-value structure backing TE_Candidates and
 // NTE_Candidates (Section 3.1): keys are candidates of the parent (or
@@ -40,11 +43,41 @@ func lowerBound(vs []graph.VertexID, x graph.VertexID) int {
 // Len returns the number of keys.
 func (m *CandMap) Len() int { return len(m.keys) }
 
+// at returns the value list of the i-th key: a view of the arena.
+func (m *CandMap) at(i int) []graph.VertexID { return m.arena[m.offs[i]:m.offs[i+1]] }
+
 // Get returns the value list for key, or nil. The result is a view of
 // the arena; it must not be modified.
 func (m *CandMap) Get(key graph.VertexID) []graph.VertexID {
 	if i := lowerBound(m.keys, key); i < len(m.keys) && m.keys[i] == key {
-		return m.arena[m.offs[i]:m.offs[i+1]]
+		return m.arena[m.offs[i]:m.offs[i+1]] // at(i), spelled out: keeps Get inlinable
+	}
+	return nil
+}
+
+// GetNear is Get with a finger. *finger is where the previous lookup
+// through it landed: the same key returns the same view with no search,
+// a larger key gallops forward from there (a sibling loop presents its
+// keys in ascending order), and anything else — a smaller key, or a
+// finger that is out of range or was left by another map — is a binary
+// search bounded by the finger where it can be. The finger is only a
+// hint: the result equals Get(key) whatever it holds.
+func (m *CandMap) GetNear(finger *int, key graph.VertexID) []graph.VertexID {
+	keys := m.keys
+	i := *finger
+	switch {
+	case uint(i) >= uint(len(keys)):
+		i = lowerBound(keys, key)
+	case keys[i] == key:
+		return m.at(i)
+	case keys[i] < key:
+		i = setops.Gallop(keys, i+1, key)
+	default:
+		i = lowerBound(keys[:i], key)
+	}
+	*finger = i
+	if i < len(keys) && keys[i] == key {
+		return m.at(i)
 	}
 	return nil
 }
@@ -52,7 +85,7 @@ func (m *CandMap) Get(key graph.VertexID) []graph.VertexID {
 // ForEach visits (key, values) pairs in ascending key order.
 func (m *CandMap) ForEach(fn func(key graph.VertexID, values []graph.VertexID)) {
 	for i, key := range m.keys {
-		fn(key, m.arena[m.offs[i]:m.offs[i+1]])
+		fn(key, m.at(i))
 	}
 }
 

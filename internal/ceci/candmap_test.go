@@ -186,6 +186,71 @@ func TestMapBuilderMatchesModel(t *testing.T) {
 	}
 }
 
+// TestGetNearEqualsGet: a finger is only a hint. From any starting value
+// — in range, negative, far past the end — and along any key sequence —
+// ascending like a sibling loop, descending, repeated, absent, past the
+// last key — GetNear returns exactly what Get returns, the same view of
+// the arena (nil for an absent key, empty but non-nil for a present key
+// with no values left), and leaves a finger the next call can use.
+func TestGetNearEqualsGet(t *testing.T) {
+	f := func(seed int64, start int) bool {
+		rng := rand.New(rand.NewSource(seed))
+		universe := 1 + rng.Intn(60)
+		var b mapBuilder
+		b.alloc(universe, 0)
+		for key := 0; key < universe; key++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			vals := make([]graph.VertexID, rng.Intn(4)) // some keys keep no value
+			for i := range vals {
+				vals[i] = graph.VertexID(10*key + i)
+			}
+			if err := b.append(graph.VertexID(key), vals); err != nil {
+				t.Log(err)
+				return false
+			}
+		}
+		m := b.compact()
+		var keys []graph.VertexID
+		switch rng.Intn(4) {
+		case 0: // a sibling loop: ascending, with gaps
+			for k := 0; k < universe+3; k += 1 + rng.Intn(3) {
+				keys = append(keys, graph.VertexID(k))
+			}
+		case 1: // descending
+			for k := universe + 2; k >= 0; k -= 1 + rng.Intn(3) {
+				keys = append(keys, graph.VertexID(k))
+			}
+		case 2: // each key asked several times in a row
+			for k := 0; k < universe+3; k += 1 + rng.Intn(4) {
+				keys = append(keys, graph.VertexID(k), graph.VertexID(k), graph.VertexID(k))
+			}
+		default: // no order at all, half of them past the last key
+			for i := 0; i < 40; i++ {
+				keys = append(keys, graph.VertexID(rng.Intn(2*universe)))
+			}
+		}
+		finger := start // almost surely far out of range, on either side
+		if rng.Intn(2) == 0 {
+			finger = start % (2 * universe) // near or inside the key range
+		}
+		for _, key := range keys {
+			got, want := m.GetNear(&finger, key), m.Get(key)
+			if (got == nil) != (want == nil) || len(got) != len(want) ||
+				(len(want) > 0 && &got[0] != &want[0]) {
+				t.Logf("seed %d start %d: GetNear(%d) = %v, Get = %v (finger now %d, keys %v)",
+					seed, start, key, got, want, finger, m.Keys())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCandMapValueUnion(t *testing.T) {
 	m := mapOf(t, []graph.VertexID{1, 3, 5}, []graph.VertexID{2, 5, 7}, []graph.VertexID{4, 0, 70})
 	want := []graph.VertexID{0, 3, 5, 7, 70}

@@ -75,9 +75,8 @@ type Index struct {
 	nbrSig  []uint64
 	reqMask []uint64
 
-	// ntePlan[u] records how CandidatesFor may cache intersections at u's
-	// depth across the sibling loop of u's predecessor in the matching
-	// order.
+	// ntePlan[u] is the volatility split of u's intersection inputs, the
+	// shape of the depth cursor CandidatesFor keeps on a MatchScratch.
 	ntePlan []cachePlan
 
 	opts Options
@@ -89,20 +88,20 @@ type Index struct {
 // CandidatesFor(u, ...) calls — is known once the tree is. Any input list
 // keyed by that vertex ("volatile") changes on every call; every other
 // input is keyed by an ancestor assignment that stays fixed across the
-// whole loop ("stable") and can be intersected once and reused. At most
-// one input is volatile: the TE base list when u's tree parent is the
-// predecessor, or a single NTE list when that edge is non-tree.
+// whole loop ("stable"), so the stable side is intersected once per
+// distinct assignment of stableKeys and reused. At most one input is
+// volatile: the TE base list when u's tree parent is the predecessor, or
+// a single NTE list when that edge is non-tree.
 type cachePlan struct {
-	// use enables the stable-cache path: at least two inputs are stable,
-	// so the cached intersection actually precomputes work. With fewer,
-	// the cache would hold a raw input list and the fixed pairing order
-	// would forfeit IntersectK's smallest-first ordering (measured 2x
-	// slower on the clique queries).
-	use bool
 	// volBase marks the TE base list volatile (tree parent == predecessor).
 	volBase bool
 	// volNTE is the volatile NTE slot, or -1.
 	volNTE int
+	// stableKeys lists the query vertices whose assignments select the
+	// stable inputs: the tree parent unless volBase, then every
+	// non-volatile NTE parent in slot order. Empty for a vertex without
+	// non-tree edges, which has nothing to intersect.
+	stableKeys []graph.VertexID
 }
 
 // newIndex returns an index for (data, tree) with every node's NTE slots
@@ -118,7 +117,7 @@ func newIndex(data *graph.Graph, tree *order.QueryTree, opts Options) *Index {
 }
 
 // finish derives what enumeration reads beside the columns — the
-// label-pair prune masks and the sibling-loop cache plan — once build or
+// label-pair prune masks and the volatility split — once build or
 // ReadIndex has filled them.
 func (ix *Index) finish() {
 	if ix.opts.LabelPairPrune && ix.Data.NumLabels() > 1 {
@@ -127,8 +126,7 @@ func (ix *Index) finish() {
 	ix.buildCachePlan()
 }
 
-// buildCachePlan computes the per-vertex volatility split CandidatesFor
-// uses to cache stable intersections across sibling loops (the
+// buildCachePlan computes the per-vertex volatility split (the
 // embedding-cluster observation of Section 4.1 applied one level up:
 // consecutive calls at the same depth share every ancestor assignment
 // except the predecessor's).
@@ -137,24 +135,20 @@ func (ix *Index) buildCachePlan() {
 	ix.ntePlan = make([]cachePlan, tree.NumVertices())
 	for i := 1; i < len(tree.Order); i++ {
 		u, prev := tree.Order[i], tree.Order[i-1]
+		nparents := tree.NTEParents[u]
 		p := cachePlan{volNTE: -1}
-		if graph.VertexID(tree.Parent[u]) == prev {
-			p.volBase = true
+		parent := graph.VertexID(tree.Parent[u])
+		p.volBase = parent == prev
+		if len(nparents) > 0 && !p.volBase {
+			p.stableKeys = append(p.stableKeys, parent)
 		}
-		for j, un := range tree.NTEParents[u] {
+		for j, un := range nparents {
 			if un == prev {
 				p.volNTE = j
-				break
+			} else {
+				p.stableKeys = append(p.stableKeys, un)
 			}
 		}
-		stable := 1 + len(tree.NTEParents[u])
-		if p.volBase {
-			stable--
-		}
-		if p.volNTE >= 0 {
-			stable--
-		}
-		p.use = len(tree.NTEParents[u]) > 0 && stable >= 2
 		ix.ntePlan[u] = p
 	}
 }

@@ -1,20 +1,25 @@
 package ceci
 
 import (
+	"ceci/internal/bitset"
 	"ceci/internal/graph"
 	"ceci/internal/setops"
 )
 
-// MatchScratch holds per-depth reusable buffers for CandidatesFor. Each
-// enumeration worker keeps one scratch per backtracking depth so results
-// remain valid while deeper levels recurse.
+// MatchScratch is one matching-order depth's cursor over its inputs, plus
+// the reusable buffers CandidatesFor needs. Each enumeration worker keeps
+// one per backtracking depth, so results remain valid while deeper levels
+// recurse and everything remembered here belongs to one query vertex.
 //
-// The scratch also carries the cached stable intersection for its depth
-// (see cachePlan): consecutive CandidatesFor calls at one depth differ
-// only in the predecessor's assignment, so the intersection of every
-// input list keyed by an older ancestor is computed once per distinct
-// ancestor assignment and reused across the whole sibling loop. This is
-// the embedding-cluster observation of Section 4.1 applied one level up.
+// Consecutive CandidatesFor calls at one depth differ only in the
+// predecessor's assignment (see cachePlan), and the scratch remembers
+// what that leaves unchanged: where the previous lookup landed in each
+// candidate map (fingers), the intersection of every input not keyed by
+// the predecessor (the stable side, computed once per distinct ancestor
+// assignment), and — once a second lookup shows the sibling loop has more
+// than one iteration — that intersection as a bitmap the volatile list is
+// probed against. This is the embedding-cluster observation of Section
+// 4.1 applied one level up.
 type MatchScratch struct {
 	S setops.Scratch
 	// Steps is this depth's step accounting, written as plain integers
@@ -27,13 +32,30 @@ type MatchScratch struct {
 	// prune receives the label-pair-prune survivors of the base list.
 	prune []uint32
 
-	// Stable-intersection cache, valid until the stable ancestor
-	// assignments change or ResetUnitCache is called.
-	nteKeys []graph.VertexID // stable assignments the cache was built for
-	nteOK   bool
-	nteRes  []uint32 // cached ∩ of the stable lists (aliases S's buffers)
-	out     []uint32 // result buffer for the volatile per-sibling step
+	// fingers[0] is the TE map's lookup finger, fingers[1+j] NTE[j]'s
+	// (CandMap.GetNear). Hints only: any value is correct.
+	fingers []int
+
+	// The stable side, valid until a stable assignment changes or
+	// ResetUnitCache is called.
+	stableKeys []graph.VertexID // assignments of cachePlan.stableKeys it was built for
+	stableOK   bool
+	stable     []uint32    // ∩ of the stable lists: an index view, prune, or S's buffers
+	bits       bitsState   // whether stableBits holds stable
+	stableBits bitset.Span // stable as a bitmap, filled on the second lookup under one key
+	out        []uint32    // result buffer for the volatile per-sibling step
 }
+
+// bitsState tracks the lazy stable bitmap: a rebuilt stable side starts
+// untried, and the first lookup that finds it unchanged either fills the
+// bitmap or records that the list's span failed the gate (setops.FillSpan).
+type bitsState uint8
+
+const (
+	bitsUntried bitsState = iota
+	bitsFilled
+	bitsDeclined
+)
 
 // StepCounts is the enumeration-step work recorded on one scratch
 // (Section 4.1): candidate lookups, the intersections they ran, the
@@ -51,23 +73,58 @@ type StepCounts struct {
 }
 
 // FootprintBytes returns the scratch's allocated backing size: the
-// setops buffers plus this package's per-depth slices. nteRes aliases
-// the setops buffers and out, so it is not counted separately.
+// setops buffers, this package's per-depth slices, the fingers and the
+// stable bitmap. stable aliases index storage, prune or the setops
+// buffers, so it is not counted separately.
 func (sc *MatchScratch) FootprintBytes() int64 {
 	return sc.S.FootprintBytes() +
 		int64(cap(sc.lists))*24 + // slice headers
 		int64(cap(sc.prune))*4 +
-		int64(cap(sc.nteKeys))*4 +
+		int64(cap(sc.fingers))*8 +
+		int64(cap(sc.stableKeys))*4 +
+		sc.stableBits.FootprintBytes() +
 		int64(cap(sc.out))*4
 }
 
-// ResetUnitCache invalidates the cached stable intersection. Enumeration
-// workers call it at work-unit boundaries: the cache would remain
-// correct across units (keys are compared on every lookup), but resets
-// make the rebuild counts — and therefore the per-kernel profile — a
-// deterministic function of the unit set rather than of which worker
-// happened to run consecutive units.
-func (sc *MatchScratch) ResetUnitCache() { sc.nteOK = false }
+// ResetUnitCache forgets the cursor: the stable side, its bitmap state
+// and the fingers. Enumeration workers call it at work-unit boundaries.
+// Nothing here is needed for correctness (stable keys are compared on
+// every lookup and a finger is only a hint), but the number of stable
+// rebuilds and which lookups probe the bitmap — hence the per-kernel
+// profile — are then a deterministic function of the unit set rather
+// than of which worker happened to run consecutive units.
+func (sc *MatchScratch) ResetUnitCache() {
+	sc.stableOK = false
+	clear(sc.fingers)
+}
+
+// BitmapFilled reports whether the stable side is currently held as a
+// bitmap, so tests can assert that a fixture reaches the probe path.
+func (sc *MatchScratch) BitmapFilled() bool { return sc.stableOK && sc.bits == bitsFilled }
+
+// base returns u's TE candidates under the matched tree parent, minus —
+// when the label-pair prune is enabled — those whose neighborhood
+// provably lacks a label required by u's later-matched query neighbors.
+// The result is an index view or sc.prune.
+func (ix *Index) base(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) []graph.VertexID {
+	base := ix.Nodes[u].TE.GetNear(&sc.fingers[0], m[ix.Tree.Parent[u]])
+	if ix.nbrSig == nil || len(base) == 0 {
+		return base
+	}
+	req := ix.reqMask[u]
+	if req == 0 {
+		return base
+	}
+	kept := sc.prune[:0]
+	for _, v := range base {
+		if ix.nbrSig[v]&req == req {
+			kept = append(kept, v)
+		}
+	}
+	sc.Steps.LabelPruned += int64(len(base) - len(kept))
+	sc.prune = kept
+	return kept
+}
 
 // CandidatesFor returns the matching nodes for query vertex u given the
 // partial embedding m (indexed by query vertex ID): the intersection of
@@ -83,150 +140,127 @@ func (sc *MatchScratch) ResetUnitCache() { sc.nteOK = false }
 func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) []graph.VertexID {
 	st := &sc.Steps
 	st.Lookups++
-	tree := ix.Tree
 	node := &ix.Nodes[u]
-	base := node.TE.Get(m[tree.Parent[u]])
-	if len(base) == 0 {
-		return nil
-	}
-	if sigs := ix.nbrSig; sigs != nil {
-		if req := ix.reqMask[u]; req != 0 {
-			kept := sc.prune[:0]
-			for _, v := range base {
-				if sigs[v]&req == req {
-					kept = append(kept, v)
-				}
-			}
-			st.LabelPruned += int64(len(base) - len(kept))
-			sc.prune = kept
-			base = kept
-			if len(base) == 0 {
-				return nil
-			}
-		}
+	if len(sc.fingers) != 1+len(node.NTE) {
+		sc.fingers = make([]int, 1+len(node.NTE)) // first lookup on this scratch
 	}
 	if len(node.NTE) == 0 {
+		base := ix.base(u, m, sc)
 		st.Output += int64(len(base))
 		return base
 	}
 
-	nparents := tree.NTEParents[u]
-	plan := ix.ntePlan[u]
-	if !plan.use {
-		// Fewer than two stable inputs: the cache would precompute
-		// nothing, and its fixed pairing order would forfeit IntersectK's
-		// smallest-first ordering (measured 2x slower on the clique
-		// queries). Direct k-way intersection.
-		lists := sc.lists[:0]
-		lists = append(lists, base)
-		cmp := int64(len(base))
-		for j, un := range nparents {
-			l := node.NTE[j].Get(m[un])
-			if len(l) == 0 {
-				sc.lists = lists
-				return nil
-			}
-			lists = append(lists, l)
-			cmp += int64(len(l))
-		}
-		sc.lists = lists
-		result := setops.IntersectK(&sc.S, lists)
-		st.Intersections += int64(len(lists) - 1)
-		st.Comparisons += cmp
-		st.Output += int64(len(result))
-		return result
-	}
-
-	// Stable-cache path. The cache is keyed by every stable assignment:
-	// the tree parent's (unless the base list is the volatile input) and
-	// each non-volatile NTE parent's.
-	hit := sc.nteOK
-	if hit {
-		ki := 0
-		if !plan.volBase {
-			if sc.nteKeys[0] != m[tree.Parent[u]] {
-				hit = false
-			}
-			ki = 1
-		}
-		if hit {
-			for j, un := range nparents {
-				if j == plan.volNTE {
-					continue
-				}
-				if sc.nteKeys[ki] != m[un] {
-					hit = false
-					break
-				}
-				ki++
-			}
+	// At most one input is keyed by the predecessor and changes with every
+	// call: the base list or one NTE list. Look the base up first when it
+	// is the one, since an empty base settles the call.
+	plan := &ix.ntePlan[u]
+	var vol []graph.VertexID
+	if plan.volBase {
+		if vol = ix.base(u, m, sc); len(vol) == 0 {
+			return nil
 		}
 	}
+	hit := sc.stableHit(plan.stableKeys, m)
 	if !hit {
-		// Record the full key set first: a rebuild that stops early on an
-		// empty list must still leave a complete key for the next lookup.
-		sc.nteKeys = sc.nteKeys[:0]
-		if !plan.volBase {
-			sc.nteKeys = append(sc.nteKeys, m[tree.Parent[u]])
-		}
-		for j, un := range nparents {
-			if j != plan.volNTE {
-				sc.nteKeys = append(sc.nteKeys, m[un])
-			}
-		}
-		sc.nteOK = true
-		lists := sc.lists[:0]
-		if !plan.volBase {
-			lists = append(lists, base)
-			st.Comparisons += int64(len(base))
-		}
-		empty := false
-		for j, un := range nparents {
-			if j == plan.volNTE {
-				continue
-			}
-			l := node.NTE[j].Get(m[un])
-			if len(l) == 0 {
-				empty = true
-				break
-			}
-			st.Comparisons += int64(len(l))
-			lists = append(lists, l)
-		}
-		sc.lists = lists
-		if empty {
-			sc.nteRes = nil
-		} else {
-			st.Intersections += int64(len(lists) - 1)
-			sc.nteRes = setops.IntersectK(&sc.S, lists)
-		}
+		ix.buildStable(u, m, sc)
 	}
-	if len(sc.nteRes) == 0 {
-		// Cached-empty: every sibling under these stable assignments
-		// fails the same way.
+	stable := sc.stable
+	if len(stable) == 0 {
+		// Every sibling under these stable assignments fails the same way.
+		return nil
+	}
+	if plan.volNTE >= 0 {
+		j := plan.volNTE
+		vol = node.NTE[j].GetNear(&sc.fingers[1+j], m[ix.Tree.NTEParents[u][j]])
+	} else if !plan.volBase {
+		// No input follows the predecessor: the stable side is the answer.
+		st.Output += int64(len(stable))
+		return stable
+	}
+	st.Comparisons += int64(len(stable)) + int64(len(vol))
+	if len(vol) == 0 {
 		return nil
 	}
 
-	// Volatile step: intersect the cached stable result with the one
-	// input keyed by the predecessor — the TE base list, a single NTE
-	// list, or nothing at all (the cached result is the answer).
-	result := sc.nteRes
-	vol := base
-	if plan.volNTE >= 0 {
-		vol = node.NTE[plan.volNTE].Get(m[nparents[plan.volNTE]])
-	}
-	if plan.volBase || plan.volNTE >= 0 {
-		st.Comparisons += int64(len(sc.nteRes)) + int64(len(vol))
-		if len(vol) == 0 {
-			result = nil
-		} else {
-			result = setops.IntersectWith(setops.ChooseKernel(sc.nteRes, vol), sc.out[:0], sc.nteRes, vol, &sc.S)
-			sc.out = result
-			st.Intersections++
+	// Volatile step. A second lookup under one stable key means the
+	// sibling loop has more than one iteration, so the stable side is
+	// worth a bitmap that every later sibling probes with no fill, clear
+	// or kernel choice of its own; a one-iteration loop never pays for it.
+	if hit && sc.bits == bitsUntried {
+		sc.bits = bitsDeclined
+		if setops.FillSpan(&sc.stableBits, stable, &sc.S) {
+			sc.bits = bitsFilled
 		}
 	}
+	var result []graph.VertexID
+	if sc.bits == bitsFilled {
+		result = setops.IntersectSpan(sc.out, &sc.stableBits, vol, &sc.S)
+	} else {
+		result = setops.IntersectWith(setops.ChooseKernel(stable, vol), sc.out, stable, vol, &sc.S)
+	}
+	sc.out = result
+	st.Intersections++
 	st.Output += int64(len(result))
 	return result
+}
+
+// stableHit reports whether the scratch's stable side was built for the
+// assignments m gives the plan's stable keys.
+func (sc *MatchScratch) stableHit(keys []graph.VertexID, m []graph.VertexID) bool {
+	if !sc.stableOK || len(sc.stableKeys) != len(keys) {
+		return false
+	}
+	for i, w := range keys {
+		if sc.stableKeys[i] != m[w] {
+			return false
+		}
+	}
+	return true
+}
+
+// buildStable intersects every input of u that is not keyed by the
+// predecessor, smallest first, into sc.stable (nil when one of them is
+// empty) and records the assignments it was built for. A single stable
+// list is used as is and charges nothing.
+func (ix *Index) buildStable(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) {
+	plan := &ix.ntePlan[u]
+	sc.stableKeys = sc.stableKeys[:0]
+	for _, w := range plan.stableKeys {
+		sc.stableKeys = append(sc.stableKeys, m[w])
+	}
+	sc.stableOK = true
+	sc.bits = bitsUntried
+	sc.stable = nil
+
+	lists := sc.lists[:0]
+	var lengths int64
+	if !plan.volBase {
+		base := ix.base(u, m, sc)
+		if len(base) == 0 {
+			return
+		}
+		lists = append(lists, base)
+		lengths = int64(len(base))
+	}
+	node := &ix.Nodes[u]
+	for j, un := range ix.Tree.NTEParents[u] {
+		if j == plan.volNTE {
+			continue
+		}
+		l := node.NTE[j].GetNear(&sc.fingers[1+j], m[un])
+		if len(l) == 0 {
+			sc.lists = lists
+			return
+		}
+		lists = append(lists, l)
+		lengths += int64(len(l))
+	}
+	sc.lists = lists
+	if len(lists) > 1 {
+		sc.Steps.Intersections += int64(len(lists) - 1)
+		sc.Steps.Comparisons += lengths
+	}
+	sc.stable = setops.IntersectK(&sc.S, lists)
 }
 
 // CandidatesForEdgeVerify is the ablation variant (Section 4.1, Lemma 2):
@@ -234,7 +268,10 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 // verified by adjacency probes, the way TurboIso/CFLMatch-style systems
 // operate. VerifyNTE performs those probes.
 func (ix *Index) CandidatesForEdgeVerify(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) []graph.VertexID {
-	cands := ix.Nodes[u].TE.Get(m[ix.Tree.Parent[u]])
+	if len(sc.fingers) == 0 {
+		sc.fingers = make([]int, 1) // first lookup on this scratch
+	}
+	cands := ix.Nodes[u].TE.GetNear(&sc.fingers[0], m[ix.Tree.Parent[u]])
 	sc.Steps.Lookups++
 	sc.Steps.Output += int64(len(cands))
 	return cands

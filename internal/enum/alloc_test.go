@@ -57,13 +57,15 @@ func kernelCalls(t *testing.T, data, query *graph.Graph) map[string]int64 {
 }
 
 // TestEnumerationStepZeroAlloc proves the steady-state enumeration step —
-// CandidatesFor against the index columns, setops.IntersectK through
-// the per-depth scratch, the word-packed injectivity bitmap, and the
-// symmetry-breaking check — performs zero heap allocations once a
-// worker's buffers are warm. This is the contract the arena-backed index
-// exists to provide; any regression (a closure capture, a map lookup that
-// boxes, a scratch slice that stopped being reused) fails here before it
-// shows up in benchmarks.
+// CandidatesFor against the index columns through the per-depth cursor
+// (fingers, stable side, the lazily filled stable bitmap),
+// setops.IntersectK through the per-depth scratch, the word-packed
+// injectivity bitmap, the symmetry-breaking check, and the last depth
+// finished in place, for a consumer and count-only — performs zero heap
+// allocations once a worker's buffers are warm. This is the contract the
+// arena-backed index exists to provide; any regression (a closure
+// capture, a map lookup that boxes, a scratch slice that stopped being
+// reused) fails here before it shows up in benchmarks.
 func TestEnumerationStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; run without -race")
@@ -72,19 +74,22 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 		name        string
 		data, query *graph.Graph
 		wantKernel  string // kernel that must fire for this fixture ("" = any)
+		wantBitmap  bool   // some depth must end the pass probing its stable bitmap
 	}{
-		{"fig1", gen.Fig1Data(), gen.Fig1Query(), ""},
-		{"random-pair-7", nil, nil, ""},
+		{"fig1", gen.Fig1Data(), gen.Fig1Query(), "", false},
+		{"random-pair-7", nil, nil, "", false},
 		// Dense clique: gap-1 candidate lists force the bitset-chunked
 		// kernel, proving its chunk-builder reuse is allocation-free.
-		{"dense-bitset", denseClique(48), gen.QG3(), "bitset"},
+		{"dense-bitset", denseClique(48), gen.QG3(), "bitset", true},
 		// Hub skew on a 4-clique query: enumeration intersects a huge hub
 		// adjacency against tiny leaf adjacencies, a >16:1 ratio that
 		// forces the gallop kernel.
-		{"skew-gallop", hubTriangles(600), gen.QG3(), "gallop"},
+		{"skew-gallop", hubTriangles(600), gen.QG3(), "gallop", false},
 		// Triangle query over the same hub graph: the moderately sparse
-		// comparably sized leaf-chain lists drive the probe kernel.
-		{"hub-probe", hubTriangles(600), gen.QG1(), "probe"},
+		// comparably sized leaf-chain lists drive the probe kernel, and
+		// the hubs' sibling loops run to hundreds of iterations over one
+		// stable list — the loop the stable bitmap is filled for.
+		{"hub-probe", hubTriangles(600), gen.QG1(), "probe", true},
 	}
 	cases[1].data, cases[1].query = gen.RandomPair(7)
 
@@ -106,23 +111,39 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 			if len(units) == 0 {
 				t.Skip("no work units for this pair")
 			}
-			var count int64
-			ctl := &control{fn: func([]graph.VertexID) bool {
-				count++
+			var seen, perPass int64
+			consumer := &control{fn: func([]graph.VertexID) bool {
+				seen++
 				return true
 			}}
-			s := newSearcher(m, ctl)
-			pass := func() {
-				for _, u := range units {
-					s.runUnit(u)
+			for _, ctl := range []*control{consumer, {}} { // a consumer, then count-only
+				s := newSearcher(m, ctl)
+				bitmap := false
+				pass := func() {
+					for _, u := range units {
+						s.runUnit(u)
+						for d := range s.scratch {
+							bitmap = bitmap || s.scratch[d].BitmapFilled()
+						}
+					}
 				}
-			}
-			pass() // warm the per-depth intersection scratch
-			if count == 0 {
-				t.Skip("pair has no embeddings; nothing steady-state to measure")
-			}
-			if avg := testing.AllocsPerRun(20, pass); avg != 0 {
-				t.Errorf("enumeration pass allocates %.1f times, want 0", avg)
+				pass() // warm the per-depth cursors and intersection scratch
+				s.drain(false, 0, 0)
+				if seen == 0 {
+					t.Skip("pair has no embeddings; nothing steady-state to measure")
+				}
+				if perPass == 0 {
+					perPass = seen
+				}
+				if counted := ctl.counted.Load(); counted != perPass {
+					t.Fatalf("warm-up pass (consumer: %v) counted %d embeddings, the consumer sees %d a pass", ctl.fn != nil, counted, perPass)
+				}
+				if tc.wantBitmap && !bitmap {
+					t.Fatal("fixture never probed a stable bitmap")
+				}
+				if avg := testing.AllocsPerRun(20, pass); avg != 0 {
+					t.Errorf("enumeration pass (consumer: %v) allocates %.1f times, want 0", ctl.fn != nil, avg)
+				}
 			}
 		})
 	}

@@ -17,11 +17,19 @@ import (
 // heavyMatcher builds a matcher over an unlabeled-ish pair with far more
 // embeddings than the tests consume, so a cancel always lands mid-run.
 func heavyMatcher(t *testing.T, opts Options) *Matcher {
+	return pathMatcher(t, 3, opts) // thousands of embeddings
+}
+
+// pathMatcher matches the n-vertex path on a 300-vertex random graph of
+// average degree 16: about 36 000 embeddings at n = 3 and 16 times more
+// for every further vertex.
+func pathMatcher(t *testing.T, n int, opts Options) *Matcher {
 	t.Helper()
 	data := gen.ErdosRenyi(300, 2400, 7)
-	qb := graph.NewBuilder(3) // path query: thousands of embeddings
-	qb.AddEdge(0, 1)
-	qb.AddEdge(1, 2)
+	qb := graph.NewBuilder(n)
+	for u := 1; u < n; u++ {
+		qb.AddEdge(graph.VertexID(u-1), graph.VertexID(u))
+	}
 	query, err := qb.Build()
 	if err != nil {
 		t.Fatalf("query build: %v", err)
@@ -95,10 +103,11 @@ func TestLimitStopConsistentStats(t *testing.T) {
 // expires mid-run must stop the enumeration promptly and surface
 // DeadlineExceeded, with the partial count intact.
 func TestDeadlineMidEnumeration(t *testing.T) {
-	m := heavyMatcher(t, Options{Workers: 2})
+	// Counting makes no call per embedding, so the pair must be heavy
+	// enough that 1ms cannot finish even that: the 6-vertex path has over
+	// a hundred million embeddings.
+	m := pathMatcher(t, 6, Options{Workers: 2})
 
-	// First measure: the pair must be heavy enough that 1ms cannot
-	// finish it. (It enumerates hundreds of thousands of paths.)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()

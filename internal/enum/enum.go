@@ -95,26 +95,21 @@ func NewMatcher(ix *ceci.Index, opts Options) *Matcher {
 func (m *Matcher) Index() *ceci.Index { return m.ix }
 
 // Count enumerates and returns the number of embeddings (respecting
-// Limit if set).
+// Limit if set). No callback runs per embedding: workers tally what
+// they find and the total is what they drained.
 func (m *Matcher) Count() int64 {
-	var n atomic.Int64
-	m.ForEach(func([]graph.VertexID) bool {
-		n.Add(1)
-		return true
-	})
-	return n.Load()
+	ctl := &control{limit: m.opts.Limit}
+	m.forEach(context.Background(), ctl)
+	return ctl.counted.Load()
 }
 
 // CountCtx counts embeddings under ctx. On cancellation or deadline it
 // returns the embeddings delivered so far together with the context's
 // error, so callers can report partial counts.
 func (m *Matcher) CountCtx(ctx context.Context) (int64, error) {
-	var n atomic.Int64
-	err := m.ForEachCtx(ctx, func([]graph.VertexID) bool {
-		n.Add(1)
-		return true
-	})
-	return n.Load(), err
+	ctl := &control{limit: m.opts.Limit}
+	err := m.forEachCtx(ctx, ctl)
+	return ctl.counted.Load(), err
 }
 
 // Collect gathers embeddings into a slice (each indexed by query vertex
@@ -150,13 +145,16 @@ func (m *Matcher) ForEach(fn func(emb []graph.VertexID) bool) {
 // stay delivered; the return value is the context's cause (nil on a
 // complete, uncancelled enumeration).
 func (m *Matcher) ForEachCtx(ctx context.Context, fn func(emb []graph.VertexID) bool) error {
+	return m.forEachCtx(ctx, &control{fn: fn, limit: m.opts.Limit})
+}
+
+func (m *Matcher) forEachCtx(ctx context.Context, ctl *control) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	ctl := &control{fn: fn, limit: m.opts.Limit}
 	var cancelled atomic.Bool
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() {
@@ -282,42 +280,40 @@ func (m *Matcher) units(scratch []ceci.MatchScratch) []workload.Unit {
 
 // control carries the shared early-termination state. The stop flag is
 // raised by the limit logic, by a consumer returning false, and by the
-// context watcher in ForEachCtx.
+// context watcher in ForEachCtx. fn is nil in a count-only run (Count,
+// CountCtx), whose result is counted: what the workers drained.
 type control struct {
 	fn      func([]graph.VertexID) bool
 	limit   int64
-	emitted atomic.Int64
+	emitted atomic.Int64 // slots reserved against limit
+	counted atomic.Int64 // embeddings delivered, as of the workers' last drains
 	stop    atomic.Bool
 }
 
-// emit delivers one embedding. delivered reports whether fn actually
-// received it — under a Limit, racing workers can reserve slots past the
-// cap, and those embeddings are never delivered — and cont whether
-// enumeration may continue. Counter sinks must charge only delivered
-// embeddings, or a limit- or cancel-stopped run reports more embeddings
-// than its consumer ever saw.
-func (c *control) emit(emb []graph.VertexID) (delivered, cont bool) {
+// deliver hands the consumer k embeddings: the one in emb (k == 1), or —
+// count-only, where there is no consumer to hand anything to — the k
+// survivors a leaf tallied. Under a Limit the k slots are reserved with
+// one add; racing workers can reserve past the cap, and only what fits
+// under it is delivered. fits is how many the consumer actually got —
+// counter sinks must charge only those, or a limit- or cancel-stopped
+// run reports more embeddings than its consumer ever saw — and cont
+// whether enumeration may continue.
+func (c *control) deliver(emb []graph.VertexID, k int64) (fits int64, cont bool) {
+	cont = true
 	if c.limit > 0 {
-		n := c.emitted.Add(1)
-		if n > c.limit {
+		if over := c.emitted.Add(k) - c.limit; over >= 0 {
 			c.stop.Store(true)
-			return false, false
+			cont = false
+			if k -= over; k <= 0 {
+				return 0, false
+			}
 		}
-		if !c.fn(emb) {
-			c.stop.Store(true)
-			return true, false
-		}
-		if n == c.limit {
-			c.stop.Store(true)
-			return true, false
-		}
-		return true, true
 	}
-	if !c.fn(emb) {
+	if c.fn != nil && !c.fn(emb) {
 		c.stop.Store(true)
-		return true, false
+		cont = false
 	}
-	return true, true
+	return k, cont
 }
 
 func (m *Matcher) runWorker(s *searcher, parent *obs.Span, next func() (workload.Unit, bool)) {

@@ -31,10 +31,10 @@ type searcher struct {
 	embeddings     int64
 }
 
-// liveDrainMask batches sink updates: counters drain every 4096
-// embeddings (and at each unit boundary), keeping the hot path
-// atomic-free while live snapshots still advance mid-unit.
-const liveDrainMask = 1<<12 - 1
+// liveDrainEvery batches sink updates: counters drain once this many
+// embeddings have accumulated (and at each unit boundary), keeping the
+// hot path atomic-free while live snapshots still advance mid-unit.
+const liveDrainEvery = 1 << 12
 
 // queryShape caches the tree fields the inner loop touches.
 type queryShape struct {
@@ -60,8 +60,8 @@ func newSearcher(m *Matcher, ctl *control) *searcher {
 // continues from the next matching-order position. Returns false when
 // the enumeration should stop globally.
 func (s *searcher) runUnit(u workload.Unit) bool {
-	// Invalidate the per-depth stable-intersection caches: correctness
-	// does not require it (cache keys are compared on every lookup), but
+	// Forget the per-depth cursors: correctness does not require it
+	// (stable keys are compared on every lookup, fingers are hints), but
 	// resetting at unit boundaries makes the rebuild counts — and so the
 	// per-kernel profile — independent of which worker ran which
 	// consecutive units.
@@ -95,13 +95,11 @@ func (s *searcher) search(depth int) bool {
 		return false
 	}
 	if depth == s.tree.n {
-		delivered, cont := s.ctl.emit(s.emb)
-		if delivered {
-			s.embeddings++
-			if s.embeddings&liveDrainMask == 0 {
-				s.drain(false, 0, 0)
-			}
-		}
+		// Only a unit whose prefix is already a whole embedding gets here
+		// (a single-vertex query, a fully expanded FGD unit): the last
+		// depth of every other descent is finished by leaf.
+		fits, cont := s.ctl.deliver(s.emb, 1)
+		s.delivered(fits)
 		return cont
 	}
 	u := s.tree.order[depth]
@@ -120,7 +118,10 @@ func (s *searcher) search(depth int) bool {
 	if len(cands) == 0 {
 		return true
 	}
-	cons := s.m.cons
+	if depth == s.tree.n-1 {
+		return s.leaf(u, cands, sc)
+	}
+	cons, verify := s.m.cons, s.m.opts.EdgeVerification
 	for _, v := range cands {
 		if s.used.Get(v) {
 			continue
@@ -128,7 +129,7 @@ func (s *searcher) search(depth int) bool {
 		if cons != nil && !cons.Allows(u, v, s.emb, s.matched) {
 			continue
 		}
-		if s.m.opts.EdgeVerification && !s.m.ix.VerifyNTE(u, v, s.emb, sc) {
+		if verify && !s.m.ix.VerifyNTE(u, v, s.emb, sc) {
 			continue
 		}
 		s.emb[u] = v
@@ -147,6 +148,54 @@ func (s *searcher) search(depth int) bool {
 		}
 	}
 	return true
+}
+
+// leaf finishes the last matching-order depth in place: every candidate
+// of u that passes the checks search makes — injectivity, symmetry
+// constraints and, in the ablation, the non-tree edges — completes an
+// embedding, so there is nothing to recurse into and nothing to mark: no
+// used/matched writes and no stop-flag load per embedding (search loaded
+// it on entry and its caller loads it again after this returns). A
+// count-only run tallies the survivors and delivers them with one
+// reservation; otherwise each is handed to the consumer in emb.
+func (s *searcher) leaf(u graph.VertexID, cands []graph.VertexID, sc *ceci.MatchScratch) bool {
+	cons, verify, counting := s.m.cons, s.m.opts.EdgeVerification, s.ctl.fn == nil
+	var survivors int64
+	for _, v := range cands {
+		if s.used.Get(v) {
+			continue
+		}
+		if cons != nil && !cons.Allows(u, v, s.emb, s.matched) {
+			continue
+		}
+		if verify && !s.m.ix.VerifyNTE(u, v, s.emb, sc) {
+			continue
+		}
+		if counting {
+			survivors++
+			continue
+		}
+		s.emb[u] = v
+		fits, cont := s.ctl.deliver(s.emb, 1)
+		s.delivered(fits)
+		if !cont {
+			return false
+		}
+	}
+	if survivors == 0 {
+		return true
+	}
+	fits, cont := s.ctl.deliver(nil, survivors)
+	s.delivered(fits)
+	return cont
+}
+
+// delivered counts k embeddings the consumer saw, draining once
+// liveDrainEvery have accumulated.
+func (s *searcher) delivered(k int64) {
+	if s.embeddings += k; s.embeddings >= liveDrainEvery {
+		s.drain(false, 0, 0)
+	}
 }
 
 // drain is the one place enumeration work reaches a sink: it charges
@@ -191,6 +240,7 @@ func (s *searcher) drain(unit bool, card int64, busy time.Duration) {
 	}
 	calls, embeddings := s.recursiveCalls, s.embeddings
 	s.recursiveCalls, s.embeddings = 0, 0
+	s.ctl.counted.Add(embeddings)
 	if st := o.Stats; st != nil {
 		st.RecursiveCalls.Add(calls)
 		st.Embeddings.Add(embeddings)

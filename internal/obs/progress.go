@@ -38,8 +38,6 @@ type Progress struct {
 	ETA time.Duration `json:"eta"`
 	// WorkerBusy is per-worker busy time (nil when no clock is attached).
 	WorkerBusy []time.Duration `json:"worker_busy,omitempty"`
-	// Steals counts work-steal transfers (distributed mode).
-	Steals int64 `json:"steals"`
 	// Final marks the last report of a run.
 	Final bool `json:"final,omitempty"`
 }
@@ -62,7 +60,6 @@ type Reporter struct {
 	embeddings    atomic.Int64
 	cardDone      atomic.Int64
 	cardTotal     atomic.Int64
-	steals        atomic.Int64
 
 	mu      sync.Mutex // guards clock, start/stop state
 	clock   *stats.WorkerClock
@@ -133,13 +130,6 @@ func (r *Reporter) ClusterDone(card int64) {
 func (r *Reporter) AddEmbeddings(n int64) {
 	if r != nil && n != 0 {
 		r.embeddings.Add(n)
-	}
-}
-
-// AddSteals records n work-steal transfers.
-func (r *Reporter) AddSteals(n int64) {
-	if r != nil && n != 0 {
-		r.steals.Add(n)
 	}
 }
 
@@ -224,7 +214,6 @@ func (r *Reporter) Snapshot(final bool) Progress {
 		Embeddings:       r.embeddings.Load(),
 		CardinalityDone:  r.cardDone.Load(),
 		CardinalityTotal: r.cardTotal.Load(),
-		Steals:           r.steals.Load(),
 		Final:            final,
 	}
 	if !start.IsZero() {

@@ -28,7 +28,6 @@ func TestReporterLifecycle(t *testing.T) {
 		r.AddEmbeddings(10)
 		time.Sleep(2 * time.Millisecond)
 	}
-	r.AddSteals(2)
 	r.Stop()
 	r.Stop() // idempotent
 
@@ -43,7 +42,7 @@ func TestReporterLifecycle(t *testing.T) {
 	}
 	if last.ClustersDone != 4 || last.ClustersTotal != 4 ||
 		last.Embeddings != 40 || last.CardinalityDone != 100 ||
-		last.CardinalityTotal != 100 || last.Steals != 2 {
+		last.CardinalityTotal != 100 {
 		t.Fatalf("final = %+v", last)
 	}
 	if len(last.WorkerBusy) != 2 || last.WorkerBusy[0] != 3*time.Millisecond {
@@ -89,7 +88,6 @@ func TestReporterNilSafe(t *testing.T) {
 	r.AddTotals(1, 1)
 	r.ClusterDone(1)
 	r.AddEmbeddings(1)
-	r.AddSteals(1)
 	r.Start()
 	r.Stop()
 	if p := r.Snapshot(false); p.ClustersDone != 0 || p.Embeddings != 0 || p.Elapsed != 0 {

@@ -272,7 +272,6 @@ func (r *Registry) PrometheusText() string {
 		gauge("ceci_cardinality_done", float64(p.CardinalityDone))
 		gauge("ceci_cardinality_total", float64(p.CardinalityTotal))
 		gauge("ceci_eta_seconds", p.ETA.Seconds())
-		gauge("ceci_steals", float64(p.Steals))
 		if len(p.WorkerBusy) > 0 {
 			fmt.Fprintf(&b, "# TYPE ceci_worker_busy_seconds gauge\n")
 			for i, d := range p.WorkerBusy {

@@ -46,8 +46,9 @@ func decodeLists(data []byte) (a, b []uint32) {
 	return decode(rest[:cut]), decode(rest[cut:])
 }
 
-// FuzzIntersectKernels drives all three kernels (plus the adaptive entry
-// point, with and without scratch) against the naive reference on
+// FuzzIntersectKernels drives every kernel (plus the adaptive entry
+// point, with and without scratch, and the probe of a bitmap filled
+// beforehand from either side) against the naive reference on
 // fuzzer-shaped inputs, asserting bit-identical outputs everywhere.
 func FuzzIntersectKernels(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
@@ -74,6 +75,8 @@ func FuzzIntersectKernels(f *testing.F) {
 		if got := setops.Intersect(nil, b, a); !equal(got, want) {
 			t.Fatalf("adaptive Intersect not symmetric\na=%v\nb=%v", a, b)
 		}
+		checkFilledSpan(t, a, b, want)
+		checkFilledSpan(t, b, a, want)
 	})
 }
 

@@ -71,6 +71,12 @@ const (
 	probeMaxGap  = 512
 )
 
+// fillAlwaysSpan is the value span below which FillSpan fills a bitmap
+// whatever the list's density: 32768 values are 4 KiB of words, which
+// stay L1-resident and clear in a few dozen cycles — less than one
+// kernel call on the list would cost.
+const fillAlwaysSpan = 1 << 15
+
 // ChooseKernel picks the cheapest kernel for a ∩ b using only O(1)
 // statistics of the sorted inputs: the two lengths and the value spans.
 // On CECI indexes these are exactly the cardinality-column stats
@@ -254,6 +260,53 @@ func probeCount(a, b []uint32, sp *bitset.Span) (n, scanned int) {
 		}
 	}
 	return n, len(a) + (jend - j)
+}
+
+// FillSpan materializes the sorted list a into sp for repeated
+// IntersectSpan calls and reports whether it did. The fill — one clear of
+// span/8 bytes plus one bit-set per element — is paid once and saves every
+// later call its own, so it is declined only where it could dwarf them:
+// an empty list, or a span that is both wider than probeMaxGap times the
+// length (the probe kernel's own density limit) and wider than
+// fillAlwaysSpan. The fill is charged to sc's probe counters as scanned
+// elements (sc may be nil).
+func FillSpan(sp *bitset.Span, a []uint32, sc *Scratch) bool {
+	if len(a) == 0 {
+		return false
+	}
+	if span := uint64(a[len(a)-1] - a[0]); span >= fillAlwaysSpan && span > uint64(len(a))*probeMaxGap {
+		return false
+	}
+	sp.Fill(a)
+	if sc != nil {
+		sc.Stats.Scanned[KernelProbe] += int64(len(a))
+	}
+	return true
+}
+
+// IntersectSpan is the probe kernel against a bitmap that is already
+// filled: it writes a ∩ b into dst, where a is the list sp was last
+// filled from, by galloping b to the bitmap's window and testing each
+// element inside it — no fill, no clear, no kernel choice per call.
+// Recorded into sc.Stats as a probe call that scanned the tested
+// elements (sc may be nil). dst may alias b in the dst = b[:0] form.
+func IntersectSpan(dst []uint32, sp *bitset.Span, b []uint32, sc *Scratch) []uint32 {
+	dst = dst[:0]
+	if sp.Empty() || len(b) == 0 {
+		return dst
+	}
+	j := Gallop(b, 0, sp.Lo())
+	hi := sp.Hi()
+	end := j
+	for ; end < len(b) && b[end] <= hi; end++ {
+		if x := b[end]; sp.Test(x) {
+			dst = append(dst, x)
+		}
+	}
+	if sc != nil {
+		sc.Stats.record(KernelProbe, end-j, len(dst))
+	}
+	return dst
 }
 
 // intersectBitset is the chunked word-parallel kernel: both lists are

@@ -3,6 +3,7 @@ package setops_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -62,6 +63,44 @@ func checkAllKernels(t *testing.T, a, b []uint32) {
 				t.Fatalf("kernel %v: emitted %d want %d", k, sc.Stats.Emitted[k], len(want))
 			}
 		}
+	}
+	checkFilledSpan(t, a, b, want)
+}
+
+// checkFilledSpan drives the probe-against-a-filled-bitmap entry point:
+// once FillSpan has accepted a, IntersectSpan of any b — values below,
+// inside and above the bitmap's window, up to MaxUint32, or none at all —
+// is the reference intersection, recorded as one probe call. FillSpan
+// declines an empty list, and a span nothing was filled into intersects
+// to nothing.
+func checkFilledSpan(t *testing.T, a, b, want []uint32) {
+	t.Helper()
+	var sp bitset.Span
+	var sc setops.Scratch
+	if got := setops.IntersectSpan(nil, &sp, b, &sc); len(got) != 0 {
+		t.Fatalf("unfilled span intersects to %v", got)
+	}
+	if !setops.FillSpan(&sp, a, &sc) {
+		return // declined: empty, or too sparse to be worth a bitmap
+	}
+	if len(a) == 0 {
+		t.Fatal("FillSpan accepted an empty list")
+	}
+	if sc.Stats.Calls[setops.KernelProbe] != 0 || sc.Stats.Scanned[setops.KernelProbe] != int64(len(a)) {
+		t.Fatalf("fill of %d elements charged %+v", len(a), sc.Stats)
+	}
+	for round := 0; round < 2; round++ { // the bitmap serves any number of calls
+		got := setops.IntersectSpan(nil, &sp, b, &sc)
+		if !equal(got, want) {
+			t.Fatalf("filled span: got %v want %v\na=%v\nb=%v", got, want, a, b)
+		}
+	}
+	if len(b) > 0 && (sc.Stats.Calls[setops.KernelProbe] != 2 || sc.Stats.Emitted[setops.KernelProbe] != 2*int64(len(want))) {
+		t.Fatalf("filled span: two calls emitting %d each recorded as %+v", len(want), sc.Stats)
+	}
+	// The write cursor never passes the read cursor: dst may be b rewound.
+	if got := setops.IntersectSpan(slices.Clone(b)[:0], &sp, b, nil); !equal(got, want) {
+		t.Fatalf("filled span, dst = b[:0]: got %v want %v", got, want)
 	}
 }
 
