@@ -43,11 +43,15 @@ bench-record:
 # -benchmem view of the Fig-7/8/19 suites. allocs/op on the enumeration
 # benchmarks is the number to watch. Then the embedding-page codec: the
 # proofs that encoding, decoding and merging a 1000x3 page allocate a
-# fixed handful of times, and the -benchmem figures beside encoding/json's.
+# fixed handful of times — with a shard's span subtree on the reply too —
+# and the -benchmem figures beside encoding/json's. Then the spans
+# themselves: one costs 3 allocations to open, annotate and end when no
+# sink is attached, and a leg's subtree goes onto its reply with none.
 bench-allocs:
 	$(GO) test -run TestEnumerationStepZeroAlloc -v ./internal/enum
 	$(GO) test -bench 'Fig7|Fig8|Fig19' -benchmem -benchtime 3x ./cmd/cecibench
 	$(GO) test -run 'TestPageCodecAllocs|TestRouteMergeAllocs' -bench 'BenchmarkPage|BenchmarkRouteMerge' -benchmem -v ./internal/service ./internal/shard
+	$(GO) test -run TestSpanAllocs -bench 'BenchmarkSpanStartEnd|BenchmarkTraceAppendJSON' -benchmem -v ./internal/obs
 
 # Intersection-kernel health check: the per-kernel microbenchmarks
 # (merge / gallop / bitset / probe / adaptive dispatch). How the kernels

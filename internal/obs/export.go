@@ -141,8 +141,7 @@ func WriteSpanJSONL(w io.Writer, nodes []*SpanNode) error {
 func ReadSpanJSONL(r io.Reader) ([]*SpanNode, error) {
 	sc := bufio.NewScanner(r)
 	// The buffer starts at bufio's default and grows to a long line; a
-	// query's whole log is a kilobyte or two, and the shard router parses
-	// three of them per sampled query.
+	// query's whole log is a kilobyte or two.
 	sc.Buffer(nil, 16<<20)
 	var nodes []*SpanNode
 	line := 0

@@ -10,7 +10,7 @@ import (
 // QueryRecord is one completed query as the flight recorder remembers
 // it: identity (trace ID, canonical query hash), admission and phase
 // timings, the outcome as an HTTP-style status, and — when the query
-// was sampled — the full stitched span tree for /tracez export.
+// was sampled — its spans, from which /tracez builds the stitched tree.
 type QueryRecord struct {
 	// Seq is the record's process-wide admission number, assigned by the
 	// recorder; newer records have larger Seq.
@@ -45,11 +45,12 @@ type QueryRecord struct {
 	Sampled bool `json:"sampled"`
 	// Resources is the query's resource ledger (CPU, allocations, peak
 	// scratch, kernel mix), present when the engine runs with telemetry
-	// enabled. Unlike Spans it is small and survives in /queryz listings.
+	// enabled. Unlike Trace it is small and survives in /queryz listings.
 	Resources *QueryResources `json:"resources,omitempty"`
-	// Spans is the stitched span tree (sampled queries only). Omitted
-	// from the /queryz listing; served by /tracez/{traceID}.
-	Spans []*SpanNode `json:"spans,omitempty"`
+	// Trace holds the query's spans (sampled queries only), as recorded:
+	// /tracez/{traceID} snapshots and stitches them when it is read. Never
+	// part of the record's JSON, and dropped from the /queryz listings.
+	Trace *Trace `json:"-"`
 }
 
 // FlightRecorder keeps the last N completed queries in a ring buffer
@@ -64,6 +65,7 @@ type FlightRecorder struct {
 	next    int
 	filled  int
 	seq     uint64
+	finds   uint64        // Find calls: a /tracez read each
 	slowest []QueryRecord // sorted by TotalUS descending, ≤ k entries
 	k       int
 }
@@ -133,8 +135,21 @@ func (f *FlightRecorder) Total() uint64 {
 	return f.seq
 }
 
-// Recent returns the retained queries, newest first, without span
-// trees (use Find to get a record with its spans).
+// Finds returns how many times Find has been called: the /tracez reads
+// served from this recorder (the trace_reads gauge). A shard of a fleet
+// whose router is the only reader stays at zero — the router is handed
+// the spans with each reply and never asks.
+func (f *FlightRecorder) Finds() uint64 {
+	if f == nil {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.finds
+}
+
+// Recent returns the retained queries, newest first, without their
+// spans (use Find to get a record with them).
 func (f *FlightRecorder) Recent() []QueryRecord {
 	if f == nil {
 		return nil
@@ -144,14 +159,14 @@ func (f *FlightRecorder) Recent() []QueryRecord {
 	out := make([]QueryRecord, 0, f.filled)
 	for i := 0; i < f.filled; i++ {
 		rec := f.ring[(f.next-1-i+len(f.ring)*2)%len(f.ring)]
-		rec.Spans = nil
+		rec.Trace = nil
 		out = append(out, rec)
 	}
 	return out
 }
 
 // Slowest returns the K slowest queries ever recorded, slowest first,
-// without span trees.
+// without their spans.
 func (f *FlightRecorder) Slowest() []QueryRecord {
 	if f == nil {
 		return nil
@@ -161,7 +176,7 @@ func (f *FlightRecorder) Slowest() []QueryRecord {
 	out := make([]QueryRecord, len(f.slowest))
 	copy(out, f.slowest)
 	for i := range out {
-		out[i].Spans = nil
+		out[i].Trace = nil
 	}
 	return out
 }
@@ -174,6 +189,7 @@ func (f *FlightRecorder) Find(traceID string) (QueryRecord, bool) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.finds++
 	for i := 0; i < f.filled; i++ {
 		if rec := f.ring[(f.next-1-i+len(f.ring)*2)%len(f.ring)]; rec.TraceID == traceID {
 			return rec, true

@@ -72,22 +72,27 @@ func TestFlightRecorderSlowestK(t *testing.T) {
 func TestFlightRecorderFindReturnsSpans(t *testing.T) {
 	fr := NewFlightRecorder(8, 2)
 	rec := flightRec("traced", 42)
-	rec.Spans = []*SpanNode{{Name: "service-query"}}
+	tr := NewTracer(TracerOptions{})
+	tr.Start("service-query").End()
+	rec.Trace = tr.Detach(tr.TraceID())
 	fr.Record(rec)
 	fr.Record(flightRec("untraced", 1))
 
 	got, ok := fr.Find("traced")
-	if !ok || len(got.Spans) != 1 || got.Spans[0].Name != "service-query" {
+	if spans := got.Trace.Nodes(); !ok || len(spans) != 1 || spans[0].Name != "service-query" {
 		t.Fatalf("Find lost the span tree: %+v ok=%v", got, ok)
 	}
-	// Recent strips span trees (they can be large); Find keeps them.
-	for _, r := range fr.Recent() {
-		if r.Spans != nil {
-			t.Fatalf("Recent leaked spans for %q", r.TraceID)
+	// Recent and Slowest strip the spans (they can be large); Find keeps them.
+	for _, r := range append(fr.Recent(), fr.Slowest()...) {
+		if r.Trace != nil {
+			t.Fatalf("a listing leaked spans for %q", r.TraceID)
 		}
 	}
 	if _, ok := fr.Find("nope"); ok {
 		t.Fatal("Find invented a record")
+	}
+	if n := fr.Finds(); n != 2 {
+		t.Fatalf("Finds = %d after two lookups", n)
 	}
 }
 

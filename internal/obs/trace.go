@@ -21,17 +21,30 @@ import (
 	"time"
 )
 
-// Attr is one span attribute (a key/value string pair).
+// Attr is one span attribute: a key and a string or integer value. An
+// integer stays an integer until a snapshot or an encoder reads it — the
+// enumeration attaches four to every work unit's span, and most spans
+// are never read.
 type Attr struct {
 	Key   string
-	Value string
+	str   string
+	num   int64
+	isNum bool
 }
 
 // String builds a string-valued attribute.
-func String(key, value string) Attr { return Attr{Key: key, Value: value} }
+func String(key, value string) Attr { return Attr{Key: key, str: value} }
 
 // Int builds an integer-valued attribute.
-func Int(key string, v int64) Attr { return Attr{Key: key, Value: strconv.FormatInt(v, 10)} }
+func Int(key string, v int64) Attr { return Attr{Key: key, num: v, isNum: true} }
+
+// Value returns the attribute's value as text.
+func (a Attr) Value() string {
+	if a.isNum {
+		return strconv.FormatInt(a.num, 10)
+	}
+	return a.str
+}
 
 // DefaultMaxChildren bounds the spans recorded under one parent. Spans
 // beyond the cap are counted (SpanNode.Dropped) but not retained, so a
@@ -190,6 +203,9 @@ func (t *Tracer) newSpanLocked(name string, tid TraceID, parentSp SpanID, parent
 		tc:       TraceContext{TraceID: tid, SpanID: deriveSpanID(tid, t.salt^t.seq), Sampled: true},
 		parentSp: parentSp,
 	}
+	if t.opts.JSONL == nil {
+		return s
+	}
 	ev := map[string]any{
 		"ev":     "start",
 		"id":     s.id,
@@ -226,7 +242,7 @@ func (s *Span) endLocked(t *Tracer, now time.Time) {
 	}
 	s.ended = true
 	s.end = now
-	if s.detached {
+	if s.detached || t.opts.JSONL == nil {
 		return
 	}
 	t.emitLocked(map[string]any{
@@ -270,10 +286,9 @@ func (s *Span) Annotate(attrs ...Attr) {
 	s.tracer.mu.Unlock()
 }
 
+// emitLocked writes one event to the JSONL sink; callers build the
+// event only when there is one.
 func (t *Tracer) emitLocked(ev map[string]any) {
-	if t.opts.JSONL == nil {
-		return
-	}
 	b, err := json.Marshal(ev)
 	if err != nil {
 		return
@@ -287,7 +302,7 @@ func attrMap(attrs []Attr) map[string]string {
 	}
 	m := make(map[string]string, len(attrs))
 	for _, a := range attrs {
-		m[a.Key] = a.Value
+		m[a.Key] = a.Value()
 	}
 	return m
 }
@@ -352,45 +367,6 @@ func (s *Span) snapshotLocked(t *Tracer, now time.Time) *SpanNode {
 		n.Children = append(n.Children, c.snapshotLocked(t, now))
 	}
 	return n
-}
-
-// Collect snapshots every root span belonging to trace tid and stitches
-// remote-parented roots under their parents (see Stitch). The spans
-// remain in the tracer; use Take to also remove them.
-func (t *Tracer) Collect(tid TraceID) []*SpanNode {
-	return t.gather(tid, false)
-}
-
-// Take is Collect plus removal: the returned trees are detached from
-// the tracer's live forest, so a long-running server that snapshots
-// each completed query into its flight recorder does not accumulate
-// spans without bound.
-func (t *Tracer) Take(tid TraceID) []*SpanNode {
-	return t.gather(tid, true)
-}
-
-func (t *Tracer) gather(tid TraceID, remove bool) []*SpanNode {
-	if t == nil || tid.IsZero() {
-		return nil
-	}
-	t.mu.Lock()
-	now := time.Now()
-	var nodes []*SpanNode
-	var keep []*Span
-	for _, r := range t.roots {
-		if r.tc.TraceID == tid {
-			nodes = append(nodes, r.snapshotLocked(t, now))
-			if remove {
-				continue
-			}
-		}
-		keep = append(keep, r)
-	}
-	if remove {
-		t.roots = keep
-	}
-	t.mu.Unlock()
-	return Stitch(nodes)
 }
 
 // Stitch reconnects a forest of span trees by trace-context identity:

@@ -173,7 +173,7 @@ func (e *APIError) Unwrap() error {
 // span (obs.ContextWithSpan), it crosses the wire as a W3C traceparent
 // header, so the server's spans stitch into the caller's trace.
 func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
-	out, page, err := c.query(ctx, req)
+	out, page, _, err := c.query(ctx, req)
 	if out != nil && page.Len() > 0 {
 		out.Embeddings = page.Rows()
 	}
@@ -183,28 +183,32 @@ func (c *Client) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 // QueryPage is Query for a caller that keeps the page flat (the shard
 // router): the embeddings come back as a Page and the response's
 // Embeddings is nil. A reply whose rows differ in width has no Page and
-// is an error.
-func (c *Client) QueryPage(ctx context.Context, req QueryRequest) (*QueryResponse, Page, error) {
-	out, page, err := c.query(ctx, req)
-	if out != nil && out.Embeddings != nil {
+// is an error. spans is the server's span subtree for this request when
+// the reply carried one — a shard's, to a request sent under a sampled
+// trace — as the JSON array it arrived as (obs.Trace.AddRemote takes
+// it); nothing has parsed it.
+func (c *Client) QueryPage(ctx context.Context, req QueryRequest) (resp *QueryResponse, page Page, spans []byte, err error) {
+	resp, page, spans, err = c.query(ctx, req)
+	if resp != nil && resp.Embeddings != nil {
 		// The reply was not in the servers' compact form and went
 		// through encoding/json.
 		var ok bool
-		if page, ok = pageOf(out.Embeddings); !ok {
-			return nil, Page{}, errors.New("service: decoding response: embeddings of unequal width")
+		if page, ok = pageOf(resp.Embeddings); !ok {
+			return nil, Page{}, nil, errors.New("service: decoding response: embeddings of unequal width")
 		}
-		out.Embeddings = nil
+		resp.Embeddings = nil
 	}
-	return out, page, err
+	return resp, page, spans, err
 }
 
 // query is Query and QueryPage up to where they differ: the page is
 // returned flat if the reply was in the compact form (decodeQueryResponse),
 // in the response's Embeddings if not.
-func (c *Client) query(ctx context.Context, req QueryRequest) (*QueryResponse, Page, error) {
+func (c *Client) query(ctx context.Context, req QueryRequest) (*QueryResponse, Page, []byte, error) {
+	fail := func(err error) (*QueryResponse, Page, []byte, error) { return nil, Page{}, nil, err }
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, Page{}, err
+		return fail(err)
 	}
 	hresp, err := c.do(ctx, func() (*http.Request, error) {
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/query", bytes.NewReader(body))
@@ -218,12 +222,13 @@ func (c *Client) query(ctx context.Context, req QueryRequest) (*QueryResponse, P
 		return hreq, nil
 	})
 	if err != nil {
-		return nil, Page{}, err
+		return fail(err)
 	}
 	defer hresp.Body.Close()
 
-	// The body is read whole into a pooled buffer: nothing decoded from it
-	// points back into it, so it returns to the pool with this call.
+	// The body is read whole into a pooled buffer: nothing returned points
+	// back into it (the spans are copied out), so it returns to the pool
+	// with this call.
 	buf := responseBuffers.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBytes {
@@ -235,7 +240,7 @@ func (c *Client) query(ctx context.Context, req QueryRequest) (*QueryResponse, P
 		buf.Grow(int(min(n, maxPooledBytes)) + bytes.MinRead) // ReadFrom wants room to see EOF
 	}
 	if _, err := buf.ReadFrom(hresp.Body); err != nil {
-		return nil, Page{}, fmt.Errorf("service: reading response: %w", err)
+		return fail(fmt.Errorf("service: reading response: %w", err))
 	}
 	raw := bytes.TrimLeft(buf.Bytes(), " \t\r\n")
 
@@ -244,19 +249,20 @@ func (c *Client) query(ctx context.Context, req QueryRequest) (*QueryResponse, P
 	// fleet result as "no embeddings, cache hit".
 	if hresp.StatusCode != http.StatusOK && len(raw) == 0 {
 		out := &QueryResponse{}
-		return out, Page{}, &APIError{StatusCode: hresp.StatusCode, Resp: out}
+		return out, Page{}, nil, &APIError{StatusCode: hresp.StatusCode, Resp: out}
 	}
 	if hresp.StatusCode == http.StatusOK && (len(raw) == 0 || raw[0] != '{') {
-		return nil, Page{}, fmt.Errorf("service: decoding response: HTTP 200 without a JSON object (%d bytes)", len(raw))
+		return fail(fmt.Errorf("service: decoding response: HTTP 200 without a JSON object (%d bytes)", len(raw)))
 	}
-	out, page, err := decodeQueryResponse(raw)
+	out, page, spans, err := decodeQueryResponse(raw)
 	if err != nil {
-		return nil, Page{}, fmt.Errorf("service: decoding response: %w", err)
+		return fail(fmt.Errorf("service: decoding response: %w", err))
 	}
+	spans = bytes.Clone(spans)
 	if hresp.StatusCode != http.StatusOK {
-		return out, page, &APIError{StatusCode: hresp.StatusCode, Message: out.Error, Resp: out}
+		return out, page, spans, &APIError{StatusCode: hresp.StatusCode, Message: out.Error, Resp: out}
 	}
-	return out, page, nil
+	return out, page, spans, nil
 }
 
 // responseBuffers holds the buffers Query reads response bodies into.
@@ -294,27 +300,6 @@ func (c *Client) Queryz(ctx context.Context) (*QueryzResponse, error) {
 func (c *Client) Tracez(ctx context.Context, traceID string) ([]byte, error) {
 	hresp, err := c.do(ctx, func() (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/tracez/"+traceID, nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer hresp.Body.Close()
-	body, err := io.ReadAll(hresp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if hresp.StatusCode != http.StatusOK {
-		return nil, &APIError{StatusCode: hresp.StatusCode, Message: string(body)}
-	}
-	return body, nil
-}
-
-// TracezJSONL fetches a sampled query's spans in the compact per-span
-// JSONL form (parse with obs.ReadSpanJSONL). The shard router uses this
-// to stitch shard subtrees under its own routing span.
-func (c *Client) TracezJSONL(ctx context.Context, traceID string) ([]byte, error) {
-	hresp, err := c.do(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/tracez/"+traceID+"?format=jsonl", nil)
 	})
 	if err != nil {
 		return nil, err

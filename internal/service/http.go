@@ -137,14 +137,17 @@ func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the caller's trace (keeping the caller's sampling decision); a
 	// malformed or absent header restarts the trace, per the spec.
 	ctx := r.Context()
+	joined := false
 	if tp := r.Header.Get("traceparent"); tp != "" {
 		if tc, perr := obs.ParseTraceparent(tp); perr == nil {
 			ctx = obs.ContextWithTrace(ctx, tc)
+			joined = true
 		}
 	}
 	resp, err := e.Query(ctx, req)
 	wire2 := QueryResponse{}
 	var page Page
+	var spans *obs.Trace
 	if resp != nil {
 		// Server-Timing (phase breakdown plus SLO state): lets browsers
 		// and clients see where the request's time went without parsing
@@ -165,6 +168,12 @@ func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if resp.Trace.Valid() {
 			w.Header().Set("traceparent", resp.Trace.Traceparent())
 		}
+		// A shard answering a leg of somebody's trace sends its subtree
+		// back with the answer, so the router never has to come and ask.
+		// Nobody else gets the member: see writeQueryJSON.
+		if e.opts.Shard != nil && joined {
+			spans = resp.Spans
+		}
 	}
 	status = statusFor(err)
 	if err != nil {
@@ -176,7 +185,7 @@ func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 			wire2.Partial = true
 		}
 	}
-	WriteQueryJSON(w, status, wire2, page)
+	writeQueryJSON(w, status, wire2, page, spans)
 }
 
 func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -205,18 +214,37 @@ func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // phase durations (queue, build, enum, total) plus the current SLO
 // state ("ok" or "breach").
 func serverTiming(e *Engine, resp *Response) string {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	total := resp.QueueWait + resp.BuildTime + resp.EnumTime
-	s := fmt.Sprintf("queue;dur=%.1f, build;dur=%.1f, enum;dur=%.1f, total;dur=%.1f",
-		ms(resp.QueueWait), ms(resp.BuildTime), ms(resp.EnumTime), ms(total))
+	b := make([]byte, 0, 96) // on every reply of every engine: appended, not formatted
+	b = appendDur(b, "queue", resp.QueueWait)
+	b = appendDur(b, ", build", resp.BuildTime)
+	b = appendDur(b, ", enum", resp.EnumTime)
+	b = appendDur(b, ", total", resp.QueueWait+resp.BuildTime+resp.EnumTime)
 	if h := e.opts.Telemetry; h != nil {
-		state := "ok"
 		if h.SLO().State().Breach() {
-			state = "breach"
+			b = append(b, `, slo;desc="breach"`...)
+		} else {
+			b = append(b, `, slo;desc="ok"`...)
 		}
-		s += `, slo;desc="` + state + `"`
 	}
-	return s
+	return string(b)
+}
+
+// appendDur appends one Server-Timing metric, "name;dur=%.1f" in
+// milliseconds. The tenths come from integer arithmetic, which prints
+// what %.1f prints of the quotient unless d lies exactly between two
+// tenths (there the quotient's last bit decides) or is too long for the
+// argument to hold; those go through strconv.
+func appendDur(b []byte, name string, d time.Duration) []byte {
+	b = append(append(b, name...), ";dur="...)
+	const tenth = time.Millisecond / 10
+	if rem := d % tenth; d >= 0 && d < 1<<40 && rem != tenth/2 {
+		tenths := int64(d / tenth)
+		if rem > tenth/2 {
+			tenths++
+		}
+		return append(strconv.AppendInt(b, tenths/10, 10), '.', byte('0'+tenths%10))
+	}
+	return strconv.AppendFloat(b, float64(d)/float64(time.Millisecond), 'f', 1, 64)
 }
 
 // queryzFilters are the /queryz list filters parsed from the URL.
@@ -340,17 +368,20 @@ func (d debugSurface) handleTracez(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"error": "trace " + id + " not found (evicted, or never ran here)"})
 		return
 	}
-	if len(rec.Spans) == 0 {
+	// The record holds the spans as they were recorded — and, on a router,
+	// as the shards' replies carried them; this is where they become a tree.
+	spans := rec.Trace.Nodes()
+	if len(spans) == 0 {
 		WriteJSON(w, http.StatusNotFound,
 			map[string]string{"error": "trace " + id + " was not sampled: no spans recorded"})
 		return
 	}
 	if r.URL.Query().Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/jsonl")
-		obs.WriteSpanJSONL(w, rec.Spans)
+		obs.WriteSpanJSONL(w, spans)
 		return
 	}
-	doc, err := obs.ChromeTrace(rec.Spans)
+	doc, err := obs.ChromeTrace(spans)
 	if err != nil {
 		WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"ceci/internal/graph"
+	"ceci/internal/obs"
 )
 
 // This file is the one codec of the embedding page — the "embeddings"
@@ -23,6 +24,11 @@ import (
 // exactly it and hands anything else to encoding/json. The small
 // envelope around the page always goes through encoding/json. See
 // DESIGN §12.
+//
+// One more member exists, "spans", and one producer of it: a shard-mode
+// engine answering a leg of a traced scatter closes the envelope with its
+// span subtree (obs.Trace.AppendJSON). The client lifts it off as bytes
+// before anything else looks at the body. No other reply carries it.
 
 // MaxRequestBytes bounds the body of POST /query on the engine and the
 // router. A query graph is kilobytes; a body near a mebibyte is not one.
@@ -35,6 +41,7 @@ const maxPooledBytes = 1 << 20
 const (
 	countKey = `{"count":`
 	pageKey  = `"embeddings":`
+	spansKey = `,"spans":`
 )
 
 // Page is a page of embeddings: Len() of them, each Width ids (one per
@@ -184,25 +191,34 @@ var queryEncoders = sync.Pool{New: func() any { return newQueryEncoder() }}
 // encode returns the document json.NewEncoder(w).Encode writes for
 // envelope with its Embeddings set to page.Rows(). envelope is a
 // QueryResponse or a struct embedding one (so "count" leads and
-// "embeddings" follows it), with Embeddings nil. The result is valid
+// "embeddings" follows it), with Embeddings nil. A non-nil spans is
+// appended as the envelope's last member, "spans". The result is valid
 // until the next encode.
-func (qe *queryEncoder) encode(envelope any, page Page) ([]byte, error) {
+func (qe *queryEncoder) encode(envelope any, page Page, spans *obs.Trace) ([]byte, error) {
 	qe.env.Reset()
 	if err := qe.enc.Encode(envelope); err != nil {
 		return nil, err
 	}
 	env := qe.env.Bytes()
-	if page.Len() == 0 {
+	if page.Len() == 0 && spans == nil {
 		return env, nil // omitempty: the member is absent
 	}
-	comma := bytes.IndexByte(env, ',')
-	if !bytes.HasPrefix(env, []byte(countKey)) || comma < 0 {
-		return nil, fmt.Errorf("service: %T is not a query response envelope", envelope)
+	out := qe.out[:0]
+	if page.Len() > 0 {
+		comma := bytes.IndexByte(env, ',')
+		if !bytes.HasPrefix(env, []byte(countKey)) || comma < 0 {
+			return nil, fmt.Errorf("service: %T is not a query response envelope", envelope)
+		}
+		out = append(out, env[:comma+1]...)
+		out = append(out, pageKey...)
+		out = appendPage(out, page)
+		env = env[comma:]
 	}
-	out := append(qe.out[:0], env[:comma+1]...)
-	out = append(out, pageKey...)
-	out = appendPage(out, page)
-	out = append(out, env[comma:]...)
+	out = append(out, env...)
+	if spans != nil {
+		out = append(out[:len(out)-len("}\n")], spansKey...) // the envelope ends "}\n"
+		out = append(spans.AppendJSON(out), "}\n"...)
+	}
 	qe.out = out
 	return out, nil
 }
@@ -213,8 +229,15 @@ func (qe *queryEncoder) encode(envelope any, page Page) ([]byte, error) {
 // writes for the same value with Embeddings set to page.Rows(); only
 // the envelope goes through encoding/json's reflection.
 func WriteQueryJSON(w http.ResponseWriter, status int, envelope any, page Page) {
+	writeQueryJSON(w, status, envelope, page, nil)
+}
+
+// writeQueryJSON is WriteQueryJSON with, when spans is non-nil, the
+// "spans" member after everything else. Only a shard-mode engine
+// answering a traced leg passes one (Engine.handleQuery).
+func writeQueryJSON(w http.ResponseWriter, status int, envelope any, page Page, spans *obs.Trace) {
 	qe := queryEncoders.Get().(*queryEncoder)
-	body, err := qe.encode(envelope, page)
+	body, err := qe.encode(envelope, page, spans)
 	if err != nil {
 		queryEncoders.Put(qe)
 		WriteJSON(w, http.StatusInternalServerError, QueryResponse{Error: err.Error()})
@@ -235,15 +258,46 @@ func WriteQueryJSON(w http.ResponseWriter, status int, envelope any, page Page) 
 // otherwise the whole body goes to encoding/json and the page, if any,
 // is in Embeddings. Either way, the response with page.Rows() put in an
 // empty Embeddings is what json.Unmarshal(raw, new(QueryResponse))
-// yields: the same value, or an error whenever that errors. raw is
-// overwritten.
-func decodeQueryResponse(raw []byte) (*QueryResponse, Page, error) {
-	out := &QueryResponse{}
+// yields: the same value, or an error whenever that errors. spans is the
+// value of a closing "spans" member (peelSpans), a view of raw, or nil.
+// raw is overwritten.
+func decodeQueryResponse(raw []byte) (out *QueryResponse, page Page, spans []byte, err error) {
+	out = &QueryResponse{}
+	raw, spans = peelSpans(raw)
 	env, page, ok := splitPage(raw)
 	if !ok {
-		return out, Page{}, json.Unmarshal(raw, out)
+		return out, Page{}, spans, json.Unmarshal(raw, out)
 	}
-	return out, page, json.Unmarshal(env, out)
+	return out, page, spans, json.Unmarshal(env, out)
+}
+
+// peelSpans recognises a body that opens `{"count":` and closes with a
+// member `,"spans":[…]}` (then at most whitespace), the array valid
+// JSON. It returns the body without the member — the comma overwritten
+// by the closing brace — and the array, a view of raw. The shortened
+// body is a well-formed document exactly when raw was, with the same
+// other members: QueryResponse has no field a key "spans" could match,
+// so encoding/json decodes both to one value. The array goes through
+// encoding/json's scanner once and is not decoded; what a span name or
+// attribute says (the word "embeddings", say) never reaches splitPage.
+// On anything else it returns raw intact and nil.
+func peelSpans(raw []byte) (rest, spans []byte) {
+	end := len(bytes.TrimRight(raw, " \t\r\n"))
+	if !bytes.HasPrefix(raw, []byte(countKey)) || !bytes.HasSuffix(raw[:end], []byte("]}")) {
+		return raw, nil
+	}
+	// The last occurrence: a string inside the array cannot hold the key's
+	// bare quotes, and a nested "spans" key fails the validity check.
+	at := bytes.LastIndex(raw[:end], []byte(spansKey+"["))
+	if at < 0 {
+		return raw, nil
+	}
+	spans = raw[at+len(spansKey) : end-1]
+	if !json.Valid(spans) {
+		return raw, nil
+	}
+	raw[at] = '}'
+	return raw[:at+1], spans
 }
 
 // splitPage recognises `{"count":N,"embeddings":[[a,b,…],…]` followed

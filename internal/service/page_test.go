@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"ceci/internal/graph"
+	"ceci/internal/obs"
 )
 
 // randomPage draws a rows×width page whose ids span the uint32 range,
@@ -171,7 +172,32 @@ var responseBodies = []string{
 	`{"count":1,"embeddings":[[1,2]],"error":"\"embeddings\":","x":{"embeddings":[[7]]}}`,
 	`{"count":1,"embeddings":[[1,2]],"count":7,"trace_id":"é"}`,
 	`{"count":1,"embeddings":[[1,2]]}  ` + "\n\t",
+	// A shard's leg reply: the span subtree closes the envelope. What it
+	// says must not cost the page its fast path.
+	spansReply,
+	`{"count":7,"cache_hit":true,"build_ms":0,"enum_ms":0.1,"trace_id":"ab","spans":[{"name":"service-query","start_us":1,"dur_us":2}]}` + "\n",
+	`{"count":1,"embeddings":[[1,2]],"spans":[]}`,
+	`{"count":1,"embeddings":[[1,2]],"spans":[ {"name":"a"} , null, 3 ] }` + " \n",
+	// A "spans" the peel must decline or get right.
+	`{"count":1,"embeddings":[[1,2]],"spans":[{"name":"a"}],"cache_hit":true}`,
+	`{"count":1,"embeddings":[[1,2]],"spans":[1],"spans":[2]}`,
+	`{"count":1,"embeddings":[[1,2]],"SPANS":[1],"spans":[2]}`,
+	`{"count":1,"embeddings":[[1,2]],"x":[{"a":1,"spans":[2]}]}`,
+	`{"count":1,"embeddings":[[1,2]],"x":{"a":1,"spans":[2]}}`,
+	`{"count":1,"embeddings":[[1,2]],"error":"x,\"spans\":[","spans":[{"name":",\"spans\":["}]}`,
+	`{"count":1,"spans":[{"embeddings":[[9]]}]}`,
+	`{"count":1,"embeddings":[[1,2]],"spans":null}`,
+	`{"count":1,"embeddings":[[1,2]],"spans":{"a":[]}}`,
 	// Errors: both decoders must refuse.
+	`{,"spans":[]}`,
+	`{"count":,"spans":[]}`,
+	`{"count":1,"spans":[}`,
+	`{"count":1,"spans":[1,]}`,
+	`{"count":1,"spans":[]]}`,
+	`{"count":1,"spans":[]}}`,
+	`{"count":1,"embeddings":[[1,2]],"error":"x,"spans":[]}`,
+	`{"count":1,"embeddings":[[1,2]],,"spans":[]}`,
+	`{"count":1,"embeddings":[[1,2]],"spans":["\x"]}`,
 	`{"count":1,"embeddings":[[4294967296]]}`,
 	`{"count":1,"embeddings":[[01]]}`,
 	`{"count":1,"embeddings":[[-1]]}`,
@@ -201,18 +227,34 @@ var responseBodies = []string{
 	`{`,
 }
 
+// spansReply is a page reply as a shard writes it to a traced leg, with
+// everything in the spans that would send the page to encoding/json if
+// splitPage saw it: the word itself, a \u escape, bytes past ASCII.
+const spansReply = `{"count":2,"embeddings":[[1,2,3],[4,5,6]],"cache_hit":true,"build_ms":0,"enum_ms":0.5,"trace_id":"ab","query_hash":"cd",` +
+	`"spans":[{"name":"service-query","trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","span_id":"00f067aa0ba902b7","parent_span_id":"b7ad6b7169203331","attrs":{"cache_hit":"true","embeddings":"2"},"start_us":10,"dur_us":900},` +
+	`{"name":"\u0065mbeddings é","span_id":"1c80319c8448eb21","parent_span_id":"00f067aa0ba902b7","start_us":20,"dur_us":5,"running":true}]}` + "\n"
+
 // checkDecodeAgrees is the differential oracle: decodeQueryResponse
-// against json.Unmarshal into the same type.
+// against json.Unmarshal into the same type, and the spans it lifts off
+// against the member encoding/json finds.
 func checkDecodeAgrees(t *testing.T, raw []byte) {
 	t.Helper()
 	var want QueryResponse
 	wantErr := json.Unmarshal(raw, &want)
-	got, page, gotErr := decodeQueryResponse(bytes.Clone(raw))
+	got, page, spans, gotErr := decodeQueryResponse(bytes.Clone(raw))
 	if (wantErr != nil) != (gotErr != nil) {
 		t.Fatalf("encoding/json error %v, codec error %v, for %q", wantErr, gotErr, raw)
 	}
 	if wantErr != nil {
 		return
+	}
+	if spans != nil {
+		var member struct {
+			Spans json.RawMessage `json:"spans"`
+		}
+		if err := json.Unmarshal(raw, &member); err != nil || !bytes.Equal(member.Spans, spans) || spans[0] != '[' {
+			t.Fatalf("lifted spans %q off %q; encoding/json finds %q (%v)", spans, raw, member.Spans, err)
+		}
 	}
 	if page.Len() > 0 {
 		if got.Embeddings != nil {
@@ -224,43 +266,58 @@ func checkDecodeAgrees(t *testing.T, raw []byte) {
 		t.Fatalf("decoded values differ for %q:\n json %+v\ncodec %+v", raw, want, *got)
 	}
 
-	// The fast path sizes its one flat array from the input: at most an
-	// id per two bytes.
-	intact := bytes.Clone(raw)
-	if _, page, ok := splitPage(intact); ok {
-		if page.Len() == 0 || len(page.IDs)%page.Width != 0 || 2*cap(page.IDs) > len(raw) {
-			t.Fatalf("page of width %d, %d ids (cap %d) from %d bytes", page.Width, len(page.IDs), cap(page.IDs), len(raw))
+	// Each step either does its whole job or leaves the body alone; the
+	// fast path sizes its one flat array from the input: at most an id
+	// per two bytes.
+	body, lifted := peelSpans(bytes.Clone(raw))
+	if lifted == nil && !bytes.Equal(body, raw) {
+		t.Fatalf("peelSpans declined %q but rewrote it to %q", raw, body)
+	}
+	intact := bytes.Clone(body)
+	if _, page, ok := splitPage(body); ok {
+		if page.Len() == 0 || len(page.IDs)%page.Width != 0 || 2*cap(page.IDs) > len(intact) {
+			t.Fatalf("page of width %d, %d ids (cap %d) from %d bytes", page.Width, len(page.IDs), cap(page.IDs), len(intact))
 		}
-	} else if !bytes.Equal(intact, raw) {
-		t.Fatalf("splitPage declined %q but rewrote it to %q", raw, intact)
+	} else if !bytes.Equal(body, intact) {
+		t.Fatalf("splitPage declined %q but rewrote it to %q", intact, body)
 	}
 }
 
 func TestDecodeQueryResponseAgreesWithEncodingJSON(t *testing.T) {
-	fast := 0
+	fast, lifted := 0, 0
 	for _, body := range responseBodies {
 		checkDecodeAgrees(t, []byte(body))
-		if _, _, ok := splitPage([]byte(body)); ok {
+		rest, spans := peelSpans([]byte(body))
+		if spans != nil {
+			lifted++
+		}
+		if _, _, ok := splitPage(rest); ok {
 			fast++
 		}
 	}
-	if fast < 5 {
-		t.Fatalf("only %d of the bodies took the fast path", fast)
+	if fast < 8 || lifted < 5 {
+		t.Fatalf("only %d of the bodies took the fast path, %d had their spans lifted", fast, lifted)
+	}
+	// The reply a shard writes keeps the fast path whatever its spans say.
+	if rest, spans := peelSpans([]byte(spansReply)); spans == nil {
+		t.Fatal("a shard's reply kept its spans member")
+	} else if _, page, ok := splitPage(rest); !ok || page.Len() != 2 {
+		t.Fatal("a shard's reply missed the fast path")
 	}
 	// Every page the encoder writes is read back, fast, to the same value.
 	rng := rand.New(rand.NewPCG(14, 2))
 	for _, shape := range [][2]int{{1, 1}, {1, 9}, {17, 1}, {1000, 3}, {64, 12}} {
 		want := QueryResponse{Count: int64(shape[0]), CacheHit: true, EnumMS: 0.75, TraceID: "t", Error: "a \"quoted\" error\n"}
 		page := randomPage(rng, shape[0], shape[1])
-		body, err := newQueryEncoder().encode(want, page)
+		body, err := newQueryEncoder().encode(want, page, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, _, ok := splitPage(bytes.Clone(body)); !ok {
 			t.Fatalf("%v: the encoder's own output missed the fast path", shape)
 		}
-		got, gotPage, err := decodeQueryResponse(bytes.Clone(body))
-		if err != nil || !reflect.DeepEqual(&want, got) || !reflect.DeepEqual(page, gotPage) {
+		got, gotPage, spans, err := decodeQueryResponse(bytes.Clone(body))
+		if err != nil || spans != nil || !reflect.DeepEqual(&want, got) || !reflect.DeepEqual(page, gotPage) {
 			t.Fatalf("%v: round trip: %v", shape, err)
 		}
 	}
@@ -382,17 +439,24 @@ func TestClientQueryPage(t *testing.T) {
 		body   string
 		want   Page
 		fails  bool
+		spans  bool
 	}{
-		{"compact", 200, `{"count":2,"embeddings":[[1,2],[3,4]],"cache_hit":true}`, Page{Width: 2, IDs: []graph.VertexID{1, 2, 3, 4}}, false},
-		{"through encoding/json", 200, `{"count":2, "embeddings":[[1,2], [3,4]]}`, Page{Width: 2, IDs: []graph.VertexID{1, 2, 3, 4}}, false},
-		{"partial", 504, `{"count":1,"embeddings":[[9]],"partial":true,"error":"deadline"}`, Page{Width: 1, IDs: []graph.VertexID{9}}, false},
-		{"count only", 200, `{"count":7,"cache_hit":true}`, Page{}, false},
-		{"empty page", 200, `{"count":7,"embeddings":[]}`, Page{}, false},
-		{"ragged", 200, `{"count":2,"embeddings":[[1,2],[3]]}`, Page{}, true},
-		{"empty row", 200, `{"count":2,"embeddings":[[],[]]}`, Page{}, true},
+		{"compact", 200, `{"count":2,"embeddings":[[1,2],[3,4]],"cache_hit":true}`, Page{Width: 2, IDs: []graph.VertexID{1, 2, 3, 4}}, false, false},
+		{"through encoding/json", 200, `{"count":2, "embeddings":[[1,2], [3,4]]}`, Page{Width: 2, IDs: []graph.VertexID{1, 2, 3, 4}}, false, false},
+		{"partial", 504, `{"count":1,"embeddings":[[9]],"partial":true,"error":"deadline"}`, Page{Width: 1, IDs: []graph.VertexID{9}}, false, false},
+		{"count only", 200, `{"count":7,"cache_hit":true}`, Page{}, false, false},
+		{"empty page", 200, `{"count":7,"embeddings":[]}`, Page{}, false, false},
+		{"ragged", 200, `{"count":2,"embeddings":[[1,2],[3]]}`, Page{}, true, false},
+		{"empty row", 200, `{"count":2,"embeddings":[[],[]]}`, Page{}, true, false},
+		{"a shard's traced leg", 200, spansReply, Page{Width: 3, IDs: []graph.VertexID{1, 2, 3, 4, 5, 6}}, false, true},
+		{"a traced leg cut short", 504, `{"count":1,"embeddings":[[9]],"partial":true,"spans":[{"name":"service-query"}]}`, Page{Width: 1, IDs: []graph.VertexID{9}}, false, true},
+		{"spans through encoding/json", 200, `{"count":2, "embeddings":[[1,2]], "spans":[{"name":"a"}]}`, Page{Width: 2, IDs: []graph.VertexID{1, 2}}, false, false},
 	} {
 		status, body = tc.status, tc.body
-		resp, page, err := cl.QueryPage(context.Background(), QueryRequest{})
+		resp, page, spans, err := cl.QueryPage(context.Background(), QueryRequest{})
+		if (spans != nil) != tc.spans {
+			t.Errorf("%s: spans %q", tc.name, spans)
+		}
 		var apiErr *APIError
 		switch {
 		case tc.fails:
@@ -446,33 +510,92 @@ func pageFixture() (QueryResponse, Page) {
 	return env, randomPage(rand.New(rand.NewPCG(14, 3)), 1000, 3)
 }
 
+// legSpans is the span subtree of one fleet_scatter leg — service-query,
+// enumerate, six clusters — with an attribute that would send the page
+// to encoding/json if splitPage ever saw it (spansReply has the others).
+func legSpans() *obs.Trace {
+	tc, _ := obs.ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	tr := obs.NewTracer(obs.TracerOptions{})
+	root := tr.StartRemote(tc, "service-query", obs.Int("query_vertices", 3))
+	root.Annotate(obs.String("cache_hit", "true"), obs.String("query_hash", "00f067aa0ba902b7"))
+	enum := root.Child("enumerate", obs.String("strategy", "FGD"), obs.Int("units", 6), obs.Int("workers", 1))
+	for i := int64(0); i < 6; i++ {
+		enum.Child("cluster", obs.Int("pivot", 1000*i), obs.Int("depth", 1), obs.Int("card", 170), obs.Int("worker", 0)).End()
+	}
+	enum.Annotate(obs.Int("embeddings", 1000))
+	enum.End()
+	root.Annotate(obs.Int("outcome", 200), obs.Int("admission_wait_us", 0))
+	root.End()
+	return tr.Detach(tc.TraceID)
+}
+
 // TestPageCodecAllocs: encoding and decoding a 1000×3 page cost a fixed
 // handful of allocations, none of them per row. Encoding makes 1: the
 // envelope boxed into an interface. Decoding makes 8: the flat id array,
 // the response, and encoding/json's decode state, scanner and strings
-// for the seven-member envelope. The bounds leave
+// for the seven-member envelope. A shard's span subtree on the reply adds
+// none on either side (the router's copy of its bytes is the client's
+// business) and does not cost the page its flat path, whatever the spans
+// say. The bounds leave
 // room for what the race detector's runtime adds (it also empties
 // sync.Pools at random); BenchmarkPageEncode/Decode report the exact
 // figures.
 func TestPageCodecAllocs(t *testing.T) {
 	env, page := pageFixture()
 	qe := newQueryEncoder()
-	body, err := qe.encode(env, page)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body = bytes.Clone(body)
-	if n := testing.AllocsPerRun(100, func() { qe.encode(env, page) }); n > 4 {
-		t.Errorf("encode: %v allocations per 1000x3 page, want 1 (<= 4)", n)
-	}
-	scratch := make([]byte, len(body))
-	if n := testing.AllocsPerRun(100, func() {
-		copy(scratch, body)
-		if _, _, err := decodeQueryResponse(scratch); err != nil {
+	for name, spans := range map[string]*obs.Trace{"plain": nil, "with spans": legSpans()} {
+		body, err := qe.encode(env, page, spans)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); n > 16 {
-		t.Errorf("decode: %v allocations per 1000x3 page, want 8 (<= 16)", n)
+		body = bytes.Clone(body)
+		if n := testing.AllocsPerRun(100, func() { qe.encode(env, page, spans) }); n > 4 {
+			t.Errorf("%s: encode: %v allocations per 1000x3 page, want 1 (<= 4)", name, n)
+		}
+		scratch := make([]byte, len(body))
+		if n := testing.AllocsPerRun(100, func() {
+			copy(scratch, body)
+			if _, _, _, err := decodeQueryResponse(scratch); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 16 {
+			t.Errorf("%s: decode: %v allocations per 1000x3 page, want 8 (<= 16)", name, n)
+		}
+		rest, lifted := peelSpans(bytes.Clone(body))
+		if _, _, flat := splitPage(rest); !flat || (lifted != nil) != (spans != nil) {
+			t.Errorf("%s: flat path %v, %d bytes of spans lifted", name, flat, len(lifted))
+		}
+	}
+}
+
+// TestSpansMemberClosesTheEnvelope: a reply with spans is the reply
+// without them — byte for byte — plus one last member holding what
+// obs.WriteSpanJSONL writes for the same trace, a span to an element.
+func TestSpansMemberClosesTheEnvelope(t *testing.T) {
+	env, page := pageFixture()
+	spans := legSpans()
+	var lines bytes.Buffer
+	if err := obs.WriteSpanJSONL(&lines, spans.Nodes()); err != nil {
+		t.Fatal(err)
+	}
+	member := "[" + strings.ReplaceAll(strings.TrimSpace(lines.String()), "\n", ",") + "]"
+	for name, page := range map[string]Page{"page": page, "count only": {}} {
+		plain, err := newQueryEncoder().encode(env, page, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := newQueryEncoder().encode(env, page, spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := string(plain[:len(plain)-2]) + `,"spans":` + member + "}\n"
+		if string(got) != want {
+			t.Errorf("%s:\n got %.300s…%s\nwant %.300s…%s", name, got, got[max(0, len(got)-2200):], want, want[max(0, len(want)-2200):])
+		}
+		resp, gotPage, lifted, err := decodeQueryResponse(bytes.Clone(got))
+		if err != nil || string(lifted) != member || !reflect.DeepEqual(resp, &env) || !reflect.DeepEqual(gotPage.IDs, page.IDs) {
+			t.Errorf("%s: decoded %+v, %d ids, spans %.80s (%v)", name, resp, len(gotPage.IDs), lifted, err)
+		}
 	}
 }
 
@@ -487,7 +610,15 @@ func BenchmarkPageEncode(b *testing.B) {
 	b.Run("append", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			body, _ := qe.encode(env, page)
+			body, _ := qe.encode(env, page, nil)
+			b.SetBytes(int64(len(body)))
+		}
+	})
+	b.Run("append-with-spans", func(b *testing.B) {
+		spans := legSpans()
+		b.ReportAllocs()
+		for b.Loop() {
+			body, _ := qe.encode(env, page, spans)
 			b.SetBytes(int64(len(body)))
 		}
 	})
@@ -505,7 +636,7 @@ func BenchmarkPageEncode(b *testing.B) {
 
 func BenchmarkPageDecode(b *testing.B) {
 	env, page := pageFixture()
-	body, _ := newQueryEncoder().encode(env, page)
+	body, _ := newQueryEncoder().encode(env, page, nil)
 	body = bytes.Clone(body)
 	scratch := make([]byte, len(body))
 	b.Run("scan", func(b *testing.B) {
@@ -513,7 +644,18 @@ func BenchmarkPageDecode(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			copy(scratch, body)
-			benchResp, benchPage, _ = decodeQueryResponse(scratch)
+			benchResp, benchPage, _, _ = decodeQueryResponse(scratch)
+		}
+	})
+	b.Run("scan-with-spans", func(b *testing.B) {
+		body, _ := newQueryEncoder().encode(env, page, legSpans())
+		body = bytes.Clone(body)
+		scratch := make([]byte, len(body))
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for b.Loop() {
+			copy(scratch, body)
+			benchResp, benchPage, _, _ = decodeQueryResponse(scratch)
 		}
 	})
 	b.Run("encoding-json", func(b *testing.B) {

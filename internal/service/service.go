@@ -220,6 +220,10 @@ type Response struct {
 	// Trace is the request root span's trace position, valid only when
 	// the query was sampled; HTTP emits it as the response traceparent.
 	Trace obs.TraceContext
+	// Spans is the query's finished span tree (sampled queries only), the
+	// one its flight record holds. In shard mode the HTTP layer puts it on
+	// the reply to a caller that sent a traceparent.
+	Spans *obs.Trace
 	// QueryHash identifies the query's isomorphism class (the index
 	// cache key, shortened) — equal for isomorphic patterns.
 	QueryHash string
@@ -302,6 +306,7 @@ func New(data *graph.Graph, opts Options) *Engine {
 				"builds":            e.builds.Load(),
 				"inflight":          e.inflight.Load(),
 				"queue_depth":       e.waiting.Load(),
+				"trace_reads":       int64(e.flight.Finds()),
 			}
 		})
 		reg.SetSource("cache", func() map[string]int64 {
@@ -471,9 +476,10 @@ func statusFor(err error) int {
 	}
 }
 
-// finish closes the query's span tree, moves it out of the tracer, and
-// records the completed query in the flight recorder (and the audit
-// log, when configured). Called exactly once per admitted-or-shed
+// finish closes the query's span tree, moves it out of the tracer into
+// the flight record as it is (nothing is snapshotted until /tracez is
+// read), and records the completed query in the flight recorder (and the
+// audit log, when configured). Called exactly once per admitted-or-shed
 // query; trace bookkeeping happens only here, at the request boundary,
 // never inside the enumeration hot path.
 func (e *Engine) finish(tc obs.TraceContext, span *obs.Span, req Request,
@@ -502,21 +508,18 @@ func (e *Engine) finish(tc obs.TraceContext, span *obs.Span, req Request,
 		span.Annotate(obs.Int("outcome", int64(rec.Outcome)),
 			obs.Int("admission_wait_us", rec.AdmissionWaitUS))
 		span.End()
-		// Take (not Collect): completed trees leave the tracer so a
-		// long-running server's span forest stays bounded by the ring.
-		rec.Spans = e.opts.Tracer.Take(tc.TraceID)
+		// Completed trees leave the tracer, so a long-running server's span
+		// forest stays bounded by the ring.
+		rec.Trace = e.opts.Tracer.Detach(tc.TraceID)
+		if resp != nil {
+			resp.Spans = rec.Trace
+		}
 	}
 	e.flight.Record(rec)
-	if h := e.opts.Telemetry; h != nil {
-		slim := rec
-		slim.Spans = nil // the hub aggregates scalars; span trees stay in the recorder
-		h.ObserveQuery(slim)
-	}
+	e.opts.Telemetry.ObserveQuery(rec) // aggregates scalars; keeps nothing of rec
 	if e.audit != nil {
-		audit := rec
-		audit.Spans = nil // the audit log is one line per query, not a span dump
 		e.auditMu.Lock()
-		e.audit.Encode(audit)
+		e.audit.Encode(rec) // one line per query: the record's JSON has no spans
 		e.auditMu.Unlock()
 	}
 }

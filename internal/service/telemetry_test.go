@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -219,6 +221,30 @@ func TestServerTimingHeader(t *testing.T) {
 	for _, part := range []string{"queue;dur=", "build;dur=", "enum;dur=", "total;dur=", `slo;desc="ok"`} {
 		if !strings.Contains(st, part) {
 			t.Fatalf("Server-Timing %q missing %q", st, part)
+		}
+	}
+}
+
+// TestServerTimingTextIsPrintf: the appended header is, byte for byte,
+// the fmt.Sprintf("name;dur=%.1f") text clients parse — on round values,
+// on durations exactly between two tenths (where the float's last bit
+// decides), on a negative one and on ones too long for the integer path.
+func TestServerTimingTextIsPrintf(t *testing.T) {
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	eng := New(testData(), Options{})
+	rng := rand.New(rand.NewPCG(20, 1))
+	durs := []time.Duration{0, 1, 49999, 50000, 50001, 99999, 100000, 150000, 250000, 350000, 950000, 999950000,
+		-70000, 1<<40 - 1, 1 << 40, 1<<40 + 150000, 1<<62 + 50000}
+	for i := 0; i < 20000; i++ {
+		d := time.Duration(rng.Int64N(1 << uint(10+rng.IntN(33))))
+		durs = append(durs, d, d-d%50000+50000) // and the next half or whole tenth
+	}
+	for _, d := range durs {
+		resp := &Response{QueueWait: d / 7, BuildTime: d, EnumTime: d / 3}
+		want := fmt.Sprintf("queue;dur=%.1f, build;dur=%.1f, enum;dur=%.1f, total;dur=%.1f",
+			ms(resp.QueueWait), ms(resp.BuildTime), ms(resp.EnumTime), ms(resp.QueueWait+resp.BuildTime+resp.EnumTime))
+		if got := serverTiming(eng, resp); got != want {
+			t.Fatalf("%d ns: Server-Timing %q, Sprintf writes %q", d, got, want)
 		}
 	}
 }

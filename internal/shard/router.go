@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -78,8 +77,9 @@ type RouterOptions struct {
 	// MaxLimit caps merged embeddings per request (default 10000).
 	MaxLimit int64
 	// Tracer + TraceSample mirror service.Options: sampled requests get
-	// a routing span tree with one scatter child per shard, stitched
-	// with the shards' own span trees at gather time.
+	// a routing span tree with one scatter child per shard; the shards'
+	// own span trees arrive on their leg replies and are stitched under
+	// it when /tracez is read.
 	Tracer      *obs.Tracer
 	TraceSample float64
 	// FlightSize/SlowestK size the router's flight recorder (/queryz).
@@ -236,6 +236,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 				"partials":         rt.partials.Load(),
 				"hedges":           rt.hedges.Load(),
 				"healthy_replicas": healthy,
+				"trace_reads":      int64(rt.flight.Finds()),
 			}
 		})
 		if o.Tracer != nil {
@@ -336,6 +337,8 @@ func (rt *Router) probe(rep *Replica) {
 //	GET  /queryz            router flight recorder (?format=text,
 //	                        ?limit=N, ?min_ms=D)
 //	GET  /tracez/{traceID}  stitched span tree spanning router + shards
+//	                        (no shard is contacted: their spans came
+//	                        with their leg replies)
 //	GET  /statz, /dashz     telemetry hub (requires Options.Telemetry)
 //
 // The debug routes are the engine's own handlers (service.MountDebug).
@@ -351,11 +354,19 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
+// maxLegSpanBytes bounds the span bytes the router keeps from one leg
+// reply. A shard's subtree is a couple of kilobytes; a reply carrying
+// more than this is misbehaving, and its spans are dropped (the scatter
+// span says how many bytes) rather than pinned in the flight ring and
+// the slowest-K index.
+const maxLegSpanBytes = 64 << 10
+
 // shardResult is one scatter leg's outcome.
 type shardResult struct {
 	shard   int
 	resp    *service.QueryResponse // Embeddings nil: the page is beside it
 	page    service.Page
+	spans   []byte // the shard's span subtree as its reply carried it, unparsed
 	replica *Replica
 	err     error
 	hedged  bool
@@ -520,6 +531,27 @@ func (rt *Router) queryShard(ctx context.Context, shard int, req service.QueryRe
 	}
 	ordered, parallel := rt.opts.Policy.Pick(shard, reps)
 
+	ask := func(ctx context.Context, rep *Replica, hedged bool) shardResult {
+		rep.inflight.Add(1)
+		defer rep.inflight.Add(-1)
+		resp, page, spans, err := rep.client.QueryPage(ctx, req)
+		if n := len(spans); n > maxLegSpanBytes {
+			sp.Annotate(obs.Int("spans_dropped", int64(n)))
+			spans = nil
+		}
+		return shardResult{shard: shard, resp: resp, page: page, spans: spans, replica: rep, err: err, hedged: hedged}
+	}
+
+	// One candidate: nobody to race, hedge to or fail over to, so the leg
+	// needs no goroutine, channel or cancel of its own.
+	if len(ordered) == 1 {
+		res := ask(ctx, ordered[0], false)
+		if res.usable() {
+			sp.Annotate(obs.String("replica", res.replica.URL))
+		}
+		return res
+	}
+
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel() // first usable response wins; losers are cancelled
 
@@ -528,12 +560,7 @@ func (rt *Router) queryShard(ctx context.Context, shard int, req service.QueryRe
 		if hedged {
 			rt.hedges.Add(1)
 		}
-		go func() {
-			rep.inflight.Add(1)
-			defer rep.inflight.Add(-1)
-			resp, page, err := rep.client.QueryPage(cctx, req)
-			resc <- shardResult{shard: shard, resp: resp, page: page, replica: rep, err: err, hedged: hedged}
-		}()
+		go func() { resc <- ask(cctx, rep, hedged) }()
 	}
 
 	next := 0
@@ -695,9 +722,10 @@ func (rt *Router) merge(wire service.QueryRequest, width int, results []shardRes
 	return out, page, http.StatusOK
 }
 
-// finish records the routed query: close the routing span, pull the
-// shards' span trees over /tracez and stitch them under the scatter
-// children, then hand the record to the flight recorder and telemetry.
+// finish records the routed query: close the routing span and hand the
+// record — the router's own spans as recorded, each answering shard's as
+// the bytes its reply carried — to the flight recorder and telemetry.
+// Nothing is decoded or stitched here; /tracez does that when it is read.
 func (rt *Router) finish(tc obs.TraceContext, span *obs.Span, q *graph.Graph,
 	resp *RouteResponse, status int, start time.Time, results []shardResult) {
 
@@ -719,51 +747,15 @@ func (rt *Router) finish(tc obs.TraceContext, span *obs.Span, q *graph.Graph,
 		span.Annotate(obs.Int("outcome", int64(status)),
 			obs.Int("shards_ok", int64(resp.ShardsOK)))
 		span.End()
-		nodes := rt.opts.Tracer.Take(tc.TraceID)
-		nodes = append(nodes, rt.fetchShardSpans(results)...)
-		rec.Spans = obs.Stitch(nodes)
+		rec.Trace = rt.opts.Tracer.Detach(tc.TraceID)
+		for _, res := range results {
+			if res.spans != nil {
+				rec.Trace.AddRemote(res.spans)
+			}
+		}
 	}
 	rt.flight.Record(rec)
-	if h := rt.opts.Telemetry; h != nil {
-		slim := rec
-		slim.Spans = nil
-		h.ObserveQuery(slim)
-	}
-}
-
-// fetchShardSpans pulls each answering shard's span log (the flat
-// JSONL form) so the gathered trees re-root under this trace's scatter
-// spans. The shard's flight record exists by the time its HTTP response
-// was written, so a prompt fetch is safe; a shard that cannot answer
-// simply contributes no subtree.
-func (rt *Router) fetchShardSpans(results []shardResult) []*obs.SpanNode {
-	var nodes []*obs.SpanNode
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, res := range results {
-		if !res.usable() || res.replica == nil || res.resp.TraceID == "" {
-			continue
-		}
-		wg.Add(1)
-		go func(res shardResult) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), rt.opts.HealthTimeout)
-			defer cancel()
-			b, err := res.replica.client.TracezJSONL(ctx, res.resp.TraceID)
-			if err != nil {
-				return
-			}
-			sub, err := obs.ReadSpanJSONL(bytes.NewReader(b))
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			nodes = append(nodes, sub...)
-			mu.Unlock()
-		}(res)
-	}
-	wg.Wait()
-	return nodes
+	rt.opts.Telemetry.ObserveQuery(rec)
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,6 +43,14 @@ func shardEngine(p *Partition, opts service.Options) *service.Engine {
 func startFleet(t *testing.T, data *graph.Graph, shards, radius int,
 	sopts service.Options, ropts RouterOptions) (*Router, *httptest.Server) {
 	t.Helper()
+	return startWrappedFleet(t, data, shards, radius, sopts, ropts, nil)
+}
+
+// startWrappedFleet is startFleet with each shard's handler passed
+// through wrap (when non-nil) before it is served.
+func startWrappedFleet(t *testing.T, data *graph.Graph, shards, radius int, sopts service.Options,
+	ropts RouterOptions, wrap func(shard int, h http.Handler) http.Handler) (*Router, *httptest.Server) {
+	t.Helper()
 	parts, err := Split(data, PartitionOptions{Shards: shards, Radius: radius})
 	if err != nil {
 		t.Fatal(err)
@@ -48,11 +59,15 @@ func startFleet(t *testing.T, data *graph.Graph, shards, radius int,
 	for i, p := range parts {
 		o := sopts
 		// Each shard needs its own tracer: shards are separate processes
-		// in production, and Tracer.Take is destructive per trace id.
+		// in production, and Tracer.Detach is destructive per trace id.
 		if o.TraceSample > 0 {
 			o.Tracer = obs.NewTracer(obs.TracerOptions{})
 		}
-		srv := httptest.NewServer(shardEngine(p, o).Handler())
+		h := shardEngine(p, o).Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
 		urls[i] = []string{srv.URL}
 	}
@@ -173,54 +188,94 @@ func TestRouterRejectsOverRadiusQuery(t *testing.T) {
 
 // TestRouterTraceStitching: one sampled query's /tracez document on the
 // router must contain the full fleet tree — route-query at the root,
-// one scatter child per shard, each adopting that shard's
-// service-query subtree fetched at gather time.
+// one scatter child per shard, each adopting that shard's service-query
+// subtree with its parent id intact. The subtrees came with the leg
+// replies: the query is one request to each shard and no more, and
+// reading the tree afterwards contacts no shard at all.
 func TestRouterTraceStitching(t *testing.T) {
 	data, query := gen.RandomPair(7)
 	_, ecc := order.Anchor(query)
-	_, rsrv := startFleet(t, data, 2, ecc,
+	const shards = 3
+	var requests [shards]atomic.Int64 // everything but the health probes
+	_, rsrv := startWrappedFleet(t, data, shards, ecc,
 		service.Options{TraceSample: 1},
-		RouterOptions{Tracer: obs.NewTracer(obs.TracerOptions{}), TraceSample: 1})
+		RouterOptions{Tracer: obs.NewTracer(obs.TracerOptions{}), TraceSample: 1},
+		func(shard int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/healthz" {
+					requests[shard].Add(1)
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
 
 	cl := service.NewClient(rsrv.URL, nil)
-	resp, err := cl.Query(context.Background(), service.QueryRequest{Query: wireText(t, query), CountOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.TraceID == "" {
-		t.Fatal("sampled query returned no trace id")
-	}
-
-	b, err := cl.TracezJSONL(context.Background(), resp.TraceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots, err := obs.ReadSpanJSONL(bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(roots) != 1 || roots[0].Name != "route-query" {
-		t.Fatalf("want a single route-query root, got %d roots", len(roots))
-	}
-	scatters := 0
-	stitched := 0
-	for _, c := range roots[0].Children {
-		if c.Name != "scatter" {
-			continue
+	for name, wire := range map[string]service.QueryRequest{
+		"count only": {Query: wireText(t, query), CountOnly: true},
+		"a page":     {Query: wireText(t, query), Limit: 50},
+	} {
+		for i := range requests {
+			requests[i].Store(0)
 		}
-		scatters++
-		for _, g := range c.Children {
-			if g.Name == "service-query" {
-				stitched++
+		resp, err := cl.Query(context.Background(), wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.TraceID == "" {
+			t.Fatalf("%s: sampled query returned no trace id", name)
+		}
+		roots := routerSpans(t, rsrv.URL, resp.TraceID)
+		if chrome, err := cl.Tracez(context.Background(), resp.TraceID); err != nil || !bytes.Contains(chrome, []byte(`"service-query"`)) {
+			t.Fatalf("%s: chrome export: %v", name, err)
+		}
+		for i := range requests {
+			if n := requests[i].Load(); n != 1 {
+				t.Errorf("%s: shard %d served %d requests for one routed query and two reads of its trace, want 1", name, i, n)
 			}
 		}
+
+		if len(roots) != 1 || roots[0].Name != "route-query" {
+			t.Fatalf("%s: want a single route-query root, got %d roots", name, len(roots))
+		}
+		scatters, stitched, phases := 0, 0, 0
+		for _, c := range roots[0].Children {
+			if c.Name != "scatter" || c.ParentSpanID != roots[0].SpanID {
+				continue
+			}
+			scatters++
+			for _, g := range c.Children {
+				if g.Name == "service-query" && g.ParentSpanID == c.SpanID && g.TraceID == resp.TraceID {
+					stitched++
+					phases += len(g.Children) // build, enumerate: a shard without pivots has none
+				}
+			}
+		}
+		if scatters != shards {
+			t.Fatalf("%s: found %d scatter spans, want %d", name, scatters, shards)
+		}
+		if stitched != shards || phases == 0 {
+			t.Fatalf("%s: %d of %d scatter spans adopted a shard service-query subtree, %d phases under them", name, stitched, shards, phases)
+		}
 	}
-	if scatters != 2 {
-		t.Fatalf("found %d scatter spans, want 2", scatters)
+}
+
+// routerSpans reads a routed query's stitched span forest from the
+// router's /tracez/{id}?format=jsonl.
+func routerSpans(t *testing.T, url, traceID string) []*obs.SpanNode {
+	t.Helper()
+	hresp, err := http.Get(url + "/tracez/" + traceID + "?format=jsonl")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stitched != 2 {
-		t.Fatalf("%d of 2 scatter spans adopted a shard service-query subtree", stitched)
+	defer hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /tracez/%s: HTTP %d", traceID, hresp.StatusCode)
 	}
+	roots, err := obs.ReadSpanJSONL(hresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return roots
 }
 
 // stubShard is a fake shard server for routing-behavior tests: answers
@@ -230,6 +285,18 @@ type stubShard struct {
 	lastTimeout atomic.Int64
 	delay       time.Duration
 	resp        service.QueryResponse
+	// spans, when set, makes the reply's "spans" member from the trace
+	// position the router sent.
+	spans func(obs.TraceContext) string
+}
+
+// oneSpan is a stub's span subtree: a single span of the given name
+// under the caller's, padded with an attribute of pad bytes.
+func oneSpan(name string, pad int) func(obs.TraceContext) string {
+	return func(tc obs.TraceContext) string {
+		return fmt.Sprintf(`[{"name":%q,"trace_id":"%s","span_id":"%016x","parent_span_id":"%s","attrs":{"pad":"%s"},"start_us":1,"dur_us":2}]`,
+			name, tc.TraceID, len(name), tc.SpanID, strings.Repeat("x", pad))
+	}
 }
 
 func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -251,7 +318,13 @@ func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		service.WriteJSON(w, http.StatusOK, s.resp)
+		if s.spans == nil {
+			service.WriteJSON(w, http.StatusOK, s.resp)
+			return
+		}
+		tc, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
+		body, _ := json.Marshal(s.resp)
+		fmt.Fprintf(w, `%s,"spans":%s}`+"\n", body[:len(body)-1], s.spans(tc))
 	default:
 		http.NotFound(w, r)
 	}
@@ -407,11 +480,12 @@ func TestBroadcastQueriesEveryReplica(t *testing.T) {
 // hedge delay, the second replica answers and the response is flagged
 // hedged — well before the straggler would have finished.
 func TestHedgedRequestBeatsStraggler(t *testing.T) {
-	slow := &stubShard{resp: service.QueryResponse{Count: 3}, delay: 2 * time.Second}
-	fast := &stubShard{resp: service.QueryResponse{Count: 3}}
+	slow := &stubShard{resp: service.QueryResponse{Count: 3}, delay: 2 * time.Second, spans: oneSpan("straggler", 0)}
+	fast := &stubShard{resp: service.QueryResponse{Count: 3}, spans: oneSpan("hedge", 0)}
 	rsrv := stubRouter(t, []*stubShard{slow, fast}, RouterOptions{
 		Policy: NewRoundRobin(), // first query's primary is replica 0 (slow)
 		Hedge:  20 * time.Millisecond,
+		Tracer: obs.NewTracer(obs.TracerOptions{}),
 	})
 	start := time.Now()
 	resp, status := postRoute(t, rsrv.URL, edgeWire())
@@ -427,6 +501,53 @@ func TestHedgedRequestBeatsStraggler(t *testing.T) {
 	}
 	if fast.hits.Load() != 1 {
 		t.Errorf("hedge replica saw %d requests, want 1", fast.hits.Load())
+	}
+	// Only the replica that answered has its spans in the trace.
+	roots := routerSpans(t, rsrv.URL, resp.TraceID)
+	if len(roots) != 1 || len(roots[0].Children) != 1 || roots[0].Children[0].Name != "scatter" {
+		t.Fatalf("want route-query over one scatter, got %d roots", len(roots))
+	}
+	if legs := roots[0].Children[0].Children; len(legs) != 1 || legs[0].Name != "hedge" {
+		t.Errorf("the scatter span adopted %d subtrees (first %+v), want the hedge replica's alone", len(legs), legs)
+	}
+}
+
+// TestLegSpansBoundedAndIsolated: the router keeps at most
+// maxLegSpanBytes of spans from a leg — more is dropped and the scatter
+// span says how much — and a member that turns out not to be spans when
+// /tracez decodes it costs that shard's subtree, not the document.
+func TestLegSpansBoundedAndIsolated(t *testing.T) {
+	notSpans := func(obs.TraceContext) string { return `[{"name":5},"service-query"]` }
+	fleet := oneReplicaEach(
+		&stubShard{resp: service.QueryResponse{Count: 1}, spans: oneSpan("fits", maxLegSpanBytes-400)},
+		&stubShard{resp: service.QueryResponse{Count: 1}, spans: oneSpan("too big", maxLegSpanBytes)},
+		&stubShard{resp: service.QueryResponse{Count: 1}, spans: notSpans},
+	)
+	rsrv := handlerFleet(t, fleet, RouterOptions{Tracer: obs.NewTracer(obs.TracerOptions{})})
+	resp, status := postRoute(t, rsrv.URL, edgeWire())
+	if status != http.StatusOK || resp.Count != 3 || resp.Partial {
+		t.Fatalf("status %d count %d partial %v: a leg's spans must not cost its answer", status, resp.Count, resp.Partial)
+	}
+	roots := routerSpans(t, rsrv.URL, resp.TraceID)
+	if len(roots) != 1 || len(roots[0].Children) != 3 {
+		t.Fatalf("want route-query over three scatters, got %d roots", len(roots))
+	}
+	for _, sc := range roots[0].Children {
+		dropped, legs := sc.Attrs["spans_dropped"], len(sc.Children)
+		switch sc.Attrs["shard"] {
+		case "0":
+			if dropped != "" || legs != 1 || sc.Children[0].Name != "fits" {
+				t.Errorf("shard 0: dropped %q, %d subtrees", dropped, legs)
+			}
+		case "1":
+			if n, _ := strconv.Atoi(dropped); n <= maxLegSpanBytes || legs != 0 {
+				t.Errorf("shard 1: spans_dropped %q, %d subtrees; want the byte count and none", dropped, legs)
+			}
+		case "2":
+			if dropped != "" || legs != 0 {
+				t.Errorf("shard 2: dropped %q, %d subtrees", dropped, legs)
+			}
+		}
 	}
 }
 

@@ -76,7 +76,9 @@ if grep -q '"partial":true' "$WORK/query.json"; then
 fi
 
 # 5. The routed query is in the flight recorder and its exported span
-# tree stitches the router's spans with every shard's.
+# tree stitches the router's spans with every shard's — which came with
+# the leg replies: reading the tree (twice, below) is served by the
+# router alone, and no shard has ever been asked for a trace.
 curl -sf "http://127.0.0.1:$ROUTER_PORT/queryz" | tee "$WORK/queryz.json" >/dev/null
 grep -q '4bf92f3577b34da6a3ce929d0e0e4736' "$WORK/queryz.json"
 curl -sf "http://127.0.0.1:$ROUTER_PORT/tracez/4bf92f3577b34da6a3ce929d0e0e4736" \
@@ -99,6 +101,18 @@ for e in evs:
         assert e['args']['parent_span_id'] in scatter_ids, e
 print(f"shard-smoke: {len(evs)} spans, one tree spanning router + 3 shards")
 PY
+curl -sf "http://127.0.0.1:$ROUTER_PORT/tracez/4bf92f3577b34da6a3ce929d0e0e4736?format=jsonl" \
+  | grep -c '"name":"service-query"' | grep -qx 3
+trace_reads() { # trace_reads <base url>: /tracez requests that server has answered
+  curl -sf "$1/metrics.json" | python3 -c 'import json, sys; print(json.load(sys.stdin)["sources"][sys.argv[1]]["trace_reads"])' "$2"
+}
+test "$(trace_reads "http://127.0.0.1:$ROUTER_PORT" router)" = 2
+for id in 0 1 2; do
+  if [ "$(trace_reads "http://127.0.0.1:$((SHARD_BASE + id))" service)" != 0 ]; then
+    echo "shard-smoke: shard $id was asked for a trace; spans ride the leg replies" >&2
+    exit 1
+  fi
+done
 
 # 6. SIGTERM everything; every process must exit 0 (graceful drain).
 kill -TERM "$ROUTER"
@@ -110,4 +124,4 @@ for pid in "${PIDS[@]}"; do
   fi
 done
 PIDS=()
-echo "shard-smoke: ok (count 2 across 3 shards, stitched trace, clean shutdowns)"
+echo "shard-smoke: ok (count 2 across 3 shards, stitched trace with no shard asked for it, clean shutdowns)"
