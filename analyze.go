@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"ceci/internal/enum"
 	"ceci/internal/obs"
 	"ceci/internal/prof"
 )
@@ -49,16 +48,12 @@ func ExplainAnalyze(data, query *Graph, opts *Options) (*Report, error) {
 		o.Tracer = obs.NewTracer(obs.TracerOptions{})
 	}
 	if o.Ledger == nil {
-		// The resource ledger rides every analyzed run: its charges land
-		// at work-unit boundaries, so it costs nothing per depth step.
+		// The report reads the run's ledger: the resources block, and
+		// under Planner the observed per-depth selectivities it puts next
+		// to the estimate.
 		o.Ledger = NewLedger()
 	}
 	o.profile = prof.New()
-	if o.Planner {
-		// Per-depth observed selectivities let the report put measured
-		// cost next to the planner's estimate.
-		o.depth = enum.NewDepthStats(query.NumVertices())
-	}
 
 	buildStart := time.Now()
 	m, err := Match(data, query, &o)
@@ -139,20 +134,19 @@ func plannerProfile(p *Profile, m *Matcher, o *Options) {
 			EstOut:   d.Out,
 		})
 	}
-	if o.depth != nil {
-		lookups, emitted := o.depth.Snapshot()
-		for i := range pp.Depths {
-			if i >= len(lookups) {
-				break
-			}
-			pp.Depths[i].ObsCalls = lookups[i]
-			if lookups[i] > 0 {
-				pp.Depths[i].ObsOut = float64(emitted[i]) / float64(lookups[i])
+	positions := o.Ledger.Positions()
+	lookups, emitted := make([]int64, len(positions)), make([]int64, len(positions))
+	for i, w := range positions {
+		lookups[i], emitted[i] = w.Lookups, w.Output
+		if i < len(pp.Depths) {
+			pp.Depths[i].ObsCalls = w.Lookups
+			if w.Lookups > 0 {
+				pp.Depths[i].ObsOut = float64(w.Output) / float64(w.Lookups)
 			}
 		}
-		if calib := dec.Calibration(lookups, emitted); calib != nil {
-			pp.Observed = m.planner.EstimateOrder(dec.Chosen, dec.Order, calib).Cost
-		}
+	}
+	if calib := dec.Calibration(lookups, emitted); calib != nil {
+		pp.Observed = m.planner.EstimateOrder(dec.Chosen, dec.Order, calib).Cost
 	}
 	p.Planner = pp
 }

@@ -130,7 +130,8 @@ func TestExplainAnalyzePlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ceci.ExplainAnalyze(data, query, &ceci.Options{Planner: true})
+	led := ceci.NewLedger()
+	rep, err := ceci.ExplainAnalyze(data, query, &ceci.Options{Planner: true, Ledger: led})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +167,12 @@ func TestExplainAnalyzePlanner(t *testing.T) {
 		t.Fatalf("depth rows = %d, want %d", len(pp.Depths), query.NumVertices())
 	}
 	var obs int64
-	for _, d := range pp.Depths {
+	for pos, d := range pp.Depths {
 		obs += d.ObsCalls
+		// The observed side is the run's ledger, position by position.
+		if w := led.Positions()[pos]; d.ObsCalls != w.Lookups || w.Lookups > 0 && d.ObsOut != float64(w.Output)/float64(w.Lookups) {
+			t.Fatalf("depth %d: planner profile observed %d calls, %g out; ledger %+v", pos, d.ObsCalls, d.ObsOut, w.StepCounts)
+		}
 	}
 	if base > 0 && obs == 0 {
 		t.Fatal("no observed per-depth lookups recorded")

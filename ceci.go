@@ -39,7 +39,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ceci/internal/auto"
@@ -93,10 +92,12 @@ func NewTracer(opts TracerOptions) *Tracer { return obs.NewTracer(opts) }
 
 // Resource accounting, aliased from the internal telemetry layer.
 type (
-	// Ledger accumulates one run's resource charges — CPU time, work
-	// units, recursive calls, embeddings, peak scratch footprint, and the
-	// intersection-kernel mix — at work-unit boundaries, so the
-	// steady-state enumeration step stays allocation-free.
+	// Ledger is the record a run's enumeration work is drained into, at
+	// work-unit boundaries so the steady-state step stays allocation-free:
+	// per matching-order position the step counts and intersection-kernel
+	// mix, per worker busy time and units, and in total recursive calls,
+	// embeddings and peak scratch footprint. Progress reports and EXPLAIN
+	// ANALYZE read it; Snapshot summarises it.
 	Ledger = telemetry.Ledger
 	// QueryResources is a Ledger snapshot: the immutable per-run resource
 	// accounting attached to flight records and EXPLAIN ANALYZE profiles.
@@ -204,9 +205,10 @@ type Options struct {
 	// (preprocess, build with refine children, enumerate with per-cluster
 	// children). One tracer may be shared across queries.
 	Tracer *Tracer
-	// Ledger, when non-nil, accumulates the run's resource charges (CPU
-	// time, work units, peak scratch bytes, kernel mix) at work-unit
-	// boundaries. Read it with Ledger.Snapshot after the enumeration.
+	// Ledger, when non-nil, is the record the enumeration's work is
+	// drained into (CPU time, work units, peak scratch bytes, per-position
+	// step counts and kernel mix); without one the run keeps a private
+	// ledger. Read it with Ledger.Snapshot after the enumeration.
 	Ledger *Ledger
 	// Progress, when non-nil, is invoked every ProgressInterval during
 	// enumeration — and once more when it finishes (Progress.Final) —
@@ -219,10 +221,6 @@ type Options struct {
 	// profile, when non-nil, threads the EXPLAIN ANALYZE collector
 	// through the build and the enumeration. Set by ExplainAnalyze.
 	profile *prof.Collector
-	// depth, when non-nil, receives per-depth observed selectivities
-	// during enumeration. Set by ExplainAnalyze under Planner so the
-	// report can compare estimated against observed cost.
-	depth *enum.DepthStats
 }
 
 func (o *Options) normalized() Options {
@@ -331,7 +329,6 @@ func (o *Options) enumOptions() enum.Options {
 		Progress:                o.reporter(),
 		Profile:                 o.profile,
 		Ledger:                  o.Ledger,
-		Depth:                   o.depth,
 	}
 }
 
@@ -459,26 +456,8 @@ func ForEachIncremental(data, query *Graph, opts *Options, fn func(embedding []V
 // deadline/cancellation is honored between clusters, inside each
 // on-demand per-cluster build, and at enumeration depth steps.
 func ForEachIncrementalCtx(ctx context.Context, data, query *Graph, opts *Options, fn func(embedding []VertexID) bool) error {
-	if data == nil || query == nil {
-		return fmt.Errorf("ceci: nil graph")
-	}
 	o := opts.normalized()
-	forcedRoot := -1
-	if o.Root != nil {
-		forcedRoot = int(*o.Root)
-	}
-	psp := obs.StartUnder(ctx, o.Tracer, "preprocess")
-	var tree *order.QueryTree
-	var err error
-	if o.Planner {
-		tree, _, err = plan.Choose(data, query, plan.Options{ForcedRoot: forcedRoot})
-	} else {
-		tree, err = order.Preprocess(data, query, order.Options{
-			ForcedRoot: forcedRoot,
-			Heuristic:  o.Order,
-		})
-	}
-	psp.End()
+	tree, err := o.incrementalTree(ctx, data, query)
 	if err != nil {
 		return err
 	}
@@ -486,14 +465,37 @@ func ForEachIncrementalCtx(ctx context.Context, data, query *Graph, opts *Option
 		icec.Options{RefineRounds: o.RefineRounds, Stats: o.Stats}, o.enumOptions(), fn)
 }
 
-// CountIncremental counts embeddings via ForEachIncremental.
+// CountIncremental counts the embeddings ForEachIncremental would
+// deliver, with no callback per embedding.
 func CountIncremental(data, query *Graph, opts *Options) (int64, error) {
-	var n atomic.Int64
-	err := ForEachIncremental(data, query, opts, func([]VertexID) bool {
-		n.Add(1)
-		return true
+	o := opts.normalized()
+	tree, err := o.incrementalTree(context.Background(), data, query)
+	if err != nil {
+		return 0, err
+	}
+	return enum.CountIncremental(data, tree,
+		icec.Options{RefineRounds: o.RefineRounds, Stats: o.Stats}, o.enumOptions()), nil
+}
+
+// incrementalTree preprocesses query for the incremental drivers.
+func (o *Options) incrementalTree(ctx context.Context, data, query *Graph) (*order.QueryTree, error) {
+	if data == nil || query == nil {
+		return nil, fmt.Errorf("ceci: nil graph")
+	}
+	forcedRoot := -1
+	if o.Root != nil {
+		forcedRoot = int(*o.Root)
+	}
+	psp := obs.StartUnder(ctx, o.Tracer, "preprocess")
+	defer psp.End()
+	if o.Planner {
+		tree, _, err := plan.Choose(data, query, plan.Options{ForcedRoot: forcedRoot})
+		return tree, err
+	}
+	return order.Preprocess(data, query, order.Options{
+		ForcedRoot: forcedRoot,
+		Heuristic:  o.Order,
 	})
-	return n.Load(), err
 }
 
 // Automorphisms returns the number of automorphic images each embedding

@@ -103,20 +103,6 @@ func fig7Datasets(cfg benchConfig) []string {
 	return out
 }
 
-// cecuFull runs CECI end to end (preprocess + build + enumerate all) and
-// returns total time and count.
-func ceciFull(data, query *graph.Graph) (time.Duration, int64, error) {
-	start := time.Now()
-	tree, err := order.Preprocess(data, query, order.DefaultOptions())
-	if err != nil {
-		return 0, 0, err
-	}
-	ix := icec.Build(data, tree, icec.Options{})
-	m := enum.NewMatcher(ix, enum.Options{Strategy: workload.FGD})
-	n := m.Count()
-	return time.Since(start), n, nil
-}
-
 func runBaselineTimed(f baseline.ForEachFunc, data, query *graph.Graph, opts baseline.Options) (time.Duration, int64, error) {
 	start := time.Now()
 	n, err := baseline.CountWith(f, data, query, opts)

@@ -14,8 +14,8 @@ import (
 	"ceci/internal/enum"
 	"ceci/internal/gen"
 	"ceci/internal/graph"
+	"ceci/internal/obs"
 	"ceci/internal/order"
-	"ceci/internal/stats"
 	"ceci/internal/workload"
 )
 
@@ -208,35 +208,38 @@ func runFig15(cfg benchConfig) error {
 	if err != nil {
 		return err
 	}
-	trace := stats.NewPhaseTrace()
+	// Three root spans per query; PhaseDurations sums them by name.
+	tr := obs.NewTracer(obs.TracerOptions{})
 	for _, qname := range []string{"QG1", "QG3", "QG5"} {
 		query := gen.QueryGraphs()[qname]
-		var tree *order.QueryTree
-		trace.Time("preprocess", func() {
-			tree, err = order.Preprocess(data, query, order.DefaultOptions())
-		})
+		sp := tr.Start("preprocess")
+		tree, err := order.Preprocess(data, query, order.DefaultOptions())
+		sp.End()
 		if err != nil {
 			return err
 		}
-		var ix *icec.Index
-		trace.Time("build+refine", func() {
-			ix = icec.Build(data, tree, icec.Options{})
-		})
-		trace.Time("enumerate", func() {
-			// Budgeted: the phase proportions stabilize long before the
-			// big clique counts finish on the denser substitutes.
-			deadline := time.Now().Add(runBudget(cfg))
-			var n atomic.Int64
-			enum.NewMatcher(ix, enum.Options{Strategy: workload.FGD}).ForEach(
-				func([]graph.VertexID) bool {
-					return n.Add(1)%8192 != 0 || time.Now().Before(deadline)
-				})
-		})
+		sp = tr.Start("build+refine")
+		ix := icec.Build(data, tree, icec.Options{})
+		sp.End()
+		sp = tr.Start("enumerate")
+		// Budgeted: the phase proportions stabilize long before the
+		// big clique counts finish on the denser substitutes.
+		deadline := time.Now().Add(runBudget(cfg))
+		var n atomic.Int64
+		enum.NewMatcher(ix, enum.Options{Strategy: workload.FGD}).ForEach(
+			func([]graph.VertexID) bool {
+				return n.Add(1)%8192 != 0 || time.Now().Before(deadline)
+			})
+		sp.End()
 	}
-	fmt.Printf("dataset %s, QG1+QG3+QG5 aggregate phase times:\n%s", dname, trace)
-	enumShare := float64(trace.Get("enumerate")) /
-		float64(trace.Get("enumerate")+trace.Get("build+refine")+trace.Get("preprocess"))
-	fmt.Printf("enumeration share: %.1f%% (paper: >95%%, the phase that saturates all cores)\n", 100*enumShare)
+	phases := tr.PhaseDurations()
+	total := phases["preprocess"] + phases["build+refine"] + phases["enumerate"]
+	fmt.Printf("dataset %s, QG1+QG3+QG5 aggregate phase times:\n", dname)
+	for _, name := range []string{"preprocess", "build+refine", "enumerate"} {
+		fmt.Printf("%-12s %12v %5.1f%%\n", name, phases[name], 100*float64(phases[name])/float64(total))
+	}
+	fmt.Printf("enumeration share: %.1f%% (paper: >95%%, the phase that saturates all cores)\n",
+		100*float64(phases["enumerate"])/float64(total))
 	return nil
 }
 

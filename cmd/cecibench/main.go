@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -133,14 +132,4 @@ func speedup(base, other time.Duration) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.2fx", float64(base)/float64(other))
-}
-
-// median of durations (used to stabilize single-run timings).
-func median(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[len(sorted)/2]
 }

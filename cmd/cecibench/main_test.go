@@ -40,16 +40,6 @@ func TestSpeedupFormatting(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	ds := []time.Duration{5, 1, 9}
-	if got := median(ds); got != 5 {
-		t.Fatalf("median = %v", got)
-	}
-	if median(nil) != 0 {
-		t.Fatal("empty median")
-	}
-}
-
 func TestRunBudget(t *testing.T) {
 	if runBudget(benchConfig{quick: true}) >= runBudget(benchConfig{}) {
 		t.Fatal("quick budget should be smaller")

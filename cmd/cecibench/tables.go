@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"ceci/internal/ceci"
 	"ceci/internal/datasets"
@@ -86,11 +85,4 @@ func buildIndex(data, query *graph.Graph) (*ceci.Index, *order.QueryTree, error)
 		return nil, nil, err
 	}
 	return ceci.Build(data, tree, ceci.Options{}), tree, nil
-}
-
-// timeIt runs fn and returns its wall-clock duration.
-func timeIt(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }

@@ -315,11 +315,3 @@ func (p *PageStore) touch(page int) {
 		}
 	}
 }
-
-// Loads returns the total number of page loads so far.
-func (p *PageStore) Loads() int64 {
-	if p.stats == nil {
-		return 0
-	}
-	return p.stats.PageLoads.Load()
-}

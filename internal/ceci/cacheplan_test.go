@@ -110,7 +110,7 @@ func TestStableCacheEquivalence(t *testing.T) {
 		data, query *graph.Graph
 	}
 	var fixtures []fixture
-	ForEachGoldenPair(t, func(name string, data, query *graph.Graph, _ int64) {
+	gen.ForEachGoldenPair(func(name string, data, query *graph.Graph, _ int64) {
 		fixtures = append(fixtures, fixture{name, data, query})
 	})
 	rng := rand.New(rand.NewSource(5))

@@ -10,11 +10,12 @@ import (
 	"testing"
 
 	"ceci/internal/ceci"
+	"ceci/internal/gen"
 	"ceci/internal/graph"
 	"ceci/internal/order"
 )
 
-// goldenRows builds every golden pair (ceci.ForEachGoldenPair) under five
+// goldenRows builds every golden pair (gen.ForEachGoldenPair) under five
 // option sets and renders, per build, the crc64 of the serialized bytes
 // and the four size/cardinality accessors. testdata/golden_index.tsv
 // holds these rows as commit eefd9bf (the last with the mutable CandMap
@@ -56,7 +57,7 @@ func goldenRows(t *testing.T) []string {
 				ix.PhysicalBytes(), ix.CandidateEdges(), ix.UniqueCandidateEdges(), ix.TotalCardinality()))
 		}
 	}
-	ceci.ForEachGoldenPair(t, add)
+	gen.ForEachGoldenPair(add)
 	return rows
 }
 

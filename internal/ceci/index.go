@@ -64,17 +64,6 @@ type Index struct {
 	Tree  *order.QueryTree
 	Nodes []Node
 
-	// Label-pair prune state (l2Match-style neighboring-label index),
-	// built when Options.LabelPairPrune is on and the graph is labeled.
-	// nbrSig[v] is the neighbor-label bloom of data vertex v (shared graph
-	// storage); reqMask[u] the bloom of labels required by query vertex
-	// u's later-matched query neighbors. A candidate v for u
-	// with nbrSig[v] ⊉ reqMask[u] cannot extend any partial embedding
-	// (its neighborhood provably lacks a needed label) and is dropped
-	// before any intersection kernel runs.
-	nbrSig  []uint64
-	reqMask []uint64
-
 	// ntePlan[u] is the volatility split of u's intersection inputs, the
 	// shape of the depth cursor CandidatesFor keeps on a MatchScratch.
 	ntePlan []cachePlan
@@ -116,21 +105,12 @@ func newIndex(data *graph.Graph, tree *order.QueryTree, opts Options) *Index {
 	return ix
 }
 
-// finish derives what enumeration reads beside the columns — the
-// label-pair prune masks and the volatility split — once build or
-// ReadIndex has filled them.
-func (ix *Index) finish() {
-	if ix.opts.LabelPairPrune && ix.Data.NumLabels() > 1 {
-		ix.buildLabelPrune()
-	}
-	ix.buildCachePlan()
-}
-
-// buildCachePlan computes the per-vertex volatility split (the
+// finish derives what enumeration reads beside the columns, once build
+// or ReadIndex has filled them: the per-vertex volatility split (the
 // embedding-cluster observation of Section 4.1 applied one level up:
 // consecutive calls at the same depth share every ancestor assignment
 // except the predecessor's).
-func (ix *Index) buildCachePlan() {
+func (ix *Index) finish() {
 	tree := ix.Tree
 	ix.ntePlan = make([]cachePlan, tree.NumVertices())
 	for i := 1; i < len(tree.Order); i++ {
@@ -153,36 +133,6 @@ func (ix *Index) buildCachePlan() {
 	}
 }
 
-// buildLabelPrune materializes the label-pair prune masks. The
-// per-data-vertex blooms are computed once per graph (lazily, shared
-// across indexes); only the per-query reqMask is built here. A query
-// neighbor matched later is either a tree child of u or carries a
-// non-tree edge keyed by u's match, so a candidate missing one of those
-// labels in its neighborhood can only lead to empty lookups deeper in
-// the search — pruning it changes no embedding, which
-// TestLabelPairPruneEquivalence locks in.
-func (ix *Index) buildLabelPrune() {
-	ix.nbrSig = ix.Data.NeighborLabelBlooms()
-	tree := ix.Tree
-	q := tree.Query
-	pos := make([]int, tree.NumVertices())
-	for i, u := range tree.Order {
-		pos[u] = i
-	}
-	ix.reqMask = make([]uint64, tree.NumVertices())
-	for u := range ix.reqMask {
-		var req uint64
-		for _, w := range q.Neighbors(graph.VertexID(u)) {
-			if pos[w] > pos[u] {
-				for _, l := range q.Labels(w) {
-					req |= 1 << (l & 63)
-				}
-			}
-		}
-		ix.reqMask[u] = req
-	}
-}
-
 // Options configures index construction.
 type Options struct {
 	// Workers bounds build parallelism; <= 0 means GOMAXPROCS.
@@ -197,15 +147,6 @@ type Options struct {
 	// RefineRounds is the number of reverse-BFS refinement passes
 	// (default 1, matching the paper; extra rounds prune strictly more).
 	RefineRounds int
-	// LabelPairPrune enables the l2Match-style neighboring-label prune at
-	// enumeration time: candidates whose data neighborhood provably lacks
-	// a label required by the query vertex's still-unmatched neighbors
-	// are dropped before any intersection kernel runs. Always safe (bloom
-	// collisions only keep candidates, never drop matches). Off by
-	// default because the NLC filter's count-coverage subsumes it on
-	// standard builds; it recovers most of that pruning under
-	// SkipNLCFilter and costs one AND-compare per base candidate.
-	LabelPairPrune bool
 	// Pivots, when non-nil, restricts the index to the given embedding
 	// clusters instead of deriving pivots from the root's candidate
 	// filters. Used by the distributed runtime (Section 5), where each

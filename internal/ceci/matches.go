@@ -4,6 +4,7 @@ import (
 	"ceci/internal/bitset"
 	"ceci/internal/graph"
 	"ceci/internal/setops"
+	"ceci/internal/telemetry"
 )
 
 // MatchScratch is one matching-order depth's cursor over its inputs, plus
@@ -29,8 +30,6 @@ type MatchScratch struct {
 	Steps StepCounts
 
 	lists [][]uint32
-	// prune receives the label-pair-prune survivors of the base list.
-	prune []uint32
 
 	// fingers[0] is the TE map's lookup finger, fingers[1+j] NTE[j]'s
 	// (CandMap.GetNear). Hints only: any value is correct.
@@ -40,7 +39,7 @@ type MatchScratch struct {
 	// ResetUnitCache is called.
 	stableKeys []graph.VertexID // assignments of cachePlan.stableKeys it was built for
 	stableOK   bool
-	stable     []uint32    // ∩ of the stable lists: an index view, prune, or S's buffers
+	stable     []uint32    // ∩ of the stable lists: an index view or S's buffers
 	bits       bitsState   // whether stableBits holds stable
 	stableBits bitset.Span // stable as a bitmap, filled on the second lookup under one key
 	out        []uint32    // result buffer for the volatile per-sibling step
@@ -57,29 +56,17 @@ const (
 	bitsDeclined
 )
 
-// StepCounts is the enumeration-step work recorded on one scratch
-// (Section 4.1): candidate lookups, the intersections they ran, the
-// summed lengths of the intersected lists (what a merge-based
-// intersection would compare), the summed result sizes, candidates the
-// label-pair prune dropped before any kernel ran, and — in the
-// edge-verification ablation — adjacency probes.
-type StepCounts struct {
-	Lookups       int64
-	Intersections int64
-	Comparisons   int64
-	Output        int64
-	LabelPruned   int64
-	Verifications int64
-}
+// StepCounts is the enumeration-step work recorded on one scratch: the
+// shape the run's ledger stores it in.
+type StepCounts = telemetry.StepCounts
 
 // FootprintBytes returns the scratch's allocated backing size: the
 // setops buffers, this package's per-depth slices, the fingers and the
-// stable bitmap. stable aliases index storage, prune or the setops
-// buffers, so it is not counted separately.
+// stable bitmap. stable aliases index storage or the setops buffers, so
+// it is not counted separately.
 func (sc *MatchScratch) FootprintBytes() int64 {
 	return sc.S.FootprintBytes() +
 		int64(cap(sc.lists))*24 + // slice headers
-		int64(cap(sc.prune))*4 +
 		int64(cap(sc.fingers))*8 +
 		int64(cap(sc.stableKeys))*4 +
 		sc.stableBits.FootprintBytes() +
@@ -102,37 +89,17 @@ func (sc *MatchScratch) ResetUnitCache() {
 // bitmap, so tests can assert that a fixture reaches the probe path.
 func (sc *MatchScratch) BitmapFilled() bool { return sc.stableOK && sc.bits == bitsFilled }
 
-// base returns u's TE candidates under the matched tree parent, minus —
-// when the label-pair prune is enabled — those whose neighborhood
-// provably lacks a label required by u's later-matched query neighbors.
-// The result is an index view or sc.prune.
+// base returns u's TE candidates under the matched tree parent: an
+// index view.
 func (ix *Index) base(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) []graph.VertexID {
-	base := ix.Nodes[u].TE.GetNear(&sc.fingers[0], m[ix.Tree.Parent[u]])
-	if ix.nbrSig == nil || len(base) == 0 {
-		return base
-	}
-	req := ix.reqMask[u]
-	if req == 0 {
-		return base
-	}
-	kept := sc.prune[:0]
-	for _, v := range base {
-		if ix.nbrSig[v]&req == req {
-			kept = append(kept, v)
-		}
-	}
-	sc.Steps.LabelPruned += int64(len(base) - len(kept))
-	sc.prune = kept
-	return kept
+	return ix.Nodes[u].TE.GetNear(&sc.fingers[0], m[ix.Tree.Parent[u]])
 }
 
 // CandidatesFor returns the matching nodes for query vertex u given the
 // partial embedding m (indexed by query vertex ID): the intersection of
 // u's TE candidates under the matched parent with each NTE candidate list
 // under the matched non-tree parents (Section 4). The parent and every
-// NTE parent of u must already be assigned in m. When the label-pair
-// prune is enabled, base candidates whose neighborhood provably lacks a
-// label required by u's later-matched query neighbors are dropped first.
+// NTE parent of u must already be assigned in m.
 //
 // The returned slice may alias index storage or scratch buffers: it is
 // valid only until the next CandidatesFor call with the same scratch, and

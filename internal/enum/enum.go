@@ -22,10 +22,10 @@ import (
 	"ceci/internal/workload"
 )
 
-// Options configures enumeration. The instrumentation sinks — Stats,
-// Progress, Profile, Ledger, Depth — are views of one stream: workers
-// count into plain integers they own and drain them at work-unit
-// boundaries and every 4096 embeddings (searcher.drain).
+// Options configures enumeration. Workers count into plain integers they
+// own and drain them — at work-unit boundaries and every 4096 embeddings
+// (searcher.drain) — into the run's Ledger and the cumulative Stats;
+// Progress and Profile read the ledger.
 type Options struct {
 	// Workers bounds parallelism; <= 0 means GOMAXPROCS.
 	Workers int
@@ -48,24 +48,22 @@ type Options struct {
 	Stats *stats.Counters
 	// Trace records enumerate/cluster spans (may be nil).
 	Trace *obs.Tracer
-	// Progress receives live cluster-completion and embedding counts;
-	// the reporter is started when enumeration begins and stopped (with
-	// a final report) when it ends (may be nil).
+	// Progress reports live cluster-completion and embedding counts
+	// sampled from the ledger; the reporter is started when enumeration
+	// begins and stopped (with a final report) when it ends (may be nil).
 	Progress *obs.Reporter
-	// Profile receives the EXPLAIN ANALYZE accounting: the per-vertex
-	// enumeration funnel, cluster/unit cardinality distributions and
-	// per-worker busy/unit totals (may be nil). Attach the same
-	// collector to the build options to also capture the filter funnel
-	// and index shape.
+	// Profile receives the EXPLAIN ANALYZE accounting that is not a sum
+	// of drained work (cluster/unit cardinality distributions, the
+	// candidate-list-size and unit-time histograms) and reads the rest
+	// from the ledger (may be nil). Attach the same collector to the
+	// build options to also capture the filter funnel and index shape.
 	Profile *prof.Collector
-	// Ledger receives the query's resource charges — worker busy time,
-	// recursive calls, embeddings, peak scratch footprint, and the
-	// intersection-kernel mix (may be nil).
+	// Ledger is the record the run's work is drained into: per
+	// matching-order position the step counts and intersection-kernel
+	// mix, per worker busy time and units, and in total recursive calls,
+	// embeddings, completed cardinality and peak scratch footprint. nil
+	// means a private one.
 	Ledger *telemetry.Ledger
-	// Depth receives per-matching-order-depth lookup/output counts — the
-	// observed selectivities the cost-based planner's drift detector
-	// compares against its estimate (may be nil).
-	Depth *DepthStats
 }
 
 // Matcher enumerates the embeddings represented by a CECI index.
@@ -83,6 +81,9 @@ func NewMatcher(ix *ceci.Index, opts Options) *Matcher {
 	}
 	if opts.Beta <= 0 {
 		opts.Beta = workload.DefaultBeta
+	}
+	if opts.Ledger == nil {
+		opts.Ledger = telemetry.NewLedger()
 	}
 	m := &Matcher{ix: ix, opts: opts}
 	if !opts.DisableSymmetryBreaking {
@@ -176,6 +177,14 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 	// sub-units skip is drained with the rest of worker 0's.
 	first := newSearcher(m, ctl)
 	units := m.units(first.scratch)
+	workers := m.opts.Workers
+	if workers > len(units) && m.opts.Strategy != workload.FGD {
+		workers = len(units)
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	m.begin(workers)
 	if rep := m.opts.Progress; rep != nil {
 		var card int64
 		for _, u := range units {
@@ -183,21 +192,12 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 				card = ceci.CardSaturation
 			}
 		}
-		rep.SetClock(stats.NewWorkerClock(m.opts.Workers))
-		rep.AddTotals(len(units), card)
-		rep.Start()
+		rep.Begin(m.opts.Ledger.Work, len(units), card)
 		defer rep.Stop()
 	}
 	if len(units) == 0 {
 		first.drain(false, 0, 0) // decomposition may have proved every cluster a dead end
 		return
-	}
-	workers := m.opts.Workers
-	if workers > len(units) && m.opts.Strategy != workload.FGD {
-		workers = len(units)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 
 	// StartUnder joins the request's trace when the context carries a
@@ -216,7 +216,6 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 		}
 	}
 	if p := m.opts.Profile; p != nil {
-		m.ix.InitProfile(p)
 		pivots := m.ix.Pivots()
 		pivotCards := make([]int64, len(pivots))
 		for i, pv := range pivots {
@@ -227,7 +226,6 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 			unitCards[i] = u.Card
 		}
 		p.RecordClusters(m.opts.Strategy.String(), pivotCards, unitCards)
-		p.EnsureWorkers(workers)
 		enumStart := time.Now()
 		defer func() { p.AddEnumWall(time.Since(enumStart)) }()
 	}
@@ -265,6 +263,21 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// begin sizes the ledger for a run of workers workers and points the
+// profile, when attached, at it.
+func (m *Matcher) begin(workers int) {
+	tree := m.ix.Tree
+	m.opts.Ledger.Begin(tree.NumVertices(), workers)
+	if p := m.opts.Profile; p != nil {
+		m.ix.InitProfile(p) // a loaded index was never built under p
+		order := make([]int, len(tree.Order))
+		for pos, u := range tree.Order {
+			order[pos] = int(u)
+		}
+		p.ReadEnumeration(m.opts.Ledger, order)
+	}
 }
 
 // units materializes the schedulable work according to the strategy;
@@ -339,7 +352,9 @@ func (m *Matcher) runWorker(s *searcher, parent *obs.Span, next func() (workload
 		span.End()
 		// Per-unit charges (rather than one at worker exit) keep mid-run
 		// busy-time and progress snapshots meaningful.
-		s.drain(true, unit.Card, time.Since(start))
+		busy := time.Since(start)
+		s.drain(true, unit.Card, busy)
+		m.opts.Profile.ObserveUnit(busy)
 		if !ok {
 			return
 		}

@@ -37,6 +37,20 @@ func ForEachIncremental(data *graph.Graph, tree *order.QueryTree,
 // Returns the context's cause when the run was cut short, nil otherwise.
 func ForEachIncrementalCtx(ctx context.Context, data *graph.Graph, tree *order.QueryTree,
 	bopts ceci.Options, eopts Options, fn func(emb []graph.VertexID) bool) error {
+	return forEachIncremental(ctx, data, tree, bopts, eopts, &control{fn: fn, limit: eopts.Limit})
+}
+
+// CountIncremental counts embeddings the way ForEachIncremental finds
+// them, with no callback per embedding: the total is what the workers
+// drained.
+func CountIncremental(data *graph.Graph, tree *order.QueryTree, bopts ceci.Options, eopts Options) int64 {
+	ctl := &control{limit: eopts.Limit}
+	_ = forEachIncremental(context.Background(), data, tree, bopts, eopts, ctl) // nothing cancels it
+	return ctl.counted.Load()
+}
+
+func forEachIncremental(ctx context.Context, data *graph.Graph, tree *order.QueryTree,
+	bopts ceci.Options, eopts Options, ctl *control) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -58,7 +72,6 @@ func ForEachIncrementalCtx(ctx context.Context, data *graph.Graph, tree *order.Q
 	// sizes its buffers from.
 	shell := NewMatcher(&ceci.Index{Data: data, Tree: tree}, eopts)
 	workers := min(shell.opts.Workers, len(pivots))
-	ctl := &control{fn: fn, limit: eopts.Limit}
 	var cancelled atomic.Bool
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() {
@@ -68,11 +81,14 @@ func ForEachIncrementalCtx(ctx context.Context, data *graph.Graph, tree *order.Q
 		defer stop()
 	}
 
+	shell.begin(workers)
+	if st := eopts.Stats; st != nil {
+		st.UnitsScheduled.Add(int64(len(pivots)))
+	}
 	if rep := eopts.Progress; rep != nil {
 		// Cluster cardinalities are unknown up front (each cluster's index
 		// is built on demand), so ETA derives from cluster counts alone.
-		rep.AddTotals(len(pivots), 0)
-		rep.Start()
+		rep.Begin(shell.opts.Ledger.Work, len(pivots), 0)
 		defer rep.Stop()
 	}
 	span := obs.StartUnder(ctx, eopts.Trace, "enumerate-incremental",
@@ -87,7 +103,6 @@ func ForEachIncrementalCtx(ctx context.Context, data *graph.Graph, tree *order.Q
 		if bopts.Profile == nil {
 			bopts.Profile = p // one attach point covers the per-cluster builds
 		}
-		p.EnsureWorkers(workers)
 		enumStart := time.Now()
 		defer func() { p.AddEnumWall(time.Since(enumStart)) }()
 	}
@@ -102,6 +117,7 @@ func ForEachIncrementalCtx(ctx context.Context, data *graph.Graph, tree *order.Q
 			shell := *shell
 			s := newSearcher(&shell, ctl)
 			s.worker = w
+			defer s.drain(false, 0, 0) // the per-depth counts wait for a drain that is not a unit's
 			pivotBuf := make([]graph.VertexID, 1)
 			for {
 				i := cursor.Add(1) - 1
@@ -123,7 +139,9 @@ func ForEachIncrementalCtx(ctx context.Context, data *graph.Graph, tree *order.Q
 					shell.ix = ix
 					ok = s.runUnit(workload.Unit{Prefix: pivotBuf[:1]})
 				}
-				s.drain(true, 0, time.Since(unitStart))
+				busy := time.Since(unitStart)
+				s.drain(true, 0, busy)
+				eopts.Profile.ObserveUnit(busy)
 				if !ok {
 					return
 				}
@@ -135,14 +153,4 @@ func ForEachIncrementalCtx(ctx context.Context, data *graph.Graph, tree *order.Q
 		return context.Cause(ctx)
 	}
 	return nil
-}
-
-// CountIncremental counts embeddings via ForEachIncremental.
-func CountIncremental(data *graph.Graph, tree *order.QueryTree, bopts ceci.Options, eopts Options) int64 {
-	var n atomic.Int64
-	ForEachIncremental(data, tree, bopts, eopts, func([]graph.VertexID) bool {
-		n.Add(1)
-		return true
-	})
-	return n.Load()
 }

@@ -1,81 +1,14 @@
 package enum_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"ceci/internal/ceci"
 	"ceci/internal/enum"
 	"ceci/internal/gen"
-	"ceci/internal/graph"
 	"ceci/internal/order"
 	"ceci/internal/prof"
 )
-
-func countWith(t *testing.T, data, query *graph.Graph, copts ceci.Options, workers int) (int64, map[string]int64) {
-	t.Helper()
-	tree, err := order.Preprocess(data, query, order.DefaultOptions())
-	if err != nil {
-		t.Fatalf("Preprocess: %v", err)
-	}
-	var collector *prof.Collector
-	if copts.Profile == nil {
-		collector = prof.New()
-		copts.Profile = collector
-	} else {
-		collector = copts.Profile
-	}
-	ix := ceci.Build(data, tree, copts)
-	n := enum.NewMatcher(ix, enum.Options{Workers: workers, Profile: collector}).Count()
-	return n, collector.Snapshot().FunnelTotals()
-}
-
-// TestLabelPairPruneEquivalence: enabling the label-pair prune must never
-// change the embedding count — under default filtering (where the NLC
-// filter subsumes it) and under SkipNLCFilter (where it recovers real
-// pruning). Random labeled graphs across several alphabet sizes.
-func TestLabelPairPruneEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	anyPruned := int64(0)
-	for trial := 0; trial < 60; trial++ {
-		labels := 2 + rng.Intn(5)
-		data := randomGraph(rng, 14+rng.Intn(10), 40+rng.Intn(40), labels)
-		query, err := gen.DFSQuery(data, 3+rng.Intn(3), rng)
-		if err != nil {
-			continue
-		}
-		for _, skipNLC := range []bool{false, true} {
-			base, _ := countWith(t, data, query, ceci.Options{SkipNLCFilter: skipNLC}, 2)
-			pruned, totals := countWith(t, data, query, ceci.Options{SkipNLCFilter: skipNLC, LabelPairPrune: true}, 2)
-			if base != pruned {
-				t.Fatalf("trial %d skipNLC=%v: prune changed count %d -> %d", trial, skipNLC, base, pruned)
-			}
-			if skipNLC {
-				anyPruned += totals["enum_label_pruned"]
-			}
-		}
-	}
-	// The prune must actually fire somewhere across the sweep, or the
-	// equivalence above proves nothing.
-	if anyPruned == 0 {
-		t.Fatal("label-pair prune never dropped a candidate across 60 labeled trials")
-	}
-}
-
-// TestLabelPairPruneUnlabeledNoop: on a single-label graph the prune has
-// nothing to key on and must change neither results nor counters.
-func TestLabelPairPruneUnlabeledNoop(t *testing.T) {
-	data := gen.Kronecker(7, 6, 3)
-	query := gen.QG1()
-	base, _ := countWith(t, data, query, ceci.Options{}, 2)
-	pruned, totals := countWith(t, data, query, ceci.Options{LabelPairPrune: true}, 2)
-	if base != pruned {
-		t.Fatalf("prune changed count on unlabeled graph: %d -> %d", base, pruned)
-	}
-	if totals["enum_label_pruned"] != 0 {
-		t.Fatalf("prune counter fired on unlabeled graph: %d", totals["enum_label_pruned"])
-	}
-}
 
 // TestKernelCountersAccountAllWork: the per-kernel scanned/call counters
 // drained from the enumeration scratches must be internally consistent —

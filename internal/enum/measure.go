@@ -3,7 +3,6 @@ package enum
 import (
 	"time"
 
-	"ceci/internal/graph"
 	"ceci/internal/workload"
 )
 
@@ -26,23 +25,23 @@ type UnitCost struct {
 // units equals a full unlimited enumeration (Options.Limit is ignored:
 // scalability experiments enumerate everything).
 func (m *Matcher) MeasureUnits() []UnitCost {
-	var found int64
-	s := newSearcher(m, &control{fn: func([]graph.VertexID) bool {
-		found++
-		return true
-	}})
+	ctl := &control{} // count-only, no limit
+	s := newSearcher(m, ctl)
 	units := m.units(s.scratch)
+	m.begin(1)
 	costs := make([]UnitCost, len(units))
 	for i, u := range units {
-		before := found
+		before := ctl.counted.Load()
 		start := time.Now()
 		s.runUnit(u)
+		busy := time.Since(start)
+		s.drain(true, u.Card, busy)
 		costs[i] = UnitCost{
 			Unit:       u,
-			Duration:   time.Since(start),
-			Embeddings: found - before,
+			Duration:   busy,
+			Embeddings: ctl.counted.Load() - before,
 		}
 	}
-	s.drain(false, 0, 0)
+	s.drain(false, 0, 0) // the per-depth counts, decomposition's included
 	return costs
 }

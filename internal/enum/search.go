@@ -22,7 +22,7 @@ type searcher struct {
 	used    bitset.Bits         // indexed by data vertex (injectivity bitmap)
 	scratch []ceci.MatchScratch // per-depth intersection buffers
 
-	worker int // slot charged in the per-worker views (Profile, Progress)
+	worker int // the ledger's worker slot this searcher charges
 
 	// Everything the hot loop counts is a plain integer this worker owns:
 	// these two and the per-depth step and kernel blocks in scratch. They
@@ -198,62 +198,49 @@ func (s *searcher) delivered(k int64) {
 	}
 }
 
-// drain is the one place enumeration work reaches a sink: it charges
-// everything this worker counted since its previous drain to whichever
-// of Stats, Profile, Depth, Ledger and Progress are attached — so each
-// is a view of the same numbers — and zeroes the counters. unit marks a
-// work-unit boundary, where the unit's cardinality, wall time and the
-// worker's scratch footprint are charged too; mid-unit drains only keep
-// the live views advancing. Allocation-free; never inside the depth step.
+// drain is the one place enumeration work is stored: it charges what this
+// worker counted since its previous drain to the run's ledger — the
+// record Profile, Progress, the planner's drift detector and
+// QueryResources all read — and to the cumulative Stats counters when
+// attached, then zeroes the counters. unit marks a work-unit boundary,
+// where the unit's cardinality, wall time and the worker's scratch
+// footprint are charged; the per-depth step and kernel counts, which
+// nothing reads while a unit runs, stay on the scratch until a drain that
+// is not a unit boundary — every liveDrainEvery embeddings and at worker
+// exit — so a run of many small units pays two atomic adds per unit for
+// them, not two dozen. Allocation-free; never inside the depth step.
 func (s *searcher) drain(unit bool, card int64, busy time.Duration) {
-	o := &s.m.opts
-	depth := o.Depth
-	if depth != nil && depth.Depths() < s.tree.n {
-		depth = nil
-	}
-	scratchBytes := int64(cap(s.emb))*4 + int64(cap(s.matched)) + int64(len(s.used))*8
-	var intersections, verifications int64
-	for pos := range s.scratch {
-		sc := &s.scratch[pos]
-		scratchBytes += sc.FootprintBytes()
-		steps, kernels := sc.Steps, sc.S.Stats
-		if steps == (ceci.StepCounts{}) {
-			continue // no lookup at this depth, hence no kernel work either
-		}
-		sc.Steps, sc.S.Stats = ceci.StepCounts{}, setops.KernelStats{}
-		intersections += steps.Intersections
-		verifications += steps.Verifications
-		if p := o.Profile; p != nil {
-			vc := p.Vertex(int(s.tree.order[pos]))
-			vc.EnumLookups.Add(steps.Lookups)
-			vc.EnumIntersections.Add(steps.Intersections)
-			vc.EnumComparisons.Add(steps.Comparisons)
-			vc.EnumOutput.Add(steps.Output)
-			vc.EnumLabelPruned.Add(steps.LabelPruned)
-			vc.AddKernelStats(kernels)
-		}
-		if depth != nil {
-			depth.lookups[pos].Add(steps.Lookups)
-			depth.emitted[pos].Add(steps.Output)
-		}
-		o.Ledger.AddKernels(kernels)
-	}
+	led, st := s.m.opts.Ledger, s.m.opts.Stats
 	calls, embeddings := s.recursiveCalls, s.embeddings
 	s.recursiveCalls, s.embeddings = 0, 0
 	s.ctl.counted.Add(embeddings)
-	if st := o.Stats; st != nil {
+	if st != nil {
 		st.RecursiveCalls.Add(calls)
 		st.Embeddings.Add(embeddings)
+	}
+	led.AddWork(calls, embeddings)
+	if unit {
+		scratchBytes := int64(cap(s.emb))*4 + int64(cap(s.matched)) + int64(len(s.used))*8
+		for pos := range s.scratch {
+			scratchBytes += s.scratch[pos].FootprintBytes()
+		}
+		led.AddUnit(s.worker, busy, card, scratchBytes)
+		return
+	}
+	var intersections, verifications int64
+	for pos := range s.scratch {
+		sc := &s.scratch[pos]
+		steps := sc.Steps
+		if steps == (ceci.StepCounts{}) {
+			continue // no lookup at this depth, hence no kernel work either
+		}
+		led.AddPosition(pos, steps, &sc.S.Stats)
+		sc.Steps, sc.S.Stats = ceci.StepCounts{}, setops.KernelStats{}
+		intersections += steps.Intersections
+		verifications += steps.Verifications
+	}
+	if st != nil {
 		st.IntersectionOps.Add(intersections)
 		st.EdgeVerifications.Add(verifications)
 	}
-	o.Progress.AddEmbeddings(embeddings)
-	if !unit {
-		o.Ledger.AddWork(calls, embeddings)
-		return
-	}
-	o.Ledger.AddUnit(busy, calls, embeddings, scratchBytes)
-	o.Profile.WorkerUnit(s.worker, busy)
-	o.Progress.ClusterDone(card)
-	o.Progress.AddBusy(s.worker, busy)
 }

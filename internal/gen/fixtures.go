@@ -1,6 +1,10 @@
 package gen
 
-import "ceci/internal/graph"
+import (
+	"fmt"
+
+	"ceci/internal/graph"
+)
 
 // Paper Figure 1 fixture: the running example used throughout Sections
 // 1–4. Labels: A=0, B=1, C=2, D=3, E=4. Data vertices v1..v15 map to IDs
@@ -94,5 +98,43 @@ func Fig1Embeddings() [][]graph.VertexID {
 	return [][]graph.VertexID{
 		{Fig1V(1), Fig1V(3), Fig1V(4), Fig1V(11), Fig1V(12)},
 		{Fig1V(1), Fig1V(5), Fig1V(6), Fig1V(13), Fig1V(14)},
+	}
+}
+
+// ForEachGoldenPair visits the (data, query) pairs the golden tables are
+// recorded over (internal/ceci's golden_index.tsv, the root package's
+// EXPLAIN ANALYZE and Progress goldens): Figure 1, RandomPair seeds 1–50,
+// one dense multi-label pair and the paper's five cyclic query shapes, one
+// label per query vertex, on a sparse labeled graph.
+func ForEachGoldenPair(visit func(name string, data, query *graph.Graph, seed int64)) {
+	visit("fig1", Fig1Data(), Fig1Query(), 0)
+	for seed := int64(1); seed <= 50; seed++ {
+		data, query := RandomPair(seed)
+		visit(fmt.Sprintf("seed%d", seed), data, query, seed)
+	}
+	// The seeded pairs are tens of vertices; one pair whose frontiers pass
+	// parallelFor's serial cutoff and whose lists run to hundreds of values.
+	dense := WithRandomMultiLabels(ErdosRenyi(700, 9000, 11), 5, 3, 12)
+	query, err := DFSQuery(dense, 6, NewRNG(13))
+	if err != nil {
+		panic(err) // a fixed seed on a fixed graph: cannot fail at run time
+	}
+	visit("dense", dense, query, 13)
+	// DFS-grown queries embed where they were grown, and refinement finds
+	// nothing to delete in any pair above. The paper's cyclic query shapes
+	// with one label per query vertex, on a sparse labeled graph, make it
+	// work (7–42 refinement deletions each, more in a second round).
+	sparse := WithRandomLabels(ErdosRenyi(400, 1600, 5), 4, 6)
+	for i, name := range []string{"QG1", "QG2", "QG3", "QG4", "QG5"} {
+		shape := QueryGraphs()[name]
+		b := graph.NewBuilder(shape.NumVertices())
+		for u := 0; u < shape.NumVertices(); u++ {
+			b.SetLabel(graph.VertexID(u), graph.Label(u%4))
+		}
+		shape.Edges(func(a, c graph.VertexID) bool {
+			b.AddEdge(a, c)
+			return true
+		})
+		visit("sparse-"+name, sparse, b.MustBuild(), int64(i))
 	}
 }

@@ -39,8 +39,7 @@ type Graph struct {
 	labelIndex [][]VertexID // labelIndex[l] = sorted vertices whose label set contains l
 	numLabels  int
 
-	ladj labelAdj      // lazily built label-grouped adjacency (NeighborsWithLabel, NLCCovers)
-	nbr  nbrBloomCache // lazily built neighbor-label blooms (NeighborLabelBlooms)
+	ladj labelAdj // lazily built label-grouped adjacency (NeighborsWithLabel, NLCCovers)
 }
 
 // NumVertices returns the number of vertices.

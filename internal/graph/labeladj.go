@@ -55,37 +55,6 @@ func (g *Graph) NeighborsWithLabel(v VertexID, l Label) []VertexID {
 	return nil
 }
 
-// nbrBloomCache lazily holds the per-vertex neighbor-label blooms.
-type nbrBloomCache struct {
-	once sync.Once
-	sigs []uint64
-}
-
-// NeighborLabelBlooms returns, per data vertex v, a 64-bit bloom of the
-// labels carried by v's neighbors (bit l mod 64 per label l). The
-// l2Match-style label-pair prune tests candidate viability against it: a
-// required label whose bit is absent proves no neighbor carries it
-// (collisions only keep candidates, never drop them). Built once on
-// first use; the result aliases internal storage and must not be
-// modified. Safe for concurrent callers.
-func (g *Graph) NeighborLabelBlooms() []uint64 {
-	g.nbr.once.Do(func() {
-		n := g.NumVertices()
-		sigs := make([]uint64, n)
-		for v := 0; v < n; v++ {
-			var sig uint64
-			for _, w := range g.Neighbors(VertexID(v)) {
-				for _, l := range g.Labels(w) {
-					sig |= 1 << (l & 63)
-				}
-			}
-			sigs[v] = sig
-		}
-		g.nbr.sigs = sigs
-	})
-	return g.nbr.sigs
-}
-
 // build materializes the grouped adjacency once. Cost is O(E·log L_v)
 // time and ~one extra copy of the adjacency array; safe for concurrent
 // first callers via the Once.

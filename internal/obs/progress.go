@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ceci/internal/stats"
 )
 
 // DefaultProgressInterval is how often a Reporter fires when no interval
@@ -36,7 +34,7 @@ type Progress struct {
 	// ETA extrapolates remaining time from completed cardinality (or,
 	// lacking cardinalities, completed clusters); 0 when unknown.
 	ETA time.Duration `json:"eta"`
-	// WorkerBusy is per-worker busy time (nil when no clock is attached).
+	// WorkerBusy is per-worker busy time (nil before a run begins).
 	WorkerBusy []time.Duration `json:"worker_busy,omitempty"`
 	// Final marks the last report of a run.
 	Final bool `json:"final,omitempty"`
@@ -48,21 +46,30 @@ type Progress struct {
 // non-decreasing across calls.
 type ProgressFunc func(Progress)
 
-// Reporter aggregates live enumeration counters and periodically invokes
-// a ProgressFunc. All Add* methods are cheap atomics, safe from any
-// goroutine, and nil-safe.
+// Work is a sample of what a run has done so far, read off the ledger its
+// workers drain into (telemetry.Ledger.Work).
+type Work struct {
+	Embeddings  int64
+	Cardinality int64 // summed cardinality bounds of the completed units
+	// Per enumeration worker: busy time and scheduling units completed.
+	WorkerBusy []time.Duration
+	WorkerDone []int64
+}
+
+// Reporter periodically invokes a ProgressFunc. What is done — units,
+// embeddings, cardinality, worker busy time — is sampled from the run's
+// ledger on every tick; the reporter itself holds only what the ledger
+// does not: the totals to be done and when the run began. All methods
+// are safe from any goroutine and nil-safe.
 type Reporter struct {
 	fn       ProgressFunc
 	interval time.Duration
 
-	clustersDone  atomic.Int64
 	clustersTotal atomic.Int64
-	embeddings    atomic.Int64
-	cardDone      atomic.Int64
 	cardTotal     atomic.Int64
 
-	mu      sync.Mutex // guards clock, start/stop state
-	clock   *stats.WorkerClock
+	mu      sync.Mutex // guards work, start/stop state
+	work    func() Work
 	start   time.Time
 	running bool
 	stop    chan struct{}
@@ -72,8 +79,8 @@ type Reporter struct {
 }
 
 // NewReporter builds a Reporter delivering to fn every interval
-// (interval <= 0 means DefaultProgressInterval). fn may be nil, in which
-// case the reporter only aggregates (useful for the telemetry endpoint).
+// (interval <= 0 means DefaultProgressInterval). With a nil fn nothing is
+// delivered; Snapshot still samples.
 func NewReporter(fn ProgressFunc, interval time.Duration) *Reporter {
 	if interval <= 0 {
 		interval = DefaultProgressInterval
@@ -81,66 +88,20 @@ func NewReporter(fn ProgressFunc, interval time.Duration) *Reporter {
 	return &Reporter{fn: fn, interval: interval}
 }
 
-// SetClock attaches a per-worker busy-time clock whose readings are
-// included in every snapshot.
-func (r *Reporter) SetClock(c *stats.WorkerClock) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.clock = c
-	r.mu.Unlock()
-}
-
-// AddBusy charges d of busy time to worker i on the attached clock (a
-// no-op without one).
-func (r *Reporter) AddBusy(i int, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	clock := r.clock
-	r.mu.Unlock()
-	clock.Add(i, d)
-}
-
-// AddTotals registers clusters scheduling units totalling card
-// cardinality about to be enumerated.
-func (r *Reporter) AddTotals(clusters int, card int64) {
+// Begin starts periodic reporting on a run whose ledger work samples and
+// which is about to enumerate clusters scheduling units totalling card
+// cardinality. A reporter carried over several runs keeps its first
+// start time and sums their totals; a Begin while one is running only
+// adds to them.
+func (r *Reporter) Begin(work func() Work, clusters int, card int64) {
 	if r == nil {
 		return
 	}
 	r.clustersTotal.Add(int64(clusters))
 	r.cardTotal.Add(card)
-}
-
-// ClusterDone records completion of one scheduling unit of the given
-// cardinality.
-func (r *Reporter) ClusterDone(card int64) {
-	if r == nil {
-		return
-	}
-	r.clustersDone.Add(1)
-	if card > 0 {
-		r.cardDone.Add(card)
-	}
-}
-
-// AddEmbeddings records n embeddings found.
-func (r *Reporter) AddEmbeddings(n int64) {
-	if r != nil && n != 0 {
-		r.embeddings.Add(n)
-	}
-}
-
-// Start begins periodic reporting. Idempotent; the first call pins the
-// run's start time.
-func (r *Reporter) Start() {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.work = work
 	if r.running {
 		return
 	}
@@ -205,16 +166,20 @@ func (r *Reporter) Snapshot(final bool) Progress {
 	}
 	r.mu.Lock()
 	start := r.start
-	clock := r.clock
+	work := r.work
 	r.mu.Unlock()
 
 	p := Progress{
-		ClustersDone:     r.clustersDone.Load(),
 		ClustersTotal:    r.clustersTotal.Load(),
-		Embeddings:       r.embeddings.Load(),
-		CardinalityDone:  r.cardDone.Load(),
 		CardinalityTotal: r.cardTotal.Load(),
 		Final:            final,
+	}
+	if work != nil {
+		w := work()
+		p.Embeddings, p.CardinalityDone, p.WorkerBusy = w.Embeddings, w.Cardinality, w.WorkerBusy
+		for _, units := range w.WorkerDone {
+			p.ClustersDone += units
+		}
 	}
 	if !start.IsZero() {
 		p.Elapsed = time.Since(start)
@@ -223,9 +188,6 @@ func (r *Reporter) Snapshot(final bool) Progress {
 		p.EmbeddingsPerSec = float64(p.Embeddings) / p.Elapsed.Seconds()
 	}
 	p.ETA = eta(p)
-	if clock != nil {
-		p.WorkerBusy = clock.BusyTimes()
-	}
 	return p
 }
 

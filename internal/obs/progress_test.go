@@ -1,11 +1,10 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
-
-	"ceci/internal/stats"
 )
 
 func TestReporterLifecycle(t *testing.T) {
@@ -17,15 +16,23 @@ func TestReporterLifecycle(t *testing.T) {
 		mu.Unlock()
 	}, time.Millisecond)
 
-	clock := stats.NewWorkerClock(2)
-	clock.Add(0, 3*time.Millisecond)
-	r.SetClock(clock)
-	r.AddTotals(4, 100)
-	r.Start()
-	r.Start() // idempotent
+	var workMu sync.Mutex
+	done := Work{WorkerBusy: []time.Duration{3 * time.Millisecond, 0}, WorkerDone: []int64{0, 0}}
+	work := func() Work {
+		workMu.Lock()
+		defer workMu.Unlock()
+		return done
+	}
+	r.Begin(work, 4, 100)
+	r.Begin(work, 0, 0) // already running: adds nothing
 	for i := 0; i < 4; i++ {
-		r.ClusterDone(25)
-		r.AddEmbeddings(10)
+		workMu.Lock()
+		units := slices.Clone(done.WorkerDone) // the sampler hands out the old slice
+		units[i%2]++
+		done.WorkerDone = units
+		done.Cardinality += 25
+		done.Embeddings += 10
+		workMu.Unlock()
 		time.Sleep(2 * time.Millisecond)
 	}
 	r.Stop()
@@ -84,11 +91,7 @@ func TestReporterETA(t *testing.T) {
 
 func TestReporterNilSafe(t *testing.T) {
 	var r *Reporter
-	r.SetClock(nil)
-	r.AddTotals(1, 1)
-	r.ClusterDone(1)
-	r.AddEmbeddings(1)
-	r.Start()
+	r.Begin(nil, 1, 1)
 	r.Stop()
 	if p := r.Snapshot(false); p.ClustersDone != 0 || p.Embeddings != 0 || p.Elapsed != 0 {
 		t.Fatalf("nil snapshot = %+v", p)
@@ -97,14 +100,11 @@ func TestReporterNilSafe(t *testing.T) {
 
 func TestReporterNilFuncAggregatesOnly(t *testing.T) {
 	r := NewReporter(nil, time.Millisecond)
-	r.AddTotals(2, 0)
-	r.Start()
-	r.ClusterDone(0)
-	r.AddEmbeddings(7)
+	r.Begin(func() Work { return Work{WorkerDone: []int64{1}, Embeddings: 7} }, 2, 0)
 	time.Sleep(3 * time.Millisecond)
 	r.Stop()
 	p := r.Snapshot(false)
-	if p.ClustersDone != 1 || p.Embeddings != 7 {
+	if p.ClustersDone != 1 || p.Embeddings != 7 || p.ClustersTotal != 2 {
 		t.Fatalf("snapshot = %+v", p)
 	}
 }

@@ -119,14 +119,6 @@ func (r *Registry) SetHistogram(name string, h *Histogram) {
 	r.mu.Unlock()
 }
 
-// SetHistograms registers every histogram in hs (a convenience for
-// profiling collectors that expose several at once).
-func (r *Registry) SetHistograms(hs map[string]*Histogram) {
-	for name, h := range hs {
-		r.SetHistogram(name, h)
-	}
-}
-
 type registrySnapshot struct {
 	counters map[string]int64
 	progress *Progress

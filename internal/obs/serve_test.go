@@ -15,7 +15,7 @@ import (
 func newTestRegistry() *Registry {
 	reg := NewRegistry()
 	c := &stats.Counters{}
-	c.AddEmbeddings(42)
+	c.Embeddings.Add(42)
 	c.AddRecursive(7)
 	reg.SetCounters(c)
 	tr := NewTracer(TracerOptions{})

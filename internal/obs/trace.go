@@ -407,8 +407,8 @@ func Stitch(nodes []*SpanNode) []*SpanNode {
 }
 
 // PhaseDurations aggregates span durations by name across the whole
-// forest — the flat view stats.PhaseTrace used to provide, derived from
-// the richer hierarchy.
+// forest: the flat per-phase view (Figures 15 and 20), derived from the
+// richer hierarchy.
 //
 // Semantics (locked in by TestPhaseDurationsSemantics):
 //

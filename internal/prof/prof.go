@@ -1,8 +1,8 @@
 // Package prof is the EXPLAIN ANALYZE layer: a concurrency-safe
-// Collector that the index builder (internal/ceci), the enumerator
-// (internal/enum), and the distributed runtime (internal/cluster) feed
-// while executing a query with profiling enabled, and an immutable
-// Profile snapshot that exposes what the paper's evaluation measures but
+// Collector that the index builder (internal/ceci) feeds while executing
+// a query with profiling enabled and that reads the enumeration's work
+// back from the run's ledger, and an immutable Profile snapshot that
+// exposes what the paper's evaluation measures but
 // the code never surfaced — per-query-vertex filter funnels (label /
 // degree / NLC forward pass, reverse-BFS refinement, cascade deletion;
 // Algorithms 1–2), TE/NTE entry counts and bytes, per-NTE set-
@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"ceci/internal/obs"
-	"ceci/internal/setops"
+	"ceci/internal/telemetry"
 )
 
 // Collector accumulates one profiled execution. Create with New, attach
@@ -33,7 +33,12 @@ type Collector struct {
 
 	mu       sync.Mutex
 	vertices []VertexCounters
-	workers  []workerSlot
+
+	// The enumeration's per-vertex step counts, kernel mix and worker
+	// table are not collected here: Snapshot reads them from the ledger
+	// the run drained into, positions mapped to query vertices by order.
+	ledger *telemetry.Ledger
+	order  []int
 
 	strategy   string
 	pivotCards []int64
@@ -54,22 +59,9 @@ func New() *Collector {
 	}
 }
 
-// Histograms exposes the collector's histograms for registration on an
-// obs.Registry (rendered as ceci_profile_* series).
-func (c *Collector) Histograms() map[string]*obs.Histogram {
-	if c == nil {
-		return nil
-	}
-	return map[string]*obs.Histogram{
-		"profile_unit_seconds":        c.unitSeconds,
-		"profile_cluster_cardinality": c.clusterCard,
-		"profile_enum_candidates":     c.enumOutput,
-	}
-}
-
-// VertexCounters holds one query vertex's live counters. Fields are
-// atomics so build workers (which partition the frontier) and
-// enumeration workers (which share the index) can update without locks.
+// VertexCounters holds one query vertex's live build counters. Fields
+// are atomics so build workers (which partition the frontier) can update
+// without locks.
 type VertexCounters struct {
 	// Forward BFS filter funnel (Algorithm 1): every data-graph
 	// neighbor scanned while expanding frontiers toward this vertex,
@@ -96,37 +88,6 @@ type VertexCounters struct {
 	// columns — as opposed to TEBytes' idealized Table-2 accounting.
 	FlatBytes atomic.Int64
 	nte       []NTECounters
-
-	// Enumeration-time intersection cost (Section 4.1): lookups is the
-	// number of CandidatesFor calls, comparisons the summed lengths of
-	// the intersected lists (the work a merge-based intersection
-	// performs), output the summed result sizes.
-	EnumLookups       atomic.Int64
-	EnumIntersections atomic.Int64
-	EnumComparisons   atomic.Int64
-	EnumOutput        atomic.Int64
-
-	// Per-kernel enumeration work (the internal/setops adaptive kernels,
-	// indexed by setops.Kernel): how often each kernel fired, the
-	// elements/words it actually examined (versus EnumComparisons' merge-
-	// equivalent cost above), and what it emitted. EnumLabelPruned counts
-	// candidates the label-pair prune dropped before any kernel ran.
-	KernelCalls     [setops.NumKernels]atomic.Int64
-	KernelScanned   [setops.NumKernels]atomic.Int64
-	KernelEmitted   [setops.NumKernels]atomic.Int64
-	EnumLabelPruned atomic.Int64
-}
-
-// AddKernelStats accumulates the per-kernel work of one drain into the
-// counters.
-func (v *VertexCounters) AddKernelStats(d setops.KernelStats) {
-	for k := 0; k < setops.NumKernels; k++ {
-		if d.Calls[k] != 0 {
-			v.KernelCalls[k].Add(d.Calls[k])
-			v.KernelScanned[k].Add(d.Scanned[k])
-			v.KernelEmitted[k].Add(d.Emitted[k])
-		}
-	}
 }
 
 // NTECounters profiles one incoming non-tree edge of a query vertex.
@@ -141,11 +102,6 @@ type NTECounters struct {
 
 	Entries    atomic.Int64
 	Candidates atomic.Int64
-}
-
-type workerSlot struct {
-	busyNS atomic.Int64
-	units  atomic.Int64
 }
 
 // InitQuery sizes the per-vertex state for a query of n vertices whose
@@ -205,27 +161,24 @@ func (c *Collector) RecordClusters(strategy string, pivotCards, unitCards []int6
 	}
 }
 
-// EnsureWorkers grows the per-worker slot table to at least n entries.
-func (c *Collector) EnsureWorkers(n int) {
+// ReadEnumeration names the ledger an enumeration is about to drain into
+// and the matching order (query vertex per position) it runs under:
+// Snapshot reads its enumeration tables from there.
+func (c *Collector) ReadEnumeration(l *telemetry.Ledger, order []int) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	for len(c.workers) < n {
-		c.workers = append(c.workers, workerSlot{})
-	}
+	c.ledger, c.order = l, order
 	c.mu.Unlock()
 }
 
-// WorkerUnit charges one completed work unit to worker id: its wall
-// duration and (implicitly) one unit. Requires a prior EnsureWorkers.
-func (c *Collector) WorkerUnit(id int, d time.Duration) {
-	if c == nil || id < 0 || id >= len(c.workers) {
+// ObserveUnit feeds the unit wall-time histogram with one completed work
+// unit.
+func (c *Collector) ObserveUnit(d time.Duration) {
+	if c == nil {
 		return
 	}
-	w := &c.workers[id]
-	w.busyNS.Add(int64(d))
-	w.units.Add(1)
 	c.unitSeconds.ObserveDuration(d)
 }
 

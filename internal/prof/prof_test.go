@@ -7,7 +7,19 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ceci/internal/setops"
+	"ceci/internal/telemetry"
 )
+
+// ledgerFor returns a ledger sized for the triangle and workers workers
+// that c reads its enumeration tables from (matching order u0 u1 u2).
+func ledgerFor(c *Collector, workers int) *telemetry.Ledger {
+	l := telemetry.NewLedger()
+	l.Begin(3, workers)
+	c.ReadEnumeration(l, []int{0, 1, 2})
+	return l
+}
 
 func initTriangle(c *Collector) {
 	// 3-vertex query; u2 has one NTE from u0.
@@ -23,13 +35,10 @@ func TestCollectorNilSafe(t *testing.T) {
 	var c *Collector
 	c.InitQuery(3, nil)
 	c.RecordClusters("ST", []int64{1}, []int64{1})
-	c.EnsureWorkers(4)
-	c.WorkerUnit(0, time.Second)
+	c.ReadEnumeration(telemetry.NewLedger(), nil)
+	c.ObserveUnit(time.Second)
 	c.ObserveEnumOutput(5)
 	c.AddEnumWall(time.Second)
-	if c.Histograms() != nil {
-		t.Fatal("nil collector histograms")
-	}
 	p := c.Snapshot()
 	if len(p.Vertices) != 0 || len(p.Workers) != 0 {
 		t.Fatalf("nil snapshot = %+v", p)
@@ -113,10 +122,14 @@ func TestClustersAndWorkers(t *testing.T) {
 	c := New()
 	initTriangle(c)
 	c.RecordClusters("FGD", []int64{100, 2, 3}, []int64{50, 50, 2, 3})
-	c.EnsureWorkers(2)
-	c.WorkerUnit(0, 30*time.Millisecond)
-	c.WorkerUnit(0, 30*time.Millisecond)
-	c.WorkerUnit(1, 20*time.Millisecond)
+	l := ledgerFor(c, 2)
+	for _, u := range []struct {
+		worker int
+		busy   time.Duration
+	}{{0, 30 * time.Millisecond}, {0, 30 * time.Millisecond}, {1, 20 * time.Millisecond}} {
+		l.AddUnit(u.worker, u.busy, 0, 0)
+		c.ObserveUnit(u.busy)
+	}
 	c.AddEnumWall(80 * time.Millisecond)
 
 	p := c.Snapshot()
@@ -150,7 +163,7 @@ func TestClustersAndWorkers(t *testing.T) {
 func TestCollectorConcurrent(t *testing.T) {
 	c := New()
 	initTriangle(c)
-	c.EnsureWorkers(8)
+	l := ledgerFor(c, 8)
 	const each = 5000
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -160,7 +173,7 @@ func TestCollectorConcurrent(t *testing.T) {
 			v := c.Vertex(w % 3)
 			for i := 0; i < each; i++ {
 				v.NeighborsScanned.Add(1)
-				c.WorkerUnit(w, time.Microsecond)
+				l.AddUnit(w, time.Microsecond, 0, 0)
 				c.ObserveEnumOutput(i % 10)
 			}
 		}(w)
@@ -191,8 +204,8 @@ func TestCanonicalStripsTimings(t *testing.T) {
 	initTriangle(c)
 	c.Vertex(0).FinalCands.Add(9)
 	c.RecordClusters("ST", []int64{4}, []int64{4})
-	c.EnsureWorkers(1)
-	c.WorkerUnit(0, time.Millisecond)
+	ledgerFor(c, 1).AddUnit(0, time.Millisecond, 0, 0)
+	c.ObserveUnit(time.Millisecond)
 	c.AddEnumWall(time.Millisecond)
 
 	p := c.Snapshot()
@@ -245,13 +258,13 @@ func TestProfileText(t *testing.T) {
 	v.NeighborsScanned.Add(100)
 	v.DroppedLabel.Add(40)
 	v.FinalCands.Add(60)
-	v.EnumLookups.Add(2)
-	v.EnumComparisons.Add(10)
-	v.EnumOutput.Add(4)
+	l := ledgerFor(c, 1)
+	var merge setops.KernelStats
+	merge.Calls[setops.KernelMerge], merge.Scanned[setops.KernelMerge], merge.Emitted[setops.KernelMerge] = 1, 9, 4
+	l.AddPosition(1, telemetry.StepCounts{Lookups: 2, Intersections: 1, Comparisons: 10, Output: 4}, &merge)
 	c.Vertex(2).NTE(0).Candidates.Add(7)
 	c.RecordClusters("FGD", []int64{9}, []int64{5, 4})
-	c.EnsureWorkers(1)
-	c.WorkerUnit(0, time.Millisecond)
+	l.AddUnit(0, time.Millisecond, 0, 0)
 
 	p := c.Snapshot()
 	p.SetPhases(map[string]time.Duration{"build": time.Millisecond})
@@ -260,6 +273,7 @@ func TestProfileText(t *testing.T) {
 		"filter funnel", "-label", "index shape", "enumeration intersections",
 		"cluster cardinality distribution", "strategy: FGD",
 		"extreme-cluster splits: 1", "workers", "phases", "0.4000", // selectivity 4/10
+		"intersection kernels", "merge: 1/9/4",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text missing %q:\n%s", want, out)

@@ -125,16 +125,13 @@ type NTEProfile struct {
 // Comparisons is the merge-equivalent cost (summed input lengths —
 // comparable across kernel choices and to pre-kernel baselines); Scanned
 // is what the chosen kernels actually examined, split per kernel under
-// Kernels. LabelPruned counts candidates the label-pair prune dropped
-// before any kernel ran. All are deterministic functions of
-// (data, query, options).
+// Kernels. All are deterministic functions of (data, query, options).
 type EnumProfile struct {
 	Lookups       int64           `json:"lookups"`
 	Intersections int64           `json:"intersections"`
 	Comparisons   int64           `json:"comparisons"`
 	Scanned       int64           `json:"scanned,omitempty"`
 	Output        int64           `json:"output"`
-	LabelPruned   int64           `json:"label_pruned,omitempty"`
 	Kernels       []KernelProfile `json:"kernels,omitempty"`
 }
 
@@ -210,27 +207,6 @@ func (c *Collector) Snapshot() Profile {
 			TEEntries:        vc.TEEntries.Load(),
 			TECandidates:     vc.TECandidates.Load(),
 			FlatBytes:        vc.FlatBytes.Load(),
-			Enum: EnumProfile{
-				Lookups:       vc.EnumLookups.Load(),
-				Intersections: vc.EnumIntersections.Load(),
-				Comparisons:   vc.EnumComparisons.Load(),
-				Output:        vc.EnumOutput.Load(),
-				LabelPruned:   vc.EnumLabelPruned.Load(),
-			},
-		}
-		for k := 0; k < setops.NumKernels; k++ {
-			calls := vc.KernelCalls[k].Load()
-			if calls == 0 {
-				continue
-			}
-			kp := KernelProfile{
-				Kernel:  setops.Kernel(k).String(),
-				Calls:   calls,
-				Scanned: vc.KernelScanned[k].Load(),
-				Emitted: vc.KernelEmitted[k].Load(),
-			}
-			vp.Enum.Scanned += kp.Scanned
-			vp.Enum.Kernels = append(vp.Enum.Kernels, kp)
 		}
 		vp.TEBytes = 8 * vp.TECandidates // the paper's Table 2 accounting
 		for j := range vc.nte {
@@ -247,6 +223,26 @@ func (c *Collector) Snapshot() Profile {
 		}
 		p.Vertices[u] = vp
 	}
+	for pos, w := range c.ledger.Positions() {
+		if pos >= len(c.order) || c.order[pos] >= len(p.Vertices) {
+			break // a ledger shared with a larger query
+		}
+		e := &p.Vertices[c.order[pos]].Enum
+		e.Lookups, e.Intersections = w.Lookups, w.Intersections
+		e.Comparisons, e.Output = w.Comparisons, w.Output
+		for k, calls := range w.Kernels.Calls {
+			if calls == 0 {
+				continue
+			}
+			e.Scanned += w.Kernels.Scanned[k]
+			e.Kernels = append(e.Kernels, KernelProfile{
+				Kernel:  setops.Kernel(k).String(),
+				Calls:   calls,
+				Scanned: w.Kernels.Scanned[k],
+				Emitted: w.Kernels.Emitted[k],
+			})
+		}
+	}
 
 	p.Clusters = ClusterProfile{
 		Pivots: distOf(c.pivotCards),
@@ -257,18 +253,13 @@ func (c *Collector) Snapshot() Profile {
 	}
 
 	wall := time.Duration(c.enumWallNS.Load())
-	for i := range c.workers {
-		w := &c.workers[i]
-		busy := time.Duration(w.busyNS.Load())
-		idle := wall - busy
-		if idle < 0 {
-			idle = 0
-		}
+	work := c.ledger.Work()
+	for i, busy := range work.WorkerBusy {
 		p.Workers = append(p.Workers, WorkerProfile{
 			Worker: i,
 			Busy:   busy,
-			Idle:   idle,
-			Units:  w.units.Load(),
+			Idle:   max(wall-busy, 0),
+			Units:  work.WorkerDone[i],
 		})
 	}
 
@@ -361,7 +352,6 @@ func (p Profile) FunnelTotals() map[string]int64 {
 		out["index_flat_bytes"] += v.FlatBytes
 		out["enum_comparisons"] += v.Enum.Comparisons
 		out["enum_scanned"] += v.Enum.Scanned
-		out["enum_label_pruned"] += v.Enum.LabelPruned
 		out["enum_output"] += v.Enum.Output
 		for _, k := range v.Enum.Kernels {
 			out["enum_kernel_"+k.Kernel+"_calls"] += k.Calls

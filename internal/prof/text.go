@@ -110,30 +110,26 @@ func (p Profile) Text() string {
 
 	hasKernels := false
 	for _, v := range p.Vertices {
-		if len(v.Enum.Kernels) > 0 || v.Enum.LabelPruned > 0 {
+		if len(v.Enum.Kernels) > 0 {
 			hasKernels = true
 			break
 		}
 	}
 	if hasKernels {
 		b.WriteString("\n== intersection kernels (per query vertex) ==\n")
-		fmt.Fprintf(&b, "%4s  %-28s %12s %12s\n", "u", "kernel: calls/scanned/emitted", "scanned", "label_pruned")
+		fmt.Fprintf(&b, "%4s  %-28s %12s\n", "u", "kernel: calls/scanned/emitted", "scanned")
 		for _, u := range order {
 			v := p.Vertices[u]
 			e := v.Enum
-			if len(e.Kernels) == 0 && e.LabelPruned == 0 {
+			if len(e.Kernels) == 0 {
 				continue
 			}
 			var ks []string
 			for _, k := range e.Kernels {
 				ks = append(ks, fmt.Sprintf("%s: %d/%d/%d", k.Kernel, k.Calls, k.Scanned, k.Emitted))
 			}
-			col := "-"
-			if len(ks) > 0 {
-				col = strings.Join(ks, "; ")
-			}
-			fmt.Fprintf(&b, "%4s  %-28s %12d %12d\n",
-				fmt.Sprintf("u%d", v.Vertex), col, e.Scanned, e.LabelPruned)
+			fmt.Fprintf(&b, "%4s  %-28s %12d\n",
+				fmt.Sprintf("u%d", v.Vertex), strings.Join(ks, "; "), e.Scanned)
 		}
 	}
 

@@ -95,9 +95,6 @@ type Options struct {
 	// The recorder itself is always on — it costs one small struct per
 	// completed query regardless of sampling.
 	FlightSize int
-	// SlowestK is the flight recorder's slowest-query index depth
-	// (default 16).
-	SlowestK int
 	// Audit, when non-nil, receives one JSON line per completed query
 	// (the flight-recorder record, spans omitted) — a structured audit
 	// log that survives ring eviction. Writes are serialized by the
@@ -288,7 +285,7 @@ func New(data *graph.Graph, opts Options) *Engine {
 		sem:       make(chan struct{}, o.MaxConcurrent),
 		queue:     make(chan struct{}, o.QueueDepth),
 		building:  make(map[string]*buildCall),
-		flight:    obs.NewFlightRecorder(o.FlightSize, o.SlowestK),
+		flight:    obs.NewFlightRecorder(o.FlightSize, obs.DefaultSlowestK),
 		latency:   obs.NewHistogram(obs.LatencyBuckets()),
 		queueWait: obs.NewHistogram(obs.LatencyBuckets()),
 	}
@@ -428,7 +425,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		if errors.Is(err, context.DeadlineExceeded) {
 			e.deadlines.Add(1)
 		}
-		e.finish(tc, span, req, nil, err, start, waited, led)
+		e.finish(tc, span, req, nil, err, start, waited, led.Snapshot())
 		return nil, err
 	}
 	e.inflight.Add(1)
@@ -441,19 +438,18 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	if errors.Is(err, context.DeadlineExceeded) {
 		e.deadlines.Add(1)
 	}
-	if led != nil {
-		alloc.ChargeTo(led)
-	}
+	alloc.ChargeTo(led)
+	res := led.Snapshot()
 	if resp != nil {
 		resp.TraceID = tc.TraceID.String()
 		resp.QueueWait = waited
-		resp.Resources = led.Snapshot()
+		resp.Resources = res
 		if span != nil {
 			resp.Trace = span.Context()
 			resp.Trace.Sampled = true
 		}
 	}
-	e.finish(tc, span, req, resp, err, start, waited, led)
+	e.finish(tc, span, req, resp, err, start, waited, res)
 	return resp, err
 }
 
@@ -484,10 +480,10 @@ func statusFor(err error) int {
 // never inside the enumeration hot path.
 func (e *Engine) finish(tc obs.TraceContext, span *obs.Span, req Request,
 	resp *Response, err error, start time.Time, waited time.Duration,
-	led *telemetry.Ledger) {
+	res *obs.QueryResources) {
 
 	rec := obs.QueryRecord{
-		Resources:       led.Snapshot(),
+		Resources:       res,
 		TraceID:         tc.TraceID.String(),
 		Time:            start,
 		QueryVertices:   req.Query.NumVertices(),
@@ -595,13 +591,15 @@ func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *tele
 		stopAfter = req.Offset + limit
 	}
 
-	// Per-query depth stats feed the adaptive planner's drift detector;
-	// selectivity ratios are scale-free (output per lookup), so partial
-	// and limited enumerations contribute without biasing the signal.
-	var ds *enum.DepthStats
+	// The ledger's per-position lookup and output counts feed the adaptive
+	// planner's drift detector; selectivity ratios are scale-free (output
+	// per lookup), so partial and limited enumerations contribute without
+	// biasing the signal.
 	if e.opts.Planner && ent.decision != nil {
-		ds = enum.NewDepthStats(len(ent.decision.Order))
-		defer e.observePlan(ent, ds)
+		if led == nil {
+			led = telemetry.NewLedger()
+		}
+		defer e.observePlan(ent, led)
 	}
 
 	m := enum.NewMatcher(ent.ix.Load(), enum.Options{
@@ -609,7 +607,6 @@ func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *tele
 		Limit:   stopAfter,
 		Stats:   e.opts.Stats,
 		Ledger:  led,
-		Depth:   ds,
 	})
 
 	// Shard mode: enumerated ids are shard-local; responses speak global
@@ -663,12 +660,12 @@ func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *tele
 // entry's accumulators and, once PlannerMinQueries queries have been
 // seen, recosts the running order under the observed selectivities. A
 // drift of PlannerDrift× past the original estimate triggers a re-plan.
-func (e *Engine) observePlan(ent *entry, ds *enum.DepthStats) {
-	lookups, emitted := ds.Snapshot()
+func (e *Engine) observePlan(ent *entry, led *telemetry.Ledger) {
+	positions := led.Positions()
 	ent.mu.Lock()
-	for i := range lookups {
-		ent.obsLookups[i] += lookups[i]
-		ent.obsEmitted[i] += emitted[i]
+	for i, w := range positions[:min(len(positions), len(ent.obsLookups))] {
+		ent.obsLookups[i] += w.Lookups
+		ent.obsEmitted[i] += w.Output
 	}
 	ent.obsQueries++
 	dec := ent.decision

@@ -82,17 +82,14 @@ type RouterOptions struct {
 	// it when /tracez is read.
 	Tracer      *obs.Tracer
 	TraceSample float64
-	// FlightSize/SlowestK size the router's flight recorder (/queryz).
+	// FlightSize sizes the router's flight recorder (/queryz).
 	FlightSize int
-	SlowestK   int
 	// Registry, when non-nil, receives router gauges and the latency
 	// histogram, and serves the metric routes under the handler.
 	Registry *obs.Registry
 	// Telemetry, when non-nil, observes routed queries (SLO burn) and
 	// serves /statz and /dashz.
 	Telemetry *telemetry.Hub
-	// HTTPClient overrides the transport (tests); nil = defaults.
-	HTTPClient *http.Client
 }
 
 func (o RouterOptions) withDefaults() RouterOptions {
@@ -198,7 +195,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	rt := &Router{
 		opts:    o,
 		stop:    make(chan struct{}),
-		flight:  obs.NewFlightRecorder(o.FlightSize, o.SlowestK),
+		flight:  obs.NewFlightRecorder(o.FlightSize, obs.DefaultSlowestK),
 		latency: obs.NewHistogram(obs.LatencyBuckets()),
 	}
 	for i, urls := range o.Shards {
@@ -210,8 +207,8 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 			rep := &Replica{
 				Shard:   i,
 				URL:     u,
-				client:  service.NewClient(u, o.HTTPClient),
-				healthc: service.NewClient(u, o.HTTPClient),
+				client:  service.NewClient(u, nil),
+				healthc: service.NewClient(u, nil),
 			}
 			rep.healthc.SetRetry(1, 0, 0) // probes are their own retry loop
 			rep.lastErr.Store("")

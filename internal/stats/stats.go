@@ -1,20 +1,17 @@
-// Package stats provides the instrumentation used to reproduce the
+// Package stats provides the cumulative counters used to reproduce the
 // paper's measurement figures: recursive-call counts (Figure 18), filter
-// effectiveness, index size accounting (Table 2), per-worker busy time
-// (Figure 12), and phase traces (Figures 15, 20).
+// effectiveness and index size accounting (Table 2). Per-worker busy time
+// (Figure 12) is on the run's ledger (internal/telemetry), phase times
+// (Figures 15, 20) on the tracer (obs.Tracer.PhaseDurations).
 //
-// Counters are cheap atomics so they can stay enabled inside enumeration
-// inner loops.
+// Counters are cheap atomics: enumeration drains into them at work-unit
+// boundaries, the baselines add to them directly.
 package stats
 
 import (
-	"fmt"
 	"reflect"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 	"unicode"
 )
 
@@ -42,20 +39,6 @@ type Counters struct {
 func (c *Counters) AddRecursive(n int64) {
 	if c != nil {
 		c.RecursiveCalls.Add(n)
-	}
-}
-
-// AddEmbeddings increments the embedding counter.
-func (c *Counters) AddEmbeddings(n int64) {
-	if c != nil {
-		c.Embeddings.Add(n)
-	}
-}
-
-// AddIntersections increments the intersection counter.
-func (c *Counters) AddIntersections(n int64) {
-	if c != nil {
-		c.IntersectionOps.Add(n)
 	}
 }
 
@@ -102,150 +85,4 @@ func SnakeCase(name string) string {
 		b.WriteRune(unicode.ToLower(r))
 	}
 	return b.String()
-}
-
-// WorkerClock tracks per-worker busy time, reproducing the per-worker
-// finish-time skew of Figure 12.
-type WorkerClock struct {
-	mu   sync.Mutex
-	busy []time.Duration
-}
-
-// NewWorkerClock creates a clock for n workers.
-func NewWorkerClock(n int) *WorkerClock {
-	return &WorkerClock{busy: make([]time.Duration, n)}
-}
-
-// Add charges d of busy time to worker i. Out-of-range indices are
-// ignored: instrumentation must never crash the enumeration it observes.
-func (w *WorkerClock) Add(i int, d time.Duration) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	if i >= 0 && i < len(w.busy) {
-		w.busy[i] += d
-	}
-	w.mu.Unlock()
-}
-
-// BusyTimes returns a copy of the per-worker busy durations.
-func (w *WorkerClock) BusyTimes() []time.Duration {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]time.Duration, len(w.busy))
-	copy(out, w.busy)
-	return out
-}
-
-// Skew returns max/mean busy-time ratio; 1.0 is perfectly balanced.
-func (w *WorkerClock) Skew() float64 {
-	times := w.BusyTimes()
-	if len(times) == 0 {
-		return 1
-	}
-	var max, sum time.Duration
-	for _, t := range times {
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	mean := float64(sum) / float64(len(times))
-	return float64(max) / mean
-}
-
-// PhaseTrace records wall-clock spans per named phase (load, preprocess,
-// build, refine, enumerate...), supporting Figure 15's utilization story
-// and Figure 20's build-cost breakdown.
-type PhaseTrace struct {
-	mu     sync.Mutex
-	spans  map[string]time.Duration
-	orderd []string
-}
-
-// NewPhaseTrace returns an empty trace.
-func NewPhaseTrace() *PhaseTrace {
-	return &PhaseTrace{spans: make(map[string]time.Duration)}
-}
-
-// Time runs fn and charges its duration to phase name.
-func (p *PhaseTrace) Time(name string, fn func()) {
-	if p == nil {
-		fn()
-		return
-	}
-	start := time.Now()
-	fn()
-	p.Add(name, time.Since(start))
-}
-
-// Add charges d to phase name.
-func (p *PhaseTrace) Add(name string, d time.Duration) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if _, ok := p.spans[name]; !ok {
-		p.orderd = append(p.orderd, name)
-	}
-	p.spans[name] += d
-	p.mu.Unlock()
-}
-
-// Get returns the accumulated duration of phase name.
-func (p *PhaseTrace) Get(name string) time.Duration {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.spans[name]
-}
-
-// Phases returns phase names in first-seen order.
-func (p *PhaseTrace) Phases() []string {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, len(p.orderd))
-	copy(out, p.orderd)
-	return out
-}
-
-// String renders the trace sorted by share of total time.
-func (p *PhaseTrace) String() string {
-	if p == nil {
-		return "<nil trace>"
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	type row struct {
-		name string
-		d    time.Duration
-	}
-	rows := make([]row, 0, len(p.spans))
-	var total time.Duration
-	for n, d := range p.spans {
-		rows = append(rows, row{n, d})
-		total += d
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].d > rows[j].d })
-	s := ""
-	for _, r := range rows {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(r.d) / float64(total)
-		}
-		s += fmt.Sprintf("%-12s %12v %5.1f%%\n", r.name, r.d, pct)
-	}
-	return s
 }

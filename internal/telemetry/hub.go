@@ -12,7 +12,7 @@ import (
 )
 
 // Options configures a Hub. The zero value works: real clock, default
-// resolutions, 10s sampling, default SLO, default class bound.
+// resolutions, 10s sampling, default SLO.
 type Options struct {
 	// Now is the injected clock (time.Now when nil). Every component —
 	// store buckets, SLO ring, class timestamps — reads it, so tests
@@ -26,9 +26,6 @@ type Options struct {
 	SampleInterval time.Duration
 	// SLO sets the tracked objectives.
 	SLO SLOConfig
-	// MaxClasses bounds the per-class table (DefaultMaxClasses when
-	// non-positive).
-	MaxClasses int
 }
 
 // Hub is the process's telemetry brain: it owns the time-series store,
@@ -76,7 +73,7 @@ func NewHub(o Options) *Hub {
 		now:        o.Now,
 		store:      NewStore(o.Now, o.Resolutions),
 		slo:        NewSLO(o.SLO, o.Now),
-		classes:    NewClassTable(o.MaxClasses),
+		classes:    NewClassTable(DefaultMaxClasses),
 		interval:   o.SampleInterval,
 		histTracks: make(map[string]*histTrack),
 		stop:       make(chan struct{}),

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -164,18 +163,6 @@ func (s *Store) Snapshot() map[string][]SeriesWindow {
 		out[name] = ws
 	}
 	return out
-}
-
-// Names returns the registered series names, sorted.
-func (s *Store) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.series))
-	for n := range s.series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Quantile estimates the q-quantile (0 < q < 1) of a histogram snapshot
