@@ -115,14 +115,14 @@ trace-smoke:
 	$(GO) test -race -run 'TestServeTraceAuditFlush|TestTraced|TestRouterTraceStitching' -v ./cmd/ceciserve ./internal/service ./internal/shard
 
 # Planner smoke: the cost model and planner property tests raced, the
-# adaptive paths (EXPLAIN ANALYZE planner section, service drift
-# re-plan) raced, the planner-on/off differential sweep, and the
-# cecibench order matrix asserting the planner never does more
-# enumeration work than the best static heuristic (also run by CI's
-# planner-smoke job).
+# EXPLAIN ANALYZE planner section raced, the planner-on/off differential
+# sweep, and the cecibench order matrix asserting the planner never does
+# more enumeration work than the best static heuristic (also run by CI's
+# planner-smoke job). The planner is the library's: ceciserve does not
+# plan (DESIGN §15).
 plan-smoke:
 	$(GO) test -race ./internal/plan
-	$(GO) test -race -run 'TestPlanner|TestExplainAnalyzePlanner' . ./internal/service
+	$(GO) test -race -run 'TestPlanner|TestExplainAnalyzePlanner' .
 	$(GO) test -run TestDifferentialPlannerOrders -short ./internal/verify
 	$(GO) run ./cmd/cecibench -exp orders -quick
 

@@ -114,10 +114,9 @@ func plannerProfile(p *Profile, m *Matcher, o *Options) {
 	}
 	p.Order = "auto:" + dec.Chosen
 	pp := &prof.PlannerProfile{
-		Chosen:     dec.Chosen,
-		Order:      intOrder(dec.Order),
-		Estimate:   dec.Estimate,
-		Calibrated: dec.Calibrated,
+		Chosen:   dec.Chosen,
+		Order:    intOrder(dec.Order),
+		Estimate: dec.Estimate,
 	}
 	for _, c := range dec.Candidates {
 		pp.Candidates = append(pp.Candidates, prof.PlannerCandidate{

@@ -268,34 +268,8 @@ func Match(data, query *Graph, opts *Options) (*Matcher, error) {
 // context's error) instead of running to completion. The returned
 // Matcher's ForEachCtx/CountCtx honor a context during enumeration.
 func MatchCtx(ctx context.Context, data, query *Graph, opts *Options) (*Matcher, error) {
-	if data == nil || query == nil {
-		return nil, fmt.Errorf("ceci: nil %s graph", map[bool]string{true: "data", false: "query"}[data == nil])
-	}
 	o := opts.normalized()
-	forcedRoot := -1
-	if o.Root != nil {
-		forcedRoot = int(*o.Root)
-	}
-	psp := obs.StartUnder(ctx, o.Tracer, "preprocess")
-	var tree *order.QueryTree
-	var planner *plan.Planner
-	var decision *plan.Decision
-	var err error
-	if o.Planner {
-		planner, err = plan.New(data, query, plan.Options{ForcedRoot: forcedRoot})
-		if err == nil {
-			decision, err = planner.Decide(nil)
-		}
-		if decision != nil {
-			tree = decision.Tree
-		}
-	} else {
-		tree, err = order.Preprocess(data, query, order.Options{
-			ForcedRoot: forcedRoot,
-			Heuristic:  o.Order,
-		})
-	}
-	psp.End()
+	tree, planner, decision, err := o.preprocess(ctx, data, query)
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +431,7 @@ func ForEachIncremental(data, query *Graph, opts *Options, fn func(embedding []V
 // on-demand per-cluster build, and at enumeration depth steps.
 func ForEachIncrementalCtx(ctx context.Context, data, query *Graph, opts *Options, fn func(embedding []VertexID) bool) error {
 	o := opts.normalized()
-	tree, err := o.incrementalTree(ctx, data, query)
+	tree, _, _, err := o.preprocess(ctx, data, query)
 	if err != nil {
 		return err
 	}
@@ -469,7 +443,7 @@ func ForEachIncrementalCtx(ctx context.Context, data, query *Graph, opts *Option
 // deliver, with no callback per embedding.
 func CountIncremental(data, query *Graph, opts *Options) (int64, error) {
 	o := opts.normalized()
-	tree, err := o.incrementalTree(context.Background(), data, query)
+	tree, _, _, err := o.preprocess(context.Background(), data, query)
 	if err != nil {
 		return 0, err
 	}
@@ -477,10 +451,14 @@ func CountIncremental(data, query *Graph, opts *Options) (int64, error) {
 		icec.Options{RefineRounds: o.RefineRounds, Stats: o.Stats}, o.enumOptions()), nil
 }
 
-// incrementalTree preprocesses query for the incremental drivers.
-func (o *Options) incrementalTree(ctx context.Context, data, query *Graph) (*order.QueryTree, error) {
+// preprocess is the one way a query becomes a query tree, whatever will
+// be done with the tree — built, matched against a loaded index, or
+// built cluster by cluster: the forced root, the "preprocess" span, and
+// the order from the cost-based planner (whose planner and decision are
+// returned for EXPLAIN) or from the static heuristic (nil, nil).
+func (o *Options) preprocess(ctx context.Context, data, query *Graph) (*order.QueryTree, *plan.Planner, *plan.Decision, error) {
 	if data == nil || query == nil {
-		return nil, fmt.Errorf("ceci: nil graph")
+		return nil, nil, nil, fmt.Errorf("ceci: nil %s graph", map[bool]string{true: "data", false: "query"}[data == nil])
 	}
 	forcedRoot := -1
 	if o.Root != nil {
@@ -488,14 +466,22 @@ func (o *Options) incrementalTree(ctx context.Context, data, query *Graph) (*ord
 	}
 	psp := obs.StartUnder(ctx, o.Tracer, "preprocess")
 	defer psp.End()
-	if o.Planner {
-		tree, _, err := plan.Choose(data, query, plan.Options{ForcedRoot: forcedRoot})
-		return tree, err
+	if !o.Planner {
+		tree, err := order.Preprocess(data, query, order.Options{
+			ForcedRoot: forcedRoot,
+			Heuristic:  o.Order,
+		})
+		return tree, nil, nil, err
 	}
-	return order.Preprocess(data, query, order.Options{
-		ForcedRoot: forcedRoot,
-		Heuristic:  o.Order,
-	})
+	planner, err := plan.New(data, query, plan.Options{ForcedRoot: forcedRoot})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	decision, err := planner.Decide(nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return decision.Tree, planner, decision, nil
 }
 
 // Automorphisms returns the number of automorphic images each embedding

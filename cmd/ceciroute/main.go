@@ -77,7 +77,6 @@ type routeConfig struct {
 	maxLimit    int64
 	drain       time.Duration
 	traceSample float64
-	flightSize  int
 	telemetry   bool
 	version     bool
 
@@ -126,7 +125,6 @@ func main() {
 	flag.Int64Var(&cfg.maxLimit, "max-limit", 10000, "max merged embeddings returned per request")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain window")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 1, "head-based trace sampling rate in [0,1] (negative = none)")
-	flag.IntVar(&cfg.flightSize, "flight", 0, "flight-recorder ring capacity (0 = default 256)")
 	flag.BoolVar(&cfg.telemetry, "telemetry", true, "enable the telemetry hub: /statz, /dashz")
 	flag.BoolVar(&cfg.version, "version", false, "print build identity (module version, VCS revision, go version) and exit")
 	flag.Parse()
@@ -226,7 +224,6 @@ func runRouter(ctx context.Context, cfg routeConfig) error {
 		MaxLimit:       cfg.maxLimit,
 		Tracer:         obs.NewTracer(obs.TracerOptions{}),
 		TraceSample:    cfg.traceSample,
-		FlightSize:     cfg.flightSize,
 		Registry:       obs.NewRegistry(),
 		Telemetry:      hub,
 	})

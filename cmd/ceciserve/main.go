@@ -62,16 +62,10 @@ type serveConfig struct {
 	maxLimit    int64
 	drain       time.Duration
 
-	// Adaptive planner.
-	planner      bool    // -planner: cost-based order selection + drift re-planning
-	plannerDrift float64 // -planner-drift: re-plan when observed cost ≥ this × estimate
-	plannerMinQ  int64   // -planner-min-queries: queries observed before drift checks
-
 	// Observability.
 	traceSample float64 // -trace-sample: head-based sampling rate for query traces
 	traceJSONL  string  // -trace-jsonl: write the span event log (JSONL) here
 	auditPath   string  // -audit: write one JSON line per completed query here
-	flightSize  int     // -flight: flight-recorder ring capacity
 	version     bool    // -version: print build identity and exit
 
 	// Telemetry hub (/statz, /dashz): resource ledgers, time-series
@@ -110,13 +104,9 @@ func main() {
 	flag.DurationVar(&cfg.maxTimeout, "max-timeout", 5*time.Minute, "upper clamp on request-supplied deadlines")
 	flag.Int64Var(&cfg.maxLimit, "max-limit", 10000, "max embeddings returned per request")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain window")
-	flag.BoolVar(&cfg.planner, "planner", false, "cost-based adaptive planning: score every matching-order heuristic plus a greedy order per query class, cache the winner, re-plan on selectivity drift")
-	flag.Float64Var(&cfg.plannerDrift, "planner-drift", 4, "re-plan when a cached order's observed cost is at least this factor above its estimate")
-	flag.Int64Var(&cfg.plannerMinQ, "planner-min-queries", 3, "queries a cached plan must observe before drift checks begin")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 1, "head-based trace sampling rate in [0,1]; unsampled queries record no spans (negative = none)")
 	flag.StringVar(&cfg.traceJSONL, "trace-jsonl", "", "write the span event log (JSONL) to this file")
 	flag.StringVar(&cfg.auditPath, "audit", "", "append one JSON line per completed query (the flight-recorder record) to this file")
-	flag.IntVar(&cfg.flightSize, "flight", 0, "flight-recorder ring capacity (0 = default 256)")
 	flag.BoolVar(&cfg.version, "version", false, "print build identity (module version, VCS revision, go version) and exit")
 	flag.BoolVar(&cfg.telemetry, "telemetry", true, "enable the telemetry hub: per-query resource ledgers, /statz, /dashz")
 	flag.DurationVar(&cfg.telemetrySample, "telemetry-sample", 10*time.Second, "telemetry gauge sampling interval")
@@ -246,25 +236,21 @@ func run(ctx context.Context, cfg serveConfig) error {
 
 	reg := obs.NewRegistry()
 	eng := service.New(data, service.Options{
-		MaxConcurrent:     cfg.concurrency,
-		QueueDepth:        cfg.queueDepth,
-		DefaultTimeout:    cfg.timeout,
-		MaxTimeout:        cfg.maxTimeout,
-		MaxLimit:          cfg.maxLimit,
-		CacheBytes:        int64(cfg.cacheMB) << 20,
-		Workers:           cfg.workers,
-		Order:             order.BFSOrder,
-		Planner:           cfg.planner,
-		PlannerDrift:      cfg.plannerDrift,
-		PlannerMinQueries: cfg.plannerMinQ,
-		Registry:          reg,
-		Tracer:            tracer,
-		TraceSample:       cfg.traceSample,
-		FlightSize:        cfg.flightSize,
-		Audit:             audit,
-		Stats:             &stats.Counters{},
-		Telemetry:         hub,
-		Shard:             shardCfg,
+		MaxConcurrent:  cfg.concurrency,
+		QueueDepth:     cfg.queueDepth,
+		DefaultTimeout: cfg.timeout,
+		MaxTimeout:     cfg.maxTimeout,
+		MaxLimit:       cfg.maxLimit,
+		CacheBytes:     int64(cfg.cacheMB) << 20,
+		Workers:        cfg.workers,
+		Order:          order.BFSOrder,
+		Registry:       reg,
+		Tracer:         tracer,
+		TraceSample:    cfg.traceSample,
+		Audit:          audit,
+		Stats:          &stats.Counters{},
+		Telemetry:      hub,
+		Shard:          shardCfg,
 	})
 
 	// Swap the gate out: from here /healthz?ready=1 answers 200 and

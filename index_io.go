@@ -1,13 +1,12 @@
 package ceci
 
 import (
-	"fmt"
+	"context"
 	"io"
 	"os"
 
 	icec "ceci/internal/ceci"
 	"ceci/internal/enum"
-	"ceci/internal/order"
 )
 
 // Index persistence: a built CECI can be saved and later rematched
@@ -37,22 +36,12 @@ func (m *Matcher) SaveIndexFile(path string) error {
 
 // MatchWithIndex prepares a Matcher from a previously saved index
 // instead of building one. The data graph, query, and the order-related
-// options (Order, Root) must match the ones used when the index was
-// built; enumeration options (Workers, Limit, Strategy, ...) may differ
-// freely.
+// options (Order, Planner, Root) must match the ones used when the index
+// was built; enumeration options (Workers, Limit, Strategy, ...) may
+// differ freely.
 func MatchWithIndex(data, query *Graph, r io.Reader, opts *Options) (*Matcher, error) {
-	if data == nil || query == nil {
-		return nil, fmt.Errorf("ceci: nil graph")
-	}
 	o := opts.normalized()
-	forcedRoot := -1
-	if o.Root != nil {
-		forcedRoot = int(*o.Root)
-	}
-	tree, err := order.Preprocess(data, query, order.Options{
-		ForcedRoot: forcedRoot,
-		Heuristic:  o.Order,
-	})
+	tree, planner, decision, err := o.preprocess(context.Background(), data, query)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +49,7 @@ func MatchWithIndex(data, query *Graph, r io.Reader, opts *Options) (*Matcher, e
 	if err != nil {
 		return nil, err
 	}
-	return &Matcher{inner: enum.NewMatcher(ix, o.enumOptions()), index: ix, opts: o}, nil
+	return &Matcher{inner: enum.NewMatcher(ix, o.enumOptions()), index: ix, opts: o, planner: planner, decision: decision}, nil
 }
 
 // MatchWithIndexFile is MatchWithIndex reading from path.

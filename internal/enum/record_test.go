@@ -100,8 +100,8 @@ func (r *recordedRun) check(t *testing.T, order []graph.VertexID, complete bool)
 	}
 
 	// Profile reads the ledger: per-vertex steps and kernel mix are the
-	// positions bucketed by matching order (what the planner's drift
-	// detector calibrates from), the worker table is the ledger's.
+	// positions bucketed by matching order (what EXPLAIN's planner
+	// section calibrates from), the worker table is the ledger's.
 	if len(positions) != len(order) {
 		t.Fatalf("ledger has %d positions, the order %d", len(positions), len(order))
 	}

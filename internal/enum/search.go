@@ -200,7 +200,7 @@ func (s *searcher) delivered(k int64) {
 
 // drain is the one place enumeration work is stored: it charges what this
 // worker counted since its previous drain to the run's ledger — the
-// record Profile, Progress, the planner's drift detector and
+// record Profile, Progress and
 // QueryResources all read — and to the cumulative Stats counters when
 // attached, then zeroes the counters. unit marks a work-unit boundary,
 // where the unit's cardinality, wall time and the worker's scratch

@@ -53,9 +53,6 @@ type Decision struct {
 	Estimate   float64          `json:"estimate"`
 	PerDepth   []DepthEst       `json:"per_depth,omitempty"`
 	Candidates []Candidate      `json:"candidates"`
-	// Calibrated marks a decision produced by drift re-planning, with
-	// observed selectivities folded into the model.
-	Calibrated bool `json:"calibrated,omitempty"`
 	// Tree is the base tree reordered to the chosen order, ready for
 	// index construction.
 	Tree *order.QueryTree `json:"-"`
@@ -274,8 +271,8 @@ func (p *Planner) greedyOrder(calib []float64) []graph.VertexID {
 // the greedy min-cost order — and returns the cheapest. Ties break to
 // the earliest candidate in the evaluation sequence, so the default
 // (BFS) wins when the model cannot separate orders. calib carries
-// per-vertex observed/predicted output ratios from served traffic (nil
-// for a first plan).
+// per-vertex observed/predicted output ratios (Decision.Calibration; nil
+// to plan from the model alone).
 func (p *Planner) Decide(calib []float64) (*Decision, error) {
 	type named struct {
 		name string
@@ -291,7 +288,7 @@ func (p *Planner) Decide(calib []float64) (*Decision, error) {
 	}
 	orders = append(orders, named{GreedyName, p.greedyOrder(calib)})
 
-	dec := &Decision{Calibrated: calib != nil}
+	dec := &Decision{}
 	best := -1
 	for _, no := range orders {
 		if dup(dec.Candidates, no.ord) {

@@ -34,12 +34,12 @@
 // of its input lengths (the adaptive kernels gallop). See DESIGN.md §15
 // for the full derivation.
 //
-// For served traffic the planner is retained alongside the cached index
-// (internal/service): observed per-depth selectivities from the
-// enumeration funnel are folded into per-vertex calibration ratios, and
-// when the calibrated cost of the running order drifts ≥k× above its
-// estimate the query class is re-planned — l2Match's Jump-Redo applied
-// at plan-cache granularity.
+// The planner is the library's (ceci.Options.Planner, -order auto): it
+// wins on exhaustive enumeration and loses where the build or a small
+// limit bounds the query, which is why ceciserve does not plan (DESIGN
+// §15 has the measurements). After a run, a Decision folds the observed
+// per-depth selectivities into calibration ratios and re-prices its
+// order; EXPLAIN ANALYZE prints that beside the estimate.
 package plan
 
 import (
@@ -57,8 +57,8 @@ type Options struct {
 func DefaultOptions() Options { return Options{ForcedRoot: -1} }
 
 // Planner holds one query's preprocessing result and the statistics the
-// cost model needs. It is retained by the service's plan cache so drift
-// re-planning can re-score orders without touching the data graph.
+// cost model needs: every order of the query is priced from these without
+// touching the data graph again.
 type Planner struct {
 	base *order.QueryTree
 	feat features
@@ -120,10 +120,10 @@ func New(data, query *graph.Graph, opt Options) (*Planner, error) {
 		}
 		f.avgNbr[u] = row
 	}
-	// The planner outlives the build (the service's plan cache keeps it
-	// for drift re-planning), so it retains the tree without the verdict
-	// tables; a planned build recomputes them.
-	return &Planner{base: base.WithFilter(nil), feat: f}, nil
+	// base keeps its verdict tables: Reorder shares them with the tree a
+	// Decision hands to the build, which reads them instead of filtering
+	// the data graph a second time.
+	return &Planner{base: base, feat: f}, nil
 }
 
 // Base returns the underlying BFS query tree (root, tree structure,

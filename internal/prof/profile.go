@@ -50,10 +50,9 @@ type PlannerProfile struct {
 	Order    []int   `json:"order"`
 	Estimate float64 `json:"estimate"`
 	// Observed is the model re-evaluated with this run's observed
-	// per-depth selectivities folded in — the number the service's drift
-	// detector compares against Estimate (0 when no funnel rode the run).
+	// per-depth selectivities folded in — how far off Estimate was (0
+	// when no funnel rode the run).
 	Observed   float64            `json:"observed,omitempty"`
-	Calibrated bool               `json:"calibrated,omitempty"`
 	Candidates []PlannerCandidate `json:"candidates,omitempty"`
 	Depths     []PlannerDepth     `json:"depths,omitempty"`
 }

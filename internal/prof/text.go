@@ -24,9 +24,6 @@ func (p Profile) Text() string {
 			}
 			fmt.Fprintf(&b, "  observed %.4g (%s)", pp.Observed, ratio)
 		}
-		if pp.Calibrated {
-			b.WriteString("  [calibrated]")
-		}
 		b.WriteByte('\n')
 		fmt.Fprintf(&b, "  %-16s %12s  %s\n", "candidate", "estimate", "order")
 		for _, c := range pp.Candidates {

@@ -15,54 +15,20 @@ package service
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	icec "ceci/internal/ceci"
-	"ceci/internal/graph"
-	"ceci/internal/plan"
 )
 
-// entry is one cached index plus the bookkeeping required to
-// serve isomorphic queries: invPerm maps canonical vertex positions back
-// to the stored query's vertex ids, so a hit by a permuted twin can
-// translate embeddings into the incoming query's numbering.
-//
-// ix is an atomic pointer because the adaptive planner may swap in a
-// rebuilt index (new matching order) while queries are reading it;
-// bytes is guarded by the owning cache's mutex once inserted.
+// entry is one cached index: the CECI of a query class's canonical form
+// (verify.CanonicalGraph numbering, so embeddings read off ix are indexed
+// by canonical position whichever twin asked) and the bytes it is charged
+// at. Nothing changes after the entry is built; elem belongs to the cache
+// that holds it.
 type entry struct {
-	key     string
-	ix      atomic.Pointer[icec.Index]
-	query   *graph.Graph // the stored query (its numbering indexes embeddings)
-	invPerm []int        // canonical position -> stored query vertex
-	// pivots restricts the index to owned embedding clusters (shard
-	// mode; nil on single-node engines). Immutable after build; replans
-	// must rebuild with the same restriction.
-	pivots []graph.VertexID
-	bytes  int64
-	elem   *list.Element
-
-	// Adaptive-planner state (Options.Planner): the planner that scored
-	// this query class's orders, the decision currently executing, and
-	// the observed per-depth selectivity accumulators folded in after
-	// each query. All guarded by mu; planner itself is immutable.
-	mu         sync.Mutex
-	planner    *plan.Planner
-	decision   *plan.Decision
-	obsLookups []int64
-	obsEmitted []int64
-	obsQueries int64
-	replanning bool
-}
-
-// resetObsLocked clears the selectivity accumulators after a re-plan
-// adopted a new decision; callers hold e.mu.
-func (e *entry) resetObsLocked() {
-	for i := range e.obsLookups {
-		e.obsLookups[i] = 0
-		e.obsEmitted[i] = 0
-	}
-	e.obsQueries = 0
+	key   string
+	ix    *icec.Index
+	bytes int64
+	elem  *list.Element
 }
 
 // CacheStats is a point-in-time snapshot of cache behavior, exposed at
@@ -138,35 +104,6 @@ func (c *cache) add(e *entry) {
 	e.elem = c.lru.PushFront(e)
 	c.byKey[e.key] = e
 	c.used += e.bytes
-}
-
-// replace swaps ent's index for a rebuilt one (adaptive re-plan),
-// adjusting the byte accounting and evicting LRU entries if the new
-// index pushed the cache over budget. ent itself is never the victim —
-// it was just used. Safe to call for entries no longer in the cache
-// (evicted mid-replan): the index still swaps, only accounting is
-// skipped.
-func (c *cache) replace(ent *entry, ix *icec.Index, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ent.ix.Store(ix)
-	if cur, ok := c.byKey[ent.key]; !ok || cur != ent {
-		return
-	}
-	c.used += bytes - ent.bytes
-	ent.bytes = bytes
-	c.lru.MoveToFront(ent.elem)
-	for c.used > c.budget {
-		back := c.lru.Back()
-		if back == nil || back.Value.(*entry) == ent {
-			break
-		}
-		victim := back.Value.(*entry)
-		c.lru.Remove(back)
-		delete(c.byKey, victim.key)
-		c.used -= victim.bytes
-		c.evictions++
-	}
 }
 
 // stats snapshots the counters.

@@ -12,8 +12,10 @@ import (
 )
 
 // TestCacheBudgetNeverExceeded: property test — under a random add/get
-// sequence the used-bytes total never exceeds the budget, and entries
-// larger than the whole budget are rejected outright.
+// sequence the used-bytes total never exceeds the budget and is exactly
+// the bytes of the entries held (nothing re-sizes an entry once it is in:
+// add and evict are the only writers of the total), and entries larger
+// than the whole budget are rejected outright.
 func TestCacheBudgetNeverExceeded(t *testing.T) {
 	const budget = 10_000
 	c := newCache(budget)
@@ -34,6 +36,13 @@ func TestCacheBudgetNeverExceeded(t *testing.T) {
 		s := c.stats()
 		if s.UsedBytes > budget {
 			t.Fatalf("step %d: used %d bytes > budget %d", i, s.UsedBytes, budget)
+		}
+		var held int64
+		for el := c.lru.Front(); el != nil; el = el.Next() {
+			held += el.Value.(*entry).bytes
+		}
+		if held != s.UsedBytes || c.lru.Len() != s.Entries {
+			t.Fatalf("step %d: used %d bytes over %d entries, the %d held sum to %d", i, s.UsedBytes, s.Entries, c.lru.Len(), held)
 		}
 	}
 	// Oversized entry: rejected, not partially admitted.

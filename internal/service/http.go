@@ -108,7 +108,7 @@ func (e *Engine) Handler() http.Handler {
 	mux.HandleFunc("POST /query", e.handleQuery)
 	mux.HandleFunc("GET /healthz", e.handleHealthz)
 	mux.HandleFunc("GET /cachez", e.handleCachez)
-	MountDebug(mux, e.flight, e.opts.Telemetry)
+	e.frame.MountDebug(mux)
 	if reg := e.opts.Registry; reg != nil {
 		mux.Handle("/", reg.Handler())
 	}
@@ -116,14 +116,9 @@ func (e *Engine) Handler() http.Handler {
 }
 
 func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
-	wire, status, err := ReadQueryRequest(w, r)
+	wire, q, status, err := ReadQueryRequest(w, r)
 	if err != nil {
 		WriteJSON(w, status, QueryResponse{Error: err.Error()})
-		return
-	}
-	q, err := wire.queryGraph()
-	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
 		return
 	}
 	req := Request{
@@ -133,17 +128,7 @@ func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Timeout:   time.Duration(wire.TimeoutMS) * time.Millisecond,
 		CountOnly: wire.CountOnly,
 	}
-	// W3C trace-context ingress: a valid traceparent joins this query to
-	// the caller's trace (keeping the caller's sampling decision); a
-	// malformed or absent header restarts the trace, per the spec.
-	ctx := r.Context()
-	joined := false
-	if tp := r.Header.Get("traceparent"); tp != "" {
-		if tc, perr := obs.ParseTraceparent(tp); perr == nil {
-			ctx = obs.ContextWithTrace(ctx, tc)
-			joined = true
-		}
-	}
+	ctx, joined := TraceIngress(r)
 	resp, err := e.Query(ctx, req)
 	wire2 := QueryResponse{}
 	var page Page
@@ -291,42 +276,35 @@ func (f queryzFilters) apply(recs []obs.QueryRecord) []obs.QueryRecord {
 	return recs
 }
 
-// debugSurface is the one set of debug handlers the engine and the shard
-// router both mount, over a flight recorder and (optionally) a hub.
-type debugSurface struct {
-	flight *obs.FlightRecorder
-	hub    *telemetry.Hub
-}
-
-// MountDebug registers GET /queryz and /tracez/{traceID} over flight
-// and, when hub is non-nil, GET /statz and /dashz.
-func MountDebug(mux *http.ServeMux, flight *obs.FlightRecorder, hub *telemetry.Hub) {
-	d := debugSurface{flight: flight, hub: hub}
-	mux.HandleFunc("GET /queryz", d.handleQueryz)
-	mux.HandleFunc("GET /tracez/{traceID}", d.handleTracez)
-	if hub != nil {
-		mux.HandleFunc("GET /statz", d.handleStatz)
-		mux.HandleFunc("GET /dashz", d.handleDashz)
+// MountDebug registers the one set of debug handlers the engine and the
+// shard router both serve, over the frame's flight recorder — GET /queryz
+// and /tracez/{traceID} — and, when it has a hub, GET /statz and /dashz.
+func (f *Frame) MountDebug(mux *http.ServeMux) {
+	mux.HandleFunc("GET /queryz", f.handleQueryz)
+	mux.HandleFunc("GET /tracez/{traceID}", f.handleTracez)
+	if f.Telemetry != nil {
+		mux.HandleFunc("GET /statz", f.handleStatz)
+		mux.HandleFunc("GET /dashz", f.handleDashz)
 	}
 }
 
 // handleQueryz serves the flight recorder: JSON by default, an aligned
 // text table with ?format=text. ?limit= and ?min_ms= filter both lists.
-func (d debugSurface) handleQueryz(w http.ResponseWriter, r *http.Request) {
-	f, err := parseQueryzFilters(r.URL.Query())
+func (f *Frame) handleQueryz(w http.ResponseWriter, r *http.Request) {
+	filters, err := parseQueryzFilters(r.URL.Query())
 	if err != nil {
 		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	recent := f.apply(d.flight.Recent())
-	slowest := f.apply(d.flight.Slowest())
+	recent := filters.apply(f.flight.Recent())
+	slowest := filters.apply(f.flight.Slowest())
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, obs.RecordsText(recent, slowest))
 		return
 	}
 	WriteJSON(w, http.StatusOK, QueryzResponse{
-		Total:   d.flight.Total(),
+		Total:   f.flight.Total(),
 		Recent:  recent,
 		Slowest: slowest,
 	})
@@ -335,8 +313,8 @@ func (d debugSurface) handleQueryz(w http.ResponseWriter, r *http.Request) {
 // handleStatz serves the telemetry hub's full view: SLO burn state,
 // per-class costs, and time-series rollups. JSON by default,
 // ?format=text for aligned tables.
-func (d debugSurface) handleStatz(w http.ResponseWriter, r *http.Request) {
-	h := d.hub
+func (f *Frame) handleStatz(w http.ResponseWriter, r *http.Request) {
+	h := f.Telemetry
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, h.StatzText())
@@ -352,7 +330,7 @@ func (d debugSurface) handleStatz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDashz serves the self-contained HTML dashboard.
-func (d debugSurface) handleDashz(w http.ResponseWriter, _ *http.Request) {
+func (f *Frame) handleDashz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprint(w, telemetry.DashzHTML)
 }
@@ -360,9 +338,9 @@ func (d debugSurface) handleDashz(w http.ResponseWriter, _ *http.Request) {
 // handleTracez serves one query's span tree by trace ID: Chrome
 // trace_event JSON by default (load in chrome://tracing or Perfetto),
 // the compact per-span JSONL form with ?format=jsonl.
-func (d debugSurface) handleTracez(w http.ResponseWriter, r *http.Request) {
+func (f *Frame) handleTracez(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("traceID")
-	rec, ok := d.flight.Find(id)
+	rec, ok := f.flight.Find(id)
 	if !ok {
 		WriteJSON(w, http.StatusNotFound,
 			map[string]string{"error": "trace " + id + " not found (evicted, or never ran here)"})
@@ -404,13 +382,10 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// Graph materializes the pattern graph from whichever wire form is
-// set. Exported for the shard router, which inspects the query (radius
-// guard) before scattering it across the fleet.
-func (q *QueryRequest) Graph() (*graph.Graph, error) { return q.queryGraph() }
-
-// queryGraph materializes the pattern from whichever wire form is set.
-func (q *QueryRequest) queryGraph() (*graph.Graph, error) {
+// Graph materializes the pattern graph from whichever wire form is set:
+// the second half of the decode step, on the engine and on the shard
+// router alike.
+func (q *QueryRequest) Graph() (*graph.Graph, error) {
 	hasText := q.Query != ""
 	hasInline := len(q.Labels) > 0
 	switch {

@@ -93,22 +93,25 @@ func pageOf(rows [][]graph.VertexID) (Page, bool) {
 	return p, true
 }
 
-// ReadQueryRequest decodes the body of POST /query, reading at most
-// MaxRequestBytes of it. On failure it returns the status to answer
-// with — 413 for an oversized body, 400 for anything else — and the
-// error to put in the response document. Shared by the engine and the
-// shard router, which answer in different envelopes.
-func ReadQueryRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, int, error) {
-	var wire QueryRequest
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&wire)
-	if err == nil {
-		return wire, http.StatusOK, nil
-	}
+// ReadQueryRequest is the decode step of POST /query: the body, reading
+// at most MaxRequestBytes of it, and the query graph it describes. On
+// failure it returns the status to answer with — 413 for an oversized
+// body, 400 for anything else — and the error to put in the response
+// document. Shared by the engine and the shard router, which answer in
+// different envelopes.
+func ReadQueryRequest(w http.ResponseWriter, r *http.Request) (wire QueryRequest, q *graph.Graph, status int, err error) {
+	err = json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&wire)
 	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return wire, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", MaxRequestBytes)
+	switch {
+	case errors.As(err, &tooBig):
+		return wire, nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", MaxRequestBytes)
+	case err != nil:
+		return wire, nil, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err)
 	}
-	return wire, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err)
+	if q, err = wire.Graph(); err != nil {
+		return wire, nil, http.StatusBadRequest, err
+	}
+	return wire, q, http.StatusOK, nil
 }
 
 // appendPage appends a non-empty page as encoding/json writes its

@@ -4,12 +4,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +18,6 @@ import (
 	"ceci/internal/graph"
 	"ceci/internal/obs"
 	"ceci/internal/order"
-	"ceci/internal/plan"
 	"ceci/internal/stats"
 	"ceci/internal/telemetry"
 	"ceci/internal/verify"
@@ -59,25 +57,7 @@ type Options struct {
 	// setups).
 	Workers int
 	// Order selects the matching-order heuristic for built indexes.
-	// Ignored when Planner is set.
 	Order order.Heuristic
-	// Planner enables cost-based adaptive planning per query class: on
-	// build, every heuristic's order plus a greedy min-cost order are
-	// scored by internal/plan's cardinality model and the cheapest wins;
-	// the winning plan is cached with the index, each query folds its
-	// observed per-depth selectivities into the entry, and the engine
-	// re-plans — rebuilding the index under a new order if one is now
-	// cheaper — when observed cost drifts PlannerDrift× past the
-	// estimate.
-	Planner bool
-	// PlannerDrift is the re-plan trigger factor: re-plan when the
-	// running order's cost, recosted under observed selectivities, is at
-	// least this many times its original estimate (default 4).
-	PlannerDrift float64
-	// PlannerMinQueries is how many completed queries a cache entry must
-	// observe before drift checks begin (default 3) — one noisy or
-	// partial query should not trigger a rebuild.
-	PlannerMinQueries int64
 	// Registry, when non-nil, receives cache/admission gauges and
 	// latency histograms (served at /metrics under the HTTP handler).
 	Registry *obs.Registry
@@ -91,10 +71,6 @@ type Options struct {
 	// negative rate to disable span recording entirely. Requests that
 	// carry a traceparent keep the caller's sampling decision.
 	TraceSample float64
-	// FlightSize is the flight recorder's ring capacity (default 256).
-	// The recorder itself is always on — it costs one small struct per
-	// completed query regardless of sampling.
-	FlightSize int
 	// Audit, when non-nil, receives one JSON line per completed query
 	// (the flight-recorder record, spans omitted) — a structured audit
 	// log that survives ring eviction. Writes are serialized by the
@@ -142,6 +118,9 @@ type ShardConfig struct {
 	OwnedLocals []graph.VertexID
 }
 
+// withDefaults fills the engine's own settings; the frame's (timeouts,
+// MaxLimit, TraceSample) are defaulted by NewFrame, which is what reads
+// them.
 func (o Options) withDefaults() Options {
 	if o.MaxConcurrent <= 0 {
 		o.MaxConcurrent = runtime.GOMAXPROCS(0)
@@ -149,29 +128,11 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 30 * time.Second
-	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 5 * time.Minute
-	}
-	if o.MaxLimit <= 0 {
-		o.MaxLimit = 10000
-	}
 	if o.CacheBytes <= 0 {
 		o.CacheBytes = 256 << 20
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.TraceSample == 0 {
-		o.TraceSample = 1
-	}
-	if o.PlannerDrift <= 0 {
-		o.PlannerDrift = 4
-	}
-	if o.PlannerMinQueries <= 0 {
-		o.PlannerMinQueries = 3
 	}
 	return o
 }
@@ -183,8 +144,8 @@ const pagePrealloc = 1024
 // Request is one match request against the engine's resident data graph.
 type Request struct {
 	// Query is the pattern graph. Embeddings in the response are indexed
-	// by this graph's vertex ids (even on a cache hit by an isomorphic
-	// stored query — the engine translates).
+	// by this graph's vertex ids (the engine indexes the class's canonical
+	// form and translates, hit or miss).
 	Query *graph.Graph
 	// Limit caps embeddings delivered (0 = server MaxLimit for
 	// materialized results, unlimited for CountOnly).
@@ -244,16 +205,13 @@ type Engine struct {
 	data  *graph.Graph
 	opts  Options
 	cache *cache
+	frame *Frame // deadline, trace identity, flight record: shared with shard.Router
 
 	sem   chan struct{} // running-query slots (MaxConcurrent)
 	queue chan struct{} // waiting-query slots (QueueDepth)
 
 	buildMu  sync.Mutex
 	building map[string]*buildCall
-
-	flight  *obs.FlightRecorder
-	auditMu sync.Mutex
-	audit   *json.Encoder // optional JSONL audit log (nil when unset)
 
 	// Admission/serving counters, exposed as ceci_service_* gauges.
 	requests  atomic.Int64
@@ -263,13 +221,6 @@ type Engine struct {
 	inflight  atomic.Int64
 	waiting   atomic.Int64
 
-	// Adaptive-planner counters, exposed as ceci_planner_* gauges.
-	planned     atomic.Int64 // entries built with a planner-chosen order
-	driftChecks atomic.Int64 // calibrated recosts of a running order
-	recosts     atomic.Int64 // drift re-plans that kept the order (estimate updated)
-	replans     atomic.Int64 // drift re-plans that installed a new order (index rebuilt)
-
-	latency   *obs.Histogram // end-to-end request seconds
 	queueWait *obs.Histogram // admission wait seconds
 }
 
@@ -279,21 +230,26 @@ type Engine struct {
 func New(data *graph.Graph, opts Options) *Engine {
 	o := opts.withDefaults()
 	e := &Engine{
-		data:      data,
-		opts:      o,
-		cache:     newCache(o.CacheBytes),
+		data:  data,
+		opts:  o,
+		cache: newCache(o.CacheBytes),
+		frame: NewFrame(Frame{
+			Span:           "service-query",
+			DefaultTimeout: o.DefaultTimeout,
+			MaxTimeout:     o.MaxTimeout,
+			MaxLimit:       o.MaxLimit,
+			Tracer:         o.Tracer,
+			TraceSample:    o.TraceSample,
+			Telemetry:      o.Telemetry,
+			Audit:          o.Audit,
+		}),
 		sem:       make(chan struct{}, o.MaxConcurrent),
 		queue:     make(chan struct{}, o.QueueDepth),
 		building:  make(map[string]*buildCall),
-		flight:    obs.NewFlightRecorder(o.FlightSize, obs.DefaultSlowestK),
-		latency:   obs.NewHistogram(obs.LatencyBuckets()),
 		queueWait: obs.NewHistogram(obs.LatencyBuckets()),
 	}
-	if o.Audit != nil {
-		e.audit = json.NewEncoder(o.Audit)
-	}
 	if reg := o.Registry; reg != nil {
-		reg.SetHistogram("service_latency_seconds", e.latency)
+		reg.SetHistogram("service_latency_seconds", e.frame.Latency())
 		reg.SetHistogram("service_queue_wait_seconds", e.queueWait)
 		reg.SetSource("service", func() map[string]int64 {
 			return map[string]int64{
@@ -303,7 +259,7 @@ func New(data *graph.Graph, opts Options) *Engine {
 				"builds":            e.builds.Load(),
 				"inflight":          e.inflight.Load(),
 				"queue_depth":       e.waiting.Load(),
-				"trace_reads":       int64(e.flight.Finds()),
+				"trace_reads":       int64(e.frame.Flight().Finds()),
 			}
 		})
 		reg.SetSource("cache", func() map[string]int64 {
@@ -318,16 +274,6 @@ func New(data *graph.Graph, opts Options) *Engine {
 				"rejected":     s.Rejected,
 			}
 		})
-		if o.Planner {
-			reg.SetSource("planner", func() map[string]int64 {
-				return map[string]int64{
-					"planned":      e.planned.Load(),
-					"drift_checks": e.driftChecks.Load(),
-					"recosts":      e.recosts.Load(),
-					"replans":      e.replans.Load(),
-				}
-			})
-		}
 		if o.Stats != nil {
 			reg.SetCounters(o.Stats)
 		}
@@ -346,7 +292,7 @@ func (e *Engine) Data() *graph.Graph { return e.data }
 
 // Flight returns the engine's flight recorder (never nil) — the last N
 // completed queries plus the slowest-K index, served at /queryz.
-func (e *Engine) Flight() *obs.FlightRecorder { return e.flight }
+func (e *Engine) Flight() *obs.FlightRecorder { return e.frame.Flight() }
 
 // CacheStats snapshots the index cache counters.
 func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
@@ -355,60 +301,25 @@ func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
 // hits skip builds; tests assert on this).
 func (e *Engine) Builds() int64 { return e.builds.Load() }
 
-// Query runs one request. The flow is: validate, apply deadline, admit
-// (try a worker slot, else a bounded queue slot, else shed), resolve the
-// index (cache hit / singleflight build), enumerate.
+// Query runs one request through the five steps of a served query
+// (DESIGN §12): it arrives decoded; the frame opens (deadline, trace
+// identity, root span); serve admits it (a worker slot, else a bounded
+// queue slot, else shed), resolves the index (canonicalise, cache hit or
+// singleflight build) and enumerates; the frame's tail files it.
 //
 // On deadline/cancellation mid-run it returns the partial Response
 // together with the context's error, so callers can report how far the
-// query got.
+// query got. A request refused once its query graph is in hand is filed
+// like any other, with outcome 400.
 func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	e.requests.Add(1)
-	start := time.Now()
-	defer func() { e.latency.ObserveDuration(time.Since(start)) }()
-
 	if req.Query == nil {
 		return nil, fmt.Errorf("%w: nil query graph", ErrBadQuery)
 	}
 	if req.Query.NumVertices() == 0 {
 		return nil, fmt.Errorf("%w: empty query graph", ErrBadQuery)
 	}
-	if req.Offset < 0 || req.Limit < 0 {
-		return nil, fmt.Errorf("%w: negative limit/offset", ErrBadQuery)
-	}
-
-	// Deadline: request timeout, clamped; server default otherwise.
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = e.opts.DefaultTimeout
-	}
-	if timeout > e.opts.MaxTimeout {
-		timeout = e.opts.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	// Trace identity: adopt the caller's (injected from a traceparent
-	// header by the HTTP layer, or set by a Go caller via
-	// obs.ContextWithTrace) or mint a fresh one. Every query gets a trace
-	// ID — the flight recorder keys on it — but spans are recorded only
-	// for sampled queries, so always-on tracing stays cheap.
-	tc, hasTC := obs.TraceFromContext(ctx)
-	if !hasTC || tc.TraceID.IsZero() {
-		tc = obs.NewTraceContext()
-		tc.Sampled = tc.SampleHead(e.opts.TraceSample)
-	}
-	sampled := tc.Sampled && e.opts.Tracer != nil
-	var span *obs.Span
-	if sampled {
-		span = e.opts.Tracer.StartRemote(tc, "service-query",
-			obs.Int("query_vertices", int64(req.Query.NumVertices())))
-		ctx = obs.ContextWithSpan(ctx, span)
-	} else {
-		// Keep the inner layers from opening remote spans off the raw
-		// trace context of an unsampled request.
-		ctx = obs.DetachTrace(ctx)
-	}
+	call := e.frame.Begin(ctx, req.Query, req.Timeout)
 
 	// Resource ledger: the enumeration charges it at work-unit
 	// boundaries; the allocation watermark brackets the whole query so
@@ -420,36 +331,33 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		alloc = telemetry.StartAllocWatermark()
 	}
 
-	waited, err := e.admit(ctx, span)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			e.deadlines.Add(1)
-		}
-		e.finish(tc, span, req, nil, err, start, waited, led.Snapshot())
-		return nil, err
-	}
-	e.inflight.Add(1)
-	defer func() {
-		e.inflight.Add(-1)
-		<-e.sem
-	}()
-
-	resp, err := e.run(ctx, req, span, led)
+	resp, waited, err := e.serve(call, req, led)
 	if errors.Is(err, context.DeadlineExceeded) {
 		e.deadlines.Add(1)
 	}
 	alloc.ChargeTo(led)
-	res := led.Snapshot()
-	if resp != nil {
-		resp.TraceID = tc.TraceID.String()
-		resp.QueueWait = waited
-		resp.Resources = res
-		if span != nil {
-			resp.Trace = span.Context()
-			resp.Trace.Sampled = true
-		}
+	rec := obs.QueryRecord{
+		Resources:       led.Snapshot(),
+		Outcome:         statusFor(err),
+		AdmissionWaitUS: waited.Microseconds(),
 	}
-	e.finish(tc, span, req, resp, err, start, waited, res)
+	if resp != nil {
+		resp.TraceID = call.TraceID
+		resp.Trace = call.Egress
+		resp.QueueWait = waited
+		resp.Resources = rec.Resources
+		rec.QueryHash = resp.QueryHash
+		rec.CacheHit = resp.CacheHit
+		rec.Partial = resp.Partial
+		rec.Embeddings = resp.Count
+		rec.BuildUS = resp.BuildTime.Microseconds()
+		rec.EnumUS = resp.EnumTime.Microseconds()
+	}
+	call.Span.Annotate(obs.Int("admission_wait_us", rec.AdmissionWaitUS))
+	spans := call.Finish(rec)
+	if resp != nil {
+		resp.Spans = spans
+	}
 	return resp, err
 }
 
@@ -472,52 +380,24 @@ func statusFor(err error) int {
 	}
 }
 
-// finish closes the query's span tree, moves it out of the tracer into
-// the flight record as it is (nothing is snapshotted until /tracez is
-// read), and records the completed query in the flight recorder (and the
-// audit log, when configured). Called exactly once per admitted-or-shed
-// query; trace bookkeeping happens only here, at the request boundary,
-// never inside the enumeration hot path.
-func (e *Engine) finish(tc obs.TraceContext, span *obs.Span, req Request,
-	resp *Response, err error, start time.Time, waited time.Duration,
-	res *obs.QueryResources) {
-
-	rec := obs.QueryRecord{
-		Resources:       res,
-		TraceID:         tc.TraceID.String(),
-		Time:            start,
-		QueryVertices:   req.Query.NumVertices(),
-		Outcome:         statusFor(err),
-		AdmissionWaitUS: waited.Microseconds(),
-		TotalUS:         time.Since(start).Microseconds(),
-		Sampled:         span != nil,
+// serve is the engine's own part of a query, inside the frame: check the
+// window, take a worker slot, run. It returns the time spent waiting for
+// the slot beside run's result.
+func (e *Engine) serve(call *Call, req Request, led *telemetry.Ledger) (*Response, time.Duration, error) {
+	if req.Offset < 0 || req.Limit < 0 {
+		return nil, 0, fmt.Errorf("%w: negative limit/offset", ErrBadQuery)
 	}
-	if resp != nil {
-		rec.QueryHash = resp.QueryHash
-		rec.CacheHit = resp.CacheHit
-		rec.Partial = resp.Partial
-		rec.Embeddings = resp.Count
-		rec.BuildUS = resp.BuildTime.Microseconds()
-		rec.EnumUS = resp.EnumTime.Microseconds()
+	waited, err := e.admit(call.Ctx, call.Span)
+	if err != nil {
+		return nil, waited, err
 	}
-	if span != nil {
-		span.Annotate(obs.Int("outcome", int64(rec.Outcome)),
-			obs.Int("admission_wait_us", rec.AdmissionWaitUS))
-		span.End()
-		// Completed trees leave the tracer, so a long-running server's span
-		// forest stays bounded by the ring.
-		rec.Trace = e.opts.Tracer.Detach(tc.TraceID)
-		if resp != nil {
-			resp.Spans = rec.Trace
-		}
-	}
-	e.flight.Record(rec)
-	e.opts.Telemetry.ObserveQuery(rec) // aggregates scalars; keeps nothing of rec
-	if e.audit != nil {
-		e.auditMu.Lock()
-		e.audit.Encode(rec) // one line per query: the record's JSON has no spans
-		e.auditMu.Unlock()
-	}
+	e.inflight.Add(1)
+	defer func() {
+		e.inflight.Add(-1)
+		<-e.sem
+	}()
+	resp, err := e.run(call.Ctx, req, call.Span, led)
+	return resp, waited, err
 }
 
 // admit acquires a worker slot, parking in the bounded queue while the
@@ -572,17 +452,9 @@ func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *tele
 
 	resp := &Response{CacheHit: hit, BuildTime: buildTime, QueryHash: qh}
 
-	// σ maps incoming query vertices to stored-query vertices through
-	// the canonical form: embeddings from the cached index are indexed
-	// by the stored query's ids and must be translated on a hit by an
-	// isomorphic-but-renumbered query.
-	sigma := composePerm(ent.invPerm, perm)
-
 	limit := req.Limit
 	if !req.CountOnly {
-		if limit <= 0 || limit > e.opts.MaxLimit {
-			limit = e.opts.MaxLimit
-		}
+		limit = e.frame.PageLimit(limit)
 	}
 	// The enumeration must deliver offset + limit embeddings to fill the
 	// page; CountOnly with Limit 0 counts everything.
@@ -591,18 +463,7 @@ func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *tele
 		stopAfter = req.Offset + limit
 	}
 
-	// The ledger's per-position lookup and output counts feed the adaptive
-	// planner's drift detector; selectivity ratios are scale-free (output
-	// per lookup), so partial and limited enumerations contribute without
-	// biasing the signal.
-	if e.opts.Planner && ent.decision != nil {
-		if led == nil {
-			led = telemetry.NewLedger()
-		}
-		defer e.observePlan(ent, led)
-	}
-
-	m := enum.NewMatcher(ent.ix.Load(), enum.Options{
+	m := enum.NewMatcher(ent.ix, enum.Options{
 		Workers: e.opts.Workers,
 		Limit:   stopAfter,
 		Stats:   e.opts.Stats,
@@ -618,7 +479,7 @@ func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *tele
 
 	// The page is collected into one flat array, sized for a full page
 	// up to pagePrealloc embeddings and grown by append beyond that.
-	page := Page{Width: len(sigma)}
+	page := Page{Width: len(perm)}
 	if !req.CountOnly {
 		page.IDs = make([]graph.VertexID, 0, int(min(limit, pagePrealloc))*page.Width)
 	}
@@ -635,8 +496,11 @@ func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *tele
 			return true
 		}
 		mu.Lock()
-		for _, s := range sigma {
-			dv := emb[s]
+		// The index is the canonical form's, so emb is indexed by
+		// canonical position and perm — the request's own canonical
+		// permutation — reads it back in the request's numbering.
+		for _, c := range perm {
+			dv := emb[c]
 			if globals != nil {
 				dv = globals[dv]
 			}
@@ -654,104 +518,6 @@ func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *tele
 		return resp, enumErr
 	}
 	return resp, nil
-}
-
-// observePlan folds one query's per-depth lookup/output counts into the
-// entry's accumulators and, once PlannerMinQueries queries have been
-// seen, recosts the running order under the observed selectivities. A
-// drift of PlannerDrift× past the original estimate triggers a re-plan.
-func (e *Engine) observePlan(ent *entry, led *telemetry.Ledger) {
-	positions := led.Positions()
-	ent.mu.Lock()
-	for i, w := range positions[:min(len(positions), len(ent.obsLookups))] {
-		ent.obsLookups[i] += w.Lookups
-		ent.obsEmitted[i] += w.Output
-	}
-	ent.obsQueries++
-	dec := ent.decision
-	var calib []float64
-	if ent.obsQueries >= e.opts.PlannerMinQueries && !ent.replanning {
-		calib = dec.Calibration(ent.obsLookups, ent.obsEmitted)
-	}
-	ent.mu.Unlock()
-	if calib == nil {
-		return
-	}
-	e.driftChecks.Add(1)
-	observed := ent.planner.EstimateOrder(dec.Chosen, dec.Order, calib).Cost
-	if observed < e.opts.PlannerDrift*math.Max(dec.Estimate, 1) {
-		return
-	}
-	e.replan(ent, calib)
-}
-
-// replan re-runs the cost model with the entry's observed selectivities
-// folded in. If the calibrated winner is the order already running, the
-// entry just adopts the calibrated estimate (so drift does not
-// re-trigger every query); otherwise the index is rebuilt under the new
-// order and swapped into the cache. Queries already enumerating the old
-// index finish on it — the swap only redirects future lookups.
-func (e *Engine) replan(ent *entry, calib []float64) {
-	ent.mu.Lock()
-	if ent.replanning {
-		ent.mu.Unlock()
-		return
-	}
-	ent.replanning = true
-	ent.mu.Unlock()
-	done := func() {
-		ent.mu.Lock()
-		ent.replanning = false
-		ent.mu.Unlock()
-	}
-
-	dec, err := ent.planner.Decide(calib)
-	if err != nil {
-		done()
-		return
-	}
-	if sameOrder(dec.Order, ent.decision.Order) {
-		e.recosts.Add(1)
-		ent.mu.Lock()
-		ent.decision = dec
-		ent.resetObsLocked()
-		ent.mu.Unlock()
-		done()
-		return
-	}
-	// New order: rebuild off the request path's deadline — the rebuild
-	// benefits future queries of this class, not the one that noticed.
-	// The entry's pivot restriction (shard mode) carries over; dropping
-	// it here would silently widen the shard to the whole graph.
-	ix, err := icec.BuildCtx(context.Background(), e.data, dec.Tree, icec.Options{
-		Workers: e.opts.Workers,
-		Stats:   e.opts.Stats,
-		Pivots:  ent.pivots,
-	})
-	if err != nil {
-		done()
-		return
-	}
-	e.builds.Add(1)
-	e.replans.Add(1)
-	ent.mu.Lock()
-	ent.decision = dec
-	ent.resetObsLocked()
-	ent.mu.Unlock()
-	e.cache.replace(ent, ix, ix.PhysicalBytes())
-	done()
-}
-
-func sameOrder(a, b []graph.VertexID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // getIndex returns the cache entry for the query's isomorphism class,
@@ -816,67 +582,46 @@ func queryHash(key string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// buildEntry preprocesses and builds one index, inserting it into
-// the cache on success. With Options.Planner the matching order comes
-// from the cost-based planner and the winning plan is cached alongside
-// the index for later drift checks.
+// buildEntry builds the index of q's class and inserts it into the
+// cache. What is indexed is q's canonical form under the engine's static
+// order, never q itself: isomorphic queries produce the same graph, so
+// the entry — its matching order, its symmetry-breaking representatives,
+// the order its embeddings come out in — is a function of the class, not
+// of whichever twin arrived first, and a page is the same page before
+// and after an eviction.
 //
-// In shard mode the stored query is the incoming query's canonical form
-// and the index root is forced to the canonical anchor (the query's
-// minimum-eccentricity vertex). Both choices are isomorphism-invariant,
-// so every shard — whichever renumbering of the query class it saw
-// first — partitions embeddings by the same query vertex and agrees
-// with single-node serving on symmetry-breaking representatives.
+// Shard mode adds only what is the shard's: the index root is forced to
+// the canonical anchor (the form's minimum-eccentricity vertex, refused
+// when further than the halo radius from some query vertex), so every
+// shard partitions embeddings by the same query vertex, and the build is
+// restricted to the pivots this shard owns.
 func (e *Engine) buildEntry(ctx context.Context, q *graph.Graph, key string, perm []int) (*entry, error) {
-	var tree *order.QueryTree
-	var planner *plan.Planner
-	var decision *plan.Decision
-	var pivots []graph.VertexID
-	var err error
-	forcedRoot := -1
-	storedQuery := q
-	invPerm := invertPerm(perm)
-	if sc := e.opts.Shard; sc != nil {
-		storedQuery, err = canonicalForm(q, perm)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-		}
-		// Stored query ids == canonical positions, so translation back
-		// from the stored numbering is the identity.
-		invPerm = identityPerm(len(perm))
-		anchor, ecc := order.Anchor(storedQuery)
+	stored, err := canonicalForm(q, perm)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+	}
+	sc := e.opts.Shard
+	popts := order.Options{ForcedRoot: -1, Heuristic: e.opts.Order}
+	if sc != nil {
+		anchor, ecc := order.Anchor(stored)
 		if ecc > sc.Radius {
 			return nil, fmt.Errorf("%w: query anchor eccentricity %d exceeds shard halo radius %d; repartition with -radius >= %d",
 				ErrBadQuery, ecc, sc.Radius, ecc)
 		}
-		forcedRoot = int(anchor)
+		popts.ForcedRoot = int(anchor)
 	}
-	if e.opts.Planner {
-		planner, err = plan.New(e.data, storedQuery, plan.Options{ForcedRoot: forcedRoot})
-		if err == nil {
-			decision, err = planner.Decide(nil)
-		}
-		if decision != nil {
-			tree = decision.Tree
-		}
-	} else {
-		tree, err = order.Preprocess(e.data, storedQuery, order.Options{
-			ForcedRoot: forcedRoot,
-			Heuristic:  e.opts.Order,
-		})
-	}
+	tree, err := order.Preprocess(e.data, stored, popts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	if sc := e.opts.Shard; sc != nil {
+	var pivots []graph.VertexID
+	if sc != nil {
 		// Owned pivots only: clusters anchored on halo vertices belong to
 		// the shard that owns them. Non-nil even when empty, so the index
 		// build restricts rather than re-deriving root candidates.
 		pivots = make([]graph.VertexID, 0)
-		filter := tree.Filter(e.data)
-		tree = tree.WithFilter(filter) // a planned tree arrives without its tables; the build reuses these
-		for _, v := range filter.Candidates(tree.Root) {
-			if containsVertex(sc.OwnedLocals, v) {
+		for _, v := range tree.Filter(e.data).Candidates(tree.Root) {
+			if _, owned := slices.BinarySearch(sc.OwnedLocals, v); owned {
 				pivots = append(pivots, v)
 			}
 		}
@@ -890,56 +635,16 @@ func (e *Engine) buildEntry(ctx context.Context, q *graph.Graph, key string, per
 		return nil, err
 	}
 	e.builds.Add(1)
-	ent := &entry{
-		key:      key,
-		query:    storedQuery,
-		invPerm:  invPerm,
-		pivots:   pivots,
-		bytes:    ix.PhysicalBytes(),
-		planner:  planner,
-		decision: decision,
-	}
-	ent.ix.Store(ix)
-	if decision != nil {
-		e.planned.Add(1)
-		n := len(decision.Order)
-		ent.obsLookups = make([]int64, n)
-		ent.obsEmitted = make([]int64, n)
-	}
+	ent := &entry{key: key, ix: ix, bytes: ix.PhysicalBytes()}
 	e.cache.add(ent)
 	return ent, nil
 }
 
-// composePerm returns sigma with sigma[u] = invStored[permIncoming[u]]:
-// incoming vertex -> canonical position -> stored query vertex.
-func composePerm(invStored, permIncoming []int) []int {
-	sigma := make([]int, len(permIncoming))
-	for u, p := range permIncoming {
-		sigma[u] = invStored[p]
-	}
-	return sigma
-}
-
-func invertPerm(perm []int) []int {
-	inv := make([]int, len(perm))
-	for v, p := range perm {
-		inv[p] = v
-	}
-	return inv
-}
-
-func identityPerm(n int) []int {
-	id := make([]int, n)
-	for i := range id {
-		id[i] = i
-	}
-	return id
-}
-
 // canonicalForm rebuilds q under its canonical numbering (perm from
 // verify.CanonicalGraph, perm[orig] = canonical position). Isomorphic
-// queries produce identical graphs, which is what makes shard-mode
-// anchor and matching-order choices consistent fleet-wide.
+// queries produce identical graphs, which is what makes an entry the
+// class's and, in shard mode, anchor and matching-order choices
+// consistent fleet-wide.
 func canonicalForm(q *graph.Graph, perm []int) (*graph.Graph, error) {
 	n := q.NumVertices()
 	b := graph.NewBuilder(n)
@@ -956,20 +661,6 @@ func canonicalForm(q *graph.Graph, perm []int) (*graph.Graph, error) {
 		return true
 	})
 	return b.Build()
-}
-
-// containsVertex reports whether sorted holds v (binary search).
-func containsVertex(sorted []graph.VertexID, v graph.VertexID) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == v
 }
 
 func isCtxErr(err error) bool {

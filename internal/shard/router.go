@@ -82,8 +82,6 @@ type RouterOptions struct {
 	// it when /tracez is read.
 	Tracer      *obs.Tracer
 	TraceSample float64
-	// FlightSize sizes the router's flight recorder (/queryz).
-	FlightSize int
 	// Registry, when non-nil, receives router gauges and the latency
 	// histogram, and serves the metric routes under the handler.
 	Registry *obs.Registry
@@ -92,6 +90,8 @@ type RouterOptions struct {
 	Telemetry *telemetry.Hub
 }
 
+// withDefaults fills the router's own settings; the frame's (timeouts,
+// MaxLimit, TraceSample) are defaulted by service.NewFrame.
 func (o RouterOptions) withDefaults() RouterOptions {
 	if o.Policy == nil {
 		o.Policy = NewRoundRobin()
@@ -105,20 +105,8 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	if o.HealthFails <= 0 {
 		o.HealthFails = 2
 	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 30 * time.Second
-	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 5 * time.Minute
-	}
 	if o.DeadlineMargin <= 0 {
 		o.DeadlineMargin = 50 * time.Millisecond
-	}
-	if o.MaxLimit <= 0 {
-		o.MaxLimit = 10000
-	}
-	if o.TraceSample == 0 {
-		o.TraceSample = 1
 	}
 	return o
 }
@@ -170,7 +158,7 @@ type ShardzResponse struct {
 type Router struct {
 	opts   RouterOptions
 	shards [][]*Replica
-	flight *obs.FlightRecorder
+	frame  *service.Frame // deadline, trace identity, flight record: the engine's own
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -180,8 +168,6 @@ type Router struct {
 	failures atomic.Int64 // responses with zero usable shards
 	partials atomic.Int64 // responses missing at least one shard
 	hedges   atomic.Int64 // hedge/failover legs launched
-
-	latency *obs.Histogram
 }
 
 // NewRouter builds a Router over the given fleet. Call Start to begin
@@ -193,10 +179,17 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		return nil, errors.New("shard: router needs at least one shard")
 	}
 	rt := &Router{
-		opts:    o,
-		stop:    make(chan struct{}),
-		flight:  obs.NewFlightRecorder(o.FlightSize, obs.DefaultSlowestK),
-		latency: obs.NewHistogram(obs.LatencyBuckets()),
+		opts: o,
+		stop: make(chan struct{}),
+		frame: service.NewFrame(service.Frame{
+			Span:           "route-query",
+			DefaultTimeout: o.DefaultTimeout,
+			MaxTimeout:     o.MaxTimeout,
+			MaxLimit:       o.MaxLimit,
+			Tracer:         o.Tracer,
+			TraceSample:    o.TraceSample,
+			Telemetry:      o.Telemetry,
+		}),
 	}
 	for i, urls := range o.Shards {
 		if len(urls) == 0 {
@@ -217,7 +210,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		rt.shards = append(rt.shards, reps)
 	}
 	if reg := o.Registry; reg != nil {
-		reg.SetHistogram("router_latency_seconds", rt.latency)
+		reg.SetHistogram("router_latency_seconds", rt.frame.Latency())
 		reg.SetSource("router", func() map[string]int64 {
 			healthy := int64(0)
 			for _, reps := range rt.shards {
@@ -233,7 +226,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 				"partials":         rt.partials.Load(),
 				"hedges":           rt.hedges.Load(),
 				"healthy_replicas": healthy,
-				"trace_reads":      int64(rt.flight.Finds()),
+				"trace_reads":      int64(rt.frame.Flight().Finds()),
 			}
 		})
 		if o.Tracer != nil {
@@ -245,7 +238,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 }
 
 // Flight returns the router's flight recorder (/queryz backing store).
-func (rt *Router) Flight() *obs.FlightRecorder { return rt.flight }
+func (rt *Router) Flight() *obs.FlightRecorder { return rt.frame.Flight() }
 
 // Start launches the health-check loop: an immediate probe of every
 // replica, then one round per HealthInterval.
@@ -338,13 +331,13 @@ func (rt *Router) probe(rep *Replica) {
 //	                        with their leg replies)
 //	GET  /statz, /dashz     telemetry hub (requires Options.Telemetry)
 //
-// The debug routes are the engine's own handlers (service.MountDebug).
+// The debug routes are the engine's own handlers (service.Frame.MountDebug).
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", rt.handleQuery)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /shardz", rt.handleShardz)
-	service.MountDebug(mux, rt.flight, rt.opts.Telemetry)
+	rt.frame.MountDebug(mux)
 	if reg := rt.opts.Registry; reg != nil {
 		mux.Handle("/", reg.Handler())
 	}
@@ -380,89 +373,90 @@ func (r shardResult) usable() bool {
 		apiErr.StatusCode == http.StatusGatewayTimeout && r.resp != nil
 }
 
+// handleQuery is a routed query's five steps (DESIGN §12): decode, select
+// (refuse what the fleet cannot answer whole), scatter, merge, encode —
+// the middle three inside the frame the engine's queries run in.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
-	start := time.Now()
-	defer func() { rt.latency.ObserveDuration(time.Since(start)) }()
-
 	refuse := func(status int, msg string) {
 		service.WriteJSON(w, status, RouteResponse{QueryResponse: service.QueryResponse{Error: msg}})
 	}
-	wire, status, err := service.ReadQueryRequest(w, r)
+	wire, q, status, err := service.ReadQueryRequest(w, r)
 	if err != nil {
 		refuse(status, err.Error())
 		return
 	}
-	q, err := wire.Graph()
-	if err != nil {
-		refuse(http.StatusBadRequest, err.Error())
+	// The routing span becomes the parent of every leg's shard subtree.
+	ctx, _ := service.TraceIngress(r)
+	call := rt.frame.Begin(ctx, q, time.Duration(wire.TimeoutMS)*time.Millisecond,
+		obs.Int("shards", int64(len(rt.shards))))
+	if msg := rt.refusal(wire, q); msg != "" {
+		call.Finish(obs.QueryRecord{Outcome: http.StatusBadRequest})
+		refuse(http.StatusBadRequest, msg)
 		return
 	}
+
+	results := rt.scatter(call, rt.legRequest(call.Ctx, wire))
+	resp, page, status := rt.merge(wire, q.NumVertices(), results)
+	resp.TraceID = call.TraceID
+	if call.Egress.Valid() {
+		w.Header().Set("traceparent", call.Egress.Traceparent())
+	}
+
+	// The record holds the router's own spans as recorded and each
+	// answering shard's as the bytes its reply carried.
+	legSpans := make([][]byte, 0, len(results))
+	for _, res := range results {
+		if res.spans != nil {
+			legSpans = append(legSpans, res.spans)
+		}
+	}
+	call.Span.Annotate(obs.Int("shards_ok", int64(resp.ShardsOK)))
+	call.Finish(obs.QueryRecord{
+		Outcome:    status,
+		QueryHash:  resp.QueryHash,
+		CacheHit:   resp.CacheHit,
+		Partial:    resp.Partial,
+		Embeddings: resp.Count,
+		BuildUS:    int64(resp.BuildMS * 1000),
+		EnumUS:     int64(resp.EnumMS * 1000),
+	}, legSpans...)
+	service.WriteQueryJSON(w, status, resp, page)
+}
+
+// refusal is the select step: the reason this fleet cannot answer the
+// request whole, or "" when it can.
+func (rt *Router) refusal(wire service.QueryRequest, q *graph.Graph) string {
 	if !q.Connected() {
-		refuse(http.StatusBadRequest, "query graph must be connected")
-		return
+		return "query graph must be connected"
 	}
 	if _, ecc := order.Anchor(q); ecc > rt.opts.Radius {
-		refuse(http.StatusBadRequest, fmt.Sprintf("query anchor eccentricity %d exceeds fleet halo radius %d; repartition with a larger -radius", ecc, rt.opts.Radius))
-		return
+		return fmt.Sprintf("query anchor eccentricity %d exceeds fleet halo radius %d; repartition with a larger -radius", ecc, rt.opts.Radius)
 	}
 	if wire.Offset < 0 || wire.Limit < 0 {
-		refuse(http.StatusBadRequest, "negative limit/offset")
-		return
+		return "negative limit/offset"
 	}
 	// The page is cut from the concatenation of the shards' pages, in
 	// shard order, so every shard is asked for offset+limit embeddings —
 	// and a shard clamps what it returns to its own MaxLimit without
 	// saying so. Past that the merged page would be the wrong rows.
-	limit := rt.pageLimit(wire)
-	if !wire.CountOnly && wire.Offset > rt.opts.MaxLimit-limit {
-		refuse(http.StatusBadRequest, fmt.Sprintf("offset %d + limit %d exceeds the fleet's max limit %d: a page may not reach past the first %d embeddings of a shard",
-			wire.Offset, limit, rt.opts.MaxLimit, rt.opts.MaxLimit))
-		return
+	limit := rt.frame.PageLimit(wire.Limit)
+	if maxLimit := rt.frame.MaxLimit; !wire.CountOnly && wire.Offset > maxLimit-limit {
+		return fmt.Sprintf("offset %d + limit %d exceeds the fleet's max limit %d: a page may not reach past the first %d embeddings of a shard",
+			wire.Offset, limit, maxLimit, maxLimit)
 	}
+	return ""
+}
 
-	// Deadline: request timeout, clamped; router default otherwise.
-	timeout := time.Duration(wire.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = rt.opts.DefaultTimeout
-	}
-	if timeout > rt.opts.MaxTimeout {
-		timeout = rt.opts.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	// Trace identity: join the caller's trace or mint one; the routing
-	// span becomes the parent of every scatter leg's shard subtree.
-	if tp := r.Header.Get("traceparent"); tp != "" {
-		if tc, perr := obs.ParseTraceparent(tp); perr == nil {
-			ctx = obs.ContextWithTrace(ctx, tc)
-		}
-	}
-	tc, hasTC := obs.TraceFromContext(ctx)
-	if !hasTC || tc.TraceID.IsZero() {
-		tc = obs.NewTraceContext()
-		tc.Sampled = tc.SampleHead(rt.opts.TraceSample)
-	}
-	sampled := tc.Sampled && rt.opts.Tracer != nil
-	var span *obs.Span
-	if sampled {
-		span = rt.opts.Tracer.StartRemote(tc, "route-query",
-			obs.Int("query_vertices", int64(q.NumVertices())),
-			obs.Int("shards", int64(len(rt.shards))))
-		ctx = obs.ContextWithSpan(ctx, span)
-	} else {
-		ctx = obs.DetachTrace(ctx)
-	}
-
-	// Per-shard sub-request: each shard must deliver enough embeddings
-	// to fill the global page worst-case (offset is applied after the
-	// merge — shard enumeration order gives no global offset), under a
-	// deadline that leaves the router margin to merge and respond.
+// legRequest is the per-shard sub-request: each shard must deliver
+// enough embeddings to fill the global page worst-case (offset is applied
+// after the merge — shard enumeration order gives no global offset),
+// under a deadline that leaves the router margin to merge and respond.
+func (rt *Router) legRequest(ctx context.Context, wire service.QueryRequest) service.QueryRequest {
 	sub := wire
 	sub.Offset = 0
 	if !wire.CountOnly {
-		sub.Limit = wire.Offset + limit
+		sub.Limit = wire.Offset + rt.frame.PageLimit(wire.Limit)
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		remaining := time.Until(dl) - rt.opts.DeadlineMargin
@@ -470,45 +464,24 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 			remaining = time.Millisecond
 		}
 		sub.TimeoutMS = remaining.Milliseconds()
-		if sub.TimeoutMS < 1 {
-			sub.TimeoutMS = 1
-		}
 	}
+	return sub
+}
 
-	// Scatter to every shard; each leg applies the routing policy and
-	// hedging over that shard's replicas.
+// scatter sends sub to every shard; each leg applies the routing policy
+// and hedging over that shard's replicas.
+func (rt *Router) scatter(call *service.Call, sub service.QueryRequest) []shardResult {
 	results := make([]shardResult, len(rt.shards))
 	var wg sync.WaitGroup
 	for i := range rt.shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = rt.queryShard(ctx, i, sub, span)
+			results[i] = rt.queryShard(call.Ctx, i, sub, call.Span)
 		}(i)
 	}
 	wg.Wait()
-
-	resp, page, status := rt.merge(wire, q.NumVertices(), results)
-	resp.TraceID = tc.TraceID.String()
-
-	if span != nil {
-		// Egress traceparent names the routing span, so an upstream
-		// caller can stitch the whole fleet subtree into its own trace.
-		tcOut := span.Context()
-		tcOut.Sampled = true
-		w.Header().Set("traceparent", tcOut.Traceparent())
-	}
-	rt.finish(tc, span, q, resp, status, start, results)
-	service.WriteQueryJSON(w, status, resp, page)
-}
-
-// pageLimit is the page size a request asks for: its limit, or the
-// router's MaxLimit when it gives none or a larger one.
-func (rt *Router) pageLimit(wire service.QueryRequest) int64 {
-	if wire.Limit <= 0 || wire.Limit > rt.opts.MaxLimit {
-		return rt.opts.MaxLimit
-	}
-	return wire.Limit
+	return results
 }
 
 // queryShard runs one scatter leg: pick replicas by policy, launch
@@ -648,7 +621,7 @@ func (rt *Router) merge(wire service.QueryRequest, width int, results []shardRes
 	out := &RouteResponse{ShardsTotal: len(results)}
 	out.CacheHit = true
 	var page service.Page
-	skip, want := wire.Offset, rt.pageLimit(wire)
+	skip, want := wire.Offset, rt.frame.PageLimit(wire.Limit)
 	if wire.CountOnly {
 		want = 0
 	}
@@ -717,42 +690,6 @@ func (rt *Router) merge(wire service.QueryRequest, width int, results []shardRes
 		out.Partial = true
 	}
 	return out, page, http.StatusOK
-}
-
-// finish records the routed query: close the routing span and hand the
-// record — the router's own spans as recorded, each answering shard's as
-// the bytes its reply carried — to the flight recorder and telemetry.
-// Nothing is decoded or stitched here; /tracez does that when it is read.
-func (rt *Router) finish(tc obs.TraceContext, span *obs.Span, q *graph.Graph,
-	resp *RouteResponse, status int, start time.Time, results []shardResult) {
-
-	rec := obs.QueryRecord{
-		TraceID:       tc.TraceID.String(),
-		Time:          start,
-		QueryVertices: q.NumVertices(),
-		Outcome:       status,
-		TotalUS:       time.Since(start).Microseconds(),
-		Sampled:       span != nil,
-		QueryHash:     resp.QueryHash,
-		CacheHit:      resp.CacheHit,
-		Partial:       resp.Partial,
-		Embeddings:    resp.Count,
-		BuildUS:       int64(resp.BuildMS * 1000),
-		EnumUS:        int64(resp.EnumMS * 1000),
-	}
-	if span != nil {
-		span.Annotate(obs.Int("outcome", int64(status)),
-			obs.Int("shards_ok", int64(resp.ShardsOK)))
-		span.End()
-		rec.Trace = rt.opts.Tracer.Detach(tc.TraceID)
-		for _, res := range results {
-			if res.spans != nil {
-				rec.Trace.AddRemote(res.spans)
-			}
-		}
-	}
-	rt.flight.Record(rec)
-	rt.opts.Telemetry.ObserveQuery(rec)
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {

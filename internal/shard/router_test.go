@@ -173,16 +173,59 @@ func TestRouterDifferentialVsSingleNode(t *testing.T) {
 
 // TestRouterRejectsOverRadiusQuery: a query whose anchor eccentricity
 // exceeds the fleet's halo radius is refused with 400 at the router —
-// scattering it could silently miss embeddings.
+// scattering it could silently miss embeddings — and so is every other
+// request the router can tell is unanswerable once it has decoded the
+// query graph. Each refusal is a finished query: one /queryz record with
+// outcome 400, one observation in the latency histogram, no leg sent.
 func TestRouterRejectsOverRadiusQuery(t *testing.T) {
 	data := gen.WithRandomLabels(gen.ErdosRenyi(60, 240, 3), 2, 5)
-	_, rsrv := startFleet(t, data, 2, 1, service.Options{}, RouterOptions{})
-	// A 5-path has anchor eccentricity 2 > radius 1.
-	wire := service.QueryRequest{Labels: []uint32{0, 0, 0, 0, 0},
-		Edges: [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 4}}}
-	resp, status := postRoute(t, rsrv.URL, wire)
-	if status != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 (resp %+v)", status, resp)
+	var legs atomic.Int64
+	rt, rsrv := startWrappedFleet(t, data, 2, 1, service.Options{}, RouterOptions{MaxLimit: 100},
+		func(_ int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/query" {
+					legs.Add(1)
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+	path3 := service.QueryRequest{Labels: []uint32{0, 1, 0}, Edges: [][2]uint32{{0, 1}, {1, 2}}}
+	windowed := func(offset, limit int64) service.QueryRequest {
+		wire := path3
+		wire.Offset, wire.Limit = offset, limit
+		return wire
+	}
+	for i, tc := range []struct {
+		name string
+		wire service.QueryRequest
+		says string
+	}{
+		// A 5-path has anchor eccentricity 2 > radius 1.
+		{"over the radius", service.QueryRequest{Labels: []uint32{0, 0, 0, 0, 0},
+			Edges: [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 4}}}, "exceeds fleet halo radius 1"},
+		{"disconnected", service.QueryRequest{Labels: []uint32{0, 1, 0}, Edges: [][2]uint32{{0, 1}}}, "must be connected"},
+		{"negative offset", windowed(-1, 5), "negative limit/offset"},
+		{"negative limit", windowed(0, -5), "negative limit/offset"},
+		{"window past the max limit", windowed(96, 5), "exceeds the fleet's max limit 100"},
+	} {
+		resp, status := postRoute(t, rsrv.URL, tc.wire)
+		if status != http.StatusBadRequest || !strings.Contains(resp.Error, tc.says) {
+			t.Errorf("%s: status %d %q, want 400 saying %q", tc.name, status, resp.Error, tc.says)
+		}
+		recent := rt.Flight().Recent()
+		if len(recent) != i+1 || recent[0].Outcome != http.StatusBadRequest || recent[0].QueryVertices != len(tc.wire.Labels) {
+			t.Errorf("%s: %d flight records, newest %+v; want one more, outcome 400", tc.name, len(recent), recent[0])
+		}
+		if n := rt.frame.Latency().Snapshot().Count; n != int64(i+1) {
+			t.Errorf("%s: %d latency observations after %d requests", tc.name, n, i+1)
+		}
+	}
+	if n := legs.Load(); n != 0 {
+		t.Errorf("%d legs were sent for refused requests", n)
+	}
+	// The same window inside the bound is answered.
+	if resp, status := postRoute(t, rsrv.URL, windowed(95, 5)); status != http.StatusOK {
+		t.Errorf("a window up to the max limit: status %d %q", status, resp.Error)
 	}
 }
 

@@ -23,9 +23,9 @@ import (
 // zero-allocation depth step — and everything that reports enumeration
 // work reads it back: Snapshot (the obs.QueryResources on flight records
 // and responses), the EXPLAIN ANALYZE profile's per-vertex, kernel and
-// worker tables, the live Progress reports (Work), and the planner's
-// drift detector. Nothing else keeps a copy, so those views cannot
-// disagree.
+// worker tables (its planner section too, through Positions), and the
+// live Progress reports (Work). Nothing else keeps a copy, so those views
+// cannot disagree.
 //
 // The per-position and per-worker tables are sized by Begin when a run
 // starts. A ledger may be charged by several runs, one after another or
