@@ -54,7 +54,7 @@ bench-allocs:
 	$(GO) test -run TestSpanAllocs -bench 'BenchmarkSpanStartEnd|BenchmarkTraceAppendJSON' -benchmem -v ./internal/obs
 
 # Intersection-kernel health check: the per-kernel microbenchmarks
-# (merge / gallop / bitset / probe / adaptive dispatch). How the kernels
+# (merge / gallop / probe / adaptive dispatch). How the kernels
 # share a real enumeration is the setops.* rows of a traced lib_enum run
 # (benchmark-check above, or any committed BENCH_<PR>.json).
 bench-kernels:
@@ -80,7 +80,8 @@ verify:
 # internal/service/testdata/fuzz/; index-file crashers under
 # internal/ceci/testdata/fuzz/; shard-manifest crashers under
 # internal/shard/testdata/fuzz/; traceparent crashers under
-# internal/obs/testdata/fuzz/.
+# internal/obs/testdata/fuzz/; .lg loader crashers under
+# internal/graph/testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatchDifferential -fuzztime=$(FUZZTIME) ./internal/verify
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzQueryResponseDecode -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzQueryRequest -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPart -fuzztime=$(FUZZTIME) ./internal/shard
+	$(GO) test -run='^$$' -fuzz=FuzzLoadLabeled -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) ./internal/obs
 
 # What .github/workflows/ci.yml runs: vet + build + full tests, then a

@@ -18,12 +18,16 @@ import (
 
 // The files under testdata/ these tests read were written by commit
 // d2fbab6 — the last with five counter stores behind searcher.drain — and
-// are never regenerated (the EXPLAIN ANALYZE tables are 270 KB each of
-// mostly histogram bounds, hence gzip): whatever stores the enumeration's
-// work, EXPLAIN ANALYZE and the Final Progress report must print these
-// bytes. The one edit to what d2fbab6 printed: the kernels table's
-// label_pruned column, 0 in every row, is cut — the prune it counted is
-// deleted.
+// are not regenerated for a change to how work is stored (the EXPLAIN
+// ANALYZE tables are 270 KB each of mostly histogram bounds, hence gzip):
+// whatever stores the enumeration's work, EXPLAIN ANALYZE and the Final
+// Progress report must print these bytes. Two edits to what d2fbab6
+// printed, both for deleted mechanisms: the kernels table's label_pruned
+// column, 0 in every row, is cut with the prune it counted; and the
+// EXPLAIN files were rewritten when the bitset kernel went — its calls
+// are the probe kernel's now, so the kernel-mix rows, the scanned totals
+// and the 1-worker peak-scratch line (1 KiB of chunk builders a depth)
+// moved and nothing else did (EXPERIMENTS §PR 24 has the diff).
 
 // explainGolden renders, per golden pair, the canonical profile as one
 // JSON line and the EXPLAIN ANALYZE text with its timings stripped.

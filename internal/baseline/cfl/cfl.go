@@ -82,7 +82,6 @@ func ForEach(data, query *graph.Graph, opts baseline.Options, fn func(emb []grap
 	if opts.Stats != nil {
 		opts.Stats.RecursiveCalls.Add(s.recursiveCalls)
 		opts.Stats.EdgeVerifications.Add(s.verifications)
-		opts.Stats.IndexBytes.Add(cpi.sizeBytes())
 	}
 	return nil
 }
@@ -158,16 +157,6 @@ func buildCPI(data *graph.Graph, tree *order.QueryTree) (*cpi, error) {
 		}
 	}
 	return c, nil
-}
-
-func (c *cpi) sizeBytes() int64 {
-	var n int64
-	for u := range c.te {
-		for _, vals := range c.te[u] {
-			n += int64(len(vals)) * 8
-		}
-	}
-	return n
 }
 
 func sortedKeys(m map[graph.VertexID]bool) []graph.VertexID {

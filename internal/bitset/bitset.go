@@ -3,9 +3,8 @@
 // ("is this data vertex already matched?"): one bit per data vertex is
 // 8× smaller than the []bool it replaces, which matters because every
 // worker carries its own O(|V_data|) map for the lifetime of a search.
-// ChunkBuilder backs the bitset-chunked intersection kernel in
-// internal/setops: dense sorted lists are materialized 4096 values at a
-// time into fixed 64-word windows that are ANDed word-parallel.
+// Span backs the probe intersection kernel in internal/setops and the
+// stable-side bitmap of the enumeration's depth cursors.
 package bitset
 
 import "math/bits"
@@ -17,9 +16,6 @@ type Bits []uint64
 // New returns a bitmap able to hold ids in [0, n).
 func New(n int) Bits { return make(Bits, (n+63)/64) }
 
-// Len returns the id capacity (a multiple of 64).
-func (b Bits) Len() int { return len(b) * 64 }
-
 // Get reports whether id is set.
 func (b Bits) Get(id uint32) bool { return b[id>>6]&(1<<(id&63)) != 0 }
 
@@ -28,13 +24,6 @@ func (b Bits) Set(id uint32) { b[id>>6] |= 1 << (id & 63) }
 
 // Clear unmarks id.
 func (b Bits) Clear(id uint32) { b[id>>6] &^= 1 << (id & 63) }
-
-// Reset unmarks every id.
-func (b Bits) Reset() {
-	for i := range b {
-		b[i] = 0
-	}
-}
 
 // Count returns the number of set bits.
 func (b Bits) Count() int {
@@ -58,49 +47,12 @@ func (b Bits) Drain(dst []uint32) []uint32 {
 	return dst
 }
 
-// And stores a & b into dst word by word over the shortest common word
-// length and returns the number of words written. dst may alias a or b;
-// words of dst beyond the common length are left untouched.
-func And(dst, a, b Bits) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	if len(dst) < n {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = a[i] & b[i]
-	}
-	return n
-}
-
-// AndCount returns the number of bits set in a & b (over the shortest
-// common word length) without materializing the result — one popcount
-// per word, the word-parallel core of the dense intersection-size path.
-func AndCount(a, b Bits) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(a[i] & b[i])
-	}
-	return c
-}
-
 // Span is a reusable span-offset bitmap: one bit per value in the window
 // [Lo(), Hi()], where Lo is aligned down to a word boundary from the
 // first value of the filled list. It backs the probe intersection kernel
 // in internal/setops and the cached non-tree-edge filter in
 // internal/ceci: fill once from a sorted list, test membership with a
 // single load-shift-mask, reuse across calls without reallocating.
-//
-// Unlike ChunkBuilder (a fixed 4096-value window walked along two lists
-// in lockstep), a Span covers one list's entire value range at once, so
-// it is the right shape when one side is probed out of lockstep or
-// repeatedly.
 type Span struct {
 	base  uint32
 	words []uint64
@@ -126,14 +78,8 @@ func (s *Span) Test(x uint32) bool {
 	return s.words[(x-s.base)>>6]>>(x&63)&1 == 1
 }
 
-// Empty reports whether the span has not been filled (or was Reset).
+// Empty reports whether the span has not been filled.
 func (s *Span) Empty() bool { return len(s.words) == 0 }
-
-// Reset clears the filled window and empties the span, keeping capacity.
-func (s *Span) Reset() {
-	clear(s.words)
-	s.words = s.words[:0]
-}
 
 // FootprintBytes returns the span's allocated backing size — what the
 // bitmap costs to keep around, independent of the currently filled
@@ -148,40 +94,4 @@ func (s *Span) Lo() uint32 { return s.base }
 // non-empty.
 func (s *Span) Hi() uint32 {
 	return s.base + uint32(len(s.words))*64 - 1
-}
-
-// ChunkBits is the value width of one ChunkBuilder window: 4096 ids pack
-// into 64 words (512 bytes), small enough to stay L1-resident while two
-// windows are filled and ANDed.
-const ChunkBits = 4096
-
-const chunkWords = ChunkBits / 64
-
-// ChunkBuilder materializes one ChunkBits-wide window of a sorted uint32
-// list as a word-packed bitmap. It is reusable: Fill clears the previous
-// window before setting the new one, so a single builder (or a pair, for
-// intersections) serves an arbitrary number of windows and calls with no
-// allocation. Not safe for concurrent use; each worker keeps its own.
-type ChunkBuilder struct {
-	// Words is the packed window; exported so kernels can AND two
-	// builders' windows directly.
-	Words [chunkWords]uint64
-}
-
-// Fill resets the builder and sets one bit per leading element of vals
-// that falls inside [base, base+ChunkBits), returning how many elements
-// it consumed. vals must be sorted ascending with every element >= base.
-func (c *ChunkBuilder) Fill(vals []uint32, base uint32) int {
-	for i := range c.Words {
-		c.Words[i] = 0
-	}
-	hi := uint64(base) + ChunkBits // 64-bit: base near 1<<32 must not wrap
-	for i, v := range vals {
-		if uint64(v) >= hi {
-			return i
-		}
-		off := v - base
-		c.Words[off>>6] |= 1 << (off & 63)
-	}
-	return len(vals)
 }

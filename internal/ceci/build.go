@@ -179,9 +179,6 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 		}
 	}
 	ix.finish()
-	if opts.Stats != nil {
-		opts.Stats.IndexBytes.Store(ix.SizeBytes())
-	}
 	if p := opts.Profile; p != nil {
 		ix.recordShape(p)
 	}

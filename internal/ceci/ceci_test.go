@@ -144,15 +144,15 @@ func TestFig1ClusterCardinality(t *testing.T) {
 
 func TestFig1FilterCounters(t *testing.T) {
 	st := &stats.Counters{}
-	buildFig1(t, ceci.Options{Stats: st})
+	ix, _ := buildFig1(t, ceci.Options{Stats: st})
 	if st.FilteredNLC.Load() == 0 {
 		t.Error("expected NLC filter activity (v8 must be pruned)")
 	}
 	if st.FilteredRefine.Load() == 0 {
 		t.Error("expected refinement prunes (v7 must be pruned)")
 	}
-	if st.IndexBytes.Load() <= 0 {
-		t.Error("index bytes not recorded")
+	if ix.SizeBytes() <= 0 {
+		t.Error("index has no candidate edges to account for")
 	}
 }
 

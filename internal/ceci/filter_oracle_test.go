@@ -302,9 +302,6 @@ func referenceBuild(data *graph.Graph, tree *order.QueryTree, opts Options) *ref
 			}
 		}
 	}
-	if opts.Stats != nil {
-		opts.Stats.IndexBytes.Store(r.sizeBytes())
-	}
 	if p := opts.Profile; p != nil {
 		for u := range r.nodes {
 			node := &r.nodes[u]
@@ -447,7 +444,6 @@ func assertSameBuild(t *testing.T, name string, got, want buildResult, gotOpts, 
 		{"FilteredNLC", g.FilteredNLC.Load(), w.FilteredNLC.Load()},
 		{"FilteredCascade", g.FilteredCascade.Load(), w.FilteredCascade.Load()},
 		{"FilteredRefine", g.FilteredRefine.Load(), w.FilteredRefine.Load()},
-		{"IndexBytes", g.IndexBytes.Load(), w.IndexBytes.Load()},
 		{"RemoteReads", g.RemoteReads.Load(), w.RemoteReads.Load()},
 	} {
 		if c.got != c.want {

@@ -12,7 +12,7 @@ import (
 )
 
 // denseClique returns K_n: every candidate list during a clique-query
-// enumeration is a gap-1 run, which drives the bitset kernel.
+// enumeration is a gap-1 run, the densest input the probe kernel sees.
 func denseClique(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
@@ -78,9 +78,9 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 	}{
 		{"fig1", gen.Fig1Data(), gen.Fig1Query(), "", false},
 		{"random-pair-7", nil, nil, "", false},
-		// Dense clique: gap-1 candidate lists force the bitset-chunked
-		// kernel, proving its chunk-builder reuse is allocation-free.
-		{"dense-bitset", denseClique(48), gen.QG3(), "bitset", true},
+		// Dense clique: gap-1 candidate lists, the probe kernel's densest
+		// input, proving its span-bitmap reuse is allocation-free.
+		{"dense-probe", denseClique(48), gen.QG3(), "probe", true},
 		// Hub skew on a 4-clique query: enumeration intersects a huge hub
 		// adjacency against tiny leaf adjacencies, a >16:1 ratio that
 		// forces the gallop kernel.

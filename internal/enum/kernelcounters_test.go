@@ -75,8 +75,8 @@ func TestKernelCountersDeterministic(t *testing.T) {
 	a, b := run(), run()
 	for _, key := range []string{
 		"enum_comparisons", "enum_scanned",
-		"enum_kernel_merge_calls", "enum_kernel_gallop_calls", "enum_kernel_bitset_calls", "enum_kernel_probe_calls",
-		"enum_kernel_merge_scanned", "enum_kernel_gallop_scanned", "enum_kernel_bitset_scanned", "enum_kernel_probe_scanned",
+		"enum_kernel_merge_calls", "enum_kernel_gallop_calls", "enum_kernel_probe_calls",
+		"enum_kernel_merge_scanned", "enum_kernel_gallop_scanned", "enum_kernel_probe_scanned",
 	} {
 		if a[key] != b[key] {
 			t.Fatalf("%s nondeterministic: %d vs %d", key, a[key], b[key])

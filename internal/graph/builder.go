@@ -118,40 +118,20 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	g.offsets[n] = pos
 
-	// Multi-labels: sort extras and compute alphabet size.
-	maxLabel := Label(0)
-	for _, l := range g.labels {
-		if l > maxLabel {
-			maxLabel = l
-		}
+	if n == 0 {
+		return nil, errors.New("graph: empty graph")
 	}
+
+	// Multi-labels: sort extras.
 	if len(b.extra) > 0 {
 		g.extra = make(map[VertexID][]Label, len(b.extra))
 		for v, extras := range b.extra {
 			sort.Slice(extras, func(i, j int) bool { return extras[i] < extras[j] })
 			g.extra[v] = extras
-			for _, l := range extras {
-				if l > maxLabel {
-					maxLabel = l
-				}
-			}
 		}
 	}
-	if n > 0 {
-		g.numLabels = int(maxLabel) + 1
-	}
-
-	// Label index.
-	g.labelIndex = make([][]VertexID, g.numLabels)
-	for v := 0; v < n; v++ {
-		for _, l := range g.Labels(VertexID(v)) {
-			g.labelIndex[l] = append(g.labelIndex[l], VertexID(v))
-		}
-	}
-
-	if n == 0 {
-		return nil, errors.New("graph: empty graph")
-	}
+	g.indexLabels()
+	g.numLabels = int(g.labelKeys[len(g.labelKeys)-1]) + 1
 	return g, nil
 }
 

@@ -1,0 +1,95 @@
+package graph_test
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"testing"
+
+	"ceci/internal/graph"
+)
+
+// FuzzLoadLabeled: the .lg text is hostile bytes — a query body, a shard's
+// graph file. The loader returns an error, or a graph whose label index
+// holds every vertex under each of its labels and nothing else, whose
+// alphabet ends at its largest label, and which survives write → load;
+// either way it allocates in proportion to the bytes it was given and the
+// vertex bound it was called with, whatever ids and label values they
+// spell.
+func FuzzLoadLabeled(f *testing.F) {
+	// The package's own fixtures; the hostile variants (a lone huge label,
+	// ids at the bound, labels past the range) are in
+	// testdata/fuzz/FuzzLoadLabeled.
+	files, err := filepath.Glob(filepath.Join("testdata", "*.lg"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no fixtures: %v", err)
+	}
+	for _, name := range files {
+		text, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(text)
+	}
+	const maxVertices = 256
+	f.Fuzz(func(t *testing.T, text []byte) {
+		// Every per-vertex structure is bounded by maxVertices; the rest
+		// scales with the input.
+		budget := uint64(128<<10 + 512*len(text))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := graph.LoadLabeledMax(bytes.NewReader(text), maxVertices)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Fatalf("loading %d bytes allocated %d, budget %d", len(text), got, budget)
+		}
+		if err != nil {
+			return
+		}
+		n := g.NumVertices()
+		if n == 0 || n > maxVertices {
+			t.Fatalf("accepted a graph of %d vertices", n)
+		}
+		var largest graph.Label
+		carried := map[graph.Label][]graph.VertexID{}
+		for v := 0; v < n; v++ {
+			for _, l := range g.Labels(graph.VertexID(v)) {
+				carried[l] = append(carried[l], graph.VertexID(v))
+				largest = max(largest, l)
+			}
+		}
+		if largest > graph.MaxLabelValue || g.NumLabels() != int(largest)+1 {
+			t.Fatalf("largest label %d, NumLabels %d", largest, g.NumLabels())
+		}
+		for l, want := range carried {
+			if got := g.VerticesWithLabel(l); !slices.Equal(got, want) {
+				t.Fatalf("VerticesWithLabel(%d) = %v, want %v", l, got, want)
+			}
+			// The neighbours on either side are absent unless carried too.
+			for _, absent := range []graph.Label{l - 1, l + 1} {
+				if _, ok := carried[absent]; !ok && g.VerticesWithLabel(absent) != nil {
+					t.Fatalf("VerticesWithLabel(%d) = %v for a label nothing carries", absent, g.VerticesWithLabel(absent))
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := graph.WriteLabeled(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		back, err := graph.LoadLabeledMax(&buf, maxVertices)
+		if err != nil {
+			t.Fatalf("the writer's own output is refused: %v", err)
+		}
+		if back.NumVertices() != n || back.NumEdges() != g.NumEdges() || back.NumLabels() != g.NumLabels() {
+			t.Fatalf("round trip: %v became %v", g, back)
+		}
+		for v := 0; v < n; v++ {
+			id := graph.VertexID(v)
+			if !slices.Equal(back.Labels(id), g.Labels(id)) || !slices.Equal(back.Neighbors(id), g.Neighbors(id)) {
+				t.Fatalf("round trip: vertex %d differs", v)
+			}
+		}
+	})
+}

@@ -14,6 +14,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -36,7 +37,8 @@ type Graph struct {
 	labels    []Label              // primary label per vertex (labels[v])
 	extra     map[VertexID][]Label // additional labels for multi-labeled vertices (sorted)
 
-	labelIndex [][]VertexID // labelIndex[l] = sorted vertices whose label set contains l
+	labelKeys  []Label      // the distinct labels present, ascending
+	labelIndex [][]VertexID // labelIndex[i] = sorted vertices whose label set contains labelKeys[i]
 	numLabels  int
 
 	ladj labelAdj // lazily built label-grouped adjacency (NeighborsWithLabel, NLCCovers)
@@ -108,10 +110,34 @@ func (g *Graph) HasEdge(u, v VertexID) bool {
 // VerticesWithLabel returns the sorted vertices whose label set contains l.
 // The result aliases internal storage and must not be modified.
 func (g *Graph) VerticesWithLabel(l Label) []VertexID {
-	if int(l) >= len(g.labelIndex) {
+	i, ok := slices.BinarySearch(g.labelKeys, l)
+	if !ok {
 		return nil
 	}
-	return g.labelIndex[l]
+	return g.labelIndex[i]
+}
+
+// indexLabels builds the label index from labels and extra. It is keyed
+// by the labels present, not by label value: a label may be anything up
+// to MaxLabelValue, and the index must cost what the vertices cost.
+func (g *Graph) indexLabels() {
+	keys := slices.Clone(g.labels)
+	for _, extras := range g.extra {
+		keys = append(keys, extras...)
+	}
+	slices.Sort(keys)
+	g.labelKeys = slices.Clone(slices.Compact(keys)) // keys has a slot per vertex; keep one per label
+	g.labelIndex = make([][]VertexID, len(g.labelKeys))
+	add := func(l Label, v VertexID) {
+		i, _ := slices.BinarySearch(g.labelKeys, l)
+		g.labelIndex[i] = append(g.labelIndex[i], v)
+	}
+	for v, l := range g.labels {
+		add(l, VertexID(v))
+		for _, l := range g.extra[VertexID(v)] {
+			add(l, VertexID(v))
+		}
+	}
 }
 
 // LabelFrequency returns how many vertices carry label l.

@@ -52,9 +52,7 @@ func LoadEdgeList(r io.Reader) (*Graph, error) {
 }
 
 // MaxLabelValue bounds label values accepted by the loader, and by
-// anything else that builds a graph from outside input. The dense
-// label alphabet materializes a per-label index, so an absurd label value
-// is an input error, not a 2^32-entry allocation.
+// anything else that builds a graph from outside input.
 const MaxLabelValue = 1 << 24
 
 // LoadLabeled reads the "t/v/e" labeled-graph format from r.
@@ -284,13 +282,11 @@ func ReadCSR(r io.Reader) (*Graph, error) {
 	if err := binary.Read(br, binary.LittleEndian, g.labels); err != nil {
 		return nil, fmt.Errorf("graph: csr labels: %w", err)
 	}
-	g.labelIndex = make([][]VertexID, g.numLabels)
-	for v := uint64(0); v < n; v++ {
-		l := g.labels[v]
-		if int(l) >= len(g.labelIndex) {
+	for _, l := range g.labels {
+		if uint64(l) >= nl {
 			return nil, fmt.Errorf("graph: csr label %d out of range", l)
 		}
-		g.labelIndex[l] = append(g.labelIndex[l], VertexID(v))
 	}
+	g.indexLabels()
 	return g, nil
 }

@@ -26,8 +26,8 @@ type QueryResources struct {
 	// Embeddings delivered by the enumeration.
 	Embeddings int64 `json:"embeddings"`
 	// PeakScratchBytes is the high-water physical footprint of the
-	// per-worker candidate/intersection scratch (per-depth buffers, span
-	// and chunk bitmaps) — the query's live enumeration memory beyond the
+	// per-worker candidate/intersection scratch (per-depth buffers and
+	// span bitmaps) — the query's live enumeration memory beyond the
 	// index itself.
 	PeakScratchBytes int64 `json:"peak_scratch_bytes"`
 	// AllocBytes/AllocObjects are the process heap-allocation delta

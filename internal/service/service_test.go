@@ -2,8 +2,13 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -307,6 +312,36 @@ func TestBadQueries(t *testing.T) {
 		if _, err := eng.Query(context.Background(), req); !errors.Is(err, ErrBadQuery) {
 			t.Errorf("case %d: error = %v, want ErrBadQuery", i, err)
 		}
+	}
+}
+
+// TestHugeLabelCostsItsLength: a label is any value up to
+// graph.MaxLabelValue, and a query graph is built from the body before
+// admission and again for its canonical form, so what one vertex with the
+// largest label costs must follow the body's length, not the label's
+// value (a label index keyed by value made this request 384 MB).
+func TestHugeLabelCostsItsLength(t *testing.T) {
+	const body = `{"labels":[16777216]}`
+	h := New(testData(), Options{Workers: 1}).Handler()
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		return rec
+	}
+	post() // the engine's first request pays for lazily built state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := post()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("a %d-byte request allocated %d bytes", len(body), got)
+	}
+	var reply QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("reply %q: %v", rec.Body, err)
+	}
+	if rec.Code != http.StatusOK || reply.Count != 0 || reply.Error != "" {
+		t.Fatalf("status %d, reply %+v: want 200 with count 0", rec.Code, reply)
 	}
 }
 

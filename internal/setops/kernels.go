@@ -2,7 +2,6 @@ package setops
 
 import (
 	"math"
-	"math/bits"
 
 	"ceci/internal/bitset"
 )
@@ -22,19 +21,15 @@ const (
 	// larger by exponential search plus binary refinement; it wins when
 	// the size ratio is heavily skewed.
 	KernelGallop
-	// KernelBitset materializes both lists 4096 values at a time into
-	// word-packed chunks and ANDs them word-parallel; it wins when the
-	// lists are dense over their value span (average gap <= 8).
-	KernelBitset
 	// KernelProbe materializes the smaller list into a span-offset
 	// bitmap (bitset.Span), then tests the larger list's overlapping
 	// range against it — one load-shift-mask per probe instead of the
 	// merge's unpredictable cursor branch. It wins on the locally
-	// clustered, moderately sparse lists a CECI index produces.
+	// clustered lists a CECI index produces, dense ones included.
 	KernelProbe
 
 	// NumKernels is the number of distinct kernels (array sizing).
-	NumKernels = 4
+	NumKernels = 3
 )
 
 // String returns the kernel's short name.
@@ -44,8 +39,6 @@ func (k Kernel) String() string {
 		return "merge"
 	case KernelGallop:
 		return "gallop"
-	case KernelBitset:
-		return "bitset"
 	case KernelProbe:
 		return "probe"
 	}
@@ -55,20 +48,16 @@ func (k Kernel) String() string {
 // Selection thresholds. gallopRatio is the size disparity beyond which
 // probing the smaller list into the larger beats merging — 16 follows the
 // classic adaptive set-intersection literature and measured well here.
-// bitsetMaxGap is the largest average value gap at which the chunked
-// bitset kernel beats everything else: at gap <= 8 a 64-bit word holds
-// >= 8 candidates, so two fills plus one AND per word touch fewer cache
-// lines than any per-element walk. probeMaxGap is the largest ratio of
-// the smaller list's value span to the combined length at which the
-// span-bitmap probe wins: the bitmap costs one memclr of span/8 bytes
-// plus one bit-set per element, and memclr retires cache-line-at-a-time,
-// so the overhead stays small relative to the branchy merge up to an
-// average gap of 512; beyond that, sweeping mostly-empty bitmap words
-// costs more than the merge's linear walk.
+// probeMaxGap is the largest ratio of the smaller list's value span to
+// the combined length at which the span-bitmap probe wins: the bitmap
+// costs one memclr of span/8 bytes plus one bit-set per element, and
+// memclr retires cache-line-at-a-time, so the overhead stays small
+// relative to the branchy merge up to an average gap of 512; beyond that,
+// sweeping mostly-empty bitmap words costs more than the merge's linear
+// walk.
 const (
-	gallopRatio  = 16
-	bitsetMaxGap = 8
-	probeMaxGap  = 512
+	gallopRatio = 16
+	probeMaxGap = 512
 )
 
 // fillAlwaysSpan is the value span below which FillSpan fills a bitmap
@@ -82,8 +71,8 @@ const fillAlwaysSpan = 1 << 15
 // On CECI indexes these are exactly the cardinality-column stats
 // (list length) plus the first/last entries of the arena views, so the
 // per-call selection costs a handful of compares. Selection order:
-// skewed sizes gallop; dense combined spans bitset; locally clustered
-// small-side spans probe; everything else merges.
+// skewed sizes gallop; locally clustered small-side spans probe;
+// everything else merges.
 func ChooseKernel(a, b []uint32) Kernel {
 	if len(a) > len(b) {
 		a, b = b, a
@@ -93,16 +82,6 @@ func ChooseKernel(a, b []uint32) Kernel {
 	}
 	if len(b) >= gallopRatio*len(a) {
 		return KernelGallop
-	}
-	lo, hi := a[0], a[len(a)-1]
-	if b[0] < lo {
-		lo = b[0]
-	}
-	if bl := b[len(b)-1]; bl > hi {
-		hi = bl
-	}
-	if uint64(hi-lo)+1 <= uint64(len(a)+len(b))*bitsetMaxGap {
-		return KernelBitset
 	}
 	// The probe bitmap only spans the smaller list's value range (the
 	// larger list is probed, not materialized), so this gate is on a's
@@ -138,24 +117,6 @@ func intersectMerge(dst, a, b []uint32) ([]uint32, int) {
 	return dst, i + j
 }
 
-// mergeCount is the counting twin of intersectMerge.
-func mergeCount(a, b []uint32) (n, scanned int) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n, i + j
-}
-
 // intersectGallop probes each element of small into large by exponential
 // search. The scanned count is the final cursor position in large plus
 // one visit per element of small — derived after the fact rather than by
@@ -174,22 +135,6 @@ func intersectGallop(dst, small, large []uint32) ([]uint32, int) {
 		}
 	}
 	return dst, lo + len(small)
-}
-
-// gallopCount is the counting twin of intersectGallop.
-func gallopCount(small, large []uint32) (n, scanned int) {
-	lo := 0
-	for _, x := range small {
-		lo = Gallop(large, lo, x)
-		if lo == len(large) {
-			break
-		}
-		if large[lo] == x {
-			n++
-			lo++
-		}
-	}
-	return n, lo + len(small)
 }
 
 // Gallop returns the smallest index i >= lo with large[i] >= x, using
@@ -245,23 +190,6 @@ func intersectProbe(dst, a, b []uint32, sp *bitset.Span) ([]uint32, int) {
 	return dst, len(a) + (jend - j)
 }
 
-// probeCount is the counting twin of intersectProbe.
-func probeCount(a, b []uint32, sp *bitset.Span) (n, scanned int) {
-	sp.Fill(a)
-	j := Gallop(b, 0, a[0])
-	end := a[len(a)-1]
-	jend := len(b)
-	if end != math.MaxUint32 {
-		jend = Gallop(b, j, end+1)
-	}
-	for _, x := range b[j:jend] {
-		if sp.Test(x) {
-			n++
-		}
-	}
-	return n, len(a) + (jend - j)
-}
-
 // FillSpan materializes the sorted list a into sp for repeated
 // IntersectSpan calls and reports whether it did. The fill — one clear of
 // span/8 bytes plus one bit-set per element — is paid once and saves every
@@ -309,97 +237,12 @@ func IntersectSpan(dst []uint32, sp *bitset.Span, b []uint32, sc *Scratch) []uin
 	return dst
 }
 
-// intersectBitset is the chunked word-parallel kernel: both lists are
-// materialized 4096 values at a time into the two chunk builders, the 64
-// words are ANDed, and survivors are re-emitted by trailing-zero scans.
-// Windows outside both lists' current heads are skipped entirely, so
-// disjoint ranges cost one compare per list run. Returns the result and
-// the number of elements plus words examined.
-func intersectBitset(dst, a, b []uint32, ca, cb *bitset.ChunkBuilder) ([]uint32, int) {
-	scanned := 0
-	for len(a) > 0 && len(b) > 0 {
-		// Align the window to the larger of the two heads: values below
-		// it in either list cannot match and are skipped wholesale.
-		base := a[0]
-		if b[0] > base {
-			base = b[0]
-		}
-		base &^= bitset.ChunkBits - 1
-		for len(a) > 0 && a[0] < base {
-			a = a[1:]
-			scanned++
-		}
-		for len(b) > 0 && b[0] < base {
-			b = b[1:]
-			scanned++
-		}
-		if len(a) == 0 || len(b) == 0 {
-			break
-		}
-		// 64-bit window end: base near 1<<32 must not wrap.
-		if end := uint64(base) + bitset.ChunkBits; uint64(a[0]) >= end || uint64(b[0]) >= end {
-			continue // heads diverged past the window; realign
-		}
-		na := ca.Fill(a, base)
-		nb := cb.Fill(b, base)
-		scanned += na + nb
-		for w := range ca.Words {
-			m := ca.Words[w] & cb.Words[w]
-			for m != 0 {
-				t := bits.TrailingZeros64(m)
-				dst = append(dst, base+uint32(w<<6+t))
-				m &= m - 1
-			}
-		}
-		scanned += len(ca.Words)
-		a = a[na:]
-		b = b[nb:]
-	}
-	return dst, scanned
-}
-
-// bitsetCount is the counting twin of intersectBitset: one popcount per
-// ANDed word instead of re-emission.
-func bitsetCount(a, b []uint32, ca, cb *bitset.ChunkBuilder) (n, scanned int) {
-	for len(a) > 0 && len(b) > 0 {
-		base := a[0]
-		if b[0] > base {
-			base = b[0]
-		}
-		base &^= bitset.ChunkBits - 1
-		for len(a) > 0 && a[0] < base {
-			a = a[1:]
-			scanned++
-		}
-		for len(b) > 0 && b[0] < base {
-			b = b[1:]
-			scanned++
-		}
-		if len(a) == 0 || len(b) == 0 {
-			break
-		}
-		if end := uint64(base) + bitset.ChunkBits; uint64(a[0]) >= end || uint64(b[0]) >= end {
-			continue
-		}
-		na := ca.Fill(a, base)
-		nb := cb.Fill(b, base)
-		scanned += na + nb
-		for w := range ca.Words {
-			n += bits.OnesCount64(ca.Words[w] & cb.Words[w])
-		}
-		scanned += len(ca.Words)
-		a = a[na:]
-		b = b[nb:]
-	}
-	return n, scanned
-}
-
 // KernelStats accumulates per-kernel work counters: how often each kernel
-// fired, how many elements (and, for the bitset kernel, words) it
-// actually examined, and how many elements it emitted. The scratch-taking
-// entry points (IntersectK, IntersectWith) record into their scratch's
-// stats, which the scratch's owner reads and zeroes (internal/enum's
-// drain). All counts are deterministic functions of the inputs.
+// fired, how many elements it actually examined, and how many elements
+// it emitted. The scratch-taking entry points (IntersectK, IntersectWith)
+// record into their scratch's stats, which the scratch's owner reads and
+// zeroes (internal/enum's drain). All counts are deterministic functions
+// of the inputs.
 type KernelStats struct {
 	Calls   [NumKernels]int64
 	Scanned [NumKernels]int64
@@ -439,13 +282,6 @@ func IntersectWith(k Kernel, dst, a, b []uint32, sc *Scratch) []uint32 {
 	switch k {
 	case KernelGallop:
 		dst, scanned = intersectGallop(dst, a, b)
-	case KernelBitset:
-		if sc != nil {
-			dst, scanned = intersectBitset(dst, a, b, &sc.chunkA, &sc.chunkB)
-		} else {
-			var ca, cb bitset.ChunkBuilder
-			dst, scanned = intersectBitset(dst, a, b, &ca, &cb)
-		}
 	case KernelProbe:
 		if sc != nil {
 			dst, scanned = intersectProbe(dst, a, b, &sc.span)
@@ -460,39 +296,4 @@ func IntersectWith(k Kernel, dst, a, b []uint32, sc *Scratch) []uint32 {
 		sc.Stats.record(k, scanned, len(dst))
 	}
 	return dst
-}
-
-// IntersectionSizeWith returns |a ∩ b| computed by one specific kernel.
-func IntersectionSizeWith(k Kernel, a, b []uint32, sc *Scratch) int {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	var n, scanned int
-	switch k {
-	case KernelGallop:
-		n, scanned = gallopCount(a, b)
-	case KernelBitset:
-		if sc != nil {
-			n, scanned = bitsetCount(a, b, &sc.chunkA, &sc.chunkB)
-		} else {
-			var ca, cb bitset.ChunkBuilder
-			n, scanned = bitsetCount(a, b, &ca, &cb)
-		}
-	case KernelProbe:
-		if sc != nil {
-			n, scanned = probeCount(a, b, &sc.span)
-		} else {
-			var sp bitset.Span
-			n, scanned = probeCount(a, b, &sp)
-		}
-	default:
-		n, scanned = mergeCount(a, b)
-	}
-	if sc != nil {
-		sc.Stats.record(k, scanned, n)
-	}
-	return n
 }

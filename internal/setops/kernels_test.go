@@ -33,12 +33,12 @@ func naiveIntersect(a, b []uint32) []uint32 {
 	return out
 }
 
-var allKernels = []setops.Kernel{setops.KernelMerge, setops.KernelGallop, setops.KernelBitset, setops.KernelProbe}
+var allKernels = []setops.Kernel{setops.KernelMerge, setops.KernelGallop, setops.KernelProbe}
 
 // checkAllKernels asserts that every kernel produces exactly the
-// reference intersection for (a, b) — both materializing and size-only,
-// both with and without a scratch — and that the recorded stats are
-// attributed to the kernel that ran.
+// reference intersection for (a, b), with and without a scratch, that
+// the recorded stats are attributed to the kernel that ran, and that the
+// counting IntersectionSize agrees.
 func checkAllKernels(t *testing.T, a, b []uint32) {
 	t.Helper()
 	want := naiveIntersect(a, b)
@@ -46,9 +46,6 @@ func checkAllKernels(t *testing.T, a, b []uint32) {
 		got := setops.IntersectWith(k, nil, a, b, nil)
 		if !equal(got, want) {
 			t.Fatalf("kernel %v: got %v want %v\na=%v\nb=%v", k, got, want, a, b)
-		}
-		if n := setops.IntersectionSizeWith(k, a, b, nil); n != len(want) {
-			t.Fatalf("kernel %v size: got %d want %d\na=%v\nb=%v", k, n, len(want), a, b)
 		}
 		var sc setops.Scratch
 		got = setops.IntersectWith(k, nil, a, b, &sc)
@@ -63,6 +60,9 @@ func checkAllKernels(t *testing.T, a, b []uint32) {
 				t.Fatalf("kernel %v: emitted %d want %d", k, sc.Stats.Emitted[k], len(want))
 			}
 		}
+	}
+	if n := setops.IntersectionSize(a, b); n != len(want) {
+		t.Fatalf("IntersectionSize: got %d want %d\na=%v\nb=%v", n, len(want), a, b)
 	}
 	checkFilledSpan(t, a, b, want)
 }
@@ -111,11 +111,8 @@ func TestKernelDifferentialOracleRandom(t *testing.T) {
 			if !equal(setops.IntersectWith(k, nil, a, b, nil), want) {
 				return false
 			}
-			if setops.IntersectionSizeWith(k, a, b, nil) != len(want) {
-				return false
-			}
 		}
-		return true
+		return setops.IntersectionSize(a, b) == len(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -136,10 +133,10 @@ func ramp(start, step uint32, n int) []uint32 {
 // TestKernelAdversarialShapes drives every kernel through the shapes that
 // historically break intersection kernels: empties, singletons, identical
 // lists, disjoint ranges, extreme skew, dense runs straddling 64-bit word
-// and 4096-value chunk boundaries, and values at the top of the uint32
-// range (where window arithmetic can wrap).
+// and 4096-value boundaries, and values at the top of the uint32 range
+// (where window arithmetic can wrap).
 func TestKernelAdversarialShapes(t *testing.T) {
-	const chunk = bitset.ChunkBits
+	const chunk = 4096
 	cases := []struct {
 		name string
 		a, b []uint32
@@ -177,7 +174,7 @@ func TestKernelAdversarialShapes(t *testing.T) {
 // cardinality-ratio and density breakpoint so a future threshold change
 // must be made (and benchmarked) deliberately.
 func TestChooseKernelBreakpoints(t *testing.T) {
-	// Sparse lists: step 100 ≫ bitsetMaxGap keeps density out of play.
+	// Sparse lists: step 100, well inside the probe window.
 	sparse := func(n int) []uint32 { return ramp(0, 100, n) }
 	// Dense lists: step 1 is maximal density.
 	dense := func(n int) []uint32 { return ramp(0, 1, n) }
@@ -188,34 +185,28 @@ func TestChooseKernelBreakpoints(t *testing.T) {
 	}{
 		{"empty a", nil, sparse(10), setops.KernelMerge},
 		{"empty both", nil, nil, setops.KernelMerge},
-		// Gap 100 is too sparse for bitset but well inside the probe
-		// kernel's 512-gap window.
 		{"equal sizes gap 100", sparse(100), sparse(100), setops.KernelProbe},
 		{"ratio 15 gap 100", sparse(10), sparse(150), setops.KernelProbe},
 		{"ratio 16 sparse", sparse(10), sparse(160), setops.KernelGallop},
 		{"ratio 16 reversed", sparse(160), sparse(10), setops.KernelGallop},
 		{"ratio 1000", sparse(4), sparse(4000), setops.KernelGallop},
-		// Density breakpoint: span <= (len(a)+len(b))*8 chooses bitset.
-		// 2×1000 elements, avg gap 4 → span 4000 <= 16000.
-		{"dense equal sizes", dense(1000), ramp(0, 4, 1000), setops.KernelBitset},
-		// Interleaved lists with combined avg gap 8: span 15993 <= 16000.
-		{"gap exactly 8", ramp(0, 16, 1000), ramp(8, 16, 1000), setops.KernelBitset},
-		// Just past the bitset threshold: combined span 16992 > 16000,
-		// but gap 17 is still far inside the probe window.
+		// Dense inputs have no kernel of their own: any span within
+		// (len(a)+len(b))*8 is far inside the probe window.
+		{"dense equal sizes", dense(1000), ramp(0, 4, 1000), setops.KernelProbe},
+		{"gap exactly 8", ramp(0, 16, 1000), ramp(8, 16, 1000), setops.KernelProbe},
 		{"gap just past 8", ramp(0, 17, 1000), ramp(8, 17, 1000), setops.KernelProbe},
 		// Probe breakpoint: span(a) <= (len(a)+len(b))*512 chooses probe.
 		// 999*1024 = 1022976 <= 2000*512 = 1024000.
 		{"gap just under 512", ramp(0, 1024, 1000), ramp(500, 1024, 1000), setops.KernelProbe},
 		// 999*1026 = 1024974 > 1024000: past the probe window, merge.
 		{"gap just past 512", ramp(0, 1026, 1000), ramp(500, 1026, 1000), setops.KernelMerge},
-		// Skew wins over density: a dense pair at ratio >= 16 still gallops
-		// (probing 10 values beats building 64-word windows).
+		// Skew wins over density: a dense pair at ratio >= 16 still gallops.
 		{"dense but skewed", dense(10), dense(160), setops.KernelGallop},
-		// Disjoint dense runs: the combined span is huge (no bitset), but
-		// the smaller list alone is dense, so the probe kernel fires — it
-		// gallops the big list to the (empty) overlap and exits early.
+		// Disjoint dense runs: the combined span is huge, but the gate is
+		// on the smaller list alone, so the probe kernel fires — it gallops
+		// the big list to the (empty) overlap and exits early.
 		{"disjoint dense runs", dense(100), ramp(1<<20, 1, 100), setops.KernelProbe},
-		{"singleton vs singleton", []uint32{3}, []uint32{9}, setops.KernelBitset},
+		{"singleton vs singleton", []uint32{3}, []uint32{9}, setops.KernelProbe},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -230,7 +221,6 @@ func TestKernelStringNames(t *testing.T) {
 	names := map[setops.Kernel]string{
 		setops.KernelMerge:  "merge",
 		setops.KernelGallop: "gallop",
-		setops.KernelBitset: "bitset",
 		setops.KernelProbe:  "probe",
 		setops.Kernel(99):   "unknown",
 	}
@@ -270,9 +260,8 @@ func TestKernelStatsDeterministic(t *testing.T) {
 }
 
 // TestKernelScratchRace runs 8 workers, each reusing one Scratch across
-// many distinct "queries" (list pairs chosen to hit all four kernels,
-// including the chunk builders and span bitmap the bitset and probe
-// paths reuse), and checks every
+// many distinct "queries" (list pairs chosen to hit all three kernels,
+// including the span bitmap the probe path reuses), and checks every
 // result against the reference. Under -race this proves per-worker
 // scratch reuse never leaks state across queries or workers.
 func TestKernelScratchRace(t *testing.T) {
@@ -285,7 +274,7 @@ func TestKernelScratchRace(t *testing.T) {
 	for i := range queries {
 		var a, b []uint32
 		switch i % 4 {
-		case 0: // dense → bitset
+		case 0: // dense → probe
 			a = ramp(uint32(rng.Intn(1000)), 1+uint32(rng.Intn(3)), 500+rng.Intn(1500))
 			b = ramp(uint32(rng.Intn(1000)), 1+uint32(rng.Intn(3)), 500+rng.Intn(1500))
 		case 1: // skewed → gallop
@@ -314,11 +303,6 @@ func TestKernelScratchRace(t *testing.T) {
 				got := setops.IntersectK(&sc, [][]uint32{q.a, q.b})
 				if !equal(got, q.want) {
 					errs <- fmt.Errorf("worker %d iter %d: got %d elems want %d", w, iter, len(got), len(q.want))
-					return
-				}
-				k := setops.ChooseKernel(q.a, q.b)
-				if n := setops.IntersectionSizeWith(k, q.a, q.b, &sc); n != len(q.want) {
-					errs <- fmt.Errorf("worker %d iter %d: size %d want %d", w, iter, n, len(q.want))
 					return
 				}
 			}
@@ -354,12 +338,6 @@ func BenchmarkKernelGallopSkewed(b *testing.B) {
 	x := ramp(0, 1017, 256)
 	y := ramp(0, 3, 100000)
 	benchKernel(b, setops.KernelGallop, x, y)
-}
-
-func BenchmarkKernelBitsetDense(b *testing.B) {
-	x := ramp(0, 2, 8192)
-	y := ramp(1, 3, 8192)
-	benchKernel(b, setops.KernelBitset, x, y)
 }
 
 func BenchmarkKernelProbeClustered(b *testing.B) {

@@ -4,7 +4,7 @@
 // non-tree-edge verification becomes an intersection of sorted candidate
 // lists instead of an adjacency probe.
 //
-// Four intersection kernels are provided and selected adaptively per
+// Three intersection kernels are provided and selected adaptively per
 // call from O(1) statistics of the inputs (lengths and value spans — on
 // a CECI index these come straight from the flat columns):
 //
@@ -12,22 +12,18 @@
 //     fallback for similarly sized inputs;
 //   - KernelGallop: exponential search plus binary refinement, when one
 //     input is much smaller;
-//   - KernelBitset: 4096-value chunked word-parallel AND via
-//     bitset.ChunkBuilder, when the inputs are dense over their span;
 //   - KernelProbe: span-offset bitmap (bitset.Span) built from the
-//     smaller list and probed by the larger, for the locally clustered,
-//     moderately sparse lists CECI indexes produce.
+//     smaller list and probed by the larger, for the locally clustered
+//     lists CECI indexes produce.
 //
 // All functions treat inputs as strictly increasing sequences and produce
 // strictly increasing outputs. Every kernel is bit-identical to the
 // others on the same inputs; the cross-kernel differential tests and the
-// FuzzIntersectKernels / FuzzIntersectionSize targets enforce that.
+// FuzzIntersectKernels target enforce that.
 package setops
 
 import (
-	"slices"
 	"sort"
-	"unsafe"
 
 	"ceci/internal/bitset"
 )
@@ -95,17 +91,14 @@ func IntersectK(scratch *Scratch, lists [][]uint32) []uint32 {
 }
 
 // Scratch holds reusable buffers for the scratch-taking entry points —
-// intermediate result slices for IntersectK, the two chunk builders the
-// bitset kernel fills, the probe kernel's span bitmap, and the
-// per-kernel work counters — avoiding per-call allocation in the
-// enumeration inner loop. Not safe for concurrent use; each worker keeps
-// its own.
+// intermediate result slices for IntersectK, the probe kernel's span
+// bitmap, and the per-kernel work counters — avoiding per-call allocation
+// in the enumeration inner loop. Not safe for concurrent use; each worker
+// keeps its own.
 type Scratch struct {
 	a, b  []uint32
 	order []int
-
-	chunkA, chunkB bitset.ChunkBuilder
-	span           bitset.Span
+	span  bitset.Span
 
 	// Stats accumulates per-kernel calls / scanned / emitted across every
 	// recorded operation on this scratch. Callers that need per-call
@@ -114,87 +107,29 @@ type Scratch struct {
 }
 
 // FootprintBytes returns the scratch's allocated backing size: the two
-// intermediate result buffers, the ordering slice, the two fixed chunk
-// builders, and the probe span bitmap. The resource ledger reads this at
-// work-unit boundaries to track a query's peak scratch memory.
+// intermediate result buffers, the ordering slice and the probe span
+// bitmap. The resource ledger reads this at work-unit boundaries to track
+// a query's peak scratch memory.
 func (s *Scratch) FootprintBytes() int64 {
-	return int64(cap(s.a))*4 + int64(cap(s.b))*4 + int64(cap(s.order))*8 +
-		2*(bitset.ChunkBits/8) + s.span.FootprintBytes()
+	return int64(cap(s.a))*4 + int64(cap(s.b))*4 + int64(cap(s.order))*8 + s.span.FootprintBytes()
 }
 
-// Union writes the sorted union of a and b into dst and returns it.
-// dst must not alias a or b; the rewound form dst = x[:0] is detected
-// and handled by copying that input first (the union outgrows its
-// inputs, so in-place writes would clobber unread elements).
-func Union(dst, a, b []uint32) []uint32 {
-	if sharesBacking(dst, a) {
-		a = slices.Clone(a)
-	}
-	if sharesBacking(dst, b) {
-		b = slices.Clone(b)
-	}
-	dst = dst[:0]
-	i, j := 0, 0
+// IntersectionSize returns |a ∩ b| without materializing the result.
+func IntersectionSize(a, b []uint32) int {
+	n, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
 		switch {
-		case x < y:
-			dst = append(dst, x)
+		case a[i] < b[j]:
 			i++
-		case x > y:
-			dst = append(dst, y)
+		case a[i] > b[j]:
 			j++
 		default:
-			dst = append(dst, x)
+			n++
 			i++
 			j++
 		}
 	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
-}
-
-// Diff writes a \ b (elements of a not in b) into dst and returns it.
-//
-// Aliasing: dst = a[:0] is safe (the output is a subsequence of a, so
-// writes never pass the read cursor). dst = b[:0] would clobber unread
-// elements of b and is detected and handled by copying b first.
-func Diff(dst, a, b []uint32) []uint32 {
-	if sharesBacking(dst, b) {
-		b = slices.Clone(b)
-	}
-	dst = dst[:0]
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j == len(b) || b[j] != x {
-			dst = append(dst, x)
-		}
-	}
-	return dst
-}
-
-// sharesBacking reports whether dst (in its rewound dst = x[:0] form)
-// shares a backing array with s — the aliasing pattern the candidate-list
-// pipelines use. It compares the underlying array pointers, so it also
-// catches dst rewound from a slice-of-s prefix.
-func sharesBacking(dst, s []uint32) bool {
-	if cap(dst) == 0 || len(s) == 0 {
-		return false
-	}
-	return unsafe.SliceData(dst[:1]) == unsafe.SliceData(s)
-}
-
-// IntersectionSize returns |a ∩ b| without materializing the result,
-// selecting the cheapest kernel (the bitset path counts with one
-// popcount per word instead of re-emitting survivors).
-func IntersectionSize(a, b []uint32) int {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	return IntersectionSizeWith(ChooseKernel(a, b), a, b, nil)
+	return n
 }
 
 // IsSorted reports whether a is strictly increasing (the invariant all

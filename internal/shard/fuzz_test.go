@@ -1,11 +1,9 @@
 package shard
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"testing"
 
 	"ceci/internal/gen"
@@ -33,22 +31,6 @@ func savedShard0(tb testing.TB) (manifest, vmap, lg []byte) {
 	return read("manifest.json"), read("shard-0.map"), read("shard-0.lg")
 }
 
-// largestLabel is the largest integer after the id on any "v" line.
-func largestLabel(lg []byte) (max uint64) {
-	for _, line := range bytes.Split(lg, []byte("\n")) {
-		fields := bytes.Fields(line)
-		if len(fields) < 3 || string(fields[0]) != "v" {
-			continue
-		}
-		for _, f := range fields[2:] {
-			if l, err := strconv.ParseUint(string(f), 10, 64); err == nil && l > max {
-				max = l
-			}
-		}
-	}
-	return max
-}
-
 // FuzzLoadPart: the manifest directory is the fleet's only on-disk
 // format, so its three files are hostile bytes. LoadPart returns an
 // error, or a partition a shard can serve — one global id per graph
@@ -63,12 +45,6 @@ func FuzzLoadPart(f *testing.F) {
 	f.Add(manifest, vmap[:len(vmap)/2], lg)
 	f.Add(manifest, vmap, lg[:len(lg)/2])
 	f.Fuzz(func(t *testing.T, manifest, vmap, lg []byte) {
-		// The graph's label index is one slice header per label value up to
-		// graph.MaxLabelValue, whatever the file's length: that budget is
-		// the .lg loader's, not the manifest's, so labels stay small here.
-		if largestLabel(lg) > 1<<10 {
-			return
-		}
 		dir := t.TempDir()
 		for name, b := range map[string][]byte{"manifest.json": manifest, "shard-0.map": vmap, "shard-0.lg": lg} {
 			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -226,6 +227,27 @@ func TestRouterRejectsOverRadiusQuery(t *testing.T) {
 	// The same window inside the bound is answered.
 	if resp, status := postRoute(t, rsrv.URL, windowed(95, 5)); status != http.StatusOK {
 		t.Errorf("a window up to the max limit: status %d %q", status, resp.Error)
+	}
+}
+
+// TestRouterHugeLabelCostsItsLength is service's test of the same name
+// through the fleet: the router and both shards each build the query
+// graph from the body, and together stay under the bound one label-value-
+// keyed index broke 384 times over.
+func TestRouterHugeLabelCostsItsLength(t *testing.T) {
+	data := gen.WithRandomLabels(gen.ErdosRenyi(60, 240, 3), 2, 5)
+	_, rsrv := startFleet(t, data, 2, 1, service.Options{Workers: 1}, RouterOptions{})
+	wire := service.QueryRequest{Labels: []uint32{graph.MaxLabelValue}}
+	postRoute(t, rsrv.URL, wire) // connections, lazily built state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, status := postRoute(t, rsrv.URL, wire)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("routing a one-vertex query allocated %d bytes", got)
+	}
+	if status != http.StatusOK || resp.Count != 0 || resp.Error != "" || resp.ShardsOK != 2 {
+		t.Fatalf("status %d, reply %+v: want 200, count 0, both shards ok", status, resp)
 	}
 }
 

@@ -1,11 +1,15 @@
 // Package stats provides the cumulative counters used to reproduce the
-// paper's measurement figures: recursive-call counts (Figure 18), filter
-// effectiveness and index size accounting (Table 2). Per-worker busy time
-// (Figure 12) is on the run's ledger (internal/telemetry), phase times
-// (Figures 15, 20) on the tracer (obs.Tracer.PhaseDurations).
+// paper's measurement figures: recursive-call counts (Figure 18) and
+// filter effectiveness. Per-worker busy time (Figure 12) is on the run's
+// ledger (internal/telemetry), phase times (Figures 15, 20) on the tracer
+// (obs.Tracer.PhaseDurations).
 //
 // Counters are cheap atomics: enumeration drains into them at work-unit
-// boundaries, the baselines add to them directly.
+// boundaries, the baselines add to them directly. Every field is a sum a
+// writer Adds from numbers it already has in hand (the snapshot exports
+// each as a ceci_*_total counter); a number that has to be derived — the
+// index's Table 2 size is Index.SizeBytes — is computed by whoever reads
+// it (TestEveryCounterWriteIsAnAdd).
 package stats
 
 import (
@@ -28,7 +32,6 @@ type Counters struct {
 	FilteredNLC       atomic.Int64
 	FilteredCascade   atomic.Int64 // dropped by empty-TE cascade (Alg. 1 lines 9-12)
 	FilteredRefine    atomic.Int64 // dropped by reverse-BFS refinement
-	IndexBytes        atomic.Int64
 	PageLoads         atomic.Int64 // dualsim: slotted page loads
 	RemoteReads       atomic.Int64 // shared-storage graph accesses
 	UnitsScheduled    atomic.Int64 // work units handed to enumeration workers

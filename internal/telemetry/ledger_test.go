@@ -117,7 +117,7 @@ func TestLedgerChargeAllocFree(t *testing.T) {
 	l := NewLedger()
 	l.Begin(1, 1)
 	var d setops.KernelStats
-	d.Calls[setops.KernelBitset] = 1
+	d.Calls[setops.KernelProbe] = 1
 	avg := testing.AllocsPerRun(100, func() {
 		l.AddWork(5, 1)
 		l.AddPosition(0, StepCounts{Lookups: 1, Output: 1}, &d)

@@ -44,23 +44,7 @@ func TestEveryOptionHasASetter(t *testing.T) {
 		file    *ast.File
 	}
 	var sources []source
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	for path, f := range parseNonTestGo(t, fset) {
 		src := source{pkgPath: importPath(filepath.Dir(path)), imports: map[string]string{}, file: f}
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
@@ -71,10 +55,6 @@ func TestEveryOptionHasASetter(t *testing.T) {
 			src.imports[name] = p
 		}
 		sources = append(sources, src)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	// fields["pkgpath.Struct"] = exported field names.
@@ -175,6 +155,37 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	for _, field := range dead {
 		t.Errorf("%s is never assigned outside _test.go files: delete it, or give it a caller", field)
 	}
+}
+
+// parseNonTestGo parses every Go file under the module root that is not a
+// test, skipping hidden and testdata directories, keyed by path.
+func parseNonTestGo(t *testing.T, fset *token.FileSet) map[string]*ast.File {
+	t.Helper()
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files[path] = f
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // importPath maps a directory of this module to its import path.
