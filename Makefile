@@ -20,14 +20,19 @@ bench:
 # module, so `build`/`test` above never compile it — yet its sut.go is
 # written against internal/ceci, enum, service and shard. Vet and test
 # it, then run the enumeration-bound and the build-bound workload, short
-# and traced, end to end against their pinned counts, and the fleet
+# and traced, end to end against their pinned counts, the fleet
 # workload, which drives service.New, shard.NewRouter and both response
-# types over HTTP and checks every reply (also a CI step).
+# types over HTTP and checks every reply (a quarter of its classes
+# outrun their first cluster at limit 1000: the grow-and-replace step),
+# and the churn workload, whose 5 MiB cache puts every reply's pinned
+# count behind a one-cluster build or a rebuild after an eviction (also
+# a CI step).
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 	bash benchmark/run.sh --workload lib_enum --seed 1 --seconds 4 --trace 1
 	bash benchmark/run.sh --workload lib_build --seed 1 --seconds 4 --trace 1
 	bash benchmark/run.sh --workload fleet_scatter --seed 1 --seconds 4 --trace 1
+	bash benchmark/run.sh --workload serve_churn --seed 1 --seconds 4 --trace 1
 
 # The committed trajectory (ROADMAP aim 1): every workload of the repo
 # benchmark, untraced then traced, seed 1, one child process per run

@@ -137,6 +137,10 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 	} else {
 		ix.Nodes[root].Cands = b.filter.Candidates(root)
 	}
+	// How much of the query's answer this index can hold: the clusters it
+	// was restricted to, of the root candidates Preprocess counted.
+	span.Annotate(obs.Int("pivots_covered", int64(len(ix.Nodes[root].Cands))),
+		obs.Int("pivots_total", int64(tree.CandCount[root])))
 
 	// Expand every non-root query vertex in matching order: first its
 	// tree edge, then each incoming non-tree edge.

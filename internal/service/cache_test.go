@@ -11,26 +11,53 @@ import (
 	"ceci/internal/verify"
 )
 
-// TestCacheBudgetNeverExceeded: property test — under a random add/get
-// sequence the used-bytes total never exceeds the budget and is exactly
-// the bytes of the entries held (nothing re-sizes an entry once it is in:
-// add and evict are the only writers of the total), and entries larger
-// than the whole budget are rejected outright.
+// TestCacheBudgetNeverExceeded: property test — under a random sequence of
+// adds, gets and wider re-adds of a held key, the used-bytes total never
+// exceeds the budget and is exactly the bytes of the entries held (nothing
+// re-sizes an entry once it is in: add — replacing included — and evict
+// are the only writers of the total), a key is held once, a replacement is
+// counted as grown and only ever widens, and entries larger than the whole
+// budget are rejected outright, the incumbent of their key staying.
 func TestCacheBudgetNeverExceeded(t *testing.T) {
 	const budget = 10_000
 	c := newCache(budget)
 	rng := gen.NewRNG(7)
 	keys := make([]string, 0, 64)
-	for i := 0; i < 500; i++ {
-		switch rng.Intn(3) {
+	var grown int64
+	for i := 0; i < 800; i++ {
+		switch rng.Intn(4) {
 		case 0, 1:
 			key := fmt.Sprintf("k%d", i)
 			size := int64(1 + rng.Intn(4000))
-			c.add(&entry{key: key, bytes: size})
+			c.add(&entry{key: key, bytes: size, covered: 1})
 			keys = append(keys, key)
 		case 2:
 			if len(keys) > 0 {
-				c.get(keys[rng.Intn(len(keys))])
+				c.get(keys[rng.Intn(len(keys))], 1)
+			}
+		case 3:
+			// The replace path: a held or evicted key comes back covering
+			// 1, 2 or every pivot, at any size up to past the budget.
+			if len(keys) == 0 {
+				continue
+			}
+			key := keys[rng.Intn(len(keys))]
+			e := &entry{key: key, bytes: int64(1 + rng.Intn(budget+2000)), covered: []int{1, 2, everyPivot}[rng.Intn(3)]}
+			old, held := c.byKey[key]
+			c.add(e)
+			now := c.byKey[key]
+			switch {
+			case held && (e.covered <= old.covered || e.bytes > budget):
+				if now != old {
+					t.Fatalf("step %d: an entry covering %d (%d bytes) displaced one covering %d", i, e.covered, e.bytes, old.covered)
+				}
+			case held:
+				grown++
+				if now != e {
+					t.Fatalf("step %d: a wider entry that fits did not replace the incumbent", i)
+				}
+			case e.bytes <= budget && now != e:
+				t.Fatalf("step %d: an entry that fits was not admitted", i)
 			}
 		}
 		s := c.stats()
@@ -39,17 +66,27 @@ func TestCacheBudgetNeverExceeded(t *testing.T) {
 		}
 		var held int64
 		for el := c.lru.Front(); el != nil; el = el.Next() {
-			held += el.Value.(*entry).bytes
+			e := el.Value.(*entry)
+			held += e.bytes
+			if c.byKey[e.key] != e {
+				t.Fatalf("step %d: key %s is on the list but not the one the map holds", i, e.key)
+			}
 		}
 		if held != s.UsedBytes || c.lru.Len() != s.Entries {
 			t.Fatalf("step %d: used %d bytes over %d entries, the %d held sum to %d", i, s.UsedBytes, s.Entries, c.lru.Len(), held)
 		}
+		if s.Grown != grown {
+			t.Fatalf("step %d: grown counter %d, %d replacements made", i, s.Grown, grown)
+		}
+	}
+	if grown == 0 {
+		t.Fatal("the sequence never replaced an entry")
 	}
 	// Oversized entry: rejected, not partially admitted.
 	before := c.stats()
 	c.add(&entry{key: "huge", bytes: budget + 1})
 	after := c.stats()
-	if _, ok := c.get("huge"); ok {
+	if _, ok := c.get("huge", 1); ok {
 		t.Fatal("entry larger than the budget was cached")
 	}
 	if after.Rejected != before.Rejected+1 {
@@ -61,18 +98,18 @@ func TestCacheBudgetNeverExceeded(t *testing.T) {
 // get refreshes recency.
 func TestCacheEvictsLRU(t *testing.T) {
 	c := newCache(30)
-	c.add(&entry{key: "a", bytes: 10})
-	c.add(&entry{key: "b", bytes: 10})
-	c.add(&entry{key: "c", bytes: 10})
-	if _, ok := c.get("a"); !ok { // refresh a: b is now LRU
+	c.add(&entry{key: "a", bytes: 10, covered: 1})
+	c.add(&entry{key: "b", bytes: 10, covered: 1})
+	c.add(&entry{key: "c", bytes: 10, covered: 1})
+	if _, ok := c.get("a", 1); !ok { // refresh a: b is now LRU
 		t.Fatal("a missing")
 	}
-	c.add(&entry{key: "d", bytes: 10}) // must evict b
-	if _, ok := c.get("b"); ok {
+	c.add(&entry{key: "d", bytes: 10, covered: 1}) // must evict b
+	if _, ok := c.get("b", 1); ok {
 		t.Error("b survived eviction despite being LRU")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.get(k, 1); !ok {
 			t.Errorf("%s evicted out of LRU order", k)
 		}
 	}

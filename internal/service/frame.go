@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -85,6 +87,29 @@ func (f *Frame) PageLimit(limit int64) int64 {
 		return f.MaxLimit
 	}
 	return limit
+}
+
+// Window checks a request's window and sizes it: need is how many
+// embeddings an enumeration must deliver to fill it — the offset plus the
+// page limit, or the limit as given when only counting — and 0 when there
+// is no bound (counting with no limit). A window is refused, with the
+// reason, when a side is negative or its end does not fit an int64: a
+// wrapped end reads as a negative limit, which enumeration takes for
+// "unlimited".
+func (f *Frame) Window(offset, limit int64, countOnly bool) (need int64, refusal string) {
+	if offset < 0 || limit < 0 {
+		return 0, "negative limit/offset"
+	}
+	if !countOnly {
+		limit = f.PageLimit(limit)
+	}
+	if limit == 0 {
+		return 0, ""
+	}
+	if offset > math.MaxInt64-limit {
+		return 0, fmt.Sprintf("offset %d + limit %d overflows", offset, limit)
+	}
+	return offset + limit, ""
 }
 
 // TraceIngress is W3C trace-context ingress: a valid traceparent header

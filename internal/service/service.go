@@ -9,6 +9,7 @@ import (
 	"io"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,9 +167,11 @@ type Response struct {
 	Count int64
 	// Page holds the embeddings delivered (none for CountOnly), each
 	// indexed by the request's query vertex ids.
-	Page      Page
-	CacheHit  bool
-	Partial   bool
+	Page     Page
+	CacheHit bool
+	Partial  bool
+	// BuildTime and EnumTime sum every build this request made (none on
+	// a hit, two when its first entry came up short) and every enumeration.
 	BuildTime time.Duration
 	EnumTime  time.Duration
 	// TraceID is the query's trace identity as 32 hex digits — the key
@@ -272,6 +275,7 @@ func New(data *graph.Graph, opts Options) *Engine {
 				"misses":       s.Misses,
 				"evictions":    s.Evictions,
 				"rejected":     s.Rejected,
+				"grown":        s.Grown,
 			}
 		})
 		if o.Stats != nil {
@@ -297,15 +301,19 @@ func (e *Engine) Flight() *obs.FlightRecorder { return e.frame.Flight() }
 // CacheStats snapshots the index cache counters.
 func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
 
-// Builds returns how many index builds the engine has performed (cache
-// hits skip builds; tests assert on this).
+// Builds returns how many index builds the engine has performed: at most
+// two per class between evictions — its first cluster, then every cluster
+// for a request the first does not fill — and none for a request a cached
+// entry covers (tests assert on this).
 func (e *Engine) Builds() int64 { return e.builds.Load() }
 
 // Query runs one request through the five steps of a served query
 // (DESIGN §12): it arrives decoded; the frame opens (deadline, trace
 // identity, root span); serve admits it (a worker slot, else a bounded
 // queue slot, else shed), resolves the index (canonicalise, cache hit or
-// singleflight build) and enumerates; the frame's tail files it.
+// singleflight build of the class's next wider entry) and enumerates,
+// again from a wider entry when the first came up short; the frame's tail
+// files it.
 //
 // On deadline/cancellation mid-run it returns the partial Response
 // together with the context's error, so callers can report how far the
@@ -352,6 +360,8 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 		rec.Embeddings = resp.Count
 		rec.BuildUS = resp.BuildTime.Microseconds()
 		rec.EnumUS = resp.EnumTime.Microseconds()
+		call.Span.Annotate(obs.String("cache_hit", strconv.FormatBool(resp.CacheHit)),
+			obs.String("query_hash", resp.QueryHash))
 	}
 	call.Span.Annotate(obs.Int("admission_wait_us", rec.AdmissionWaitUS))
 	spans := call.Finish(rec)
@@ -384,8 +394,9 @@ func statusFor(err error) int {
 // window, take a worker slot, run. It returns the time spent waiting for
 // the slot beside run's result.
 func (e *Engine) serve(call *Call, req Request, led *telemetry.Ledger) (*Response, time.Duration, error) {
-	if req.Offset < 0 || req.Limit < 0 {
-		return nil, 0, fmt.Errorf("%w: negative limit/offset", ErrBadQuery)
+	need, refusal := e.frame.Window(req.Offset, req.Limit, req.CountOnly)
+	if refusal != "" {
+		return nil, 0, fmt.Errorf("%w: %s", ErrBadQuery, refusal)
 	}
 	waited, err := e.admit(call.Ctx, call.Span)
 	if err != nil {
@@ -396,7 +407,7 @@ func (e *Engine) serve(call *Call, req Request, led *telemetry.Ledger) (*Respons
 		e.inflight.Add(-1)
 		<-e.sem
 	}()
-	resp, err := e.run(call.Ctx, req, call.Span, led)
+	resp, err := e.run(call.Ctx, req, need, led)
 	return resp, waited, err
 }
 
@@ -433,39 +444,67 @@ func (e *Engine) admit(ctx context.Context, span *obs.Span) (time.Duration, erro
 	}
 }
 
-// run resolves the index and enumerates. Called with a worker slot
-// held. The build and enumeration layers open their own spans beneath
-// the request span they find on ctx, so the trace shows the real
-// phases (build → expand/refine, enumerate) rather than wrappers.
-func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *telemetry.Ledger) (*Response, error) {
-	ent, perm, hit, buildTime, key, err := e.getIndex(ctx, req.Query)
-	qh := queryHash(key)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			// Build cut short by the deadline: report what we know.
-			return &Response{Partial: true, BuildTime: buildTime, QueryHash: qh}, context.Cause(ctx)
+// class is one request's view of its query class: the canonical key and
+// the request's own permutation onto the canonical form, plus — computed
+// by the request's first build and reused by its second — the form
+// preprocessed against the resident graph (verdict tables attached) and
+// the class's ascending pivot list. No index keeps the last two.
+type class struct {
+	query *graph.Graph
+	key   string
+	perm  []int // perm[request vertex] = canonical position
+
+	tree   *order.QueryTree // nil until a build needs it
+	pivots []graph.VertexID
+}
+
+// run resolves the index and enumerates, need embeddings at most (0: all
+// of them). Called with a worker slot held. An entry covers a prefix of
+// the class's pivots, and its embeddings are the first ones of the
+// complete index's, in the same order (DESIGN §12): when an incomplete
+// entry yields fewer than need, the next wider one is built and the
+// enumeration starts over. The build and enumeration layers open their
+// own spans beneath the request span they find on ctx, so the trace shows
+// the real phases (build → expand/refine, enumerate) rather than wrappers.
+func (e *Engine) run(ctx context.Context, req Request, need int64, led *telemetry.Ledger) (*Response, error) {
+	cl := &class{query: req.Query}
+	cl.key, cl.perm = verify.CanonicalGraph(req.Query)
+	resp := &Response{CacheHit: true, QueryHash: queryHash(cl.key)}
+	// Any entry may fill a bounded window; only a complete one counts all.
+	atLeast := 1
+	if need == 0 {
+		atLeast = everyPivot
+	}
+	for {
+		ent, hit, buildTime, err := e.getIndex(ctx, cl, atLeast)
+		resp.BuildTime += buildTime
+		resp.CacheHit = resp.CacheHit && hit
+		if err != nil {
+			if ctx.Err() != nil {
+				// Build cut short by the deadline: report what we know.
+				resp.Partial = true
+				return resp, context.Cause(ctx)
+			}
+			return nil, err
 		}
-		return nil, err
+		if err := e.enumerate(ctx, ent, cl.perm, req, need, led, resp); err != nil {
+			resp.Partial = true
+			return resp, err
+		}
+		// (An unbounded request, need 0, was given a complete entry.)
+		if ent.covered == everyPivot || resp.Count >= need {
+			return resp, nil
+		}
+		atLeast = ent.covered + 1
 	}
-	span.Annotate(obs.String("cache_hit", fmt.Sprint(hit)),
-		obs.String("query_hash", qh))
+}
 
-	resp := &Response{CacheHit: hit, BuildTime: buildTime, QueryHash: qh}
-
-	limit := req.Limit
-	if !req.CountOnly {
-		limit = e.frame.PageLimit(limit)
-	}
-	// The enumeration must deliver offset + limit embeddings to fill the
-	// page; CountOnly with Limit 0 counts everything.
-	var stopAfter int64
-	if limit > 0 {
-		stopAfter = req.Offset + limit
-	}
-
+// enumerate runs the request's window over ent's index into resp: the
+// count, the page, and the time added to what earlier steps took.
+func (e *Engine) enumerate(ctx context.Context, ent *entry, perm []int, req Request, need int64, led *telemetry.Ledger, resp *Response) error {
 	m := enum.NewMatcher(ent.ix, enum.Options{
 		Workers: e.opts.Workers,
-		Limit:   stopAfter,
+		Limit:   need,
 		Stats:   e.opts.Stats,
 		Ledger:  led,
 	})
@@ -481,13 +520,13 @@ func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *tele
 	// up to pagePrealloc embeddings and grown by append beyond that.
 	page := Page{Width: len(perm)}
 	if !req.CountOnly {
-		page.IDs = make([]graph.VertexID, 0, int(min(limit, pagePrealloc))*page.Width)
+		page.IDs = make([]graph.VertexID, 0, int(min(need-req.Offset, pagePrealloc))*page.Width)
 	}
 
 	enumStart := time.Now()
 	var count atomic.Int64
 	var mu sync.Mutex
-	enumErr := m.ForEachCtx(ctx, func(emb []graph.VertexID) bool {
+	err := m.ForEachCtx(ctx, func(emb []graph.VertexID) bool {
 		n := count.Add(1)
 		if req.CountOnly {
 			return true
@@ -509,66 +548,65 @@ func (e *Engine) run(ctx context.Context, req Request, span *obs.Span, led *tele
 		mu.Unlock()
 		return true
 	})
-	resp.EnumTime = time.Since(enumStart)
-
+	resp.EnumTime += time.Since(enumStart)
 	resp.Count = count.Load()
 	resp.Page = page
-	if enumErr != nil {
-		resp.Partial = true
-		return resp, enumErr
-	}
-	return resp, nil
+	return err
 }
 
-// getIndex returns the cache entry for the query's isomorphism class,
-// building (once, via singleflight) on a miss. perm maps the incoming
-// query's vertices to canonical positions; key is the canonical cache
-// key (returned even on failure, so the flight record keeps the query's
-// identity).
-func (e *Engine) getIndex(ctx context.Context, q *graph.Graph) (ent *entry, perm []int, hit bool, buildTime time.Duration, key string, err error) {
-	key, perm = verify.CanonicalGraph(q)
+// getIndex returns an entry of the class that covers atLeast so many of
+// its root candidates, from the cache, from a build in flight, or by
+// building the one nextCoverage names (once, via singleflight). hit is
+// true only for the first of these; buildTime is what a build of its own
+// took.
+func (e *Engine) getIndex(ctx context.Context, cl *class, atLeast int) (ent *entry, hit bool, buildTime time.Duration, err error) {
 	for {
-		if ent, ok := e.cache.get(key); ok {
-			return ent, perm, true, 0, key, nil
-		}
+		// One step, lookup and flight check: a leader inserts before it
+		// leaves the flight table, so a build finishing now is found in
+		// one place or the other and never repeated.
 		e.buildMu.Lock()
-		if call, ok := e.building[key]; ok {
+		if ent, ok := e.cache.get(cl.key, atLeast); ok {
+			e.buildMu.Unlock()
+			return ent, true, 0, nil
+		}
+		if call, ok := e.building[cl.key]; ok {
 			e.buildMu.Unlock()
 			// Follow a build in flight. If the leader's deadline killed
-			// the build but ours is still alive, loop and retry (we may
-			// become the next leader).
+			// the build but ours is still alive, or the leader built for a
+			// smaller need than ours, loop and retry (we may become the
+			// next leader).
 			select {
 			case <-call.done:
 				if call.err != nil {
 					if isCtxErr(call.err) && ctx.Err() == nil {
 						continue
 					}
-					return nil, nil, false, 0, key, call.err
+					return nil, false, 0, call.err
 				}
-				return call.entry, perm, false, 0, key, nil
+				if call.entry.covered < atLeast {
+					continue
+				}
+				return call.entry, false, 0, nil
 			case <-ctx.Done():
-				return nil, nil, false, 0, key, context.Cause(ctx)
+				return nil, false, 0, context.Cause(ctx)
 			}
 		}
 		call := &buildCall{done: make(chan struct{})}
-		e.building[key] = call
+		e.building[cl.key] = call
 		e.buildMu.Unlock()
 
 		// The build opens its own span (expand/refine children) beneath
 		// the request span riding ctx; no wrapper span here.
 		buildStart := time.Now()
-		call.entry, call.err = e.buildEntry(ctx, q, key, perm)
+		call.entry, call.err = e.buildEntry(ctx, cl, atLeast)
 		buildTime = time.Since(buildStart)
 
 		e.buildMu.Lock()
-		delete(e.building, key)
+		delete(e.building, cl.key)
 		e.buildMu.Unlock()
 		close(call.done)
 
-		if call.err != nil {
-			return nil, nil, false, buildTime, key, call.err
-		}
-		return call.entry, perm, false, buildTime, key, nil
+		return call.entry, false, buildTime, call.err
 	}
 }
 
@@ -582,62 +620,80 @@ func queryHash(key string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// buildEntry builds the index of q's class and inserts it into the
-// cache. What is indexed is q's canonical form under the engine's static
-// order, never q itself: isomorphic queries produce the same graph, so
-// the entry — its matching order, its symmetry-breaking representatives,
+// buildEntry builds the index nextCoverage names for a request that needs
+// atLeast so many root candidates covered, and inserts it into the cache,
+// over a narrower incumbent if there is one. What is indexed is the
+// query's canonical form under the engine's static order, never the query
+// itself: isomorphic queries produce the same graph, so the entry — its
+// matching order, its symmetry-breaking representatives, its pivot list,
 // the order its embeddings come out in — is a function of the class, not
-// of whichever twin arrived first, and a page is the same page before
-// and after an eviction.
+// of whichever twin arrived first, and a page is the same page before and
+// after an eviction.
+func (e *Engine) buildEntry(ctx context.Context, cl *class, atLeast int) (*entry, error) {
+	if cl.tree == nil {
+		if err := e.preprocess(cl); err != nil {
+			return nil, err
+		}
+	}
+	total := len(cl.pivots)
+	k := nextCoverage(atLeast, total)
+	ix, err := icec.BuildCtx(ctx, e.data, cl.tree, icec.Options{
+		Workers: e.opts.Workers,
+		Stats:   e.opts.Stats,
+		Pivots:  cl.pivots[:k],
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.builds.Add(1)
+	ent := &entry{key: cl.key, ix: ix, bytes: ix.PhysicalBytes(), covered: k}
+	if k == total {
+		ent.covered = everyPivot
+	}
+	e.cache.add(ent)
+	return ent, nil
+}
+
+// preprocess fills cl.tree and cl.pivots: the canonical form's query tree
+// over the resident graph, and the root candidates whose clusters are the
+// class's to enumerate, ascending — every one of them on a single node.
 //
 // Shard mode adds only what is the shard's: the index root is forced to
 // the canonical anchor (the form's minimum-eccentricity vertex, refused
 // when further than the halo radius from some query vertex), so every
-// shard partitions embeddings by the same query vertex, and the build is
-// restricted to the pivots this shard owns.
-func (e *Engine) buildEntry(ctx context.Context, q *graph.Graph, key string, perm []int) (*entry, error) {
-	stored, err := canonicalForm(q, perm)
+// shard partitions embeddings by the same query vertex, and the pivots
+// are the ones this shard owns — clusters anchored on halo vertices
+// belong to the shard that owns them.
+func (e *Engine) preprocess(cl *class) error {
+	stored, err := canonicalForm(cl.query, cl.perm)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		return fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	sc := e.opts.Shard
 	popts := order.Options{ForcedRoot: -1, Heuristic: e.opts.Order}
 	if sc != nil {
 		anchor, ecc := order.Anchor(stored)
 		if ecc > sc.Radius {
-			return nil, fmt.Errorf("%w: query anchor eccentricity %d exceeds shard halo radius %d; repartition with -radius >= %d",
+			return fmt.Errorf("%w: query anchor eccentricity %d exceeds shard halo radius %d; repartition with -radius >= %d",
 				ErrBadQuery, ecc, sc.Radius, ecc)
 		}
 		popts.ForcedRoot = int(anchor)
 	}
 	tree, err := order.Preprocess(e.data, stored, popts)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		return fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	var pivots []graph.VertexID
+	// Non-nil even when empty, so the index build restricts rather than
+	// re-deriving root candidates.
+	pivots := tree.Filter(e.data).Candidates(tree.Root)
 	if sc != nil {
-		// Owned pivots only: clusters anchored on halo vertices belong to
-		// the shard that owns them. Non-nil even when empty, so the index
-		// build restricts rather than re-deriving root candidates.
-		pivots = make([]graph.VertexID, 0)
-		for _, v := range tree.Filter(e.data).Candidates(tree.Root) {
-			if _, owned := slices.BinarySearch(sc.OwnedLocals, v); owned {
-				pivots = append(pivots, v)
-			}
-		}
+		pivots = slices.DeleteFunc(pivots, func(v graph.VertexID) bool {
+			_, owned := slices.BinarySearch(sc.OwnedLocals, v)
+			return !owned
+		})
 	}
-	ix, err := icec.BuildCtx(ctx, e.data, tree, icec.Options{
-		Workers: e.opts.Workers,
-		Stats:   e.opts.Stats,
-		Pivots:  pivots,
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.builds.Add(1)
-	ent := &entry{key: key, ix: ix, bytes: ix.PhysicalBytes()}
-	e.cache.add(ent)
-	return ent, nil
+	cl.tree, cl.pivots = tree, pivots
+	return nil
 }
 
 // canonicalForm rebuilds q under its canonical numbering (perm from

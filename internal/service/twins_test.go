@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	ceciroot "ceci"
 	"ceci/internal/gen"
 	"ceci/internal/graph"
 	"ceci/internal/verify"
@@ -46,19 +45,23 @@ func firstEdge(q *graph.Graph) *graph.Graph {
 
 // TestPageStableAcrossTwins: a page is a function of (class, offset,
 // limit) at Workers 1 — not of which renumbering of the class happened to
-// build the cached entry. The same request sent to an engine whose entry
-// twin A built and to one whose entry twin B built gets the same page, id
-// for id; and within one engine the page before an eviction is the page
-// after the rebuild, whoever triggers it.
+// build the cached entry, nor of how many of the class's clusters the
+// entry that answered covered. The same request sent to an engine whose
+// entry twin A built and to one whose entry twin B built gets the same
+// page, id for id; and within one engine the page before an eviction is
+// the page after the rebuild, whoever triggers it. A class costs at most
+// two builds between evictions and none once its entry covers the window:
+// a request no deeper than one already answered is a hit.
 func TestPageStableAcrossTwins(t *testing.T) {
 	page := func(eng *Engine, q *graph.Graph, offset, limit int64, wantHit bool) []graph.VertexID {
 		t.Helper()
+		builds := eng.Builds()
 		resp, err := eng.Query(context.Background(), Request{Query: q, Offset: offset, Limit: limit})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.CacheHit != wantHit {
-			t.Fatalf("cache hit %v, want %v", resp.CacheHit, wantHit)
+		if resp.CacheHit != wantHit || (wantHit && eng.Builds() != builds) {
+			t.Fatalf("cache hit %v with %d builds, want %v", resp.CacheHit, eng.Builds()-builds, wantHit)
 		}
 		return resp.Page.IDs
 	}
@@ -67,11 +70,15 @@ func TestPageStableAcrossTwins(t *testing.T) {
 		twinB, _ := gen.PermuteVertices(query, gen.NewRNG(3*seed+2))
 		req, _ := gen.PermuteVertices(query, gen.NewRNG(3*seed+3))
 
+		// The deepest window below ends at 20: the twins build for that.
 		engA := New(data, Options{Workers: 1})
 		engB := New(data, Options{Workers: 1})
-		page(engA, twinA, 0, 1, false)
-		page(engB, twinB, 0, 1, false)
-		for _, w := range [][2]int64{{0, 20}, {7, 5}} {
+		page(engA, twinA, 0, 20, false)
+		page(engB, twinB, 0, 20, false)
+		if a, b := engA.Builds(), engB.Builds(); a > 2 || a != b {
+			t.Fatalf("%s: %d and %d builds for one class, want the same and at most 2", name, a, b)
+		}
+		for _, w := range [][2]int64{{0, 20}, {7, 5}, {0, 1}} {
 			a := page(engA, req, w[0], w[1], true)
 			b := page(engB, req, w[0], w[1], true)
 			if !slices.Equal(a, b) {
@@ -90,13 +97,14 @@ func TestPageStableAcrossTwins(t *testing.T) {
 		page(sizer, other, 0, 1, false)
 		evicting := New(data, Options{Workers: 1,
 			CacheBytes: max(engA.CacheStats().UsedBytes, sizer.CacheStats().UsedBytes)})
-		page(evicting, twinA, 0, 1, false)
+		page(evicting, twinA, 0, 20, false)
 		before := page(evicting, req, 2, 10, true)
 		page(evicting, other, 0, 1, false)
-		page(evicting, twinB, 0, 1, false)
+		page(evicting, twinB, 0, 20, false)
 		after := page(evicting, req, 2, 10, true)
-		if n := evicting.CacheStats().Evictions; n == 0 || evicting.Builds() != 3 {
-			t.Fatalf("%s: %d evictions, %d builds: the entry was never rebuilt", name, n, evicting.Builds())
+		if n, b := evicting.CacheStats().Evictions, evicting.Builds(); n == 0 || b != 2*engA.Builds()+sizer.Builds() {
+			t.Fatalf("%s: %d evictions, %d builds where the class takes %d and its neighbour %d: the entry was not rebuilt once",
+				name, n, b, engA.Builds(), sizer.Builds())
 		}
 		if !slices.Equal(before, after) {
 			t.Errorf("%s: the page changed across an eviction:\n before %v\n after  %v", name, before, after)
@@ -117,10 +125,13 @@ func TestPageStableAcrossTwins(t *testing.T) {
 
 // TestPermutedClientsAgainstColdMatch is the stateful differential test
 // of the query lifecycle (run it under -race): concurrent clients send
-// random renumberings of a dozen query classes, with random windows, to
-// an engine whose cache holds about three of them, so hits, singleflight
-// builds, followers and evictions interleave. Every answer, read back
-// into the class's canonical numbering, must be the window of a cold
+// random renumberings of a dozen query classes, with random windows — a
+// page of one, shallow pages, pages and bounded counts deep enough to
+// outrun a first cluster, everything, everything counted — to an engine
+// whose cache holds about three of the classes' complete indexes, so hits,
+// singleflight builds, followers, growth from a one-cluster entry to the
+// complete one, replacement and evictions interleave. Every answer, read
+// back into the class's canonical numbering, must be the window of a cold
 // ceci.Match on the canonical form: the count exactly, the page id for id
 // (Workers is 1).
 func TestPermutedClientsAgainstColdMatch(t *testing.T) {
@@ -137,28 +148,23 @@ func TestPermutedClientsAgainstColdMatch(t *testing.T) {
 
 	// The oracle: each class's canonical form, matched cold through the
 	// public API, embeddings in enumeration order.
+	const maxLimit = 1 << 20
 	cold := make([][][]graph.VertexID, len(classes))
 	probe := New(data, Options{Workers: 1})
 	for i, q := range classes {
-		_, perm := verify.CanonicalGraph(q)
-		form, err := canonicalForm(q, perm)
-		if err != nil {
-			t.Fatal(err)
+		var all bool
+		if cold[i], all, _ = coldForm(t, data, q); !all {
+			t.Fatalf("class %d has more than %d embeddings", i, coldCap)
 		}
-		m, err := ceciroot.Match(data, form, &ceciroot.Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold[i] = m.Collect()
-		if _, err := probe.Query(context.Background(), Request{Query: q, Limit: 1}); err != nil {
+		if _, err := probe.Query(context.Background(), Request{Query: q, CountOnly: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Room for about a quarter of the classes.
+	// Room for about a quarter of the classes' complete indexes.
 	budget := probe.CacheStats().UsedBytes / 4
-	eng := New(data, Options{Workers: 1, CacheBytes: budget, MaxConcurrent: 4, QueueDepth: 64, MaxLimit: 1 << 20})
+	eng := New(data, Options{Workers: 1, CacheBytes: budget, MaxConcurrent: 4, QueueDepth: 64, MaxLimit: maxLimit})
 
-	const clients, rounds = 8, 30
+	const clients, rounds = 8, 40
 	var wg sync.WaitGroup
 	errs := make(chan error, clients*rounds)
 	for c := 0; c < clients; c++ {
@@ -170,42 +176,27 @@ func TestPermutedClientsAgainstColdMatch(t *testing.T) {
 				ci := rng.Intn(len(classes))
 				q, _ := gen.PermuteVertices(classes[ci], rng)
 				req := Request{Query: q}
-				switch rng.Intn(3) {
+				switch rng.Intn(6) {
 				case 0: // everything
 				case 1:
 					req.Offset, req.Limit = int64(rng.Intn(8)), int64(1+rng.Intn(40))
 				case 2:
 					req.CountOnly = true
+				case 3:
+					req.Limit = 1
+				case 4: // a page somewhere in the class's answer, often past a first cluster
+					req.Offset, req.Limit = int64(rng.Intn(len(cold[ci])+1)), int64(1+rng.Intn(10))
+				case 5:
+					req.CountOnly, req.Limit = true, int64(1+rng.Intn(len(cold[ci])+5))
 				}
 				resp, err := eng.Query(context.Background(), req)
+				if err == nil {
+					_, perm := verify.CanonicalGraph(q)
+					err = checkWindow(req, resp, cold[ci], perm, maxLimit)
+				}
 				if err != nil {
-					errs <- fmt.Errorf("client %d class %d: %v", c, ci, err)
-					continue
-				}
-				want := cold[ci]
-				wantCount := int64(len(want))
-				if req.Limit > 0 {
-					wantCount = min(wantCount, req.Offset+req.Limit)
-				}
-				if resp.Count != wantCount {
-					errs <- fmt.Errorf("client %d class %d offset %d limit %d: count %d, cold match says %d",
-						c, ci, req.Offset, req.Limit, resp.Count, wantCount)
-				}
-				if req.CountOnly {
-					continue
-				}
-				want = want[min(req.Offset, wantCount):wantCount]
-				got := resp.Page.Rows()
-				_, perm := verify.CanonicalGraph(q)
-				ok := len(got) == len(want)
-				for i := 0; ok && i < len(got); i++ {
-					for u, p := range perm {
-						ok = ok && got[i][u] == want[i][p]
-					}
-				}
-				if !ok {
-					errs <- fmt.Errorf("client %d class %d offset %d limit %d (cache hit %v): page of %d rows is not the cold match's window of %d",
-						c, ci, req.Offset, req.Limit, resp.CacheHit, len(got), len(want))
+					errs <- fmt.Errorf("client %d class %d offset %d limit %d count_only %v: %v",
+						c, ci, req.Offset, req.Limit, req.CountOnly, err)
 				}
 			}
 		}(c)
@@ -216,8 +207,9 @@ func TestPermutedClientsAgainstColdMatch(t *testing.T) {
 		t.Error(err)
 	}
 	s := eng.CacheStats()
-	if eng.Builds() <= int64(len(classes)) || s.Evictions == 0 {
-		t.Errorf("%d builds for %d classes, %d evictions: the cache never turned over, the test exercised nothing", eng.Builds(), len(classes), s.Evictions)
+	if eng.Builds() <= int64(len(classes)) || s.Evictions == 0 || s.Grown == 0 {
+		t.Errorf("%d builds for %d classes, %d evictions, %d entries grown: the cache never turned over, the test exercised nothing",
+			eng.Builds(), len(classes), s.Evictions, s.Grown)
 	}
 	if s.UsedBytes > s.BudgetBytes {
 		t.Errorf("cache over budget: %d > %d", s.UsedBytes, s.BudgetBytes)

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -48,6 +49,8 @@ func TestEngineAndRouterFrameParity(t *testing.T) {
 	negative.Offset = -1
 	disconnected := path(3)
 	disconnected.Edges = disconnected.Edges[:1]
+	overflowing := path(3)
+	overflowing.Offset, overflowing.Limit = math.MaxInt64, 1
 
 	const sampledTP = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	const unsampledTP = "00-5bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00"
@@ -94,6 +97,7 @@ func TestEngineAndRouterFrameParity(t *testing.T) {
 		{"refused: over the radius", path(7), sampledTP, 400, 400, true},
 		{"refused: disconnected", disconnected, "", 400, 400, true},
 		{"refused: negative offset", negative, unsampledTP, 400, 400, false},
+		{"refused: window end overflows", overflowing, sampledTP, 400, 400, true},
 	} {
 		e := send(esrv.URL, eng.Flight(), tc.wire, tc.traceparent)
 		r := send(rsrv.URL, rt.Flight(), tc.wire, tc.traceparent)

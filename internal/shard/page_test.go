@@ -127,7 +127,7 @@ func TestRouterPaginationWindow(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		offset, limit int64
-		from, to      int // the window over all; to < 0 means refused
+		from, to      int // the window over all; to < 0 means refused (-2: as overflowing)
 	}{
 		{"inside the first shard", 0, 2, 0, 2},
 		{"straddling two shards", 2, 4, 2, 6},
@@ -138,12 +138,18 @@ func TestRouterPaginationWindow(t *testing.T) {
 		{"one past the bound", 6, 5, 0, -1},
 		{"an offset under the default limit", 1, 0, 0, -1},
 		{"an offset under a clamped limit", 1, 50, 0, -1},
-		{"a sum that overflows int64", math.MaxInt64, math.MaxInt64, 0, -1},
+		// Refused by the window check the engine shares (service.Frame),
+		// before the fleet's bound is looked at.
+		{"a sum that overflows int64", math.MaxInt64, math.MaxInt64, 0, -2},
 	} {
 		resp, status := postRoute(t, rsrv.URL, pageWire(tc.offset, tc.limit))
 		if tc.to < 0 {
-			if status != http.StatusBadRequest || !strings.Contains(resp.Error, "exceeds the fleet's max limit 10") || resp.Embeddings != nil {
-				t.Errorf("%s: HTTP %d %q, want a 400 naming the bound", tc.name, status, resp.Error)
+			says := "exceeds the fleet's max limit 10"
+			if tc.to == -2 {
+				says = "overflows"
+			}
+			if status != http.StatusBadRequest || !strings.Contains(resp.Error, says) || resp.Embeddings != nil {
+				t.Errorf("%s: HTTP %d %q, want a 400 saying %q", tc.name, status, resp.Error, says)
 			}
 			continue
 		}

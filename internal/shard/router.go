@@ -433,8 +433,8 @@ func (rt *Router) refusal(wire service.QueryRequest, q *graph.Graph) string {
 	if _, ecc := order.Anchor(q); ecc > rt.opts.Radius {
 		return fmt.Sprintf("query anchor eccentricity %d exceeds fleet halo radius %d; repartition with a larger -radius", ecc, rt.opts.Radius)
 	}
-	if wire.Offset < 0 || wire.Limit < 0 {
-		return "negative limit/offset"
+	if _, refusal := rt.frame.Window(wire.Offset, wire.Limit, wire.CountOnly); refusal != "" {
+		return refusal
 	}
 	// The page is cut from the concatenation of the shards' pages, in
 	// shard order, so every shard is asked for offset+limit embeddings —

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -122,7 +124,19 @@ func postRoute(t *testing.T, url string, wire service.QueryRequest) (*RouteRespo
 // count — and the canonical embedding set — must equal a cold
 // single-node build. This is the claim the whole partitioning contract
 // exists to uphold.
+//
+// A shard answers a small page from an index of its first owned cluster
+// alone, so each fleet is asked for a page of two first, while every
+// shard's cache is empty, and again once the full query has left complete
+// entries behind: both must be the first two rows of the full page (the
+// merge lays the shards' pages end to end, and a shard's short page is the
+// head of its long one), the count what the shards' capped counts add up
+// to. Somewhere a shard must have answered the first of them from one
+// cluster of several: its entry was not widened for the small page and
+// was for the full one.
 func TestRouterDifferentialVsSingleNode(t *testing.T) {
+	const small = 2
+	fromFirstCluster := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		data, query := gen.RandomPair(seed)
 		_, ecc := order.Anchor(query)
@@ -142,8 +156,29 @@ func TestRouterDifferentialVsSingleNode(t *testing.T) {
 			if shards > data.NumVertices() {
 				continue
 			}
-			_, rsrv := startFleet(t, data, shards, radius, service.Options{}, RouterOptions{})
+			rt, rsrv := startFleet(t, data, shards, radius, service.Options{}, RouterOptions{})
 			cl := service.NewClient(rsrv.URL, nil)
+			grown := func() []int64 {
+				out := make([]int64, shards)
+				for i := range out {
+					s, err := service.NewClient(rt.shards[i][0].URL, nil).Cachez(context.Background())
+					if err != nil {
+						t.Fatalf("seed %d shards %d: shard %d /cachez: %v", seed, shards, i, err)
+					}
+					out[i] = s.Grown
+				}
+				return out
+			}
+			smallPage := func() *service.QueryResponse {
+				resp, err := cl.Query(context.Background(), service.QueryRequest{Query: wireText(t, query), Limit: small})
+				if err != nil || resp.Partial {
+					t.Fatalf("seed %d shards %d: page of %d: %v (partial %v)", seed, shards, small, err, resp != nil && resp.Partial)
+				}
+				return resp
+			}
+			first := smallPage()
+			afterSmall := grown()
+
 			resp, err := cl.Query(context.Background(), service.QueryRequest{
 				Query: wireText(t, query),
 				Limit: 1 << 20,
@@ -168,7 +203,30 @@ func TestRouterDifferentialVsSingleNode(t *testing.T) {
 						seed, shards, i, got[i], want[i])
 				}
 			}
+
+			for i, g := range grown() {
+				if afterSmall[i] == 0 && g == 1 {
+					fromFirstCluster++
+				}
+			}
+			head := resp.Embeddings[:min(small, len(resp.Embeddings))]
+			for when, page := range map[string]*service.QueryResponse{"on empty caches": first, "on complete entries": smallPage()} {
+				if len(page.Embeddings) != len(head) || (len(head) > 0 && !reflect.DeepEqual(page.Embeddings, head)) {
+					t.Errorf("seed %d shards %d: page of %d %s is %v, the full page starts %v",
+						seed, shards, small, when, page.Embeddings, head)
+				}
+				if page.Count < int64(len(head)) || page.Count > min(resp.Count, int64(small*shards)) {
+					t.Errorf("seed %d shards %d: page of %d %s counts %d of %d embeddings over %d shards",
+						seed, shards, small, when, page.Count, resp.Count, shards)
+				}
+			}
+			if first.CacheHit {
+				t.Errorf("seed %d shards %d: the first query of a fleet reports a cache hit", seed, shards)
+			}
 		}
+	}
+	if fromFirstCluster == 0 {
+		t.Error("no shard ever answered the small page from its first owned cluster alone")
 	}
 }
 
@@ -208,6 +266,9 @@ func TestRouterRejectsOverRadiusQuery(t *testing.T) {
 		{"negative offset", windowed(-1, 5), "negative limit/offset"},
 		{"negative limit", windowed(0, -5), "negative limit/offset"},
 		{"window past the max limit", windowed(96, 5), "exceeds the fleet's max limit 100"},
+		{"window end overflows", windowed(math.MaxInt64, 1), "offset 9223372036854775807 + limit 1 overflows"},
+		{"counted window end overflows", service.QueryRequest{Labels: path3.Labels, Edges: path3.Edges,
+			Offset: math.MaxInt64 - 1, Limit: 1 << 40, CountOnly: true}, "overflows"},
 	} {
 		resp, status := postRoute(t, rsrv.URL, tc.wire)
 		if status != http.StatusBadRequest || !strings.Contains(resp.Error, tc.says) {
