@@ -26,13 +26,18 @@ bench:
 # outrun their first cluster at limit 1000: the grow-and-replace step),
 # and the churn workload, whose 5 MiB cache puts every reply's pinned
 # count behind a one-cluster build or a rebuild after an eviction (also
-# a CI step).
+# a CI step). That last run's service.cache_hit_ratio — a ratio of counts,
+# the same on a fast host and a slow one: 0.73 with size-and-frequency
+# eviction, 0.48 when the cache was an LRU — is read off the run's last
+# stdout line and must not be under 0.60.
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 	bash benchmark/run.sh --workload lib_enum --seed 1 --seconds 4 --trace 1
 	bash benchmark/run.sh --workload lib_build --seed 1 --seconds 4 --trace 1
 	bash benchmark/run.sh --workload fleet_scatter --seed 1 --seconds 4 --trace 1
-	bash benchmark/run.sh --workload serve_churn --seed 1 --seconds 4 --trace 1
+	bash benchmark/run.sh --workload serve_churn --seed 1 --seconds 4 --trace 1 > .bench_build/serve_churn.json
+	tail -n 1 .bench_build/serve_churn.json | awk -F'"service.cache_hit_ratio":[{]"value":' \
+		'{ r = $$2 + 0; print "serve_churn service.cache_hit_ratio", r, "(must be >= 0.60)"; exit !(r >= 0.60) }'
 
 # The committed trajectory (ROADMAP aim 1): every workload of the repo
 # benchmark, untraced then traced, seed 1, one child process per run

@@ -95,9 +95,13 @@ type cachePlan struct {
 
 // newIndex returns an index for (data, tree) with every node's NTE slots
 // allocated and nothing in them. The tree is retained without its verdict
-// tables, so a finished (cached) index pins no per-data-vertex memory.
+// tables and the options without the caller's pivot list (the build reads
+// its own copy), so a finished (cached) index pins no per-data-vertex
+// memory: a one-cluster index built from pivots[:1] would otherwise keep
+// the whole list alive.
 func newIndex(data *graph.Graph, tree *order.QueryTree, opts Options) *Index {
 	tree = tree.WithFilter(nil)
+	opts.Pivots = nil
 	ix := &Index{Data: data, Tree: tree, Nodes: make([]Node, tree.NumVertices()), opts: opts}
 	for u := range ix.Nodes {
 		ix.Nodes[u].NTE = make([]CandMap, len(tree.NTEParents[u]))

@@ -50,7 +50,8 @@ type Options struct {
 	// Counts (CountOnly) are not capped — only materialized results.
 	MaxLimit int64
 	// CacheBytes is the index cache budget, charged against each cached
-	// index's PhysicalBytes (default 256 MiB).
+	// index's PhysicalBytes plus the heap its entry holds beside the
+	// columns (default 256 MiB).
 	CacheBytes int64
 	// Workers bounds per-query enumeration parallelism (default 1: with
 	// MaxConcurrent queries in flight the server is already parallel
@@ -268,14 +269,15 @@ func New(data *graph.Graph, opts Options) *Engine {
 		reg.SetSource("cache", func() map[string]int64 {
 			s := e.cache.stats()
 			return map[string]int64{
-				"entries":      int64(s.Entries),
-				"used_bytes":   s.UsedBytes,
-				"budget_bytes": s.BudgetBytes,
-				"hits":         s.Hits,
-				"misses":       s.Misses,
-				"evictions":    s.Evictions,
-				"rejected":     s.Rejected,
-				"grown":        s.Grown,
+				"entries":       int64(s.Entries),
+				"used_bytes":    s.UsedBytes,
+				"budget_bytes":  s.BudgetBytes,
+				"hits":          s.Hits,
+				"misses":        s.Misses,
+				"evictions":     s.Evictions,
+				"evicted_bytes": s.EvictedBytes,
+				"rejected":      s.Rejected,
+				"grown":         s.Grown,
 			}
 		})
 		if o.Stats != nil {
@@ -646,7 +648,7 @@ func (e *Engine) buildEntry(ctx context.Context, cl *class, atLeast int) (*entry
 		return nil, err
 	}
 	e.builds.Add(1)
-	ent := &entry{key: cl.key, ix: ix, bytes: ix.PhysicalBytes(), covered: k}
+	ent := &entry{key: cl.key, ix: ix, bytes: entryBytes(cl.key, ix), covered: k}
 	if k == total {
 		ent.covered = everyPivot
 	}
