@@ -57,11 +57,16 @@ bench-record:
 # and the -benchmem figures beside encoding/json's. Then the spans
 # themselves: one costs 3 allocations to open, annotate and end when no
 # sink is attached, and a leg's subtree goes onto its reply with none.
+# Last the index build where deletion is the cost: a labeled 5-clique on
+# 16-label ok_s, preprocessing included (ns/op and B/op history in
+# EXPERIMENTS.md; the dead-set buffers are builder scratch, so B/op must
+# not grow with the candidates a level drops).
 bench-allocs:
 	$(GO) test -run TestEnumerationStepZeroAlloc -v ./internal/enum
 	$(GO) test -bench 'Fig7|Fig8|Fig19' -benchmem -benchtime 3x ./cmd/cecibench
 	$(GO) test -run 'TestPageCodecAllocs|TestRouteMergeAllocs' -bench 'BenchmarkPage|BenchmarkRouteMerge' -benchmem -v ./internal/service ./internal/shard
 	$(GO) test -run TestSpanAllocs -bench 'BenchmarkSpanStartEnd|BenchmarkTraceAppendJSON' -benchmem -v ./internal/obs
+	$(GO) test -run '^$$' -bench 'BenchmarkTable2_IndexBuild/ok_s_qg5' -benchmem -benchtime 200x -cpu 1 .
 
 # Intersection-kernel health check: the per-kernel microbenchmarks
 # (merge / gallop / probe / adaptive dispatch). How the kernels
@@ -87,8 +92,8 @@ verify:
 # (replay with `go run ./cmd/cecirun -verify -seed <seed>`); kernel
 # crashers land under internal/setops/testdata/fuzz/; wire-parser
 # crashers (query request, query response) under
-# internal/service/testdata/fuzz/; index-file crashers under
-# internal/ceci/testdata/fuzz/; shard-manifest crashers under
+# internal/service/testdata/fuzz/; index-file and set-deletion crashers
+# under internal/ceci/testdata/fuzz/; shard-manifest crashers under
 # internal/shard/testdata/fuzz/; traceparent crashers under
 # internal/obs/testdata/fuzz/; .lg loader crashers under
 # internal/graph/testdata/fuzz/.
@@ -97,6 +102,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatchDifferential -fuzztime=$(FUZZTIME) ./internal/verify
 	$(GO) test -run='^$$' -fuzz=FuzzIndexRoundTrip -fuzztime=$(FUZZTIME) ./internal/verify
 	$(GO) test -run='^$$' -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME) ./internal/ceci
+	$(GO) test -run='^$$' -fuzz=FuzzMapBuilderDelete -fuzztime=$(FUZZTIME) ./internal/ceci
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectKernels -fuzztime=$(FUZZTIME) ./internal/setops
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectionSize -fuzztime=$(FUZZTIME) ./internal/setops
 	$(GO) test -run='^$$' -fuzz=FuzzQueryResponseDecode -fuzztime=$(FUZZTIME) ./internal/service

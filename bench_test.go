@@ -111,6 +111,39 @@ func BenchmarkTable2_IndexBuild(b *testing.B) {
 		b.ReportMetric(float64(bytes), "index-bytes")
 		b.ReportMetric(float64(n), "embeddings")
 	})
+	// The other half of lib_build, and the removal-heavy case the rows
+	// above lack: a labeled 5-clique on ok_s under 16 random labels (one
+	// of the build_qg classes of benchmark/pools.json). Refinement drops
+	// 15-45 % of each non-root vertex's candidates at its level and a
+	// third of the root's follow by cascade, so the cost of deleting a set
+	// is visible here where the rows above spend their time expanding.
+	b.Run("ok_s_qg5", func(b *testing.B) {
+		data, err := datasets.Load("ok_s")
+		if err != nil {
+			b.Fatal(err)
+		}
+		data = gen.WithRandomLabels(data, 16, 7)
+		qb := graph.NewBuilder(5)
+		for u, l := range []graph.Label{1, 6, 15, 15, 10} {
+			qb.SetLabel(graph.VertexID(u), l)
+		}
+		gen.QG5().Edges(func(u, v graph.VertexID) bool {
+			qb.AddEdge(u, v)
+			return true
+		})
+		query := qb.MustBuild()
+		b.ReportAllocs()
+		b.ResetTimer()
+		var bytes int64
+		for i := 0; i < b.N; i++ {
+			tree, err := order.Preprocess(data, query, order.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			bytes = icec.Build(data, tree, icec.Options{Workers: 1}).SizeBytes()
+		}
+		b.ReportMetric(float64(bytes), "index-bytes")
+	})
 }
 
 // Figure 7/8: all-embeddings listing, CECI vs the parallel baselines.

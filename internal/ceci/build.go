@@ -27,9 +27,9 @@ func Build(data *graph.Graph, tree *order.QueryTree, opts Options) *Index {
 }
 
 // BuildCtx is Build with cancellation: the construction observes ctx at
-// frontier-chunk, query-vertex, and refinement-round granularity and
-// aborts promptly once the deadline passes or the context is cancelled,
-// returning a nil index and the context's error. The cancellation check
+// frontier-chunk, query-vertex, refinement-level and cascade-level
+// granularity and aborts promptly once the deadline passes or the context
+// is cancelled, returning a nil index and the context's error. The check
 // is one relaxed atomic load — workers never block on the context — so
 // the uncancelled build costs the same as Build. The only other error is
 // a TE or NTE structure of more than 2^32-1 candidate edges, which the
@@ -80,6 +80,9 @@ type builder struct {
 	// index over one child's candidates.
 	marks bitset.Bits
 	pos   posIndex
+	// dead and emptied are the cascade's two sets: the one a level removes
+	// and the TE keys that empties, which the next level removes.
+	dead, emptied []graph.VertexID
 }
 
 // build is the construction body. cancelled, when non-nil, is flipped by
@@ -345,7 +348,7 @@ func (b *builder) buildTE(u graph.VertexID) error {
 	// No tree-edge candidate under vf: vf cannot match up (Algorithm 1
 	// lines 9-12). Collected first: the cascade shrinks the frontier
 	// slice in place.
-	var dead []graph.VertexID
+	dead := b.dead[:0]
 	for i, vals := range lists {
 		if len(vals) == 0 {
 			dead = append(dead, frontier[i])
@@ -354,9 +357,7 @@ func (b *builder) buildTE(u graph.VertexID) error {
 	if ix.opts.Stats != nil {
 		ix.opts.Stats.FilteredCascade.Add(int64(len(dead)))
 	}
-	for _, vf := range dead {
-		b.removeCandidate(up, vf)
-	}
+	b.removeCandidates(up, dead)
 	return nil
 }
 
@@ -478,43 +479,48 @@ func (b *builder) valueUnion(m *mapBuilder) []graph.VertexID {
 	return b.marks.Drain(make([]graph.VertexID, 0, b.marks.Count()))
 }
 
-// removeCandidate deletes data vertex v from query vertex u's candidate
-// structures and cascades: the key v disappears from every already-built
-// child structure keyed by u's candidates, and if removing v empties a TE
-// value list of u, the corresponding parent key is removed recursively.
-// It leaves the cardinality columns alone: refine writes a node's column
-// only once nothing later in the sweep can remove that node's candidates.
-func (b *builder) removeCandidate(u graph.VertexID, v graph.VertexID) {
-	node := &b.ix.Nodes[u]
-	// Drop from the candidate union.
-	i := lowerBound(node.Cands, v)
-	if i == len(node.Cands) || node.Cands[i] != v {
-		return // already removed
-	}
-	node.Cands = append(node.Cands[:i], node.Cands[i+1:]...)
-	if p := b.ix.opts.Profile; p != nil {
-		// Every deletion counts here; refine() separately counts the
-		// refinement-initiated ones, so cascades = removed - refined.
-		p.Vertex(int(u)).AddRemoved(1)
-	}
-
-	// Drop v wherever it appears as a value of u's own structures.
-	emptied := b.te[u].deleteValue(v, nil)
-	for j := range b.nte[u] {
-		b.nte[u][j].deleteValue(v, nil)
-	}
-
-	// Drop the key v from the maps keyed by u's candidates.
-	for _, m := range b.keyedBy[u] {
-		m.deleteKey(v)
-	}
-
-	// A TE key of u whose value list became empty means that parent
-	// candidate can no longer match u's parent: cascade upward.
-	if up := b.ix.Tree.Parent[u]; up != order.NoParent {
-		for _, key := range emptied {
-			b.te[u].deleteKey(key)
-			b.removeCandidate(graph.VertexID(up), key)
+// removeCandidates deletes the ascending set dead of data vertices from
+// query vertex u's candidate structures and cascades, a level at a time:
+// the set leaves u's candidates in one merge, every value list of u's own
+// structures in one pass per map, and — as keys — every already-built
+// child structure keyed by u's candidates in one pass per map; the TE keys
+// of u whose lists that emptied are parent candidates that can no longer
+// match u's parent, so they are the set the next level removes. dead is
+// taken over as builder scratch (the levels swap it with emptied). The
+// cardinality columns are left alone: refine writes a node's column only
+// once nothing later in the sweep can remove that node's candidates. A
+// cancelled build stops between two levels; build then discards the index.
+func (b *builder) removeCandidates(u graph.VertexID, dead []graph.VertexID) {
+	for len(dead) > 0 && !b.isCancelled() {
+		node := &b.ix.Nodes[u]
+		before := len(node.Cands)
+		node.Cands = node.Cands[:subtract(node.Cands, dead)]
+		if p := b.ix.opts.Profile; p != nil {
+			// Every deletion counts here; refine() separately counts the
+			// refinement-initiated ones, so cascades = removed - refined.
+			p.Vertex(int(u)).AddRemoved(int64(before - len(node.Cands)))
 		}
+
+		// Drop the set wherever its members are values of u's own
+		// structures, and wherever they key a map. NTE keys that empty
+		// stay, with empty lists, so each pass overwrites the last one's
+		// emptied set and the TE pass's is the one that remains.
+		emptied := b.emptied
+		for j := range b.nte[u] {
+			emptied = b.nte[u][j].deleteValues(dead, emptied[:0])
+		}
+		emptied = b.te[u].deleteValues(dead, emptied[:0])
+		for _, m := range b.keyedBy[u] {
+			m.deleteKeys(dead)
+		}
+
+		b.dead, b.emptied = emptied, dead
+		up := b.ix.Tree.Parent[u]
+		if up == order.NoParent {
+			return
+		}
+		// The emptied keys leave te[u] at the next level: it is one of the
+		// maps keyed by the parent's candidates.
+		u, dead = graph.VertexID(up), emptied
 	}
 }

@@ -1,11 +1,13 @@
 package ceci
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"ceci/internal/gen"
 	"ceci/internal/graph"
@@ -71,5 +73,62 @@ func TestArenaOverflowIsAnError(t *testing.T) {
 	}
 	if Build(data, tree, Options{}) != nil {
 		t.Fatal("Build returned an index BuildCtx refused")
+	}
+}
+
+// TestBuildCancelledAnywhere: wherever a deadline lands in a build — the
+// expansions, a refinement level, between two levels of a cascade that
+// removes thousands of candidates — BuildCtx returns the context's error
+// and no index, or the very index an uncancelled build returns; never a
+// half-refined one and never neither. The pair is the oracle's lollipop,
+// whose one refinement level starts a three-level cascade.
+func TestBuildCancelledAnywhere(t *testing.T) {
+	data, query := lollipopPair(6000)
+	tree, err := order.Preprocess(data, query, order.Options{ForcedRoot: 0, Heuristic: order.BFSOrder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Workers: 2}
+	want := serialized(t, Build(data, tree, opts))
+	start := time.Now() // the second build: the first also warms the heap
+	Build(data, tree, opts)
+	whole := time.Since(start)
+
+	attempt := func(ctx context.Context) (finished bool) {
+		ix, err := BuildCtx(ctx, data, tree, opts)
+		switch {
+		case ix == nil && err == nil:
+			t.Fatal("BuildCtx returned neither an index nor an error")
+		case ix != nil && err != nil:
+			t.Fatalf("BuildCtx returned an index and %v", err)
+		case err != nil:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("BuildCtx failed with %v, want the context's error", err)
+			}
+		case !bytes.Equal(serialized(t, ix), want):
+			t.Fatal("a build that beat its deadline differs from the uncancelled build")
+		}
+		return ix != nil
+	}
+	// Deadline 0 has expired before BuildCtx looks and never enters the
+	// build, so it is checked but not counted.
+	const steps = 32
+	cancelled := 0
+	for i := 0; i <= steps; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), whole*time.Duration(i)/steps)
+		if !attempt(ctx) && i > 0 {
+			cancelled++
+		}
+		cancel()
+	}
+	// A context that could fire and never does takes the polled path whole.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if !attempt(ctx) {
+		t.Fatal("a build nobody cancelled returned no index")
+	}
+	t.Logf("uncancelled build %v; %d of the %d deadlines inside it cancelled a build under way", whole, cancelled, steps)
+	if cancelled == 0 {
+		t.Fatal("no deadline landed inside a build: the sweep checked nothing")
 	}
 }

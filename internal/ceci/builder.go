@@ -3,7 +3,6 @@ package ceci
 import (
 	"errors"
 	"math"
-	"slices"
 
 	"ceci/internal/graph"
 )
@@ -53,14 +52,6 @@ func (m *mapBuilder) list(i int) []graph.VertexID {
 	return m.arena[m.offs[i] : m.offs[i]+m.live[i]]
 }
 
-// get returns the live value list of key, or nil.
-func (m *mapBuilder) get(key graph.VertexID) []graph.VertexID {
-	if i := lowerBound(m.keys, key); i < len(m.keys) && m.keys[i] == key {
-		return m.list(i)
-	}
-	return nil
-}
-
 // forEach visits the live (key, values) pairs in ascending key order.
 func (m *mapBuilder) forEach(fn func(key graph.VertexID, values []graph.VertexID)) {
 	for i, key := range m.keys {
@@ -68,26 +59,81 @@ func (m *mapBuilder) forEach(fn func(key graph.VertexID, values []graph.VertexID
 	}
 }
 
-// deleteKey removes key (no-op if absent).
-func (m *mapBuilder) deleteKey(key graph.VertexID) {
-	if i := lowerBound(m.keys, key); i < len(m.keys) && m.keys[i] == key {
-		m.keys = slices.Delete(m.keys, i, i+1)
-		m.offs = slices.Delete(m.offs, i, i+1)
-		m.live = slices.Delete(m.live, i, i+1)
+// deleteKeys removes every key that is in the ascending set dead (absent
+// ones are no-ops), rewriting the three per-key columns once: nothing moves
+// below the first dead key, one merge walk covers the stretch the set
+// spans, and what lies above the last dead key slides down in one copy.
+func (m *mapBuilder) deleteKeys(dead []graph.VertexID) {
+	keys, offs, live := m.keys, m.offs, m.live
+	if len(dead) == 0 || len(keys) == 0 {
+		return
 	}
+	r := lowerBound(keys, dead[0])
+	w := r
+	for j := 0; r < len(keys) && j < len(dead); r++ {
+		key := keys[r]
+		for j < len(dead) && dead[j] < key {
+			j++
+		}
+		if j < len(dead) && dead[j] == key {
+			continue
+		}
+		keys[w], offs[w], live[w] = key, offs[r], live[r]
+		w++
+	}
+	if w == r {
+		return
+	}
+	n := w + copy(keys[w:], keys[r:])
+	copy(live[w:], live[r:])
+	copy(offs[w:], offs[r:]) // one slot more than keys: compact writes the end offset there
+	m.keys, m.offs, m.live = keys[:n], offs[:n+1], live[:n]
 }
 
-// deleteValue removes vertex v from every value list, appending to emptied
-// the keys whose lists became empty. Those keys stay, with empty lists,
-// until the caller deletes them (TE keys cascade; NTE keys remain).
-func (m *mapBuilder) deleteValue(v graph.VertexID, emptied []graph.VertexID) []graph.VertexID {
-	offs, arena := m.offs, m.arena // the sweep is the build's hottest loop
+// subtract removes from list, in place, the values that are in dead — both
+// ascending, dead not empty — and returns how many are left. A list that
+// lies entirely below or above the set is not entered. Otherwise it is
+// deleteKeys' shape: nothing moves below the first value the two can share
+// (one binary search on each side finds it), one merge walk covers the
+// stretch up to the end of the shorter side, and what lies above it slides
+// down in one copy — so a set of one is a binary search and a memmove.
+func subtract(list, dead []graph.VertexID) int {
+	n := len(list)
+	if n == 0 || list[0] > dead[len(dead)-1] || list[n-1] < dead[0] {
+		return n
+	}
+	r := lowerBound(list, dead[0]) // < n: the list's last value is not below dead[0]
+	w := r
+	for j := lowerBound(dead, list[r]); r < n && j < len(dead); r++ {
+		v := list[r]
+		for j < len(dead) && dead[j] < v {
+			j++
+		}
+		if j < len(dead) && dead[j] == v {
+			continue
+		}
+		list[w] = v
+		w++
+	}
+	if w == r {
+		return n
+	}
+	return w + copy(list[w:], list[r:])
+}
+
+// deleteValues removes the ascending set dead from every value list in one
+// pass over the map, appending to emptied, in key order, the keys whose
+// lists became empty. Those keys stay, with empty lists, until the caller
+// deletes them (TE keys cascade; NTE keys remain).
+func (m *mapBuilder) deleteValues(dead, emptied []graph.VertexID) []graph.VertexID {
+	if len(dead) == 0 {
+		return emptied
+	}
+	offs, arena := m.offs, m.arena // the sweep is the cascade's hottest loop
 	for i, n := range m.live {
-		lst := arena[offs[i] : offs[i]+n]
-		if j := lowerBound(lst, v); j < len(lst) && lst[j] == v {
-			copy(lst[j:], lst[j+1:])
-			m.live[i] = n - 1
-			if n == 1 {
+		if left := uint32(subtract(arena[offs[i]:offs[i]+n], dead)); left != n {
+			m.live[i] = left
+			if left == 0 {
 				emptied = append(emptied, m.keys[i])
 			}
 		}

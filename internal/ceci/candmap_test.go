@@ -23,6 +23,16 @@ func mapOf(t *testing.T, entries ...[]graph.VertexID) *mapBuilder {
 	return &m
 }
 
+// get returns the live value list of key, or nil: the point read the
+// tests check a map under construction with (the builder itself only
+// walks).
+func (m *mapBuilder) get(key graph.VertexID) []graph.VertexID {
+	if i := lowerBound(m.keys, key); i < len(m.keys) && m.keys[i] == key {
+		return m.list(i)
+	}
+	return nil
+}
+
 func TestCandMapAppendGet(t *testing.T) {
 	m := mapOf(t, []graph.VertexID{2, 10, 20}, []graph.VertexID{5, 30}, []graph.VertexID{9, 40, 50, 60}).compact()
 	if m.Len() != 3 {
@@ -41,8 +51,9 @@ func TestCandMapAppendGet(t *testing.T) {
 
 func TestCandMapDelete(t *testing.T) {
 	b := mapOf(t, []graph.VertexID{1, 10}, []graph.VertexID{3, 30}, []graph.VertexID{5, 50})
-	b.deleteKey(3)
-	b.deleteKey(99) // no-op
+	b.deleteKeys([]graph.VertexID{3})
+	b.deleteKeys([]graph.VertexID{99})         // no-op
+	b.deleteKeys([]graph.VertexID{0, 2, 4, 6}) // none present: no-op
 	if b.get(3) != nil || b.get(5) == nil {
 		t.Fatal("delete failed before compaction")
 	}
@@ -57,7 +68,7 @@ func TestCandMapDelete(t *testing.T) {
 
 func TestCandMapDeleteValue(t *testing.T) {
 	b := mapOf(t, []graph.VertexID{1, 7, 8}, []graph.VertexID{2, 8}, []graph.VertexID{3, 9})
-	emptied := b.deleteValue(8, nil)
+	emptied := b.deleteValues([]graph.VertexID{8}, nil)
 	if len(emptied) != 1 || emptied[0] != 2 {
 		t.Fatalf("emptied = %v", emptied)
 	}
@@ -87,17 +98,85 @@ func TestCandMapForEachOrder(t *testing.T) {
 	}
 }
 
+// mapModel is the naive side of the mapBuilder comparisons: key -> sorted
+// values, deleted from one value and one key at a time.
+type mapModel map[graph.VertexID][]graph.VertexID
+
+func (mm mapModel) sortedKeys() []graph.VertexID { return slices.Sorted(maps.Keys(mm)) }
+
+// deleteValues removes every member of dead from every list and returns,
+// in key order, the keys that emptied.
+func (mm mapModel) deleteValues(dead []graph.VertexID) (emptied []graph.VertexID) {
+	for _, key := range mm.sortedKeys() {
+		for _, x := range dead {
+			if i, found := slices.BinarySearch(mm[key], x); found {
+				mm[key] = slices.Delete(mm[key], i, i+1)
+				if len(mm[key]) == 0 {
+					emptied = append(emptied, key)
+				}
+			}
+		}
+	}
+	return emptied
+}
+
+func (mm mapModel) deleteKeys(dead []graph.VertexID) {
+	for _, x := range dead {
+		delete(mm, x)
+	}
+}
+
+// agrees reports whether b's live view — forEach order and lists, get of
+// every key below universe — is the model.
+func (mm mapModel) agrees(b *mapBuilder, universe graph.VertexID) bool {
+	var keys []graph.VertexID
+	ok := true
+	b.forEach(func(key graph.VertexID, vals []graph.VertexID) {
+		keys = append(keys, key)
+		ok = ok && slices.Equal(vals, mm[key])
+	})
+	for key := graph.VertexID(0); key < universe; key++ {
+		want, present := mm[key]
+		got := b.get(key)
+		ok = ok && (got != nil) == present && slices.Equal(got, want)
+	}
+	return ok && slices.Equal(keys, mm.sortedKeys())
+}
+
+// compactsTo reports whether b.compact() is the model, with no spare
+// capacity left in any column.
+func (mm mapModel) compactsTo(b *mapBuilder) bool {
+	m := b.compact()
+	var edges int64
+	for _, vals := range mm {
+		edges += int64(len(vals))
+	}
+	ok := slices.Equal(m.Keys(), mm.sortedKeys()) && m.CandidateEdges() == edges &&
+		len(m.offs) == len(m.keys)+1 && m.flatBytes() == 4*int64(2*len(mm)+1)+4*edges &&
+		cap(m.keys) == len(m.keys) && cap(m.offs) == len(m.offs) && cap(m.arena) == len(m.arena)
+	m.ForEach(func(key graph.VertexID, vals []graph.VertexID) {
+		ok = ok && slices.Equal(vals, mm[key]) && slices.Equal(m.Get(key), vals)
+	})
+	return ok
+}
+
 // TestMapBuilderMatchesModel drives a mapBuilder and a naive
 // map[key][]value through the same random sequence — ascending appends,
-// then key and value deletions interleaved with reads — and requires the
-// builder's live view to equal the model after every step and the
-// compacted CandMap to equal it at the end, with no spare capacity left
-// in any column.
+// then deletions of sorted key sets and value sets interleaved with reads —
+// and requires the builder's live view to equal the model after every step
+// and the compacted CandMap to equal it at the end, with no spare capacity
+// left in any column. The sets are drawn to reach every path of the set
+// forms: one member, members that are absent, the whole universe, a set
+// entirely below or above every list of the map's middle band (lists are
+// not entered), and — the walk's two extremes — a set a small fraction of
+// a long list's length and a set many times a short list's.
 func TestMapBuilderMatchesModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		const universe = 24
-		model := map[graph.VertexID][]graph.VertexID{}
+		// Values below 32 and from 96 up occur only in every fourth key's
+		// list, so sets drawn there lie outside the other lists' ranges.
+		const universe, bandLo, bandHi = 128, 32, 96
+		model := mapModel{}
 		var b mapBuilder
 		// One map in eight is never sized or filled, like the root's TE.
 		filled := rng.Intn(8) > 0
@@ -108,9 +187,15 @@ func TestMapBuilderMatchesModel(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				continue
 			}
+			lo, hi := graph.VertexID(bandLo), graph.VertexID(bandHi)
+			if key%4 == 0 {
+				lo, hi = 0, universe
+			}
+			// Long dense lists, short sparse ones, and the odd empty one.
+			keep := []int{2, 3, 16, 40}[rng.Intn(4)]
 			var vals []graph.VertexID
-			for v := graph.VertexID(0); v < universe; v++ {
-				if rng.Intn(4) == 0 {
+			for v := lo; v < hi; v++ {
+				if rng.Intn(keep) == 0 || keep == 2 {
 					vals = append(vals, v)
 				}
 			}
@@ -120,70 +205,140 @@ func TestMapBuilderMatchesModel(t *testing.T) {
 			}
 			model[key] = slices.Clone(vals)
 		}
-		agree := func(step string) bool {
-			var keys []graph.VertexID
-			ok := true
-			b.forEach(func(key graph.VertexID, vals []graph.VertexID) {
-				keys = append(keys, key)
-				ok = ok && slices.Equal(vals, model[key])
-			})
-			for key := graph.VertexID(0); key < universe; key++ {
-				want, present := model[key]
-				got := b.get(key)
-				ok = ok && (got != nil) == present && slices.Equal(got, want)
-			}
-			if !ok || !slices.Equal(keys, slices.Sorted(maps.Keys(model))) {
-				t.Logf("seed %d: builder and model disagree after %s", seed, step)
-				return false
-			}
-			return true
-		}
-		if !agree("appends") {
+		if !model.agrees(&b, universe) {
+			t.Logf("seed %d: builder and model disagree after the appends", seed)
 			return false
 		}
-		for step := 0; step < 40; step++ {
-			x := graph.VertexID(rng.Intn(universe))
-			if rng.Intn(2) == 0 {
-				b.deleteKey(x)
-				delete(model, x)
-			} else {
-				var want []graph.VertexID
-				for _, key := range slices.Sorted(maps.Keys(model)) {
-					if i, found := slices.BinarySearch(model[key], x); found {
-						model[key] = slices.Delete(model[key], i, i+1)
-						if len(model[key]) == 0 {
-							want = append(want, key)
-						}
+		for step := 0; step < 24; step++ {
+			var dead []graph.VertexID
+			shape := []string{"one", "few", "half", "all", "below", "above"}[rng.Intn(6)]
+			switch shape {
+			case "one":
+				dead = []graph.VertexID{graph.VertexID(rng.Intn(universe + 8))}
+			case "few":
+				for v := graph.VertexID(0); v < universe+8; v++ { // some past the universe: absent
+					if rng.Intn(32) == 0 {
+						dead = append(dead, v)
 					}
 				}
-				if got := b.deleteValue(x, nil); !slices.Equal(got, want) {
-					t.Logf("seed %d: deleteValue(%d) emptied %v, want %v", seed, x, got, want)
+			case "half":
+				for v := graph.VertexID(0); v < universe; v++ {
+					if rng.Intn(2) == 0 {
+						dead = append(dead, v)
+					}
+				}
+			case "all":
+				for v := graph.VertexID(0); v < universe; v++ {
+					dead = append(dead, v)
+				}
+			case "below":
+				for v := graph.VertexID(0); v < bandLo; v++ {
+					if rng.Intn(3) > 0 {
+						dead = append(dead, v)
+					}
+				}
+			case "above":
+				for v := graph.VertexID(bandHi); v < universe; v++ {
+					if rng.Intn(3) > 0 {
+						dead = append(dead, v)
+					}
+				}
+			}
+			if rng.Intn(3) == 0 {
+				b.deleteKeys(dead)
+				model.deleteKeys(dead)
+			} else {
+				want := model.deleteValues(dead)
+				// emptied is appended to: what was there stays in front.
+				got := b.deleteValues(dead, []graph.VertexID{universe})
+				if got[0] != universe || !slices.Equal(got[1:], want) {
+					t.Logf("seed %d: deleteValues(%v) emptied %v, want %v", seed, dead, got[1:], want)
 					return false
 				}
 			}
-			if !agree("a deletion") {
+			if !model.agrees(&b, universe) {
+				t.Logf("seed %d: builder and model disagree after deleting the %q set %v", seed, shape, dead)
 				return false
 			}
 		}
-		m := b.compact()
-		var edges int64
-		for _, vals := range model {
-			edges += int64(len(vals))
-		}
-		ok := slices.Equal(m.Keys(), slices.Sorted(maps.Keys(model))) && m.CandidateEdges() == edges &&
-			len(m.offs) == len(m.keys)+1 && m.flatBytes() == 4*int64(2*len(model)+1)+4*edges &&
-			cap(m.keys) == len(m.keys) && cap(m.offs) == len(m.offs) && cap(m.arena) == len(m.arena)
-		m.ForEach(func(key graph.VertexID, vals []graph.VertexID) {
-			ok = ok && slices.Equal(vals, model[key]) && slices.Equal(m.Get(key), vals)
-		})
-		if !ok {
+		if !model.compactsTo(&b) {
 			t.Logf("seed %d: compacted map differs from the model", seed)
+			return false
 		}
-		return ok
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzMapBuilderDelete reads its input as a filled mapBuilder and a
+// sequence of set deletions, and holds the builder to mapModel after every
+// step and after compact. The first byte's low bit leaves the map never
+// sized (the root's TE) and the rest of it says how many keys follow; a
+// key is four bytes — the gap to the previous key, then its list as (first
+// value, stride, length) — and so is a deletion: values or keys, then the
+// set as (first member, stride, length), so one byte flip moves a set
+// below a list, stretches it over the universe or thins it to one member.
+// The committed corpus (testdata/fuzz/FuzzMapBuilderDelete) has one file
+// per case the set forms distinguish, named for it.
+func FuzzMapBuilderDelete(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func() int {
+			if len(in) == 0 {
+				return 0
+			}
+			x := in[0]
+			in = in[1:]
+			return int(x)
+		}
+		run := func(first, stride, length int) []graph.VertexID {
+			set := make([]graph.VertexID, 0, length)
+			for i := 0; i < length; i++ {
+				set = append(set, graph.VertexID(first+i*max(stride, 1)))
+			}
+			return set
+		}
+		head := next()
+		model := mapModel{}
+		var b mapBuilder
+		if head&1 == 0 {
+			nkeys := head >> 1
+			b.alloc(nkeys, 0)
+			key := -1
+			for i := 0; i < nkeys && len(in) > 0; i++ {
+				key += 1 + next()%4
+				vals := run(next(), next()%8, next()%64)
+				if err := b.append(graph.VertexID(key), vals); err != nil {
+					t.Fatal(err)
+				}
+				model[graph.VertexID(key)] = slices.Clone(vals)
+			}
+		}
+		universe := graph.VertexID(2) // one past the last key, and an absent one
+		if n := len(b.keys); n > 0 {
+			universe += b.keys[n-1]
+		}
+		if !model.agrees(&b, universe) {
+			t.Fatal("builder and model disagree after the appends")
+		}
+		for len(in) > 0 {
+			keys := next()&1 == 1
+			dead := run(next(), next()%8, next())
+			if keys {
+				b.deleteKeys(dead)
+				model.deleteKeys(dead)
+			} else if got, want := b.deleteValues(dead, nil), model.deleteValues(dead); !slices.Equal(got, want) {
+				t.Fatalf("deleteValues(%v) emptied %v, want %v", dead, got, want)
+			}
+			if !model.agrees(&b, universe) {
+				t.Fatalf("builder and model disagree after deleting %v (keys: %v)", dead, keys)
+			}
+		}
+		if !model.compactsTo(&b) {
+			t.Fatal("compacted map differs from the model")
+		}
+	})
 }
 
 // TestGetNearEqualsGet: a finger is only a hint. From any starting value

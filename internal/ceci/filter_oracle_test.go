@@ -22,10 +22,11 @@ import (
 // with the builder. The label / degree / NLC filters are evaluated per
 // candidate edge against a materialized signature, candidate unions are
 // gather-sort-dedupe, TE and NTE structures are Go maps of slices,
-// cardinalities a hash map, cascade deletion a walk over every entry, and
-// the file format is written by hand — so every verdict-table read, the
-// NLC-from-runs identity, the bitmap union, the column layout, in-place
-// compaction, the cardinality merge walk and WriteTo are all on the other
+// cardinalities a hash map, cascade deletion one value at a time and a
+// walk over every entry for each, and the file format is written by hand —
+// so every verdict-table read, the NLC-from-runs identity, the bitmap
+// union, the column layout, the set-at-a-time cascade, in-place
+// compaction, the cardinality key walk and WriteTo are all on the other
 // side of the comparison.
 
 // refVerdict reports the first stage that drops v for u, in the builder's
@@ -489,13 +490,86 @@ func oraclePair(seed int64) (data, query *graph.Graph) {
 	return data, query
 }
 
-// TestBuildMatchesPerEdgeFilterOracle: Figure 1 and 240 seeded pairs,
-// each under the default build, the NLC and refinement ablations, two
-// refinement rounds, and a pivot-restricted (shard / cluster style)
-// build over every other root candidate.
+// cascadePair is a pair sized for deletion rather than for breadth: a
+// 5-clique (even seeds) or two triangles joined by a two-edge path (odd
+// seeds) under random labels, on a skewed graph of 2000 vertices and 8
+// labels, where refinement and the cascades it starts remove tens of
+// candidates a level instead of the seeded pairs' one or two.
+func cascadePair(seed int64) (data, query *graph.Graph) {
+	const labels = 8
+	data = gen.WithRandomLabels(gen.ChungLu(2000, 8, 2.3, seed), labels, seed)
+	shape := gen.QG5()
+	if seed%2 == 1 {
+		b := graph.NewBuilder(7)
+		for _, e := range [][2]graph.VertexID{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {4, 6}, {5, 6}} {
+			b.AddEdge(e[0], e[1])
+		}
+		shape = b.MustBuild()
+	}
+	rng := gen.NewRNG(seed)
+	b := graph.NewBuilder(shape.NumVertices())
+	for u := 0; u < shape.NumVertices(); u++ {
+		b.SetLabel(graph.VertexID(u), graph.Label(rng.Intn(labels)))
+	}
+	shape.Edges(func(a, c graph.VertexID) bool {
+		b.AddEdge(a, c)
+		return true
+	})
+	return data, b.MustBuild()
+}
+
+// lollipopPair is built so that one refinement level drops two thirds of
+// its vertex's candidates and the cascade climbs three levels. The query,
+// rooted at u0, is the path u0-u1-u2 ending in the triangle u2-u3-u4, a
+// label per vertex. The data is n copies of it, copy i's u1 also joined to
+// copy i+1's u2; two copies in three lack the triangle's far edge and hang
+// a leaf off each of its ends instead, so their u3 and u4 images pass the
+// label, degree and NLC filters, but no candidate of u3 has the u4 image
+// as a neighbor. Refinement drops those 2n/3 u4 candidates at once; their
+// u2 keys empty; a third of the u1 candidates have both their u2 values
+// among them, and the u0 candidates above those follow.
+func lollipopPair(n int) (data, query *graph.Graph) {
+	q := graph.NewBuilder(5)
+	for u := graph.VertexID(0); u < 5; u++ {
+		q.SetLabel(u, graph.Label(u))
+	}
+	for _, e := range [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {2, 4}, {3, 4}} {
+		q.AddEdge(e[0], e[1])
+	}
+	// Copy i is vertices 7i..7i+4 in query-vertex order, then the two
+	// spare leaves (labels 4 and 3), used or not.
+	d := graph.NewBuilder(7 * n)
+	for i := 0; i < n; i++ {
+		at := func(u int) graph.VertexID { return graph.VertexID(7*i + u) }
+		for u, l := range []graph.Label{0, 1, 2, 3, 4, 4, 3} {
+			d.SetLabel(at(u), l)
+		}
+		for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {2, 4}} {
+			d.AddEdge(at(e[0]), at(e[1]))
+		}
+		d.AddEdge(at(1), graph.VertexID(7*((i+1)%n)+2))
+		if i%3 == 0 {
+			d.AddEdge(at(3), at(4))
+		} else {
+			d.AddEdge(at(3), at(5))
+			d.AddEdge(at(4), at(6))
+		}
+	}
+	return d.MustBuild(), q.MustBuild()
+}
+
+// TestBuildMatchesPerEdgeFilterOracle: Figure 1, 240 seeded pairs, six
+// larger ones and the lollipop, each under the default build, the NLC and
+// refinement ablations, two refinement rounds, and a pivot-restricted
+// (shard / cluster style) build over every other root candidate. The
+// comparison says nothing about the set-at-a-time cascade unless some
+// build drops a large set at one level and some cascade climbs through
+// several, so both are required of the pairs, read off the per-vertex
+// funnel the profiler collects anyway.
 func TestBuildMatchesPerEdgeFilterOracle(t *testing.T) {
-	check := func(name string, data, query *graph.Graph) {
-		tree, err := order.Preprocess(data, query, order.DefaultOptions())
+	halved, climbed := 0, 0
+	check := func(name string, data, query *graph.Graph, opt order.Options) {
+		tree, err := order.Preprocess(data, query, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -505,6 +579,7 @@ func TestBuildMatchesPerEdgeFilterOracle(t *testing.T) {
 				everyOther = append(everyOther, v)
 			}
 		}
+		funnels := map[string][]prof.VertexProfile{}
 		for _, v := range []struct {
 			name string
 			opts Options
@@ -519,20 +594,64 @@ func TestBuildMatchesPerEdgeFilterOracle(t *testing.T) {
 			got := resultOf(t, Build(data, tree, gotOpts))
 			want := referenceBuild(data, tree, wantOpts).result()
 			assertSameBuild(t, name+"/"+v.name, got, want, gotOpts, wantOpts)
+			funnels[v.name] = gotOpts.Profile.Snapshot().Vertices
+		}
+		h, c := cascadeShapes(tree, funnels["default"], funnels["skip-refine"])
+		if h {
+			halved++
+		}
+		if c {
+			climbed++
 		}
 	}
-	check("fig1", gen.Fig1Data(), gen.Fig1Query())
+	check("fig1", gen.Fig1Data(), gen.Fig1Query(), order.DefaultOptions())
 	multi := 0
 	for seed := int64(0); seed < 240; seed++ {
 		data, query := oraclePair(seed)
 		if data.NumLabels() > 1 && seed%3 == 0 {
 			multi++
 		}
-		check(fmt.Sprintf("seed%d", seed), data, query)
+		check(fmt.Sprintf("seed%d", seed), data, query, order.DefaultOptions())
 	}
 	if multi < 40 {
 		t.Fatalf("only %d multi-label pairs", multi)
 	}
+	for seed := int64(1); seed <= 6; seed++ {
+		data, query := cascadePair(seed)
+		check(fmt.Sprintf("cascade%d", seed), data, query, order.DefaultOptions())
+	}
+	data, query := lollipopPair(300)
+	check("lollipop", data, query, order.Options{ForcedRoot: 0, Heuristic: order.BFSOrder})
+	t.Logf("%d pairs refine away at least half of a vertex's candidates at one level, %d cascade at least two levels up", halved, climbed)
+	if halved == 0 || climbed == 0 {
+		t.Fatalf("the pairs do not exercise the set cascade: %d drop half a level's candidates, %d climb two levels", halved, climbed)
+	}
+}
+
+// cascadeShapes reads two facts about a pair's default build off its
+// funnel and that of the same build without refinement. halved: some
+// refinement level removed at least half of the candidates its vertex had
+// left (in a one-round build nothing leaves a vertex after its own level,
+// so that is what survived plus what the level dropped). climbed: some
+// cascade went at least two levels above the level that started it — a
+// vertex lost candidates to cascades during refinement (more than the
+// expansion-time cascades, which the refinement-free build counts alone)
+// although none of its tree children refined any away, so the set came
+// from a grandchild's level or deeper.
+func cascadeShapes(tree *order.QueryTree, build, expandOnly []prof.VertexProfile) (halved, climbed bool) {
+	for u, vp := range build {
+		if vp.DroppedRefine > 0 && vp.DroppedRefine >= vp.FinalCands {
+			halved = true
+		}
+		below := int64(0)
+		for _, uc := range tree.Children[u] {
+			below += build[uc].DroppedRefine
+		}
+		if below == 0 && vp.DroppedCascade > expandOnly[u].DroppedCascade {
+			climbed = true
+		}
+	}
+	return halved, climbed
 }
 
 // denseMultiLabelPair is large enough that frontiers exceed parallelFor's

@@ -2,7 +2,6 @@ package ceci
 
 import (
 	"math/bits"
-	"slices"
 
 	"ceci/internal/graph"
 	"ceci/internal/setops"
@@ -23,8 +22,9 @@ import (
 // The cardinalities of u's survivors, in candidate order, are u's column.
 // A deletion at u cascades only to u's ancestors, which the sweep has yet
 // to reach, and changes no other candidate's product, so the products are
-// all computed before the first deletion and a column, once written,
-// stays parallel to its candidates.
+// all computed before the first deletion, a level's zero-cardinality
+// candidates leave as one set (removeCandidates) and a column, once
+// written, stays parallel to its candidates.
 func (b *builder) refine() {
 	tree := b.ix.Tree
 	for i := len(tree.Order) - 1; i >= 0 && !b.isCancelled(); i-- {
@@ -43,46 +43,68 @@ func (b *builder) refine() {
 			}
 		}
 
-		// Iterate over a snapshot: removal mutates node.Cands.
-		kept := 0
-		for k, v := range slices.Clone(node.Cands) {
+		// The zero-cardinality candidates go as one set, after the column
+		// of the survivors is cut: removal mutates node.Cands.
+		dead, kept := b.dead[:0], 0
+		for k, v := range node.Cands {
 			if cards[k] == 0 {
-				if st := b.ix.opts.Stats; st != nil {
-					st.FilteredRefine.Add(1)
-				}
-				if p := b.ix.opts.Profile; p != nil {
-					p.Vertex(int(u)).AddRefined(1)
-				}
-				b.removeCandidate(u, v)
+				dead = append(dead, v)
 				continue
 			}
 			cards[kept] = cards[k]
 			kept++
 		}
 		node.cardVals = fit(cards[:kept])
+		if st := b.ix.opts.Stats; st != nil {
+			st.FilteredRefine.Add(int64(len(dead)))
+		}
+		if p := b.ix.opts.Profile; p != nil {
+			p.Vertex(int(u)).AddRefined(int64(len(dead)))
+		}
+		b.removeCandidates(u, dead)
 	}
 }
 
 // cardProducts returns, for every candidate v of u in order, ∏ over u's
 // tree children of the summed cardinalities of v's TE list there (1 for a
-// leaf). A TE list is a subset of the child's candidates, so each value's
-// cardinality is read off the child's column at the value's position.
+// leaf). The child's TE keys are a subset of u's candidates — a key is
+// deleted with its candidate — and both ascend, so one cursor walks the
+// key column beside the candidates. A TE list is a subset of the child's
+// candidates, so each value's cardinality is read off the child's column
+// at the value's position; under a leaf child that column is all ones,
+// the sum is the list's length and no position is looked up.
 func (b *builder) cardProducts(u graph.VertexID) []int64 {
+	tree := b.ix.Tree
 	cands := b.ix.Nodes[u].Cands
 	cards := make([]int64, len(cands))
 	for k := range cards {
 		cards[k] = 1
 	}
-	for _, uc := range b.ix.Tree.Children[u] {
+	for _, uc := range tree.Children[u] {
 		child := &b.ix.Nodes[uc]
-		b.pos.reset(child.Cands)
+		te := &b.te[uc]
+		leaf := len(tree.Children[uc]) == 0
+		if !leaf {
+			b.pos.reset(child.Cands)
+		}
+		i := 0 // te.keys[i] is the first key not below the candidate at hand
 		for k, v := range cands {
+			if i == len(te.keys) || te.keys[i] != v {
+				cards[k] = 0 // no TE list under v
+				continue
+			}
+			lst := te.list(i)
+			i++
 			if cards[k] == 0 {
 				continue
 			}
 			var sum int64
-			for _, vc := range b.te[uc].get(v) {
-				sum = satAdd(sum, child.cardVals[b.pos.of(child.Cands, vc)])
+			if leaf {
+				sum = int64(len(lst))
+			} else {
+				for _, vc := range lst {
+					sum = satAdd(sum, child.cardVals[b.pos.of(child.Cands, vc)])
+				}
 			}
 			cards[k] = satMul(cards[k], sum)
 		}
