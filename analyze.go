@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ceci/internal/obs"
+	"ceci/internal/order"
 	"ceci/internal/prof"
 )
 
@@ -47,12 +48,9 @@ func ExplainAnalyze(data, query *Graph, opts *Options) (*Report, error) {
 		// Phases come from the span tree; guarantee one exists.
 		o.Tracer = obs.NewTracer(obs.TracerOptions{})
 	}
-	if o.Ledger == nil {
-		// The report reads the run's ledger: the resources block, and
-		// under Planner the observed per-depth selectivities it puts next
-		// to the estimate.
-		o.Ledger = NewLedger()
-	}
+	// The report reads the run's ledger (normalized sees to one): the
+	// resources block, and under Planner the observed per-depth
+	// selectivities it puts next to the estimate.
 	o.profile = prof.New()
 
 	buildStart := time.Now()
@@ -66,26 +64,33 @@ func ExplainAnalyze(data, query *Graph, opts *Options) (*Report, error) {
 	embeddings := m.Count()
 	enumTime := time.Since(enumStart)
 
+	// The report describes the complete index, as without a limit: a
+	// matcher still holding a prefix builds the rest here, before the
+	// snapshot, so the profile's index shape is that index's too.
+	ix, err := m.index()
+	if err != nil {
+		return nil, err
+	}
+	tree := ix.Tree
 	p := o.profile.Snapshot()
-	decorateProfile(&p, m)
+	decorateProfile(&p, tree)
 	p.SetPhases(o.Tracer.PhaseDurations())
 	p.Resources = o.Ledger.Snapshot()
-	plannerProfile(&p, m, &o)
+	plannerProfile(&p, tree, m, &o)
 
 	return &Report{
 		Plan:       m.Explain(),
 		Embeddings: embeddings,
 		BuildTime:  buildTime,
 		EnumTime:   enumTime,
-		Index:      m.IndexInfo(),
+		Index:      indexInfo(ix),
 		Profile:    p,
 	}, nil
 }
 
 // decorateProfile fills the query-shape fields the collector cannot
 // know: matching-order position, tree parent, and vertex labels.
-func decorateProfile(p *Profile, m *Matcher) {
-	tree := m.index.Tree
+func decorateProfile(p *Profile, tree *order.QueryTree) {
 	q := tree.Query
 	for pos, u := range tree.Order {
 		if int(u) >= len(p.Vertices) {
@@ -104,8 +109,7 @@ func decorateProfile(p *Profile, m *Matcher) {
 // itself and its source always, plus — when the cost-based planner ran —
 // every candidate's estimate and the estimated-versus-observed per-depth
 // funnel (recosted with the run's measured selectivities).
-func plannerProfile(p *Profile, m *Matcher, o *Options) {
-	tree := m.index.Tree
+func plannerProfile(p *Profile, tree *order.QueryTree, m *Matcher, o *Options) {
 	p.MatchingOrder = intOrder(tree.Order)
 	dec := m.decision
 	if dec == nil {

@@ -213,14 +213,45 @@ func TestExplainAnalyzeOrderRecorded(t *testing.T) {
 }
 
 // TestExplainAnalyzeWithLimit: a first-k run still produces a coherent
-// profile covering only the work performed.
+// profile covering only the work performed — under a limit the first
+// cluster fills (one build, then the rest for the report's index) and one
+// that makes the enumeration grow the index. Either way the report
+// describes the complete index the matcher holds, and the profile's index
+// shape is that index's, not the sum of the two builds': the root's final
+// candidates are its pivots, the TE and NTE candidates its candidate
+// edges, the flat bytes its physical bytes.
 func TestExplainAnalyzeWithLimit(t *testing.T) {
 	data, query := gen.RandomPair(42)
-	rep, err := ceci.ExplainAnalyze(data, query, &ceci.Options{Limit: 1})
+	total, err := ceci.Count(data, query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Embeddings > 1 {
-		t.Fatalf("limit ignored: %d", rep.Embeddings)
+	for _, tc := range []struct {
+		name  string
+		limit int64
+	}{{"first-cluster", 1}, {"growth", total + 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := ceci.ExplainAnalyze(data, query, &ceci.Options{Limit: tc.limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(tc.limit, total); rep.Embeddings != want {
+				t.Fatalf("embeddings %d, want %d", rep.Embeddings, want)
+			}
+			var pivots, edges, flat int64
+			for _, v := range rep.Profile.Vertices {
+				if v.Parent < 0 {
+					pivots = v.FinalCands
+				}
+				edges += v.TECandidates
+				for _, n := range v.NTE {
+					edges += n.Candidates
+				}
+				flat += v.FlatBytes
+			}
+			if info := rep.Index; pivots != int64(info.Pivots) || edges != info.CandidateEdges || flat != info.PhysicalBytes {
+				t.Fatalf("profile shape: %d pivots, %d candidate edges, %d flat bytes; index %+v", pivots, edges, flat, info)
+			}
+		})
 	}
 }

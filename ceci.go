@@ -38,6 +38,8 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -168,7 +170,10 @@ type Options struct {
 	// Workers bounds parallelism; <= 0 means GOMAXPROCS.
 	Workers int
 	// Limit stops after this many embeddings (0 = all). The paper's
-	// first-k experiments use 1024.
+	// first-k experiments use 1024. Embedding clusters are independent (the
+	// paper's core observation), so a limited Match indexes only the first
+	// cluster of the root's ascending candidates and builds the complete
+	// index the first time a call needs more than that cluster holds.
 	Limit int64
 	// Strategy selects cluster distribution (default StrategyFine).
 	Strategy Strategy
@@ -234,18 +239,34 @@ func (o *Options) normalized() Options {
 	if out.Beta <= 0 {
 		out.Beta = workload.DefaultBeta
 	}
+	if out.Ledger == nil {
+		// Private, but one per matcher: a limited matcher's prefix and
+		// complete-index runs drain into the same ledger.
+		out.Ledger = telemetry.NewLedger()
+	}
 	return out
 }
 
-// Matcher is a prepared (indexed) query against a data graph.
+// Matcher is a prepared (indexed) query against a data graph. Its methods
+// are safe for concurrent use.
 type Matcher struct {
-	inner *enum.Matcher
-	index *icec.Index
-	opts  Options
+	data     *Graph
+	opts     Options
+	progress *obs.Reporter // inner's; bracketed once per call by run
 
 	// planner/decision are set when Options.Planner chose the order.
 	planner  *plan.Planner
 	decision *plan.Decision
+
+	// mu guards the fields below and is held across the build that
+	// completes the index, so concurrent calls build it once.
+	mu    sync.Mutex
+	inner *enum.Matcher // over the held index, under Options.Limit
+	// tree is the preprocessed query, verdict tables attached, while the
+	// held index covers only the root candidates up to prefixEnd; nil once
+	// it holds every cluster.
+	tree      *order.QueryTree
+	prefixEnd VertexID
 }
 
 // Plan returns the cost-based planner's decision for this matcher —
@@ -254,7 +275,9 @@ type Matcher struct {
 func (m *Matcher) Plan() *plan.Decision { return m.decision }
 
 // Match preprocesses the query, builds the CECI index, and returns a
-// Matcher ready to enumerate. opts may be nil for defaults.
+// Matcher ready to enumerate. opts may be nil for defaults. Under
+// Options.Limit the index covers the first embedding cluster only, and
+// the rest is built by the first call that needs it.
 //
 // The query must be a connected graph; an error is returned otherwise
 // (disconnected patterns should be matched component by component and
@@ -273,23 +296,52 @@ func MatchCtx(ctx context.Context, data, query *Graph, opts *Options) (*Matcher,
 	if err != nil {
 		return nil, err
 	}
-	ix, err := icec.BuildCtx(ctx, data, tree, icec.Options{
+	bopts := o.buildOptions()
+	var prefixTree *order.QueryTree
+	var prefixEnd VertexID
+	if o.Limit > 0 {
+		// The prefix the growth rule names, unless that is every root
+		// candidate: then the index is built complete, as without a limit.
+		f := tree.Filter(data)
+		tree = tree.WithFilter(f)
+		pivots := f.Candidates(tree.Root)
+		if k := icec.NextCoverage(1, len(pivots)); k < len(pivots) {
+			bopts.Pivots = pivots[:k]
+			prefixTree, prefixEnd = tree, pivots[k-1]
+		}
+	}
+	ix, err := icec.BuildCtx(ctx, data, tree, bopts)
+	if err != nil {
+		return nil, err
+	}
+	m := o.matcher(data, ix, planner, decision)
+	m.tree, m.prefixEnd = prefixTree, prefixEnd
+	return m, nil
+}
+
+// matcher returns a Matcher holding ix, complete unless the caller says
+// otherwise.
+func (o *Options) matcher(data *Graph, ix *icec.Index, planner *plan.Planner, decision *plan.Decision) *Matcher {
+	eo := o.enumOptions()
+	return &Matcher{data: data, opts: *o, progress: eo.Progress,
+		planner: planner, decision: decision, inner: enum.NewMatcher(ix, eo)}
+}
+
+// buildOptions is the one translation of Options into the index
+// builder's; Pivots is the caller's to set.
+func (o *Options) buildOptions() icec.Options {
+	return icec.Options{
 		Workers:      o.Workers,
 		RefineRounds: o.RefineRounds,
 		Stats:        o.Stats,
 		Tracer:       o.Tracer,
 		Profile:      o.profile,
-	})
-	if err != nil {
-		return nil, err
 	}
-	m := enum.NewMatcher(ix, o.enumOptions())
-	return &Matcher{inner: m, index: ix, opts: o, planner: planner, decision: decision}, nil
 }
 
 // enumOptions is the one translation of Options into the enumerator's:
-// every path — built, loaded or incremental index — enumerates under the
-// same limits and charges the same sinks.
+// every path — built, loaded, prefix or completed index — enumerates under
+// the same limits and charges the same sinks.
 func (o *Options) enumOptions() enum.Options {
 	return enum.Options{
 		Workers:                 o.Workers,
@@ -317,29 +369,33 @@ func (o *Options) reporter() *obs.Reporter {
 
 // Count enumerates and returns the number of embeddings (respecting
 // Options.Limit).
-func (m *Matcher) Count() int64 { return m.inner.Count() }
+func (m *Matcher) Count() int64 {
+	n, _ := m.run(context.Background(), nil)
+	return n
+}
 
 // CountCtx counts embeddings under ctx. On deadline or cancellation it
 // returns the number of embeddings found so far alongside the context's
 // error — callers report the partial count.
-func (m *Matcher) CountCtx(ctx context.Context) (int64, error) { return m.inner.CountCtx(ctx) }
+func (m *Matcher) CountCtx(ctx context.Context) (int64, error) { return m.run(ctx, nil) }
 
 // ForEach streams embeddings to fn. The slice is indexed by query vertex
 // ID and reused between calls — copy it to retain it. fn may be invoked
 // concurrently from multiple workers; return false to stop early.
-func (m *Matcher) ForEach(fn func(embedding []VertexID) bool) { m.inner.ForEach(fn) }
+func (m *Matcher) ForEach(fn func(embedding []VertexID) bool) { m.run(context.Background(), fn) }
 
 // ForEachCtx is ForEach under a context: when ctx is cancelled or times
 // out, every enumeration worker stops at its next depth step and the
 // context's error is returned. Embeddings delivered before the cut are
 // not retracted.
 func (m *Matcher) ForEachCtx(ctx context.Context, fn func(embedding []VertexID) bool) error {
-	return m.inner.ForEachCtx(ctx, fn)
+	_, err := m.run(ctx, fn)
+	return err
 }
 
 // Collect gathers embeddings into a slice. Intended for modest result
 // sets; use ForEach to stream large ones.
-func (m *Matcher) Collect() [][]VertexID { return m.inner.Collect() }
+func (m *Matcher) Collect() [][]VertexID { return m.collect(0) }
 
 // First returns up to k embeddings (the paper's first-1024 mode uses
 // k = 1024). Which embeddings are returned is nondeterministic under
@@ -348,20 +404,84 @@ func (m *Matcher) First(k int) [][]VertexID {
 	if k <= 0 {
 		return nil
 	}
+	return m.collect(k)
+}
+
+// collect gathers copies of up to k embeddings (0: all of them).
+func (m *Matcher) collect(k int) [][]VertexID {
 	var mu sync.Mutex // ForEach calls back from every worker
 	var out [][]VertexID
 	m.ForEach(func(emb []VertexID) bool {
-		cp := make([]VertexID, len(emb))
-		copy(cp, emb)
+		cp := slices.Clone(emb)
 		mu.Lock()
 		defer mu.Unlock()
 		out = append(out, cp)
-		return len(out) < k
+		return k == 0 || len(out) < k
 	})
-	if len(out) > k {
+	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
 	return out
+}
+
+// run is every enumeration method. Over a complete index it enumerates
+// once. Over a prefix it enumerates the prefix's clusters, and when that
+// comes up short — every embedding there delivered with room left under
+// Options.Limit, and neither the consumer nor ctx stopped it — it
+// completes the index and enumerates the clusters past the prefix, through
+// a restricted view, with what is left of the limit and into the same
+// sinks: the embeddings come in the order the complete index gives them.
+func (m *Matcher) run(ctx context.Context, fn func([]VertexID) bool) (int64, error) {
+	m.mu.Lock()
+	inner, prefix, end := m.inner, m.tree != nil, m.prefixEnd
+	m.mu.Unlock()
+	if !prefix {
+		n, _, err := inner.Enumerate(ctx, fn)
+		return n, err
+	}
+	// One progress report for the call, however many runs it takes.
+	m.progress.Begin(m.opts.Ledger.Work, 0, 0)
+	defer m.progress.Stop()
+	n, finished, err := inner.Enumerate(ctx, fn)
+	if err != nil || !finished {
+		return n, err
+	}
+	full, err := m.complete(ctx)
+	if err != nil {
+		return n, err
+	}
+	ix := full.Index()
+	pivots := ix.Pivots()
+	rest := pivots[sort.Search(len(pivots), func(i int) bool { return pivots[i] > end }):]
+	more, _, err := full.Over(ix.Restrict(rest), m.opts.Limit-n).Enumerate(ctx, fn)
+	return n + more, err
+}
+
+// complete returns the enumerator over the complete index, building the
+// index when the matcher holds a prefix — once, however many calls ask at
+// the same time (they wait for it). A failed build (ctx, or an index too
+// large to address) leaves the prefix held and returns its enumerator
+// with the error.
+func (m *Matcher) complete(ctx context.Context) (*enum.Matcher, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.tree == nil {
+		return m.inner, nil
+	}
+	ix, err := icec.BuildCtx(ctx, m.data, m.tree, m.opts.buildOptions())
+	if err != nil {
+		return m.inner, err
+	}
+	m.inner, m.tree = m.inner.Over(ix, m.opts.Limit), nil
+	return m.inner, nil
+}
+
+// index returns the complete index, for the methods that report it: they
+// describe what an unlimited Match would hold. When the completing build
+// fails it returns the index held — the first cluster's — with the error.
+func (m *Matcher) index() (*icec.Index, error) {
+	full, err := m.complete(context.Background())
+	return full.Index(), err
 }
 
 // IndexInfo reports size and shape statistics of the built CECI,
@@ -383,15 +503,24 @@ type IndexInfo struct {
 	TotalCardinality int64
 }
 
-// IndexInfo returns statistics about the matcher's CECI.
+// IndexInfo returns statistics about the matcher's CECI — the complete
+// one, which a limited matcher builds first if it has not yet. Should that
+// build fail (an index too large to address), it describes the first
+// cluster's index the matcher still holds; SaveIndex and ExplainAnalyze
+// return that error.
 func (m *Matcher) IndexInfo() IndexInfo {
+	ix, _ := m.index()
+	return indexInfo(ix)
+}
+
+func indexInfo(ix *icec.Index) IndexInfo {
 	return IndexInfo{
-		Pivots:           len(m.index.Pivots()),
-		CandidateEdges:   m.index.CandidateEdges(),
-		SizeBytes:        m.index.SizeBytes(),
-		PhysicalBytes:    m.index.PhysicalBytes(),
-		TheoreticalBytes: m.index.TheoreticalBytes(),
-		TotalCardinality: m.index.TotalCardinality(),
+		Pivots:           len(ix.Pivots()),
+		CandidateEdges:   ix.CandidateEdges(),
+		SizeBytes:        ix.SizeBytes(),
+		PhysicalBytes:    ix.PhysicalBytes(),
+		TheoreticalBytes: ix.TheoreticalBytes(),
+		TotalCardinality: ix.TotalCardinality(),
 	}
 }
 
@@ -412,50 +541,11 @@ func Count(data, query *Graph, opts *Options) (int64, error) {
 	return m.Count(), nil
 }
 
-// ForEachIncremental enumerates embeddings cluster by cluster, building
-// each embedding cluster's slice of the CECI on demand instead of
-// indexing the whole data graph up front. Embedding clusters are
-// independent — the paper's core observation — so this is the right mode
-// for first-k workloads (Options.Limit, the paper's 1,024-embedding
-// experiments) and for very selective patterns, where a monolithic build
-// would index far more of the graph than the enumeration visits.
-//
-// Callback semantics match Matcher.ForEach. For exhaustive enumeration
-// prefer Match: the shared index amortizes across clusters.
-func ForEachIncremental(data, query *Graph, opts *Options, fn func(embedding []VertexID) bool) error {
-	return ForEachIncrementalCtx(context.Background(), data, query, opts, fn)
-}
-
-// ForEachIncrementalCtx is ForEachIncremental under a context: the
-// deadline/cancellation is honored between clusters, inside each
-// on-demand per-cluster build, and at enumeration depth steps.
-func ForEachIncrementalCtx(ctx context.Context, data, query *Graph, opts *Options, fn func(embedding []VertexID) bool) error {
-	o := opts.normalized()
-	tree, _, _, err := o.preprocess(ctx, data, query)
-	if err != nil {
-		return err
-	}
-	return enum.ForEachIncrementalCtx(ctx, data, tree,
-		icec.Options{RefineRounds: o.RefineRounds, Stats: o.Stats}, o.enumOptions(), fn)
-}
-
-// CountIncremental counts the embeddings ForEachIncremental would
-// deliver, with no callback per embedding.
-func CountIncremental(data, query *Graph, opts *Options) (int64, error) {
-	o := opts.normalized()
-	tree, _, _, err := o.preprocess(context.Background(), data, query)
-	if err != nil {
-		return 0, err
-	}
-	return enum.CountIncremental(data, tree,
-		icec.Options{RefineRounds: o.RefineRounds, Stats: o.Stats}, o.enumOptions()), nil
-}
-
 // preprocess is the one way a query becomes a query tree, whatever will
-// be done with the tree — built, matched against a loaded index, or
-// built cluster by cluster: the forced root, the "preprocess" span, and
-// the order from the cost-based planner (whose planner and decision are
-// returned for EXPLAIN) or from the static heuristic (nil, nil).
+// be done with the tree — built, or matched against a loaded index: the
+// forced root, the "preprocess" span, and the order from the cost-based
+// planner (whose planner and decision are returned for EXPLAIN) or from
+// the static heuristic (nil, nil).
 func (o *Options) preprocess(ctx context.Context, data, query *Graph) (*order.QueryTree, *plan.Planner, *plan.Decision, error) {
 	if data == nil || query == nil {
 		return nil, nil, nil, fmt.Errorf("ceci: nil %s graph", map[bool]string{true: "data", false: "query"}[data == nil])
@@ -477,7 +567,7 @@ func (o *Options) preprocess(ctx context.Context, data, query *Graph) (*order.Qu
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	decision, err := planner.Decide(nil)
+	decision, err := planner.Decide()
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -337,29 +337,35 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestIncrementalPublicAPI: first-k through the public API — a limited
+// Match, which replaced CountIncremental — counts what there is under a
+// limit past it and exactly the limit under one inside it, and refuses a
+// nil graph.
 func TestIncrementalPublicAPI(t *testing.T) {
 	data, query := gen.Fig1Data(), gen.Fig1Query()
-	n, err := ceci.CountIncremental(data, query, nil)
+	n, err := ceci.Count(data, query, &ceci.Options{Limit: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
-		t.Fatalf("incremental count = %d, want 2", n)
+		t.Fatalf("limited count = %d, want 2", n)
 	}
-	// Limit semantics.
 	big := gen.Kronecker(8, 8, 2)
-	n, err = ceci.CountIncremental(big, gen.QG1(), &ceci.Options{Limit: 11})
+	n, err = ceci.Count(big, gen.QG1(), &ceci.Options{Limit: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 11 {
-		t.Fatalf("incremental limited = %d, want 11", n)
+		t.Fatalf("limited count = %d, want 11", n)
 	}
-	if _, err := ceci.CountIncremental(nil, query, nil); err == nil {
+	if _, err := ceci.Match(nil, query, &ceci.Options{Limit: 1}); err == nil {
 		t.Fatal("nil data accepted")
 	}
 }
 
+// TestIncrementalMatchesMonolithicPublic: on a query set a limited Match
+// counts what the unlimited one does when its limit is past the total, and
+// half of it when the limit is half.
 func TestIncrementalMatchesMonolithicPublic(t *testing.T) {
 	data := gen.WithRandomLabels(gen.Kronecker(9, 5, 77), 4, 7)
 	qs := gen.QuerySet(data, 4, 3, 5)
@@ -368,12 +374,17 @@ func TestIncrementalMatchesMonolithicPublic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := ceci.CountIncremental(data, q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mono != inc {
-			t.Fatalf("query %d: monolithic %d != incremental %d", i, mono, inc)
+		for _, limit := range []int64{mono + 1, (mono + 1) / 2} {
+			if limit == 0 {
+				continue
+			}
+			got, err := ceci.Count(data, q, &ceci.Options{Limit: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(limit, mono); got != want {
+				t.Fatalf("query %d limit %d: limited %d, want %d", i, limit, got, want)
+			}
 		}
 	}
 }

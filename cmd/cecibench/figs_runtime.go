@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ceci"
 	"ceci/internal/baseline"
 	"ceci/internal/baseline/bare"
 	"ceci/internal/baseline/cfl"
@@ -263,19 +264,18 @@ func runFig9(cfg benchConfig) error {
 	return nil
 }
 
-// ceciFirstK runs the paper's first-k mode single-threaded, using the
-// incremental per-cluster build: indexing only the clusters the first k
-// embeddings actually come from, which is how a k-at-a-time system
-// should behave (and what keeps CECI ahead of the lazy-exploration
+// ceciFirstK runs the paper's first-k mode single-threaded through a
+// limited Match: the index covers the first embedding cluster, and the
+// rest only when the first k embeddings need it — how a k-at-a-time
+// system should behave (and what keeps CECI ahead of the lazy-exploration
 // baselines TurboIso/CFLMatch on these dense labeled graphs).
 func ceciFirstK(data, query *graph.Graph, k int64) (time.Duration, int64, error) {
 	start := time.Now()
-	tree, err := order.Preprocess(data, query, order.DefaultOptions())
+	m, err := ceci.Match(data, query, &ceci.Options{Workers: 1, Limit: k})
 	if err != nil {
 		return 0, 0, err
 	}
-	var n int64
-	n = enum.CountIncremental(data, tree, icec.Options{}, enum.Options{Workers: 1, Limit: k})
+	n := m.Count()
 	return time.Since(start), n, nil
 }
 

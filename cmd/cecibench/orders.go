@@ -57,7 +57,7 @@ func runOrders(cfg benchConfig) error {
 		if err != nil {
 			return err
 		}
-		dec, err := pl.Decide(nil)
+		dec, err := pl.Decide()
 		if err != nil {
 			return err
 		}

@@ -9,9 +9,10 @@
 //	cecirun -dataset yt_s -qg QG4 -progress 2s -listen :9090 -stats
 //
 // With -verify it instead runs the differential-correctness harness:
-// seeded random graph/query pairs are checked across all seven engines
-// (reference oracle, CECI, and the five baselines), and a failing seed is
-// shrunk to a minimal counterexample written out as .lg files.
+// seeded random graph/query pairs are checked across all eight engines
+// (reference oracle, CECI unlimited and limited, and the five baselines),
+// and a failing seed is shrunk to a minimal counterexample written out as
+// .lg files.
 //
 //	cecirun -verify -seed 1 -pairs 500
 //	cecirun -verify -seed 1337            # replay one failing seed

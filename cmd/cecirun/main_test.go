@@ -239,7 +239,7 @@ func TestRunVerifyMode(t *testing.T) {
 	if !strings.Contains(out.String(), "all agree") {
 		t.Fatalf("summary missing from output: %q", out.String())
 	}
-	if !strings.Contains(out.String(), "7 engines") {
+	if !strings.Contains(out.String(), "8 engines") {
 		t.Fatalf("engine count missing from output: %q", out.String())
 	}
 }

@@ -4,10 +4,10 @@
 // mule accounts both receiving from one source and both forwarding to
 // the same collector — a 4-cycle with typed corners.
 //
-// The example demonstrates the incremental (cluster-at-a-time) matching
-// mode: screening stops after the first few rings are found, without
-// indexing the whole ledger — the right tool when any hit triggers a
-// manual review anyway.
+// The example demonstrates first-k matching: a Match with Options.Limit
+// indexes one embedding cluster, and more only when the first few rings
+// are not all in it — screening stops without indexing the whole ledger,
+// the right tool when any hit triggers a manual review anyway.
 //
 // Run with:
 //
@@ -46,23 +46,23 @@ func main() {
 	qb.AddEdge(mule2, collector)
 	pattern := qb.MustBuild()
 
-	// Screening mode: surface the first 5 rings, building index slices
-	// only for the clusters actually inspected.
-	fmt.Println("\nfirst rings found (incremental screening):")
-	shown := 0
-	var mu sync.Mutex // the callback may fire from several workers
-	err := ceci.ForEachIncremental(ledger, pattern, &ceci.Options{Limit: 5},
-		func(emb []ceci.VertexID) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			shown++
-			fmt.Printf("  ring %d: source=acct%d mules=(acct%d, acct%d) collector=acct%d\n",
-				shown, emb[source], emb[mule1], emb[mule2], emb[collector])
-			return true
-		})
+	// Screening mode: surface the first 5 rings, indexing only the
+	// clusters they are found in.
+	fmt.Println("\nfirst rings found (first-k screening):")
+	screen, err := ceci.Match(ledger, pattern, &ceci.Options{Limit: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
+	shown := 0
+	var mu sync.Mutex // the callback may fire from several workers
+	screen.ForEach(func(emb []ceci.VertexID) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		shown++
+		fmt.Printf("  ring %d: source=acct%d mules=(acct%d, acct%d) collector=acct%d\n",
+			shown, emb[source], emb[mule1], emb[mule2], emb[collector])
+		return true
+	})
 	if shown == 0 {
 		fmt.Println("  none (ledger clean)")
 	}

@@ -8,11 +8,15 @@ import (
 // Explain renders a human-readable description of the prepared query
 // plan: the chosen root, matching order, tree/non-tree edge split, the
 // per-vertex candidate structures with their sizes, and the embedding-
-// cluster statistics that drive workload balancing. Useful when tuning
-// order heuristics or diagnosing why a pattern is slow.
+// cluster statistics that drive workload balancing — of the complete
+// index, which a limited matcher builds first if it has not yet (should
+// that build fail, the description is of the first cluster's index and
+// its last line says why). Useful when tuning order heuristics or
+// diagnosing why a pattern is slow.
 func (m *Matcher) Explain() string {
 	var b strings.Builder
-	tree := m.index.Tree
+	ix, err := m.index()
+	tree := ix.Tree
 	q := tree.Query
 
 	fmt.Fprintf(&b, "query: %d vertices, %d edges (%d tree + %d non-tree)\n",
@@ -34,7 +38,7 @@ func (m *Matcher) Explain() string {
 	fmt.Fprintf(&b, "%-6s %-8s %-10s %-12s %-12s %s\n",
 		"vertex", "label", "filtered", "TE-entries", "NTE-edges", "parent")
 	for _, u := range tree.Order {
-		node := &m.index.Nodes[u]
+		node := &ix.Nodes[u]
 		parent := "-"
 		if p := tree.Parent[u]; p >= 0 {
 			parent = fmt.Sprintf("u%d", p)
@@ -47,15 +51,15 @@ func (m *Matcher) Explain() string {
 			u, strings.Join(labels, ","), len(node.Cands), node.TE.Len(), len(node.NTE), parent)
 	}
 
-	info := m.IndexInfo()
+	info := indexInfo(ix)
 	fmt.Fprintf(&b, "index: %d candidate edges (%d unique), %s, %.1f%% below the 8·|Eq|·|Eg| bound\n",
 		info.CandidateEdges, info.SizeBytes/8, formatBytes(info.SizeBytes), info.SpaceSavedPercent())
 	fmt.Fprintf(&b, "clusters: %d pivots, cardinality bound %d",
 		info.Pivots, info.TotalCardinality)
 	if info.Pivots > 0 {
 		var max int64
-		for _, p := range m.index.Pivots() {
-			if c := m.index.ClusterCardinality(p); c > max {
+		for _, p := range ix.Pivots() {
+			if c := ix.ClusterCardinality(p); c > max {
 				max = c
 			}
 		}
@@ -69,6 +73,9 @@ func (m *Matcher) Explain() string {
 	fmt.Fprintf(&b, "plan: %v distribution, beta=%.2g, %d workers, %s verification\n",
 		m.opts.Strategy, m.opts.Beta, m.opts.Workers,
 		map[bool]string{true: "adjacency-probe", false: "set-intersection"}[m.opts.EdgeVerification])
+	if err != nil {
+		fmt.Fprintf(&b, "incomplete: the first cluster's index only; completing it failed: %v\n", err)
+	}
 	return b.String()
 }
 

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	icec "ceci/internal/ceci"
-	"ceci/internal/enum"
 )
 
 // Index persistence: a built CECI can be saved and later rematched
@@ -15,9 +14,14 @@ import (
 // embeds a fingerprint of the (data graph, query, options) it was built
 // for; loading against anything else fails.
 
-// SaveIndex writes the matcher's CECI to w.
+// SaveIndex writes the matcher's CECI to w — the complete one, which a
+// limited matcher builds first if it has not yet.
 func (m *Matcher) SaveIndex(w io.Writer) error {
-	_, err := m.index.WriteTo(w)
+	full, err := m.complete(context.Background())
+	if err != nil {
+		return err
+	}
+	_, err = full.Index().WriteTo(w)
 	return err
 }
 
@@ -49,7 +53,7 @@ func MatchWithIndex(data, query *Graph, r io.Reader, opts *Options) (*Matcher, e
 	if err != nil {
 		return nil, err
 	}
-	return &Matcher{inner: enum.NewMatcher(ix, o.enumOptions()), index: ix, opts: o, planner: planner, decision: decision}, nil
+	return o.matcher(data, ix, planner, decision), nil
 }
 
 // MatchWithIndexFile is MatchWithIndex reading from path.

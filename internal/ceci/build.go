@@ -195,8 +195,8 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 // InitProfile sizes p's per-vertex state for this index's query. The
 // builder calls it before spawning workers and the enumerator before
 // charging its funnel (a loaded index was never built under p).
-// Idempotent, so the incremental mode's per-cluster builds all share
-// one collector and their counters accumulate.
+// Idempotent, so a limited Match's prefix and complete builds share one
+// collector and their funnel counters accumulate.
 func (ix *Index) InitProfile(p *prof.Collector) {
 	tree := ix.Tree
 	p.InitQuery(tree.NumVertices(), func(u int) []int {
@@ -208,22 +208,23 @@ func (ix *Index) InitProfile(p *prof.Collector) {
 	})
 }
 
-// recordShape charges the surviving index shape — candidate counts and
-// TE/NTE entry and candidate-edge totals — to the profile. Adds rather
-// than stores: the incremental mode builds one cluster at a time and the
-// per-cluster shapes sum to the whole-index shape.
+// recordShape records the surviving index shape — candidate counts and
+// TE/NTE entry and candidate-edge totals — in the profile. Stores rather
+// than adds: a limited Match builds a prefix and then the complete index
+// into one collector, and the shape reported is the last one built, the
+// index the matcher holds, while the funnel counters sum both builds.
 func (ix *Index) recordShape(p *prof.Collector) {
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
 		vc := p.Vertex(u)
-		vc.FinalCands.Add(int64(len(node.Cands)))
-		vc.TEEntries.Add(int64(node.TE.Len()))
-		vc.TECandidates.Add(node.TE.CandidateEdges())
-		vc.FlatBytes.Add(node.flatBytes())
+		vc.FinalCands.Store(int64(len(node.Cands)))
+		vc.TEEntries.Store(int64(node.TE.Len()))
+		vc.TECandidates.Store(node.TE.CandidateEdges())
+		vc.FlatBytes.Store(node.flatBytes())
 		for j := range node.NTE {
 			nc := vc.NTE(j)
-			nc.Entries.Add(int64(node.NTE[j].Len()))
-			nc.Candidates.Add(node.NTE[j].CandidateEdges())
+			nc.Entries.Store(int64(node.NTE[j].Len()))
+			nc.Candidates.Store(node.NTE[j].CandidateEdges())
 		}
 	}
 }
@@ -458,9 +459,10 @@ func (ix *Index) filterNeighborsInto(dst []graph.VertexID, vf, u graph.VertexID,
 // set its entries imply. Values are marked in a |V|-bit bitmap and read
 // back in ascending order, O(values + |V|/64); the bitmap comes back
 // empty and is reused by every union of the build. A union of fewer than
-// |V|/512 values — the incremental mode's per-cluster builds, which touch
-// a sliver of the graph each — costs less to sort than the bitmap's two
-// passes over its words, and must not scale with the graph.
+// |V|/512 values costs less to sort than the bitmap's two passes over its
+// words, and must not scale with the graph: one-cluster prefix builds — a
+// limited Match's first index, a service cache entry's — touch a sliver
+// of the graph and take that branch (EXPERIMENTS §PR 29 counts them).
 func (b *builder) valueUnion(m *mapBuilder) []graph.VertexID {
 	total := len(m.arena) // live values, or a few more once lists have shrunk
 	if n := b.ix.Data.NumVertices(); total*512 < n {

@@ -169,8 +169,8 @@ func fit[T any](s []T) []T {
 
 // binChunk is the number of vertex IDs per bin chunk (32 KiB): large
 // enough that per-frontier-key lists amortize to a handful of allocations
-// per build, small enough not to waste memory on tiny clusters (the
-// incremental mode builds one index per pivot).
+// per build, small enough not to waste memory on a one-cluster prefix
+// build (a limited Match's first index, a service cache entry's).
 const binChunk = 8192
 
 // buildScratch is one worker's private bin during frontier expansion

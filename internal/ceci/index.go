@@ -172,9 +172,45 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
+// NextCoverage is the growth rule of an index built lazily over a prefix
+// of a query's ascending root candidates (Options.Pivots): how many of
+// total the next index covers, when it must cover atLeast so many (1: any
+// will do; more: a narrower one came up short, or only a complete one can
+// answer). One cluster, then every cluster — on a dense graph clusters
+// overlap after two hops, so the first 16 pivots already cost 0.84x a full
+// build and the first 64 0.97x, while the first alone costs 0.48x and fills
+// a page of 100 for 90 of 90 benchmark classes (EXPERIMENTS §PR 26). The
+// service's cache entries and a limited ceci.Match both grow by it.
+func NextCoverage(atLeast, total int) int {
+	if atLeast <= 1 {
+		return min(1, total)
+	}
+	return total
+}
+
 // Pivots returns the cluster pivots: the surviving candidates of the root
 // query vertex. Each pivot identifies one embedding cluster.
 func (ix *Index) Pivots() []graph.VertexID { return ix.Nodes[ix.Tree.Root].Cands }
+
+// Restrict returns a view of ix that holds only the embedding clusters of
+// pivots (ascending; any that is not one of ix's pivots is left out). The
+// view's root candidate and cardinality columns are its own; every other
+// column is ix's, shared and not copied. Enumerating the views of the
+// blocks of a partition of ix.Pivots() enumerates ix.
+func (ix *Index) Restrict(pivots []graph.VertexID) *Index {
+	view := *ix
+	view.Nodes = slices.Clone(ix.Nodes)
+	src, root := &ix.Nodes[ix.Tree.Root], &view.Nodes[ix.Tree.Root]
+	root.Cands = make([]graph.VertexID, 0, len(pivots))
+	root.cardVals = make([]int64, 0, len(pivots))
+	for _, p := range pivots {
+		if i := lowerBound(src.Cands, p); i < len(src.Cands) && src.Cands[i] == p {
+			root.Cands = append(root.Cands, p)
+			root.cardVals = append(root.cardVals, src.cardVals[i])
+		}
+	}
+	return &view
+}
 
 // ClusterCardinality returns the refined cardinality of pivot's embedding
 // cluster — the upper bound on embeddings rooted at pivot (Section 4.3).

@@ -1,0 +1,65 @@
+package ceci_test
+
+import (
+	"testing"
+	"unsafe"
+
+	"ceci/internal/ceci"
+	"ceci/internal/enum"
+	"ceci/internal/gen"
+	"ceci/internal/graph"
+	"ceci/internal/order"
+)
+
+// TestRestrictPartitionsIndex: the views of an index restricted to the
+// blocks of a partition of its pivots enumerate it — their counts sum to
+// the index's, under FGD, whose units are cut by the views' cluster
+// cardinalities (a pivot's own, not its position's in the full list) — and
+// a view shares the index's columns: only the root's candidate and
+// cardinality columns are its own, and the index keeps its pivots.
+func TestRestrictPartitionsIndex(t *testing.T) {
+	gen.ForEachGoldenPair(func(name string, data, query *graph.Graph, _ int64) {
+		tree, err := order.Preprocess(data, query, order.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := ceci.Build(data, tree, ceci.Options{})
+		opts := enum.Options{Workers: 3}
+		want := enum.NewMatcher(ix, opts).Count()
+		pivots := ix.Pivots()
+		npivots := len(pivots)
+		var got int64
+		for lo, size := 0, 1; lo < len(pivots); lo, size = lo+size, size+1 {
+			block := pivots[lo:min(lo+size, len(pivots))]
+			view := ix.Restrict(block)
+			for _, p := range block {
+				if view.ClusterCardinality(p) != ix.ClusterCardinality(p) {
+					t.Fatalf("%s: pivot %d: view cardinality %d, index %d", name, p, view.ClusterCardinality(p), ix.ClusterCardinality(p))
+				}
+			}
+			for u := range ix.Nodes {
+				if graph.VertexID(u) == tree.Root || len(ix.Nodes[u].Cands) == 0 {
+					continue
+				}
+				if unsafe.SliceData(view.Nodes[u].Cands) != unsafe.SliceData(ix.Nodes[u].Cands) {
+					t.Fatalf("%s: u%d: the view copied the candidate column", name, u)
+				}
+				for _, key := range ix.Nodes[tree.Parent[u]].Cands {
+					if vals := ix.Nodes[u].TE.Get(key); len(vals) > 0 {
+						if unsafe.SliceData(view.Nodes[u].TE.Get(key)) != unsafe.SliceData(vals) {
+							t.Fatalf("%s: u%d: the view copied the TE column", name, u)
+						}
+						break
+					}
+				}
+			}
+			got += enum.NewMatcher(view, opts).Count()
+		}
+		if got != want {
+			t.Fatalf("%s: the views of a partition of %d pivots count %d, the index %d", name, len(pivots), got, want)
+		}
+		if len(ix.Pivots()) != npivots {
+			t.Fatalf("%s: restricting changed the index's pivots", name)
+		}
+	})
+}

@@ -338,7 +338,7 @@ func (m *machine) run(reg *stealRegistry, total *atomic.Int64, steals *atomic.In
 	enumStart := time.Now()
 	var found int64
 	runPivot := func(ix *ceci.Index, pivot graph.VertexID) {
-		matcher := enum.NewMatcher(restrictIndex(ix, pivot), enum.Options{
+		matcher := enum.NewMatcher(ix.Restrict([]graph.VertexID{pivot}), enum.Options{
 			Workers:  m.cfg.WorkersPerMachine,
 			Strategy: workload.FGD,
 			Beta:     m.cfg.Beta,
@@ -384,19 +384,6 @@ func (m *machine) run(reg *stealRegistry, total *atomic.Int64, steals *atomic.In
 	}
 	m.ledger.Enumerate = time.Since(enumStart)
 	m.ledger.Embeddings = found
-}
-
-// restrictIndex views ix through a single pivot without copying: the
-// enumerator only reads Cands of the root to seed clusters, so a shallow
-// clone with a one-element root candidate list suffices.
-func restrictIndex(ix *ceci.Index, pivot graph.VertexID) *ceci.Index {
-	clone := *ix
-	clone.Nodes = append([]ceci.Node(nil), ix.Nodes...)
-	root := ix.Tree.Root
-	node := clone.Nodes[root]
-	node.Cands = []graph.VertexID{pivot}
-	clone.Nodes[root] = node
-	return &clone
 }
 
 // String renders a result summary.

@@ -141,42 +141,3 @@ func TestPreCancelledContext(t *testing.T) {
 		t.Error("callback invoked despite pre-cancelled context")
 	}
 }
-
-// TestIncrementalCancellation checks ForEachIncrementalCtx honors a
-// cancel raised from the consumer.
-func TestIncrementalCancellation(t *testing.T) {
-	data := gen.ErdosRenyi(300, 2400, 7)
-	qb := graph.NewBuilder(3)
-	qb.AddEdge(0, 1)
-	qb.AddEdge(1, 2)
-	query, err := qb.Build()
-	if err != nil {
-		t.Fatalf("query build: %v", err)
-	}
-	tree, err := order.Preprocess(data, query, order.DefaultOptions())
-	if err != nil {
-		t.Fatalf("Preprocess: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var delivered atomic.Int64
-	err = ForEachIncrementalCtx(ctx, data, tree, ceci.Options{}, Options{Workers: 4},
-		func([]graph.VertexID) bool {
-			if delivered.Add(1) >= 50 {
-				cancel()
-				// Throttle post-cancel deliveries (see
-				// TestCancelMidEnumerationConsistentStats): the watcher
-				// goroutine must get scheduled before enumeration can
-				// drain the remaining clusters.
-				<-ctx.Done()
-				time.Sleep(200 * time.Microsecond)
-			}
-			return true
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-	if delivered.Load() < 50 {
-		t.Errorf("delivered %d, want >= 50", delivered.Load())
-	}
-}

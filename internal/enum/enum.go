@@ -95,22 +95,49 @@ func NewMatcher(ix *ceci.Index, opts Options) *Matcher {
 // Index returns the underlying CECI index.
 func (m *Matcher) Index() *ceci.Index { return m.ix }
 
+// Over returns a matcher enumerating ix — an index of the same query,
+// such as a view of m's restricted to some of its pivots
+// (ceci.Index.Restrict) — under limit, with m's symmetry-breaking
+// constraints and sinks: its work lands in the same ledger, Stats,
+// profile and progress reporter as m's.
+func (m *Matcher) Over(ix *ceci.Index, limit int64) *Matcher {
+	o := *m
+	o.ix, o.opts.Limit = ix, limit
+	return &o
+}
+
+// Enumerate hands the embeddings to fn — or, when fn is nil, counts them
+// with no callback per embedding — under ctx and Limit. It returns how
+// many were delivered (what the workers drained), whether the run went to
+// its end with nothing stopping it (no limit, consumer or context), and
+// the context's cause when ctx cut it short. The slice passed to fn is
+// indexed by query vertex ID and reused between calls: copy it to retain
+// it. fn may be called concurrently from multiple workers and must be
+// goroutine-safe; returning false stops the enumeration early. When ctx
+// is cancelled or its deadline passes, the shared stop flag is raised and
+// every worker unwinds at its next depth step — the same mechanism Limit
+// uses, so cancellation adds nothing to the per-step cost and nothing to
+// the steady-state allocation count. Embeddings already delivered stay
+// delivered.
+func (m *Matcher) Enumerate(ctx context.Context, fn func(emb []graph.VertexID) bool) (n int64, finished bool, err error) {
+	ctl := &control{fn: fn, limit: m.opts.Limit}
+	err = m.forEachCtx(ctx, ctl)
+	return ctl.counted.Load(), !ctl.stop.Load(), err
+}
+
 // Count enumerates and returns the number of embeddings (respecting
-// Limit if set). No callback runs per embedding: workers tally what
-// they find and the total is what they drained.
+// Limit if set).
 func (m *Matcher) Count() int64 {
-	ctl := &control{limit: m.opts.Limit}
-	m.forEach(context.Background(), ctl)
-	return ctl.counted.Load()
+	n, _, _ := m.Enumerate(context.Background(), nil)
+	return n
 }
 
 // CountCtx counts embeddings under ctx. On cancellation or deadline it
 // returns the embeddings delivered so far together with the context's
 // error, so callers can report partial counts.
 func (m *Matcher) CountCtx(ctx context.Context) (int64, error) {
-	ctl := &control{limit: m.opts.Limit}
-	err := m.forEachCtx(ctx, ctl)
-	return ctl.counted.Load(), err
+	n, _, err := m.Enumerate(ctx, nil)
+	return n, err
 }
 
 // Collect gathers embeddings into a slice (each indexed by query vertex
@@ -130,23 +157,17 @@ func (m *Matcher) Collect() [][]graph.VertexID {
 	return out
 }
 
-// ForEach calls fn for every embedding. The slice passed to fn is indexed
-// by query vertex ID and reused between calls: copy it to retain it. fn
-// may be called concurrently from multiple workers and must be
-// goroutine-safe; returning false stops the enumeration early.
+// ForEach calls fn for every embedding (see Enumerate).
 func (m *Matcher) ForEach(fn func(emb []graph.VertexID) bool) {
-	m.forEach(context.Background(), &control{fn: fn, limit: m.opts.Limit})
+	m.Enumerate(context.Background(), fn)
 }
 
-// ForEachCtx is ForEach under a context: when ctx is cancelled or its
-// deadline passes, the shared stop flag is raised and every worker
-// unwinds at its next depth step — the same mechanism Limit uses, so
-// cancellation adds nothing to the per-step cost and nothing to the
-// steady-state allocation count. Embeddings already delivered to fn
-// stay delivered; the return value is the context's cause (nil on a
-// complete, uncancelled enumeration).
+// ForEachCtx is ForEach under a context: the return value is the
+// context's cause, nil on a complete, uncancelled enumeration (see
+// Enumerate).
 func (m *Matcher) ForEachCtx(ctx context.Context, fn func(emb []graph.VertexID) bool) error {
-	return m.forEachCtx(ctx, &control{fn: fn, limit: m.opts.Limit})
+	_, _, err := m.Enumerate(ctx, fn)
+	return err
 }
 
 func (m *Matcher) forEachCtx(ctx context.Context, ctl *control) error {

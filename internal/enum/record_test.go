@@ -151,8 +151,8 @@ func (r *recordedRun) check(t *testing.T, order []graph.VertexID, complete bool)
 // cumulative Stats — so on a 4-worker run the two stores must agree with
 // each other and with what the consumer was handed, and Profile, Progress
 // and the per-position view the planner calibrates from must report
-// exactly the ledger's numbers — on a full enumeration, on the
-// incremental driver, and on a limit-stopped run.
+// exactly the ledger's numbers — on a full enumeration, on a limit-stopped
+// run, and on the two runs a limited ceci.Match that grows makes.
 func TestDepthStatsMatchProfile(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -190,9 +190,32 @@ func TestDepthStatsMatchProfile(t *testing.T) {
 				})
 			}
 			t.Run("incremental", func(t *testing.T) {
+				// What a limited ceci.Match runs when the first cluster
+				// comes up short of its limit: the index of that cluster,
+				// then the complete index's clusters past it through a
+				// restricted view, with what is left of the limit — both
+				// builds and both runs charged to one set of sinks, the
+				// progress reporter bracketed once around them.
+				total := NewMatcher(ceci.Build(tc.data, tree, ceci.Options{}), Options{}).Count()
 				r := newRecordedRun()
-				ForEachIncremental(tc.data, tree, r.buildOptions(), r.enumOptions(0), r.deliver)
-				r.check(t, tree.Order, true)
+				opts := r.enumOptions(total)
+				opts.Progress.Begin(r.ledger.Work, 0, 0)
+				pivots := tree.Filter(tc.data).Candidates(tree.Root)
+				bopts := r.buildOptions()
+				bopts.Pivots = pivots[:1]
+				prefix := NewMatcher(ceci.Build(tc.data, tree, bopts), opts)
+				n, finished, _ := prefix.Enumerate(context.Background(), r.deliver)
+				if !finished {
+					t.Fatalf("the first cluster holds %d of %d embeddings: nothing grows", n, total)
+				}
+				full := ceci.Build(tc.data, tree, r.buildOptions())
+				rest := full.Pivots()[1+slices.Index(full.Pivots(), pivots[0]):]
+				prefix.Over(full.Restrict(rest), total-n).Enumerate(context.Background(), r.deliver)
+				opts.Progress.Stop()
+				if r.delivered.Load() != total {
+					t.Fatalf("delivered %d of %d", r.delivered.Load(), total)
+				}
+				r.check(t, tree.Order, false)
 			})
 		})
 	}

@@ -16,7 +16,7 @@ const DefaultProgressInterval = time.Second
 //
 // "Clusters" are the enumeration's scheduling units: whole embedding
 // clusters under ST/CGD, cardinality-decomposed sub-clusters under FGD,
-// and per-pivot clusters in the incremental and distributed modes.
+// and per-pivot clusters in the distributed mode.
 type Progress struct {
 	// Elapsed is wall time since the run began.
 	Elapsed time.Duration `json:"elapsed"`
@@ -68,12 +68,12 @@ type Reporter struct {
 	clustersTotal atomic.Int64
 	cardTotal     atomic.Int64
 
-	mu      sync.Mutex // guards work, start/stop state
-	work    func() Work
-	start   time.Time
-	running bool
-	stop    chan struct{}
-	done    chan struct{}
+	mu    sync.Mutex // guards work, start/stop state
+	work  func() Work
+	start time.Time
+	open  int // Begins not yet matched by a Stop
+	stop  chan struct{}
+	done  chan struct{}
 
 	emitMu sync.Mutex // serializes fn invocations (monotonicity)
 }
@@ -91,8 +91,9 @@ func NewReporter(fn ProgressFunc, interval time.Duration) *Reporter {
 // Begin starts periodic reporting on a run whose ledger work samples and
 // which is about to enumerate clusters scheduling units totalling card
 // cardinality. A reporter carried over several runs keeps its first
-// start time and sums their totals; a Begin while one is running only
-// adds to them.
+// start time and sums their totals; a Begin while one is open only adds
+// to them, so a caller that brackets several runs with its own Begin and
+// Stop gets one final report for all of them.
 func (r *Reporter) Begin(work func() Work, clusters int, card int64) {
 	if r == nil {
 		return
@@ -102,13 +103,12 @@ func (r *Reporter) Begin(work func() Work, clusters int, card int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.work = work
-	if r.running {
+	if r.open++; r.open > 1 {
 		return
 	}
 	if r.start.IsZero() {
 		r.start = time.Now()
 	}
-	r.running = true
 	r.stop = make(chan struct{})
 	r.done = make(chan struct{})
 	go r.loop(r.stop, r.done)
@@ -128,18 +128,22 @@ func (r *Reporter) loop(stop, done chan struct{}) {
 	}
 }
 
-// Stop ends periodic reporting and fires one final (Final=true) report.
-// Idempotent.
+// Stop closes one Begin. The last open one ends periodic reporting and
+// fires one final (Final=true) report; a Stop with no Begin open does
+// nothing.
 func (r *Reporter) Stop() {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	if !r.running {
+	if r.open == 0 {
 		r.mu.Unlock()
 		return
 	}
-	r.running = false
+	if r.open--; r.open > 0 {
+		r.mu.Unlock()
+		return
+	}
 	close(r.stop)
 	done := r.done
 	r.mu.Unlock()

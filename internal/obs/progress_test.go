@@ -35,8 +35,9 @@ func TestReporterLifecycle(t *testing.T) {
 		workMu.Unlock()
 		time.Sleep(2 * time.Millisecond)
 	}
-	r.Stop()
-	r.Stop() // idempotent
+	r.Stop() // the second Begin's: reporting goes on
+	r.Stop() // the first Begin's: the final report
+	r.Stop() // no Begin open: nothing
 
 	mu.Lock()
 	defer mu.Unlock()

@@ -235,8 +235,8 @@ func TraceFromContext(ctx context.Context) (TraceContext, bool) {
 
 // DetachTrace returns a context whose ambient span and trace identity
 // are cleared, so StartUnder below it opens nothing but plain local
-// roots. Used where a traced request fans into per-item work that would
-// flood the trace (e.g. incremental mode's per-cluster index builds).
+// roots. Used where the inner layers must not join the trace a context
+// carries (e.g. a service request that was not sampled).
 func DetachTrace(ctx context.Context) context.Context {
 	ctx = context.WithValue(ctx, ctxKeySpan{}, (*Span)(nil))
 	return context.WithValue(ctx, ctxKeyTrace{}, TraceContext{})

@@ -221,7 +221,7 @@ func calibAt(calib []float64, u graph.VertexID) float64 {
 // expected output under the current prefix (ties: smaller merge cost,
 // then smaller vertex ID) — growth-factor-first, the classic min-cost
 // greedy.
-func (p *Planner) greedyOrder(calib []float64) []graph.VertexID {
+func (p *Planner) greedyOrder() []graph.VertexID {
 	t := p.base
 	n := t.NumVertices()
 	placed := make([]bool, n)
@@ -246,7 +246,6 @@ func (p *Planner) greedyOrder(calib []float64) []graph.VertexID {
 		if cu > 0 {
 			out = cu * p.selProduct(sels)
 		}
-		out *= calibAt(calib, u)
 		return out, listLen
 	}
 	for len(available) > 0 {
@@ -270,10 +269,8 @@ func (p *Planner) greedyOrder(calib []float64) []graph.VertexID {
 // Decide scores every candidate order — the four static heuristics plus
 // the greedy min-cost order — and returns the cheapest. Ties break to
 // the earliest candidate in the evaluation sequence, so the default
-// (BFS) wins when the model cannot separate orders. calib carries
-// per-vertex observed/predicted output ratios (Decision.Calibration; nil
-// to plan from the model alone).
-func (p *Planner) Decide(calib []float64) (*Decision, error) {
+// (BFS) wins when the model cannot separate orders.
+func (p *Planner) Decide() (*Decision, error) {
 	type named struct {
 		name string
 		ord  []graph.VertexID
@@ -286,7 +283,7 @@ func (p *Planner) Decide(calib []float64) (*Decision, error) {
 		}
 		orders = append(orders, named{h.String(), ord})
 	}
-	orders = append(orders, named{GreedyName, p.greedyOrder(calib)})
+	orders = append(orders, named{GreedyName, p.greedyOrder()})
 
 	dec := &Decision{}
 	best := -1
@@ -294,7 +291,7 @@ func (p *Planner) Decide(calib []float64) (*Decision, error) {
 		if dup(dec.Candidates, no.ord) {
 			continue
 		}
-		c := p.EstimateOrder(no.name, no.ord, calib)
+		c := p.EstimateOrder(no.name, no.ord, nil)
 		dec.Candidates = append(dec.Candidates, c)
 		if best < 0 || c.Cost < dec.Candidates[best].Cost {
 			best = len(dec.Candidates) - 1
@@ -376,7 +373,7 @@ func Choose(data, query *graph.Graph, opt Options) (*order.QueryTree, *Decision,
 	if err != nil {
 		return nil, nil, err
 	}
-	dec, err := p.Decide(nil)
+	dec, err := p.Decide()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -80,7 +80,7 @@ func TestPlannerOrdersTreeConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		dec, err := p.Decide(nil)
+		dec, err := p.Decide()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -150,7 +150,7 @@ func TestGreedyPrefersSelectiveVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := p.Decide(nil)
+	dec, err := p.Decide()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestCalibrationShiftsEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := p.Decide(nil)
+	dec, err := p.Decide()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,8 +78,8 @@ type VertexCounters struct {
 	refined atomic.Int64
 	removed atomic.Int64
 
-	// Index shape, accumulated when each build completes (the
-	// incremental mode builds one cluster at a time; totals sum).
+	// Index shape, recorded when a build completes: the last build's
+	// (a limited Match builds a prefix, then the complete index).
 	FinalCands   atomic.Int64
 	TEEntries    atomic.Int64
 	TECandidates atomic.Int64
@@ -106,8 +106,8 @@ type NTECounters struct {
 
 // InitQuery sizes the per-vertex state for a query of n vertices whose
 // non-tree-edge parents are given by nteParents (indexed by query
-// vertex). Idempotent: only the first call takes effect, so the
-// incremental mode's per-cluster builds can all pass the same tree.
+// vertex). Idempotent: only the first call takes effect, so a limited
+// Match's prefix and complete builds can both pass the same tree.
 func (c *Collector) InitQuery(n int, nteParents func(u int) []int) {
 	if c == nil || c.initialized.Load() {
 		return

@@ -90,7 +90,7 @@ func TestInitQueryIdempotent(t *testing.T) {
 	c := New()
 	initTriangle(c)
 	c.Vertex(0).FinalCands.Add(7)
-	// A second init (as the incremental mode's per-cluster builds issue)
+	// A second init (as a limited Match's completing build issues)
 	// must not reset accumulated counters.
 	initTriangle(c)
 	if got := c.Snapshot().Vertices[0].FinalCands; got != 7 {

@@ -68,21 +68,6 @@ func entryBytes(key string, ix *icec.Index) int64 {
 // number of root candidates.
 const everyPivot = math.MaxInt
 
-// nextCoverage is the growth rule: how many of a class's total root
-// candidates the index built for a request covers, when the request needs
-// one covering atLeast so many (1: any will do; more: a narrower one came
-// up short, or only a complete one can answer). One cluster, then every
-// cluster — on a dense graph clusters overlap after two hops, so the
-// first 16 pivots already cost 0.84x a full build and the first 64 0.97x,
-// while the first alone costs 0.48x and fills a page of 100 for 90 of 90
-// benchmark classes (EXPERIMENTS §PR 26).
-func nextCoverage(atLeast, total int) int {
-	if atLeast <= 1 {
-		return min(1, total)
-	}
-	return total
-}
-
 // CacheStats is a point-in-time snapshot of cache behavior, exposed at
 // /cachez and as ceci_cache_* gauges.
 type CacheStats struct {

@@ -558,7 +558,7 @@ func (e *Engine) enumerate(ctx context.Context, ent *entry, perm []int, req Requ
 
 // getIndex returns an entry of the class that covers atLeast so many of
 // its root candidates, from the cache, from a build in flight, or by
-// building the one nextCoverage names (once, via singleflight). hit is
+// building the one icec.NextCoverage names (once, via singleflight). hit is
 // true only for the first of these; buildTime is what a build of its own
 // took.
 func (e *Engine) getIndex(ctx context.Context, cl *class, atLeast int) (ent *entry, hit bool, buildTime time.Duration, err error) {
@@ -622,7 +622,7 @@ func queryHash(key string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// buildEntry builds the index nextCoverage names for a request that needs
+// buildEntry builds the index icec.NextCoverage names for a request that needs
 // atLeast so many root candidates covered, and inserts it into the cache,
 // over a narrower incumbent if there is one. What is indexed is the
 // query's canonical form under the engine's static order, never the query
@@ -638,7 +638,7 @@ func (e *Engine) buildEntry(ctx context.Context, cl *class, atLeast int) (*entry
 		}
 	}
 	total := len(cl.pivots)
-	k := nextCoverage(atLeast, total)
+	k := icec.NextCoverage(atLeast, total)
 	ix, err := icec.BuildCtx(ctx, e.data, cl.tree, icec.Options{
 		Workers: e.opts.Workers,
 		Stats:   e.opts.Stats,

@@ -8,9 +8,9 @@ import (
 )
 
 // TestDifferentialAllEnginesAgree is the core cross-matcher oracle run:
-// 220 seeded graph/query pairs, each checked across all seven engines
-// (reference, ceci, bare, cfl, dualsim, psgl, turboiso) for canonical
-// embedding-set equality. A failing seed is a complete reproducer:
+// 220 seeded graph/query pairs, each checked across all eight engines
+// (reference, ceci, ceci-limited, bare, cfl, dualsim, psgl, turboiso) for
+// canonical embedding-set equality. A failing seed is a complete reproducer:
 //
 //	go run ./cmd/cecirun -verify -seed <seed>
 //
@@ -36,14 +36,14 @@ func TestDifferentialAllEnginesAgree(t *testing.T) {
 		pairs, len(verify.Engines()), skipped)
 }
 
-// TestDifferentialEngineRoster guards the engine list: exactly the seven
+// TestDifferentialEngineRoster guards the engine list: exactly the eight
 // matchers, oracle first.
 func TestDifferentialEngineRoster(t *testing.T) {
 	names := []string{}
 	for _, e := range verify.Engines() {
 		names = append(names, e.Name)
 	}
-	want := []string{"reference", "ceci", "bare", "cfl", "dualsim", "psgl", "turboiso"}
+	want := []string{"reference", "ceci", "ceci-limited", "bare", "cfl", "dualsim", "psgl", "turboiso"}
 	if len(names) != len(want) {
 		t.Fatalf("engines = %v, want %v", names, want)
 	}

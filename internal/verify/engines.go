@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"math"
+
 	ceci "ceci"
 	"ceci/internal/auto"
 	"ceci/internal/baseline"
@@ -26,12 +28,15 @@ type Engine struct {
 	ForEach func(data, query *graph.Graph, workers int, fn func(emb []graph.VertexID) bool) error
 }
 
-// Engines returns the seven matchers in oracle order: the reference
-// enumerator first (the trust anchor), then CECI, then the baselines.
+// Engines returns the eight matchers in oracle order: the reference
+// enumerator first (the trust anchor), then CECI — unlimited, and under a
+// limit no pair reaches, which starts from the first cluster's index and
+// must grow it — then the baselines.
 func Engines() []Engine {
 	return []Engine{
 		{Name: "reference", ForEach: referenceForEach},
-		{Name: "ceci", ForEach: ceciForEach},
+		{Name: "ceci", ForEach: ceciForEach(0)},
+		{Name: "ceci-limited", ForEach: ceciForEach(math.MaxInt64)},
 		{Name: "bare", ForEach: baselineForEach(bare.ForEach)},
 		{Name: "cfl", ForEach: baselineForEach(cfl.ForEach)},
 		{Name: "dualsim", ForEach: baselineForEach(dualsim.ForEach)},
@@ -45,13 +50,15 @@ func referenceForEach(data, query *graph.Graph, workers int, fn func([]graph.Ver
 	return nil
 }
 
-func ceciForEach(data, query *graph.Graph, workers int, fn func([]graph.VertexID) bool) error {
-	m, err := ceci.Match(data, query, &ceci.Options{Workers: workers})
-	if err != nil {
-		return err
+func ceciForEach(limit int64) func(data, query *graph.Graph, workers int, fn func([]graph.VertexID) bool) error {
+	return func(data, query *graph.Graph, workers int, fn func([]graph.VertexID) bool) error {
+		m, err := ceci.Match(data, query, &ceci.Options{Workers: workers, Limit: limit})
+		if err != nil {
+			return err
+		}
+		m.ForEach(fn)
+		return nil
 	}
-	m.ForEach(fn)
-	return nil
 }
 
 func baselineForEach(f baseline.ForEachFunc) func(data, query *graph.Graph, workers int, fn func([]graph.VertexID) bool) error {

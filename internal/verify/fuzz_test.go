@@ -20,8 +20,9 @@ import (
 // PairParams tuple — replay and minimize it with `cecirun -verify`.
 
 // FuzzMatchDifferential fuzzes the generator envelope: any (seed, shape)
-// tuple becomes a clamped PairParams, and all seven engines must agree on
-// the resulting pair's canonical embedding set.
+// tuple becomes a clamped PairParams, and all eight engines — the limited
+// CECI among them, so every input also grows a first-cluster index — must
+// agree on the resulting pair's canonical embedding set.
 func FuzzMatchDifferential(f *testing.F) {
 	f.Add(int64(1), uint64(12), uint64(18), uint64(3), uint64(4))
 	f.Add(int64(2), uint64(4), uint64(0), uint64(1), uint64(2))    // smallest envelope

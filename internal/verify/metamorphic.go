@@ -19,8 +19,11 @@ import (
 //     embedding set unchanged vertex-for-vertex
 //   - edge-deletion:  removing a data edge never creates embeddings
 //   - options:        worker count, ST/CGD/FGD balancing, adjacency-probe
-//     verification, incremental vs. batch enumeration, and a serialized
-//     index round-trip all produce the identical embedding set
+//     verification, and a serialized index round-trip all produce the
+//     identical embedding set
+//   - limited:        a Limit past the total (a prefix index that must
+//     grow) yields exactly the exhaustive set, and half the total yields
+//     that many distinct members of it
 //   - automorphisms:  KeepAutomorphisms multiplies the count by exactly
 //     the query's orbit size
 
@@ -105,12 +108,21 @@ func CheckInvariants(data, query *graph.Graph, seed int64, opts Options) []Viola
 		}
 	}
 
-	// Incremental (cluster-by-cluster lazy build) vs. batch.
-	if got, err := incrementalSet(data, query, &ceci.Options{Workers: opts.Workers}, cons); err != nil {
-		out = append(out, Violation{"incremental", err.Error()})
+	// Limited matching: the index covers the first cluster and is
+	// completed when a call comes up short of the limit.
+	if got, err := ceciSet(data, query, &ceci.Options{Workers: opts.Workers, Limit: baseCount + 1}, cons); err != nil {
+		out = append(out, Violation{"limited", err.Error()})
 	} else if !equalSets(base, got) {
-		out = append(out, Violation{"incremental",
-			fmt.Sprintf("incremental set differs from batch (%d vs %d)", len(got), len(base))})
+		out = append(out, Violation{"limited",
+			fmt.Sprintf("limit %d: set differs from the exhaustive one (%d vs %d)", baseCount+1, len(got), len(base))})
+	}
+	half := (baseCount + 1) / 2
+	if got, err := ceciSet(data, query, &ceci.Options{Workers: opts.Workers, Limit: half}, cons); err != nil {
+		out = append(out, Violation{"limited", err.Error()})
+	} else if _, extra := diffSets(base, got); int64(len(got)) != half || len(extra) > 0 {
+		out = append(out, Violation{"limited",
+			fmt.Sprintf("limit %d: %d distinct embeddings, %d of them outside the exhaustive set of %d",
+				half, len(got), len(extra), len(base))})
 	}
 
 	// Serialized-index round-trip via index_io.go.
@@ -144,15 +156,6 @@ func ceciSet(data, query *graph.Graph, o *ceci.Options, cons *auto.Constraints) 
 		return nil, err
 	}
 	return collectSet(cons, func(fn func([]graph.VertexID) bool) { m.ForEach(fn) }), nil
-}
-
-func incrementalSet(data, query *graph.Graph, o *ceci.Options, cons *auto.Constraints) ([]string, error) {
-	var set []string
-	var err error
-	set = collectSet(cons, func(fn func([]graph.VertexID) bool) {
-		err = ceci.ForEachIncremental(data, query, o, fn)
-	})
-	return set, err
 }
 
 func roundTripSet(data, query *graph.Graph, o *ceci.Options, cons *auto.Constraints) ([]string, error) {

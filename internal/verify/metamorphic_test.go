@@ -11,8 +11,8 @@ import (
 
 // TestDifferentialMetamorphicInvariants runs the full invariant battery —
 // permutation, label renaming, edge-deletion monotonicity, Options
-// stability (workers, ST/CGD/FGD, edge verification, incremental,
-// serialized-index round-trip), automorphism accounting — on 40 seeded
+// stability (workers, ST/CGD/FGD, edge verification, serialized-index
+// round-trip), limited matching, automorphism accounting — on 40 seeded
 // pairs.
 func TestDifferentialMetamorphicInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {

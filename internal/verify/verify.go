@@ -10,9 +10,10 @@
 //
 // The oracle hierarchy is: reference (obviously correct, exhaustive) >
 // baselines (five independent implementations sharing only the graph
-// substrate) > CECI (the system under test). Agreement across all seven
-// is the repository's primary correctness signal, following the practice
-// of the large-scale matching literature (Sun et al. VLDB'12, GraphMini).
+// substrate) > CECI (the system under test, unlimited and limited).
+// Agreement across all eight is the repository's primary correctness
+// signal, following the practice of the large-scale matching literature
+// (Sun et al. VLDB'12, GraphMini).
 //
 // Entry points: CheckSeed/CheckPair (exact set equality across engines),
 // CheckInvariants (metamorphic properties), and MinimizeFailure (shrink a

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,31 +169,69 @@ func TestTelemetryEndpointDuringEnumeration(t *testing.T) {
 	}
 }
 
+// TestIncrementalProgress: a limited Match that grows runs its prefix and
+// then the clusters past it, and the call still makes one Final progress
+// report, whose embeddings are what the caller received — as do Stats and
+// the ledger, on 4 FGD workers under a limit the first cluster cannot
+// fill. A second call, on the complete index, makes one more.
 func TestIncrementalProgress(t *testing.T) {
 	data := gen.ErdosRenyi(80, 400, 3)
 	query := gen.QG1()
-	var mu sync.Mutex
-	var last ceci.Progress
-	opts := &ceci.Options{
-		Workers:          2,
-		ProgressInterval: time.Millisecond,
-		Progress: func(p ceci.Progress) {
-			mu.Lock()
-			last = p
-			mu.Unlock()
-		},
-	}
-	n, err := ceci.CountIncremental(data, query, opts)
+	total, err := ceci.Count(data, query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
+	var finals []ceci.Progress
+	st, led, log := &ceci.Stats{}, ceci.NewLedger(), &buildLog{}
+	opts := &ceci.Options{
+		Workers:          4,
+		Limit:            total - 1,
+		Stats:            st,
+		Ledger:           led,
+		Tracer:           ceci.NewTracer(ceci.TracerOptions{JSONL: log}),
+		ProgressInterval: time.Millisecond,
+		Progress: func(p ceci.Progress) {
+			if p.Final {
+				mu.Lock()
+				finals = append(finals, p)
+				mu.Unlock()
+			}
+		},
+	}
+	m, err := ceci.Match(data, query, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delivered atomic.Int64
+	m.ForEach(func([]ceci.VertexID) bool {
+		delivered.Add(1)
+		return true
+	})
+	n := delivered.Load()
+	if b := log.n.Load(); b != 2 {
+		t.Fatalf("%d builds: the limit did not make the index grow", b)
+	}
+	mu.Lock()
+	got := slices.Clone(finals)
+	mu.Unlock()
+	if len(got) != 1 {
+		t.Fatalf("%d Final reports for one call, want 1: %+v", len(got), got)
+	}
+	if n != opts.Limit || got[0].Embeddings != n || st.Embeddings.Load() != n || led.Snapshot().Embeddings != n {
+		t.Fatalf("delivered %d (limit %d), Final %d, Stats %d, ledger %d",
+			n, opts.Limit, got[0].Embeddings, st.Embeddings.Load(), led.Snapshot().Embeddings)
+	}
+	if got[0].ClustersDone > got[0].ClustersTotal || got[0].ClustersDone == 0 {
+		t.Fatalf("Final clusters %d/%d", got[0].ClustersDone, got[0].ClustersTotal)
+	}
+	if c := m.Count(); c != opts.Limit {
+		t.Fatalf("second call counted %d, want %d", c, opts.Limit)
+	}
 	mu.Lock()
 	defer mu.Unlock()
-	if !last.Final || last.ClustersTotal <= 0 || last.ClustersDone != last.ClustersTotal {
-		t.Fatalf("final = %+v", last)
-	}
-	if last.Embeddings != n {
-		t.Fatalf("embeddings = %d, count = %d", last.Embeddings, n)
+	if len(finals) != 2 || finals[1].Embeddings != 2*n {
+		t.Fatalf("after two calls: %d Final reports, last %+v; want 2, %d embeddings", len(finals), finals[len(finals)-1], 2*n)
 	}
 }
 
