@@ -246,7 +246,7 @@ func BenchmarkFig11_Decompose(b *testing.B) {
 	ix, _ := buildFor(b, benchSkewed, gen.QG3())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		units := workload.Decompose(ix, nil, 0.2, 16, nil)
+		units := workload.Decompose(ix, nil, 0.2, 16, ix.Tree.NumVertices(), nil)
 		if len(units) == 0 {
 			b.Fatal("no units")
 		}

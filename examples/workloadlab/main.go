@@ -42,7 +42,7 @@ func main() {
 	const workers = 16
 	fmt.Println("ExtremeCluster decomposition (Algorithm 3):")
 	for _, beta := range []float64{1.0, 0.5, 0.2, 0.1, 0.05} {
-		units := workload.Decompose(ix, cons, beta, workers, nil)
+		units := workload.Decompose(ix, cons, beta, workers, ix.Tree.NumVertices(), nil)
 		maxCard := int64(0)
 		for _, u := range units {
 			if u.Card > maxCard {

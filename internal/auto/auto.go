@@ -9,6 +9,8 @@
 package auto
 
 import (
+	"slices"
+
 	"ceci/internal/graph"
 )
 
@@ -113,6 +115,12 @@ func (c *Constraints) Allows(u graph.VertexID, v graph.VertexID, m []graph.Verte
 		}
 	}
 	return true
+}
+
+// Related reports whether a constraint orders u's match directly against
+// w's (either way round): only then does Allows for one read the other.
+func (c *Constraints) Related(u, w graph.VertexID) bool {
+	return slices.Contains(c.Less[u], w) || slices.Contains(c.Greater[u], w)
 }
 
 // OrbitSize returns the product of class factorials: the number of

@@ -12,11 +12,13 @@ import (
 	"ceci/internal/setops"
 )
 
-// TestCachePlanVolatilitySplit re-derives the stable/volatile split from
-// first principles for a spread of query shapes and checks the built plan
-// against it: the volatile input is exactly the one keyed by the
-// predecessor in the matching order, and the stable keys are every other
-// input's key vertex — none for a vertex with nothing to intersect.
+// TestCachePlanVolatilitySplit re-derives the two-level split from first
+// principles for a spread of query shapes and checks the built plan
+// against it: the inner input is the one keyed by the vertex latest in
+// the matching order, the outer inputs are every other one, TE first; the
+// plan is volatile exactly when an input is keyed by the predecessor —
+// which is then the inner one — and a vertex without non-tree edges has
+// no plan at all.
 func TestCachePlanVolatilitySplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	queries := []*graph.Graph{gen.QG1(), gen.QG2(), gen.QG3(), gen.QG4()}
@@ -34,40 +36,47 @@ func TestCachePlanVolatilitySplit(t *testing.T) {
 		for i := 1; i < len(tree.Order); i++ {
 			u, prev := tree.Order[i], tree.Order[i-1]
 			p := ix.ntePlan[u]
-			wantVolBase := graph.VertexID(tree.Parent[u]) == prev
-			if p.volBase != wantVolBase {
-				t.Fatalf("trial %d u=%d: volBase=%v want %v", trial, u, p.volBase, wantVolBase)
+			if len(tree.NTEParents[u]) == 0 {
+				if p.outer != nil || p.volatile {
+					t.Fatalf("trial %d u=%d: one input, plan %+v", trial, u, p)
+				}
+				continue
 			}
-			wantVolNTE := -1
-			var wantStable []graph.VertexID
-			if len(tree.NTEParents[u]) > 0 && !wantVolBase {
-				wantStable = append(wantStable, graph.VertexID(tree.Parent[u]))
-			}
+			// Every input as (slot, key vertex), TE first.
+			slots := []int{teSlot}
+			keys := []graph.VertexID{graph.VertexID(tree.Parent[u])}
 			for j, un := range tree.NTEParents[u] {
-				if un == prev {
-					wantVolNTE = j
-				} else {
-					wantStable = append(wantStable, un)
+				slots = append(slots, j)
+				keys = append(keys, un)
+			}
+			deepest := 0
+			for k := range keys {
+				if tree.Pos[keys[k]] > tree.Pos[keys[deepest]] {
+					deepest = k
 				}
 			}
-			if p.volNTE != wantVolNTE {
-				t.Fatalf("trial %d u=%d: volNTE=%d want %d", trial, u, p.volNTE, wantVolNTE)
+			if p.inner != slots[deepest] || p.innerKey != keys[deepest] {
+				t.Fatalf("trial %d u=%d: inner slot %d key %d, want slot %d key %d",
+					trial, u, p.inner, p.innerKey, slots[deepest], keys[deepest])
 			}
-			if !slices.Equal(p.stableKeys, wantStable) {
-				t.Fatalf("trial %d u=%d: stableKeys=%v want %v", trial, u, p.stableKeys, wantStable)
+			wantOuter := slices.Delete(slices.Clone(slots), deepest, deepest+1)
+			wantKeys := slices.Delete(slices.Clone(keys), deepest, deepest+1)
+			if !slices.Equal(p.outer, wantOuter) || !slices.Equal(p.outerKeys, wantKeys) {
+				t.Fatalf("trial %d u=%d: outer %v keyed %v, want %v keyed %v",
+					trial, u, p.outer, p.outerKeys, wantOuter, wantKeys)
 			}
-			if n := len(tree.NTEParents[u]); n > 0 && len(wantStable) == 0 {
-				t.Fatalf("trial %d u=%d: %d non-tree edges but no stable input", trial, u, n)
+			if want := slices.Contains(keys, prev); p.volatile != want {
+				t.Fatalf("trial %d u=%d: volatile=%v, an input keyed by the predecessor: %v", trial, u, p.volatile, want)
 			}
 		}
 	}
 }
 
 // TestCachePlanFiresOnClique: the 4-clique's BFS star tree gives the
-// deepest vertex a stable TE base (keyed by the root) plus one stable
-// NTE list — a stable side that is a real intersection, computed once
-// per sibling loop. Guard against an orderer change silently leaving
-// every stable side a single raw list.
+// deepest vertex a TE list keyed by the root and NTE lists keyed by the
+// two vertices after it — an outer side that is a real intersection,
+// computed once per sibling loop. Guard against an orderer change
+// silently leaving every outer side a single raw list.
 func TestCachePlanFiresOnClique(t *testing.T) {
 	data := gen.Kronecker(8, 8, 1)
 	tree, err := order.Preprocess(data, gen.QG3(), order.DefaultOptions())
@@ -77,10 +86,10 @@ func TestCachePlanFiresOnClique(t *testing.T) {
 	ix := Build(data, tree, Options{})
 	used := false
 	for _, p := range ix.ntePlan {
-		used = used || len(p.stableKeys) >= 2
+		used = used || len(p.outerKeys) >= 2
 	}
 	if !used {
-		t.Fatal("no vertex intersects two stable inputs on a 4-clique query")
+		t.Fatal("no vertex intersects two outer inputs on a 4-clique query")
 	}
 }
 
@@ -96,14 +105,18 @@ func coldCandidates(ix *Index, u graph.VertexID, m []graph.VertexID) []graph.Ver
 }
 
 // TestStableCacheEquivalence: a depth cursor that lives through a whole
-// enumeration — fingers, stable side, lazy bitmap — must return, call by
-// call, what a cursor forgotten before every lookup (ResetUnitCache)
-// returns and what the maps give without any scratch. The walk is the
+// enumeration — fingers, the outer side and its lazy bitmap, the result
+// kept under every key — must return, call by call, what a cursor
+// forgotten before every lookup (ResetUnitCache) returns, what a cursor
+// forgotten at every cluster boundary the way an enumeration worker does
+// returns, and what the maps give without any scratch. The walk is the
 // enumeration's own access pattern, a depth-first descent whose sibling
 // loops present ascending keys, and then the same descent with every
 // sibling loop shuffled, so fingers also see descending and repeated
-// keys. Golden pairs, 4-/5-cliques on Kronecker graphs and the five
-// labeled cyclic queries; every mechanism must actually fire.
+// keys. Golden pairs, 4-/5-cliques and houses on Kronecker graphs and the
+// five labeled cyclic queries; every mechanism must actually fire,
+// including the kept result of a vertex whose inputs are all keyed before
+// its predecessor, at different depths (the house's last vertex).
 func TestStableCacheEquivalence(t *testing.T) {
 	type fixture struct {
 		name        string
@@ -114,12 +127,12 @@ func TestStableCacheEquivalence(t *testing.T) {
 		fixtures = append(fixtures, fixture{name, data, query})
 	})
 	rng := rand.New(rand.NewSource(5))
-	for trial, q := range []*graph.Graph{gen.QG3(), gen.QG5(), gen.QG3(), gen.QG5(), gen.QG2(), gen.QG4()} {
+	for trial, q := range []*graph.Graph{gen.QG3(), gen.QG5(), gen.QG3(), gen.QG5(), gen.QG2(), gen.QG4(), gen.QG4()} {
 		fixtures = append(fixtures, fixture{"kronecker-" + string(rune('a'+trial)), gen.Kronecker(7, 5+rng.Intn(5), 1), q})
 	}
 
-	var lookups, stableHits, bitmapProbes, multiStable, emptyStable int
-	var cursorBytes int64
+	var lookups, outerHits, bitmapProbes, multiOuter, emptyOuter, keptHits, innerMoves int
+	var cursorBytes, resultBytes int64
 	for _, fx := range fixtures {
 		tree, err := order.Preprocess(fx.data, fx.query, order.DefaultOptions())
 		if err != nil {
@@ -129,6 +142,7 @@ func TestStableCacheEquivalence(t *testing.T) {
 		n := tree.NumVertices()
 		for _, shuffled := range []bool{false, true} {
 			warm := make([]MatchScratch, n)
+			unit := make([]MatchScratch, n) // forgotten at every cluster boundary
 			cold := make([]MatchScratch, n)
 			m := make([]graph.VertexID, n)
 			budget := 3000
@@ -139,27 +153,38 @@ func TestStableCacheEquivalence(t *testing.T) {
 				}
 				budget--
 				u := tree.Order[depth]
-				hit := warm[depth].stableHit(ix.ntePlan[u].stableKeys, m) && len(ix.ntePlan[u].stableKeys) > 0
-				got := slices.Clone(ix.CandidatesFor(u, m, &warm[depth]))
+				plan := &ix.ntePlan[u]
+				sc := &warm[depth]
+				twoLevel := len(tree.NTEParents[u]) > 0
+				hit := twoLevel && sc.outerHit(plan.outerKeys, m)
+				kept := hit && sc.resultOK && sc.innerKey == m[plan.innerKey]
+				got := slices.Clone(ix.CandidatesFor(u, m, sc))
 				cold[depth].ResetUnitCache()
 				forgot := slices.Clone(ix.CandidatesFor(u, m, &cold[depth]))
+				perUnit := slices.Clone(ix.CandidatesFor(u, m, &unit[depth]))
 				want := coldCandidates(ix, u, m)
-				if !slices.Equal(got, want) || !slices.Equal(forgot, want) {
-					t.Fatalf("%s shuffled=%v depth %d u=%d m=%v:\n cursor %v\n reset  %v\n maps   %v",
-						fx.name, shuffled, depth, u, m, got, forgot, want)
+				if !slices.Equal(got, want) || !slices.Equal(forgot, want) || !slices.Equal(perUnit, want) {
+					t.Fatalf("%s shuffled=%v depth %d u=%d m=%v:\n cursor %v\n reset  %v\n unit   %v\n maps   %v",
+						fx.name, shuffled, depth, u, m, got, forgot, perUnit, want)
 				}
 				lookups++
 				if hit {
-					stableHits++
-					if warm[depth].bits == bitsFilled {
+					outerHits++
+					if sc.bits == bitsFilled {
 						bitmapProbes++
 					}
-					if len(warm[depth].stable) == 0 {
-						emptyStable++
+					if len(sc.outer) == 0 {
+						emptyOuter++
 					}
 				}
-				if len(ix.ntePlan[u].stableKeys) >= 2 {
-					multiStable++
+				switch {
+				case kept:
+					keptHits++
+				case hit && !plan.volatile && len(plan.outerKeys) > 0:
+					innerMoves++ // the outer side reused under a new inner key
+				}
+				if len(plan.outerKeys) >= 2 {
+					multiOuter++
 				}
 				if shuffled {
 					rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
@@ -170,26 +195,32 @@ func TestStableCacheEquivalence(t *testing.T) {
 				}
 			}
 			for _, pivot := range ix.Pivots() {
+				for d := range unit {
+					unit[d].ResetUnitCache()
+				}
 				m[tree.Order[0]] = pivot
 				walk(1)
 			}
 			// What the cursor keeps is part of the scratch's footprint.
 			for d := range warm {
 				sc := &warm[d]
-				cursor := int64(cap(sc.fingers))*8 + sc.stableBits.FootprintBytes()
+				cursor := int64(cap(sc.fingers))*8 + sc.outerBits.FootprintBytes() + int64(cap(sc.out))*4
 				bare := *sc
-				bare.fingers, bare.stableBits = nil, bitset.Span{}
+				bare.fingers, bare.outerBits, bare.out = nil, bitset.Span{}, nil
 				if got := sc.FootprintBytes() - bare.FootprintBytes(); got != cursor {
-					t.Fatalf("%s depth %d: footprint counts %d bytes for %d bytes of fingers and stable bitmap",
+					t.Fatalf("%s depth %d: footprint counts %d bytes for %d bytes of fingers, outer bitmap and result buffer",
 						fx.name, d, got, cursor)
 				}
 				cursorBytes += cursor
+				resultBytes += int64(cap(sc.out)) * 4
 			}
 		}
 	}
-	t.Logf("%d lookups: %d under an unchanged stable key, %d probing its bitmap, %d with a cached-empty stable side, %d at a vertex with >= 2 stable inputs",
-		lookups, stableHits, bitmapProbes, emptyStable, multiStable)
-	if stableHits == 0 || bitmapProbes == 0 || multiStable == 0 || cursorBytes == 0 {
+	t.Logf("%d lookups: %d under an unchanged outer key, %d probing its bitmap, %d with a cached-empty outer side, "+
+		"%d at a vertex with >= 2 outer inputs, %d answered by a kept result, %d reusing the outer side under a new inner key",
+		lookups, outerHits, bitmapProbes, emptyOuter, multiOuter, keptHits, innerMoves)
+	if outerHits == 0 || bitmapProbes == 0 || multiOuter == 0 || keptHits == 0 || innerMoves == 0 ||
+		cursorBytes == 0 || resultBytes == 0 {
 		t.Fatal("a cursor mechanism never fired; fixtures too small")
 	}
 }

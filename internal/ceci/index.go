@@ -64,34 +64,41 @@ type Index struct {
 	Tree  *order.QueryTree
 	Nodes []Node
 
-	// ntePlan[u] is the volatility split of u's intersection inputs, the
-	// shape of the depth cursor CandidatesFor keeps on a MatchScratch.
+	// ntePlan[u] splits u's intersection inputs into the two levels of
+	// the depth cursor CandidatesFor keeps on a MatchScratch.
 	ntePlan []cachePlan
 
 	opts Options
 }
 
-// cachePlan splits the intersection inputs of one query vertex by
-// volatility. The matching order is static, so the vertex matched
-// immediately before u — the one whose sibling loop drives consecutive
-// CandidatesFor(u, ...) calls — is known once the tree is. Any input list
-// keyed by that vertex ("volatile") changes on every call; every other
-// input is keyed by an ancestor assignment that stays fixed across the
-// whole loop ("stable"), so the stable side is intersected once per
-// distinct assignment of stableKeys and reused. At most one input is
-// volatile: the TE base list when u's tree parent is the predecessor, or
-// a single NTE list when that edge is non-tree.
+// cachePlan is the shape of the two-level cursor over the intersection
+// inputs of one query vertex u with non-tree edges. Every input is keyed
+// by an earlier vertex of the (static) matching order: the TE list by the
+// tree parent, NTE[j] by NTEParents[u][j]. The input keyed by the deepest
+// of them is the inner list; every other input is the outer side. The
+// enumeration's sibling loops move a deeper assignment more often than a
+// shallower one, so the outer side — intersected once, and held as a
+// bitmap once it meets a second inner key — changes only when an outer
+// key's assignment does, and each change of the inner key costs one
+// intersection against it. When the inner key is u's predecessor, whose
+// sibling loop drives consecutive CandidatesFor(u, ...) calls, the result
+// changes with every call; otherwise every key is fixed across that loop
+// and the result is kept under all of them.
 type cachePlan struct {
-	// volBase marks the TE base list volatile (tree parent == predecessor).
-	volBase bool
-	// volNTE is the volatile NTE slot, or -1.
-	volNTE int
-	// stableKeys lists the query vertices whose assignments select the
-	// stable inputs: the tree parent unless volBase, then every
-	// non-volatile NTE parent in slot order. Empty for a vertex without
-	// non-tree edges, which has nothing to intersect.
-	stableKeys []graph.VertexID
+	// inner is the inner input's slot (teSlot, or j for NTE[j]) and
+	// innerKey the vertex it is keyed by.
+	inner    int
+	innerKey graph.VertexID
+	// volatile marks innerKey as u's predecessor in the matching order.
+	volatile bool
+	// outer lists the other inputs' slots — the TE list first, then NTE
+	// slot order — and outerKeys their key vertices, index for index.
+	outer     []int
+	outerKeys []graph.VertexID
 }
+
+// teSlot is a cachePlan slot naming the TE list.
+const teSlot = -1
 
 // newIndex returns an index for (data, tree) with every node's NTE slots
 // allocated and nothing in them. The tree is retained without its verdict
@@ -110,29 +117,36 @@ func newIndex(data *graph.Graph, tree *order.QueryTree, opts Options) *Index {
 }
 
 // finish derives what enumeration reads beside the columns, once build
-// or ReadIndex has filled them: the per-vertex volatility split (the
-// embedding-cluster observation of Section 4.1 applied one level up:
+// or ReadIndex has filled them: the per-vertex cursor plan (the
+// embedding-cluster observation of Section 4.1 applied to every level:
 // consecutive calls at the same depth share every ancestor assignment
-// except the predecessor's).
+// but the deepest ones).
 func (ix *Index) finish() {
 	tree := ix.Tree
 	ix.ntePlan = make([]cachePlan, tree.NumVertices())
 	for i := 1; i < len(tree.Order); i++ {
-		u, prev := tree.Order[i], tree.Order[i-1]
+		u := tree.Order[i]
 		nparents := tree.NTEParents[u]
-		p := cachePlan{volNTE: -1}
-		parent := graph.VertexID(tree.Parent[u])
-		p.volBase = parent == prev
-		if len(nparents) > 0 && !p.volBase {
-			p.stableKeys = append(p.stableKeys, parent)
+		if len(nparents) == 0 {
+			continue // one input: nothing to intersect
 		}
+		p := cachePlan{inner: teSlot, innerKey: graph.VertexID(tree.Parent[u])}
 		for j, un := range nparents {
-			if un == prev {
-				p.volNTE = j
-			} else {
-				p.stableKeys = append(p.stableKeys, un)
+			if tree.Pos[un] > tree.Pos[p.innerKey] {
+				p.inner, p.innerKey = j, un
 			}
 		}
+		if p.inner != teSlot {
+			p.outer = append(p.outer, teSlot)
+			p.outerKeys = append(p.outerKeys, graph.VertexID(tree.Parent[u]))
+		}
+		for j, un := range nparents {
+			if j != p.inner {
+				p.outer = append(p.outer, j)
+				p.outerKeys = append(p.outerKeys, un)
+			}
+		}
+		p.volatile = p.innerKey == tree.Order[i-1]
 		ix.ntePlan[u] = p
 	}
 }

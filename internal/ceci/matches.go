@@ -12,15 +12,16 @@ import (
 // one per backtracking depth, so results remain valid while deeper levels
 // recurse and everything remembered here belongs to one query vertex.
 //
-// Consecutive CandidatesFor calls at one depth differ only in the
-// predecessor's assignment (see cachePlan), and the scratch remembers
-// what that leaves unchanged: where the previous lookup landed in each
-// candidate map (fingers), the intersection of every input not keyed by
-// the predecessor (the stable side, computed once per distinct ancestor
-// assignment), and — once a second lookup shows the sibling loop has more
-// than one iteration — that intersection as a bitmap the volatile list is
-// probed against. This is the embedding-cluster observation of Section
-// 4.1 applied one level up.
+// Consecutive CandidatesFor calls at one depth differ only in the deepest
+// assignments (see cachePlan), and the scratch remembers what that leaves
+// unchanged, in two levels: where the previous lookup landed in each
+// candidate map (fingers); the intersection of the outer inputs, computed
+// once per assignment of their keys — and, once a second inner key shows
+// it serves more than one, held as a bitmap the inner list is probed
+// against; and the result itself, under every key, unless the inner key is
+// the predecessor that changes with every call. This is the
+// embedding-cluster observation of Section 4.1 applied one level up, then
+// two.
 type MatchScratch struct {
 	S setops.Scratch
 	// Steps is this depth's step accounting, written as plain integers
@@ -35,19 +36,25 @@ type MatchScratch struct {
 	// (CandMap.GetNear). Hints only: any value is correct.
 	fingers []int
 
-	// The stable side, valid until a stable assignment changes or
+	// The outer level, valid until an outer key's assignment changes or
 	// ResetUnitCache is called.
-	stableKeys []graph.VertexID // assignments of cachePlan.stableKeys it was built for
-	stableOK   bool
-	stable     []uint32    // ∩ of the stable lists: an index view or S's buffers
-	bits       bitsState   // whether stableBits holds stable
-	stableBits bitset.Span // stable as a bitmap, filled on the second lookup under one key
-	out        []uint32    // result buffer for the volatile per-sibling step
+	outerKeys []graph.VertexID // assignments of cachePlan.outerKeys it was built for
+	outerOK   bool
+	outer     []uint32    // ∩ of the outer lists: an index view or S's buffers
+	bits      bitsState   // whether outerBits holds outer
+	outerBits bitset.Span // outer as a bitmap, filled for its second inner key
+
+	// The inner level: out is the last result, and when resultOK it is
+	// the answer for innerKey under the outer level's keys.
+	innerKey graph.VertexID
+	resultOK bool
+	out      []uint32
 }
 
-// bitsState tracks the lazy stable bitmap: a rebuilt stable side starts
-// untried, and the first lookup that finds it unchanged either fills the
-// bitmap or records that the list's span failed the gate (setops.FillSpan).
+// bitsState tracks the lazy outer bitmap: a rebuilt outer side starts
+// untried, and the first intersection that finds it unchanged either
+// fills the bitmap or records that the list's span failed the gate
+// (setops.FillSpan).
 type bitsState uint8
 
 const (
@@ -60,39 +67,42 @@ const (
 // shape the run's ledger stores it in.
 type StepCounts = telemetry.StepCounts
 
-// FootprintBytes returns the scratch's allocated backing size: the
-// setops buffers, this package's per-depth slices, the fingers and the
-// stable bitmap. stable aliases index storage or the setops buffers, so
-// it is not counted separately.
+// FootprintBytes returns the scratch's allocated backing size: the setops
+// buffers, this package's per-depth slices, the fingers, the outer
+// bitmap and the result buffer. outer aliases index storage or the setops
+// buffers, so it is not counted separately.
 func (sc *MatchScratch) FootprintBytes() int64 {
 	return sc.S.FootprintBytes() +
 		int64(cap(sc.lists))*24 + // slice headers
 		int64(cap(sc.fingers))*8 +
-		int64(cap(sc.stableKeys))*4 +
-		sc.stableBits.FootprintBytes() +
+		int64(cap(sc.outerKeys))*4 +
+		sc.outerBits.FootprintBytes() +
 		int64(cap(sc.out))*4
 }
 
-// ResetUnitCache forgets the cursor: the stable side, its bitmap state
-// and the fingers. Enumeration workers call it at work-unit boundaries.
-// Nothing here is needed for correctness (stable keys are compared on
-// every lookup and a finger is only a hint), but the number of stable
-// rebuilds and which lookups probe the bitmap — hence the per-kernel
-// profile — are then a deterministic function of the unit set rather
-// than of which worker happened to run consecutive units.
+// ResetUnitCache forgets the cursor: both levels, the bitmap state and
+// the fingers. Enumeration workers call it at work-unit boundaries.
+// Nothing here is needed for correctness (every key is compared on every
+// lookup and a finger is only a hint), but the number of rebuilds and
+// which lookups probe the bitmap — hence the per-kernel profile — are
+// then a deterministic function of the unit set rather than of which
+// worker happened to run consecutive units.
 func (sc *MatchScratch) ResetUnitCache() {
-	sc.stableOK = false
+	sc.outerOK, sc.resultOK = false, false
 	clear(sc.fingers)
 }
 
-// BitmapFilled reports whether the stable side is currently held as a
+// BitmapFilled reports whether the outer side is currently held as a
 // bitmap, so tests can assert that a fixture reaches the probe path.
-func (sc *MatchScratch) BitmapFilled() bool { return sc.stableOK && sc.bits == bitsFilled }
+func (sc *MatchScratch) BitmapFilled() bool { return sc.outerOK && sc.bits == bitsFilled }
 
-// base returns u's TE candidates under the matched tree parent: an
-// index view.
-func (ix *Index) base(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) []graph.VertexID {
-	return ix.Nodes[u].TE.GetNear(&sc.fingers[0], m[ix.Tree.Parent[u]])
+// input returns u's candidate list in slot (teSlot or an NTE slot) under
+// key, the assignment of the slot's key vertex: an index view.
+func (ix *Index) input(u graph.VertexID, slot int, key graph.VertexID, sc *MatchScratch) []graph.VertexID {
+	if slot == teSlot {
+		return ix.Nodes[u].TE.GetNear(&sc.fingers[0], key)
+	}
+	return ix.Nodes[u].NTE[slot].GetNear(&sc.fingers[1+slot], key)
 }
 
 // CandidatesFor returns the matching nodes for query vertex u given the
@@ -112,109 +122,88 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 		sc.fingers = make([]int, 1+len(node.NTE)) // first lookup on this scratch
 	}
 	if len(node.NTE) == 0 {
-		base := ix.base(u, m, sc)
+		base := ix.input(u, teSlot, m[ix.Tree.Parent[u]], sc)
 		st.Output += int64(len(base))
 		return base
 	}
 
-	// At most one input is keyed by the predecessor and changes with every
-	// call: the base list or one NTE list. Look the base up first when it
-	// is the one, since an empty base settles the call.
 	plan := &ix.ntePlan[u]
-	var vol []graph.VertexID
-	if plan.volBase {
-		if vol = ix.base(u, m, sc); len(vol) == 0 {
-			return nil
-		}
+	key := m[plan.innerKey]
+	hit := sc.outerHit(plan.outerKeys, m)
+	if hit && sc.resultOK && sc.innerKey == key {
+		// No key moved since the result was computed.
+		st.Output += int64(len(sc.out))
+		return sc.out
 	}
-	hit := sc.stableHit(plan.stableKeys, m)
+	sc.resultOK = false
+	inner := ix.input(u, plan.inner, key, sc)
+	if len(inner) == 0 {
+		return nil
+	}
 	if !hit {
-		ix.buildStable(u, m, sc)
+		ix.buildOuter(u, m, sc)
 	}
-	stable := sc.stable
-	if len(stable) == 0 {
-		// Every sibling under these stable assignments fails the same way.
+	outer := sc.outer
+	if len(outer) == 0 {
+		// Every inner key under these outer assignments fails the same way.
 		return nil
 	}
-	if plan.volNTE >= 0 {
-		j := plan.volNTE
-		vol = node.NTE[j].GetNear(&sc.fingers[1+j], m[ix.Tree.NTEParents[u][j]])
-	} else if !plan.volBase {
-		// No input follows the predecessor: the stable side is the answer.
-		st.Output += int64(len(stable))
-		return stable
-	}
-	st.Comparisons += int64(len(stable)) + int64(len(vol))
-	if len(vol) == 0 {
-		return nil
-	}
+	st.Comparisons += int64(len(outer)) + int64(len(inner))
 
-	// Volatile step. A second lookup under one stable key means the
-	// sibling loop has more than one iteration, so the stable side is
-	// worth a bitmap that every later sibling probes with no fill, clear
-	// or kernel choice of its own; a one-iteration loop never pays for it.
+	// A second intersection under one outer key means the outer side
+	// serves more than one inner key, so it is worth a bitmap that every
+	// later inner list probes with no fill, clear or kernel choice of its
+	// own; an outer side that meets one inner key never pays for it.
 	if hit && sc.bits == bitsUntried {
 		sc.bits = bitsDeclined
-		if setops.FillSpan(&sc.stableBits, stable, &sc.S) {
+		if setops.FillSpan(&sc.outerBits, outer, &sc.S) {
 			sc.bits = bitsFilled
 		}
 	}
 	var result []graph.VertexID
 	if sc.bits == bitsFilled {
-		result = setops.IntersectSpan(sc.out, &sc.stableBits, vol, &sc.S)
+		result = setops.IntersectSpan(sc.out, &sc.outerBits, inner, &sc.S)
 	} else {
-		result = setops.IntersectWith(setops.ChooseKernel(stable, vol), sc.out, stable, vol, &sc.S)
+		result = setops.IntersectWith(setops.ChooseKernel(outer, inner), sc.out, outer, inner, &sc.S)
 	}
 	sc.out = result
+	sc.innerKey, sc.resultOK = key, !plan.volatile
 	st.Intersections++
 	st.Output += int64(len(result))
 	return result
 }
 
-// stableHit reports whether the scratch's stable side was built for the
-// assignments m gives the plan's stable keys.
-func (sc *MatchScratch) stableHit(keys []graph.VertexID, m []graph.VertexID) bool {
-	if !sc.stableOK || len(sc.stableKeys) != len(keys) {
+// outerHit reports whether the scratch's outer side was built for the
+// assignments m gives the plan's outer keys.
+func (sc *MatchScratch) outerHit(keys []graph.VertexID, m []graph.VertexID) bool {
+	if !sc.outerOK || len(sc.outerKeys) != len(keys) {
 		return false
 	}
 	for i, w := range keys {
-		if sc.stableKeys[i] != m[w] {
+		if sc.outerKeys[i] != m[w] {
 			return false
 		}
 	}
 	return true
 }
 
-// buildStable intersects every input of u that is not keyed by the
-// predecessor, smallest first, into sc.stable (nil when one of them is
-// empty) and records the assignments it was built for. A single stable
-// list is used as is and charges nothing.
-func (ix *Index) buildStable(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) {
+// buildOuter intersects u's outer inputs, smallest first, into sc.outer
+// (nil when one of them is empty) and records the assignments it was
+// built for. A single outer list is used as is and charges nothing.
+func (ix *Index) buildOuter(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) {
 	plan := &ix.ntePlan[u]
-	sc.stableKeys = sc.stableKeys[:0]
-	for _, w := range plan.stableKeys {
-		sc.stableKeys = append(sc.stableKeys, m[w])
+	sc.outerKeys = sc.outerKeys[:0]
+	for _, w := range plan.outerKeys {
+		sc.outerKeys = append(sc.outerKeys, m[w])
 	}
-	sc.stableOK = true
+	sc.outerOK = true
 	sc.bits = bitsUntried
-	sc.stable = nil
+	sc.outer = nil
 
 	lists := sc.lists[:0]
 	var lengths int64
-	if !plan.volBase {
-		base := ix.base(u, m, sc)
-		if len(base) == 0 {
-			return
-		}
-		lists = append(lists, base)
-		lengths = int64(len(base))
-	}
-	node := &ix.Nodes[u]
-	for j, un := range ix.Tree.NTEParents[u] {
-		if j == plan.volNTE {
-			continue
-		}
-		l := node.NTE[j].GetNear(&sc.fingers[1+j], m[un])
+	for i, slot := range plan.outer {
+		l := ix.input(u, slot, sc.outerKeys[i], sc)
 		if len(l) == 0 {
 			sc.lists = lists
 			return
@@ -227,7 +216,7 @@ func (ix *Index) buildStable(u graph.VertexID, m []graph.VertexID, sc *MatchScra
 		sc.Steps.Intersections += int64(len(lists) - 1)
 		sc.Steps.Comparisons += lengths
 	}
-	sc.stable = setops.IntersectK(&sc.S, lists)
+	sc.outer = setops.IntersectK(&sc.S, lists)
 }
 
 // CandidatesForEdgeVerify is the ablation variant (Section 4.1, Lemma 2):

@@ -58,10 +58,11 @@ func kernelCalls(t *testing.T, data, query *graph.Graph) map[string]int64 {
 
 // TestEnumerationStepZeroAlloc proves the steady-state enumeration step —
 // CandidatesFor against the index columns through the per-depth cursor
-// (fingers, stable side, the lazily filled stable bitmap),
-// setops.IntersectK through the per-depth scratch, the word-packed
-// injectivity bitmap, the symmetry-breaking check, and the last depth
-// finished in place, for a consumer and count-only — performs zero heap
+// (fingers, the outer side and its lazily filled bitmap, the kept
+// result), setops.IntersectK through the per-depth scratch, the
+// word-packed injectivity bitmap, the symmetry-breaking check, and the
+// last depth finished in place — for a consumer, and count-only, where
+// Fig. 1's last two depths are counted as a product — performs zero heap
 // allocations once a worker's buffers are warm. This is the contract the
 // arena-backed index exists to provide; any regression (a closure
 // capture, a map lookup that boxes, a scratch slice that stopped being
@@ -74,7 +75,7 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 		name        string
 		data, query *graph.Graph
 		wantKernel  string // kernel that must fire for this fixture ("" = any)
-		wantBitmap  bool   // some depth must end the pass probing its stable bitmap
+		wantBitmap  bool   // some depth must end the pass probing its outer bitmap
 	}{
 		{"fig1", gen.Fig1Data(), gen.Fig1Query(), "", false},
 		{"random-pair-7", nil, nil, "", false},
@@ -88,7 +89,7 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 		// Triangle query over the same hub graph: the moderately sparse
 		// comparably sized leaf-chain lists drive the probe kernel, and
 		// the hubs' sibling loops run to hundreds of iterations over one
-		// stable list — the loop the stable bitmap is filled for.
+		// outer list — the loop the outer bitmap is filled for.
 		{"hub-probe", hubTriangles(600), gen.QG1(), "probe", true},
 	}
 	cases[1].data, cases[1].query = gen.RandomPair(7)
@@ -139,7 +140,7 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 					t.Fatalf("warm-up pass (consumer: %v) counted %d embeddings, the consumer sees %d a pass", ctl.fn != nil, counted, perPass)
 				}
 				if tc.wantBitmap && !bitmap {
-					t.Fatal("fixture never probed a stable bitmap")
+					t.Fatal("fixture never probed an outer bitmap")
 				}
 				if avg := testing.AllocsPerRun(20, pass); avg != 0 {
 					t.Errorf("enumeration pass (consumer: %v) allocates %.1f times, want 0", ctl.fn != nil, avg)

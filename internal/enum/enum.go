@@ -70,6 +70,14 @@ type Options struct {
 type Matcher struct {
 	ix   *ceci.Index
 	cons *auto.Constraints
+	// constrained[u] reports whether cons orders u against any other
+	// query vertex; a depth whose vertex it does not skips cons.Allows.
+	constrained []bool
+	// pair reports that the last two matching-order vertices can be
+	// counted as a product (searcher.product): they share no query edge
+	// and no symmetry-breaking constraint, and no non-tree edge is left
+	// to an adjacency probe.
+	pair bool
 	opts Options
 }
 
@@ -85,11 +93,31 @@ func NewMatcher(ix *ceci.Index, opts Options) *Matcher {
 	if opts.Ledger == nil {
 		opts.Ledger = telemetry.NewLedger()
 	}
-	m := &Matcher{ix: ix, opts: opts}
+	tree := ix.Tree
+	n := tree.NumVertices()
+	m := &Matcher{ix: ix, opts: opts, constrained: make([]bool, n)}
 	if !opts.DisableSymmetryBreaking {
-		m.cons = auto.Compute(ix.Tree.Query)
+		m.cons = auto.Compute(tree.Query)
+		for u := range m.constrained {
+			m.constrained[u] = len(m.cons.Less[u])+len(m.cons.Greater[u]) > 0
+		}
+	}
+	// Depth n-2 is never the root, which every work unit's prefix holds.
+	if n >= 3 && !opts.EdgeVerification {
+		a, b := tree.Order[n-2], tree.Order[n-1]
+		m.pair = !tree.Query.HasEdge(a, b) &&
+			!(m.constrained[a] && m.constrained[b] && m.cons.Related(a, b))
 	}
 	return m
+}
+
+// consFor returns the constraints an assignment to u must pass: nil when
+// none orders u.
+func (m *Matcher) consFor(u graph.VertexID) *auto.Constraints {
+	if m.constrained[u] {
+		return m.cons
+	}
+	return nil
 }
 
 // Index returns the underlying CECI index.
@@ -197,7 +225,7 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 	// runs its candidate lookups on that scratch, so the work the split
 	// sub-units skip is drained with the rest of worker 0's.
 	first := newSearcher(m, ctl)
-	units := m.units(first.scratch)
+	units := m.units(first)
 	workers := m.opts.Workers
 	if workers > len(units) && m.opts.Strategy != workload.FGD {
 		workers = len(units)
@@ -301,15 +329,25 @@ func (m *Matcher) begin(workers int) {
 	}
 }
 
-// units materializes the schedulable work according to the strategy;
-// FGD decomposition counts its lookups on scratch (see workload.Decompose).
-func (m *Matcher) units(scratch []ceci.MatchScratch) []workload.Unit {
-	switch m.opts.Strategy {
-	case workload.FGD:
-		return workload.Decompose(m.ix, m.cons, m.opts.Beta, m.opts.Workers, scratch)
-	default:
+// units materializes the schedulable work according to the strategy.
+// FGD decomposition counts its lookups on s's scratch (see
+// workload.Decompose) and, when s counts the last two depths as a
+// product, splits no prefix down to them, so that product is formed once
+// per prefix however many workers share the run. s may be nil: nobody
+// counts, and no depth is a product.
+func (m *Matcher) units(s *searcher) []workload.Unit {
+	if m.opts.Strategy != workload.FGD {
 		return workload.Clusters(m.ix)
 	}
+	maxPrefix := m.ix.Tree.NumVertices()
+	var scratch []ceci.MatchScratch
+	if s != nil {
+		scratch = s.scratch
+		if s.pair {
+			maxPrefix -= 2
+		}
+	}
+	return workload.Decompose(m.ix, m.cons, m.opts.Beta, m.opts.Workers, maxPrefix, scratch)
 }
 
 // control carries the shared early-termination state. The stop flag is

@@ -21,7 +21,7 @@ func deadEndSplits(ix *ceci.Index, cons *auto.Constraints, workers int) int64 {
 	scratch := make([]ceci.MatchScratch, ix.Tree.NumVertices())
 	var lookups int64
 	fruitful := map[string]bool{}
-	for _, u := range workload.Decompose(ix, cons, 0, workers, scratch) {
+	for _, u := range workload.Decompose(ix, cons, 0, workers, ix.Tree.NumVertices(), scratch) {
 		for n := 1; n < len(u.Prefix); n++ {
 			fruitful[fmt.Sprint(u.Prefix[:n])] = true
 		}

@@ -27,7 +27,7 @@ type UnitCost struct {
 func (m *Matcher) MeasureUnits() []UnitCost {
 	ctl := &control{} // count-only, no limit
 	s := newSearcher(m, ctl)
-	units := m.units(s.scratch)
+	units := m.units(s)
 	m.begin(1)
 	costs := make([]UnitCost, len(units))
 	for i, u := range units {

@@ -272,7 +272,9 @@ func TestDrainZeroAlloc(t *testing.T) {
 // the proof that reading a live run needs nothing from the workers, and
 // every value read must be one the finished run can still reach.
 func TestReadersDuringEnumeration(t *testing.T) {
-	data, query := gen.ErdosRenyi(400, 4800, 17), gen.QG4() // 400,880 embeddings, ~60 ms
+	// 2,185,608 embeddings, ~70 ms counted as a product of the last two
+	// depths: long enough for the readers and the reporter to see it live.
+	data, query := gen.ErdosRenyi(400, 6400, 17), gen.QG4()
 	tree, err := order.Preprocess(data, query, order.Options{})
 	if err != nil {
 		t.Fatal(err)

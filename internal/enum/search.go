@@ -24,6 +24,11 @@ type searcher struct {
 
 	worker int // the ledger's worker slot this searcher charges
 
+	// pair: count-only, and the matcher's last two depths can be counted
+	// as a product (Matcher.pair) — search finishes depth n-2 with
+	// product instead of entering depth n-1.
+	pair bool
+
 	// Everything the hot loop counts is a plain integer this worker owns:
 	// these two and the per-depth step and kernel blocks in scratch. They
 	// hold the work since the last drain, which charges and zeroes them.
@@ -52,6 +57,7 @@ func newSearcher(m *Matcher, ctl *control) *searcher {
 		matched: make([]bool, n),
 		used:    bitset.New(m.ix.Data.NumVertices()),
 		scratch: make([]ceci.MatchScratch, n),
+		pair:    m.pair && ctl.fn == nil,
 	}
 }
 
@@ -61,7 +67,7 @@ func newSearcher(m *Matcher, ctl *control) *searcher {
 // the enumeration should stop globally.
 func (s *searcher) runUnit(u workload.Unit) bool {
 	// Forget the per-depth cursors: correctness does not require it
-	// (stable keys are compared on every lookup, fingers are hints), but
+	// (cursor keys are compared on every lookup, fingers are hints), but
 	// resetting at unit boundaries makes the rebuild counts — and so the
 	// per-kernel profile — independent of which worker ran which
 	// consecutive units.
@@ -118,10 +124,13 @@ func (s *searcher) search(depth int) bool {
 	if len(cands) == 0 {
 		return true
 	}
-	if depth == s.tree.n-1 {
+	switch {
+	case depth == s.tree.n-1:
 		return s.leaf(u, cands, sc)
+	case depth == s.tree.n-2 && s.pair:
+		return s.product(u, cands)
 	}
-	cons, verify := s.m.cons, s.m.opts.EdgeVerification
+	cons, verify := s.m.consFor(u), s.m.opts.EdgeVerification
 	for _, v := range cands {
 		if s.used.Get(v) {
 			continue
@@ -159,7 +168,7 @@ func (s *searcher) search(depth int) bool {
 // count-only run tallies the survivors and delivers them with one
 // reservation; otherwise each is handed to the consumer in emb.
 func (s *searcher) leaf(u graph.VertexID, cands []graph.VertexID, sc *ceci.MatchScratch) bool {
-	cons, verify, counting := s.m.cons, s.m.opts.EdgeVerification, s.ctl.fn == nil
+	cons, verify, counting := s.m.consFor(u), s.m.opts.EdgeVerification, s.ctl.fn == nil
 	var survivors int64
 	for _, v := range cands {
 		if s.used.Get(v) {
@@ -182,10 +191,56 @@ func (s *searcher) leaf(u graph.VertexID, cands []graph.VertexID, sc *ceci.Match
 			return false
 		}
 	}
-	if survivors == 0 {
+	return s.deliverCount(survivors)
+}
+
+// product finishes depths n-2 and n-1 of a count-only run at once. The
+// two vertices share no query edge and no constraint (Matcher.pair), so
+// b's candidate list depends on the prefix alone and every pair of
+// survivors — candidates of a (as) and of b that pass injectivity and
+// their constraints against the prefix — is an embedding unless both
+// are the same data vertex: |A'|·|B'| − |A'∩B'| of them, for one lookup
+// of b per prefix where a descent would make one per survivor of a.
+func (s *searcher) product(a graph.VertexID, as []graph.VertexID) bool {
+	consA := s.m.consFor(a)
+	var na int64
+	for _, v := range as {
+		if !s.used.Get(v) && (consA == nil || consA.Allows(a, v, s.emb, s.matched)) {
+			na++
+		}
+	}
+	if na == 0 {
 		return true
 	}
-	fits, cont := s.ctl.deliver(nil, survivors)
+	depth := s.tree.n - 1
+	b := s.tree.order[depth]
+	bs := s.m.ix.CandidatesFor(b, s.emb, &s.scratch[depth])
+	s.m.opts.Profile.ObserveEnumOutput(len(bs))
+	consB := s.m.consFor(b)
+	var nb, both int64
+	i := 0
+	for _, v := range bs {
+		if s.used.Get(v) || consB != nil && !consB.Allows(b, v, s.emb, s.matched) {
+			continue
+		}
+		nb++
+		for i < len(as) && as[i] < v {
+			i++
+		}
+		if i < len(as) && as[i] == v && (consA == nil || consA.Allows(a, v, s.emb, s.matched)) {
+			both++
+		}
+	}
+	return s.deliverCount(na*nb - both)
+}
+
+// deliverCount hands a count-only run's k embeddings found in one step
+// to the control with one reservation.
+func (s *searcher) deliverCount(k int64) bool {
+	if k == 0 {
+		return true
+	}
+	fits, cont := s.ctl.deliver(nil, k)
 	s.delivered(fits)
 	return cont
 }

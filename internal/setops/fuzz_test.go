@@ -114,7 +114,7 @@ func fuzzSeeds() [][]byte {
 		{0, 1, 2, 3},   // empty a, tiny b
 		{255, 1, 2, 3}, // tiny a, empty b
 	}
-	// Balanced dense: both halves gap-1 runs (probe kernel).
+	// Balanced dense: both halves gap-1 runs (the bitmap probe).
 	seeds = append(seeds, append([]byte{128}, dense(200)...))
 	// 1:60 skew (gallop kernel): 3-element a, 180-element b.
 	skew := append([]byte{4}, dense(183)...)

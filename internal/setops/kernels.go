@@ -1,34 +1,31 @@
 package setops
 
 import (
-	"math"
-
 	"ceci/internal/bitset"
 )
 
-// Kernel identifies one of the adaptive intersection kernels. Every
-// kernel computes exactly the same strictly-increasing intersection; they
-// differ only in cost shape, and ChooseKernel picks the cheapest from
-// O(1) statistics of the inputs.
+// Kernel identifies how one intersection was computed. The two per-call
+// kernels compute exactly the same strictly-increasing intersection and
+// differ only in cost shape; ChooseKernel picks the cheaper from O(1)
+// statistics of the inputs. The third label is the bitmap probe of a list
+// filled once and intersected many times (FillSpan / IntersectSpan).
 type Kernel uint8
 
 const (
-	// KernelMerge is the classic two-cursor linear merge: the fallback
-	// for similarly sized lists spread over a wide value range, where
-	// neither probing nor bitmap materialization pays for itself.
+	// KernelMerge is the classic two-cursor linear merge: the kernel for
+	// similarly sized lists.
 	KernelMerge Kernel = iota
 	// KernelGallop probes each element of the smaller list into the
 	// larger by exponential search plus binary refinement; it wins when
 	// the size ratio is heavily skewed.
 	KernelGallop
-	// KernelProbe materializes the smaller list into a span-offset
-	// bitmap (bitset.Span), then tests the larger list's overlapping
-	// range against it — one load-shift-mask per probe instead of the
-	// merge's unpredictable cursor branch. It wins on the locally
-	// clustered lists a CECI index produces, dense ones included.
+	// KernelProbe labels IntersectSpan: a list already filled into a
+	// span-offset bitmap (bitset.Span) is probed by another — one
+	// load-shift-mask per element instead of the merge's unpredictable
+	// cursor branch, with the fill paid once for every list probed.
 	KernelProbe
 
-	// NumKernels is the number of distinct kernels (array sizing).
+	// NumKernels is the number of distinct labels (array sizing).
 	NumKernels = 3
 )
 
@@ -45,16 +42,15 @@ func (k Kernel) String() string {
 	return "unknown"
 }
 
-// Selection thresholds. gallopRatio is the size disparity beyond which
-// probing the smaller list into the larger beats merging — 16 follows the
-// classic adaptive set-intersection literature and measured well here.
-// probeMaxGap is the largest ratio of the smaller list's value span to
-// the combined length at which the span-bitmap probe wins: the bitmap
-// costs one memclr of span/8 bytes plus one bit-set per element, and
-// memclr retires cache-line-at-a-time, so the overhead stays small
-// relative to the branchy merge up to an average gap of 512; beyond that,
-// sweeping mostly-empty bitmap words costs more than the merge's linear
-// walk.
+// gallopRatio is the size disparity beyond which probing the smaller list
+// into the larger beats merging — 16 follows the classic adaptive
+// set-intersection literature and measured well here. probeMaxGap is the
+// average gap between a list's values beyond which FillSpan declines to
+// fill a bitmap from it (unless its span is under fillAlwaysSpan): the
+// bitmap costs one memclr of span/8 bytes plus one bit-set per element,
+// and memclr retires cache-line-at-a-time, so the overhead stays small
+// relative to a merge up to an average gap of 512; beyond that, sweeping
+// mostly-empty bitmap words costs more than the merge's linear walk.
 const (
 	gallopRatio = 16
 	probeMaxGap = 512
@@ -66,28 +62,17 @@ const (
 // kernel call on the list would cost.
 const fillAlwaysSpan = 1 << 15
 
-// ChooseKernel picks the cheapest kernel for a ∩ b using only O(1)
-// statistics of the sorted inputs: the two lengths and the value spans.
-// On CECI indexes these are exactly the cardinality-column stats
-// (list length) plus the first/last entries of the arena views, so the
-// per-call selection costs a handful of compares. Selection order:
-// skewed sizes gallop; locally clustered small-side spans probe;
-// everything else merges.
+// ChooseKernel picks the cheaper kernel for a ∩ b from the two lengths
+// alone: skewed sizes gallop, everything else merges. A span bitmap of
+// the smaller list pays only where it is filled once and probed by many
+// lists (FillSpan); filled per call it measured no better than the merge
+// on any benchmark workload (DESIGN §7.2).
 func ChooseKernel(a, b []uint32) Kernel {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
-	if len(a) == 0 {
-		return KernelMerge // trivially empty; merge exits immediately
-	}
-	if len(b) >= gallopRatio*len(a) {
+	if len(a) > 0 && len(b) >= gallopRatio*len(a) {
 		return KernelGallop
-	}
-	// The probe bitmap only spans the smaller list's value range (the
-	// larger list is probed, not materialized), so this gate is on a's
-	// span alone.
-	if uint64(a[len(a)-1]-a[0]) <= uint64(len(a)+len(b))*probeMaxGap {
-		return KernelProbe
 	}
 	return KernelMerge
 }
@@ -97,8 +82,9 @@ func ChooseKernel(a, b []uint32) Kernel {
 // shapes the enumeration actually produces and lost: the select-style
 // cursor advance compiles to more branches than the three-way switch on
 // this toolchain, and the shapes that would reward block-skipping are
-// routed to the gallop or probe kernels by ChooseKernel instead (see
-// DESIGN.md). Returns the result and the number of elements examined.
+// routed to the gallop kernel by ChooseKernel or to a filled bitmap by
+// the caller instead (see DESIGN.md). Returns the result and the number
+// of elements examined.
 func intersectMerge(dst, a, b []uint32) ([]uint32, int) {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -166,38 +152,13 @@ func Gallop(large []uint32, lo int, x uint32) int {
 	return hi
 }
 
-// intersectProbe fills the smaller list a into the span bitmap sp (Fill
-// includes the clear of the previous window), gallops the larger list to
-// the overlap region [a[0], a[last]], then tests each element of that
-// region against the bitmap. Emission follows b's order, so the output
-// is sorted. Returns the result and the number of elements examined.
-//
-// dst may alias a (a is fully consumed into the bitmap before the first
-// write) or b (the write cursor never passes the read cursor).
-func intersectProbe(dst, a, b []uint32, sp *bitset.Span) ([]uint32, int) {
-	sp.Fill(a)
-	j := Gallop(b, 0, a[0])
-	end := a[len(a)-1]
-	jend := len(b)
-	if end != math.MaxUint32 {
-		jend = Gallop(b, j, end+1)
-	}
-	for _, x := range b[j:jend] {
-		if sp.Test(x) {
-			dst = append(dst, x)
-		}
-	}
-	return dst, len(a) + (jend - j)
-}
-
 // FillSpan materializes the sorted list a into sp for repeated
 // IntersectSpan calls and reports whether it did. The fill — one clear of
 // span/8 bytes plus one bit-set per element — is paid once and saves every
 // later call its own, so it is declined only where it could dwarf them:
 // an empty list, or a span that is both wider than probeMaxGap times the
-// length (the probe kernel's own density limit) and wider than
-// fillAlwaysSpan. The fill is charged to sc's probe counters as scanned
-// elements (sc may be nil).
+// length and wider than fillAlwaysSpan. The fill is charged to sc's probe
+// counters as scanned elements (sc may be nil).
 func FillSpan(sp *bitset.Span, a []uint32, sc *Scratch) bool {
 	if len(a) == 0 {
 		return false
@@ -212,7 +173,7 @@ func FillSpan(sp *bitset.Span, a []uint32, sc *Scratch) bool {
 	return true
 }
 
-// IntersectSpan is the probe kernel against a bitmap that is already
+// IntersectSpan is the bitmap probe against a bitmap that is already
 // filled: it writes a ∩ b into dst, where a is the list sp was last
 // filled from, by galloping b to the bitmap's window and testing each
 // element inside it — no fill, no clear, no kernel choice per call.
@@ -264,14 +225,18 @@ func (s *KernelStats) TotalScanned() int64 {
 	return n
 }
 
-// IntersectWith runs one specific kernel for a ∩ b, appending to dst
-// (which may share its backing array with a or b in the dst = x[:0]
-// form, like Intersect). sc may be nil; when non-nil its bitmap scratch
-// is reused and the kernel's work is recorded into sc.Stats. The
-// cross-kernel differential tests and the fuzz targets drive every
-// kernel through this entry point against the same inputs.
+// IntersectWith runs one specific kernel, KernelMerge or KernelGallop,
+// for a ∩ b, appending to dst (which may share its backing array with a
+// or b in the dst = x[:0] form, like Intersect). sc may be nil; when
+// non-nil the kernel's work is recorded into sc.Stats. The cross-kernel
+// differential tests and the fuzz targets drive both kernels through this
+// entry point against the same inputs. KernelProbe is not a per-call
+// kernel (it needs a filled bitmap: FillSpan, IntersectSpan) and panics.
 func IntersectWith(k Kernel, dst, a, b []uint32, sc *Scratch) []uint32 {
 	dst = dst[:0]
+	if k == KernelProbe {
+		panic("setops: the probe runs against a filled bitmap (FillSpan, IntersectSpan)")
+	}
 	if len(a) == 0 || len(b) == 0 {
 		return dst
 	}
@@ -279,17 +244,9 @@ func IntersectWith(k Kernel, dst, a, b []uint32, sc *Scratch) []uint32 {
 		a, b = b, a
 	}
 	var scanned int
-	switch k {
-	case KernelGallop:
+	if k == KernelGallop {
 		dst, scanned = intersectGallop(dst, a, b)
-	case KernelProbe:
-		if sc != nil {
-			dst, scanned = intersectProbe(dst, a, b, &sc.span)
-		} else {
-			var sp bitset.Span
-			dst, scanned = intersectProbe(dst, a, b, &sp)
-		}
-	default:
+	} else {
 		dst, scanned = intersectMerge(dst, a, b)
 	}
 	if sc != nil {

@@ -33,12 +33,12 @@ func naiveIntersect(a, b []uint32) []uint32 {
 	return out
 }
 
-var allKernels = []setops.Kernel{setops.KernelMerge, setops.KernelGallop, setops.KernelProbe}
+var allKernels = []setops.Kernel{setops.KernelMerge, setops.KernelGallop}
 
-// checkAllKernels asserts that every kernel produces exactly the
+// checkAllKernels asserts that both kernels produce exactly the
 // reference intersection for (a, b), with and without a scratch, that
-// the recorded stats are attributed to the kernel that ran, and that the
-// counting IntersectionSize agrees.
+// the recorded stats are attributed to the kernel that ran, that the
+// counting IntersectionSize agrees, and that so does the bitmap probe.
 func checkAllKernels(t *testing.T, a, b []uint32) {
 	t.Helper()
 	want := naiveIntersect(a, b)
@@ -170,11 +170,12 @@ func TestKernelAdversarialShapes(t *testing.T) {
 	}
 }
 
-// TestChooseKernelBreakpoints pins the selector's decision at each
-// cardinality-ratio and density breakpoint so a future threshold change
-// must be made (and benchmarked) deliberately.
+// TestChooseKernelBreakpoints pins the selector's decision at the
+// cardinality-ratio breakpoint, and that density decides nothing — dense,
+// clustered and sparse pairs of similar size all merge — so a per-call
+// kernel keyed on density must be added (and benchmarked) deliberately.
 func TestChooseKernelBreakpoints(t *testing.T) {
-	// Sparse lists: step 100, well inside the probe window.
+	// Sparse lists: step 100.
 	sparse := func(n int) []uint32 { return ramp(0, 100, n) }
 	// Dense lists: step 1 is maximal density.
 	dense := func(n int) []uint32 { return ramp(0, 1, n) }
@@ -185,28 +186,23 @@ func TestChooseKernelBreakpoints(t *testing.T) {
 	}{
 		{"empty a", nil, sparse(10), setops.KernelMerge},
 		{"empty both", nil, nil, setops.KernelMerge},
-		{"equal sizes gap 100", sparse(100), sparse(100), setops.KernelProbe},
-		{"ratio 15 gap 100", sparse(10), sparse(150), setops.KernelProbe},
+		{"equal sizes gap 100", sparse(100), sparse(100), setops.KernelMerge},
+		{"ratio 15 gap 100", sparse(10), sparse(150), setops.KernelMerge},
 		{"ratio 16 sparse", sparse(10), sparse(160), setops.KernelGallop},
 		{"ratio 16 reversed", sparse(160), sparse(10), setops.KernelGallop},
 		{"ratio 1000", sparse(4), sparse(4000), setops.KernelGallop},
-		// Dense inputs have no kernel of their own: any span within
-		// (len(a)+len(b))*8 is far inside the probe window.
-		{"dense equal sizes", dense(1000), ramp(0, 4, 1000), setops.KernelProbe},
-		{"gap exactly 8", ramp(0, 16, 1000), ramp(8, 16, 1000), setops.KernelProbe},
-		{"gap just past 8", ramp(0, 17, 1000), ramp(8, 17, 1000), setops.KernelProbe},
-		// Probe breakpoint: span(a) <= (len(a)+len(b))*512 chooses probe.
-		// 999*1024 = 1022976 <= 2000*512 = 1024000.
-		{"gap just under 512", ramp(0, 1024, 1000), ramp(500, 1024, 1000), setops.KernelProbe},
-		// 999*1026 = 1024974 > 1024000: past the probe window, merge.
+		// Dense inputs have no kernel of their own.
+		{"dense equal sizes", dense(1000), ramp(0, 4, 1000), setops.KernelMerge},
+		{"gap exactly 8", ramp(0, 16, 1000), ramp(8, 16, 1000), setops.KernelMerge},
+		{"gap just past 8", ramp(0, 17, 1000), ramp(8, 17, 1000), setops.KernelMerge},
+		// Spans either side of 512x the combined length:
+		// 999*1024 = 1022976 <= 2000*512 = 1024000 < 999*1026.
+		{"gap just under 512", ramp(0, 1024, 1000), ramp(500, 1024, 1000), setops.KernelMerge},
 		{"gap just past 512", ramp(0, 1026, 1000), ramp(500, 1026, 1000), setops.KernelMerge},
 		// Skew wins over density: a dense pair at ratio >= 16 still gallops.
 		{"dense but skewed", dense(10), dense(160), setops.KernelGallop},
-		// Disjoint dense runs: the combined span is huge, but the gate is
-		// on the smaller list alone, so the probe kernel fires — it gallops
-		// the big list to the (empty) overlap and exits early.
-		{"disjoint dense runs", dense(100), ramp(1<<20, 1, 100), setops.KernelProbe},
-		{"singleton vs singleton", []uint32{3}, []uint32{9}, setops.KernelProbe},
+		{"disjoint dense runs", dense(100), ramp(1<<20, 1, 100), setops.KernelMerge},
+		{"singleton vs singleton", []uint32{3}, []uint32{9}, setops.KernelMerge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -259,11 +255,12 @@ func TestKernelStatsDeterministic(t *testing.T) {
 	}
 }
 
-// TestKernelScratchRace runs 8 workers, each reusing one Scratch across
-// many distinct "queries" (list pairs chosen to hit all three kernels,
-// including the span bitmap the probe path reuses), and checks every
-// result against the reference. Under -race this proves per-worker
-// scratch reuse never leaks state across queries or workers.
+// TestKernelScratchRace runs 8 workers, each reusing one Scratch and one
+// span bitmap across many distinct "queries" (list pairs chosen to hit
+// both kernels and the bitmap's fill gate on either side), and checks
+// every result — IntersectK's and the bitmap probe's — against the
+// reference. Under -race this proves per-worker scratch reuse never leaks
+// state across queries or workers.
 func TestKernelScratchRace(t *testing.T) {
 	type query struct {
 		a, b []uint32
@@ -274,16 +271,16 @@ func TestKernelScratchRace(t *testing.T) {
 	for i := range queries {
 		var a, b []uint32
 		switch i % 4 {
-		case 0: // dense → probe
+		case 0: // dense: merge; bitmap filled
 			a = ramp(uint32(rng.Intn(1000)), 1+uint32(rng.Intn(3)), 500+rng.Intn(1500))
 			b = ramp(uint32(rng.Intn(1000)), 1+uint32(rng.Intn(3)), 500+rng.Intn(1500))
-		case 1: // skewed → gallop
+		case 1: // skewed: gallop; bitmap filled
 			a = ramp(uint32(rng.Intn(100)), 17, 30+rng.Intn(50))
 			b = ramp(0, 1, 40000)
-		case 2: // clustered gap ~100 → probe (reuses the span bitmap)
+		case 2: // clustered gap ~100: merge; bitmap filled
 			a = ramp(uint32(rng.Intn(100)), 97, 1000)
 			b = ramp(uint32(rng.Intn(100)), 101, 1000)
-		default: // wide-span sparse → merge
+		default: // wide-span sparse: merge; bitmap declined
 			a = ramp(uint32(rng.Intn(100)), 2000, 1000)
 			b = ramp(uint32(rng.Intn(100)), 2003, 1000)
 		}
@@ -298,12 +295,20 @@ func TestKernelScratchRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			var sc setops.Scratch
+			var sp bitset.Span
+			var dst []uint32
 			for iter := 0; iter < 50; iter++ {
 				q := queries[(w*31+iter)%len(queries)]
 				got := setops.IntersectK(&sc, [][]uint32{q.a, q.b})
 				if !equal(got, q.want) {
 					errs <- fmt.Errorf("worker %d iter %d: got %d elems want %d", w, iter, len(got), len(q.want))
 					return
+				}
+				if setops.FillSpan(&sp, q.a, &sc) {
+					if dst = setops.IntersectSpan(dst, &sp, q.b, &sc); !equal(dst, q.want) {
+						errs <- fmt.Errorf("worker %d iter %d: bitmap probe got %d elems want %d", w, iter, len(dst), len(q.want))
+						return
+					}
 				}
 			}
 		}(w)
@@ -340,10 +345,23 @@ func BenchmarkKernelGallopSkewed(b *testing.B) {
 	benchKernel(b, setops.KernelGallop, x, y)
 }
 
+// BenchmarkKernelProbeClustered probes a bitmap filled once, outside the
+// loop, the way the depth cursor's outer side is probed.
 func BenchmarkKernelProbeClustered(b *testing.B) {
 	x := ramp(0, 97, 4096)
 	y := ramp(50, 101, 4096)
-	benchKernel(b, setops.KernelProbe, x, y)
+	var sp bitset.Span
+	var sc setops.Scratch
+	if !setops.FillSpan(&sp, x, &sc) {
+		b.Fatal("FillSpan declined the clustered list")
+	}
+	var dst []uint32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = setops.IntersectSpan(dst, &sp, y, &sc)
+	}
+	sinkLen = len(dst)
 }
 
 func BenchmarkKernelAdaptive(b *testing.B) {

@@ -4,28 +4,27 @@
 // non-tree-edge verification becomes an intersection of sorted candidate
 // lists instead of an adjacency probe.
 //
-// Three intersection kernels are provided and selected adaptively per
-// call from O(1) statistics of the inputs (lengths and value spans — on
-// a CECI index these come straight from the flat columns):
+// Two intersection kernels are selected per call from the inputs'
+// lengths (on a CECI index, free reads of the flat columns):
 //
-//   - KernelMerge: classic two-cursor linear merge, the wide-span
-//     fallback for similarly sized inputs;
+//   - KernelMerge: classic two-cursor linear merge, for similarly sized
+//     inputs;
 //   - KernelGallop: exponential search plus binary refinement, when one
-//     input is much smaller;
-//   - KernelProbe: span-offset bitmap (bitset.Span) built from the
-//     smaller list and probed by the larger, for the locally clustered
-//     lists CECI indexes produce.
+//     input is much smaller.
+//
+// A list intersected with many others is instead filled once into a
+// span-offset bitmap (bitset.Span, FillSpan) that each of them probes
+// (IntersectSpan, recorded as KernelProbe) — the enumeration's depth
+// cursor does this for its outer side.
 //
 // All functions treat inputs as strictly increasing sequences and produce
-// strictly increasing outputs. Every kernel is bit-identical to the
-// others on the same inputs; the cross-kernel differential tests and the
-// FuzzIntersectKernels target enforce that.
+// strictly increasing outputs. Both kernels and the bitmap probe are
+// bit-identical on the same inputs; the cross-kernel differential tests
+// and the FuzzIntersectKernels target enforce that.
 package setops
 
 import (
 	"sort"
-
-	"ceci/internal/bitset"
 )
 
 // Intersect writes the intersection of a and b into dst (reusing its
@@ -91,14 +90,12 @@ func IntersectK(scratch *Scratch, lists [][]uint32) []uint32 {
 }
 
 // Scratch holds reusable buffers for the scratch-taking entry points —
-// intermediate result slices for IntersectK, the probe kernel's span
-// bitmap, and the per-kernel work counters — avoiding per-call allocation
-// in the enumeration inner loop. Not safe for concurrent use; each worker
-// keeps its own.
+// intermediate result slices for IntersectK and the per-kernel work
+// counters — avoiding per-call allocation in the enumeration inner loop.
+// Not safe for concurrent use; each worker keeps its own.
 type Scratch struct {
 	a, b  []uint32
 	order []int
-	span  bitset.Span
 
 	// Stats accumulates per-kernel calls / scanned / emitted across every
 	// recorded operation on this scratch. Callers that need per-call
@@ -107,11 +104,11 @@ type Scratch struct {
 }
 
 // FootprintBytes returns the scratch's allocated backing size: the two
-// intermediate result buffers, the ordering slice and the probe span
-// bitmap. The resource ledger reads this at work-unit boundaries to track
-// a query's peak scratch memory.
+// intermediate result buffers and the ordering slice. The resource ledger
+// reads this at work-unit boundaries to track a query's peak scratch
+// memory.
 func (s *Scratch) FootprintBytes() int64 {
-	return int64(cap(s.a))*4 + int64(cap(s.b))*4 + int64(cap(s.order))*8 + s.span.FootprintBytes()
+	return int64(cap(s.a))*4 + int64(cap(s.b))*4 + int64(cap(s.order))*8
 }
 
 // IntersectionSize returns |a ∩ b| without materializing the result.

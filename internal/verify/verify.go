@@ -15,7 +15,8 @@
 // signal, following the practice of the large-scale matching literature
 // (Sun et al. VLDB'12, GraphMini).
 //
-// Entry points: CheckSeed/CheckPair (exact set equality across engines),
+// Entry points: CheckSeed/CheckPair (exact set equality across engines,
+// and CECI's count-only answer equal to what its enumeration delivered),
 // CheckInvariants (metamorphic properties), and MinimizeFailure (shrink a
 // failing pair to a minimal counterexample). The same machinery is
 // exposed as table-driven tests, native fuzz targets
@@ -23,10 +24,13 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
+	ceci "ceci"
 	"ceci/internal/auto"
 	"ceci/internal/gen"
 	"ceci/internal/graph"
@@ -47,7 +51,8 @@ type Options struct {
 type Mismatch struct {
 	// Engine is the disagreeing engine's name.
 	Engine string
-	// Err is set when the engine failed outright instead of answering.
+	// Err is set when the engine failed outright instead of answering,
+	// and for "ceci-count" when its count disagrees (a wrong answer).
 	Err error
 	// Missing are canonical embeddings the oracle found and the engine
 	// did not; Extra is the reverse.
@@ -115,7 +120,9 @@ func CheckSeed(seed int64, opts Options) *Report {
 }
 
 // CheckPair runs every engine on (data, query) and compares canonical
-// embedding sets against the reference oracle.
+// embedding sets against the reference oracle; a CECI count-only run that
+// disagrees with CECI's own enumeration is reported as engine
+// "ceci-count".
 func CheckPair(data, query *graph.Graph, opts Options) *Report {
 	r := &Report{Data: data, Query: query}
 	cons := auto.Compute(query)
@@ -133,11 +140,15 @@ func CheckPair(data, query *graph.Graph, opts Options) *Report {
 	want := CanonicalSet(oracle, cons)
 	r.Embeddings = len(want)
 
+	enumerated := -1 // what CECI's consumer was handed
 	for _, e := range Engines()[1:] {
 		embs, err := collect(e, data, query, opts.Workers)
 		if err != nil {
 			r.Mismatches = append(r.Mismatches, Mismatch{Engine: e.Name, Err: err})
 			continue
+		}
+		if e.Name == "ceci" {
+			enumerated = len(embs)
 		}
 		got := CanonicalSet(embs, cons)
 		missing, extra := diffSets(want, got)
@@ -147,7 +158,44 @@ func CheckPair(data, query *graph.Graph, opts Options) *Report {
 			})
 		}
 	}
+	if enumerated >= 0 {
+		if err := countOnlyAgrees(data, query, opts.Workers, int64(enumerated)); err != nil {
+			r.Mismatches = append(r.Mismatches, Mismatch{Engine: "ceci-count", Err: err})
+		}
+	}
 	return r
+}
+
+// countOnlyAgrees checks that CECI counting with no consumer — where the
+// last two depths may be counted as a product instead of enumerated —
+// returns what its consumer was handed, unlimited and under a limit no
+// pair reaches (the lazily grown index).
+func countOnlyAgrees(data, query *graph.Graph, workers int, enumerated int64) error {
+	for _, limit := range []int64{0, math.MaxInt64} {
+		m, err := ceci.Match(data, query, &ceci.Options{Workers: workers, Limit: limit})
+		if err != nil {
+			return err
+		}
+		if n := m.Count(); n != enumerated {
+			return &countMismatch{limit: limit, counted: n, enumerated: enumerated}
+		}
+	}
+	return nil
+}
+
+// countMismatch is a wrong count-only answer. It is reported in
+// Mismatch.Err for want of a set to diff, but it is a disagreement, not
+// an engine failure: MinimizeFailure shrinks toward it like any other.
+type countMismatch struct{ limit, counted, enumerated int64 }
+
+func (e *countMismatch) Error() string {
+	return fmt.Sprintf("count-only (limit %d) counted %d, enumeration delivered %d", e.limit, e.counted, e.enumerated)
+}
+
+// engineFailed reports whether err is an engine failing to answer.
+func engineFailed(err error) bool {
+	var cm *countMismatch
+	return err != nil && !errors.As(err, &cm)
 }
 
 // collect gathers an engine's embeddings; safe under concurrent callbacks.
@@ -203,7 +251,7 @@ func MinimizeFailure(data, query *graph.Graph, opts Options) (*graph.Graph, *gra
 	}
 	allowErrors := false
 	for _, m := range orig.Mismatches {
-		if m.Err != nil {
+		if engineFailed(m.Err) {
 			allowErrors = true
 		}
 	}
@@ -214,7 +262,7 @@ func MinimizeFailure(data, query *graph.Graph, opts Options) (*graph.Graph, *gra
 		}
 		if !allowErrors {
 			for _, m := range rep.Mismatches {
-				if m.Err != nil {
+				if engineFailed(m.Err) {
 					return false
 				}
 			}

@@ -80,7 +80,14 @@ func Clusters(ix *ceci.Index) []Unit {
 // Each split performs the candidate lookup its sub-units then skip, on
 // scratch[depth] — pass the per-depth scratch of the worker that should
 // account for that work, or nil when nobody is counting.
-func Decompose(ix *ceci.Index, cons *auto.Constraints, beta float64, workers int, scratch []ceci.MatchScratch) []Unit {
+//
+// No unit whose prefix already holds maxPrefix vertices is split; pass
+// ix.Tree.NumVertices() to split down to whole embeddings. An enumerator
+// that finishes the depths past a shorter prefix in one step (enum
+// counting the last two vertices as a product) passes that prefix's
+// length, or it would run that step once per sub-unit instead of once
+// per prefix.
+func Decompose(ix *ceci.Index, cons *auto.Constraints, beta float64, workers, maxPrefix int, scratch []ceci.MatchScratch) []Unit {
 	units := Clusters(ix)
 	if workers <= 1 {
 		return units
@@ -107,6 +114,7 @@ func Decompose(ix *ceci.Index, cons *auto.Constraints, beta float64, workers int
 		ix:        ix,
 		cons:      cons,
 		threshold: threshold,
+		maxPrefix: maxPrefix,
 		scratch:   scratch,
 		m:         make([]graph.VertexID, ix.Tree.NumVertices()),
 		matched:   make([]bool, ix.Tree.NumVertices()),
@@ -124,6 +132,7 @@ type decomposer struct {
 	ix        *ceci.Index
 	cons      *auto.Constraints
 	threshold float64
+	maxPrefix int // no prefix this long is split
 	m         []graph.VertexID
 	matched   []bool
 	scratch   []ceci.MatchScratch // per matching-order depth
@@ -154,13 +163,13 @@ func (d *decomposer) carve(prefix []graph.VertexID, v graph.VertexID) []graph.Ve
 	return d.prefixes[start:end:end]
 }
 
-// split appends to out either the unit itself (small enough or fully
-// expanded) or its recursively decomposed sub-units — none when the
-// prefix has no consistent extension.
+// split appends to out either the unit itself (small enough or as long
+// as a prefix may get) or its recursively decomposed sub-units — none
+// when the prefix has no consistent extension.
 func (d *decomposer) split(out []Unit, prefix []graph.VertexID, work float64) []Unit {
 	tree := d.ix.Tree
 	depth := len(prefix)
-	if work <= d.threshold || depth == tree.NumVertices() {
+	if work <= d.threshold || depth >= d.maxPrefix {
 		return append(out, Unit{Prefix: prefix, Card: int64(work + 0.5)})
 	}
 

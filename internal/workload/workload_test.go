@@ -69,7 +69,7 @@ func TestDecomposeSplitsExtremeClusters(t *testing.T) {
 	ix := buildIndex(t, data, gen.QG1())
 	cons := auto.Compute(gen.QG1())
 	clusters := workload.Clusters(ix)
-	units := workload.Decompose(ix, cons, 0.1, 16, nil)
+	units := workload.Decompose(ix, cons, 0.1, 16, ix.Tree.NumVertices(), nil)
 	if len(units) <= len(clusters) {
 		t.Fatalf("decomposition did not split: %d units vs %d clusters", len(units), len(clusters))
 	}
@@ -84,7 +84,7 @@ func TestDecomposeSplitsExtremeClusters(t *testing.T) {
 func TestDecomposeSingleWorkerNoSplit(t *testing.T) {
 	data := gen.Kronecker(8, 6, 3)
 	ix := buildIndex(t, data, gen.QG1())
-	units := workload.Decompose(ix, nil, 0.1, 1, nil)
+	units := workload.Decompose(ix, nil, 0.1, 1, ix.Tree.NumVertices(), nil)
 	if len(units) != len(workload.Clusters(ix)) {
 		t.Fatal("single worker should skip decomposition")
 	}
