@@ -118,12 +118,15 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) ./internal/obs
 
 # What .github/workflows/ci.yml runs: vet + build + full tests, then a
-# race pass over the concurrency-heavy packages.
+# race pass over the concurrency-heavy packages and 10 s of fuzzing of the
+# index reader and the bitmap probe.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/enum ./internal/ceci ./internal/order ./internal/graph ./internal/cluster ./internal/obs ./internal/stats ./internal/prof ./internal/plan ./internal/setops ./internal/bitset ./internal/verify ./internal/service ./internal/telemetry ./internal/shard ./cmd/ceciserve ./cmd/ceciroute
+	$(GO) test -run='^$$' -fuzz=FuzzReadIndex -fuzztime=10s ./internal/ceci
+	$(GO) test -run='^$$' -fuzz=FuzzIntersectKernels -fuzztime=10s ./internal/setops
 
 # Boot the query service on the Figure 1 fixture and exercise the HTTP
 # API end to end (also run raced by CI's service-smoke job).

@@ -58,8 +58,8 @@ func (m *Matcher) Explain() string {
 		info.Pivots, info.TotalCardinality)
 	if info.Pivots > 0 {
 		var max int64
-		for _, p := range ix.Pivots() {
-			if c := ix.ClusterCardinality(p); c > max {
+		for i := range ix.Pivots() {
+			if c := ix.ClusterCardinality(i); c > max {
 				max = c
 			}
 		}

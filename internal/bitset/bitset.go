@@ -74,8 +74,12 @@ func (s *Span) Fill(list []uint32) {
 }
 
 // Test reports whether x is set. x must lie within [Lo(), Hi()].
-func (s *Span) Test(x uint32) bool {
-	return s.words[(x-s.base)>>6]>>(x&63)&1 == 1
+func (s *Span) Test(x uint32) bool { return s.Bit(x) == 1 }
+
+// Bit returns x's bit: 1 if x is set, 0 if not — a number to add, where
+// Test is a branch to take. x must lie within [Lo(), Hi()].
+func (s *Span) Bit(x uint32) int {
+	return int(s.words[(x-s.base)>>6] >> (x & 63) & 1)
 }
 
 // Empty reports whether the span has not been filled.

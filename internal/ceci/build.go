@@ -76,10 +76,10 @@ type builder struct {
 	// output table that points into them.
 	scratch []buildScratch
 	lists   [][]graph.VertexID
-	// marks is valueUnion's |V|-bit scratch, pos cardProducts' position
-	// index over one child's candidates.
+	// marks is valueUnion's |V|-bit scratch, pos the position table of the
+	// one candidate column cardProducts or compact reads.
 	marks bitset.Bits
-	pos   posIndex
+	pos   *posTable
 	// dead and emptied are the cascade's two sets: the one a level removes
 	// and the TE keys that empties, which the next level removes.
 	dead, emptied []graph.VertexID
@@ -114,7 +114,9 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 		filter:    filter,
 		cancelled: cancelled,
 		scratch:   make([]buildScratch, workers),
+		pos:       posTables.Get().(*posTable),
 	}
+	defer posTables.Put(b.pos)
 	for u, parents := range tree.NTEParents {
 		if p := tree.Parent[u]; p != order.NoParent {
 			b.keyedBy[p] = append(b.keyedBy[p], &b.te[u])
@@ -177,12 +179,14 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 	if b.isCancelled() {
 		return nil, nil
 	}
+	// Every candidate column is final: the maps become positions.
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
 		node.Cands = fit(node.Cands)
-		node.TE = b.te[u].compact()
+		pos := b.pos.fill(node.Cands, data.NumVertices())
+		node.TE = b.te[u].compact(ix.keySpace(graph.VertexID(u), teSlot), pos)
 		for j := range node.NTE {
-			node.NTE[j] = b.nte[u][j].compact()
+			node.NTE[j] = b.nte[u][j].compact(ix.keySpace(graph.VertexID(u), j), pos)
 		}
 	}
 	ix.finish()
@@ -467,17 +471,19 @@ func (b *builder) valueUnion(m *mapBuilder) []graph.VertexID {
 	total := len(m.arena) // live values, or a few more once lists have shrunk
 	if n := b.ix.Data.NumVertices(); total*512 < n {
 		all := make([]graph.VertexID, 0, total)
-		m.forEach(func(_ graph.VertexID, vals []graph.VertexID) { all = append(all, vals...) })
+		for i := range m.keys {
+			all = append(all, m.list(i)...)
+		}
 		slices.Sort(all)
 		return slices.Compact(all)
 	} else if b.marks == nil {
 		b.marks = bitset.New(n)
 	}
-	m.forEach(func(_ graph.VertexID, vals []graph.VertexID) {
-		for _, v := range vals {
+	for i := range m.keys {
+		for _, v := range m.list(i) {
 			b.marks.Set(v)
 		}
-	})
+	}
 	return b.marks.Drain(make([]graph.VertexID, 0, b.marks.Count()))
 }
 

@@ -93,26 +93,26 @@ func TestCachePlanFiresOnClique(t *testing.T) {
 	}
 }
 
-// coldCandidates is CandidatesFor from first principles: a plain Get on
+// coldCandidates is CandidatesFor from first principles: a plain At on
 // every input map and a pairwise merge, with no scratch state at all.
-func coldCandidates(ix *Index, u graph.VertexID, m []graph.VertexID) []graph.VertexID {
+func coldCandidates(ix *Index, u graph.VertexID, pos []uint32) []uint32 {
 	node := &ix.Nodes[u]
-	out := slices.Clone(node.TE.Get(m[ix.Tree.Parent[u]]))
+	out := slices.Clone(node.TE.At(pos[ix.Tree.Parent[u]]))
 	for j, un := range ix.Tree.NTEParents[u] {
-		out = setops.IntersectWith(setops.KernelMerge, nil, out, node.NTE[j].Get(m[un]), nil)
+		out = setops.IntersectWith(setops.KernelMerge, nil, out, node.NTE[j].At(pos[un]), nil)
 	}
 	return out
 }
 
 // TestStableCacheEquivalence: a depth cursor that lives through a whole
-// enumeration — fingers, the outer side and its lazy bitmap, the result
+// enumeration — the outer side and its lazy bitmap, the result
 // kept under every key — must return, call by call, what a cursor
 // forgotten before every lookup (ResetUnitCache) returns, what a cursor
 // forgotten at every cluster boundary the way an enumeration worker does
 // returns, and what the maps give without any scratch. The walk is the
 // enumeration's own access pattern, a depth-first descent whose sibling
 // loops present ascending keys, and then the same descent with every
-// sibling loop shuffled, so fingers also see descending and repeated
+// sibling loop shuffled, so the cursor also sees descending and repeated
 // keys. Golden pairs, 4-/5-cliques and houses on Kronecker graphs and the
 // five labeled cyclic queries; every mechanism must actually fire,
 // including the kept result of a vertex whose inputs are all keyed before
@@ -144,7 +144,7 @@ func TestStableCacheEquivalence(t *testing.T) {
 			warm := make([]MatchScratch, n)
 			unit := make([]MatchScratch, n) // forgotten at every cluster boundary
 			cold := make([]MatchScratch, n)
-			m := make([]graph.VertexID, n)
+			m := make([]uint32, n) // positions
 			budget := 3000
 			var walk func(depth int)
 			walk = func(depth int) {
@@ -194,21 +194,21 @@ func TestStableCacheEquivalence(t *testing.T) {
 					walk(depth + 1)
 				}
 			}
-			for _, pivot := range ix.Pivots() {
+			for p := range ix.Pivots() {
 				for d := range unit {
 					unit[d].ResetUnitCache()
 				}
-				m[tree.Order[0]] = pivot
+				m[tree.Order[0]] = uint32(p)
 				walk(1)
 			}
 			// What the cursor keeps is part of the scratch's footprint.
 			for d := range warm {
 				sc := &warm[d]
-				cursor := int64(cap(sc.fingers))*8 + sc.outerBits.FootprintBytes() + int64(cap(sc.out))*4
+				cursor := sc.outerBits.FootprintBytes() + int64(cap(sc.out))*4
 				bare := *sc
-				bare.fingers, bare.outerBits, bare.out = nil, bitset.Span{}, nil
+				bare.outerBits, bare.out = bitset.Span{}, nil
 				if got := sc.FootprintBytes() - bare.FootprintBytes(); got != cursor {
-					t.Fatalf("%s depth %d: footprint counts %d bytes for %d bytes of fingers, outer bitmap and result buffer",
+					t.Fatalf("%s depth %d: footprint counts %d bytes for %d bytes of outer bitmap and result buffer",
 						fx.name, d, got, cursor)
 				}
 				cursorBytes += cursor

@@ -1,103 +1,56 @@
 package ceci
 
-import (
-	"ceci/internal/graph"
-	"ceci/internal/setops"
-)
-
 // CandMap is the key-value structure backing TE_Candidates and
 // NTE_Candidates (Section 3.1): keys are candidates of the parent (or
 // NTE-neighbor) query vertex, values are the sorted candidates of the
-// child adjacent to that key. It is three columns: the sorted keys, one
-// arena holding every value list back to back in key order, and the
-// len(keys)+1 offsets that cut the arena into lists — so Get is a binary
-// search plus a view of contiguous memory, the paper's sorted-vector
-// implementation (§3.6) at ~4 bytes per candidate edge (Table 2) with no
-// per-entry slice headers or pointer chasing.
+// child adjacent to that key. Both are positions in those vertices' Cands,
+// which ascend with the ids they stand for: one arena holds every value
+// list back to back, and dense offsets, one per key position plus one, cut
+// it — so At is an array read of contiguous memory, the paper's
+// sorted-vector implementation (§3.6) with no key search. bare lists the
+// keys whose list is empty but that are entries all the same (NTE keys
+// whose values all left after the map was built), so WriteTo writes the
+// entries the builder made.
 //
 // A CandMap is read-only. The builder (builder.go) and ReadIndex are the
 // only code that fills the columns, and both are done before anyone
 // holds the map.
 type CandMap struct {
-	keys  []graph.VertexID
 	offs  []uint32
-	arena []graph.VertexID
+	arena []uint32
+	bare  []uint32
 }
 
-// lowerBound returns the smallest i with vs[i] >= x, len(vs) if none. (The
-// generic slices.BinarySearch is not inlined into the sweeps that need it
-// and measured 1.8x slower builds on the clique queries.)
-func lowerBound(vs []graph.VertexID, x graph.VertexID) int {
-	lo, hi := 0, len(vs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if vs[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
+// At returns the value list of the key at position key: a view of the
+// arena that must not be modified.
+func (m *CandMap) At(key uint32) []uint32 { return m.arena[m.offs[key]:m.offs[key+1]] }
+
+// ForEach visits the entries — every key with a list, and the bare ones —
+// in ascending key order.
+func (m *CandMap) ForEach(fn func(key uint32, values []uint32)) {
+	bare := m.bare
+	for p := uint32(0); int(p)+1 < len(m.offs); p++ {
+		if vals := m.At(p); len(vals) > 0 {
+			fn(p, vals)
+		} else if len(bare) > 0 && bare[0] == p {
+			fn(p, vals)
+			bare = bare[1:]
 		}
 	}
-	return lo
 }
 
-// Len returns the number of keys.
-func (m *CandMap) Len() int { return len(m.keys) }
-
-// at returns the value list of the i-th key: a view of the arena.
-func (m *CandMap) at(i int) []graph.VertexID { return m.arena[m.offs[i]:m.offs[i+1]] }
-
-// Get returns the value list for key, or nil. The result is a view of
-// the arena; it must not be modified.
-func (m *CandMap) Get(key graph.VertexID) []graph.VertexID {
-	if i := lowerBound(m.keys, key); i < len(m.keys) && m.keys[i] == key {
-		return m.arena[m.offs[i]:m.offs[i+1]] // at(i), spelled out: keeps Get inlinable
-	}
-	return nil
+// Len returns the number of entries.
+func (m *CandMap) Len() (n int) {
+	m.ForEach(func(uint32, []uint32) { n++ })
+	return n
 }
-
-// GetNear is Get with a finger. *finger is where the previous lookup
-// through it landed: the same key returns the same view with no search,
-// a larger key gallops forward from there (a sibling loop presents its
-// keys in ascending order), and anything else — a smaller key, or a
-// finger that is out of range or was left by another map — is a binary
-// search bounded by the finger where it can be. The finger is only a
-// hint: the result equals Get(key) whatever it holds.
-func (m *CandMap) GetNear(finger *int, key graph.VertexID) []graph.VertexID {
-	keys := m.keys
-	i := *finger
-	switch {
-	case uint(i) >= uint(len(keys)):
-		i = lowerBound(keys, key)
-	case keys[i] == key:
-		return m.at(i)
-	case keys[i] < key:
-		i = setops.Gallop(keys, i+1, key)
-	default:
-		i = lowerBound(keys[:i], key)
-	}
-	*finger = i
-	if i < len(keys) && keys[i] == key {
-		return m.at(i)
-	}
-	return nil
-}
-
-// ForEach visits (key, values) pairs in ascending key order.
-func (m *CandMap) ForEach(fn func(key graph.VertexID, values []graph.VertexID)) {
-	for i, key := range m.keys {
-		fn(key, m.at(i))
-	}
-}
-
-// Keys returns the sorted key slice (aliases internal storage).
-func (m *CandMap) Keys() []graph.VertexID { return m.keys }
 
 // CandidateEdges counts the (key, value) pairs, i.e. candidate data edges
 // — the unit of the paper's Table 2 size accounting.
 func (m *CandMap) CandidateEdges() int64 { return int64(len(m.arena)) }
 
-// flatBytes is the physical footprint: 4 bytes per key, 4 per offset, 4
-// per arena entry.
+// flatBytes is the physical footprint: 4 bytes per offset, per arena entry
+// and per bare key.
 func (m *CandMap) flatBytes() int64 {
-	return 4 * int64(len(m.keys)+len(m.offs)+len(m.arena))
+	return 4 * int64(len(m.offs)+len(m.arena)+len(m.bare))
 }

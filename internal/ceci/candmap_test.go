@@ -33,15 +33,52 @@ func (m *mapBuilder) get(key graph.VertexID) []graph.VertexID {
 	return nil
 }
 
+// forEach visits the live (key, values) pairs in ascending key order.
+func (m *mapBuilder) forEach(fn func(key graph.VertexID, values []graph.VertexID)) {
+	for i, key := range m.keys {
+		fn(key, m.list(i))
+	}
+}
+
+// positionsOf returns the position table of the candidate column vals.
+func positionsOf(vals []graph.VertexID) posTable {
+	var t posTable
+	return t.fill(vals, int(slices.Max(append([]graph.VertexID{0}, vals...)))+1)
+}
+
+// idsAt returns the ids listed under the id key of a finished map keyed
+// by positions in keys and valued by positions in vals — nil when key is
+// no entry, empty but non-nil for a bare one: the id-level read the tests
+// check a finished map with.
+func idsAt(m *CandMap, keys, vals []graph.VertexID, key graph.VertexID) []graph.VertexID {
+	p := lowerBound(keys, key)
+	if p == len(keys) || keys[p] != key {
+		return nil
+	}
+	list := m.At(uint32(p))
+	if _, bare := slices.BinarySearch(m.bare, uint32(p)); len(list) == 0 && !bare {
+		return nil
+	}
+	out := make([]graph.VertexID, 0, len(list))
+	for _, q := range list {
+		out = append(out, vals[q])
+	}
+	return out
+}
+
 func TestCandMapAppendGet(t *testing.T) {
-	m := mapOf(t, []graph.VertexID{2, 10, 20}, []graph.VertexID{5, 30}, []graph.VertexID{9, 40, 50, 60}).compact()
+	keys, vals := []graph.VertexID{2, 3, 5, 9}, []graph.VertexID{10, 20, 25, 30, 40, 50, 60}
+	m := mapOf(t, []graph.VertexID{2, 10, 20}, []graph.VertexID{5, 30}, []graph.VertexID{9, 40, 50, 60}).compact(keys, positionsOf(vals))
 	if m.Len() != 3 {
 		t.Fatalf("len = %d", m.Len())
 	}
-	if got := m.Get(5); len(got) != 1 || got[0] != 30 {
-		t.Fatalf("Get(5) = %v", got)
+	if got := m.At(2); !slices.Equal(got, []uint32{3}) {
+		t.Fatalf("At(2) = %v, want the position of 30", got)
 	}
-	if m.Get(3) != nil {
+	if got := idsAt(&m, keys, vals, 9); !slices.Equal(got, []graph.VertexID{40, 50, 60}) {
+		t.Fatalf("ids under 9 = %v", got)
+	}
+	if len(m.At(1)) != 0 || idsAt(&m, keys, vals, 3) != nil {
 		t.Fatal("phantom key")
 	}
 	if got := m.CandidateEdges(); got != 6 {
@@ -57,12 +94,13 @@ func TestCandMapDelete(t *testing.T) {
 	if b.get(3) != nil || b.get(5) == nil {
 		t.Fatal("delete failed before compaction")
 	}
-	m := b.compact()
-	if m.Len() != 2 || m.Get(3) != nil {
+	keys, vals := []graph.VertexID{1, 5}, []graph.VertexID{10, 50}
+	m := b.compact(keys, positionsOf(vals))
+	if m.Len() != 2 || idsAt(&m, keys, vals, 3) != nil {
 		t.Fatal("delete failed")
 	}
-	if got := m.Get(5); !slices.Equal(got, []graph.VertexID{50}) {
-		t.Fatalf("Get(5) = %v: wrong entry removed", got)
+	if got := idsAt(&m, keys, vals, 5); !slices.Equal(got, []graph.VertexID{50}) {
+		t.Fatalf("ids under 5 = %v: wrong entry removed", got)
 	}
 }
 
@@ -81,20 +119,22 @@ func TestCandMapDeleteValue(t *testing.T) {
 	if got := b.get(2); got == nil || len(got) != 0 {
 		t.Fatalf("get(2) = %v, want empty non-nil entry", got)
 	}
-	m := b.compact()
-	if got := m.Get(2); m.Len() != 3 || got == nil || len(got) != 0 {
-		t.Fatalf("compacted: %d keys, Get(2) = %v", m.Len(), got)
+	keys, vals := []graph.VertexID{1, 2, 3}, []graph.VertexID{7, 9}
+	m := b.compact(keys, positionsOf(vals))
+	if got := idsAt(&m, keys, vals, 2); m.Len() != 3 || got == nil || len(got) != 0 || !slices.Equal(m.bare, []uint32{1}) {
+		t.Fatalf("compacted: %d keys, ids under 2 = %v, bare %v", m.Len(), got, m.bare)
 	}
 }
 
 func TestCandMapForEachOrder(t *testing.T) {
-	m := mapOf(t, []graph.VertexID{1, 2}, []graph.VertexID{2, 3}, []graph.VertexID{4, 1}).compact()
-	var keys []graph.VertexID
-	m.ForEach(func(k graph.VertexID, _ []graph.VertexID) {
+	space := []graph.VertexID{0, 1, 2, 3, 4}
+	m := mapOf(t, []graph.VertexID{1, 2}, []graph.VertexID{2, 3}, []graph.VertexID{4, 1}).compact(space, positionsOf(space))
+	var keys []uint32
+	m.ForEach(func(k uint32, _ []uint32) {
 		keys = append(keys, k)
 	})
-	if !slices.Equal(keys, []graph.VertexID{1, 2, 4}) || !slices.Equal(keys, m.Keys()) {
-		t.Fatalf("ForEach keys %v, Keys %v", keys, m.Keys())
+	if !slices.Equal(keys, []uint32{1, 2, 4}) {
+		t.Fatalf("ForEach keys %v", keys)
 	}
 }
 
@@ -143,20 +183,37 @@ func (mm mapModel) agrees(b *mapBuilder, universe graph.VertexID) bool {
 	return ok && slices.Equal(keys, mm.sortedKeys())
 }
 
-// compactsTo reports whether b.compact() is the model, with no spare
-// capacity left in any column.
-func (mm mapModel) compactsTo(b *mapBuilder) bool {
-	m := b.compact()
-	var edges int64
-	for _, vals := range mm {
-		edges += int64(len(vals))
+// compactsTo reports whether b, compacted over the key space [0,
+// universe) and the value space of the model's values, is the model —
+// entries, every key's ids, bare keys — with no spare capacity left in any
+// column.
+func (mm mapModel) compactsTo(b *mapBuilder, universe graph.VertexID) bool {
+	keys := make([]graph.VertexID, universe)
+	for k := range keys {
+		keys[k] = graph.VertexID(k)
 	}
-	ok := slices.Equal(m.Keys(), mm.sortedKeys()) && m.CandidateEdges() == edges &&
-		len(m.offs) == len(m.keys)+1 && m.flatBytes() == 4*int64(2*len(mm)+1)+4*edges &&
-		cap(m.keys) == len(m.keys) && cap(m.offs) == len(m.offs) && cap(m.arena) == len(m.arena)
-	m.ForEach(func(key graph.VertexID, vals []graph.VertexID) {
-		ok = ok && slices.Equal(vals, mm[key]) && slices.Equal(m.Get(key), vals)
-	})
+	var vals []graph.VertexID
+	var edges, bare int64
+	for _, list := range mm {
+		vals = append(vals, list...)
+		edges += int64(len(list))
+		if len(list) == 0 {
+			bare++
+		}
+	}
+	slices.Sort(vals)
+	vals = slices.Compact(vals)
+	m := b.compact(keys, positionsOf(vals))
+	var entries []graph.VertexID
+	m.ForEach(func(p uint32, _ []uint32) { entries = append(entries, keys[p]) })
+	ok := slices.Equal(entries, mm.sortedKeys()) && m.CandidateEdges() == edges &&
+		len(m.offs) == len(keys)+1 && m.flatBytes() == 4*(int64(len(keys))+1+edges+bare) &&
+		cap(m.offs) == len(m.offs) && cap(m.arena) == len(m.arena)
+	for _, key := range keys {
+		want, present := mm[key]
+		got := idsAt(&m, keys, vals, key)
+		ok = ok && (got != nil) == present && slices.Equal(got, want) && len(m.At(key)) == len(want)
+	}
 	return ok
 }
 
@@ -261,7 +318,7 @@ func TestMapBuilderMatchesModel(t *testing.T) {
 				return false
 			}
 		}
-		if !model.compactsTo(&b) {
+		if !model.compactsTo(&b, universe) {
 			t.Logf("seed %d: compacted map differs from the model", seed)
 			return false
 		}
@@ -335,75 +392,10 @@ func FuzzMapBuilderDelete(f *testing.F) {
 				t.Fatalf("builder and model disagree after deleting %v (keys: %v)", dead, keys)
 			}
 		}
-		if !model.compactsTo(&b) {
+		if !model.compactsTo(&b, universe) {
 			t.Fatal("compacted map differs from the model")
 		}
 	})
-}
-
-// TestGetNearEqualsGet: a finger is only a hint. From any starting value
-// — in range, negative, far past the end — and along any key sequence —
-// ascending like a sibling loop, descending, repeated, absent, past the
-// last key — GetNear returns exactly what Get returns, the same view of
-// the arena (nil for an absent key, empty but non-nil for a present key
-// with no values left), and leaves a finger the next call can use.
-func TestGetNearEqualsGet(t *testing.T) {
-	f := func(seed int64, start int) bool {
-		rng := rand.New(rand.NewSource(seed))
-		universe := 1 + rng.Intn(60)
-		var b mapBuilder
-		b.alloc(universe, 0)
-		for key := 0; key < universe; key++ {
-			if rng.Intn(3) == 0 {
-				continue
-			}
-			vals := make([]graph.VertexID, rng.Intn(4)) // some keys keep no value
-			for i := range vals {
-				vals[i] = graph.VertexID(10*key + i)
-			}
-			if err := b.append(graph.VertexID(key), vals); err != nil {
-				t.Log(err)
-				return false
-			}
-		}
-		m := b.compact()
-		var keys []graph.VertexID
-		switch rng.Intn(4) {
-		case 0: // a sibling loop: ascending, with gaps
-			for k := 0; k < universe+3; k += 1 + rng.Intn(3) {
-				keys = append(keys, graph.VertexID(k))
-			}
-		case 1: // descending
-			for k := universe + 2; k >= 0; k -= 1 + rng.Intn(3) {
-				keys = append(keys, graph.VertexID(k))
-			}
-		case 2: // each key asked several times in a row
-			for k := 0; k < universe+3; k += 1 + rng.Intn(4) {
-				keys = append(keys, graph.VertexID(k), graph.VertexID(k), graph.VertexID(k))
-			}
-		default: // no order at all, half of them past the last key
-			for i := 0; i < 40; i++ {
-				keys = append(keys, graph.VertexID(rng.Intn(2*universe)))
-			}
-		}
-		finger := start // almost surely far out of range, on either side
-		if rng.Intn(2) == 0 {
-			finger = start % (2 * universe) // near or inside the key range
-		}
-		for _, key := range keys {
-			got, want := m.GetNear(&finger, key), m.Get(key)
-			if (got == nil) != (want == nil) || len(got) != len(want) ||
-				(len(want) > 0 && &got[0] != &want[0]) {
-				t.Logf("seed %d start %d: GetNear(%d) = %v, Get = %v (finger now %d, keys %v)",
-					seed, start, key, got, want, finger, m.Keys())
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCandMapValueUnion(t *testing.T) {

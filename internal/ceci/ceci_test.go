@@ -2,6 +2,7 @@ package ceci_test
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -87,28 +88,25 @@ func TestFig1TEStructureBeforeRefinement(t *testing.T) {
 	ix, _ := buildFig1(t, ceci.Options{SkipRefinement: true})
 	// TE of u2 under v1: {v3, v5, v7}; the v2 entry disappears with the
 	// cluster cascade.
-	u2 := &ix.Nodes[1]
-	if got := u2.TE.Get(gen.Fig1V(1)); !eqIDs(got, ids(3, 5, 7)) {
+	if got := ix.IDsAt(1, ceci.TESlot, gen.Fig1V(1)); !eqIDs(got, ids(3, 5, 7)) {
 		t.Fatalf("TE(u2)[v1] = %v, want [v3 v5 v7]", got)
 	}
-	if got := u2.TE.Get(gen.Fig1V(2)); got != nil {
+	if got := ix.IDsAt(1, ceci.TESlot, gen.Fig1V(2)); got != nil {
 		t.Fatalf("TE(u2)[v2] = %v, want removed", got)
 	}
 	// TE of u3 under v1: {v4, v6}.
-	u3 := &ix.Nodes[2]
-	if got := u3.TE.Get(gen.Fig1V(1)); !eqIDs(got, ids(4, 6)) {
+	if got := ix.IDsAt(2, ceci.TESlot, gen.Fig1V(1)); !eqIDs(got, ids(4, 6)) {
 		t.Fatalf("TE(u3)[v1] = %v, want [v4 v6]", got)
 	}
 	// NTE of u3 (from u2): <v3,{v4}>, <v5,{v4,v6}>, <v7,{v6}> — v8 is
 	// pruned by NLC so it never shows up as a value.
-	nte := &u3.NTE[0]
-	if got := nte.Get(gen.Fig1V(3)); !eqIDs(got, ids(4)) {
+	if got := ix.IDsAt(2, 0, gen.Fig1V(3)); !eqIDs(got, ids(4)) {
 		t.Fatalf("NTE(u3)[v3] = %v, want [v4]", got)
 	}
-	if got := nte.Get(gen.Fig1V(5)); !eqIDs(got, ids(4, 6)) {
+	if got := ix.IDsAt(2, 0, gen.Fig1V(5)); !eqIDs(got, ids(4, 6)) {
 		t.Fatalf("NTE(u3)[v5] = %v, want [v4 v6]", got)
 	}
-	if got := nte.Get(gen.Fig1V(7)); !eqIDs(got, ids(6)) {
+	if got := ix.IDsAt(2, 0, gen.Fig1V(7)); !eqIDs(got, ids(6)) {
 		t.Fatalf("NTE(u3)[v7] = %v, want [v6]", got)
 	}
 }
@@ -117,14 +115,12 @@ func TestFig1RefinementPrunesV7(t *testing.T) {
 	ix, _ := buildFig1(t, ceci.Options{})
 	// Reverse-BFS refinement: v7's only u4-child v15 is not among the
 	// NTE values of u4, so card(u2, v7) = 0 and v7 disappears.
-	u2 := &ix.Nodes[1]
-	if got := u2.TE.Get(gen.Fig1V(1)); !eqIDs(got, ids(3, 5)) {
+	if got := ix.IDsAt(1, ceci.TESlot, gen.Fig1V(1)); !eqIDs(got, ids(3, 5)) {
 		t.Fatalf("refined TE(u2)[v1] = %v, want [v3 v5]", got)
 	}
 	// The <v7, {v6}> NTE entry of u3 goes with it (Section 3.3: removed
 	// "although it has the valid cardinality of one for v6").
-	u3 := &ix.Nodes[2]
-	if got := u3.NTE[0].Get(gen.Fig1V(7)); got != nil {
+	if got := ix.IDsAt(2, 0, gen.Fig1V(7)); got != nil {
 		t.Fatalf("NTE(u3)[v7] = %v, want removed", got)
 	}
 }
@@ -134,7 +130,10 @@ func TestFig1ClusterCardinality(t *testing.T) {
 	// card(u1,v1) = Σcard(u2,·) × Σcard(u3,·) = (1+1)·(1+1) = 4: the
 	// product-of-sums formula (Section 3.3) is an upper bound on the two
 	// true embeddings because it ignores cross-branch NTE consistency.
-	if got := ix.ClusterCardinality(gen.Fig1V(1)); got != 4 {
+	if !slices.Equal(ix.Pivots(), []graph.VertexID{gen.Fig1V(1)}) {
+		t.Fatalf("pivots = %v, want v1 alone", ix.Pivots())
+	}
+	if got := ix.ClusterCardinality(0); got != 4 {
 		t.Fatalf("cardinality(u1, v1) = %d, want 4", got)
 	}
 	if got := ix.TotalCardinality(); got != 4 {
@@ -201,13 +200,13 @@ func checkEmbeddingInIndex(t *testing.T, ix *ceci.Index, tree *order.QueryTree, 
 	t.Helper()
 	for _, u := range tree.Order[1:] {
 		up := graph.VertexID(tree.Parent[u])
-		vals := ix.Nodes[u].TE.Get(emb[up])
+		vals := ix.IDsAt(u, ceci.TESlot, emb[up])
 		if !contains(vals, emb[u]) {
 			t.Fatalf("completeness violated: embedding %v, TE(u%d)[%d] = %v misses %d",
 				emb, u, emb[up], vals, emb[u])
 		}
 		for j, un := range tree.NTEParents[u] {
-			vals := ix.Nodes[u].NTE[j].Get(emb[un])
+			vals := ix.IDsAt(u, j, emb[un])
 			if !contains(vals, emb[u]) {
 				t.Fatalf("completeness violated: embedding %v, NTE(u%d)[%d] = %v misses %d",
 					emb, u, emb[un], vals, emb[u])
@@ -237,8 +236,8 @@ func TestCardinalityUpperBound(t *testing.T) {
 			perPivot[emb[tree.Root]]++
 			return true
 		})
-		for pivot, n := range perPivot {
-			if card := ix.ClusterCardinality(pivot); card < n {
+		for i, pivot := range ix.Pivots() {
+			if card, n := ix.ClusterCardinality(i), perPivot[pivot]; card < n {
 				t.Fatalf("trial %d: cluster %d cardinality %d < true embeddings %d",
 					trial, pivot, card, n)
 			}
@@ -285,8 +284,8 @@ func TestSkipRefinementKeepsCompleteness(t *testing.T) {
 		checkEmbeddingInIndex(t, ix, tree, emb)
 	}
 	// Optimistic cardinalities must still be positive for live pivots.
-	for _, p := range ix.Pivots() {
-		if ix.ClusterCardinality(p) < 0 {
+	for i, p := range ix.Pivots() {
+		if ix.ClusterCardinality(i) < 0 {
 			t.Fatalf("negative cardinality for pivot %d", p)
 		}
 	}

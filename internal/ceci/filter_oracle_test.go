@@ -78,6 +78,18 @@ func (m refMap) edges() (n int64) {
 	return n
 }
 
+// flatBytes is the map's footprint in the index layout when its key
+// vertex has keySpace candidates.
+func (m refMap) flatBytes(keySpace int) int64 {
+	bare := 0
+	for _, vals := range m {
+		if len(vals) == 0 {
+			bare++
+		}
+	}
+	return 4 * (int64(keySpace+1+bare) + m.edges())
+}
+
 // deleteValue removes v from every list and returns, in key order, the
 // keys it emptied.
 func (m refMap) deleteValue(v graph.VertexID) (emptied []graph.VertexID) {
@@ -310,14 +322,19 @@ func referenceBuild(data *graph.Graph, tree *order.QueryTree, opts Options) *ref
 			vc.FinalCands.Add(int64(len(node.cands)))
 			vc.TEEntries.Add(int64(len(node.te)))
 			vc.TECandidates.Add(node.te.edges())
-			// 4 bytes per candidate, key, offset and value, 8 per
-			// cardinality; a map of k keys has k+1 offsets.
-			flat := 12*int64(len(node.cands)) + 4*(2*int64(len(node.te))+1+node.te.edges())
+			// 4 bytes per candidate, 8 per cardinality; a map has one
+			// 4-byte offset per candidate of its key vertex plus one, and
+			// 4 bytes per value and per key whose list is empty.
+			keySpace := 0
+			if p := tree.Parent[u]; p != order.NoParent {
+				keySpace = len(r.nodes[p].cands)
+			}
+			flat := 12*int64(len(node.cands)) + node.te.flatBytes(keySpace)
 			for j, m := range node.nte {
 				nc := vc.NTE(j)
 				nc.Entries.Add(int64(len(m)))
 				nc.Candidates.Add(m.edges())
-				flat += 4 * (2*int64(len(m)) + 1 + m.edges())
+				flat += m.flatBytes(len(r.nodes[tree.NTEParents[u][j]].cands))
 			}
 			vc.FlatBytes.Add(flat)
 		}

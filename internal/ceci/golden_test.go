@@ -19,7 +19,9 @@ import (
 // option sets and renders, per build, the crc64 of the serialized bytes
 // and the four size/cardinality accessors. testdata/golden_index.tsv
 // holds these rows as commit eefd9bf (the last with the mutable CandMap
-// mode and Freeze) produced them; an index-layout change must reproduce
+// mode and Freeze) produced them, but for the PhysicalBytes column, which
+// was rewritten once, when map keys and values became positions (dense
+// offsets, no key column). Any other index-layout change must reproduce
 // the file bit for bit.
 func goldenRows(t *testing.T) []string {
 	t.Helper()

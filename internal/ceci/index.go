@@ -23,11 +23,11 @@ const CardSaturation = math.MaxInt64 / 4
 
 // Node holds the per-query-vertex candidate structures.
 type Node struct {
-	// TE is keyed by the candidates of the query-tree parent; empty for
-	// the root (whose candidates are the pivots).
+	// TE is keyed by the positions of the query-tree parent's candidates;
+	// empty for the root (whose candidates are the pivots).
 	TE CandMap
 	// NTE[j] corresponds to the j-th non-tree edge arriving at this query
-	// vertex from Tree.NTEParents[u][j], keyed by that parent's candidates.
+	// vertex from Tree.NTEParents[u][j], keyed by that parent's positions.
 	NTE []CandMap
 	// Cands is the sorted union candidate set of this query vertex.
 	Cands []graph.VertexID
@@ -38,13 +38,16 @@ type Node struct {
 	cardVals []int64
 }
 
-// CardOf returns the refined cardinality of candidate v at this node
-// (0 when v is not a candidate).
-func (n *Node) CardOf(v graph.VertexID) int64 {
-	if i := lowerBound(n.Cands, v); i < len(n.Cands) && n.Cands[i] == v {
-		return n.cardVals[i]
+// CardAt returns the refined cardinality of the candidate at position p
+// of Cands.
+func (n *Node) CardAt(p uint32) int64 { return n.cardVals[p] }
+
+// slot returns the map in slot (teSlot or an NTE slot).
+func (n *Node) slot(slot int) *CandMap {
+	if slot == teSlot {
+		return &n.TE
 	}
-	return 0
+	return &n.NTE[slot]
 }
 
 // flatBytes is the node's physical footprint: candidate and cardinality
@@ -67,6 +70,11 @@ type Index struct {
 	// ntePlan[u] splits u's intersection inputs into the two levels of
 	// the depth cursor CandidatesFor keeps on a MatchScratch.
 	ntePlan []cachePlan
+
+	// A Restrict view holds the clusters of pivots, which are at clusters
+	// in the root's Cands; both are nil in a complete index.
+	clusters []uint32
+	pivots   []graph.VertexID
 
 	opts Options
 }
@@ -99,6 +107,18 @@ type cachePlan struct {
 
 // teSlot is a cachePlan slot naming the TE list.
 const teSlot = -1
+
+// keySpace returns the candidates whose positions key u's map in slot: the
+// tree parent's or NTEParents[u][slot]'s, none for the root's TE.
+func (ix *Index) keySpace(u graph.VertexID, slot int) []graph.VertexID {
+	if slot != teSlot {
+		return ix.Nodes[ix.Tree.NTEParents[u][slot]].Cands
+	}
+	if p := ix.Tree.Parent[u]; p != order.NoParent {
+		return ix.Nodes[p].Cands
+	}
+	return nil
+}
 
 // newIndex returns an index for (data, tree) with every node's NTE slots
 // allocated and nothing in them. The tree is retained without its verdict
@@ -202,41 +222,53 @@ func NextCoverage(atLeast, total int) int {
 	return total
 }
 
-// Pivots returns the cluster pivots: the surviving candidates of the root
-// query vertex. Each pivot identifies one embedding cluster.
-func (ix *Index) Pivots() []graph.VertexID { return ix.Nodes[ix.Tree.Root].Cands }
+// Pivots returns the cluster pivots, ascending: the surviving candidates of
+// the root query vertex (a Restrict view's). Each identifies one cluster.
+func (ix *Index) Pivots() []graph.VertexID {
+	if ix.clusters != nil {
+		return ix.pivots
+	}
+	return ix.Nodes[ix.Tree.Root].Cands
+}
+
+// PivotPos returns the position in the root's Cands of the i-th pivot.
+func (ix *Index) PivotPos(i int) uint32 {
+	if ix.clusters == nil {
+		return uint32(i)
+	}
+	return ix.clusters[i]
+}
 
 // Restrict returns a view of ix that holds only the embedding clusters of
 // pivots (ascending; any that is not one of ix's pivots is left out). The
-// view's root candidate and cardinality columns are its own; every other
-// column is ix's, shared and not copied. Enumerating the views of the
-// blocks of a partition of ix.Pivots() enumerates ix.
+// view shares every column of ix — the root's Cands stay the key space of
+// its children's maps — and lists the positions of its clusters.
+// Enumerating the views of the blocks of a partition of ix.Pivots()
+// enumerates ix.
 func (ix *Index) Restrict(pivots []graph.VertexID) *Index {
 	view := *ix
-	view.Nodes = slices.Clone(ix.Nodes)
-	src, root := &ix.Nodes[ix.Tree.Root], &view.Nodes[ix.Tree.Root]
-	root.Cands = make([]graph.VertexID, 0, len(pivots))
-	root.cardVals = make([]int64, 0, len(pivots))
-	for _, p := range pivots {
-		if i := lowerBound(src.Cands, p); i < len(src.Cands) && src.Cands[i] == p {
-			root.Cands = append(root.Cands, p)
-			root.cardVals = append(root.cardVals, src.cardVals[i])
+	view.clusters, view.pivots = make([]uint32, 0, len(pivots)), nil
+	for _, v := range pivots {
+		i, found := slices.BinarySearch(ix.Nodes[ix.Tree.Root].Cands, v)
+		if _, held := slices.BinarySearch(ix.clusters, uint32(i)); found && (held || ix.clusters == nil) {
+			view.clusters, view.pivots = append(view.clusters, uint32(i)), append(view.pivots, v)
 		}
 	}
 	return &view
 }
 
-// ClusterCardinality returns the refined cardinality of pivot's embedding
-// cluster — the upper bound on embeddings rooted at pivot (Section 4.3).
-func (ix *Index) ClusterCardinality(pivot graph.VertexID) int64 {
-	return ix.Nodes[ix.Tree.Root].CardOf(pivot)
+// ClusterCardinality returns the refined cardinality of the i-th pivot's
+// embedding cluster — the upper bound on embeddings rooted at the pivot
+// (Section 4.3).
+func (ix *Index) ClusterCardinality(i int) int64 {
+	return ix.Nodes[ix.Tree.Root].cardVals[ix.PivotPos(i)]
 }
 
 // TotalCardinality sums cluster cardinalities over all pivots.
 func (ix *Index) TotalCardinality() int64 {
 	var total int64
-	for _, p := range ix.Pivots() {
-		total = satAdd(total, ix.ClusterCardinality(p))
+	for i := range ix.Pivots() {
+		total = satAdd(total, ix.ClusterCardinality(i))
 	}
 	return total
 }
@@ -262,26 +294,27 @@ func (ix *Index) CandidateEdges() int64 {
 // deduplicates them per query edge.
 func (ix *Index) UniqueCandidateEdges() int64 {
 	var n int64
-	count := func(m *CandMap) {
-		m.ForEach(func(key graph.VertexID, vals []graph.VertexID) {
-			for _, v := range vals {
-				if key < v {
-					n++
-				} else {
+	for u := range ix.Nodes {
+		vals := ix.Nodes[u].Cands
+		for slot := teSlot; slot < len(ix.Nodes[u].NTE); slot++ {
+			m, keys := ix.Nodes[u].slot(slot), ix.keySpace(graph.VertexID(u), slot)
+			m.ForEach(func(p uint32, list []uint32) {
+				for _, q := range list {
 					// Count (v, key) only when the mirrored direction is
-					// absent from this map.
-					rev := m.Get(v)
-					if _, found := slices.BinarySearch(rev, key); !found {
+					// absent from this map: key is a value, v a key, and
+					// v's list lacks key.
+					v := vals[q]
+					if keys[p] < v {
+						n++
+					} else if rq, ok := slices.BinarySearch(vals, keys[p]); !ok {
+						n++
+					} else if rp, ok := slices.BinarySearch(keys, v); !ok {
+						n++
+					} else if _, ok := slices.BinarySearch(m.At(uint32(rp)), uint32(rq)); !ok {
 						n++
 					}
 				}
-			}
-		})
-	}
-	for u := range ix.Nodes {
-		count(&ix.Nodes[u].TE)
-		for j := range ix.Nodes[u].NTE {
-			count(&ix.Nodes[u].NTE[j])
+			})
 		}
 	}
 	return n
@@ -293,9 +326,8 @@ func (ix *Index) UniqueCandidateEdges() int64 {
 func (ix *Index) SizeBytes() int64 { return 8 * ix.UniqueCandidateEdges() }
 
 // PhysicalBytes reports the actual in-memory footprint, exactly: 4 bytes
-// per key, 4 per offset, 4 per arena entry, plus the candidate and
-// cardinality columns — the layout DESIGN.md maps to the paper's Table 2
-// byte model.
+// per offset, arena entry and bare key, plus the candidate and cardinality
+// columns — the layout DESIGN.md maps to the paper's Table 2 byte model.
 func (ix *Index) PhysicalBytes() int64 {
 	var n int64
 	for u := range ix.Nodes {

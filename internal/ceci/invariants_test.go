@@ -21,7 +21,10 @@ import (
 //  3. every TE value belongs to u's candidate union; NTE values likewise;
 //  4. every stored (key, value) pair is a real data edge (soundness half
 //     of Section 3.5's correctness argument);
-//  5. surviving candidates have positive cardinality.
+//  5. surviving candidates have positive cardinality;
+//
+// and, under them all, that every map is positions over its key and value
+// spaces (CheckColumns), so that reading it by ids is defined.
 func TestIndexStructuralInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -48,7 +51,10 @@ func TestIndexStructuralInvariants(t *testing.T) {
 // and the fingerprint's to bind to the graph.
 func checkInvariants(t *testing.T, ix *ceci.Index, tree *order.QueryTree, data *graph.Graph) bool {
 	t.Helper()
-	ok := checkStructure(t, ix, tree)
+	if !checkStructure(t, ix, tree) {
+		return false
+	}
+	ok := true
 	for u := range ix.Nodes {
 		edges := func(key graph.VertexID, vals []graph.VertexID) {
 			for _, v := range vals {
@@ -58,9 +64,8 @@ func checkInvariants(t *testing.T, ix *ceci.Index, tree *order.QueryTree, data *
 				}
 			}
 		}
-		ix.Nodes[u].TE.ForEach(edges)
-		for j := range ix.Nodes[u].NTE {
-			ix.Nodes[u].NTE[j].ForEach(edges)
+		for slot := ceci.TESlot; slot < len(ix.Nodes[u].NTE); slot++ {
+			ix.ForEachID(graph.VertexID(u), slot, edges)
 		}
 	}
 	return ok
@@ -68,6 +73,10 @@ func checkInvariants(t *testing.T, ix *ceci.Index, tree *order.QueryTree, data *
 
 func checkStructure(t *testing.T, ix *ceci.Index, tree *order.QueryTree) bool {
 	t.Helper()
+	if err := ix.CheckColumns(); err != nil {
+		t.Log(err)
+		return false
+	}
 	ok := true
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
@@ -75,12 +84,10 @@ func checkStructure(t *testing.T, ix *ceci.Index, tree *order.QueryTree) bool {
 			t.Logf("u%d: candidate union unsorted", u)
 			ok = false
 		}
-		checkMap := func(m *ceci.CandMap, parentCands []graph.VertexID, kind string) {
-			if !setops.IsSorted(m.Keys()) {
-				t.Logf("u%d %s: keys unsorted", u, kind)
-				ok = false
-			}
-			m.ForEach(func(key graph.VertexID, vals []graph.VertexID) {
+		checkMap := func(slot int, parentCands []graph.VertexID, kind string) {
+			var keys []graph.VertexID
+			ix.ForEachID(graph.VertexID(u), slot, func(key graph.VertexID, vals []graph.VertexID) {
+				keys = append(keys, key)
 				if !setops.Contains(parentCands, key) {
 					t.Logf("u%d %s: key %d not a parent candidate", u, kind, key)
 					ok = false
@@ -96,19 +103,23 @@ func checkStructure(t *testing.T, ix *ceci.Index, tree *order.QueryTree) bool {
 					}
 				}
 			})
+			if !setops.IsSorted(keys) {
+				t.Logf("u%d %s: keys unsorted", u, kind)
+				ok = false
+			}
 		}
 		if p := tree.Parent[u]; p != order.NoParent {
-			checkMap(&node.TE, ix.Nodes[p].Cands, "TE")
+			checkMap(ceci.TESlot, ix.Nodes[p].Cands, "TE")
 		} else if node.TE.Len() > 0 {
 			t.Logf("u%d: the root has TE keys", u)
 			ok = false
 		}
 		for j, un := range tree.NTEParents[u] {
-			checkMap(&node.NTE[j], ix.Nodes[un].Cands, "NTE")
+			checkMap(j, ix.Nodes[un].Cands, "NTE")
 		}
-		for _, v := range node.Cands {
-			if node.CardOf(v) <= 0 {
-				t.Logf("u%d: surviving candidate %d has cardinality %d", u, v, node.CardOf(v))
+		for p, v := range node.Cands {
+			if c := node.CardAt(uint32(p)); c <= 0 {
+				t.Logf("u%d: surviving candidate %d has cardinality %d", u, v, c)
 				ok = false
 			}
 		}

@@ -14,14 +14,13 @@ import (
 //
 // Consecutive CandidatesFor calls at one depth differ only in the deepest
 // assignments (see cachePlan), and the scratch remembers what that leaves
-// unchanged, in two levels: where the previous lookup landed in each
-// candidate map (fingers); the intersection of the outer inputs, computed
+// unchanged, in two levels: the intersection of the outer inputs, computed
 // once per assignment of their keys — and, once a second inner key shows
 // it serves more than one, held as a bitmap the inner list is probed
 // against; and the result itself, under every key, unless the inner key is
 // the predecessor that changes with every call. This is the
 // embedding-cluster observation of Section 4.1 applied one level up, then
-// two.
+// two. Keys, lists and the bitmap are all positions (CandMap).
 type MatchScratch struct {
 	S setops.Scratch
 	// Steps is this depth's step accounting, written as plain integers
@@ -32,13 +31,9 @@ type MatchScratch struct {
 
 	lists [][]uint32
 
-	// fingers[0] is the TE map's lookup finger, fingers[1+j] NTE[j]'s
-	// (CandMap.GetNear). Hints only: any value is correct.
-	fingers []int
-
 	// The outer level, valid until an outer key's assignment changes or
 	// ResetUnitCache is called.
-	outerKeys []graph.VertexID // assignments of cachePlan.outerKeys it was built for
+	outerKeys []uint32 // assignments of cachePlan.outerKeys it was built for
 	outerOK   bool
 	outer     []uint32    // ∩ of the outer lists: an index view or S's buffers
 	bits      bitsState   // whether outerBits holds outer
@@ -46,7 +41,7 @@ type MatchScratch struct {
 
 	// The inner level: out is the last result, and when resultOK it is
 	// the answer for innerKey under the outer level's keys.
-	innerKey graph.VertexID
+	innerKey uint32
 	resultOK bool
 	out      []uint32
 }
@@ -68,80 +63,66 @@ const (
 type StepCounts = telemetry.StepCounts
 
 // FootprintBytes returns the scratch's allocated backing size: the setops
-// buffers, this package's per-depth slices, the fingers, the outer
-// bitmap and the result buffer. outer aliases index storage or the setops
-// buffers, so it is not counted separately.
+// buffers, this package's per-depth slices, the outer bitmap and the result
+// buffer. outer aliases index storage or the setops buffers, so it is not
+// counted separately.
 func (sc *MatchScratch) FootprintBytes() int64 {
 	return sc.S.FootprintBytes() +
 		int64(cap(sc.lists))*24 + // slice headers
-		int64(cap(sc.fingers))*8 +
 		int64(cap(sc.outerKeys))*4 +
 		sc.outerBits.FootprintBytes() +
 		int64(cap(sc.out))*4
 }
 
-// ResetUnitCache forgets the cursor: both levels, the bitmap state and
-// the fingers. Enumeration workers call it at work-unit boundaries.
-// Nothing here is needed for correctness (every key is compared on every
-// lookup and a finger is only a hint), but the number of rebuilds and
-// which lookups probe the bitmap — hence the per-kernel profile — are
-// then a deterministic function of the unit set rather than of which
-// worker happened to run consecutive units.
+// ResetUnitCache forgets the cursor: both levels and the bitmap state.
+// Enumeration workers call it at work-unit boundaries. Nothing here is
+// needed for correctness (every key is compared on every lookup), but the
+// number of rebuilds and which lookups probe the bitmap — hence the
+// per-kernel profile — are then a deterministic function of the unit set
+// rather than of which worker happened to run consecutive units.
 func (sc *MatchScratch) ResetUnitCache() {
 	sc.outerOK, sc.resultOK = false, false
-	clear(sc.fingers)
 }
 
 // BitmapFilled reports whether the outer side is currently held as a
 // bitmap, so tests can assert that a fixture reaches the probe path.
 func (sc *MatchScratch) BitmapFilled() bool { return sc.outerOK && sc.bits == bitsFilled }
 
-// input returns u's candidate list in slot (teSlot or an NTE slot) under
-// key, the assignment of the slot's key vertex: an index view.
-func (ix *Index) input(u graph.VertexID, slot int, key graph.VertexID, sc *MatchScratch) []graph.VertexID {
-	if slot == teSlot {
-		return ix.Nodes[u].TE.GetNear(&sc.fingers[0], key)
-	}
-	return ix.Nodes[u].NTE[slot].GetNear(&sc.fingers[1+slot], key)
-}
-
-// CandidatesFor returns the matching nodes for query vertex u given the
-// partial embedding m (indexed by query vertex ID): the intersection of
+// CandidatesFor returns the matching nodes for query vertex u, as positions
+// in u's Cands, given the partial embedding pos (indexed by query vertex ID,
+// each assignment a position in its vertex's Cands): the intersection of
 // u's TE candidates under the matched parent with each NTE candidate list
-// under the matched non-tree parents (Section 4). The parent and every
-// NTE parent of u must already be assigned in m.
+// under the matched non-tree parents (Section 4). The parent and every NTE
+// parent of u must already be assigned in pos.
 //
 // The returned slice may alias index storage or scratch buffers: it is
 // valid only until the next CandidatesFor call with the same scratch, and
 // must not be modified.
-func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) []graph.VertexID {
+func (ix *Index) CandidatesFor(u graph.VertexID, pos []uint32, sc *MatchScratch) []uint32 {
 	st := &sc.Steps
 	st.Lookups++
 	node := &ix.Nodes[u]
-	if len(sc.fingers) != 1+len(node.NTE) {
-		sc.fingers = make([]int, 1+len(node.NTE)) // first lookup on this scratch
-	}
 	if len(node.NTE) == 0 {
-		base := ix.input(u, teSlot, m[ix.Tree.Parent[u]], sc)
+		base := node.TE.At(pos[ix.Tree.Parent[u]])
 		st.Output += int64(len(base))
 		return base
 	}
 
 	plan := &ix.ntePlan[u]
-	key := m[plan.innerKey]
-	hit := sc.outerHit(plan.outerKeys, m)
+	key := pos[plan.innerKey]
+	hit := sc.outerHit(plan.outerKeys, pos)
 	if hit && sc.resultOK && sc.innerKey == key {
 		// No key moved since the result was computed.
 		st.Output += int64(len(sc.out))
 		return sc.out
 	}
 	sc.resultOK = false
-	inner := ix.input(u, plan.inner, key, sc)
+	inner := node.slot(plan.inner).At(key)
 	if len(inner) == 0 {
 		return nil
 	}
 	if !hit {
-		ix.buildOuter(u, m, sc)
+		ix.buildOuter(u, pos, sc)
 	}
 	outer := sc.outer
 	if len(outer) == 0 {
@@ -160,7 +141,7 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 			sc.bits = bitsFilled
 		}
 	}
-	var result []graph.VertexID
+	var result []uint32
 	if sc.bits == bitsFilled {
 		result = setops.IntersectSpan(sc.out, &sc.outerBits, inner, &sc.S)
 	} else {
@@ -174,13 +155,13 @@ func (ix *Index) CandidatesFor(u graph.VertexID, m []graph.VertexID, sc *MatchSc
 }
 
 // outerHit reports whether the scratch's outer side was built for the
-// assignments m gives the plan's outer keys.
-func (sc *MatchScratch) outerHit(keys []graph.VertexID, m []graph.VertexID) bool {
+// assignments pos gives the plan's outer keys.
+func (sc *MatchScratch) outerHit(keys []graph.VertexID, pos []uint32) bool {
 	if !sc.outerOK || len(sc.outerKeys) != len(keys) {
 		return false
 	}
 	for i, w := range keys {
-		if sc.outerKeys[i] != m[w] {
+		if sc.outerKeys[i] != pos[w] {
 			return false
 		}
 	}
@@ -190,11 +171,11 @@ func (sc *MatchScratch) outerHit(keys []graph.VertexID, m []graph.VertexID) bool
 // buildOuter intersects u's outer inputs, smallest first, into sc.outer
 // (nil when one of them is empty) and records the assignments it was
 // built for. A single outer list is used as is and charges nothing.
-func (ix *Index) buildOuter(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) {
+func (ix *Index) buildOuter(u graph.VertexID, pos []uint32, sc *MatchScratch) {
 	plan := &ix.ntePlan[u]
 	sc.outerKeys = sc.outerKeys[:0]
 	for _, w := range plan.outerKeys {
-		sc.outerKeys = append(sc.outerKeys, m[w])
+		sc.outerKeys = append(sc.outerKeys, pos[w])
 	}
 	sc.outerOK = true
 	sc.bits = bitsUntried
@@ -203,7 +184,7 @@ func (ix *Index) buildOuter(u graph.VertexID, m []graph.VertexID, sc *MatchScrat
 	lists := sc.lists[:0]
 	var lengths int64
 	for i, slot := range plan.outer {
-		l := ix.input(u, slot, sc.outerKeys[i], sc)
+		l := ix.Nodes[u].slot(slot).At(sc.outerKeys[i])
 		if len(l) == 0 {
 			sc.lists = lists
 			return
@@ -220,21 +201,19 @@ func (ix *Index) buildOuter(u graph.VertexID, m []graph.VertexID, sc *MatchScrat
 }
 
 // CandidatesForEdgeVerify is the ablation variant (Section 4.1, Lemma 2):
-// it returns only the TE candidates and leaves non-tree edges to be
-// verified by adjacency probes, the way TurboIso/CFLMatch-style systems
-// operate. VerifyNTE performs those probes.
-func (ix *Index) CandidatesForEdgeVerify(u graph.VertexID, m []graph.VertexID, sc *MatchScratch) []graph.VertexID {
-	if len(sc.fingers) == 0 {
-		sc.fingers = make([]int, 1) // first lookup on this scratch
-	}
-	cands := ix.Nodes[u].TE.GetNear(&sc.fingers[0], m[ix.Tree.Parent[u]])
+// it returns only the TE candidates, as positions like CandidatesFor, and
+// leaves non-tree edges to be verified by adjacency probes, the way
+// TurboIso/CFLMatch-style systems operate. VerifyNTE performs those probes.
+func (ix *Index) CandidatesForEdgeVerify(u graph.VertexID, pos []uint32, sc *MatchScratch) []uint32 {
+	cands := ix.Nodes[u].TE.At(pos[ix.Tree.Parent[u]])
 	sc.Steps.Lookups++
 	sc.Steps.Output += int64(len(cands))
 	return cands
 }
 
-// VerifyNTE checks v against every non-tree edge of u by binary-search
-// adjacency probes on the data graph, counted on sc.
+// VerifyNTE checks the data vertex v against every non-tree edge of u by
+// binary-search adjacency probes on the data graph, counted on sc; m holds
+// the assigned data vertices, indexed by query vertex ID.
 func (ix *Index) VerifyNTE(u graph.VertexID, v graph.VertexID, m []graph.VertexID, sc *MatchScratch) bool {
 	for _, un := range ix.Tree.NTEParents[u] {
 		sc.Steps.Verifications++

@@ -1,7 +1,7 @@
 package ceci
 
 import (
-	"math/bits"
+	"sync"
 
 	"ceci/internal/graph"
 	"ceci/internal/setops"
@@ -71,8 +71,8 @@ func (b *builder) refine() {
 // deleted with its candidate — and both ascend, so one cursor walks the
 // key column beside the candidates. A TE list is a subset of the child's
 // candidates, so each value's cardinality is read off the child's column
-// at the value's position; under a leaf child that column is all ones,
-// the sum is the list's length and no position is looked up.
+// at the value's position (posTable); under a leaf child that column is
+// all ones, the sum is the list's length and no position is looked up.
 func (b *builder) cardProducts(u graph.VertexID) []int64 {
 	tree := b.ix.Tree
 	cands := b.ix.Nodes[u].Cands
@@ -84,8 +84,9 @@ func (b *builder) cardProducts(u graph.VertexID) []int64 {
 		child := &b.ix.Nodes[uc]
 		te := &b.te[uc]
 		leaf := len(tree.Children[uc]) == 0
+		var pos posTable
 		if !leaf {
-			b.pos.reset(child.Cands)
+			pos = b.pos.fill(child.Cands, b.ix.Data.NumVertices())
 		}
 		i := 0 // te.keys[i] is the first key not below the candidate at hand
 		for k, v := range cands {
@@ -103,7 +104,7 @@ func (b *builder) cardProducts(u graph.VertexID) []int64 {
 				sum = int64(len(lst))
 			} else {
 				for _, vc := range lst {
-					sum = satAdd(sum, child.cardVals[b.pos.of(child.Cands, vc)])
+					sum = satAdd(sum, child.cardVals[pos[vc]])
 				}
 			}
 			cards[k] = satMul(cards[k], sum)
@@ -112,38 +113,26 @@ func (b *builder) cardProducts(u graph.VertexID) []int64 {
 	return cards
 }
 
-// posIndex finds the position of an id in a sorted column in expected
-// constant time: the column's id range is cut into equal buckets about as
-// wide as the mean gap between ids, and start[k] is where bucket k begins
-// in the column. It does the job of a hash map from candidate to
-// cardinality in at most 8 bytes per candidate, rebuilt by one pass.
-type posIndex struct {
-	shift uint
-	start []uint32
-}
+// posTable finds the position of an id in a sorted candidate column with
+// one array read: entry v is v's position in the column last filled in,
+// and every other entry is stale. It is 4 bytes per data vertex, filled in
+// one pass over the column and never cleared — so builds share tables
+// (posTables), and a one-cluster build on a large graph pays for the
+// candidates it touches, not for zeroing a table as large as the graph.
+type posTable []uint32
 
-func (p *posIndex) reset(col []graph.VertexID) {
-	p.start = p.start[:0]
-	if len(col) == 0 {
-		return
-	}
-	gap := (col[len(col)-1] + 1) / uint32(len(col)) // >= 1: the ids are distinct
-	p.shift = uint(bits.Len32(gap)) - 1
-	for i, v := range col {
-		for len(p.start) <= int(v>>p.shift) {
-			p.start = append(p.start, uint32(i))
-		}
-	}
-}
+var posTables = sync.Pool{New: func() any { return new(posTable) }}
 
-// of returns the position of v in col, the column p was reset to; v must
-// be in it.
-func (p *posIndex) of(col []graph.VertexID, v graph.VertexID) int {
-	i := int(p.start[v>>p.shift])
-	for col[i] < v {
-		i++
+// fill records the positions of col, whose ids are below n, and returns
+// the table.
+func (t *posTable) fill(col []graph.VertexID, n int) posTable {
+	if len(*t) < n {
+		*t = make(posTable, n)
 	}
-	return i
+	for p, v := range col {
+		(*t)[v] = uint32(p)
+	}
+	return *t
 }
 
 // optimisticCardinalities fills the cardinality columns from TE sizes

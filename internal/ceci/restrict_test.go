@@ -1,6 +1,7 @@
 package ceci_test
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -15,8 +16,9 @@ import (
 // blocks of a partition of its pivots enumerate it — their counts sum to
 // the index's, under FGD, whose units are cut by the views' cluster
 // cardinalities (a pivot's own, not its position's in the full list) — and
-// a view shares the index's columns: only the root's candidate and
-// cardinality columns are its own, and the index keeps its pivots.
+// a view shares every column of the index, the root's candidates included
+// (they key its children's maps), holds the block as its pivots, and the
+// index keeps its own.
 func TestRestrictPartitionsIndex(t *testing.T) {
 	gen.ForEachGoldenPair(func(name string, data, query *graph.Graph, _ int64) {
 		tree, err := order.Preprocess(data, query, order.DefaultOptions())
@@ -32,26 +34,27 @@ func TestRestrictPartitionsIndex(t *testing.T) {
 		for lo, size := 0, 1; lo < len(pivots); lo, size = lo+size, size+1 {
 			block := pivots[lo:min(lo+size, len(pivots))]
 			view := ix.Restrict(block)
-			for _, p := range block {
-				if view.ClusterCardinality(p) != ix.ClusterCardinality(p) {
-					t.Fatalf("%s: pivot %d: view cardinality %d, index %d", name, p, view.ClusterCardinality(p), ix.ClusterCardinality(p))
+			if !slices.Equal(view.Pivots(), block) {
+				t.Fatalf("%s: view pivots %v, block %v", name, view.Pivots(), block)
+			}
+			for i, p := range block {
+				if view.ClusterCardinality(i) != ix.ClusterCardinality(lo+i) {
+					t.Fatalf("%s: pivot %d: view cardinality %d, index %d", name, p, view.ClusterCardinality(i), ix.ClusterCardinality(lo+i))
 				}
 			}
 			for u := range ix.Nodes {
-				if graph.VertexID(u) == tree.Root || len(ix.Nodes[u].Cands) == 0 {
+				if len(ix.Nodes[u].Cands) == 0 {
 					continue
 				}
 				if unsafe.SliceData(view.Nodes[u].Cands) != unsafe.SliceData(ix.Nodes[u].Cands) {
 					t.Fatalf("%s: u%d: the view copied the candidate column", name, u)
 				}
-				for _, key := range ix.Nodes[tree.Parent[u]].Cands {
-					if vals := ix.Nodes[u].TE.Get(key); len(vals) > 0 {
-						if unsafe.SliceData(view.Nodes[u].TE.Get(key)) != unsafe.SliceData(vals) {
-							t.Fatalf("%s: u%d: the view copied the TE column", name, u)
-						}
-						break
-					}
+				if ix.Nodes[u].TE.CandidateEdges() > 0 && unsafe.SliceData(view.Nodes[u].TE.At(0)) != unsafe.SliceData(ix.Nodes[u].TE.At(0)) {
+					t.Fatalf("%s: u%d: the view copied the TE column", name, u)
 				}
+			}
+			if !slices.Equal(view.Pivots(), block) {
+				t.Fatalf("%s: a view of %v holds the pivots %v", name, block, view.Pivots())
 			}
 			got += enum.NewMatcher(view, opts).Count()
 		}

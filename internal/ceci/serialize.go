@@ -32,6 +32,8 @@ import (
 //	  card:  per cand, uvarint cardinality
 //	  TE:    uvarint keys; per key: id + value list (delta-encoded)
 //	  NTE:   uvarint maps; per map as TE
+//
+// Keys and values are ids on disk, positions (CandMap) in memory.
 var idxMagic = [8]byte{'C', 'E', 'C', 'I', 'I', 'D', 'X', '1'}
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -70,14 +72,14 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	writeUvarint(cw, uint64(len(ix.Nodes)))
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
-		writeIDs(cw, node.Cands)
-		for _, v := range node.Cands {
-			writeUvarint(cw, uint64(node.CardOf(v)))
+		writeIDs(cw, node.Cands, nil)
+		for _, c := range node.cardVals {
+			writeUvarint(cw, uint64(c))
 		}
-		writeCandMap(cw, &node.TE)
+		writeCandMap(cw, &node.TE, ix.keySpace(graph.VertexID(u), teSlot), node.Cands)
 		writeUvarint(cw, uint64(len(node.NTE)))
 		for j := range node.NTE {
-			writeCandMap(cw, &node.NTE[j])
+			writeCandMap(cw, &node.NTE[j], ix.keySpace(graph.VertexID(u), j), node.Cands)
 		}
 	}
 	if cw.err != nil {
@@ -116,6 +118,8 @@ func ReadIndex(r io.Reader, data *graph.Graph, tree *order.QueryTree) (*Index, e
 	}
 	ix := newIndex(data, tree, Options{})
 	d := idReader{r: br, limit: uint64(data.NumVertices())}
+	// maps[u][0] is u's TE as read, maps[u][1+j] its NTE[j].
+	maps := make([][]mapBuilder, len(ix.Nodes))
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
 		fail := func(section string, err error) (*Index, error) {
@@ -135,7 +139,8 @@ func ReadIndex(r io.Reader, data *graph.Graph, tree *order.QueryTree) (*Index, e
 			}
 			node.cardVals[i] = int64(c)
 		}
-		if node.TE, err = d.candMap(); err != nil {
+		maps[u] = make([]mapBuilder, 1+len(node.NTE))
+		if err = d.candMap(&maps[u][0]); err != nil {
 			return fail("TE", err)
 		}
 		nteCount, err := binary.ReadUvarint(br)
@@ -146,7 +151,7 @@ func ReadIndex(r io.Reader, data *graph.Graph, tree *order.QueryTree) (*Index, e
 			return fail("NTE", fmt.Errorf("%d maps, tree expects %d", nteCount, len(node.NTE)))
 		}
 		for j := range node.NTE {
-			if node.NTE[j], err = d.candMap(); err != nil {
+			if err = d.candMap(&maps[u][1+j]); err != nil {
 				return fail(fmt.Sprintf("NTE %d", j), err)
 			}
 		}
@@ -157,31 +162,31 @@ func ReadIndex(r io.Reader, data *graph.Graph, tree *order.QueryTree) (*Index, e
 		return nil, fmt.Errorf("ceci: index: %w", err)
 	}
 	// Keys and values refer to candidate columns of other nodes, which the
-	// file may hold later: checked once everything is decoded.
+	// file may hold later: checked once everything is decoded, then turned
+	// into positions.
+	pos := posTables.Get().(*posTable)
+	defer posTables.Put(pos)
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
-		check := func(section string, m *CandMap, keyedBy graph.VertexID) error {
-			if i := firstOutside(m.keys, ix.Nodes[keyedBy].Cands); i >= 0 {
-				return fmt.Errorf("ceci: index node %d %s: key %d is not a candidate of query vertex %d", u, section, m.keys[i], keyedBy)
+		pos.fill(node.Cands, data.NumVertices())
+		for slot := teSlot; slot < len(node.NTE); slot++ {
+			m, section, keyedBy := &maps[u][1+slot], "TE", tree.Parent[u]
+			if slot != teSlot {
+				section, keyedBy = fmt.Sprintf("NTE %d", slot), int32(tree.NTEParents[u][slot])
+			}
+			if keyedBy == order.NoParent && len(m.keys) > 0 {
+				return nil, fmt.Errorf("ceci: index node %d TE: the root has %d keys", u, len(m.keys))
+			}
+			keys := ix.keySpace(graph.VertexID(u), slot)
+			if i := firstOutside(m.keys, keys); i >= 0 {
+				return nil, fmt.Errorf("ceci: index node %d %s: key %d is not a candidate of query vertex %d", u, section, m.keys[i], keyedBy)
 			}
 			for i, key := range m.keys {
-				vals := m.arena[m.offs[i]:m.offs[i+1]]
-				if j := firstOutside(vals, node.Cands); j >= 0 {
-					return fmt.Errorf("ceci: index node %d %s: value %d under key %d is not a candidate", u, section, vals[j], key)
+				if j := firstOutside(m.list(i), node.Cands); j >= 0 {
+					return nil, fmt.Errorf("ceci: index node %d %s: value %d under key %d is not a candidate", u, section, m.list(i)[j], key)
 				}
 			}
-			return nil
-		}
-		if p := tree.Parent[u]; p != order.NoParent {
-			err = check("TE", &node.TE, graph.VertexID(p))
-		} else if node.TE.Len() > 0 {
-			err = fmt.Errorf("ceci: index node %d TE: the root has %d keys", u, node.TE.Len())
-		}
-		for j := 0; j < len(node.NTE) && err == nil; j++ {
-			err = check(fmt.Sprintf("NTE %d", j), &node.NTE[j], tree.NTEParents[u][j])
-		}
-		if err != nil {
-			return nil, err
+			*node.slot(slot) = m.compact(keys, *pos)
 		}
 	}
 	ix.finish()
@@ -224,11 +229,14 @@ func writeUvarint(w io.Writer, x uint64) {
 	w.Write(buf[:n])
 }
 
-// writeIDs delta-encodes a sorted vertex list.
-func writeIDs(w io.Writer, ids []graph.VertexID) {
-	writeUvarint(w, uint64(len(ids)))
+// writeIDs delta-encodes a sorted id list: list, or of[p] for each p in it.
+func writeIDs(w io.Writer, list []uint32, of []graph.VertexID) {
+	writeUvarint(w, uint64(len(list)))
 	prev := uint64(0)
-	for _, v := range ids {
+	for _, v := range list {
+		if of != nil {
+			v = of[v]
+		}
 		writeUvarint(w, uint64(v)-prev)
 		prev = uint64(v)
 	}
@@ -274,40 +282,40 @@ func (d *idReader) ids(dst []graph.VertexID) ([]graph.VertexID, error) {
 	return dst, nil
 }
 
-// candMap decodes one TE or NTE structure: at most limit keys, strictly
-// ascending and below limit, each with a list as ids reads it.
-func (d *idReader) candMap() (CandMap, error) {
+// candMap decodes one TE or NTE structure into m: at most limit keys,
+// strictly ascending and below limit, each with a list as ids reads it.
+func (d *idReader) candMap(m *mapBuilder) error {
 	n, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return CandMap{}, err
+		return err
 	}
 	if n > d.limit {
-		return CandMap{}, fmt.Errorf("%d keys, the graph has %d vertices", n, d.limit)
+		return fmt.Errorf("%d keys, the graph has %d vertices", n, d.limit)
 	}
-	var m mapBuilder
 	m.alloc(int(n), 0)
 	for i := uint64(0); i < n; i++ {
 		key, err := binary.ReadUvarint(d.r)
 		if err != nil {
-			return CandMap{}, err
+			return err
 		}
 		if key >= d.limit || i > 0 && key <= uint64(m.keys[i-1]) {
-			return CandMap{}, fmt.Errorf("key %d out of order or past the graph's %d vertices", key, d.limit)
+			return fmt.Errorf("key %d out of order or past the graph's %d vertices", key, d.limit)
 		}
 		if d.list, err = d.ids(d.list[:0]); err != nil {
-			return CandMap{}, fmt.Errorf("key %d: %w", key, err)
+			return fmt.Errorf("key %d: %w", key, err)
 		}
 		if err := m.append(graph.VertexID(key), d.list); err != nil {
-			return CandMap{}, err
+			return err
 		}
 	}
-	return m.compact(), nil
+	return nil
 }
 
-func writeCandMap(w io.Writer, m *CandMap) {
+// writeCandMap writes m, keyed by keys and valued in vals, as ids.
+func writeCandMap(w io.Writer, m *CandMap, keys, vals []graph.VertexID) {
 	writeUvarint(w, uint64(m.Len()))
-	m.ForEach(func(key graph.VertexID, vals []graph.VertexID) {
-		writeUvarint(w, uint64(key))
-		writeIDs(w, vals)
+	m.ForEach(func(key uint32, list []uint32) {
+		writeUvarint(w, uint64(keys[key]))
+		writeIDs(w, list, vals)
 	})
 }

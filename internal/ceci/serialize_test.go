@@ -8,6 +8,7 @@ import (
 
 	"ceci/internal/ceci"
 	"ceci/internal/gen"
+	"ceci/internal/graph"
 	"ceci/internal/order"
 )
 
@@ -51,20 +52,18 @@ func assertSameIndex(t *testing.T, a, b *ceci.Index, tree *order.QueryTree) {
 		if !eqIDs(na.Cands, nb.Cands) {
 			t.Fatalf("node %d cands differ", u)
 		}
-		for _, v := range na.Cands {
-			if na.CardOf(v) != nb.CardOf(v) {
-				t.Fatalf("node %d card[%d] differs: %d vs %d", u, v, na.CardOf(v), nb.CardOf(v))
+		for p := range na.Cands {
+			if na.CardAt(uint32(p)) != nb.CardAt(uint32(p)) {
+				t.Fatalf("node %d card[%d] differs: %d vs %d", u, na.Cands[p], na.CardAt(uint32(p)), nb.CardAt(uint32(p)))
 			}
 		}
-		na.TE.ForEach(func(key uint32, vals []uint32) {
-			if !eqIDs(vals, nb.TE.Get(key)) {
-				t.Fatalf("node %d TE[%d] differs", u, key)
-			}
-		})
-		for j := range na.NTE {
-			na.NTE[j].ForEach(func(key uint32, vals []uint32) {
-				if !eqIDs(vals, nb.NTE[j].Get(key)) {
-					t.Fatalf("node %d NTE%d[%d] differs", u, j, key)
+		if na.TE.Len() != nb.TE.Len() {
+			t.Fatalf("node %d: %d TE entries, %d read back", u, na.TE.Len(), nb.TE.Len())
+		}
+		for slot := ceci.TESlot; slot < len(na.NTE); slot++ {
+			a.ForEachID(graph.VertexID(u), slot, func(key graph.VertexID, vals []graph.VertexID) {
+				if got := b.IDsAt(graph.VertexID(u), slot, key); got == nil || !eqIDs(vals, got) {
+					t.Fatalf("node %d slot %d [%d] differs", u, slot, key)
 				}
 			})
 		}

@@ -54,7 +54,7 @@ func NewSimulation(data, query *graph.Graph) (*Simulation, error) {
 	// Per-cluster measured costs: one searcher reused across clusters.
 	m := enum.NewMatcher(ix, enum.Options{Workers: 1, Strategy: workload.CGD})
 	for _, c := range m.MeasureUnits() {
-		s.clusters[c.Unit.Prefix[0]] = workload.ReplayUnit{Cost: c.Duration, Embeddings: c.Embeddings}
+		s.clusters[c.Unit.Pivot(ix)] = workload.ReplayUnit{Cost: c.Duration, Embeddings: c.Embeddings}
 		s.total += c.Embeddings
 	}
 	return s, nil

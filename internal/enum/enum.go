@@ -265,10 +265,9 @@ func (m *Matcher) forEach(ctx context.Context, ctl *control) {
 		}
 	}
 	if p := m.opts.Profile; p != nil {
-		pivots := m.ix.Pivots()
-		pivotCards := make([]int64, len(pivots))
-		for i, pv := range pivots {
-			pivotCards[i] = m.ix.ClusterCardinality(pv)
+		pivotCards := make([]int64, len(m.ix.Pivots()))
+		for i := range pivotCards {
+			pivotCards[i] = m.ix.ClusterCardinality(i)
 		}
 		unitCards := make([]int64, len(units))
 		for i, u := range units {
@@ -402,8 +401,8 @@ func (m *Matcher) runWorker(s *searcher, parent *obs.Span, next func() (workload
 		var span *obs.Span
 		if parent != nil {
 			span = parent.Child("cluster",
-				obs.Int("pivot", int64(unit.Prefix[0])),
-				obs.Int("depth", int64(len(unit.Prefix))),
+				obs.Int("pivot", int64(unit.Pivot(m.ix))),
+				obs.Int("depth", int64(len(unit.Pos))),
 				obs.Int("card", unit.Card),
 				obs.Int("worker", int64(s.worker)))
 		}

@@ -22,8 +22,8 @@ func deadEndSplits(ix *ceci.Index, cons *auto.Constraints, workers int) int64 {
 	var lookups int64
 	fruitful := map[string]bool{}
 	for _, u := range workload.Decompose(ix, cons, 0, workers, ix.Tree.NumVertices(), scratch) {
-		for n := 1; n < len(u.Prefix); n++ {
-			fruitful[fmt.Sprint(u.Prefix[:n])] = true
+		for n := 1; n < len(u.Pos); n++ {
+			fruitful[fmt.Sprint(u.Pos[:n])] = true
 		}
 	}
 	for d := range scratch {

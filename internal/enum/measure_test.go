@@ -55,7 +55,7 @@ func TestMeasureUnitsClusterGranularity(t *testing.T) {
 		t.Fatalf("units %d != pivots %d", len(costs), len(ix.Pivots()))
 	}
 	for i, c := range costs {
-		if len(c.Unit.Prefix) != 1 || c.Unit.Prefix[0] != ix.Pivots()[i] {
+		if len(c.Unit.Pos) != 1 || c.Unit.Pivot(ix) != ix.Pivots()[i] {
 			t.Fatalf("unit %d is not cluster-granular: %+v", i, c.Unit)
 		}
 	}

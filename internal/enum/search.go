@@ -18,6 +18,7 @@ type searcher struct {
 	tree queryShape
 
 	emb     []graph.VertexID    // partial embedding, indexed by query vertex
+	pos     []uint32            // emb[u]'s position in Cands(u): what the index is read by
 	matched []bool              // indexed by query vertex
 	used    bitset.Bits         // indexed by data vertex (injectivity bitmap)
 	scratch []ceci.MatchScratch // per-depth intersection buffers
@@ -49,11 +50,13 @@ type queryShape struct {
 
 func newSearcher(m *Matcher, ctl *control) *searcher {
 	n := m.ix.Tree.NumVertices()
+	state := make([]uint32, 2*n) // emb and pos: one allocation
 	return &searcher{
 		m:       m,
 		ctl:     ctl,
 		tree:    queryShape{order: m.ix.Tree.Order, n: n},
-		emb:     make([]graph.VertexID, n),
+		emb:     state[:n:n],
+		pos:     state[n:],
 		matched: make([]bool, n),
 		used:    bitset.New(m.ix.Data.NumVertices()),
 		scratch: make([]ceci.MatchScratch, n),
@@ -67,24 +70,23 @@ func newSearcher(m *Matcher, ctl *control) *searcher {
 // the enumeration should stop globally.
 func (s *searcher) runUnit(u workload.Unit) bool {
 	// Forget the per-depth cursors: correctness does not require it
-	// (cursor keys are compared on every lookup, fingers are hints), but
-	// resetting at unit boundaries makes the rebuild counts — and so the
-	// per-kernel profile — independent of which worker ran which
-	// consecutive units.
+	// (cursor keys are compared on every lookup), but resetting at unit
+	// boundaries makes the rebuild counts — and so the per-kernel profile —
+	// independent of which worker ran which consecutive units.
 	for i := range s.scratch {
 		s.scratch[i].ResetUnitCache()
 	}
-	for i, v := range u.Prefix {
+	for i, p := range u.Pos {
 		q := s.tree.order[i]
-		s.emb[q] = v
+		v := s.m.ix.Nodes[q].Cands[p]
+		s.emb[q], s.pos[q] = v, p
 		s.matched[q] = true
 		s.used.Set(v)
 	}
-	ok := s.search(len(u.Prefix))
-	for i, v := range u.Prefix {
-		q := s.tree.order[i]
+	ok := s.search(len(u.Pos))
+	for _, q := range s.tree.order[:len(u.Pos)] {
 		s.matched[q] = false
-		s.used.Clear(v)
+		s.used.Clear(s.emb[q])
 	}
 	return ok
 }
@@ -112,11 +114,11 @@ func (s *searcher) search(depth int) bool {
 	s.recursiveCalls++
 
 	sc := &s.scratch[depth]
-	var cands []graph.VertexID
+	var cands []uint32
 	if s.m.opts.EdgeVerification {
-		cands = s.m.ix.CandidatesForEdgeVerify(u, s.emb, sc)
+		cands = s.m.ix.CandidatesForEdgeVerify(u, s.pos, sc)
 	} else {
-		cands = s.m.ix.CandidatesFor(u, s.emb, sc)
+		cands = s.m.ix.CandidatesFor(u, s.pos, sc)
 	}
 	// The candidate-list-size distribution is the one per-lookup
 	// observation that is not a sum, so it cannot ride the drain.
@@ -130,8 +132,9 @@ func (s *searcher) search(depth int) bool {
 	case depth == s.tree.n-2 && s.pair:
 		return s.product(u, cands)
 	}
-	cons, verify := s.m.consFor(u), s.m.opts.EdgeVerification
-	for _, v := range cands {
+	cons, verify, ids := s.m.consFor(u), s.m.opts.EdgeVerification, s.m.ix.Nodes[u].Cands
+	for _, p := range cands {
+		v := ids[p]
 		if s.used.Get(v) {
 			continue
 		}
@@ -141,7 +144,7 @@ func (s *searcher) search(depth int) bool {
 		if verify && !s.m.ix.VerifyNTE(u, v, s.emb, sc) {
 			continue
 		}
-		s.emb[u] = v
+		s.emb[u], s.pos[u] = v, p
 		s.matched[u] = true
 		s.used.Set(v)
 		ok := s.search(depth + 1)
@@ -166,11 +169,14 @@ func (s *searcher) search(depth int) bool {
 // used/matched writes and no stop-flag load per embedding (search loaded
 // it on entry and its caller loads it again after this returns). A
 // count-only run tallies the survivors and delivers them with one
-// reservation; otherwise each is handed to the consumer in emb.
-func (s *searcher) leaf(u graph.VertexID, cands []graph.VertexID, sc *ceci.MatchScratch) bool {
+// reservation; otherwise each is handed to the consumer in emb. cands are
+// positions in u's Cands, as CandidatesFor returns them.
+func (s *searcher) leaf(u graph.VertexID, cands []uint32, sc *ceci.MatchScratch) bool {
 	cons, verify, counting := s.m.consFor(u), s.m.opts.EdgeVerification, s.ctl.fn == nil
+	ids := s.m.ix.Nodes[u].Cands
 	var survivors int64
-	for _, v := range cands {
+	for _, p := range cands {
+		v := ids[p]
 		if s.used.Get(v) {
 			continue
 		}
@@ -200,12 +206,14 @@ func (s *searcher) leaf(u graph.VertexID, cands []graph.VertexID, sc *ceci.Match
 // survivors — candidates of a (as) and of b that pass injectivity and
 // their constraints against the prefix — is an embedding unless both
 // are the same data vertex: |A'|·|B'| − |A'∩B'| of them, for one lookup
-// of b per prefix where a descent would make one per survivor of a.
-func (s *searcher) product(a graph.VertexID, as []graph.VertexID) bool {
-	consA := s.m.consFor(a)
+// of b per prefix where a descent would make one per survivor of a. The
+// two lists are positions in different candidate columns, so A'∩B' merges
+// the ids they stand for, which ascend with them.
+func (s *searcher) product(a graph.VertexID, as []uint32) bool {
+	consA, idsA := s.m.consFor(a), s.m.ix.Nodes[a].Cands
 	var na int64
-	for _, v := range as {
-		if !s.used.Get(v) && (consA == nil || consA.Allows(a, v, s.emb, s.matched)) {
+	for _, p := range as {
+		if v := idsA[p]; !s.used.Get(v) && (consA == nil || consA.Allows(a, v, s.emb, s.matched)) {
 			na++
 		}
 	}
@@ -214,20 +222,21 @@ func (s *searcher) product(a graph.VertexID, as []graph.VertexID) bool {
 	}
 	depth := s.tree.n - 1
 	b := s.tree.order[depth]
-	bs := s.m.ix.CandidatesFor(b, s.emb, &s.scratch[depth])
+	bs := s.m.ix.CandidatesFor(b, s.pos, &s.scratch[depth])
 	s.m.opts.Profile.ObserveEnumOutput(len(bs))
-	consB := s.m.consFor(b)
+	consB, idsB := s.m.consFor(b), s.m.ix.Nodes[b].Cands
 	var nb, both int64
 	i := 0
-	for _, v := range bs {
+	for _, p := range bs {
+		v := idsB[p]
 		if s.used.Get(v) || consB != nil && !consB.Allows(b, v, s.emb, s.matched) {
 			continue
 		}
 		nb++
-		for i < len(as) && as[i] < v {
+		for i < len(as) && idsA[as[i]] < v {
 			i++
 		}
-		if i < len(as) && as[i] == v && (consA == nil || consA.Allows(a, v, s.emb, s.matched)) {
+		if i < len(as) && idsA[as[i]] == v && (consA == nil || consA.Allows(a, v, s.emb, s.matched)) {
 			both++
 		}
 	}
@@ -275,7 +284,7 @@ func (s *searcher) drain(unit bool, card int64, busy time.Duration) {
 	}
 	led.AddWork(calls, embeddings)
 	if unit {
-		scratchBytes := int64(cap(s.emb))*4 + int64(cap(s.matched)) + int64(len(s.used))*8
+		scratchBytes := int64(cap(s.emb))*4 + int64(cap(s.pos))*4 + int64(cap(s.matched)) + int64(len(s.used))*8
 		for pos := range s.scratch {
 			scratchBytes += s.scratch[pos].FootprintBytes()
 		}

@@ -176,26 +176,40 @@ func FillSpan(sp *bitset.Span, a []uint32, sc *Scratch) bool {
 // IntersectSpan is the bitmap probe against a bitmap that is already
 // filled: it writes a ∩ b into dst, where a is the list sp was last
 // filled from, by galloping b to the bitmap's window and testing each
-// element inside it — no fill, no clear, no kernel choice per call.
-// Recorded into sc.Stats as a probe call that scanned the tested
-// elements (sc may be nil). dst may alias b in the dst = b[:0] form.
+// element inside it — no fill, no clear, no kernel choice per call. The
+// test takes no branch: every element of the window is written at the
+// output index, which then advances by the element's bit, so a result
+// that keeps an unpredictable half of the window costs what one that
+// keeps all of it does. A dst with less capacity than the window is
+// replaced, not written past. Recorded into sc.Stats as a probe call
+// that scanned the tested elements (sc may be nil). dst may alias b in
+// the dst = b[:0] form: the output index never passes the element being
+// read.
 func IntersectSpan(dst []uint32, sp *bitset.Span, b []uint32, sc *Scratch) []uint32 {
 	dst = dst[:0]
 	if sp.Empty() || len(b) == 0 {
 		return dst
 	}
-	j := Gallop(b, 0, sp.Lo())
-	hi := sp.Hi()
-	end := j
-	for ; end < len(b) && b[end] <= hi; end++ {
-		if x := b[end]; sp.Test(x) {
-			dst = append(dst, x)
+	j, end := Gallop(b, 0, sp.Lo()), len(b)
+	if hi := sp.Hi(); b[end-1] > hi {
+		// A walk, not a gallop: its one branch is predictable, and it
+		// stops at b's last element at the latest.
+		for end = j; b[end] <= hi; end++ {
 		}
 	}
-	if sc != nil {
-		sc.Stats.record(KernelProbe, end-j, len(dst))
+	window := b[j:end]
+	if cap(dst) < len(window) {
+		dst = make([]uint32, 0, len(window))
 	}
-	return dst
+	out, n := dst[:len(window)], 0
+	for _, x := range window {
+		out[n] = x
+		n += sp.Bit(x)
+	}
+	if sc != nil {
+		sc.Stats.record(KernelProbe, len(window), n)
+	}
+	return out[:n]
 }
 
 // KernelStats accumulates per-kernel work counters: how often each kernel

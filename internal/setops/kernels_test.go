@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -98,9 +99,31 @@ func checkFilledSpan(t *testing.T, a, b, want []uint32) {
 	if len(b) > 0 && (sc.Stats.Calls[setops.KernelProbe] != 2 || sc.Stats.Emitted[setops.KernelProbe] != 2*int64(len(want))) {
 		t.Fatalf("filled span: two calls emitting %d each recorded as %+v", len(want), sc.Stats)
 	}
-	// The write cursor never passes the read cursor: dst may be b rewound.
-	if got := setops.IntersectSpan(slices.Clone(b)[:0], &sp, b, nil); !equal(got, want) {
+	// The probe writes every element of its window and advances by the
+	// element's bit, so three things must hold of dst. It may be b rewound:
+	// the write index never passes the read index.
+	alias := slices.Clone(b)
+	if got := setops.IntersectSpan(alias[:0], &sp, alias, nil); !equal(got, want) {
 		t.Fatalf("filled span, dst = b[:0]: got %v want %v", got, want)
+	}
+	// A dst with less capacity than the window is replaced, not written past
+	// its capacity (the guard word after it stays put).
+	lo := sort.Search(len(b), func(i int) bool { return b[i] >= sp.Lo() })
+	hi := sort.Search(len(b), func(i int) bool { return b[i] > sp.Hi() })
+	if short := hi - lo - 1; short >= 0 {
+		const guard = 0xdeadbeef
+		backing := make([]uint32, short+1)
+		backing[short] = guard
+		if got := setops.IntersectSpan(backing[:0:short], &sp, b, nil); !equal(got, want) || backing[short] != guard {
+			t.Fatalf("filled span, dst of capacity %d under a window of %d: got %v want %v, guard %#x", short, hi-lo, got, want, backing[short])
+		}
+	}
+	// The window may touch either end of b, or both: every element of the
+	// intersection lies inside it, so trimming b to it changes nothing.
+	for _, edge := range [][]uint32{b[lo:], b[:hi], b[lo:hi]} {
+		if got := setops.IntersectSpan(nil, &sp, edge, nil); !equal(got, want) {
+			t.Fatalf("filled span, b trimmed to %v: got %v want %v\na=%v", edge, got, want, a)
+		}
 	}
 }
 
@@ -160,6 +183,12 @@ func TestKernelAdversarialShapes(t *testing.T) {
 		{"top of uint32 range", ramp(1<<32-100, 1, 100), ramp(1<<32-50, 1, 50)},
 		{"last value is MaxUint32", []uint32{1<<32 - 1}, ramp(1<<32-chunk, 7, chunk/7)},
 		{"wrap probe: huge jump after dense", append(ramp(0, 1, 64), 1<<32-2, 1<<32-1), append(ramp(32, 1, 64), 1<<32-1)},
+		// The probe's window (the span of whichever list fills the bitmap)
+		// covering all of the other list, or reaching only its first or its
+		// last element.
+		{"probe window covers b", ramp(0, 1, 512), ramp(100, 3, 100)},
+		{"probe window at b's start", ramp(0, 1, 512), ramp(500, 1, 200)},
+		{"probe window at b's end", ramp(1000, 1, 512), ramp(0, 7, 210)},
 		{"run lengths 1..5 mixed", []uint32{1, 2, 3, 10, 11, 40, 41, 42, 43, 44, 90}, []uint32{2, 3, 4, 11, 12, 13, 42, 43, 90, 91}},
 	}
 	for _, tc := range cases {

@@ -50,23 +50,29 @@ func (s Strategy) String() string {
 const DefaultBeta = 0.2
 
 // Unit is a schedulable piece of the search space: a consistent prefix of
-// the matching order (Prefix[i] matches query vertex Order[i]) plus its
-// estimated workload. A depth-1 unit is a whole embedding cluster.
+// the matching order plus its estimated workload. Pos[i] is the position,
+// in the candidates of query vertex Order[i], of the data vertex matched
+// to it — what the index is read by; Cands recovers the vertex. A depth-1
+// unit is a whole embedding cluster.
 type Unit struct {
-	Prefix []graph.VertexID
-	Card   int64
+	Pos  []uint32
+	Card int64
+}
+
+// Pivot returns the data vertex the unit matches to the root: its cluster.
+func (u Unit) Pivot(ix *ceci.Index) graph.VertexID {
+	return ix.Nodes[ix.Tree.Root].Cands[u.Pos[0]]
 }
 
 // Clusters returns one depth-1 unit per pivot, in pivot order. All
 // prefixes share one backing array — one allocation instead of one per
 // pivot keeps scheduling off the enumeration allocation budget.
 func Clusters(ix *ceci.Index) []Unit {
-	pivots := ix.Pivots()
-	backing := make([]graph.VertexID, len(pivots))
-	copy(backing, pivots)
-	units := make([]Unit, len(pivots))
-	for i, p := range pivots {
-		units[i] = Unit{Prefix: backing[i : i+1 : i+1], Card: ix.ClusterCardinality(p)}
+	units := make([]Unit, len(ix.Pivots()))
+	positions := make([]uint32, len(units))
+	for i := range units {
+		positions[i] = ix.PivotPos(i)
+		units[i] = Unit{Pos: positions[i : i+1 : i+1], Card: ix.ClusterCardinality(i)}
 	}
 	return units
 }
@@ -107,8 +113,9 @@ func Decompose(ix *ceci.Index, cons *auto.Constraints, beta float64, workers, ma
 		threshold = 1
 	}
 
+	n := ix.Tree.NumVertices()
 	if scratch == nil {
-		scratch = make([]ceci.MatchScratch, ix.Tree.NumVertices())
+		scratch = make([]ceci.MatchScratch, n)
 	}
 	d := decomposer{
 		ix:        ix,
@@ -116,12 +123,13 @@ func Decompose(ix *ceci.Index, cons *auto.Constraints, beta float64, workers, ma
 		threshold: threshold,
 		maxPrefix: maxPrefix,
 		scratch:   scratch,
-		m:         make([]graph.VertexID, ix.Tree.NumVertices()),
-		matched:   make([]bool, ix.Tree.NumVertices()),
+		m:         make([]graph.VertexID, n),
+		pos:       make([]uint32, n),
+		matched:   make([]bool, n),
 	}
 	out := make([]Unit, 0, len(units))
 	for _, u := range units {
-		out = d.split(out, u.Prefix, float64(u.Card))
+		out = d.split(out, u, float64(u.Card))
 	}
 	// Largest units first smooths worker finishing times (§4.3).
 	slices.SortFunc(out, func(a, b Unit) int { return cmp.Compare(b.Card, a.Card) })
@@ -134,14 +142,15 @@ type decomposer struct {
 	threshold float64
 	maxPrefix int // no prefix this long is split
 	m         []graph.VertexID
+	pos       []uint32
 	matched   []bool
 	scratch   []ceci.MatchScratch // per matching-order depth
 
-	// prefixes is the arena backing every emitted sub-unit prefix: one
+	// positions is the arena backing every emitted sub-unit's Pos: one
 	// growing allocation instead of one slice per unit. Growth may
 	// reallocate the backing array; already-carved prefixes keep pointing
 	// into the old one, which stays valid because prefixes are write-once.
-	prefixes []graph.VertexID
+	positions []uint32
 	// cands is the per-depth candidate scratch: split recurses with
 	// depth+1, so each depth owns its slot and capacity is reused across
 	// the whole decomposition.
@@ -149,42 +158,42 @@ type decomposer struct {
 }
 
 type cardCand struct {
-	v graph.VertexID
+	p uint32
 	c int64
 }
 
-// carve appends prefix+v to the prefix arena and returns the carved,
-// capacity-clamped view.
-func (d *decomposer) carve(prefix []graph.VertexID, v graph.VertexID) []graph.VertexID {
-	start := len(d.prefixes)
-	d.prefixes = append(d.prefixes, prefix...)
-	d.prefixes = append(d.prefixes, v)
-	end := len(d.prefixes)
-	return d.prefixes[start:end:end]
+// carve appends unit's prefix extended by position p to the arena and
+// returns the unit of the carved, capacity-clamped view.
+func (d *decomposer) carve(unit Unit, p uint32, card int64) Unit {
+	start := len(d.positions)
+	d.positions = append(append(d.positions, unit.Pos...), p)
+	end := len(d.positions)
+	return Unit{Pos: d.positions[start:end:end], Card: card}
 }
 
 // split appends to out either the unit itself (small enough or as long
-// as a prefix may get) or its recursively decomposed sub-units — none
-// when the prefix has no consistent extension.
-func (d *decomposer) split(out []Unit, prefix []graph.VertexID, work float64) []Unit {
+// as a prefix may get), with work as its Card, or its recursively
+// decomposed sub-units — none when the prefix has no consistent extension.
+func (d *decomposer) split(out []Unit, unit Unit, work float64) []Unit {
 	tree := d.ix.Tree
-	depth := len(prefix)
+	depth := len(unit.Pos)
 	if work <= d.threshold || depth >= d.maxPrefix {
-		return append(out, Unit{Prefix: prefix, Card: int64(work + 0.5)})
+		unit.Card = int64(work + 0.5)
+		return append(out, unit)
 	}
 
 	// Install the prefix into the scratch embedding. Recursive calls
 	// work on superset prefixes and clear their flags on return, so the
 	// caller re-installs after each recursion (see below).
-	d.install(prefix)
+	d.install(unit)
 	defer func() {
-		for i := range prefix {
+		for i := range unit.Pos {
 			d.matched[tree.Order[i]] = false
 		}
 	}()
 
 	uNext := tree.Order[depth]
-	matching := d.ix.CandidatesFor(uNext, d.m, &d.scratch[depth])
+	matching := d.ix.CandidatesFor(uNext, d.pos, &d.scratch[depth])
 
 	// Filter to assignments the enumerator would actually make, and
 	// collect their cardinalities for proportional workload split. The
@@ -195,18 +204,19 @@ func (d *decomposer) split(out []Unit, prefix []graph.VertexID, work float64) []
 	cands := d.cands[depth][:0]
 	node := &d.ix.Nodes[uNext]
 	var total int64
-	for _, v := range matching {
-		if d.used(prefix, v) {
+	for _, p := range matching {
+		v := node.Cands[p]
+		if d.used(depth, v) {
 			continue
 		}
 		if d.cons != nil && !d.cons.Allows(uNext, v, d.m, d.matched) {
 			continue
 		}
-		c := node.CardOf(v)
+		c := node.CardAt(p)
 		if c <= 0 {
 			c = 1 // refinement disabled or stale: keep a floor
 		}
-		cands = append(cands, cardCand{v, c})
+		cands = append(cands, cardCand{p, c})
 		total += c
 	}
 	d.cands[depth] = cands
@@ -215,31 +225,31 @@ func (d *decomposer) split(out []Unit, prefix []graph.VertexID, work float64) []
 	// whichever worker draws it repeat that lookup.
 	for _, c := range cands {
 		myWork := work * float64(c.c) / float64(total)
-		sub := d.carve(prefix, c.v)
-		if myWork <= d.threshold {
-			out = append(out, Unit{Prefix: sub, Card: int64(myWork + 0.5)})
-		} else {
+		sub := d.carve(unit, c.p, int64(myWork+0.5))
+		if myWork > d.threshold {
 			out = d.split(out, sub, myWork)
 			// The recursion cleared the matched flags of its (superset)
 			// prefix; restore ours for the remaining loop iterations.
-			d.install(prefix)
+			d.install(unit)
+		} else {
+			out = append(out, sub)
 		}
 	}
 	return out
 }
 
-func (d *decomposer) install(prefix []graph.VertexID) {
+func (d *decomposer) install(unit Unit) {
 	tree := d.ix.Tree
-	for i, v := range prefix {
+	for i, p := range unit.Pos {
 		u := tree.Order[i]
-		d.m[u] = v
+		d.m[u], d.pos[u] = d.ix.Nodes[u].Cands[p], p
 		d.matched[u] = true
 	}
 }
 
-func (d *decomposer) used(prefix []graph.VertexID, v graph.VertexID) bool {
-	for _, p := range prefix {
-		if p == v {
+func (d *decomposer) used(depth int, v graph.VertexID) bool {
+	for _, u := range d.ix.Tree.Order[:depth] {
+		if d.m[u] == v {
 			return true
 		}
 	}

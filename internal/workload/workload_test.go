@@ -31,10 +31,10 @@ func TestClustersOnePerPivot(t *testing.T) {
 		t.Fatalf("units %d != pivots %d", len(units), len(ix.Pivots()))
 	}
 	for i, u := range units {
-		if len(u.Prefix) != 1 || u.Prefix[0] != ix.Pivots()[i] {
+		if len(u.Pos) != 1 || u.Pivot(ix) != ix.Pivots()[i] {
 			t.Fatalf("unit %d malformed: %+v", i, u)
 		}
-		if u.Card != ix.ClusterCardinality(u.Prefix[0]) {
+		if u.Card != ix.ClusterCardinality(i) {
 			t.Fatalf("unit %d cardinality mismatch", i)
 		}
 	}
@@ -93,10 +93,10 @@ func TestDecomposeSingleWorkerNoSplit(t *testing.T) {
 func TestPoolDrainsExactlyOnce(t *testing.T) {
 	units := make([]workload.Unit, 100)
 	for i := range units {
-		units[i] = workload.Unit{Prefix: []graph.VertexID{graph.VertexID(i)}}
+		units[i] = workload.Unit{Pos: []uint32{uint32(i)}}
 	}
 	pool := workload.NewPool(units)
-	seen := make(chan graph.VertexID, 200)
+	seen := make(chan uint32, 200)
 	done := make(chan bool)
 	for w := 0; w < 4; w++ {
 		go func() {
@@ -106,7 +106,7 @@ func TestPoolDrainsExactlyOnce(t *testing.T) {
 					done <- true
 					return
 				}
-				seen <- u.Prefix[0]
+				seen <- u.Pos[0]
 			}
 		}()
 	}
