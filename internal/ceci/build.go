@@ -13,7 +13,6 @@ import (
 	"ceci/internal/obs"
 	"ceci/internal/order"
 	"ceci/internal/prof"
-	"ceci/internal/setops"
 )
 
 // Build constructs the CECI for (data, tree) following Algorithm 1:
@@ -374,15 +373,21 @@ func (b *builder) buildNTE(u graph.VertexID) error {
 	ix := b.ix
 	tree := ix.Tree
 	cands := ix.Nodes[u].Cands
+	if len(tree.NTEParents[u]) == 0 {
+		return nil
+	}
 	// Every member of Cands carries u's labels, so intersecting with the
 	// key's label partition (neighbors carrying u's primary label) is
 	// equivalent to intersecting with its full adjacency — just over a
-	// shorter left list. Unlabeled graphs fall through to Neighbors.
+	// shorter left list. Unlabeled graphs fall through to Neighbors. Each
+	// neighbor is asked "is it a candidate of u?" of u's position table:
+	// one array read, where a merge or gallop over Cands searched.
 	uLabel := tree.Query.Label(u)
+	pos := b.pos.fill(cands, ix.Data.NumVertices())
 	for j, un := range tree.NTEParents[u] {
 		frontier := ix.Nodes[un].Cands
 		lists, err := b.expand(&b.nte[u][j], frontier, func(i int, dst []graph.VertexID) []graph.VertexID {
-			return setops.Intersect(dst, ix.Data.NeighborsWithLabel(frontier[i], uLabel), cands)
+			return pos.intersect(dst, ix.Data.NeighborsWithLabel(frontier[i], uLabel), cands)
 		})
 		if err != nil {
 			return fmt.Errorf("ceci: build: NTE %d of query vertex %d: %w", j, u, err)
@@ -426,15 +431,20 @@ func (ix *Index) filterNeighborsInto(dst []graph.VertexID, vf, u graph.VertexID,
 	// charged to the label stage and the funnel invariant
 	// (scanned = dropped + kept) is unchanged.
 	neighbors := data.NeighborsWithLabel(vf, ix.Tree.Query.Label(u))
-	// The funnel is the histogram of verdicts below keep; it accumulates
-	// in locals — one batched atomic add per frontier vertex, nothing on
-	// the per-neighbor path.
-	var seen [order.Pass + 1]int64
-	for _, v := range neighbors {
-		c := verdicts[v]
-		seen[c]++
-		if c >= keep {
-			dst = append(dst, v)
+	// The funnel is the histogram of verdicts, counted in a register by
+	// sieve a stretch of 2^16-1 neighbors at a time; one batched atomic add
+	// per frontier vertex follows, nothing on the per-neighbor path is
+	// shared.
+	step := sieveSteps(keep)
+	dst = slices.Grow(dst, len(neighbors))
+	var seen [order.Pass]int64
+	for rest := neighbors; len(rest) > 0; {
+		chunk := rest[:min(len(rest), 1<<16-1)]
+		rest = rest[len(chunk):]
+		var lanes uint64
+		dst, lanes = sieve(dst, chunk, verdicts, &step)
+		for c := range seen {
+			seen[c] += int64(lanes >> (16 * c) & 0xffff)
 		}
 	}
 	dropLabel := degree - int64(len(neighbors)) + seen[order.DropLabel]
@@ -457,6 +467,41 @@ func (ix *Index) filterNeighborsInto(dst []graph.VertexID, vf, u graph.VertexID,
 		vc.DroppedNLC.Add(dropNLC)
 	}
 	return dst
+}
+
+// sieveSteps returns what each verdict adds to sieve's histogram word: 1
+// in lane c for a verdict c below Pass, and 1 in lane 3 for a verdict of
+// at least keep, so lane 3 counts the survivors.
+func sieveSteps(keep order.Verdict) (step [order.Pass + 1]uint64) {
+	for c := range step {
+		if order.Verdict(c) < order.Pass {
+			step[c] = 1 << (16 * c)
+		}
+		if order.Verdict(c) >= keep {
+			step[c] |= 1 << 48
+		}
+	}
+	return step
+}
+
+// sieve appends to dst, whose capacity must take them all, the members of
+// vs that survive, and returns the histogram of their verdicts as the
+// 16-bit lanes of one word, each verdict adding its sieveSteps entry. vs
+// holds fewer than 2^16 vertices, so no lane carries into the next. Every
+// vertex is written and the end advances by lane 3 of its step, so the
+// loop has no branch on the verdict, and the histogram never leaves the
+// register.
+func sieve(dst, vs []graph.VertexID, verdicts []order.Verdict, step *[order.Pass + 1]uint64) ([]graph.VertexID, uint64) {
+	n := len(dst)
+	dst = dst[:n+len(vs)]
+	var lanes uint64
+	for _, v := range vs {
+		s := step[verdicts[v]&3]
+		lanes += s
+		dst[n] = v
+		n += int(s >> 48)
+	}
+	return dst[:n], lanes
 }
 
 // valueUnion returns the sorted union of m's value lists — the candidate

@@ -1,10 +1,11 @@
 package ceci
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"ceci/internal/graph"
-	"ceci/internal/setops"
 )
 
 // refine implements Algorithm 2: a reverse matching-order sweep that
@@ -32,13 +33,23 @@ func (b *builder) refine() {
 		node := &b.ix.Nodes[u]
 		cards := b.cardProducts(u)
 
-		// Union of values per incoming NTE edge: v must appear in every
-		// one of them (Algorithm 2 line 5).
-		for j := range b.nte[u] {
-			union := b.valueUnion(&b.nte[u][j])
-			for k, v := range node.Cands {
-				if cards[k] != 0 && !setops.Contains(union, v) {
-					cards[k] = 0
+		// v must be a value of every incoming NTE edge (Algorithm 2 line
+		// 5). The values are candidates of u, so each edge sets the sign
+		// bit — free, cardinalities are not negative — of the cardinality
+		// at every value's position, and a pass over the column keeps the
+		// marked ones, unmarked, and zeroes the rest: no union is built and
+		// no candidate is searched for.
+		if len(b.nte[u]) > 0 {
+			pos := b.pos.fill(node.Cands, b.ix.Data.NumVertices())
+			for j := range b.nte[u] {
+				m := &b.nte[u][j]
+				for i := range m.keys {
+					for _, v := range m.list(i) {
+						cards[pos[v]] |= math.MinInt64
+					}
+				}
+				for k, c := range cards {
+					cards[k] = c & (c >> 63) & math.MaxInt64
 				}
 			}
 		}
@@ -133,6 +144,30 @@ func (t *posTable) fill(col []graph.VertexID, n int) posTable {
 		(*t)[v] = uint32(p)
 	}
 	return *t
+}
+
+// intersect appends to dst, in order, the members of vs that are in col,
+// the column t was last filled with. w is in col exactly when col holds w
+// at t[w], an entry past col read as 0: fill wrote t[col[p]] = p, so a
+// stale entry points past col or at a vertex other than w, and col[0] is
+// w only if t[w] is 0. The entry is masked, not compared, and every w is
+// written with the end advancing by the test's outcome, so the loop has no
+// branch.
+func (t posTable) intersect(dst, vs, col []graph.VertexID) []graph.VertexID {
+	if len(col) == 0 {
+		return dst
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(vs))[:n+len(vs)]
+	for _, w := range vs {
+		p := t[w]
+		p &= uint32((int64(p) - int64(len(col))) >> 63) // all ones below len(col)
+		dst[n] = w
+		if col[p] == w {
+			n++
+		}
+	}
+	return dst[:n]
 }
 
 // optimisticCardinalities fills the cardinality columns from TE sizes

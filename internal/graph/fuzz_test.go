@@ -74,6 +74,27 @@ func FuzzLoadLabeled(f *testing.F) {
 				}
 			}
 		}
+		// The label-grouped adjacency finds a run by its vertex's run head,
+		// a bit and a popcount below label 32 and a search from 32 up,
+		// whatever values the labels take: each run is the filtered scan,
+		// and every vertex covers its own NLC signature.
+		for v := 0; v < n; v++ {
+			id := graph.VertexID(v)
+			for l := range carried {
+				var want []graph.VertexID
+				for _, w := range g.Neighbors(id) {
+					if g.HasLabel(w, l) {
+						want = append(want, w)
+					}
+				}
+				if got := g.NeighborsWithLabel(id, l); !slices.Equal(got, want) {
+					t.Fatalf("NeighborsWithLabel(%d, %d) = %v, want %v", v, l, got, want)
+				}
+			}
+			if sig := graph.NLCOf(g, id); !g.NLCCovers(id, sig) {
+				t.Fatalf("vertex %d does not cover its own signature %+v", v, sig)
+			}
+		}
 		var buf bytes.Buffer
 		if err := graph.WriteLabeled(&buf, g); err != nil {
 			t.Fatal(err)

@@ -56,6 +56,49 @@ func TestNeighborsWithLabelMatchesScan(t *testing.T) {
 	}
 }
 
+// TestRunLookupAcrossMaskEnd: a run of a label below 32 is found by its
+// bit in the vertex's run head and a popcount, one from 32 up by a binary
+// search past those runs. Labels on both sides of the boundary, present and
+// absent, must give the scan's neighbors and the signature's NLC verdict —
+// for counts of one, answered by the bit alone, and for larger ones.
+func TestRunLookupAcrossMaskEnd(t *testing.T) {
+	alphabet := []Label{0, 1, 30, 31, 32, 33, 63, 64, 127, 1 << 20}
+	probes := append([]Label{2, 34, 1<<20 + 1}, alphabet...) // some no vertex carries
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 20 + rng.Intn(60)
+		b := NewBuilder(n)
+		for v := 0; v < n; v++ {
+			b.SetLabel(VertexID(v), alphabet[rng.Intn(len(alphabet))])
+			for rng.Intn(3) == 0 {
+				b.AddExtraLabel(VertexID(v), alphabet[rng.Intn(len(alphabet))])
+			}
+		}
+		for i := 0; i < 6*n; i++ {
+			b.AddEdge(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)))
+		}
+		g := b.MustBuild()
+		for v := 0; v < n; v++ {
+			sig := NLCOf(g, VertexID(v))
+			for _, l := range probes {
+				got, want := g.NeighborsWithLabel(VertexID(v), l), refNeighborsWithLabel(g, VertexID(v), l)
+				if !eqIDs(got, want) {
+					t.Fatalf("seed %d: NeighborsWithLabel(%d, %d) = %v, want %v", seed, v, l, got, want)
+				}
+				for _, c := range []int32{1, int32(len(want)), int32(len(want)) + 1} {
+					req := NLCSignature{Labels: []Label{l}, Counts: []int32{max(c, 1)}}
+					if got, want := g.NLCCovers(VertexID(v), req), sig.Covers(req); got != want {
+						t.Fatalf("seed %d: NLCCovers(%d, %+v) = %v, signature %+v says %v", seed, v, req, got, sig, want)
+					}
+				}
+			}
+			if !g.NLCCovers(VertexID(v), sig) {
+				t.Fatalf("seed %d: vertex %d does not cover its own signature %+v", seed, v, sig)
+			}
+		}
+	}
+}
+
 func TestNeighborsWithLabelSingleLabelFastPath(t *testing.T) {
 	g, err := FromEdgeList([][2]VertexID{{0, 1}, {1, 2}, {0, 2}})
 	if err != nil {

@@ -38,7 +38,9 @@ func (sig NLCSignature) Covers(req NLCSignature) bool {
 // once in v's run for l (a multi-labeled neighbor once per label, which
 // is how NLCOf counts it too), so the run's length is count_v(l). On
 // single-label graphs every neighbor carries label 0 and the test is a
-// degree comparison. Safe for concurrent callers.
+// degree comparison. A run is never empty, so a count of one asks only
+// that v have the run — for a label below 32, one bit of v's run head, and
+// v's runs are not read. Safe for concurrent callers.
 func (g *Graph) NLCCovers(v VertexID, req NLCSignature) bool {
 	if g.numLabels <= 1 && len(g.extra) == 0 {
 		for j, l := range req.Labels {
@@ -50,12 +52,9 @@ func (g *Graph) NLCCovers(v VertexID, req NLCSignature) bool {
 	}
 	g.ladj.build(g)
 	la := &g.ladj
-	i, hi := la.runStart[v], la.runStart[v+1]
 	for j, l := range req.Labels {
-		for i < hi && la.runLabel[i] < l {
-			i++
-		}
-		if i == hi || la.runLabel[i] != l || la.runOff[i+1]-la.runOff[i] < req.Counts[j] {
+		i, ok := la.find(v, l)
+		if !ok || req.Counts[j] > 1 && la.runs[i+1].off-la.runs[i].off < req.Counts[j] {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"cmp"
 	"slices"
 
 	"ceci/internal/graph"
@@ -41,7 +42,9 @@ type Filter struct {
 
 // NewFilter evaluates the filters for every query vertex over the data
 // vertices carrying its primary label. Query vertices with equal label
-// sets, degree and NLC signature share one table.
+// sets, degree and NLC signature share one table, and the tables of one
+// primary label are filled in one walk over that label's vertices: each
+// data vertex is read once, however many of them test it.
 func NewFilter(data, query *graph.Graph) *Filter {
 	n := query.NumVertices()
 	f := &Filter{
@@ -50,46 +53,74 @@ func NewFilter(data, query *graph.Graph) *Filter {
 		tables: make([][]Verdict, n),
 		counts: make([]int, n),
 	}
-	labels := make([][]graph.Label, n)
-	sigs := make([]graph.NLCSignature, n)
+	// class[u] is what the filters ask of u, shared with every query vertex
+	// asking the same.
+	class := make([]*filterClass, n)
+	var classes []*filterClass
 next:
 	for u := 0; u < n; u++ {
 		uu := graph.VertexID(u)
-		labels[u] = query.Labels(uu)
-		sigs[u] = graph.NLCOf(query, uu)
-		deg := query.Degree(uu)
-		for w := 0; w < u; w++ {
-			if deg == query.Degree(graph.VertexID(w)) && slices.Equal(labels[u], labels[w]) &&
-				slices.Equal(sigs[u].Labels, sigs[w].Labels) && slices.Equal(sigs[u].Counts, sigs[w].Counts) {
-				f.tables[u], f.counts[u] = f.tables[w], f.counts[w]
+		c := &filterClass{labels: query.Labels(uu), deg: query.Degree(uu), sig: graph.NLCOf(query, uu)}
+		for _, o := range classes {
+			if c.deg == o.deg && slices.Equal(c.labels, o.labels) &&
+				slices.Equal(c.sig.Labels, o.sig.Labels) && slices.Equal(c.sig.Counts, o.sig.Counts) {
+				class[u] = o
 				continue next
 			}
 		}
-		table := make([]Verdict, data.NumVertices())
-		for _, v := range data.VerticesWithLabel(labels[u][0]) {
-			table[v] = verdict(data, v, labels[u][1:], deg, sigs[u])
-			if table[v] == Pass {
-				f.counts[u]++
+		c.table = make([]Verdict, data.NumVertices())
+		class[u] = c
+		classes = append(classes, c)
+	}
+	// Sorted by primary label, the classes of one walk are adjacent.
+	slices.SortStableFunc(classes, func(a, b *filterClass) int { return cmp.Compare(a.labels[0], b.labels[0]) })
+	for len(classes) > 0 {
+		l, k := classes[0].labels[0], 1
+		for k < len(classes) && classes[k].labels[0] == l {
+			k++
+		}
+		group := classes[:k]
+		classes = classes[k:]
+		for _, v := range data.VerticesWithLabel(l) {
+			deg := data.Degree(v)
+			for _, c := range group {
+				c.table[v] = verdict(data, v, deg, c)
+				if c.table[v] == Pass {
+					c.count++
+				}
 			}
 		}
-		f.tables[u] = table
+	}
+	for u, c := range class {
+		f.tables[u], f.counts[u] = c.table, c.count
 	}
 	return f
 }
 
+// filterClass is what the filters ask of a query vertex — its labels, its
+// degree and its NLC signature — and the verdict table and Pass count of
+// the answers.
+type filterClass struct {
+	labels []graph.Label
+	deg    int
+	sig    graph.NLCSignature
+	table  []Verdict
+	count  int
+}
+
 // verdict is the repository's one evaluation of the label / degree / NLC
-// filters for a data vertex v already known to carry the query vertex's
+// filters for a data vertex v of degree deg, already known to carry c's
 // primary label.
-func verdict(data *graph.Graph, v graph.VertexID, extra []graph.Label, deg int, sig graph.NLCSignature) Verdict {
-	for _, l := range extra {
+func verdict(data *graph.Graph, v graph.VertexID, deg int, c *filterClass) Verdict {
+	for _, l := range c.labels[1:] {
 		if !data.HasLabel(v, l) {
 			return DropLabel
 		}
 	}
-	if data.Degree(v) < deg {
+	if deg < c.deg {
 		return DropDegree
 	}
-	if !data.NLCCovers(v, sig) {
+	if !data.NLCCovers(v, c.sig) {
 		return DropNLC
 	}
 	return Pass

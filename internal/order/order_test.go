@@ -408,3 +408,62 @@ func TestFilterSharingAndLifetime(t *testing.T) {
 		t.Fatal("WithFilter attaches the given tables, and is the identity when they already are")
 	}
 }
+
+// TestOneWalkPerLabelMatchesDirect: the tables of every class sharing a
+// primary label are filled in one walk over that label's vertices. Each
+// entry must be what the filters say of that (query vertex, data vertex)
+// pair read directly — labels, then degree, then NLC — on queries whose
+// vertices repeat primary labels with different degrees, extra labels and
+// neighborhoods, on multi-labeled data, and every table's Pass count must
+// be its candidate count.
+func TestOneWalkPerLabelMatchesDirect(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := gen.WithRandomMultiLabels(gen.ChungLu(200, 6, 2.3, seed), 4, 2, seed)
+		n := 4 + rng.Intn(5)
+		qb := graph.NewBuilder(n)
+		for u := 0; u < n; u++ {
+			qb.SetLabel(graph.VertexID(u), graph.Label(rng.Intn(2)))
+			if rng.Intn(4) == 0 {
+				qb.AddExtraLabel(graph.VertexID(u), graph.Label(2+rng.Intn(2)))
+			}
+			if u > 0 {
+				qb.AddEdge(graph.VertexID(u), graph.VertexID(rng.Intn(u)))
+			}
+		}
+		for i := 0; i < n/2; i++ {
+			qb.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
+		}
+		query := qb.MustBuild()
+		f := order.NewFilter(data, query)
+		for u := 0; u < n; u++ {
+			uu := graph.VertexID(u)
+			labels, sig := query.Labels(uu), graph.NLCOf(query, uu)
+			table, count := f.Verdicts(uu), 0
+			for v := 0; v < data.NumVertices(); v++ {
+				vv := graph.VertexID(v)
+				want := order.Pass
+				for _, l := range labels {
+					if !data.HasLabel(vv, l) {
+						want = order.DropLabel
+					}
+				}
+				if want == order.Pass && data.Degree(vv) < query.Degree(uu) {
+					want = order.DropDegree
+				}
+				if want == order.Pass && !graph.NLCOf(data, vv).Covers(sig) {
+					want = order.DropNLC
+				}
+				if table[v] != want {
+					t.Fatalf("seed %d: verdict(u%d, v%d) = %d, want %d", seed, u, v, table[v], want)
+				}
+				if want == order.Pass {
+					count++
+				}
+			}
+			if got := len(f.Candidates(uu)); got != count {
+				t.Fatalf("seed %d: u%d has %d candidates, table passes %d", seed, u, got, count)
+			}
+		}
+	}
+}

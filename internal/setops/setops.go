@@ -23,10 +23,6 @@
 // and the FuzzIntersectKernels target enforce that.
 package setops
 
-import (
-	"sort"
-)
-
 // Intersect writes the intersection of a and b into dst (reusing its
 // capacity) and returns the result, selecting the cheapest kernel for the
 // inputs' shape. dst may be nil.
@@ -41,12 +37,6 @@ func Intersect(dst, a, b []uint32) []uint32 {
 		return dst
 	}
 	return IntersectWith(ChooseKernel(a, b), dst, a, b, nil)
-}
-
-// Contains reports whether sorted list a contains x.
-func Contains(a []uint32, x uint32) bool {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= x })
-	return i < len(a) && a[i] == x
 }
 
 // IntersectK intersects k sorted lists (k >= 1), smallest first for

@@ -146,23 +146,6 @@ func TestIntersectKScratchReuse(t *testing.T) {
 	}
 }
 
-func TestContains(t *testing.T) {
-	a := []uint32{2, 4, 8, 16}
-	for _, x := range a {
-		if !setops.Contains(a, x) {
-			t.Fatalf("missing %d", x)
-		}
-	}
-	for _, x := range []uint32{0, 3, 17} {
-		if setops.Contains(a, x) {
-			t.Fatalf("phantom %d", x)
-		}
-	}
-	if setops.Contains(nil, 1) {
-		t.Fatal("phantom in nil")
-	}
-}
-
 func TestIntersectionSizeMatchesIntersect(t *testing.T) {
 	f := func(a, b sortedSet) bool {
 		return setops.IntersectionSize(a, b) == len(setops.Intersect(nil, a, b))
