@@ -119,7 +119,7 @@ fuzz:
 
 # What .github/workflows/ci.yml runs: vet + build + full tests, then a
 # race pass over the concurrency-heavy packages and 10 s of fuzzing of the
-# index reader and the bitmap probe.
+# index reader, the bitmap probe and the .lg loader's label runs.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -127,6 +127,7 @@ ci:
 	$(GO) test -race ./internal/enum ./internal/ceci ./internal/order ./internal/graph ./internal/cluster ./internal/obs ./internal/stats ./internal/prof ./internal/plan ./internal/setops ./internal/bitset ./internal/verify ./internal/service ./internal/telemetry ./internal/shard ./cmd/ceciserve ./cmd/ceciroute
 	$(GO) test -run='^$$' -fuzz=FuzzReadIndex -fuzztime=10s ./internal/ceci
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectKernels -fuzztime=10s ./internal/setops
+	$(GO) test -run='^$$' -fuzz=FuzzLoadLabeled -fuzztime=10s ./internal/graph
 
 # Boot the query service on the Figure 1 fixture and exercise the HTTP
 # API end to end (also run raced by CI's service-smoke job).

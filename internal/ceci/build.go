@@ -72,9 +72,11 @@ type builder struct {
 	// construction loops poll it and abort.
 	cancelled *atomic.Bool
 	// scratch holds the per-worker bins (§3.6) and lists the frontier
-	// output table that points into them.
+	// output table that points into them; runs holds the label run of every
+	// frontier vertex an expansion reads.
 	scratch []buildScratch
 	lists   [][]graph.VertexID
+	runs    [][]graph.VertexID
 	// marks is valueUnion's |V|-bit scratch, pos the position table of the
 	// one candidate column cardProducts or compact reads.
 	marks bitset.Bits
@@ -339,8 +341,11 @@ func (b *builder) buildTE(u graph.VertexID) error {
 	if ix.opts.SkipNLCFilter {
 		keep = order.DropNLC
 	}
+	// Every frontier vertex's run of u's primary label, in one pass.
+	b.runs = ix.Data.RunsWithLabel(frontier, ix.Tree.Query.Label(u), b.runs)
+	runs := b.runs
 	lists, err := b.expand(&b.te[u], frontier, func(i int, dst []graph.VertexID) []graph.VertexID {
-		return ix.filterNeighborsInto(dst, frontier[i], u, verdicts, keep)
+		return ix.filterNeighborsInto(dst, runs[i], frontier[i], u, verdicts, keep)
 	})
 	if err != nil {
 		return fmt.Errorf("ceci: build: TE of query vertex %d: %w", u, err)
@@ -386,8 +391,10 @@ func (b *builder) buildNTE(u graph.VertexID) error {
 	pos := b.pos.fill(cands, ix.Data.NumVertices())
 	for j, un := range tree.NTEParents[u] {
 		frontier := ix.Nodes[un].Cands
+		b.runs = ix.Data.RunsWithLabel(frontier, uLabel, b.runs)
+		runs := b.runs
 		lists, err := b.expand(&b.nte[u][j], frontier, func(i int, dst []graph.VertexID) []graph.VertexID {
-			return pos.intersect(dst, ix.Data.NeighborsWithLabel(frontier[i], uLabel), cands)
+			return pos.intersect(dst, runs[i], cands)
 		})
 		if err != nil {
 			return fmt.Errorf("ceci: build: NTE %d of query vertex %d: %w", j, u, err)
@@ -404,8 +411,8 @@ func (b *builder) buildNTE(u graph.VertexID) error {
 			// comparisons per frontier key (the label partition is what
 			// was actually intersected), versus what each kept.
 			var cmp, out int64
-			for i, vn := range frontier {
-				cmp += int64(len(ix.Data.NeighborsWithLabel(vn, uLabel)) + len(cands))
+			for i, run := range runs {
+				cmp += int64(len(run) + len(cands))
 				out += int64(len(lists[i]))
 			}
 			nc := p.Vertex(int(u)).NTE(j)
@@ -418,19 +425,15 @@ func (b *builder) buildNTE(u graph.VertexID) error {
 
 // filterNeighborsInto keeps the neighbors of vf that are candidates of u —
 // the label, degree, and NLC filters of Section 3.2, read off u's verdict
-// table: a neighbor survives when its verdict is at least keep. Survivors
-// are appended to dst (sorted ascending, since adjacency lists are
-// sorted). dst is a worker-private scratch buffer; callers copy the
+// table: a neighbor survives when its verdict is at least keep. neighbors
+// is vf's run of u's primary label: only those are scanned, not the whole
+// list label-tested, so the skipped complement is charged to the label
+// stage and the funnel invariant (scanned = dropped + kept) is unchanged.
+// Survivors are appended to dst (sorted ascending, since adjacency lists
+// are sorted). dst is a worker-private scratch buffer; callers copy the
 // survivors into an arena before the buffer is reused.
-func (ix *Index) filterNeighborsInto(dst []graph.VertexID, vf, u graph.VertexID, verdicts []order.Verdict, keep order.Verdict) []graph.VertexID {
-	data := ix.Data
-	degree := int64(data.Degree(vf))
-	// Label-grouped adjacency: scan only the neighbors carrying u's
-	// primary label instead of label-testing the whole list. The
-	// partition IS the primary-label filter, so the skipped complement is
-	// charged to the label stage and the funnel invariant
-	// (scanned = dropped + kept) is unchanged.
-	neighbors := data.NeighborsWithLabel(vf, ix.Tree.Query.Label(u))
+func (ix *Index) filterNeighborsInto(dst, neighbors []graph.VertexID, vf, u graph.VertexID, verdicts []order.Verdict, keep order.Verdict) []graph.VertexID {
+	degree := int64(ix.Data.Degree(vf))
 	// The funnel is the histogram of verdicts, counted in a register by
 	// sieve a stretch of 2^16-1 neighbors at a time; one batched atomic add
 	// per frontier vertex follows, nothing on the per-neighbor path is

@@ -14,7 +14,8 @@ import (
 // FuzzLoadLabeled: the .lg text is hostile bytes — a query body, a shard's
 // graph file. The loader returns an error, or a graph whose label index
 // holds every vertex under each of its labels and nothing else, whose
-// alphabet ends at its largest label, and which survives write → load;
+// alphabet ends at its largest label, whose label runs and NLC test agree
+// with a scan and a signature, and which survives write → load;
 // either way it allocates in proportion to the bytes it was given and the
 // vertex bound it was called with, whatever ids and label values they
 // spell.
@@ -77,10 +78,21 @@ func FuzzLoadLabeled(f *testing.F) {
 		// The label-grouped adjacency finds a run by its vertex's run head,
 		// a bit and a popcount below label 32 and a search from 32 up,
 		// whatever values the labels take: each run is the filtered scan,
-		// and every vertex covers its own NLC signature.
+		// and the batched lookup of every vertex's run is the same run. The
+		// compiled NLC test agrees with the signature's for every vertex's
+		// requirement, its own included.
+		all := make([]graph.VertexID, n)
+		for v := range all {
+			all[v] = graph.VertexID(v)
+		}
+		var sigs []graph.NLCSignature
 		for v := 0; v < n; v++ {
-			id := graph.VertexID(v)
-			for l := range carried {
+			sigs = append(sigs, graph.NLCOf(g, graph.VertexID(v)))
+		}
+		var runs [][]graph.VertexID
+		for l := range carried {
+			runs = g.RunsWithLabel(all, l, runs)
+			for _, id := range all {
 				var want []graph.VertexID
 				for _, w := range g.Neighbors(id) {
 					if g.HasLabel(w, l) {
@@ -88,10 +100,21 @@ func FuzzLoadLabeled(f *testing.F) {
 					}
 				}
 				if got := g.NeighborsWithLabel(id, l); !slices.Equal(got, want) {
-					t.Fatalf("NeighborsWithLabel(%d, %d) = %v, want %v", v, l, got, want)
+					t.Fatalf("NeighborsWithLabel(%d, %d) = %v, want %v", id, l, got, want)
+				}
+				if !slices.Equal(runs[id], want) {
+					t.Fatalf("RunsWithLabel: vertex %d, label %d = %v, want %v", id, l, runs[id], want)
 				}
 			}
-			if sig := graph.NLCOf(g, id); !g.NLCCovers(id, sig) {
+		}
+		for v, sig := range sigs {
+			id := graph.VertexID(v)
+			for _, req := range sigs {
+				if got, want := g.NLCCovers(id, graph.CompileNLC(req)), sig.Covers(req); got != want {
+					t.Fatalf("NLCCovers(%d, %+v) = %v, signature %+v says %v", v, req, got, sig, want)
+				}
+			}
+			if !g.NLCCovers(id, graph.CompileNLC(sig)) {
 				t.Fatalf("vertex %d does not cover its own signature %+v", v, sig)
 			}
 		}

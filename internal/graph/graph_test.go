@@ -254,30 +254,48 @@ func TestNLCDenseMatchesMap(t *testing.T) {
 	}
 }
 
-// TestNLCCoversMatchesSignature: the data-side NLC test read off the
-// label runs must agree with materializing the signature and calling
-// Covers, on multi-label graphs (a neighbor counts once per label it
-// carries) and on single-label ones (the degree shortcut).
+// TestNLCCoversMatchesSignature: the compiled NLC test — two run-head
+// masks for the labels below 32 required once or twice, a run lookup for
+// the rest — must agree with materializing the signature and calling
+// Covers. Requirements ask 1 to 4 neighbors of labels on both sides of 32,
+// alone and in pairs, and every vertex's own signature raised by one, on
+// multi-label graphs (a neighbor counts once per label it carries) and on
+// single-label ones (the degree shortcut).
 func TestNLCCoversMatchesSignature(t *testing.T) {
+	alphabet := []graph.Label{0, 1, 2, 30, 31, 32, 33, 64}
+	probes := append([]graph.Label{3, 34, 200}, alphabet...) // some no vertex carries
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(40)
-		labels := 1 + rng.Intn(6)*int(seed%4) // every fourth seed is single-label
+		single := seed%4 == 0
 		b := graph.NewBuilder(n)
 		for v := 0; v < n; v++ {
-			b.SetLabel(graph.VertexID(v), graph.Label(rng.Intn(labels)))
+			if single {
+				continue
+			}
+			b.SetLabel(graph.VertexID(v), alphabet[rng.Intn(len(alphabet))])
 			for rng.Intn(3) == 0 {
-				b.AddExtraLabel(graph.VertexID(v), graph.Label(rng.Intn(labels)))
+				b.AddExtraLabel(graph.VertexID(v), alphabet[rng.Intn(len(alphabet))])
 			}
 		}
 		for i := 0; i < 4*n; i++ {
 			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
 		}
 		g := b.MustBuild()
-		// Requirements: every vertex's own signature (covers itself, and
-		// whoever dominates it), the same with one count raised, and one
-		// with a label past the alphabet.
-		var reqs []graph.NLCSignature
+		reqs := []graph.NLCSignature{{}}
+		for _, l := range probes {
+			for c := int32(1); c <= 4; c++ {
+				reqs = append(reqs, graph.NLCSignature{Labels: []graph.Label{l}, Counts: []int32{c}})
+				m := probes[rng.Intn(len(probes))]
+				if m != l {
+					pair := graph.NLCSignature{Labels: []graph.Label{min(l, m), max(l, m)}, Counts: []int32{c, 1 + rng.Int31n(4)}}
+					if m < l {
+						pair.Counts[0], pair.Counts[1] = pair.Counts[1], pair.Counts[0]
+					}
+					reqs = append(reqs, pair)
+				}
+			}
+		}
 		for v := 0; v < n; v++ {
 			sig := graph.NLCOf(g, graph.VertexID(v))
 			reqs = append(reqs, sig)
@@ -287,11 +305,10 @@ func TestNLCCoversMatchesSignature(t *testing.T) {
 				reqs = append(reqs, up)
 			}
 		}
-		reqs = append(reqs, graph.NLCSignature{}, graph.NLCSignature{Labels: []graph.Label{graph.Label(labels)}, Counts: []int32{1}})
 		for v := 0; v < n; v++ {
 			sig := graph.NLCOf(g, graph.VertexID(v))
 			for _, req := range reqs {
-				if got, want := g.NLCCovers(graph.VertexID(v), req), sig.Covers(req); got != want {
+				if got, want := g.NLCCovers(graph.VertexID(v), graph.CompileNLC(req)), sig.Covers(req); got != want {
 					t.Fatalf("seed %d: NLCCovers(%d, %+v) = %v, signature %+v says %v", seed, v, req, got, sig, want)
 				}
 			}
@@ -353,10 +370,15 @@ func TestLabeledMultiLabelRoundTrip(t *testing.T) {
 }
 
 func TestLabeledErrors(t *testing.T) {
-	for _, bad := range []string{"v 0\n", "e 0\n", "x 1 2\n", "v a 1\n", "e 0 b\n"} {
+	for _, bad := range []string{"v 0\n", "e 0\n", "x 1 2\n", "v a 1\n", "e 0 b\n", "v 0 1\nv 0 2\n"} {
 		if _, err := graph.LoadLabeled(strings.NewReader(bad)); err == nil {
 			t.Errorf("input %q accepted", bad)
 		}
+	}
+	// A second declaration would merge its labels into the first one's.
+	_, err := graph.LoadLabeled(strings.NewReader("v 0 70 9 9 0\nv 0 000\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2: duplicate vertex 0") {
+		t.Errorf("vertex declared twice: err = %v", err)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"ceci/internal/bitset"
 )
 
 // Text formats
@@ -59,9 +61,10 @@ const MaxLabelValue = 1 << 24
 //
 // The loader validates the input rather than silently repairing it: a
 // malformed header, a vertex or edge referring to an ID at or beyond the
-// header's declared vertex count, a label beyond MaxLabelValue, and a
-// duplicate edge (in either orientation) are all errors with line
-// numbers, since each one signals a corrupt or mis-generated artifact.
+// header's declared vertex count, a label beyond MaxLabelValue, a vertex
+// declared twice, and a duplicate edge (in either orientation) are all
+// errors with line numbers, since each one signals a corrupt or
+// mis-generated artifact.
 func LoadLabeled(r io.Reader) (*Graph, error) { return LoadLabeledMax(r, math.MaxUint32+1) }
 
 // LoadLabeledMax is LoadLabeled for text from outside the program: a
@@ -75,6 +78,9 @@ func LoadLabeledMax(r io.Reader, maxVertices int64) (*Graph, error) {
 	lineNo := 0
 	declaredV := int64(-1)
 	seenEdges := map[[2]uint64]int{}
+	// declared has bit id set once a line declares vertex id. One bit a
+	// vertex: it is alive beside the edge map at the load's peak.
+	var declared bitset.Bits
 	checkID := func(id uint64) error {
 		if declaredV >= 0 && id >= uint64(declaredV) {
 			return fmt.Errorf("graph: line %d: vertex %d out of range [0,%d) declared by header", lineNo, id, declaredV)
@@ -119,6 +125,13 @@ func LoadLabeledMax(r io.Reader, maxVertices int64) (*Graph, error) {
 			if err := checkID(id); err != nil {
 				return nil, err
 			}
+			for uint64(len(declared)) <= id>>6 {
+				declared = append(declared, 0)
+			}
+			if declared.Get(uint32(id)) {
+				return nil, fmt.Errorf("graph: line %d: duplicate vertex %d", lineNo, id)
+			}
+			declared.Set(uint32(id))
 			for i, f := range fields[2:] {
 				// some variants append a degree column; accept pure ints only
 				l, err := strconv.ParseUint(f, 10, 32)

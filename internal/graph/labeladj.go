@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -15,14 +16,18 @@ import (
 // Layout: groups concatenates, vertex by vertex, the neighbor lists split
 // into label runs (sorted by label, IDs ascending within a run).
 // heads[v].start..heads[v+1].start index the runs of v in runs, which has
-// one trailing sentinel so run i spans groups[runs[i].off:runs[i+1].off].
+// two trailing sentinels: run i spans groups[runs[i].off:runs[i+1].off],
+// and runs[r+1] is in range for every r up to heads[n].start, so a lookup
+// may read a run past its vertex's last before it knows the label absent.
 // A multi-labeled neighbor appears once per label it carries.
 //
 // heads[v].low has bit l set when v has a run of label l < 32, so the run
 // of such a label is found without a search: it is absent, or it is run
 // start + (the number of v's runs of smaller labels), a popcount. Labels
-// from 32 up are binary-searched among the runs past those. A head is 8
-// bytes, 4 more than a bare run start; a 64-bit mask would pad it to 16,
+// from 32 up are binary-searched among the runs past those. heads[v].twos
+// has bit l set when that run holds at least two neighbors, so an NLC
+// requirement of one or two neighbors per label below 32 is two mask
+// tests (NLCCovers). A head is 12 bytes; 64-bit masks would double it,
 // and the labels a graph uses most are usually its first few.
 type labelAdj struct {
 	once   sync.Once
@@ -31,10 +36,11 @@ type labelAdj struct {
 	groups []VertexID
 }
 
-// runHead is where a vertex's runs start and which labels below 32 they
-// carry.
+// runHead is where a vertex's runs start, which labels below 32 they
+// carry, and which of those they carry at least twice.
 type runHead struct {
 	low   uint32
+	twos  uint32
 	start int32
 }
 
@@ -85,6 +91,37 @@ func (g *Graph) NeighborsWithLabel(v VertexID, l Label) []VertexID {
 	return nil
 }
 
+// RunsWithLabel sets dst[i] to NeighborsWithLabel(vs[i], l) for every i and
+// returns dst, resized to len(vs). For a label below 32 the lookup is one
+// loop with no branch on the vertex: every iteration reads its head and two
+// run offsets, and an absent label empties the run by a conditional
+// assignment. The iterations do not depend on each other, so the cache
+// misses of many vertices are in flight at once, where a NeighborsWithLabel
+// per vertex waits on each head before it reads the runs. Labels from 32 up
+// are looked up one vertex at a time.
+func (g *Graph) RunsWithLabel(vs []VertexID, l Label, dst [][]VertexID) [][]VertexID {
+	dst = slices.Grow(dst[:0], len(vs))[:len(vs)]
+	if g.numLabels <= 1 && len(g.extra) == 0 || l >= 32 {
+		for i, v := range vs {
+			dst[i] = g.NeighborsWithLabel(v, l)
+		}
+		return dst
+	}
+	g.ladj.build(g)
+	la := &g.ladj
+	bit := uint32(1) << l
+	for i, v := range vs {
+		h := la.heads[v]
+		r := h.start + int32(bits.OnesCount32(h.low&(bit-1)))
+		lo, hi := la.runs[r].off, la.runs[r+1].off
+		if h.low&bit == 0 {
+			hi = lo
+		}
+		dst[i] = la.groups[lo:hi]
+	}
+	return dst
+}
+
 // build materializes the grouped adjacency once. Cost is O(E·log L_v)
 // time and ~one extra copy of the adjacency array; safe for concurrent
 // first callers via the Once.
@@ -124,11 +161,14 @@ func (la *labelAdj) build(g *Graph) {
 					if p.l < 32 {
 						h.low |= 1 << p.l
 					}
+				} else if p.l < 32 {
+					h.twos |= 1 << p.l
 				}
 				la.groups = append(la.groups, p.w)
 			}
 		}
 		la.heads[n].start = int32(len(la.runs))
-		la.runs = append(la.runs, labelRun{off: int32(len(la.groups))})
+		end := labelRun{off: int32(len(la.groups))}
+		la.runs = append(la.runs, end, end)
 	})
 }

@@ -87,12 +87,12 @@ func TestRunLookupAcrossMaskEnd(t *testing.T) {
 				}
 				for _, c := range []int32{1, int32(len(want)), int32(len(want)) + 1} {
 					req := NLCSignature{Labels: []Label{l}, Counts: []int32{max(c, 1)}}
-					if got, want := g.NLCCovers(VertexID(v), req), sig.Covers(req); got != want {
+					if got, want := g.NLCCovers(VertexID(v), CompileNLC(req)), sig.Covers(req); got != want {
 						t.Fatalf("seed %d: NLCCovers(%d, %+v) = %v, signature %+v says %v", seed, v, req, got, sig, want)
 					}
 				}
 			}
-			if !g.NLCCovers(VertexID(v), sig) {
+			if !g.NLCCovers(VertexID(v), CompileNLC(sig)) {
 				t.Fatalf("seed %d: vertex %d does not cover its own signature %+v", seed, v, sig)
 			}
 		}
@@ -141,4 +141,79 @@ func TestNeighborsWithLabelConcurrentFirstUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestRunsWithLabelMatchesLookup: the batched lookup gives every vertex the
+// run NeighborsWithLabel gives it, for every label from 0 to two past the
+// largest — on both sides of 32, present and absent — on graphs whose
+// largest label is below 30, at the mask's end and past it, on single-label
+// and unlabeled graphs, and for an empty frontier. The last vertex's absent
+// labels below 32 point its run index at the end of runs, which the second
+// sentinel keeps in range.
+func TestRunsWithLabelMatchesLookup(t *testing.T) {
+	check := func(t *testing.T, g *Graph, maxLabel Label) {
+		t.Helper()
+		n := g.NumVertices()
+		all := make([]VertexID, n)
+		for v := range all {
+			all[v] = VertexID(v)
+		}
+		// A reused dst longer than the frontier comes back cut to it.
+		dst := make([][]VertexID, n+3)
+		for l := Label(0); l <= maxLabel+2; l++ {
+			for _, vs := range [][]VertexID{all, {VertexID(n - 1)}, {VertexID(n - 1), 0, VertexID(n - 1)}} {
+				dst = g.RunsWithLabel(vs, l, dst)
+				if len(dst) != len(vs) {
+					t.Fatalf("label %d: %d runs for %d vertices", l, len(dst), len(vs))
+				}
+				for i, v := range vs {
+					if want := g.NeighborsWithLabel(v, l); !eqIDs(dst[i], want) {
+						t.Fatalf("label %d: run of vertex %d = %v, NeighborsWithLabel says %v", l, v, dst[i], want)
+					}
+				}
+			}
+			if got := g.RunsWithLabel(nil, l, dst); len(got) != 0 {
+				t.Fatalf("label %d: empty frontier gave %d runs", l, len(got))
+			}
+		}
+	}
+	for _, maxLabel := range []Label{5, 29, 31, 32, 40, 70} {
+		for seed := int64(0); seed < 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			n := 10 + rng.Intn(50)
+			b := NewBuilder(n)
+			for v := 0; v < n; v++ {
+				b.SetLabel(VertexID(v), Label(rng.Intn(int(maxLabel)+1)))
+				for rng.Intn(3) == 0 {
+					b.AddExtraLabel(VertexID(v), Label(rng.Intn(int(maxLabel)+1)))
+				}
+			}
+			b.SetLabel(VertexID(n-1), maxLabel) // the alphabet ends at maxLabel
+			for i := 0; i < 5*n; i++ {
+				b.AddEdge(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)))
+			}
+			check(t, b.MustBuild(), maxLabel)
+		}
+	}
+	// The last vertex's only run is its first label's: every larger label
+	// below 32 is absent and indexes the end of runs.
+	b := NewBuilder(3)
+	b.SetLabel(0, 4)
+	b.SetLabel(1, 0)
+	b.SetLabel(2, 1)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(0, 2)
+	check(t, b.MustBuild(), 4)
+	// Single-label: every label but 0 is empty.
+	b = NewBuilder(6)
+	for v := 0; v < 5; v++ {
+		b.AddEdge(VertexID(v), VertexID(v+1))
+	}
+	check(t, b.MustBuild(), 0)
+	unlabeled, err := FromEdgeList([][2]VertexID{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, unlabeled, 0)
 }

@@ -31,20 +31,65 @@ func (sig NLCSignature) Covers(req NLCSignature) bool {
 	return true
 }
 
+// NLCReq is an NLC signature compiled for Graph.NLCCovers: the labels
+// below 32 required once, and those required at least twice, as two masks
+// the test compares with a data vertex's run head, and a residual
+// signature — labels from 32 up, and counts above two — looked up run by
+// run. A count above two also sets its label's twos bit, so the masks
+// reject what they can before any run is read.
+type NLCReq struct {
+	ones, twos uint32
+	rest       NLCSignature
+}
+
+// CompileNLC compiles the requirement sig for Graph.NLCCovers.
+func CompileNLC(sig NLCSignature) NLCReq {
+	var req NLCReq
+	for j, l := range sig.Labels {
+		c := sig.Counts[j]
+		if l < 32 {
+			if c <= 1 {
+				req.ones |= 1 << l
+			} else {
+				req.twos |= 1 << l
+			}
+			if c <= 2 {
+				continue
+			}
+		}
+		req.rest.Labels = append(req.rest.Labels, l)
+		req.rest.Counts = append(req.rest.Counts, c)
+	}
+	return req
+}
+
 // NLCCovers reports whether data vertex v's neighborhood-label-count
-// signature covers req — count_v(l) >= req's count for every label l of
-// req — without materializing the signature. The label-grouped adjacency
-// already holds the counts: every neighbor carrying l appears exactly
-// once in v's run for l (a multi-labeled neighbor once per label, which
-// is how NLCOf counts it too), so the run's length is count_v(l). On
-// single-label graphs every neighbor carries label 0 and the test is a
-// degree comparison. A run is never empty, so a count of one asks only
-// that v have the run — for a label below 32, one bit of v's run head, and
-// v's runs are not read. Safe for concurrent callers.
-func (g *Graph) NLCCovers(v VertexID, req NLCSignature) bool {
+// signature covers the compiled requirement req — count_v(l) >= the
+// count required of every label l — without materializing the signature.
+// The label-grouped adjacency already holds the counts: every neighbor
+// carrying l appears exactly once in v's run for l (a multi-labeled
+// neighbor once per label, which is how NLCOf counts it too), so the run's
+// length is count_v(l). v's run head says which labels below 32 it has at
+// least once and at least twice, so those requirements are two mask tests,
+// and v's runs are read only for req's residual. On single-label graphs
+// every neighbor carries label 0 and the test is a degree comparison. Safe
+// for concurrent callers.
+func (g *Graph) NLCCovers(v VertexID, req NLCReq) bool {
 	if g.numLabels <= 1 && len(g.extra) == 0 {
-		for j, l := range req.Labels {
-			if l != 0 || int(req.Counts[j]) > g.Degree(v) {
+		// The run head v would have: one run, of label 0, degree long.
+		var h runHead
+		deg := int32(g.Degree(v))
+		if deg > 0 {
+			h.low = 1
+		}
+		if deg > 1 {
+			h.twos = 1
+		}
+		if req.ones&^h.low|req.twos&^h.twos != 0 {
+			return false
+		}
+		for j, l := range req.rest.Labels {
+			if l != 0 || req.rest.Counts[j] > deg {
 				return false
 			}
 		}
@@ -52,9 +97,12 @@ func (g *Graph) NLCCovers(v VertexID, req NLCSignature) bool {
 	}
 	g.ladj.build(g)
 	la := &g.ladj
-	for j, l := range req.Labels {
+	if h := la.heads[v]; req.ones&^h.low|req.twos&^h.twos != 0 {
+		return false
+	}
+	for j, l := range req.rest.Labels {
 		i, ok := la.find(v, l)
-		if !ok || req.Counts[j] > 1 && la.runs[i+1].off-la.runs[i].off < req.Counts[j] {
+		if !ok || la.runs[i+1].off-la.runs[i].off < req.rest.Counts[j] {
 			return false
 		}
 	}

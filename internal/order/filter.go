@@ -68,6 +68,7 @@ next:
 				continue next
 			}
 		}
+		c.req = graph.CompileNLC(c.sig)
 		c.table = make([]Verdict, data.NumVertices())
 		class[u] = c
 		classes = append(classes, c)
@@ -98,12 +99,14 @@ next:
 }
 
 // filterClass is what the filters ask of a query vertex — its labels, its
-// degree and its NLC signature — and the verdict table and Pass count of
+// degree and its NLC signature, compiled once into the requirement every
+// data vertex is tested against — and the verdict table and Pass count of
 // the answers.
 type filterClass struct {
 	labels []graph.Label
 	deg    int
 	sig    graph.NLCSignature
+	req    graph.NLCReq
 	table  []Verdict
 	count  int
 }
@@ -120,7 +123,7 @@ func verdict(data *graph.Graph, v graph.VertexID, deg int, c *filterClass) Verdi
 	if deg < c.deg {
 		return DropDegree
 	}
-	if !data.NLCCovers(v, c.sig) {
+	if !data.NLCCovers(v, c.req) {
 		return DropNLC
 	}
 	return Pass
