@@ -114,12 +114,14 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzQueryResponseDecode -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzQueryRequest -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPart -fuzztime=$(FUZZTIME) ./internal/shard
+	$(GO) test -run='^$$' -fuzz=FuzzRouterWindow -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzLoadLabeled -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) ./internal/obs
 
 # What .github/workflows/ci.yml runs: vet + build + full tests, then a
 # race pass over the concurrency-heavy packages and 10 s of fuzzing of the
-# index reader, the bitmap probe and the .lg loader's label runs.
+# index reader, the bitmap probe, the .lg loader's label runs and the
+# router's window.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -128,6 +130,7 @@ ci:
 	$(GO) test -run='^$$' -fuzz=FuzzReadIndex -fuzztime=10s ./internal/ceci
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectKernels -fuzztime=10s ./internal/setops
 	$(GO) test -run='^$$' -fuzz=FuzzLoadLabeled -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz=FuzzRouterWindow -fuzztime=10s ./internal/shard
 
 # Boot the query service on the Figure 1 fixture and exercise the HTTP
 # API end to end (also run raced by CI's service-smoke job).

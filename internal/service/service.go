@@ -511,6 +511,18 @@ func (e *Engine) enumerate(ctx context.Context, ent *entry, perm []int, req Requ
 		Ledger:  led,
 	})
 
+	page := Page{Width: len(perm)}
+	enumStart := time.Now()
+	if req.CountOnly {
+		// No consumer: the count-only engine, whose trailing pair of
+		// depths is a product, clamped to the limit exactly.
+		n, _, err := m.Enumerate(ctx, nil)
+		resp.EnumTime += time.Since(enumStart)
+		resp.Count = n
+		resp.Page = page
+		return err
+	}
+
 	// Shard mode: enumerated ids are shard-local; responses speak global
 	// (source graph) ids so the router can merge shards without a map.
 	var globals []graph.VertexID
@@ -520,20 +532,11 @@ func (e *Engine) enumerate(ctx context.Context, ent *entry, perm []int, req Requ
 
 	// The page is collected into one flat array, sized for a full page
 	// up to pagePrealloc embeddings and grown by append beyond that.
-	page := Page{Width: len(perm)}
-	if !req.CountOnly {
-		page.IDs = make([]graph.VertexID, 0, int(min(need-req.Offset, pagePrealloc))*page.Width)
-	}
-
-	enumStart := time.Now()
+	page.IDs = make([]graph.VertexID, 0, int(min(need-req.Offset, pagePrealloc))*page.Width)
 	var count atomic.Int64
 	var mu sync.Mutex
 	err := m.ForEachCtx(ctx, func(emb []graph.VertexID) bool {
-		n := count.Add(1)
-		if req.CountOnly {
-			return true
-		}
-		if n <= req.Offset {
+		if count.Add(1) <= req.Offset {
 			return true
 		}
 		mu.Lock()

@@ -1,12 +1,21 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ceci/internal/gen"
+	"ceci/internal/graph"
+	"ceci/internal/service"
 )
 
 // savedShard0 partitions the Figure 1 data graph three ways and returns
@@ -81,4 +90,117 @@ func FuzzLoadPart(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRouterWindow: whatever the shards hold, the window and the fleet's
+// bound, and whichever leg of either round fails, a routed page is the
+// window over the usable shards' rows laid end to end in shard order; its
+// count is the sum of their min(rows, offset+limit); and no leg is asked
+// for a row outside the window as it stood when the leg was sent — so
+// when nothing fails, every row a shard ships is on the page. Three fake shards of 0–40 rows serve a router that is never
+// started (every replica is tried).
+func FuzzRouterWindow(f *testing.F) {
+	// rows of shards 0, 1, 2; offset; limit (0: the default page); the
+	// fleet's MaxLimit; the shard that fails (3: none); the round its
+	// failing leg is in (the shard's first or second query).
+	f.Add(uint8(40), uint8(40), uint8(40), uint8(0), uint8(30), uint8(95), uint8(3), uint8(0))
+	f.Add(uint8(3), uint8(12), uint8(3), uint8(2), uint8(4), uint8(9), uint8(3), uint8(0))
+	f.Add(uint8(5), uint8(5), uint8(5), uint8(3), uint8(4), uint8(20), uint8(1), uint8(1))
+	f.Add(uint8(5), uint8(5), uint8(5), uint8(3), uint8(4), uint8(20), uint8(0), uint8(0))
+	f.Add(uint8(0), uint8(7), uint8(9), uint8(6), uint8(0), uint8(15), uint8(2), uint8(1))
+	shards := make([]*pageShard, 3)
+	urls := make([][]string, 3)
+	for i := range shards {
+		shards[i] = &pageShard{maxLimit: 1 << 10}
+		srv := httptest.NewServer(shards[i])
+		f.Cleanup(srv.Close)
+		urls[i] = []string{srv.URL}
+	}
+	f.Fuzz(func(t *testing.T, r0, r1, r2, offset8, limit8, max8, failShard, failRound uint8) {
+		offset, limit, maxLimit := int64(offset8%64), int64(limit8%64), 1+int64(max8%96)
+		for i, r := range []uint8{r0, r1, r2} {
+			failAt := 0
+			if int(failShard%4) == i {
+				failAt = 1 + int(failRound%2)
+			}
+			shards[i].reset(pageOf(graph.VertexID(1000*(i+1)), int(r%41), 2), failAt)
+		}
+		rt, err := NewRouter(RouterOptions{Shards: urls, Radius: 1, MaxLimit: maxLimit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := json.Marshal(pageWire(offset, limit))
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		var resp RouteResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("HTTP %d: %v in %s", rec.Code, err, rec.Body.Bytes())
+		}
+
+		size := limit
+		if size == 0 || size > maxLimit {
+			size = maxLimit
+		}
+		end := offset + size
+		var rows [][]graph.VertexID
+		var count int64
+		var failed []int
+		shipped := 0
+		for i, s := range shards {
+			legs, n, fail := s.take()
+			shipped += n
+			if end > maxLimit {
+				if len(legs) > 0 {
+					t.Fatalf("a refused window (offset %d, limit %d, max %d) sent shard %d %d legs", offset, size, maxLimit, i, len(legs))
+				}
+				continue
+			}
+			for k, leg := range legs {
+				if err := legInWindow(leg, offset, size, i == 0 && k == 0); err != nil {
+					t.Fatalf("shard %d leg %d %+v: %v", i, k, leg, err)
+				}
+			}
+			if fail {
+				failed = append(failed, i)
+				continue
+			}
+			rows = append(rows, s.rows...)
+			count += min(int64(len(s.rows)), end)
+		}
+		if end > maxLimit {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("offset %d + limit %d past max %d: HTTP %d", offset, size, maxLimit, rec.Code)
+			}
+			return
+		}
+		want := rows[min(offset, int64(len(rows))):min(end, int64(len(rows)))]
+		if len(want) == 0 {
+			want = nil
+		}
+		if rec.Code != http.StatusOK || resp.Count != count || !reflect.DeepEqual(resp.Embeddings, want) ||
+			!slices.Equal(resp.ShardsFailed, failed) || resp.Partial != (len(failed) > 0) {
+			t.Fatalf("HTTP %d count %d (want %d) failed %v (want %v) partial %v\npage %v\nwant %v",
+				rec.Code, resp.Count, count, resp.ShardsFailed, failed, resp.Partial, resp.Embeddings, want)
+		}
+		// A fill that fails moves the window onto later rows of the
+		// shards after it, which may have shipped rows for where it was.
+		if shipped != len(want) && len(failed) == 0 {
+			t.Fatalf("the shards shipped %d rows for a page of %d", shipped, len(want))
+		}
+	})
+}
+
+// legInWindow checks one leg of a window [offset, offset+size): the page
+// leg (shard 0's first) and every count leg are asked the window itself;
+// a fill leg is asked for rows below its end, no more than it holds.
+func legInWindow(leg service.QueryRequest, offset, size int64, pageLeg bool) error {
+	switch {
+	case pageLeg && (leg.CountOnly || leg.Offset != offset || leg.Limit != size):
+		return fmt.Errorf("the page leg is not the window (%d, %d)", offset, size)
+	case leg.CountOnly && (leg.Offset != offset || leg.Limit != size):
+		return fmt.Errorf("a count leg is not the window (%d, %d)", offset, size)
+	case !leg.CountOnly && (leg.Offset < 0 || leg.Limit < 1 || leg.Limit > size || leg.Offset+leg.Limit > offset+size):
+		return fmt.Errorf("rows outside the window (%d, %d)", offset, size)
+	}
+	return nil
 }

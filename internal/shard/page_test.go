@@ -2,13 +2,14 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"reflect"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"ceci/internal/graph"
@@ -29,11 +30,76 @@ func pageOf(base graph.VertexID, rows, width int) [][]graph.VertexID {
 }
 
 // pageShard is a fake shard that pages the way an engine does: it honours
-// offset and limit and silently clamps the limit to its own MaxLimit.
+// offset and limit, silently clamps a page's limit to its own MaxLimit,
+// and counts up to offset+limit whether it pages or only counts. It
+// records the legs it is asked and the rows it ships, and answers its
+// failAt-th query with a 500 when failAt is set.
 type pageShard struct {
-	rows      [][]graph.VertexID
-	maxLimit  int64
-	lastLimit atomic.Int64
+	rows     [][]graph.VertexID
+	maxLimit int64
+	failAt   int
+
+	mu      sync.Mutex
+	legs    []service.QueryRequest
+	shipped int
+	failed  bool
+}
+
+// reset gives the shard new rows and a new failAt, and forgets its legs.
+func (s *pageShard) reset(rows [][]graph.VertexID, failAt int) {
+	s.take()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rows, s.failAt = rows, failAt
+}
+
+// answer is the shard's reply to wire, nil when it fails the leg.
+func (s *pageShard) answer(wire service.QueryRequest) *service.QueryResponse {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.legs = append(s.legs, wire)
+	if len(s.legs) == s.failAt {
+		s.failed = true
+		return nil
+	}
+	limit := wire.Limit
+	if !wire.CountOnly && (limit <= 0 || limit > s.maxLimit) {
+		limit = s.maxLimit
+	}
+	resp := &service.QueryResponse{Count: int64(len(s.rows)), CacheHit: true, EnumMS: 0.5, QueryHash: "00f067aa0ba902b7"}
+	if limit > 0 {
+		resp.Count = min(resp.Count, wire.Offset+limit)
+	}
+	if !wire.CountOnly {
+		resp.Embeddings = s.rows[min(wire.Offset, resp.Count):resp.Count]
+		s.shipped += len(resp.Embeddings)
+	}
+	return resp
+}
+
+// take returns the legs the shard was asked and the rows it shipped since
+// the last take, whether it failed one, and forgets them.
+func (s *pageShard) take() (legs []service.QueryRequest, shipped int, failed bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	legs, shipped, failed = s.legs, s.shipped, s.failed
+	s.legs, s.shipped, s.failed = nil, 0, false
+	return legs, shipped, failed
+}
+
+// result is the shard's answer to leg as the router holds it.
+func (s *pageShard) result(shard int, leg service.QueryRequest) shardResult {
+	resp := s.answer(leg)
+	if resp == nil {
+		return shardResult{shard: shard, err: &service.APIError{StatusCode: http.StatusInternalServerError, Message: "disk on fire"}}
+	}
+	var page service.Page
+	for _, row := range resp.Embeddings {
+		page.Width = len(row)
+		page.IDs = append(page.IDs, row...)
+	}
+	resp.Embeddings = nil
+	return shardResult{shard: shard, resp: resp, page: page, from: leg.Offset}
 }
 
 // answeredProbe answers a fake shard's readiness probe and reports
@@ -55,18 +121,11 @@ func (s *pageShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusBadRequest, service.QueryResponse{Error: err.Error()})
 		return
 	}
-	s.lastLimit.Store(wire.Limit)
-	resp := service.QueryResponse{Count: int64(len(s.rows)), CacheHit: true, EnumMS: 0.5, QueryHash: "00f067aa0ba902b7"}
-	if !wire.CountOnly {
-		limit := wire.Limit
-		if limit <= 0 || limit > s.maxLimit {
-			limit = s.maxLimit
-		}
-		rows := s.rows[min(wire.Offset, int64(len(s.rows))):]
-		resp.Embeddings = rows[:min(limit, int64(len(rows)))]
-		resp.Count = wire.Offset + int64(len(resp.Embeddings))
+	if resp := s.answer(wire); resp != nil {
+		service.WriteJSON(w, http.StatusOK, resp)
+	} else {
+		service.WriteJSON(w, http.StatusInternalServerError, service.QueryResponse{Error: "disk on fire"})
 	}
-	service.WriteJSON(w, http.StatusOK, resp)
 }
 
 // failingShard answers its probes and fails every query with a 500.
@@ -108,9 +167,11 @@ func pageWire(offset, limit int64) service.QueryRequest {
 }
 
 // TestRouterPaginationWindow: the merged page is the caller's window over
-// the shards' pages laid end to end, and a window that reaches past what
+// the shards' rows laid end to end, and a window that reaches past what
 // a shard will return (its MaxLimit) is refused, not filled with the
-// wrong rows.
+// wrong rows. Shard 0 is asked to page the window and every other shard
+// to count it; a shard the window then reaches is asked for exactly its
+// slice of it.
 func TestRouterPaginationWindow(t *testing.T) {
 	const maxLimit = 10
 	shards := []*pageShard{
@@ -156,9 +217,23 @@ func TestRouterPaginationWindow(t *testing.T) {
 		if status != http.StatusOK || !reflect.DeepEqual(resp.Embeddings, all[tc.from:tc.to]) {
 			t.Errorf("%s: HTTP %d %q, page %v, want %v", tc.name, status, resp.Error, resp.Embeddings, all[tc.from:tc.to])
 		}
+		limit, end, start := int64(tc.to-tc.from), int64(tc.to), int64(0)
 		for i, s := range shards {
-			if got := s.lastLimit.Load(); got != int64(tc.to) {
-				t.Errorf("%s: shard %d was asked for %d embeddings, want offset+limit = %d", tc.name, i, got, tc.to)
+			// The page leg enumerates offset+limit; each count leg is
+			// asked the same window; a fill leg asks for exactly its slice.
+			want := []service.QueryRequest{{Offset: tc.offset, Limit: limit, CountOnly: i > 0}}
+			n := min(int64(len(s.rows)), end)
+			if lo, hi := max(tc.offset-start, 0), min(end-start, n); i > 0 && lo < hi {
+				want = append(want, service.QueryRequest{Offset: lo, Limit: hi - lo})
+			}
+			start += n
+			legs, _, _ := s.take()
+			var got []service.QueryRequest
+			for _, leg := range legs {
+				got = append(got, service.QueryRequest{Offset: leg.Offset, Limit: leg.Limit, CountOnly: leg.CountOnly})
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: shard %d was asked %+v, want %+v", tc.name, i, got, want)
 			}
 		}
 	}
@@ -168,6 +243,99 @@ func TestRouterPaginationWindow(t *testing.T) {
 	wire.CountOnly = true
 	if resp, status := postRoute(t, rsrv.URL, wire); status != http.StatusOK || resp.Count != 18 || resp.Embeddings != nil {
 		t.Errorf("count_only: HTTP %d, count %d, %d embeddings", status, resp.Count, len(resp.Embeddings))
+	}
+}
+
+// TestRouterShipsOnlyTheWindow: a shard ships the rows of the window it
+// holds and no others. On fleet_scatter's shape — three shards of 1000
+// rows, a page of 1000 — shard 0 fills the page and shards 1 and 2 only
+// count; a window straddling shards 0 and 1 ships exactly the rows it
+// returns, and shard 2 ships none.
+func TestRouterShipsOnlyTheWindow(t *testing.T) {
+	shards := make([]*pageShard, 3)
+	for i := range shards {
+		shards[i] = &pageShard{rows: pageOf(graph.VertexID(i*10000), 1000, 3), maxLimit: 10000}
+	}
+	rsrv := handlerFleet(t, oneReplicaEach(shards[0], shards[1], shards[2]), RouterOptions{MaxLimit: 10000})
+	wire := pageWire(0, 1000)
+	wire.Labels, wire.Edges = []uint32{0, 0, 0}, [][2]uint32{{0, 1}, {1, 2}}
+	for _, tc := range []struct {
+		name          string
+		offset, limit int64
+		shipped       []int
+	}{
+		{"shard 0 fills the page", 0, 1000, []int{1000, 0, 0}},
+		{"straddling shards 0 and 1", 500, 1000, []int{500, 500, 0}},
+		{"inside shard 1", 1200, 100, []int{0, 100, 0}},
+		{"the whole fleet", 0, 3000, []int{1000, 1000, 1000}},
+	} {
+		wire.Offset, wire.Limit = tc.offset, tc.limit
+		resp, status := postRoute(t, rsrv.URL, wire)
+		if status != http.StatusOK || resp.Count != 3*min(1000, tc.offset+tc.limit) || int64(len(resp.Embeddings)) != tc.limit {
+			t.Fatalf("%s: HTTP %d %q, count %d, %d rows", tc.name, status, resp.Error, resp.Count, len(resp.Embeddings))
+		}
+		for i, s := range shards {
+			if _, shipped, _ := s.take(); shipped != tc.shipped[i] {
+				t.Errorf("%s: shard %d shipped %d rows, want %d", tc.name, i, shipped, tc.shipped[i])
+			}
+		}
+	}
+}
+
+// TestRouterFillLegFailure: a shard whose count leg answered but whose
+// fill leg failed is a failed shard like any other — in shards_failed
+// and shard_errors, the reply partial, its count left out — and the
+// window moves on to the next shard's rows.
+func TestRouterFillLegFailure(t *testing.T) {
+	shards := []*pageShard{
+		{rows: pageOf(100, 3, 2), maxLimit: 100},
+		{rows: pageOf(200, 5, 2), maxLimit: 100, failAt: 2}, // the count leg, then the fill
+		{rows: pageOf(300, 4, 2), maxLimit: 100},
+	}
+	rsrv := handlerFleet(t, oneReplicaEach(shards[0], shards[1], shards[2]), RouterOptions{MaxLimit: 100})
+	resp, status := postRoute(t, rsrv.URL, pageWire(1, 4))
+	if status != http.StatusOK || !resp.Partial || resp.ShardsOK != 2 || !reflect.DeepEqual(resp.ShardsFailed, []int{1}) {
+		t.Fatalf("HTTP %d partial %v ok %d failed %v", status, resp.Partial, resp.ShardsOK, resp.ShardsFailed)
+	}
+	if msg := resp.ShardErrors["1"]; !strings.Contains(msg, "disk on fire") || len(resp.ShardErrors) != 1 {
+		t.Fatalf("shard_errors %v", resp.ShardErrors)
+	}
+	if resp.Count != 3+4 {
+		t.Fatalf("count %d, want shards 0 and 2's 3+4", resp.Count)
+	}
+	want := append(pageOf(100, 3, 2)[1:], pageOf(300, 2, 2)...)
+	if !reflect.DeepEqual(resp.Embeddings, want) {
+		t.Fatalf("page %v, want the window over shards 0 and 2: %v", resp.Embeddings, want)
+	}
+	if legs, _, failed := shards[1].take(); len(legs) != 2 || legs[0].CountOnly == legs[1].CountOnly || !failed {
+		t.Fatalf("shard 1 was asked %+v (failed %v), want a count leg and then a fill leg", legs, failed)
+	}
+}
+
+// TestRouterCountOnlyWindow: a count_only request goes to every shard
+// as it came, offset included, so a bounded count is what a page of the
+// same window counts — each shard's min(total, offset+limit), summed —
+// and no shard ships a row.
+func TestRouterCountOnlyWindow(t *testing.T) {
+	shards := []*pageShard{
+		{rows: pageOf(100, 3, 2), maxLimit: 100},
+		{rows: pageOf(200, 12, 2), maxLimit: 100},
+		{rows: pageOf(300, 3, 2), maxLimit: 100},
+	}
+	rsrv := handlerFleet(t, oneReplicaEach(shards[0], shards[1], shards[2]), RouterOptions{MaxLimit: 100})
+	for _, countOnly := range []bool{true, false} {
+		wire := pageWire(2, 3)
+		wire.CountOnly = countOnly
+		resp, status := postRoute(t, rsrv.URL, wire)
+		if status != http.StatusOK || resp.Count != 3+5+3 {
+			t.Fatalf("count_only %v: HTTP %d %q, count %d; want 3+5+3", countOnly, status, resp.Error, resp.Count)
+		}
+		for i, s := range shards {
+			legs, shipped, _ := s.take()
+			if countOnly && (len(legs) != 1 || !legs[0].CountOnly || legs[0].Offset != 2 || legs[0].Limit != 3 || shipped != 0) {
+				t.Errorf("count_only: shard %d was asked %+v and shipped %d rows", i, legs, shipped)
+			}
+		}
 	}
 }
 
@@ -258,28 +426,35 @@ func TestRouterQueryBodyBounded(t *testing.T) {
 	if status, _ := postRaw(t, rsrv.URL, strings.NewReader(`{"labels":`)); status != http.StatusBadRequest {
 		t.Fatalf("malformed body: HTTP %d", status)
 	}
-	if n := shard.lastLimit.Load(); n != 0 {
+	if legs, _, _ := shard.take(); len(legs) != 0 {
 		t.Fatal("a refused body was scattered")
 	}
 }
 
-// mergeFixture is three legs of 1000×3 pages — what fleet_scatter's
-// router holds when it merges — behind a router that was never started.
-func mergeFixture(tb testing.TB) (*Router, []shardResult) {
+// mergeFixture is what fleet_scatter's router holds when it merges wire:
+// the legs of three shards of 1000×3 rows each behind a router that was
+// never started — shard 0's page and the others' counts, and a fill leg
+// from each shard the window reaches past shard 0. shards lets a caller
+// corrupt a shard first.
+func mergeFixture(tb testing.TB, wire service.QueryRequest, shards ...*pageShard) (*Router, []shardResult) {
 	rt, err := NewRouter(RouterOptions{Shards: [][]string{{"http://a"}, {"http://b"}, {"http://c"}}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	results := make([]shardResult, 3)
-	for i := range results {
-		page := service.Page{Width: 3}
-		for _, row := range pageOf(graph.VertexID(i*10000), 1000, 3) {
-			page.IDs = append(page.IDs, row...)
+	shards = append(shards, make([]*pageShard, 3-len(shards))...)
+	for i, s := range shards {
+		if s == nil {
+			shards[i] = &pageShard{rows: pageOf(graph.VertexID(i*10000), 1000, 3), maxLimit: 10000}
 		}
-		results[i] = shardResult{shard: i, page: page,
-			resp: &service.QueryResponse{Count: 1000, CacheHit: true, EnumMS: 0.3}}
 	}
-	return rt, results
+	return rt, legsOf(rt, wire, 3, shards)
+}
+
+// legsOf runs the router's rounds of wire against in-memory shards.
+func legsOf(rt *Router, wire service.QueryRequest, width int, shards []*pageShard) []shardResult {
+	return rt.window(wire).legs(len(shards), width, func(shard int, f *fill) shardResult {
+		return shards[shard].result(shard, rt.legRequest(context.Background(), wire, shard, f))
+	})
 }
 
 // TestRouteMergeAllocs: merging pages costs no allocation per row. A
@@ -288,7 +463,6 @@ func mergeFixture(tb testing.TB) (*Router, []shardResult) {
 // (2). The bound leaves room for the race detector's runtime;
 // BenchmarkRouteMerge reports the exact figures.
 func TestRouteMergeAllocs(t *testing.T) {
-	rt, results := mergeFixture(t)
 	for _, tc := range []struct {
 		name          string
 		offset, limit int64
@@ -299,6 +473,7 @@ func TestRouteMergeAllocs(t *testing.T) {
 		{"straddling", 500, 1000, 1500, 11497},
 	} {
 		wire := pageWire(tc.offset, tc.limit)
+		rt, results := mergeFixture(t, wire)
 		resp, page, status := rt.merge(wire, 3, results)
 		rows := page.Rows()
 		if status != http.StatusOK || resp.Count != 3000 || int64(len(rows)) != tc.limit ||
@@ -308,15 +483,16 @@ func TestRouteMergeAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { rt.merge(wire, 3, results) }); n > 4 {
 			t.Errorf("%s: %v allocations per merge, want 1 or 2 (<= 4)", tc.name, n)
 		}
-	}
-	// The window must not have written into a leg's own page.
-	if got := results[0].page.IDs[999*3]; got != 2997 {
-		t.Fatalf("merge overwrote shard 0's page: %d", got)
+		// The window must not have written into a leg's own page.
+		if p := results[0].page; p.Len() > 0 && p.IDs[len(p.IDs)-3] != 2997 {
+			t.Fatalf("%s: merge overwrote shard 0's page: %d", tc.name, p.IDs[len(p.IDs)-3])
+		}
 	}
 
 	// A leg answering a different query's width is a failed leg, not rows
-	// spliced into the page at the wrong stride.
-	results[1].page.Width = 2
+	// spliced into the page at the wrong stride: its shard leaves the
+	// lay-out, and the next round fills the window from shard 2.
+	rt, results := mergeFixture(t, pageWire(0, 2000), nil, &pageShard{rows: pageOf(10000, 1000, 2), maxLimit: 10000})
 	resp, page, _ := rt.merge(pageWire(0, 2000), 3, results)
 	if !reflect.DeepEqual(resp.ShardsFailed, []int{1}) || !resp.Partial || resp.Count != 2000 ||
 		page.Len() != 2000 || page.IDs[1000*3] != 20000 || !strings.Contains(resp.ShardErrors["1"], "embeddings of 2 vertices") {
@@ -325,11 +501,11 @@ func TestRouteMergeAllocs(t *testing.T) {
 }
 
 func BenchmarkRouteMerge(b *testing.B) {
-	rt, results := mergeFixture(b)
 	for _, bc := range []struct {
 		name string
 		wire service.QueryRequest
 	}{{"first-page", pageWire(0, 1000)}, {"straddling", pageWire(500, 1000)}} {
+		rt, results := mergeFixture(b, bc.wire)
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {

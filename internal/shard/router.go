@@ -353,13 +353,19 @@ const maxLegSpanBytes = 64 << 10
 
 // shardResult is one scatter leg's outcome.
 type shardResult struct {
-	shard   int
-	resp    *service.QueryResponse // Embeddings nil: the page is beside it
-	page    service.Page
-	spans   []byte // the shard's span subtree as its reply carried it, unparsed
-	replica *Replica
-	err     error
-	hedged  bool
+	shard int
+	resp  *service.QueryResponse // Embeddings nil: the page is beside it
+	page  service.Page
+	// The leg asked for the shard's rows [from, upto): from is where its
+	// page starts; a count leg asks for none (upto == from).
+	from, upto int64
+	spans      []byte // the shard's span subtree as its reply carried it, unparsed
+	replica    *Replica
+	err        error
+	hedged     bool
+	// fill is the shard's next leg, a fill, when the window needed rows
+	// of it that this leg's page does not hold.
+	fill *shardResult
 }
 
 // usable reports whether the leg produced a mergeable response: success
@@ -371,6 +377,23 @@ func (r shardResult) usable() bool {
 	var apiErr *service.APIError
 	return errors.As(r.err, &apiErr) &&
 		apiErr.StatusCode == http.StatusGatewayTimeout && r.resp != nil
+}
+
+// failure is why the shard's answer cannot be merged, or "": a leg — the
+// first round's or a fill — that failed, or whose embeddings are not
+// width ids each.
+func (r *shardResult) failure(width int) string {
+	for leg := r; leg != nil; leg = leg.fill {
+		switch {
+		case !leg.usable() && leg.err != nil:
+			return leg.err.Error()
+		case !leg.usable():
+			return "unreachable"
+		case leg.page.Len() > 0 && leg.page.Width != width:
+			return fmt.Sprintf("embeddings of %d vertices for a query of %d", leg.page.Width, width)
+		}
+	}
+	return ""
 }
 
 // handleQuery is a routed query's five steps (DESIGN §12): decode, select
@@ -396,8 +419,9 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	results := rt.scatter(call, rt.legRequest(call.Ctx, wire))
-	resp, page, status := rt.merge(wire, q.NumVertices(), results)
+	width := q.NumVertices()
+	results := rt.scatter(call, wire, width)
+	resp, page, status := rt.merge(wire, width, results)
 	resp.TraceID = call.TraceID
 	if call.Egress.Valid() {
 		w.Header().Set("traceparent", call.Egress.Traceparent())
@@ -406,9 +430,11 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// The record holds the router's own spans as recorded and each
 	// answering shard's as the bytes its reply carried.
 	legSpans := make([][]byte, 0, len(results))
-	for _, res := range results {
-		if res.spans != nil {
-			legSpans = append(legSpans, res.spans)
+	for i := range results {
+		for leg := &results[i]; leg != nil; leg = leg.fill {
+			if leg.spans != nil {
+				legSpans = append(legSpans, leg.spans)
+			}
 		}
 	}
 	call.Span.Annotate(obs.Int("shards_ok", int64(resp.ShardsOK)))
@@ -436,10 +462,10 @@ func (rt *Router) refusal(wire service.QueryRequest, q *graph.Graph) string {
 	if _, refusal := rt.frame.Window(wire.Offset, wire.Limit, wire.CountOnly); refusal != "" {
 		return refusal
 	}
-	// The page is cut from the concatenation of the shards' pages, in
-	// shard order, so every shard is asked for offset+limit embeddings —
-	// and a shard clamps what it returns to its own MaxLimit without
-	// saying so. Past that the merged page would be the wrong rows.
+	// Every first-round leg makes its shard enumerate up to offset+limit
+	// rows (a count leg counts that far, the page leg skips offset of
+	// them), and a fill leg reads rows below it; the fleet bounds that
+	// reach by its MaxLimit, which must not exceed the shards' own.
 	limit := rt.frame.PageLimit(wire.Limit)
 	if maxLimit := rt.frame.MaxLimit; !wire.CountOnly && wire.Offset > maxLimit-limit {
 		return fmt.Sprintf("offset %d + limit %d exceeds the fleet's max limit %d: a page may not reach past the first %d embeddings of a shard",
@@ -448,15 +474,19 @@ func (rt *Router) refusal(wire service.QueryRequest, q *graph.Graph) string {
 	return ""
 }
 
-// legRequest is the per-shard sub-request: each shard must deliver
-// enough embeddings to fill the global page worst-case (offset is applied
-// after the merge — shard enumeration order gives no global offset),
-// under a deadline that leaves the router margin to merge and respond.
-func (rt *Router) legRequest(ctx context.Context, wire service.QueryRequest) service.QueryRequest {
+// legRequest is one shard's sub-request. In the first round (f nil) it
+// is the caller's window with its page limit, so every shard counts up to
+// offset+limit; shard 0 pages the window and the others only count it. A
+// fill asks for f's rows of its shard. Either carries the budget left
+// when it is made, less the margin the router keeps to merge and respond.
+func (rt *Router) legRequest(ctx context.Context, wire service.QueryRequest, shard int, f *fill) service.QueryRequest {
 	sub := wire
-	sub.Offset = 0
-	if !wire.CountOnly {
-		sub.Limit = wire.Offset + rt.frame.PageLimit(wire.Limit)
+	switch {
+	case f != nil:
+		sub.Offset, sub.Limit = f.offset, f.limit
+	case !wire.CountOnly:
+		sub.Limit = rt.frame.PageLimit(wire.Limit)
+		sub.CountOnly = shard > 0
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		remaining := time.Until(dl) - rt.opts.DeadlineMargin
@@ -468,31 +498,30 @@ func (rt *Router) legRequest(ctx context.Context, wire service.QueryRequest) ser
 	return sub
 }
 
-// scatter sends sub to every shard; each leg applies the routing policy
-// and hedging over that shard's replicas.
-func (rt *Router) scatter(call *service.Call, sub service.QueryRequest) []shardResult {
-	results := make([]shardResult, len(rt.shards))
-	var wg sync.WaitGroup
-	for i := range rt.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = rt.queryShard(call.Ctx, i, sub, call.Span)
-		}(i)
-	}
-	wg.Wait()
-	return results
+// scatter runs the query's legs (window.legs): each is sent when its
+// round starts, and a fill leg's span is marked as one.
+func (rt *Router) scatter(call *service.Call, wire service.QueryRequest, width int) []shardResult {
+	return rt.window(wire).legs(len(rt.shards), width, func(shard int, f *fill) shardResult {
+		leg := rt.legRequest(call.Ctx, wire, shard, f)
+		if f == nil {
+			return rt.queryShard(call.Ctx, shard, leg, call.Span)
+		}
+		return rt.queryShard(call.Ctx, shard, leg, call.Span, obs.String("round", "fill"))
+	})
 }
 
 // queryShard runs one scatter leg: pick replicas by policy, launch
 // (all at once for broadcast; primary + hedge/failover otherwise), and
 // return the first usable response. A 400 is terminal — it is the
-// query's fault, not the replica's.
-func (rt *Router) queryShard(ctx context.Context, shard int, req service.QueryRequest, parent *obs.Span) shardResult {
+// query's fault, not the replica's. attrs annotate the leg's span.
+func (rt *Router) queryShard(ctx context.Context, shard int, req service.QueryRequest, parent *obs.Span, attrs ...obs.Attr) shardResult {
 	sp := parent.Child("scatter", obs.Int("shard", int64(shard)))
 	defer sp.End()
 	if sp != nil {
 		ctx = obs.ContextWithSpan(ctx, sp)
+		if len(attrs) > 0 {
+			sp.Annotate(attrs...)
+		}
 	}
 
 	reps := rt.pickReplicas(shard)
@@ -509,7 +538,12 @@ func (rt *Router) queryShard(ctx context.Context, shard int, req service.QueryRe
 			sp.Annotate(obs.Int("spans_dropped", int64(n)))
 			spans = nil
 		}
-		return shardResult{shard: shard, resp: resp, page: page, spans: spans, replica: rep, err: err, hedged: hedged}
+		upto := req.Offset
+		if !req.CountOnly {
+			upto += req.Limit
+		}
+		return shardResult{shard: shard, resp: resp, page: page, from: req.Offset, upto: upto,
+			spans: spans, replica: rep, err: err, hedged: hedged}
 	}
 
 	// One candidate: nobody to race, hedge to or fail over to, so the leg
@@ -606,37 +640,29 @@ func (rt *Router) pickReplicas(shard int) []*Replica {
 }
 
 // merge folds the scatter legs into one RouteResponse and the page it
-// carries (returned beside it, for WriteQueryJSON). Counts add, phase
-// times take the fleet max (the critical path), cache_hit ANDs. Missing
-// shards make the response Partial with explicit ids in shards_failed;
-// a leg whose embeddings are not width ids each (width is the query's
-// vertex count) is missing too.
+// carries (returned beside it, for WriteQueryJSON). Counts add — each
+// shard's first-round count — phase times take the fleet max over every
+// leg (the critical path), cache_hit ANDs. Missing shards make the
+// response Partial with explicit ids in shards_failed; a shard whose fill
+// leg failed, or a leg whose embeddings are not width ids each (width is
+// the query's vertex count), is missing too.
 //
 // Global pagination is best-effort: the caller's offset/limit window is
-// cut from the shards' pages laid end to end in shard order (shards emit
-// global ids and were asked for offset+limit each, so the page is full
-// whenever the data allows). A window inside one shard's page is a view
-// of it; only a window that straddles shards copies ids.
+// cut from the usable shards' rows laid end to end in shard order, each
+// shard's place in that lay-out given by the counts before it (shards
+// emit global ids, and scatter fetched every row of the window that a
+// shard has). A window inside one leg's page is a view of it; only a
+// window that straddles shards copies ids.
 func (rt *Router) merge(wire service.QueryRequest, width int, results []shardResult) (*RouteResponse, service.Page, int) {
 	out := &RouteResponse{ShardsTotal: len(results)}
 	out.CacheHit = true
 	var page service.Page
-	skip, want := wire.Offset, rt.frame.PageLimit(wire.Limit)
-	if wire.CountOnly {
-		want = 0
-	}
+	w := rt.window(wire)
+	var start int64 // rows of the usable shards before this one
 	var shardErrs map[string]string
-	for i, res := range results {
-		msg := ""
-		switch {
-		case !res.usable() && res.err != nil:
-			msg = res.err.Error()
-		case !res.usable():
-			msg = "unreachable"
-		case res.page.Len() > 0 && res.page.Width != width:
-			msg = fmt.Sprintf("embeddings of %d vertices for a query of %d", res.page.Width, width)
-		}
-		if msg != "" {
+	for i := range results {
+		res := &results[i]
+		if msg := res.failure(width); msg != "" {
 			if shardErrs == nil {
 				shardErrs = make(map[string]string)
 			}
@@ -645,31 +671,30 @@ func (rt *Router) merge(wire service.QueryRequest, width int, results []shardRes
 			continue
 		}
 		out.ShardsOK++
-		if res.hedged {
-			out.Hedged++
-		}
 		r := res.resp
 		out.Count += r.Count
-		out.Partial = out.Partial || r.Partial
 		out.CacheHit = out.CacheHit && r.CacheHit
-		if r.BuildMS > out.BuildMS {
-			out.BuildMS = r.BuildMS
-		}
-		if r.EnumMS > out.EnumMS {
-			out.EnumMS = r.EnumMS
-		}
 		if out.QueryHash == "" {
 			out.QueryHash = r.QueryHash
 		}
+		rows := res // the shard's last leg holds its rows of the window
+		for leg := res; leg != nil; leg = leg.fill {
+			if leg.hedged {
+				out.Hedged++
+			}
+			out.Partial = out.Partial || leg.resp.Partial
+			out.BuildMS = max(out.BuildMS, leg.resp.BuildMS)
+			out.EnumMS = max(out.EnumMS, leg.resp.EnumMS)
+			rows = leg
+		}
 
-		n := int64(res.page.Len())
-		if skip >= n {
-			skip -= n
+		n := w.rows(r.Count)
+		lo, hi := w.part(start, n)
+		start += n
+		if lo >= hi {
 			continue
 		}
-		part := res.page.Slice(int(skip), int(min(n, skip+want)))
-		skip = 0
-		want -= int64(part.Len())
+		part := rows.slice(lo, hi)
 		if page.Len() == 0 {
 			page = part
 		} else {

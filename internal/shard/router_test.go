@@ -314,10 +314,12 @@ func TestRouterHugeLabelCostsItsLength(t *testing.T) {
 
 // TestRouterTraceStitching: one sampled query's /tracez document on the
 // router must contain the full fleet tree — route-query at the root,
-// one scatter child per shard, each adopting that shard's service-query
-// subtree with its parent id intact. The subtrees came with the leg
-// replies: the query is one request to each shard and no more, and
-// reading the tree afterwards contacts no shard at all.
+// one scatter child per leg, each adopting that shard's service-query
+// subtree with its parent id intact: one per shard in the first round,
+// and one per fill leg, marked round=fill, when the window reaches past
+// shard 0's rows. The subtrees came with the leg replies: the query is
+// one request per leg and no more, and reading the tree afterwards
+// contacts no shard at all.
 func TestRouterTraceStitching(t *testing.T) {
 	data, query := gen.RandomPair(7)
 	_, ecc := order.Anchor(query)
@@ -339,6 +341,8 @@ func TestRouterTraceStitching(t *testing.T) {
 	for name, wire := range map[string]service.QueryRequest{
 		"count only": {Query: wireText(t, query), CountOnly: true},
 		"a page":     {Query: wireText(t, query), Limit: 50},
+		// Past shard 0's rows: the fill legs' subtrees are stitched too.
+		"every row": {Query: wireText(t, query), Limit: 1 << 20},
 	} {
 		for i := range requests {
 			requests[i].Store(0)
@@ -354,21 +358,21 @@ func TestRouterTraceStitching(t *testing.T) {
 		if chrome, err := cl.Tracez(context.Background(), resp.TraceID); err != nil || !bytes.Contains(chrome, []byte(`"service-query"`)) {
 			t.Fatalf("%s: chrome export: %v", name, err)
 		}
-		for i := range requests {
-			if n := requests[i].Load(); n != 1 {
-				t.Errorf("%s: shard %d served %d requests for one routed query and two reads of its trace, want 1", name, i, n)
-			}
-		}
 
 		if len(roots) != 1 || roots[0].Name != "route-query" {
 			t.Fatalf("%s: want a single route-query root, got %d roots", name, len(roots))
 		}
+		var fills [shards]int64
 		scatters, stitched, phases := 0, 0, 0
 		for _, c := range roots[0].Children {
 			if c.Name != "scatter" || c.ParentSpanID != roots[0].SpanID {
 				continue
 			}
 			scatters++
+			if c.Attrs["round"] == "fill" {
+				i, _ := strconv.Atoi(c.Attrs["shard"])
+				fills[i]++
+			}
 			for _, g := range c.Children {
 				if g.Name == "service-query" && g.ParentSpanID == c.SpanID && g.TraceID == resp.TraceID {
 					stitched++
@@ -376,11 +380,23 @@ func TestRouterTraceStitching(t *testing.T) {
 				}
 			}
 		}
-		if scatters != shards {
-			t.Fatalf("%s: found %d scatter spans, want %d", name, scatters, shards)
+		// One leg per shard, and one more per fill leg the window sent it.
+		legs := shards
+		for i := range requests {
+			legs += int(fills[i])
+			if n := requests[i].Load(); n != 1+fills[i] {
+				t.Errorf("%s: shard %d served %d requests for one routed query, %d fill legs and two reads of its trace, want %d",
+					name, i, n, fills[i], 1+fills[i])
+			}
 		}
-		if stitched != shards || phases == 0 {
-			t.Fatalf("%s: %d of %d scatter spans adopted a shard service-query subtree, %d phases under them", name, stitched, shards, phases)
+		if name == "every row" && legs == shards {
+			t.Fatalf("%s: the window past shard 0 sent no fill leg", name)
+		}
+		if scatters != legs {
+			t.Fatalf("%s: found %d scatter spans, want %d", name, scatters, legs)
+		}
+		if stitched != legs || phases == 0 {
+			t.Fatalf("%s: %d of %d scatter spans adopted a shard service-query subtree, %d phases under them", name, stitched, legs, phases)
 		}
 	}
 }
@@ -678,7 +694,8 @@ func TestLegSpansBoundedAndIsolated(t *testing.T) {
 }
 
 // TestDeadlinePropagation: the per-shard sub-request's timeout must be
-// the caller's budget minus the router's merge margin, never more.
+// the caller's budget minus the router's merge margin, never more — and
+// a fill leg's, the budget left when it is sent.
 func TestDeadlinePropagation(t *testing.T) {
 	stub := &stubShard{resp: service.QueryResponse{Count: 0}}
 	rsrv := stubRouter(t, []*stubShard{stub}, RouterOptions{DeadlineMargin: 100 * time.Millisecond})
@@ -690,6 +707,32 @@ func TestDeadlinePropagation(t *testing.T) {
 	got := stub.lastTimeout.Load()
 	if got <= 0 || got > 900 {
 		t.Fatalf("shard saw timeout_ms %d, want in (0, 900]", got)
+	}
+
+	// A fill leg is sent once the first round is back, with the budget
+	// left then: shard 1's count leg took 200ms, so its fill leg carries
+	// at least that much less.
+	const stall = 200 * time.Millisecond
+	counted := &pageShard{rows: pageOf(200, 5, 2), maxLimit: 100}
+	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/query" {
+			time.Sleep(stall)
+		}
+		counted.ServeHTTP(w, r)
+	})
+	fleet := oneReplicaEach(&pageShard{rows: pageOf(100, 1, 2), maxLimit: 100}, slow)
+	rsrv = handlerFleet(t, fleet, RouterOptions{DeadlineMargin: 100 * time.Millisecond, MaxLimit: 100})
+	wire = pageWire(0, 4)
+	wire.TimeoutMS = 1000
+	if resp, status := postRoute(t, rsrv.URL, wire); status != http.StatusOK || len(resp.Embeddings) != 4 {
+		t.Fatalf("HTTP %d %q, %d rows", status, resp.Error, len(resp.Embeddings))
+	}
+	legs, _, _ := counted.take()
+	if len(legs) != 2 || !legs[0].CountOnly || legs[1].CountOnly {
+		t.Fatalf("shard 1 was asked %+v, want a count leg and a fill leg", legs)
+	}
+	if first, fill := legs[0].TimeoutMS, legs[1].TimeoutMS; first <= 0 || first > 900 || fill <= 0 || fill > first-stall.Milliseconds()+1 {
+		t.Fatalf("timeout_ms %d on the count leg and %d on the fill leg, want the fill's at least %v less", first, fill, stall)
 	}
 }
 
