@@ -154,6 +154,22 @@ func (ix *Index) CandidatesFor(u graph.VertexID, pos []uint32, sc *MatchScratch)
 	return result
 }
 
+// Sides returns the two sides CandidatesFor intersects for u under pos:
+// inner, the map keyed by u's deepest key vertex, and outer, the
+// intersection of u's other inputs, kept on sc's cursor exactly as a
+// lookup keeps it (rebuilt only when an outer key's assignment moves) —
+// so CandidatesFor(u, pos, sc) is outer ∩ inner.At(pos[deepest key]). u
+// must have non-tree edges. outer is valid until the next call with sc
+// and must not be modified; building it charges sc.Steps as a lookup's
+// does, and nothing else here is charged.
+func (ix *Index) Sides(u graph.VertexID, pos []uint32, sc *MatchScratch) (inner *CandMap, outer []uint32) {
+	plan := &ix.ntePlan[u]
+	if !sc.outerHit(plan.outerKeys, pos) {
+		ix.buildOuter(u, pos, sc)
+	}
+	return ix.Nodes[u].slot(plan.inner), sc.outer
+}
+
 // outerHit reports whether the scratch's outer side was built for the
 // assignments pos gives the plan's outer keys.
 func (sc *MatchScratch) outerHit(keys []graph.VertexID, pos []uint32) bool {
@@ -169,15 +185,17 @@ func (sc *MatchScratch) outerHit(keys []graph.VertexID, pos []uint32) bool {
 }
 
 // buildOuter intersects u's outer inputs, smallest first, into sc.outer
-// (nil when one of them is empty) and records the assignments it was
-// built for. A single outer list is used as is and charges nothing.
+// (nil when one of them is empty), records the assignments it was built
+// for and drops the kept result, which was met with the old outer side
+// (Sides rebuilds it without a lookup). A single outer list is used as
+// is and charges nothing.
 func (ix *Index) buildOuter(u graph.VertexID, pos []uint32, sc *MatchScratch) {
 	plan := &ix.ntePlan[u]
 	sc.outerKeys = sc.outerKeys[:0]
 	for _, w := range plan.outerKeys {
 		sc.outerKeys = append(sc.outerKeys, pos[w])
 	}
-	sc.outerOK = true
+	sc.outerOK, sc.resultOK = true, false
 	sc.bits = bitsUntried
 	sc.outer = nil
 

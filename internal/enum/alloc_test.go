@@ -23,6 +23,21 @@ func denseClique(n int) *graph.Graph {
 	return b.MustBuild()
 }
 
+// labeledSquare returns the square QG2 with its four vertices labelled
+// 0–3: no automorphism, so nothing constrains it and a count-only run
+// counts its last vertex from a histogram.
+func labeledSquare() *graph.Graph {
+	b := graph.NewBuilder(4)
+	for u := 0; u < 4; u++ {
+		b.SetLabel(graph.VertexID(u), graph.Label(u))
+	}
+	gen.QG2().Edges(func(u, v graph.VertexID) bool {
+		b.AddEdge(u, v)
+		return true
+	})
+	return b.MustBuild()
+}
+
 // hubTriangles returns two hub vertices connected to every leaf plus a
 // leaf-chain, so triangle enumeration intersects a huge hub adjacency
 // against tiny leaf adjacencies — a >16:1 skew that drives the gallop
@@ -62,8 +77,9 @@ func kernelCalls(t *testing.T, data, query *graph.Graph) map[string]int64 {
 // result), setops.IntersectK through the per-depth scratch, the
 // word-packed injectivity bitmap, the symmetry-breaking check, and the
 // last depth finished in place — for a consumer, and count-only, where
-// Fig. 1's last two depths are counted as a product — performs zero heap
-// allocations once a worker's buffers are warm. This is the contract the
+// Fig. 1's last two depths are counted as a product and the labelled
+// square's last vertex from a histogram — performs zero heap allocations
+// once a worker's buffers are warm. This is the contract the
 // arena-backed index exists to provide; any regression (a closure
 // capture, a map lookup that boxes, a scratch slice that stopped being
 // reused) fails here before it shows up in benchmarks.
@@ -76,21 +92,25 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 		data, query *graph.Graph
 		wantKernel  string // kernel that must fire for this fixture ("" = any)
 		wantBitmap  bool   // some depth must end the pass probing its outer bitmap
+		wantElim    bool   // count-only must finish from depth n-2 with eliminate
 	}{
-		{"fig1", gen.Fig1Data(), gen.Fig1Query(), "", false},
-		{"random-pair-7", nil, nil, "", false},
+		{"fig1", gen.Fig1Data(), gen.Fig1Query(), "", false, false},
+		{"random-pair-7", nil, nil, "", false, false},
+		// A square whose count-only pass refills the histogram once per
+		// cluster and counts each prefix from it.
+		{"square-eliminate", gen.WithRandomLabels(gen.ErdosRenyi(80, 480, 3), 4, 3), labeledSquare(), "", false, true},
 		// Dense clique: gap-1 candidate lists, the probe kernel's densest
 		// input, proving its span-bitmap reuse is allocation-free.
-		{"dense-probe", denseClique(48), gen.QG3(), "probe", true},
+		{"dense-probe", denseClique(48), gen.QG3(), "probe", true, false},
 		// Hub skew on a 4-clique query: enumeration intersects a huge hub
 		// adjacency against tiny leaf adjacencies, a >16:1 ratio that
 		// forces the gallop kernel.
-		{"skew-gallop", hubTriangles(600), gen.QG3(), "gallop", false},
+		{"skew-gallop", hubTriangles(600), gen.QG3(), "gallop", false, false},
 		// Triangle query over the same hub graph: the moderately sparse
 		// comparably sized leaf-chain lists drive the probe kernel, and
 		// the hubs' sibling loops run to hundreds of iterations over one
 		// outer list — the loop the outer bitmap is filled for.
-		{"hub-probe", hubTriangles(600), gen.QG1(), "probe", true},
+		{"hub-probe", hubTriangles(600), gen.QG1(), "probe", true, false},
 	}
 	cases[1].data, cases[1].query = gen.RandomPair(7)
 
@@ -108,6 +128,9 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 			}
 			ix := ceci.Build(tc.data, tree, ceci.Options{})
 			m := NewMatcher(ix, Options{Workers: 1, Strategy: workload.FGD})
+			if n := tree.NumVertices(); tc.wantElim && m.elim != n-2 {
+				t.Fatalf("eliminated depth %d, want %d", m.elim, n-2)
+			}
 			units := m.units(nil)
 			if len(units) == 0 {
 				t.Skip("no work units for this pair")

@@ -8,6 +8,7 @@ package enum
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"ceci/internal/ceci"
 	"ceci/internal/graph"
 	"ceci/internal/obs"
+	"ceci/internal/order"
 	"ceci/internal/prof"
 	"ceci/internal/stats"
 	"ceci/internal/telemetry"
@@ -78,7 +80,13 @@ type Matcher struct {
 	// and no symmetry-breaking constraint, and no non-tree edge is left
 	// to an adjacency probe.
 	pair bool
-	opts Options
+	// elim is the matching-order position of the vertex z that a
+	// count-only run does not loop over (searcher.eliminate), 0 when no
+	// vertex qualifies (eliminable has the rule), and elimKeys are z's
+	// key vertices, whose assignments the histogram is kept under.
+	elim     int
+	elimKeys []graph.VertexID
+	opts     Options
 }
 
 // NewMatcher prepares enumeration over ix. Symmetry-breaking constraints
@@ -107,8 +115,62 @@ func NewMatcher(ix *ceci.Index, opts Options) *Matcher {
 		a, b := tree.Order[n-2], tree.Order[n-1]
 		m.pair = !tree.Query.HasEdge(a, b) &&
 			!(m.constrained[a] && m.constrained[b] && m.cons.Related(a, b))
+		m.elim, m.elimKeys = m.eliminable()
 	}
 	return m
+}
+
+// eliminable applies the rule under which a count-only run counts the
+// last vertex w from a histogram over w's candidates instead of looping
+// over z, w's deepest key vertex (DESIGN §7.3): z is at position n-2, or
+// at n-3 with the last two vertices a pair; w is z's only later
+// neighbour; no symmetry constraint orders z, w or the vertex between
+// them; and z's keys all lie strictly shallower than w's deepest outer
+// key, so the histogram, which only z's keys decide, outlives the
+// prefixes that move w's outer side. It returns z's position and keys,
+// or 0 and nil. A clique fails the last part: z is keyed as deep as w's
+// outer side.
+func (m *Matcher) eliminable() (int, []graph.VertexID) {
+	tree := m.ix.Tree
+	n := tree.NumVertices()
+	w := tree.Order[n-1]
+	if len(tree.NTEParents[w]) == 0 {
+		return 0, nil // one input: no outer side
+	}
+	wKeys := keysOf(tree, w)
+	z, outer := wKeys[len(wKeys)-1], wKeys[len(wKeys)-2]
+	at := tree.Pos[z]
+	if at != n-2 && !(at == n-3 && m.pair) {
+		return 0, nil
+	}
+	for _, u := range tree.Order[at:] {
+		if m.constrained[u] {
+			return 0, nil
+		}
+	}
+	for _, x := range tree.Query.Neighbors(z) {
+		if tree.Pos[x] > at && x != w {
+			return 0, nil
+		}
+	}
+	zKeys := keysOf(tree, z)
+	if tree.Pos[zKeys[len(zKeys)-1]] >= tree.Pos[outer] {
+		return 0, nil
+	}
+	return at, zKeys
+}
+
+// keysOf returns u's key vertices — its tree parent and NTE parents, the
+// neighbours before it in the matching order — in matching order.
+func keysOf(tree *order.QueryTree, u graph.VertexID) []graph.VertexID {
+	var keys []graph.VertexID
+	for _, x := range tree.Query.Neighbors(u) {
+		if tree.Pos[x] < tree.Pos[u] {
+			keys = append(keys, x)
+		}
+	}
+	slices.SortFunc(keys, func(a, b graph.VertexID) int { return tree.Pos[a] - tree.Pos[b] })
+	return keys
 }
 
 // consFor returns the constraints an assignment to u must pass: nil when
@@ -330,10 +392,11 @@ func (m *Matcher) begin(workers int) {
 
 // units materializes the schedulable work according to the strategy.
 // FGD decomposition counts its lookups on s's scratch (see
-// workload.Decompose) and, when s counts the last two depths as a
-// product, splits no prefix down to them, so that product is formed once
-// per prefix however many workers share the run. s may be nil: nobody
-// counts, and no depth is a product.
+// workload.Decompose) and, when s counts the last depths without a loop
+// — from z's depth on with a histogram, or the last two as a product —
+// splits no prefix past the depth that count starts at, so it is formed
+// once per prefix however many workers share the run. s may be nil:
+// nobody counts, and every depth loops.
 func (m *Matcher) units(s *searcher) []workload.Unit {
 	if m.opts.Strategy != workload.FGD {
 		return workload.Clusters(m.ix)
@@ -342,7 +405,10 @@ func (m *Matcher) units(s *searcher) []workload.Unit {
 	var scratch []ceci.MatchScratch
 	if s != nil {
 		scratch = s.scratch
-		if s.pair {
+		switch {
+		case s.elim > 0:
+			maxPrefix = s.elim
+		case s.pair:
 			maxPrefix -= 2
 		}
 	}

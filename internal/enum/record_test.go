@@ -272,9 +272,10 @@ func TestDrainZeroAlloc(t *testing.T) {
 // the proof that reading a live run needs nothing from the workers, and
 // every value read must be one the finished run can still reach.
 func TestReadersDuringEnumeration(t *testing.T) {
-	// 2,185,608 embeddings, ~70 ms counted as a product of the last two
-	// depths: long enough for the readers and the reporter to see it live.
-	data, query := gen.ErdosRenyi(400, 6400, 17), gen.QG4()
+	// 5,600,090 embeddings, ~80 ms on two cores counted from a histogram
+	// of the last vertex (searcher.eliminate): long enough for the readers
+	// and the reporter to see it live.
+	data, query := gen.ErdosRenyi(600, 12000, 17), gen.QG4()
 	tree, err := order.Preprocess(data, query, order.Options{})
 	if err != nil {
 		t.Fatal(err)

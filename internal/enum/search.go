@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"slices"
 	"time"
 
 	"ceci/internal/bitset"
@@ -29,6 +30,16 @@ type searcher struct {
 	// as a product (Matcher.pair) — search finishes depth n-2 with
 	// product instead of entering depth n-1.
 	pair bool
+	// elim: count-only, and the matcher counts its last vertex from a
+	// histogram (Matcher.elim) — search finishes depth elim with
+	// eliminate. 0 when it does not.
+	elim int
+	hist histogram
+	zu   []uint32 // eliminate's Z∩U: positions in z's Cands, at most elim
+	// corrected counts, per correction term of eliminate (Z∩U, Z∩A,
+	// O∩A), the prefixes where it was not zero, so tests can tell that
+	// each one is exercised.
+	corrected [3]int64
 
 	// Everything the hot loop counts is a plain integer this worker owns:
 	// these two and the per-depth step and kernel blocks in scratch. They
@@ -51,7 +62,7 @@ type queryShape struct {
 func newSearcher(m *Matcher, ctl *control) *searcher {
 	n := m.ix.Tree.NumVertices()
 	state := make([]uint32, 2*n) // emb and pos: one allocation
-	return &searcher{
+	s := &searcher{
 		m:       m,
 		ctl:     ctl,
 		tree:    queryShape{order: m.ix.Tree.Order, n: n},
@@ -62,6 +73,73 @@ func newSearcher(m *Matcher, ctl *control) *searcher {
 		scratch: make([]ceci.MatchScratch, n),
 		pair:    m.pair && ctl.fn == nil,
 	}
+	if m.elim > 0 && ctl.fn == nil {
+		s.elim = m.elim
+		s.hist = newHistogram(len(m.ix.Nodes[s.tree.order[n-1]].Cands), len(m.elimKeys))
+		s.zu = make([]uint32, 0, m.elim)
+	}
+	return s
+}
+
+// histogram is h[x] = #{v ∈ Z : x ∈ I(v)} over the positions x of the
+// last vertex w's Cands, where Z is the candidate list of w's deepest key
+// vertex z and I(v) is w's inner list under z = v (searcher.eliminate).
+// It is sized once per searcher and refilled only when the assignments
+// of z's key vertices, which alone decide Z, move.
+type histogram struct {
+	h    []uint32
+	set  []uint32 // the positions whose entry is not zero
+	keys []uint32 // the key assignments h was filled under
+	ok   bool
+}
+
+// newHistogram sizes a histogram over positions positions of w, kept
+// under keys key vertices.
+func newHistogram(positions, keys int) histogram {
+	return histogram{h: make([]uint32, positions), set: make([]uint32, 0, positions), keys: make([]uint32, keys)}
+}
+
+// holds reports whether h was filled under the assignments pos gives the
+// key vertices keys.
+func (hs *histogram) holds(keys []graph.VertexID, pos []uint32) bool {
+	if !hs.ok {
+		return false
+	}
+	for i, k := range keys {
+		if hs.keys[i] != pos[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// fill rebuilds h from zs and inner under the key assignments in pos and
+// returns the entries it added.
+func (hs *histogram) fill(keys []graph.VertexID, pos []uint32, zs []uint32, inner *ceci.CandMap) (entries int64) {
+	for _, x := range hs.set {
+		hs.h[x] = 0
+	}
+	hs.set = hs.set[:0]
+	for _, v := range zs {
+		list := inner.At(v)
+		entries += int64(len(list))
+		for _, x := range list {
+			if hs.h[x] == 0 {
+				hs.set = append(hs.set, x)
+			}
+			hs.h[x]++
+		}
+	}
+	for i, k := range keys {
+		hs.keys[i] = pos[k]
+	}
+	hs.ok = true
+	return entries
+}
+
+// footprintBytes is the histogram's allocated size.
+func (hs *histogram) footprintBytes() int64 {
+	return 4 * int64(cap(hs.h)+cap(hs.set)+cap(hs.keys))
 }
 
 // runUnit enumerates the embeddings of one work unit: the prefix is
@@ -76,6 +154,7 @@ func (s *searcher) runUnit(u workload.Unit) bool {
 	for i := range s.scratch {
 		s.scratch[i].ResetUnitCache()
 	}
+	s.hist.ok = false
 	for i, p := range u.Pos {
 		q := s.tree.order[i]
 		v := s.m.ix.Nodes[q].Cands[p]
@@ -129,6 +208,8 @@ func (s *searcher) search(depth int) bool {
 	switch {
 	case depth == s.tree.n-1:
 		return s.leaf(u, cands, sc)
+	case s.elim > 0 && depth == s.elim:
+		return s.eliminate(u, cands)
 	case depth == s.tree.n-2 && s.pair:
 		return s.product(u, cands)
 	}
@@ -243,6 +324,126 @@ func (s *searcher) product(a graph.VertexID, as []uint32) bool {
 	return s.deliverCount(na*nb - both)
 }
 
+// eliminate finishes a count-only run from z's depth (Matcher.elim)
+// without looping over z. With U the prefix's data vertices, O the
+// outer side of the last vertex w (ceci.Index.Sides), I(v) w's inner list
+// under z = v and h the histogram over Z = zs, the prefix completes
+//
+//	S = Σ_{x∈O, x∉U} h[x] − Σ_{v∈Z∩U} |{x∈O∩I(v) : x∉U}|
+//
+// embeddings when z is at n-2 (shape 1): every v of Z outside U with
+// every x it shares with O outside U, and x ≠ v since they are adjacent.
+// At n-3 (shape 2) the vertex y between them is w's pair, keyed by the
+// prefix alone, and with A its candidates outside U each (v, x) takes
+// every a of A but v and x:
+//
+//	|A|·S − Σ_{v∈Z∩A} |{x∈O∩I(v) : x∉U}| − Σ_{x∈O∩A} (h[x] − |{v∈Z∩U : x∈I(v)}|)
+//
+// Z∩U is Z walked against the injectivity bitmap. Z, A and O are
+// positions in different columns, so Z∩A and O∩A merge the ids they
+// stand for. The work — one lookup a prefix, the entries a
+// refill adds and every list element walked, and the embeddings counted —
+// is charged to w's depth.
+func (s *searcher) eliminate(z graph.VertexID, zs []uint32) bool {
+	ix, n := s.m.ix, s.tree.n
+	var as []uint32
+	var idsY []graph.VertexID
+	var na int64
+	if s.elim == n-3 {
+		y := s.tree.order[n-2]
+		as = ix.CandidatesFor(y, s.pos, &s.scratch[n-2])
+		s.m.opts.Profile.ObserveEnumOutput(len(as))
+		idsY = ix.Nodes[y].Cands
+		for _, p := range as {
+			if !s.used.Get(idsY[p]) {
+				na++
+			}
+		}
+		if na == 0 {
+			return true
+		}
+	}
+	w := s.tree.order[n-1]
+	st := &s.scratch[n-1].Steps
+	st.Lookups++
+	inner, outer := ix.Sides(w, s.pos, &s.scratch[n-1])
+	if !s.hist.holds(s.m.elimKeys, s.pos) {
+		st.Comparisons += s.hist.fill(s.m.elimKeys, s.pos, zs, inner)
+	}
+	h, idsZ, idsW := s.hist.h, ix.Nodes[z].Cands, ix.Nodes[w].Cands
+	st.Comparisons += int64(len(outer) + len(zs))
+	var sum int64
+	for _, x := range outer {
+		if !s.used.Get(idsW[x]) {
+			sum += int64(h[x])
+		}
+	}
+	var zu, za, oa int64 // the correction terms
+	s.zu = s.zu[:0]
+	for _, v := range zs {
+		if s.used.Get(idsZ[v]) {
+			s.zu = append(s.zu, v)
+			zu += s.unused(outer, inner.At(v), idsW, st)
+		}
+	}
+	count := sum - zu
+	if as != nil {
+		st.Comparisons += int64(len(as)+len(zs)) + int64(len(as)+len(outer))
+		i, j := 0, 0
+		for _, p := range as {
+			a := idsY[p]
+			if s.used.Get(a) {
+				continue
+			}
+			for i < len(zs) && idsZ[zs[i]] < a {
+				i++
+			}
+			if i < len(zs) && idsZ[zs[i]] == a {
+				za += s.unused(outer, inner.At(zs[i]), idsW, st)
+			}
+			for j < len(outer) && idsW[outer[j]] < a {
+				j++
+			}
+			if j < len(outer) && idsW[outer[j]] == a {
+				x := outer[j]
+				oa += int64(h[x])
+				for _, v := range s.zu {
+					if _, ok := slices.BinarySearch(inner.At(v), x); ok {
+						oa--
+					}
+				}
+			}
+		}
+		count = na*count - za - oa
+	}
+	for t, c := range [3]int64{zu, za, oa} {
+		if c != 0 {
+			s.corrected[t]++
+		}
+	}
+	st.Output += count
+	return s.deliverCount(count)
+}
+
+// unused returns |{x ∈ a∩b : idsW[x] ∉ U}| for two position lists of w,
+// charging the elements walked to st.
+func (s *searcher) unused(a, b []uint32, idsW []graph.VertexID, st *ceci.StepCounts) (k int64) {
+	st.Comparisons += int64(len(a) + len(b))
+	i := 0
+	for _, x := range b {
+		for i < len(a) && a[i] < x {
+			i++
+		}
+		if i == len(a) {
+			break
+		}
+		if a[i] == x && !s.used.Get(idsW[x]) {
+			k++
+		}
+	}
+	return k
+}
+
 // deliverCount hands a count-only run's k embeddings found in one step
 // to the control with one reservation.
 func (s *searcher) deliverCount(k int64) bool {
@@ -284,7 +485,8 @@ func (s *searcher) drain(unit bool, card int64, busy time.Duration) {
 	}
 	led.AddWork(calls, embeddings)
 	if unit {
-		scratchBytes := int64(cap(s.emb))*4 + int64(cap(s.pos))*4 + int64(cap(s.matched)) + int64(len(s.used))*8
+		scratchBytes := int64(cap(s.emb))*4 + int64(cap(s.pos))*4 + int64(cap(s.matched)) + int64(len(s.used))*8 +
+			s.hist.footprintBytes() + int64(cap(s.zu))*4
 		for pos := range s.scratch {
 			scratchBytes += s.scratch[pos].FootprintBytes()
 		}

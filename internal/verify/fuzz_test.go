@@ -29,6 +29,11 @@ func FuzzMatchDifferential(f *testing.F) {
 	f.Add(int64(3), uint64(56), uint64(168), uint64(1), uint64(6)) // dense, unlabeled
 	f.Add(int64(4), uint64(40), uint64(5), uint64(6), uint64(5))   // sparse, selective
 	f.Add(int64(99), uint64(25), uint64(50), uint64(2), uint64(6))
+	// A square and a house whose count-only runs count the last vertex
+	// from a histogram (enum's searcher.eliminate): the square with z
+	// at n-2, the house with z at n-3 and the last two a pair.
+	f.Add(int64(621341722), uint64(17), uint64(10), uint64(4), uint64(4))
+	f.Add(int64(580898621), uint64(45), uint64(9), uint64(1), uint64(5))
 	f.Fuzz(func(t *testing.T, seed int64, nv, extra, labels, qv uint64) {
 		p := gen.PairParams{
 			DataVertices:  int(nv % 1024),

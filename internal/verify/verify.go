@@ -167,9 +167,10 @@ func CheckPair(data, query *graph.Graph, opts Options) *Report {
 }
 
 // countOnlyAgrees checks that CECI counting with no consumer — where the
-// last two depths may be counted as a product instead of enumerated —
-// returns what its consumer was handed, unlimited and under a limit no
-// pair reaches (the lazily grown index).
+// last vertex may be counted from a histogram, or the last two depths as
+// a product, instead of enumerated — returns what its consumer was
+// handed, unlimited and under a limit no pair reaches (the lazily grown
+// index).
 func countOnlyAgrees(data, query *graph.Graph, workers int, enumerated int64) error {
 	for _, limit := range []int64{0, math.MaxInt64} {
 		m, err := ceci.Match(data, query, &ceci.Options{Workers: workers, Limit: limit})
