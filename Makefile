@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchmark-check bench-record bench-allocs bench-kernels vet fmt ci verify fuzz serve-smoke trace-smoke plan-smoke shard-smoke telemetry-smoke experiments experiments-quick examples clean
+.PHONY: build test race bench benchmark-check bench-record bench-allocs bench-kernels vet fmt ci verify fuzz serve-smoke trace-smoke shard-smoke telemetry-smoke experiments experiments-quick examples clean
 
 build:
 	$(GO) build ./...
@@ -127,7 +127,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/enum ./internal/ceci ./internal/order ./internal/graph ./internal/cluster ./internal/obs ./internal/stats ./internal/prof ./internal/plan ./internal/setops ./internal/bitset ./internal/verify ./internal/service ./internal/telemetry ./internal/shard ./cmd/ceciserve ./cmd/ceciroute
+	$(GO) test -race ./internal/enum ./internal/ceci ./internal/order ./internal/graph ./internal/cluster ./internal/obs ./internal/stats ./internal/prof ./internal/setops ./internal/bitset ./internal/verify ./internal/service ./internal/telemetry ./internal/shard ./cmd/ceciserve ./cmd/ceciroute
 	$(GO) test -run='^$$' -fuzz=FuzzReadIndex -fuzztime=10s ./internal/ceci
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectKernels -fuzztime=10s ./internal/setops
 	$(GO) test -run='^$$' -fuzz=FuzzLoadLabeled -fuzztime=10s ./internal/graph
@@ -145,18 +145,6 @@ serve-smoke:
 # raced by CI's service-smoke and shard-smoke jobs).
 trace-smoke:
 	$(GO) test -race -run 'TestServeTraceAuditFlush|TestTraced|TestRouterTraceStitching' -v ./cmd/ceciserve ./internal/service ./internal/shard
-
-# Planner smoke: the cost model and planner property tests raced, the
-# EXPLAIN ANALYZE planner section raced, the planner-on/off differential
-# sweep, and the cecibench order matrix asserting the planner never does
-# more enumeration work than the best static heuristic (also run by CI's
-# planner-smoke job). The planner is the library's: ceciserve does not
-# plan (DESIGN §15).
-plan-smoke:
-	$(GO) test -race ./internal/plan
-	$(GO) test -race -run 'TestPlanner|TestExplainAnalyzePlanner' .
-	$(GO) test -run TestDifferentialPlannerOrders -short ./internal/verify
-	$(GO) run ./cmd/cecibench -exp orders -quick
 
 # Sharded-serving smoke: the partition/router/fault-injection suites
 # raced (differential oracle vs single-node, explicit-partial fault

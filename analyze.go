@@ -48,9 +48,8 @@ func ExplainAnalyze(data, query *Graph, opts *Options) (*Report, error) {
 		// Phases come from the span tree; guarantee one exists.
 		o.Tracer = obs.NewTracer(obs.TracerOptions{})
 	}
-	// The report reads the run's ledger (normalized sees to one): the
-	// resources block, and under Planner the observed per-depth
-	// selectivities it puts next to the estimate.
+	// The report's resources block is the run's ledger (normalized sees
+	// to one).
 	o.profile = prof.New()
 
 	buildStart := time.Now()
@@ -76,7 +75,8 @@ func ExplainAnalyze(data, query *Graph, opts *Options) (*Report, error) {
 	decorateProfile(&p, tree)
 	p.SetPhases(o.Tracer.PhaseDurations())
 	p.Resources = o.Ledger.Snapshot()
-	plannerProfile(&p, tree, m, &o)
+	p.MatchingOrder = intOrder(tree.Order)
+	p.Order = o.Order.String()
 
 	return &Report{
 		Plan:       m.Explain(),
@@ -103,55 +103,6 @@ func decorateProfile(p *Profile, tree *order.QueryTree) {
 			v.Labels = append(v.Labels, int(l))
 		}
 	}
-}
-
-// plannerProfile records how the matching order was chosen: the order
-// itself and its source always, plus — when the cost-based planner ran —
-// every candidate's estimate and the estimated-versus-observed per-depth
-// funnel (recosted with the run's measured selectivities).
-func plannerProfile(p *Profile, tree *order.QueryTree, m *Matcher, o *Options) {
-	p.MatchingOrder = intOrder(tree.Order)
-	dec := m.decision
-	if dec == nil {
-		p.Order = o.Order.String()
-		return
-	}
-	p.Order = "auto:" + dec.Chosen
-	pp := &prof.PlannerProfile{
-		Chosen:   dec.Chosen,
-		Order:    intOrder(dec.Order),
-		Estimate: dec.Estimate,
-	}
-	for _, c := range dec.Candidates {
-		pp.Candidates = append(pp.Candidates, prof.PlannerCandidate{
-			Name:     c.Name,
-			Order:    intOrder(c.Order),
-			Estimate: c.Cost,
-			Chosen:   c.Name == dec.Chosen,
-		})
-	}
-	for _, d := range dec.PerDepth {
-		pp.Depths = append(pp.Depths, prof.PlannerDepth{
-			Vertex:   d.Vertex,
-			EstCalls: d.Calls,
-			EstOut:   d.Out,
-		})
-	}
-	positions := o.Ledger.Positions()
-	lookups, emitted := make([]int64, len(positions)), make([]int64, len(positions))
-	for i, w := range positions {
-		lookups[i], emitted[i] = w.Lookups, w.Output
-		if i < len(pp.Depths) {
-			pp.Depths[i].ObsCalls = w.Lookups
-			if w.Lookups > 0 {
-				pp.Depths[i].ObsOut = float64(w.Output) / float64(w.Lookups)
-			}
-		}
-	}
-	if calib := dec.Calibration(lookups, emitted); calib != nil {
-		pp.Observed = m.planner.EstimateOrder(dec.Chosen, dec.Order, calib).Cost
-	}
-	p.Planner = pp
 }
 
 func intOrder(ord []VertexID) []int {

@@ -120,81 +120,8 @@ func TestExplainAnalyzeDeterministic(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzePlanner: with the cost-based planner on, the report
-// carries the planner section — chosen order, every candidate's
-// estimate, and the estimated-versus-observed per-depth funnel — and the
-// answer matches the planner-off run.
-func TestExplainAnalyzePlanner(t *testing.T) {
-	data, query := gen.RandomPair(42)
-	base, err := ceci.Count(data, query, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	led := ceci.NewLedger()
-	rep, err := ceci.ExplainAnalyze(data, query, &ceci.Options{Planner: true, Ledger: led})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Embeddings != base {
-		t.Fatalf("planner changed the answer: %d vs %d", rep.Embeddings, base)
-	}
-	pp := rep.Profile.Planner
-	if pp == nil {
-		t.Fatal("no planner profile")
-	}
-	if pp.Chosen == "" || pp.Estimate <= 0 {
-		t.Fatalf("planner profile incomplete: %+v", pp)
-	}
-	if len(pp.Candidates) < 2 {
-		t.Fatalf("want >=2 candidate orders, got %d", len(pp.Candidates))
-	}
-	chosen := 0
-	for _, c := range pp.Candidates {
-		if c.Chosen {
-			chosen++
-			if c.Estimate != pp.Estimate {
-				t.Fatalf("chosen candidate estimate %g != %g", c.Estimate, pp.Estimate)
-			}
-		}
-		if c.Estimate < pp.Estimate {
-			t.Fatalf("candidate %s (%g) cheaper than chosen (%g)", c.Name, c.Estimate, pp.Estimate)
-		}
-	}
-	if chosen != 1 {
-		t.Fatalf("chosen marked on %d candidates, want 1", chosen)
-	}
-	if len(pp.Depths) != query.NumVertices() {
-		t.Fatalf("depth rows = %d, want %d", len(pp.Depths), query.NumVertices())
-	}
-	var obs int64
-	for pos, d := range pp.Depths {
-		obs += d.ObsCalls
-		// The observed side is the run's ledger, position by position.
-		if w := led.Positions()[pos]; d.ObsCalls != w.Lookups || w.Lookups > 0 && d.ObsOut != float64(w.Output)/float64(w.Lookups) {
-			t.Fatalf("depth %d: planner profile observed %d calls, %g out; ledger %+v", pos, d.ObsCalls, d.ObsOut, w.StepCounts)
-		}
-	}
-	if base > 0 && obs == 0 {
-		t.Fatal("no observed per-depth lookups recorded")
-	}
-	if base > 0 && pp.Observed <= 0 {
-		t.Fatal("no observed (recosted) estimate")
-	}
-	if want := "auto:" + pp.Chosen; rep.Profile.Order != want {
-		t.Fatalf("profile order = %q, want %q", rep.Profile.Order, want)
-	}
-	if len(rep.Profile.MatchingOrder) != query.NumVertices() {
-		t.Fatalf("matching order = %v", rep.Profile.MatchingOrder)
-	}
-	for _, want := range []string{"== planner ==", "matching order (auto:", "order source: planner"} {
-		if !strings.Contains(rep.Text(), want) {
-			t.Fatalf("report missing %q", want)
-		}
-	}
-}
-
-// TestExplainAnalyzeOrderRecorded: even without the planner, the report
-// names the heuristic and its order.
+// TestExplainAnalyzeOrderRecorded: the report names the heuristic and
+// its order.
 func TestExplainAnalyzeOrderRecorded(t *testing.T) {
 	rep, err := ceci.ExplainAnalyze(gen.Fig1Data(), gen.Fig1Query(),
 		&ceci.Options{Order: ceci.OrderLeastFrequent})
@@ -203,9 +130,6 @@ func TestExplainAnalyzeOrderRecorded(t *testing.T) {
 	}
 	if rep.Profile.Order != "least-frequent" {
 		t.Fatalf("order = %q", rep.Profile.Order)
-	}
-	if rep.Profile.Planner != nil {
-		t.Fatal("planner profile present without Planner option")
 	}
 	if !strings.Contains(rep.Text(), "matching order (least-frequent):") {
 		t.Fatal("text report missing order line")

@@ -49,7 +49,6 @@ import (
 	"ceci/internal/graph"
 	"ceci/internal/obs"
 	"ceci/internal/order"
-	"ceci/internal/plan"
 	"ceci/internal/prof"
 	"ceci/internal/stats"
 	"ceci/internal/telemetry"
@@ -181,16 +180,7 @@ type Options struct {
 	// (default 0.2, the paper's §6.3 setting).
 	Beta float64
 	// Order selects the matching-order heuristic (default OrderBFS).
-	// Ignored when Planner is set.
 	Order OrderHeuristic
-	// Planner enables cost-based matching-order selection: every static
-	// heuristic's order plus a greedy min-cost order are scored by the
-	// cardinality model of internal/plan — built from label frequencies,
-	// NLC selectivities, and filtered candidate counts — and the
-	// cheapest is used. ExplainAnalyze then reports the estimate of
-	// every order considered alongside the observed per-depth
-	// selectivities.
-	Planner bool
 	// Root, when non-nil, forces the root query vertex; nil selects it
 	// by the paper's argmin |cand(u)|/deg(u) cost rule.
 	Root *VertexID
@@ -254,10 +244,6 @@ type Matcher struct {
 	opts     Options
 	progress *obs.Reporter // inner's; bracketed once per call by run
 
-	// planner/decision are set when Options.Planner chose the order.
-	planner  *plan.Planner
-	decision *plan.Decision
-
 	// mu guards the fields below and is held across the build that
 	// completes the index, so concurrent calls build it once.
 	mu    sync.Mutex
@@ -268,11 +254,6 @@ type Matcher struct {
 	tree      *order.QueryTree
 	prefixEnd VertexID
 }
-
-// Plan returns the cost-based planner's decision for this matcher —
-// the chosen order, its estimate, and every candidate considered — or
-// nil when Options.Planner was off.
-func (m *Matcher) Plan() *plan.Decision { return m.decision }
 
 // Match preprocesses the query, builds the CECI index, and returns a
 // Matcher ready to enumerate. opts may be nil for defaults. Under
@@ -292,7 +273,7 @@ func Match(data, query *Graph, opts *Options) (*Matcher, error) {
 // Matcher's ForEachCtx/CountCtx honor a context during enumeration.
 func MatchCtx(ctx context.Context, data, query *Graph, opts *Options) (*Matcher, error) {
 	o := opts.normalized()
-	tree, planner, decision, err := o.preprocess(ctx, data, query)
+	tree, err := o.preprocess(ctx, data, query)
 	if err != nil {
 		return nil, err
 	}
@@ -314,17 +295,16 @@ func MatchCtx(ctx context.Context, data, query *Graph, opts *Options) (*Matcher,
 	if err != nil {
 		return nil, err
 	}
-	m := o.matcher(data, ix, planner, decision)
+	m := o.matcher(data, ix)
 	m.tree, m.prefixEnd = prefixTree, prefixEnd
 	return m, nil
 }
 
 // matcher returns a Matcher holding ix, complete unless the caller says
 // otherwise.
-func (o *Options) matcher(data *Graph, ix *icec.Index, planner *plan.Planner, decision *plan.Decision) *Matcher {
+func (o *Options) matcher(data *Graph, ix *icec.Index) *Matcher {
 	eo := o.enumOptions()
-	return &Matcher{data: data, opts: *o, progress: eo.Progress,
-		planner: planner, decision: decision, inner: enum.NewMatcher(ix, eo)}
+	return &Matcher{data: data, opts: *o, progress: eo.Progress, inner: enum.NewMatcher(ix, eo)}
 }
 
 // buildOptions is the one translation of Options into the index
@@ -543,12 +523,10 @@ func Count(data, query *Graph, opts *Options) (int64, error) {
 
 // preprocess is the one way a query becomes a query tree, whatever will
 // be done with the tree — built, or matched against a loaded index: the
-// forced root, the "preprocess" span, and the order from the cost-based
-// planner (whose planner and decision are returned for EXPLAIN) or from
-// the static heuristic (nil, nil).
-func (o *Options) preprocess(ctx context.Context, data, query *Graph) (*order.QueryTree, *plan.Planner, *plan.Decision, error) {
+// forced root, the "preprocess" span, and the order of Options.Order.
+func (o *Options) preprocess(ctx context.Context, data, query *Graph) (*order.QueryTree, error) {
 	if data == nil || query == nil {
-		return nil, nil, nil, fmt.Errorf("ceci: nil %s graph", map[bool]string{true: "data", false: "query"}[data == nil])
+		return nil, fmt.Errorf("ceci: nil %s graph", map[bool]string{true: "data", false: "query"}[data == nil])
 	}
 	forcedRoot := -1
 	if o.Root != nil {
@@ -556,22 +534,10 @@ func (o *Options) preprocess(ctx context.Context, data, query *Graph) (*order.Qu
 	}
 	psp := obs.StartUnder(ctx, o.Tracer, "preprocess")
 	defer psp.End()
-	if !o.Planner {
-		tree, err := order.Preprocess(data, query, order.Options{
-			ForcedRoot: forcedRoot,
-			Heuristic:  o.Order,
-		})
-		return tree, nil, nil, err
-	}
-	planner, err := plan.New(data, query, plan.Options{ForcedRoot: forcedRoot})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	decision, err := planner.Decide()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return decision.Tree, planner, decision, nil
+	return order.Preprocess(data, query, order.Options{
+		ForcedRoot: forcedRoot,
+		Heuristic:  o.Order,
+	})
 }
 
 // Automorphisms returns the number of automorphic images each embedding

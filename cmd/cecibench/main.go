@@ -53,7 +53,6 @@ var experiments = []experiment{
 	{"fig18", "recursive-call reduction vs PsgL (Figure 18)", runFig18},
 	{"fig19", "speedup breakdown over bare-graph baseline (Figure 19)", runFig19},
 	{"fig20", "CECI construction cost breakdown: IO/comm/compute (Figure 20)", runFig20},
-	{"orders", "matching-order matrix: every heuristic vs the cost-based planner on the Fig 7/8 suite", runOrders},
 }
 
 func main() {

@@ -9,7 +9,7 @@ func TestExperimentRegistry(t *testing.T) {
 	want := []string{
 		"table1", "table2", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-		"fig19", "fig20", "orders",
+		"fig19", "fig20",
 	}
 	if len(experiments) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(experiments), len(want))

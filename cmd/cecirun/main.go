@@ -40,6 +40,7 @@ import (
 	"ceci/internal/datasets"
 	"ceci/internal/gen"
 	"ceci/internal/obs"
+	"ceci/internal/order"
 	"ceci/internal/verify"
 )
 
@@ -95,7 +96,11 @@ func main() {
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "abort after this long, reporting partial counts and exiting non-zero (0 = no deadline)")
 	flag.StringVar(&cfg.strategy, "strategy", "fgd", "workload strategy: st | cgd | fgd")
 	flag.Float64Var(&cfg.beta, "beta", 0.2, "extreme-cluster threshold factor")
-	flag.StringVar(&cfg.orderName, "order", "bfs", "matching order: bfs | least-frequent | path-ranked | edge-ranked | auto (cost-based planner)")
+	var orders []string
+	for _, h := range order.Heuristics() {
+		orders = append(orders, h.String())
+	}
+	flag.StringVar(&cfg.orderName, "order", "bfs", "matching order: "+strings.Join(orders, " | "))
 	flag.BoolVar(&cfg.edgeVerif, "edge-verification", false, "ablation: verify non-tree edges by adjacency probes")
 	flag.BoolVar(&cfg.printEmbs, "print", false, "print each embedding")
 	flag.BoolVar(&cfg.verbose, "v", false, "print index statistics and counters")
@@ -176,19 +181,16 @@ func run(ctx context.Context, cfg runConfig) error {
 	default:
 		return fmt.Errorf("unknown strategy %q", cfg.strategy)
 	}
-	switch strings.ToLower(cfg.orderName) {
-	case "bfs", "":
-		opts.Order = ceci.OrderBFS
-	case "least-frequent":
-		opts.Order = ceci.OrderLeastFrequent
-	case "path-ranked":
-		opts.Order = ceci.OrderPathRanked
-	case "edge-ranked":
-		opts.Order = ceci.OrderEdgeRanked
-	case "auto":
-		opts.Planner = true
-	default:
-		return fmt.Errorf("unknown order %q", cfg.orderName)
+	if cfg.orderName != "" {
+		known := false
+		for _, h := range order.Heuristics() {
+			if h.String() == strings.ToLower(cfg.orderName) {
+				opts.Order, known = h, true
+			}
+		}
+		if !known {
+			return fmt.Errorf("unknown order %q", cfg.orderName)
+		}
 	}
 
 	// Observability wiring: tracer (with optional JSONL log), head-based

@@ -216,6 +216,7 @@ func TestRunValidation(t *testing.T) {
 		{"bad qg", runConfig{dataPath: dataPath, qg: "QG9", strategy: "fgd", orderName: "bfs"}},
 		{"bad strategy", runConfig{dataPath: dataPath, queryPath: queryPath, strategy: "warp", orderName: "bfs"}},
 		{"bad order", runConfig{dataPath: dataPath, queryPath: queryPath, strategy: "fgd", orderName: "chaos"}},
+		{"auto", runConfig{dataPath: dataPath, queryPath: queryPath, strategy: "fgd", orderName: "auto"}},
 		{"bad dataset", runConfig{dataset: "nope", queryPath: queryPath, strategy: "fgd", orderName: "bfs"}},
 	}
 	for _, c := range cases {

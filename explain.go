@@ -23,12 +23,7 @@ func (m *Matcher) Explain() string {
 		q.NumVertices(), q.NumEdges(), tree.TreeEdgeCount(), tree.NTECount())
 	fmt.Fprintf(&b, "root: u%d (cost-based argmin |cand|/deg)\n", tree.Root)
 
-	if dec := m.decision; dec != nil {
-		fmt.Fprintf(&b, "order source: planner — chose %q (estimate %.4g) out of %d candidate orders\n",
-			dec.Chosen, dec.Estimate, len(dec.Candidates))
-	} else {
-		fmt.Fprintf(&b, "order source: %s heuristic\n", m.opts.Order)
-	}
+	fmt.Fprintf(&b, "order source: %s heuristic\n", m.opts.Order)
 	fmt.Fprintf(&b, "matching order:")
 	for _, u := range tree.Order {
 		fmt.Fprintf(&b, " u%d", u)

@@ -40,12 +40,12 @@ func (m *Matcher) SaveIndexFile(path string) error {
 
 // MatchWithIndex prepares a Matcher from a previously saved index
 // instead of building one. The data graph, query, and the order-related
-// options (Order, Planner, Root) must match the ones used when the index
+// options (Order, Root) must match the ones used when the index
 // was built; enumeration options (Workers, Limit, Strategy, ...) may
 // differ freely.
 func MatchWithIndex(data, query *Graph, r io.Reader, opts *Options) (*Matcher, error) {
 	o := opts.normalized()
-	tree, planner, decision, err := o.preprocess(context.Background(), data, query)
+	tree, err := o.preprocess(context.Background(), data, query)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func MatchWithIndex(data, query *Graph, r io.Reader, opts *Options) (*Matcher, e
 	if err != nil {
 		return nil, err
 	}
-	return o.matcher(data, ix, planner, decision), nil
+	return o.matcher(data, ix), nil
 }
 
 // MatchWithIndexFile is MatchWithIndex reading from path.

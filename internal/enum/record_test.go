@@ -21,7 +21,7 @@ import (
 
 // recordedRun is one enumeration with both stores attached — the ledger
 // and the cumulative Stats — and every reader of the ledger: Profile,
-// Progress, and the per-position view the planner calibrates from.
+// Progress, and the per-position view (Ledger.Positions).
 type recordedRun struct {
 	build, enum stats.Counters
 	collector   *prof.Collector
@@ -100,8 +100,8 @@ func (r *recordedRun) check(t *testing.T, order []graph.VertexID, complete bool)
 	}
 
 	// Profile reads the ledger: per-vertex steps and kernel mix are the
-	// positions bucketed by matching order (what EXPLAIN's planner
-	// section calibrates from), the worker table is the ledger's.
+	// positions bucketed by matching order, the worker table is the
+	// ledger's.
 	if len(positions) != len(order) {
 		t.Fatalf("ledger has %d positions, the order %d", len(positions), len(order))
 	}
@@ -150,7 +150,7 @@ func (r *recordedRun) check(t *testing.T, order []graph.VertexID, complete bool)
 // stored once, in the run's ledger, and counted a second time only in the
 // cumulative Stats — so on a 4-worker run the two stores must agree with
 // each other and with what the consumer was handed, and Profile, Progress
-// and the per-position view the planner calibrates from must report
+// and the per-position view must report
 // exactly the ledger's numbers — on a full enumeration, on a limit-stopped
 // run, and on the two runs a limited ceci.Match that grows makes.
 func TestDepthStatsMatchProfile(t *testing.T) {

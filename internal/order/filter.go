@@ -31,8 +31,8 @@ const (
 //
 // A Filter is per-query state the size of the data graph's vertex set. It
 // travels on the QueryTree Preprocess returns so that builds over the same
-// data graph reuse it; anything that outlives the build — a finished Index,
-// a cached planner — holds the tree WithFilter(nil) instead.
+// data graph reuse it; anything that outlives the build, such as a
+// finished Index, holds the tree WithFilter(nil) instead.
 type Filter struct {
 	data   *graph.Graph
 	query  *graph.Graph

@@ -7,9 +7,8 @@
 // and enumerator rely on.
 //
 // All order construction is deterministic: heuristic ties break to the
-// smallest vertex ID (see buildOrder), so the same (data, query, options)
-// triple yields the same order on every platform — a property the
-// cost-based planner (internal/plan) relies on for stable estimates.
+// smallest vertex ID (see orderFor), so the same (data, query, options)
+// triple yields the same order on every platform.
 package order
 
 import (
@@ -39,8 +38,8 @@ const (
 	EdgeRanked
 )
 
-// Heuristics lists every static matching-order heuristic in the fixed
-// sequence the cost-based planner evaluates (and tie-breaks) them in.
+// Heuristics lists every static matching-order heuristic, BFSOrder (the
+// default) first.
 func Heuristics() []Heuristic {
 	return []Heuristic{BFSOrder, LeastFrequent, PathRanked, EdgeRanked}
 }
@@ -228,25 +227,14 @@ func (t *QueryTree) buildOrder(h Heuristic) error {
 	return nil
 }
 
-// DeriveOrder returns the tree-consistent matching order heuristic h
-// would produce over t's BFS tree without modifying t. The cost-based
-// planner uses it to enumerate every heuristic's candidate order from
-// one preprocessing pass (the BFS tree and candidate counts depend only
-// on the root, not on the heuristic).
-func (t *QueryTree) DeriveOrder(h Heuristic) ([]graph.VertexID, error) {
-	return t.orderFor(h)
-}
-
 // orderFor computes a matching order under h. BFS order falls out of a
 // plain queue; the others greedily select among "available" vertices
 // (tree parent already placed).
 //
 // Tie-breaking is explicitly deterministic: at every selection step the
 // strictly smallest score wins, and equal scores break to the smallest
-// vertex ID. No fallback to BFS child order remains — two vertices with
-// identical heuristic scores are ordered the same way on every platform,
-// which keeps planner cost estimates (and the BENCH counter baselines)
-// stable across machines.
+// vertex ID, so two vertices with identical heuristic scores are ordered
+// the same way on every platform.
 func (t *QueryTree) orderFor(h Heuristic) ([]graph.VertexID, error) {
 	n := t.NumVertices()
 	ord := make([]graph.VertexID, 0, n)
@@ -314,56 +302,6 @@ func (t *QueryTree) orderFor(h Heuristic) ([]graph.VertexID, error) {
 		return nil, errors.New("order: heuristic order did not place all vertices")
 	}
 	return ord, nil
-}
-
-// Reorder returns a copy of t whose matching order is ord, sharing the
-// immutable BFS-tree structure (Parent, Children, Depth, CandCount, the
-// verdict tables) and reclassifying non-tree edges against the new order. ord must be a
-// tree-consistent permutation of t's vertices starting at t.Root; the
-// planner uses Reorder to install its chosen order without re-running
-// candidate counting.
-func (t *QueryTree) Reorder(ord []graph.VertexID) (*QueryTree, error) {
-	n := t.NumVertices()
-	if len(ord) != n {
-		return nil, fmt.Errorf("order: reorder got %d vertices, query has %d", len(ord), n)
-	}
-	seen := make([]bool, n)
-	for i, u := range ord {
-		if int(u) >= n {
-			return nil, fmt.Errorf("order: reorder vertex u%d out of range", u)
-		}
-		if seen[u] {
-			return nil, fmt.Errorf("order: reorder repeats vertex u%d", u)
-		}
-		seen[u] = true
-		if i == 0 {
-			if u != t.Root {
-				return nil, fmt.Errorf("order: reorder must start at root u%d, got u%d", t.Root, u)
-			}
-			continue
-		}
-		if p := t.Parent[u]; p == NoParent || !seen[p] {
-			return nil, fmt.Errorf("order: reorder visits u%d before its tree parent", u)
-		}
-	}
-	nt := &QueryTree{
-		Query:       t.Query,
-		Root:        t.Root,
-		Order:       append([]graph.VertexID(nil), ord...),
-		Pos:         make([]int, n),
-		Parent:      t.Parent,
-		Children:    t.Children,
-		Depth:       t.Depth,
-		NTEParents:  make([][]graph.VertexID, n),
-		NTEChildren: make([][]graph.VertexID, n),
-		CandCount:   t.CandCount,
-		filter:      t.filter,
-	}
-	for i, u := range nt.Order {
-		nt.Pos[u] = i
-	}
-	nt.classifyNonTreeEdges()
-	return nt, nil
 }
 
 // classifyNonTreeEdges assigns each non-tree edge a direction: the

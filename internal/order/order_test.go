@@ -268,85 +268,6 @@ func TestAllTiedFallsToVertexID(t *testing.T) {
 	}
 }
 
-// TestDeriveOrderMatchesPreprocess: DeriveOrder over one tree must
-// reproduce exactly the order Preprocess builds under the same
-// heuristic — the property the planner's shared-tree evaluation needs.
-func TestDeriveOrderMatchesPreprocess(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		data := randomGraph(rng, 18, 40, 3)
-		query, err := gen.DFSQuery(data, 3+rng.Intn(4), rng)
-		if err != nil {
-			continue
-		}
-		base, err := order.Preprocess(data, query, order.Options{ForcedRoot: -1, Heuristic: order.BFSOrder})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for _, h := range order.Heuristics() {
-			want, err := order.Preprocess(data, query, order.Options{ForcedRoot: int(base.Root), Heuristic: h})
-			if err != nil {
-				t.Fatalf("trial %d %v: %v", trial, h, err)
-			}
-			got, err := base.DeriveOrder(h)
-			if err != nil {
-				t.Fatalf("trial %d %v: %v", trial, h, err)
-			}
-			for i := range got {
-				if got[i] != want.Order[i] {
-					t.Fatalf("trial %d %v: DeriveOrder %v != Preprocess %v", trial, h, got, want.Order)
-				}
-			}
-		}
-	}
-}
-
-func TestReorder(t *testing.T) {
-	data, query := gen.Fig1Data(), gen.Fig1Query()
-	tree, err := order.Preprocess(data, query, order.Options{ForcedRoot: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alt, err := tree.DeriveOrder(order.LeastFrequent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := tree.Reorder(alt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Root != tree.Root || rt.NTECount() != tree.NTECount() {
-		t.Fatalf("reorder changed root or NTE count: %v vs %v", rt, tree)
-	}
-	for i, u := range rt.Order {
-		if rt.Pos[u] != i {
-			t.Fatal("reorder: Pos not inverse of Order")
-		}
-	}
-	for u := range rt.NTEParents {
-		for _, p := range rt.NTEParents[u] {
-			if rt.Pos[p] >= rt.Pos[u] {
-				t.Fatalf("reorder: NTE parent u%d not before u%d", p, u)
-			}
-		}
-	}
-
-	// Invalid orders must be rejected, not silently accepted.
-	bad := append([]graph.VertexID(nil), tree.Order...)
-	bad[0], bad[len(bad)-1] = bad[len(bad)-1], bad[0] // wrong root + parent violation
-	if _, err := tree.Reorder(bad); err == nil {
-		t.Fatal("reorder accepted an order not starting at the root")
-	}
-	dup := append([]graph.VertexID(nil), tree.Order...)
-	dup[len(dup)-1] = dup[1]
-	if _, err := tree.Reorder(dup); err == nil {
-		t.Fatal("reorder accepted a repeated vertex")
-	}
-	if _, err := tree.Reorder(tree.Order[:2]); err == nil {
-		t.Fatal("reorder accepted a short order")
-	}
-}
-
 func randomGraph(rng *rand.Rand, n, m, labels int) *graph.Graph {
 	b := graph.NewBuilder(n)
 	for v := 0; v < n; v++ {
@@ -388,13 +309,6 @@ func TestFilterSharingAndLifetime(t *testing.T) {
 
 	if tree.Filter(data) != f {
 		t.Fatal("same data graph: the tree must reuse its tables")
-	}
-	re, err := tree.Reorder(tree.Order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Filter(data) != f {
-		t.Fatal("a reordered tree shares the tables")
 	}
 	other := gen.ChungLu(300, 6, 2.2, 4)
 	if g := tree.Filter(other); g == f || !reflect.DeepEqual(g.Candidates(tree.Root), order.NewFilter(other, query).Candidates(tree.Root)) {

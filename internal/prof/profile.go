@@ -19,19 +19,12 @@ type Profile struct {
 	Workers  []WorkerProfile `json:"workers,omitempty"`
 	Phases   []Phase         `json:"phases,omitempty"`
 
-	// Order names how the matching order was chosen — a heuristic name
-	// ("bfs", "least-frequent", ...) or "auto:<candidate>" under the
-	// cost-based planner; MatchingOrder is the order itself, by query
+	// Order names the heuristic that chose the matching order ("bfs",
+	// "least-frequent", ...); MatchingOrder is the order itself, by query
 	// vertex ID. Recorded so order changes are visible in regression
 	// gates comparing profiles.
 	Order         string `json:"order,omitempty"`
 	MatchingOrder []int  `json:"matching_order,omitempty"`
-
-	// Planner is the cost-based planner's decision record: the estimate
-	// of every order considered, and — when the run carried per-depth
-	// observed selectivities — the estimated-vs-observed comparison.
-	// Present only when planning was enabled.
-	Planner *PlannerProfile `json:"planner,omitempty"`
 
 	Histograms map[string]obs.HistogramSnapshot `json:"histograms,omitempty"`
 
@@ -39,42 +32,6 @@ type Profile struct {
 	// units, peak scratch footprint, kernel mix), attached by
 	// ExplainAnalyze when a ledger rode the run.
 	Resources *obs.QueryResources `json:"resources,omitempty"`
-}
-
-// PlannerProfile records one cost-based planning pass. Estimates are
-// deterministic functions of (data, query, options); the Obs* fields
-// derive from the run's per-depth funnel and are deterministic for a
-// complete (unlimited, uncancelled) enumeration.
-type PlannerProfile struct {
-	Chosen   string  `json:"chosen"`
-	Order    []int   `json:"order"`
-	Estimate float64 `json:"estimate"`
-	// Observed is the model re-evaluated with this run's observed
-	// per-depth selectivities folded in — how far off Estimate was (0
-	// when no funnel rode the run).
-	Observed   float64            `json:"observed,omitempty"`
-	Candidates []PlannerCandidate `json:"candidates,omitempty"`
-	Depths     []PlannerDepth     `json:"depths,omitempty"`
-}
-
-// PlannerCandidate is one order the planner scored.
-type PlannerCandidate struct {
-	Name     string  `json:"name"`
-	Order    []int   `json:"order"`
-	Estimate float64 `json:"estimate"`
-	Chosen   bool    `json:"chosen,omitempty"`
-}
-
-// PlannerDepth compares the model's per-depth expectations with what
-// the enumeration observed at that matching-order position.
-type PlannerDepth struct {
-	Vertex   int     `json:"vertex"`
-	EstCalls float64 `json:"est_calls"`
-	EstOut   float64 `json:"est_out"`
-	ObsCalls int64   `json:"obs_calls"`
-	// ObsOut is the observed mean output per lookup (0 when the depth
-	// was never reached).
-	ObsOut float64 `json:"obs_out"`
 }
 
 // VertexProfile is one query vertex's per-stage accounting. The

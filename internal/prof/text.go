@@ -14,35 +14,6 @@ import (
 func (p Profile) Text() string {
 	var b strings.Builder
 
-	if pp := p.Planner; pp != nil {
-		b.WriteString("== planner ==\n")
-		fmt.Fprintf(&b, "chosen: %s  estimate %.4g", pp.Chosen, pp.Estimate)
-		if pp.Observed > 0 {
-			ratio := "-"
-			if pp.Estimate > 0 {
-				ratio = fmt.Sprintf("%.2fx", pp.Observed/pp.Estimate)
-			}
-			fmt.Fprintf(&b, "  observed %.4g (%s)", pp.Observed, ratio)
-		}
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "  %-16s %12s  %s\n", "candidate", "estimate", "order")
-		for _, c := range pp.Candidates {
-			mark := " "
-			if c.Chosen {
-				mark = "*"
-			}
-			fmt.Fprintf(&b, "%s %-16s %12.4g  %s\n", mark, c.Name, c.Estimate, orderString(c.Order))
-		}
-		if len(pp.Depths) > 0 {
-			fmt.Fprintf(&b, "  %4s %4s %12s %10s %12s %10s\n",
-				"pos", "u", "est_calls", "est_out", "obs_calls", "obs_out")
-			for i, d := range pp.Depths {
-				fmt.Fprintf(&b, "  %4d %4s %12.4g %10.3g %12d %10.3g\n",
-					i, fmt.Sprintf("u%d", d.Vertex), d.EstCalls, d.EstOut, d.ObsCalls, d.ObsOut)
-			}
-		}
-		b.WriteByte('\n')
-	}
 	if p.Order != "" {
 		fmt.Fprintf(&b, "matching order (%s): %s\n\n", p.Order, orderString(p.MatchingOrder))
 	}

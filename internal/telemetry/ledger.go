@@ -23,8 +23,8 @@ import (
 // zero-allocation depth step — and everything that reports enumeration
 // work reads it back: Snapshot (the obs.QueryResources on flight records
 // and responses), the EXPLAIN ANALYZE profile's per-vertex, kernel and
-// worker tables (its planner section too, through Positions), and the
-// live Progress reports (Work). Nothing else keeps a copy, so those views
+// worker tables (the per-vertex one through Positions), and the live
+// Progress reports (Work). Nothing else keeps a copy, so those views
 // cannot disagree.
 //
 // The per-position and per-worker tables are sized by Begin when a run
@@ -66,9 +66,8 @@ type workerSlot struct {
 // position (Section 4.1): candidate lookups, the intersections they ran,
 // the summed lengths of the intersected lists (what a merge-based
 // intersection would compare), the summed result sizes — before the
-// injectivity and symmetry-breaking checks, the accounting the planner's
-// cost model predicts — and, in the edge-verification ablation, adjacency
-// probes.
+// injectivity and symmetry-breaking checks — and, in the
+// edge-verification ablation, adjacency probes.
 type StepCounts struct {
 	Lookups       int64
 	Intersections int64

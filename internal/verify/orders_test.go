@@ -8,19 +8,20 @@ import (
 	"ceci/internal/auto"
 	"ceci/internal/gen"
 	"ceci/internal/graph"
+	"ceci/internal/order"
 	"ceci/internal/verify"
 )
 
-// TestDifferentialPlannerOrders is the planner's answer-preservation
-// sweep: the cost-based planner may pick any tree-consistent matching
-// order, but the embedding *set* must be bit-identical to the default
-// static order on every pair. 2000 seeded pairs (reduced under -short),
-// planner-on vs planner-off, canonicalized exactly like the engine
+// TestDifferentialStaticOrders is the order-independence sweep: any
+// tree-consistent matching order must find an embedding *set*
+// bit-identical to the default BFS order's. Seed s runs the static
+// heuristic order.Heuristics()[1+s%3] against BFS over 2000 seeded pairs
+// (reduced under -short), canonicalized exactly like the engine
 // differential so symmetry-breaking representatives don't alias as
 // diffs. A failing seed replays with:
 //
 //	go run ./cmd/cecirun -verify -seed <seed>
-func TestDifferentialPlannerOrders(t *testing.T) {
+func TestDifferentialStaticOrders(t *testing.T) {
 	seeds := int64(2000)
 	if testing.Short() {
 		seeds = 250
@@ -30,39 +31,39 @@ func TestDifferentialPlannerOrders(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		data, query := gen.RandomPair(seed)
 		cons := auto.Compute(query)
+		h := order.Heuristics()[1+seed%3]
 
 		base, err := ceciEmbeddings(data, query, &ceci.Options{Workers: 2})
 		if err != nil {
-			t.Fatalf("seed %d: planner-off match: %v", seed, err)
+			t.Fatalf("seed %d: bfs match: %v", seed, err)
 		}
 		if len(base) > maxEmbeddings {
 			skipped++
 			continue
 		}
-		onOpts := &ceci.Options{Workers: 2, Planner: true}
-		got, err := ceciEmbeddings(data, query, onOpts)
+		got, err := ceciEmbeddings(data, query, &ceci.Options{Workers: 2, Order: h})
 		if err != nil {
-			t.Fatalf("seed %d: planner-on match: %v", seed, err)
+			t.Fatalf("seed %d: %v match: %v", seed, h, err)
 		}
 		checked++
 
 		want := verify.CanonicalSet(base, cons)
 		have := verify.CanonicalSet(got, cons)
 		if len(want) != len(have) {
-			t.Fatalf("seed %d: planner-on found %d canonical embeddings, planner-off %d\nreproduce: go run ./cmd/cecirun -verify -seed %d",
-				seed, len(have), len(want), seed)
+			t.Fatalf("seed %d: %v found %d canonical embeddings, bfs %d\nreproduce: go run ./cmd/cecirun -verify -seed %d",
+				seed, h, len(have), len(want), seed)
 		}
 		for i := range want {
 			if want[i] != have[i] {
-				t.Fatalf("seed %d: embedding sets diverge at %d: planner-off %q vs planner-on %q\nreproduce: go run ./cmd/cecirun -verify -seed %d",
-					seed, i, want[i], have[i], seed)
+				t.Fatalf("seed %d: embedding sets diverge at %d: bfs %q vs %v %q\nreproduce: go run ./cmd/cecirun -verify -seed %d",
+					seed, i, want[i], h, have[i], seed)
 			}
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no pairs checked; generator envelope too explosive")
 	}
-	t.Logf("%d pairs checked planner-on vs planner-off (%d skipped as too large)", checked, skipped)
+	t.Logf("%d pairs checked against bfs (%d skipped as too large)", checked, skipped)
 }
 
 // ceciEmbeddings collects CECI's embeddings under opts; safe under
