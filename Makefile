@@ -158,7 +158,7 @@ shard-smoke:
 	bash scripts/shard_smoke.sh
 
 # Telemetry smoke: the hub's deterministic unit tests raced, then the
-# /statz + /dashz + Server-Timing surfaces through the in-process server
+# /statz + Server-Timing surfaces through the in-process server
 # (also run, plus a curl-driven binary pass, by CI's telemetry-smoke job).
 telemetry-smoke:
 	$(GO) test -race ./internal/telemetry

@@ -66,8 +66,6 @@ type routeConfig struct {
 	manifestDir string
 	replicas    [][]string // one entry per -shard flag, in shard-id order
 	listen      string
-	policy      string
-	hedge       time.Duration
 	healthInt   time.Duration
 	healthTO    time.Duration
 	healthFails int
@@ -114,8 +112,6 @@ func main() {
 		return nil
 	})
 	flag.StringVar(&cfg.listen, "listen", ":8080", "route mode: address to serve the router API on")
-	flag.StringVar(&cfg.policy, "policy", "round-robin", "replica routing policy: broadcast, round-robin, or least-loaded")
-	flag.DurationVar(&cfg.hedge, "hedge", 0, "launch a second replica when the first has not answered within this delay (0 = off)")
 	flag.DurationVar(&cfg.healthInt, "health-interval", time.Second, "replica health-check period")
 	flag.DurationVar(&cfg.healthTO, "health-timeout", 2*time.Second, "per-probe timeout")
 	flag.IntVar(&cfg.healthFails, "health-fails", 2, "consecutive probe failures before a replica is excluded")
@@ -125,7 +121,7 @@ func main() {
 	flag.Int64Var(&cfg.maxLimit, "max-limit", 10000, "max merged embeddings returned per request")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain window")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 1, "head-based trace sampling rate in [0,1] (negative = none)")
-	flag.BoolVar(&cfg.telemetry, "telemetry", true, "enable the telemetry hub: /statz, /dashz")
+	flag.BoolVar(&cfg.telemetry, "telemetry", true, "enable the telemetry hub: /statz")
 	flag.BoolVar(&cfg.version, "version", false, "print build identity (module version, VCS revision, go version) and exit")
 	flag.Parse()
 
@@ -199,11 +195,6 @@ func runRouter(ctx context.Context, cfg routeConfig) error {
 	if len(cfg.replicas) != m.Shards {
 		return fmt.Errorf("manifest declares %d shards but %d -shard flags given", m.Shards, len(cfg.replicas))
 	}
-	policy, err := shard.ParsePolicy(cfg.policy)
-	if err != nil {
-		return err
-	}
-
 	var hub *telemetry.Hub
 	if cfg.telemetry {
 		hub = telemetry.NewHub(telemetry.Options{})
@@ -213,11 +204,9 @@ func runRouter(ctx context.Context, cfg routeConfig) error {
 	rt, err := shard.NewRouter(shard.RouterOptions{
 		Shards:         cfg.replicas,
 		Radius:         m.Radius,
-		Policy:         policy,
 		HealthInterval: cfg.healthInt,
 		HealthTimeout:  cfg.healthTO,
 		HealthFails:    cfg.healthFails,
-		Hedge:          cfg.hedge,
 		DefaultTimeout: cfg.timeout,
 		MaxTimeout:     cfg.maxTimeout,
 		DeadlineMargin: cfg.margin,
@@ -244,8 +233,8 @@ func runRouter(ctx context.Context, cfg routeConfig) error {
 			errc <- err
 		}
 	}()
-	fmt.Fprintf(cfg.errw, "ceciroute: routing %d shards (policy %s, radius %d) on http://%s/\n",
-		m.Shards, policy.Name(), m.Radius, ln.Addr())
+	fmt.Fprintf(cfg.errw, "ceciroute: routing %d shards (radius %d) on http://%s/\n",
+		m.Shards, m.Radius, ln.Addr())
 	if cfg.ready != nil {
 		cfg.ready(ln.Addr().String())
 	}

@@ -101,7 +101,6 @@ func TestRouteModeSmoke(t *testing.T) {
 		manifestDir: dir,
 		replicas:    replicas,
 		listen:      "127.0.0.1:0",
-		policy:      "round-robin",
 		healthInt:   25 * time.Millisecond,
 		healthTO:    time.Second,
 		healthFails: 2,
@@ -186,15 +185,5 @@ func TestRouteModeValidation(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "2 shards") {
 		t.Errorf("replica/shard mismatch should fail with the counts: %v", err)
-	}
-
-	err = run(context.Background(), routeConfig{
-		manifestDir: dir,
-		replicas:    [][]string{{"http://a"}, {"http://b"}},
-		policy:      "random",
-		errw:        io.Discard, outw: io.Discard,
-	})
-	if err == nil {
-		t.Error("unknown policy should fail")
 	}
 }

@@ -10,9 +10,8 @@
 //
 // Endpoints: POST /query, GET /healthz, GET /cachez, GET /queryz (flight
 // recorder), GET /tracez/{traceID} (per-query Chrome trace export),
-// GET /statz (telemetry hub: ledgers, rollups, SLO burn), GET /dashz
-// (HTML dashboard), plus the metric routes (/metrics, /metrics.json,
-// /trace, /debug/pprof/).
+// GET /statz (telemetry hub: ledgers, rollups, SLO burn), plus the
+// metric routes (/metrics, /metrics.json, /trace, /debug/pprof/).
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: the listener stops
 // accepting, in-flight queries drain (bounded by -drain), then the
@@ -68,7 +67,7 @@ type serveConfig struct {
 	auditPath   string  // -audit: write one JSON line per completed query here
 	version     bool    // -version: print build identity and exit
 
-	// Telemetry hub (/statz, /dashz): resource ledgers, time-series
+	// Telemetry hub (/statz): resource ledgers, time-series
 	// rollups, SLO burn rates.
 	telemetry       bool          // -telemetry: enable the hub (on by default)
 	telemetrySample time.Duration // -telemetry-sample: gauge sampling interval
@@ -108,7 +107,7 @@ func main() {
 	flag.StringVar(&cfg.traceJSONL, "trace-jsonl", "", "write the span event log (JSONL) to this file")
 	flag.StringVar(&cfg.auditPath, "audit", "", "append one JSON line per completed query (the flight-recorder record) to this file")
 	flag.BoolVar(&cfg.version, "version", false, "print build identity (module version, VCS revision, go version) and exit")
-	flag.BoolVar(&cfg.telemetry, "telemetry", true, "enable the telemetry hub: per-query resource ledgers, /statz, /dashz")
+	flag.BoolVar(&cfg.telemetry, "telemetry", true, "enable the telemetry hub: per-query resource ledgers, /statz")
 	flag.DurationVar(&cfg.telemetrySample, "telemetry-sample", 10*time.Second, "telemetry gauge sampling interval")
 	flag.DurationVar(&cfg.sloLatency, "slo-latency", 500*time.Millisecond, "latency SLO target per query")
 	flag.Float64Var(&cfg.sloObjective, "slo-objective", 0.99, "latency SLO objective (fraction of queries under target)")
@@ -218,7 +217,7 @@ func run(ctx context.Context, cfg serveConfig) error {
 	}()
 
 	// Telemetry hub: per-query resource ledgers, time-series rollups, and
-	// SLO burn state behind /statz and /dashz. The background sampler
+	// SLO burn state behind /statz. The background sampler
 	// stops with the process.
 	var hub *telemetry.Hub
 	if cfg.telemetry {

@@ -209,6 +209,48 @@ func (n *docNames) docNameErrors(text string) []string {
 	return bad
 }
 
+// docFlag matches a code span that is a flag: -name alone, or before a
+// space or '=' and its value.
+var docFlag = regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9-]*)(?:[ =]|$)`)
+
+// goToolFlags are the go command's own flags the docs name.
+var goToolFlags = map[string]bool{"race": true, "benchmem": true}
+
+// TestDocFlagsExist fails when DESIGN.md or README.md names, in a
+// backticked code span that starts with it, a flag that no binary under
+// cmd/, benchmark/ or examples/ defines: a deleted flag leaves the docs
+// with it.
+func TestDocFlagsExist(t *testing.T) {
+	defined := map[string]bool{}
+	for _, root := range []string{"cmd", "benchmark", "examples"} {
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err == nil && strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, "_test.go") {
+				for _, name := range fileFlags(t, p) {
+					defined[name] = true
+				}
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(defined) < 50 {
+		t.Fatalf("found %d flags: the check no longer sees how they are defined", len(defined))
+	}
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpan.FindAllString(fencedBlock.ReplaceAllString(string(b), ""), -1) {
+			if m := docFlag.FindStringSubmatch(strings.Trim(span, "`")); m != nil && !defined[m[1]] && !goToolFlags[m[1]] {
+				t.Errorf("%s: %s names no flag of a binary under cmd/, benchmark/ or examples/", doc, span)
+			}
+		}
+	}
+}
+
 // TestDocNamesResolve fails when DESIGN.md or README.md names, in
 // backticks, a package member, a type's field or a method that the tree
 // does not declare: the docs describe the code at HEAD, not code that

@@ -30,7 +30,6 @@ var historyDocs = map[string]bool{"CHANGES.md": true, "EXPERIMENTS.md": true, "I
 // reads syntax only (go/parser): a flag is the string-literal name
 // argument of a call into package flag.
 func TestEveryServingFlagIsExercised(t *testing.T) {
-	fset := token.NewFileSet()
 	flags := map[string][]string{} // command dir → flag names
 	for _, dir := range flagAuditedCommands {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -38,39 +37,9 @@ func TestEveryServingFlagIsExercised(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
+			if !strings.HasSuffix(path, "_test.go") {
+				flags[dir] = append(flags[dir], fileFlags(t, path)...)
 			}
-			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
-					return true
-				}
-				// flag.XxxVar(&v, name, …) names the flag second;
-				// flag.Xxx(name, …) and flag.Func(name, …) first.
-				arg := 0
-				if strings.HasSuffix(sel.Sel.Name, "Var") {
-					arg = 1
-				}
-				if arg < len(call.Args) {
-					if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-						name, _ := strconv.Unquote(lit.Value)
-						flags[dir] = append(flags[dir], name)
-					}
-				}
-				return true
-			})
 		}
 		if len(flags[dir]) < 10 {
 			t.Fatalf("%s: found %d flags (%v): the audit no longer sees how they are defined", dir, len(flags[dir]), flags[dir])
@@ -125,4 +94,43 @@ func TestEveryServingFlagIsExercised(t *testing.T) {
 	for _, f := range dead {
 		t.Errorf("%s appears in no _test.go, scripts/, workflow, Makefile or .md file: delete the flag, or exercise or document it", f)
 	}
+}
+
+// fileFlags returns the names of the flags a Go file defines, reading
+// syntax only (go/parser): a flag is the string-literal name argument of
+// a call into package flag.
+func fileFlags(t *testing.T, path string) []string {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
+			return true
+		}
+		// flag.XxxVar(&v, name, …) names the flag second;
+		// flag.Xxx(name, …) and flag.Func(name, …) first.
+		arg := 0
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			arg = 1
+		}
+		if arg < len(call.Args) {
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				names = append(names, name)
+			}
+		}
+		return true
+	})
+	return names
 }

@@ -13,7 +13,6 @@ import (
 	"ceci/internal/buildinfo"
 	"ceci/internal/graph"
 	"ceci/internal/obs"
-	"ceci/internal/telemetry"
 )
 
 // QueryRequest is the wire form of POST /query. The pattern graph comes
@@ -98,9 +97,8 @@ type QueryzResponse struct {
 //	                        compact per-span JSONL form)
 //	GET  /statz             telemetry hub: SLO burn state, per-class
 //	                        costs, time-series rollups (?format=text)
-//	GET  /dashz             self-contained HTML dashboard over /statz
 //
-// /statz and /dashz require Options.Telemetry. When the engine has a
+// /statz requires Options.Telemetry. When the engine has a
 // Registry, its telemetry routes (/metrics, /metrics.json, /trace,
 // /debug/pprof/) are mounted as the fallback.
 func (e *Engine) Handler() http.Handler {
@@ -278,13 +276,12 @@ func (f queryzFilters) apply(recs []obs.QueryRecord) []obs.QueryRecord {
 
 // MountDebug registers the one set of debug handlers the engine and the
 // shard router both serve, over the frame's flight recorder — GET /queryz
-// and /tracez/{traceID} — and, when it has a hub, GET /statz and /dashz.
+// and /tracez/{traceID} — and, when it has a hub, GET /statz.
 func (f *Frame) MountDebug(mux *http.ServeMux) {
 	mux.HandleFunc("GET /queryz", f.handleQueryz)
 	mux.HandleFunc("GET /tracez/{traceID}", f.handleTracez)
 	if f.Telemetry != nil {
 		mux.HandleFunc("GET /statz", f.handleStatz)
-		mux.HandleFunc("GET /dashz", f.handleDashz)
 	}
 }
 
@@ -327,12 +324,6 @@ func (f *Frame) handleStatz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(b)
-}
-
-// handleDashz serves the self-contained HTML dashboard.
-func (f *Frame) handleDashz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, telemetry.DashzHTML)
 }
 
 // handleTracez serves one query's span tree by trace ID: Chrome

@@ -82,7 +82,7 @@ type Options struct {
 	// across all requests.
 	Stats *stats.Counters
 	// Telemetry, when non-nil, receives per-query resource ledgers and
-	// SLO observations, and serves /statz and /dashz. Each query gets a
+	// SLO observations, and serves /statz. Each query gets a
 	// telemetry.Ledger charged by the enumeration at work-unit
 	// boundaries; the snapshot rides the flight record.
 	Telemetry *telemetry.Hub

@@ -109,8 +109,7 @@ func telemetryTestServer(t *testing.T) (*httptest.Server, *Client, *telemetry.Hu
 
 // TestTelemetryEndToEnd drives the monitoring loop the README documents:
 // queries flow into the hub, /statz serves SLO + class + series state in
-// JSON and text, /dashz serves the dashboard, and /query responses carry
-// a Server-Timing breakdown.
+// JSON and text, and /query responses carry a Server-Timing breakdown.
 func TestTelemetryEndToEnd(t *testing.T) {
 	srv, client, hub := telemetryTestServer(t)
 
@@ -181,17 +180,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	for _, want := range []string{"slo (", "query classes", resp.QueryHash} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("statz text missing %q:\n%s", want, body)
-		}
-	}
-
-	// /dashz: the self-contained dashboard.
-	body, ctype = httpGet(t, srv, "/dashz")
-	if !strings.HasPrefix(ctype, "text/html") {
-		t.Fatalf("dashz content type = %q", ctype)
-	}
-	for _, want := range []string{"<!doctype html>", "/statz", "svg"} {
-		if !strings.Contains(strings.ToLower(string(body)), want) {
-			t.Fatalf("dashz missing %q", want)
 		}
 	}
 

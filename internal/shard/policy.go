@@ -1,52 +1,10 @@
 package shard
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "sync"
 
-// RoutingPolicy orders one shard's replicas by preference for a single
-// scatter leg. The router always queries every shard (each owns
-// distinct pivots); the policy only chooses among a shard's replicas.
-//
-// parallel=true queries every returned replica simultaneously and the
-// first usable response wins (the broadcast correctness baseline);
-// parallel=false queries ordered[0] and hedges down the list when the
-// straggler timer fires.
-type RoutingPolicy interface {
-	Name() string
-	Pick(shard int, replicas []*Replica) (ordered []*Replica, parallel bool)
-}
-
-// ParsePolicy maps a policy name (the -policy flag) to an
-// implementation: "broadcast", "round-robin", or "least-loaded".
-func ParsePolicy(name string) (RoutingPolicy, error) {
-	switch name {
-	case "broadcast":
-		return Broadcast{}, nil
-	case "round-robin", "":
-		return NewRoundRobin(), nil
-	case "least-loaded":
-		return LeastLoaded{}, nil
-	}
-	return nil, fmt.Errorf("shard: unknown routing policy %q (want broadcast, round-robin, or least-loaded)", name)
-}
-
-// Broadcast fans each scatter leg out to every replica of the shard and
-// takes the first usable response — maximum cost, minimum tail latency,
-// and the correctness baseline the differential tests pin the other
-// policies against.
-type Broadcast struct{}
-
-func (Broadcast) Name() string { return "broadcast" }
-
-func (Broadcast) Pick(_ int, replicas []*Replica) ([]*Replica, bool) {
-	return replicas, true
-}
-
-// RoundRobin rotates the primary replica per shard across requests;
-// later replicas in rotation order serve as hedge targets.
+// RoundRobin orders one shard's replicas for a scatter leg: the primary
+// rotates per shard across requests, and the replicas after it in
+// rotation order are the leg's failover targets.
 type RoundRobin struct {
 	mu   sync.Mutex
 	next map[int]int
@@ -55,11 +13,10 @@ type RoundRobin struct {
 // NewRoundRobin returns a RoundRobin with per-shard rotation state.
 func NewRoundRobin() *RoundRobin { return &RoundRobin{next: make(map[int]int)} }
 
-func (*RoundRobin) Name() string { return "round-robin" }
-
-func (p *RoundRobin) Pick(shard int, replicas []*Replica) ([]*Replica, bool) {
+// Pick returns replicas rotated so that this request's primary is first.
+func (p *RoundRobin) Pick(shard int, replicas []*Replica) []*Replica {
 	if len(replicas) <= 1 {
-		return replicas, false
+		return replicas
 	}
 	p.mu.Lock()
 	start := p.next[shard] % len(replicas)
@@ -69,24 +26,5 @@ func (p *RoundRobin) Pick(shard int, replicas []*Replica) ([]*Replica, bool) {
 	for i := 0; i < len(replicas); i++ {
 		ordered = append(ordered, replicas[(start+i)%len(replicas)])
 	}
-	return ordered, false
-}
-
-// LeastLoaded prefers the replica with the fewest in-flight router
-// requests (ties broken by listing order, so it degrades to the
-// configured order under no load).
-type LeastLoaded struct{}
-
-func (LeastLoaded) Name() string { return "least-loaded" }
-
-func (LeastLoaded) Pick(_ int, replicas []*Replica) ([]*Replica, bool) {
-	if len(replicas) <= 1 {
-		return replicas, false
-	}
-	ordered := make([]*Replica, len(replicas))
-	copy(ordered, replicas)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return ordered[i].Inflight() < ordered[j].Inflight()
-	})
-	return ordered, false
+	return ordered
 }

@@ -20,7 +20,7 @@ import (
 
 // Replica is one shard server the router can send a leg to. Health
 // state is maintained by the background checker; inflight counts the
-// router's own outstanding requests (the least-loaded policy's signal).
+// router's own outstanding requests (shown in /shardz).
 type Replica struct {
 	Shard int
 	URL   string
@@ -53,8 +53,10 @@ type RouterOptions struct {
 	// whose anchor eccentricity exceeds it are rejected at the router
 	// with 400 instead of scattering a doomed request.
 	Radius int
-	// Policy picks replicas within a shard (default round-robin).
-	Policy RoutingPolicy
+	// Policy rotates each shard's primary replica across requests (nil:
+	// a fresh NewRoundRobin, the only rule there is). It stays a field
+	// because benchmark/sut.go sets it.
+	Policy *RoundRobin
 	// HealthInterval is the probe period (default 1s).
 	HealthInterval time.Duration
 	// HealthTimeout bounds one probe (default 2s).
@@ -62,10 +64,6 @@ type RouterOptions struct {
 	// HealthFails is how many consecutive probe failures exclude a
 	// replica (default 2). One success re-admits it.
 	HealthFails int
-	// Hedge launches a second replica when the first has not answered
-	// within this delay (0 disables; ignored by broadcast, which
-	// already queries everyone).
-	Hedge time.Duration
 	// DefaultTimeout applies when a request carries none (default 30s);
 	// MaxTimeout clamps request-supplied timeouts (default 5m).
 	DefaultTimeout time.Duration
@@ -86,7 +84,7 @@ type RouterOptions struct {
 	// histogram, and serves the metric routes under the handler.
 	Registry *obs.Registry
 	// Telemetry, when non-nil, observes routed queries (SLO burn) and
-	// serves /statz and /dashz.
+	// serves /statz.
 	Telemetry *telemetry.Hub
 }
 
@@ -120,9 +118,9 @@ type RouteResponse struct {
 	ShardsOK     int               `json:"shards_ok"`
 	ShardsFailed []int             `json:"shards_failed,omitempty"`
 	ShardErrors  map[string]string `json:"shard_errors,omitempty"`
-	// Hedged counts scatter legs answered by a hedge or failover
-	// replica rather than the primary.
-	Hedged int `json:"hedged,omitempty"`
+	// Failovers counts scatter legs answered by a replica other than
+	// the first one asked.
+	Failovers int `json:"failovers,omitempty"`
 }
 
 // RouterHealth is the router's GET /healthz document.
@@ -131,7 +129,6 @@ type RouterHealth struct {
 	Ready  bool           `json:"ready"`
 	Shards int            `json:"shards"`
 	Radius int            `json:"radius"`
-	Policy string         `json:"policy"`
 	Build  buildinfo.Info `json:"build"`
 }
 
@@ -147,7 +144,6 @@ type ShardzReplica struct {
 
 // ShardzResponse is the GET /shardz document.
 type ShardzResponse struct {
-	Policy string            `json:"policy"`
 	Radius int               `json:"radius"`
 	Shards [][]ShardzReplica `json:"shards"`
 }
@@ -164,10 +160,10 @@ type Router struct {
 	stop     chan struct{}
 	done     sync.WaitGroup
 
-	requests atomic.Int64
-	failures atomic.Int64 // responses with zero usable shards
-	partials atomic.Int64 // responses missing at least one shard
-	hedges   atomic.Int64 // hedge/failover legs launched
+	requests  atomic.Int64
+	failures  atomic.Int64 // responses with zero usable shards
+	partials  atomic.Int64 // responses missing at least one shard
+	failovers atomic.Int64 // legs answered by a replica other than the first asked
 }
 
 // NewRouter builds a Router over the given fleet. Call Start to begin
@@ -224,7 +220,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 				"requests":         rt.requests.Load(),
 				"failures":         rt.failures.Load(),
 				"partials":         rt.partials.Load(),
-				"hedges":           rt.hedges.Load(),
+				"failovers":        rt.failovers.Load(),
 				"healthy_replicas": healthy,
 				"trace_reads":      int64(rt.frame.Flight().Finds()),
 			}
@@ -329,7 +325,7 @@ func (rt *Router) probe(rep *Replica) {
 //	GET  /tracez/{traceID}  stitched span tree spanning router + shards
 //	                        (no shard is contacted: their spans came
 //	                        with their leg replies)
-//	GET  /statz, /dashz     telemetry hub (requires Options.Telemetry)
+//	GET  /statz             telemetry hub (requires Options.Telemetry)
 //
 // The debug routes are the engine's own handlers (service.Frame.MountDebug).
 func (rt *Router) Handler() http.Handler {
@@ -362,7 +358,7 @@ type shardResult struct {
 	spans      []byte // the shard's span subtree as its reply carried it, unparsed
 	replica    *Replica
 	err        error
-	hedged     bool
+	failedOver bool // answered by a replica other than the first asked
 	// fill is the shard's next leg, a fill, when the window needed rows
 	// of it that this leg's page does not hold.
 	fill *shardResult
@@ -510,10 +506,12 @@ func (rt *Router) scatter(call *service.Call, wire service.QueryRequest, width i
 	})
 }
 
-// queryShard runs one scatter leg: pick replicas by policy, launch
-// (all at once for broadcast; primary + hedge/failover otherwise), and
-// return the first usable response. A 400 is terminal — it is the
-// query's fault, not the replica's. attrs annotate the leg's span.
+// queryShard runs one scatter leg: it asks the shard's replicas one at
+// a time, the rotated primary first, and returns the first usable
+// response. A failed reply moves the leg to the next replica at once; a
+// 400 ends it — the query's fault, not the replica's — and so does a
+// done ctx. Otherwise it returns the last replica's failure. attrs
+// annotate the leg's span.
 func (rt *Router) queryShard(ctx context.Context, shard int, req service.QueryRequest, parent *obs.Span, attrs ...obs.Attr) shardResult {
 	sp := parent.Child("scatter", obs.Int("shard", int64(shard)))
 	defer sp.End()
@@ -524,102 +522,33 @@ func (rt *Router) queryShard(ctx context.Context, shard int, req service.QueryRe
 		}
 	}
 
-	reps := rt.pickReplicas(shard)
-	if len(reps) == 0 {
-		return shardResult{shard: shard, err: fmt.Errorf("shard %d: no replicas configured", shard)}
+	upto := req.Offset
+	if !req.CountOnly {
+		upto += req.Limit
 	}
-	ordered, parallel := rt.opts.Policy.Pick(shard, reps)
-
-	ask := func(ctx context.Context, rep *Replica, hedged bool) shardResult {
+	res := shardResult{shard: shard}
+	for i, rep := range rt.opts.Policy.Pick(shard, rt.pickReplicas(shard)) {
 		rep.inflight.Add(1)
-		defer rep.inflight.Add(-1)
 		resp, page, spans, err := rep.client.QueryPage(ctx, req)
+		rep.inflight.Add(-1)
 		if n := len(spans); n > maxLegSpanBytes {
 			sp.Annotate(obs.Int("spans_dropped", int64(n)))
 			spans = nil
 		}
-		upto := req.Offset
-		if !req.CountOnly {
-			upto += req.Limit
-		}
-		return shardResult{shard: shard, resp: resp, page: page, from: req.Offset, upto: upto,
-			spans: spans, replica: rep, err: err, hedged: hedged}
-	}
-
-	// One candidate: nobody to race, hedge to or fail over to, so the leg
-	// needs no goroutine, channel or cancel of its own.
-	if len(ordered) == 1 {
-		res := ask(ctx, ordered[0], false)
+		res = shardResult{shard: shard, resp: resp, page: page, from: req.Offset, upto: upto,
+			spans: spans, replica: rep, err: err, failedOver: i > 0}
 		if res.usable() {
-			sp.Annotate(obs.String("replica", res.replica.URL))
+			if res.failedOver {
+				rt.failovers.Add(1)
+			}
+			sp.Annotate(obs.String("replica", rep.URL))
+			return res
 		}
-		return res
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel() // first usable response wins; losers are cancelled
-
-	resc := make(chan shardResult, len(ordered))
-	launch := func(rep *Replica, hedged bool) {
-		if hedged {
-			rt.hedges.Add(1)
-		}
-		go func() { resc <- ask(cctx, rep, hedged) }()
-	}
-
-	next := 0
-	if parallel {
-		for ; next < len(ordered); next++ {
-			launch(ordered[next], next > 0)
-		}
-	} else {
-		launch(ordered[next], false)
-		next++
-	}
-
-	var hedgeC <-chan time.Time
-	if !parallel && rt.opts.Hedge > 0 && next < len(ordered) {
-		t := time.NewTimer(rt.opts.Hedge)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	outstanding := next
-	var last shardResult
-	for outstanding > 0 {
-		select {
-		case res := <-resc:
-			outstanding--
-			if res.usable() {
-				sp.Annotate(obs.String("replica", res.replica.URL))
-				return res
-			}
-			if errors.Is(res.err, service.ErrBadQuery) {
-				return res // every replica would refuse it the same way
-			}
-			last = res
-			// Failover: the leg failed outright, try the next replica
-			// immediately rather than waiting for the hedge timer.
-			if next < len(ordered) {
-				launch(ordered[next], true)
-				next++
-				outstanding++
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if next < len(ordered) {
-				launch(ordered[next], true)
-				next++
-				outstanding++
-			}
-		case <-ctx.Done():
-			if last.replica == nil {
-				return shardResult{shard: shard, err: context.Cause(ctx)}
-			}
-			return last
+		if errors.Is(err, service.ErrBadQuery) || ctx.Err() != nil {
+			break
 		}
 	}
-	return last
+	return res
 }
 
 // pickReplicas returns the shard's healthy replicas, falling back to
@@ -679,8 +608,8 @@ func (rt *Router) merge(wire service.QueryRequest, width int, results []shardRes
 		}
 		rows := res // the shard's last leg holds its rows of the window
 		for leg := res; leg != nil; leg = leg.fill {
-			if leg.hedged {
-				out.Hedged++
+			if leg.failedOver {
+				out.Failovers++
 			}
 			out.Partial = out.Partial || leg.resp.Partial
 			out.BuildMS = max(out.BuildMS, leg.resp.BuildMS)
@@ -728,13 +657,12 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Ready:  ready,
 		Shards: len(rt.shards),
 		Radius: rt.opts.Radius,
-		Policy: rt.opts.Policy.Name(),
 		Build:  buildinfo.Get(),
 	})
 }
 
 func (rt *Router) handleShardz(w http.ResponseWriter, _ *http.Request) {
-	out := ShardzResponse{Policy: rt.opts.Policy.Name(), Radius: rt.opts.Radius}
+	out := ShardzResponse{Radius: rt.opts.Radius}
 	for _, reps := range rt.shards {
 		var row []ShardzReplica
 		for _, rep := range reps {

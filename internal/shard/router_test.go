@@ -421,11 +421,13 @@ func routerSpans(t *testing.T, url, traceID string) []*obs.SpanNode {
 }
 
 // stubShard is a fake shard server for routing-behavior tests: answers
-// readiness, records hits and the propagated deadline, and can stall.
+// readiness, records hits and the propagated deadline, can stall, and
+// replies to queries with status (0: 200).
 type stubShard struct {
 	hits        atomic.Int64
 	lastTimeout atomic.Int64
 	delay       time.Duration
+	status      int
 	resp        service.QueryResponse
 	// spans, when set, makes the reply's "spans" member from the trace
 	// position the router sent.
@@ -460,12 +462,17 @@ func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
+		status := s.status
+		if status == 0 {
+			status = http.StatusOK
+		}
 		if s.spans == nil {
-			service.WriteJSON(w, http.StatusOK, s.resp)
+			service.WriteJSON(w, status, s.resp)
 			return
 		}
 		tc, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
 		body, _ := json.Marshal(s.resp)
+		w.WriteHeader(status)
 		fmt.Fprintf(w, `%s,"spans":%s}`+"\n", body[:len(body)-1], s.spans(tc))
 	default:
 		http.NotFound(w, r)
@@ -503,8 +510,8 @@ func handlerFleet(t *testing.T, fleet [][]http.Handler, ropts RouterOptions) *ht
 	}
 	rt.Start()
 	t.Cleanup(rt.Stop)
-	// Policies order the probed-healthy subset, which grows one replica
-	// at a time during the first probe round: wait that round out.
+	// The rotation orders the probed-healthy subset, which grows one
+	// replica at a time during the first probe round: wait that round out.
 	deadline := time.Now().Add(5 * time.Second)
 	for _, reps := range rt.shards {
 		for _, rep := range reps {
@@ -598,59 +605,58 @@ func TestQueryzFiltersHTTP(t *testing.T) {
 	}
 }
 
-// TestBroadcastQueriesEveryReplica: the broadcast policy launches every
-// replica at once and merges the first usable answer.
-func TestBroadcastQueriesEveryReplica(t *testing.T) {
-	stubs := []*stubShard{
-		{resp: service.QueryResponse{Count: 7}, delay: 30 * time.Millisecond},
-		{resp: service.QueryResponse{Count: 7}, delay: 30 * time.Millisecond},
-		{resp: service.QueryResponse{Count: 7}, delay: 30 * time.Millisecond},
-	}
-	rsrv := stubRouter(t, stubs, RouterOptions{Policy: Broadcast{}})
+// TestLegFailsOverInOrder: a leg asks its shard's replicas one at a
+// time, the rotated primary first. A replica that fails outright hands
+// the leg to the next at once, and only the answering replica's spans
+// reach the trace; a 400 ends the leg unanswered by any other replica; a
+// shard whose every replica fails is named in shards_failed.
+func TestLegFailsOverInOrder(t *testing.T) {
+	// The first query's primary is replica 0.
+	failed := &stubShard{status: http.StatusInternalServerError,
+		resp: service.QueryResponse{Error: "down"}, spans: oneSpan("failed", 0)}
+	answers := &stubShard{resp: service.QueryResponse{Count: 3}, spans: oneSpan("answered", 0)}
+	rsrv := stubRouter(t, []*stubShard{failed, answers}, RouterOptions{Tracer: obs.NewTracer(obs.TracerOptions{})})
 	resp, status := postRoute(t, rsrv.URL, edgeWire())
-	if status != http.StatusOK || resp.Count != 7 {
-		t.Fatalf("status %d count %d", status, resp.Count)
+	if status != http.StatusOK || resp.Count != 3 || resp.Partial || resp.Failovers != 1 {
+		t.Fatalf("status %d count %d partial %v failovers %d: want 200, 3, whole, 1 failover",
+			status, resp.Count, resp.Partial, resp.Failovers)
 	}
-	for i, s := range stubs {
-		if s.hits.Load() != 1 {
-			t.Errorf("replica %d saw %d requests, want 1 (broadcast)", i, s.hits.Load())
+	for i, s := range []*stubShard{failed, answers} {
+		if n := s.hits.Load(); n != 1 {
+			t.Errorf("replica %d saw %d requests, want 1", i, n)
 		}
 	}
-}
-
-// TestHedgedRequestBeatsStraggler: when the primary stalls past the
-// hedge delay, the second replica answers and the response is flagged
-// hedged — well before the straggler would have finished.
-func TestHedgedRequestBeatsStraggler(t *testing.T) {
-	slow := &stubShard{resp: service.QueryResponse{Count: 3}, delay: 2 * time.Second, spans: oneSpan("straggler", 0)}
-	fast := &stubShard{resp: service.QueryResponse{Count: 3}, spans: oneSpan("hedge", 0)}
-	rsrv := stubRouter(t, []*stubShard{slow, fast}, RouterOptions{
-		Policy: NewRoundRobin(), // first query's primary is replica 0 (slow)
-		Hedge:  20 * time.Millisecond,
-		Tracer: obs.NewTracer(obs.TracerOptions{}),
-	})
-	start := time.Now()
-	resp, status := postRoute(t, rsrv.URL, edgeWire())
-	elapsed := time.Since(start)
-	if status != http.StatusOK || resp.Count != 3 {
-		t.Fatalf("status %d count %d", status, resp.Count)
-	}
-	if resp.Hedged != 1 {
-		t.Errorf("hedged = %d, want 1", resp.Hedged)
-	}
-	if elapsed >= time.Second {
-		t.Errorf("hedged response took %v; should beat the 2s straggler", elapsed)
-	}
-	if fast.hits.Load() != 1 {
-		t.Errorf("hedge replica saw %d requests, want 1", fast.hits.Load())
-	}
-	// Only the replica that answered has its spans in the trace.
 	roots := routerSpans(t, rsrv.URL, resp.TraceID)
 	if len(roots) != 1 || len(roots[0].Children) != 1 || roots[0].Children[0].Name != "scatter" {
 		t.Fatalf("want route-query over one scatter, got %d roots", len(roots))
 	}
-	if legs := roots[0].Children[0].Children; len(legs) != 1 || legs[0].Name != "hedge" {
-		t.Errorf("the scatter span adopted %d subtrees (first %+v), want the hedge replica's alone", len(legs), legs)
+	if legs := roots[0].Children[0].Children; len(legs) != 1 || legs[0].Name != "answered" {
+		t.Errorf("the scatter span adopted %d subtrees (first %+v), want the answering replica's alone", len(legs), legs)
+	}
+
+	// A 400 is the query's fault: no other replica is asked.
+	refuses := &stubShard{status: http.StatusBadRequest, resp: service.QueryResponse{Error: "refused"}}
+	spare := &stubShard{resp: service.QueryResponse{Count: 3}}
+	rsrv = stubRouter(t, []*stubShard{refuses, spare}, RouterOptions{})
+	resp, status = postRoute(t, rsrv.URL, edgeWire())
+	if msg := resp.ShardErrors["0"]; status != http.StatusBadGateway || !strings.Contains(msg, "HTTP 400") || resp.Failovers != 0 {
+		t.Errorf("status %d, shard 0 error %q, failovers %d: want 502 carrying the leg's 400", status, msg, resp.Failovers)
+	}
+	if refuses.hits.Load() != 1 || spare.hits.Load() != 0 {
+		t.Errorf("after a 400 the replicas saw %d and %d requests, want 1 and 0", refuses.hits.Load(), spare.hits.Load())
+	}
+
+	// Every replica fails: the shard is missing, and it was the only one.
+	down := []*stubShard{{status: http.StatusInternalServerError}, {status: http.StatusInternalServerError}}
+	rsrv = stubRouter(t, down, RouterOptions{})
+	resp, status = postRoute(t, rsrv.URL, edgeWire())
+	if status != http.StatusBadGateway || !reflect.DeepEqual(resp.ShardsFailed, []int{0}) || resp.ShardsOK != 0 {
+		t.Errorf("status %d, shards_failed %v, shards_ok %d: want 502, [0], 0", status, resp.ShardsFailed, resp.ShardsOK)
+	}
+	for i, s := range down {
+		if n := s.hits.Load(); n != 1 {
+			t.Errorf("failing replica %d saw %d requests, want 1", i, n)
+		}
 	}
 }
 
@@ -736,60 +742,21 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 }
 
-// TestRoundRobinPickRotation exercises the policy directly: rotation
-// per shard, independent counters across shards.
+// TestRoundRobinPickRotation exercises the rotation directly: per
+// shard, independent counters across shards.
 func TestRoundRobinPickRotation(t *testing.T) {
 	reps := []*Replica{{URL: "a"}, {URL: "b"}, {URL: "c"}}
 	p := NewRoundRobin()
 	wantFirst := []string{"a", "b", "c", "a"}
 	for round, want := range wantFirst {
-		ordered, parallel := p.Pick(0, reps)
-		if parallel {
-			t.Fatal("round-robin must not be parallel")
-		}
+		ordered := p.Pick(0, reps)
 		if len(ordered) != 3 || ordered[0].URL != want {
 			t.Fatalf("round %d: primary %s, want %s", round, ordered[0].URL, want)
 		}
 	}
 	// A different shard's rotation is independent.
-	ordered, _ := p.Pick(1, reps)
+	ordered := p.Pick(1, reps)
 	if ordered[0].URL != "a" {
 		t.Fatalf("shard 1 first pick = %s, want a", ordered[0].URL)
-	}
-}
-
-// TestLeastLoadedOrdersByInflight: fewest outstanding requests first.
-func TestLeastLoadedOrdersByInflight(t *testing.T) {
-	a := &Replica{URL: "a"}
-	b := &Replica{URL: "b"}
-	c := &Replica{URL: "c"}
-	a.inflight.Store(5)
-	b.inflight.Store(1)
-	c.inflight.Store(3)
-	ordered, parallel := LeastLoaded{}.Pick(0, []*Replica{a, b, c})
-	if parallel {
-		t.Fatal("least-loaded must not be parallel")
-	}
-	want := []string{"b", "c", "a"}
-	for i, w := range want {
-		if ordered[i].URL != w {
-			t.Fatalf("order[%d] = %s, want %s", i, ordered[i].URL, w)
-		}
-	}
-}
-
-// TestParsePolicy: names map to implementations; junk is an error.
-func TestParsePolicy(t *testing.T) {
-	for name, want := range map[string]string{
-		"broadcast": "broadcast", "round-robin": "round-robin",
-		"": "round-robin", "least-loaded": "least-loaded",
-	} {
-		p, err := ParsePolicy(name)
-		if err != nil || p.Name() != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v", name, p, err)
-		}
-	}
-	if _, err := ParsePolicy("random"); err == nil {
-		t.Error("unknown policy should error")
 	}
 }

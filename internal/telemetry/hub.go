@@ -31,7 +31,7 @@ type Options struct {
 // Hub is the process's telemetry brain: it owns the time-series store,
 // the SLO tracker, and the per-class cost table, samples the obs
 // registry and the Go runtime into the store, and renders everything at
-// /statz (JSON and text) and /dashz (HTML).
+// /statz (JSON and text).
 type Hub struct {
 	now      func() time.Time
 	store    *Store

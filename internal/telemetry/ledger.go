@@ -5,7 +5,7 @@
 // primitive types (Histogram, QueryRecord, QueryResources) and the
 // scrape endpoints; this package owns everything that accumulates them
 // over time and answers "what is this process doing, and which query
-// shapes are expensive" at /statz and /dashz.
+// shapes are expensive" at /statz.
 package telemetry
 
 import (
