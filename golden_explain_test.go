@@ -28,6 +28,11 @@ import (
 // are the probe kernel's now, so the kernel-mix rows, the scanned totals
 // and the 1-worker peak-scratch line (1 KiB of chunk builders a depth)
 // moved and nothing else did (EXPERIMENTS §PR 24 has the diff).
+// Both files were rewritten again when a narrow vertex's arena became two
+// bytes a value: every flat_bytes field of a vertex with values fell, and
+// 21 of the 57 1-worker peak-scratch lines grew by the buffer a count-only
+// run widens a tree-only vertex's TE list into (EXPERIMENTS.md, "Two-byte
+// arenas").
 
 // explainGolden renders, per golden pair, the canonical profile as one
 // JSON line and the EXPLAIN ANALYZE text with its timings stripped.

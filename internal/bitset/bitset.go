@@ -58,20 +58,21 @@ type Span struct {
 	words []uint64
 }
 
-// Fill clears the span and re-fills it to cover list's value range, one
-// bit per element. list must be non-empty and sorted ascending.
-func (s *Span) Fill(list []uint32) {
+// Cover clears the span and sizes it to the window of the values lo..hi
+// (lo <= hi), with no bit set: the caller then Sets each value of the
+// sorted list the window was taken from.
+func (s *Span) Cover(lo, hi uint32) {
 	clear(s.words)
-	s.base = list[0] &^ 63
-	nw := int((list[len(list)-1]-s.base)>>6) + 1
+	s.base = lo &^ 63
+	nw := int((hi-s.base)>>6) + 1
 	if cap(s.words) < nw {
 		s.words = make([]uint64, nw+nw/2)
 	}
 	s.words = s.words[:nw]
-	for _, x := range list {
-		s.words[(x-s.base)>>6] |= 1 << (x & 63)
-	}
 }
+
+// Set sets x's bit. x must lie within [Lo(), Hi()].
+func (s *Span) Set(x uint32) { s.words[(x-s.base)>>6] |= 1 << (x & 63) }
 
 // Test reports whether x is set. x must lie within [Lo(), Hi()].
 func (s *Span) Test(x uint32) bool { return s.Bit(x) == 1 }

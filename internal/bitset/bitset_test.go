@@ -87,7 +87,7 @@ func TestSpanFillTestRefill(t *testing.T) {
 		t.Fatal("zero Span should be Empty")
 	}
 	list := []uint32{100, 163, 164, 1000, 5000}
-	s.Fill(list)
+	fill(&s, list)
 	if s.Empty() {
 		t.Fatal("filled Span reports Empty")
 	}
@@ -110,7 +110,7 @@ func TestSpanFillTestRefill(t *testing.T) {
 	// Refill with a SHORTER window: the window must shrink (Test is only
 	// defined inside [Lo, Hi]) and no stale bits may survive into a later,
 	// longer refill.
-	s.Fill([]uint32{100, 120})
+	fill(&s, []uint32{100, 120})
 	if s.Hi() != 127 {
 		t.Fatalf("Hi after shorter refill = %d, want 127", s.Hi())
 	}
@@ -119,7 +119,7 @@ func TestSpanFillTestRefill(t *testing.T) {
 			t.Fatalf("Test(%d) wrong after shorter refill", x)
 		}
 	}
-	s.Fill([]uint32{64, 6000}) // longer again: extension must be clean
+	fill(&s, []uint32{64, 6000}) // longer again: extension must be clean
 	for x := uint32(65); x < 6000; x++ {
 		if s.Test(x) {
 			t.Fatalf("stale bit at %d after extend refill", x)
@@ -133,7 +133,7 @@ func TestSpanFillTestRefill(t *testing.T) {
 func TestSpanTopOfRange(t *testing.T) {
 	var s Span
 	list := []uint32{1<<32 - 100, 1<<32 - 64, 1<<32 - 1}
-	s.Fill(list)
+	fill(&s, list)
 	if s.Hi() != 1<<32-1 {
 		t.Fatalf("Hi = %d, want %d", s.Hi(), uint32(1<<32-1))
 	}
@@ -149,11 +149,19 @@ func TestSpanTopOfRange(t *testing.T) {
 
 func TestSpanSingleton(t *testing.T) {
 	var s Span
-	s.Fill([]uint32{0})
+	fill(&s, []uint32{0})
 	if s.Lo() != 0 || s.Hi() != 63 {
 		t.Fatalf("window = [%d,%d], want [0,63]", s.Lo(), s.Hi())
 	}
 	if !s.Test(0) || s.Test(1) || s.Test(63) {
 		t.Fatal("singleton fill wrong")
+	}
+}
+
+// fill covers s with the sorted, non-empty list and sets its values.
+func fill(s *Span, list []uint32) {
+	s.Cover(list[0], list[len(list)-1])
+	for _, x := range list {
+		s.Set(x)
 	}
 }

@@ -185,9 +185,9 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 		node := &ix.Nodes[u]
 		node.Cands = fit(node.Cands)
 		pos := b.pos.fill(node.Cands, data.NumVertices())
-		node.TE = b.te[u].compact(ix.keySpace(graph.VertexID(u), teSlot), pos)
+		node.TE = b.te[u].compact(ix.keySpace(graph.VertexID(u), teSlot), pos, len(node.Cands))
 		for j := range node.NTE {
-			node.NTE[j] = b.nte[u][j].compact(ix.keySpace(graph.VertexID(u), j), pos)
+			node.NTE[j] = b.nte[u][j].compact(ix.keySpace(graph.VertexID(u), j), pos, len(node.Cands))
 		}
 	}
 	ix.finish()

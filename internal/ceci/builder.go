@@ -134,13 +134,32 @@ func (m *mapBuilder) deleteValues(dead, emptied []graph.VertexID) []graph.Vertex
 	return emptied
 }
 
+// narrowMax is the most candidates a query vertex may have for positions
+// in its Cands — the values of all its maps — to fit in two bytes.
+const narrowMax = 1 << 16
+
+// narrowFits is the one width rule: a vertex with n candidates is narrow
+// when n <= narrowMax. compact applies it to choose a map's arena, and
+// Node.Narrow to read it back.
+func narrowFits(n int) bool { return n <= narrowMax }
+
 // compact returns the finished map over positions in keys, the final
 // candidates of the key vertex, and in the map's own vertex's, whose
-// positions pos holds: the live lists slide down over the holes in place,
-// as positions, and the arena is copied once to its final size if it
-// shrank, so what is retained is what PhysicalBytes reports.
-func (m *mapBuilder) compact(keys []graph.VertexID, pos posTable) CandMap {
+// positions pos holds and which number values: the live lists slide down
+// over the holes as positions — in place for a wide vertex, whose arena
+// is then copied once to its final size if it shrank, and into a new
+// two-byte arena of exactly that size for a narrow one — so what is
+// retained is what PhysicalBytes reports.
+func (m *mapBuilder) compact(keys []graph.VertexID, pos posTable, values int) CandMap {
 	out := CandMap{offs: make([]uint32, len(keys)+1)}
+	narrow := narrowFits(values)
+	if narrow {
+		var n uint32
+		for _, l := range m.live {
+			n += l
+		}
+		out.narrow = make([]uint16, n)
+	}
 	end, i := uint32(0), 0
 	for p, key := range keys {
 		out.offs[p] = end
@@ -150,14 +169,24 @@ func (m *mapBuilder) compact(keys []graph.VertexID, pos posTable) CandMap {
 		if m.live[i] == 0 {
 			out.bare = append(out.bare, uint32(p))
 		}
-		for _, v := range m.list(i) { // end never passes the list's start
-			m.arena[end] = pos[v]
-			end++
+		if narrow {
+			for _, v := range m.list(i) {
+				out.narrow[end] = uint16(pos[v])
+				end++
+			}
+		} else {
+			for _, v := range m.list(i) { // end never passes the list's start
+				m.arena[end] = pos[v]
+				end++
+			}
 		}
 		i++
 	}
 	out.offs[len(keys)] = end
-	out.arena = fit(m.arena[:end])
+	if !narrow {
+		out.wide = fit(m.arena[:end])
+	}
+	out.bare = fit(out.bare)
 	return out
 }
 

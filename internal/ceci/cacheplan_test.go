@@ -93,13 +93,13 @@ func TestCachePlanFiresOnClique(t *testing.T) {
 	}
 }
 
-// coldCandidates is CandidatesFor from first principles: a plain At on
+// coldCandidates is CandidatesFor from first principles: a plain read of
 // every input map and a pairwise merge, with no scratch state at all.
 func coldCandidates(ix *Index, u graph.VertexID, pos []uint32) []uint32 {
 	node := &ix.Nodes[u]
-	out := slices.Clone(node.TE.At(pos[ix.Tree.Parent[u]]))
+	out := node.TE.AppendAt(nil, pos[ix.Tree.Parent[u]])
 	for j, un := range ix.Tree.NTEParents[u] {
-		out = setops.IntersectWith(setops.KernelMerge, nil, out, node.NTE[j].At(pos[un]), nil)
+		out = setops.IntersectWith(setops.KernelMerge, nil, out, node.NTE[j].AppendAt(nil, pos[un]), nil)
 	}
 	return out
 }

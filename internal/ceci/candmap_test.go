@@ -55,7 +55,7 @@ func idsAt(m *CandMap, keys, vals []graph.VertexID, key graph.VertexID) []graph.
 	if p == len(keys) || keys[p] != key {
 		return nil
 	}
-	list := m.At(uint32(p))
+	list := m.AppendAt(nil, uint32(p))
 	if _, bare := slices.BinarySearch(m.bare, uint32(p)); len(list) == 0 && !bare {
 		return nil
 	}
@@ -68,17 +68,17 @@ func idsAt(m *CandMap, keys, vals []graph.VertexID, key graph.VertexID) []graph.
 
 func TestCandMapAppendGet(t *testing.T) {
 	keys, vals := []graph.VertexID{2, 3, 5, 9}, []graph.VertexID{10, 20, 25, 30, 40, 50, 60}
-	m := mapOf(t, []graph.VertexID{2, 10, 20}, []graph.VertexID{5, 30}, []graph.VertexID{9, 40, 50, 60}).compact(keys, positionsOf(vals))
+	m := mapOf(t, []graph.VertexID{2, 10, 20}, []graph.VertexID{5, 30}, []graph.VertexID{9, 40, 50, 60}).compact(keys, positionsOf(vals), len(vals))
 	if m.Len() != 3 {
 		t.Fatalf("len = %d", m.Len())
 	}
-	if got := m.At(2); !slices.Equal(got, []uint32{3}) {
+	if got := m.U16().At(2); !slices.Equal(got, []uint16{3}) {
 		t.Fatalf("At(2) = %v, want the position of 30", got)
 	}
 	if got := idsAt(&m, keys, vals, 9); !slices.Equal(got, []graph.VertexID{40, 50, 60}) {
 		t.Fatalf("ids under 9 = %v", got)
 	}
-	if len(m.At(1)) != 0 || idsAt(&m, keys, vals, 3) != nil {
+	if len(m.U16().At(1)) != 0 || idsAt(&m, keys, vals, 3) != nil {
 		t.Fatal("phantom key")
 	}
 	if got := m.CandidateEdges(); got != 6 {
@@ -95,7 +95,7 @@ func TestCandMapDelete(t *testing.T) {
 		t.Fatal("delete failed before compaction")
 	}
 	keys, vals := []graph.VertexID{1, 5}, []graph.VertexID{10, 50}
-	m := b.compact(keys, positionsOf(vals))
+	m := b.compact(keys, positionsOf(vals), len(vals))
 	if m.Len() != 2 || idsAt(&m, keys, vals, 3) != nil {
 		t.Fatal("delete failed")
 	}
@@ -120,7 +120,7 @@ func TestCandMapDeleteValue(t *testing.T) {
 		t.Fatalf("get(2) = %v, want empty non-nil entry", got)
 	}
 	keys, vals := []graph.VertexID{1, 2, 3}, []graph.VertexID{7, 9}
-	m := b.compact(keys, positionsOf(vals))
+	m := b.compact(keys, positionsOf(vals), len(vals))
 	if got := idsAt(&m, keys, vals, 2); m.Len() != 3 || got == nil || len(got) != 0 || !slices.Equal(m.bare, []uint32{1}) {
 		t.Fatalf("compacted: %d keys, ids under 2 = %v, bare %v", m.Len(), got, m.bare)
 	}
@@ -128,7 +128,7 @@ func TestCandMapDeleteValue(t *testing.T) {
 
 func TestCandMapForEachOrder(t *testing.T) {
 	space := []graph.VertexID{0, 1, 2, 3, 4}
-	m := mapOf(t, []graph.VertexID{1, 2}, []graph.VertexID{2, 3}, []graph.VertexID{4, 1}).compact(space, positionsOf(space))
+	m := mapOf(t, []graph.VertexID{1, 2}, []graph.VertexID{2, 3}, []graph.VertexID{4, 1}).compact(space, positionsOf(space), len(space))
 	var keys []uint32
 	m.ForEach(func(k uint32, _ []uint32) {
 		keys = append(keys, k)
@@ -203,16 +203,23 @@ func (mm mapModel) compactsTo(b *mapBuilder, universe graph.VertexID) bool {
 	}
 	slices.Sort(vals)
 	vals = slices.Compact(vals)
-	m := b.compact(keys, positionsOf(vals))
-	var entries []graph.VertexID
-	m.ForEach(func(p uint32, _ []uint32) { entries = append(entries, keys[p]) })
-	ok := slices.Equal(entries, mm.sortedKeys()) && m.CandidateEdges() == edges &&
-		len(m.offs) == len(keys)+1 && m.flatBytes() == 4*(int64(len(keys))+1+edges+bare) &&
-		cap(m.offs) == len(m.offs) && cap(m.arena) == len(m.arena)
-	for _, key := range keys {
-		want, present := mm[key]
-		got := idsAt(&m, keys, vals, key)
-		ok = ok && (got != nil) == present && slices.Equal(got, want) && len(m.At(key)) == len(want)
+	// Both widths: the narrow arena is a new column, and the wide one is
+	// compacted in place over b's, so it goes last.
+	ok := true
+	for _, width := range []struct {
+		values, bytes int
+	}{{len(vals), 2}, {narrowMax + 1, 4}} {
+		m := b.compact(keys, positionsOf(vals), width.values)
+		var entries []graph.VertexID
+		m.ForEach(func(p uint32, _ []uint32) { entries = append(entries, keys[p]) })
+		ok = ok && slices.Equal(entries, mm.sortedKeys()) && m.CandidateEdges() == edges &&
+			len(m.offs) == len(keys)+1 && m.flatBytes() == 4*(int64(len(keys))+1+bare)+int64(width.bytes)*edges &&
+			cap(m.offs) == len(m.offs) && cap(m.narrow) == len(m.narrow) && cap(m.wide) == len(m.wide) && cap(m.bare) == len(m.bare)
+		for _, key := range keys {
+			want, present := mm[key]
+			got := idsAt(&m, keys, vals, key)
+			ok = ok && (got != nil) == present && slices.Equal(got, want) && len(m.AppendAt(nil, key)) == len(want)
+		}
 	}
 	return ok
 }

@@ -2,6 +2,7 @@ package ceci
 
 import (
 	"fmt"
+	"unsafe"
 
 	"ceci/internal/graph"
 )
@@ -32,9 +33,10 @@ func (ix *Index) ForEachID(u graph.VertexID, slot int, fn func(key graph.VertexI
 
 // CheckColumns returns the first way a map of ix fails to be positions
 // over its key and value spaces — offsets one per key position plus one,
-// ascending from 0 to the arena's end; every list strictly ascending and
-// inside the value space; bare keys ascending, inside the key space and
-// empty — or a cardinality column out of step with its candidates.
+// ascending from 0 to the arena's end; the arena at its vertex's width
+// (Node.Narrow); every list strictly ascending and inside the value space;
+// bare keys ascending, inside the key space and empty — or a cardinality
+// column out of step with its candidates.
 func (ix *Index) CheckColumns() error {
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
@@ -43,14 +45,18 @@ func (ix *Index) CheckColumns() error {
 		}
 		for slot := teSlot; slot < len(node.NTE); slot++ {
 			m, keys := node.slot(slot), ix.keySpace(graph.VertexID(u), slot)
-			if len(m.offs) != len(keys)+1 || m.offs[0] != 0 || int(m.offs[len(keys)]) != len(m.arena) {
-				return fmt.Errorf("u%d slot %d: offsets %v over %d keys and %d values", u, slot, m.offs, len(keys), len(m.arena))
+			if node.Narrow() && m.wide != nil || !node.Narrow() && m.narrow != nil {
+				return fmt.Errorf("u%d slot %d: %d two-byte and %d four-byte values over %d candidates", u, slot, len(m.narrow), len(m.wide), len(node.Cands))
+			}
+			arena := len(m.narrow) + len(m.wide)
+			if len(m.offs) != len(keys)+1 || m.offs[0] != 0 || int(m.offs[len(keys)]) != arena {
+				return fmt.Errorf("u%d slot %d: offsets %v over %d keys and %d values", u, slot, m.offs, len(keys), arena)
 			}
 			for p := range keys {
 				if m.offs[p] > m.offs[p+1] {
 					return fmt.Errorf("u%d slot %d: offsets descend at key %d", u, slot, p)
 				}
-				list := m.At(uint32(p))
+				list := m.AppendAt(nil, uint32(p))
 				for i, q := range list {
 					if int(q) >= len(node.Cands) || i > 0 && q <= list[i-1] {
 						return fmt.Errorf("u%d slot %d: key %d lists %v over %d candidates", u, slot, p, list, len(node.Cands))
@@ -58,11 +64,57 @@ func (ix *Index) CheckColumns() error {
 				}
 			}
 			for i, p := range m.bare {
-				if int(p) >= len(keys) || i > 0 && p <= m.bare[i-1] || len(m.At(p)) > 0 {
+				if int(p) >= len(keys) || i > 0 && p <= m.bare[i-1] || m.offs[p] != m.offs[p+1] {
 					return fmt.Errorf("u%d slot %d: bare keys %v over %d keys", u, slot, m.bare, len(keys))
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// ArenaWidth returns the bytes a value takes in u's maps as compact laid
+// them out — 2 for two-byte arenas, 4 for four-byte ones, 0 when no map of
+// u holds a value, and -1 when its maps disagree.
+func (ix *Index) ArenaWidth(u graph.VertexID) int {
+	node, width := &ix.Nodes[u], 0
+	for slot := teSlot; slot < len(node.NTE); slot++ {
+		m, w := node.slot(slot), 0
+		switch {
+		case len(m.narrow) > 0 && len(m.wide) > 0:
+			return -1
+		case len(m.narrow) > 0:
+			w = 2
+		case len(m.wide) > 0:
+			w = 4
+		default:
+			continue
+		}
+		if width != 0 && width != w {
+			return -1
+		}
+		width = w
+	}
+	return width
+}
+
+// ColumnBytes returns what ix's columns hold, counted off the slices and
+// not by PhysicalBytes' formula: the capacity of every column of every
+// node times its element's size.
+func (ix *Index) ColumnBytes() int64 {
+	var n int64
+	for u := range ix.Nodes {
+		node := &ix.Nodes[u]
+		n += capBytes(node.Cands) + capBytes(node.cardVals)
+		for slot := teSlot; slot < len(node.NTE); slot++ {
+			m := node.slot(slot)
+			n += capBytes(m.offs) + capBytes(m.narrow) + capBytes(m.wide) + capBytes(m.bare)
+		}
+	}
+	return n
+}
+
+func capBytes[T any](s []T) int64 {
+	var zero T
+	return int64(cap(s)) * int64(unsafe.Sizeof(zero))
 }

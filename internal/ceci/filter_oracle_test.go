@@ -79,15 +79,20 @@ func (m refMap) edges() (n int64) {
 }
 
 // flatBytes is the map's footprint in the index layout when its key
-// vertex has keySpace candidates.
-func (m refMap) flatBytes(keySpace int) int64 {
+// vertex has keySpace candidates and its own vertex valueSpace: values
+// take two bytes when valueSpace is at most 2^16, four otherwise.
+func (m refMap) flatBytes(keySpace, valueSpace int) int64 {
 	bare := 0
 	for _, vals := range m {
 		if len(vals) == 0 {
 			bare++
 		}
 	}
-	return 4 * (int64(keySpace+1+bare) + m.edges())
+	width := int64(4)
+	if valueSpace <= 1<<16 {
+		width = 2
+	}
+	return 4*int64(keySpace+1+bare) + width*m.edges()
 }
 
 // deleteValue removes v from every list and returns, in key order, the
@@ -323,18 +328,18 @@ func referenceBuild(data *graph.Graph, tree *order.QueryTree, opts Options) *ref
 			vc.TEEntries.Add(int64(len(node.te)))
 			vc.TECandidates.Add(node.te.edges())
 			// 4 bytes per candidate, 8 per cardinality; a map has one
-			// 4-byte offset per candidate of its key vertex plus one, and
-			// 4 bytes per value and per key whose list is empty.
+			// 4-byte offset per candidate of its key vertex plus one, 4
+			// bytes per key whose list is empty, and 2 or 4 per value.
 			keySpace := 0
 			if p := tree.Parent[u]; p != order.NoParent {
 				keySpace = len(r.nodes[p].cands)
 			}
-			flat := 12*int64(len(node.cands)) + node.te.flatBytes(keySpace)
+			flat := 12*int64(len(node.cands)) + node.te.flatBytes(keySpace, len(node.cands))
 			for j, m := range node.nte {
 				nc := vc.NTE(j)
 				nc.Entries.Add(int64(len(m)))
 				nc.Candidates.Add(m.edges())
-				flat += m.flatBytes(len(r.nodes[tree.NTEParents[u][j]].cands))
+				flat += m.flatBytes(len(r.nodes[tree.NTEParents[u][j]].cands), len(node.cands))
 			}
 			vc.FlatBytes.Add(flat)
 		}

@@ -20,9 +20,10 @@ import (
 // and the four size/cardinality accessors. testdata/golden_index.tsv
 // holds these rows as commit eefd9bf (the last with the mutable CandMap
 // mode and Freeze) produced them, but for the PhysicalBytes column, which
-// was rewritten once, when map keys and values became positions (dense
-// offsets, no key column). Any other index-layout change must reproduce
-// the file bit for bit.
+// was rewritten twice: when map keys and values became positions (dense
+// offsets, no key column), and when a vertex with at most 2^16 candidates
+// got a two-byte arena. Any other index-layout change must reproduce the
+// file bit for bit.
 func goldenRows(t *testing.T) []string {
 	t.Helper()
 	var rows []string

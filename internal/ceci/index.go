@@ -42,6 +42,11 @@ type Node struct {
 // of Cands.
 func (n *Node) CardAt(p uint32) int64 { return n.cardVals[p] }
 
+// Narrow reports whether the node's maps hold their values at two bytes
+// (CandMap.U16) rather than four (U32): the width compact chose, by the
+// one rule, for a vertex with len(Cands) candidates.
+func (n *Node) Narrow() bool { return narrowFits(len(n.Cands)) }
+
 // slot returns the map in slot (teSlot or an NTE slot).
 func (n *Node) slot(slot int) *CandMap {
 	if slot == teSlot {
@@ -310,7 +315,7 @@ func (ix *Index) UniqueCandidateEdges() int64 {
 						n++
 					} else if rp, ok := slices.BinarySearch(keys, v); !ok {
 						n++
-					} else if _, ok := slices.BinarySearch(m.At(uint32(rp)), uint32(rq)); !ok {
+					} else if !m.has(uint32(rp), uint32(rq)) {
 						n++
 					}
 				}
@@ -326,8 +331,9 @@ func (ix *Index) UniqueCandidateEdges() int64 {
 func (ix *Index) SizeBytes() int64 { return 8 * ix.UniqueCandidateEdges() }
 
 // PhysicalBytes reports the actual in-memory footprint, exactly: 4 bytes
-// per offset, arena entry and bare key, plus the candidate and cardinality
-// columns — the layout DESIGN.md maps to the paper's Table 2 byte model.
+// per offset and bare key, 2 or 4 per arena entry (CandMap), plus the
+// candidate and cardinality columns — the layout DESIGN.md maps to the
+// paper's Table 2 byte model.
 func (ix *Index) PhysicalBytes() int64 {
 	var n int64
 	for u := range ix.Nodes {

@@ -20,7 +20,8 @@ import (
 // against; and the result itself, under every key, unless the inner key is
 // the predecessor that changes with every call. This is the
 // embedding-cluster observation of Section 4.1 applied one level up, then
-// two. Keys, lists and the bitmap are all positions (CandMap).
+// two. Keys, lists and the bitmap are all positions (CandMap); a narrow
+// vertex's lists are read at two bytes and its results written at four.
 type MatchScratch struct {
 	S setops.Scratch
 	// Steps is this depth's step accounting, written as plain integers
@@ -29,15 +30,20 @@ type MatchScratch struct {
 	// both at a boundary of its choosing; nothing in this package does.
 	Steps StepCounts
 
-	lists [][]uint32
+	lists   [][]uint32
+	lists16 [][]uint16
 
 	// The outer level, valid until an outer key's assignment changes or
-	// ResetUnitCache is called.
+	// ResetUnitCache is called. The outer side is outer16 when it is a
+	// narrow vertex's one outer list, viewed in the index, and outer
+	// otherwise: a wide vertex's one list, or the ∩ of several in S's
+	// buffers.
 	outerKeys []uint32 // assignments of cachePlan.outerKeys it was built for
 	outerOK   bool
-	outer     []uint32    // ∩ of the outer lists: an index view or S's buffers
-	bits      bitsState   // whether outerBits holds outer
-	outerBits bitset.Span // outer as a bitmap, filled for its second inner key
+	outer     []uint32
+	outer16   []uint16
+	bits      bitsState   // whether outerBits holds the outer side
+	outerBits bitset.Span // the outer side as a bitmap, filled for its second inner key
 
 	// The inner level: out is the last result, and when resultOK it is
 	// the answer for innerKey under the outer level's keys.
@@ -64,11 +70,11 @@ type StepCounts = telemetry.StepCounts
 
 // FootprintBytes returns the scratch's allocated backing size: the setops
 // buffers, this package's per-depth slices, the outer bitmap and the result
-// buffer. outer aliases index storage or the setops buffers, so it is not
-// counted separately.
+// buffer. The outer side aliases index storage or the setops buffers, so it
+// is not counted separately.
 func (sc *MatchScratch) FootprintBytes() int64 {
 	return sc.S.FootprintBytes() +
-		int64(cap(sc.lists))*24 + // slice headers
+		int64(cap(sc.lists)+cap(sc.lists16))*24 + // slice headers
 		int64(cap(sc.outerKeys))*4 +
 		sc.outerBits.FootprintBytes() +
 		int64(cap(sc.out))*4
@@ -103,7 +109,7 @@ func (ix *Index) CandidatesFor(u graph.VertexID, pos []uint32, sc *MatchScratch)
 	st.Lookups++
 	node := &ix.Nodes[u]
 	if len(node.NTE) == 0 {
-		base := node.TE.At(pos[ix.Tree.Parent[u]])
+		base := node.teAt(pos[ix.Tree.Parent[u]], sc)
 		st.Output += int64(len(base))
 		return base
 	}
@@ -117,18 +123,55 @@ func (ix *Index) CandidatesFor(u graph.VertexID, pos []uint32, sc *MatchScratch)
 		return sc.out
 	}
 	sc.resultOK = false
-	inner := node.slot(plan.inner).At(key)
-	if len(inner) == 0 {
-		return nil
+	m := node.slot(plan.inner)
+	if m.offs[key] == m.offs[key+1] {
+		return nil // an empty inner list
 	}
 	if !hit {
 		ix.buildOuter(u, pos, sc)
 	}
-	outer := sc.outer
+	switch {
+	case sc.outer16 != nil:
+		return meet(sc, plan, key, hit, sc.outer16, m.U16().At(key))
+	case node.Narrow():
+		return meet(sc, plan, key, hit, sc.outer, m.U16().At(key))
+	}
+	return meet(sc, plan, key, hit, sc.outer, m.U32().At(key))
+}
+
+// teAt returns the node's TE list under the key position key as
+// four-byte positions: a view of a wide arena, or a narrow list widened
+// into sc's result buffer, which drops the kept result. A TE list is the
+// one list a lookup returns as it stands; the enumerator reads a narrow
+// tree-only vertex's through CandidatesFor16 instead.
+func (n *Node) teAt(key uint32, sc *MatchScratch) []uint32 {
+	if !n.Narrow() {
+		return n.TE.U32().At(key)
+	}
+	sc.out, sc.resultOK = setops.Widen(sc.out[:0], n.TE.U16().At(key)), false
+	return sc.out
+}
+
+// CandidatesFor16 is CandidatesFor for a narrow vertex with no non-tree
+// edges: u's TE list under the parent's assignment as the two-byte arena
+// holds it, where CandidatesFor widens it into sc. Charged to sc as the
+// same lookup; the view must not be modified.
+func (ix *Index) CandidatesFor16(u graph.VertexID, pos []uint32, sc *MatchScratch) []uint16 {
+	list := ix.Nodes[u].TE.U16().At(pos[ix.Tree.Parent[u]])
+	sc.Steps.Lookups++
+	sc.Steps.Output += int64(len(list))
+	return list
+}
+
+// meet intersects the outer side with inner, the list under the inner
+// key's assignment key, into sc's result and keeps it under key unless
+// the inner key is volatile. Each side is read at its width.
+func meet[O, I setops.Position](sc *MatchScratch, plan *cachePlan, key uint32, hit bool, outer []O, inner []I) []uint32 {
 	if len(outer) == 0 {
 		// Every inner key under these outer assignments fails the same way.
 		return nil
 	}
+	st := &sc.Steps
 	st.Comparisons += int64(len(outer)) + int64(len(inner))
 
 	// A second intersection under one outer key means the outer side
@@ -155,19 +198,21 @@ func (ix *Index) CandidatesFor(u graph.VertexID, pos []uint32, sc *MatchScratch)
 }
 
 // Sides returns the two sides CandidatesFor intersects for u under pos:
-// inner, the map keyed by u's deepest key vertex, and outer, the
+// inner, the map keyed by u's deepest key vertex, and the outer side, the
 // intersection of u's other inputs, kept on sc's cursor exactly as a
 // lookup keeps it (rebuilt only when an outer key's assignment moves) —
-// so CandidatesFor(u, pos, sc) is outer ∩ inner.At(pos[deepest key]). u
-// must have non-tree edges. outer is valid until the next call with sc
-// and must not be modified; building it charges sc.Steps as a lookup's
-// does, and nothing else here is charged.
-func (ix *Index) Sides(u graph.VertexID, pos []uint32, sc *MatchScratch) (inner *CandMap, outer []uint32) {
+// so CandidatesFor(u, pos, sc) is the outer side ∩ inner's list under
+// pos[deepest key]. The outer side is outer16 when u is narrow and has
+// one other input (a view of its list), and outer otherwise; the other
+// result is nil. u must have non-tree edges. The outer side is valid until
+// the next call with sc and must not be modified; building it charges
+// sc.Steps as a lookup's does, and nothing else here is charged.
+func (ix *Index) Sides(u graph.VertexID, pos []uint32, sc *MatchScratch) (inner *CandMap, outer []uint32, outer16 []uint16) {
 	plan := &ix.ntePlan[u]
 	if !sc.outerHit(plan.outerKeys, pos) {
 		ix.buildOuter(u, pos, sc)
 	}
-	return ix.Nodes[u].slot(plan.inner), sc.outer
+	return ix.Nodes[u].slot(plan.inner), sc.outer, sc.outer16
 }
 
 // outerHit reports whether the scratch's outer side was built for the
@@ -184,11 +229,11 @@ func (sc *MatchScratch) outerHit(keys []graph.VertexID, pos []uint32) bool {
 	return true
 }
 
-// buildOuter intersects u's outer inputs, smallest first, into sc.outer
-// (nil when one of them is empty), records the assignments it was built
+// buildOuter intersects u's outer inputs, smallest first, into the outer
+// side (empty when one of them is), records the assignments it was built
 // for and drops the kept result, which was met with the old outer side
 // (Sides rebuilds it without a lookup). A single outer list is used as
-// is and charges nothing.
+// is, at u's width, and charges nothing.
 func (ix *Index) buildOuter(u graph.VertexID, pos []uint32, sc *MatchScratch) {
 	plan := &ix.ntePlan[u]
 	sc.outerKeys = sc.outerKeys[:0]
@@ -197,25 +242,41 @@ func (ix *Index) buildOuter(u graph.VertexID, pos []uint32, sc *MatchScratch) {
 	}
 	sc.outerOK, sc.resultOK = true, false
 	sc.bits = bitsUntried
-	sc.outer = nil
+	sc.outer, sc.outer16 = nil, nil
 
-	lists := sc.lists[:0]
+	node := &ix.Nodes[u]
+	narrow := node.Narrow()
+	lists, lists16 := sc.lists[:0], sc.lists16[:0]
 	var lengths int64
 	for i, slot := range plan.outer {
-		l := ix.Nodes[u].slot(slot).At(sc.outerKeys[i])
-		if len(l) == 0 {
-			sc.lists = lists
+		m, key := node.slot(slot), sc.outerKeys[i]
+		var n int
+		if narrow {
+			l := m.U16().At(key)
+			lists16, n = append(lists16, l), len(l)
+		} else {
+			l := m.U32().At(key)
+			lists, n = append(lists, l), len(l)
+		}
+		if n == 0 {
+			sc.lists, sc.lists16 = lists[:0], lists16[:0]
 			return
 		}
-		lists = append(lists, l)
-		lengths += int64(len(l))
+		lengths += int64(n)
 	}
-	sc.lists = lists
-	if len(lists) > 1 {
-		sc.Steps.Intersections += int64(len(lists) - 1)
+	sc.lists, sc.lists16 = lists, lists16
+	if k := len(plan.outer); k > 1 {
+		sc.Steps.Intersections += int64(k - 1)
 		sc.Steps.Comparisons += lengths
 	}
-	sc.outer = setops.IntersectK(&sc.S, lists)
+	switch {
+	case len(lists16) == 1:
+		sc.outer16 = lists16[0]
+	case narrow:
+		sc.outer = setops.IntersectK(&sc.S, lists16)
+	default:
+		sc.outer = setops.IntersectK(&sc.S, lists)
+	}
 }
 
 // CandidatesForEdgeVerify is the ablation variant (Section 4.1, Lemma 2):
@@ -223,7 +284,7 @@ func (ix *Index) buildOuter(u graph.VertexID, pos []uint32, sc *MatchScratch) {
 // leaves non-tree edges to be verified by adjacency probes, the way
 // TurboIso/CFLMatch-style systems operate. VerifyNTE performs those probes.
 func (ix *Index) CandidatesForEdgeVerify(u graph.VertexID, pos []uint32, sc *MatchScratch) []uint32 {
-	cands := ix.Nodes[u].TE.At(pos[ix.Tree.Parent[u]])
+	cands := ix.Nodes[u].teAt(pos[ix.Tree.Parent[u]], sc)
 	sc.Steps.Lookups++
 	sc.Steps.Output += int64(len(cands))
 	return cands

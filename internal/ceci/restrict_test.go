@@ -49,7 +49,9 @@ func TestRestrictPartitionsIndex(t *testing.T) {
 				if unsafe.SliceData(view.Nodes[u].Cands) != unsafe.SliceData(ix.Nodes[u].Cands) {
 					t.Fatalf("%s: u%d: the view copied the candidate column", name, u)
 				}
-				if ix.Nodes[u].TE.CandidateEdges() > 0 && unsafe.SliceData(view.Nodes[u].TE.At(0)) != unsafe.SliceData(ix.Nodes[u].TE.At(0)) {
+				te, vte := &ix.Nodes[u].TE, &view.Nodes[u].TE
+				if te.CandidateEdges() > 0 && (ix.Nodes[u].Narrow() && unsafe.SliceData(vte.U16().At(0)) != unsafe.SliceData(te.U16().At(0)) ||
+					!ix.Nodes[u].Narrow() && unsafe.SliceData(vte.U32().At(0)) != unsafe.SliceData(te.U32().At(0))) {
 					t.Fatalf("%s: u%d: the view copied the TE column", name, u)
 				}
 			}

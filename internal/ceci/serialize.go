@@ -186,7 +186,7 @@ func ReadIndex(r io.Reader, data *graph.Graph, tree *order.QueryTree) (*Index, e
 					return nil, fmt.Errorf("ceci: index node %d %s: value %d under key %d is not a candidate", u, section, m.list(i)[j], key)
 				}
 			}
-			*node.slot(slot) = m.compact(keys, *pos)
+			*node.slot(slot) = m.compact(keys, *pos, len(node.Cands))
 		}
 	}
 	ix.finish()

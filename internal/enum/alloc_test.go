@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"slices"
 	"testing"
 
 	"ceci/internal/ceci"
@@ -93,26 +94,33 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 		wantKernel  string // kernel that must fire for this fixture ("" = any)
 		wantBitmap  bool   // some depth must end the pass probing its outer bitmap
 		wantElim    bool   // count-only must finish from depth n-2 with eliminate
+		wantWide    bool   // a vertex with non-tree edges must have a four-byte arena
 	}{
-		{"fig1", gen.Fig1Data(), gen.Fig1Query(), "", false, false},
-		{"random-pair-7", nil, nil, "", false, false},
+		{"fig1", gen.Fig1Data(), gen.Fig1Query(), "", false, false, false},
+		{"random-pair-7", nil, nil, "", false, false, false},
 		// A square whose count-only pass refills the histogram once per
 		// cluster and counts each prefix from it.
-		{"square-eliminate", gen.WithRandomLabels(gen.ErdosRenyi(80, 480, 3), 4, 3), labeledSquare(), "", false, true},
+		{"square-eliminate", gen.WithRandomLabels(gen.ErdosRenyi(80, 480, 3), 4, 3), labeledSquare(), "", false, true, false},
 		// Dense clique: gap-1 candidate lists, the probe kernel's densest
 		// input, proving its span-bitmap reuse is allocation-free.
-		{"dense-probe", denseClique(48), gen.QG3(), "probe", true, false},
+		{"dense-probe", denseClique(48), gen.QG3(), "probe", true, false, false},
 		// Hub skew on a 4-clique query: enumeration intersects a huge hub
 		// adjacency against tiny leaf adjacencies, a >16:1 ratio that
 		// forces the gallop kernel.
-		{"skew-gallop", hubTriangles(600), gen.QG3(), "gallop", false, false},
+		{"skew-gallop", hubTriangles(600), gen.QG3(), "gallop", false, false, false},
 		// Triangle query over the same hub graph: the moderately sparse
 		// comparably sized leaf-chain lists drive the probe kernel, and
 		// the hubs' sibling loops run to hundreds of iterations over one
 		// outer list — the loop the outer bitmap is filled for.
-		{"hub-probe", hubTriangles(600), gen.QG1(), "probe", true, false},
+		{"hub-probe", hubTriangles(600), gen.QG1(), "probe", true, false, false},
+		// One vertex with 2^16+1 candidates, past what a two-byte arena
+		// holds: its lookups read four-byte lists beside the two-byte ones
+		// of the other vertices, and count-only counts it from a histogram
+		// of four-byte lists.
+		{"wide-node", nil, nil, "", false, true, true},
 	}
 	cases[1].data, cases[1].query = gen.RandomPair(7)
+	cases[len(cases)-1].data, cases[len(cases)-1].query = gen.WidePair(1<<16 + 1)
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,6 +138,9 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 			m := NewMatcher(ix, Options{Workers: 1, Strategy: workload.FGD})
 			if n := tree.NumVertices(); tc.wantElim && m.elim != n-2 {
 				t.Fatalf("eliminated depth %d, want %d", m.elim, n-2)
+			}
+			if tc.wantWide && !slices.ContainsFunc(ix.Nodes, func(n ceci.Node) bool { return !n.Narrow() && len(n.NTE) > 0 }) {
+				t.Fatal("no vertex with non-tree edges has a four-byte arena")
 			}
 			units := m.units(nil)
 			if len(units) == 0 {

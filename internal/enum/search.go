@@ -113,19 +113,19 @@ func (hs *histogram) holds(keys []graph.VertexID, pos []uint32) bool {
 	return true
 }
 
-// fill rebuilds h from zs and inner under the key assignments in pos and
-// returns the entries it added.
-func (hs *histogram) fill(keys []graph.VertexID, pos []uint32, zs []uint32, inner *ceci.CandMap) (entries int64) {
+// fill rebuilds h from zs and inner, each read at its vertex's width,
+// under the key assignments in pos and returns the entries it added.
+func fill[T, Z setops.Position](hs *histogram, keys []graph.VertexID, pos []uint32, zs []Z, inner ceci.Lists[T]) (entries int64) {
 	for _, x := range hs.set {
 		hs.h[x] = 0
 	}
 	hs.set = hs.set[:0]
 	for _, v := range zs {
-		list := inner.At(v)
+		list := inner.At(uint32(v))
 		entries += int64(len(list))
 		for _, x := range list {
 			if hs.h[x] == 0 {
-				hs.set = append(hs.set, x)
+				hs.set = append(hs.set, uint32(x))
 			}
 			hs.h[x]++
 		}
@@ -192,13 +192,21 @@ func (s *searcher) search(depth int) bool {
 	u := s.tree.order[depth]
 	s.recursiveCalls++
 
-	sc := &s.scratch[depth]
-	var cands []uint32
-	if s.m.opts.EdgeVerification {
-		cands = s.m.ix.CandidatesForEdgeVerify(u, s.pos, sc)
-	} else {
-		cands = s.m.ix.CandidatesFor(u, s.pos, sc)
+	ix, sc := s.m.ix, &s.scratch[depth]
+	switch node := &ix.Nodes[u]; {
+	case s.m.opts.EdgeVerification:
+		return descend(s, depth, u, sc, ix.CandidatesForEdgeVerify(u, s.pos, sc))
+	case len(node.NTE) == 0 && node.Narrow():
+		return descend(s, depth, u, sc, ix.CandidatesFor16(u, s.pos, sc))
 	}
+	return descend(s, depth, u, sc, ix.CandidatesFor(u, s.pos, sc))
+}
+
+// descend is search past the lookup: cands are u's candidates, positions
+// in u's Cands read at the width the lookup returned them in — a narrow
+// tree-only vertex's TE list as the arena holds it, so a consumer that
+// stops early pays only for the candidates it reached.
+func descend[T setops.Position](s *searcher, depth int, u graph.VertexID, sc *ceci.MatchScratch, cands []T) bool {
 	// The candidate-list-size distribution is the one per-lookup
 	// observation that is not a sum, so it cannot ride the drain.
 	s.m.opts.Profile.ObserveEnumOutput(len(cands))
@@ -207,11 +215,11 @@ func (s *searcher) search(depth int) bool {
 	}
 	switch {
 	case depth == s.tree.n-1:
-		return s.leaf(u, cands, sc)
+		return leaf(s, u, cands, sc)
 	case s.elim > 0 && depth == s.elim:
-		return s.eliminate(u, cands)
+		return eliminate(s, cands)
 	case depth == s.tree.n-2 && s.pair:
-		return s.product(u, cands)
+		return product(s, u, cands)
 	}
 	cons, verify, ids := s.m.consFor(u), s.m.opts.EdgeVerification, s.m.ix.Nodes[u].Cands
 	for _, p := range cands {
@@ -225,7 +233,7 @@ func (s *searcher) search(depth int) bool {
 		if verify && !s.m.ix.VerifyNTE(u, v, s.emb, sc) {
 			continue
 		}
-		s.emb[u], s.pos[u] = v, p
+		s.emb[u], s.pos[u] = v, uint32(p)
 		s.matched[u] = true
 		s.used.Set(v)
 		ok := s.search(depth + 1)
@@ -251,8 +259,8 @@ func (s *searcher) search(depth int) bool {
 // it on entry and its caller loads it again after this returns). A
 // count-only run tallies the survivors and delivers them with one
 // reservation; otherwise each is handed to the consumer in emb. cands are
-// positions in u's Cands, as CandidatesFor returns them.
-func (s *searcher) leaf(u graph.VertexID, cands []uint32, sc *ceci.MatchScratch) bool {
+// positions in u's Cands, as descend has them.
+func leaf[T setops.Position](s *searcher, u graph.VertexID, cands []T, sc *ceci.MatchScratch) bool {
 	cons, verify, counting := s.m.consFor(u), s.m.opts.EdgeVerification, s.ctl.fn == nil
 	ids := s.m.ix.Nodes[u].Cands
 	var survivors int64
@@ -290,7 +298,7 @@ func (s *searcher) leaf(u graph.VertexID, cands []uint32, sc *ceci.MatchScratch)
 // of b per prefix where a descent would make one per survivor of a. The
 // two lists are positions in different candidate columns, so A'∩B' merges
 // the ids they stand for, which ascend with them.
-func (s *searcher) product(a graph.VertexID, as []uint32) bool {
+func product[A setops.Position](s *searcher, a graph.VertexID, as []A) bool {
 	consA, idsA := s.m.consFor(a), s.m.ix.Nodes[a].Cands
 	var na int64
 	for _, p := range as {
@@ -344,16 +352,15 @@ func (s *searcher) product(a graph.VertexID, as []uint32) bool {
 // stand for. The work — one lookup a prefix, the entries a
 // refill adds and every list element walked, and the embeddings counted —
 // is charged to w's depth.
-func (s *searcher) eliminate(z graph.VertexID, zs []uint32) bool {
+func eliminate[Z setops.Position](s *searcher, zs []Z) bool {
 	ix, n := s.m.ix, s.tree.n
 	var as []uint32
-	var idsY []graph.VertexID
 	var na int64
 	if s.elim == n-3 {
 		y := s.tree.order[n-2]
 		as = ix.CandidatesFor(y, s.pos, &s.scratch[n-2])
 		s.m.opts.Profile.ObserveEnumOutput(len(as))
-		idsY = ix.Nodes[y].Cands
+		idsY := ix.Nodes[y].Cands
 		for _, p := range as {
 			if !s.used.Get(idsY[p]) {
 				na++
@@ -364,11 +371,26 @@ func (s *searcher) eliminate(z graph.VertexID, zs []uint32) bool {
 		}
 	}
 	w := s.tree.order[n-1]
+	inner, outer, outer16 := ix.Sides(w, s.pos, &s.scratch[n-1])
+	switch {
+	case outer16 != nil:
+		return countLast(s, zs, as, na, inner.U16(), outer16)
+	case ix.Nodes[w].Narrow():
+		return countLast(s, zs, as, na, inner.U16(), outer)
+	}
+	return countLast(s, zs, as, na, inner.U32(), outer)
+}
+
+// countLast is eliminate past the lookups, with w's inner lists and outer
+// side read at their widths: as and na are y's candidates and how many
+// are unused, when z is at n-3.
+func countLast[I, O, Z setops.Position](s *searcher, zs []Z, as []uint32, na int64, inner ceci.Lists[I], outer []O) bool {
+	ix, n := s.m.ix, s.tree.n
+	z, w := s.tree.order[s.elim], s.tree.order[n-1]
 	st := &s.scratch[n-1].Steps
 	st.Lookups++
-	inner, outer := ix.Sides(w, s.pos, &s.scratch[n-1])
 	if !s.hist.holds(s.m.elimKeys, s.pos) {
-		st.Comparisons += s.hist.fill(s.m.elimKeys, s.pos, zs, inner)
+		st.Comparisons += fill(&s.hist, s.m.elimKeys, s.pos, zs, inner)
 	}
 	h, idsZ, idsW := s.hist.h, ix.Nodes[z].Cands, ix.Nodes[w].Cands
 	st.Comparisons += int64(len(outer) + len(zs))
@@ -382,12 +404,13 @@ func (s *searcher) eliminate(z graph.VertexID, zs []uint32) bool {
 	s.zu = s.zu[:0]
 	for _, v := range zs {
 		if s.used.Get(idsZ[v]) {
-			s.zu = append(s.zu, v)
-			zu += s.unused(outer, inner.At(v), idsW, st)
+			s.zu = append(s.zu, uint32(v))
+			zu += unused(s, outer, inner.At(uint32(v)), idsW, st)
 		}
 	}
 	count := sum - zu
 	if as != nil {
+		idsY := ix.Nodes[s.tree.order[n-2]].Cands
 		st.Comparisons += int64(len(as)+len(zs)) + int64(len(as)+len(outer))
 		i, j := 0, 0
 		for _, p := range as {
@@ -399,7 +422,7 @@ func (s *searcher) eliminate(z graph.VertexID, zs []uint32) bool {
 				i++
 			}
 			if i < len(zs) && idsZ[zs[i]] == a {
-				za += s.unused(outer, inner.At(zs[i]), idsW, st)
+				za += unused(s, outer, inner.At(uint32(zs[i])), idsW, st)
 			}
 			for j < len(outer) && idsW[outer[j]] < a {
 				j++
@@ -408,7 +431,7 @@ func (s *searcher) eliminate(z graph.VertexID, zs []uint32) bool {
 				x := outer[j]
 				oa += int64(h[x])
 				for _, v := range s.zu {
-					if _, ok := slices.BinarySearch(inner.At(v), x); ok {
+					if _, ok := slices.BinarySearch(inner.At(v), I(x)); ok {
 						oa--
 					}
 				}
@@ -427,17 +450,17 @@ func (s *searcher) eliminate(z graph.VertexID, zs []uint32) bool {
 
 // unused returns |{x ∈ a∩b : idsW[x] ∉ U}| for two position lists of w,
 // charging the elements walked to st.
-func (s *searcher) unused(a, b []uint32, idsW []graph.VertexID, st *ceci.StepCounts) (k int64) {
+func unused[A, B setops.Position](s *searcher, a []A, b []B, idsW []graph.VertexID, st *ceci.StepCounts) (k int64) {
 	st.Comparisons += int64(len(a) + len(b))
 	i := 0
 	for _, x := range b {
-		for i < len(a) && a[i] < x {
+		for i < len(a) && uint32(a[i]) < uint32(x) {
 			i++
 		}
 		if i == len(a) {
 			break
 		}
-		if a[i] == x && !s.used.Get(idsW[x]) {
+		if uint32(a[i]) == uint32(x) && !s.used.Get(idsW[x]) {
 			k++
 		}
 	}

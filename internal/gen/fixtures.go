@@ -138,3 +138,46 @@ func ForEachGoldenPair(visit func(name string, data, query *graph.Graph, seed in
 		visit("sparse-"+name, sparse, b.MustBuild(), int64(i))
 	}
 }
+
+// WidePair returns a data graph and a 5-vertex query whose CECI index has
+// one query vertex with n candidates beside four with two or three: the
+// fixture for the two arena widths (internal/ceci's CandMap), narrow up to
+// n = 2^16 and wide past it. Query, one label each: the triangle A(0),
+// C(1), D(2), and the square A–D–B(4)–E(3)–A. Data: hubs a0, a1 (A);
+// c0..c2 (C), d0..d2 (D) and e0..e2 (E), each adjacent to both hubs, with
+// ck–dk; and n vertices bi (B), bi adjacent to d(i mod 3) and e(i mod 3).
+// Under each hub every bi completes one embedding, so the query has 2n of
+// them, and the naive reference matcher, which assigns the query's
+// vertices in ID order, scans the data graph only 18 times for B. Under
+// BFS, D is keyed by A and C, B by D and E, and a count-only run counts B
+// from a histogram.
+func WidePair(n int) (data, query *graph.Graph) {
+	const a0, c0, d0, e0, b0 = 0, 2, 5, 8, 11 // a0 a1 | c0..c2 | d0..d2 | e0..e2 | b0..
+	b := graph.NewBuilder(b0 + n)
+	for i := 0; i < n; i++ {
+		b.SetLabel(graph.VertexID(b0+i), 4)
+	}
+	for k := 0; k < 3; k++ {
+		b.SetLabel(graph.VertexID(c0+k), 1)
+		b.SetLabel(graph.VertexID(d0+k), 2)
+		b.SetLabel(graph.VertexID(e0+k), 3)
+		for h := 0; h < 2; h++ {
+			b.AddEdge(graph.VertexID(a0+h), graph.VertexID(c0+k))
+			b.AddEdge(graph.VertexID(a0+h), graph.VertexID(d0+k))
+			b.AddEdge(graph.VertexID(a0+h), graph.VertexID(e0+k))
+		}
+		b.AddEdge(graph.VertexID(c0+k), graph.VertexID(d0+k))
+	}
+	for i := 0; i < n; i++ {
+		b.AddEdge(graph.VertexID(b0+i), graph.VertexID(d0+i%3))
+		b.AddEdge(graph.VertexID(b0+i), graph.VertexID(e0+i%3))
+	}
+	q := graph.NewBuilder(5)
+	for u := 0; u < 5; u++ {
+		q.SetLabel(graph.VertexID(u), graph.Label(u))
+	}
+	for _, e := range [][2]graph.VertexID{{0, 1}, {0, 2}, {1, 2}, {0, 3}, {2, 4}, {3, 4}} {
+		q.AddEdge(e[0], e[1])
+	}
+	return b.MustBuild(), q.MustBuild()
+}

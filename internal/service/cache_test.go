@@ -369,7 +369,7 @@ func TestEntryChargeCoversHeap(t *testing.T) {
 // /cachez, in the cache source of /metrics.json and as a gauge.
 func TestEvictedBytesSurfaces(t *testing.T) {
 	reg := obs.NewRegistry()
-	eng := New(testData(), Options{CacheBytes: 1 << 15, Registry: reg})
+	eng := New(testData(), Options{CacheBytes: 1 << 14, Registry: reg})
 	srv := httptest.NewServer(eng.Handler())
 	defer srv.Close()
 	for _, q := range []*graph.Graph{pathQuery(t, 0, 1), pathQuery(t, 1, 2), pathQuery(t, 2, 0, 1), pathQuery(t, 0, 2, 1), pathQuery(t, 3, 1, 2)} {
@@ -379,7 +379,7 @@ func TestEvictedBytesSurfaces(t *testing.T) {
 	}
 	want := eng.CacheStats()
 	if want.Evictions == 0 || want.EvictedBytes < want.Evictions {
-		t.Fatalf("nothing was evicted from a 32 KiB cache: %+v", want)
+		t.Fatalf("nothing was evicted from a 16 KiB cache: %+v", want)
 	}
 	cz, err := NewClient(srv.URL, srv.Client()).Cachez(context.Background())
 	if err != nil {

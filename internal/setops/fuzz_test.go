@@ -3,6 +3,7 @@ package setops_test
 import (
 	"testing"
 
+	"ceci/internal/bitset"
 	"ceci/internal/setops"
 )
 
@@ -49,7 +50,8 @@ func decodeLists(data []byte) (a, b []uint32) {
 // FuzzIntersectKernels drives every kernel (plus the adaptive entry
 // point, with and without scratch, and the probe of a bitmap filled
 // beforehand from either side) against the naive reference on
-// fuzzer-shaped inputs, asserting bit-identical outputs everywhere.
+// fuzzer-shaped inputs, asserting bit-identical outputs everywhere — at
+// four bytes a value and, below 2^16, at two (checkWidths).
 func FuzzIntersectKernels(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -77,7 +79,76 @@ func FuzzIntersectKernels(f *testing.F) {
 		}
 		checkFilledSpan(t, a, b, want)
 		checkFilledSpan(t, b, a, want)
+		checkWidths(t, a, b)
 	})
+}
+
+// checkWidths drives every kernel over the parts of a and b below 2^16 read
+// at both widths, []uint16 and []uint32, in every pairing: each must write
+// the same []uint32 result and record the same work as the four-byte pair,
+// and so must IntersectK and the probe of a bitmap filled from either
+// width.
+func checkWidths(t *testing.T, a, b []uint32) {
+	t.Helper()
+	a, b = below(a, 1<<16), below(b, 1<<16)
+	a16, b16 := narrow(a), narrow(b)
+	want := naiveIntersect(a, b)
+	for _, k := range allKernels {
+		var ref setops.Scratch
+		setops.IntersectWith(k, nil, a, b, &ref)
+		for i, run := range []func(*setops.Scratch) []uint32{
+			func(sc *setops.Scratch) []uint32 { return setops.IntersectWith(k, nil, a16, b16, sc) },
+			func(sc *setops.Scratch) []uint32 { return setops.IntersectWith(k, nil, a16, b, sc) },
+			func(sc *setops.Scratch) []uint32 { return setops.IntersectWith(k, nil, a, b16, sc) },
+		} {
+			var sc setops.Scratch
+			if got := run(&sc); !equal(got, want) || sc.Stats != ref.Stats {
+				t.Fatalf("kernel %v, pairing %d: got %v (%+v), want %v (%+v)\na=%v\nb=%v", k, i, got, sc.Stats, want, ref.Stats, a, b)
+			}
+		}
+	}
+	var sc setops.Scratch
+	if got := setops.IntersectK(&sc, [][]uint16{a16, b16}); !equal(got, want) {
+		t.Fatalf("IntersectK of two-byte lists: got %v want %v", got, want)
+	}
+	if got := setops.IntersectK(&sc, [][]uint16{a16}); !equal(got, a) {
+		t.Fatalf("IntersectK of one two-byte list: got %v want %v", got, a)
+	}
+	var sp, sp16 bitset.Span
+	filled := setops.FillSpan(&sp, a, nil)
+	if setops.FillSpan(&sp16, a16, nil) != filled {
+		t.Fatalf("FillSpan takes %v at four bytes and not at two\na=%v", a, filled)
+	}
+	if !filled {
+		return
+	}
+	for i, got := range [][]uint32{
+		setops.IntersectSpan(nil, &sp16, b16, nil),
+		setops.IntersectSpan(nil, &sp16, b, nil),
+		setops.IntersectSpan(nil, &sp, b16, nil),
+	} {
+		if !equal(got, want) {
+			t.Fatalf("filled span, pairing %d: got %v want %v\na=%v\nb=%v", i, got, want, a, b)
+		}
+	}
+}
+
+// below returns the prefix of the ascending list a that is below limit.
+func below(a []uint32, limit uint32) []uint32 {
+	n := 0
+	for n < len(a) && a[n] < limit {
+		n++
+	}
+	return a[:n]
+}
+
+// narrow returns a, every value below 2^16, as two-byte values.
+func narrow(a []uint32) []uint16 {
+	out := make([]uint16, len(a))
+	for i, x := range a {
+		out[i] = uint16(x)
+	}
+	return out
 }
 
 // FuzzIntersectionSize checks the counting intersection against the

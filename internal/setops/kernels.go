@@ -67,11 +67,12 @@ const fillAlwaysSpan = 1 << 15
 // the smaller list pays only where it is filled once and probed by many
 // lists (FillSpan); filled per call it measured no better than the merge
 // on any benchmark workload (DESIGN §7.2).
-func ChooseKernel(a, b []uint32) Kernel {
-	if len(a) > len(b) {
-		a, b = b, a
+func ChooseKernel[A, B Position](a []A, b []B) Kernel {
+	small, large := len(a), len(b)
+	if small > large {
+		small, large = large, small
 	}
-	if len(a) > 0 && len(b) >= gallopRatio*len(a) {
+	if small > 0 && large >= gallopRatio*small {
 		return KernelGallop
 	}
 	return KernelMerge
@@ -84,11 +85,11 @@ func ChooseKernel(a, b []uint32) Kernel {
 // this toolchain, and the shapes that would reward block-skipping are
 // routed to the gallop kernel by ChooseKernel or to a filled bitmap by
 // the caller instead (see DESIGN.md). Returns the result and the number
-// of elements examined.
-func intersectMerge(dst, a, b []uint32) ([]uint32, int) {
+// of elements examined, both the same whichever side is a.
+func intersectMerge[A, B Position](dst []uint32, a []A, b []B) ([]uint32, int) {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
+		x, y := uint32(a[i]), uint32(b[j])
 		switch {
 		case x < y:
 			i++
@@ -108,14 +109,15 @@ func intersectMerge(dst, a, b []uint32) ([]uint32, int) {
 // one visit per element of small — derived after the fact rather than by
 // instrumenting the search loops, so profiling costs nothing on the hot
 // path. Returns the result and that scanned count.
-func intersectGallop(dst, small, large []uint32) ([]uint32, int) {
+func intersectGallop[S, L Position](dst []uint32, small []S, large []L) ([]uint32, int) {
 	lo := 0
-	for _, x := range small {
+	for _, s := range small {
+		x := uint32(s)
 		lo = Gallop(large, lo, x)
 		if lo == len(large) {
 			break
 		}
-		if large[lo] == x {
+		if uint32(large[lo]) == x {
 			dst = append(dst, x)
 			lo++
 		}
@@ -125,14 +127,14 @@ func intersectGallop(dst, small, large []uint32) ([]uint32, int) {
 
 // Gallop returns the smallest index i >= lo with large[i] >= x, using
 // exponential probing followed by binary search.
-func Gallop(large []uint32, lo int, x uint32) int {
+func Gallop[T Position](large []T, lo int, x uint32) int {
 	n := len(large)
-	if lo >= n || large[lo] >= x {
+	if lo >= n || uint32(large[lo]) >= x {
 		return lo
 	}
 	step := 1
 	hi := lo + 1
-	for hi < n && large[hi] < x {
+	for hi < n && uint32(large[hi]) < x {
 		lo = hi
 		step <<= 1
 		hi = lo + step
@@ -143,7 +145,7 @@ func Gallop(large []uint32, lo int, x uint32) int {
 	// binary search in (lo, hi]
 	for lo+1 < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if large[mid] < x {
+		if uint32(large[mid]) < x {
 			lo = mid
 		} else {
 			hi = mid
@@ -159,14 +161,18 @@ func Gallop(large []uint32, lo int, x uint32) int {
 // an empty list, or a span that is both wider than probeMaxGap times the
 // length and wider than fillAlwaysSpan. The fill is charged to sc's probe
 // counters as scanned elements (sc may be nil).
-func FillSpan(sp *bitset.Span, a []uint32, sc *Scratch) bool {
+func FillSpan[T Position](sp *bitset.Span, a []T, sc *Scratch) bool {
 	if len(a) == 0 {
 		return false
 	}
-	if span := uint64(a[len(a)-1] - a[0]); span >= fillAlwaysSpan && span > uint64(len(a))*probeMaxGap {
+	lo, hi := uint32(a[0]), uint32(a[len(a)-1])
+	if span := uint64(hi - lo); span >= fillAlwaysSpan && span > uint64(len(a))*probeMaxGap {
 		return false
 	}
-	sp.Fill(a)
+	sp.Cover(lo, hi)
+	for _, x := range a {
+		sp.Set(uint32(x))
+	}
 	if sc != nil {
 		sc.Stats.Scanned[KernelProbe] += int64(len(a))
 	}
@@ -182,19 +188,19 @@ func FillSpan(sp *bitset.Span, a []uint32, sc *Scratch) bool {
 // that keeps an unpredictable half of the window costs what one that
 // keeps all of it does. A dst with less capacity than the window is
 // replaced, not written past. Recorded into sc.Stats as a probe call
-// that scanned the tested elements (sc may be nil). dst may alias b in
-// the dst = b[:0] form: the output index never passes the element being
-// read.
-func IntersectSpan(dst []uint32, sp *bitset.Span, b []uint32, sc *Scratch) []uint32 {
+// that scanned the tested elements (sc may be nil). A []uint32 b may be
+// dst's backing array in the dst = b[:0] form: the output index never
+// passes the element being read.
+func IntersectSpan[T Position](dst []uint32, sp *bitset.Span, b []T, sc *Scratch) []uint32 {
 	dst = dst[:0]
 	if sp.Empty() || len(b) == 0 {
 		return dst
 	}
 	j, end := Gallop(b, 0, sp.Lo()), len(b)
-	if hi := sp.Hi(); b[end-1] > hi {
+	if hi := sp.Hi(); uint32(b[end-1]) > hi {
 		// A walk, not a gallop: its one branch is predictable, and it
 		// stops at b's last element at the latest.
-		for end = j; b[end] <= hi; end++ {
+		for end = j; uint32(b[end]) <= hi; end++ {
 		}
 	}
 	window := b[j:end]
@@ -202,7 +208,8 @@ func IntersectSpan(dst []uint32, sp *bitset.Span, b []uint32, sc *Scratch) []uin
 		dst = make([]uint32, 0, len(window))
 	}
 	out, n := dst[:len(window)], 0
-	for _, x := range window {
+	for _, v := range window {
+		x := uint32(v)
 		out[n] = x
 		n += sp.Bit(x)
 	}
@@ -241,12 +248,13 @@ func (s *KernelStats) TotalScanned() int64 {
 
 // IntersectWith runs one specific kernel, KernelMerge or KernelGallop,
 // for a ∩ b, appending to dst (which may share its backing array with a
-// or b in the dst = x[:0] form, like Intersect). sc may be nil; when
-// non-nil the kernel's work is recorded into sc.Stats. The cross-kernel
-// differential tests and the fuzz targets drive both kernels through this
-// entry point against the same inputs. KernelProbe is not a per-call
-// kernel (it needs a filled bitmap: FillSpan, IntersectSpan) and panics.
-func IntersectWith(k Kernel, dst, a, b []uint32, sc *Scratch) []uint32 {
+// []uint32 a or b in the dst = x[:0] form, like Intersect). sc may be nil;
+// when non-nil the kernel's work is recorded into sc.Stats. The
+// cross-kernel differential tests and the fuzz targets drive both kernels
+// through this entry point against the same inputs, at both widths.
+// KernelProbe is not a per-call kernel (it needs a filled bitmap:
+// FillSpan, IntersectSpan) and panics.
+func IntersectWith[A, B Position](k Kernel, dst []uint32, a []A, b []B, sc *Scratch) []uint32 {
 	dst = dst[:0]
 	if k == KernelProbe {
 		panic("setops: the probe runs against a filled bitmap (FillSpan, IntersectSpan)")
@@ -254,14 +262,14 @@ func IntersectWith(k Kernel, dst, a, b []uint32, sc *Scratch) []uint32 {
 	if len(a) == 0 || len(b) == 0 {
 		return dst
 	}
-	if len(a) > len(b) {
-		a, b = b, a
-	}
 	var scanned int
-	if k == KernelGallop {
-		dst, scanned = intersectGallop(dst, a, b)
-	} else {
+	switch {
+	case k == KernelMerge:
 		dst, scanned = intersectMerge(dst, a, b)
+	case len(a) <= len(b):
+		dst, scanned = intersectGallop(dst, a, b)
+	default:
+		dst, scanned = intersectGallop(dst, b, a)
 	}
 	if sc != nil {
 		sc.Stats.record(k, scanned, len(dst))

@@ -1,5 +1,5 @@
-// Package setops implements sorted-set operations over []uint32 candidate
-// lists. These kernels are the hot path of CECI's intersection-based
+// Package setops implements sorted-set operations over candidate lists of
+// positions, two or four bytes wide (Position). These kernels are the hot path of CECI's intersection-based
 // embedding enumeration (Section 4.1, Lemma 2 of the paper): every
 // non-tree-edge verification becomes an intersection of sorted candidate
 // lists instead of an adjacency probe.
@@ -18,10 +18,18 @@
 // cursor does this for its outer side.
 //
 // All functions treat inputs as strictly increasing sequences and produce
-// strictly increasing outputs. Both kernels and the bitmap probe are
+// strictly increasing []uint32 outputs. Both kernels and the bitmap probe are
 // bit-identical on the same inputs; the cross-kernel differential tests
 // and the FuzzIntersectKernels target enforce that.
 package setops
+
+import "slices"
+
+// Position is the element type of a candidate list: a position in one
+// query vertex's candidates, two bytes wide for a vertex with at most 2^16
+// of them and four otherwise (internal/ceci's CandMap). The kernels read
+// lists of either width, in any pairing, and write []uint32.
+type Position interface{ ~uint16 | ~uint32 }
 
 // Intersect writes the intersection of a and b into dst (reusing its
 // capacity) and returns the result, selecting the cheapest kernel for the
@@ -42,16 +50,23 @@ func Intersect(dst, a, b []uint32) []uint32 {
 // IntersectK intersects k sorted lists (k >= 1), smallest first for
 // speed, choosing the cheapest kernel per pairwise step and recording
 // per-kernel work into scratch.Stats. scratch provides reusable buffers;
-// pass nil to allocate. The result may alias lists[0] only when k == 1.
-func IntersectK(scratch *Scratch, lists [][]uint32) []uint32 {
+// pass nil to allocate. With k == 1 the result is lists[0] itself when it
+// is a []uint32, and a copy widened into scratch's buffer otherwise.
+func IntersectK[T Position](scratch *Scratch, lists [][]T) []uint32 {
 	switch len(lists) {
 	case 0:
 		return nil
 	case 1:
-		return lists[0]
+		if l, ok := any(lists[0]).([]uint32); ok {
+			return l
+		}
 	}
 	if scratch == nil {
 		scratch = &Scratch{}
+	}
+	if len(lists) == 1 {
+		scratch.a = Widen(scratch.a[:0], lists[0])
+		return scratch.a
 	}
 	// Order by length without copying list contents. Insertion sort on
 	// indices: k is tiny (one list per query edge into the new vertex)
@@ -99,6 +114,16 @@ type Scratch struct {
 // memory.
 func (s *Scratch) FootprintBytes() int64 {
 	return int64(cap(s.a))*4 + int64(cap(s.b))*4 + int64(cap(s.order))*8
+}
+
+// Widen appends the values of list to dst as []uint32.
+func Widen[T Position](dst []uint32, list []T) []uint32 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(list))[:n+len(list)]
+	for i, x := range list {
+		dst[n+i] = uint32(x)
+	}
+	return dst
 }
 
 // IntersectionSize returns |a ∩ b| without materializing the result.

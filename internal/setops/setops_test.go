@@ -125,7 +125,7 @@ func TestIntersectKSingleAliases(t *testing.T) {
 	if &got[0] != &a[0] {
 		t.Error("k=1 should return the input list unchanged")
 	}
-	if setops.IntersectK(nil, nil) != nil {
+	if setops.IntersectK[uint32](nil, nil) != nil {
 		t.Error("k=0 should return nil")
 	}
 }

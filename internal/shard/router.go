@@ -392,6 +392,22 @@ func (r *shardResult) failure(width int) string {
 	return ""
 }
 
+// badQuery returns the message of a 400 that ended one of the shard's
+// legs: the query's fault, not the shard's, so merge answers the caller
+// with it instead of counting the shard as failed.
+func (r *shardResult) badQuery() (string, bool) {
+	for leg := r; leg != nil; leg = leg.fill {
+		if !errors.Is(leg.err, service.ErrBadQuery) {
+			continue
+		}
+		if api := (*service.APIError)(nil); errors.As(leg.err, &api) {
+			return api.Message, true
+		}
+		return leg.err.Error(), true
+	}
+	return "", false
+}
+
 // handleQuery is a routed query's five steps (DESIGN §12): decode, select
 // (refuse what the fleet cannot answer whole), scatter, merge, encode —
 // the middle three inside the frame the engine's queries run in.
@@ -574,7 +590,8 @@ func (rt *Router) pickReplicas(shard int) []*Replica {
 // leg (the critical path), cache_hit ANDs. Missing shards make the
 // response Partial with explicit ids in shards_failed; a shard whose fill
 // leg failed, or a leg whose embeddings are not width ids each (width is
-// the query's vertex count), is missing too.
+// the query's vertex count), is missing too. A shard that refused the
+// query with a 400 makes the whole reply that 400, with its message.
 //
 // Global pagination is best-effort: the caller's offset/limit window is
 // cut from the usable shards' rows laid end to end in shard order, each
@@ -583,6 +600,11 @@ func (rt *Router) pickReplicas(shard int) []*Replica {
 // shard has). A window inside one leg's page is a view of it; only a
 // window that straddles shards copies ids.
 func (rt *Router) merge(wire service.QueryRequest, width int, results []shardResult) (*RouteResponse, service.Page, int) {
+	for i := range results {
+		if msg, bad := results[i].badQuery(); bad {
+			return &RouteResponse{QueryResponse: service.QueryResponse{Error: msg}, ShardsTotal: len(results)}, service.Page{}, http.StatusBadRequest
+		}
+	}
 	out := &RouteResponse{ShardsTotal: len(results)}
 	out.CacheHit = true
 	var page service.Page

@@ -608,8 +608,9 @@ func TestQueryzFiltersHTTP(t *testing.T) {
 // TestLegFailsOverInOrder: a leg asks its shard's replicas one at a
 // time, the rotated primary first. A replica that fails outright hands
 // the leg to the next at once, and only the answering replica's spans
-// reach the trace; a 400 ends the leg unanswered by any other replica; a
-// shard whose every replica fails is named in shards_failed.
+// reach the trace; a 400 ends the leg unanswered by any other replica and
+// is the router's answer, message and all; a shard whose every replica
+// fails is named in shards_failed.
 func TestLegFailsOverInOrder(t *testing.T) {
 	// The first query's primary is replica 0.
 	failed := &stubShard{status: http.StatusInternalServerError,
@@ -639,11 +640,16 @@ func TestLegFailsOverInOrder(t *testing.T) {
 	spare := &stubShard{resp: service.QueryResponse{Count: 3}}
 	rsrv = stubRouter(t, []*stubShard{refuses, spare}, RouterOptions{})
 	resp, status = postRoute(t, rsrv.URL, edgeWire())
-	if msg := resp.ShardErrors["0"]; status != http.StatusBadGateway || !strings.Contains(msg, "HTTP 400") || resp.Failovers != 0 {
-		t.Errorf("status %d, shard 0 error %q, failovers %d: want 502 carrying the leg's 400", status, msg, resp.Failovers)
+	if status != http.StatusBadRequest || resp.Error != "refused" || len(resp.ShardErrors) != 0 || resp.Failovers != 0 {
+		t.Errorf("status %d, error %q, shard errors %v, failovers %d: want the shard's 400 and its message", status, resp.Error, resp.ShardErrors, resp.Failovers)
 	}
 	if refuses.hits.Load() != 1 || spare.hits.Load() != 0 {
 		t.Errorf("after a 400 the replicas saw %d and %d requests, want 1 and 0", refuses.hits.Load(), spare.hits.Load())
+	}
+	// In a larger fleet too: one shard's 400 is not a partial answer.
+	rsrv = handlerFleet(t, [][]http.Handler{{&stubShard{resp: service.QueryResponse{Count: 3}}}, {refuses}}, RouterOptions{})
+	if resp, status = postRoute(t, rsrv.URL, edgeWire()); status != http.StatusBadRequest || resp.Error != "refused" || resp.Partial {
+		t.Errorf("two shards, the second refusing: status %d, error %q, partial %v: want its 400", status, resp.Error, resp.Partial)
 	}
 
 	// Every replica fails: the shard is missing, and it was the only one.

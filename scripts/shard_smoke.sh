@@ -78,19 +78,25 @@ fi
 # 5. The routed query is in the flight recorder and its exported span
 # tree stitches the router's spans with every shard's — which came with
 # the leg replies: reading the tree (twice, below) is served by the
-# router alone, and no shard has ever been asked for a trace.
+# router alone, and no shard has ever been asked for a trace. There is a
+# leg per shard plus one per fill leg (a scatter span with round=fill: the
+# window reached past shard 0's rows), each a scatter over a
+# service-query; the tree's leg count is written to legs for the JSONL
+# check.
 curl -sf "http://127.0.0.1:$ROUTER_PORT/queryz" | tee "$WORK/queryz.json" >/dev/null
 grep -q '4bf92f3577b34da6a3ce929d0e0e4736' "$WORK/queryz.json"
 curl -sf "http://127.0.0.1:$ROUTER_PORT/tracez/4bf92f3577b34da6a3ce929d0e0e4736" \
   -o "$WORK/tracez.json"
-python3 - "$WORK/tracez.json" <<'PY'
+python3 - "$WORK/tracez.json" "$WORK/legs" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 evs = [e for e in doc['traceEvents'] if e['ph'] == 'X']
 names = [e['name'] for e in evs]
+fills = sum(1 for e in evs if e['name'] == 'scatter' and e['args'].get('round') == 'fill')
 assert names.count('route-query') == 1, names
-assert names.count('scatter') == 3, names
-assert names.count('service-query') == 3, names
+assert names.count('scatter') == 3 + fills, names
+assert names.count('service-query') == 3 + fills, names
+open(sys.argv[2], 'w').write(f"{3 + fills}\n")
 by_id = {e['args']['span_id']: e for e in evs}
 scatter_ids = {e['args']['span_id'] for e in evs if e['name'] == 'scatter'}
 root_id = next(e['args']['span_id'] for e in evs if e['name'] == 'route-query')
@@ -99,10 +105,10 @@ for e in evs:
         assert e['args']['parent_span_id'] == root_id, e
     if e['name'] == 'service-query':
         assert e['args']['parent_span_id'] in scatter_ids, e
-print(f"shard-smoke: {len(evs)} spans, one tree spanning router + 3 shards")
+print(f"shard-smoke: {len(evs)} spans, one tree spanning router + 3 shards ({fills} fill legs)")
 PY
 curl -sf "http://127.0.0.1:$ROUTER_PORT/tracez/4bf92f3577b34da6a3ce929d0e0e4736?format=jsonl" \
-  | grep -c '"name":"service-query"' | grep -qx 3
+  | grep -c '"name":"service-query"' | grep -qx "$(cat "$WORK/legs")"
 trace_reads() { # trace_reads <base url>: /tracez requests that server has answered
   curl -sf "$1/metrics.json" | python3 -c 'import json, sys; print(json.load(sys.stdin)["sources"][sys.argv[1]]["trace_reads"])' "$2"
 }
