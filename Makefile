@@ -32,9 +32,10 @@ bench:
 # run counts its last vertex from a histogram, so a shape that stops
 # taking it fails; 0.21 when the last two depths were a product, 0.52
 # when it entered the last depth once per candidate of the one before),
-# and serve_churn's service.cache_hit_ratio must not be under 0.78 (about
-# 0.83 with two-byte arenas, 0.73 with four-byte ones, 0.48 when the
-# cache was an LRU).
+# and serve_churn's service.cache_hit_ratio must not be under 0.85 (about
+# 0.88 with cardinality columns at the width their values need, 0.83
+# with eight-byte ones, 0.73 with four-byte arenas, 0.48 when the cache
+# was an LRU).
 benchmark-check:
 	mkdir -p .bench_build
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
@@ -45,7 +46,7 @@ benchmark-check:
 	bash benchmark/run.sh --workload fleet_scatter --seed 1 --seconds 4 --trace 1
 	bash benchmark/run.sh --workload serve_churn --seed 1 --seconds 4 --trace 1 > .bench_build/serve_churn.json
 	tail -n 1 .bench_build/serve_churn.json | awk -F'"service.cache_hit_ratio":[{]"value":' \
-		'{ r = $$2 + 0; print "serve_churn service.cache_hit_ratio", r, "(must be >= 0.78)"; exit !(r >= 0.78) }'
+		'{ r = $$2 + 0; print "serve_churn service.cache_hit_ratio", r, "(must be >= 0.85)"; exit !(r >= 0.85) }'
 
 # The committed trajectory (ROADMAP aim 1): every workload of the repo
 # benchmark, untraced then traced, seed 1, one child process per run

@@ -84,6 +84,10 @@ type builder struct {
 	// dead and emptied are the cascade's two sets: the one a level removes
 	// and the TE keys that empties, which the next level removes.
 	dead, emptied []graph.VertexID
+	// cards[u] is u's cardinality column as refinement (or the optimistic
+	// pass) computed it, parallel to its candidates: the parent's sums
+	// read it, and build narrows it into the node's column (cardColumn).
+	cards [][]int64
 }
 
 // build is the construction body. cancelled, when non-nil, is flipped by
@@ -116,6 +120,7 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 		cancelled: cancelled,
 		scratch:   make([]buildScratch, workers),
 		pos:       posTables.Get().(*posTable),
+		cards:     make([][]int64, len(ix.Nodes)),
 	}
 	defer posTables.Put(b.pos)
 	for u, parents := range tree.NTEParents {
@@ -180,10 +185,12 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 	if b.isCancelled() {
 		return nil, nil
 	}
-	// Every candidate column is final: the maps become positions.
+	// Every candidate column is final: the maps become positions and the
+	// cardinalities take the width they need.
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
 		node.Cands = fit(node.Cands)
+		node.cards = cardColumn(b.cards[u])
 		pos := b.pos.fill(node.Cands, data.NumVertices())
 		node.TE = b.te[u].compact(ix.keySpace(graph.VertexID(u), teSlot), pos, len(node.Cands))
 		for j := range node.NTE {

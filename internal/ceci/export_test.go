@@ -2,6 +2,7 @@ package ceci
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"ceci/internal/graph"
@@ -36,12 +37,13 @@ func (ix *Index) ForEachID(u graph.VertexID, slot int, fn func(key graph.VertexI
 // ascending from 0 to the arena's end; the arena at its vertex's width
 // (Node.Narrow); every list strictly ascending and inside the value space;
 // bare keys ascending, inside the key space and empty — or a cardinality
-// column out of step with its candidates.
+// column out of step with its candidates or wider or narrower than its
+// largest value needs.
 func (ix *Index) CheckColumns() error {
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
-		if len(node.cardVals) != len(node.Cands) {
-			return fmt.Errorf("u%d: %d cardinalities for %d candidates", u, len(node.cardVals), len(node.Cands))
+		if w := node.CardWidth(); len(node.cards) != w*len(node.Cands) || len(node.Cands) > 0 && w != CardWidthOf(node.MaxCard()) {
+			return fmt.Errorf("u%d: %d cardinality bytes for %d candidates, largest %d", u, len(node.cards), len(node.Cands), node.MaxCard())
 		}
 		for slot := teSlot; slot < len(node.NTE); slot++ {
 			m, keys := node.slot(slot), ix.keySpace(graph.VertexID(u), slot)
@@ -98,6 +100,37 @@ func (ix *Index) ArenaWidth(u graph.VertexID) int {
 	return width
 }
 
+// CardWidth returns the bytes a value of the node's cardinality column
+// takes, off the column's length; 0 for a node with no candidates.
+func (n *Node) CardWidth() int {
+	if len(n.Cands) == 0 {
+		return 0
+	}
+	return len(n.cards) / len(n.Cands)
+}
+
+// MaxCard returns the largest value of the node's cardinality column, 0
+// when it is empty.
+func (n *Node) MaxCard() int64 {
+	var top int64
+	for p := range n.Cands {
+		top = max(top, n.CardAt(uint32(p)))
+	}
+	return top
+}
+
+// CardWidthOf is the width rule written out apart from cardColumn: the
+// bytes a value takes in a column whose largest value is top.
+func CardWidthOf(top int64) int {
+	switch {
+	case top <= math.MaxUint16:
+		return 2
+	case top <= math.MaxUint32:
+		return 4
+	}
+	return 8
+}
+
 // ColumnBytes returns what ix's columns hold, counted off the slices and
 // not by PhysicalBytes' formula: the capacity of every column of every
 // node times its element's size.
@@ -105,7 +138,7 @@ func (ix *Index) ColumnBytes() int64 {
 	var n int64
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
-		n += capBytes(node.Cands) + capBytes(node.cardVals)
+		n += capBytes(node.Cands) + capBytes(node.cards)
 		for slot := teSlot; slot < len(node.NTE); slot++ {
 			m := node.slot(slot)
 			n += capBytes(m.offs) + capBytes(m.narrow) + capBytes(m.wide) + capBytes(m.bare)

@@ -327,14 +327,25 @@ func referenceBuild(data *graph.Graph, tree *order.QueryTree, opts Options) *ref
 			vc.FinalCands.Add(int64(len(node.cands)))
 			vc.TEEntries.Add(int64(len(node.te)))
 			vc.TECandidates.Add(node.te.edges())
-			// 4 bytes per candidate, 8 per cardinality; a map has one
-			// 4-byte offset per candidate of its key vertex plus one, 4
-			// bytes per key whose list is empty, and 2 or 4 per value.
+			// 4 bytes per candidate, and 2, 4 or 8 per cardinality as
+			// the largest is below 2^16, below 2^32 or neither; a map has
+			// one 4-byte offset per candidate of its key vertex plus one,
+			// 4 bytes per key whose list is empty, and 2 or 4 per value.
 			keySpace := 0
 			if p := tree.Parent[u]; p != order.NoParent {
 				keySpace = len(r.nodes[p].cands)
 			}
-			flat := 12*int64(len(node.cands)) + node.te.flatBytes(keySpace, len(node.cands))
+			var top int64
+			for _, v := range node.cands {
+				top = max(top, node.card[v])
+			}
+			cardWidth := int64(8)
+			if top < 1<<16 {
+				cardWidth = 2
+			} else if top < 1<<32 {
+				cardWidth = 4
+			}
+			flat := (4+cardWidth)*int64(len(node.cands)) + node.te.flatBytes(keySpace, len(node.cands))
 			for j, m := range node.nte {
 				nc := vc.NTE(j)
 				nc.Entries.Add(int64(len(m)))

@@ -87,7 +87,8 @@ func TestReadIndexParentCommitFiles(t *testing.T) {
 // error or an index that is structurally sound and enumerates without
 // panicking, and it allocates no more than a small multiple of the input
 // length plus |V| per section of the file — never what a length field
-// inside the input asks for. The committed corpus
+// inside the input asks for; every cardinality it reads back lies in
+// [1, CardSaturation]. The committed corpus
 // (testdata/fuzz/FuzzReadIndex) holds the parent commit's files and
 // truncations, bit flips and hostile lengths made from them.
 func FuzzReadIndex(f *testing.F) {
@@ -105,6 +106,15 @@ func FuzzReadIndex(f *testing.F) {
 		f.Add(uint8(i), flipped)
 		// A valid header, then a list length of 2^32-1.
 		f.Add(uint8(i), binary.AppendUvarint(bytes.Clone(file[:17]), math.MaxUint32))
+	}
+	// A cardinality on either side of each width boundary of a column, and
+	// the largest value a file may hold.
+	var buf bytes.Buffer
+	if _, err := ceci.Build(pairs[0].data, pairs[0].tree, ceci.Options{}).WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	for _, c := range []uint64{1<<16 - 1, 1 << 16, 1<<32 - 1, 1 << 32, ceci.CardSaturation} {
+		f.Add(uint8(0), withFirstCard(buf.Bytes(), c))
 	}
 	f.Fuzz(func(t *testing.T, sel uint8, blob []byte) {
 		p := pairs[int(sel)%len(pairs)]
@@ -126,6 +136,32 @@ func FuzzReadIndex(f *testing.F) {
 		if !checkStructure(t, ix, p.tree) {
 			t.Fatalf("ReadIndex accepted a structurally unsound index for %s", p.name)
 		}
+		for u := range ix.Nodes {
+			for i := range ix.Nodes[u].Cands {
+				if c := ix.Nodes[u].CardAt(uint32(i)); c < 1 || c > ceci.CardSaturation {
+					t.Fatalf("ReadIndex accepted %s with u%d's cardinality %d at %d", p.name, u, c, i)
+				}
+			}
+		}
 		enum.NewMatcher(ix, enum.Options{Workers: 1, Limit: 1 << 16}).Count()
 	})
+}
+
+// withFirstCard returns a copy of an index file with the first
+// cardinality of its first node (which must have a candidate) replaced by
+// c, patched in the bytes so that no writer chooses how it is stored.
+func withFirstCard(file []byte, c uint64) []byte {
+	at := 16 // magic, fingerprint
+	next := func() uint64 {
+		v, n := binary.Uvarint(file[at:])
+		at += n
+		return v
+	}
+	next() // the node count
+	for range next() {
+		next() // the first node's candidates
+	}
+	start := at
+	next()
+	return append(binary.AppendUvarint(bytes.Clone(file[:start]), c), file[at:]...)
 }

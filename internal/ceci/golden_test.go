@@ -20,10 +20,11 @@ import (
 // and the four size/cardinality accessors. testdata/golden_index.tsv
 // holds these rows as commit eefd9bf (the last with the mutable CandMap
 // mode and Freeze) produced them, but for the PhysicalBytes column, which
-// was rewritten twice: when map keys and values became positions (dense
-// offsets, no key column), and when a vertex with at most 2^16 candidates
-// got a two-byte arena. Any other index-layout change must reproduce the
-// file bit for bit.
+// was rewritten three times: when map keys and values became positions
+// (dense offsets, no key column), when a vertex with at most 2^16
+// candidates got a two-byte arena, and when a cardinality column took the
+// width its largest value needs. Any other index-layout change must
+// reproduce the file bit for bit.
 func goldenRows(t *testing.T) []string {
 	t.Helper()
 	var rows []string

@@ -25,7 +25,8 @@ import (
 // to reach, and changes no other candidate's product, so the products are
 // all computed before the first deletion, a level's zero-cardinality
 // candidates leave as one set (removeCandidates) and a column, once
-// written, stays parallel to its candidates.
+// written, stays parallel to its candidates. The columns are the
+// builder's (b.cards), at eight bytes a value until build narrows them.
 func (b *builder) refine() {
 	tree := b.ix.Tree
 	for i := len(tree.Order) - 1; i >= 0 && !b.isCancelled(); i-- {
@@ -65,7 +66,7 @@ func (b *builder) refine() {
 			cards[kept] = cards[k]
 			kept++
 		}
-		node.cardVals = fit(cards[:kept])
+		b.cards[u] = cards[:kept]
 		if st := b.ix.opts.Stats; st != nil {
 			st.FilteredRefine.Add(int64(len(dead)))
 		}
@@ -82,8 +83,9 @@ func (b *builder) refine() {
 // deleted with its candidate — and both ascend, so one cursor walks the
 // key column beside the candidates. A TE list is a subset of the child's
 // candidates, so each value's cardinality is read off the child's column
-// at the value's position (posTable); under a leaf child that column is
-// all ones, the sum is the list's length and no position is looked up.
+// (b.cards) at the value's position (posTable); under a leaf child that
+// column is all ones, the sum is the list's length and no position is
+// looked up.
 func (b *builder) cardProducts(u graph.VertexID) []int64 {
 	tree := b.ix.Tree
 	cands := b.ix.Nodes[u].Cands
@@ -92,7 +94,7 @@ func (b *builder) cardProducts(u graph.VertexID) []int64 {
 		cards[k] = 1
 	}
 	for _, uc := range tree.Children[u] {
-		child := &b.ix.Nodes[uc]
+		child, col := &b.ix.Nodes[uc], b.cards[uc]
 		te := &b.te[uc]
 		leaf := len(tree.Children[uc]) == 0
 		var pos posTable
@@ -115,7 +117,7 @@ func (b *builder) cardProducts(u graph.VertexID) []int64 {
 				sum = int64(len(lst))
 			} else {
 				for _, vc := range lst {
-					sum = satAdd(sum, child.cardVals[pos[vc]])
+					sum = satAdd(sum, col[pos[vc]])
 				}
 			}
 			cards[k] = satMul(cards[k], sum)
@@ -177,6 +179,6 @@ func (b *builder) optimisticCardinalities() {
 	tree := b.ix.Tree
 	for i := len(tree.Order) - 1; i >= 0; i-- {
 		u := tree.Order[i]
-		b.ix.Nodes[u].cardVals = b.cardProducts(u)
+		b.cards[u] = b.cardProducts(u)
 	}
 }

@@ -73,8 +73,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
 		writeIDs(cw, node.Cands, nil)
-		for _, c := range node.cardVals {
-			writeUvarint(cw, uint64(c))
+		for p := range node.Cands {
+			writeUvarint(cw, uint64(node.CardAt(uint32(p))))
 		}
 		writeCandMap(cw, &node.TE, ix.keySpace(graph.VertexID(u), teSlot), node.Cands)
 		writeUvarint(cw, uint64(len(node.NTE)))
@@ -118,8 +118,10 @@ func ReadIndex(r io.Reader, data *graph.Graph, tree *order.QueryTree) (*Index, e
 	}
 	ix := newIndex(data, tree, Options{})
 	d := idReader{r: br, limit: uint64(data.NumVertices())}
-	// maps[u][0] is u's TE as read, maps[u][1+j] its NTE[j].
+	// maps[u][0] is u's TE as read, maps[u][1+j] its NTE[j]; cards holds
+	// a node's cardinalities until cardColumn narrows them.
 	maps := make([][]mapBuilder, len(ix.Nodes))
+	var cards []int64
 	for u := range ix.Nodes {
 		node := &ix.Nodes[u]
 		fail := func(section string, err error) (*Index, error) {
@@ -128,17 +130,18 @@ func ReadIndex(r io.Reader, data *graph.Graph, tree *order.QueryTree) (*Index, e
 		if node.Cands, err = d.ids(nil); err != nil {
 			return fail("cands", err)
 		}
-		node.cardVals = make([]int64, len(node.Cands))
-		for i := range node.cardVals {
+		cards = cards[:0]
+		for _, v := range node.Cands {
 			c, err := binary.ReadUvarint(br)
 			if err != nil {
 				return fail("card", err)
 			}
 			if c < 1 || c > CardSaturation {
-				return fail("card", fmt.Errorf("cardinality %d of candidate %d outside [1, %d]", c, node.Cands[i], int64(CardSaturation)))
+				return fail("card", fmt.Errorf("cardinality %d of candidate %d outside [1, %d]", c, v, int64(CardSaturation)))
 			}
-			node.cardVals[i] = int64(c)
+			cards = append(cards, int64(c))
 		}
+		node.cards = cardColumn(cards)
 		maps[u] = make([]mapBuilder, 1+len(node.NTE))
 		if err = d.candMap(&maps[u][0]); err != nil {
 			return fail("TE", err)

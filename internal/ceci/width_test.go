@@ -103,7 +103,8 @@ func TestWideAndNarrowNodes(t *testing.T) {
 // TestPhysicalBytesIsExact: PhysicalBytes, which the service cache charges
 // an entry, is exactly the capacity of every column of every node times
 // its element's size, for indexes of narrow vertices only (the golden
-// pairs) and with a wide one (gen.WidePair), built and read back.
+// pairs), with a wide one (gen.WidePair) and with cardinality columns of
+// every width (gen.StarPair), built and read back.
 func TestPhysicalBytesIsExact(t *testing.T) {
 	check := func(name string, data, query *graph.Graph) {
 		tree, err := order.Preprocess(data, query, order.DefaultOptions())
@@ -130,4 +131,81 @@ func TestPhysicalBytesIsExact(t *testing.T) {
 	gen.ForEachGoldenPair(func(name string, data, query *graph.Graph, _ int64) { check(name, data, query) })
 	data, query := gen.WidePair(1<<16 + 1)
 	check("wide", data, query)
+	// Cardinality columns of four and eight bytes a value.
+	data, query = gen.StarPair(256, 256)
+	check("star-4", data, query)
+	data, query = gen.StarPair(65536, 65536)
+	check("star-8", data, query)
+}
+
+// TestCardWidths builds gen.StarPair with fans whose product lands on
+// either side of each width boundary of a cardinality column (2^16 and
+// 2^32) and past CardSaturation. The centre's column is as wide as its
+// largest value needs (CheckColumns), every leaf's is two bytes, and
+// CardAt, ClusterCardinality and TotalCardinality read back the int64
+// products, built and read back; WriteTo → ReadIndex → WriteTo gives the
+// same bytes and PhysicalBytes.
+func TestCardWidths(t *testing.T) {
+	for _, c := range []struct {
+		fan   []int
+		card  int64
+		width int
+	}{
+		{[]int{255, 257}, 1<<16 - 1, 2},
+		{[]int{256, 256}, 1 << 16, 4},
+		{[]int{65535, 65537}, 1<<32 - 1, 4},
+		{[]int{65536, 65536}, 1 << 32, 8},
+		{[]int{2048, 2048, 2048, 2048, 2048, 2048}, ceci.CardSaturation, 8},
+	} {
+		data, query := gen.StarPair(c.fan...)
+		tree, err := order.Preprocess(data, query, order.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.Root != 0 {
+			t.Fatalf("%v: the root is u%d, want the centre", c.fan, tree.Root)
+		}
+		ix := ceci.Build(data, tree, ceci.Options{})
+		var file bytes.Buffer
+		if _, err := ix.WriteTo(&file); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ceci.ReadIndex(bytes.NewReader(file.Bytes()), data, tree)
+		if err != nil {
+			t.Fatalf("%v: ReadIndex: %v", c.fan, err)
+		}
+		for _, x := range []*ceci.Index{ix, back} {
+			if err := x.CheckColumns(); err != nil {
+				t.Fatalf("%v: %v", c.fan, err)
+			}
+			for u := range x.Nodes {
+				node, want := &x.Nodes[u], 2
+				if u == int(tree.Root) {
+					want = c.width
+				}
+				if got := node.CardWidth(); got != want {
+					t.Fatalf("%v: u%d's cardinalities take %d bytes, want %d", c.fan, u, got, want)
+				}
+				for p := range node.Cands {
+					if got := node.CardAt(uint32(p)); u != int(tree.Root) && got != 1 {
+						t.Fatalf("%v: leaf u%d has cardinality %d at %d", c.fan, u, got, p)
+					}
+				}
+			}
+			root := &x.Nodes[tree.Root]
+			if len(root.Cands) != 2 || root.CardAt(0) != c.card || root.CardAt(1) != 1 ||
+				x.ClusterCardinality(0) != c.card || x.ClusterCardinality(1) != 1 ||
+				x.TotalCardinality() != min(c.card+1, ceci.CardSaturation) {
+				t.Fatalf("%v: the centre's cardinalities are %d and %d (clusters %d, %d; total %d), want %d and 1",
+					c.fan, root.CardAt(0), root.CardAt(1), x.ClusterCardinality(0), x.ClusterCardinality(1), x.TotalCardinality(), c.card)
+			}
+		}
+		var again bytes.Buffer
+		if _, err := back.WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file.Bytes(), again.Bytes()) || back.PhysicalBytes() != ix.PhysicalBytes() {
+			t.Fatalf("%v: read back, %d bytes and PhysicalBytes %d; written, %d and %d", c.fan, again.Len(), back.PhysicalBytes(), file.Len(), ix.PhysicalBytes())
+		}
+	}
 }

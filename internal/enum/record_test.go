@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"bytes"
 	"context"
 	"slices"
 	"sync"
@@ -270,11 +271,13 @@ func TestDrainZeroAlloc(t *testing.T) {
 // Profile, Progress, QueryResources, the per-position view — from other
 // goroutines while 8 workers are draining into it: under -race this is
 // the proof that reading a live run needs nothing from the workers, and
-// every value read must be one the finished run can still reach.
+// every value read must be one the finished run can still reach. The
+// run is paused part-way (pauseGate) until each reader has read it, so
+// that the readers see it live does not depend on how the goroutines
+// are scheduled.
 func TestReadersDuringEnumeration(t *testing.T) {
-	// 5,600,090 embeddings, ~80 ms on two cores counted from a histogram
-	// of the last vertex (searcher.eliminate): long enough for the readers
-	// and the reporter to see it live.
+	// 5,600,090 embeddings counted from a histogram of the last vertex
+	// (searcher.eliminate) over many units.
 	data, query := gen.ErdosRenyi(600, 12000, 17), gen.QG4()
 	tree, err := order.Preprocess(data, query, order.Options{})
 	if err != nil {
@@ -284,24 +287,25 @@ func TestReadersDuringEnumeration(t *testing.T) {
 	ix := ceci.Build(data, tree, r.buildOptions())
 	opts := r.enumOptions(0)
 	opts.Workers = 8
-	var ticks atomic.Int64
-	opts.Progress = obs.NewReporter(func(p obs.Progress) {
-		ticks.Add(1)
-		if p.Final {
-			r.final = p
-		}
-	}, 50*time.Microsecond)
+	const readers = 2
+	gate := &pauseGate{ledger: r.ledger}
+	gate.reads.Add(readers)
+	opts.Trace = obs.NewTracer(obs.TracerOptions{JSONL: gate})
 	m := NewMatcher(ix, opts)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	var firstSeen [2]int64 // per reader, the first nonzero embedding total it read
-	for g := range firstSeen {
+	// Per reader, what the ledger and Progress showed while the run was
+	// paused.
+	var seen [readers]struct{ embeddings, units, progress int64 }
+	for g := range seen {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var lastEmb, lastLookups int64
+			waiting := true
 			for ctx.Err() == nil {
+				paused := gate.paused.Load()
 				p := r.collector.Snapshot()
 				var lookups int64
 				for _, v := range p.Vertices {
@@ -311,24 +315,52 @@ func TestReadersDuringEnumeration(t *testing.T) {
 				if res.Embeddings < lastEmb || lookups < lastLookups {
 					t.Errorf("a live read went backwards: embeddings %d → %d, lookups %d → %d",
 						lastEmb, res.Embeddings, lastLookups, lookups)
-					return
 				}
 				lastEmb, lastLookups = res.Embeddings, lookups
-				if firstSeen[g] == 0 {
-					firstSeen[g] = res.Embeddings
+				progress := opts.Progress.Snapshot(false)
+				if paused && waiting {
+					// Every read of this pass happened while the run was
+					// paused: the gate waits for this Done.
+					seen[g].embeddings, seen[g].units, seen[g].progress = res.Embeddings, res.Units, progress.Embeddings
+					waiting = false
+					gate.reads.Done()
 				}
-				_ = opts.Progress.Snapshot(false)
 			}
 		}()
 	}
 	n := m.Count()
 	cancel()
 	wg.Wait()
-	live := slices.ContainsFunc(firstSeen[:], func(seen int64) bool { return 0 < seen && seen < n })
-	if !live || ticks.Load() < 2 {
-		t.Fatalf("count %d, readers first saw %v, %d progress reports: nothing read the run live",
-			n, firstSeen, ticks.Load())
+	if !gate.paused.Load() {
+		t.Fatalf("count %d: no unit started after the ledger held a unit and embeddings, so the run never paused", n)
+	}
+	for g, w := range seen {
+		if w.embeddings <= 0 || w.units <= 0 || w.progress <= 0 {
+			t.Fatalf("count %d: reader %d read %+v while the run was paused: nothing read the run live", n, g, w)
+		}
 	}
 	r.delivered.Store(n) // count-only: the total drained is what was delivered
 	r.check(t, tree.Order, true)
+}
+
+// pauseGate is a span sink that pauses an enumeration: the first
+// "cluster" span to start once the ledger holds a finished unit and
+// embeddings waits in Write, with the tracer's lock held — so every other
+// worker waits at its next span event — until each reader has read the
+// run through once.
+type pauseGate struct {
+	ledger *telemetry.Ledger
+	paused atomic.Bool
+	reads  sync.WaitGroup // one Done per reader
+}
+
+func (g *pauseGate) Write(b []byte) (int, error) {
+	if g.paused.Load() || !bytes.Contains(b, []byte(`"name":"cluster"`)) {
+		return len(b), nil
+	}
+	if led := g.ledger.Snapshot(); led.Units > 0 && led.Embeddings > 0 {
+		g.paused.Store(true)
+		g.reads.Wait()
+	}
+	return len(b), nil
 }

@@ -94,9 +94,10 @@ type histogram struct {
 }
 
 // newHistogram sizes a histogram over positions positions of w, kept
-// under keys key vertices.
+// under keys key vertices. set has one slot past the positions: fill
+// writes every element there before it knows whether it is new.
 func newHistogram(positions, keys int) histogram {
-	return histogram{h: make([]uint32, positions), set: make([]uint32, 0, positions), keys: make([]uint32, keys)}
+	return histogram{h: make([]uint32, positions), set: make([]uint32, 0, positions+1), keys: make([]uint32, keys)}
 }
 
 // holds reports whether h was filled under the assignments pos gives the
@@ -115,21 +116,23 @@ func (hs *histogram) holds(keys []graph.VertexID, pos []uint32) bool {
 
 // fill rebuilds h from zs and inner, each read at its vertex's width,
 // under the key assignments in pos and returns the entries it added.
+// Every element is written at the end of set, and the end advances only
+// when its entry was zero, so the loop has no branch.
 func fill[T, Z setops.Position](hs *histogram, keys []graph.VertexID, pos []uint32, zs []Z, inner ceci.Lists[T]) (entries int64) {
 	for _, x := range hs.set {
 		hs.h[x] = 0
 	}
-	hs.set = hs.set[:0]
+	set, n := hs.set[:cap(hs.set)], 0
 	for _, v := range zs {
 		list := inner.At(uint32(v))
 		entries += int64(len(list))
 		for _, x := range list {
-			if hs.h[x] == 0 {
-				hs.set = append(hs.set, uint32(x))
-			}
+			set[n] = uint32(x)
+			n += int(uint64(int64(hs.h[x])-1) >> 63) // 1 when the entry is zero
 			hs.h[x]++
 		}
 	}
+	hs.set = set[:n]
 	for i, k := range keys {
 		hs.keys[i] = pos[k]
 	}

@@ -181,3 +181,35 @@ func WidePair(n int) (data, query *graph.Graph) {
 	}
 	return b.MustBuild(), q.MustBuild()
 }
+
+// StarPair returns a star query — a centre labelled 0 with one leaf
+// labelled i+1 per entry fan[i] — and a data graph in which the centre
+// has two candidates: vertex 0, with fan[i] neighbours labelled i+1, and
+// vertex 1, adjacent to the first of each label. Every leaf's cardinality
+// is 1, so the centre's is the product of fan at vertex 0 (saturating at
+// internal/ceci's CardSaturation) and 1 at vertex 1: the fixture for the
+// widths of a cardinality column, whose largest value the fans (each at
+// least 1) choose.
+func StarPair(fan ...int) (data, query *graph.Graph) {
+	n := 2
+	for _, f := range fan {
+		n += f
+	}
+	b := graph.NewBuilder(n)
+	v := graph.VertexID(2)
+	for i, f := range fan {
+		b.AddEdge(1, v)
+		for range f {
+			b.SetLabel(v, graph.Label(i+1))
+			b.AddEdge(0, v)
+			v++
+		}
+	}
+	q := graph.NewBuilder(1 + len(fan))
+	for i := range fan {
+		leaf := graph.VertexID(i + 1)
+		q.SetLabel(leaf, graph.Label(i+1))
+		q.AddEdge(0, leaf)
+	}
+	return b.MustBuild(), q.MustBuild()
+}
