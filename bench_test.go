@@ -269,9 +269,11 @@ func BenchmarkFig16_ClusterSimulate(b *testing.B) {
 	small := gen.ChungLu(3000, 6, 2.1, 9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.Simulate(small, gen.QG1(), cluster.Config{
-			Machines: 4, WorkersPerMachine: 2,
-		}); err != nil {
+		sim, err := cluster.NewSimulation(small, gen.QG1())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.Run(cluster.Config{Machines: 4, WorkersPerMachine: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

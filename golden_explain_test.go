@@ -32,7 +32,12 @@ import (
 // bytes a value: every flat_bytes field of a vertex with values fell, and
 // 21 of the 57 1-worker peak-scratch lines grew by the buffer a count-only
 // run widens a tree-only vertex's TE list into (EXPERIMENTS.md, "Two-byte
-// arenas").
+// arenas"). They were rewritten once more when the product count of two
+// trailing independent vertices was deleted: on the 21 golden pairs that
+// took it, the recursive calls, the 1-worker peak scratch, the last two
+// depths' step rows, the candidate-size histogram and the 4-worker FGD
+// unit and split lines moved, and nothing else did (EXPERIMENTS.md,
+// "Core rent check").
 
 // explainGolden renders, per golden pair, the canonical profile as one
 // JSON line and the EXPLAIN ANALYZE text with its timings stripped.

@@ -1,157 +1,109 @@
-package cluster_test
+package cluster
 
 import (
-	"context"
-	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"ceci/internal/auto"
-	"ceci/internal/cluster"
+	"ceci/internal/ceci"
 	"ceci/internal/gen"
 	"ceci/internal/graph"
+	"ceci/internal/order"
 	"ceci/internal/reference"
 )
 
-func TestClusterMatchesOracle(t *testing.T) {
+// rootCandidates returns the root's candidates in the index of query over
+// data: the pivots, one embedding cluster each.
+func rootCandidates(t *testing.T, data, query *graph.Graph) []graph.VertexID {
+	t.Helper()
+	tree, err := order.Preprocess(data, query, order.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ceci.Build(data, tree, ceci.Options{}).Pivots()
+}
+
+// TestSimulationMatchesReference: a replayed distributed run finds the
+// reference matcher's embedding count, and its ledgers account for every
+// pivot and every embedding exactly once, in both placement modes and for
+// machines {1, 3, 8} — on one Kronecker square and on seeded random DFS
+// queries.
+func TestSimulationMatchesReference(t *testing.T) {
+	type fixture struct {
+		name        string
+		data, query *graph.Graph
+	}
+	fixtures := []fixture{{"kronecker-qg2", gen.Kronecker(9, 6, 17), gen.QG2()}}
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 20; trial++ {
 		data := randomGraph(rng, 20, 60, 2)
-		query, err := gen.DFSQuery(data, 3+rng.Intn(3), rng)
-		if err != nil {
-			continue
+		if query, err := gen.DFSQuery(data, 3+rng.Intn(3), rng); err == nil {
+			fixtures = append(fixtures, fixture{fmt.Sprintf("random-%d", trial), data, query})
 		}
-		cons := auto.Compute(query)
-		want := reference.Count(data, query, reference.Options{Constraints: cons})
-		for _, machines := range []int{1, 3, 5} {
-			for _, mode := range []cluster.Mode{cluster.Replicated, cluster.SharedStorage} {
-				res, err := cluster.Run(data, query, cluster.Config{
-					Machines:          machines,
-					WorkersPerMachine: 2,
-					Mode:              mode,
-				})
+	}
+	for _, fx := range fixtures {
+		want := reference.Count(fx.data, fx.query, reference.Options{Constraints: auto.Compute(fx.query)})
+		pivots := len(rootCandidates(t, fx.data, fx.query))
+		sim, err := NewSimulation(fx.data, fx.query)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		if sim.Embeddings() != want {
+			t.Fatalf("%s: measured %d embeddings, reference counts %d", fx.name, sim.Embeddings(), want)
+		}
+		for _, machines := range []int{1, 3, 8} {
+			for _, mode := range []Mode{Replicated, SharedStorage} {
+				res, err := sim.Run(Config{Machines: machines, WorkersPerMachine: 2, Mode: mode})
 				if err != nil {
-					t.Fatalf("trial %d m=%d %v: %v", trial, machines, mode, err)
+					t.Fatal(err)
 				}
-				if res.Embeddings != want {
-					t.Fatalf("trial %d m=%d %v: got %d want %d",
-						trial, machines, mode, res.Embeddings, want)
+				var assigned int
+				var found int64
+				for _, l := range res.Machines {
+					assigned += l.Pivots
+					found += l.Embeddings
+				}
+				if res.Embeddings != want || found != want {
+					t.Fatalf("%s m=%d %v: result %d, ledgers %d embeddings; reference counts %d",
+						fx.name, machines, mode, res.Embeddings, found, want)
+				}
+				if assigned != pivots {
+					t.Fatalf("%s m=%d %v: %d pivots assigned, the root has %d candidates",
+						fx.name, machines, mode, assigned, pivots)
 				}
 			}
 		}
 	}
 }
 
+// TestClusterJaccardColocationAgrees: with Jaccard co-location on, the
+// replicated placement still puts every root candidate on exactly one
+// machine, and it differs from the plain placement — the co-location
+// pass moved something; in shared-storage mode, which cannot read
+// neighbours, Jaccard changes nothing.
 func TestClusterJaccardColocationAgrees(t *testing.T) {
 	data := gen.Kronecker(9, 8, 13)
-	query := gen.QG2()
-	base, err := cluster.Run(data, query, cluster.Config{Machines: 4, WorkersPerMachine: 1})
-	if err != nil {
-		t.Fatal(err)
+	pivots := rootCandidates(t, data, gen.QG2())
+	place := func(mode Mode, jaccard bool) [][]graph.VertexID {
+		return distributePivots(data, pivots, Config{Machines: 4, Mode: mode, Jaccard: jaccard})
 	}
-	jac, err := cluster.Run(data, query, cluster.Config{
-		Machines: 4, WorkersPerMachine: 1, Jaccard: true, JaccardTopK: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
+	jac := place(Replicated, true)
+	var placed []graph.VertexID
+	for _, part := range jac {
+		placed = append(placed, part...)
 	}
-	if base.Embeddings != jac.Embeddings {
-		t.Fatalf("jaccard co-location changed result: %d vs %d", jac.Embeddings, base.Embeddings)
+	slices.Sort(placed)
+	if !slices.Equal(placed, pivots) {
+		t.Fatalf("jaccard placement holds %d pivots, not the root's %d candidates once each", len(placed), len(pivots))
 	}
-}
-
-func TestClusterLedgers(t *testing.T) {
-	data := gen.Kronecker(9, 8, 5)
-	res, err := cluster.Run(data, gen.QG1(), cluster.Config{
-		Machines: 4, WorkersPerMachine: 1, Mode: cluster.SharedStorage,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if slices.EqualFunc(jac, place(Replicated, false), slices.Equal) {
+		t.Fatal("jaccard co-location placed every pivot where the plain placement does")
 	}
-	if res.Makespan <= 0 {
-		t.Fatal("makespan not recorded")
-	}
-	var pivots, reads int64
-	for _, l := range res.Machines {
-		pivots += int64(l.Pivots)
-		reads += l.RemoteReads
-	}
-	if pivots == 0 {
-		t.Fatal("no pivots distributed")
-	}
-	if reads == 0 {
-		t.Fatal("shared-storage mode recorded no remote reads")
-	}
-	// BuildIO must reflect the remote reads in shared mode.
-	for i, l := range res.Machines {
-		if l.RemoteReads > 0 && l.BuildIO == 0 {
-			t.Fatalf("machine %d: %d remote reads but zero BuildIO", i, l.RemoteReads)
-		}
-	}
-}
-
-func TestClusterWorkStealingOccurs(t *testing.T) {
-	// A deliberately skewed pivot distribution: a hub-heavy Kronecker
-	// graph with many machines and one worker each should trigger steals
-	// at least sometimes. This asserts the mechanism works end-to-end
-	// (count correct even when steals happen), not a scheduling property.
-	data := gen.Kronecker(10, 10, 2)
-	query := gen.QG1()
-	res, err := cluster.Run(data, query, cluster.Config{Machines: 8, WorkersPerMachine: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := cluster.Run(data, query, cluster.Config{Machines: 1, WorkersPerMachine: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Embeddings != single.Embeddings {
-		t.Fatalf("distributed count %d != single-machine %d", res.Embeddings, single.Embeddings)
-	}
-}
-
-// TestSimulateMatchesRun: the discrete-event simulation and the real
-// concurrent implementation must find the same embedding count for the
-// same configuration.
-func TestSimulateMatchesRun(t *testing.T) {
-	data := gen.Kronecker(9, 6, 17)
-	query := gen.QG2()
-	sim, err := cluster.NewSimulation(data, query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, machines := range []int{1, 3, 8} {
-		for _, mode := range []cluster.Mode{cluster.Replicated, cluster.SharedStorage} {
-			cfg := cluster.Config{Machines: machines, WorkersPerMachine: 2, Mode: mode}
-			simRes, err := sim.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runRes, err := cluster.Run(data, query, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if simRes.Embeddings != runRes.Embeddings {
-				t.Fatalf("m=%d %v: simulate %d != run %d",
-					machines, mode, simRes.Embeddings, runRes.Embeddings)
-			}
-			if simRes.Embeddings != sim.Embeddings() {
-				t.Fatal("result total diverges from measurement total")
-			}
-			// Pivot conservation: assignments cover every cluster.
-			pivots := 0
-			for _, l := range simRes.Machines {
-				pivots += l.Pivots
-			}
-			wantPivots := 0
-			for _, l := range runRes.Machines {
-				wantPivots += l.Pivots
-			}
-			if pivots != wantPivots {
-				t.Fatalf("pivot counts diverge: %d vs %d", pivots, wantPivots)
-			}
-		}
+	if !slices.EqualFunc(place(SharedStorage, true), place(SharedStorage, false), slices.Equal) {
+		t.Fatal("jaccard co-location moved a pivot in shared-storage mode")
 	}
 }
 
@@ -160,13 +112,13 @@ func TestSimulateMatchesRun(t *testing.T) {
 // are per-machine constants there).
 func TestSimulationSpeedupMonotone(t *testing.T) {
 	data := gen.Kronecker(10, 8, 23)
-	sim, err := cluster.NewSimulation(data, gen.QG1())
+	sim, err := NewSimulation(data, gen.QG1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prev *cluster.Result
+	var prev *Result
 	for _, machines := range []int{1, 2, 4, 8} {
-		res, err := sim.Run(cluster.Config{Machines: machines, WorkersPerMachine: 2})
+		res, err := sim.Run(Config{Machines: machines, WorkersPerMachine: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +131,7 @@ func TestSimulationSpeedupMonotone(t *testing.T) {
 	}
 }
 
-func maxEnumerate(r *cluster.Result) (max time.Duration) {
+func maxEnumerate(r *Result) (max time.Duration) {
 	if r == nil {
 		return 0
 	}
@@ -192,23 +144,12 @@ func maxEnumerate(r *cluster.Result) (max time.Duration) {
 }
 
 func TestClusterRejectsBadConfig(t *testing.T) {
-	data := gen.Kronecker(6, 4, 1)
-	if _, err := cluster.Run(data, gen.QG1(), cluster.Config{Machines: 0}); err == nil {
+	sim, err := NewSimulation(gen.Kronecker(6, 4, 1), gen.QG1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(Config{Machines: 0}); err == nil {
 		t.Fatal("expected error for zero machines")
-	}
-}
-
-// TestClusterRunCtxCancelled: a cancelled context stops every machine
-// before it builds, and the partial result comes back with the cause.
-func TestClusterRunCtxCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := cluster.RunCtx(ctx, gen.Kronecker(9, 6, 3), gen.QG1(), cluster.Config{Machines: 3})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res == nil || res.Embeddings != 0 || len(res.Machines) != 3 {
-		t.Fatalf("partial result = %+v, want 3 empty ledgers", res)
 	}
 }
 

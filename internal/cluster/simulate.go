@@ -19,9 +19,7 @@ import (
 // discrete-event simulation of the distributed schedule — including
 // pivot partitioning, work stealing, and IO/communication charges. This
 // is what the Figure 16/17 speedup curves and the Figure 20 build-cost
-// breakdown are generated from; Run is the real concurrent
-// implementation, cross-checked against the simulation for identical
-// embedding counts.
+// breakdown are generated from.
 type Simulation struct {
 	data *graph.Graph
 
@@ -79,14 +77,14 @@ func (s *Simulation) Run(cfg Config) (*Result, error) {
 		// fluid approximation is close).
 		Speed:        float64(cfg.WorkersPerMachine),
 		Steal:        true,
-		StealLatency: cfg.MessageLatency,
+		StealLatency: messageLatency,
 	}
 	totalPivots := len(s.pivots)
 	for i, part := range parts {
 		led := &res.Machines[i]
 		led.Pivots = len(part)
-		led.Comm += cfg.MessageLatency +
-			time.Duration(float64(len(part)*4)/cfg.BytesPerSecond*float64(time.Second))
+		led.Comm += messageLatency +
+			time.Duration(float64(len(part)*4)/bytesPerSecond*float64(time.Second))
 		led.MessagesSent++
 		if len(part) > 0 {
 			// Each machine builds a CECI restricted to its pivot share; the
@@ -98,10 +96,10 @@ func (s *Simulation) Run(cfg Config) (*Result, error) {
 			led.RemoteReads = int64(share * float64(s.remoteReads))
 			switch cfg.Mode {
 			case SharedStorage:
-				led.BuildIO = time.Duration(led.RemoteReads) * cfg.RemoteReadLatency
+				led.BuildIO = time.Duration(led.RemoteReads) * remoteReadLatency
 			case Replicated:
 				led.BuildIO = time.Duration(float64(s.data.BytesEstimate()) /
-					cfg.BytesPerSecond * float64(time.Second))
+					bytesPerSecond * float64(time.Second))
 			}
 			q := make([]workload.ReplayUnit, len(part))
 			for j, p := range part {
@@ -120,7 +118,7 @@ func (s *Simulation) Run(cfg Config) (*Result, error) {
 		led.Embeddings = m.Embeddings
 		led.Stolen = m.Stolen
 		led.MessagesSent += int64(m.Stolen)
-		led.Comm += time.Duration(m.Stolen) * cfg.MessageLatency
+		led.Comm += time.Duration(m.Stolen) * messageLatency
 		res.Steals += int64(m.Stolen)
 		if t := led.Total(); t > res.Makespan {
 			res.Makespan = t
@@ -128,15 +126,4 @@ func (s *Simulation) Run(cfg Config) (*Result, error) {
 	}
 	res.Embeddings = s.total
 	return res, nil
-}
-
-// Simulate is the one-shot convenience: measure then replay one
-// configuration. Prefer NewSimulation + Run when sweeping machine
-// counts — the measurement is by far the expensive part.
-func Simulate(data, query *graph.Graph, cfg Config) (*Result, error) {
-	sim, err := NewSimulation(data, query)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(cfg)
 }

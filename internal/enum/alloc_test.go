@@ -78,8 +78,8 @@ func kernelCalls(t *testing.T, data, query *graph.Graph) map[string]int64 {
 // result), setops.IntersectK through the per-depth scratch, the
 // word-packed injectivity bitmap, the symmetry-breaking check, and the
 // last depth finished in place — for a consumer, and count-only, where
-// Fig. 1's last two depths are counted as a product and the labelled
-// square's last vertex from a histogram — performs zero heap allocations
+// leaf tallies Fig. 1's last depth and the labelled square's last vertex
+// is counted from a histogram — performs zero heap allocations
 // once a worker's buffers are warm. This is the contract the
 // arena-backed index exists to provide; any regression (a closure
 // capture, a map lookup that boxes, a scratch slice that stopped being

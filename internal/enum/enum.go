@@ -75,11 +75,6 @@ type Matcher struct {
 	// constrained[u] reports whether cons orders u against any other
 	// query vertex; a depth whose vertex it does not skips cons.Allows.
 	constrained []bool
-	// pair reports that the last two matching-order vertices can be
-	// counted as a product (searcher.product): they share no query edge
-	// and no symmetry-breaking constraint, and no non-tree edge is left
-	// to an adjacency probe.
-	pair bool
 	// elim is the matching-order position of the vertex z that a
 	// count-only run does not loop over (searcher.eliminate), 0 when no
 	// vertex qualifies (eliminable has the rule), and elimKeys are z's
@@ -110,11 +105,9 @@ func NewMatcher(ix *ceci.Index, opts Options) *Matcher {
 			m.constrained[u] = len(m.cons.Less[u])+len(m.cons.Greater[u]) > 0
 		}
 	}
-	// Depth n-2 is never the root, which every work unit's prefix holds.
+	// z is never the root, which every work unit's prefix holds: elim 0
+	// means no vertex qualifies.
 	if n >= 3 && !opts.EdgeVerification {
-		a, b := tree.Order[n-2], tree.Order[n-1]
-		m.pair = !tree.Query.HasEdge(a, b) &&
-			!(m.constrained[a] && m.constrained[b] && m.cons.Related(a, b))
 		m.elim, m.elimKeys = m.eliminable()
 	}
 	return m
@@ -123,11 +116,11 @@ func NewMatcher(ix *ceci.Index, opts Options) *Matcher {
 // eliminable applies the rule under which a count-only run counts the
 // last vertex w from a histogram over w's candidates instead of looping
 // over z, w's deepest key vertex (DESIGN §7.3): z is at position n-2, or
-// at n-3 with the last two vertices a pair; w is z's only later
-// neighbour; no symmetry constraint orders z, w or the vertex between
-// them; and z's keys all lie strictly shallower than w's deepest outer
-// key, so the histogram, which only z's keys decide, outlives the
-// prefixes that move w's outer side. It returns z's position and keys,
+// at n-3, where the vertex between them is no key of w's, since z is the
+// deepest; w is z's only later neighbour; no symmetry constraint orders
+// z, w or the vertex between them; and z's keys all lie strictly
+// shallower than w's deepest outer key, so the histogram, which only z's
+// keys decide, outlives the prefixes that move w's outer side. It returns z's position and keys,
 // or 0 and nil. A clique fails the last part: z is keyed as deep as w's
 // outer side.
 func (m *Matcher) eliminable() (int, []graph.VertexID) {
@@ -140,7 +133,7 @@ func (m *Matcher) eliminable() (int, []graph.VertexID) {
 	wKeys := keysOf(tree, w)
 	z, outer := wKeys[len(wKeys)-1], wKeys[len(wKeys)-2]
 	at := tree.Pos[z]
-	if at != n-2 && !(at == n-3 && m.pair) {
+	if at < n-3 {
 		return 0, nil
 	}
 	for _, u := range tree.Order[at:] {
@@ -392,9 +385,8 @@ func (m *Matcher) begin(workers int) {
 
 // units materializes the schedulable work according to the strategy.
 // FGD decomposition counts its lookups on s's scratch (see
-// workload.Decompose) and, when s counts the last depths without a loop
-// — from z's depth on with a histogram, or the last two as a product —
-// splits no prefix past the depth that count starts at, so it is formed
+// workload.Decompose) and, when s counts from z's depth on with a
+// histogram, splits no prefix past that depth, so it is formed
 // once per prefix however many workers share the run. s may be nil:
 // nobody counts, and every depth loops.
 func (m *Matcher) units(s *searcher) []workload.Unit {
@@ -405,11 +397,8 @@ func (m *Matcher) units(s *searcher) []workload.Unit {
 	var scratch []ceci.MatchScratch
 	if s != nil {
 		scratch = s.scratch
-		switch {
-		case s.elim > 0:
+		if s.elim > 0 {
 			maxPrefix = s.elim
-		case s.pair:
-			maxPrefix -= 2
 		}
 	}
 	return workload.Decompose(m.ix, m.cons, m.opts.Beta, m.opts.Workers, maxPrefix, scratch)

@@ -26,10 +26,6 @@ type searcher struct {
 
 	worker int // the ledger's worker slot this searcher charges
 
-	// pair: count-only, and the matcher's last two depths can be counted
-	// as a product (Matcher.pair) — search finishes depth n-2 with
-	// product instead of entering depth n-1.
-	pair bool
 	// elim: count-only, and the matcher counts its last vertex from a
 	// histogram (Matcher.elim) — search finishes depth elim with
 	// eliminate. 0 when it does not.
@@ -71,7 +67,6 @@ func newSearcher(m *Matcher, ctl *control) *searcher {
 		matched: make([]bool, n),
 		used:    bitset.New(m.ix.Data.NumVertices()),
 		scratch: make([]ceci.MatchScratch, n),
-		pair:    m.pair && ctl.fn == nil,
 	}
 	if m.elim > 0 && ctl.fn == nil {
 		s.elim = m.elim
@@ -221,8 +216,6 @@ func descend[T setops.Position](s *searcher, depth int, u graph.VertexID, sc *ce
 		return leaf(s, u, cands, sc)
 	case s.elim > 0 && depth == s.elim:
 		return eliminate(s, cands)
-	case depth == s.tree.n-2 && s.pair:
-		return product(s, u, cands)
 	}
 	cons, verify, ids := s.m.consFor(u), s.m.opts.EdgeVerification, s.m.ix.Nodes[u].Cands
 	for _, p := range cands {
@@ -292,49 +285,6 @@ func leaf[T setops.Position](s *searcher, u graph.VertexID, cands []T, sc *ceci.
 	return s.deliverCount(survivors)
 }
 
-// product finishes depths n-2 and n-1 of a count-only run at once. The
-// two vertices share no query edge and no constraint (Matcher.pair), so
-// b's candidate list depends on the prefix alone and every pair of
-// survivors — candidates of a (as) and of b that pass injectivity and
-// their constraints against the prefix — is an embedding unless both
-// are the same data vertex: |A'|·|B'| − |A'∩B'| of them, for one lookup
-// of b per prefix where a descent would make one per survivor of a. The
-// two lists are positions in different candidate columns, so A'∩B' merges
-// the ids they stand for, which ascend with them.
-func product[A setops.Position](s *searcher, a graph.VertexID, as []A) bool {
-	consA, idsA := s.m.consFor(a), s.m.ix.Nodes[a].Cands
-	var na int64
-	for _, p := range as {
-		if v := idsA[p]; !s.used.Get(v) && (consA == nil || consA.Allows(a, v, s.emb, s.matched)) {
-			na++
-		}
-	}
-	if na == 0 {
-		return true
-	}
-	depth := s.tree.n - 1
-	b := s.tree.order[depth]
-	bs := s.m.ix.CandidatesFor(b, s.pos, &s.scratch[depth])
-	s.m.opts.Profile.ObserveEnumOutput(len(bs))
-	consB, idsB := s.m.consFor(b), s.m.ix.Nodes[b].Cands
-	var nb, both int64
-	i := 0
-	for _, p := range bs {
-		v := idsB[p]
-		if s.used.Get(v) || consB != nil && !consB.Allows(b, v, s.emb, s.matched) {
-			continue
-		}
-		nb++
-		for i < len(as) && idsA[as[i]] < v {
-			i++
-		}
-		if i < len(as) && idsA[as[i]] == v && (consA == nil || consA.Allows(a, v, s.emb, s.matched)) {
-			both++
-		}
-	}
-	return s.deliverCount(na*nb - both)
-}
-
 // eliminate finishes a count-only run from z's depth (Matcher.elim)
 // without looping over z. With U the prefix's data vertices, O the
 // outer side of the last vertex w (ceci.Index.Sides), I(v) w's inner list
@@ -344,9 +294,9 @@ func product[A setops.Position](s *searcher, a graph.VertexID, as []A) bool {
 //
 // embeddings when z is at n-2 (shape 1): every v of Z outside U with
 // every x it shares with O outside U, and x ≠ v since they are adjacent.
-// At n-3 (shape 2) the vertex y between them is w's pair, keyed by the
-// prefix alone, and with A its candidates outside U each (v, x) takes
-// every a of A but v and x:
+// At n-3 (shape 2) the vertex y between them is adjacent to neither,
+// so it is keyed by the prefix alone, and with A its candidates outside U
+// each (v, x) takes every a of A but v and x:
 //
 //	|A|·S − Σ_{v∈Z∩A} |{x∈O∩I(v) : x∉U}| − Σ_{x∈O∩A} (h[x] − |{v∈Z∩U : x∈I(v)}|)
 //

@@ -14,10 +14,11 @@ import (
 // TestCountOnlyLimitedMatchesPage: a count-only request with limit L
 // counts what a paged request over the same window counts — min(total,
 // offset+L), total from a cold ceci.Match — at Workers 1 and 4, from
-// offset 0 and past it, around and across the total. The classes are
-// ones whose last two matching-order vertices the count-only engine
-// counts as a product, clamped to the limit in one step; that it does is
-// seen in its recursive calls, fewer than the page's for some class.
+// offset 0 and past it, around and across the total. The count-only
+// engine delivers a whole last depth in one step, clamped to the limit;
+// on a square with no symmetry it counts the last vertex from a
+// histogram without descending to it, seen in its recursive calls, fewer
+// than the page's for some class.
 func TestCountOnlyLimitedMatchesPage(t *testing.T) {
 	data := gen.WithRandomLabels(gen.ErdosRenyi(60, 360, 3), 3, 5)
 	queries := map[string]*graph.Graph{
@@ -26,11 +27,12 @@ func TestCountOnlyLimitedMatchesPage(t *testing.T) {
 		"path-4":        pathQuery(t, 0, 1, 2, 0),
 		"path-5":        pathQuery(t, 2, 0, 1, 0, 2),
 		"cycle-4-tail":  cycleQuery(t, 0, 1, 0, 2),
+		"cycle-4":       cycleQuery(t, 0, 0, 1, 2),
 		"unlabeled-4":   pathQuery(t, 0, 0, 0, 0),
 		"unlabeled-3":   pathQuery(t, 0, 0, 0),
 		"one-edge-pair": pathQuery(t, 1, 2),
 	}
-	products := 0
+	shortcuts := 0
 	for name, q := range queries {
 		m, err := ceciroot.Match(data, q, &ceciroot.Options{Workers: 1})
 		if err != nil {
@@ -72,11 +74,11 @@ func TestCountOnlyLimitedMatchesPage(t *testing.T) {
 				}
 			}
 			if countCalls < pageCalls {
-				products++
+				shortcuts++
 			}
 		}
 	}
-	if products == 0 {
-		t.Error("no class counted with fewer recursive calls than it paged: the count-only engine's product was never taken")
+	if shortcuts == 0 {
+		t.Error("no class counted with fewer recursive calls than it paged: the count-only engine's histogram was never taken")
 	}
 }

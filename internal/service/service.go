@@ -514,8 +514,8 @@ func (e *Engine) enumerate(ctx context.Context, ent *entry, perm []int, req Requ
 	page := Page{Width: len(perm)}
 	enumStart := time.Now()
 	if req.CountOnly {
-		// No consumer: the count-only engine, whose trailing pair of
-		// depths is a product, clamped to the limit exactly.
+		// No consumer: the count-only engine, which tallies the last
+		// depth in one step, clamped to the limit exactly.
 		n, _, err := m.Enumerate(ctx, nil)
 		resp.EnumTime += time.Since(enumStart)
 		resp.Count = n

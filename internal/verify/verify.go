@@ -167,8 +167,8 @@ func CheckPair(data, query *graph.Graph, opts Options) *Report {
 }
 
 // countOnlyAgrees checks that CECI counting with no consumer — where the
-// last vertex may be counted from a histogram, or the last two depths as
-// a product, instead of enumerated — returns what its consumer was
+// last depth is tallied in place, or the last vertex counted from a
+// histogram, instead of enumerated — returns what its consumer was
 // handed, unlimited and under a limit no pair reaches (the lazily grown
 // index).
 func countOnlyAgrees(data, query *graph.Graph, workers int, enumerated int64) error {

@@ -15,7 +15,7 @@ import (
 // auditedPackages are the directories whose Options / RouterOptions /
 // Config structs TestEveryOptionHasASetter walks.
 var auditedPackages = []string{
-	".", "internal/ceci", "internal/enum", "internal/service", "internal/shard", "internal/telemetry",
+	".", "internal/ceci", "internal/cluster", "internal/enum", "internal/service", "internal/shard", "internal/telemetry",
 }
 
 var auditedStructs = map[string]bool{"Options": true, "RouterOptions": true, "Config": true}
