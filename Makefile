@@ -66,16 +66,20 @@ bench-record:
 # and the -benchmem figures beside encoding/json's. Then the spans
 # themselves: one costs 3 allocations to open, annotate and end when no
 # sink is attached, and a leg's subtree goes onto its reply with none.
-# Last the index build where deletion is the cost: a labeled 5-clique on
+# Then the index build where deletion is the cost: a labeled 5-clique on
 # 16-label ok_s, preprocessing included (ns/op and B/op history in
 # EXPERIMENTS.md; the dead-set buffers are builder scratch, so B/op must
-# not grow with the candidates a level drops).
+# not grow with the candidates a level drops). Last a data graph's cold
+# start: the .lg loader must allocate at most 3x the graph it keeps and
+# Labels none, and the hu_s load and its label-grouped adjacency build
+# are timed (both about 0.1 s, B/op near the bytes kept).
 bench-allocs:
 	$(GO) test -run TestEnumerationStepZeroAlloc -v ./internal/enum
 	$(GO) test -bench 'Fig7|Fig8|Fig19' -benchmem -benchtime 3x ./cmd/cecibench
 	$(GO) test -run 'TestPageCodecAllocs|TestRouteMergeAllocs' -bench 'BenchmarkPage|BenchmarkRouteMerge' -benchmem -v ./internal/service ./internal/shard
 	$(GO) test -run TestSpanAllocs -bench 'BenchmarkSpanStartEnd|BenchmarkTraceAppendJSON' -benchmem -v ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2_IndexBuild/ok_s_qg5' -benchmem -benchtime 200x -cpu 1 .
+	$(GO) test -run 'TestLoadAllocatesInProportion|TestLabelsIsAView' -bench 'BenchmarkLoadLabeled|BenchmarkLabelIndex' -benchmem -v ./internal/graph
 
 # Intersection-kernel health check: the per-kernel microbenchmarks
 # (merge / gallop / probe / adaptive dispatch). How the kernels
@@ -104,7 +108,7 @@ verify:
 # internal/service/testdata/fuzz/; index-file and set-deletion crashers
 # under internal/ceci/testdata/fuzz/; shard-manifest crashers under
 # internal/shard/testdata/fuzz/; traceparent crashers under
-# internal/obs/testdata/fuzz/; .lg loader crashers under
+# internal/obs/testdata/fuzz/; .lg and edge-list loader crashers under
 # internal/graph/testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
@@ -119,6 +123,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPart -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzRouterWindow -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzLoadLabeled -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run='^$$' -fuzz=FuzzLoadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) ./internal/obs
 
 # What .github/workflows/ci.yml runs: vet + build + full tests, then a

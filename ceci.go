@@ -557,7 +557,8 @@ func LoadGraphCSR(path string) (*Graph, error) {
 }
 
 // WriteGraphCSR writes g in the binary CSR format used by the
-// shared-storage distributed mode.
+// shared-storage distributed mode. The format holds one label per vertex:
+// a graph with extra labels is an error, and no file is left behind.
 func WriteGraphCSR(path string, g *Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -565,6 +566,7 @@ func WriteGraphCSR(path string, g *Graph) error {
 	}
 	if err := graph.WriteCSR(f, g); err != nil {
 		f.Close()
+		os.Remove(path)
 		return err
 	}
 	return f.Close()

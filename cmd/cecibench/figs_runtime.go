@@ -227,6 +227,7 @@ func runFig9(cfg benchConfig) error {
 			return err
 		}
 		fmt.Printf("dataset %s (%v)\n", dname, data)
+		untimedQuery(data)
 		fmt.Printf("  %-5s %6s %14s %14s %10s\n", "size", "ok", "CECI", "CFLMatch", "speedup")
 		for _, size := range sizes {
 			queries := gen.QuerySet(data, size, perSize, int64(size)*7919)
@@ -264,6 +265,16 @@ func runFig9(cfg benchConfig) error {
 	return nil
 }
 
+// untimedQuery runs one first-k query on data before a figure times any.
+// The first query on a freshly loaded labeled graph builds the graph's
+// label-grouped adjacency, a one-time cost of the graph that would
+// otherwise land on whichever engine runs first in the figure's first row.
+func untimedQuery(data *graph.Graph) {
+	for _, q := range gen.QuerySet(data, 3, 1, 1) {
+		ceciFirstK(data, q, 1024)
+	}
+}
+
 // ceciFirstK runs the paper's first-k mode single-threaded through a
 // limited Match: the index covers the first embedding cluster, and the
 // rest only when the first k embeddings need it — how a k-at-a-time
@@ -292,6 +303,7 @@ func runFig10(cfg benchConfig) error {
 		sizes = []int{3, 5, 8}
 		perSize = 5
 	}
+	untimedQuery(data)
 	fmt.Printf("%-5s %6s %14s %14s %14s %10s %10s\n",
 		"size", "ok", "CECI", "TurboIso", "Boosted", "vs TI", "vs BTI")
 	for _, size := range sizes {

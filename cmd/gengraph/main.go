@@ -88,7 +88,10 @@ func makeGraph(dataset, kind string, scale, edgeFactor, n, m int, avgDeg, gamma 
 	return g, nil
 }
 
-func write(g *graph.Graph, path string) error {
+// write writes g to path in the format its extension names. A write that
+// fails, such as a multi-labeled graph refused by the one-label CSR
+// format, leaves no file behind.
+func write(g *graph.Graph, path string) (err error) {
 	if path == "" {
 		return writeEdgeList(os.Stdout, g)
 	}
@@ -96,7 +99,14 @@ func write(g *graph.Graph, path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			os.Remove(path)
+		}
+	}()
 	switch {
 	case strings.HasSuffix(path, ".lg"):
 		return graph.WriteLabeled(f, g)

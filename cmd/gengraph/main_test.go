@@ -87,3 +87,20 @@ func openCSR(path string) (*graph.Graph, error) {
 	defer f.Close()
 	return graph.ReadCSR(f)
 }
+
+// TestWriteCSRRefusesExtraLabels: the CSR format holds one label per
+// vertex, so writing hu_s (up to three labels a vertex) fails and leaves
+// no file, where it used to write the graph without its extra labels.
+func TestWriteCSRRefusesExtraLabels(t *testing.T) {
+	g, err := makeGraph("hu_s", "", 0, 0, 0, 0, 0, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "hu.csr")
+	if err := write(g, path); err == nil {
+		t.Fatal("a multi-labeled graph was written as CSR")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a refused write left %s behind (stat: %v)", path, err)
+	}
+}

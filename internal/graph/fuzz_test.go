@@ -1,11 +1,15 @@
 package graph_test
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ceci/internal/graph"
@@ -136,4 +140,93 @@ func FuzzLoadLabeled(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzLoadEdgeList: the edge-list loader reads each line's fields in
+// place. It must accept exactly the text a plain reading accepts — a
+// string per line, strings.Fields, strconv.ParseUint and a Builder — and
+// refuse the rest with the same error, build the same graph, and allocate
+// in proportion to the bytes it was given and the largest vertex id they
+// spell. The loader has no vertex bound, so text naming an id from maxID
+// up is left out: the builder allocates up to the largest id.
+func FuzzLoadEdgeList(f *testing.F) {
+	for _, s := range []string{
+		"0 1\n1 2\n2 0\n",
+		"# comment\n% comment\n\n  3\t4  extra\r\n4 3\n5 5\n",
+		"0 1\n1\n",
+		"0 x\n",
+		"01 +2\n",
+		"0\u00a01\n1\u20282\n",
+		"4294967295 0\n",
+		"7 7\n",
+	} {
+		f.Add([]byte(s))
+	}
+	const maxID = 1 << 12
+	f.Fuzz(func(t *testing.T, text []byte) {
+		want, wantErr, largest := plainEdgeList(text, maxID)
+		if largest >= maxID {
+			return
+		}
+		budget := uint64(128<<10 + 512*len(text) + 128*int(largest))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := graph.LoadEdgeList(bytes.NewReader(text))
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Fatalf("loading %d bytes allocated %d, budget %d", len(text), got, budget)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("error %v, a plain reading gives %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if g.NumVertices() != want.NumVertices() || g.NumEdges() != want.NumEdges() || g.NumLabels() != 1 {
+			t.Fatalf("loaded %v, a plain reading builds %v", g, want)
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			if id := graph.VertexID(v); !slices.Equal(g.Neighbors(id), want.Neighbors(id)) {
+				t.Fatalf("vertex %d: neighbors %v, want %v", v, g.Neighbors(id), want.Neighbors(id))
+			}
+		}
+	})
+}
+
+// plainEdgeList reads an edge list a line at a time as strings. It stops
+// at the first vertex id from maxID up and returns the largest id read.
+func plainEdgeList(text []byte, maxID uint64) (*graph.Graph, error, uint64) {
+	b := &graph.Builder{}
+	sc := bufio.NewScanner(bytes.NewReader(text))
+	sc.Buffer(nil, 1<<20)
+	lineNo := 0
+	largest := uint64(0)
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			return nil, fmt.Errorf("graph: edge list line %d: want 2 fields, got %q", lineNo, line), largest
+		}
+		u, err := strconv.ParseUint(fields[0], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("graph: edge list line %d: %v", lineNo, err), largest
+		}
+		v, err := strconv.ParseUint(fields[1], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("graph: edge list line %d: %v", lineNo, err), largest
+		}
+		if largest = max(largest, u, v); largest >= maxID {
+			return nil, nil, largest
+		}
+		b.AddEdge(graph.VertexID(u), graph.VertexID(v))
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("graph: reading edge list: %w", err), largest
+	}
+	g, err := b.Build()
+	return g, err, largest
 }

@@ -32,10 +32,14 @@ const NoLabel = ^Label(0)
 // Adjacency lists are sorted ascending, enabling binary-search edge probes
 // and linear-time sorted intersection.
 type Graph struct {
-	offsets   []int64              // len = n+1; neighbors of v are neighbors[offsets[v]:offsets[v+1]]
-	neighbors []VertexID           // concatenated sorted adjacency lists
-	labels    []Label              // primary label per vertex (labels[v])
-	extra     map[VertexID][]Label // additional labels for multi-labeled vertices (sorted)
+	offsets   []int64    // len = n+1; neighbors of v are neighbors[offsets[v]:offsets[v+1]]
+	neighbors []VertexID // concatenated sorted adjacency lists
+	labels    []Label    // primary label per vertex (labels[v])
+	// The label column: nil when every vertex has one label. Otherwise
+	// v's labels are labelCol[labelOff[v]:labelOff[v+1]], the primary
+	// first and then the extras ascending.
+	labelOff []uint32
+	labelCol []Label
 
 	labelKeys  []Label      // the distinct labels present, ascending
 	labelIndex [][]VertexID // labelIndex[i] = sorted vertices whose label set contains labelKeys[i]
@@ -72,28 +76,59 @@ func (g *Graph) Label(v VertexID) Label {
 	return g.labels[v]
 }
 
-// Labels returns all labels of v (primary first, then extras).
-// The result must not be modified.
+// Labels returns all labels of v (primary first, then extras ascending).
+// The result aliases internal storage and must not be modified.
 func (g *Graph) Labels(v VertexID) []Label {
-	if extras, ok := g.extra[v]; ok {
-		out := make([]Label, 0, 1+len(extras))
-		out = append(out, g.labels[v])
-		return append(out, extras...)
+	if g.labelOff == nil {
+		return g.labels[v : v+1 : v+1]
 	}
-	return g.labels[v : v+1]
+	lo, hi := g.labelOff[v], g.labelOff[v+1]
+	return g.labelCol[lo:hi:hi]
 }
 
 // HasLabel reports whether l is among v's labels.
 func (g *Graph) HasLabel(v VertexID, l Label) bool {
-	if g.labels[v] == l {
-		return true
+	if g.labelOff == nil {
+		return g.labels[v] == l
 	}
-	extras, ok := g.extra[v]
-	if !ok {
-		return false
+	for _, x := range g.labelCol[g.labelOff[v]:g.labelOff[v+1]] {
+		if x == l {
+			return true
+		}
 	}
-	i := sort.Search(len(extras), func(i int) bool { return extras[i] >= l })
-	return i < len(extras) && extras[i] == l
+	return false
+}
+
+// multiLabeled reports whether some vertex carries more than one label.
+func (g *Graph) multiLabeled() bool { return g.labelOff != nil }
+
+// labelColumn returns every vertex's labels laid out vertex by vertex:
+// the label column, or the primary labels when each vertex has one.
+// labelSpan(v) is where v's labels are in it.
+func (g *Graph) labelColumn() []Label {
+	if g.labelOff == nil {
+		return g.labels
+	}
+	return g.labelCol
+}
+
+func (g *Graph) labelSpan(v VertexID) (lo, hi uint32) {
+	if g.labelOff == nil {
+		return v, v + 1
+	}
+	return g.labelOff[v], g.labelOff[v+1]
+}
+
+// labelRanks returns, for every entry of the label column, the index of
+// its label in labelKeys.
+func (g *Graph) labelRanks() []int32 {
+	col := g.labelColumn()
+	ranks := make([]int32, len(col))
+	for i, l := range col {
+		r, _ := slices.BinarySearch(g.labelKeys, l)
+		ranks[i] = int32(r)
+	}
+	return ranks
 }
 
 // HasEdge reports whether (u, v) is an edge, via binary search on the
@@ -117,25 +152,32 @@ func (g *Graph) VerticesWithLabel(l Label) []VertexID {
 	return g.labelIndex[i]
 }
 
-// indexLabels builds the label index from labels and extra. It is keyed
+// indexLabels builds the label index from the label column. It is keyed
 // by the labels present, not by label value: a label may be anything up
-// to MaxLabelValue, and the index must cost what the vertices cost.
+// to MaxLabelValue, and the index must cost what the vertices cost. The
+// lists are counted per label, then filled vertex by vertex into one
+// array, so each comes out ascending.
 func (g *Graph) indexLabels() {
-	keys := slices.Clone(g.labels)
-	for _, extras := range g.extra {
-		keys = append(keys, extras...)
-	}
+	keys := slices.Clone(g.labelColumn())
 	slices.Sort(keys)
-	g.labelKeys = slices.Clone(slices.Compact(keys)) // keys has a slot per vertex; keep one per label
-	g.labelIndex = make([][]VertexID, len(g.labelKeys))
-	add := func(l Label, v VertexID) {
-		i, _ := slices.BinarySearch(g.labelKeys, l)
-		g.labelIndex[i] = append(g.labelIndex[i], v)
+	g.labelKeys = slices.Clone(slices.Compact(keys)) // keys has a slot per label carried; keep one per label
+	ranks := g.labelRanks()
+	start := make([]int, len(g.labelKeys)+1)
+	for _, r := range ranks {
+		start[r+1]++
 	}
-	for v, l := range g.labels {
-		add(l, VertexID(v))
-		for _, l := range g.extra[VertexID(v)] {
-			add(l, VertexID(v))
+	for i := range g.labelKeys {
+		start[i+1] += start[i]
+	}
+	members := make([]VertexID, len(ranks))
+	g.labelIndex = make([][]VertexID, len(g.labelKeys))
+	for i := range g.labelIndex {
+		g.labelIndex[i] = members[start[i]:start[i]:start[i+1]]
+	}
+	for v := 0; v < g.NumVertices(); v++ {
+		lo, hi := g.labelSpan(VertexID(v))
+		for _, r := range ranks[lo:hi] {
+			g.labelIndex[r] = append(g.labelIndex[r], VertexID(v))
 		}
 	}
 }

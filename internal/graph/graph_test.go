@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -142,6 +143,32 @@ func TestMultiLabels(t *testing.T) {
 	// Label index covers extras.
 	if got := g.VerticesWithLabel(9); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("extra-label index = %v", got)
+	}
+}
+
+// TestLabelsIsAView: Labels reads a vertex's labels off the label column —
+// primary first, then the extras ascending — without allocating, and an
+// append to the result cannot write into the next vertex's labels.
+func TestLabelsIsAView(t *testing.T) {
+	b := graph.NewBuilder(3)
+	b.SetLabel(0, 5)
+	b.AddExtraLabel(0, 9)
+	b.AddExtraLabel(0, 1)
+	b.SetLabel(1, 7)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	g := b.MustBuild()
+	var got []graph.Label
+	if allocs := testing.AllocsPerRun(100, func() { got = g.Labels(0) }); allocs != 0 {
+		t.Fatalf("Labels of a multi-labeled vertex: %v allocations, want 0", allocs)
+	}
+	if !slices.Equal(got, []graph.Label{5, 1, 9}) {
+		t.Fatalf("Labels(0) = %v, want [5 1 9]", got)
+	}
+	_ = append(got, 4)
+	_ = append(g.Labels(2), 4)
+	if !slices.Equal(g.Labels(1), []graph.Label{7}) || !slices.Equal(g.Labels(2), []graph.Label{0}) {
+		t.Fatalf("an append to a view changed the labels: %v %v", g.Labels(1), g.Labels(2))
 	}
 }
 
@@ -393,6 +420,46 @@ func TestCSRRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameGraph(t, g, g2)
+}
+
+// TestCSRRefusesExtraLabels: the CSR format holds one label per vertex, so
+// writing a multi-labeled graph is an error, and nothing is written, where
+// the extras used to be dropped and the graph read back matched
+// differently. The same graph without its extras round-trips.
+func TestCSRRefusesExtraLabels(t *testing.T) {
+	b := graph.NewBuilder(2)
+	b.SetLabel(0, 1)
+	b.AddExtraLabel(0, 2)
+	b.SetLabel(1, 2)
+	b.AddEdge(0, 1)
+	g := b.MustBuild()
+	var buf bytes.Buffer
+	err := graph.WriteCSR(&buf, g)
+	if err == nil || !strings.Contains(err.Error(), "vertex 0 has 2") {
+		t.Fatalf("WriteCSR of a multi-labeled graph: err = %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("a refused graph wrote %d bytes", buf.Len())
+	}
+
+	b = graph.NewBuilder(2)
+	b.SetLabel(0, 1)
+	b.SetLabel(1, 2)
+	b.AddEdge(0, 1)
+	g = b.MustBuild()
+	if err := graph.WriteCSR(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	back, err := graph.ReadCSR(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameGraph(t, g, back)
+	for _, l := range []graph.Label{1, 2} {
+		if !slices.Equal(back.VerticesWithLabel(l), g.VerticesWithLabel(l)) {
+			t.Fatalf("VerticesWithLabel(%d) = %v, want %v", l, back.VerticesWithLabel(l), g.VerticesWithLabel(l))
+		}
+	}
 }
 
 func TestCSRRejectsGarbage(t *testing.T) {

@@ -5,9 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
+	"ceci/internal/datasets"
+	"ceci/internal/gen"
 	"ceci/internal/graph"
 )
 
@@ -178,5 +182,102 @@ func TestParsingAQueryAllocatesLittle(t *testing.T) {
 	}
 	if _, err := graph.LoadLabeled(strings.NewReader(long + strings.Repeat("x", 1<<20+1))); err == nil {
 		t.Fatal("a line over 1 MiB was accepted")
+	}
+}
+
+// TestRepeatedEdgeReportsTheFirstRepeat: the loader finds a repeated edge
+// on the sorted adjacency rows, after the last line, and only then works
+// out its lines. The error must still be the one a check of each line as
+// it is read gives: the earliest line that repeats an edge, in either
+// orientation, with the line that first gave it — ahead of a fault on a
+// later line, behind one on an earlier line, and for a self loop too.
+func TestRepeatedEdgeReportsTheFirstRepeat(t *testing.T) {
+	flipped, err := os.ReadFile(filepath.Join("testdata", "bad_dup_edge.lg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := bytes.Replace(flipped, []byte("e 1 0"), []byte("e 0 1"), 1)
+	long := "#" + strings.Repeat("x", 1<<20) + "\n"
+	cases := []struct{ in, want string }{
+		{string(flipped), "graph: line 7: duplicate edge (1,0) (first at line 5)"},
+		{string(same), "graph: line 7: duplicate edge (0,1) (first at line 5)"},
+		// Line 6 repeats line 5 and line 7 repeats line 4: line 6 is first.
+		{"v 0 0\nv 1 0\nv 2 0\ne 0 1\ne 1 2\ne 2 1\ne 1 0\n", "graph: line 6: duplicate edge (2,1) (first at line 5)"},
+		{"e 0 1\ne 0 1\ne 0 1\n", "graph: line 2: duplicate edge (0,1) (first at line 1)"},
+		{"e 0 1\ne 1 2\ne 1 0\nv 0 x\n", "graph: line 3: duplicate edge (1,0) (first at line 1)"},
+		{"e 0 1\ne 1 2\ne 1 0\n" + long, "graph: line 3: duplicate edge (1,0) (first at line 1)"},
+		{"e 0 1\nv 0 x\ne 1 0\n", `graph: line 2: strconv.ParseUint: parsing "x": invalid syntax`},
+		// Lines between the edges: a vertex, a comment, a self loop.
+		{"e 0 1\nv 0 0\n# c\ne 1 2\ne 2 1\n", "graph: line 5: duplicate edge (2,1) (first at line 4)"},
+		{"e 0 1\ne 5 5\ne 1 0\n", "graph: line 3: duplicate edge (1,0) (first at line 1)"},
+		{"e 3 3\nv 0 0\ne 3 3\n", "graph: line 3: duplicate edge (3,3) (first at line 1)"},
+		{"e 3 3\ne 3 3\n", "graph: line 2: duplicate edge (3,3) (first at line 1)"},
+		{"e 3 3\ne 4 4\n", "graph: empty graph"},
+	}
+	for _, c := range cases {
+		_, err := graph.LoadLabeled(strings.NewReader(c.in))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%.40q: error %v, want %q", c.in, err, c.want)
+		}
+	}
+}
+
+// TestLoadAllocatesInProportion: loading a labeled graph allocates at most
+// three times the bytes the graph keeps (about 2.3 times here). Each
+// line's fields are read in place, duplicate edges are found on the sorted
+// rows, and the edge list lives in chunks that are never copied; a loader
+// with a string per line, a map entry per edge and an append-grown
+// adjacency slice per vertex reads 17.6 times on this graph.
+func TestLoadAllocatesInProportion(t *testing.T) {
+	g := gen.WithZipfMultiLabels(gen.ErdosRenyi(2000, 40000, 3), 90, 3, 1.4, 4)
+	var text bytes.Buffer
+	if err := graph.WriteLabeled(&text, g); err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	var before, loaded, kept runtime.MemStats
+	runtime.ReadMemStats(&before)
+	back, err := graph.LoadLabeled(bytes.NewReader(text.Bytes()))
+	runtime.ReadMemStats(&loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&kept)
+	runtime.KeepAlive(back)
+	allocated := loaded.TotalAlloc - before.TotalAlloc
+	retained := kept.HeapAlloc - before.HeapAlloc
+	t.Logf("%d text bytes: allocated %d, retained %d (%.2fx)", text.Len(), allocated, retained, float64(allocated)/float64(retained))
+	if allocated > 3*retained {
+		t.Fatalf("loading allocated %d bytes for a graph of %d, over 3x", allocated, retained)
+	}
+}
+
+// huText is the hu_s substitute (the dense 90-label multi-labeled graph)
+// as .lg text, made once.
+var huText = sync.OnceValues(func() ([]byte, error) {
+	g, err := datasets.Load("hu_s")
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = graph.WriteLabeled(&buf, g)
+	return buf.Bytes(), err
+})
+
+// BenchmarkLoadLabeled loads hu_s from .lg text: 4 600 vertices, 700 000
+// edges, one to three labels a vertex.
+func BenchmarkLoadLabeled(b *testing.B) {
+	text, err := huText()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := graph.LoadLabeled(bytes.NewReader(text)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

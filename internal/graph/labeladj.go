@@ -3,7 +3,6 @@ package graph
 import (
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -77,7 +76,7 @@ func (la *labelAdj) find(v VertexID, l Label) (int32, bool) {
 // modified. For single-label graphs it is Neighbors(v) (l == 0) or nil —
 // no index is materialized — so unlabeled workloads pay nothing.
 func (g *Graph) NeighborsWithLabel(v VertexID, l Label) []VertexID {
-	if g.numLabels <= 1 && len(g.extra) == 0 {
+	if g.numLabels <= 1 && !g.multiLabeled() {
 		if l == 0 {
 			return g.Neighbors(v)
 		}
@@ -101,7 +100,7 @@ func (g *Graph) NeighborsWithLabel(v VertexID, l Label) []VertexID {
 // are looked up one vertex at a time.
 func (g *Graph) RunsWithLabel(vs []VertexID, l Label, dst [][]VertexID) [][]VertexID {
 	dst = slices.Grow(dst[:0], len(vs))[:len(vs)]
-	if g.numLabels <= 1 && len(g.extra) == 0 || l >= 32 {
+	if g.numLabels <= 1 && !g.multiLabeled() || l >= 32 {
 		for i, v := range vs {
 			dst[i] = g.NeighborsWithLabel(v, l)
 		}
@@ -122,53 +121,86 @@ func (g *Graph) RunsWithLabel(vs []VertexID, l Label, dst [][]VertexID) [][]Vert
 	return dst
 }
 
-// build materializes the grouped adjacency once. Cost is O(E·log L_v)
-// time and ~one extra copy of the adjacency array; safe for concurrent
-// first callers via the Once.
+// build materializes the grouped adjacency once, in time linear in its
+// size: per vertex, its neighbors are counted per label rank, the ranks
+// it touched are put in order (sorted, or read off the counts when they
+// are an eighth of the ranks or more), and each neighbor is written
+// straight into its runs. Label values are never used as indices, so a
+// label up to MaxLabelValue costs what any other does. Safe for
+// concurrent first callers via the Once.
 func (la *labelAdj) build(g *Graph) {
 	la.once.Do(func() {
 		n := g.NumVertices()
-		la.heads = make([]runHead, n+1)
-		// Entry count: one per (neighbor, label-of-neighbor) pair.
+		ranks := g.labelRanks()
+		// One entry per (neighbor, label-of-neighbor) pair.
 		total := 0
-		for v := 0; v < n; v++ {
-			for _, w := range g.Neighbors(VertexID(v)) {
-				total += len(g.Labels(w))
-			}
+		for w := 0; w < n; w++ {
+			lo, hi := g.labelSpan(VertexID(w))
+			total += g.Degree(VertexID(w)) * int(hi-lo)
 		}
-		la.groups = make([]VertexID, 0, total)
-		type pair struct {
-			l Label
-			w VertexID
-		}
-		var buf []pair
+		la.heads = make([]runHead, n+1)
+		la.groups = make([]VertexID, total)
+		// A run per (vertex, label) at most, and at most one per entry;
+		// the two sentinels go on the end.
+		la.runs = make([]labelRun, 0, min(total, n*len(g.labelKeys))+2)
+		// next[r] counts v's neighbors carrying rank r, then is where the
+		// next of them goes; it is zero again between vertices.
+		next := make([]int32, len(g.labelKeys))
+		var touched []int32
+		pos := int32(0)
 		for v := 0; v < n; v++ {
 			h := &la.heads[v]
 			h.start = int32(len(la.runs))
 			nbrs := g.Neighbors(VertexID(v))
-			buf = buf[:0]
+			touched = touched[:0]
 			for _, w := range nbrs {
-				for _, l := range g.Labels(w) {
-					buf = append(buf, pair{l, w})
+				lo, hi := g.labelSpan(w)
+				for _, r := range ranks[lo:hi] {
+					if next[r] == 0 {
+						touched = append(touched, r)
+					}
+					next[r]++
 				}
 			}
-			// Stable by label: neighbors arrive ID-sorted, so IDs stay
-			// sorted within each label run.
-			sort.SliceStable(buf, func(i, j int) bool { return buf[i].l < buf[j].l })
-			for i, p := range buf {
-				if i == 0 || p.l != buf[i-1].l {
-					la.runs = append(la.runs, labelRun{p.l, int32(len(la.groups))})
-					if p.l < 32 {
-						h.low |= 1 << p.l
+			if len(touched)*8 < len(next) {
+				slices.Sort(touched)
+			} else { // many ranks touched: reading the counts is cheaper
+				touched = touched[:0]
+				for r, c := range next {
+					if c != 0 {
+						touched = append(touched, int32(r))
 					}
-				} else if p.l < 32 {
-					h.twos |= 1 << p.l
 				}
-				la.groups = append(la.groups, p.w)
+			}
+			for _, r := range touched {
+				l, c := g.labelKeys[r], next[r]
+				la.runs = append(la.runs, labelRun{l, pos})
+				if l < 32 {
+					h.low |= 1 << l
+					if c >= 2 {
+						h.twos |= 1 << l
+					}
+				}
+				next[r] = pos
+				pos += c
+			}
+			// Neighbors arrive ID-sorted, so IDs stay sorted within each run.
+			for _, w := range nbrs {
+				lo, hi := g.labelSpan(w)
+				for _, r := range ranks[lo:hi] {
+					la.groups[next[r]] = w
+					next[r]++
+				}
+			}
+			for _, r := range touched {
+				next[r] = 0
 			}
 		}
 		la.heads[n].start = int32(len(la.runs))
-		end := labelRun{off: int32(len(la.groups))}
+		end := labelRun{off: pos}
 		la.runs = append(la.runs, end, end)
+		if cap(la.runs) > len(la.runs)+len(la.runs)/4 {
+			la.runs = slices.Clone(la.runs) // the bound was loose; keep what is used
+		}
 	})
 }
