@@ -164,9 +164,11 @@ shard-smoke:
 	$(GO) test -race -run 'TestServeShard|TestReadinessGate|TestRouteMode|TestPartitionMode|TestShardMode|TestClientRetr|TestClientBackoff' -v ./cmd/ceciserve ./cmd/ceciroute ./internal/service
 	bash scripts/shard_smoke.sh
 
-# Telemetry smoke: the hub's deterministic unit tests raced, then the
-# /statz + Server-Timing surfaces through the in-process server
-# (also run, plus a curl-driven binary pass, by CI's telemetry-smoke job).
+# Telemetry smoke: the hub's deterministic unit tests raced (rollups, SLO
+# burn, totals that count every query, zero-alloc ledger and
+# ObserveQuery), then the /statz + Server-Timing surfaces through the
+# in-process server (also run, plus a curl-driven binary pass that checks
+# the ledger totals, by CI's telemetry-smoke job).
 telemetry-smoke:
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -race -run 'TestServeStatzSmoke|TestTelemetryEndToEnd|TestQueryzFilters|TestServerTimingHeader|TestRunLedger' -v ./cmd/ceciserve ./internal/service ./cmd/cecirun

@@ -203,14 +203,9 @@ func (f *FlightRecorder) Find(traceID string) (QueryRecord, bool) {
 	return QueryRecord{}, false
 }
 
-// Text renders the recorder as an aligned table (newest first, then the
-// slowest-K block) for the /queryz?format=text view.
-func (f *FlightRecorder) Text() string {
-	return RecordsText(f.Recent(), f.Slowest())
-}
-
-// RecordsText renders pre-selected (possibly filtered) recent and
-// slowest record lists as the same aligned table Text produces.
+// RecordsText renders recent and slowest record lists (possibly
+// filtered) as an aligned table, newest first and then the slowest-K
+// block, for the /queryz?format=text view.
 func RecordsText(recent, slowest []QueryRecord) string {
 	var b strings.Builder
 	writeRecords := func(title string, recs []QueryRecord) {

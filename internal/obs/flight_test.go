@@ -114,7 +114,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 					fr.Slowest()
 					fr.Total()
 					fr.Find("w")
-					fr.Text()
+					RecordsText(fr.Recent(), fr.Slowest())
 				}
 			}
 		}(w)
@@ -161,7 +161,7 @@ func TestFlightRecorderText(t *testing.T) {
 	partial.Partial = true
 	fr.Record(partial)
 
-	text := fr.Text()
+	text := RecordsText(fr.Recent(), fr.Slowest())
 	for _, want := range []string{"aaaa1111", "bbbb2222", "200", "504", "42"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("text table missing %q:\n%s", want, text)
@@ -178,5 +178,5 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	if _, ok := fr.Find("x"); ok {
 		t.Fatal("nil recorder found a record")
 	}
-	_ = fr.Text()
+	_ = RecordsText(fr.Recent(), fr.Slowest())
 }

@@ -2,17 +2,16 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // QueryResources is one query's resource ledger: what the query actually
 // cost, beyond how long it took. The enumeration layer charges it at
 // work-unit boundaries (never inside the zero-allocation depth step),
-// the service layer adds admission/build context, and the snapshot rides
-// the query's flight record so /queryz and the per-class aggregation can
-// answer "which query shapes are expensive", not just "which instances
-// were slow".
+// and the snapshot rides the query's flight record, so /queryz answers
+// what each query cost, not just which instances were slow, and the
+// hub's running totals at /statz sum it over every query.
 type QueryResources struct {
 	// CPUUS is the summed worker busy time across the enumeration — the
 	// query's CPU cost in microseconds, which under multi-worker
@@ -30,13 +29,6 @@ type QueryResources struct {
 	// span bitmaps) — the query's live enumeration memory beyond the
 	// index itself.
 	PeakScratchBytes int64 `json:"peak_scratch_bytes"`
-	// AllocBytes/AllocObjects are the process heap-allocation delta
-	// across the query (from runtime/metrics). Under concurrent queries
-	// the attribution is approximate — deltas include neighbors' work —
-	// but the steady-state enumeration step allocates nothing, so the
-	// numbers predominantly reflect this query's build phase.
-	AllocBytes   int64 `json:"alloc_bytes,omitempty"`
-	AllocObjects int64 `json:"alloc_objects,omitempty"`
 	// Kernels is the adaptive intersection-kernel mix (PR 7's
 	// KernelStats): which kernels fired and how much they scanned and
 	// emitted. Kernels that never fired are omitted.
@@ -51,8 +43,9 @@ type KernelMix struct {
 	Emitted int64  `json:"emitted"`
 }
 
-// Add accumulates o into r (aggregation across queries of one class).
-// Peak fields take the max; everything else sums.
+// Add accumulates o into r (the hub's totals across queries). Peak
+// fields take the max; everything else sums. It allocates only when r
+// meets a kernel for the first time.
 func (r *QueryResources) Add(o *QueryResources) {
 	if o == nil {
 		return
@@ -64,8 +57,6 @@ func (r *QueryResources) Add(o *QueryResources) {
 	if o.PeakScratchBytes > r.PeakScratchBytes {
 		r.PeakScratchBytes = o.PeakScratchBytes
 	}
-	r.AllocBytes += o.AllocBytes
-	r.AllocObjects += o.AllocObjects
 	for _, k := range o.Kernels {
 		found := false
 		for i := range r.Kernels {
@@ -81,7 +72,7 @@ func (r *QueryResources) Add(o *QueryResources) {
 			r.Kernels = append(r.Kernels, k)
 		}
 	}
-	sort.Slice(r.Kernels, func(i, j int) bool { return r.Kernels[i].Kernel < r.Kernels[j].Kernel })
+	slices.SortFunc(r.Kernels, func(a, b KernelMix) int { return strings.Compare(a.Kernel, b.Kernel) })
 }
 
 // Text renders the ledger as an aligned block for cecirun -ledger and
@@ -97,10 +88,6 @@ func (r *QueryResources) Text() string {
 	fmt.Fprintf(&b, "  recursive calls: %d\n", r.RecursiveCalls)
 	fmt.Fprintf(&b, "  embeddings:      %d\n", r.Embeddings)
 	fmt.Fprintf(&b, "  peak scratch:    %s\n", byteString(r.PeakScratchBytes))
-	if r.AllocBytes != 0 || r.AllocObjects != 0 {
-		fmt.Fprintf(&b, "  allocations:     %s / %d objects (process-wide delta)\n",
-			byteString(r.AllocBytes), r.AllocObjects)
-	}
 	if len(r.Kernels) > 0 {
 		fmt.Fprintf(&b, "  kernel mix:\n")
 		for _, k := range r.Kernels {

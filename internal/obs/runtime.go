@@ -75,18 +75,6 @@ func RuntimeSnapshot() (map[string]int64, map[string]HistogramSnapshot) {
 	return gauges, hists
 }
 
-// RuntimeAllocs reads the cumulative heap-allocation counters — the
-// watermark pair the per-query resource ledger diffs across a query.
-// Cheap: two scalar metrics, no histograms, no stop-the-world.
-func RuntimeAllocs() (bytes, objects int64) {
-	samples := []metrics.Sample{
-		{Name: metricAllocBytes},
-		{Name: metricAllocObjects},
-	}
-	metrics.Read(samples)
-	return int64(samples[0].Value.Uint64()), int64(samples[1].Value.Uint64())
-}
-
 // FromRuntimeHistogram converts a runtime/metrics Float64Histogram —
 // bucket i counts values in [Buckets[i], Buckets[i+1]) — into the
 // package's le-bounded HistogramSnapshot form, compacting away

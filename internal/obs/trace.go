@@ -12,11 +12,8 @@ package obs
 import (
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -448,41 +445,4 @@ func (t *Tracer) PhaseDurations() map[string]time.Duration {
 		walk(r)
 	}
 	return out
-}
-
-// String renders the tree with indentation, children in start order.
-func (t *Tracer) String() string {
-	if t == nil {
-		return "<nil tracer>"
-	}
-	var b strings.Builder
-	var walk func(n *SpanNode, depth int)
-	walk = func(n *SpanNode, depth int) {
-		fmt.Fprintf(&b, "%s%-*s %12v", strings.Repeat("  ", depth), 24-2*depth, n.Name,
-			time.Duration(n.DurUS)*time.Microsecond)
-		if n.Running {
-			b.WriteString(" (running)")
-		}
-		if len(n.Attrs) > 0 {
-			keys := make([]string, 0, len(n.Attrs))
-			for k := range n.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(&b, " %s=%s", k, n.Attrs[k])
-			}
-		}
-		if n.Dropped > 0 {
-			fmt.Fprintf(&b, " +%d dropped", n.Dropped)
-		}
-		b.WriteByte('\n')
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	for _, r := range t.Tree() {
-		walk(r, 0)
-	}
-	return b.String()
 }

@@ -129,9 +129,6 @@ func TestTracerNilSafe(t *testing.T) {
 	if tr.Tree() != nil || tr.PhaseDurations() != nil {
 		t.Fatal("nil tracer should snapshot to nil")
 	}
-	if tr.String() != "<nil tracer>" {
-		t.Fatal("nil render")
-	}
 }
 
 func TestTracerConcurrent(t *testing.T) {
@@ -231,17 +228,5 @@ func TestPhaseDurationsSemantics(t *testing.T) {
 		if d2[name] != v {
 			t.Fatalf("non-deterministic aggregation for %s: %v vs %v", name, v, d2[name])
 		}
-	}
-}
-
-func TestTracerString(t *testing.T) {
-	tr := NewTracer(TracerOptions{})
-	s := tr.Start("build", Int("pivots", 12))
-	s.Child("refine").End()
-	s.End()
-	out := tr.String()
-	if !strings.Contains(out, "build") || !strings.Contains(out, "pivots=12") ||
-		!strings.Contains(out, "  refine") {
-		t.Fatalf("render:\n%s", out)
 	}
 }

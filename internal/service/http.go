@@ -95,8 +95,8 @@ type QueryzResponse struct {
 //	GET  /tracez/{traceID}  a sampled query's span tree as Chrome
 //	                        trace_event JSON (?format=jsonl for the
 //	                        compact per-span JSONL form)
-//	GET  /statz             telemetry hub: SLO burn state, per-class
-//	                        costs, time-series rollups (?format=text)
+//	GET  /statz             telemetry hub: SLO burn state, ledger
+//	                        totals, time-series rollups (?format=text)
 //
 // /statz requires Options.Telemetry. When the engine has a
 // Registry, its telemetry routes (/metrics, /metrics.json, /trace,
@@ -308,7 +308,7 @@ func (f *Frame) handleQueryz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatz serves the telemetry hub's full view: SLO burn state,
-// per-class costs, and time-series rollups. JSON by default,
+// ledger totals, and time-series rollups. JSON by default,
 // ?format=text for aligned tables.
 func (f *Frame) handleStatz(w http.ResponseWriter, r *http.Request) {
 	h := f.Telemetry

@@ -332,20 +332,16 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Response, error) {
 	call := e.frame.Begin(ctx, req.Query, req.Timeout)
 
 	// Resource ledger: the enumeration charges it at work-unit
-	// boundaries; the allocation watermark brackets the whole query so
-	// the build phase's allocations are attributed too.
+	// boundaries.
 	var led *telemetry.Ledger
-	var alloc telemetry.AllocWatermark
 	if e.opts.Telemetry != nil {
 		led = telemetry.NewLedger()
-		alloc = telemetry.StartAllocWatermark()
 	}
 
 	resp, waited, err := e.serve(call, req, led)
 	if errors.Is(err, context.DeadlineExceeded) {
 		e.deadlines.Add(1)
 	}
-	alloc.ChargeTo(led)
 	rec := obs.QueryRecord{
 		Resources:       led.Snapshot(),
 		Outcome:         statusFor(err),

@@ -108,8 +108,8 @@ func telemetryTestServer(t *testing.T) (*httptest.Server, *Client, *telemetry.Hu
 }
 
 // TestTelemetryEndToEnd drives the monitoring loop the README documents:
-// queries flow into the hub, /statz serves SLO + class + series state in
-// JSON and text, and /query responses carry a Server-Timing breakdown.
+// queries flow into the hub, /statz serves SLO + totals + series state
+// in JSON and text, and /query responses carry a Server-Timing breakdown.
 func TestTelemetryEndToEnd(t *testing.T) {
 	srv, client, hub := telemetryTestServer(t)
 
@@ -138,7 +138,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatalf("flight record missing ledger: %+v", res)
 	}
 
-	// /statz JSON: classes and series populated, SLO healthy.
+	// /statz JSON: ledger totals and series populated, SLO healthy.
 	body, ctype := httpGet(t, srv, "/statz")
 	if !strings.HasPrefix(ctype, "application/json") {
 		t.Fatalf("statz content type = %q", ctype)
@@ -150,18 +150,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if doc.Queries != 2 || doc.Errors != 0 {
 		t.Fatalf("statz queries/errors = %d/%d", doc.Queries, doc.Errors)
 	}
-	if len(doc.Classes) != 2 {
-		t.Fatalf("statz classes = %+v", doc.Classes)
-	}
-	seen := map[string]bool{}
-	for _, c := range doc.Classes {
-		seen[c.Hash] = true
-		if c.Resources.Units <= 0 {
-			t.Fatalf("class %s has no ledger charges: %+v", c.Hash, c)
-		}
-	}
-	if !seen[resp.QueryHash] {
-		t.Fatalf("statz classes %v missing query hash %s", doc.Classes, resp.QueryHash)
+	if doc.Totals.Units <= 0 {
+		t.Fatalf("statz totals have no ledger charges: %+v", doc.Totals)
 	}
 	for _, name := range []string{"ledger_queries", "runtime_goroutines", "slo_latency_fast_burn"} {
 		if _, ok := doc.Series[name]; !ok {
@@ -177,7 +167,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if !strings.HasPrefix(ctype, "text/plain") {
 		t.Fatalf("statz text content type = %q", ctype)
 	}
-	for _, want := range []string{"slo (", "query classes", resp.QueryHash} {
+	for _, want := range []string{"slo (", "queries: 2 (0 errors)", "resource ledger:"} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("statz text missing %q:\n%s", want, body)
 		}

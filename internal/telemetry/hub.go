@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,8 +16,8 @@ import (
 // resolutions, 10s sampling, default SLO.
 type Options struct {
 	// Now is the injected clock (time.Now when nil). Every component —
-	// store buckets, SLO ring, class timestamps — reads it, so tests
-	// drive the whole hub with a fake clock.
+	// store buckets, SLO ring — reads it, so tests drive the whole hub
+	// with a fake clock.
 	Now func() time.Time
 	// Resolutions are the store's rollup levels (DefaultResolutions
 	// when empty).
@@ -29,19 +30,22 @@ type Options struct {
 }
 
 // Hub is the process's telemetry brain: it owns the time-series store,
-// the SLO tracker, and the per-class cost table, samples the obs
+// the SLO tracker and the running ledger totals, samples the obs
 // registry and the Go runtime into the store, and renders everything at
 // /statz (JSON and text).
 type Hub struct {
 	now      func() time.Time
 	store    *Store
 	slo      *SLO
-	classes  *ClassTable
 	interval time.Duration
 
 	mu         sync.Mutex
 	reg        *obs.Registry
 	histTracks map[string]*histTrack
+	// queries, errors and totals sum every observed query; they never
+	// decrease.
+	queries, errors int64
+	totals          obs.QueryResources
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -73,7 +77,6 @@ func NewHub(o Options) *Hub {
 		now:        o.Now,
 		store:      NewStore(o.Now, o.Resolutions),
 		slo:        NewSLO(o.SLO, o.Now),
-		classes:    NewClassTable(DefaultMaxClasses),
 		interval:   o.SampleInterval,
 		histTracks: make(map[string]*histTrack),
 		stop:       make(chan struct{}),
@@ -96,14 +99,6 @@ func (h *Hub) SLO() *SLO {
 		return nil
 	}
 	return h.slo
-}
-
-// Classes exposes the per-class cost table.
-func (h *Hub) Classes() *ClassTable {
-	if h == nil {
-		return nil
-	}
-	return h.classes
 }
 
 // BindRegistry attaches the obs registry: its gauge sources and
@@ -139,31 +134,45 @@ func (h *Hub) BindRegistry(reg *obs.Registry) {
 }
 
 // ObserveQuery folds one completed query into the SLO tracker and the
-// class table. The service calls it once per query, after recording the
-// flight record. Nil-safe.
+// running totals. The service calls it once per query, after recording
+// the flight record. Allocation-free once the totals have seen each
+// kernel. Nil-safe.
 func (h *Hub) ObserveQuery(rec obs.QueryRecord) {
 	if h == nil {
 		return
 	}
 	h.slo.Observe(time.Duration(rec.TotalUS)*time.Microsecond, rec.Outcome)
-	h.classes.Observe(rec, h.now())
+	h.mu.Lock()
+	h.queries++
+	if rec.Outcome != 200 {
+		h.errors++
+	}
+	h.totals.Add(rec.Resources)
+	h.mu.Unlock()
 }
 
-// Sample runs one sampling pass: Go runtime gauges and distributions,
-// registry gauge sources and histograms, ledger aggregates, and SLO burn
-// gauges all land in the store. Start calls it on a ticker; tests and
-// the CI smoke call it directly.
+// totalsSnapshot returns the running totals, the kernel mix copied out
+// of the lock.
+func (h *Hub) totalsSnapshot() (queries, errors int64, res obs.QueryResources) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	res = h.totals
+	res.Kernels = slices.Clone(res.Kernels)
+	return h.queries, h.errors, res
+}
+
+// Sample runs one sampling pass: Go runtime gauges, registry gauge
+// sources and histograms, ledger totals, and SLO burn gauges all land in
+// the store. Start calls it on a ticker; tests and the CI smoke call it
+// directly.
 func (h *Hub) Sample() {
 	if h == nil {
 		return
 	}
 	// Go runtime.
-	rg, rh := obs.RuntimeSnapshot()
+	rg, _ := obs.RuntimeSnapshot()
 	for k, v := range rg {
 		h.store.Observe("runtime_"+k, float64(v))
-	}
-	for k, s := range rh {
-		h.trackHistogram("runtime_"+k, s)
 	}
 
 	// Registry gauge sources and histograms.
@@ -181,8 +190,8 @@ func (h *Hub) Sample() {
 		}
 	}
 
-	// Ledger aggregates across classes.
-	queries, errors, res := h.classes.Totals()
+	// Ledger totals over every observed query.
+	queries, errors, res := h.totalsSnapshot()
 	h.store.Observe("ledger_queries", float64(queries))
 	h.store.Observe("ledger_errors", float64(errors))
 	h.store.Observe("ledger_cpu_seconds", float64(res.CPUUS)/1e6)
@@ -228,8 +237,7 @@ func (h *Hub) trackHistogram(name string, s obs.HistogramSnapshot) {
 }
 
 // deltaSnapshot returns cur - prev bucket-wise when the bucket layouts
-// match; otherwise (first sample, or runtime histograms whose compacted
-// bucket sets shift between samples) it falls back to cur.
+// match; otherwise (the first sample) it falls back to cur.
 func deltaSnapshot(cur, prev obs.HistogramSnapshot) obs.HistogramSnapshot {
 	if prev.Count == 0 || len(prev.Bounds) != len(cur.Bounds) || len(prev.Counts) != len(cur.Counts) {
 		return cur
@@ -292,7 +300,6 @@ type Statz struct {
 	Queries        int64                     `json:"queries"`
 	Errors         int64                     `json:"errors"`
 	Totals         obs.QueryResources        `json:"totals"`
-	Classes        []ClassStat               `json:"classes"`
 	Series         map[string][]SeriesWindow `json:"series"`
 }
 
@@ -301,7 +308,7 @@ func (h *Hub) Snapshot() Statz {
 	if h == nil {
 		return Statz{}
 	}
-	queries, errors, res := h.classes.Totals()
+	queries, errors, res := h.totalsSnapshot()
 	return Statz{
 		Time:           h.now(),
 		SampleInterval: h.interval.Seconds(),
@@ -309,7 +316,6 @@ func (h *Hub) Snapshot() Statz {
 		Queries:        queries,
 		Errors:         errors,
 		Totals:         res,
-		Classes:        h.classes.Snapshot(),
 		Series:         h.store.Snapshot(),
 	}
 }
@@ -341,20 +347,6 @@ func (h *Hub) StatzText() string {
 	fmt.Fprintf(&b, "\nqueries: %d (%d errors)\n", st.Queries, st.Errors)
 	if st.Queries > 0 {
 		b.WriteString(st.Totals.Text())
-	}
-
-	if len(st.Classes) > 0 {
-		fmt.Fprintf(&b, "\nquery classes by enum cpu (%d)\n", len(st.Classes))
-		fmt.Fprintf(&b, "  %-16s %6s %6s %5s %12s %12s %12s %10s %10s\n",
-			"class", "count", "errs", "hits", "cpu", "total", "max", "embs", "scratch")
-		for _, c := range st.Classes {
-			fmt.Fprintf(&b, "  %-16s %6d %6d %5d %12v %12v %12v %10d %10d\n",
-				c.Hash, c.Count, c.Errors, c.CacheHits,
-				time.Duration(c.Resources.CPUUS)*time.Microsecond,
-				time.Duration(c.TotalUS)*time.Microsecond,
-				time.Duration(c.MaxUS)*time.Microsecond,
-				c.Resources.Embeddings, c.Resources.PeakScratchBytes)
-		}
 	}
 
 	if len(st.Series) > 0 {

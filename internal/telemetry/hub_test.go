@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,9 +59,6 @@ func TestHubSampleAndStatz(t *testing.T) {
 	if doc.Queries != 2 || doc.Errors != 1 {
 		t.Fatalf("queries/errors = %d/%d", doc.Queries, doc.Errors)
 	}
-	if len(doc.Classes) != 1 || doc.Classes[0].Hash != "cafe" || doc.Classes[0].Count != 2 {
-		t.Fatalf("classes = %+v", doc.Classes)
-	}
 	if doc.Totals.CPUUS != 1200 || doc.Totals.Embeddings != 10 {
 		t.Fatalf("totals = %+v", doc.Totals)
 	}
@@ -100,9 +99,106 @@ func TestHubSampleAndStatz(t *testing.T) {
 	}
 
 	text := h.StatzText()
-	for _, want := range []string{"slo (latency target 100ms", "BREACH", "cafe", "resource ledger:", "series ("} {
+	for _, want := range []string{"slo (latency target 100ms", "BREACH", "queries: 2 (1 errors)", "resource ledger:", "series ("} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("statz text missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestStatzCountsEveryQuery: the totals and the ledger_* series count
+// every observed query, however many distinct query hashes there are,
+// with queries observed from several goroutines while /statz is read.
+func TestStatzCountsEveryQuery(t *testing.T) {
+	clk := newFakeClock()
+	h := testHub(clk)
+	const n, writers = 300, 3
+	observe := func(from, to int) {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := from + w; i < to; i += writers {
+					outcome := 200
+					if i%7 == 0 {
+						outcome = 504
+					}
+					h.ObserveQuery(obs.QueryRecord{
+						QueryHash: fmt.Sprintf("%016x", i), Outcome: outcome, TotalUS: 1000,
+						Resources: &obs.QueryResources{Units: 1, Embeddings: 2,
+							Kernels: []obs.KernelMix{{Kernel: "merge", Calls: 1}}},
+					})
+				}
+			}(w)
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := h.StatzJSON(); err != nil {
+				t.Error(err)
+			}
+		}
+		wg.Wait()
+	}
+	observe(0, n/2)
+	h.Sample()
+	clk.Advance(10 * time.Second)
+	observe(n/2, n)
+	h.Sample()
+
+	const errs = (n + 6) / 7 // outcomes of i ≡ 0 (mod 7)
+	st := h.Snapshot()
+	if st.Queries != n || st.Errors != errs {
+		t.Fatalf("queries/errors = %d/%d, want %d/%d", st.Queries, st.Errors, n, errs)
+	}
+	if st.Totals.Units != n || st.Totals.Embeddings != 2*n ||
+		len(st.Totals.Kernels) != 1 || st.Totals.Kernels[0].Calls != n {
+		t.Fatalf("totals = %+v", st.Totals)
+	}
+	pts := st.Series["ledger_queries"][0].Points
+	if len(pts) != 2 || pts[1].V < pts[0].V || pts[1].V != n {
+		t.Fatalf("ledger_queries = %+v, want non-decreasing to %d", pts, n)
+	}
+	if pts := st.Series["ledger_errors"][0].Points; pts[len(pts)-1].V != errs {
+		t.Fatalf("ledger_errors = %+v, want %d", pts, errs)
+	}
+}
+
+// TestHubObserveQueryAllocFree: folding a query into the hub allocates
+// nothing once the totals have seen its kernels, even when every query
+// has a hash the hub has not seen.
+func TestHubObserveQueryAllocFree(t *testing.T) {
+	h := testHub(newFakeClock())
+	res := &obs.QueryResources{CPUUS: 10, Units: 1, Kernels: []obs.KernelMix{
+		{Kernel: "probe", Calls: 2, Scanned: 20, Emitted: 3},
+		{Kernel: "merge", Calls: 1, Scanned: 9, Emitted: 1},
+	}}
+	const runs = 100
+	hashes := make([]string, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range hashes {
+		hashes[i] = fmt.Sprintf("%016x", i)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		h.ObserveQuery(obs.QueryRecord{QueryHash: hashes[i], Outcome: 200, TotalUS: 100, Resources: res})
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("ObserveQuery allocates %.1f times per query", avg)
+	}
+}
+
+// TestHubStoresNoRuntimeHistogramQuantiles: the runtime's distributions
+// are exported by /metrics only; the store holds the runtime's gauges.
+func TestHubStoresNoRuntimeHistogramQuantiles(t *testing.T) {
+	h := testHub(newFakeClock())
+	h.Sample()
+	series := h.Store().Snapshot()
+	if _, ok := series["runtime_goroutines"]; !ok {
+		t.Fatalf("runtime gauges missing from the store")
+	}
+	for name := range series {
+		if strings.HasPrefix(name, "runtime_gc_pause_seconds") || strings.HasPrefix(name, "runtime_sched_latency_seconds") {
+			t.Fatalf("store holds runtime histogram series %q", name)
 		}
 	}
 }

@@ -1,11 +1,10 @@
 // Package telemetry is the observability hub above internal/obs: the
-// per-query resource ledger, an in-process time-series store with
-// fixed-ring rollups, per-class (canonical query hash) cost aggregation,
-// and SLO error-budget burn-rate tracking. internal/obs owns the
-// primitive types (Histogram, QueryRecord, QueryResources) and the
-// scrape endpoints; this package owns everything that accumulates them
-// over time and answers "what is this process doing, and which query
-// shapes are expensive" at /statz.
+// per-query resource ledger, running ledger totals over every observed
+// query, an in-process time-series store with fixed-ring rollups, and
+// SLO error-budget burn-rate tracking. internal/obs owns the primitive
+// types (Histogram, QueryRecord, QueryResources) and the scrape
+// endpoints; this package owns everything that accumulates them over
+// time and answers "what is this process doing" at /statz.
 package telemetry
 
 import (
@@ -36,8 +35,6 @@ type Ledger struct {
 	embeddings  atomic.Int64
 	cardDone    atomic.Int64
 	peakScratch atomic.Int64
-	allocBytes  atomic.Int64
-	allocObjs   atomic.Int64
 
 	mu     sync.Mutex // serializes Begin
 	detail atomic.Pointer[ledgerDetail]
@@ -184,16 +181,6 @@ func (l *Ledger) AddUnit(worker int, busy time.Duration, card, scratchBytes int6
 	}
 }
 
-// SetAllocDelta records the process heap-allocation delta attributed to
-// this query (see AllocWatermark). Overwrites any previous value.
-func (l *Ledger) SetAllocDelta(bytes, objects int64) {
-	if l == nil {
-		return
-	}
-	l.allocBytes.Store(bytes)
-	l.allocObjs.Store(objects)
-}
-
 // Positions returns the work recorded at each matching-order position.
 func (l *Ledger) Positions() []PositionWork {
 	if l == nil {
@@ -247,8 +234,6 @@ func (l *Ledger) Snapshot() *obs.QueryResources {
 		RecursiveCalls:   l.calls.Load(),
 		Embeddings:       l.embeddings.Load(),
 		PeakScratchBytes: l.peakScratch.Load(),
-		AllocBytes:       l.allocBytes.Load(),
-		AllocObjects:     l.allocObjs.Load(),
 	}
 	d := l.detail.Load()
 	if d == nil {
@@ -280,30 +265,4 @@ func (l *Ledger) Snapshot() *obs.QueryResources {
 		})
 	}
 	return r
-}
-
-// AllocWatermark is a heap-allocation watermark pair: capture one before
-// a query with StartAllocWatermark, call ChargeTo after, and the ledger
-// receives the process-wide allocation delta. Under concurrent queries
-// the attribution is approximate (neighbors' allocations are included);
-// the steady-state enumeration step allocates nothing, so the delta
-// predominantly reflects build-phase work.
-type AllocWatermark struct {
-	bytes, objects int64
-}
-
-// StartAllocWatermark captures the current cumulative allocation
-// counters from runtime/metrics (two scalar reads, no stop-the-world).
-func StartAllocWatermark() AllocWatermark {
-	b, o := obs.RuntimeAllocs()
-	return AllocWatermark{bytes: b, objects: o}
-}
-
-// ChargeTo stores the allocation delta since the watermark into l.
-func (w AllocWatermark) ChargeTo(l *Ledger) {
-	if l == nil {
-		return
-	}
-	b, o := obs.RuntimeAllocs()
-	l.SetAllocDelta(b-w.bytes, o-w.objects)
 }

@@ -28,7 +28,6 @@ func TestLedgerSnapshot(t *testing.T) {
 	d.Emitted[setops.KernelProbe] = 10
 	l.AddPosition(2, StepCounts{Lookups: 2, Intersections: 2, Comparisons: 9, Output: 10, Verifications: 1}, &d)
 	l.AddPosition(3, StepCounts{Lookups: 1}, &d) // past the table: dropped
-	l.SetAllocDelta(1<<20, 99)
 
 	r := l.Snapshot()
 	if r.CPUUS != 5000 || r.Units != 2 || r.RecursiveCalls != 30 || r.Embeddings != 8 {
@@ -36,9 +35,6 @@ func TestLedgerSnapshot(t *testing.T) {
 	}
 	if r.PeakScratchBytes != 4096 {
 		t.Fatalf("peak scratch = %d, want max not sum", r.PeakScratchBytes)
-	}
-	if r.AllocBytes != 1<<20 || r.AllocObjects != 99 {
-		t.Fatalf("alloc delta = %d/%d", r.AllocBytes, r.AllocObjects)
 	}
 	if len(r.Kernels) != 2 {
 		t.Fatalf("kernel mix = %+v, want merge and probe only", r.Kernels)
@@ -106,11 +102,9 @@ func TestLedgerNilSafe(t *testing.T) {
 	l.AddWork(1, 1)
 	l.AddUnit(0, time.Second, 1, 1)
 	l.AddPosition(0, StepCounts{}, &setops.KernelStats{})
-	l.SetAllocDelta(1, 1)
 	if l.Snapshot() != nil || l.Positions() != nil || l.Work().WorkerBusy != nil {
 		t.Fatalf("nil ledger must read as nil")
 	}
-	AllocWatermark{}.ChargeTo(nil) // must not panic
 }
 
 func TestLedgerChargeAllocFree(t *testing.T) {
@@ -127,20 +121,3 @@ func TestLedgerChargeAllocFree(t *testing.T) {
 		t.Fatalf("ledger charge allocates %.1f times per unit", avg)
 	}
 }
-
-func TestAllocWatermark(t *testing.T) {
-	l := NewLedger()
-	w := StartAllocWatermark()
-	sink = make([]byte, 1<<16)
-	w.ChargeTo(l)
-	r := l.Snapshot()
-	if r.AllocBytes < 1<<16 {
-		t.Fatalf("alloc delta = %d, want >= %d", r.AllocBytes, 1<<16)
-	}
-	if r.AllocObjects < 1 {
-		t.Fatalf("alloc objects = %d", r.AllocObjects)
-	}
-}
-
-// sink defeats allocation sinking in TestAllocWatermark.
-var sink []byte
