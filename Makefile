@@ -101,20 +101,18 @@ verify:
 	$(GO) run ./cmd/cecirun -verify -seed 1 -pairs 200
 
 # Short fuzz pass over every target — same budget as the CI smoke job.
-# Matcher/index crashers land under internal/verify/testdata/fuzz/
+# Matcher crashers land under internal/verify/testdata/fuzz/
 # (replay with `go run ./cmd/cecirun -verify -seed <seed>`); kernel
 # crashers land under internal/setops/testdata/fuzz/; wire-parser
 # crashers (query request, query response) under
-# internal/service/testdata/fuzz/; index-file and set-deletion crashers
-# under internal/ceci/testdata/fuzz/; shard-manifest crashers under
+# internal/service/testdata/fuzz/; set-deletion crashers under
+# internal/ceci/testdata/fuzz/; shard-manifest crashers under
 # internal/shard/testdata/fuzz/; traceparent crashers under
 # internal/obs/testdata/fuzz/; .lg and edge-list loader crashers under
 # internal/graph/testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatchDifferential -fuzztime=$(FUZZTIME) ./internal/verify
-	$(GO) test -run='^$$' -fuzz=FuzzIndexRoundTrip -fuzztime=$(FUZZTIME) ./internal/verify
-	$(GO) test -run='^$$' -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME) ./internal/ceci
 	$(GO) test -run='^$$' -fuzz=FuzzMapBuilderDelete -fuzztime=$(FUZZTIME) ./internal/ceci
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectKernels -fuzztime=$(FUZZTIME) ./internal/setops
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectionSize -fuzztime=$(FUZZTIME) ./internal/setops
@@ -128,14 +126,12 @@ fuzz:
 
 # What .github/workflows/ci.yml runs: vet + build + full tests, then a
 # race pass over the concurrency-heavy packages and 10 s of fuzzing of the
-# index reader, the bitmap probe, the .lg loader's label runs and the
-# router's window.
+# bitmap probe, the .lg loader's label runs and the router's window.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/enum ./internal/ceci ./internal/order ./internal/graph ./internal/cluster ./internal/obs ./internal/stats ./internal/prof ./internal/setops ./internal/bitset ./internal/verify ./internal/service ./internal/telemetry ./internal/shard ./cmd/ceciserve ./cmd/ceciroute
-	$(GO) test -run='^$$' -fuzz=FuzzReadIndex -fuzztime=10s ./internal/ceci
 	$(GO) test -run='^$$' -fuzz=FuzzIntersectKernels -fuzztime=10s ./internal/setops
 	$(GO) test -run='^$$' -fuzz=FuzzLoadLabeled -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzRouterWindow -fuzztime=10s ./internal/shard

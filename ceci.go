@@ -27,9 +27,9 @@
 // matched by CECI, five independent baseline matchers, and a
 // brute-force reference enumerator, which must all produce the same
 // canonical embedding set; metamorphic invariants (graph isomorphism,
-// label renaming, edge deletion, Options variations, index
-// serialization round-trips) guard the properties no single oracle
-// can. Replay any reported seed with `cecirun -verify -seed N`.
+// label renaming, edge deletion, Options variations, limited matching)
+// guard the properties no single oracle can. Replay any reported seed
+// with `cecirun -verify -seed N`.
 package ceci
 
 import (
@@ -191,9 +191,6 @@ type Options struct {
 	// verification of non-tree edges — the ablation of Section 4.1;
 	// intersection (the default) is what the paper advocates.
 	EdgeVerification bool
-	// RefineRounds is the number of reverse-BFS refinement passes
-	// (default 1, the paper's setting).
-	RefineRounds int
 	// Stats, when non-nil, accumulates instrumentation counters.
 	Stats *Stats
 	// Tracer, when non-nil, records hierarchical spans for every phase
@@ -295,33 +292,25 @@ func MatchCtx(ctx context.Context, data, query *Graph, opts *Options) (*Matcher,
 	if err != nil {
 		return nil, err
 	}
-	m := o.matcher(data, ix)
-	m.tree, m.prefixEnd = prefixTree, prefixEnd
-	return m, nil
-}
-
-// matcher returns a Matcher holding ix, complete unless the caller says
-// otherwise.
-func (o *Options) matcher(data *Graph, ix *icec.Index) *Matcher {
 	eo := o.enumOptions()
-	return &Matcher{data: data, opts: *o, progress: eo.Progress, inner: enum.NewMatcher(ix, eo)}
+	return &Matcher{data: data, opts: o, progress: eo.Progress, inner: enum.NewMatcher(ix, eo),
+		tree: prefixTree, prefixEnd: prefixEnd}, nil
 }
 
 // buildOptions is the one translation of Options into the index
 // builder's; Pivots is the caller's to set.
 func (o *Options) buildOptions() icec.Options {
 	return icec.Options{
-		Workers:      o.Workers,
-		RefineRounds: o.RefineRounds,
-		Stats:        o.Stats,
-		Tracer:       o.Tracer,
-		Profile:      o.profile,
+		Workers: o.Workers,
+		Stats:   o.Stats,
+		Tracer:  o.Tracer,
+		Profile: o.profile,
 	}
 }
 
 // enumOptions is the one translation of Options into the enumerator's:
-// every path — built, loaded, prefix or completed index — enumerates under
-// the same limits and charges the same sinks.
+// a prefix index and the completed one enumerate under the same limits
+// and charge the same sinks.
 func (o *Options) enumOptions() enum.Options {
 	return enum.Options{
 		Workers:                 o.Workers,
@@ -486,8 +475,8 @@ type IndexInfo struct {
 // IndexInfo returns statistics about the matcher's CECI — the complete
 // one, which a limited matcher builds first if it has not yet. Should that
 // build fail (an index too large to address), it describes the first
-// cluster's index the matcher still holds; SaveIndex and ExplainAnalyze
-// return that error.
+// cluster's index the matcher still holds; ExplainAnalyze returns that
+// error.
 func (m *Matcher) IndexInfo() IndexInfo {
 	ix, _ := m.index()
 	return indexInfo(ix)
@@ -521,9 +510,8 @@ func Count(data, query *Graph, opts *Options) (int64, error) {
 	return m.Count(), nil
 }
 
-// preprocess is the one way a query becomes a query tree, whatever will
-// be done with the tree — built, or matched against a loaded index: the
-// forced root, the "preprocess" span, and the order of Options.Order.
+// preprocess makes the query tree Match builds over: the forced root,
+// the "preprocess" span, and the order of Options.Order.
 func (o *Options) preprocess(ctx context.Context, data, query *Graph) (*order.QueryTree, error) {
 	if data == nil || query == nil {
 		return nil, fmt.Errorf("ceci: nil %s graph", map[bool]string{true: "data", false: "query"}[data == nil])

@@ -246,35 +246,12 @@ func TestPublicCrossValidation(t *testing.T) {
 	}
 }
 
-func TestIndexSaveLoad(t *testing.T) {
-	data, query := gen.Fig1Data(), gen.Fig1Query()
-	m, err := ceci.Match(data, query, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "fig1.idx")
-	if err := m.SaveIndexFile(path); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := ceci.MatchWithIndexFile(data, query, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m2.Count(); got != 2 {
-		t.Fatalf("reloaded index count = %d, want 2", got)
-	}
-	// Mismatched query must be rejected.
-	if _, err := ceci.MatchWithIndexFile(data, gen.QG1(), path, nil); err == nil {
-		t.Fatal("mismatched query accepted")
-	}
-}
-
 // TestLoadedIndexCountsMatchBuilt: enumeration counts follow the
-// enumeration's options, so a loaded index reports the same intersection
-// and edge-verification work as one built in place (which used to route
-// them through the options the index was built with — zero for a
-// loaded index).
+// enumeration's options, so an index enumerated by a run other than the
+// one that built it (MatchOver) reports the same intersection and
+// edge-verification work as one built in place, and charges none of it to
+// the building run's Stats (where they used to be routed: zero for the
+// enumerating run).
 func TestLoadedIndexCountsMatchBuilt(t *testing.T) {
 	data, query := gen.Fig1Data(), gen.Fig1Query()
 	for _, edgeVerify := range []bool{false, true} {
@@ -288,15 +265,12 @@ func TestLoadedIndexCountsMatchBuilt(t *testing.T) {
 		}
 		buildIntersections := built.IntersectionOps.Load() // NTE construction
 		m.Count()
+		builtI, builtV, builtR := built.IntersectionOps.Load(), built.EdgeVerifications.Load(), built.RecursiveCalls.Load()
 
-		var buf bytes.Buffer
-		if err := m.SaveIndex(&buf); err != nil {
-			t.Fatal(err)
-		}
 		var loaded ceci.Stats
 		loadedOpts := opts(&loaded)
 		loadedOpts.Ledger = ceci.NewLedger()
-		m2, err := ceci.MatchWithIndex(data, query, &buf, loadedOpts)
+		m2, err := ceci.MatchOver(m, loadedOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,9 +279,12 @@ func TestLoadedIndexCountsMatchBuilt(t *testing.T) {
 			t.Errorf("edgeVerify=%v: loaded-index ledger saw %d recursive calls, stats %d",
 				edgeVerify, got, loaded.RecursiveCalls.Load())
 		}
+		if built.IntersectionOps.Load() != builtI || built.EdgeVerifications.Load() != builtV || built.RecursiveCalls.Load() != builtR {
+			t.Errorf("edgeVerify=%v: enumerating the index charged the run that built it", edgeVerify)
+		}
 
-		wantI := built.IntersectionOps.Load() - buildIntersections
-		wantV := built.EdgeVerifications.Load()
+		wantI := builtI - buildIntersections
+		wantV := builtV
 		if wantI+wantV == 0 {
 			t.Fatalf("edgeVerify=%v: built-in-place run counted no enumeration work", edgeVerify)
 		}
@@ -317,9 +294,9 @@ func TestLoadedIndexCountsMatchBuilt(t *testing.T) {
 		if got := loaded.EdgeVerifications.Load(); got != wantV {
 			t.Errorf("edgeVerify=%v: loaded EdgeVerifications = %d, built in place %d", edgeVerify, got, wantV)
 		}
-		if loaded.RecursiveCalls.Load() != built.RecursiveCalls.Load() {
+		if loaded.RecursiveCalls.Load() != builtR {
 			t.Errorf("edgeVerify=%v: recursive calls %d vs %d", edgeVerify,
-				loaded.RecursiveCalls.Load(), built.RecursiveCalls.Load())
+				loaded.RecursiveCalls.Load(), builtR)
 		}
 	}
 }

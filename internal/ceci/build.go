@@ -93,9 +93,6 @@ type builder struct {
 // build is the construction body. cancelled, when non-nil, is flipped by
 // the context watcher; an aborted build returns no index and no error.
 func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts Options, cancelled *atomic.Bool) (*Index, error) {
-	if opts.RefineRounds <= 0 {
-		opts.RefineRounds = 1
-	}
 	// StartUnder parents the build span beneath the request's ambient
 	// span (service queries) or trace context (remote machines) when the
 	// context carries one; a bare Build stays a local root span.
@@ -176,11 +173,9 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 	case opts.SkipRefinement:
 		b.optimisticCardinalities()
 	default:
-		for round := 0; round < opts.RefineRounds && !b.isCancelled(); round++ {
-			rsp := span.Child("refine", obs.Int("round", int64(round)))
-			b.refine()
-			rsp.End()
-		}
+		rsp := span.Child("refine")
+		b.refine()
+		rsp.End()
 	}
 	if b.isCancelled() {
 		return nil, nil

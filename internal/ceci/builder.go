@@ -34,8 +34,8 @@ func (m *mapBuilder) alloc(nkeys, nvals int) {
 }
 
 // append adds (key, vals). key must exceed every key so far and vals be
-// sorted — frontiers are expanded, and files written, in ascending order —
-// and nothing may have been deleted yet.
+// sorted — frontiers are expanded in ascending order — and nothing may
+// have been deleted yet.
 func (m *mapBuilder) append(key graph.VertexID, vals []graph.VertexID) error {
 	if int64(len(m.arena))+int64(len(vals)) > maxArena {
 		return errArenaOverflow

@@ -15,8 +15,8 @@ import (
 // it — so a lookup is an array read of contiguous memory, the paper's
 // sorted-vector implementation (§3.6) with no key search. bare lists the
 // keys whose list is empty but that are entries all the same (NTE keys
-// whose values all left after the map was built), so WriteTo writes the
-// entries the builder made.
+// whose values all left after the map was built), so Len, ForEach and
+// Index.Dump see the entries the builder made.
 //
 // The arena is two bytes a value when the map's own vertex is narrow
 // (Node.Narrow: at most 2^16 candidates, so every position fits) and four
@@ -25,9 +25,8 @@ import (
 // reader branches on the vertex once per lookup: U16 for a narrow one,
 // U32 for the rest.
 //
-// A CandMap is read-only. The builder (builder.go) and ReadIndex are the
-// only code that fills the columns, and both are done before anyone
-// holds the map.
+// A CandMap is read-only. The builder (builder.go) is the only code that
+// fills the columns, and it is done before anyone holds the map.
 type CandMap struct {
 	offs   []uint32
 	narrow []uint16

@@ -115,7 +115,7 @@ func TestCandMapDeleteValue(t *testing.T) {
 	}
 	// The emptied key remains until the caller deletes it (cascade) — in
 	// the finished map too, which is how NTE keys with no value left are
-	// stored and serialized.
+	// stored and dumped.
 	if got := b.get(2); got == nil || len(got) != 0 {
 		t.Fatalf("get(2) = %v, want empty non-nil entry", got)
 	}

@@ -245,27 +245,40 @@ func TestCardinalityUpperBound(t *testing.T) {
 	}
 }
 
-// TestRefineRoundsMonotone: extra refinement rounds never grow the index.
+// TestRefineRoundsMonotone: refinement never grows the index. Against
+// no refinement (SkipRefinement), the one pass the builder makes keeps a
+// subset of every query vertex's candidates and no more candidate edges.
 func TestRefineRoundsMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	data := randomGraph(rng, 40, 140, 3)
-	query, err := gen.DFSQuery(data, 5, rng)
-	if err != nil {
-		t.Skip("no query region")
-	}
-	tree, err := order.Preprocess(data, query, order.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := int64(-1)
-	for rounds := 1; rounds <= 3; rounds++ {
-		ix := ceci.Build(data, tree, ceci.Options{RefineRounds: rounds})
-		size := ix.CandidateEdges()
-		if prev >= 0 && size > prev {
-			t.Fatalf("rounds=%d grew index: %d > %d", rounds, size, prev)
+	checked := 0
+	for trial := 0; trial < 10; trial++ {
+		data := randomGraph(rng, 40, 140, 3)
+		query, err := gen.DFSQuery(data, 3+rng.Intn(4), rng)
+		if err != nil {
+			continue
 		}
-		prev = size
+		tree, err := order.Preprocess(data, query, order.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		unrefined := ceci.Build(data, tree, ceci.Options{SkipRefinement: true})
+		refined := ceci.Build(data, tree, ceci.Options{})
+		if got, was := refined.CandidateEdges(), unrefined.CandidateEdges(); got > was {
+			t.Fatalf("trial %d: refinement grew the index: %d > %d candidate edges", trial, got, was)
+		}
+		for u := range refined.Nodes {
+			for _, v := range refined.Nodes[u].Cands {
+				if _, ok := slices.BinarySearch(unrefined.Nodes[u].Cands, v); !ok {
+					t.Fatalf("trial %d: refinement added candidate %d of u%d", trial, v, u)
+				}
+			}
+		}
+		checked++
 	}
+	if checked == 0 {
+		t.Fatal("no trial found a query region")
+	}
+	t.Logf("%d pairs checked", checked)
 }
 
 func TestSkipRefinementKeepsCompleteness(t *testing.T) {

@@ -1,8 +1,6 @@
 package ceci
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"reflect"
@@ -23,11 +21,11 @@ import (
 // candidate edge against a materialized signature, candidate unions are
 // gather-sort-dedupe, TE and NTE structures are Go maps of slices,
 // cardinalities a hash map, cascade deletion one value at a time and a
-// walk over every entry for each, and the file format is written by hand —
-// so every verdict-table read, the NLC-from-runs identity, the bitmap
-// union, the column layout, the set-at-a-time cascade, in-place
-// compaction, the cardinality key walk and WriteTo are all on the other
-// side of the comparison.
+// walk over every entry for each, and the id-level dump is written by
+// hand — so every verdict-table read, the NLC-from-runs identity, the
+// bitmap union, the column layout, the set-at-a-time cascade, in-place
+// compaction, the cardinality key walk and Index.Dump are all on the
+// other side of the comparison.
 
 // refVerdict reports the first stage that drops v for u, in the builder's
 // stage order; v already carries u's primary label.
@@ -212,9 +210,6 @@ func (r *refIndex) cardinality(u, v graph.VertexID, nteUnions [][]graph.VertexID
 }
 
 func referenceBuild(data *graph.Graph, tree *order.QueryTree, opts Options) *refIndex {
-	if opts.RefineRounds <= 0 {
-		opts.RefineRounds = 1
-	}
 	r := &refIndex{data: data, tree: tree, opts: opts, nodes: make([]refNode, tree.NumVertices())}
 	for u := range r.nodes {
 		r.nodes[u].te = refMap{}
@@ -288,36 +283,30 @@ func referenceBuild(data *graph.Graph, tree *order.QueryTree, opts Options) *ref
 			}
 		}
 	}
-	rounds := opts.RefineRounds
-	if opts.SkipRefinement {
-		rounds = 1
-	}
-	for round := 0; round < rounds; round++ {
-		for i := len(tree.Order) - 1; i >= 0; i-- {
-			u := tree.Order[i]
-			node := &r.nodes[u]
-			node.card = map[graph.VertexID]int64{}
-			var unions [][]graph.VertexID
-			for _, m := range node.nte {
-				unions = append(unions, m.union())
-			}
-			if opts.SkipRefinement {
-				unions = nil // optimistic: TE sizes only, nothing deleted
-			}
-			for _, v := range slices.Clone(node.cands) {
-				card := r.cardinality(u, v, unions)
-				if card == 0 && !opts.SkipRefinement {
-					if opts.Stats != nil {
-						opts.Stats.FilteredRefine.Add(1)
-					}
-					if p := opts.Profile; p != nil {
-						p.Vertex(int(u)).AddRefined(1)
-					}
-					r.remove(u, v)
-					continue
+	for i := len(tree.Order) - 1; i >= 0; i-- {
+		u := tree.Order[i]
+		node := &r.nodes[u]
+		node.card = map[graph.VertexID]int64{}
+		var unions [][]graph.VertexID
+		for _, m := range node.nte {
+			unions = append(unions, m.union())
+		}
+		if opts.SkipRefinement {
+			unions = nil // optimistic: TE sizes only, nothing deleted
+		}
+		for _, v := range slices.Clone(node.cands) {
+			card := r.cardinality(u, v, unions)
+			if card == 0 && !opts.SkipRefinement {
+				if opts.Stats != nil {
+					opts.Stats.FilteredRefine.Add(1)
 				}
-				node.card[v] = card
+				if p := opts.Profile; p != nil {
+					p.Vertex(int(u)).AddRefined(1)
+				}
+				r.remove(u, v)
+				continue
 			}
+			node.card[v] = card
 		}
 	}
 	if p := opts.Profile; p != nil {
@@ -380,55 +369,49 @@ func (r *refIndex) sizeBytes() int64 {
 	return 8 * n
 }
 
-// result renders the oracle's index in the CECIIDX1 layout documented in
-// serialize.go, written here by hand.
+// result renders the oracle's index in the layout Index.Dump documents,
+// written here by hand.
 func (r *refIndex) result() buildResult {
-	ids := func(b []byte, vs []graph.VertexID) []byte {
-		b = binary.AppendUvarint(b, uint64(len(vs)))
-		prev := graph.VertexID(0)
+	var dump []uint64
+	ids := func(vs []graph.VertexID) {
+		dump = append(dump, uint64(len(vs)))
 		for _, v := range vs {
-			b = binary.AppendUvarint(b, uint64(v-prev))
-			prev = v
+			dump = append(dump, uint64(v))
 		}
-		return b
 	}
-	candMap := func(b []byte, m refMap) []byte {
-		b = binary.AppendUvarint(b, uint64(len(m)))
+	candMap := func(m refMap) {
+		dump = append(dump, uint64(len(m)))
 		for _, key := range m.sortedKeys() {
-			b = ids(binary.AppendUvarint(b, uint64(key)), m[key])
+			dump = append(dump, uint64(key))
+			ids(m[key])
 		}
-		return b
 	}
-	b := binary.LittleEndian.AppendUint64([]byte("CECIIDX1"), Fingerprint(r.data, r.tree))
-	b = binary.AppendUvarint(b, uint64(len(r.nodes)))
 	res := buildResult{sizeBytes: r.sizeBytes()}
 	for u := range r.nodes {
 		node := &r.nodes[u]
 		res.cands = append(res.cands, node.cands)
-		b = ids(b, node.cands)
+		ids(node.cands)
 		for _, v := range node.cands {
-			b = binary.AppendUvarint(b, uint64(node.card[v]))
+			dump = append(dump, uint64(node.card[v]))
 		}
-		b = candMap(b, node.te)
-		b = binary.AppendUvarint(b, uint64(len(node.nte)))
+		candMap(node.te)
 		for _, m := range node.nte {
-			b = candMap(b, m)
+			candMap(m)
 		}
 	}
-	res.serialized = b
+	res.dump = dump
 	return res
 }
 
 // buildResult is what assertSameBuild compares of an index.
 type buildResult struct {
-	cands      [][]graph.VertexID
-	serialized []byte
-	sizeBytes  int64
+	cands     [][]graph.VertexID
+	dump      []uint64
+	sizeBytes int64
 }
 
-func resultOf(t *testing.T, ix *Index) buildResult {
-	t.Helper()
-	res := buildResult{serialized: serialized(t, ix), sizeBytes: ix.SizeBytes()}
+func resultOf(ix *Index) buildResult {
+	res := buildResult{dump: ix.Dump(), sizeBytes: ix.SizeBytes()}
 	for u := range ix.Nodes {
 		res.cands = append(res.cands, ix.Nodes[u].Cands)
 	}
@@ -442,17 +425,8 @@ func instrumented(opts Options) Options {
 	return opts
 }
 
-func serialized(t *testing.T, ix *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// assertSameBuild holds got to want: candidate sets, the serialized index
-// byte for byte, the paper-accounting size, every filter-funnel counter
+// assertSameBuild holds got to want: candidate sets, the id-level dump
+// value for value, the paper-accounting size, every filter-funnel counter
 // and the profiler's whole per-vertex table (NeighborsScanned, Dropped*,
 // refine/cascade deletions, TE/NTE shape, flat bytes).
 func assertSameBuild(t *testing.T, name string, got, want buildResult, gotOpts, wantOpts Options) {
@@ -462,8 +436,8 @@ func assertSameBuild(t *testing.T, name string, got, want buildResult, gotOpts, 
 			t.Fatalf("%s: Cands(u%d) = %v, want %v", name, u, got.cands[u], want.cands[u])
 		}
 	}
-	if !bytes.Equal(got.serialized, want.serialized) {
-		t.Fatalf("%s: serialized indexes differ", name)
+	if !slices.Equal(got.dump, want.dump) {
+		t.Fatalf("%s: dumps differ", name)
 	}
 	if got.sizeBytes != want.sizeBytes {
 		t.Fatalf("%s: SizeBytes %d, want %d", name, got.sizeBytes, want.sizeBytes)
@@ -593,8 +567,8 @@ func lollipopPair(n int) (data, query *graph.Graph) {
 
 // TestBuildMatchesPerEdgeFilterOracle: Figure 1, 240 seeded pairs, six
 // larger ones and the lollipop, each under the default build, the NLC and
-// refinement ablations, two refinement rounds, and a pivot-restricted
-// (shard / cluster style) build over every other root candidate. The
+// refinement ablations, and a pivot-restricted (shard / cluster style)
+// build over every other root candidate. The
 // comparison says nothing about the set-at-a-time cascade unless some
 // build drops a large set at one level and some cascade climbs through
 // several, so both are required of the pairs, read off the per-vertex
@@ -620,11 +594,10 @@ func TestBuildMatchesPerEdgeFilterOracle(t *testing.T) {
 			{"default", Options{}},
 			{"skip-nlc", Options{SkipNLCFilter: true}},
 			{"skip-refine", Options{SkipRefinement: true}},
-			{"two-rounds", Options{RefineRounds: 2}},
 			{"pivots", Options{Pivots: everyOther}},
 		} {
 			gotOpts, wantOpts := instrumented(v.opts), instrumented(v.opts)
-			got := resultOf(t, Build(data, tree, gotOpts))
+			got := resultOf(Build(data, tree, gotOpts))
 			want := referenceBuild(data, tree, wantOpts).result()
 			assertSameBuild(t, name+"/"+v.name, got, want, gotOpts, wantOpts)
 			funnels[v.name] = gotOpts.Profile.Snapshot().Vertices
@@ -713,9 +686,9 @@ func TestBuildWorkersByteEqual(t *testing.T) {
 	if len(one.Pivots()) < 64 {
 		t.Fatalf("only %d pivots: the parallel path did not run", len(one.Pivots()))
 	}
-	assertSameBuild(t, "workers 4 vs 1", resultOf(t, four), resultOf(t, one), fourOpts, oneOpts)
+	assertSameBuild(t, "workers 4 vs 1", resultOf(four), resultOf(one), fourOpts, oneOpts)
 	refOpts := instrumented(Options{})
-	assertSameBuild(t, "workers 1 vs oracle", resultOf(t, one), referenceBuild(data, tree, refOpts).result(), oneOpts, refOpts)
+	assertSameBuild(t, "workers 1 vs oracle", resultOf(one), referenceBuild(data, tree, refOpts).result(), oneOpts, refOpts)
 }
 
 // TestBuildOnAnotherGraphRecomputesFilter: the tables on a tree are keyed
@@ -732,10 +705,10 @@ func TestBuildOnAnotherGraphRecomputesFilter(t *testing.T) {
 	// mattered would change the index.
 	other := gen.WithRandomMultiLabels(data, 5, 3, 99)
 	gotOpts, wantOpts := instrumented(Options{}), instrumented(Options{})
-	got := resultOf(t, Build(other, tree, gotOpts))
+	got := resultOf(Build(other, tree, gotOpts))
 	assertSameBuild(t, "other graph", got, referenceBuild(other, tree, wantOpts).result(), gotOpts, wantOpts)
 	stale := referenceBuild(data, tree, Options{}).result()
-	if bytes.Equal(got.serialized, stale.serialized) {
+	if slices.Equal(got.dump, stale.dump) {
 		t.Fatal("the two graphs index identically: the test cannot tell a stale table from a fresh one")
 	}
 }

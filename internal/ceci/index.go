@@ -44,7 +44,7 @@ type Node struct {
 
 // CardAt returns the refined cardinality of the candidate at position p
 // of Cands. Every reader of the column — ClusterCardinality,
-// TotalCardinality, WriteTo, workload decomposition — reads through it.
+// TotalCardinality, Dump, workload decomposition — reads through it.
 func (n *Node) CardAt(p uint32) int64 {
 	i := int(p)
 	switch len(n.cards) {
@@ -59,10 +59,10 @@ func (n *Node) CardAt(p uint32) int64 {
 // cardColumn is the one width rule of a cardinality column: vals, each in
 // [0, CardSaturation], become two-byte values when the largest is below
 // 2^16, four-byte ones when it is below 2^32, and eight-byte ones
-// otherwise (a saturated value among them). build and ReadIndex finish
-// every node's column with it. Most columns need two bytes: of the
-// cardinality values of the serve_churn benchmark's cache entries, 94 %
-// sit in a column below 2^16 and 0.01 % in one that needs eight.
+// otherwise (a saturated value among them). build finishes every node's
+// column with it. Most columns need two bytes: of the cardinality values
+// of the serve_churn benchmark's cache entries, 94 % sit in a column below
+// 2^16 and 0.01 % in one that needs eight.
 func cardColumn(vals []int64) []byte {
 	var top int64
 	for _, c := range vals {
@@ -189,10 +189,9 @@ func newIndex(data *graph.Graph, tree *order.QueryTree, opts Options) *Index {
 }
 
 // finish derives what enumeration reads beside the columns, once build
-// or ReadIndex has filled them: the per-vertex cursor plan (the
-// embedding-cluster observation of Section 4.1 applied to every level:
-// consecutive calls at the same depth share every ancestor assignment
-// but the deepest ones).
+// has filled them: the per-vertex cursor plan (the embedding-cluster
+// observation of Section 4.1 applied to every level: consecutive calls at
+// the same depth share every ancestor assignment but the deepest ones).
 func (ix *Index) finish() {
 	tree := ix.Tree
 	ix.ntePlan = make([]cachePlan, tree.NumVertices())
@@ -234,9 +233,6 @@ type Options struct {
 	// for Figure 19). Cardinalities are then set optimistically from TE
 	// list sizes so workload balancing still functions.
 	SkipRefinement bool
-	// RefineRounds is the number of reverse-BFS refinement passes
-	// (default 1, matching the paper; extra rounds prune strictly more).
-	RefineRounds int
 	// Pivots, when non-nil, restricts the index to the given embedding
 	// clusters instead of deriving pivots from the root's candidate
 	// filters. Used by the distributed runtime (Section 5), where each
@@ -254,7 +250,7 @@ type Options struct {
 	// refinement/cascade deletions, and final TE/NTE shape.
 	Profile *prof.Collector
 	// Tracer, when non-nil, records a "build" span with "expand" and
-	// per-round "refine" children.
+	// "refine" children.
 	Tracer *obs.Tracer
 }
 
@@ -387,6 +383,40 @@ func (ix *Index) PhysicalBytes() int64 {
 		n += ix.Nodes[u].flatBytes()
 	}
 	return n
+}
+
+// Dump renders the index's content in vertex ids as one flat list: per
+// query vertex, the number of candidates and the candidates, their
+// cardinalities, then the TE map and each NTE map in slot order as its
+// number of entries and, per entry, the key, the length of its list and
+// the list. It reads through Cands, CardAt and CandMap.ForEach only, so
+// two indexes of one tree dump alike exactly when they hold the same
+// candidates, cardinalities and entries, whatever their columns' layout:
+// the identity tests compare builds by. A Restrict view dumps the whole
+// index it views.
+func (ix *Index) Dump() []uint64 {
+	var out []uint64
+	for u := range ix.Nodes {
+		node := &ix.Nodes[u]
+		out = append(out, uint64(len(node.Cands)))
+		for _, v := range node.Cands {
+			out = append(out, uint64(v))
+		}
+		for p := range node.Cands {
+			out = append(out, uint64(node.CardAt(uint32(p))))
+		}
+		for slot := teSlot; slot < len(node.NTE); slot++ {
+			m, keys := node.slot(slot), ix.keySpace(graph.VertexID(u), slot)
+			out = append(out, uint64(m.Len()))
+			m.ForEach(func(p uint32, list []uint32) {
+				out = append(out, uint64(keys[p]), uint64(len(list)))
+				for _, q := range list {
+					out = append(out, uint64(node.Cands[q]))
+				}
+			})
+		}
+	}
+	return out
 }
 
 // TheoreticalBytes returns the worst-case index footprint 8·|Eq|·|Eg|.

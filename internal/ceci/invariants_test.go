@@ -46,33 +46,8 @@ func TestIndexStructuralInvariants(t *testing.T) {
 	}
 }
 
-// checkInvariants checks all five; checkStructure the four that hold of
-// an index by itself (1, 2, 3, 5), which is what ReadIndex can vouch for
-// in a file: whether a stored pair is a data edge is the builder's doing,
-// and the fingerprint's to bind to the graph.
+// checkInvariants checks all five, and CheckColumns first.
 func checkInvariants(t *testing.T, ix *ceci.Index, tree *order.QueryTree, data *graph.Graph) bool {
-	t.Helper()
-	if !checkStructure(t, ix, tree) {
-		return false
-	}
-	ok := true
-	for u := range ix.Nodes {
-		edges := func(key graph.VertexID, vals []graph.VertexID) {
-			for _, v := range vals {
-				if !data.HasEdge(key, v) {
-					t.Logf("u%d: stored pair (%d,%d) is not a data edge", u, key, v)
-					ok = false
-				}
-			}
-		}
-		for slot := ceci.TESlot; slot < len(ix.Nodes[u].NTE); slot++ {
-			ix.ForEachID(graph.VertexID(u), slot, edges)
-		}
-	}
-	return ok
-}
-
-func checkStructure(t *testing.T, ix *ceci.Index, tree *order.QueryTree) bool {
 	t.Helper()
 	if err := ix.CheckColumns(); err != nil {
 		t.Log(err)
@@ -100,6 +75,10 @@ func checkStructure(t *testing.T, ix *ceci.Index, tree *order.QueryTree) bool {
 				for _, v := range vals {
 					if !has(node.Cands, v) {
 						t.Logf("u%d %s[%d]: value %d outside candidate union", u, kind, key, v)
+						ok = false
+					}
+					if !data.HasEdge(key, v) {
+						t.Logf("u%d %s: stored pair (%d,%d) is not a data edge", u, kind, key, v)
 						ok = false
 					}
 				}

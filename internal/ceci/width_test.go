@@ -1,7 +1,6 @@
 package ceci_test
 
 import (
-	"bytes"
 	"testing"
 
 	"ceci/internal/ceci"
@@ -17,8 +16,7 @@ import (
 // more. Either way the index has a vertex with non-tree edges at each
 // width beside a tree-only one, and the count, the consumer's count and
 // every cluster's count (a Restrict view per pivot) equal the reference
-// matcher's; WriteTo → ReadIndex gives the same bytes, the same
-// PhysicalBytes and the same count.
+// matcher's.
 func TestWideAndNarrowNodes(t *testing.T) {
 	for _, n := range []int{1 << 16, 1<<16 + 1} {
 		data, query := gen.WidePair(n)
@@ -65,25 +63,6 @@ func TestWideAndNarrowNodes(t *testing.T) {
 			t.Fatalf("n=%d: counted %d, enumerated %d, the reference %d", n, counted, seen, want)
 		}
 
-		var file bytes.Buffer
-		if _, err := ix.WriteTo(&file); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ceci.ReadIndex(bytes.NewReader(file.Bytes()), data, tree)
-		if err != nil {
-			t.Fatalf("n=%d: ReadIndex: %v", n, err)
-		}
-		var again bytes.Buffer
-		if _, err := back.WriteTo(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(file.Bytes(), again.Bytes()) || back.PhysicalBytes() != ix.PhysicalBytes() {
-			t.Fatalf("n=%d: read back, %d bytes and PhysicalBytes %d; written, %d and %d", n, again.Len(), back.PhysicalBytes(), file.Len(), ix.PhysicalBytes())
-		}
-		if counted, seen := count(back); counted != want || seen != want {
-			t.Fatalf("n=%d: read back, counted %d and enumerated %d, want %d", n, counted, seen, want)
-		}
-
 		perPivot := map[graph.VertexID]int64{}
 		reference.ForEach(data, query, reference.Options{}, func(emb []graph.VertexID) bool {
 			perPivot[emb[tree.Root]]++
@@ -104,7 +83,7 @@ func TestWideAndNarrowNodes(t *testing.T) {
 // an entry, is exactly the capacity of every column of every node times
 // its element's size, for indexes of narrow vertices only (the golden
 // pairs), with a wide one (gen.WidePair) and with cardinality columns of
-// every width (gen.StarPair), built and read back.
+// every width (gen.StarPair).
 func TestPhysicalBytesIsExact(t *testing.T) {
 	check := func(name string, data, query *graph.Graph) {
 		tree, err := order.Preprocess(data, query, order.DefaultOptions())
@@ -113,18 +92,8 @@ func TestPhysicalBytesIsExact(t *testing.T) {
 		}
 		for _, opts := range []ceci.Options{{}, {SkipRefinement: true}} {
 			ix := ceci.Build(data, tree, opts)
-			var file bytes.Buffer
-			if _, err := ix.WriteTo(&file); err != nil {
-				t.Fatal(err)
-			}
-			back, err := ceci.ReadIndex(&file, data, tree)
-			if err != nil {
-				t.Fatalf("%s: ReadIndex: %v", name, err)
-			}
-			for _, x := range []*ceci.Index{ix, back} {
-				if got, want := x.PhysicalBytes(), x.ColumnBytes(); got != want {
-					t.Fatalf("%s (%+v): PhysicalBytes %d, the columns hold %d", name, opts, got, want)
-				}
+			if got, want := ix.PhysicalBytes(), ix.ColumnBytes(); got != want {
+				t.Fatalf("%s (%+v): PhysicalBytes %d, the columns hold %d", name, opts, got, want)
 			}
 		}
 	}
@@ -142,9 +111,8 @@ func TestPhysicalBytesIsExact(t *testing.T) {
 // either side of each width boundary of a cardinality column (2^16 and
 // 2^32) and past CardSaturation. The centre's column is as wide as its
 // largest value needs (CheckColumns), every leaf's is two bytes, and
-// CardAt, ClusterCardinality and TotalCardinality read back the int64
-// products, built and read back; WriteTo → ReadIndex → WriteTo gives the
-// same bytes and PhysicalBytes.
+// CardAt, ClusterCardinality, TotalCardinality and Dump read back the
+// int64 products.
 func TestCardWidths(t *testing.T) {
 	for _, c := range []struct {
 		fan   []int
@@ -166,46 +134,34 @@ func TestCardWidths(t *testing.T) {
 			t.Fatalf("%v: the root is u%d, want the centre", c.fan, tree.Root)
 		}
 		ix := ceci.Build(data, tree, ceci.Options{})
-		var file bytes.Buffer
-		if _, err := ix.WriteTo(&file); err != nil {
-			t.Fatal(err)
+		if err := ix.CheckColumns(); err != nil {
+			t.Fatalf("%v: %v", c.fan, err)
 		}
-		back, err := ceci.ReadIndex(bytes.NewReader(file.Bytes()), data, tree)
-		if err != nil {
-			t.Fatalf("%v: ReadIndex: %v", c.fan, err)
-		}
-		for _, x := range []*ceci.Index{ix, back} {
-			if err := x.CheckColumns(); err != nil {
-				t.Fatalf("%v: %v", c.fan, err)
+		for u := range ix.Nodes {
+			node, want := &ix.Nodes[u], 2
+			if u == int(tree.Root) {
+				want = c.width
 			}
-			for u := range x.Nodes {
-				node, want := &x.Nodes[u], 2
-				if u == int(tree.Root) {
-					want = c.width
-				}
-				if got := node.CardWidth(); got != want {
-					t.Fatalf("%v: u%d's cardinalities take %d bytes, want %d", c.fan, u, got, want)
-				}
-				for p := range node.Cands {
-					if got := node.CardAt(uint32(p)); u != int(tree.Root) && got != 1 {
-						t.Fatalf("%v: leaf u%d has cardinality %d at %d", c.fan, u, got, p)
-					}
+			if got := node.CardWidth(); got != want {
+				t.Fatalf("%v: u%d's cardinalities take %d bytes, want %d", c.fan, u, got, want)
+			}
+			for p := range node.Cands {
+				if got := node.CardAt(uint32(p)); u != int(tree.Root) && got != 1 {
+					t.Fatalf("%v: leaf u%d has cardinality %d at %d", c.fan, u, got, p)
 				}
 			}
-			root := &x.Nodes[tree.Root]
-			if len(root.Cands) != 2 || root.CardAt(0) != c.card || root.CardAt(1) != 1 ||
-				x.ClusterCardinality(0) != c.card || x.ClusterCardinality(1) != 1 ||
-				x.TotalCardinality() != min(c.card+1, ceci.CardSaturation) {
-				t.Fatalf("%v: the centre's cardinalities are %d and %d (clusters %d, %d; total %d), want %d and 1",
-					c.fan, root.CardAt(0), root.CardAt(1), x.ClusterCardinality(0), x.ClusterCardinality(1), x.TotalCardinality(), c.card)
-			}
 		}
-		var again bytes.Buffer
-		if _, err := back.WriteTo(&again); err != nil {
-			t.Fatal(err)
+		root := &ix.Nodes[tree.Root]
+		if len(root.Cands) != 2 || root.CardAt(0) != c.card || root.CardAt(1) != 1 ||
+			ix.ClusterCardinality(0) != c.card || ix.ClusterCardinality(1) != 1 ||
+			ix.TotalCardinality() != min(c.card+1, ceci.CardSaturation) {
+			t.Fatalf("%v: the centre's cardinalities are %d and %d (clusters %d, %d; total %d), want %d and 1",
+				c.fan, root.CardAt(0), root.CardAt(1), ix.ClusterCardinality(0), ix.ClusterCardinality(1), ix.TotalCardinality(), c.card)
 		}
-		if !bytes.Equal(file.Bytes(), again.Bytes()) || back.PhysicalBytes() != ix.PhysicalBytes() {
-			t.Fatalf("%v: read back, %d bytes and PhysicalBytes %d; written, %d and %d", c.fan, again.Len(), back.PhysicalBytes(), file.Len(), ix.PhysicalBytes())
+		// The dump opens with the root: its two candidates, then their
+		// cardinalities at full width.
+		if d := ix.Dump(); d[3] != uint64(c.card) || d[4] != 1 {
+			t.Fatalf("%v: the dump holds the centre's cardinalities as %d and %d, want %d and 1", c.fan, d[3], d[4], c.card)
 		}
 	}
 }

@@ -6,73 +6,65 @@ import (
 	"runtime/metrics"
 )
 
-// Names read from runtime/metrics for the runtime snapshot. Scalars
-// become ceci_runtime_* gauges; the two histogram-valued metrics (GC
-// pause and scheduler latency distributions) are converted to
+// The runtime/metrics read for the runtime snapshot, each with its key.
+// Scalars become ceci_runtime_* gauges; the two histogram-valued metrics
+// (GC pause and scheduler latency distributions) are converted to
 // HistogramSnapshot and rendered as real histograms in both expositions.
-const (
-	metricHeapBytes    = "/memory/classes/heap/objects:bytes"
-	metricHeapGoal     = "/gc/heap/goal:bytes"
-	metricAllocBytes   = "/gc/heap/allocs:bytes"
-	metricAllocObjects = "/gc/heap/allocs:objects"
-	metricGCCycles     = "/gc/cycles/total:gc-cycles"
-	metricGoroutines   = "/sched/goroutines:goroutines"
-	metricGCPauses     = "/gc/pauses:seconds"
-	metricSchedLat     = "/sched/latencies:seconds"
+var (
+	runtimeGauges = []runtimeMetric{
+		{"/memory/classes/heap/objects:bytes", "heap_bytes"},
+		{"/gc/heap/goal:bytes", "heap_goal_bytes"},
+		{"/gc/heap/allocs:bytes", "alloc_total"},
+		{"/gc/heap/allocs:objects", "alloc_objects_total"},
+		{"/gc/cycles/total:gc-cycles", "gc_cycles"},
+		{"/sched/goroutines:goroutines", "goroutines"},
+	}
+	runtimeHistograms = []runtimeMetric{
+		{"/gc/pauses:seconds", "gc_pause_seconds"},
+		{"/sched/latencies:seconds", "sched_latency_seconds"},
+	}
 )
 
-// RuntimeSnapshot reads the Go runtime's own metrics (runtime/metrics,
-// not the stop-the-world runtime.ReadMemStats) and returns scalar gauges
-// plus the GC-pause and scheduler-latency distributions. Gauge keys are
-// stable: goroutines, gomaxprocs, heap_bytes, heap_goal_bytes,
-// alloc_total, alloc_objects_total, gc_cycles. Histogram keys:
-// gc_pause_seconds, sched_latency_seconds.
-func RuntimeSnapshot() (map[string]int64, map[string]HistogramSnapshot) {
-	samples := []metrics.Sample{
-		{Name: metricHeapBytes},
-		{Name: metricHeapGoal},
-		{Name: metricAllocBytes},
-		{Name: metricAllocObjects},
-		{Name: metricGCCycles},
-		{Name: metricGoroutines},
-		{Name: metricGCPauses},
-		{Name: metricSchedLat},
+type runtimeMetric struct{ metric, key string }
+
+// readRuntime reads the metrics of table, in its order.
+func readRuntime(table []runtimeMetric) []metrics.Sample {
+	samples := make([]metrics.Sample, len(table))
+	for i, m := range table {
+		samples[i].Name = m.metric
 	}
 	metrics.Read(samples)
+	return samples
+}
 
-	gauges := map[string]int64{
-		"gomaxprocs": int64(runtime.GOMAXPROCS(0)),
-	}
-	hists := make(map[string]HistogramSnapshot, 2)
-	for _, s := range samples {
-		switch s.Value.Kind() {
-		case metrics.KindUint64:
-			v := int64(s.Value.Uint64())
-			switch s.Name {
-			case metricHeapBytes:
-				gauges["heap_bytes"] = v
-			case metricHeapGoal:
-				gauges["heap_goal_bytes"] = v
-			case metricAllocBytes:
-				gauges["alloc_total"] = v
-			case metricAllocObjects:
-				gauges["alloc_objects_total"] = v
-			case metricGCCycles:
-				gauges["gc_cycles"] = v
-			case metricGoroutines:
-				gauges["goroutines"] = v
-			}
-		case metrics.KindFloat64Histogram:
-			h := FromRuntimeHistogram(s.Value.Float64Histogram())
-			switch s.Name {
-			case metricGCPauses:
-				hists["gc_pause_seconds"] = h
-			case metricSchedLat:
-				hists["sched_latency_seconds"] = h
-			}
+// RuntimeGauges reads the Go runtime's scalar metrics (runtime/metrics,
+// not the stop-the-world runtime.ReadMemStats). Keys are stable:
+// goroutines, gomaxprocs, heap_bytes, heap_goal_bytes, alloc_total,
+// alloc_objects_total, gc_cycles.
+func RuntimeGauges() map[string]int64 {
+	samples := readRuntime(runtimeGauges)
+	gauges := make(map[string]int64, len(runtimeGauges)+1)
+	gauges["gomaxprocs"] = int64(runtime.GOMAXPROCS(0))
+	for i, g := range runtimeGauges {
+		if samples[i].Value.Kind() == metrics.KindUint64 {
+			gauges[g.key] = int64(samples[i].Value.Uint64())
 		}
 	}
-	return gauges, hists
+	return gauges
+}
+
+// RuntimeSnapshot returns RuntimeGauges plus the GC-pause and
+// scheduler-latency distributions, keyed gc_pause_seconds and
+// sched_latency_seconds.
+func RuntimeSnapshot() (map[string]int64, map[string]HistogramSnapshot) {
+	samples := readRuntime(runtimeHistograms)
+	hists := make(map[string]HistogramSnapshot, len(runtimeHistograms))
+	for i, h := range runtimeHistograms {
+		if samples[i].Value.Kind() == metrics.KindFloat64Histogram {
+			hists[h.key] = FromRuntimeHistogram(samples[i].Value.Float64Histogram())
+		}
+	}
+	return RuntimeGauges(), hists
 }
 
 // FromRuntimeHistogram converts a runtime/metrics Float64Histogram —

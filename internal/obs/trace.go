@@ -410,8 +410,8 @@ func Stitch(nodes []*SpanNode) []*SpanNode {
 // Semantics (locked in by TestPhaseDurationsSemantics):
 //
 //   - every recorded span contributes its full duration to the entry of
-//     its name; repeated same-name spans (refine rounds, per-cluster
-//     children) sum deterministically, including nested same-name spans
+//     its name; repeated same-name spans (a limited match's two builds,
+//     per-cluster children) sum deterministically, including nested same-name spans
 //     — the map is a flat by-name total, not a tree rollup;
 //   - still-open spans contribute their elapsed-so-far, measured at one
 //     instant captured once for the entire aggregation, so concurrent

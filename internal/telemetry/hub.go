@@ -169,9 +169,9 @@ func (h *Hub) Sample() {
 	if h == nil {
 		return
 	}
-	// Go runtime.
-	rg, _ := obs.RuntimeSnapshot()
-	for k, v := range rg {
+	// Go runtime: the gauges only; its two distributions are exported by
+	// /metrics and not stored.
+	for k, v := range obs.RuntimeGauges() {
 		h.store.Observe("runtime_"+k, float64(v))
 	}
 

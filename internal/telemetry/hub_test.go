@@ -3,6 +3,8 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -201,6 +203,40 @@ func TestHubStoresNoRuntimeHistogramQuantiles(t *testing.T) {
 			t.Fatalf("store holds runtime histogram series %q", name)
 		}
 	}
+}
+
+// TestSampleReadsNoRuntimeHistogram: a tick reads the runtime's gauges
+// and not its two distributions, which the store does not keep. Sample on
+// a hub with no registry allocates fewer bytes than reading and converting
+// those two histograms alone does (about 3 KB: the runtime hands each over
+// as some 160 buckets); a Sample that still read them would allocate
+// that and its own gauges besides.
+func TestSampleReadsNoRuntimeHistogram(t *testing.T) {
+	h := testHub(newFakeClock())
+	sample := allocBytesPerRun(200, h.Sample)
+	hists := allocBytesPerRun(200, func() {
+		samples := []metrics.Sample{{Name: "/gc/pauses:seconds"}, {Name: "/sched/latencies:seconds"}}
+		metrics.Read(samples)
+		for _, s := range samples {
+			obs.FromRuntimeHistogram(s.Value.Float64Histogram())
+		}
+	})
+	if sample >= hists {
+		t.Fatalf("Sample allocates %.0f bytes a call, reading and converting the runtime histograms %.0f", sample, hists)
+	}
+}
+
+// allocBytesPerRun returns the heap bytes one call of f allocates, averaged
+// over runs calls after a warm-up call.
+func allocBytesPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 func TestHubHistogramDeltaQuantiles(t *testing.T) {

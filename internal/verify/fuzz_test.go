@@ -1,18 +1,15 @@
 package verify_test
 
 import (
-	"bytes"
 	"testing"
 
-	ceci "ceci"
 	"ceci/internal/gen"
 	"ceci/internal/verify"
 )
 
-// Native Go fuzz targets. Run locally with:
+// Native Go fuzz target. Run locally with:
 //
 //	go test -run=^$ -fuzz=FuzzMatchDifferential -fuzztime=30s ./internal/verify
-//	go test -run=^$ -fuzz=FuzzIndexRoundTrip    -fuzztime=30s ./internal/verify
 //
 // The committed corpus lives under testdata/fuzz/<FuzzName>/; any crasher
 // the fuzzer finds is written there by the Go toolchain, and CI uploads
@@ -49,45 +46,6 @@ func FuzzMatchDifferential(f *testing.F) {
 		}
 		if !rep.OK() {
 			t.Fatalf("differential failure for %+v:\n%s", p, rep)
-		}
-	})
-}
-
-// FuzzIndexRoundTrip fuzzes index persistence two ways: a legitimate
-// save/load round-trip must reproduce the exact embedding count, and
-// feeding arbitrary bytes to the index loader must fail cleanly (error,
-// never panic or a silently wrong matcher).
-func FuzzIndexRoundTrip(f *testing.F) {
-	f.Add(int64(1), []byte{})
-	f.Add(int64(7), []byte("CECIIDX1garbage"))
-	f.Add(int64(21), []byte{0xff, 0x00, 0x41, 0x99})
-	f.Fuzz(func(t *testing.T, seed int64, blob []byte) {
-		data, query := gen.RandomPair(seed)
-		m, err := ceci.Match(data, query, &ceci.Options{Workers: 2})
-		if err != nil {
-			t.Fatalf("Match: %v", err)
-		}
-		want := m.Count()
-
-		var buf bytes.Buffer
-		if err := m.SaveIndex(&buf); err != nil {
-			t.Fatalf("SaveIndex: %v", err)
-		}
-		m2, err := ceci.MatchWithIndex(data, query, bytes.NewReader(buf.Bytes()), &ceci.Options{Workers: 2})
-		if err != nil {
-			t.Fatalf("MatchWithIndex on own serialization: %v", err)
-		}
-		if got := m2.Count(); got != want {
-			t.Fatalf("round-trip count = %d, want %d", got, want)
-		}
-
-		// Arbitrary bytes: must error out, not panic. (A fuzzer forging a
-		// valid index for this exact pair would have to forge its CRC-64
-		// fingerprint too, in which case equal counts are required anyway.)
-		if m3, err := ceci.MatchWithIndex(data, query, bytes.NewReader(blob), &ceci.Options{Workers: 1}); err == nil {
-			if got := m3.Count(); got != want {
-				t.Fatalf("forged index accepted with wrong count %d (want %d)", got, want)
-			}
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
@@ -18,9 +17,8 @@ import (
 //   - label-renaming: a label bijection applied to both graphs leaves the
 //     embedding set unchanged vertex-for-vertex
 //   - edge-deletion:  removing a data edge never creates embeddings
-//   - options:        worker count, ST/CGD/FGD balancing, adjacency-probe
-//     verification, and a serialized index round-trip all produce the
-//     identical embedding set
+//   - options:        worker count, ST/CGD/FGD balancing and
+//     adjacency-probe verification all produce the identical embedding set
 //   - limited:        a Limit past the total (a prefix index that must
 //     grow) yields exactly the exhaustive set, and half the total yields
 //     that many distinct members of it
@@ -125,14 +123,6 @@ func CheckInvariants(data, query *graph.Graph, seed int64, opts Options) []Viola
 				half, len(got), len(extra), len(base))})
 	}
 
-	// Serialized-index round-trip via index_io.go.
-	if got, err := roundTripSet(data, query, &ceci.Options{Workers: opts.Workers}, cons); err != nil {
-		out = append(out, Violation{"index-roundtrip", err.Error()})
-	} else if !equalSets(base, got) {
-		out = append(out, Violation{"index-roundtrip",
-			fmt.Sprintf("reloaded index set differs (%d vs %d)", len(got), len(base))})
-	}
-
 	// Automorphism accounting: listing all images multiplies the count by
 	// the orbit size of the query's equivalence classes.
 	if got, err := ceciCount(data, query, &ceci.Options{Workers: opts.Workers, KeepAutomorphisms: true}); err != nil {
@@ -156,22 +146,6 @@ func ceciSet(data, query *graph.Graph, o *ceci.Options, cons *auto.Constraints) 
 		return nil, err
 	}
 	return collectSet(cons, func(fn func([]graph.VertexID) bool) { m.ForEach(fn) }), nil
-}
-
-func roundTripSet(data, query *graph.Graph, o *ceci.Options, cons *auto.Constraints) ([]string, error) {
-	m, err := ceci.Match(data, query, o)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := m.SaveIndex(&buf); err != nil {
-		return nil, err
-	}
-	m2, err := ceci.MatchWithIndex(data, query, &buf, o)
-	if err != nil {
-		return nil, err
-	}
-	return collectSet(cons, func(fn func([]graph.VertexID) bool) { m2.ForEach(fn) }), nil
 }
 
 func collectSet(cons *auto.Constraints, forEach func(fn func([]graph.VertexID) bool)) []string {

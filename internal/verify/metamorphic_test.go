@@ -11,9 +11,8 @@ import (
 
 // TestDifferentialMetamorphicInvariants runs the full invariant battery —
 // permutation, label renaming, edge-deletion monotonicity, Options
-// stability (workers, ST/CGD/FGD, edge verification, serialized-index
-// round-trip), limited matching, automorphism accounting — on 40 seeded
-// pairs.
+// stability (workers, ST/CGD/FGD, edge verification), limited matching,
+// automorphism accounting — on 40 seeded pairs.
 func TestDifferentialMetamorphicInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		data, query := gen.RandomPair(seed)

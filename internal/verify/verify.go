@@ -5,8 +5,8 @@
 // that all engines produce the identical embedding *set* (canonicalized
 // with automorphism-aware dedup, not just equal counts), and that CECI's
 // answers satisfy a battery of metamorphic invariants (permutation,
-// label-renaming, edge-deletion monotonicity, Options stability, index
-// round-trip).
+// label-renaming, edge-deletion monotonicity, Options stability, limited
+// matching, automorphism accounting).
 //
 // The oracle hierarchy is: reference (obviously correct, exhaustive) >
 // baselines (five independent implementations sharing only the graph
@@ -19,8 +19,8 @@
 // and CECI's count-only answer equal to what its enumeration delivered),
 // CheckInvariants (metamorphic properties), and MinimizeFailure (shrink a
 // failing pair to a minimal counterexample). The same machinery is
-// exposed as table-driven tests, native fuzz targets
-// (FuzzMatchDifferential, FuzzIndexRoundTrip), and `cecirun -verify`.
+// exposed as table-driven tests, a native fuzz target
+// (FuzzMatchDifferential), and `cecirun -verify`.
 package verify
 
 import (

@@ -133,14 +133,14 @@ func TestLimitedMatchGrowsOnce(t *testing.T) {
 }
 
 // TestLimitedMatchIndexIsComplete: what reports the index — IndexInfo,
-// Explain, SaveIndex — reports the complete one on a limited matcher, byte
-// for byte what an unlimited Match with the same options reports, whether
-// or not a call has grown it yet.
+// Explain — reports the complete one on a limited matcher, and that index
+// is, value for value of its id-level dump, what an unlimited Match with
+// the same options holds, whether or not a call has grown it yet.
 func TestLimitedMatchIndexIsComplete(t *testing.T) {
 	gen.ForEachGoldenPair(func(name string, data, query *ceci.Graph, _ int64) {
 		want := match(t, data, query, &ceci.Options{Workers: 2})
-		var wantIdx bytes.Buffer
-		if err := want.SaveIndex(&wantIdx); err != nil {
+		wantIdx, err := ceci.IndexDump(want)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, count := range []bool{false, true} {
@@ -148,12 +148,12 @@ func TestLimitedMatchIndexIsComplete(t *testing.T) {
 			if count {
 				m.Count()
 			}
-			var idx bytes.Buffer
-			if err := m.SaveIndex(&idx); err != nil {
+			idx, err := ceci.IndexDump(m)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(idx.Bytes(), wantIdx.Bytes()) {
-				t.Fatalf("%s (counted first: %v): saved index differs from the unlimited Match's", name, count)
+			if !slices.Equal(idx, wantIdx) {
+				t.Fatalf("%s (counted first: %v): the index differs from the unlimited Match's", name, count)
 			}
 			if got := m.IndexInfo(); got != want.IndexInfo() {
 				t.Fatalf("%s: IndexInfo %+v, unlimited %+v", name, got, want.IndexInfo())

@@ -26,7 +26,6 @@ var unsetOptions = map[string]string{
 	"ceci/internal/ceci.Options.SkipNLCFilter": "the filter oracle's off-switch: filter_oracle_test.go and the golden index table build with it to pin what NLC removes",
 	// Found by this test, not by the audit that asked for it:
 	"ceci.Options.Root":                           "public library API, set by importers; TestForcedRoot holds it",
-	"ceci.Options.RefineRounds":                   "public library API, set by importers; forwards to the build option the golden index table pins at 2 rounds",
 	"ceci/internal/telemetry.Options.Resolutions": "test seam: the hub and service telemetry tests run on a 30-slot ring",
 }
 
