@@ -151,13 +151,14 @@ trace-smoke:
 
 # Sharded-serving smoke: the partition/router/fault-injection suites
 # raced (differential oracle vs single-node, explicit-partial fault
-# semantics, trace stitching), then the out-of-process pass — partition
+# semantics, trace stitching; failover is the fleet's only retry, the
+# leg client sends once), then the out-of-process pass — partition
 # the Figure 1 fixture into 3 shards, boot the fleet plus the router,
 # curl a traced query, validate the merged count and the stitched
 # trace, SIGTERM everything (also run by CI's shard-smoke job).
 shard-smoke:
 	$(GO) test -race ./internal/shard
-	$(GO) test -race -run 'TestServeShard|TestReadinessGate|TestRouteMode|TestPartitionMode|TestShardMode|TestClientRetr|TestClientBackoff' -v ./cmd/ceciserve ./cmd/ceciroute ./internal/service
+	$(GO) test -race -run 'TestServeShard|TestReadinessGate|TestRouteMode|TestPartitionMode|TestShardMode|TestClientSendsOnce' -v ./cmd/ceciserve ./cmd/ceciroute ./internal/service
 	bash scripts/shard_smoke.sh
 
 # Telemetry smoke: the hub's deterministic unit tests raced (rollups, SLO

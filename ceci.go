@@ -36,7 +36,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"slices"
 	"sort"
@@ -181,9 +180,6 @@ type Options struct {
 	Beta float64
 	// Order selects the matching-order heuristic (default OrderBFS).
 	Order OrderHeuristic
-	// Root, when non-nil, forces the root query vertex; nil selects it
-	// by the paper's argmin |cand(u)|/deg(u) cost rule.
-	Root *VertexID
 	// KeepAutomorphisms lists every automorphic image of each embedding
 	// instead of one canonical representative.
 	KeepAutomorphisms bool
@@ -510,20 +506,17 @@ func Count(data, query *Graph, opts *Options) (int64, error) {
 	return m.Count(), nil
 }
 
-// preprocess makes the query tree Match builds over: the forced root,
-// the "preprocess" span, and the order of Options.Order.
+// preprocess makes the query tree Match builds over: the root by the
+// paper's argmin |cand(u)|/deg(u) cost rule, the "preprocess" span, and
+// the order of Options.Order.
 func (o *Options) preprocess(ctx context.Context, data, query *Graph) (*order.QueryTree, error) {
 	if data == nil || query == nil {
 		return nil, fmt.Errorf("ceci: nil %s graph", map[bool]string{true: "data", false: "query"}[data == nil])
 	}
-	forcedRoot := -1
-	if o.Root != nil {
-		forcedRoot = int(*o.Root)
-	}
 	psp := obs.StartUnder(ctx, o.Tracer, "preprocess")
 	defer psp.End()
 	return order.Preprocess(data, query, order.Options{
-		ForcedRoot: forcedRoot,
+		ForcedRoot: -1,
 		Heuristic:  o.Order,
 	})
 }
@@ -532,30 +525,4 @@ func (o *Options) preprocess(ctx context.Context, data, query *Graph) (*order.Qu
 // of query has under the equivalence classes the enumerator breaks.
 func Automorphisms(query *Graph) int {
 	return auto.Compute(query).OrbitSize()
-}
-
-// LoadGraphCSR reads the binary CSR format written by WriteGraphCSR.
-func LoadGraphCSR(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return graph.ReadCSR(f)
-}
-
-// WriteGraphCSR writes g in the binary CSR format used by the
-// shared-storage distributed mode. The format holds one label per vertex:
-// a graph with extra labels is an error, and no file is left behind.
-func WriteGraphCSR(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := graph.WriteCSR(f, g); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	return f.Close()
 }

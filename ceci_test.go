@@ -90,22 +90,6 @@ func TestKeepAutomorphisms(t *testing.T) {
 	}
 }
 
-func TestForcedRoot(t *testing.T) {
-	data, query := gen.Fig1Data(), gen.Fig1Query()
-	root := ceci.VertexID(0)
-	m, err := ceci.Match(data, query, &ceci.Options{Root: &root})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Count() != 2 {
-		t.Fatal("forced root changed result")
-	}
-	bad := ceci.VertexID(99)
-	if _, err := ceci.Match(data, query, &ceci.Options{Root: &bad}); err == nil {
-		t.Fatal("out-of-range root accepted")
-	}
-}
-
 func TestFirstK(t *testing.T) {
 	data := gen.Kronecker(8, 8, 2)
 	m, err := ceci.Match(data, gen.QG1(), nil)
@@ -174,25 +158,6 @@ func TestGraphIO(t *testing.T) {
 	}
 	if el.NumEdges() != 2 {
 		t.Fatal("edge list load failed")
-	}
-}
-
-func TestGraphFileCSR(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.csr")
-	g := gen.Kronecker(6, 4, 1)
-	if err := ceci.WriteGraphCSR(path, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ceci.LoadGraphCSR(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatal("CSR round trip lost edges")
-	}
-	if _, err := ceci.LoadGraphCSR(filepath.Join(dir, "missing.csr")); !os.IsNotExist(err) {
-		t.Fatalf("missing file gave %v, want not-exist", err)
 	}
 }
 

@@ -62,7 +62,6 @@ func TestReadinessGate(t *testing.T) {
 	// the load of fig1 is fast so this usually lands post-ready — both
 	// shapes are checked below.
 	cl := service.NewClient("http://"+addr, nil)
-	cl.SetRetry(1, 0, 0)
 	if h, err := cl.Healthz(ctx); err != nil {
 		t.Fatalf("liveness during startup must stay 200: %v", err)
 	} else if h.Status != "ok" && h.Status != "starting" {

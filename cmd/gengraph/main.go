@@ -1,5 +1,5 @@
-// Command gengraph emits synthetic graphs in the repository's text or
-// binary formats: the Table 1 dataset substitutes by name, or parametric
+// Command gengraph emits synthetic graphs in the repository's two text
+// formats: the Table 1 dataset substitutes by name, or parametric
 // Kronecker / Chung-Lu / Erdős–Rényi graphs.
 //
 // Usage:
@@ -35,7 +35,7 @@ func main() {
 		gamma      = flag.Float64("gamma", 2.3, "chunglu: power-law exponent")
 		labels     = flag.Int("labels", 0, "inject this many random labels (0 = unlabeled)")
 		seed       = flag.Int64("seed", 1, "generator seed")
-		out        = flag.String("o", "", "output path (.lg labeled, .csr binary, else edge list; default stdout edge list)")
+		out        = flag.String("o", "", "output path (.lg labeled, else edge list; default stdout edge list)")
 		version    = flag.Bool("version", false, "print build identity (module version, VCS revision, go version) and exit")
 	)
 	flag.Parse()
@@ -88,9 +88,9 @@ func makeGraph(dataset, kind string, scale, edgeFactor, n, m int, avgDeg, gamma 
 	return g, nil
 }
 
-// write writes g to path in the format its extension names. A write that
-// fails, such as a multi-labeled graph refused by the one-label CSR
-// format, leaves no file behind.
+// write writes g to path by the rule graph.LoadFile reads by: ".lg" is
+// labeled, anything else an edge list. A write that fails leaves no file
+// behind.
 func write(g *graph.Graph, path string) (err error) {
 	if path == "" {
 		return writeEdgeList(os.Stdout, g)
@@ -107,14 +107,10 @@ func write(g *graph.Graph, path string) (err error) {
 			os.Remove(path)
 		}
 	}()
-	switch {
-	case strings.HasSuffix(path, ".lg"):
+	if strings.HasSuffix(path, ".lg") {
 		return graph.WriteLabeled(f, g)
-	case strings.HasSuffix(path, ".csr"):
-		return graph.WriteCSR(f, g)
-	default:
-		return writeEdgeList(f, g)
 	}
+	return writeEdgeList(f, g)
 }
 
 func writeEdgeList(f *os.File, g *graph.Graph) error {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -56,51 +55,17 @@ func TestWriteFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	for _, name := range []string{"g.lg", "g.csr", "g.edges"} {
+	for _, name := range []string{"g.lg", "g.edges"} {
 		path := filepath.Join(dir, name)
 		if err := write(g, path); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		g2, err := graph.LoadFile(path)
-		if name == "g.csr" {
-			// LoadFile does not dispatch CSR; use the dedicated reader.
-			f, ferr := openCSR(path)
-			if ferr != nil {
-				t.Fatalf("%s: %v", name, ferr)
-			}
-			g2, err = f, nil
-		}
 		if err != nil {
 			t.Fatalf("%s reload: %v", name, err)
 		}
 		if g2.NumEdges() != g.NumEdges() {
 			t.Fatalf("%s: edges %d != %d", name, g2.NumEdges(), g.NumEdges())
 		}
-	}
-}
-
-func openCSR(path string) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return graph.ReadCSR(f)
-}
-
-// TestWriteCSRRefusesExtraLabels: the CSR format holds one label per
-// vertex, so writing hu_s (up to three labels a vertex) fails and leaves
-// no file, where it used to write the graph without its extra labels.
-func TestWriteCSRRefusesExtraLabels(t *testing.T) {
-	g, err := makeGraph("hu_s", "", 0, 0, 0, 0, 0, 0, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "hu.csr")
-	if err := write(g, path); err == nil {
-		t.Fatal("a multi-labeled graph was written as CSR")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("a refused write left %s behind (stat: %v)", path, err)
 	}
 }

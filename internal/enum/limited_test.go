@@ -263,13 +263,14 @@ func TestIncrementalSingleCluster(t *testing.T) {
 	qb.AddEdge(1, 2)
 	query := qb.MustBuild()
 
-	root := ceci.VertexID(0) // the A-labeled query vertex: exactly one data candidate
-	batch := matchSet(t, data, query, &ceci.Options{Workers: 2, Root: &root})
+	// The cost rule roots the tree at the A-labeled query vertex: it has
+	// exactly one data candidate.
+	batch := matchSet(t, data, query, &ceci.Options{Workers: 2})
 	if len(batch) == 0 {
 		t.Fatal("expected embeddings in the single-cluster case")
 	}
 	log := &buildLog{}
-	m := limited(t, data, query, ceci.Options{Workers: 2, Root: &root, Limit: int64(len(batch)) + 1}, log)
+	m := limited(t, data, query, ceci.Options{Workers: 2, Limit: int64(len(batch)) + 1}, log)
 	if info := m.IndexInfo(); info.Pivots != 1 {
 		t.Fatalf("pivots = %d, want exactly 1 cluster", info.Pivots)
 	}

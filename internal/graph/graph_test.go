@@ -409,68 +409,6 @@ func TestLabeledErrors(t *testing.T) {
 	}
 }
 
-func TestCSRRoundTrip(t *testing.T) {
-	g := triangleWithTail()
-	var buf bytes.Buffer
-	if err := graph.WriteCSR(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := graph.ReadCSR(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGraph(t, g, g2)
-}
-
-// TestCSRRefusesExtraLabels: the CSR format holds one label per vertex, so
-// writing a multi-labeled graph is an error, and nothing is written, where
-// the extras used to be dropped and the graph read back matched
-// differently. The same graph without its extras round-trips.
-func TestCSRRefusesExtraLabels(t *testing.T) {
-	b := graph.NewBuilder(2)
-	b.SetLabel(0, 1)
-	b.AddExtraLabel(0, 2)
-	b.SetLabel(1, 2)
-	b.AddEdge(0, 1)
-	g := b.MustBuild()
-	var buf bytes.Buffer
-	err := graph.WriteCSR(&buf, g)
-	if err == nil || !strings.Contains(err.Error(), "vertex 0 has 2") {
-		t.Fatalf("WriteCSR of a multi-labeled graph: err = %v", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("a refused graph wrote %d bytes", buf.Len())
-	}
-
-	b = graph.NewBuilder(2)
-	b.SetLabel(0, 1)
-	b.SetLabel(1, 2)
-	b.AddEdge(0, 1)
-	g = b.MustBuild()
-	if err := graph.WriteCSR(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := graph.ReadCSR(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGraph(t, g, back)
-	for _, l := range []graph.Label{1, 2} {
-		if !slices.Equal(back.VerticesWithLabel(l), g.VerticesWithLabel(l)) {
-			t.Fatalf("VerticesWithLabel(%d) = %v, want %v", l, back.VerticesWithLabel(l), g.VerticesWithLabel(l))
-		}
-	}
-}
-
-func TestCSRRejectsGarbage(t *testing.T) {
-	if _, err := graph.ReadCSR(strings.NewReader("not a csr file at all")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := graph.ReadCSR(strings.NewReader("")); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
 func assertSameGraph(t *testing.T, a, b *graph.Graph) {
 	t.Helper()
 	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {

@@ -3,7 +3,6 @@ package graph
 import (
 	"bufio"
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -428,94 +427,4 @@ func WriteLabeled(w io.Writer, g *Graph) error {
 		return werr
 	}
 	return bw.Flush()
-}
-
-// Binary CSR format (".csr"): the on-disk layout used by the shared-storage
-// distributed mode (Section 5 of the paper keeps one CSR copy on a lustre
-// filesystem and locates adjacency lists via a beginning_position array).
-//
-// Layout (little endian):
-//   magic "CECICSR1" (8 bytes)
-//   n uint64, m2 uint64 (directed half-edge count), numLabels uint64
-//   offsets [n+1]int64
-//   neighbors [m2]uint32
-//   labels [n]uint32
-
-var csrMagic = [8]byte{'C', 'E', 'C', 'I', 'C', 'S', 'R', '1'}
-
-// WriteCSR serializes g into the binary CSR format. The format holds one
-// label per vertex, so a graph where any vertex has more is an error,
-// returned before anything is written.
-func WriteCSR(w io.Writer, g *Graph) error {
-	if g.multiLabeled() {
-		for v := 0; v < g.NumVertices(); v++ {
-			if ls := g.Labels(VertexID(v)); len(ls) > 1 {
-				return fmt.Errorf("graph: csr format holds one label per vertex; vertex %d has %d", v, len(ls))
-			}
-		}
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(csrMagic[:]); err != nil {
-		return err
-	}
-	hdr := []uint64{uint64(g.NumVertices()), uint64(len(g.neighbors)), uint64(g.numLabels)}
-	for _, x := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, x); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.neighbors); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.labels); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadCSR deserializes a graph written by WriteCSR.
-func ReadCSR(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("graph: csr header: %w", err)
-	}
-	if magic != csrMagic {
-		return nil, fmt.Errorf("graph: bad csr magic %q", magic)
-	}
-	var n, m2, nl uint64
-	for _, p := range []*uint64{&n, &m2, &nl} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: csr header: %w", err)
-		}
-	}
-	const maxReasonable = 1 << 34
-	if n > maxReasonable || m2 > maxReasonable {
-		return nil, fmt.Errorf("graph: csr header implausible (n=%d m2=%d)", n, m2)
-	}
-	g := &Graph{
-		offsets:   make([]int64, n+1),
-		neighbors: make([]VertexID, m2),
-		labels:    make([]Label, n),
-		numLabels: int(nl),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.offsets); err != nil {
-		return nil, fmt.Errorf("graph: csr offsets: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.neighbors); err != nil {
-		return nil, fmt.Errorf("graph: csr neighbors: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.labels); err != nil {
-		return nil, fmt.Errorf("graph: csr labels: %w", err)
-	}
-	for _, l := range g.labels {
-		if uint64(l) >= nl {
-			return nil, fmt.Errorf("graph: csr label %d out of range", l)
-		}
-	}
-	g.indexLabels()
-	return g, nil
 }

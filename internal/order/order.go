@@ -114,8 +114,9 @@ func (t *QueryTree) NTECount() int {
 
 // Options configures preprocessing.
 type Options struct {
-	// ForcedRoot, when >= 0, overrides cost-based root selection (used by
-	// tests reproducing the paper's running example and by ablations).
+	// ForcedRoot, when >= 0, overrides cost-based root selection: the
+	// service's shard mode roots a query at its anchor, and tests
+	// reproduce the paper's running example.
 	ForcedRoot int
 	// Heuristic selects the matching order (default BFSOrder).
 	Heuristic Heuristic

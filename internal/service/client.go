@@ -7,10 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"sync"
-	"time"
 
 	"ceci/internal/obs"
 )
@@ -32,18 +30,12 @@ func outgoingTrace(ctx context.Context) obs.TraceContext {
 // Client is a thin typed client for the service HTTP API, used by
 // ceciserve's tests, the shard router, and the CI smoke jobs.
 //
-// Transient failures — connection errors and 429 load-shed responses —
-// are retried with bounded exponential backoff and full jitter,
-// respecting the request context's deadline. Everything else (4xx, 5xx,
-// 504-with-partial-body) is returned to the caller on the first
-// attempt.
+// Each call sends its request once: a connection error, a 429 and every
+// other failure go back to the caller. The shard router's failover is
+// the fleet's retry, and its readiness gate covers start-up.
 type Client struct {
 	base string
 	hc   *http.Client
-
-	attempts  int           // total tries per request (default 4)
-	baseDelay time.Duration // first backoff step (default 50ms)
-	maxDelay  time.Duration // backoff ceiling (default 1s)
 }
 
 // NewClient returns a client for a server at base (e.g.
@@ -52,91 +44,7 @@ func NewClient(base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{
-		base:      base,
-		hc:        httpClient,
-		attempts:  4,
-		baseDelay: 50 * time.Millisecond,
-		maxDelay:  time.Second,
-	}
-}
-
-// SetRetry tunes the retry policy: attempts is the total number of
-// tries (1 disables retries), base the first backoff step, max the
-// ceiling. Values <= 0 keep the current setting.
-func (c *Client) SetRetry(attempts int, base, max time.Duration) {
-	if attempts > 0 {
-		c.attempts = attempts
-	}
-	if base > 0 {
-		c.baseDelay = base
-	}
-	if max > 0 {
-		c.maxDelay = max
-	}
-}
-
-// retryable reports whether a failed attempt should be retried:
-// connection-level errors (server not yet up, reset mid-accept) unless
-// caused by the caller's own context, and 429 responses (admission
-// queue full — the server explicitly asked us to back off).
-func retryable(resp *http.Response, err error) bool {
-	if err != nil {
-		return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-	}
-	return resp.StatusCode == http.StatusTooManyRequests
-}
-
-// do runs one request with retries. newReq builds a fresh request per
-// attempt (bodies are single-shot readers). The response body of a
-// retried attempt is drained and closed before the next try.
-func (c *Client) do(ctx context.Context, newReq func() (*http.Request, error)) (*http.Response, error) {
-	var lastErr error
-	for attempt := 0; attempt < c.attempts; attempt++ {
-		if attempt > 0 {
-			if err := c.backoff(ctx, attempt); err != nil {
-				return nil, lastErr
-			}
-		}
-		hreq, err := newReq()
-		if err != nil {
-			return nil, err
-		}
-		hresp, err := c.hc.Do(hreq)
-		if !retryable(hresp, err) || attempt == c.attempts-1 {
-			return hresp, err
-		}
-		if err != nil {
-			lastErr = err
-		} else {
-			lastErr = &APIError{StatusCode: hresp.StatusCode, Message: "overloaded (retries exhausted)"}
-			io.Copy(io.Discard, io.LimitReader(hresp.Body, 4096))
-			hresp.Body.Close()
-		}
-	}
-	return nil, lastErr
-}
-
-// backoff sleeps exponential-with-full-jitter for the given attempt
-// number (1-based), returning early with the context's error if the
-// deadline fires first — a retry that cannot finish is not started.
-func (c *Client) backoff(ctx context.Context, attempt int) error {
-	step := c.baseDelay << (attempt - 1)
-	if step > c.maxDelay || step <= 0 {
-		step = c.maxDelay
-	}
-	d := time.Duration(rand.Int64N(int64(step))) + step/2 // jitter in [step/2, 1.5*step)
-	if d > c.maxDelay {
-		d = c.maxDelay
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return context.Cause(ctx)
-	}
+	return &Client{base: base, hc: httpClient}
 }
 
 // APIError is a non-2xx response. Unwrap exposes the sentinel matching
@@ -210,17 +118,15 @@ func (c *Client) query(ctx context.Context, req QueryRequest) (*QueryResponse, P
 	if err != nil {
 		return fail(err)
 	}
-	hresp, err := c.do(ctx, func() (*http.Request, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/query", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		if tc := outgoingTrace(ctx); tc.Valid() {
-			hreq.Header.Set("traceparent", tc.Traceparent())
-		}
-		return hreq, nil
-	})
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/query", bytes.NewReader(body))
+	if err != nil {
+		return fail(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	if tc := outgoingTrace(ctx); tc.Valid() {
+		hreq.Header.Set("traceparent", tc.Traceparent())
+	}
+	hresp, err := c.hc.Do(hreq)
 	if err != nil {
 		return fail(err)
 	}
@@ -298,9 +204,7 @@ func (c *Client) Queryz(ctx context.Context) (*QueryzResponse, error) {
 // Tracez fetches a sampled query's span tree as Chrome trace_event
 // JSON bytes (load the result in chrome://tracing or Perfetto).
 func (c *Client) Tracez(ctx context.Context, traceID string) ([]byte, error) {
-	hresp, err := c.do(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/tracez/"+traceID, nil)
-	})
+	hresp, err := c.get(ctx, "/tracez/"+traceID)
 	if err != nil {
 		return nil, err
 	}
@@ -324,10 +228,17 @@ func (c *Client) Cachez(ctx context.Context) (*CacheStats, error) {
 	return &out, nil
 }
 
+// get sends one GET for path.
+func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.hc.Do(hreq)
+}
+
 func (c *Client) getJSON(ctx context.Context, path string, v any) error {
-	hresp, err := c.do(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	})
+	hresp, err := c.get(ctx, path)
 	if err != nil {
 		return err
 	}

@@ -383,9 +383,7 @@ func cannedServer(t *testing.T, status *int, body *string) *Client {
 		io.WriteString(w, *body)
 	}))
 	t.Cleanup(srv.Close)
-	cl := NewClient(srv.URL, srv.Client())
-	cl.SetRetry(1, 0, 0)
-	return cl
+	return NewClient(srv.URL, srv.Client())
 }
 
 // TestClientQueryDecodesLikeEncodingJSON: through the real client, every

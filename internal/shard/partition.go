@@ -58,10 +58,9 @@ type PartitionOptions struct {
 	// eccentricity of servable queries: a path query on 2k+1 vertices
 	// needs Radius >= k.
 	Radius int
-	// Jaccard enables similarity co-location of overlapping clusters.
+	// Jaccard enables similarity co-location of overlapping clusters
+	// among the 1000 heaviest pivots (workload.DistributePivots' default).
 	Jaccard bool
-	// JaccardTopK bounds the pairwise comparisons (default 1000).
-	JaccardTopK int
 }
 
 // Split cuts data into pivot-owned shards: ownership comes from the §5
@@ -89,7 +88,6 @@ func Split(data *graph.Graph, opt PartitionOptions) ([]*Partition, error) {
 		Parts:           opt.Shards,
 		NeighborDegrees: true, // the partitioner reads the whole graph
 		Jaccard:         opt.Jaccard,
-		JaccardTopK:     opt.JaccardTopK,
 	})
 	repairEmpty(parts)
 

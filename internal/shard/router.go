@@ -25,8 +25,7 @@ type Replica struct {
 	Shard int
 	URL   string
 
-	client  *service.Client // query path: retries + backoff
-	healthc *service.Client // probe path: single attempt
+	client *service.Client
 
 	healthy  atomic.Bool
 	checked  atomic.Bool // at least one probe ever succeeded
@@ -193,13 +192,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		}
 		var reps []*Replica
 		for _, u := range urls {
-			rep := &Replica{
-				Shard:   i,
-				URL:     u,
-				client:  service.NewClient(u, nil),
-				healthc: service.NewClient(u, nil),
-			}
-			rep.healthc.SetRetry(1, 0, 0) // probes are their own retry loop
+			rep := &Replica{Shard: i, URL: u, client: service.NewClient(u, nil)}
 			rep.lastErr.Store("")
 			reps = append(reps, rep)
 		}
@@ -301,7 +294,7 @@ func (rt *Router) probeAll() {
 func (rt *Router) probe(rep *Replica) {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.opts.HealthTimeout)
 	defer cancel()
-	if err := rep.healthc.Ready(ctx); err != nil {
+	if err := rep.client.Ready(ctx); err != nil {
 		rep.lastErr.Store(err.Error())
 		if rep.fails.Add(1) >= int64(rt.opts.HealthFails) {
 			rep.healthy.Store(false)
@@ -524,9 +517,10 @@ func (rt *Router) scatter(call *service.Call, wire service.QueryRequest, width i
 
 // queryShard runs one scatter leg: it asks the shard's replicas one at
 // a time, the rotated primary first, and returns the first usable
-// response. A failed reply moves the leg to the next replica at once; a
-// 400 ends it — the query's fault, not the replica's — and so does a
-// done ctx. Otherwise it returns the last replica's failure. attrs
+// response. This is the fleet's only retry: a failed reply, a 429 or a
+// connection refused or hung up moves the leg to the next replica at
+// once; a 400 ends it — the query's fault, not the replica's — and so
+// does a done ctx. Otherwise it returns the last replica's failure. attrs
 // annotate the leg's span.
 func (rt *Router) queryShard(ctx context.Context, shard int, req service.QueryRequest, parent *obs.Span, attrs ...obs.Attr) shardResult {
 	sp := parent.Child("scatter", obs.Int("shard", int64(shard)))

@@ -428,7 +428,9 @@ type stubShard struct {
 	lastTimeout atomic.Int64
 	delay       time.Duration
 	status      int
-	resp        service.QueryResponse
+	// hangUp, when set, closes the connection instead of answering.
+	hangUp bool
+	resp   service.QueryResponse
 	// spans, when set, makes the reply's "spans" member from the trace
 	// position the router sent.
 	spans func(obs.TraceContext) string
@@ -455,6 +457,13 @@ func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.lastTimeout.Store(wire.TimeoutMS)
+		if s.hangUp {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+			return
+		}
 		if s.delay > 0 {
 			select {
 			case <-time.After(s.delay):
@@ -606,40 +615,45 @@ func TestQueryzFiltersHTTP(t *testing.T) {
 }
 
 // TestLegFailsOverInOrder: a leg asks its shard's replicas one at a
-// time, the rotated primary first. A replica that fails outright hands
-// the leg to the next at once, and only the answering replica's spans
-// reach the trace; a 400 ends the leg unanswered by any other replica and
-// is the router's answer, message and all; a shard whose every replica
-// fails is named in shards_failed.
+// time, the rotated primary first. A replica that fails outright — a
+// 500, a 429, a connection hung up — hands the leg to the next at once,
+// asked once, and only the answering replica's spans reach the trace; a
+// 400 ends the leg unanswered by any other replica and is the router's
+// answer, message and all; a shard whose every replica fails is named in
+// shards_failed.
 func TestLegFailsOverInOrder(t *testing.T) {
-	// The first query's primary is replica 0.
-	failed := &stubShard{status: http.StatusInternalServerError,
-		resp: service.QueryResponse{Error: "down"}, spans: oneSpan("failed", 0)}
-	answers := &stubShard{resp: service.QueryResponse{Count: 3}, spans: oneSpan("answered", 0)}
-	rsrv := stubRouter(t, []*stubShard{failed, answers}, RouterOptions{Tracer: obs.NewTracer(obs.TracerOptions{})})
-	resp, status := postRoute(t, rsrv.URL, edgeWire())
-	if status != http.StatusOK || resp.Count != 3 || resp.Partial || resp.Failovers != 1 {
-		t.Fatalf("status %d count %d partial %v failovers %d: want 200, 3, whole, 1 failover",
-			status, resp.Count, resp.Partial, resp.Failovers)
-	}
-	for i, s := range []*stubShard{failed, answers} {
-		if n := s.hits.Load(); n != 1 {
-			t.Errorf("replica %d saw %d requests, want 1", i, n)
+	for name, failed := range map[string]*stubShard{
+		"500":     {status: http.StatusInternalServerError, resp: service.QueryResponse{Error: "down"}, spans: oneSpan("failed", 0)},
+		"429":     {status: http.StatusTooManyRequests, resp: service.QueryResponse{Error: "overloaded"}, spans: oneSpan("failed", 0)},
+		"hang-up": {hangUp: true},
+	} {
+		// The first query's primary is replica 0.
+		answers := &stubShard{resp: service.QueryResponse{Count: 3}, spans: oneSpan("answered", 0)}
+		rsrv := stubRouter(t, []*stubShard{failed, answers}, RouterOptions{Tracer: obs.NewTracer(obs.TracerOptions{})})
+		resp, status := postRoute(t, rsrv.URL, edgeWire())
+		if status != http.StatusOK || resp.Count != 3 || resp.Partial || resp.Failovers != 1 {
+			t.Fatalf("%s: status %d count %d partial %v failovers %d: want 200, 3, whole, 1 failover",
+				name, status, resp.Count, resp.Partial, resp.Failovers)
 		}
-	}
-	roots := routerSpans(t, rsrv.URL, resp.TraceID)
-	if len(roots) != 1 || len(roots[0].Children) != 1 || roots[0].Children[0].Name != "scatter" {
-		t.Fatalf("want route-query over one scatter, got %d roots", len(roots))
-	}
-	if legs := roots[0].Children[0].Children; len(legs) != 1 || legs[0].Name != "answered" {
-		t.Errorf("the scatter span adopted %d subtrees (first %+v), want the answering replica's alone", len(legs), legs)
+		for i, s := range []*stubShard{failed, answers} {
+			if n := s.hits.Load(); n != 1 {
+				t.Errorf("%s: replica %d saw %d requests, want 1", name, i, n)
+			}
+		}
+		roots := routerSpans(t, rsrv.URL, resp.TraceID)
+		if len(roots) != 1 || len(roots[0].Children) != 1 || roots[0].Children[0].Name != "scatter" {
+			t.Fatalf("%s: want route-query over one scatter, got %d roots", name, len(roots))
+		}
+		if legs := roots[0].Children[0].Children; len(legs) != 1 || legs[0].Name != "answered" {
+			t.Errorf("%s: the scatter span adopted %d subtrees (first %+v), want the answering replica's alone", name, len(legs), legs)
+		}
 	}
 
 	// A 400 is the query's fault: no other replica is asked.
 	refuses := &stubShard{status: http.StatusBadRequest, resp: service.QueryResponse{Error: "refused"}}
 	spare := &stubShard{resp: service.QueryResponse{Count: 3}}
-	rsrv = stubRouter(t, []*stubShard{refuses, spare}, RouterOptions{})
-	resp, status = postRoute(t, rsrv.URL, edgeWire())
+	rsrv := stubRouter(t, []*stubShard{refuses, spare}, RouterOptions{})
+	resp, status := postRoute(t, rsrv.URL, edgeWire())
 	if status != http.StatusBadRequest || resp.Error != "refused" || len(resp.ShardErrors) != 0 || resp.Failovers != 0 {
 		t.Errorf("status %d, error %q, shard errors %v, failovers %d: want the shard's 400 and its message", status, resp.Error, resp.ShardErrors, resp.Failovers)
 	}

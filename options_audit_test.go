@@ -12,21 +12,27 @@ import (
 	"testing"
 )
 
-// auditedPackages are the directories whose Options / RouterOptions /
-// Config structs TestEveryOptionHasASetter walks.
+// auditedPackages are the directories whose options structs
+// (auditedStructs) TestEveryOptionHasASetter walks.
 var auditedPackages = []string{
-	".", "internal/ceci", "internal/cluster", "internal/enum", "internal/service", "internal/shard", "internal/telemetry",
+	".", "internal/baseline", "internal/baseline/dualsim", "internal/baseline/psgl", "internal/baseline/turboiso",
+	"internal/ceci", "internal/cluster", "internal/enum", "internal/obs", "internal/order", "internal/reference",
+	"internal/service", "internal/shard", "internal/telemetry", "internal/verify", "internal/workload",
 }
 
-var auditedStructs = map[string]bool{"Options": true, "RouterOptions": true, "Config": true}
+var auditedStructs = map[string]bool{
+	"Options": true, "RouterOptions": true, "Config": true, "TracerOptions": true,
+	"PartitionOptions": true, "DistributeOptions": true, "SLOConfig": true, "ShardConfig": true,
+}
 
 // unsetOptions are the exported option fields nothing outside a test
 // assigns, each with the reason it stays.
 var unsetOptions = map[string]string{
-	"ceci/internal/ceci.Options.SkipNLCFilter": "the filter oracle's off-switch: filter_oracle_test.go and the golden index table build with it to pin what NLC removes",
-	// Found by this test, not by the audit that asked for it:
-	"ceci.Options.Root":                           "public library API, set by importers; TestForcedRoot holds it",
-	"ceci/internal/telemetry.Options.Resolutions": "test seam: the hub and service telemetry tests run on a 30-slot ring",
+	"ceci/internal/ceci.Options.SkipNLCFilter":               "the filter oracle's off-switch: filter_oracle_test.go and the golden index table build with it to pin what NLC removes",
+	"ceci/internal/telemetry.Options.Resolutions":            "test seam: the hub and service telemetry tests run on a 30-slot ring",
+	"ceci/internal/baseline.Options.DisableSymmetryBreaking": "test seam: the raw-count cross-checks (baseline_test.go, psgl_test.go) list every automorphic image",
+	"ceci/internal/baseline/psgl.Options.MaxIntermediates":   "test seam: the abort tests (psgl_test.go) cap the intermediate results",
+	"ceci/internal/reference.Options.Limit":                  "test seam: the oracle answers whether one embedding exists (gen_test.go) and the first ten (reference_test.go)",
 }
 
 // TestEveryOptionHasASetter fails when an exported field of an audited
@@ -139,9 +145,11 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	}
 
 	var dead []string
+	exists := map[string]bool{}
 	for key, names := range fields {
 		for _, name := range names {
 			field := key + "." + name
+			exists[field] = true
 			switch _, exempt := unsetOptions[field]; {
 			case !set[field] && !exempt:
 				dead = append(dead, field)
@@ -153,6 +161,11 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	sort.Strings(dead)
 	for _, field := range dead {
 		t.Errorf("%s is never assigned outside _test.go files: delete it, or give it a caller", field)
+	}
+	for field := range unsetOptions {
+		if !exists[field] {
+			t.Errorf("unsetOptions names %s, which is no field of an audited struct: drop the entry", field)
+		}
 	}
 }
 
