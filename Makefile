@@ -79,7 +79,7 @@ bench-allocs:
 	$(GO) test -run 'TestPageCodecAllocs|TestRouteMergeAllocs' -bench 'BenchmarkPage|BenchmarkRouteMerge' -benchmem -v ./internal/service ./internal/shard
 	$(GO) test -run TestSpanAllocs -bench 'BenchmarkSpanStartEnd|BenchmarkTraceAppendJSON' -benchmem -v ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2_IndexBuild/ok_s_qg5' -benchmem -benchtime 200x -cpu 1 .
-	$(GO) test -run 'TestLoadAllocatesInProportion|TestLabelsIsAView' -bench 'BenchmarkLoadLabeled|BenchmarkLabelIndex' -benchmem -v ./internal/graph
+	$(GO) test -run 'TestLoadAllocatesInProportion|TestLabelsIsAView|TestLabelRunsAllocateInProportion' -bench 'BenchmarkLoadLabeled|BenchmarkLabelIndex' -benchmem -v ./internal/graph
 
 # Intersection-kernel health check: the per-kernel microbenchmarks
 # (merge / gallop / probe / adaptive dispatch). How the kernels

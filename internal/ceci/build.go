@@ -435,7 +435,6 @@ func (b *builder) buildNTE(u graph.VertexID) error {
 // are sorted). dst is a worker-private scratch buffer; callers copy the
 // survivors into an arena before the buffer is reused.
 func (ix *Index) filterNeighborsInto(dst, neighbors []graph.VertexID, vf, u graph.VertexID, verdicts []order.Verdict, keep order.Verdict) []graph.VertexID {
-	degree := int64(ix.Data.Degree(vf))
 	// The funnel is the histogram of verdicts, counted in a register by
 	// sieve a stretch of 2^16-1 neighbors at a time; one batched atomic add
 	// per frontier vertex follows, nothing on the per-neighbor path is
@@ -452,19 +451,26 @@ func (ix *Index) filterNeighborsInto(dst, neighbors []graph.VertexID, vf, u grap
 			seen[c] += int64(lanes >> (16 * c) & 0xffff)
 		}
 	}
+	st, p := ix.opts.Stats, ix.opts.Profile
+	if st == nil && p == nil {
+		return dst
+	}
+	// The label stage's drops are the rest of vf's adjacency: its degree
+	// is a load from the CSR offsets, made only for a funnel that is kept.
+	degree := int64(ix.Data.Degree(vf))
 	dropLabel := degree - int64(len(neighbors)) + seen[order.DropLabel]
 	dropDegree := seen[order.DropDegree]
 	var dropNLC int64
 	if keep > order.DropNLC {
 		dropNLC = seen[order.DropNLC]
 	}
-	if st := ix.opts.Stats; st != nil {
+	if st != nil {
 		st.RemoteReads.Add(1) // one adjacency-list fetch per frontier vertex
 		st.FilteredLabel.Add(dropLabel)
 		st.FilteredDegree.Add(dropDegree)
 		st.FilteredNLC.Add(dropNLC)
 	}
-	if p := ix.opts.Profile; p != nil {
+	if p != nil {
 		vc := p.Vertex(int(u))
 		vc.NeighborsScanned.Add(degree)
 		vc.DroppedLabel.Add(dropLabel)

@@ -12,27 +12,38 @@ import (
 // sorted view instead of a filtered scan. Built lazily on first use and
 // immutable afterwards.
 //
-// Layout: groups concatenates, vertex by vertex, the neighbor lists split
-// into label runs (sorted by label, IDs ascending within a run).
-// heads[v].start..heads[v+1].start index the runs of v in runs, which has
-// two trailing sentinels: run i spans groups[runs[i].off:runs[i+1].off],
-// and runs[r+1] is in range for every r up to heads[n].start, so a lookup
-// may read a run past its vertex's last before it knows the label absent.
-// A multi-labeled neighbor appears once per label it carries.
+// Layout: groups is label-major. Label rank r (the label's index among
+// the labels present) owns the region groups[regions[r]:regions[r+1]],
+// which holds every vertex's run of that label, vertex by vertex in
+// ascending order (IDs ascending within a run). A frontier expansion
+// reads one label's runs of an ascending frontier, so it streams through
+// one region front to back instead of jumping between vertex rows. A
+// multi-labeled neighbor appears once per label it carries.
+//
+// The run directory stays vertex-major: heads[v].start..heads[v+1].start
+// index the runs of v in runs, in label order, and run i spans
+// groups[runs[i].off:runs[i].end]. The next record's run lies in another
+// region, so a record carries its own end. runs has one trailing
+// sentinel, so a lookup may read a run past its vertex's last before it
+// knows the label absent. No record carries its label: the region a run
+// lies in names it, and since the regions ascend by label, so do the
+// offsets of one vertex's runs.
 //
 // heads[v].low has bit l set when v has a run of label l < 32, so the run
 // of such a label is found without a search: it is absent, or it is run
 // start + (the number of v's runs of smaller labels), a popcount. Labels
-// from 32 up are binary-searched among the runs past those. heads[v].twos
-// has bit l set when that run holds at least two neighbors, so an NLC
-// requirement of one or two neighbors per label below 32 is two mask
-// tests (NLCCovers). A head is 12 bytes; 64-bit masks would double it,
-// and the labels a graph uses most are usually its first few.
+// from 32 up are binary-searched among the runs past those, by offset
+// against the label's region. heads[v].twos has bit l set when that run
+// holds at least two neighbors, so an NLC requirement of one or two
+// neighbors per label below 32 is two mask tests (NLCCovers). A head is
+// 12 bytes; 64-bit masks would double it, and the labels a graph uses
+// most are usually its first few.
 type labelAdj struct {
-	once   sync.Once
-	heads  []runHead
-	runs   []labelRun
-	groups []VertexID
+	once    sync.Once
+	heads   []runHead
+	runs    []labelRun
+	regions []int32
+	groups  []VertexID
 }
 
 // runHead is where a vertex's runs start, which labels below 32 they
@@ -43,32 +54,38 @@ type runHead struct {
 	start int32
 }
 
-// labelRun is one label's run of a vertex's grouped neighbors: the label
-// and where the run starts in groups.
+// labelRun is where one of a vertex's label runs lies in groups.
 type labelRun struct {
-	label Label
-	off   int32
+	off, end int32
 }
 
-// find returns the index of v's run of label l in runs, and whether v has
-// one.
-func (la *labelAdj) find(v VertexID, l Label) (int32, bool) {
+// findRun returns the index of v's run of label l in runs, and whether v
+// has one.
+func (g *Graph) findRun(v VertexID, l Label) (int32, bool) {
+	la := &g.ladj
 	h := la.heads[v]
 	if l < 32 {
 		below := uint32(1)<<l - 1
 		return h.start + int32(bits.OnesCount32(h.low&below)), h.low>>l&1 == 1
 	}
+	r, ok := slices.BinarySearch(g.labelKeys, l)
+	if !ok {
+		return 0, false
+	}
+	// v's first run at or past the start of l's region is l's if it
+	// starts before the region ends.
+	from := la.regions[r]
 	lo, end := h.start+int32(bits.OnesCount32(h.low)), la.heads[v+1].start
 	hi := end
 	for lo < hi {
 		mid := int32(uint32(lo+hi) >> 1)
-		if la.runs[mid].label < l {
+		if la.runs[mid].off < from {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < end && la.runs[lo].label == l
+	return lo, lo < end && la.runs[lo].off < la.regions[r+1]
 }
 
 // NeighborsWithLabel returns the sorted neighbors of v whose label set
@@ -83,21 +100,22 @@ func (g *Graph) NeighborsWithLabel(v VertexID, l Label) []VertexID {
 		return nil
 	}
 	g.ladj.build(g)
-	la := &g.ladj
-	if i, ok := la.find(v, l); ok {
-		return la.groups[la.runs[i].off:la.runs[i+1].off]
+	if i, ok := g.findRun(v, l); ok {
+		r := g.ladj.runs[i]
+		return g.ladj.groups[r.off:r.end]
 	}
 	return nil
 }
 
 // RunsWithLabel sets dst[i] to NeighborsWithLabel(vs[i], l) for every i and
 // returns dst, resized to len(vs). For a label below 32 the lookup is one
-// loop with no branch on the vertex: every iteration reads its head and two
-// run offsets, and an absent label empties the run by a conditional
+// loop with no branch on the vertex: every iteration reads its head and its
+// run record, and an absent label empties the run by a conditional
 // assignment. The iterations do not depend on each other, so the cache
 // misses of many vertices are in flight at once, where a NeighborsWithLabel
-// per vertex waits on each head before it reads the runs. Labels from 32 up
-// are looked up one vertex at a time.
+// per vertex waits on each head before it reads the runs; and an ascending
+// vs reads its runs front to back through the label's region. Labels from
+// 32 up are looked up one vertex at a time.
 func (g *Graph) RunsWithLabel(vs []VertexID, l Label, dst [][]VertexID) [][]VertexID {
 	dst = slices.Grow(dst[:0], len(vs))[:len(vs)]
 	if g.numLabels <= 1 && !g.multiLabeled() || l >= 32 {
@@ -111,8 +129,8 @@ func (g *Graph) RunsWithLabel(vs []VertexID, l Label, dst [][]VertexID) [][]Vert
 	bit := uint32(1) << l
 	for i, v := range vs {
 		h := la.heads[v]
-		r := h.start + int32(bits.OnesCount32(h.low&(bit-1)))
-		lo, hi := la.runs[r].off, la.runs[r+1].off
+		r := la.runs[h.start+int32(bits.OnesCount32(h.low&(bit-1)))]
+		lo, hi := r.off, r.end
 		if h.low&bit == 0 {
 			hi = lo
 		}
@@ -122,32 +140,43 @@ func (g *Graph) RunsWithLabel(vs []VertexID, l Label, dst [][]VertexID) [][]Vert
 }
 
 // build materializes the grouped adjacency once, in time linear in its
-// size: per vertex, its neighbors are counted per label rank, the ranks
-// it touched are put in order (sorted, or read off the counts when they
-// are an eighth of the ranks or more), and each neighbor is written
-// straight into its runs. Label values are never used as indices, so a
-// label up to MaxLabelValue costs what any other does. Safe for
-// concurrent first callers via the Once.
+// size. Rank r's region is as long as the degrees of the vertices
+// carrying its label sum to, so the regions are laid out before any run.
+// Then, per vertex in ascending order, its neighbors are counted per
+// label rank, the ranks it touched are put in order (sorted, or read off
+// the counts when they are an eighth of the ranks or more), each touched
+// rank's run is cut from the front of what is left of its region, and
+// each neighbor is written straight into its runs. Label values are never
+// used as indices, so a label up to MaxLabelValue costs what any other
+// does. Safe for concurrent first callers via the Once.
 func (la *labelAdj) build(g *Graph) {
 	la.once.Do(func() {
 		n := g.NumVertices()
 		ranks := g.labelRanks()
-		// One entry per (neighbor, label-of-neighbor) pair.
-		total := 0
+		// One entry per (neighbor, label-of-neighbor) pair: w appears in
+		// the region of each of its labels once per neighbor it has.
+		la.regions = make([]int32, len(g.labelKeys)+1)
 		for w := 0; w < n; w++ {
 			lo, hi := g.labelSpan(VertexID(w))
-			total += g.Degree(VertexID(w)) * int(hi-lo)
+			for _, r := range ranks[lo:hi] {
+				la.regions[r+1] += int32(g.Degree(VertexID(w)))
+			}
 		}
+		for r := range g.labelKeys {
+			la.regions[r+1] += la.regions[r]
+		}
+		total := int(la.regions[len(g.labelKeys)])
 		la.heads = make([]runHead, n+1)
 		la.groups = make([]VertexID, total)
 		// A run per (vertex, label) at most, and at most one per entry;
-		// the two sentinels go on the end.
-		la.runs = make([]labelRun, 0, min(total, n*len(g.labelKeys))+2)
+		// the sentinel goes on the end.
+		la.runs = make([]labelRun, 0, min(total, n*len(g.labelKeys))+1)
+		// free[r] is where the next run of rank r goes.
+		free := slices.Clone(la.regions[:len(g.labelKeys)])
 		// next[r] counts v's neighbors carrying rank r, then is where the
 		// next of them goes; it is zero again between vertices.
 		next := make([]int32, len(g.labelKeys))
 		var touched []int32
-		pos := int32(0)
 		for v := 0; v < n; v++ {
 			h := &la.heads[v]
 			h.start = int32(len(la.runs))
@@ -173,16 +202,16 @@ func (la *labelAdj) build(g *Graph) {
 				}
 			}
 			for _, r := range touched {
-				l, c := g.labelKeys[r], next[r]
-				la.runs = append(la.runs, labelRun{l, pos})
+				l, c, off := g.labelKeys[r], next[r], free[r]
+				la.runs = append(la.runs, labelRun{off, off + c})
 				if l < 32 {
 					h.low |= 1 << l
 					if c >= 2 {
 						h.twos |= 1 << l
 					}
 				}
-				next[r] = pos
-				pos += c
+				next[r] = off
+				free[r] = off + c
 			}
 			// Neighbors arrive ID-sorted, so IDs stay sorted within each run.
 			for _, w := range nbrs {
@@ -197,8 +226,7 @@ func (la *labelAdj) build(g *Graph) {
 			}
 		}
 		la.heads[n].start = int32(len(la.runs))
-		end := labelRun{off: pos}
-		la.runs = append(la.runs, end, end)
+		la.runs = append(la.runs, labelRun{})
 		if cap(la.runs) > len(la.runs)+len(la.runs)/4 {
 			la.runs = slices.Clone(la.runs) // the bound was loose; keep what is used
 		}

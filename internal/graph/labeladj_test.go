@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -150,7 +152,7 @@ func TestNeighborsWithLabelConcurrentFirstUse(t *testing.T) {
 // largest — on both sides of 32, present and absent — on graphs whose
 // largest label is below 30, at the mask's end and past it, on single-label
 // and unlabeled graphs, and for an empty frontier. The last vertex's absent
-// labels below 32 point its run index at the end of runs, which the second
+// labels below 32 point its run index at the end of runs, which the
 // sentinel keeps in range.
 func TestRunsWithLabelMatchesLookup(t *testing.T) {
 	check := func(t *testing.T, g *Graph, maxLabel Label) {
@@ -220,53 +222,78 @@ func TestRunsWithLabelMatchesLookup(t *testing.T) {
 	check(t, unlabeled, 0)
 }
 
-// sortedLabelAdj lays the grouped adjacency out the plain way: each
-// vertex's (label, neighbor) pairs sorted by label, then ID, and cut into
-// runs where the label changes.
-func sortedLabelAdj(g *Graph) (heads []runHead, runs []labelRun, groups []VertexID) {
-	type pair struct {
-		l Label
-		w VertexID
+// sortedLabelAdj lays the grouped adjacency out the plain way: every
+// (label, vertex, neighbor) entry sorted by label, then vertex, then ID,
+// so each label's entries are its region and each vertex's within it its
+// run; each vertex's runs are then listed in label order.
+func sortedLabelAdj(g *Graph) (heads []runHead, runs []labelRun, regions []int32, groups []VertexID) {
+	type entry struct {
+		l    Label
+		v, w VertexID
 	}
+	var es []entry
 	n := g.NumVertices()
-	heads = make([]runHead, n+1)
 	for v := 0; v < n; v++ {
-		var ps []pair
 		for _, w := range g.Neighbors(VertexID(v)) {
 			for _, l := range g.Labels(w) {
-				ps = append(ps, pair{l, w})
+				es = append(es, entry{l, VertexID(v), w})
 			}
 		}
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i].l != ps[j].l {
-				return ps[i].l < ps[j].l
-			}
-			return ps[i].w < ps[j].w
-		})
+	}
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].l != es[j].l {
+			return es[i].l < es[j].l
+		}
+		if es[i].v != es[j].v {
+			return es[i].v < es[j].v
+		}
+		return es[i].w < es[j].w
+	})
+	type key struct {
+		v VertexID
+		l Label
+	}
+	spans := map[key]labelRun{}
+	labelsOf := make([][]Label, n) // the labels of each vertex's runs, ascending
+	for i, e := range es {
+		groups = append(groups, e.w)
+		k := key{e.v, e.l}
+		r, ok := spans[k]
+		if !ok {
+			r.off = int32(i)
+			labelsOf[e.v] = append(labelsOf[e.v], e.l)
+		}
+		r.end = int32(i + 1)
+		spans[k] = r
+	}
+	for _, l := range g.labelKeys {
+		regions = append(regions, int32(sort.Search(len(es), func(i int) bool { return es[i].l >= l })))
+	}
+	regions = append(regions, int32(len(es)))
+	heads = make([]runHead, n+1)
+	for v := 0; v < n; v++ {
 		h := &heads[v]
 		h.start = int32(len(runs))
-		for i, p := range ps {
-			if i == 0 || p.l != ps[i-1].l {
-				runs = append(runs, labelRun{p.l, int32(len(groups))})
-				if p.l < 32 {
-					h.low |= 1 << p.l
+		for _, l := range labelsOf[v] {
+			r := spans[key{VertexID(v), l}]
+			runs = append(runs, r)
+			if l < 32 {
+				h.low |= 1 << l
+				if r.end-r.off >= 2 {
+					h.twos |= 1 << l
 				}
-			} else if p.l < 32 {
-				h.twos |= 1 << p.l
 			}
-			groups = append(groups, p.w)
 		}
 	}
 	heads[n].start = int32(len(runs))
-	end := labelRun{off: int32(len(groups))}
-	return heads, append(runs, end, end), groups
+	return heads, append(runs, labelRun{}), regions, groups
 }
 
 // TestLabelAdjMatchesSortedReference: the grouped adjacency is built by
-// counting each vertex's neighbors per label rank; its heads, runs and
-// groups must be those the plain sort gives, on graphs whose labels sit
-// on both sides of the run head's 32-bit mask and near MaxLabelValue,
-// with extra labels, isolated vertices and repeated edges. The small
+// counting each vertex's neighbors per label rank; its heads, runs,
+// regions and groups must be those the plain sort gives, on graphs whose
+// labels sit on both sides of the run head's 32-bit mask and near
+// MaxLabelValue, with extra labels, isolated vertices and repeated edges. The small
 // alphabets put each vertex's ranks in order by reading the counts; the
 // wide one, where a vertex touches few of the ranks, by sorting them.
 func TestLabelAdjMatchesSortedReference(t *testing.T) {
@@ -297,11 +324,108 @@ func TestLabelAdjMatchesSortedReference(t *testing.T) {
 			}
 			g := b.MustBuild()
 			g.ladj.build(g)
-			heads, runs, groups := sortedLabelAdj(g)
-			if !slices.Equal(g.ladj.heads, heads) || !slices.Equal(g.ladj.runs, runs) || !slices.Equal(g.ladj.groups, groups) {
+			heads, runs, regions, groups := sortedLabelAdj(g)
+			la := &g.ladj
+			if !slices.Equal(la.heads, heads) || !slices.Equal(la.runs, runs) || !slices.Equal(la.regions, regions) || !slices.Equal(la.groups, groups) {
 				t.Fatalf("alphabet %v, seed %d: grouped adjacency differs from the sorted reference", alphabet, seed)
 			}
 		}
+	}
+}
+
+// randomLabeled draws a graph of n vertices and m random edges, each
+// vertex carrying one to three labels of alphabet.
+func randomLabeled(seed int64, n, m int, alphabet []Label) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.SetLabel(VertexID(v), alphabet[rng.Intn(len(alphabet))])
+		for k := rng.Intn(3); k > 0; k-- {
+			b.AddExtraLabel(VertexID(v), alphabet[rng.Intn(len(alphabet))])
+		}
+	}
+	for i := 0; i < m; i++ {
+		b.AddEdge(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)))
+	}
+	return b.MustBuild()
+}
+
+// TestLabelRunsAreLabelMajor: groups is laid out label by label. Taken in
+// label order and, within a label, in vertex order, the runs tile groups
+// front to back — each starts where the one before it ended, so no gap
+// and no overlap — and each label's runs exactly fill its region. The
+// frontier expansions rely on it: an ascending frontier's runs of one
+// label are read front to back. Labels sit on both sides of 32.
+func TestLabelRunsAreLabelMajor(t *testing.T) {
+	var alphabet []Label
+	for l := Label(0); l < 90; l++ {
+		alphabet = append(alphabet, l)
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		g := randomLabeled(seed, 50+20*int(seed), 600, alphabet)
+		g.ladj.build(g)
+		la := &g.ladj
+		at, seen := int32(0), 0
+		for r, l := range g.labelKeys {
+			if la.regions[r] != at {
+				t.Fatalf("seed %d: label %d's region starts at %d, the runs before it end at %d", seed, l, la.regions[r], at)
+			}
+			for v := 0; v < g.NumVertices(); v++ {
+				i, ok := g.findRun(VertexID(v), l)
+				if !ok {
+					continue
+				}
+				if run := la.runs[i]; run.off != at || run.end <= run.off {
+					t.Fatalf("seed %d: vertex %d's run of label %d is groups[%d:%d], want it to start at %d", seed, v, l, run.off, run.end, at)
+				}
+				at = la.runs[i].end
+				seen++
+			}
+			if la.regions[r+1] != at {
+				t.Fatalf("seed %d: label %d's runs end at %d, its region at %d", seed, l, at, la.regions[r+1])
+			}
+		}
+		if int(at) != len(la.groups) || seen != int(la.heads[g.NumVertices()].start) {
+			t.Fatalf("seed %d: the runs tile groups[:%d] of %d, and %d of the %d runs", seed, at, len(la.groups), seen, la.heads[g.NumVertices()].start)
+		}
+	}
+}
+
+// TestLabelRunsAllocateInProportion: building the label runs of a graph
+// shaped like hu_s, scaled down (1 000 vertices, 40 000 edges, one to
+// three of 90 labels a vertex), keeps little past what the layout needs —
+// 4 bytes an entry of groups, 8 a run record, 12 a run head — and
+// allocates little past what it keeps. When this was written it kept
+// 1.09 times the need (the run directory is sized for a run per
+// (vertex, label) and trimmed only when a quarter of it is unused) and
+// allocated 1.04 times what it kept. A 12-byte run record reads 1.38
+// times the need, and a second copy of groups or of the directory
+// allocates over 1.25 times what is kept.
+func TestLabelRunsAllocateInProportion(t *testing.T) {
+	var alphabet []Label
+	for l := Label(0); l < 90; l++ {
+		alphabet = append(alphabet, l)
+	}
+	g := randomLabeled(1, 1000, 40000, alphabet)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	var before, built, kept runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.ladj.build(g)
+	runtime.ReadMemStats(&built)
+	runtime.GC()
+	runtime.ReadMemStats(&kept)
+	la := &g.ladj
+	allocated := built.TotalAlloc - before.TotalAlloc
+	retained := kept.HeapAlloc - before.HeapAlloc
+	need := uint64(4*len(la.groups) + 8*len(la.runs) + 12*len(la.heads) + 4*len(la.regions))
+	t.Logf("%d entries, %d runs: retained %d (%.2fx the need), allocated %d (%.2fx retained)",
+		len(la.groups), len(la.runs), retained, float64(retained)/float64(need), allocated, float64(allocated)/float64(retained))
+	if retained > need+need*15/100 {
+		t.Fatalf("the label runs keep %d bytes where the layout needs %d, over 1.15x", retained, need)
+	}
+	if allocated > retained+retained/4 {
+		t.Fatalf("building the label runs allocated %d bytes for %d kept, over 1.25x", allocated, retained)
 	}
 }
 
@@ -309,19 +433,11 @@ func TestLabelAdjMatchesSortedReference(t *testing.T) {
 // hu_s: 4 600 vertices, 700 000 random edges, one to three of 90 labels a
 // vertex.
 func BenchmarkLabelIndex(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const n, m, labels = 4600, 700000, 90
-	gb := NewBuilder(n)
-	for v := 0; v < n; v++ {
-		gb.SetLabel(VertexID(v), Label(rng.Intn(labels)))
-		for k := rng.Intn(3); k > 0; k-- {
-			gb.AddExtraLabel(VertexID(v), Label(rng.Intn(labels)))
-		}
+	var alphabet []Label
+	for l := Label(0); l < 90; l++ {
+		alphabet = append(alphabet, l)
 	}
-	for i := 0; i < m; i++ {
-		gb.AddEdge(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)))
-	}
-	g := gb.MustBuild()
+	g := randomLabeled(1, 4600, 700000, alphabet)
 	b.ReportAllocs()
 	for range b.N {
 		g.ladj = labelAdj{}

@@ -101,8 +101,8 @@ func (g *Graph) NLCCovers(v VertexID, req NLCReq) bool {
 		return false
 	}
 	for j, l := range req.rest.Labels {
-		i, ok := la.find(v, l)
-		if !ok || la.runs[i+1].off-la.runs[i].off < req.rest.Counts[j] {
+		i, ok := g.findRun(v, l)
+		if r := la.runs[i]; !ok || r.end-r.off < req.rest.Counts[j] {
 			return false
 		}
 	}

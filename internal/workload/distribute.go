@@ -19,13 +19,14 @@ type DistributeOptions struct {
 	// replicated mode); degree-only otherwise.
 	NeighborDegrees bool
 	// Jaccard enables similarity-based co-location of overlapping
-	// clusters: among the JaccardTopK heaviest pivots, neighbors with
+	// clusters: among the jaccardTopK heaviest pivots, neighbors with
 	// J ≥ 0.5 land on the same partition (capacity-capped).
 	Jaccard bool
-	// JaccardTopK bounds how many of the heaviest pivots are compared
-	// pairwise (default 1000, as in the paper).
-	JaccardTopK int
 }
+
+// jaccardTopK bounds how many of the heaviest pivots are compared
+// pairwise for co-location, as in the paper.
+const jaccardTopK = 1000
 
 // PivotWeight is the §5 lightweight workload estimate for one pivot:
 // deg(v) (+ Σ deg(neighbors) when the graph is local), scaled by
@@ -50,9 +51,6 @@ func PivotWeight(data *graph.Graph, v graph.VertexID, neighborDegrees bool) floa
 func DistributePivots(data *graph.Graph, pivots []graph.VertexID, opt DistributeOptions) [][]graph.VertexID {
 	if opt.Parts < 1 {
 		opt.Parts = 1
-	}
-	if opt.JaccardTopK <= 0 {
-		opt.JaccardTopK = 1000
 	}
 	type wp struct {
 		v graph.VertexID
@@ -94,10 +92,7 @@ func DistributePivots(data *graph.Graph, pivots []graph.VertexID, opt Distribute
 
 	if opt.Jaccard {
 		// Pass 1: largest clusters pull their similar peers along.
-		topK := opt.JaccardTopK
-		if topK > len(weighted) {
-			topK = len(weighted)
-		}
+		topK := min(jaccardTopK, len(weighted))
 		for i := 0; i < topK; i++ {
 			v := weighted[i].v
 			if _, done := owner[v]; done {

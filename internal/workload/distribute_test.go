@@ -43,7 +43,6 @@ func TestDistributePivotsPartition(t *testing.T) {
 		{Parts: 4},
 		{Parts: 4, NeighborDegrees: true},
 		{Parts: 4, NeighborDegrees: true, Jaccard: true},
-		{Parts: 4, NeighborDegrees: true, Jaccard: true, JaccardTopK: 8},
 	} {
 		parts := DistributePivots(data, pivots, opt)
 		if len(parts) != opt.Parts {

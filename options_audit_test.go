@@ -33,6 +33,8 @@ var unsetOptions = map[string]string{
 	"ceci/internal/baseline.Options.DisableSymmetryBreaking": "test seam: the raw-count cross-checks (baseline_test.go, psgl_test.go) list every automorphic image",
 	"ceci/internal/baseline/psgl.Options.MaxIntermediates":   "test seam: the abort tests (psgl_test.go) cap the intermediate results",
 	"ceci/internal/reference.Options.Limit":                  "test seam: the oracle answers whether one embedding exists (gen_test.go) and the first ten (reference_test.go)",
+	"ceci/internal/obs.TracerOptions.MaxChildren":            "test seam: the span-cap tests (trace_test.go, finished_test.go) record past caps of one, two and six children",
+	"ceci/internal/telemetry.Options.Now":                    "test seam: the hub tests (hub_test.go) sample on a fake clock",
 }
 
 // TestEveryOptionHasASetter fails when an exported field of an audited
@@ -40,7 +42,9 @@ var unsetOptions = map[string]string{
 // binary, example, service path or benchmark workload can turn is dead
 // code with a test. It reads syntax only (go/parser): a setter is a keyed
 // field of a composite literal of the struct's type, or a `x.Field = …` /
-// `&x.Field` in a file that is in, or imports, the struct's package.
+// `&x.Field` in a file that is in, or imports, the struct's package —
+// unless x is a by-value parameter of the struct's own type, whose
+// package is filling a default into its own copy.
 func TestEveryOptionHasASetter(t *testing.T) {
 	fset := token.NewFileSet()
 	type source struct {
@@ -112,6 +116,7 @@ func TestEveryOptionHasASetter(t *testing.T) {
 				}
 			}
 		}
+		own := ownCopies(src.file)
 		ast.Inspect(src.file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
@@ -133,6 +138,9 @@ func TestEveryOptionHasASetter(t *testing.T) {
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && own[sel] {
+						continue
+					}
 					markSelector(lhs)
 				}
 			case *ast.UnaryExpr:
@@ -167,6 +175,51 @@ func TestEveryOptionHasASetter(t *testing.T) {
 			t.Errorf("unsetOptions names %s, which is no field of an audited struct: drop the entry", field)
 		}
 	}
+}
+
+// ownCopies returns the `x.Field` assignment targets in f whose x is a
+// parameter of an audited options struct of f's own package, taken by
+// value: such an assignment fills a default into the function's own copy,
+// and sets nothing a caller can turn.
+func ownCopies(f *ast.File) map[*ast.SelectorExpr]bool {
+	own := map[*ast.SelectorExpr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		var ft *ast.FuncType
+		var body *ast.BlockStmt
+		switch fn := n.(type) {
+		case *ast.FuncDecl:
+			ft, body = fn.Type, fn.Body
+		case *ast.FuncLit:
+			ft, body = fn.Type, fn.Body
+		default:
+			return true
+		}
+		params := map[string]bool{}
+		for _, p := range ft.Params.List {
+			if typ, ok := p.Type.(*ast.Ident); ok && auditedStructs[typ.Name] {
+				for _, name := range p.Names {
+					params[name.Name] = true
+				}
+			}
+		}
+		if len(params) == 0 || body == nil {
+			return true
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok {
+				for _, lhs := range as.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && params[x.Name] {
+							own[sel] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+		return true
+	})
+	return own
 }
 
 // parseNonTestGo parses every Go file under the module root that is not a
