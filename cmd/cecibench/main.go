@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"ceci/internal/buildinfo"
-	"ceci/internal/obs"
 )
 
 type benchConfig struct {
@@ -62,7 +61,6 @@ func main() {
 		quick   = flag.Bool("quick", false, "reduced datasets and query counts")
 		large   = flag.Bool("large", false, "include the largest substitutes (fs_s, yh_s) where skipped by default")
 		workers = flag.Int("workers", 32, "simulated worker-count ceiling for scalability figures")
-		listen  = flag.String("listen", "", "serve telemetry (/metrics, /metrics.json, /debug/pprof) on this address while experiments run")
 		version = flag.Bool("version", false, "print build identity (module version, VCS revision, go version) and exit")
 	)
 	flag.Parse()
@@ -70,18 +68,6 @@ func main() {
 	if *version {
 		fmt.Println(buildinfo.Get())
 		return
-	}
-
-	if *listen != "" {
-		// Long experiment sweeps are exactly when a pprof profile or a
-		// runtime-gauge scrape is wanted; serve for the process lifetime.
-		srv, err := obs.Serve(*listen, obs.NewRegistry())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cecibench: -listen: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: http://%s/\n", srv.Addr())
 	}
 
 	if *list || *exp == "" {

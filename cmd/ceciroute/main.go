@@ -36,18 +36,16 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"ceci"
 	"ceci/internal/buildinfo"
 	"ceci/internal/datasets"
-	"ceci/internal/graph"
 	"ceci/internal/obs"
+	"ceci/internal/service"
 	"ceci/internal/shard"
 	"ceci/internal/telemetry"
 )
@@ -155,7 +153,7 @@ func runPartition(cfg routeConfig) error {
 	if cfg.outDir == "" {
 		return errors.New("-partition requires -out")
 	}
-	data, err := loadData(cfg.dataPath, cfg.dataset)
+	data, err := datasets.LoadData(cfg.dataPath, cfg.dataset)
 	if err != nil {
 		return err
 	}
@@ -226,45 +224,12 @@ func runRouter(ctx context.Context, cfg routeConfig) error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", cfg.listen, err)
 	}
-	srv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	errc := make(chan error, 1)
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
+	srv := service.Serve(ln, rt.Handler())
 	fmt.Fprintf(cfg.errw, "ceciroute: routing %d shards (radius %d) on http://%s/\n",
 		m.Shards, m.Radius, ln.Addr())
 	if cfg.ready != nil {
 		cfg.ready(ln.Addr().String())
 	}
 
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintf(cfg.errw, "ceciroute: shutting down (drain %v)\n", cfg.drain)
-	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		srv.Close()
-		return fmt.Errorf("drain incomplete: %w", err)
-	}
-	fmt.Fprintf(cfg.errw, "ceciroute: clean shutdown\n")
-	return nil
-}
-
-func loadData(path, dataset string) (*graph.Graph, error) {
-	switch {
-	case path != "" && dataset != "":
-		return nil, fmt.Errorf("-data and -dataset are mutually exclusive")
-	case path != "":
-		return ceci.LoadGraphFile(path)
-	case dataset != "":
-		return datasets.Load(dataset)
-	default:
-		return nil, fmt.Errorf("need -data or -dataset")
-	}
+	return srv.Wait(ctx, cfg.drain, cfg.errw, "ceciroute")
 }

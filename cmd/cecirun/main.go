@@ -6,7 +6,7 @@
 //	cecirun -data graph.lg -query query.lg
 //	cecirun -data graph.edges -qg QG3 -workers 8 -strategy fgd
 //	cecirun -dataset lj_s -qg QG1 -limit 1024 -print
-//	cecirun -dataset yt_s -qg QG4 -progress 2s -listen :9090 -stats
+//	cecirun -dataset yt_s -qg QG4 -progress 2s -stats
 //
 // With -verify it instead runs the differential-correctness harness:
 // seeded random graph/query pairs are checked across all eight engines
@@ -68,11 +68,9 @@ type runConfig struct {
 
 	// Observability.
 	statsJSON     bool          // -stats: dump counters + span tree as JSON to stderr
-	listen        string        // -listen: serve /metrics, /metrics.json, /trace, /debug/pprof
 	progressEvery time.Duration // -progress: print live progress lines to stderr
 	tracePath     string        // -trace: write the JSONL span event log here
 	traceExport   string        // -trace-export: write the span tree as Chrome trace_event JSON ("-" = stdout)
-	traceSample   float64       // -trace-sample: head-based sampling rate for this run's trace
 	version       bool          // -version: print build identity and exit
 
 	// Differential verification.
@@ -109,11 +107,9 @@ func main() {
 	flag.StringVar(&cfg.profileJSON, "profile-json", "", "write the EXPLAIN ANALYZE report as JSON to this file (implies instrumentation)")
 	flag.BoolVar(&cfg.ledger, "ledger", false, "print the run's resource ledger (CPU time, work units, peak scratch, kernel mix)")
 	flag.BoolVar(&cfg.statsJSON, "stats", false, "print the final counter snapshot and span tree as JSON to stderr")
-	flag.StringVar(&cfg.listen, "listen", "", "serve telemetry (/metrics, /metrics.json, /trace, /debug/pprof) on this address")
 	flag.DurationVar(&cfg.progressEvery, "progress", 0, "print live progress to stderr at this interval (0 = off)")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write the JSONL span event log to this file")
 	flag.StringVar(&cfg.traceExport, "trace-export", "", "write the run's span tree as Chrome trace_event JSON to this file (\"-\" = stdout; load in chrome://tracing)")
-	flag.Float64Var(&cfg.traceSample, "trace-sample", 1, "head-based trace sampling rate in [0,1]; an unsampled run records no spans")
 	flag.BoolVar(&cfg.version, "version", false, "print build identity (module version, VCS revision, go version) and exit")
 	flag.BoolVar(&cfg.verify, "verify", false, "run the differential-correctness harness on seeded random pairs")
 	flag.Int64Var(&cfg.seed, "seed", 1, "first seed for -verify")
@@ -122,8 +118,8 @@ func main() {
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the run's context: the build aborts at its
-	// next expansion step, enumeration at its next depth step, and the
-	// telemetry endpoint drains — same path as -timeout expiry.
+	// next expansion step, enumeration at its next depth step — same path
+	// as -timeout expiry.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, cfg); err != nil {
@@ -152,7 +148,7 @@ func run(ctx context.Context, cfg runConfig) error {
 		defer cancel()
 	}
 
-	data, err := loadData(cfg.dataPath, cfg.dataset)
+	data, err := datasets.LoadData(cfg.dataPath, cfg.dataset)
 	if err != nil {
 		return err
 	}
@@ -193,19 +189,13 @@ func run(ctx context.Context, cfg runConfig) error {
 		}
 	}
 
-	// Observability wiring: tracer (with optional JSONL log), head-based
-	// sampling, live progress printing, and the telemetry endpoint. A zero
-	// sampling rate means "everything" (the config zero value must not
-	// silently disable tracing); pass a negative rate to sample nothing.
-	rate := cfg.traceSample
-	if rate == 0 {
-		rate = 1
-	}
-	sampled := obs.NewTraceContext().SampleHead(rate)
+	// Observability wiring: a tracer (with optional JSONL log) when
+	// -trace, -trace-export or -stats asks for spans, and live progress
+	// printing.
 	tropts := ceci.TracerOptions{}
 	var traceFile *os.File
 	var traceBuf *bufio.Writer
-	if cfg.tracePath != "" && sampled {
+	if cfg.tracePath != "" {
 		traceFile, err = os.Create(cfg.tracePath)
 		if err != nil {
 			return fmt.Errorf("-trace: %w", err)
@@ -213,10 +203,8 @@ func run(ctx context.Context, cfg runConfig) error {
 		traceBuf = bufio.NewWriter(traceFile)
 		tropts.JSONL = traceBuf
 	}
-	if sampled {
+	if cfg.tracePath != "" || cfg.traceExport != "" || cfg.statsJSON {
 		opts.Tracer = ceci.NewTracer(tropts)
-	} else if cfg.tracePath != "" || cfg.traceExport != "" {
-		fmt.Fprintf(cfg.errw, "trace: run not sampled (-trace-sample %v); no spans recorded\n", cfg.traceSample)
 	}
 	// One deferred closure owns trace teardown so the order holds on
 	// every exit path — including SIGINT/SIGTERM and -timeout expiry:
@@ -225,7 +213,7 @@ func run(ctx context.Context, cfg runConfig) error {
 	// EndOpen an interrupted run would drop the tail of the span log.
 	defer func() {
 		opts.Tracer.EndOpen()
-		if cfg.traceExport != "" && opts.Tracer != nil {
+		if cfg.traceExport != "" {
 			if xerr := exportChrome(cfg.traceExport, opts.Tracer, cfg.outw, cfg.errw); xerr != nil {
 				fmt.Fprintln(cfg.errw, "-trace-export:", xerr)
 			}
@@ -240,34 +228,13 @@ func run(ctx context.Context, cfg runConfig) error {
 	root := opts.Tracer.Start("run")
 	ctx = obs.ContextWithSpan(ctx, root)
 
-	reg := obs.NewRegistry()
-	reg.SetCounters(opts.Stats)
-	reg.SetTracer(opts.Tracer)
-	var progressPrint ceci.ProgressFunc
 	if cfg.progressEvery > 0 {
 		opts.ProgressInterval = cfg.progressEvery
 		errw := cfg.errw
-		progressPrint = func(p ceci.Progress) {
+		opts.Progress = func(p ceci.Progress) {
 			fmt.Fprintf(errw, "progress: clusters %d/%d  embeddings %d (%.0f/s)  eta %v\n",
 				p.ClustersDone, p.ClustersTotal, p.Embeddings, p.EmbeddingsPerSec, p.ETA.Round(time.Millisecond))
 		}
-	}
-	if cfg.progressEvery > 0 || cfg.listen != "" {
-		opts.Progress = reg.ProgressFunc(progressPrint)
-	}
-	if cfg.listen != "" {
-		srv, err := obs.Serve(cfg.listen, reg)
-		if err != nil {
-			return err
-		}
-		// Graceful drain on exit (including SIGINT/SIGTERM): in-flight
-		// scrapes finish, bounded by a short window.
-		defer func() {
-			drainCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			srv.Shutdown(drainCtx)
-		}()
-		fmt.Fprintf(cfg.errw, "telemetry: http://%s/\n", srv.Addr())
 	}
 
 	fmt.Fprintf(cfg.outw, "data:  %v\n", data)
@@ -483,19 +450,6 @@ func writeGraphFile(path string, g *ceci.Graph) error {
 		return err
 	}
 	return f.Close()
-}
-
-func loadData(path, dataset string) (*ceci.Graph, error) {
-	switch {
-	case path != "" && dataset != "":
-		return nil, fmt.Errorf("-data and -dataset are mutually exclusive")
-	case path != "":
-		return ceci.LoadGraphFile(path)
-	case dataset != "":
-		return datasets.Load(dataset)
-	default:
-		return nil, fmt.Errorf("need -data or -dataset")
-	}
 }
 
 func loadQuery(path, qg string) (*ceci.Graph, error) {

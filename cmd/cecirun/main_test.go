@@ -187,22 +187,6 @@ func TestRunProgressAndTrace(t *testing.T) {
 	}
 }
 
-func TestRunListen(t *testing.T) {
-	dataPath, queryPath := writeFixtures(t)
-	var stderr bytes.Buffer
-	cfg := runConfig{
-		dataPath: dataPath, queryPath: queryPath,
-		workers: 1, strategy: "fgd", beta: 0.2, orderName: "bfs",
-		listen: "127.0.0.1:0", errw: &stderr,
-	}
-	if err := run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stderr.String(), "telemetry: http://") {
-		t.Fatalf("no telemetry banner: %q", stderr.String())
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	dataPath, queryPath := writeFixtures(t)
 	cases := []struct {

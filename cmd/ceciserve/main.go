@@ -10,8 +10,9 @@
 //
 // Endpoints: POST /query, GET /healthz, GET /cachez, GET /queryz (flight
 // recorder), GET /tracez/{traceID} (per-query Chrome trace export),
-// GET /statz (telemetry hub: ledgers, rollups, SLO burn), plus the
-// metric routes (/metrics, /metrics.json, /trace, /debug/pprof/).
+// GET /trace (live span forest), GET /statz (telemetry hub: ledgers,
+// rollups, SLO burn), plus the metric routes (/metrics, /metrics.json,
+// /debug/pprof/).
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: the listener stops
 // accepting, in-flight queries drain (bounded by -drain), then the
@@ -22,7 +23,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,7 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"ceci"
 	"ceci/internal/buildinfo"
 	"ceci/internal/datasets"
 	"ceci/internal/graph"
@@ -147,18 +146,9 @@ func run(ctx context.Context, cfg serveConfig) error {
 	var handler atomic.Pointer[http.Handler]
 	gate := gateHandler()
 	handler.Store(&gate)
-	srv := &http.Server{
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			(*handler.Load()).ServeHTTP(w, r)
-		}),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
+	srv := service.Serve(ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*handler.Load()).ServeHTTP(w, r)
+	}))
 	fmt.Fprintf(cfg.errw, "ceciserve: listening on http://%s/ (loading data)\n", ln.Addr())
 	if cfg.listening != nil {
 		cfg.listening(ln.Addr().String())
@@ -261,23 +251,7 @@ func run(ctx context.Context, cfg serveConfig) error {
 		cfg.ready(ln.Addr().String())
 	}
 
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-
-	// Graceful drain: stop accepting, let in-flight queries finish
-	// within the window, then force-close whatever remains.
-	fmt.Fprintf(cfg.errw, "ceciserve: shutting down (drain %v)\n", cfg.drain)
-	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		srv.Close()
-		return fmt.Errorf("drain incomplete: %w", err)
-	}
-	fmt.Fprintf(cfg.errw, "ceciserve: clean shutdown\n")
-	return nil
+	return srv.Wait(ctx, cfg.drain, cfg.errw, "ceciserve")
 }
 
 // gateHandler serves the pre-ready phase: the process is live (plain
@@ -308,7 +282,7 @@ func gateHandler() http.Handler {
 // flag-parse time in main.
 func loadResident(cfg serveConfig) (*graph.Graph, *service.ShardConfig, error) {
 	if cfg.shardDir == "" {
-		data, err := loadData(cfg.dataPath, cfg.dataset)
+		data, err := datasets.LoadData(cfg.dataPath, cfg.dataset)
 		return data, nil, err
 	}
 	if cfg.dataPath != "" || cfg.dataset != "" {
@@ -328,17 +302,4 @@ func loadResident(cfg serveConfig) (*graph.Graph, *service.ShardConfig, error) {
 		Globals:     part.Globals,
 		OwnedLocals: part.OwnedLocals,
 	}, nil
-}
-
-func loadData(path, dataset string) (*graph.Graph, error) {
-	switch {
-	case path != "" && dataset != "":
-		return nil, fmt.Errorf("-data and -dataset are mutually exclusive")
-	case path != "":
-		return ceci.LoadGraphFile(path)
-	case dataset != "":
-		return datasets.Load(dataset)
-	default:
-		return nil, fmt.Errorf("need -data or -dataset")
-	}
 }

@@ -144,3 +144,19 @@ func Load(name string) (*graph.Graph, error) {
 	cache[spec.Name] = g
 	return g, nil
 }
+
+// LoadData resolves the data graph the CLIs' -data and -dataset flags
+// name: a graph file (.lg labeled, else edge list) or a substitute, and
+// exactly one of the two.
+func LoadData(path, name string) (*graph.Graph, error) {
+	switch {
+	case path != "" && name != "":
+		return nil, fmt.Errorf("-data and -dataset are mutually exclusive")
+	case path != "":
+		return graph.LoadFile(path)
+	case name != "":
+		return Load(name)
+	default:
+		return nil, fmt.Errorf("need -data or -dataset")
+	}
+}

@@ -35,7 +35,8 @@ type Options struct {
 	// workers the count is exact but which embeddings are returned is
 	// nondeterministic, matching the paper's first-k experiments.
 	Limit int64
-	// Strategy selects workload distribution (default FGD).
+	// Strategy selects workload distribution. The zero value is ST;
+	// callers pass workload.FGD for the library default.
 	Strategy workload.Strategy
 	// Beta is the ExtremeCluster threshold factor (default 0.2).
 	Beta float64

@@ -1,29 +1,23 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"ceci/internal/stats"
 )
 
-// Registry aggregates telemetry sources — a counter set, a tracer, the
-// latest progress snapshot, and arbitrary named gauge sources — and
-// renders them as JSON or Prometheus text. Safe for concurrent use.
+// Registry aggregates metric sources — a counter set, named gauge
+// sources and named histograms — and renders them as JSON or Prometheus
+// text. Safe for concurrent use.
 type Registry struct {
 	mu       sync.Mutex
 	counters *stats.Counters
-	tracer   *Tracer
-	progress Progress
-	hasProg  bool
 	sources  map[string]func() map[string]int64
 	hists    map[string]*Histogram
 }
@@ -39,49 +33,6 @@ func (r *Registry) SetCounters(c *stats.Counters) {
 	r.mu.Lock()
 	r.counters = c
 	r.mu.Unlock()
-}
-
-// Counters returns the attached counter set (may be nil).
-func (r *Registry) Counters() *stats.Counters {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters
-}
-
-// SetTracer attaches the tracer served at /trace.
-func (r *Registry) SetTracer(t *Tracer) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.tracer = t
-	r.mu.Unlock()
-}
-
-// ObserveProgress records the latest progress snapshot; wire it as (or
-// inside) a ProgressFunc so the endpoint's gauges track the live run.
-func (r *Registry) ObserveProgress(p Progress) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.progress = p
-	r.hasProg = true
-	r.mu.Unlock()
-}
-
-// ProgressFunc returns a ProgressFunc that records into the registry and
-// then calls next (which may be nil).
-func (r *Registry) ProgressFunc(next ProgressFunc) ProgressFunc {
-	return func(p Progress) {
-		r.ObserveProgress(p)
-		if next != nil {
-			next(p)
-		}
-	}
 }
 
 // SetSource registers (or replaces) a named gauge source. The function
@@ -121,8 +72,6 @@ func (r *Registry) SetHistogram(name string, h *Histogram) {
 
 type registrySnapshot struct {
 	counters map[string]int64
-	progress *Progress
-	tracer   *Tracer
 	sources  map[string]map[string]int64
 	hists    map[string]HistogramSnapshot
 }
@@ -130,31 +79,12 @@ type registrySnapshot struct {
 func (r *Registry) snapshot() registrySnapshot {
 	r.mu.Lock()
 	counters := r.counters
-	tracer := r.tracer
-	var prog *Progress
-	if r.hasProg {
-		p := r.progress
-		prog = &p
-	}
-	fns := make(map[string]func() map[string]int64, len(r.sources))
-	for k, v := range r.sources {
-		fns[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
 	r.mu.Unlock()
-
-	snap := registrySnapshot{progress: prog, tracer: tracer}
-	snap.counters = counters.Snapshot()
-	if len(fns) > 0 {
-		snap.sources = make(map[string]map[string]int64, len(fns))
-		for name, fn := range fns {
-			snap.sources[name] = fn()
-		}
+	snap := registrySnapshot{counters: counters.Snapshot()}
+	if sources := r.GaugeSources(); len(sources) > 0 {
+		snap.sources = sources
 	}
-	if len(hists) > 0 {
+	if hists := r.Histograms(); len(hists) > 0 {
 		snap.hists = make(map[string]HistogramSnapshot, len(hists))
 		for name, h := range hists {
 			snap.hists[name] = h.Snapshot()
@@ -199,7 +129,7 @@ func (r *Registry) Histograms() map[string]*Histogram {
 }
 
 // MetricsJSON renders the registry as one JSON document: counters,
-// latest progress, named sources, and the Go runtime snapshot (scalar
+// named sources, histograms, and the Go runtime snapshot (scalar
 // gauges plus the GC-pause and scheduler-latency distributions).
 func (r *Registry) MetricsJSON() ([]byte, error) {
 	if r == nil {
@@ -212,9 +142,6 @@ func (r *Registry) MetricsJSON() ([]byte, error) {
 		"runtime":            rg,
 		"runtime_histograms": rh,
 	}
-	if snap.progress != nil {
-		doc["progress"] = snap.progress
-	}
 	if snap.sources != nil {
 		doc["sources"] = snap.sources
 	}
@@ -225,8 +152,8 @@ func (r *Registry) MetricsJSON() ([]byte, error) {
 }
 
 // PrometheusText renders the registry in the Prometheus text exposition
-// format: counters as ceci_<name>_total, progress and sources as gauges,
-// plus Go runtime gauges.
+// format: counters as ceci_<name>_total, histograms, sources as gauges,
+// plus Go runtime gauges and histograms.
 func (r *Registry) PrometheusText() string {
 	if r == nil {
 		return ""
@@ -251,25 +178,6 @@ func (r *Registry) PrometheusText() string {
 	sort.Strings(histNames)
 	for _, name := range histNames {
 		writePromHistogram(&b, "ceci_"+name, snap.hists[name])
-	}
-
-	if p := snap.progress; p != nil {
-		gauge := func(name string, v float64) {
-			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %g\n", name, name, v)
-		}
-		gauge("ceci_clusters_done", float64(p.ClustersDone))
-		gauge("ceci_clusters_total", float64(p.ClustersTotal))
-		gauge("ceci_progress_embeddings", float64(p.Embeddings))
-		gauge("ceci_embeddings_per_sec", p.EmbeddingsPerSec)
-		gauge("ceci_cardinality_done", float64(p.CardinalityDone))
-		gauge("ceci_cardinality_total", float64(p.CardinalityTotal))
-		gauge("ceci_eta_seconds", p.ETA.Seconds())
-		if len(p.WorkerBusy) > 0 {
-			fmt.Fprintf(&b, "# TYPE ceci_worker_busy_seconds gauge\n")
-			for i, d := range p.WorkerBusy {
-				fmt.Fprintf(&b, "ceci_worker_busy_seconds{worker=\"%d\"} %g\n", i, d.Seconds())
-			}
-		}
 	}
 
 	srcNames := make([]string, 0, len(snap.sources))
@@ -329,12 +237,12 @@ func writePromHistogram(b *strings.Builder, name string, s HistogramSnapshot) {
 	fmt.Fprintf(b, "%s_count %d\n", name, s.Count)
 }
 
-// Handler returns the telemetry mux:
+// Handler returns the metrics mux, which the query servers mount at /
+// beside their own routes:
 //
 //	/               route index
 //	/metrics        Prometheus text format
-//	/metrics.json   counters + progress + sources as JSON
-//	/trace          span tree as JSON
+//	/metrics.json   counters + sources + histograms + runtime as JSON
 //	/debug/pprof/   net/http/pprof profiles
 func (r *Registry) Handler() http.Handler {
 	if r == nil {
@@ -346,7 +254,7 @@ func (r *Registry) Handler() http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "ceci telemetry\n\n/metrics\n/metrics.json\n/trace\n/debug/pprof/\n")
+		fmt.Fprint(w, "ceci telemetry\n\n/metrics\n/metrics.json\n/debug/pprof/\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -361,64 +269,10 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(b)
 	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
-		r.mu.Lock()
-		tr := r.tracer
-		r.mu.Unlock()
-		b, err := json.MarshalIndent(tr.Tree(), "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b)
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// Server is a running telemetry endpoint.
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// Addr returns the bound address (host:port).
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close shuts the endpoint down immediately, dropping in-flight scrapes.
-func (s *Server) Close() error {
-	err := s.srv.Close()
-	// srv.Close closes the listener too; double-close is harmless.
-	s.ln.Close()
-	return err
-}
-
-// Shutdown drains the endpoint gracefully: the listener stops accepting
-// and in-flight requests (a scrape, a pprof profile) finish within ctx's
-// deadline before the server closes. Falls back to Close on an expired
-// context.
-func (s *Server) Shutdown(ctx context.Context) error {
-	err := s.srv.Shutdown(ctx)
-	s.ln.Close()
-	if err != nil {
-		s.srv.Close()
-	}
-	return err
-}
-
-// Serve starts the telemetry endpoint on addr (e.g. "127.0.0.1:0" or
-// ":9090") and returns immediately; the server runs until Close.
-func Serve(addr string, r *Registry) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: r.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	go srv.Serve(ln)
-	return &Server{ln: ln, srv: srv}, nil
 }

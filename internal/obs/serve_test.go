@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"ceci/internal/stats"
 )
@@ -18,15 +18,6 @@ func newTestRegistry() *Registry {
 	c.Embeddings.Add(42)
 	c.AddRecursive(7)
 	reg.SetCounters(c)
-	tr := NewTracer(TracerOptions{})
-	s := tr.Start("build")
-	s.End()
-	reg.SetTracer(tr)
-	reg.ObserveProgress(Progress{
-		Elapsed: time.Second, ClustersDone: 1, ClustersTotal: 2,
-		Embeddings: 42, EmbeddingsPerSec: 42,
-		WorkerBusy: []time.Duration{time.Second, 2 * time.Second},
-	})
 	reg.SetSource("cluster", func() map[string]int64 {
 		return map[string]int64{"machine_0_pending": 3}
 	})
@@ -39,9 +30,6 @@ func TestPrometheusText(t *testing.T) {
 		"# TYPE ceci_embeddings_total counter",
 		"ceci_embeddings_total 42",
 		"ceci_recursive_calls_total 7",
-		"ceci_clusters_done 1",
-		"ceci_eta_seconds",
-		`ceci_worker_busy_seconds{worker="1"} 2`,
 		"ceci_cluster_machine_0_pending 3",
 		"ceci_runtime_goroutines",
 	} {
@@ -58,7 +46,6 @@ func TestMetricsJSON(t *testing.T) {
 	}
 	var doc struct {
 		Counters map[string]int64            `json:"counters"`
-		Progress *Progress                   `json:"progress"`
 		Sources  map[string]map[string]int64 `json:"sources"`
 		Runtime  map[string]int64            `json:"runtime"`
 	}
@@ -67,9 +54,6 @@ func TestMetricsJSON(t *testing.T) {
 	}
 	if doc.Counters["embeddings"] != 42 {
 		t.Fatalf("counters = %v", doc.Counters)
-	}
-	if doc.Progress == nil || doc.Progress.ClustersTotal != 2 {
-		t.Fatalf("progress = %+v", doc.Progress)
 	}
 	if doc.Sources["cluster"]["machine_0_pending"] != 3 {
 		t.Fatalf("sources = %v", doc.Sources)
@@ -80,12 +64,9 @@ func TestMetricsJSON(t *testing.T) {
 }
 
 func TestServeEndpoints(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", newTestRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(newTestRegistry().Handler())
 	defer srv.Close()
-	base := "http://" + srv.Addr()
+	base := srv.URL
 
 	get := func(path string) (string, string) {
 		t.Helper()
@@ -112,11 +93,6 @@ func TestServeEndpoints(t *testing.T) {
 	if !json.Valid([]byte(body)) || !strings.Contains(ctype, "application/json") {
 		t.Fatalf("/metrics.json (%s): %q", ctype, body)
 	}
-	body, _ = get("/trace")
-	var tree []*SpanNode
-	if err := json.Unmarshal([]byte(body), &tree); err != nil || len(tree) != 1 || tree[0].Name != "build" {
-		t.Fatalf("/trace: %v %q", err, body)
-	}
 	if body, _ := get("/debug/pprof/cmdline"); body == "" {
 		t.Fatal("pprof cmdline empty")
 	}
@@ -134,12 +110,7 @@ func TestServeEndpoints(t *testing.T) {
 func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
 	r.SetCounters(nil)
-	r.SetTracer(nil)
-	r.ObserveProgress(Progress{})
 	r.SetSource("x", nil)
-	if r.Counters() != nil {
-		t.Fatal("nil registry counters")
-	}
 	if b, err := r.MetricsJSON(); err != nil || string(b) != "{}" {
 		t.Fatalf("nil MetricsJSON = %q, %v", b, err)
 	}

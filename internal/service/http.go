@@ -1,9 +1,13 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -82,6 +86,50 @@ type QueryzResponse struct {
 	Slowest []obs.QueryRecord `json:"slowest"`
 }
 
+// Serving is an HTTP server running on a bound listener: the serve,
+// wait, drain lifecycle ceciserve and ceciroute share.
+type Serving struct {
+	srv  *http.Server
+	errc chan error
+}
+
+// Serve starts serving h on ln in the background.
+func Serve(ln net.Listener, h http.Handler) *Serving {
+	s := &Serving{
+		srv:  &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second},
+		errc: make(chan error, 1),
+	}
+	go func() {
+		if err := s.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			s.errc <- err
+		}
+	}()
+	return s
+}
+
+// Close stops the server at once, cutting off requests in flight.
+func (s *Serving) Close() error { return s.srv.Close() }
+
+// Wait blocks until the server fails or ctx is done, then drains it: the
+// listener stops accepting, in-flight requests get drain to finish, and
+// whatever remains is cut off. name prefixes the lines logged to logw.
+func (s *Serving) Wait(ctx context.Context, drain time.Duration, logw io.Writer, name string) error {
+	select {
+	case err := <-s.errc:
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Fprintf(logw, "%s: shutting down (drain %v)\n", name, drain)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := s.srv.Shutdown(drainCtx); err != nil {
+		s.srv.Close()
+		return fmt.Errorf("drain incomplete: %w", err)
+	}
+	fmt.Fprintf(logw, "%s: clean shutdown\n", name)
+	return nil
+}
+
 // Handler returns the engine's HTTP API:
 //
 //	POST /query             run a match request (JSON in/out; accepts and
@@ -95,12 +143,13 @@ type QueryzResponse struct {
 //	GET  /tracez/{traceID}  a sampled query's span tree as Chrome
 //	                        trace_event JSON (?format=jsonl for the
 //	                        compact per-span JSONL form)
+//	GET  /trace             the tracer's live span forest as JSON
 //	GET  /statz             telemetry hub: SLO burn state, ledger
 //	                        totals, time-series rollups (?format=text)
 //
 // /statz requires Options.Telemetry. When the engine has a
-// Registry, its telemetry routes (/metrics, /metrics.json, /trace,
-// /debug/pprof/) are mounted as the fallback.
+// Registry, its metric routes (/metrics, /metrics.json, /debug/pprof/)
+// are mounted as the fallback.
 func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", e.handleQuery)
@@ -275,14 +324,28 @@ func (f queryzFilters) apply(recs []obs.QueryRecord) []obs.QueryRecord {
 }
 
 // MountDebug registers the one set of debug handlers the engine and the
-// shard router both serve, over the frame's flight recorder — GET /queryz
-// and /tracez/{traceID} — and, when it has a hub, GET /statz.
+// shard router both serve: over the frame's flight recorder GET /queryz
+// and /tracez/{traceID}, over its tracer GET /trace, and, when it has a
+// hub, GET /statz.
 func (f *Frame) MountDebug(mux *http.ServeMux) {
 	mux.HandleFunc("GET /queryz", f.handleQueryz)
 	mux.HandleFunc("GET /tracez/{traceID}", f.handleTracez)
+	mux.HandleFunc("GET /trace", f.handleTrace)
 	if f.Telemetry != nil {
 		mux.HandleFunc("GET /statz", f.handleStatz)
 	}
+}
+
+// handleTrace serves the tracer's live span forest as indented JSON
+// (null when the frame has no tracer); open spans carry "running": true.
+func (f *Frame) handleTrace(w http.ResponseWriter, _ *http.Request) {
+	b, err := json.MarshalIndent(f.Tracer.Tree(), "", "  ")
+	if err != nil {
+		WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(b)
 }
 
 // handleQueryz serves the flight recorder: JSON by default, an aligned

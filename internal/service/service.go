@@ -22,6 +22,7 @@ import (
 	"ceci/internal/stats"
 	"ceci/internal/telemetry"
 	"ceci/internal/verify"
+	"ceci/internal/workload"
 )
 
 // ErrOverloaded is returned when both the worker pool and the wait queue
@@ -283,9 +284,6 @@ func New(data *graph.Graph, opts Options) *Engine {
 		if o.Stats != nil {
 			reg.SetCounters(o.Stats)
 		}
-		if o.Tracer != nil {
-			reg.SetTracer(o.Tracer)
-		}
 		// The hub samples the registry's gauges and histograms into its
 		// time-series store, and registers its SLO burn gauges back.
 		o.Telemetry.BindRegistry(reg)
@@ -501,10 +499,11 @@ func (e *Engine) run(ctx context.Context, req Request, need int64, led *telemetr
 // count, the page, and the time added to what earlier steps took.
 func (e *Engine) enumerate(ctx context.Context, ent *entry, perm []int, req Request, need int64, led *telemetry.Ledger, resp *Response) error {
 	m := enum.NewMatcher(ent.ix, enum.Options{
-		Workers: e.opts.Workers,
-		Limit:   need,
-		Stats:   e.opts.Stats,
-		Ledger:  led,
+		Workers:  e.opts.Workers,
+		Strategy: workload.FGD, // the library default (ceci.StrategyFine)
+		Limit:    need,
+		Stats:    e.opts.Stats,
+		Ledger:   led,
 	})
 
 	page := Page{Width: len(perm)}

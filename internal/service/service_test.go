@@ -18,6 +18,7 @@ import (
 	"ceci/internal/auto"
 	"ceci/internal/gen"
 	"ceci/internal/graph"
+	"ceci/internal/obs"
 	"ceci/internal/verify"
 )
 
@@ -394,5 +395,115 @@ func TestOffsetPagination(t *testing.T) {
 				t.Fatalf("page2[%d] diverges from full enumeration", i)
 			}
 		}
+	}
+}
+
+// TestMultiWorkerQueryRunsFGD: the engine enumerates with the library's
+// default strategy, FGD, not enum.Options' zero value, ST — which splits
+// clusters statically across a multi-worker query's workers.
+func TestMultiWorkerQueryRunsFGD(t *testing.T) {
+	eng := New(testData(), Options{Workers: 2, Tracer: obs.NewTracer(obs.TracerOptions{})})
+	resp, err := eng.Query(context.Background(), Request{Query: pathQuery(t, 1, 2, 3), CountOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var strategies []string
+	var walk func([]*obs.SpanNode)
+	walk = func(ns []*obs.SpanNode) {
+		for _, n := range ns {
+			if n.Name == "enumerate" {
+				strategies = append(strategies, n.Attrs["strategy"])
+			}
+			walk(n.Children)
+		}
+	}
+	walk(resp.Spans.Nodes())
+	if len(strategies) == 0 {
+		t.Fatal("no enumerate span in the query's trace")
+	}
+	for _, s := range strategies {
+		if s != "FGD" {
+			t.Fatalf("enumerate spans ran %v, want FGD", strategies)
+		}
+	}
+}
+
+// expiresOnRelease is a leader's context whose deadline passes the
+// moment release closes: Err blocks until then, so a build that checks
+// it first is held in flight until the test lets it fail.
+type expiresOnRelease struct {
+	context.Context
+	started chan struct{} // closed at the first Err call
+	once    sync.Once
+	release <-chan struct{}
+}
+
+func (c *expiresOnRelease) Done() <-chan struct{} { return c.release }
+
+func (c *expiresOnRelease) Err() error {
+	c.once.Do(func() { close(c.started) })
+	<-c.release
+	return context.DeadlineExceeded
+}
+
+// signalsWait is a live context that reports, by closing waiting, the
+// first time anyone asks for its Done channel: getIndex does that only
+// to wait on a build in flight.
+type signalsWait struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *signalsWait) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestFollowerRetriesAfterLeaderDeadline: a follower whose leader's build
+// died on the leader's own deadline does not inherit that error while its
+// own deadline is alive. It retries, becomes the leader, and answers the
+// full count. The order is fixed by the contexts, not by the scheduler:
+// the leader's build is held at its first deadline check until the
+// follower waits on it.
+func TestFollowerRetriesAfterLeaderDeadline(t *testing.T) {
+	data := testData()
+	q := pathQuery(t, 1, 2, 3)
+	want, err := ceciroot.Count(data, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(data, Options{})
+	newClass := func() *class {
+		cl := &class{query: q}
+		cl.key, cl.perm = verify.CanonicalGraph(q)
+		return cl
+	}
+	follower := &signalsWait{Context: context.Background(), waiting: make(chan struct{})}
+	leader := &expiresOnRelease{Context: context.Background(), started: make(chan struct{}), release: follower.waiting}
+
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, _, err := eng.getIndex(leader, newClass(), everyPivot)
+		leaderErr <- err
+	}()
+	<-leader.started // the leader's call is in flight
+	cl := newClass()
+	ent, _, _, err := eng.getIndex(follower, cl, everyPivot)
+	if lerr := <-leaderErr; !errors.Is(lerr, context.DeadlineExceeded) {
+		t.Fatalf("leader's build returned %v, want its deadline", lerr)
+	}
+	if err != nil {
+		t.Fatalf("follower with a live deadline got %v, want a retry", err)
+	}
+	resp := &Response{}
+	if err := eng.enumerate(context.Background(), ent, cl.perm, Request{Query: q, CountOnly: true}, 0, nil, resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Count != want || ent.covered != everyPivot {
+		t.Fatalf("follower answered %d from coverage %d, want the full count %d", resp.Count, ent.covered, want)
+	}
+	if b := eng.Builds(); b != 1 {
+		t.Fatalf("builds = %d, want 1: the follower's", b)
 	}
 }

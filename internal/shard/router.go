@@ -218,9 +218,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 				"trace_reads":      int64(rt.frame.Flight().Finds()),
 			}
 		})
-		if o.Tracer != nil {
-			reg.SetTracer(o.Tracer)
-		}
 		o.Telemetry.BindRegistry(reg)
 	}
 	return rt, nil
@@ -318,6 +315,7 @@ func (rt *Router) probe(rep *Replica) {
 //	GET  /tracez/{traceID}  stitched span tree spanning router + shards
 //	                        (no shard is contacted: their spans came
 //	                        with their leg replies)
+//	GET  /trace             the router tracer's live span forest as JSON
 //	GET  /statz             telemetry hub (requires Options.Telemetry)
 //
 // The debug routes are the engine's own handlers (service.Frame.MountDebug).
