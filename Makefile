@@ -58,8 +58,10 @@ bench-record:
 	bash benchmark/run.sh -seed 1 -out BENCH_$(PR).json
 
 # Allocation profile of the enumeration hot path: the strict
-# AllocsPerRun proof (zero allocations per steady-state step) plus the
-# -benchmem view of the Fig-7/8/19 suites. allocs/op on the enumeration
+# AllocsPerRun proof (zero allocations per steady-state step), the proof
+# that a frontier expansion writes each value list once, into a worker
+# chunk the map keeps as its storage, plus the -benchmem view of the
+# Fig-7/8/19 suites. allocs/op on the enumeration
 # benchmarks is the number to watch. Then the embedding-page codec: the
 # proofs that encoding, decoding and merging a 1000x3 page allocate a
 # fixed handful of times — with a shard's span subtree on the reply too —
@@ -75,6 +77,7 @@ bench-record:
 # are timed (both about 0.1 s, B/op near the bytes kept).
 bench-allocs:
 	$(GO) test -run TestEnumerationStepZeroAlloc -v ./internal/enum
+	$(GO) test -run TestExpansionWritesOnce -v ./internal/ceci
 	$(GO) test -bench 'Fig7|Fig8|Fig19' -benchmem -benchtime 3x ./cmd/cecibench
 	$(GO) test -run 'TestPageCodecAllocs|TestRouteMergeAllocs' -bench 'BenchmarkPage|BenchmarkRouteMerge' -benchmem -v ./internal/service ./internal/shard
 	$(GO) test -run TestSpanAllocs -bench 'BenchmarkSpanStartEnd|BenchmarkTraceAppendJSON' -benchmem -v ./internal/obs

@@ -29,15 +29,20 @@ var flagAuditedCommands = map[string]int{
 // there is neither exercised nor documented.
 var historyDocs = map[string]bool{"CHANGES.md": true, "EXPERIMENTS.md": true, "ISSUE.md": true}
 
-// TestEveryServingFlagIsExercised fails when a flag of ceciserve or
-// ceciroute is spelled ("-name") in no test, script, workflow, Makefile
-// or document: a knob nobody turns and nobody is told about is dead code
-// with a parser. It is TestEveryOptionHasASetter's other half — that one
-// finds the option no binary can set, this one the flag no one sets. It
-// reads syntax only (go/parser): a flag is the string-literal name
-// argument of a call into package flag.
+// TestEveryServingFlagIsExercised fails when a flag of an audited command
+// is spelled ("-name") in no test, script, workflow, Makefile or document
+// as a flag of that command: a knob nobody turns and nobody is told about
+// is dead code with a parser. It is TestEveryOptionHasASetter's other half
+// — that one finds the option no binary can set, this one the flag no one
+// sets. It reads syntax only (go/parser): a flag is the string-literal
+// name argument of a call into package flag. A spelling counts for the
+// command named last before it on its line (a shell line continued with
+// a backslash is one line), or, in a file of a command's own directory,
+// for that command when none is named; so ceciserve's -listen does not
+// keep a cecirun -listen alive.
 func TestEveryServingFlagIsExercised(t *testing.T) {
 	flags := map[string][]string{} // command dir → flag names
+	var bases []string
 	for dir, least := range flagAuditedCommands {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
@@ -51,9 +56,31 @@ func TestEveryServingFlagIsExercised(t *testing.T) {
 		if len(flags[dir]) < least {
 			t.Fatalf("%s: found %d flags (%v): the audit no longer sees how they are defined", dir, len(flags[dir]), flags[dir])
 		}
+		bases = append(bases, regexp.QuoteMeta(filepath.Base(dir)))
 	}
 
-	var corpus strings.Builder
+	// "-name" as a whole word: not the tail of a longer flag, not the head
+	// of one.
+	command := regexp.MustCompile(`\b(` + strings.Join(bases, "|") + `)\b`)
+	flagWord := regexp.MustCompile(`(?:^|[^\w-])--?(\w[\w-]*)`)
+	spelled := map[string]bool{} // "cmd/<command> -<name>"
+	credit := func(text, home string) {
+		text = strings.ReplaceAll(text, "\\\n", " ")
+		for _, line := range strings.Split(text, "\n") {
+			named := command.FindAllStringIndex(line, -1)
+			for _, m := range flagWord.FindAllStringSubmatchIndex(line, -1) {
+				dir := home
+				for _, c := range named {
+					if c[1] <= m[2] {
+						dir = "cmd/" + line[c[0]:c[1]]
+					}
+				}
+				if dir != "" {
+					spelled[dir+" -"+line[m[2]:m[3]]] = true
+				}
+			}
+		}
+	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -76,30 +103,29 @@ func TestEveryServingFlagIsExercised(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			corpus.Write(b)
-			corpus.WriteByte('\n')
+			home := ""
+			if _, ok := flagAuditedCommands[dir]; ok {
+				home = dir
+			}
+			credit(string(b), home)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := corpus.String()
 
 	var dead []string
 	for dir, names := range flags {
 		for _, name := range names {
-			// "-name" as a whole word: not the tail of a longer flag, not
-			// the head of one.
-			spelled := regexp.MustCompile(`(^|[^\w-])--?` + regexp.QuoteMeta(name) + `($|[^\w-])`)
-			if !spelled.MatchString(text) {
-				dead = append(dead, dir+" -"+name)
+			if f := dir + " -" + name; !spelled[f] {
+				dead = append(dead, f)
 			}
 		}
 	}
 	sort.Strings(dead)
 	for _, f := range dead {
-		t.Errorf("%s appears in no _test.go, scripts/, workflow, Makefile or .md file: delete the flag, or exercise or document it", f)
+		t.Errorf("%s is spelled after its command in no _test.go, scripts/, workflow, Makefile or .md file: delete the flag, or exercise or document it", f)
 	}
 }
 

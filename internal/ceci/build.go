@@ -71,9 +71,10 @@ type builder struct {
 	// cancelled, when non-nil, is flipped by BuildCtx's context watcher;
 	// construction loops poll it and abort.
 	cancelled *atomic.Bool
-	// scratch holds the per-worker bins (§3.6) and lists the frontier
-	// output table that points into them; runs holds the label run of every
-	// frontier vertex an expansion reads.
+	// scratch holds the per-worker bins (§3.6), which hold every value
+	// list of the build; lists is the frontier output table of views into
+	// them, and runs the label run of every frontier vertex an expansion
+	// reads.
 	scratch []buildScratch
 	lists   [][]graph.VertexID
 	runs    [][]graph.VertexID
@@ -99,52 +100,11 @@ func build(ctx context.Context, data *graph.Graph, tree *order.QueryTree, opts O
 	span := obs.StartUnder(ctx, opts.Tracer, "build",
 		obs.Int("query_vertices", int64(tree.NumVertices())))
 	defer span.End()
-	// The verdict tables stay with the builder: newIndex retains the tree
-	// without them.
-	filter := tree.Filter(data)
-	ix := newIndex(data, tree, opts)
-	tree = ix.Tree
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	b := &builder{
-		ix:        ix,
-		te:        make([]mapBuilder, len(ix.Nodes)),
-		nte:       make([][]mapBuilder, len(ix.Nodes)),
-		keyedBy:   make([][]*mapBuilder, len(ix.Nodes)),
-		filter:    filter,
-		cancelled: cancelled,
-		scratch:   make([]buildScratch, workers),
-		pos:       posTables.Get().(*posTable),
-		cards:     make([][]int64, len(ix.Nodes)),
-	}
+	b := newBuilder(data, tree, opts, cancelled)
 	defer posTables.Put(b.pos)
-	for u, parents := range tree.NTEParents {
-		if p := tree.Parent[u]; p != order.NoParent {
-			b.keyedBy[p] = append(b.keyedBy[p], &b.te[u])
-		}
-		b.nte[u] = make([]mapBuilder, len(parents))
-		for j, p := range parents {
-			b.keyedBy[p] = append(b.keyedBy[p], &b.nte[u][j])
-		}
-	}
-	if p := opts.Profile; p != nil {
-		ix.InitProfile(p)
-	}
-
-	// Root candidates = cluster pivots.
+	ix := b.ix
+	tree = ix.Tree
 	root := tree.Root
-	if opts.Pivots != nil {
-		// Candidate sets are sorted everywhere else (binary searches, set
-		// operations, ascending frontier expansion); an unsorted caller
-		// must not break them.
-		pivots := slices.Clone(opts.Pivots)
-		slices.Sort(pivots)
-		ix.Nodes[root].Cands = slices.Compact(pivots)
-	} else {
-		ix.Nodes[root].Cands = b.filter.Candidates(root)
-	}
 	// How much of the query's answer this index can hold: the clusters it
 	// was restricted to, of the root candidates Preprocess counted.
 	span.Annotate(obs.Int("pivots_covered", int64(len(ix.Nodes[root].Cands))),
@@ -236,6 +196,58 @@ func (ix *Index) recordShape(p *prof.Collector) {
 	}
 }
 
+// newBuilder returns the state of a construction of (data, tree) whose
+// index holds the root's candidates — the cluster pivots — and nothing
+// else yet. The caller returns b.pos to posTables when done.
+func newBuilder(data *graph.Graph, tree *order.QueryTree, opts Options, cancelled *atomic.Bool) *builder {
+	// The verdict tables stay with the builder: newIndex retains the tree
+	// without them.
+	filter := tree.Filter(data)
+	ix := newIndex(data, tree, opts)
+	tree = ix.Tree
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	b := &builder{
+		ix:        ix,
+		te:        make([]mapBuilder, len(ix.Nodes)),
+		nte:       make([][]mapBuilder, len(ix.Nodes)),
+		keyedBy:   make([][]*mapBuilder, len(ix.Nodes)),
+		filter:    filter,
+		cancelled: cancelled,
+		scratch:   make([]buildScratch, workers),
+		pos:       posTables.Get().(*posTable),
+		cards:     make([][]int64, len(ix.Nodes)),
+	}
+	for u, parents := range tree.NTEParents {
+		if p := tree.Parent[u]; p != order.NoParent {
+			b.keyedBy[p] = append(b.keyedBy[p], &b.te[u])
+		}
+		b.nte[u] = make([]mapBuilder, len(parents))
+		for j, p := range parents {
+			b.keyedBy[p] = append(b.keyedBy[p], &b.nte[u][j])
+		}
+	}
+	if p := opts.Profile; p != nil {
+		ix.InitProfile(p)
+	}
+
+	// Root candidates = cluster pivots.
+	root := tree.Root
+	if opts.Pivots != nil {
+		// Candidate sets are sorted everywhere else (binary searches, set
+		// operations, ascending frontier expansion); an unsorted caller
+		// must not break them.
+		pivots := slices.Clone(opts.Pivots)
+		slices.Sort(pivots)
+		ix.Nodes[root].Cands = slices.Compact(pivots)
+	} else {
+		ix.Nodes[root].Cands = b.filter.Candidates(root)
+	}
+	return b
+}
+
 // isCancelled reports whether the construction's context fired. The
 // flag is nil for non-cancellable builds, so the check costs one nil
 // compare on the Build path and one atomic load under BuildCtx.
@@ -287,41 +299,42 @@ func (b *builder) parallelFor(n int, fn func(i, w int)) {
 	wg.Wait()
 }
 
-// expand runs one frontier expansion: list(i, dst) appends the value list
-// of frontier[i] to dst, in parallel and into the workers' bins, and the
-// keys with a non-empty list then go into m in frontier order, the columns
-// sized exactly for them. It returns the table of every key's list, valid
-// until the next expansion — unless the build was cancelled, when slots
-// may be unfilled and nothing was added to m.
-func (b *builder) expand(m *mapBuilder, frontier []graph.VertexID, list func(i int, dst []graph.VertexID) []graph.VertexID) ([][]graph.VertexID, error) {
+// expand runs one frontier expansion: every frontier vertex's run of
+// label is read into b.runs, and list(i, run, dst) appends to dst — the
+// free tail of the executing worker's chunk, with room for the whole run
+// — the value list of frontier[i], in parallel. The keys with a non-empty
+// list then go into m in frontier order, each with its list where the
+// worker wrote it. It returns the table of every key's list, valid until
+// the next expansion — unless the build was cancelled, when slots may be
+// unfilled and nothing was added to m.
+func (b *builder) expand(m *mapBuilder, frontier []graph.VertexID, label graph.Label, list func(i int, run, dst []graph.VertexID) []graph.VertexID) ([][]graph.VertexID, error) {
+	b.runs = b.ix.Data.RunsWithLabel(frontier, label, b.runs)
+	runs := b.runs
 	if cap(b.lists) < len(frontier) {
 		b.lists = make([][]graph.VertexID, len(frontier))
 	}
 	lists := b.lists[:len(frontier)]
-	for w := range b.scratch {
-		b.scratch[w].reset()
-	}
 	b.parallelFor(len(frontier), func(i, w int) {
 		sc := &b.scratch[w]
-		sc.buf = list(i, sc.buf[:0])
-		lists[i] = sc.put(sc.buf)
+		lists[i] = sc.claim(list(i, runs[i], sc.room(len(runs[i]))))
 	})
 	if b.isCancelled() {
 		return nil, nil
 	}
-	nkeys, nvals := 0, 0
+	nkeys, nvals := 0, int64(0)
 	for _, vals := range lists {
 		if len(vals) > 0 {
 			nkeys++
-			nvals += len(vals)
+			nvals += int64(len(vals))
 		}
 	}
-	m.alloc(nkeys, nvals)
+	if nvals > maxArena {
+		return nil, errArenaOverflow
+	}
+	m.alloc(nkeys)
 	for i, vals := range lists {
 		if len(vals) > 0 {
-			if err := m.append(frontier[i], vals); err != nil {
-				return nil, err
-			}
+			m.add(frontier[i], vals)
 		}
 	}
 	return lists, nil
@@ -343,11 +356,9 @@ func (b *builder) buildTE(u graph.VertexID) error {
 	if ix.opts.SkipNLCFilter {
 		keep = order.DropNLC
 	}
-	// Every frontier vertex's run of u's primary label, in one pass.
-	b.runs = ix.Data.RunsWithLabel(frontier, ix.Tree.Query.Label(u), b.runs)
-	runs := b.runs
-	lists, err := b.expand(&b.te[u], frontier, func(i int, dst []graph.VertexID) []graph.VertexID {
-		return ix.filterNeighborsInto(dst, runs[i], frontier[i], u, verdicts, keep)
+	// Every frontier vertex's neighbors of u's primary label are sieved.
+	lists, err := b.expand(&b.te[u], frontier, ix.Tree.Query.Label(u), func(i int, run, dst []graph.VertexID) []graph.VertexID {
+		return ix.filterNeighborsInto(dst, run, frontier[i], u, verdicts, keep)
 	})
 	if err != nil {
 		return fmt.Errorf("ceci: build: TE of query vertex %d: %w", u, err)
@@ -393,10 +404,8 @@ func (b *builder) buildNTE(u graph.VertexID) error {
 	pos := b.pos.fill(cands, ix.Data.NumVertices())
 	for j, un := range tree.NTEParents[u] {
 		frontier := ix.Nodes[un].Cands
-		b.runs = ix.Data.RunsWithLabel(frontier, uLabel, b.runs)
-		runs := b.runs
-		lists, err := b.expand(&b.nte[u][j], frontier, func(i int, dst []graph.VertexID) []graph.VertexID {
-			return pos.intersect(dst, runs[i], cands)
+		lists, err := b.expand(&b.nte[u][j], frontier, uLabel, func(_ int, run, dst []graph.VertexID) []graph.VertexID {
+			return pos.intersect(dst, run, cands)
 		})
 		if err != nil {
 			return fmt.Errorf("ceci: build: NTE %d of query vertex %d: %w", j, u, err)
@@ -413,7 +422,7 @@ func (b *builder) buildNTE(u graph.VertexID) error {
 			// comparisons per frontier key (the label partition is what
 			// was actually intersected), versus what each kept.
 			var cmp, out int64
-			for i, run := range runs {
+			for i, run := range b.runs {
 				cmp += int64(len(run) + len(cands))
 				out += int64(len(lists[i]))
 			}
@@ -432,15 +441,14 @@ func (b *builder) buildNTE(u graph.VertexID) error {
 // list label-tested, so the skipped complement is charged to the label
 // stage and the funnel invariant (scanned = dropped + kept) is unchanged.
 // Survivors are appended to dst (sorted ascending, since adjacency lists
-// are sorted). dst is a worker-private scratch buffer; callers copy the
-// survivors into an arena before the buffer is reused.
+// are sorted), whose capacity must take every neighbor: dst is the free
+// tail of a worker's chunk, and the survivors stay there as the key's list.
 func (ix *Index) filterNeighborsInto(dst, neighbors []graph.VertexID, vf, u graph.VertexID, verdicts []order.Verdict, keep order.Verdict) []graph.VertexID {
 	// The funnel is the histogram of verdicts, counted in a register by
 	// sieve a stretch of 2^16-1 neighbors at a time; one batched atomic add
 	// per frontier vertex follows, nothing on the per-neighbor path is
 	// shared.
 	step := sieveSteps(keep)
-	dst = slices.Grow(dst, len(neighbors))
 	var seen [order.Pass]int64
 	for rest := neighbors; len(rest) > 0; {
 		chunk := rest[:min(len(rest), 1<<16-1)]
@@ -524,19 +532,18 @@ func sieve(dst, vs []graph.VertexID, verdicts []order.Verdict, step *[order.Pass
 // limited Match's first index, a service cache entry's — touch a sliver
 // of the graph and take that branch (EXPERIMENTS §PR 29 counts them).
 func (b *builder) valueUnion(m *mapBuilder) []graph.VertexID {
-	total := len(m.arena) // live values, or a few more once lists have shrunk
-	if n := b.ix.Data.NumVertices(); total*512 < n {
+	if n, total := b.ix.Data.NumVertices(), m.values(); total*512 < n {
 		all := make([]graph.VertexID, 0, total)
-		for i := range m.keys {
-			all = append(all, m.list(i)...)
+		for _, list := range m.lists {
+			all = append(all, list...)
 		}
 		slices.Sort(all)
 		return slices.Compact(all)
 	} else if b.marks == nil {
 		b.marks = bitset.New(n)
 	}
-	for i := range m.keys {
-		for _, v := range m.list(i) {
+	for _, list := range m.lists {
+		for _, v := range list {
 			b.marks.Set(v)
 		}
 	}

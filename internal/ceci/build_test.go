@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ceci/internal/gen"
 	"ceci/internal/graph"
@@ -72,6 +73,92 @@ func TestArenaOverflowIsAnError(t *testing.T) {
 	}
 	if Build(data, tree, Options{}) != nil {
 		t.Fatal("Build returned an index BuildCtx refused")
+	}
+}
+
+// TestExpansionWritesOnce: a frontier expansion writes each value list
+// once, into the executing worker's chunk, and the map keeps it there.
+// After every expansion of a parallel build, every live list of every map
+// lies in the claimed part of some worker's chunk, and the chunks grew by
+// exactly the values the expansion kept — nothing is copied into an arena
+// or written twice.
+func TestExpansionWritesOnce(t *testing.T) {
+	data := gen.Kronecker(10, 8, 1)
+	tree, err := order.Preprocess(data, gen.QG3(), order.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newBuilder(data, tree, Options{Workers: 4}, nil)
+	defer posTables.Put(b.pos)
+	claimed := func() (n int) {
+		for _, sc := range b.scratch {
+			for _, c := range sc.chunks {
+				n += len(c)
+			}
+		}
+		return n
+	}
+	inChunk := func(list []graph.VertexID) bool {
+		const size = unsafe.Sizeof(graph.VertexID(0))
+		p := uintptr(unsafe.Pointer(unsafe.SliceData(list)))
+		for _, sc := range b.scratch {
+			for _, c := range sc.chunks {
+				lo := uintptr(unsafe.Pointer(unsafe.SliceData(c)))
+				hi := lo + uintptr(len(c))*size
+				if lo <= p && p < hi && p+uintptr(len(list))*size <= hi {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	lists := 0
+	check := func(what string, u graph.VertexID) {
+		t.Helper()
+		var maps []*mapBuilder
+		for v := range b.nte {
+			for j := range b.nte[v] {
+				maps = append(maps, &b.nte[v][j])
+			}
+		}
+		for v := range b.te {
+			maps = append(maps, &b.te[v])
+		}
+		for _, m := range maps {
+			for i, list := range m.lists {
+				if !inChunk(list) {
+					t.Fatalf("after the %s expansion of u%d: the list of key %d (%d values) lies in no worker chunk", what, u, m.keys[i], len(list))
+				}
+				lists++
+			}
+		}
+	}
+	for _, u := range b.ix.Tree.Order[1:] {
+		before, frontier := claimed(), len(b.ix.Nodes[b.ix.Tree.Parent[u]].Cands)
+		if err := b.buildTE(u); err != nil {
+			t.Fatal(err)
+		}
+		kept := 0
+		for _, list := range b.lists[:frontier] { // the cascade shrinks the maps' views, not these
+			kept += len(list)
+		}
+		if grew := claimed() - before; grew != kept {
+			t.Fatalf("TE of u%d: the chunks grew by %d values for %d kept", u, grew, kept)
+		}
+		check("TE", u)
+		if err := b.buildNTE(u); err != nil {
+			t.Fatal(err)
+		}
+		check("NTE", u)
+	}
+	busy := 0
+	for _, sc := range b.scratch {
+		if len(sc.chunks) > 0 {
+			busy++
+		}
+	}
+	if busy < 2 || lists == 0 {
+		t.Fatalf("%d workers wrote chunks and %d lists were checked: the parallel expansion was not exercised", busy, lists)
 	}
 }
 

@@ -3,61 +3,49 @@ package ceci
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"ceci/internal/graph"
 )
 
-// maxArena is the largest arena the 32-bit offsets column can address. A
-// variable only so the overflow test can lower it.
+// maxArena is the most values one map may hold: what the finished map's
+// 32-bit offsets column can address. A variable only so the overflow test
+// can lower it.
 var maxArena int64 = math.MaxUint32
 
 var errArenaOverflow = errors.New("value arena exceeds the 32-bit offsets column")
 
 // mapBuilder is a CandMap under construction, in vertex ids (positions are
-// final only once refinement is): sorted keys, the arena, len(keys)+1
-// offsets and live, the live length of every key's list. Until compact
-// runs, offs[i] is only where key i's list starts: cascade deletion shrinks
-// a list in place, or drops a key's entry from the three per-key columns,
-// and leaves the hole in the arena for compact to squeeze out.
+// final only once refinement is): sorted keys and, beside each, its live
+// value list — a view of the worker chunk (buildScratch) the expansion
+// wrote it into, never copied. Cascade deletion shrinks a list in place, or
+// drops a key's entry from both columns; compact writes the one column the
+// finished map retains.
 type mapBuilder struct {
-	keys, arena []graph.VertexID
-	offs, live  []uint32
+	keys  []graph.VertexID
+	lists [][]graph.VertexID
 }
 
-// alloc sizes the columns for exactly nkeys keys holding nvals values in
-// all, so a map that loses nothing afterwards is finished as it stands.
-func (m *mapBuilder) alloc(nkeys, nvals int) {
+// alloc sizes the two columns for exactly nkeys keys.
+func (m *mapBuilder) alloc(nkeys int) {
 	m.keys = make([]graph.VertexID, 0, nkeys)
-	m.offs = append(make([]uint32, 0, nkeys+1), 0)
-	m.arena = make([]graph.VertexID, 0, nvals)
-	m.live = make([]uint32, 0, nkeys)
+	m.lists = make([][]graph.VertexID, 0, nkeys)
 }
 
-// append adds (key, vals). key must exceed every key so far and vals be
-// sorted — frontiers are expanded in ascending order — and nothing may
-// have been deleted yet.
-func (m *mapBuilder) append(key graph.VertexID, vals []graph.VertexID) error {
-	if int64(len(m.arena))+int64(len(vals)) > maxArena {
-		return errArenaOverflow
-	}
+// add appends (key, vals), keeping the view vals. key must exceed every
+// key so far and vals be sorted — frontiers are expanded in ascending
+// order — and nothing may have been deleted yet.
+func (m *mapBuilder) add(key graph.VertexID, vals []graph.VertexID) {
 	m.keys = append(m.keys, key)
-	m.arena = append(m.arena, vals...)
-	m.offs = append(m.offs, uint32(len(m.arena)))
-	m.live = append(m.live, uint32(len(vals)))
-	return nil
-}
-
-// list returns the live value list of the i-th key.
-func (m *mapBuilder) list(i int) []graph.VertexID {
-	return m.arena[m.offs[i] : m.offs[i]+m.live[i]]
+	m.lists = append(m.lists, vals)
 }
 
 // deleteKeys removes every key that is in the ascending set dead (absent
-// ones are no-ops), rewriting the three per-key columns once: nothing moves
+// ones are no-ops), rewriting the two per-key columns once: nothing moves
 // below the first dead key, one merge walk covers the stretch the set
 // spans, and what lies above the last dead key slides down in one copy.
 func (m *mapBuilder) deleteKeys(dead []graph.VertexID) {
-	keys, offs, live := m.keys, m.offs, m.live
+	keys, lists := m.keys, m.lists
 	if len(dead) == 0 || len(keys) == 0 {
 		return
 	}
@@ -71,16 +59,15 @@ func (m *mapBuilder) deleteKeys(dead []graph.VertexID) {
 		if j < len(dead) && dead[j] == key {
 			continue
 		}
-		keys[w], offs[w], live[w] = key, offs[r], live[r]
+		keys[w], lists[w] = key, lists[r]
 		w++
 	}
 	if w == r {
 		return
 	}
 	n := w + copy(keys[w:], keys[r:])
-	copy(live[w:], live[r:])
-	copy(offs[w:], offs[r:]) // one slot more than keys: compact writes the end offset there
-	m.keys, m.offs, m.live = keys[:n], offs[:n+1], live[:n]
+	copy(lists[w:], lists[r:])
+	m.keys, m.lists = keys[:n], lists[:n]
 }
 
 // subtract removes from list, in place, the values that are in dead — both
@@ -122,16 +109,24 @@ func (m *mapBuilder) deleteValues(dead, emptied []graph.VertexID) []graph.Vertex
 	if len(dead) == 0 {
 		return emptied
 	}
-	offs, arena := m.offs, m.arena // the sweep is the cascade's hottest loop
-	for i, n := range m.live {
-		if left := uint32(subtract(arena[offs[i]:offs[i]+n], dead)); left != n {
-			m.live[i] = left
+	for i, list := range m.lists { // the cascade's hottest loop
+		if left := subtract(list, dead); left != len(list) {
+			m.lists[i] = list[:left]
 			if left == 0 {
 				emptied = append(emptied, m.keys[i])
 			}
 		}
 	}
 	return emptied
+}
+
+// values returns the number of live values in m.
+func (m *mapBuilder) values() int {
+	n := 0
+	for _, list := range m.lists {
+		n += len(list)
+	}
+	return n
 }
 
 // narrowMax is the most candidates a query vertex may have for positions
@@ -145,20 +140,17 @@ func narrowFits(n int) bool { return n <= narrowMax }
 
 // compact returns the finished map over positions in keys, the final
 // candidates of the key vertex, and in the map's own vertex's, whose
-// positions pos holds and which number values: the live lists slide down
-// over the holes as positions — in place for a wide vertex, whose arena
-// is then copied once to its final size if it shrank, and into a new
-// two-byte arena of exactly that size for a narrow one — so what is
-// retained is what PhysicalBytes reports.
+// positions pos holds and which number values: the live lists are written
+// as positions, in key order, into a new arena of exactly their size — two
+// bytes a value for a narrow vertex, four for any other — so what is
+// retained is what PhysicalBytes reports. m is left as it was.
 func (m *mapBuilder) compact(keys []graph.VertexID, pos posTable, values int) CandMap {
 	out := CandMap{offs: make([]uint32, len(keys)+1)}
 	narrow := narrowFits(values)
 	if narrow {
-		var n uint32
-		for _, l := range m.live {
-			n += l
-		}
-		out.narrow = make([]uint16, n)
+		out.narrow = make([]uint16, m.values())
+	} else {
+		out.wide = make([]uint32, m.values())
 	}
 	end, i := uint32(0), 0
 	for p, key := range keys {
@@ -166,26 +158,24 @@ func (m *mapBuilder) compact(keys []graph.VertexID, pos posTable, values int) Ca
 		if i == len(m.keys) || m.keys[i] != key {
 			continue
 		}
-		if m.live[i] == 0 {
+		list := m.lists[i]
+		if len(list) == 0 {
 			out.bare = append(out.bare, uint32(p))
 		}
 		if narrow {
-			for _, v := range m.list(i) {
+			for _, v := range list {
 				out.narrow[end] = uint16(pos[v])
 				end++
 			}
 		} else {
-			for _, v := range m.list(i) { // end never passes the list's start
-				m.arena[end] = pos[v]
+			for _, v := range list {
+				out.wide[end] = pos[v]
 				end++
 			}
 		}
 		i++
 	}
 	out.offs[len(keys)] = end
-	if !narrow {
-		out.wide = fit(m.arena[:end])
-	}
 	out.bare = fit(out.bare)
 	return out
 }
@@ -220,38 +210,35 @@ func fit[T any](s []T) []T {
 // build (a limited Match's first index, a service cache entry's).
 const binChunk = 8192
 
-// buildScratch is one worker's private bin during frontier expansion
-// (§3.6): the list of each frontier key the worker handles is computed
-// into buf and put into the bin, and the expansion's serial pass copies
-// the bins into the map's arena in key order. Workers touch only their
-// own scratch, so expansion needs no synchronization beyond the work
-// cursor. The chunks are reused by every expansion of the build.
+// buildScratch is one worker's private bin (§3.6), and the bin is the
+// storage: the list function of a frontier expansion writes each key's
+// value list straight into the free tail of the worker's current chunk
+// (room), the chunk's length advances past it (claim), and the map keeps
+// the list as a view. Chunks are never reset or reused: they hold the
+// build's lists until compact has read them. Workers touch only their own
+// scratch, so expansion needs no synchronization beyond the work cursor.
 type buildScratch struct {
-	buf    []graph.VertexID
-	chunks [][]graph.VertexID
-	cur    int // the chunk being filled
+	chunks [][]graph.VertexID // the last one is being filled
 }
 
-// put copies vs into the bin and returns the copy, valid until reset.
-func (sc *buildScratch) put(vs []graph.VertexID) []graph.VertexID {
-	if len(vs) == 0 {
-		return nil
+// room returns the free tail of the current chunk, empty with room for at
+// least n values, starting a new chunk when the tail is too short.
+func (sc *buildScratch) room(n int) []graph.VertexID {
+	if k := len(sc.chunks) - 1; k >= 0 {
+		if c := sc.chunks[k]; cap(c)-len(c) >= n {
+			return c[len(c):]
+		}
 	}
-	for sc.cur < len(sc.chunks) && cap(sc.chunks[sc.cur])-len(sc.chunks[sc.cur]) < len(vs) {
-		sc.cur++
-	}
-	if sc.cur == len(sc.chunks) {
-		sc.chunks = append(sc.chunks, make([]graph.VertexID, 0, max(binChunk, len(vs))))
-	}
-	c := append(sc.chunks[sc.cur], vs...)
-	sc.chunks[sc.cur] = c
-	return c[len(c)-len(vs):]
+	c := make([]graph.VertexID, 0, max(binChunk, n))
+	sc.chunks = append(sc.chunks, c)
+	return c
 }
 
-// reset empties the bin, keeping its chunks.
-func (sc *buildScratch) reset() {
-	for i := range sc.chunks {
-		sc.chunks[i] = sc.chunks[i][:0]
-	}
-	sc.cur = 0
+// claim advances the current chunk past list, which was written at the
+// start of the tail room returned, and returns list with no capacity past
+// its end — a view that is never nil, empty lists included.
+func (sc *buildScratch) claim(list []graph.VertexID) []graph.VertexID {
+	k := len(sc.chunks) - 1
+	sc.chunks[k] = sc.chunks[k][:len(sc.chunks[k])+len(list)]
+	return slices.Clip(list)
 }

@@ -11,16 +11,21 @@ import (
 )
 
 // mapOf builds a mapBuilder holding the given (key, values) pairs.
-func mapOf(t *testing.T, entries ...[]graph.VertexID) *mapBuilder {
-	t.Helper()
+func mapOf(entries ...[]graph.VertexID) *mapBuilder {
 	var m mapBuilder
-	m.alloc(len(entries), 0)
+	var sc buildScratch
+	m.alloc(len(entries))
 	for _, e := range entries {
-		if err := m.append(e[0], e[1:]); err != nil {
-			t.Fatal(err)
-		}
+		m.fill(&sc, e[0], e[1:])
 	}
 	return &m
+}
+
+// fill adds (key, vals) to m the way an expansion does: vals are written
+// into the tail of sc's current chunk, and m keeps the written list as a
+// view of the chunk.
+func (m *mapBuilder) fill(sc *buildScratch, key graph.VertexID, vals []graph.VertexID) {
+	m.add(key, sc.claim(append(sc.room(len(vals)), vals...)))
 }
 
 // get returns the live value list of key, or nil: the point read the
@@ -28,7 +33,7 @@ func mapOf(t *testing.T, entries ...[]graph.VertexID) *mapBuilder {
 // walks).
 func (m *mapBuilder) get(key graph.VertexID) []graph.VertexID {
 	if i := lowerBound(m.keys, key); i < len(m.keys) && m.keys[i] == key {
-		return m.list(i)
+		return m.lists[i]
 	}
 	return nil
 }
@@ -36,7 +41,7 @@ func (m *mapBuilder) get(key graph.VertexID) []graph.VertexID {
 // forEach visits the live (key, values) pairs in ascending key order.
 func (m *mapBuilder) forEach(fn func(key graph.VertexID, values []graph.VertexID)) {
 	for i, key := range m.keys {
-		fn(key, m.list(i))
+		fn(key, m.lists[i])
 	}
 }
 
@@ -68,7 +73,7 @@ func idsAt(m *CandMap, keys, vals []graph.VertexID, key graph.VertexID) []graph.
 
 func TestCandMapAppendGet(t *testing.T) {
 	keys, vals := []graph.VertexID{2, 3, 5, 9}, []graph.VertexID{10, 20, 25, 30, 40, 50, 60}
-	m := mapOf(t, []graph.VertexID{2, 10, 20}, []graph.VertexID{5, 30}, []graph.VertexID{9, 40, 50, 60}).compact(keys, positionsOf(vals), len(vals))
+	m := mapOf([]graph.VertexID{2, 10, 20}, []graph.VertexID{5, 30}, []graph.VertexID{9, 40, 50, 60}).compact(keys, positionsOf(vals), len(vals))
 	if m.Len() != 3 {
 		t.Fatalf("len = %d", m.Len())
 	}
@@ -87,7 +92,7 @@ func TestCandMapAppendGet(t *testing.T) {
 }
 
 func TestCandMapDelete(t *testing.T) {
-	b := mapOf(t, []graph.VertexID{1, 10}, []graph.VertexID{3, 30}, []graph.VertexID{5, 50})
+	b := mapOf([]graph.VertexID{1, 10}, []graph.VertexID{3, 30}, []graph.VertexID{5, 50})
 	b.deleteKeys([]graph.VertexID{3})
 	b.deleteKeys([]graph.VertexID{99})         // no-op
 	b.deleteKeys([]graph.VertexID{0, 2, 4, 6}) // none present: no-op
@@ -105,7 +110,7 @@ func TestCandMapDelete(t *testing.T) {
 }
 
 func TestCandMapDeleteValue(t *testing.T) {
-	b := mapOf(t, []graph.VertexID{1, 7, 8}, []graph.VertexID{2, 8}, []graph.VertexID{3, 9})
+	b := mapOf([]graph.VertexID{1, 7, 8}, []graph.VertexID{2, 8}, []graph.VertexID{3, 9})
 	emptied := b.deleteValues([]graph.VertexID{8}, nil)
 	if len(emptied) != 1 || emptied[0] != 2 {
 		t.Fatalf("emptied = %v", emptied)
@@ -128,7 +133,7 @@ func TestCandMapDeleteValue(t *testing.T) {
 
 func TestCandMapForEachOrder(t *testing.T) {
 	space := []graph.VertexID{0, 1, 2, 3, 4}
-	m := mapOf(t, []graph.VertexID{1, 2}, []graph.VertexID{2, 3}, []graph.VertexID{4, 1}).compact(space, positionsOf(space), len(space))
+	m := mapOf([]graph.VertexID{1, 2}, []graph.VertexID{2, 3}, []graph.VertexID{4, 1}).compact(space, positionsOf(space), len(space))
 	var keys []uint32
 	m.ForEach(func(k uint32, _ []uint32) {
 		keys = append(keys, k)
@@ -203,9 +208,8 @@ func (mm mapModel) compactsTo(b *mapBuilder, universe graph.VertexID) bool {
 	}
 	slices.Sort(vals)
 	vals = slices.Compact(vals)
-	// Both widths: the narrow arena is a new column, and the wide one is
-	// compacted in place over b's, so it goes last.
-	ok := true
+	// Both widths, each a new column: b is left as it was.
+	ok := mm.agrees(b, universe)
 	for _, width := range []struct {
 		values, bytes int
 	}{{len(vals), 2}, {narrowMax + 1, 4}} {
@@ -220,6 +224,7 @@ func (mm mapModel) compactsTo(b *mapBuilder, universe graph.VertexID) bool {
 			got := idsAt(&m, keys, vals, key)
 			ok = ok && (got != nil) == present && slices.Equal(got, want) && len(m.AppendAt(nil, key)) == len(want)
 		}
+		ok = ok && mm.agrees(b, universe)
 	}
 	return ok
 }
@@ -242,10 +247,11 @@ func TestMapBuilderMatchesModel(t *testing.T) {
 		const universe, bandLo, bandHi = 128, 32, 96
 		model := mapModel{}
 		var b mapBuilder
+		var sc buildScratch
 		// One map in eight is never sized or filled, like the root's TE.
 		filled := rng.Intn(8) > 0
 		if filled {
-			b.alloc(universe, rng.Intn(64))
+			b.alloc(universe)
 		}
 		for key := graph.VertexID(0); filled && key < universe; key++ {
 			if rng.Intn(3) == 0 {
@@ -263,11 +269,8 @@ func TestMapBuilderMatchesModel(t *testing.T) {
 					vals = append(vals, v)
 				}
 			}
-			if err := b.append(key, vals); err != nil {
-				t.Log(err)
-				return false
-			}
-			model[key] = slices.Clone(vals)
+			b.fill(&sc, key, vals)
+			model[key] = vals
 		}
 		if !model.agrees(&b, universe) {
 			t.Logf("seed %d: builder and model disagree after the appends", seed)
@@ -366,17 +369,16 @@ func FuzzMapBuilderDelete(f *testing.F) {
 		head := next()
 		model := mapModel{}
 		var b mapBuilder
+		var sc buildScratch
 		if head&1 == 0 {
 			nkeys := head >> 1
-			b.alloc(nkeys, 0)
+			b.alloc(nkeys)
 			key := -1
 			for i := 0; i < nkeys && len(in) > 0; i++ {
 				key += 1 + next()%4
 				vals := run(next(), next()%8, next()%64)
-				if err := b.append(graph.VertexID(key), vals); err != nil {
-					t.Fatal(err)
-				}
-				model[graph.VertexID(key)] = slices.Clone(vals)
+				b.fill(&sc, graph.VertexID(key), vals)
+				model[graph.VertexID(key)] = vals
 			}
 		}
 		universe := graph.VertexID(2) // one past the last key, and an absent one
@@ -406,7 +408,7 @@ func FuzzMapBuilderDelete(f *testing.F) {
 }
 
 func TestCandMapValueUnion(t *testing.T) {
-	m := mapOf(t, []graph.VertexID{1, 3, 5}, []graph.VertexID{2, 5, 7}, []graph.VertexID{4, 0, 70})
+	m := mapOf([]graph.VertexID{1, 3, 5}, []graph.VertexID{2, 5, 7}, []graph.VertexID{4, 0, 70})
 	want := []graph.VertexID{0, 3, 5, 7, 70}
 	// 71 vertices: the bitmap path; 71<<10: six values are few enough to sort.
 	for _, n := range []int{71, 71 << 10} {

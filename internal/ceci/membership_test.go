@@ -41,7 +41,8 @@ func TestPosTableIntersectMatchesMerge(t *testing.T) {
 		}
 		vs := randomSet(rng, rng.Intn(universe+1), universe)
 		prefix := []graph.VertexID{999, 1000}
-		got := table.fill(col, universe).intersect(slices.Clone(prefix), vs, col)
+		dst := append(make([]graph.VertexID, 0, len(prefix)+len(vs)), prefix...) // room for every member of vs
+		got := table.fill(col, universe).intersect(dst, vs, col)
 		want := append(slices.Clone(prefix), setops.Intersect(nil, vs, col)...)
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d: intersect(%v, %v) = %v, want %v", trial, vs, col, got, want)

@@ -2,7 +2,6 @@ package ceci
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"ceci/internal/graph"
@@ -44,8 +43,8 @@ func (b *builder) refine() {
 			pos := b.pos.fill(node.Cands, b.ix.Data.NumVertices())
 			for j := range b.nte[u] {
 				m := &b.nte[u][j]
-				for i := range m.keys {
-					for _, v := range m.list(i) {
+				for _, list := range m.lists {
+					for _, v := range list {
 						cards[pos[v]] |= math.MinInt64
 					}
 				}
@@ -107,7 +106,7 @@ func (b *builder) cardProducts(u graph.VertexID) []int64 {
 				cards[k] = 0 // no TE list under v
 				continue
 			}
-			lst := te.list(i)
+			lst := te.lists[i]
 			i++
 			if cards[k] == 0 {
 				continue
@@ -148,8 +147,8 @@ func (t *posTable) fill(col []graph.VertexID, n int) posTable {
 	return *t
 }
 
-// intersect appends to dst, in order, the members of vs that are in col,
-// the column t was last filled with. w is in col exactly when col holds w
+// intersect appends to dst, whose capacity must take all of vs, in order,
+// the members of vs that are in col, the column t was last filled with. w is in col exactly when col holds w
 // at t[w], an entry past col read as 0: fill wrote t[col[p]] = p, so a
 // stale entry points past col or at a vertex other than w, and col[0] is
 // w only if t[w] is 0. The entry is masked, not compared, and every w is
@@ -160,7 +159,7 @@ func (t posTable) intersect(dst, vs, col []graph.VertexID) []graph.VertexID {
 		return dst
 	}
 	n := len(dst)
-	dst = slices.Grow(dst, len(vs))[:n+len(vs)]
+	dst = dst[:n+len(vs)]
 	for _, w := range vs {
 		p := t[w]
 		p &= uint32((int64(p) - int64(len(col))) >> 63) // all ones below len(col)

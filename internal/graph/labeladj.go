@@ -141,12 +141,13 @@ func (g *Graph) RunsWithLabel(vs []VertexID, l Label, dst [][]VertexID) [][]Vert
 
 // build materializes the grouped adjacency once, in time linear in its
 // size. Rank r's region is as long as the degrees of the vertices
-// carrying its label sum to, so the regions are laid out before any run.
-// Then, per vertex in ascending order, its neighbors are counted per
-// label rank, the ranks it touched are put in order (sorted, or read off
-// the counts when they are an eighth of the ranks or more), each touched
-// rank's run is cut from the front of what is left of its region, and
-// each neighbor is written straight into its runs. Label values are never
+// carrying its label sum to, so the regions are laid out before any run,
+// and one pass counts the runs, so the directory is allocated exactly.
+// Then, per vertex in ascending order, each neighbor is written straight
+// into its runs — a rank's run starts where its region's cursor stood
+// when the vertex first touched it — and the ranks it touched are put in
+// order (sorted, or read off the marks when they are an eighth of the
+// ranks or more) to write the vertex's run records. Label values are never
 // used as indices, so a label up to MaxLabelValue costs what any other
 // does. Safe for concurrent first callers via the Once.
 func (la *labelAdj) build(g *Graph) {
@@ -168,67 +169,68 @@ func (la *labelAdj) build(g *Graph) {
 		total := int(la.regions[len(g.labelKeys)])
 		la.heads = make([]runHead, n+1)
 		la.groups = make([]VertexID, total)
-		// A run per (vertex, label) at most, and at most one per entry;
-		// the sentinel goes on the end.
-		la.runs = make([]labelRun, 0, min(total, n*len(g.labelKeys))+1)
-		// free[r] is where the next run of rank r goes.
+		// A run per (vertex, rank its neighbors carry), counted first so
+		// the directory is allocated at its size; the sentinel goes on the
+		// end. seen[r] is v+1 once v's neighbors were found to carry r, and
+		// a rank counts when its entry changes, without a branch.
+		seen, nruns := make([]uint32, len(g.labelKeys)), uint32(0)
+		for v := 0; v < n; v++ {
+			stamp := uint32(v + 1)
+			for _, w := range g.Neighbors(VertexID(v)) {
+				lo, hi := g.labelSpan(w)
+				for _, r := range ranks[lo:hi] {
+					d := seen[r] ^ stamp
+					nruns += (d | -d) >> 31
+					seen[r] = stamp
+				}
+			}
+		}
+		la.runs = make([]labelRun, 0, nruns+1)
+		clear(seen)
+		// free[r] is where the next entry of rank r goes, and start[r]
+		// where v's run of rank r began, once seen[r] says v has one.
 		free := slices.Clone(la.regions[:len(g.labelKeys)])
-		// next[r] counts v's neighbors carrying rank r, then is where the
-		// next of them goes; it is zero again between vertices.
-		next := make([]int32, len(g.labelKeys))
+		start := make([]int32, len(g.labelKeys))
 		var touched []int32
 		for v := 0; v < n; v++ {
 			h := &la.heads[v]
 			h.start = int32(len(la.runs))
-			nbrs := g.Neighbors(VertexID(v))
+			stamp := uint32(v + 1)
 			touched = touched[:0]
-			for _, w := range nbrs {
+			// Neighbors arrive ID-sorted, so IDs stay sorted within each run.
+			for _, w := range g.Neighbors(VertexID(v)) {
 				lo, hi := g.labelSpan(w)
 				for _, r := range ranks[lo:hi] {
-					if next[r] == 0 {
+					if seen[r] != stamp {
+						seen[r], start[r] = stamp, free[r]
 						touched = append(touched, r)
 					}
-					next[r]++
+					la.groups[free[r]] = w
+					free[r]++
 				}
 			}
-			if len(touched)*8 < len(next) {
+			if len(touched)*8 < len(seen) {
 				slices.Sort(touched)
-			} else { // many ranks touched: reading the counts is cheaper
+			} else { // many ranks touched: reading the marks is cheaper
 				touched = touched[:0]
-				for r, c := range next {
-					if c != 0 {
+				for r, s := range seen {
+					if s == stamp {
 						touched = append(touched, int32(r))
 					}
 				}
 			}
 			for _, r := range touched {
-				l, c, off := g.labelKeys[r], next[r], free[r]
-				la.runs = append(la.runs, labelRun{off, off + c})
+				l, off, end := g.labelKeys[r], start[r], free[r]
+				la.runs = append(la.runs, labelRun{off, end})
 				if l < 32 {
 					h.low |= 1 << l
-					if c >= 2 {
+					if end-off >= 2 {
 						h.twos |= 1 << l
 					}
 				}
-				next[r] = off
-				free[r] = off + c
-			}
-			// Neighbors arrive ID-sorted, so IDs stay sorted within each run.
-			for _, w := range nbrs {
-				lo, hi := g.labelSpan(w)
-				for _, r := range ranks[lo:hi] {
-					la.groups[next[r]] = w
-					next[r]++
-				}
-			}
-			for _, r := range touched {
-				next[r] = 0
 			}
 		}
 		la.heads[n].start = int32(len(la.runs))
 		la.runs = append(la.runs, labelRun{})
-		if cap(la.runs) > len(la.runs)+len(la.runs)/4 {
-			la.runs = slices.Clone(la.runs) // the bound was loose; keep what is used
-		}
 	})
 }

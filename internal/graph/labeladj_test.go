@@ -395,12 +395,14 @@ func TestLabelRunsAreLabelMajor(t *testing.T) {
 // shaped like hu_s, scaled down (1 000 vertices, 40 000 edges, one to
 // three of 90 labels a vertex), keeps little past what the layout needs —
 // 4 bytes an entry of groups, 8 a run record, 12 a run head — and
-// allocates little past what it keeps. When this was written it kept
-// 1.09 times the need (the run directory is sized for a run per
-// (vertex, label) and trimmed only when a quarter of it is unused) and
-// allocated 1.04 times what it kept. A 12-byte run record reads 1.38
-// times the need, and a second copy of groups or of the directory
-// allocates over 1.25 times what is kept.
+// allocates little past what it keeps. The run directory is counted
+// before it is allocated, so what is kept reads 0.98 to 1.01 times the
+// need (the heap's own reading moves by about 2 % between a first run and
+// later ones in one process), and what is allocated 1.01 to 1.04 times
+// what is kept. A directory sized for a run per (vertex, label) and
+// trimmed only when a quarter of it is unused kept 1.09 times the need; a
+// 12-byte run record reads 1.38 times; a second copy of groups or of the
+// directory allocates over 1.25 times what is kept.
 func TestLabelRunsAllocateInProportion(t *testing.T) {
 	var alphabet []Label
 	for l := Label(0); l < 90; l++ {
@@ -421,8 +423,8 @@ func TestLabelRunsAllocateInProportion(t *testing.T) {
 	need := uint64(4*len(la.groups) + 8*len(la.runs) + 12*len(la.heads) + 4*len(la.regions))
 	t.Logf("%d entries, %d runs: retained %d (%.2fx the need), allocated %d (%.2fx retained)",
 		len(la.groups), len(la.runs), retained, float64(retained)/float64(need), allocated, float64(allocated)/float64(retained))
-	if retained > need+need*15/100 {
-		t.Fatalf("the label runs keep %d bytes where the layout needs %d, over 1.15x", retained, need)
+	if retained > need+need*3/100 {
+		t.Fatalf("the label runs keep %d bytes where the layout needs %d, over 1.03x", retained, need)
 	}
 	if allocated > retained+retained/4 {
 		t.Fatalf("building the label runs allocated %d bytes for %d kept, over 1.25x", allocated, retained)
