@@ -74,7 +74,7 @@ type (
 	// Tracer records a hierarchical tree of timed spans
 	// (preprocess → build → refine → enumerate → cluster).
 	Tracer = obs.Tracer
-	// TracerOptions configures a Tracer (child caps, JSONL event log).
+	// TracerOptions configures a Tracer (child caps, a span-start hook).
 	TracerOptions = obs.TracerOptions
 	// TraceContext is a W3C traceparent-compatible trace position
 	// (128-bit trace ID + parent span ID + sampling flag); carry it on a

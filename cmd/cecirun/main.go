@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -69,7 +68,6 @@ type runConfig struct {
 	// Observability.
 	statsJSON     bool          // -stats: dump counters + span tree as JSON to stderr
 	progressEvery time.Duration // -progress: print live progress lines to stderr
-	tracePath     string        // -trace: write the JSONL span event log here
 	traceExport   string        // -trace-export: write the span tree as Chrome trace_event JSON ("-" = stdout)
 	version       bool          // -version: print build identity and exit
 
@@ -108,7 +106,6 @@ func main() {
 	flag.BoolVar(&cfg.ledger, "ledger", false, "print the run's resource ledger (CPU time, work units, peak scratch, kernel mix)")
 	flag.BoolVar(&cfg.statsJSON, "stats", false, "print the final counter snapshot and span tree as JSON to stderr")
 	flag.DurationVar(&cfg.progressEvery, "progress", 0, "print live progress to stderr at this interval (0 = off)")
-	flag.StringVar(&cfg.tracePath, "trace", "", "write the JSONL span event log to this file")
 	flag.StringVar(&cfg.traceExport, "trace-export", "", "write the run's span tree as Chrome trace_event JSON to this file (\"-\" = stdout; load in chrome://tracing)")
 	flag.BoolVar(&cfg.version, "version", false, "print build identity (module version, VCS revision, go version) and exit")
 	flag.BoolVar(&cfg.verify, "verify", false, "run the differential-correctness harness on seeded random pairs")
@@ -189,40 +186,20 @@ func run(ctx context.Context, cfg runConfig) error {
 		}
 	}
 
-	// Observability wiring: a tracer (with optional JSONL log) when
-	// -trace, -trace-export or -stats asks for spans, and live progress
-	// printing.
-	tropts := ceci.TracerOptions{}
-	var traceFile *os.File
-	var traceBuf *bufio.Writer
-	if cfg.tracePath != "" {
-		traceFile, err = os.Create(cfg.tracePath)
-		if err != nil {
-			return fmt.Errorf("-trace: %w", err)
-		}
-		traceBuf = bufio.NewWriter(traceFile)
-		tropts.JSONL = traceBuf
+	// Observability wiring: a tracer when -trace-export or -stats asks
+	// for spans, and live progress printing. The Chrome export is written
+	// on every exit path — including SIGINT/SIGTERM and -timeout expiry;
+	// a span still open then is exported with its duration so far.
+	if cfg.traceExport != "" || cfg.statsJSON {
+		opts.Tracer = ceci.NewTracer(ceci.TracerOptions{})
 	}
-	if cfg.tracePath != "" || cfg.traceExport != "" || cfg.statsJSON {
-		opts.Tracer = ceci.NewTracer(tropts)
-	}
-	// One deferred closure owns trace teardown so the order holds on
-	// every exit path — including SIGINT/SIGTERM and -timeout expiry:
-	// force-close any still-open spans (emitting their JSONL end events),
-	// render the Chrome export, then flush the event log. Without the
-	// EndOpen an interrupted run would drop the tail of the span log.
-	defer func() {
-		opts.Tracer.EndOpen()
-		if cfg.traceExport != "" {
+	if cfg.traceExport != "" {
+		defer func() {
 			if xerr := exportChrome(cfg.traceExport, opts.Tracer, cfg.outw, cfg.errw); xerr != nil {
 				fmt.Fprintln(cfg.errw, "-trace-export:", xerr)
 			}
-		}
-		if traceBuf != nil {
-			traceBuf.Flush()
-			traceFile.Close()
-		}
-	}()
+		}()
+	}
 	// The run's root span: the preprocess/build/enumerate spans opened by
 	// the layers below nest under it through the context.
 	root := opts.Tracer.Start("run")

@@ -158,12 +158,12 @@ func TestRunStatsJSON(t *testing.T) {
 
 func TestRunProgressAndTrace(t *testing.T) {
 	dataPath, queryPath := writeFixtures(t)
-	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	var stderr bytes.Buffer
 	cfg := runConfig{
 		dataPath: dataPath, queryPath: queryPath,
 		workers: 2, strategy: "fgd", beta: 0.2, orderName: "bfs",
-		progressEvery: time.Millisecond, tracePath: tracePath, errw: &stderr,
+		progressEvery: time.Millisecond, traceExport: tracePath, errw: &stderr,
 	}
 	if err := run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
@@ -175,15 +175,27 @@ func TestRunProgressAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("trace log too short: %d lines", len(lines))
+	var doc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
 	}
-	for _, line := range lines {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("-trace-export is not trace_event JSON: %v", err)
+	}
+	spans := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			spans++
+			if ev.Args["span_id"] == "" {
+				t.Fatalf("span %q has no span_id", ev.Name)
+			}
 		}
+	}
+	if spans < 2 {
+		t.Fatalf("trace too short: %d spans", spans)
 	}
 }
 

@@ -62,7 +62,6 @@ type serveConfig struct {
 
 	// Observability.
 	traceSample float64 // -trace-sample: head-based sampling rate for query traces
-	traceJSONL  string  // -trace-jsonl: write the span event log (JSONL) here
 	auditPath   string  // -audit: write one JSON line per completed query here
 	version     bool    // -version: print build identity and exit
 
@@ -103,7 +102,6 @@ func main() {
 	flag.Int64Var(&cfg.maxLimit, "max-limit", 10000, "max embeddings returned per request")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain window")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 1, "head-based trace sampling rate in [0,1]; unsampled queries record no spans (negative = none)")
-	flag.StringVar(&cfg.traceJSONL, "trace-jsonl", "", "write the span event log (JSONL) to this file")
 	flag.StringVar(&cfg.auditPath, "audit", "", "append one JSON line per completed query (the flight-recorder record) to this file")
 	flag.BoolVar(&cfg.version, "version", false, "print build identity (module version, VCS revision, go version) and exit")
 	flag.BoolVar(&cfg.telemetry, "telemetry", true, "enable the telemetry hub: per-query resource ledgers, /statz")
@@ -166,45 +164,23 @@ func run(ctx context.Context, cfg serveConfig) error {
 		fmt.Fprintf(cfg.errw, "ceciserve: data graph %v resident\n", data)
 	}
 
-	// Optional durable observability sinks: the span event log and the
-	// per-query audit log are buffered files, flushed on every shutdown
-	// path (including SIGINT/SIGTERM) by the deferred closure below.
-	tropts := obs.TracerOptions{}
-	var traceFile, auditFile *os.File
-	var traceBuf, auditBuf *bufio.Writer
-	if cfg.traceJSONL != "" {
-		traceFile, err = os.Create(cfg.traceJSONL)
-		if err != nil {
-			srv.Close()
-			return fmt.Errorf("-trace-jsonl: %w", err)
-		}
-		traceBuf = bufio.NewWriter(traceFile)
-		tropts.JSONL = traceBuf
-	}
+	// The optional per-query audit log is a buffered file, flushed on
+	// every shutdown path (including SIGINT/SIGTERM) by the deferred
+	// closure below.
 	var audit io.Writer
 	if cfg.auditPath != "" {
-		auditFile, err = os.OpenFile(cfg.auditPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		auditFile, err := os.OpenFile(cfg.auditPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			srv.Close()
 			return fmt.Errorf("-audit: %w", err)
 		}
-		auditBuf = bufio.NewWriter(auditFile)
+		auditBuf := bufio.NewWriter(auditFile)
 		audit = auditBuf
-	}
-	tracer := obs.NewTracer(tropts)
-	defer func() {
-		// Force-close any spans still open when the process exits (a query
-		// cut off mid-drain), so the span log ends with matched events.
-		tracer.EndOpen()
-		if traceBuf != nil {
-			traceBuf.Flush()
-			traceFile.Close()
-		}
-		if auditBuf != nil {
+		defer func() {
 			auditBuf.Flush()
 			auditFile.Close()
-		}
-	}()
+		}()
+	}
 
 	// Telemetry hub: per-query resource ledgers, time-series rollups, and
 	// SLO burn state behind /statz. The background sampler
@@ -234,7 +210,7 @@ func run(ctx context.Context, cfg serveConfig) error {
 		Workers:        cfg.workers,
 		Order:          order.BFSOrder,
 		Registry:       reg,
-		Tracer:         tracer,
+		Tracer:         obs.NewTracer(obs.TracerOptions{}),
 		TraceSample:    cfg.traceSample,
 		Audit:          audit,
 		Stats:          &stats.Counters{},

@@ -102,17 +102,16 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
-// TestServeTraceAuditFlush boots a server with the durable observability
-// sinks enabled (-audit, -trace-jsonl), runs a traced query, checks the
-// tracing endpoints, then shuts down and verifies both files were
-// flushed to disk — the SIGINT/SIGTERM flush path.
+// TestServeTraceAuditFlush boots a server with the audit log enabled
+// (-audit), runs a traced query, checks the tracing endpoints, then shuts
+// down and verifies the log was flushed to disk — the SIGINT/SIGTERM
+// flush path.
 func TestServeTraceAuditFlush(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	dir := t.TempDir()
 	auditPath := filepath.Join(dir, "audit.jsonl")
-	tracePath := filepath.Join(dir, "trace.jsonl")
 	addrc := make(chan string, 1)
 	cfg := serveConfig{
 		dataPath:   "../../testdata/fig1_data.lg",
@@ -125,7 +124,6 @@ func TestServeTraceAuditFlush(t *testing.T) {
 		maxLimit:   100,
 		drain:      5 * time.Second,
 		auditPath:  auditPath,
-		traceJSONL: tracePath,
 		errw:       io.Discard,
 		ready:      func(a string) { addrc <- a },
 	}
@@ -182,25 +180,22 @@ func TestServeTraceAuditFlush(t *testing.T) {
 		t.Fatal("server did not shut down within 10s")
 	}
 
-	// Both sinks must be flushed and valid JSONL after shutdown.
-	for _, p := range []string{auditPath, tracePath} {
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-		if len(lines) == 0 || lines[0] == "" {
-			t.Fatalf("%s is empty after shutdown", p)
-		}
-		for _, line := range lines {
-			var doc map[string]any
-			if err := json.Unmarshal([]byte(line), &doc); err != nil {
-				t.Fatalf("%s: bad JSONL line %q: %v", p, line, err)
-			}
+	// The log must be flushed and valid JSONL after shutdown.
+	raw, err := os.ReadFile(auditPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) == 0 || lines[0] == "" {
+		t.Fatalf("%s is empty after shutdown", auditPath)
+	}
+	for _, line := range lines {
+		var doc map[string]any
+		if err := json.Unmarshal([]byte(line), &doc); err != nil {
+			t.Fatalf("%s: bad JSONL line %q: %v", auditPath, line, err)
 		}
 	}
 	// The audit line is the flight record of our query.
-	raw, _ := os.ReadFile(auditPath)
 	if !strings.Contains(string(raw), resp.TraceID) {
 		t.Fatalf("audit log does not mention trace %s:\n%s", resp.TraceID, raw)
 	}
@@ -296,11 +291,15 @@ func TestServeStatzSmoke(t *testing.T) {
 		t.Fatalf("statz queries = %s (%v)", doc["queries"], err)
 	}
 
-	text := string(httpGetBody(t, "http://"+addr+"/statz?format=text"))
-	for _, want := range []string{"slo (", "queries: 1 (0 errors)"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("statz text missing %q:\n%s", want, text)
-		}
+	var slo struct {
+		LatencyTargetMS int64 `json:"latency_target_ms"`
+	}
+	var errs int
+	if err := json.Unmarshal(doc["slo"], &slo); err != nil || slo.LatencyTargetMS != 500 {
+		t.Fatalf("statz slo = %s (%v), want the -slo-latency target", doc["slo"], err)
+	}
+	if err := json.Unmarshal(doc["errors"], &errs); err != nil || errs != 0 {
+		t.Fatalf("statz errors = %s (%v)", doc["errors"], err)
 	}
 
 	cancel()

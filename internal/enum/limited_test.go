@@ -1,7 +1,6 @@
 package enum_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -29,27 +28,28 @@ import (
 // complete index. The concurrent and page-level checks are the root
 // package's TestLimitedMatch* tests.
 
-// buildLog counts the index builds a tracer logs (a "build" span opening)
-// and calls onBuild, when set, with each one's number.
+// buildLog counts the index builds a tracer sees (a "build" span
+// opening) and calls onBuild, when set, with each one's number.
 type buildLog struct {
 	n       atomic.Int64
 	onBuild func(n int64)
 }
 
-func (b *buildLog) Write(p []byte) (int, error) {
-	if bytes.Contains(p, []byte(`"ev":"start"`)) && bytes.Contains(p, []byte(`"name":"build"`)) {
-		if n := b.n.Add(1); b.onBuild != nil {
-			b.onBuild(n)
-		}
+// onStart is the tracer's start hook (TracerOptions.OnStart).
+func (b *buildLog) onStart(name string) {
+	if name != "build" {
+		return
 	}
-	return len(p), nil
+	if n := b.n.Add(1); b.onBuild != nil {
+		b.onBuild(n)
+	}
 }
 
 // limited matches query under opts (Options.Limit set by the caller) with
 // a tracer logging its builds to log.
 func limited(t *testing.T, data, query *graph.Graph, opts ceci.Options, log *buildLog) *ceci.Matcher {
 	t.Helper()
-	opts.Tracer = ceci.NewTracer(ceci.TracerOptions{JSONL: log})
+	opts.Tracer = ceci.NewTracer(ceci.TracerOptions{OnStart: log.onStart})
 	m, err := ceci.Match(data, query, &opts)
 	if err != nil {
 		t.Fatal(err)

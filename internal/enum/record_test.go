@@ -1,7 +1,6 @@
 package enum
 
 import (
-	"bytes"
 	"context"
 	"slices"
 	"sync"
@@ -290,7 +289,7 @@ func TestReadersDuringEnumeration(t *testing.T) {
 	const readers = 2
 	gate := &pauseGate{ledger: r.ledger}
 	gate.reads.Add(readers)
-	opts.Trace = obs.NewTracer(obs.TracerOptions{JSONL: gate})
+	opts.Trace = obs.NewTracer(obs.TracerOptions{OnStart: gate.onStart})
 	m := NewMatcher(ix, opts)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -343,10 +342,10 @@ func TestReadersDuringEnumeration(t *testing.T) {
 	r.check(t, tree.Order, true)
 }
 
-// pauseGate is a span sink that pauses an enumeration: the first
+// pauseGate is a span start hook that pauses an enumeration: the first
 // "cluster" span to start once the ledger holds a finished unit and
-// embeddings waits in Write, with the tracer's lock held — so every other
-// worker waits at its next span event — until each reader has read the
+// embeddings waits in onStart, with the tracer's lock held — so every
+// other worker waits at its next span — until each reader has read the
 // run through once.
 type pauseGate struct {
 	ledger *telemetry.Ledger
@@ -354,13 +353,12 @@ type pauseGate struct {
 	reads  sync.WaitGroup // one Done per reader
 }
 
-func (g *pauseGate) Write(b []byte) (int, error) {
-	if g.paused.Load() || !bytes.Contains(b, []byte(`"name":"cluster"`)) {
-		return len(b), nil
+func (g *pauseGate) onStart(name string) {
+	if g.paused.Load() || name != "cluster" {
+		return
 	}
 	if led := g.ledger.Snapshot(); led.Units > 0 && led.Embeddings > 0 {
 		g.paused.Store(true)
 		g.reads.Wait()
 	}
-	return len(b), nil
 }

@@ -441,6 +441,7 @@ func BenchmarkLabelIndex(b *testing.B) {
 	}
 	g := randomLabeled(1, 4600, 700000, alphabet)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for range b.N {
 		g.ladj = labelAdj{}
 		g.ladj.build(g)

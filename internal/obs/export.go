@@ -1,11 +1,7 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"strconv"
 )
@@ -96,70 +92,4 @@ func laneFor(n *SpanNode, inherited int64) int64 {
 		}
 	}
 	return inherited
-}
-
-// WriteSpanJSONL writes the span forest in the compact JSONL export
-// format: one self-contained JSON object per span (depth-first), each
-// carrying its full trace identity, so the log can be grepped,
-// line-sorted, or re-stitched without holding the whole tree.
-func WriteSpanJSONL(w io.Writer, nodes []*SpanNode) error {
-	enc := json.NewEncoder(w)
-	var walk func(n *SpanNode) error
-	walk = func(n *SpanNode) error {
-		flat := *n
-		flat.Children = nil
-		if err := enc.Encode(&flat); err != nil {
-			return err
-		}
-		for _, c := range n.Children {
-			if c.ParentSpanID == "" && n.SpanID != "" {
-				// In-process children carry the parent pointer implicitly;
-				// make it explicit so the flat form loses nothing.
-				cp := *c
-				cp.ParentSpanID = n.SpanID
-				c = &cp
-			}
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, n := range nodes {
-		if err := walk(n); err != nil {
-			return fmt.Errorf("span jsonl: %w", err)
-		}
-	}
-	return nil
-}
-
-// ReadSpanJSONL parses a span log written by WriteSpanJSONL and
-// reassembles the tree structure via Stitch: every flat record carries
-// an explicit ParentSpanID, so spans re-nest under their parents and
-// the roots of the reconstructed forest are returned. Blank lines are
-// skipped; a malformed line aborts with its line number.
-func ReadSpanJSONL(r io.Reader) ([]*SpanNode, error) {
-	sc := bufio.NewScanner(r)
-	// The buffer starts at bufio's default and grows to a long line; a
-	// query's whole log is a kilobyte or two.
-	sc.Buffer(nil, 16<<20)
-	var nodes []*SpanNode
-	line := 0
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		n := &SpanNode{}
-		if err := json.Unmarshal(b, n); err != nil {
-			return nil, fmt.Errorf("span jsonl line %d: %w", line, err)
-		}
-		n.Children = nil // flat records must not smuggle in nesting
-		nodes = append(nodes, n)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("span jsonl: %w", err)
-	}
-	return Stitch(nodes), nil
 }

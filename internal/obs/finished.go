@@ -88,8 +88,8 @@ func (tr *Trace) Nodes() []*SpanNode {
 
 // AppendJSON appends this process's spans of the trace as one JSON
 // array of flat objects — a span each, depth first, every one naming its
-// parent: the objects WriteSpanJSONL writes one to a line, byte for
-// byte. It walks the recorded spans themselves, so a shard can put its
+// parent: each is, byte for byte, what encoding/json writes for the
+// span's SpanNode with its Children nil. It walks the recorded spans themselves, so a shard can put its
 // subtree on a leg reply without building the SpanNode forest first.
 func (tr *Trace) AppendJSON(dst []byte) []byte {
 	t := tr.tracer

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -32,14 +32,32 @@ func legTrace(t testing.TB, odd bool) (*Tracer, *Trace) {
 	return tr, tr.Detach(tc.TraceID)
 }
 
-// jsonlArray is what WriteSpanJSONL writes for nodes, as one JSON array.
-func jsonlArray(t *testing.T, nodes []*SpanNode) string {
+// flatArray is the reference for AppendJSON's form, written with
+// encoding/json: nodes and their descendants depth first, each
+// marshalled with its Children nil and naming its parent, as one array.
+func flatArray(t *testing.T, nodes []*SpanNode) string {
 	t.Helper()
-	var lines bytes.Buffer
-	if err := WriteSpanJSONL(&lines, nodes); err != nil {
-		t.Fatal(err)
+	var elems []string
+	var walk func(n *SpanNode, parent string)
+	walk = func(n *SpanNode, parent string) {
+		flat := *n
+		flat.Children = nil
+		if flat.ParentSpanID == "" {
+			flat.ParentSpanID = parent
+		}
+		b, err := json.Marshal(&flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elems = append(elems, string(b))
+		for _, c := range n.Children {
+			walk(c, n.SpanID)
+		}
 	}
-	return "[" + strings.ReplaceAll(strings.TrimSpace(lines.String()), "\n", ",") + "]"
+	for _, n := range nodes {
+		walk(n, "")
+	}
+	return "[" + strings.Join(elems, ",") + "]"
 }
 
 // TestDetachMovesTheTraceOut: Detach takes a trace's roots — and only
@@ -80,16 +98,16 @@ func TestDetachMovesTheTraceOut(t *testing.T) {
 	}
 }
 
-// TestAppendJSONIsWriteSpanJSONL: the append encoder over the recorded
-// spans writes, element for element, the bytes WriteSpanJSONL writes line
-// for line over their snapshot — escapes, sorted attributes, the last of
-// a repeated key, omitted members and all.
-func TestAppendJSONIsWriteSpanJSONL(t *testing.T) {
+// TestAppendJSONIsEncodingJSON: the append encoder over the recorded
+// spans writes, element for element, the bytes encoding/json writes for
+// their snapshot — escapes, sorted attributes, the last of a repeated
+// key, omitted members and all.
+func TestAppendJSONIsEncodingJSON(t *testing.T) {
 	tr, leg := legTrace(t, true)
 	tr.Start("open").Child("also open", Int("n", 1))
 	for name, trace := range map[string]*Trace{"ended": leg, "running": tr.Detach(tr.TraceID())} {
 		got := string(trace.AppendJSON([]byte("spans:")))
-		if want := "spans:" + jsonlArray(t, trace.Nodes()); got != want {
+		if want := "spans:" + flatArray(t, trace.Nodes()); got != want {
 			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
 		}
 	}
@@ -120,7 +138,7 @@ func TestRemoteSpansDecodedOnRead(t *testing.T) {
 	if len(adopted) != 1 || adopted[0].Name != "service-query" || len(adopted[0].Children[0].Children) != 6 {
 		t.Fatalf("the scatter span adopted %+v", adopted)
 	}
-	if got, want := jsonlArray(t, adopted), jsonlArray(t, leg.Nodes()); got != want {
+	if got, want := flatArray(t, adopted), flatArray(t, leg.Nodes()); got != want {
 		t.Errorf("the shard's subtree changed in transit:\n got %s\nwant %s", got, want)
 	}
 }

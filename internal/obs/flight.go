@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
@@ -201,39 +199,4 @@ func (f *FlightRecorder) Find(traceID string) (QueryRecord, bool) {
 		}
 	}
 	return QueryRecord{}, false
-}
-
-// RecordsText renders recent and slowest record lists (possibly
-// filtered) as an aligned table, newest first and then the slowest-K
-// block, for the /queryz?format=text view.
-func RecordsText(recent, slowest []QueryRecord) string {
-	var b strings.Builder
-	writeRecords := func(title string, recs []QueryRecord) {
-		fmt.Fprintf(&b, "%s (%d)\n", title, len(recs))
-		if len(recs) == 0 {
-			return
-		}
-		fmt.Fprintf(&b, "  %-10s %-32s %-16s %4s %5s %4s %7s %12s %12s %12s %12s\n",
-			"seq", "trace", "query", "verts", "code", "hit", "embs", "wait", "build", "enum", "total")
-		for _, r := range recs {
-			hit := "-"
-			if r.CacheHit {
-				hit = "hit"
-			}
-			embs := fmt.Sprint(r.Embeddings)
-			if r.Partial {
-				embs += "+"
-			}
-			fmt.Fprintf(&b, "  %-10d %-32s %-16s %4d %5d %4s %7s %12v %12v %12v %12v\n",
-				r.Seq, r.TraceID, r.QueryHash, r.QueryVertices, r.Outcome, hit, embs,
-				time.Duration(r.AdmissionWaitUS)*time.Microsecond,
-				time.Duration(r.BuildUS)*time.Microsecond,
-				time.Duration(r.EnumUS)*time.Microsecond,
-				time.Duration(r.TotalUS)*time.Microsecond)
-		}
-	}
-	writeRecords("recent queries", recent)
-	b.WriteByte('\n')
-	writeRecords("slowest queries", slowest)
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -114,7 +113,6 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 					fr.Slowest()
 					fr.Total()
 					fr.Find("w")
-					RecordsText(fr.Recent(), fr.Slowest())
 				}
 			}
 		}(w)
@@ -149,26 +147,6 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderText(t *testing.T) {
-	fr := NewFlightRecorder(8, 2)
-	rec := flightRec("aaaa1111", 1500)
-	rec.QueryVertices = 5
-	rec.Embeddings = 42
-	rec.CacheHit = true
-	fr.Record(rec)
-	partial := flightRec("bbbb2222", 9000)
-	partial.Outcome = 504
-	partial.Partial = true
-	fr.Record(partial)
-
-	text := RecordsText(fr.Recent(), fr.Slowest())
-	for _, want := range []string{"aaaa1111", "bbbb2222", "200", "504", "42"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("text table missing %q:\n%s", want, text)
-		}
-	}
-}
-
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var fr *FlightRecorder
 	fr.Record(flightRec("x", 1))
@@ -178,5 +156,4 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	if _, ok := fr.Find("x"); ok {
 		t.Fatal("nil recorder found a record")
 	}
-	_ = RecordsText(fr.Recent(), fr.Slowest())
 }

@@ -76,7 +76,7 @@ func (r *QueryResources) Add(o *QueryResources) {
 }
 
 // Text renders the ledger as an aligned block for cecirun -ledger and
-// the /queryz text view.
+// EXPLAIN ANALYZE.
 func (r *QueryResources) Text() string {
 	if r == nil {
 		return ""

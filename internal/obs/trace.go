@@ -1,8 +1,9 @@
 // Package obs is the live observability layer: a hierarchical span
 // tracer (preprocess → build → refine → enumerate → cluster), a progress
-// reporter invoked at a fixed interval during enumeration, and an HTTP
-// telemetry endpoint exposing counters, progress, and the span tree as
-// JSON and Prometheus text alongside net/http/pprof.
+// reporter invoked at a fixed interval during enumeration, the flight
+// recorder of finished queries, and a metrics registry whose handler
+// serves its counters and histograms as JSON and Prometheus text
+// alongside net/http/pprof.
 //
 // Everything here is nil-safe: a nil *Tracer, *Span, *Reporter, or
 // *Registry turns every method into a no-op, so instrumentation can be
@@ -11,8 +12,6 @@ package obs
 
 import (
 	"encoding/binary"
-	"encoding/json"
-	"io"
 	"strconv"
 	"sync"
 	"time"
@@ -52,10 +51,10 @@ const DefaultMaxChildren = 512
 type TracerOptions struct {
 	// MaxChildren caps recorded children per span (0 = DefaultMaxChildren).
 	MaxChildren int
-	// JSONL, when non-nil, receives one JSON line per span start and end
-	// — an offline-analyzable event log. Writes happen under the tracer
-	// lock; pass a buffered writer for high-frequency traces.
-	JSONL io.Writer
+	// OnStart, when non-nil, is called with the name of every recorded
+	// span as it opens, under the tracer's lock: a span opened on another
+	// goroutine waits until it returns, and it must not call the tracer.
+	OnStart func(name string)
 }
 
 // Tracer records a tree of timed spans. Safe for concurrent use; span
@@ -108,7 +107,6 @@ func (t *Tracer) TraceID() TraceID {
 // are ignored).
 type Span struct {
 	tracer   *Tracer
-	id       int64
 	name     string
 	tc       TraceContext // this span's own (trace ID, span ID) identity
 	parentSp SpanID       // parent span ID (zero on trace roots)
@@ -156,7 +154,7 @@ func (t *Tracer) startRoot(tid TraceID, parent SpanID, name string, attrs []Attr
 			parentSp: parent,
 		}
 	}
-	s := t.newSpanLocked(name, tid, parent, 0, attrs)
+	s := t.newSpanLocked(name, tid, parent, attrs)
 	t.roots = append(t.roots, s)
 	return s
 }
@@ -178,7 +176,7 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 			parentSp: s.tc.SpanID,
 		}
 	}
-	c := t.newSpanLocked(name, s.tc.TraceID, s.tc.SpanID, s.id, attrs)
+	c := t.newSpanLocked(name, s.tc.TraceID, s.tc.SpanID, attrs)
 	s.children = append(s.children, c)
 	return c
 }
@@ -193,32 +191,16 @@ func (s *Span) Context() TraceContext {
 	return s.tc
 }
 
-func (t *Tracer) newSpanLocked(name string, tid TraceID, parentSp SpanID, parent int64, attrs []Attr) *Span {
+func (t *Tracer) newSpanLocked(name string, tid TraceID, parentSp SpanID, attrs []Attr) *Span {
 	t.seq++
 	s := &Span{
-		tracer: t, id: t.seq, name: name, attrs: attrs, start: time.Now(),
+		tracer: t, name: name, attrs: attrs, start: time.Now(),
 		tc:       TraceContext{TraceID: tid, SpanID: deriveSpanID(tid, t.salt^t.seq), Sampled: true},
 		parentSp: parentSp,
 	}
-	if t.opts.JSONL == nil {
-		return s
+	if t.opts.OnStart != nil {
+		t.opts.OnStart(name)
 	}
-	ev := map[string]any{
-		"ev":     "start",
-		"id":     s.id,
-		"parent": parent,
-		"name":   name,
-		"t_us":   s.start.Sub(t.epoch).Microseconds(),
-		"attrs":  attrMap(attrs),
-	}
-	if !tid.IsZero() {
-		ev["trace"] = tid.String()
-		ev["span"] = s.tc.SpanID.String()
-		if !parentSp.IsZero() {
-			ev["span_parent"] = parentSp.String()
-		}
-	}
-	t.emitLocked(ev)
 	return s
 }
 
@@ -229,48 +211,11 @@ func (s *Span) End() {
 	}
 	t := s.tracer
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	s.endLocked(t, time.Now())
-}
-
-func (s *Span) endLocked(t *Tracer, now time.Time) {
-	if s.ended {
-		return
+	if !s.ended {
+		s.ended = true
+		s.end = time.Now()
 	}
-	s.ended = true
-	s.end = now
-	if s.detached || t.opts.JSONL == nil {
-		return
-	}
-	t.emitLocked(map[string]any{
-		"ev":     "end",
-		"id":     s.id,
-		"t_us":   s.end.Sub(t.epoch).Microseconds(),
-		"dur_us": s.end.Sub(s.start).Microseconds(),
-	})
-}
-
-// EndOpen force-closes every still-open span, children before parents,
-// emitting their end events to the JSONL log. Called on
-// SIGINT/SIGTERM so an interrupted run's span log carries a terminated
-// record for every span instead of dropping the open tail.
-func (t *Tracer) EndOpen() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := time.Now()
-	var walk func(s *Span)
-	walk = func(s *Span) {
-		for _, c := range s.children {
-			walk(c)
-		}
-		s.endLocked(t, now)
-	}
-	for _, r := range t.roots {
-		walk(r)
-	}
+	t.mu.Unlock()
 }
 
 // Annotate appends attributes to an already-open span.
@@ -281,16 +226,6 @@ func (s *Span) Annotate(attrs ...Attr) {
 	s.tracer.mu.Lock()
 	s.attrs = append(s.attrs, attrs...)
 	s.tracer.mu.Unlock()
-}
-
-// emitLocked writes one event to the JSONL sink; callers build the
-// event only when there is one.
-func (t *Tracer) emitLocked(ev map[string]any) {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	t.opts.JSONL.Write(append(b, '\n')) // best effort
 }
 
 func attrMap(attrs []Attr) map[string]string {

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -80,42 +77,27 @@ func TestTracerRootCap(t *testing.T) {
 	}
 }
 
-func TestTracerJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(TracerOptions{JSONL: &buf})
+// TestTracerOnStart: the start hook sees every recorded span as it
+// opens, in order, and none past a child cap; what it saw is the tree
+// the tracer holds.
+func TestTracerOnStart(t *testing.T) {
+	var started []string
+	tr := NewTracer(TracerOptions{MaxChildren: 1, OnStart: func(name string) { started = append(started, name) }})
 	s := tr.Start("build", Int("n", 4))
 	c := s.Child("refine")
+	s.Child("beyond the cap").End()
 	c.End()
 	s.End()
 
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 { // 2 starts + 2 ends
-		t.Fatalf("lines = %d, want 4: %q", len(lines), buf.String())
+	if len(started) != 2 || started[0] != "build" || started[1] != "refine" {
+		t.Fatalf("hook saw %q, want [build refine]", started)
 	}
-	type event struct {
-		Ev     string            `json:"ev"`
-		ID     int64             `json:"id"`
-		Parent int64             `json:"parent"`
-		Name   string            `json:"name"`
-		DurUS  int64             `json:"dur_us"`
-		Attrs  map[string]string `json:"attrs"`
+	roots := tr.Tree()
+	if len(roots) != 1 || roots[0].Name != "build" || roots[0].Attrs["n"] != "4" || roots[0].Running {
+		t.Fatalf("roots = %+v", roots)
 	}
-	var evs []event
-	for _, l := range lines {
-		var e event
-		if err := json.Unmarshal([]byte(l), &e); err != nil {
-			t.Fatalf("bad line %q: %v", l, err)
-		}
-		evs = append(evs, e)
-	}
-	if evs[0].Ev != "start" || evs[0].Name != "build" || evs[0].Attrs["n"] != "4" {
-		t.Fatalf("first event = %+v", evs[0])
-	}
-	if evs[1].Parent != evs[0].ID {
-		t.Fatalf("child parent = %d, want %d", evs[1].Parent, evs[0].ID)
-	}
-	if evs[3].Ev != "end" || evs[3].ID != evs[0].ID {
-		t.Fatalf("last event = %+v", evs[3])
+	if k := roots[0].Children; len(k) != 1 || k[0].Name != "refine" || k[0].ParentSpanID != roots[0].SpanID || k[0].Running {
+		t.Fatalf("children = %+v", k)
 	}
 }
 

@@ -137,15 +137,13 @@ func (s *Serving) Wait(ctx context.Context, drain time.Duration, logw io.Writer,
 //	GET  /healthz           liveness + data graph shape + build identity
 //	GET  /cachez            index cache statistics
 //	GET  /queryz            flight recorder: recent + slowest queries
-//	                        (?format=text for an aligned table;
-//	                        ?limit=N caps each list, ?min_ms=D keeps
+//	                        (?limit=N caps each list, ?min_ms=D keeps
 //	                        only queries at least that slow)
 //	GET  /tracez/{traceID}  a sampled query's span tree as Chrome
-//	                        trace_event JSON (?format=jsonl for the
-//	                        compact per-span JSONL form)
+//	                        trace_event JSON
 //	GET  /trace             the tracer's live span forest as JSON
 //	GET  /statz             telemetry hub: SLO burn state, ledger
-//	                        totals, time-series rollups (?format=text)
+//	                        totals, time-series rollups
 //
 // /statz requires Options.Telemetry. When the engine has a
 // Registry, its metric routes (/metrics, /metrics.json, /debug/pprof/)
@@ -348,8 +346,8 @@ func (f *Frame) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	w.Write(b)
 }
 
-// handleQueryz serves the flight recorder: JSON by default, an aligned
-// text table with ?format=text. ?limit= and ?min_ms= filter both lists.
+// handleQueryz serves the flight recorder; ?limit= and ?min_ms= filter
+// both lists.
 func (f *Frame) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	filters, err := parseQueryzFilters(r.URL.Query())
 	if err != nil {
@@ -358,11 +356,6 @@ func (f *Frame) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	}
 	recent := filters.apply(f.flight.Recent())
 	slowest := filters.apply(f.flight.Slowest())
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, obs.RecordsText(recent, slowest))
-		return
-	}
 	WriteJSON(w, http.StatusOK, QueryzResponse{
 		Total:   f.flight.Total(),
 		Recent:  recent,
@@ -371,16 +364,9 @@ func (f *Frame) handleQueryz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatz serves the telemetry hub's full view: SLO burn state,
-// ledger totals, and time-series rollups. JSON by default,
-// ?format=text for aligned tables.
-func (f *Frame) handleStatz(w http.ResponseWriter, r *http.Request) {
-	h := f.Telemetry
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, h.StatzText())
-		return
-	}
-	b, err := h.StatzJSON()
+// ledger totals, and time-series rollups.
+func (f *Frame) handleStatz(w http.ResponseWriter, _ *http.Request) {
+	b, err := f.Telemetry.StatzJSON()
 	if err != nil {
 		WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
@@ -389,9 +375,8 @@ func (f *Frame) handleStatz(w http.ResponseWriter, r *http.Request) {
 	w.Write(b)
 }
 
-// handleTracez serves one query's span tree by trace ID: Chrome
-// trace_event JSON by default (load in chrome://tracing or Perfetto),
-// the compact per-span JSONL form with ?format=jsonl.
+// handleTracez serves one query's span tree by trace ID as Chrome
+// trace_event JSON (load in chrome://tracing or Perfetto).
 func (f *Frame) handleTracez(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("traceID")
 	rec, ok := f.flight.Find(id)
@@ -406,11 +391,6 @@ func (f *Frame) handleTracez(w http.ResponseWriter, r *http.Request) {
 	if len(spans) == 0 {
 		WriteJSON(w, http.StatusNotFound,
 			map[string]string{"error": "trace " + id + " was not sampled: no spans recorded"})
-		return
-	}
-	if r.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/jsonl")
-		obs.WriteSpanJSONL(w, spans)
 		return
 	}
 	doc, err := obs.ChromeTrace(spans)

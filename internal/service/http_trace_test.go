@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -135,7 +134,7 @@ func TestTracedQueryEndToEnd(t *testing.T) {
 }
 
 // TestTracedQueryHeaderEgress checks the raw HTTP surfaces: traceparent
-// response header, text-format /queryz, JSONL-format /tracez, and the
+// response header, /queryz, the /tracez tree's span identities, and the
 // 404s for unknown or unsampled traces.
 func TestTracedQueryHeaderEgress(t *testing.T) {
 	srv, client, _ := traceTestServer(t, Options{
@@ -161,30 +160,51 @@ func TestTracedQueryHeaderEgress(t *testing.T) {
 		t.Fatalf("header trace %s != body trace %s", tc.TraceID, out.TraceID)
 	}
 
-	// Text table form of the flight recorder mentions the query.
-	treq, err := srv.Client().Get(srv.URL + "/queryz?format=text")
+	// The flight recorder mentions the query.
+	qz, err := client.Queryz(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	txt, err := io.ReadAll(treq.Body)
-	treq.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(txt), tc.TraceID.String()) {
-		t.Fatalf("text table missing trace id:\n%s", txt)
+	if len(qz.Recent) != 1 || qz.Recent[0].TraceID != tc.TraceID.String() {
+		t.Fatalf("queryz = %+v, want the query of trace %s", qz.Recent, tc.TraceID)
 	}
 
-	// JSONL form of the trace: every line parses alone.
-	raw, err := client.Tracez(context.Background(), out.TraceID+"?format=jsonl")
+	// The trace: every span names its trace and itself, and every parent
+	// but the root's is a span of the document.
+	raw, err := client.Tracez(context.Background(), out.TraceID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		var node map[string]any
-		if err := json.Unmarshal([]byte(line), &node); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
+	var doc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			ids[ev.Args["span_id"]] = true
 		}
+	}
+	roots := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		if ev.Args["trace_id"] != out.TraceID || ev.Args["span_id"] == "" {
+			t.Fatalf("span %q args %v", ev.Name, ev.Args)
+		}
+		if !ids[ev.Args["parent_span_id"]] {
+			roots++
+		}
+	}
+	if len(ids) < 2 || roots != 1 {
+		t.Fatalf("%d spans, %d of them roots: want one tree", len(ids), roots)
 	}
 
 	// Unknown trace: 404.

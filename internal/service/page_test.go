@@ -566,17 +566,41 @@ func TestPageCodecAllocs(t *testing.T) {
 	}
 }
 
+// flatSpans is the reference for the spans member, written with
+// encoding/json: the forest's spans depth first, each marshalled with its
+// Children nil and naming its parent, as one array.
+func flatSpans(t *testing.T, nodes []*obs.SpanNode) string {
+	t.Helper()
+	var elems []string
+	var walk func(n *obs.SpanNode, parent string)
+	walk = func(n *obs.SpanNode, parent string) {
+		flat := *n
+		flat.Children = nil
+		if flat.ParentSpanID == "" {
+			flat.ParentSpanID = parent
+		}
+		b, err := json.Marshal(&flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elems = append(elems, string(b))
+		for _, c := range n.Children {
+			walk(c, n.SpanID)
+		}
+	}
+	for _, n := range nodes {
+		walk(n, "")
+	}
+	return "[" + strings.Join(elems, ",") + "]"
+}
+
 // TestSpansMemberClosesTheEnvelope: a reply with spans is the reply
 // without them — byte for byte — plus one last member holding what
-// obs.WriteSpanJSONL writes for the same trace, a span to an element.
+// encoding/json writes for the same trace's spans, a span to an element.
 func TestSpansMemberClosesTheEnvelope(t *testing.T) {
 	env, page := pageFixture()
 	spans := legSpans()
-	var lines bytes.Buffer
-	if err := obs.WriteSpanJSONL(&lines, spans.Nodes()); err != nil {
-		t.Fatal(err)
-	}
-	member := "[" + strings.ReplaceAll(strings.TrimSpace(lines.String()), "\n", ",") + "]"
+	member := flatSpans(t, spans.Nodes())
 	for name, page := range map[string]Page{"page": page, "count only": {}} {
 		plain, err := newQueryEncoder().encode(env, page, nil)
 		if err != nil {

@@ -104,7 +104,8 @@ func TestSpansRideOnlyTracedShardLegs(t *testing.T) {
 		if tc.tracer {
 			opts.Tracer = obs.NewTracer(obs.TracerOptions{})
 		}
-		srv := httptest.NewServer(New(data, opts).Handler())
+		eng := New(data, opts)
+		srv := httptest.NewServer(eng.Handler())
 		hreq, _ := http.NewRequest(http.MethodPost, srv.URL+"/query", bytes.NewReader(body))
 		if tc.traceparent != "" {
 			hreq.Header.Set("traceparent", tc.traceparent)
@@ -129,14 +130,13 @@ func TestSpansRideOnlyTracedShardLegs(t *testing.T) {
 			t.Errorf("%s: without the member the body is not encoding/json's:\n got %s\nwant %s", tc.name, rest, want)
 		}
 		if tc.spans {
-			// The member is the shard's own /tracez, a span to an element.
-			jsonl, err := http.Get(srv.URL + "/tracez/" + v.TraceID + "?format=jsonl")
-			if err != nil {
-				t.Fatal(err)
+			// The member is the trace the shard's own /tracez serves, a
+			// span to an element.
+			rec, ok := eng.Flight().Find(v.TraceID)
+			if !ok {
+				t.Fatalf("%s: trace %s is not in the flight recorder", tc.name, v.TraceID)
 			}
-			lines, _ := io.ReadAll(jsonl.Body)
-			jsonl.Body.Close()
-			want := "[" + strings.ReplaceAll(strings.TrimSpace(string(lines)), "\n", ",") + "]"
+			want := flatSpans(t, rec.Trace.Nodes())
 			if string(spans) != want || !strings.Contains(want, `"name":"service-query"`) ||
 				!strings.Contains(want, `"parent_span_id":"00f067aa0ba902b7"`) {
 				t.Errorf("%s: spans on the reply\n %s\n/tracez says\n %s", tc.name, spans, want)

@@ -310,11 +310,11 @@ func (rt *Router) probe(rep *Replica) {
 //	GET  /healthz           liveness (+ ?ready=1: 503 until every shard
 //	                        has a probed-healthy replica)
 //	GET  /shardz            per-replica health, load, and last error
-//	GET  /queryz            router flight recorder (?format=text,
-//	                        ?limit=N, ?min_ms=D)
+//	GET  /queryz            router flight recorder (?limit=N, ?min_ms=D)
 //	GET  /tracez/{traceID}  stitched span tree spanning router + shards
-//	                        (no shard is contacted: their spans came
-//	                        with their leg replies)
+//	                        as Chrome trace_event JSON (no shard is
+//	                        contacted: their spans came with their leg
+//	                        replies)
 //	GET  /trace             the router tracer's live span forest as JSON
 //	GET  /statz             telemetry hub (requires Options.Telemetry)
 //

@@ -355,9 +355,6 @@ func TestRouterTraceStitching(t *testing.T) {
 			t.Fatalf("%s: sampled query returned no trace id", name)
 		}
 		roots := routerSpans(t, rsrv.URL, resp.TraceID)
-		if chrome, err := cl.Tracez(context.Background(), resp.TraceID); err != nil || !bytes.Contains(chrome, []byte(`"service-query"`)) {
-			t.Fatalf("%s: chrome export: %v", name, err)
-		}
 
 		if len(roots) != 1 || roots[0].Name != "route-query" {
 			t.Fatalf("%s: want a single route-query root, got %d roots", name, len(roots))
@@ -385,7 +382,7 @@ func TestRouterTraceStitching(t *testing.T) {
 		for i := range requests {
 			legs += int(fills[i])
 			if n := requests[i].Load(); n != 1+fills[i] {
-				t.Errorf("%s: shard %d served %d requests for one routed query, %d fill legs and two reads of its trace, want %d",
+				t.Errorf("%s: shard %d served %d requests for one routed query, %d fill legs and a read of its trace, want %d",
 					name, i, n, fills[i], 1+fills[i])
 			}
 		}
@@ -402,22 +399,37 @@ func TestRouterTraceStitching(t *testing.T) {
 }
 
 // routerSpans reads a routed query's stitched span forest from the
-// router's /tracez/{id}?format=jsonl.
+// router's /tracez/{id}: each trace_event becomes a span node again, and
+// the span_id / parent_span_id its args carry nest it (obs.Stitch).
 func routerSpans(t *testing.T, url, traceID string) []*obs.SpanNode {
 	t.Helper()
-	hresp, err := http.Get(url + "/tracez/" + traceID + "?format=jsonl")
+	doc, err := service.NewClient(url, nil).Tracez(context.Background(), traceID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /tracez/%s: HTTP %d", traceID, hresp.StatusCode)
+	var chrome struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
 	}
-	roots, err := obs.ReadSpanJSONL(hresp.Body)
-	if err != nil {
+	if err := json.Unmarshal(doc, &chrome); err != nil {
 		t.Fatal(err)
 	}
-	return roots
+	var nodes []*obs.SpanNode
+	for _, ev := range chrome.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		n := &obs.SpanNode{Name: ev.Name, TraceID: ev.Args["trace_id"], SpanID: ev.Args["span_id"],
+			ParentSpanID: ev.Args["parent_span_id"], Attrs: ev.Args}
+		delete(n.Attrs, "trace_id")
+		delete(n.Attrs, "span_id")
+		delete(n.Attrs, "parent_span_id")
+		nodes = append(nodes, n)
+	}
+	return obs.Stitch(nodes)
 }
 
 // stubShard is a fake shard server for routing-behavior tests: answers

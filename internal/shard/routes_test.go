@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -224,6 +225,90 @@ func TestEngineAndRouterMetricAndTraceRoutes(t *testing.T) {
 		var tree []*obs.SpanNode
 		if err := json.Unmarshal(trace, &tree); err != nil || len(tree) != 1 || tree[0].Name != "probe" {
 			t.Errorf("%s /trace: %v, %s", tc.server, err, trace)
+		}
+	}
+}
+
+// TestDebugRoutesHaveOneEncoding: on an engine and on a router, each debug
+// route has one encoding. Asked with no parameter, with ?format=text or
+// with ?format=jsonl, it answers application/json that decodes, with no
+// member left over, as its one document; /queryz and /tracez answer the
+// same bytes every time.
+func TestDebugRoutesHaveOneEncoding(t *testing.T) {
+	data := gen.Fig1Data()
+	parts, err := Split(data, PartitionOptions{Shards: 1, Radius: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := shardEngine(parts[0], service.Options{
+		Tracer:      obs.NewTracer(obs.TracerOptions{}),
+		TraceSample: 1,
+		Telemetry:   telemetry.NewHub(telemetry.Options{}),
+	})
+	esrv := httptest.NewServer(eng.Handler())
+	t.Cleanup(esrv.Close)
+	_, rsrv := startFleet(t, data, 1, 2, service.Options{TraceSample: 1}, RouterOptions{
+		Tracer:      obs.NewTracer(obs.TracerOptions{}),
+		TraceSample: 1,
+		Telemetry:   telemetry.NewHub(telemetry.Options{}),
+	})
+
+	type chromeDoc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			TS   int64             `json:"ts"`
+			Dur  int64             `json:"dur"`
+			PID  int               `json:"pid"`
+			TID  int64             `json:"tid"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+		DisplayTimeUnit string `json:"displayTimeUnit"`
+	}
+	wire := service.QueryRequest{Query: wireText(t, gen.Fig1Query())}
+	for server, url := range map[string]string{"engine": esrv.URL, "router": rsrv.URL} {
+		resp, err := service.NewClient(url, nil).Query(context.Background(), wire)
+		if err != nil || resp.TraceID == "" {
+			t.Fatalf("%s: query: %v (trace %q)", server, err, resp.TraceID)
+		}
+		for _, route := range []struct {
+			path      string
+			doc       func() any
+			sameBytes bool
+		}{
+			{"/queryz", func() any { return &service.QueryzResponse{} }, true},
+			{"/statz", func() any { return &telemetry.Statz{} }, false},
+			{"/tracez/" + resp.TraceID, func() any { return &chromeDoc{} }, true},
+			{"/trace", func() any { return &[]*obs.SpanNode{} }, false},
+		} {
+			var first []byte
+			for _, query := range []string{"", "?format=text", "?format=jsonl"} {
+				hresp, err := http.Get(url + route.path + query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(hresp.Body)
+				hresp.Body.Close()
+				name := server + " " + route.path + query
+				if ct := hresp.Header.Get("Content-Type"); hresp.StatusCode != http.StatusOK || ct != "application/json" {
+					t.Errorf("%s: HTTP %d, Content-Type %q, want 200 application/json", name, hresp.StatusCode, ct)
+					continue
+				}
+				dec := json.NewDecoder(bytes.NewReader(body))
+				dec.DisallowUnknownFields()
+				doc := route.doc()
+				if err := dec.Decode(doc); err != nil || dec.More() {
+					t.Errorf("%s: does not decode as its document (%v): %.200s", name, err, body)
+				}
+				if c, ok := doc.(*chromeDoc); ok && len(c.TraceEvents) < 2 {
+					t.Errorf("%s: %d trace events", name, len(c.TraceEvents))
+				}
+				if first == nil {
+					first = body
+				} else if route.sameBytes && !bytes.Equal(body, first) {
+					t.Errorf("%s: body differs from the plain route's:\n%s\nwant\n%s", name, body, first)
+				}
+			}
 		}
 	}
 }

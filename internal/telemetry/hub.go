@@ -2,10 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -323,49 +320,4 @@ func (h *Hub) Snapshot() Statz {
 // StatzJSON renders the /statz document as indented JSON.
 func (h *Hub) StatzJSON() ([]byte, error) {
 	return json.MarshalIndent(h.Snapshot(), "", "  ")
-}
-
-// StatzText renders the /statz document as aligned text tables.
-func (h *Hub) StatzText() string {
-	st := h.Snapshot()
-	var b strings.Builder
-	fmt.Fprintf(&b, "statz @ %s\n\n", st.Time.Format(time.RFC3339))
-
-	fmt.Fprintf(&b, "slo (latency target %dms, windows %ds/%ds)\n",
-		st.SLO.LatencyTargetMS, st.SLO.FastWindowSeconds, st.SLO.SlowWindowSeconds)
-	writeSLI := func(name string, s SLIState) {
-		state := "ok"
-		if s.Breach {
-			state = "BREACH"
-		}
-		fmt.Fprintf(&b, "  %-14s objective %.4g  fast burn %.3g  slow burn %.3g  budget %.1f%%  %s\n",
-			name, s.Objective, s.FastBurn, s.SlowBurn, s.BudgetRemaining*100, state)
-	}
-	writeSLI("latency", st.SLO.Latency)
-	writeSLI("availability", st.SLO.Availability)
-
-	fmt.Fprintf(&b, "\nqueries: %d (%d errors)\n", st.Queries, st.Errors)
-	if st.Queries > 0 {
-		b.WriteString(st.Totals.Text())
-	}
-
-	if len(st.Series) > 0 {
-		names := make([]string, 0, len(st.Series))
-		for n := range st.Series {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(&b, "\nseries (%d, finest window)\n", len(names))
-		for _, n := range names {
-			ws := st.Series[n]
-			if len(ws) == 0 || len(ws[0].Points) == 0 {
-				continue
-			}
-			pts := ws[0].Points
-			last := pts[len(pts)-1]
-			fmt.Fprintf(&b, "  %-40s %3d pts @%ds  last %g\n",
-				n, len(pts), ws[0].StepSeconds, last.V)
-		}
-	}
-	return b.String()
 }

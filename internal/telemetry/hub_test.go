@@ -18,11 +18,7 @@ func testHub(clk *fakeClock) *Hub {
 		Now:            clk.Now,
 		Resolutions:    []Resolution{{Step: 10 * time.Second, Len: 30}},
 		SampleInterval: 10 * time.Second,
-		SLO: SLOConfig{
-			LatencyTarget: 100 * time.Millisecond,
-			FastWindow:    time.Minute,
-			SlowWindow:    10 * time.Minute,
-		},
+		SLO:            SLOConfig{LatencyTarget: 100 * time.Millisecond},
 	})
 }
 
@@ -100,11 +96,9 @@ func TestHubSampleAndStatz(t *testing.T) {
 		t.Fatalf("slo gauge source = %+v", gs["slo"])
 	}
 
-	text := h.StatzText()
-	for _, want := range []string{"slo (latency target 100ms", "BREACH", "queries: 2 (1 errors)", "resource ledger:", "series ("} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("statz text missing %q:\n%s", want, text)
-		}
+	// The document echoes the objectives it is measured against.
+	if st := doc.SLO; st.LatencyTargetMS != 100 || st.FastWindowSeconds != 300 || st.SlowWindowSeconds != 3600 {
+		t.Fatalf("slo = %+v, want latency target 100ms, windows 300s/3600s", st)
 	}
 }
 

@@ -19,17 +19,20 @@ type SLOConfig struct {
 	// HTTP-style status >= 500, or 429 (shed by admission control).
 	// Client errors (4xx other than 429) consume no budget.
 	AvailabilityObjective float64
-	// FastWindow and SlowWindow are the multiwindow burn-rate horizons
-	// (defaults 5m and 1h). The fast window catches sudden incidents;
-	// the slow window filters out blips.
-	FastWindow, SlowWindow time.Duration
-	// FastBurnThreshold and SlowBurnThreshold are the burn rates at
-	// which each window is considered breaching (defaults 14.4 and 6 —
-	// the classic page-worthy thresholds for a 30-day budget).
-	FastBurnThreshold, SlowBurnThreshold float64
-	// Step is the bucket width of the internal ring (default 10s).
-	Step time.Duration
 }
+
+// The multiwindow burn-rate alerting every tracker does: the fast window
+// catches sudden incidents, the slow window filters out blips, and each
+// breaches at its own burn rate — the classic page-worthy thresholds for
+// a 30-day budget. The ring's buckets are sloStep wide and span the slow
+// window.
+const (
+	sloFastWindow = 5 * time.Minute
+	sloSlowWindow = time.Hour
+	sloFastBurn   = 14.4
+	sloSlowBurn   = 6
+	sloStep       = 10 * time.Second
+)
 
 func (c SLOConfig) withDefaults() SLOConfig {
 	if c.LatencyTarget <= 0 {
@@ -41,25 +44,10 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	if c.AvailabilityObjective <= 0 || c.AvailabilityObjective >= 1 {
 		c.AvailabilityObjective = 0.999
 	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 5 * time.Minute
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = time.Hour
-	}
-	if c.FastBurnThreshold <= 0 {
-		c.FastBurnThreshold = 14.4
-	}
-	if c.SlowBurnThreshold <= 0 {
-		c.SlowBurnThreshold = 6
-	}
-	if c.Step <= 0 {
-		c.Step = 10 * time.Second
-	}
 	return c
 }
 
-// sloBucket is one Step's worth of observations.
+// sloBucket is one sloStep's worth of observations.
 type sloBucket struct {
 	total     int64 // all queries
 	availGood int64 // not a server failure (outcome < 500 and != 429)
@@ -67,7 +55,7 @@ type sloBucket struct {
 }
 
 // SLO tracks error-budget burn against the configured objectives over a
-// ring of Step-wide buckets spanning the slow window. Observe is a
+// ring of sloStep-wide buckets spanning the slow window. Observe is a
 // handful of integer updates under a mutex; State sums the ring.
 type SLO struct {
 	mu      sync.Mutex
@@ -84,19 +72,7 @@ func NewSLO(cfg SLOConfig, now func() time.Time) *SLO {
 	if now == nil {
 		now = time.Now
 	}
-	n := int(cfg.SlowWindow / cfg.Step)
-	if n < 1 {
-		n = 1
-	}
-	return &SLO{cfg: cfg, now: now, buckets: make([]sloBucket, n), last: -1}
-}
-
-// Config returns the resolved (defaulted) configuration.
-func (s *SLO) Config() SLOConfig {
-	if s == nil {
-		return SLOConfig{}.withDefaults()
-	}
-	return s.cfg
+	return &SLO{cfg: cfg, now: now, buckets: make([]sloBucket, sloSlowWindow/sloStep), last: -1}
 }
 
 // Observe records one completed query. Nil-safe.
@@ -119,7 +95,7 @@ func (s *SLO) Observe(latency time.Duration, outcome int) {
 // advance rotates the ring to the bucket containing unix-seconds t and
 // returns it. Callers hold s.mu.
 func (s *SLO) advance(t int64) *sloBucket {
-	idx := t / int64(s.cfg.Step/time.Second)
+	idx := t / int64(sloStep/time.Second)
 	if s.last < 0 {
 		s.last = idx
 	} else if idx > s.last {
@@ -182,13 +158,8 @@ func (s *SLO) State() SLOState {
 	now := s.now()
 	s.advance(now.Unix()) // age out stale buckets before summing
 
-	stepSec := int64(s.cfg.Step / time.Second)
 	sum := func(window time.Duration) (total, availGood, latGood int64) {
-		n := int(int64(window/time.Second) / stepSec)
-		if n > len(s.buckets) {
-			n = len(s.buckets)
-		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < int(window/sloStep); i++ {
 			b := s.buckets[(s.last-int64(i)+2*int64(len(s.buckets)))%int64(len(s.buckets))]
 			total += b.total
 			availGood += b.availGood
@@ -203,14 +174,14 @@ func (s *SLO) State() SLOState {
 		return (float64(bad) / float64(total)) / (1 - objective)
 	}
 
-	fTot, fAvail, fLat := sum(s.cfg.FastWindow)
-	sTot, sAvail, sLat := sum(s.cfg.SlowWindow)
+	fTot, fAvail, fLat := sum(sloFastWindow)
+	sTot, sAvail, sLat := sum(sloSlowWindow)
 
 	st := SLOState{
 		Time:              now,
 		LatencyTargetMS:   s.cfg.LatencyTarget.Milliseconds(),
-		FastWindowSeconds: int64(s.cfg.FastWindow / time.Second),
-		SlowWindowSeconds: int64(s.cfg.SlowWindow / time.Second),
+		FastWindowSeconds: int64(sloFastWindow / time.Second),
+		SlowWindowSeconds: int64(sloSlowWindow / time.Second),
 	}
 
 	// Latency SLI: fast fraction of available (non-failed) queries.
@@ -230,8 +201,7 @@ func (s *SLO) State() SLOState {
 		if sli.BudgetRemaining < 0 {
 			sli.BudgetRemaining = 0
 		}
-		sli.Breach = sli.FastBurn >= s.cfg.FastBurnThreshold ||
-			sli.SlowBurn >= s.cfg.SlowBurnThreshold
+		sli.Breach = sli.FastBurn >= sloFastBurn || sli.SlowBurn >= sloSlowBurn
 	}
 	return st
 }

@@ -11,9 +11,6 @@ func testSLO(clk *fakeClock) *SLO {
 		LatencyTarget:         100 * time.Millisecond,
 		LatencyObjective:      0.9,
 		AvailabilityObjective: 0.99,
-		FastWindow:            time.Minute,
-		SlowWindow:            10 * time.Minute,
-		Step:                  10 * time.Second,
 	}, clk.Now)
 }
 
@@ -77,7 +74,7 @@ func TestSLOBreachAndRecovery(t *testing.T) {
 	}
 
 	// Shed queries (429) also consume availability budget.
-	clk.Advance(10 * time.Minute) // age the outage out of both windows
+	clk.Advance(sloSlowWindow) // age the outage out of both windows
 	s.Observe(time.Millisecond, 429)
 	st = s.State()
 	if !almost(st.Availability.FastBurn, 100) {
@@ -85,7 +82,7 @@ func TestSLOBreachAndRecovery(t *testing.T) {
 	}
 
 	// Client errors (400) do not.
-	clk.Advance(10 * time.Minute)
+	clk.Advance(sloSlowWindow)
 	s.Observe(time.Millisecond, 400)
 	st = s.State()
 	if st.Availability.FastBurn != 0 {
@@ -100,14 +97,14 @@ func TestSLOWindowsDiverge(t *testing.T) {
 	clk := newFakeClock()
 	s := testSLO(clk)
 
-	// Nine minutes of clean traffic, then one minute of failures: the
-	// fast window (1m) sees only the failures, the slow window (10m)
-	// dilutes them 1:10.
-	for i := 0; i < 9*6; i++ {
+	// 55 minutes of clean traffic, then five minutes of failures: the
+	// fast window (5m) sees only the failures, the slow window (1h)
+	// dilutes them 1:12.
+	for i := 0; i < 55*6; i++ {
 		s.Observe(time.Millisecond, 200)
 		clk.Advance(10 * time.Second)
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 5*6; i++ {
 		s.Observe(time.Millisecond, 500)
 		clk.Advance(10 * time.Second)
 	}
@@ -118,18 +115,22 @@ func TestSLOWindowsDiverge(t *testing.T) {
 	if !almost(st.Availability.FastBurn, 100) {
 		t.Fatalf("fast burn = %g, want 100 (window is all failures)", st.Availability.FastBurn)
 	}
-	if !almost(st.Availability.SlowBurn, 10) {
-		t.Fatalf("slow burn = %g, want 10 (6 bad of 60)", st.Availability.SlowBurn)
+	if want := (30.0 / 360) / 0.01; !almost(st.Availability.SlowBurn, want) {
+		t.Fatalf("slow burn = %g, want %g (30 bad of 360)", st.Availability.SlowBurn, want)
 	}
 }
 
 func TestSLODefaults(t *testing.T) {
 	cfg := SLOConfig{}.withDefaults()
-	if cfg.LatencyTarget != 500*time.Millisecond || cfg.LatencyObjective != 0.99 ||
-		cfg.AvailabilityObjective != 0.999 || cfg.FastWindow != 5*time.Minute ||
-		cfg.SlowWindow != time.Hour || cfg.FastBurnThreshold != 14.4 ||
-		cfg.SlowBurnThreshold != 6 || cfg.Step != 10*time.Second {
+	if cfg.LatencyTarget != 500*time.Millisecond || cfg.LatencyObjective != 0.99 || cfg.AvailabilityObjective != 0.999 {
 		t.Fatalf("defaults = %+v", cfg)
+	}
+	if sloFastWindow != 5*time.Minute || sloSlowWindow != time.Hour || sloFastBurn != 14.4 ||
+		sloSlowBurn != 6 || sloStep != 10*time.Second || len(NewSLO(cfg, nil).buckets) != 360 {
+		t.Fatalf("windows %v/%v, burn thresholds %v/%v, step %v", sloFastWindow, sloSlowWindow, sloFastBurn, sloSlowBurn, sloStep)
+	}
+	if st := NewSLO(SLOConfig{}, nil).State(); st.FastWindowSeconds != 300 || st.SlowWindowSeconds != 3600 || st.LatencyTargetMS != 500 {
+		t.Fatalf("state echoes %+v", st)
 	}
 	var nilSLO *SLO
 	nilSLO.Observe(time.Second, 200) // must not panic

@@ -1,7 +1,6 @@
 package ceci_test
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -12,14 +11,14 @@ import (
 	"ceci/internal/gen"
 )
 
-// buildLog counts the index builds a tracer logs: a "build" span opening.
+// buildLog counts the index builds a tracer sees: a "build" span opening.
 type buildLog struct{ n atomic.Int64 }
 
-func (b *buildLog) Write(p []byte) (int, error) {
-	if bytes.Contains(p, []byte(`"ev":"start"`)) && bytes.Contains(p, []byte(`"name":"build"`)) {
+// onStart is the tracer's start hook (TracerOptions.OnStart).
+func (b *buildLog) onStart(name string) {
+	if name == "build" {
 		b.n.Add(1)
 	}
-	return len(p), nil
 }
 
 func match(t *testing.T, data, query *ceci.Graph, opts *ceci.Options) *ceci.Matcher {
@@ -101,7 +100,7 @@ func TestLimitedMatchGrowsOnce(t *testing.T) {
 	log := &buildLog{}
 	m := match(t, data, query, &ceci.Options{
 		Workers: 2, Limit: total + 1,
-		Tracer: ceci.NewTracer(ceci.TracerOptions{JSONL: log}),
+		Tracer: ceci.NewTracer(ceci.TracerOptions{OnStart: log.onStart}),
 	})
 	var wg sync.WaitGroup
 	counts := make([]int64, 8)

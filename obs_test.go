@@ -179,7 +179,7 @@ func TestIncrementalProgress(t *testing.T) {
 		Limit:            total - 1,
 		Stats:            st,
 		Ledger:           led,
-		Tracer:           ceci.NewTracer(ceci.TracerOptions{JSONL: log}),
+		Tracer:           ceci.NewTracer(ceci.TracerOptions{OnStart: log.onStart}),
 		ProgressInterval: time.Millisecond,
 		Progress: func(p ceci.Progress) {
 			if p.Final {

@@ -34,6 +34,7 @@ var unsetOptions = map[string]string{
 	"ceci/internal/baseline/psgl.Options.MaxIntermediates":   "test seam: the abort tests (psgl_test.go) cap the intermediate results",
 	"ceci/internal/reference.Options.Limit":                  "test seam: the oracle answers whether one embedding exists (gen_test.go) and the first ten (reference_test.go)",
 	"ceci/internal/obs.TracerOptions.MaxChildren":            "test seam: the span-cap tests (trace_test.go, finished_test.go) record past caps of one, two and six children",
+	"ceci/internal/obs.TracerOptions.OnStart":                "test seam: the build-count tests (limited_test.go, obs_test.go, internal/enum/limited_test.go) count build spans as they open, and record_test.go pauses a run at a cluster span",
 	"ceci/internal/telemetry.Options.Now":                    "test seam: the hub tests (hub_test.go) sample on a fake clock",
 }
 
@@ -43,8 +44,8 @@ var unsetOptions = map[string]string{
 // code with a test. It reads syntax only (go/parser): a setter is a keyed
 // field of a composite literal of the struct's type, or a `x.Field = …` /
 // `&x.Field` in a file that is in, or imports, the struct's package —
-// unless x is a by-value parameter of the struct's own type, whose
-// package is filling a default into its own copy.
+// unless x is a by-value parameter or receiver of the struct's own type,
+// whose package is filling a default into its own copy.
 func TestEveryOptionHasASetter(t *testing.T) {
 	fset := token.NewFileSet()
 	type source struct {
@@ -178,27 +179,32 @@ func TestEveryOptionHasASetter(t *testing.T) {
 }
 
 // ownCopies returns the `x.Field` assignment targets in f whose x is a
-// parameter of an audited options struct of f's own package, taken by
-// value: such an assignment fills a default into the function's own copy,
-// and sets nothing a caller can turn.
+// parameter or the receiver of an audited options struct of f's own
+// package, taken by value: such an assignment fills a default into the
+// function's own copy, and sets nothing a caller can turn.
 func ownCopies(f *ast.File) map[*ast.SelectorExpr]bool {
 	own := map[*ast.SelectorExpr]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
-		var ft *ast.FuncType
+		var lists []*ast.FieldList // the receiver (nil on a function), then the parameters
 		var body *ast.BlockStmt
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
-			ft, body = fn.Type, fn.Body
+			lists, body = []*ast.FieldList{fn.Recv, fn.Type.Params}, fn.Body
 		case *ast.FuncLit:
-			ft, body = fn.Type, fn.Body
+			lists, body = []*ast.FieldList{fn.Type.Params}, fn.Body
 		default:
 			return true
 		}
 		params := map[string]bool{}
-		for _, p := range ft.Params.List {
-			if typ, ok := p.Type.(*ast.Ident); ok && auditedStructs[typ.Name] {
-				for _, name := range p.Names {
-					params[name.Name] = true
+		for _, list := range lists {
+			if list == nil {
+				continue
+			}
+			for _, p := range list.List {
+				if typ, ok := p.Type.(*ast.Ident); ok && auditedStructs[typ.Name] {
+					for _, name := range p.Names {
+						params[name.Name] = true
+					}
 				}
 			}
 		}
