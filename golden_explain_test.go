@@ -37,7 +37,14 @@ import (
 // took it, the recursive calls, the 1-worker peak scratch, the last two
 // depths' step rows, the candidate-size histogram and the 4-worker FGD
 // unit and split lines moved, and nothing else did (EXPERIMENTS.md,
-// "Core rent check").
+// "Core rent check"). They were rewritten a fifth time when the histogram
+// count began to form a correction term only where the sharing rule
+// (enum's Matcher.canShare) lets its two sets meet, and to charge Z∩U's
+// merge only the elements it walks: in both files the eliminated depth's
+// comparisons and ratio moved on two pairs — sparse-QG2's u0 808 → 542
+// (1 worker) and 864 → 598 (4 workers), where Z is no longer walked for
+// Z∩U, and sparse-QG4's u3 41 → 15 — and nothing else did
+// (EXPERIMENTS.md, "Injectivity only where two vertices can share").
 
 // explainGolden renders, per golden pair, the canonical profile as one
 // JSON line and the EXPLAIN ANALYZE text with its timings stripped.

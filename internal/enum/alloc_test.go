@@ -39,6 +39,22 @@ func labeledSquare() *graph.Graph {
 	return b.MustBuild()
 }
 
+// labeledHouse returns the house QG4 labelled so that no automorphism
+// survives and its roof y and the corner z it is ordered after share a
+// label: a count-only run counts its last vertex from a histogram with z
+// at n-3 and forms the Z∩A correction.
+func labeledHouse() *graph.Graph {
+	b := graph.NewBuilder(5)
+	for u, l := range []graph.Label{0, 1, 0, 1, 1} {
+		b.SetLabel(graph.VertexID(u), l)
+	}
+	gen.QG4().Edges(func(u, v graph.VertexID) bool {
+		b.AddEdge(u, v)
+		return true
+	})
+	return b.MustBuild()
+}
+
 // hubTriangles returns two hub vertices connected to every leaf plus a
 // leaf-chain, so triangle enumeration intersects a huge hub adjacency
 // against tiny leaf adjacencies — a >16:1 skew that drives the gallop
@@ -78,8 +94,9 @@ func kernelCalls(t *testing.T, data, query *graph.Graph) map[string]int64 {
 // result), setops.IntersectK through the per-depth scratch, the
 // word-packed injectivity bitmap, the symmetry-breaking check, and the
 // last depth finished in place — for a consumer, and count-only, where
-// leaf tallies Fig. 1's last depth and the labelled square's last vertex
-// is counted from a histogram — performs zero heap allocations
+// leaf tallies Fig. 1's last depth and the labelled square's and house's
+// last vertex is counted from a histogram, the house's with O marked for
+// Z∩A — performs zero heap allocations
 // once a worker's buffers are warm. This is the contract the
 // arena-backed index exists to provide; any regression (a closure
 // capture, a map lookup that boxes, a scratch slice that stopped being
@@ -93,31 +110,34 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 		data, query *graph.Graph
 		wantKernel  string // kernel that must fire for this fixture ("" = any)
 		wantBitmap  bool   // some depth must end the pass probing its outer bitmap
-		wantElim    bool   // count-only must finish from depth n-2 with eliminate
+		wantElim    int    // count-only must finish from depth n-wantElim with eliminate (0: need not)
 		wantWide    bool   // a vertex with non-tree edges must have a four-byte arena
 	}{
-		{"fig1", gen.Fig1Data(), gen.Fig1Query(), "", false, false, false},
-		{"random-pair-7", nil, nil, "", false, false, false},
+		{"fig1", gen.Fig1Data(), gen.Fig1Query(), "", false, 0, false},
+		{"random-pair-7", nil, nil, "", false, 0, false},
 		// A square whose count-only pass refills the histogram once per
 		// cluster and counts each prefix from it.
-		{"square-eliminate", gen.WithRandomLabels(gen.ErdosRenyi(80, 480, 3), 4, 3), labeledSquare(), "", false, true, false},
+		{"square-eliminate", gen.WithRandomLabels(gen.ErdosRenyi(80, 480, 3), 4, 3), labeledSquare(), "", false, 2, false},
+		// A house whose count-only pass marks O in the histogram for Z∩A,
+		// which must be non-zero on some prefix.
+		{"house-eliminate", gen.WithRandomLabels(gen.ErdosRenyi(80, 480, 3), 3, 3), labeledHouse(), "", false, 3, false},
 		// Dense clique: gap-1 candidate lists, the probe kernel's densest
 		// input, proving its span-bitmap reuse is allocation-free.
-		{"dense-probe", denseClique(48), gen.QG3(), "probe", true, false, false},
+		{"dense-probe", denseClique(48), gen.QG3(), "probe", true, 0, false},
 		// Hub skew on a 4-clique query: enumeration intersects a huge hub
 		// adjacency against tiny leaf adjacencies, a >16:1 ratio that
 		// forces the gallop kernel.
-		{"skew-gallop", hubTriangles(600), gen.QG3(), "gallop", false, false, false},
+		{"skew-gallop", hubTriangles(600), gen.QG3(), "gallop", false, 0, false},
 		// Triangle query over the same hub graph: the moderately sparse
 		// comparably sized leaf-chain lists drive the probe kernel, and
 		// the hubs' sibling loops run to hundreds of iterations over one
 		// outer list — the loop the outer bitmap is filled for.
-		{"hub-probe", hubTriangles(600), gen.QG1(), "probe", true, false, false},
+		{"hub-probe", hubTriangles(600), gen.QG1(), "probe", true, 0, false},
 		// One vertex with 2^16+1 candidates, past what a two-byte arena
 		// holds: its lookups read four-byte lists beside the two-byte ones
 		// of the other vertices, and count-only counts it from a histogram
 		// of four-byte lists.
-		{"wide-node", nil, nil, "", false, true, true},
+		{"wide-node", nil, nil, "", false, 2, true},
 	}
 	cases[1].data, cases[1].query = gen.RandomPair(7)
 	cases[len(cases)-1].data, cases[len(cases)-1].query = gen.WidePair(1<<16 + 1)
@@ -136,15 +156,19 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 			}
 			ix := ceci.Build(tc.data, tree, ceci.Options{})
 			m := NewMatcher(ix, Options{Workers: 1, Strategy: workload.FGD})
-			if n := tree.NumVertices(); tc.wantElim && m.elim != n-2 {
-				t.Fatalf("eliminated depth %d, want %d", m.elim, n-2)
+			if n := tree.NumVertices(); tc.wantElim > 0 && m.elim != n-tc.wantElim {
+				t.Fatalf("eliminated depth %d, want %d", m.elim, n-tc.wantElim)
+			}
+			skip := t.Skip
+			if tc.wantElim > 0 {
+				skip = t.Fatal // the histogram count must be exercised, not skipped
 			}
 			if tc.wantWide && !slices.ContainsFunc(ix.Nodes, func(n ceci.Node) bool { return !n.Narrow() && len(n.NTE) > 0 }) {
 				t.Fatal("no vertex with non-tree edges has a four-byte arena")
 			}
 			units := m.units(nil)
 			if len(units) == 0 {
-				t.Skip("no work units for this pair")
+				skip("no work units for this pair")
 			}
 			var seen, perPass int64
 			consumer := &control{fn: func([]graph.VertexID) bool {
@@ -165,7 +189,7 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 				pass() // warm the per-depth cursors and intersection scratch
 				s.drain(false, 0, 0)
 				if seen == 0 {
-					t.Skip("pair has no embeddings; nothing steady-state to measure")
+					skip("pair has no embeddings; nothing steady-state to measure")
 				}
 				if perPass == 0 {
 					perPass = seen
@@ -175,6 +199,9 @@ func TestEnumerationStepZeroAlloc(t *testing.T) {
 				}
 				if tc.wantBitmap && !bitmap {
 					t.Fatal("fixture never probed an outer bitmap")
+				}
+				if tc.wantElim == 3 && ctl.fn == nil && s.corrected[1] == 0 {
+					t.Fatal("the Z∩A correction was zero on every prefix")
 				}
 				if avg := testing.AllocsPerRun(20, pass); avg != 0 {
 					t.Errorf("enumeration pass (consumer: %v) allocates %.1f times, want 0", ctl.fn != nil, avg)

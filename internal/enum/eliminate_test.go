@@ -11,9 +11,11 @@ import (
 )
 
 // elimPair returns a seeded Erdős–Rényi graph of 24–55 vertices labelled
-// from an alphabet of 1–3 labels, a quarter of its vertices carrying a
-// second label (so one data vertex can be a candidate of two query
-// vertices of different labels), and four queries labelled from the same
+// from an alphabet of 1–3 labels — on an even seed a quarter of its
+// vertices carry a second label, so one data vertex can be a candidate of
+// two query vertices of different labels; on an odd seed every vertex has
+// one label, so the sharing rule (Matcher.canShare) can tell such query
+// vertices apart — and four queries labelled from the same
 // alphabet: a square and a house, and two whose last square hangs below
 // the root — a square with a tail and a domino (two squares sharing an
 // edge) — so that z is keyed by a vertex that moves inside a cluster and
@@ -26,7 +28,7 @@ func elimPair(seed int64) (data *graph.Graph, queries []*graph.Graph) {
 	b := graph.NewBuilder(n)
 	for v := 0; v < n; v++ {
 		b.SetLabel(graph.VertexID(v), graph.Label(rng.Intn(labels)))
-		if rng.Intn(4) == 0 {
+		if seed%2 == 0 && rng.Intn(4) == 0 {
 			b.AddExtraLabel(graph.VertexID(v), graph.Label(rng.Intn(labels)))
 		}
 	}
@@ -58,20 +60,22 @@ func elimPair(seed int64) (data *graph.Graph, queries []*graph.Graph) {
 
 // TestEliminationCountEqualsEnumerated: a count-only run that counts its
 // last vertex from a histogram (searcher.eliminate) must return exactly
-// what a consumer is handed — on squares (shape 1), houses (shape 2) and
-// the two shapes elimPair adds, over seeded random multi-labelled graphs,
-// with symmetry breaking and without, under Workers 1–3 × ST/FGD × limits
-// {0, half the total}. Both shapes must be taken, and each of eliminate's
-// three correction terms must be non-zero somewhere, so that dropping any
-// one of them — or refilling the histogram only at unit boundaries —
-// fails here.
+// what a consumer is handed, and both what a matcher whose every pair of
+// query vertices can share a data vertex collects — on squares (shape 1),
+// houses (shape 2) and the two shapes elimPair adds, over seeded random
+// single- and multi-labelled graphs, with symmetry breaking and without,
+// under Workers 1–3 × ST/FGD × limits {0, half the total}. Both shapes
+// must be taken, and each of eliminate's three correction terms must be
+// non-zero on some prefix and skipped by the sharing rule on another, so
+// that dropping any one of them, refilling the histogram only at unit
+// boundaries, or a rule that lets no two vertices share fails here.
 func TestEliminationCountEqualsEnumerated(t *testing.T) {
 	seeds := int64(150)
 	if testing.Short() {
 		seeds = 40
 	}
 	var shapes [2]int
-	var corrected [3]int64
+	var corrected, ruledOut [3]int64
 	for seed := int64(1); seed <= seeds; seed++ {
 		data, queries := elimPair(seed)
 		for _, query := range queries {
@@ -89,7 +93,7 @@ func TestEliminationCountEqualsEnumerated(t *testing.T) {
 				case n - 3:
 					shapes[1]++
 				}
-				total := int64(len(m.Collect()))
+				total := int64(len(sharingEverywhere(ix, Options{Workers: 1, DisableSymmetryBreaking: keep}).Collect()))
 				limits := []int64{0}
 				if total > 1 {
 					limits = append(limits, total/2)
@@ -116,21 +120,25 @@ func TestEliminationCountEqualsEnumerated(t *testing.T) {
 					for _, u := range m.units(s) {
 						s.runUnit(u)
 					}
-					for i, c := range s.corrected {
-						corrected[i] += c
+					for i := range s.corrected {
+						corrected[i] += s.corrected[i]
+						ruledOut[i] += s.ruledOut[i]
 					}
 				}
 			}
 		}
 	}
-	t.Logf("shape 1 (z at n-2) taken %d times, shape 2 (z at n-3) %d; corrections Z∩U %d, Z∩A %d, O∩A %d",
-		shapes[0], shapes[1], corrected[0], corrected[1], corrected[2])
+	t.Logf("shape 1 (z at n-2) taken %d times, shape 2 (z at n-3) %d; corrections Z∩U %d, Z∩A %d, O∩A %d; ruled out %d, %d, %d",
+		shapes[0], shapes[1], corrected[0], corrected[1], corrected[2], ruledOut[0], ruledOut[1], ruledOut[2])
 	if shapes[0] == 0 || shapes[1] == 0 {
 		t.Fatal("a shape was never taken: fixtures too small")
 	}
 	for i, c := range corrected {
 		if c == 0 {
 			t.Fatalf("correction term %d was zero on every prefix: fixtures too small", i)
+		}
+		if ruledOut[i] == 0 {
+			t.Fatalf("the sharing rule skipped correction term %d on no prefix", i)
 		}
 	}
 }

@@ -82,7 +82,13 @@ type Matcher struct {
 	// key vertices, whose assignments the histogram is kept under.
 	elim     int
 	elimKeys []graph.VertexID
-	opts     Options
+	// share[p*n+d] is canShare's answer for the vertices at matching-order
+	// positions p and d, and shareFrom[d] is the shallowest position whose
+	// vertex can share a data vertex with order[d]'s, d when none can: the
+	// injectivity bitmap is read at depth d only when shareFrom[d] < d.
+	share     []bool
+	shareFrom []int
+	opts      Options
 }
 
 // NewMatcher prepares enumeration over ix. Symmetry-breaking constraints
@@ -111,8 +117,50 @@ func NewMatcher(ix *ceci.Index, opts Options) *Matcher {
 	if n >= 3 && !opts.EdgeVerification {
 		m.elim, m.elimKeys = m.eliminable()
 	}
+	m.decideSharing(m.canShare)
 	return m
 }
+
+// canShare is the rule for where injectivity is tested: can query vertex
+// x hold the data vertex that a candidate of u proposes? Not when x is
+// u's query neighbour: u's candidates come out of the adjacency list of
+// x's data vertex, and a data graph has no self-loop. Nor when their
+// labels cannot meet: where every data vertex has one label, a candidate
+// carries its query vertex's primary label. On a multi-labelled data
+// graph any two labels can meet. The edge-verification ablation probes
+// non-tree edges only after the test, so there every pair can share.
+func (m *Matcher) canShare(x, u graph.VertexID) bool {
+	q := m.ix.Tree.Query
+	switch {
+	case m.opts.EdgeVerification:
+		return true
+	case q.HasEdge(x, u):
+		return false
+	}
+	return m.ix.Data.MultiLabeled() || q.Label(x) == q.Label(u)
+}
+
+// decideSharing asks rule once for every pair of query vertices and fills
+// share and shareFrom from the answers.
+func (m *Matcher) decideSharing(rule func(x, u graph.VertexID) bool) {
+	order := m.ix.Tree.Order
+	n := len(order)
+	m.share, m.shareFrom = make([]bool, n*n), make([]int, n)
+	for d, u := range order {
+		m.shareFrom[d] = d
+		for p := d - 1; p >= 0; p-- {
+			ok := rule(order[p], u)
+			m.share[p*n+d], m.share[d*n+p] = ok, ok
+			if ok {
+				m.shareFrom[d] = p
+			}
+		}
+	}
+}
+
+// shares reports whether the vertices at matching-order positions p and d
+// can share a data vertex.
+func (m *Matcher) shares(p, d int) bool { return m.share[p*len(m.shareFrom)+d] }
 
 // eliminable applies the rule under which a count-only run counts the
 // last vertex w from a histogram over w's candidates instead of looping
@@ -179,11 +227,11 @@ func (m *Matcher) consFor(u graph.VertexID) *auto.Constraints {
 // Index returns the underlying CECI index.
 func (m *Matcher) Index() *ceci.Index { return m.ix }
 
-// Over returns a matcher enumerating ix — an index of the same query,
-// such as a view of m's restricted to some of its pivots
-// (ceci.Index.Restrict) — under limit, with m's symmetry-breaking
-// constraints and sinks: its work lands in the same ledger, Stats,
-// profile and progress reporter as m's.
+// Over returns a matcher enumerating ix — an index of the same query tree
+// and data graph, such as a view of m's restricted to some of its pivots
+// (ceci.Index.Restrict) — under limit, with m's sharing rule,
+// symmetry-breaking constraints and sinks: its work lands in the same
+// ledger, Stats, profile and progress reporter as m's.
 func (m *Matcher) Over(ix *ceci.Index, limit int64) *Matcher {
 	o := *m
 	o.ix, o.opts.Limit = ix, limit

@@ -32,10 +32,11 @@ type searcher struct {
 	elim int
 	hist histogram
 	zu   []uint32 // eliminate's Z∩U: positions in z's Cands, at most elim
-	// corrected counts, per correction term of eliminate (Z∩U, Z∩A,
-	// O∩A), the prefixes where it was not zero, so tests can tell that
-	// each one is exercised.
-	corrected [3]int64
+	// corrected and ruledOut count, per correction term of eliminate (Z∩U,
+	// Z∩A, O∩A), the prefixes where it was not zero and those where the
+	// sharing rule (Matcher.canShare) skipped it, so tests can tell that
+	// each one is exercised both ways.
+	corrected, ruledOut [3]int64
 
 	// Everything the hot loop counts is a plain integer this worker owns:
 	// these two and the per-depth step and kernel blocks in scratch. They
@@ -218,9 +219,10 @@ func descend[T setops.Position](s *searcher, depth int, u graph.VertexID, sc *ce
 		return eliminate(s, cands)
 	}
 	cons, verify, ids := s.m.consFor(u), s.m.opts.EdgeVerification, s.m.ix.Nodes[u].Cands
+	check := s.m.shareFrom[depth] < depth
 	for _, p := range cands {
 		v := ids[p]
-		if s.used.Get(v) {
+		if check && s.used.Get(v) {
 			continue
 		}
 		if cons != nil && !cons.Allows(u, v, s.emb, s.matched) {
@@ -248,21 +250,26 @@ func descend[T setops.Position](s *searcher, depth int, u graph.VertexID, sc *ce
 }
 
 // leaf finishes the last matching-order depth in place: every candidate
-// of u that passes the checks search makes — injectivity, symmetry
-// constraints and, in the ablation, the non-tree edges — completes an
-// embedding, so there is nothing to recurse into and nothing to mark: no
-// used/matched writes and no stop-flag load per embedding (search loaded
-// it on entry and its caller loads it again after this returns). A
-// count-only run tallies the survivors and delivers them with one
-// reservation; otherwise each is handed to the consumer in emb. cands are
-// positions in u's Cands, as descend has them.
+// of u that passes the checks search makes — injectivity where an earlier
+// vertex can share with u, symmetry constraints and, in the ablation, the
+// non-tree edges — completes an embedding, so there is nothing to recurse
+// into and nothing to mark: no used/matched writes and no stop-flag load
+// per embedding (search loaded it on entry and its caller loads it again
+// after this returns). A count-only run tallies the survivors and
+// delivers them with one reservation — all of cands at once when there is
+// nothing to check; otherwise each is handed to the consumer in emb.
+// cands are positions in u's Cands, as descend has them.
 func leaf[T setops.Position](s *searcher, u graph.VertexID, cands []T, sc *ceci.MatchScratch) bool {
 	cons, verify, counting := s.m.consFor(u), s.m.opts.EdgeVerification, s.ctl.fn == nil
+	check := s.m.shareFrom[s.tree.n-1] < s.tree.n-1
+	if counting && !check && cons == nil && !verify {
+		return s.deliverCount(int64(len(cands)))
+	}
 	ids := s.m.ix.Nodes[u].Cands
 	var survivors int64
 	for _, p := range cands {
 		v := ids[p]
-		if s.used.Get(v) {
+		if check && s.used.Get(v) {
 			continue
 		}
 		if cons != nil && !cons.Allows(u, v, s.emb, s.matched) {
@@ -300,11 +307,17 @@ func leaf[T setops.Position](s *searcher, u graph.VertexID, cands []T, sc *ceci.
 //
 //	|A|·S − Σ_{v∈Z∩A} |{x∈O∩I(v) : x∉U}| − Σ_{x∈O∩A} (h[x] − |{v∈Z∩U : x∈I(v)}|)
 //
-// Z∩U is Z walked against the injectivity bitmap. Z, A and O are
-// positions in different columns, so Z∩A and O∩A merge the ids they
-// stand for. The work — one lookup a prefix, the entries a
-// refill adds and every list element walked, and the embeddings counted —
-// is charged to w's depth.
+// A set is met with another only where the sharing rule
+// (Matcher.canShare) says their vertices can meet: x∉U is tested only
+// when w can share with a prefix vertex, Z∩U is walked only when z can,
+// a∉U is tested only when y can, and Z∩A and O∩A are formed only when y
+// can share with z and with w. Z∩U is Z walked against the injectivity
+// bitmap. Z, A and O are positions in different columns, so Z∩A and O∩A
+// merge the ids they stand for; at Z∩A's first member O's members outside
+// U are marked in h's top bit, and each I(v) counts its marked members.
+// The work — one lookup a prefix, the entries a refill adds and every
+// list element walked, and the embeddings counted — is charged to w's
+// depth.
 func eliminate[Z setops.Position](s *searcher, zs []Z) bool {
 	ix, n := s.m.ix, s.tree.n
 	var as []uint32
@@ -313,10 +326,13 @@ func eliminate[Z setops.Position](s *searcher, zs []Z) bool {
 		y := s.tree.order[n-2]
 		as = ix.CandidatesFor(y, s.pos, &s.scratch[n-2])
 		s.m.opts.Profile.ObserveEnumOutput(len(as))
-		idsY := ix.Nodes[y].Cands
-		for _, p := range as {
-			if !s.used.Get(idsY[p]) {
-				na++
+		na = int64(len(as))
+		if s.m.shareFrom[n-2] < s.elim {
+			idsY := ix.Nodes[y].Cands
+			for _, p := range as {
+				if s.used.Get(idsY[p]) {
+					na--
+				}
 			}
 		}
 		if na == 0 {
@@ -334,61 +350,112 @@ func eliminate[Z setops.Position](s *searcher, zs []Z) bool {
 	return countLast(s, zs, as, na, inner.U32(), outer)
 }
 
+// mark is the top bit of a histogram entry, where eliminate marks O's
+// members outside U for Z∩A: entries count at most |Z| < 2^31.
+const mark = 1 << 31
+
 // countLast is eliminate past the lookups, with w's inner lists and outer
 // side read at their widths: as and na are y's candidates and how many
 // are unused, when z is at n-3.
 func countLast[I, O, Z setops.Position](s *searcher, zs []Z, as []uint32, na int64, inner ceci.Lists[I], outer []O) bool {
-	ix, n := s.m.ix, s.tree.n
-	z, w := s.tree.order[s.elim], s.tree.order[n-1]
+	m, n, at := s.m, s.tree.n, s.elim
+	z, w := s.tree.order[at], s.tree.order[n-1]
 	st := &s.scratch[n-1].Steps
 	st.Lookups++
-	if !s.hist.holds(s.m.elimKeys, s.pos) {
-		st.Comparisons += fill(&s.hist, s.m.elimKeys, s.pos, zs, inner)
+	if !s.hist.holds(m.elimKeys, s.pos) {
+		st.Comparisons += fill(&s.hist, m.elimKeys, s.pos, zs, inner)
 	}
-	h, idsZ, idsW := s.hist.h, ix.Nodes[z].Cands, ix.Nodes[w].Cands
-	st.Comparisons += int64(len(outer) + len(zs))
+	h, idsZ, idsW := s.hist.h, m.ix.Nodes[z].Cands, m.ix.Nodes[w].Cands
+	checkW := m.shareFrom[n-1] < at
+	st.Comparisons += int64(len(outer))
 	var sum int64
-	for _, x := range outer {
-		if !s.used.Get(idsW[x]) {
+	if checkW {
+		for _, x := range outer {
+			if !s.used.Get(idsW[x]) {
+				sum += int64(h[x])
+			}
+		}
+	} else {
+		for _, x := range outer {
 			sum += int64(h[x])
 		}
 	}
 	var zu, za, oa int64 // the correction terms
 	s.zu = s.zu[:0]
-	for _, v := range zs {
-		if s.used.Get(idsZ[v]) {
-			s.zu = append(s.zu, uint32(v))
-			zu += unused(s, outer, inner.At(uint32(v)), idsW, st)
+	if m.shareFrom[at] < at {
+		st.Comparisons += int64(len(zs))
+		for _, v := range zs {
+			if s.used.Get(idsZ[v]) {
+				s.zu = append(s.zu, uint32(v))
+				zu += unused(s, outer, inner.At(uint32(v)), idsW, st)
+			}
 		}
+	} else {
+		s.ruledOut[0]++
 	}
 	count := sum - zu
 	if as != nil {
-		idsY := ix.Nodes[s.tree.order[n-2]].Cands
-		st.Comparisons += int64(len(as)+len(zs)) + int64(len(as)+len(outer))
-		i, j := 0, 0
-		for _, p := range as {
-			a := idsY[p]
-			if s.used.Get(a) {
-				continue
+		idsY, checkY := m.ix.Nodes[s.tree.order[n-2]].Cands, m.shareFrom[n-2] < at
+		if m.shares(n-2, at) {
+			st.Comparisons += int64(len(as) + len(zs))
+			marked, i := false, 0
+			for _, p := range as {
+				a := idsY[p]
+				if checkY && s.used.Get(a) {
+					continue
+				}
+				for i < len(zs) && idsZ[zs[i]] < a {
+					i++
+				}
+				if i == len(zs) || idsZ[zs[i]] != a {
+					continue
+				}
+				if !marked {
+					st.Comparisons += int64(len(outer))
+					for _, x := range outer {
+						if !checkW || !s.used.Get(idsW[x]) {
+							h[x] |= mark
+						}
+					}
+					marked = true
+				}
+				list := inner.At(uint32(zs[i]))
+				st.Comparisons += int64(len(list))
+				for _, x := range list {
+					za += int64(h[x] >> 31)
+				}
 			}
-			for i < len(zs) && idsZ[zs[i]] < a {
-				i++
+			if marked {
+				for _, x := range outer {
+					h[x] &^= mark
+				}
 			}
-			if i < len(zs) && idsZ[zs[i]] == a {
-				za += unused(s, outer, inner.At(uint32(zs[i])), idsW, st)
-			}
-			for j < len(outer) && idsW[outer[j]] < a {
-				j++
-			}
-			if j < len(outer) && idsW[outer[j]] == a {
-				x := outer[j]
-				oa += int64(h[x])
-				for _, v := range s.zu {
-					if _, ok := slices.BinarySearch(inner.At(v), I(x)); ok {
-						oa--
+		} else {
+			s.ruledOut[1]++
+		}
+		if m.shares(n-2, n-1) {
+			st.Comparisons += int64(len(as) + len(outer))
+			j := 0
+			for _, p := range as {
+				a := idsY[p]
+				if checkY && s.used.Get(a) {
+					continue
+				}
+				for j < len(outer) && idsW[outer[j]] < a {
+					j++
+				}
+				if j < len(outer) && idsW[outer[j]] == a {
+					x := outer[j]
+					oa += int64(h[x])
+					for _, v := range s.zu {
+						if _, ok := slices.BinarySearch(inner.At(v), I(x)); ok {
+							oa--
+						}
 					}
 				}
 			}
+		} else {
+			s.ruledOut[2]++
 		}
 		count = na*count - za - oa
 	}
@@ -402,21 +469,20 @@ func countLast[I, O, Z setops.Position](s *searcher, zs []Z, as []uint32, na int
 }
 
 // unused returns |{x ∈ a∩b : idsW[x] ∉ U}| for two position lists of w,
-// charging the elements walked to st.
+// charging st the elements the merge steps past in a and reads in b: it
+// stops when a runs out.
 func unused[A, B setops.Position](s *searcher, a []A, b []B, idsW []graph.VertexID, st *ceci.StepCounts) (k int64) {
-	st.Comparisons += int64(len(a) + len(b))
-	i := 0
-	for _, x := range b {
+	i, j := 0, 0
+	for ; j < len(b) && i < len(a); j++ {
+		x := b[j]
 		for i < len(a) && uint32(a[i]) < uint32(x) {
 			i++
 		}
-		if i == len(a) {
-			break
-		}
-		if uint32(a[i]) == uint32(x) && !s.used.Get(idsW[x]) {
+		if i < len(a) && uint32(a[i]) == uint32(x) && !s.used.Get(idsW[x]) {
 			k++
 		}
 	}
+	st.Comparisons += int64(i + j)
 	return k
 }
 

@@ -99,8 +99,8 @@ func (g *Graph) HasLabel(v VertexID, l Label) bool {
 	return false
 }
 
-// multiLabeled reports whether some vertex carries more than one label.
-func (g *Graph) multiLabeled() bool { return g.labelOff != nil }
+// MultiLabeled reports whether some vertex carries more than one label.
+func (g *Graph) MultiLabeled() bool { return g.labelOff != nil }
 
 // labelColumn returns every vertex's labels laid out vertex by vertex:
 // the label column, or the primary labels when each vertex has one.

@@ -93,7 +93,7 @@ func (g *Graph) findRun(v VertexID, l Label) (int32, bool) {
 // modified. For single-label graphs it is Neighbors(v) (l == 0) or nil —
 // no index is materialized — so unlabeled workloads pay nothing.
 func (g *Graph) NeighborsWithLabel(v VertexID, l Label) []VertexID {
-	if g.numLabels <= 1 && !g.multiLabeled() {
+	if g.numLabels <= 1 && !g.MultiLabeled() {
 		if l == 0 {
 			return g.Neighbors(v)
 		}
@@ -118,7 +118,7 @@ func (g *Graph) NeighborsWithLabel(v VertexID, l Label) []VertexID {
 // 32 up are looked up one vertex at a time.
 func (g *Graph) RunsWithLabel(vs []VertexID, l Label, dst [][]VertexID) [][]VertexID {
 	dst = slices.Grow(dst[:0], len(vs))[:len(vs)]
-	if g.numLabels <= 1 && !g.multiLabeled() || l >= 32 {
+	if g.numLabels <= 1 && !g.MultiLabeled() || l >= 32 {
 		for i, v := range vs {
 			dst[i] = g.NeighborsWithLabel(v, l)
 		}

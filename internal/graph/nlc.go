@@ -75,7 +75,7 @@ func CompileNLC(sig NLCSignature) NLCReq {
 // every neighbor carries label 0 and the test is a degree comparison. Safe
 // for concurrent callers.
 func (g *Graph) NLCCovers(v VertexID, req NLCReq) bool {
-	if g.numLabels <= 1 && !g.multiLabeled() {
+	if g.numLabels <= 1 && !g.MultiLabeled() {
 		// The run head v would have: one run, of label 0, degree long.
 		var h runHead
 		deg := int32(g.Degree(v))
